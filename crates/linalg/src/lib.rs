@@ -13,6 +13,9 @@
 //!   transposed layouts) shared with the `dbat-nn` tensor kernels, plus
 //!   [`PackedMat`]/[`gemm_prepacked`] for operands packed once at model
 //!   load and reused every call;
+//! * [`mod@attention`] — the fused score → softmax → context kernel for
+//!   one attention head ([`attention_head`]), bitwise identical to the
+//!   `gemm` → softmax → `gemm` pipeline it replaces on the decision path;
 //! * [`mod@int8`] — per-channel symmetric int8 quantized matmul for the
 //!   surrogate's parity-gated grid-scoring sweep;
 //! * [`mod@exp`] — deterministic vectorised `exp` ([`exp_inplace`]) and the
@@ -27,6 +30,7 @@
 //! * [`mod@kron`] — Kronecker products/sums for expanded (phase × level)
 //!   generators.
 
+pub mod attention;
 pub mod exp;
 pub mod expm;
 pub mod gemm;
@@ -36,6 +40,7 @@ pub mod lu;
 pub mod matrix;
 pub mod stationary;
 
+pub use attention::{attention_head, attention_scratch_len};
 pub use exp::{exp_inplace, exp_rn, softmax_rows_inplace, softmax_rows_scaled_inplace};
 pub use expm::{expm, Uniformizer};
 pub use gemm::{gemm, gemm_prepacked, gemm_worthwhile, Layout, PackedMat};

@@ -11,14 +11,21 @@
 //! Every stage mirrors the corresponding graph op *exactly* — the same
 //! `gemm_worthwhile` kernel dispatch, the same accumulation order, the
 //! same elementwise formulas — so a plan forward is **bitwise identical**
-//! to the graph forward over the same weights. The graph path stays
-//! in-tree as the tested reference; the equivalence is asserted by unit
-//! and property tests.
+//! to the graph forward over the same weights. Attention is the one stage
+//! that is not op-for-op: the graph's split-heads → `bmm_nt` → scale →
+//! softmax → `bmm` → merge-heads becomes one
+//! [`dbat_linalg::attention_head`] call per head over the merged
+//! projections, which keeps each element's operation sequence but never
+//! builds the `S × S` matrix. At decision sizes a forward spawns no thread
+//! and allocates nothing.
+//! The graph path stays in-tree as the tested reference; the equivalence
+//! is asserted by unit and property tests.
 
 use crate::layers::{EncoderLayer, LayerNorm, Linear, MultiHeadAttention, TransformerEncoder};
 use crate::tensor::naive_gemm_acc;
-use dbat_linalg::{gemm, gemm_prepacked, gemm_worthwhile, Layout, PackedMat};
-use rayon::prelude::*;
+use dbat_linalg::{
+    attention_head, attention_scratch_len, gemm_prepacked, gemm_worthwhile, Layout, PackedMat,
+};
 
 /// One flat scratch block reused across inference calls.
 ///
@@ -183,32 +190,6 @@ impl LayerNormPlan {
     }
 }
 
-/// `[B, S, H·dh] -> [B·H, S, dh]` head split (reshape + permute_0213).
-fn split_heads(batch: usize, seq: usize, h: usize, dh: usize, src: &[f64], dst: &mut [f64]) {
-    for b in 0..batch {
-        for si in 0..seq {
-            for hi in 0..h {
-                let s0 = ((b * seq + si) * h + hi) * dh;
-                let d0 = ((b * h + hi) * seq + si) * dh;
-                dst[d0..d0 + dh].copy_from_slice(&src[s0..s0 + dh]);
-            }
-        }
-    }
-}
-
-/// `[B·H, S, dh] -> [B, S, H·dh]` head merge (inverse of [`split_heads`]).
-fn merge_heads(batch: usize, seq: usize, h: usize, dh: usize, src: &[f64], dst: &mut [f64]) {
-    for b in 0..batch {
-        for si in 0..seq {
-            for hi in 0..h {
-                let s0 = ((b * h + hi) * seq + si) * dh;
-                let d0 = ((b * seq + si) * h + hi) * dh;
-                dst[d0..d0 + dh].copy_from_slice(&src[s0..s0 + dh]);
-            }
-        }
-    }
-}
-
 /// A [`MultiHeadAttention`] compiled for inference.
 #[derive(Clone, Debug)]
 pub struct MhaPlan {
@@ -241,18 +222,23 @@ impl MhaPlan {
     }
 
     /// Length of the `scores` scratch slice [`forward`](Self::forward)
-    /// needs: per head, `S·S` attention scores plus an `S·dh` context
-    /// block, carved from one buffer so the per-head pipeline can be
-    /// distributed with a single parallel driver.
-    pub fn scores_len(&self, batch: usize, seq: usize) -> usize {
-        let dh = self.dim / self.heads;
-        batch * self.heads * seq * (seq + dh)
+    /// needs: one head's packed Kᵀ plus the score rows of one query
+    /// block (see [`dbat_linalg::attention_head`]). Linear in `seq`, and
+    /// shared by every head and batch item in turn.
+    pub fn scores_len(&self, seq: usize) -> usize {
+        attention_scratch_len(seq, self.dim / self.heads)
     }
 
     /// Self-attention over `x: [B, S, D]` into `out: [B, S, D]`, mirroring
-    /// `MultiHeadAttention::forward` stage by stage. Scratch slices:
-    /// `proj`/`qh`/`kh`/`vh` of `B·S·D` and `scores` of
-    /// [`scores_len`](Self::scores_len).
+    /// `MultiHeadAttention::forward` bit for bit. Scratch slices: `q`/`k`/
+    /// `v`/`ctx` of `B·S·D` and `scores` of [`scores_len`](Self::scores_len).
+    ///
+    /// The projections stay in the merged `[B, S, H·dh]` layout: each head
+    /// is one fused score → softmax → context call over its strided
+    /// columns, writing its columns of `ctx` in place. That is the graph's
+    /// split-heads → `bmm_nt` → scale → softmax → `bmm` → merge-heads
+    /// pipeline with the same per-element arithmetic and no `S × S`
+    /// intermediate.
     #[allow(clippy::too_many_arguments)]
     pub fn forward(
         &self,
@@ -260,86 +246,39 @@ impl MhaPlan {
         seq: usize,
         x: &[f64],
         out: &mut [f64],
-        proj: &mut [f64],
-        qh: &mut [f64],
-        kh: &mut [f64],
-        vh: &mut [f64],
+        q: &mut [f64],
+        k: &mut [f64],
+        v: &mut [f64],
+        ctx: &mut [f64],
         scores: &mut [f64],
     ) {
         let (d, h) = (self.dim, self.heads);
         let dh = d / h;
         let rows = batch * seq;
-        let nb = batch * h;
-        let chunk_len = seq * seq + seq * dh;
         debug_assert_eq!(x.len(), rows * d);
         debug_assert_eq!(out.len(), rows * d);
-        debug_assert_eq!(scores.len(), nb * chunk_len);
 
-        self.wq.forward(rows, x, proj);
-        split_heads(batch, seq, h, dh, proj, qh);
-        self.wk.forward(rows, x, proj);
-        split_heads(batch, seq, h, dh, proj, kh);
-        self.wv.forward(rows, x, proj);
-        split_heads(batch, seq, h, dh, proj, vh);
-
-        // Per head: scores = c·(Q·Kᵀ) → softmax → ctx = attn·V, the same
-        // per-item kernel dispatch as the graph path's bmm_nt/scale/
-        // softmax/bmm pipeline (identical arithmetic, fused per head for
-        // locality). Each head owns one `[S·S scores | S·dh ctx]` chunk,
-        // and head arithmetic is head-independent, so distributing the
-        // chunks over rayon cannot change a bit — it only hides the
-        // wall-clock of the three hottest kernels behind each other.
-        let packed_scores = gemm_worthwhile(seq, seq, dh);
-        let packed_ctx = gemm_worthwhile(seq, dh, seq);
+        self.wq.forward(rows, x, q);
+        self.wk.forward(rows, x, k);
+        self.wv.forward(rows, x, v);
         let c = 1.0 / (dh as f64).sqrt();
-        let qh_r: &[f64] = qh;
-        let kh_r: &[f64] = kh;
-        let vh_r: &[f64] = vh;
-        let head = |(i, chunk): (usize, &mut [f64])| {
-            let (sc, ctx) = chunk.split_at_mut(seq * seq);
-            let qb = &qh_r[i * seq * dh..(i + 1) * seq * dh];
-            let kb = &kh_r[i * seq * dh..(i + 1) * seq * dh];
-            let vb = &vh_r[i * seq * dh..(i + 1) * seq * dh];
-            if packed_scores {
-                gemm(seq, seq, dh, qb, Layout::Normal, kb, Layout::Transposed, sc);
-            } else {
-                for row in 0..seq {
-                    let arow = &qb[row * dh..(row + 1) * dh];
-                    let orow = &mut sc[row * seq..(row + 1) * seq];
-                    for (o, brow) in orow.iter_mut().zip(kb.chunks_exact(dh.max(1))) {
-                        let mut acc = 0.0;
-                        for (&xv, &yv) in arow.iter().zip(brow) {
-                            acc += xv * yv;
-                        }
-                        *o = acc;
-                    }
-                }
-            }
-            // Scale is fused into the softmax kernel; bit-equal to the
-            // graph path's separate scale op (monotone rounding — see
-            // dbat_linalg::softmax_rows_scaled_inplace).
-            dbat_linalg::softmax_rows_scaled_inplace(sc, seq, c);
-            if packed_ctx {
-                gemm(seq, dh, seq, sc, Layout::Normal, vb, Layout::Normal, ctx);
-            } else {
-                ctx.fill(0.0);
-                naive_gemm_acc(seq, dh, seq, sc, vb, ctx);
-            }
-        };
-        if nb > 1 && nb * seq * seq >= 16_384 {
-            scores.par_chunks_mut(chunk_len).enumerate().for_each(head);
-        } else {
-            for item in scores.chunks_mut(chunk_len).enumerate() {
-                head(item);
+        for b in 0..batch {
+            for hi in 0..h {
+                let off = b * seq * d + hi * dh;
+                attention_head(
+                    seq,
+                    dh,
+                    d,
+                    c,
+                    &q[off..],
+                    &k[off..],
+                    &v[off..],
+                    &mut ctx[off..],
+                    scores,
+                );
             }
         }
-        // Gather the per-head ctx blocks and merge back to [B, S, D].
-        for i in 0..nb {
-            proj[i * seq * dh..(i + 1) * seq * dh]
-                .copy_from_slice(&scores[i * chunk_len + seq * seq..(i + 1) * chunk_len]);
-        }
-        merge_heads(batch, seq, h, dh, proj, qh);
-        self.wo.forward(rows, qh, out);
+        self.wo.forward(rows, ctx, out);
     }
 }
 
@@ -372,17 +311,16 @@ impl EncoderLayerPlan {
         batch: usize,
         seq: usize,
         x: &mut [f64],
-        proj: &mut [f64],
-        qh: &mut [f64],
-        kh: &mut [f64],
-        vh: &mut [f64],
+        q: &mut [f64],
+        k: &mut [f64],
+        v: &mut [f64],
+        ctx: &mut [f64],
         att: &mut [f64],
         scores: &mut [f64],
         ffh: &mut [f64],
     ) {
         let rows = batch * seq;
-        self.mha
-            .forward(batch, seq, x, att, proj, qh, kh, vh, scores);
+        self.mha.forward(batch, seq, x, att, q, k, v, ctx, scores);
         // Residual 1 + LN1: x now holds x1.
         for (xv, &av) in x.iter_mut().zip(att.iter()) {
             *xv += av;
@@ -391,8 +329,8 @@ impl EncoderLayerPlan {
         // Feed-forward on x1, then residual 2 + LN2.
         self.ff1.forward(rows, x, ffh);
         relu_inplace(ffh);
-        self.ff2.forward(rows, ffh, proj);
-        for (xv, &hv) in x.iter_mut().zip(proj.iter()) {
+        self.ff2.forward(rows, ffh, q);
+        for (xv, &hv) in x.iter_mut().zip(q.iter()) {
             *xv += hv;
         }
         self.ln2.forward(x);
@@ -444,7 +382,7 @@ impl InferencePlan {
             bsd,
             bsd,
             bsd,
-            batch * self.heads * seq * (seq + self.dim / self.heads),
+            attention_scratch_len(seq, self.dim / self.heads),
             batch * seq * self.ff_hidden,
         ]
     }
@@ -452,8 +390,8 @@ impl InferencePlan {
     /// In-place forward over `x` (flattened `[batch, seq, dim]`), using
     /// scratch from `arena`.
     pub fn forward(&self, batch: usize, seq: usize, x: &mut [f64], arena: &mut Arena) {
-        let [proj, qh, kh, vh, att, scores, ffh] = arena.split(self.scratch_lens(batch, seq));
-        self.forward_with(batch, seq, x, proj, qh, kh, vh, att, scores, ffh);
+        let [q, k, v, ctx, att, scores, ffh] = arena.split(self.scratch_lens(batch, seq));
+        self.forward_with(batch, seq, x, q, k, v, ctx, att, scores, ffh);
     }
 
     /// As [`forward`](Self::forward) with caller-carved scratch slices
@@ -464,17 +402,17 @@ impl InferencePlan {
         batch: usize,
         seq: usize,
         x: &mut [f64],
-        proj: &mut [f64],
-        qh: &mut [f64],
-        kh: &mut [f64],
-        vh: &mut [f64],
+        q: &mut [f64],
+        k: &mut [f64],
+        v: &mut [f64],
+        ctx: &mut [f64],
         att: &mut [f64],
         scores: &mut [f64],
         ffh: &mut [f64],
     ) {
         debug_assert_eq!(x.len(), batch * seq * self.dim);
         for l in &self.layers {
-            l.forward(batch, seq, x, proj, qh, kh, vh, att, scores, ffh);
+            l.forward(batch, seq, x, q, k, v, ctx, att, scores, ffh);
         }
     }
 }
@@ -531,6 +469,12 @@ mod tests {
             (1usize, 1usize, 16usize, 4usize),
             (2, 5, 8, 2),
             (1, 64, 16, 4),
+            // Sequence tails (not a multiple of 4 or of the row block)
+            // on both sides of the packed-kernel threshold, and dh ≠ 4.
+            (1, 63, 16, 4),
+            (2, 37, 16, 2),
+            (1, 19, 8, 4),
+            (3, 6, 12, 2),
         ] {
             let mut rng = InitRng::new(11);
             let mha = MultiHeadAttention::new(dim, heads, &mut rng);
@@ -544,9 +488,9 @@ mod tests {
             let plan = MhaPlan::compile(&mha);
             let bsd = batch * seq * dim;
             let mut arena = Arena::new();
-            let [out, proj, qh, kh, vh, scores] =
-                arena.split([bsd, bsd, bsd, bsd, bsd, plan.scores_len(batch, seq)]);
-            plan.forward(batch, seq, x.data(), out, proj, qh, kh, vh, scores);
+            let [out, q, k, v, ctx, scores] =
+                arena.split([bsd, bsd, bsd, bsd, bsd, plan.scores_len(seq)]);
+            plan.forward(batch, seq, x.data(), out, q, k, v, ctx, scores);
             assert_eq!(&*out, &want[..], "({batch},{seq},{dim},{heads})");
         }
     }
@@ -557,6 +501,9 @@ mod tests {
             (1usize, 8usize, 8usize, 2usize, 16usize, 1usize),
             (2, 5, 8, 2, 16, 2),
             (1, 256, 16, 4, 32, 2),
+            (1, 77, 16, 4, 32, 2),
+            (2, 30, 16, 2, 32, 1),
+            (1, 50, 8, 4, 16, 2),
         ] {
             let mut rng = InitRng::new(23);
             let enc = TransformerEncoder::new(layers, dim, heads, ff, &mut rng);

@@ -114,5 +114,21 @@ fn online_controller_audit_trail() {
     assert_eq!(tel.counter("sim.cold_starts").get(), 0);
     assert_eq!(tel.counter("sim.clamped_events").get(), 0);
 
+    // --- the decide split is readable from the hub -----------------------
+    // One encode and one score sample per surrogate decision, and the two
+    // legs add up to the predict_all they split.
+    let decided = records.iter().filter(|r| !r.bootstrap).count() as u64;
+    let (enc, score, all) = (
+        tel.histogram("controller.encode_s"),
+        tel.histogram("controller.score_s"),
+        tel.histogram("controller.predict_all_s"),
+    );
+    assert!(decided > 0);
+    assert_eq!(enc.count(), decided);
+    assert_eq!(score.count(), decided);
+    assert_eq!(all.count(), decided);
+    assert!(enc.sum() > 0.0 && score.sum() > 0.0);
+    assert!((enc.sum() + score.sum() - all.sum()).abs() <= 1e-9 * decided as f64);
+
     std::fs::remove_file(&jsonl_path).ok();
 }
