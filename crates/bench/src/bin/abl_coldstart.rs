@@ -4,7 +4,10 @@
 //! cold-start penalty or queue behind an account concurrency quota.
 
 use dbat_bench::{report, ExpSettings};
-use dbat_sim::{simulate_batching, simulate_with_concurrency, ColdStart, LambdaConfig, SimParams};
+use dbat_sim::{
+    simulate_batching, simulate_faults, ColdStart, FaultPlan, LambdaConfig, SimParams,
+    ThrottleFault,
+};
 use dbat_workload::{TraceKind, HOUR};
 
 fn main() {
@@ -63,8 +66,16 @@ fn main() {
     let params = SimParams::default();
     let mut rows = Vec::new();
     for limit in [1usize, 2, 4, 8, 16, usize::MAX] {
-        let out = simulate_with_concurrency(arrivals, &cfg, &params, limit);
-        let sum = out.summary();
+        // The quota is the fault model's throttle channel on its own: batches
+        // beyond the limit wait in an unbounded FIFO queue, nothing is shed.
+        let quota = FaultPlan {
+            throttle: Some(ThrottleFault {
+                max_concurrency: limit,
+                queue_capacity: usize::MAX,
+            }),
+            ..FaultPlan::default()
+        };
+        let sum = simulate_faults(arrivals, &cfg, &params, &quota).summary();
         rows.push(vec![
             if limit == usize::MAX {
                 "unlimited".into()

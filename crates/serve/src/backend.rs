@@ -10,9 +10,8 @@
 //! duration on the gateway clock, so live runs occupy real (scaled)
 //! wall time while replays just advance virtual time.
 
-use crate::batcher::FormedBatch;
 use crate::clock::Clock;
-use dbat_sim::{LambdaConfig, Pricing, ServiceProfile, SimParams};
+use dbat_sim::{FormedBatch, LambdaConfig, Pricing, ServiceProfile, SimParams};
 use serde::{Deserialize, Serialize};
 
 /// The planned outcome of one invocation: deterministic service time and
@@ -117,7 +116,7 @@ mod tests {
             config: cfg,
             opened_at: 1.9,
             dispatched_at: 2.0,
-            reason: crate::batcher::FlushReason::Capacity,
+            reason: dbat_sim::FlushReason::Capacity,
             lane: 0,
         };
         backend.execute(&clock, &plan, &batch);

@@ -40,12 +40,11 @@
 //! unsharded gateway gave.
 
 use crate::backend::InferenceBackend;
-use crate::batcher::{Admitted, BatcherCore, FlushReason, FormedBatch};
 use crate::clock::Clock;
 use crate::outcome::{ServeCounts, ServeOutcome, ServedBatch, ServedRequest};
 use dbat_sim::{
-    ClassAssignment, Controller, DecisionContext, DecisionRecord, FunctionGroup,
-    IntervalMeasurement, LambdaConfig, LatencySummary,
+    Admitted, BatcherCore, ClassAssignment, Controller, DecisionContext, DecisionRecord,
+    FlushReason, FormedBatch, FunctionGroup, IntervalMeasurement, LambdaConfig, LatencySummary,
 };
 use dbat_telemetry::{
     Counter, FlushKind, Gauge, Histogram, SpanId, Telemetry, TraceConfig, TraceEvent, TraceId,
@@ -1360,20 +1359,15 @@ fn finalize_intervals(
                 .map(|b| b.cost)
                 .sum();
             drop(done);
-            let summary = LatencySummary::from_latencies(&latencies);
-            let m = IntervalMeasurement {
-                start: rec.start,
-                end: rec.end,
-                config: rec.config,
-                summary,
-                cost_per_request: cost / ids.len() as f64,
-                requests: ids.len(),
-                violation: summary.percentile(shared.cfg.percentile) > shared.cfg.slo,
-                cold_starts: 0,
-                retries: 0,
-                lost: 0,
-                wall_s: wall.elapsed().as_secs_f64(),
-            };
+            let m = IntervalMeasurement::new(
+                (rec.start, rec.end),
+                rec.config,
+                LatencySummary::from_latencies(&latencies),
+                cost / ids.len() as f64,
+                ids.len(),
+                (shared.cfg.slo, shared.cfg.percentile),
+                wall.elapsed().as_secs_f64(),
+            );
             rec.record_measurement(&m);
             ctl.observe(&m);
             measurements.push(m);

@@ -19,9 +19,10 @@
 //! * [`clock`] — the [`Clock`] trait all gateway time flows through:
 //!   [`WallClock`] (live, optionally time-scaled) and [`VirtualClock`]
 //!   (deterministic replay).
-//! * [`batcher`] — the pure `(M, B, T)` window state machine shared by
-//!   the live batcher thread and the replay; hot reconfiguration seals
-//!   windows, never splits them.
+//! * [`BatcherCore`] — the pure `(M, B, T)` window state machine. It
+//!   lives in [`dbat_sim::window`], where the simulators drive it too, and
+//!   is re-exported here; hot reconfiguration seals windows, never splits
+//!   them.
 //! * [`backend`] — pluggable [`InferenceBackend`]; the default
 //!   [`ProfiledBackend`] sleeps the calibrated `s(M, b)` and bills the
 //!   simulator's pricing model.
@@ -33,8 +34,10 @@
 //!   heterogeneous [`dbat_sim::FunctionGroup`]s and `submit` routes
 //!   each [`Request`] to the lane serving its class, with per-class
 //!   `serve.class.<i>.*` telemetry.
-//! * [`replay`] — [`VirtualGateway`]: the same machinery as a
-//!   single-threaded discrete-event loop, **bitwise-equivalent** to
+//! * [`replay`] — [`VirtualGateway`]: the same core and backend under one
+//!   single-threaded discrete-event loop (fixed, per-group and
+//!   closed-loop replays are that loop with a different routing closure,
+//!   boundary list and cost fold), **bitwise-equivalent** to
 //!   [`dbat_sim::simulate_batching`] under the profiled backend
 //!   (any lane count; `lanes = 1` is the anchored configuration).
 //! * [`loadgen`] — open-loop trace replay against a live gateway, plus
@@ -51,7 +54,6 @@
 //! deterministic replay is unsampled by design.
 
 pub mod backend;
-pub mod batcher;
 pub mod clock;
 pub mod gateway;
 pub mod loadgen;
@@ -61,8 +63,10 @@ pub mod scripted;
 pub mod tokens;
 
 pub use backend::{BatchPlan, InferenceBackend, ProfiledBackend};
-pub use batcher::{Admitted, BatcherCore, FlushReason, FormedBatch};
 pub use clock::{Clock, VirtualClock, WallClock};
+/// The window core lives in `dbat-sim`; re-exported so gateway callers
+/// keep one import path.
+pub use dbat_sim::window::{Admitted, BatcherCore, FlushReason, FormedBatch};
 pub use gateway::{Admission, BackpressurePolicy, DrainMode, Gateway, GatewayConfig, Request};
 pub use loadgen::{
     drive, drive_classed, drive_concurrent, ConcurrentLoadStats, LaneAssignment, LoadStats,

@@ -3,8 +3,7 @@
 //! admission accounting and (for controlled runs) the per-interval
 //! measurements and decision audit trail.
 
-use crate::batcher::FlushReason;
-use dbat_sim::{DecisionRecord, IntervalMeasurement, LambdaConfig, LatencySummary};
+use dbat_sim::{DecisionRecord, FlushReason, IntervalMeasurement, LambdaConfig, LatencySummary};
 use dbat_workload::ClassId;
 use serde::{Deserialize, Serialize};
 

@@ -1,40 +1,40 @@
 //! Deterministic virtual-clock replay: the gateway run as a
 //! single-threaded discrete-event loop.
 //!
-//! [`VirtualGateway`] drives the *same* batching core and backend the
-//! threaded gateway uses, but over [`dbat_sim::engine::Scheduler`] with a
-//! [`VirtualClock`], so every stamp is an exact event time. With the
-//! default [`ProfiledBackend`] this makes a replay **bitwise-equivalent**
-//! to [`dbat_sim::simulate_batching`] (cold starts off): identical
-//! per-request dispatch/completion/latency floats and identical
-//! per-invocation costs, accumulated in the same dispatch order. The
-//! equivalence holds because
+//! [`VirtualGateway`] drives the *same* window core ([`BatcherCore`]) and
+//! backend the threaded gateway uses, but over
+//! [`dbat_sim::engine::Scheduler`] with a [`VirtualClock`], so every stamp
+//! is an exact event time. With the default [`ProfiledBackend`] this makes
+//! a replay **bitwise-equivalent** to [`dbat_sim::simulate_batching`]
+//! (cold starts off): identical per-request dispatch/completion/latency
+//! floats and identical per-invocation costs, accumulated in the same
+//! dispatch order. The window stamps agree by construction — both sides
+//! drive one core, which stamps timeout flushes at the window deadline —
+//! and [`ProfiledBackend::plan`] is the simulator's service/cost
+//! arithmetic, applied to the same `(M, b)` pairs.
 //!
-//! * arrivals are scheduled upfront and deadline events afterwards, so
-//!   at equal times an arrival pops before a deadline — the simulator's
-//!   FIFO tie-break (an arrival at the exact timeout joins the batch);
-//! * timeout flushes are stamped at the window deadline, not at the
-//!   observation time;
-//! * [`ProfiledBackend::plan`] is the simulator's service/cost
-//!   arithmetic, applied to the same `(M, b)` pairs.
-//!
-//! Decision boundaries are scheduled *before* arrivals, so a request at
-//! exactly an interval boundary arrives under the new configuration —
-//! the half-open `[start, end)` convention of the offline driver.
+//! The three public replays (`replay`, `replay_grouped`,
+//! `replay_controlled`) are one event loop that differs only in how an
+//! arrival is routed to a lane, whether decision boundaries are scheduled,
+//! and how the total cost is folded. Decision boundaries are scheduled
+//! *before* arrivals, so a request at exactly an interval boundary arrives
+//! under the new configuration — the half-open `[start, end)` convention
+//! of the offline driver.
 
-use crate::backend::{InferenceBackend, ProfiledBackend};
-use crate::batcher::{Admitted, BatcherCore, FormedBatch};
+use crate::backend::{BatchPlan, InferenceBackend, ProfiledBackend};
 use crate::clock::VirtualClock;
 use crate::gateway::{push_admission_trace, push_batch_trace};
 use crate::outcome::{ServeCounts, ServeOutcome, ServedBatch, ServedRequest};
 use dbat_sim::engine::Scheduler;
 use dbat_sim::{
-    ClassAssignment, Controller, DecisionContext, FunctionGroup, IntervalMeasurement, LambdaConfig,
-    LatencySummary, SimConfig, SimParams,
+    Admitted, BatcherCore, ClassAssignment, Controller, DecisionContext, DecisionRecord,
+    FormedBatch, FunctionGroup, IntervalMeasurement, LambdaConfig, LatencySummary, SimConfig,
+    SimParams,
 };
 use dbat_telemetry::{Telemetry, TraceEvent};
 use dbat_workload::{ClassId, ClassedTrace, Trace};
 use std::sync::Arc;
+use std::time::Instant;
 
 enum Event {
     /// Decision boundary `k` (controlled runs). Scheduled first, so it
@@ -103,73 +103,19 @@ impl VirtualGateway {
         &self.clock
     }
 
+    /// One core per lane, all under `config`.
+    fn lane_cores(&self, config: LambdaConfig) -> Vec<BatcherCore> {
+        (0..self.lanes)
+            .map(|l| BatcherCore::for_lane(config, l as u32))
+            .collect()
+    }
+
     /// Replay a fixed configuration over a sorted, non-negative arrival
     /// sequence. Mirrors `simulate_batching(arrivals, config, ..)`.
     pub fn replay(&mut self, arrivals: &[f64], config: &LambdaConfig) -> ServeOutcome {
-        check_arrivals(arrivals);
         let n_lanes = self.lanes;
-        let mut cores: Vec<BatcherCore> = (0..n_lanes)
-            .map(|l| BatcherCore::for_lane(*config, l as u32))
-            .collect();
-        let mut sched: Scheduler<Event> = Scheduler::new();
-        for (i, &a) in arrivals.iter().enumerate() {
-            sched.schedule(a, Event::Arrival(i));
-        }
-        let mut state = ReplayState::new(arrivals.to_vec(), false);
-        let mut formed: Vec<FormedBatch> = Vec::new();
-        let tracer = self.tel.tracer();
-        // Tracing stages into a plain local Vec — the replay loop is
-        // single-threaded, so per-event locks would be pure overhead —
-        // and submits bounded chunks through one lock each.
-        let trace_on = tracer.is_active();
-        let mut trace_buf: Vec<TraceEvent> = Vec::new();
-        while let Some((t, ev)) = sched.pop() {
-            self.clock.advance_to(t);
-            // Each event touches exactly one lane's core; only that
-            // lane's deadline can change, so only it is re-scheduled.
-            let lane;
-            match ev {
-                Event::Boundary(_) => unreachable!("fixed replay schedules no boundaries"),
-                Event::Arrival(i) => {
-                    lane = i % n_lanes;
-                    if trace_on {
-                        push_admission_trace(&mut trace_buf, i as u64, t, lane as u32);
-                    }
-                    cores[lane].on_arrival(
-                        Admitted {
-                            id: i as u64,
-                            arrival: t,
-                            class: 0,
-                        },
-                        &mut formed,
-                    );
-                }
-                Event::Deadline(l) => {
-                    lane = l;
-                    cores[lane].due(t, &mut formed);
-                }
-            }
-            state.settle(
-                &mut formed,
-                self.backend.as_ref(),
-                trace_on,
-                &mut trace_buf,
-                |_, _| {},
-            );
-            if trace_buf.len() >= TRACE_CHUNK {
-                tracer.record_many(&trace_buf);
-                trace_buf.clear();
-            }
-            if let Some(d) = cores[lane].next_deadline() {
-                sched.schedule(d, Event::Deadline(lane));
-            }
-        }
-        tracer.record_many(&trace_buf);
-        debug_assert!(
-            cores.iter().all(|c| c.is_idle()),
-            "all requests must be dispatched"
-        );
-        state.into_outcome(Vec::new(), Vec::new())
+        let cores = self.lane_cores(*config);
+        self.run(arrivals, cores, |i| (i % n_lanes, 0), false, None)
     }
 
     /// Replay heterogeneous function groups over a class-tagged trace:
@@ -202,73 +148,18 @@ impl VirtualGateway {
             .unwrap_or(0);
         let assignment =
             ClassAssignment::from_groups(groups, n_classes).expect("invalid function groups");
-        let arrivals = trace.trace().timestamps().to_vec();
-        check_arrivals(&arrivals);
-        let labels: Vec<ClassId> = trace.labels().to_vec();
+        let labels = trace.labels();
         assert!(
             labels.iter().all(|&c| (c as usize) < n_classes),
             "trace labels a class no group serves"
         );
-        let mut cores: Vec<BatcherCore> = groups
+        let cores = groups
             .iter()
             .enumerate()
             .map(|(g, grp)| BatcherCore::for_lane(grp.config, g as u32))
             .collect();
-        let mut sched: Scheduler<Event> = Scheduler::new();
-        for (i, &a) in arrivals.iter().enumerate() {
-            sched.schedule(a, Event::Arrival(i));
-        }
-        let mut state = ReplayState::new(arrivals, true);
-        let mut formed: Vec<FormedBatch> = Vec::new();
-        let tracer = self.tel.tracer();
-        let trace_on = tracer.is_active();
-        let mut trace_buf: Vec<TraceEvent> = Vec::new();
-        while let Some((t, ev)) = sched.pop() {
-            self.clock.advance_to(t);
-            let lane;
-            match ev {
-                Event::Boundary(_) => unreachable!("grouped replay schedules no boundaries"),
-                Event::Arrival(i) => {
-                    let class = labels[i];
-                    lane = assignment.group_of(class) as usize;
-                    if trace_on {
-                        push_admission_trace(&mut trace_buf, i as u64, t, lane as u32);
-                    }
-                    cores[lane].on_arrival(
-                        Admitted {
-                            id: i as u64,
-                            arrival: t,
-                            class,
-                        },
-                        &mut formed,
-                    );
-                }
-                Event::Deadline(l) => {
-                    lane = l;
-                    cores[lane].due(t, &mut formed);
-                }
-            }
-            state.settle(
-                &mut formed,
-                self.backend.as_ref(),
-                trace_on,
-                &mut trace_buf,
-                |_, _| {},
-            );
-            if trace_buf.len() >= TRACE_CHUNK {
-                tracer.record_many(&trace_buf);
-                trace_buf.clear();
-            }
-            if let Some(d) = cores[lane].next_deadline() {
-                sched.schedule(d, Event::Deadline(lane));
-            }
-        }
-        tracer.record_many(&trace_buf);
-        debug_assert!(
-            cores.iter().all(|c| c.is_idle()),
-            "all requests must be dispatched"
-        );
-        state.into_outcome(Vec::new(), Vec::new())
+        let route = |i: usize| (assignment.group_of(labels[i]) as usize, labels[i]);
+        self.run(trace.trace().timestamps(), cores, route, true, None)
     }
 
     /// Replay a closed-loop controller over `[t0, t1)` of the trace:
@@ -295,144 +186,97 @@ impl VirtualGateway {
             "the gateway does not inject faults; use the simulator for fault studies"
         );
         assert!(t0 >= 0.0 && t1 >= t0, "need 0 <= t0 <= t1");
+        let control = ControlLoop::new(ctl, trace, t0, t1, opts);
+        let n_lanes = self.lanes;
+        // The pre-boundary core config is irrelevant: Boundary(0) pops
+        // before any arrival and rotates to the first decision.
+        let cores = self.lane_cores(LambdaConfig::new(512, 1, 0.0));
+        let route = |i: usize| (i % n_lanes, 0);
+        self.run(trace.slice_raw(t0, t1), cores, route, false, Some(control))
+    }
 
-        // Interval grid [start_k, end_k), identical to run_controller.
-        let mut intervals: Vec<(f64, f64)> = Vec::new();
-        let mut t = t0;
-        while t < t1 {
-            let end = (t + opts.decision_interval).min(t1);
-            intervals.push((t, end));
-            t = end;
-        }
-
-        let arrivals: Vec<f64> = trace.slice_raw(t0, t1).to_vec();
-        let lo = trace.lower_bound(t0);
-        let hi = lo + arrivals.len();
-        check_arrivals(&arrivals);
-
-        // Request-id boundaries per interval: ids [bounds[k], bounds[k+1])
-        // arrived in interval k.
-        let mut bounds: Vec<usize> = intervals
-            .iter()
-            .map(|&(s, _)| trace.lower_bound(s).clamp(lo, hi) - lo)
-            .collect();
-        bounds.push(hi - lo);
-        let k_of = |id: usize| bounds.partition_point(|&b| b <= id) - 1;
-
+    /// The event loop behind every replay. `route` maps an arrival's
+    /// relative id to its lane and class; `grouped` selects the per-lane
+    /// cost fold (see [`ReplayState`]); `control`, when present, schedules
+    /// its decision boundaries and runs the closed loop at them.
+    fn run(
+        &mut self,
+        arrivals: &[f64],
+        mut cores: Vec<BatcherCore>,
+        route: impl Fn(usize) -> (usize, ClassId),
+        grouped: bool,
+        mut control: Option<ControlLoop<'_>>,
+    ) -> ServeOutcome {
+        assert!(
+            arrivals.windows(2).all(|w| w[0] <= w[1]),
+            "arrivals must be sorted"
+        );
+        assert!(
+            arrivals.first().is_none_or(|&a| a >= 0.0),
+            "arrivals must be non-negative"
+        );
         let mut sched: Scheduler<Event> = Scheduler::new();
         // Boundaries first: lowest sequence numbers win ties at t == start.
-        for (k, &(s, _)) in intervals.iter().enumerate() {
-            sched.schedule(s, Event::Boundary(k));
+        // Arrivals next and deadlines as they arise, so at equal times an
+        // arrival pops before a deadline and joins the window.
+        for (k, &(start, _)) in control.iter().flat_map(|c| &c.intervals).enumerate() {
+            sched.schedule(start, Event::Boundary(k));
         }
         for (i, &a) in arrivals.iter().enumerate() {
             sched.schedule(a, Event::Arrival(i));
         }
-
-        let n_intervals = intervals.len();
-        let mut remaining: Vec<usize> = (0..n_intervals)
-            .map(|k| bounds[k + 1] - bounds[k])
-            .collect();
-        let mut interval_cost = vec![0.0f64; n_intervals];
-        let mut pending: Vec<Option<dbat_sim::DecisionRecord>> = vec![None; n_intervals];
-        let mut walls: Vec<Option<std::time::Instant>> = vec![None; n_intervals];
-        let mut next_final = 0usize; // head-of-line finalisation cursor
-        let mut decided = 0usize;
-        let mut measurements: Vec<IntervalMeasurement> = Vec::new();
-        let mut records: Vec<dbat_sim::DecisionRecord> = Vec::new();
-
-        // The pre-boundary core config is irrelevant: Boundary(0) pops
-        // before any arrival and rotates to the first decision.
-        let n_lanes = self.lanes;
-        let mut cores: Vec<BatcherCore> = (0..n_lanes)
-            .map(|l| BatcherCore::for_lane(LambdaConfig::new(512, 1, 0.0), l as u32))
-            .collect();
-        let mut state = ReplayState::new(arrivals, false);
+        let lane_costs = grouped.then(|| vec![0.0; cores.len()]);
+        let mut state = ReplayState::new(arrivals.len(), lane_costs);
         let mut formed: Vec<FormedBatch> = Vec::new();
-        let trace_on = self.tel.tracer().is_active();
+        // Tracing stages into a plain local Vec — the replay loop is
+        // single-threaded, so per-event locks would be pure overhead —
+        // and submits bounded chunks through one lock each.
+        let tracer = self.tel.tracer();
+        let trace_on = tracer.is_active();
         let mut trace_buf: Vec<TraceEvent> = Vec::new();
-
         while let Some((t, ev)) = sched.pop() {
             self.clock.advance_to(t);
             // Lanes whose core this event touched (and whose deadline
             // must therefore be re-scheduled): all of them at a
             // boundary, exactly one otherwise.
-            let touched: std::ops::Range<usize>;
-            match ev {
+            let touched = match ev {
                 Event::Boundary(k) => {
-                    // Feed back every fully-served earlier interval, in
-                    // order, before the next decision — the closed loop.
-                    finalize_ready(
-                        &mut next_final,
-                        decided,
-                        &remaining,
-                        &intervals,
-                        &bounds,
-                        &interval_cost,
-                        &state,
-                        &mut pending,
-                        &mut walls,
-                        ctl,
-                        opts,
-                        &mut measurements,
-                        &mut records,
-                    );
-                    let (start, end) = intervals[k];
-                    let ctx = DecisionContext {
-                        trace,
-                        start,
-                        end,
-                        index: k,
-                    };
-                    let t_decide = std::time::Instant::now();
-                    let mut rec = ctl.decide(&ctx);
-                    rec.decide_s = t_decide.elapsed().as_secs_f64();
+                    let control = control.as_mut().expect("only control schedules boundaries");
+                    let config = control.decide(k, &state.requests);
                     // Broadcast: every lane rotates at the boundary,
                     // exactly like the threaded gateway's reconfig fan-out.
                     for core in &mut cores {
-                        core.rotate(rec.config);
+                        core.rotate(config);
                     }
-                    touched = 0..n_lanes;
-                    pending[k] = Some(rec);
-                    walls[k] = Some(std::time::Instant::now());
-                    decided = k + 1;
+                    0..cores.len()
                 }
                 Event::Arrival(i) => {
-                    let lane = i % n_lanes;
-                    touched = lane..lane + 1;
+                    let (lane, class) = route(i);
                     if trace_on {
                         push_admission_trace(&mut trace_buf, i as u64, t, lane as u32);
                     }
-                    cores[lane].on_arrival(
-                        Admitted {
-                            id: i as u64,
-                            arrival: t,
-                            class: 0,
-                        },
-                        &mut formed,
-                    );
+                    let req = Admitted {
+                        id: i as u64,
+                        arrival: t,
+                        class,
+                    };
+                    cores[lane].on_arrival(req, &mut formed);
+                    lane..lane + 1
                 }
                 Event::Deadline(l) => {
-                    touched = l..l + 1;
                     cores[l].due(t, &mut formed);
+                    l..l + 1
+                }
+            };
+            for fb in formed.drain(..) {
+                let plan = self.backend.plan(&fb.config, fb.requests.len() as u32);
+                state.settle(&fb, &plan, trace_on.then_some(&mut trace_buf));
+                if let Some(control) = control.as_mut() {
+                    control.on_batch(&fb, &plan);
                 }
             }
-            state.settle(
-                &mut formed,
-                self.backend.as_ref(),
-                trace_on,
-                &mut trace_buf,
-                |fb, plan| {
-                    // Attribute cost to the interval the window opened in
-                    // and retire its members' intervals.
-                    let j = k_of(fb.requests[0].id as usize);
-                    interval_cost[j] += plan.cost;
-                    for r in &fb.requests {
-                        remaining[k_of(r.id as usize)] -= 1;
-                    }
-                },
-            );
             if trace_buf.len() >= TRACE_CHUNK {
-                self.tel.tracer().record_many(&trace_buf);
+                tracer.record_many(&trace_buf);
                 trace_buf.clear();
             }
             for l in touched {
@@ -441,27 +285,15 @@ impl VirtualGateway {
                 }
             }
         }
-        self.tel.tracer().record_many(&trace_buf);
+        tracer.record_many(&trace_buf);
         debug_assert!(
             cores.iter().all(|c| c.is_idle()),
             "all requests must be dispatched"
         );
-        finalize_ready(
-            &mut next_final,
-            decided,
-            &remaining,
-            &intervals,
-            &bounds,
-            &interval_cost,
-            &state,
-            &mut pending,
-            &mut walls,
-            ctl,
-            opts,
-            &mut measurements,
-            &mut records,
-        );
-        debug_assert_eq!(next_final, n_intervals, "every interval finalised");
+        let (measurements, records) = match control {
+            Some(control) => control.finish(&state.requests),
+            None => (Vec::new(), Vec::new()),
+        };
         state.into_outcome(measurements, records)
     }
 }
@@ -470,49 +302,31 @@ impl VirtualGateway {
 /// bounding the replay's local buffer when only the flight ring is armed.
 const TRACE_CHUNK: usize = 16 * 1024;
 
-fn check_arrivals(arrivals: &[f64]) {
-    assert!(
-        arrivals.windows(2).all(|w| w[0] <= w[1]),
-        "arrivals must be sorted"
-    );
-    assert!(
-        arrivals.first().is_none_or(|&a| a >= 0.0),
-        "arrivals must be non-negative"
-    );
-}
-
 /// Shared bookkeeping of a replay run.
 struct ReplayState {
-    arrivals: Vec<f64>,
     requests: Vec<Option<ServedRequest>>,
     batches: Vec<ServedBatch>,
     total_cost: f64,
-    /// Grouped replays accumulate cost per lane (= per group) and fold
-    /// the total in group-id order, matching
-    /// `simulate_batching_multi`'s group-by-group fold bit for bit; the
-    /// interleaved-dispatch-order fold used before PR 10 differed from
-    /// the simulator in the last bits.
-    lane_costs: Vec<f64>,
-    /// Grouped replays identify lane `g` with function group `g`; trace
-    /// events then carry the lane as the group id. Homogeneous replays
-    /// report group 0 regardless of lane count.
-    grouped: bool,
+    /// Grouped replays (`Some`, one slot per lane = per function group)
+    /// accumulate cost per lane and fold the total in group-id order,
+    /// matching `simulate_batching_multi`'s group-by-group fold bit for
+    /// bit; an interleaved dispatch-order fold differs from the simulator
+    /// in the last bits. Their trace events carry the lane as the group
+    /// id; homogeneous replays report group 0 regardless of lane count.
+    lane_costs: Option<Vec<f64>>,
 }
 
 impl ReplayState {
-    fn new(arrivals: Vec<f64>, grouped: bool) -> Self {
-        let n = arrivals.len();
+    fn new(n: usize, lane_costs: Option<Vec<f64>>) -> Self {
         ReplayState {
-            arrivals,
             requests: vec![None; n],
             batches: Vec::new(),
             total_cost: 0.0,
-            lane_costs: Vec::new(),
-            grouped,
+            lane_costs,
         }
     }
 
-    /// Settle freshly formed batches: plan each one, stamp completions,
+    /// Settle one freshly formed, planned batch: stamp completions and
     /// accumulate cost in the simulator's fold order — dispatch order
     /// for homogeneous replays, per lane (folded in group-id order at
     /// the end) for grouped ones. The replay never calls `execute` —
@@ -520,74 +334,65 @@ impl ReplayState {
     /// completion is dispatch + planned service.
     fn settle(
         &mut self,
-        formed: &mut Vec<FormedBatch>,
-        backend: &dyn InferenceBackend,
-        trace_on: bool,
-        trace_buf: &mut Vec<TraceEvent>,
-        mut hook: impl FnMut(&FormedBatch, &crate::backend::BatchPlan),
+        fb: &FormedBatch,
+        plan: &BatchPlan,
+        trace_buf: Option<&mut Vec<TraceEvent>>,
     ) {
-        for fb in formed.drain(..) {
-            let plan = backend.plan(&fb.config, fb.requests.len() as u32);
-            let completed_at = fb.dispatched_at + plan.service_s;
-            let batch_idx = self.batches.len();
-            if trace_on {
-                let group = if self.grouped { fb.lane } else { 0 };
-                push_batch_trace(trace_buf, &fb, batch_idx as u64, completed_at, group);
-            }
-            self.batches.push(ServedBatch {
-                opened_at: fb.opened_at,
+        let completed_at = fb.dispatched_at + plan.service_s;
+        let batch_idx = self.batches.len();
+        if let Some(buf) = trace_buf {
+            let group = if self.lane_costs.is_some() {
+                fb.lane
+            } else {
+                0
+            };
+            push_batch_trace(buf, fb, batch_idx as u64, completed_at, group);
+        }
+        self.batches.push(ServedBatch {
+            opened_at: fb.opened_at,
+            dispatched_at: fb.dispatched_at,
+            completed_at,
+            size: fb.requests.len() as u32,
+            service_s: plan.service_s,
+            cost: plan.cost,
+            config: fb.config,
+            reason: fb.reason,
+            lane: fb.lane,
+        });
+        match &mut self.lane_costs {
+            Some(lanes) => lanes[fb.lane as usize] += plan.cost,
+            None => self.total_cost += plan.cost,
+        }
+        for r in &fb.requests {
+            let slot = &mut self.requests[r.id as usize];
+            debug_assert!(slot.is_none(), "request {} served twice", r.id);
+            *slot = Some(ServedRequest {
+                id: r.id,
+                arrival: r.arrival,
                 dispatched_at: fb.dispatched_at,
                 completed_at,
-                size: fb.requests.len() as u32,
-                service_s: plan.service_s,
-                cost: plan.cost,
-                config: fb.config,
-                reason: fb.reason,
+                batch: batch_idx,
                 lane: fb.lane,
+                class: r.class,
             });
-            if self.grouped {
-                let lane = fb.lane as usize;
-                if lane >= self.lane_costs.len() {
-                    self.lane_costs.resize(lane + 1, 0.0);
-                }
-                self.lane_costs[lane] += plan.cost;
-            } else {
-                self.total_cost += plan.cost;
-            }
-            for r in &fb.requests {
-                let slot = &mut self.requests[r.id as usize];
-                debug_assert!(slot.is_none(), "request {} served twice", r.id);
-                *slot = Some(ServedRequest {
-                    id: r.id,
-                    arrival: r.arrival,
-                    dispatched_at: fb.dispatched_at,
-                    completed_at,
-                    batch: batch_idx,
-                    lane: fb.lane,
-                    class: r.class,
-                });
-            }
-            hook(&fb, &plan);
         }
     }
 
     fn into_outcome(
         self,
         measurements: Vec<IntervalMeasurement>,
-        records: Vec<dbat_sim::DecisionRecord>,
+        records: Vec<DecisionRecord>,
     ) -> ServeOutcome {
-        let n = self.arrivals.len() as u64;
+        let n = self.requests.len() as u64;
         let requests: Vec<ServedRequest> = self
             .requests
             .into_iter()
             .map(|r| r.expect("every request served"))
             .collect();
-        let total_cost = if self.grouped {
-            // Group-id-order fold: bitwise the multi-simulator's total.
-            self.lane_costs.iter().sum()
-        } else {
-            self.total_cost
-        };
+        // Group-id-order fold: bitwise the multi-simulator's total.
+        let total_cost = self
+            .lane_costs
+            .map_or(self.total_cost, |lanes| lanes.iter().sum());
         ServeOutcome {
             requests,
             batches: self.batches,
@@ -606,56 +411,151 @@ impl ReplayState {
     }
 }
 
-/// Finalise, in interval order, every decided interval whose requests
-/// have all completed: build its measurement from the served records,
-/// then run the `observe`/`commit` feedback protocol.
-#[allow(clippy::too_many_arguments)]
-fn finalize_ready(
-    next_final: &mut usize,
+/// The closed loop of a controlled replay: the interval grid, which
+/// interval every request id arrived in, and the `decide` → measure →
+/// `observe` → `commit` protocol run at the decision boundaries.
+struct ControlLoop<'a> {
+    ctl: &'a mut dyn Controller,
+    trace: &'a Trace,
+    opts: &'a SimConfig,
+    /// `[start, end)` per interval, identical to `run_controller`'s grid.
+    intervals: Vec<(f64, f64)>,
+    /// Relative ids `[bounds[k], bounds[k + 1])` arrived in interval `k`.
+    bounds: Vec<usize>,
+    /// Per interval: requests not yet dispatched.
+    remaining: Vec<usize>,
+    /// Per interval: cost of the windows that opened in it.
+    cost: Vec<f64>,
+    /// Per interval: the decided-but-unmeasured record and when serving
+    /// under it began.
+    pending: Vec<Option<(DecisionRecord, Instant)>>,
+    /// Head-of-line finalisation cursor.
+    next_final: usize,
     decided: usize,
-    remaining: &[usize],
-    intervals: &[(f64, f64)],
-    bounds: &[usize],
-    interval_cost: &[f64],
-    state: &ReplayState,
-    pending: &mut [Option<dbat_sim::DecisionRecord>],
-    walls: &mut [Option<std::time::Instant>],
-    ctl: &mut dyn Controller,
-    opts: &SimConfig,
-    measurements: &mut Vec<IntervalMeasurement>,
-    records: &mut Vec<dbat_sim::DecisionRecord>,
-) {
-    while *next_final < decided && remaining[*next_final] == 0 {
-        let j = *next_final;
-        let (start, end) = intervals[j];
-        let mut rec = pending[j].take().expect("decided interval has a record");
-        let n = bounds[j + 1] - bounds[j];
-        if n > 0 {
-            let latencies: Vec<f64> = state.requests[bounds[j]..bounds[j + 1]]
-                .iter()
-                .map(|r| r.as_ref().expect("interval fully served").latency())
-                .collect();
-            let summary = LatencySummary::from_latencies(&latencies);
-            let m = IntervalMeasurement {
-                start,
-                end,
-                config: rec.config,
-                summary,
-                cost_per_request: interval_cost[j] / n as f64,
-                requests: n,
-                violation: summary.percentile(opts.percentile) > opts.slo,
-                cold_starts: 0,
-                retries: 0,
-                lost: 0,
-                wall_s: walls[j].take().map_or(0.0, |w| w.elapsed().as_secs_f64()),
-            };
-            rec.record_measurement(&m);
-            ctl.observe(&m);
-            measurements.push(m);
+    measurements: Vec<IntervalMeasurement>,
+    records: Vec<DecisionRecord>,
+}
+
+impl<'a> ControlLoop<'a> {
+    fn new(
+        ctl: &'a mut dyn Controller,
+        trace: &'a Trace,
+        t0: f64,
+        t1: f64,
+        opts: &'a SimConfig,
+    ) -> Self {
+        let mut intervals: Vec<(f64, f64)> = Vec::new();
+        let mut t = t0;
+        while t < t1 {
+            let end = (t + opts.decision_interval).min(t1);
+            intervals.push((t, end));
+            t = end;
         }
-        ctl.commit(rec);
-        records.push(*ctl.audit().last().expect("commit archives the record"));
-        *next_final += 1;
+        let (lo, hi) = (trace.lower_bound(t0), trace.lower_bound(t1));
+        let mut bounds: Vec<usize> = intervals
+            .iter()
+            .map(|&(s, _)| trace.lower_bound(s).clamp(lo, hi) - lo)
+            .collect();
+        bounds.push(hi - lo);
+        let n = intervals.len();
+        ControlLoop {
+            ctl,
+            trace,
+            opts,
+            remaining: (0..n).map(|k| bounds[k + 1] - bounds[k]).collect(),
+            cost: vec![0.0; n],
+            pending: vec![None; n],
+            next_final: 0,
+            decided: 0,
+            measurements: Vec::new(),
+            records: Vec::new(),
+            intervals,
+            bounds,
+        }
+    }
+
+    fn interval_of(&self, id: u64) -> usize {
+        self.bounds.partition_point(|&b| b <= id as usize) - 1
+    }
+
+    /// Boundary `k`: feed back every fully-served earlier interval, in
+    /// order, then ask for the next decision — the closed loop.
+    fn decide(&mut self, k: usize, served: &[Option<ServedRequest>]) -> LambdaConfig {
+        self.finalize_ready(served);
+        let (start, end) = self.intervals[k];
+        let ctx = DecisionContext {
+            trace: self.trace,
+            start,
+            end,
+            index: k,
+        };
+        let t_decide = Instant::now();
+        let mut rec = self.ctl.decide(&ctx);
+        rec.decide_s = t_decide.elapsed().as_secs_f64();
+        self.pending[k] = Some((rec, Instant::now()));
+        self.decided = k + 1;
+        rec.config
+    }
+
+    /// Attribute a batch's cost to the interval its window opened in and
+    /// retire its members from their intervals.
+    fn on_batch(&mut self, fb: &FormedBatch, plan: &BatchPlan) {
+        let k = self.interval_of(fb.requests[0].id);
+        self.cost[k] += plan.cost;
+        for r in &fb.requests {
+            let k = self.interval_of(r.id);
+            self.remaining[k] -= 1;
+        }
+    }
+
+    /// Finalise, in interval order, every decided interval whose requests
+    /// have all been served: build its measurement from the served
+    /// records, then run the `observe`/`commit` feedback protocol.
+    fn finalize_ready(&mut self, served: &[Option<ServedRequest>]) {
+        while self.next_final < self.decided && self.remaining[self.next_final] == 0 {
+            let j = self.next_final;
+            let (mut rec, wall) = self.pending[j]
+                .take()
+                .expect("decided interval has a record");
+            let ids = self.bounds[j]..self.bounds[j + 1];
+            let n = ids.len();
+            if n > 0 {
+                let latencies: Vec<f64> = served[ids]
+                    .iter()
+                    .map(|r| r.as_ref().expect("interval fully served").latency())
+                    .collect();
+                let m = IntervalMeasurement::new(
+                    self.intervals[j],
+                    rec.config,
+                    LatencySummary::from_latencies(&latencies),
+                    self.cost[j] / n as f64,
+                    n,
+                    (self.opts.slo, self.opts.percentile),
+                    wall.elapsed().as_secs_f64(),
+                );
+                rec.record_measurement(&m);
+                self.ctl.observe(&m);
+                self.measurements.push(m);
+            }
+            self.ctl.commit(rec);
+            let kept = self.ctl.audit().last().expect("commit archives the record");
+            self.records.push(*kept);
+            self.next_final += 1;
+        }
+    }
+
+    /// The trace has drained: finalise what is left.
+    fn finish(
+        mut self,
+        served: &[Option<ServedRequest>],
+    ) -> (Vec<IntervalMeasurement>, Vec<DecisionRecord>) {
+        self.finalize_ready(served);
+        debug_assert_eq!(
+            self.next_final,
+            self.intervals.len(),
+            "every interval finalised"
+        );
+        (self.measurements, self.records)
     }
 }
 

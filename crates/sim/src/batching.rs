@@ -2,17 +2,18 @@
 //!
 //! Semantics (identical to BATCH and to DeepBAT's Buffer, §III-B):
 //! a batch window opens when a request enters an *empty* buffer; the batch
-//! dispatches at `min(arrival of the B-th request, open_time + T)`. Each
+//! dispatches at `min(arrival of the B-th request, open_time + T)` — the
+//! rule [`crate::window::BatcherCore`] implements and this module drives. Each
 //! dispatch is one serverless invocation with deterministic service time
 //! `s(M, b)` for realised batch size `b`. Autoscaling gives every batch its
 //! own function instance, so batches never queue behind each other.
 //! A request's latency is `dispatch − arrival + cold_start? + s(M, b)`.
 
 use crate::config::LambdaConfig;
-use crate::engine::{run, Scheduler};
 use crate::metrics::LatencySummary;
 use crate::pricing::Pricing;
 use crate::service::ServiceProfile;
+use crate::window::{Admitted, BatcherCore, FlushReason, FormedBatch};
 use dbat_workload::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -90,6 +91,21 @@ pub struct SimOutcome {
 }
 
 impl SimOutcome {
+    /// Every arrival recorded, none dispatched yet: where a simulation starts.
+    pub(crate) fn unserved(arrivals: &[f64]) -> Self {
+        let pending = |&arrival| RequestRecord {
+            arrival,
+            dispatch: 0.0,
+            completion: 0.0,
+            batch: 0,
+        };
+        SimOutcome {
+            requests: arrivals.iter().map(pending).collect(),
+            batches: Vec::new(),
+            total_cost: 0.0,
+        }
+    }
+
     pub fn latencies(&self) -> Vec<f64> {
         self.requests.iter().map(|r| r.latency()).collect()
     }
@@ -115,15 +131,9 @@ impl SimOutcome {
     }
 }
 
-enum Event {
-    Arrival(usize),
-    /// Buffer timeout for the window opened in the given epoch.
-    Timeout(u64),
-}
-
-/// Telemetry handles resolved once per simulation run, so the hot event
-/// loop never touches the metric registry. `None` when telemetry is
-/// disabled, making instrumentation a single branch per use.
+/// Telemetry handles resolved once per simulation run, so the hot loop
+/// never touches the metric registry. `None` when telemetry is disabled,
+/// making instrumentation a single branch per use.
 struct SimTel {
     events: std::sync::Arc<dbat_telemetry::Counter>,
     batch_size: std::sync::Arc<dbat_telemetry::Histogram>,
@@ -150,7 +160,11 @@ impl SimTel {
     }
 }
 
-/// Simulate the batching buffer over a finite arrival sequence.
+/// Simulate the batching buffer over a finite arrival sequence: one
+/// [`BatcherCore`] fed every arrival in order, then told that time has run
+/// out. The core flushes a window's timeout when the next arrival (or the
+/// end of the trace) shows it has passed, stamped at the deadline, so no
+/// event queue is needed.
 ///
 /// `rng` is only consulted when `params.cold_start` is set. Timestamps must
 /// be sorted ascending (the usual output of the workload generators).
@@ -160,7 +174,6 @@ pub fn simulate_batching(
     params: &SimParams,
     mut rng: Option<&mut Rng>,
 ) -> SimOutcome {
-    cfg.validate().expect("invalid configuration");
     debug_assert!(
         arrivals.windows(2).all(|w| w[0] <= w[1]),
         "arrivals must be sorted"
@@ -169,116 +182,51 @@ pub fn simulate_batching(
         assert!(rng.is_some(), "cold-start model requires an RNG");
     }
 
-    let mut sched: Scheduler<Event> = Scheduler::new();
-    // Rebase so the engine's t >= 0 invariant holds for arbitrary windows.
+    // A trace that starts below zero is rebased to start at zero for the
+    // core, and the stamps it returns are shifted back — the arithmetic
+    // `tests/golden_windowed.rs` pins.
     let t0 = arrivals.first().copied().unwrap_or(0.0).min(0.0);
-    for (i, &a) in arrivals.iter().enumerate() {
-        sched.schedule(a - t0, Event::Arrival(i));
-    }
-
-    let mut buffer: Vec<usize> = Vec::with_capacity(cfg.batch_size as usize);
-    let mut opened_at = 0.0f64;
-    let mut epoch = 0u64;
-    let mut requests: Vec<RequestRecord> = arrivals
-        .iter()
-        .map(|&a| RequestRecord {
-            arrival: a,
-            dispatch: 0.0,
-            completion: 0.0,
-            batch: 0,
-        })
-        .collect();
-    let mut batches: Vec<BatchRecord> = Vec::new();
-    let mut total_cost = 0.0;
-
-    // Dispatch closure state is threaded manually since `run` borrows sched.
-    let immediate = cfg.batch_size == 1 || cfg.timeout_s == 0.0;
+    let mut core = BatcherCore::new(*cfg);
+    let mut formed: Vec<FormedBatch> = Vec::new();
+    let mut out = SimOutcome::unserved(arrivals);
     let tel = SimTel::resolve();
 
-    run(&mut sched, |t, ev, sch| {
-        if let Some(tel) = &tel {
-            tel.events.inc();
-        }
-        match ev {
-            Event::Arrival(i) => {
-                if buffer.is_empty() {
-                    opened_at = t;
-                    if !immediate && cfg.timeout_s.is_finite() {
-                        sch.schedule(t + cfg.timeout_s, Event::Timeout(epoch));
-                    }
-                }
-                buffer.push(i);
-                if immediate || buffer.len() as u32 >= cfg.batch_size {
-                    if let Some(tel) = &tel {
-                        tel.flush_capacity.inc();
-                    }
-                    dispatch(
-                        &mut buffer,
-                        t,
-                        opened_at,
-                        cfg,
-                        params,
-                        &mut rng,
-                        &mut requests,
-                        &mut batches,
-                        &mut total_cost,
-                        t0,
-                        &tel,
-                    );
-                    epoch += 1;
-                }
-            }
-            Event::Timeout(e) => {
-                if e == epoch && !buffer.is_empty() {
-                    if let Some(tel) = &tel {
-                        tel.flush_timeout.inc();
-                    }
-                    dispatch(
-                        &mut buffer,
-                        t,
-                        opened_at,
-                        cfg,
-                        params,
-                        &mut rng,
-                        &mut requests,
-                        &mut batches,
-                        &mut total_cost,
-                        t0,
-                        &tel,
-                    );
-                    epoch += 1;
-                }
-            }
+    for (i, &a) in arrivals.iter().enumerate() {
+        let req = Admitted {
+            id: i as u64,
+            arrival: a - t0,
+            class: 0,
+        };
+        core.on_arrival(req, &mut formed);
+        for fb in formed.drain(..) {
+            dispatch(&fb, t0, params, &mut rng, &mut out, &tel);
         }
         if let Some(tel) = &tel {
-            tel.queue_depth.set(buffer.len() as f64);
+            tel.queue_depth.set(core.buffered() as f64);
         }
-    });
-
-    debug_assert!(buffer.is_empty(), "all requests must be dispatched");
-    SimOutcome {
-        requests,
-        batches,
-        total_cost,
     }
+    core.due(f64::INFINITY, &mut formed);
+    for fb in formed.drain(..) {
+        dispatch(&fb, t0, params, &mut rng, &mut out, &tel);
+    }
+    if let Some(tel) = &tel {
+        tel.events.add((arrivals.len() + out.batches.len()) as u64);
+        tel.queue_depth.set(0.0);
+    }
+    out
 }
 
-#[allow(clippy::too_many_arguments)]
+/// Serve one formed batch on its own autoscaled instance.
 fn dispatch(
-    buffer: &mut Vec<usize>,
-    t: f64,
-    opened_at: f64,
-    cfg: &LambdaConfig,
+    fb: &FormedBatch,
+    t0: f64,
     params: &SimParams,
     rng: &mut Option<&mut Rng>,
-    requests: &mut [RequestRecord],
-    batches: &mut Vec<BatchRecord>,
-    total_cost: &mut f64,
-    t0: f64,
+    out: &mut SimOutcome,
     tel: &Option<SimTel>,
 ) {
-    let size = buffer.len() as u32;
-    let service = params.profile.service_time(cfg.memory_mb, size);
+    let size = fb.requests.len() as u32;
+    let service = params.profile.service_time(fb.config.memory_mb, size);
     let cold = params
         .cold_start
         .zip(rng.as_deref_mut())
@@ -289,29 +237,34 @@ fn dispatch(
                 0.0
             }
         });
-    let cost = params.pricing.invocation_cost(cfg.memory_mb, service);
+    let cost = params.pricing.invocation_cost(fb.config.memory_mb, service);
     if let Some(tel) = tel {
         tel.batch_size.record(size as f64);
+        match fb.reason {
+            FlushReason::Timeout => tel.flush_timeout.inc(),
+            _ => tel.flush_capacity.inc(),
+        }
         if cold > 0.0 {
             tel.cold_starts.inc();
         }
     }
-    let batch_idx = batches.len();
-    batches.push(BatchRecord {
-        opened_at: opened_at + t0,
-        dispatched_at: t + t0,
+    let dispatched_at = fb.dispatched_at + t0;
+    let batch_idx = out.batches.len();
+    out.batches.push(BatchRecord {
+        opened_at: fb.opened_at + t0,
+        dispatched_at,
         size,
         service_s: service,
         cold_start_s: cold,
         cost,
     });
-    *total_cost += cost;
-    for &i in buffer.iter() {
-        requests[i].dispatch = t + t0;
-        requests[i].completion = t + t0 + cold + service;
-        requests[i].batch = batch_idx;
+    out.total_cost += cost;
+    for r in &fb.requests {
+        let rec = &mut out.requests[r.id as usize];
+        rec.dispatch = dispatched_at;
+        rec.completion = dispatched_at + cold + service;
+        rec.batch = batch_idx;
     }
-    buffer.clear();
 }
 
 #[cfg(test)]

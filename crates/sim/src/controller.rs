@@ -50,6 +50,43 @@ pub struct IntervalMeasurement {
     pub wall_s: f64,
 }
 
+impl IntervalMeasurement {
+    /// A loss-free measurement of `[start, end)` served under `config`:
+    /// the interval violates when the measured `percentile` exceeds `slo`.
+    pub fn new(
+        (start, end): (f64, f64),
+        config: LambdaConfig,
+        summary: LatencySummary,
+        cost_per_request: f64,
+        requests: usize,
+        (slo, percentile): (f64, f64),
+        wall_s: f64,
+    ) -> Self {
+        IntervalMeasurement {
+            start,
+            end,
+            config,
+            summary,
+            cost_per_request,
+            requests,
+            violation: summary.percentile(percentile) > slo,
+            cold_starts: 0,
+            retries: 0,
+            lost: 0,
+            wall_s,
+        }
+    }
+
+    /// Add the fault accounting; losing any request also violates.
+    pub fn with_losses(mut self, cold_starts: usize, retries: usize, lost: usize) -> Self {
+        self.cold_starts = cold_starts;
+        self.retries = retries;
+        self.lost = lost;
+        self.violation |= lost > 0;
+        self
+    }
+}
+
 /// The decision-audit record: everything the controller knew and chose at
 /// one decision interval, plus (when measured) what actually happened.
 /// One of these is emitted per interval as a `controller.decision`
@@ -344,20 +381,15 @@ pub fn measure_schedule(
         }
         let t_wall = std::time::Instant::now();
         let sim = simulate_batching(slice.timestamps(), &config, params, None);
-        let summary = sim.summary();
-        out.push(IntervalMeasurement {
-            start,
-            end,
+        out.push(IntervalMeasurement::new(
+            (start, end),
             config,
-            summary,
-            cost_per_request: sim.cost_per_request(),
-            requests: sim.requests.len(),
-            violation: summary.percentile(percentile) > slo,
-            cold_starts: 0,
-            retries: 0,
-            lost: 0,
-            wall_s: t_wall.elapsed().as_secs_f64(),
-        });
+            sim.summary(),
+            sim.cost_per_request(),
+            sim.requests.len(),
+            (slo, percentile),
+            t_wall.elapsed().as_secs_f64(),
+        ));
     }
     out
 }
@@ -500,35 +532,29 @@ pub fn record_sim_trace(
     tracer.record_many(&events);
 }
 
-/// Drive any [`Controller`] over `[t0, t1)` of the trace: one
-/// `decide`/simulate/`observe`/`commit` cycle per decision interval.
-///
-/// With faults enabled, each interval runs under a sub-seeded copy of the
-/// plan (seed ⊕ index·φ) so the whole run is reproducible yet intervals
-/// draw independent fault streams; an interval that loses requests counts
-/// as violated regardless of its latency percentile. With the inert
-/// default plan this path is bit-identical to
-/// [`measure_schedule`] over the same schedule.
+/// The closed-loop interval driver shared by [`run_controller`] and
+/// [`crate::tokens::run_controller_tokens`]: one `decide` → `measure` →
+/// `observe` → `commit` cycle per decision interval of `[t0, t1)`.
+/// `measure` serves the interval under the decided configuration and
+/// returns what happened, or `None` for an interval with no arrivals
+/// (which can neither cost nor violate).
 ///
 /// Each completed record is emitted as a `controller.decision` telemetry
-/// event, exactly like the audited controller runs.
-pub fn run_controller<C: Controller + ?Sized>(
+/// event — the audit trail — and the sinks are flushed.
+pub(crate) fn drive_intervals<C: Controller + ?Sized>(
     ctl: &mut C,
     trace: &Trace,
     t0: f64,
     t1: f64,
     opts: &SimConfig,
-) -> RunOutcome {
+    mut measure: impl FnMut(&DecisionContext<'_>, &LambdaConfig) -> Option<IntervalMeasurement>,
+) -> (Vec<IntervalMeasurement>, Vec<DecisionRecord>) {
     assert!(
         opts.decision_interval > 0.0,
         "decision interval must be positive"
     );
     let mut measurements = Vec::new();
     let mut records = Vec::new();
-    let mut counts = FaultCounts::default();
-    let tracer = dbat_telemetry::global().tracer();
-    let mut trace_req_offset = 0u64;
-    let mut trace_batch_offset = 0u64;
     let mut t = t0;
     let mut index = 0usize;
     while t < t1 {
@@ -542,46 +568,10 @@ pub fn run_controller<C: Controller + ?Sized>(
         let t_decide = std::time::Instant::now();
         let mut rec = ctl.decide(&ctx);
         rec.decide_s = t_decide.elapsed().as_secs_f64();
-        let slice = trace.slice(t, end.min(trace.horizon()));
-        if !slice.is_empty() {
-            let plan = if opts.faults.is_inert() {
-                opts.faults
-            } else {
-                opts.faults
-                    .with_seed(opts.faults.seed ^ (index as u64).wrapping_mul(0x9E3779B97F4A7C15))
-            };
-            let t_wall = std::time::Instant::now();
-            let out = simulate_faults(slice.timestamps(), &rec.config, &opts.params, &plan);
-            counts.absorb(&out.counts);
-            let summary = out.summary();
-            let lost = out.counts.lost_requests();
-            let m = IntervalMeasurement {
-                start: t,
-                end,
-                config: rec.config,
-                summary,
-                cost_per_request: out.cost_per_request(),
-                requests: out.sim.requests.len(),
-                violation: summary.percentile(opts.percentile) > opts.slo || lost > 0,
-                cold_starts: out.counts.cold_starts,
-                retries: out.counts.retries,
-                lost,
-                wall_s: t_wall.elapsed().as_secs_f64(),
-            };
+        if let Some(m) = measure(&ctx, &rec.config) {
             rec.record_measurement(&m);
             ctl.observe(&m);
             measurements.push(m);
-            if tracer.is_active() {
-                record_sim_trace(
-                    tracer,
-                    &out.sim,
-                    &rec.config,
-                    trace_req_offset,
-                    trace_batch_offset,
-                );
-            }
-            trace_req_offset += out.sim.requests.len() as u64;
-            trace_batch_offset += out.sim.batches.len() as u64;
         }
         ctl.commit(rec);
         // The committed record may have been rewritten (degradation
@@ -597,6 +587,70 @@ pub fn run_controller<C: Controller + ?Sized>(
         }
         tel.flush();
     }
+    (measurements, records)
+}
+
+/// Drive any [`Controller`] over `[t0, t1)` of the trace, measuring each
+/// decision interval with the ground-truth simulator.
+///
+/// With faults enabled, each interval runs under a sub-seeded copy of the
+/// plan (seed ⊕ index·φ) so the whole run is reproducible yet intervals
+/// draw independent fault streams; an interval that loses requests counts
+/// as violated regardless of its latency percentile. With the inert
+/// default plan this path is bit-identical to
+/// [`measure_schedule`] over the same schedule.
+pub fn run_controller<C: Controller + ?Sized>(
+    ctl: &mut C,
+    trace: &Trace,
+    t0: f64,
+    t1: f64,
+    opts: &SimConfig,
+) -> RunOutcome {
+    let mut counts = FaultCounts::default();
+    let tracer = dbat_telemetry::global().tracer();
+    let mut trace_req_offset = 0u64;
+    let mut trace_batch_offset = 0u64;
+    let (measurements, records) = drive_intervals(ctl, trace, t0, t1, opts, |ctx, config| {
+        let slice = trace.slice(ctx.start, ctx.end.min(trace.horizon()));
+        if slice.is_empty() {
+            return None;
+        }
+        let plan = if opts.faults.is_inert() {
+            opts.faults
+        } else {
+            let salt = (ctx.index as u64).wrapping_mul(0x9E3779B97F4A7C15);
+            opts.faults.with_seed(opts.faults.seed ^ salt)
+        };
+        let t_wall = std::time::Instant::now();
+        let out = simulate_faults(slice.timestamps(), config, &opts.params, &plan);
+        counts.absorb(&out.counts);
+        let m = IntervalMeasurement::new(
+            (ctx.start, ctx.end),
+            *config,
+            out.summary(),
+            out.cost_per_request(),
+            out.sim.requests.len(),
+            (opts.slo, opts.percentile),
+            t_wall.elapsed().as_secs_f64(),
+        )
+        .with_losses(
+            out.counts.cold_starts,
+            out.counts.retries,
+            out.counts.lost_requests(),
+        );
+        if tracer.is_active() {
+            record_sim_trace(
+                tracer,
+                &out.sim,
+                config,
+                trace_req_offset,
+                trace_batch_offset,
+            );
+        }
+        trace_req_offset += out.sim.requests.len() as u64;
+        trace_batch_offset += out.sim.batches.len() as u64;
+        Some(m)
+    });
     RunOutcome {
         measurements,
         records,

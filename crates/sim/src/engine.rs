@@ -1,9 +1,9 @@
 //! A small discrete-event simulation core: a time-ordered event queue with
 //! deterministic FIFO tie-breaking and a driver loop.
 //!
-//! The batching simulator is built on top of this engine; keeping the engine
-//! generic lets tests (and extensions such as cold-start modelling) inject
-//! their own event types.
+//! The fault simulator and `dbat-serve`'s virtual replay run on it, each
+//! with its own event type. (Plain `simulate_batching` needs no queue: the
+//! window core flushes timeouts as the arrival walk passes them.)
 
 use dbat_telemetry::Counter;
 use std::cmp::Ordering;

@@ -4,31 +4,34 @@
 //! service times, instant scale-out, no failures. Real platforms inject
 //! cold starts, invocation failures, throttling, and stragglers — exactly
 //! the regime where SLO compliance is hard. This module adds a seeded,
-//! deterministic fault layer on top of the batching DES:
+//! deterministic fault layer on top of the window core:
 //!
 //! * **cold starts** — the first batch served by a fresh container pays a
 //!   memory-dependent init delay `c(M)`; containers stay warm for a
-//!   configurable keep-alive window (see [`crate::concurrency::ContainerPool`]);
+//!   configurable keep-alive window, tracked by a LIFO warm-container pool;
 //! * **invocation failures** — each attempt fails with probability
 //!   `p_fail(M)`; failed attempts are re-billed and retried with bounded
 //!   exponential backoff plus jitter;
 //! * **throttling** — a concurrency cap queues formed batches (or sheds
-//!   them beyond a finite queue capacity);
+//!   them beyond a finite queue capacity); with an unbounded queue and no
+//!   other channel this is an account concurrency quota;
 //! * **stragglers** — attempts are slowed by a service-time multiplier
 //!   with some probability.
 //!
-//! All randomness comes from one xoshiro stream seeded by
-//! [`FaultPlan::seed`]; the event loop is deterministic, so the same seed
-//! reproduces the same event trace, latencies, and cost bit-for-bit.
+//! Batches are formed by the shared [`crate::window::BatcherCore`]; this
+//! layer only decides what happens to a formed batch. All randomness
+//! comes from one xoshiro stream seeded by [`FaultPlan::seed`] and the
+//! event queue breaks ties FIFO, so the same seed reproduces the same
+//! event trace, latencies, and cost bit-for-bit.
 //! With an inert plan ([`FaultPlan::is_inert`]) the simulation delegates
 //! to [`crate::batching::simulate_batching`], keeping the zero-fault path
 //! bit-identical to the paper figures.
 
-use crate::batching::{simulate_batching, BatchRecord, RequestRecord, SimOutcome, SimParams};
-use crate::concurrency::ContainerPool;
+use crate::batching::{simulate_batching, BatchRecord, SimOutcome, SimParams};
 use crate::config::LambdaConfig;
 use crate::engine::{run, Scheduler};
 use crate::metrics::LatencySummary;
+use crate::window::{Admitted, BatcherCore, FormedBatch};
 use dbat_workload::{DbatError, Rng};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
@@ -573,53 +576,69 @@ impl Deserialize for FaultEvent {
     }
 }
 
-/// Telemetry handles for the fault layer, resolved once per run.
-struct FaultTel {
-    hub: &'static dbat_telemetry::Telemetry,
-    cold_starts: std::sync::Arc<dbat_telemetry::Counter>,
-    failures: std::sync::Arc<dbat_telemetry::Counter>,
-    retries: std::sync::Arc<dbat_telemetry::Counter>,
-    exhausted: std::sync::Arc<dbat_telemetry::Counter>,
-    throttled: std::sync::Arc<dbat_telemetry::Counter>,
-    shed: std::sync::Arc<dbat_telemetry::Counter>,
-    stragglers: std::sync::Arc<dbat_telemetry::Counter>,
+/// Publish a finished run's fault counts as `sim.fault.*` counters.
+fn publish_counts(hub: &dbat_telemetry::Telemetry, c: &FaultCounts) {
+    for (name, n) in [
+        ("sim.fault.cold_starts", c.cold_starts),
+        ("sim.fault.failures", c.failures),
+        ("sim.fault.retries", c.retries),
+        ("sim.fault.exhausted_requests", c.exhausted_requests),
+        ("sim.fault.throttled", c.throttled),
+        ("sim.fault.shed_requests", c.shed_requests),
+        ("sim.fault.stragglers", c.stragglers),
+    ] {
+        hub.counter(name).add(n as u64);
+    }
 }
 
-impl FaultTel {
-    fn resolve() -> Option<FaultTel> {
-        let t = dbat_telemetry::global();
-        if !t.is_enabled() {
-            return None;
+/// Warm-container bookkeeping for the cold-start channel: each entry is
+/// the time a container became idle. A container can serve a new
+/// invocation at time `t` if it went idle no later than `t` and has not
+/// sat idle longer than the keep-alive window. Reuse is LIFO
+/// (most-recently-idle first), matching observed Lambda behaviour, and the
+/// container count is unbounded — capacity limits are the throttle
+/// channel's job, not the pool's.
+struct ContainerPool {
+    keep_alive_s: f64,
+    /// Idle-since times; a container released with a future time is still
+    /// busy until then.
+    idle_since: Vec<f64>,
+}
+
+impl ContainerPool {
+    /// Try to take a warm container at time `t`. Returns `true` on a warm
+    /// hit (the container leaves the pool) and `false` when a cold
+    /// container must be provisioned. Expired containers are pruned.
+    fn acquire(&mut self, t: f64) -> bool {
+        self.idle_since
+            .retain(|&since| since + self.keep_alive_s >= t);
+        // LIFO over the eligible (already idle) containers.
+        let best = self
+            .idle_since
+            .iter()
+            .enumerate()
+            .filter(|&(_, &since)| since <= t)
+            .max_by(|a, b| a.1.total_cmp(b.1))
+            .map(|(i, _)| i);
+        match best {
+            Some(i) => {
+                self.idle_since.swap_remove(i);
+                true
+            }
+            None => false,
         }
-        Some(FaultTel {
-            hub: t,
-            cold_starts: t.counter("sim.fault.cold_starts"),
-            failures: t.counter("sim.fault.failures"),
-            retries: t.counter("sim.fault.retries"),
-            exhausted: t.counter("sim.fault.exhausted_requests"),
-            throttled: t.counter("sim.fault.throttled"),
-            shed: t.counter("sim.fault.shed_requests"),
-            stragglers: t.counter("sim.fault.stragglers"),
-        })
     }
 
-    fn record(&self, ev: &FaultEvent) {
-        match ev {
-            FaultEvent::ColdStart { .. } => self.cold_starts.inc(),
-            FaultEvent::Failure { .. } => self.failures.inc(),
-            FaultEvent::Retry { .. } => self.retries.inc(),
-            FaultEvent::Exhausted { requests, .. } => self.exhausted.add(*requests as u64),
-            FaultEvent::Throttled { .. } => self.throttled.inc(),
-            FaultEvent::Shed { requests, .. } => self.shed.add(*requests as u64),
-            FaultEvent::Straggler { .. } => self.stragglers.inc(),
-        }
-        self.hub.emit("sim.fault", serde_json::to_value(ev));
+    /// Hand a container (warm or freshly provisioned) back to the pool;
+    /// it is idle — and reusable — from `idle_at` on.
+    fn release(&mut self, idle_at: f64) {
+        self.idle_since.push(idle_at);
     }
 }
 
 /// A formed batch awaiting (re)execution.
 struct PendingBatch {
-    members: Vec<usize>,
+    members: Vec<Admitted>,
     win_opened: f64,
     /// Attempts already started.
     attempts: u32,
@@ -627,11 +646,230 @@ struct PendingBatch {
     done: bool,
 }
 
+/// One running attempt of a batch: `fail` was drawn at `start`, and
+/// `record` indexes the attempt's [`BatchRecord`].
+struct Attempt {
+    batch: usize,
+    /// 1-based attempt number.
+    number: u32,
+    start: f64,
+    fail: bool,
+    record: usize,
+}
+
+enum Ev {
+    Arrival(usize),
+    /// The `open + T` deadline of the window opened when this was scheduled.
+    Deadline,
+    AttemptEnd(Attempt),
+    /// A retry of `batch` becomes eligible after backoff.
+    RetryStart(usize),
+}
+
+/// Everything a fault-injected run mutates, apart from the window core and
+/// the event queue its handler borrows. Times are rebased (`+ t0` on the
+/// way out), like [`simulate_batching`]'s.
+struct FaultRun<'a> {
+    memory_mb: u32,
+    params: &'a SimParams,
+    plan: &'a FaultPlan,
+    t0: f64,
+    rng: Rng,
+    pool: Option<ContainerPool>,
+    /// Formed batches waiting for a concurrency slot, longest wait first.
+    queue: VecDeque<usize>,
+    running: usize,
+    batches: Vec<PendingBatch>,
+    out: FaultSimOutcome,
+    /// The telemetry hub, when enabled: every fault is emitted as a
+    /// `sim.fault` event as it happens.
+    hub: Option<&'static dbat_telemetry::Telemetry>,
+}
+
+impl FaultRun<'_> {
+    fn push_event(&mut self, ev: FaultEvent) {
+        let counts = &mut self.out.counts;
+        match ev {
+            FaultEvent::ColdStart { .. } => counts.cold_starts += 1,
+            FaultEvent::Failure { .. } => counts.failures += 1,
+            FaultEvent::Retry { .. } => counts.retries += 1,
+            FaultEvent::Exhausted { requests, .. } => counts.exhausted_requests += requests,
+            FaultEvent::Throttled { .. } => counts.throttled += 1,
+            FaultEvent::Shed { requests, .. } => counts.shed_requests += requests,
+            FaultEvent::Straggler { .. } => counts.stragglers += 1,
+        }
+        if let Some(hub) = self.hub {
+            hub.emit("sim.fault", serde_json::to_value(&ev));
+        }
+        self.out.events.push(ev);
+    }
+
+    /// Register the windows the core just formed and admit each.
+    fn admit_formed(&mut self, formed: &mut Vec<FormedBatch>, t: f64, sch: &mut Scheduler<Ev>) {
+        for fb in formed.drain(..) {
+            let b = self.batches.len();
+            self.batches.push(PendingBatch {
+                members: fb.requests,
+                win_opened: fb.opened_at,
+                attempts: 0,
+                done: false,
+            });
+            self.admit(b, t, sch);
+        }
+    }
+
+    /// Admission: start, queue, or shed batch `b` at sim-time `t`.
+    fn admit(&mut self, b: usize, t: f64, sch: &mut Scheduler<Ev>) {
+        let throttle = self.plan.throttle;
+        if self.running < throttle.map_or(usize::MAX, |th| th.max_concurrency) {
+            self.running += 1;
+            self.start_attempt(b, t, sch);
+        } else if self.queue.len() < throttle.map_or(usize::MAX, |th| th.queue_capacity) {
+            self.queue.push_back(b);
+            self.push_event(FaultEvent::Throttled {
+                at: t + self.t0,
+                batch: b,
+            });
+        } else {
+            self.batches[b].done = true;
+            self.push_event(FaultEvent::Shed {
+                at: t + self.t0,
+                batch: b,
+                requests: self.batches[b].members.len(),
+            });
+        }
+    }
+
+    /// Start one attempt of batch `b` at sim-time `t` (concurrency slot
+    /// already reserved by the caller).
+    fn start_attempt(&mut self, b: usize, t: f64, sch: &mut Scheduler<Ev>) {
+        let pb = &mut self.batches[b];
+        pb.attempts += 1;
+        let attempt = pb.attempts;
+        let size = pb.members.len() as u32;
+        let win_opened = pb.win_opened;
+        let memory_mb = self.memory_mb;
+
+        // Container acquisition: cold delay on a fresh container.
+        let warm = self.pool.as_mut().is_some_and(|pool| pool.acquire(t));
+        let cold = match self.plan.cold_start {
+            Some(cs) if !warm => cs.delay(memory_mb),
+            _ => 0.0,
+        };
+        let mut service = self.params.profile.service_time(memory_mb, size);
+        // Draw order per attempt is fixed (straggler, then failure, then
+        // jitter on retry) so the event loop stays reproducible.
+        if let Some(st) = self.plan.stragglers {
+            if self.rng.bernoulli(st.probability) {
+                service *= st.multiplier;
+                self.push_event(FaultEvent::Straggler {
+                    at: t + self.t0,
+                    batch: b,
+                    multiplier: st.multiplier,
+                });
+            }
+        }
+        let fail = match self.plan.failures {
+            Some(fl) => self.rng.bernoulli(fl.p_fail(memory_mb)),
+            None => false,
+        };
+        let duration = cold + service;
+        if cold > 0.0 {
+            self.push_event(FaultEvent::ColdStart {
+                at: t + self.t0,
+                batch: b,
+                delay_s: cold,
+            });
+        }
+        if let Some(pool) = self.pool.as_mut() {
+            pool.release(t + duration);
+        }
+        // Every attempt is billed in full: cold-start GB-seconds and
+        // failed invocations included.
+        let cost = self
+            .params
+            .pricing
+            .invocation_cost_with_init(memory_mb, cold, service);
+        self.out.sim.total_cost += cost;
+        let record = self.out.sim.batches.len();
+        self.out.sim.batches.push(BatchRecord {
+            opened_at: win_opened + self.t0,
+            dispatched_at: t + self.t0,
+            size,
+            service_s: service,
+            cold_start_s: cold,
+            cost,
+        });
+        let running = Attempt {
+            batch: b,
+            number: attempt,
+            start: t,
+            fail,
+            record,
+        };
+        sch.schedule(t + duration, Ev::AttemptEnd(running));
+    }
+
+    /// An attempt ends at `t`: stamp its requests, or retry / give up,
+    /// then hand the freed slot on.
+    fn end_attempt(&mut self, a: Attempt, t: f64, sch: &mut Scheduler<Ev>) {
+        let (b, attempt) = (a.batch, a.number);
+        self.running -= 1;
+        if !a.fail {
+            self.batches[b].done = true;
+            for r in &self.batches[b].members {
+                let i = r.id as usize;
+                let rec = &mut self.out.sim.requests[i];
+                rec.dispatch = a.start + self.t0;
+                rec.completion = t + self.t0;
+                rec.batch = a.record;
+                self.out.served[i] = true;
+            }
+        } else {
+            self.push_event(FaultEvent::Failure {
+                at: t + self.t0,
+                batch: b,
+                attempt,
+            });
+            let retry = self.plan.failures.map(|f| f.retry).unwrap_or_default();
+            if attempt < retry.max_attempts {
+                let jitter = if retry.jitter > 0.0 {
+                    1.0 + retry.jitter * self.rng.uniform()
+                } else {
+                    1.0
+                };
+                let backoff = retry.backoff(attempt) * jitter;
+                self.push_event(FaultEvent::Retry {
+                    at: t + backoff + self.t0,
+                    batch: b,
+                    attempt: attempt + 1,
+                    backoff_s: backoff,
+                });
+                sch.schedule(t + backoff, Ev::RetryStart(b));
+            } else {
+                self.batches[b].done = true;
+                self.push_event(FaultEvent::Exhausted {
+                    at: t + self.t0,
+                    batch: b,
+                    requests: self.batches[b].members.len(),
+                });
+            }
+        }
+        // A slot freed: admit the longest-waiting queued batch.
+        if let Some(nb) = self.queue.pop_front() {
+            self.running += 1;
+            self.start_attempt(nb, t, sch);
+        }
+    }
+}
+
 /// Simulate the batching buffer with fault injection.
 ///
 /// With `plan.is_inert()` this is exactly
 /// [`crate::batching::simulate_batching`] (bit-identical outcome, no RNG
-/// draws); otherwise the fault channels are applied as documented on
+/// draws); otherwise windows still come from the one [`BatcherCore`] — its
+/// deadline goes on the event queue when a window opens — and every formed
+/// batch runs the attempt / retry / throttle events documented on
 /// [`FaultPlan`]. Panics on an invalid plan (validate with
 /// [`FaultPlan::validate`] or build via [`FaultPlan::builder`]).
 pub fn simulate_faults(
@@ -651,372 +889,73 @@ pub fn simulate_faults(
         };
     }
     plan.validate().expect("invalid fault plan");
-    cfg.validate().expect("invalid configuration");
     debug_assert!(
         arrivals.windows(2).all(|w| w[0] <= w[1]),
         "arrivals must be sorted"
     );
-
-    enum Ev {
-        Arrival(usize),
-        Timeout(u64),
-        /// An attempt of `batch` ends; `fail` was drawn at start and
-        /// `record` indexes the attempt's [`BatchRecord`].
-        AttemptEnd {
-            batch: usize,
-            attempt: u32,
-            start: f64,
-            fail: bool,
-            record: usize,
-        },
-        /// A retry of `batch` becomes eligible after backoff.
-        RetryStart(usize),
-    }
 
     let t0 = arrivals.first().copied().unwrap_or(0.0).min(0.0);
     let mut sched: Scheduler<Ev> = Scheduler::new();
     for (i, &a) in arrivals.iter().enumerate() {
         sched.schedule(a - t0, Ev::Arrival(i));
     }
+    let mut core = BatcherCore::new(*cfg);
+    let mut formed: Vec<FormedBatch> = Vec::new();
+    let mut st = FaultRun {
+        memory_mb: cfg.memory_mb,
+        params,
+        plan,
+        t0,
+        rng: Rng::new(plan.seed),
+        pool: plan.cold_start.map(|cs| ContainerPool {
+            keep_alive_s: cs.keep_alive_s,
+            idle_since: Vec::new(),
+        }),
+        queue: VecDeque::new(),
+        running: 0,
+        batches: Vec::new(),
+        out: FaultSimOutcome {
+            sim: SimOutcome::unserved(arrivals),
+            served: vec![false; arrivals.len()],
+            events: Vec::new(),
+            counts: FaultCounts::default(),
+        },
+        hub: Some(dbat_telemetry::global()).filter(|hub| hub.is_enabled()),
+    };
 
-    let mut rng = Rng::new(plan.seed);
-    let mut buffer: Vec<usize> = Vec::new();
-    let mut opened_at = 0.0f64;
-    let mut epoch = 0u64;
-    let immediate = cfg.batch_size == 1 || cfg.timeout_s == 0.0;
-
-    let mut requests: Vec<RequestRecord> = arrivals
-        .iter()
-        .map(|&a| RequestRecord {
-            arrival: a,
-            dispatch: 0.0,
-            completion: 0.0,
-            batch: 0,
-        })
-        .collect();
-    let mut served = vec![false; arrivals.len()];
-    let mut batches: Vec<PendingBatch> = Vec::new();
-    let mut attempts: Vec<BatchRecord> = Vec::new();
-    let mut total_cost = 0.0;
-    let mut events: Vec<FaultEvent> = Vec::new();
-    let mut counts = FaultCounts::default();
-    let tel = FaultTel::resolve();
-
-    let mut pool = plan
-        .cold_start
-        .map(|cs| ContainerPool::new(cs.keep_alive_s));
-    let max_concurrency = plan.throttle.map_or(usize::MAX, |t| t.max_concurrency);
-    let queue_capacity = plan.throttle.map_or(usize::MAX, |t| t.queue_capacity);
-    let mut queue: VecDeque<usize> = VecDeque::new();
-    let mut running = 0usize;
-
-    let mut push_event =
-        |ev: FaultEvent, events: &mut Vec<FaultEvent>, counts: &mut FaultCounts| {
-            match ev {
-                FaultEvent::ColdStart { .. } => counts.cold_starts += 1,
-                FaultEvent::Failure { .. } => counts.failures += 1,
-                FaultEvent::Retry { .. } => counts.retries += 1,
-                FaultEvent::Exhausted { requests, .. } => counts.exhausted_requests += requests,
-                FaultEvent::Throttled { .. } => counts.throttled += 1,
-                FaultEvent::Shed { requests, .. } => counts.shed_requests += requests,
-                FaultEvent::Straggler { .. } => counts.stragglers += 1,
+    run(&mut sched, |t, ev, sch| match ev {
+        Ev::Arrival(i) => {
+            let opens = core.is_idle();
+            let req = Admitted {
+                id: i as u64,
+                arrival: t,
+                class: 0,
+            };
+            core.on_arrival(req, &mut formed);
+            // Scheduled before anything the batch below schedules, so the
+            // timeout keeps its place in the queue's FIFO tie-break.
+            if let (true, Some(deadline)) = (opens, core.next_deadline()) {
+                sch.schedule(deadline, Ev::Deadline);
             }
-            if let Some(tel) = &tel {
-                tel.record(&ev);
-            }
-            events.push(ev);
-        };
-
-    // Start one attempt of batch `b` at sim-time `t` (concurrency slot
-    // already reserved by the caller).
-    #[allow(clippy::too_many_arguments)]
-    fn start_attempt(
-        b: usize,
-        t: f64,
-        t0: f64,
-        cfg: &LambdaConfig,
-        params: &SimParams,
-        plan: &FaultPlan,
-        rng: &mut Rng,
-        pool: &mut Option<ContainerPool>,
-        batches: &mut [PendingBatch],
-        attempts: &mut Vec<BatchRecord>,
-        total_cost: &mut f64,
-        sch: &mut Scheduler<Ev>,
-        events: &mut Vec<FaultEvent>,
-        counts: &mut FaultCounts,
-        push_event: &mut impl FnMut(FaultEvent, &mut Vec<FaultEvent>, &mut FaultCounts),
-    ) {
-        let pb = &mut batches[b];
-        pb.attempts += 1;
-        let attempt = pb.attempts;
-        let size = pb.members.len() as u32;
-        let win_opened = pb.win_opened;
-
-        // Container acquisition: cold delay on a fresh container.
-        let cold = match (plan.cold_start, pool.as_mut()) {
-            (Some(cs), Some(pool)) => {
-                if pool.acquire(t) {
-                    0.0
-                } else {
-                    cs.delay(cfg.memory_mb)
-                }
-            }
-            _ => 0.0,
-        };
-        let mut service = params.profile.service_time(cfg.memory_mb, size);
-        // Draw order per attempt is fixed (straggler, then failure, then
-        // jitter on retry) so the event loop stays reproducible.
-        if let Some(st) = plan.stragglers {
-            if rng.bernoulli(st.probability) {
-                service *= st.multiplier;
-                push_event(
-                    FaultEvent::Straggler {
-                        at: t + t0,
-                        batch: b,
-                        multiplier: st.multiplier,
-                    },
-                    events,
-                    counts,
-                );
-            }
+            st.admit_formed(&mut formed, t, sch);
         }
-        let fail = match plan.failures {
-            Some(fl) => rng.bernoulli(fl.p_fail(cfg.memory_mb)),
-            None => false,
-        };
-        let duration = cold + service;
-        if cold > 0.0 {
-            push_event(
-                FaultEvent::ColdStart {
-                    at: t + t0,
-                    batch: b,
-                    delay_s: cold,
-                },
-                events,
-                counts,
-            );
+        Ev::Deadline => {
+            core.due(t, &mut formed);
+            st.admit_formed(&mut formed, t, sch);
         }
-        if let Some(pool) = pool.as_mut() {
-            pool.release(t + duration);
-        }
-        // Every attempt is billed in full: cold-start GB-seconds and
-        // failed invocations included.
-        let cost = params
-            .pricing
-            .invocation_cost_with_init(cfg.memory_mb, cold, service);
-        *total_cost += cost;
-        let record = attempts.len();
-        attempts.push(BatchRecord {
-            opened_at: win_opened + t0,
-            dispatched_at: t + t0,
-            size,
-            service_s: service,
-            cold_start_s: cold,
-            cost,
-        });
-        sch.schedule(
-            t + duration,
-            Ev::AttemptEnd {
-                batch: b,
-                attempt,
-                start: t,
-                fail,
-                record,
-            },
-        );
-    }
-
-    run(&mut sched, |t, ev, sch| {
-        // Admission: start, queue, or shed a formed batch.
-        macro_rules! admit {
-            ($b:expr, $t:expr) => {{
-                let b = $b;
-                let at = $t;
-                if running < max_concurrency {
-                    running += 1;
-                    start_attempt(
-                        b,
-                        at,
-                        t0,
-                        cfg,
-                        params,
-                        plan,
-                        &mut rng,
-                        &mut pool,
-                        &mut batches,
-                        &mut attempts,
-                        &mut total_cost,
-                        sch,
-                        &mut events,
-                        &mut counts,
-                        &mut push_event,
-                    );
-                } else if queue.len() < queue_capacity {
-                    queue.push_back(b);
-                    push_event(
-                        FaultEvent::Throttled {
-                            at: at + t0,
-                            batch: b,
-                        },
-                        &mut events,
-                        &mut counts,
-                    );
-                } else {
-                    batches[b].done = true;
-                    let n = batches[b].members.len();
-                    push_event(
-                        FaultEvent::Shed {
-                            at: at + t0,
-                            batch: b,
-                            requests: n,
-                        },
-                        &mut events,
-                        &mut counts,
-                    );
-                }
-            }};
-        }
-
-        match ev {
-            Ev::Arrival(i) => {
-                if buffer.is_empty() {
-                    opened_at = t;
-                    if !immediate && cfg.timeout_s.is_finite() {
-                        sch.schedule(t + cfg.timeout_s, Ev::Timeout(epoch));
-                    }
-                }
-                buffer.push(i);
-                if immediate || buffer.len() as u32 >= cfg.batch_size {
-                    let members = std::mem::take(&mut buffer);
-                    epoch += 1;
-                    let b = batches.len();
-                    batches.push(PendingBatch {
-                        members,
-                        win_opened: opened_at,
-                        attempts: 0,
-                        done: false,
-                    });
-                    admit!(b, t);
-                }
-            }
-            Ev::Timeout(e) => {
-                if e == epoch && !buffer.is_empty() {
-                    let members = std::mem::take(&mut buffer);
-                    epoch += 1;
-                    let b = batches.len();
-                    batches.push(PendingBatch {
-                        members,
-                        win_opened: opened_at,
-                        attempts: 0,
-                        done: false,
-                    });
-                    admit!(b, t);
-                }
-            }
-            Ev::AttemptEnd {
-                batch: b,
-                attempt,
-                start,
-                fail,
-                record,
-            } => {
-                running -= 1;
-                if !fail {
-                    batches[b].done = true;
-                    let completion = t + t0;
-                    // `members` is moved out to appease the borrow checker.
-                    let members = std::mem::take(&mut batches[b].members);
-                    for &i in &members {
-                        requests[i].dispatch = start + t0;
-                        requests[i].completion = completion;
-                        requests[i].batch = record;
-                        served[i] = true;
-                    }
-                    batches[b].members = members;
-                } else {
-                    push_event(
-                        FaultEvent::Failure {
-                            at: t + t0,
-                            batch: b,
-                            attempt,
-                        },
-                        &mut events,
-                        &mut counts,
-                    );
-                    let retry = plan.failures.map(|f| f.retry).unwrap_or_default();
-                    if attempt < retry.max_attempts {
-                        let jitter = if retry.jitter > 0.0 {
-                            1.0 + retry.jitter * rng.uniform()
-                        } else {
-                            1.0
-                        };
-                        let backoff = retry.backoff(attempt) * jitter;
-                        push_event(
-                            FaultEvent::Retry {
-                                at: t + backoff + t0,
-                                batch: b,
-                                attempt: attempt + 1,
-                                backoff_s: backoff,
-                            },
-                            &mut events,
-                            &mut counts,
-                        );
-                        sch.schedule(t + backoff, Ev::RetryStart(b));
-                    } else {
-                        batches[b].done = true;
-                        push_event(
-                            FaultEvent::Exhausted {
-                                at: t + t0,
-                                batch: b,
-                                requests: batches[b].members.len(),
-                            },
-                            &mut events,
-                            &mut counts,
-                        );
-                    }
-                }
-                // A slot freed: admit the longest-waiting queued batch.
-                if let Some(nb) = queue.pop_front() {
-                    running += 1;
-                    start_attempt(
-                        nb,
-                        t,
-                        t0,
-                        cfg,
-                        params,
-                        plan,
-                        &mut rng,
-                        &mut pool,
-                        &mut batches,
-                        &mut attempts,
-                        &mut total_cost,
-                        sch,
-                        &mut events,
-                        &mut counts,
-                        &mut push_event,
-                    );
-                }
-            }
-            Ev::RetryStart(b) => {
-                if !batches[b].done {
-                    admit!(b, t);
-                }
+        Ev::AttemptEnd(a) => st.end_attempt(a, t, sch),
+        Ev::RetryStart(b) => {
+            if !st.batches[b].done {
+                st.admit(b, t, sch);
             }
         }
     });
 
-    debug_assert!(buffer.is_empty(), "all requests must leave the buffer");
-    FaultSimOutcome {
-        sim: SimOutcome {
-            requests,
-            batches: attempts,
-            total_cost,
-        },
-        served,
-        events,
-        counts,
+    debug_assert!(core.is_idle(), "all requests must leave the buffer");
+    if let Some(hub) = st.hub {
+        publish_counts(hub, &st.out.counts);
     }
+    st.out
 }
 
 #[cfg(test)]
@@ -1133,6 +1072,95 @@ mod tests {
         let lat: Vec<f64> = out.latencies();
         let s = params().profile.service_time(2048, 1);
         assert!(lat.iter().any(|&l| l > 1.5 * s), "queued latency {lat:?}");
+    }
+
+    /// The account-concurrency-quota model: the throttle channel alone,
+    /// with an unbounded queue (nothing is ever shed).
+    fn quota(limit: usize) -> FaultPlan {
+        FaultPlan {
+            throttle: Some(ThrottleFault {
+                max_concurrency: limit,
+                queue_capacity: usize::MAX,
+            }),
+            ..FaultPlan::default()
+        }
+    }
+
+    #[test]
+    fn unlimited_quota_is_bitwise_the_base_simulator() {
+        let arrivals = dense(300, 0.007);
+        for cfg in [
+            LambdaConfig::new(2048, 8, 0.05),
+            LambdaConfig::new(1024, 1, 0.0),
+            LambdaConfig::new(3008, 4, 0.02),
+        ] {
+            let base = simulate_batching(&arrivals, &cfg, &params(), None);
+            let out = simulate_faults(&arrivals, &cfg, &params(), &quota(usize::MAX));
+            assert!(
+                out.events.is_empty() && out.served.iter().all(|&s| s),
+                "{cfg}"
+            );
+            assert_eq!(base.batches.len(), out.sim.batches.len(), "{cfg}");
+            assert_eq!(base.total_cost.to_bits(), out.sim.total_cost.to_bits());
+            for (a, b) in base.requests.iter().zip(&out.sim.requests) {
+                assert_eq!(a.dispatch.to_bits(), b.dispatch.to_bits(), "{cfg}");
+                assert_eq!(a.completion.to_bits(), b.completion.to_bits(), "{cfg}");
+                assert_eq!(a.batch, b.batch);
+            }
+        }
+    }
+
+    #[test]
+    fn single_instance_serialises_batches() {
+        // Two batches formed back-to-back; with a quota of 1 the second
+        // must wait for the first to finish.
+        let cfg = LambdaConfig::new(2048, 2, 1.0);
+        let arrivals = [0.0, 0.001, 0.002, 0.003];
+        let out = simulate_faults(&arrivals, &cfg, &params(), &quota(1));
+        assert_eq!(out.sim.batches.len(), 2);
+        assert_eq!(out.counts.throttled, 1);
+        let service = params().profile.service_time(2048, 2);
+        // Second batch completes after ~2 service times.
+        let c2 = out.sim.requests[3].completion;
+        assert!(
+            c2 >= 2.0 * service - 1e-9,
+            "completion {c2} vs 2x service {}",
+            2.0 * service
+        );
+        // With an unlimited quota it completes after ~1 service time.
+        let unl = simulate_faults(&arrivals, &cfg, &params(), &quota(usize::MAX));
+        assert!(unl.sim.requests[3].completion < c2);
+    }
+
+    #[test]
+    fn quota_conserves_requests_under_pressure() {
+        let arrivals = dense(500, 0.002);
+        let cfg = LambdaConfig::new(1024, 4, 0.01);
+        let out = simulate_faults(&arrivals, &cfg, &params(), &quota(2));
+        assert_eq!(out.served_count(), 500);
+        let total: u32 = out.sim.batches.iter().map(|b| b.size).sum();
+        assert_eq!(total, 500);
+        assert!(out.counts.throttled > 0, "limit 2 must bind here");
+        for r in &out.sim.requests {
+            assert!(r.completion > r.arrival);
+        }
+    }
+
+    #[test]
+    fn tighter_quota_never_reduces_latency() {
+        let arrivals = dense(400, 0.003);
+        let cfg = LambdaConfig::new(2048, 8, 0.02);
+        let mut prev_p95 = f64::INFINITY;
+        for limit in [1usize, 2, 8, usize::MAX] {
+            let p95 = simulate_faults(&arrivals, &cfg, &params(), &quota(limit))
+                .summary()
+                .p95;
+            assert!(
+                p95 <= prev_p95 + 1e-9,
+                "p95 {p95} at limit {limit} worse than looser limit {prev_p95}"
+            );
+            prev_p95 = p95;
+        }
     }
 
     #[test]

@@ -4,16 +4,29 @@
 //! ground-truth oracle, mirroring how the paper obtains its ground truth
 //! ("by simulation as in \[10\], \[18\]", §IV-A).
 //!
-//! * [`engine`] — generic future-event-list DES core;
+//! One state machine forms batches; everything else drives it:
+//!
+//! * [`window`] — [`BatcherCore`], the paper's buffer rule (§III-B: open
+//!   on the first arrival into an empty buffer, dispatch at `min(B-th
+//!   arrival, open + T)`) as a clock-free state machine. It is the only
+//!   place the rule is written; the simulators below, `dbat-serve`'s
+//!   virtual replay and its live batcher threads are all drivers of it;
+//! * [`batching`] — [`simulate_batching`]: the arrivals walked through one
+//!   core in a plain loop, each formed batch served on its own instance;
+//! * [`faults`] — [`simulate_faults`]: the same core, with seeded fault
+//!   injection (cold starts with a warm-container pool, failures + retry,
+//!   throttling — on its own, an account concurrency quota — and
+//!   stragglers) deciding what happens to each formed batch;
+//! * [`engine`] — the future-event list the fault simulator and the
+//!   virtual replay schedule deadlines, attempts and retries on;
 //! * [`config`] — `(M, B, T)` configurations and the shared search grid;
 //! * [`service`] — deterministic profiled service-time surface `s(M, B)`;
 //! * [`pricing`] — AWS Lambda pay-as-you-go cost model;
-//! * [`batching`] — the buffer/batch/dispatch simulation;
 //! * [`metrics`] — latency summaries and the VCR metric (Eq. 11);
-//! * [`faults`] — seeded fault injection (cold starts, failures + retry,
-//!   throttling, stragglers) layered on the batching DES;
 //! * [`controller`] — the [`Controller`] trait the closed-loop policies
-//!   implement, plus the shared measurement/audit machinery and driver;
+//!   implement, the shared measurement/audit machinery, and the one
+//!   interval driver behind [`run_controller`] and
+//!   [`run_controller_tokens`];
 //! * [`mod@sweep`] — rayon-parallel exhaustive grid search (Eq. 10 optimum);
 //! * [`multi`] — multi-SLO request classes served by heterogeneous
 //!   function groups, with the HarmonyBatch-style joint partition/config
@@ -24,7 +37,6 @@
 //!   under TTFT/TPOT SLOs.
 
 pub mod batching;
-pub mod concurrency;
 pub mod config;
 pub mod controller;
 pub mod engine;
@@ -35,11 +47,11 @@ pub mod pricing;
 pub mod service;
 pub mod sweep;
 pub mod tokens;
+pub mod window;
 
 pub use batching::{
     simulate_batching, BatchRecord, ColdStart, RequestRecord, SimOutcome, SimParams,
 };
-pub use concurrency::{simulate_with_concurrency, ContainerPool};
 pub use config::{
     ConfigGrid, LambdaConfig, SimConfig, SimConfigBuilder, MEMORY_MAX_MB, MEMORY_MIN_MB,
 };
@@ -66,3 +78,4 @@ pub use tokens::{
     simulate_tokens_windowed, ContinuousCore, Goodput, TokenEvent, TokenInvocation, TokenParams,
     TokenProfile, TokenRequestRecord, TokenSimOutcome,
 };
+pub use window::{Admitted, BatcherCore, FlushReason, FormedBatch};

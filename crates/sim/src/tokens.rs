@@ -39,7 +39,7 @@
 
 use crate::batching::{simulate_batching, SimParams};
 use crate::config::{LambdaConfig, SimConfig};
-use crate::controller::{Controller, DecisionContext, IntervalMeasurement, RunOutcome};
+use crate::controller::{drive_intervals, Controller, IntervalMeasurement, RunOutcome};
 use crate::faults::FaultCounts;
 use crate::metrics::LatencySummary;
 use crate::pricing::Pricing;
@@ -783,9 +783,10 @@ pub fn record_token_trace(
 }
 
 /// Drive any [`Controller`] over a tokenized trace with the windowed
-/// token discipline: one decide/simulate/observe/commit cycle per
-/// decision interval, goodput accumulated across the run and reported in
-/// [`RunOutcome::goodput`].
+/// token discipline — the same interval cycle and `controller.decision`
+/// audit events as [`crate::run_controller`], each interval measured by
+/// [`simulate_tokens_windowed`] — with goodput accumulated across the run
+/// and reported in [`RunOutcome::goodput`].
 ///
 /// The fault layer does not compose with the token model yet, so
 /// `opts.faults` must be inert; `opts.slo`/`opts.percentile` keep their
@@ -801,64 +802,36 @@ pub fn run_controller_tokens<C: Controller + ?Sized>(
     slo: &TokenSlo,
 ) -> RunOutcome {
     assert!(
-        opts.decision_interval > 0.0,
-        "decision interval must be positive"
-    );
-    assert!(
         opts.faults.is_inert(),
         "fault injection does not compose with the token model yet"
     );
     let trace = tokenized.trace();
-    let mut measurements = Vec::new();
-    let mut records = Vec::new();
     let mut goodput = Goodput::default();
-    let mut t = t0;
-    let mut index = 0usize;
-    while t < t1 {
-        let end = (t + opts.decision_interval).min(t1);
-        let ctx = DecisionContext {
-            trace,
-            start: t,
-            end,
-            index,
-        };
-        let t_decide = std::time::Instant::now();
-        let mut rec = ctl.decide(&ctx);
-        rec.decide_s = t_decide.elapsed().as_secs_f64();
-        let (lo, hi) = tokenized.index_range(t, end.min(trace.horizon()));
-        if lo < hi {
-            let t_wall = std::time::Instant::now();
-            let out = simulate_tokens_windowed(
-                &tokenized.arrivals()[lo..hi],
-                &tokenized.specs()[lo..hi],
-                &rec.config,
-                params,
-            );
-            debug_assert!(out.conserved());
-            goodput.absorb(&out.goodput(slo, end - t));
-            let summary = out.summary();
-            let m = IntervalMeasurement {
-                start: t,
-                end,
-                config: rec.config,
-                summary,
-                cost_per_request: out.cost_per_request(),
-                requests: out.offered,
-                violation: summary.percentile(opts.percentile) > opts.slo || out.rejected > 0,
-                cold_starts: 0,
-                retries: 0,
-                lost: out.rejected,
-                wall_s: t_wall.elapsed().as_secs_f64(),
-            };
-            rec.record_measurement(&m);
-            ctl.observe(&m);
-            measurements.push(m);
+    let (measurements, records) = drive_intervals(ctl, trace, t0, t1, opts, |ctx, config| {
+        let (lo, hi) = tokenized.index_range(ctx.start, ctx.end.min(trace.horizon()));
+        if lo == hi {
+            return None;
         }
-        ctl.commit(rec);
-        records.push(*ctl.audit().last().expect("commit must archive the record"));
-        t = end;
-        index += 1;
-    }
+        let t_wall = std::time::Instant::now();
+        let out = simulate_tokens_windowed(
+            &tokenized.arrivals()[lo..hi],
+            &tokenized.specs()[lo..hi],
+            config,
+            params,
+        );
+        debug_assert!(out.conserved());
+        goodput.absorb(&out.goodput(slo, ctx.end - ctx.start));
+        let m = IntervalMeasurement::new(
+            (ctx.start, ctx.end),
+            *config,
+            out.summary(),
+            out.cost_per_request(),
+            out.offered,
+            (opts.slo, opts.percentile),
+            t_wall.elapsed().as_secs_f64(),
+        );
+        Some(m.with_losses(0, 0, out.rejected))
+    });
     RunOutcome {
         measurements,
         records,

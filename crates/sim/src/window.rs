@@ -1,14 +1,22 @@
-//! The batching core: the pure, clock-free state machine that turns a
-//! stream of admitted requests into dispatched batches under a live
-//! `(M, B, T)` configuration.
+//! The windowed-batching core: the one place the paper's buffer rule
+//! (§III-B) is written.
 //!
-//! [`BatcherCore`] reproduces the window semantics of
-//! [`dbat_sim::simulate_batching`] exactly (§III-B): a window opens when
-//! a request enters the empty buffer, and dispatches at
-//! `min(arrival of the B-th request, open + T)`. Timeout flushes are
-//! stamped at the *deadline*, not at the observation time, so a batcher
-//! thread that wakes late still produces the dispatch times the
-//! simulator would.
+//! A window opens when a request enters the empty buffer and dispatches at
+//! `min(arrival of the B-th request, open + T)`. [`BatcherCore`] is that
+//! rule as a pure, clock-free state machine: callers hand it every
+//! arrival with its timestamp and tell it when time has passed, and it
+//! hands back [`FormedBatch`]es. Every windowed driver in the workspace
+//! sits on top of it — [`crate::simulate_batching`] walks the arrivals in
+//! a plain loop, [`crate::simulate_faults`] and `dbat-serve`'s
+//! `VirtualGateway` schedule its deadlines on the event queue, and the
+//! live gateway's batcher threads wake on them — so they agree on window
+//! membership and dispatch stamps by construction.
+//!
+//! Timeout flushes are stamped at the *deadline*, not at the observation
+//! time, so a driver that looks late (a batcher thread that overslept, a
+//! simulator that only looks at the next arrival) still produces the
+//! dispatch times an exact event loop would. An arrival at exactly
+//! `open + T` joins the window before it flushes.
 //!
 //! Hot reconfiguration is modelled by [`BatcherCore::rotate`]: the
 //! currently open window is **sealed** — it keeps its original
@@ -21,7 +29,7 @@
 //! control interval independent, matching how the offline driver
 //! simulates intervals in isolation.
 
-use dbat_sim::LambdaConfig;
+use crate::config::LambdaConfig;
 use dbat_workload::ClassId;
 use serde::{Deserialize, Serialize};
 
@@ -91,8 +99,8 @@ impl Window {
 
 /// The batching state machine. All methods take the caller's notion of
 /// "now" explicitly; the core never reads a clock, which is what lets
-/// the same code back both the live batcher thread and the
-/// deterministic virtual replay.
+/// the same code back the simulators, the deterministic virtual replay
+/// and the live batcher thread.
 #[derive(Clone, Debug)]
 pub struct BatcherCore {
     config: LambdaConfig,
@@ -149,10 +157,10 @@ impl BatcherCore {
 
     /// Admit one request at its arrival time `req.arrival`, appending any
     /// batches this forms to `out`. Windows whose deadlines are strictly
-    /// before the arrival are flushed first (a live batcher that wakes
-    /// late catches up here); a window whose deadline equals the arrival
-    /// still admits the request — the simulator's arrival-beats-timeout
-    /// tie-break.
+    /// before the arrival are flushed first (a driver that has not
+    /// looked since — a late batcher thread, the simulator's arrival
+    /// walk — catches up here); a window whose deadline equals the
+    /// arrival still admits the request: arrival beats timeout.
     pub fn on_arrival(&mut self, req: Admitted, out: &mut Vec<FormedBatch>) {
         let t = req.arrival;
         self.flush_matured(t, true, out);
@@ -183,8 +191,9 @@ impl BatcherCore {
         self.flush_matured(now, false, out);
     }
 
-    /// Flush matured windows. `strict` flushes `deadline < bound` only
-    /// (pre-arrival catch-up); non-strict flushes `deadline <= bound`.
+    /// Flush matured windows, oldest deadline first. `strict` flushes
+    /// `deadline < bound` only (pre-arrival catch-up); non-strict flushes
+    /// `deadline <= bound`.
     fn flush_matured(&mut self, bound: f64, strict: bool, out: &mut Vec<FormedBatch>) {
         let matured = |w: &Window| {
             let d = w.deadline();
@@ -194,33 +203,24 @@ impl BatcherCore {
                 d <= bound
             }
         };
-        if self.sealed.iter().any(matured) || self.active.as_ref().is_some_and(matured) {
-            // Collect matured windows oldest-first, dispatch deadline-order.
-            let mut ready: Vec<Window> = Vec::new();
-            self.sealed.retain_mut(|w| {
-                if matured(w) {
-                    ready.push(std::mem::replace(
-                        w,
-                        Window {
-                            requests: Vec::new(),
-                            config: self.config,
-                            opened_at: 0.0,
-                        },
-                    ));
-                    false
-                } else {
-                    true
-                }
-            });
-            if self.active.as_ref().is_some_and(matured) {
-                ready.push(self.active.take().expect("checked above"));
-            }
-            ready.sort_by(|a, b| a.deadline().total_cmp(&b.deadline()));
-            for w in ready {
-                let d = w.deadline();
-                out.push(w.form(d, FlushReason::Timeout, self.lane));
-            }
+        let lane = self.lane;
+        let timed_out = |w: Window| {
+            let d = w.deadline();
+            w.form(d, FlushReason::Timeout, lane)
+        };
+        let first = out.len();
+        if self.sealed.iter().any(matured) {
+            let (due, waiting): (Vec<_>, Vec<_>) = std::mem::take(&mut self.sealed)
+                .into_iter()
+                .partition(matured);
+            self.sealed = waiting;
+            out.extend(due.into_iter().map(timed_out));
         }
+        if self.active.as_ref().is_some_and(matured) {
+            out.extend(self.active.take().map(timed_out));
+        }
+        // Stable: equal deadlines keep oldest-window-first order.
+        out[first..].sort_by(|a, b| a.dispatched_at.total_cmp(&b.dispatched_at));
     }
 
     /// The earliest pending deadline, if any window is waiting on one.
@@ -316,8 +316,8 @@ mod tests {
 
     #[test]
     fn arrival_at_exact_deadline_joins_window() {
-        // Mirrors the simulator's FIFO tie-break: an arrival scheduled at
-        // the same instant as the timeout joins the batch first.
+        // An arrival at the same instant as the timeout joins the batch
+        // first.
         let mut core = BatcherCore::new(LambdaConfig::new(2048, 8, 0.05));
         let mut out = Vec::new();
         core.on_arrival(req(0, 1.0), &mut out);

@@ -130,5 +130,37 @@ fn online_controller_audit_trail() {
     assert!(enc.sum() > 0.0 && score.sum() > 0.0);
     assert!((enc.sum() + score.sum() - all.sum()).abs() <= 1e-9 * decided as f64);
 
+    // --- token-aware closed-loop runs leave the same audit trail ---------
+    // `run_controller_tokens` shares `run_controller`'s interval driver:
+    // one `controller.decision` event per interval, flushed to the sinks.
+    use deepbat::sim::{run_controller_tokens, TokenParams};
+    use deepbat::workload::{LognormalTokens, TokenMix, TokenSlo, TokenizedTrace};
+    let tokenized =
+        TokenizedTrace::sample(tr.clone(), &TokenMix::Lognormal(LognormalTokens::chat()), 3);
+    let mut fixed = StaticController::new(LambdaConfig::new(3008, 8, 0.05), 2.0);
+    let out = run_controller_tokens(
+        &mut fixed,
+        &tokenized,
+        0.0,
+        t1,
+        &SimConfig::new(2.0),
+        &TokenParams::llm_like(),
+        &TokenSlo::new(0.5, 0.05),
+    );
+    assert_eq!(out.records.len(), n_intervals);
+    let events = mem.events_of_kind("controller.decision");
+    assert_eq!(events.len(), 2 * n_intervals);
+    for (e, r) in events[n_intervals..].iter().zip(&out.records) {
+        let back: DecisionRecord =
+            deepbat::telemetry::serde_json::from_value(e.data.clone()).unwrap();
+        assert_eq!(
+            (back.index, back.config, back.requests),
+            (r.index, r.config, r.requests)
+        );
+    }
+    let flushed = read_jsonl(&jsonl_path).unwrap();
+    let on_disk = flushed.iter().filter(|e| e.kind == "controller.decision");
+    assert_eq!(on_disk.count(), 2 * n_intervals);
+
     std::fs::remove_file(&jsonl_path).ok();
 }
