@@ -401,6 +401,36 @@ mod tests {
         assert!(report.secs_per_epoch > 0.0);
     }
 
+    /// Same data, same seeds: two runs agree to the bit in every epoch
+    /// loss and every weight (shards run on whatever threads rayon has).
+    #[test]
+    fn training_is_bit_reproducible_run_to_run() {
+        use dbat_nn::Module;
+        let data = dataset(32, 16);
+        let tc = TrainConfig {
+            epochs: 3,
+            lr: 3e-3,
+            ..TrainConfig::default()
+        };
+        let run = || {
+            let mut model = Surrogate::new(SurrogateConfig::tiny(), 5);
+            let report = train(&mut model, &data, &tc);
+            let weights: Vec<Vec<f64>> = model
+                .parameters()
+                .iter()
+                .map(|t| t.data().to_vec())
+                .collect();
+            (report.train_losses, report.val_losses, weights)
+        };
+        let (first, second) = (run(), run());
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&first.0), bits(&second.0), "train losses");
+        assert_eq!(bits(&first.1), bits(&second.1), "validation losses");
+        for (a, b) in first.2.iter().zip(&second.2) {
+            assert_eq!(bits(a), bits(b), "weights");
+        }
+    }
+
     #[test]
     fn token_features_train_end_to_end() {
         // The 7-feature encoding (M, B, T + window token stats) must flow

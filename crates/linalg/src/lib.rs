@@ -15,7 +15,12 @@
 //!   load and reused every call;
 //! * [`mod@attention`] — the fused score → softmax → context kernel for
 //!   one attention head ([`attention_head`]), bitwise identical to the
-//!   `gemm` → softmax → `gemm` pipeline it replaces on the decision path;
+//!   `gemm` → softmax → `gemm` pipeline it replaces, and its backward
+//!   ([`attention_head_backward`]), which saves nothing `S × S`: it
+//!   recomputes each 8-row block's probabilities and reduces `dK`/`dV`
+//!   over query rows in ascending order within one head, so gradients do
+//!   not depend on batch position or shard. The compiled plans and the
+//!   training tape share this one kernel pair;
 //! * [`mod@int8`] — per-channel symmetric int8 quantized matmul for the
 //!   surrogate's parity-gated grid-scoring sweep;
 //! * [`mod@exp`] — deterministic vectorised `exp` ([`exp_inplace`]) and the
@@ -40,7 +45,9 @@ pub mod lu;
 pub mod matrix;
 pub mod stationary;
 
-pub use attention::{attention_head, attention_scratch_len};
+pub use attention::{
+    attention_backward_scratch_len, attention_head, attention_head_backward, attention_scratch_len,
+};
 pub use exp::{exp_inplace, exp_rn, softmax_rows_inplace, softmax_rows_scaled_inplace};
 pub use expm::{expm, Uniformizer};
 pub use gemm::{gemm, gemm_prepacked, gemm_worthwhile, Layout, PackedMat};

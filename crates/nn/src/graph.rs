@@ -11,11 +11,29 @@
 //! ops and backward closures draw their output buffers from it, and
 //! [`Graph::reset`] drains every node's backing buffer back into the pool,
 //! so repeated forward/backward cycles on same-shaped batches (the training
-//! loop, `predict_all` over a fixed grid) stop churning the allocator.
+//! loop, `predict_all` over a fixed grid) stop churning the allocator. A
+//! backward closure receives its node's gradient mutably and may move the
+//! buffer into a parent gradient (reshape, add, add_bias, scale, relu do);
+//! whatever it leaves behind is repooled.
+//!
+//! Attention is one op, [`Graph::attention`], over the merged `[B, S, D]`
+//! projections: its forward is [`dbat_linalg::attention_head`] per head —
+//! the kernel the compiled plans ([`crate::infer`]) call, so plan and tape
+//! agree by construction — and its backward is
+//! [`dbat_linalg::attention_head_backward`], which recomputes each block's
+//! probabilities instead of reading them off the tape. No node of a
+//! train / eval / predict tape is `S × S`. The generic `bmm_nt` → `scale` →
+//! `softmax` → `bmm` ops remain for
+//! `MultiHeadAttention::forward_with_attention`, which needs the weights
+//! themselves (Fig. 14) and serves as the fused op's test oracle.
 
 use crate::tensor::{
     bmm_into, bmm_nt_into, bmm_tn_into, matmul2d_into, matmul2d_nt_into, matmul2d_tn_into,
-    permute_0213 as permute_kernel, softmax_lastdim, transpose_last2 as transpose_kernel, Tensor,
+    permute_0213 as permute_kernel, transpose_last2 as transpose_kernel, Tensor,
+};
+use dbat_linalg::{
+    attention_backward_scratch_len, attention_head, attention_head_backward, attention_scratch_len,
+    softmax_rows_inplace,
 };
 use std::collections::HashMap;
 
@@ -42,15 +60,36 @@ impl BufferPool {
         BufferPool::default()
     }
 
+    /// A pooled buffer of exactly `len` elements, contents unspecified.
+    fn recycled(&mut self, len: usize) -> Option<Vec<f64>> {
+        self.free.get_mut(&len).and_then(|v| v.pop())
+    }
+
     /// A zeroed buffer of exactly `len` elements, pooled if available.
     pub fn take(&mut self, len: usize) -> Vec<f64> {
-        match self.free.get_mut(&len).and_then(|v| v.pop()) {
+        match self.recycled(len) {
             Some(mut buf) => {
                 buf.fill(0.0);
                 buf
             }
             None => vec![0.0; len],
         }
+    }
+
+    /// A copy of `src` in a pooled buffer (no zero-fill pass).
+    pub(crate) fn copy_of(&mut self, src: &[f64]) -> Vec<f64> {
+        match self.recycled(src.len()) {
+            Some(mut buf) => {
+                buf.copy_from_slice(src);
+                buf
+            }
+            None => src.to_vec(),
+        }
+    }
+
+    /// A pooled copy of `t`.
+    fn copy_tensor(&mut self, t: &Tensor) -> Tensor {
+        Tensor::new(t.shape().to_vec(), self.copy_of(t.data()))
     }
 
     /// Return a buffer to the pool for later reuse.
@@ -70,8 +109,11 @@ impl BufferPool {
     }
 }
 
+/// `(node gradient, parent values, node value, pool) -> parent gradients`.
+/// The node gradient is the closure's to consume: it may edit it in place
+/// and [`Tensor::take`] the buffer into a returned gradient.
 type BackFn =
-    Box<dyn Fn(&Tensor, &[&Tensor], &Tensor, &mut BufferPool) -> Vec<Tensor> + Send + Sync>;
+    Box<dyn Fn(&mut Tensor, &[&Tensor], &Tensor, &mut BufferPool) -> Vec<Tensor> + Send + Sync>;
 
 /// The autograd tape.
 #[derive(Default)]
@@ -152,6 +194,13 @@ impl Graph {
         self.push(t, vec![], None)
     }
 
+    /// [`Graph::leaf`] of a pooled copy of `t` (parameters are re-bound on
+    /// every tape build; the copy's buffer comes back on `reset`).
+    pub(crate) fn leaf_copy(&mut self, t: &Tensor) -> Var {
+        let copy = self.pool.copy_tensor(t);
+        self.leaf(copy)
+    }
+
     /// Alias for [`Graph::leaf`] used for non-trainable constants.
     pub fn constant(&mut self, t: Tensor) -> Var {
         self.leaf(t)
@@ -163,7 +212,9 @@ impl Graph {
         self.push(
             v,
             vec![a.0, b.0],
-            Some(Box::new(|g, _, _, _| vec![g.clone(), g.clone()])),
+            Some(Box::new(|g, _, _, pool| {
+                vec![pool.copy_tensor(g), g.take()]
+            })),
         )
     }
 
@@ -173,7 +224,11 @@ impl Graph {
         self.push(
             v,
             vec![a.0, b.0],
-            Some(Box::new(|g, _, _, _| vec![g.clone(), g.map(|x| -x)])),
+            Some(Box::new(|g, _, _, pool| {
+                let da = pool.copy_tensor(g);
+                g.data_mut().iter_mut().for_each(|x| *x = -*x);
+                vec![da, g.take()]
+            })),
         )
     }
 
@@ -183,11 +238,15 @@ impl Graph {
         self.push(
             v,
             vec![a.0, b.0],
-            Some(Box::new(|g, ps, _, _| {
-                vec![
-                    g.zip(ps[1], |gi, bi| gi * bi),
-                    g.zip(ps[0], |gi, ai| gi * ai),
-                ]
+            Some(Box::new(|g, ps, _, pool| {
+                let mut times = |other: &Tensor| {
+                    let mut out = pool.take(g.numel());
+                    for ((o, &gi), &x) in out.iter_mut().zip(g.data()).zip(other.data()) {
+                        *o = gi * x;
+                    }
+                    Tensor::new(g.shape().to_vec(), out)
+                };
+                vec![times(ps[1]), times(ps[0])]
             })),
         )
     }
@@ -198,7 +257,10 @@ impl Graph {
         self.push(
             v,
             vec![a.0],
-            Some(Box::new(move |g, _, _, _| vec![g.map(|x| x * c)])),
+            Some(Box::new(move |g, _, _, _| {
+                g.data_mut().iter_mut().for_each(|x| *x *= c);
+                vec![g.take()]
+            })),
         )
     }
 
@@ -209,8 +271,7 @@ impl Graph {
         let bv = &self.values[b.0];
         let d = *xv.shape().last().expect("add_bias needs >=1-D x");
         assert_eq!(bv.shape(), &[d], "bias must be [last_dim]");
-        let mut out = pool.take(xv.numel());
-        out.copy_from_slice(xv.data());
+        let mut out = pool.copy_of(xv.data());
         for row in out.chunks_mut(d) {
             for (o, &bb) in row.iter_mut().zip(bv.data()) {
                 *o += bb;
@@ -227,20 +288,24 @@ impl Graph {
                         *acc += gg;
                     }
                 }
-                vec![g.clone(), Tensor::new(vec![d], db)]
+                vec![g.take(), Tensor::new(vec![d], db)]
             })),
         )
     }
 
-    /// 2-D matrix multiply.
+    /// Matrix multiply over the last axis: `[..., k] @ [k, n] -> [..., n]`
+    /// (the leading axes of `a` are its rows).
     pub fn matmul(&mut self, a: Var, b: Var) -> Var {
         let pool = &mut self.pool;
         let av = &self.values[a.0];
         let bv = &self.values[b.0];
-        let (m, n) = (av.shape()[0], bv.shape()[1]);
-        let mut out = pool.take(m * n);
+        let mut shape = av.shape().to_vec();
+        let k = shape.pop().expect("matmul lhs needs >=2-D");
+        let n = bv.shape()[1];
+        shape.push(n);
+        let mut out = pool.take(av.numel() / k.max(1) * n);
         matmul2d_into(av, bv, &mut out);
-        let v = Tensor::new(vec![m, n], out);
+        let v = Tensor::new(shape, out);
         self.push(
             v,
             vec![a.0, b.0],
@@ -312,6 +377,82 @@ impl Graph {
         )
     }
 
+    /// Multi-head scaled-dot-product attention over merged projections:
+    /// `q`, `k`, `v` are `[B, S, D]` with head `h` in columns
+    /// `[h·D/heads, (h+1)·D/heads)`, and so is the result,
+    /// `softmax(Q_h·K_hᵀ / √(D/heads)) · V_h` per head — the
+    /// split-heads → `bmm_nt` → `scale` → `softmax` → `bmm` → merge-heads
+    /// composition bit for bit, as one node that keeps nothing `S × S`
+    /// (see the module docs).
+    pub fn attention(&mut self, q: Var, k: Var, v: Var, heads: usize) -> Var {
+        let pool = &mut self.pool;
+        let (qv, kv, vv) = (&self.values[q.0], &self.values[k.0], &self.values[v.0]);
+        let shape = qv.shape().to_vec();
+        assert_eq!(shape.len(), 3, "attention expects [B, S, D]");
+        assert_eq!(kv.shape(), &shape[..], "attention k shape mismatch");
+        assert_eq!(vv.shape(), &shape[..], "attention v shape mismatch");
+        let (batch, seq, dim) = (shape[0], shape[1], shape[2]);
+        assert!(
+            heads > 0 && dim.is_multiple_of(heads),
+            "model dim {dim} must divide into {heads} heads"
+        );
+        let dh = dim / heads;
+        let scale = 1.0 / (dh as f64).sqrt();
+        // One (batch, head) problem at a time in index order, each on its
+        // strided columns of the merged buffers.
+        let offsets =
+            move || (0..batch).flat_map(move |b| (0..heads).map(move |h| b * seq * dim + h * dh));
+
+        let mut out = pool.take(qv.numel());
+        let mut scratch = pool.take(attention_scratch_len(seq, dh));
+        for off in offsets() {
+            attention_head(
+                seq,
+                dh,
+                dim,
+                scale,
+                &qv.data()[off..],
+                &kv.data()[off..],
+                &vv.data()[off..],
+                &mut out[off..],
+                &mut scratch,
+            );
+        }
+        pool.put(scratch);
+        let value = Tensor::new(shape.clone(), out);
+        self.push(
+            value,
+            vec![q.0, k.0, v.0],
+            Some(Box::new(move |g, ps, out, pool| {
+                let n = out.numel();
+                let (mut dq, mut dk, mut dv) = (pool.take(n), pool.take(n), pool.take(n));
+                let mut scratch = pool.take(attention_backward_scratch_len(seq, dh));
+                for off in offsets() {
+                    attention_head_backward(
+                        seq,
+                        dh,
+                        dim,
+                        scale,
+                        &ps[0].data()[off..],
+                        &ps[1].data()[off..],
+                        &ps[2].data()[off..],
+                        &out.data()[off..],
+                        &g.data()[off..],
+                        &mut dq[off..],
+                        &mut dk[off..],
+                        &mut dv[off..],
+                        &mut scratch,
+                    );
+                }
+                pool.put(scratch);
+                [dq, dk, dv]
+                    .into_iter()
+                    .map(|d| Tensor::new(shape.clone(), d))
+                    .collect()
+            })),
+        )
+    }
+
     /// Transpose the last two axes.
     pub fn transpose_last2(&mut self, a: Var) -> Var {
         let v = transpose_kernel(&self.values[a.0]);
@@ -332,15 +473,16 @@ impl Graph {
         )
     }
 
-    /// Reshape (free).
+    /// Reshape: a pooled copy forward (the parent keeps its buffer on the
+    /// tape), a move of the gradient buffer backward.
     pub fn reshape(&mut self, a: Var, shape: Vec<usize>) -> Var {
         let old_shape = self.values[a.0].shape().to_vec();
-        let v = self.values[a.0].reshape(shape);
+        let v = Tensor::new(shape, self.pool.copy_of(self.values[a.0].data()));
         self.push(
             v,
             vec![a.0],
             Some(Box::new(move |g, _, _, _| {
-                vec![g.reshape(old_shape.clone())]
+                vec![g.take().with_shape(old_shape.clone())]
             })),
         )
     }
@@ -352,14 +494,21 @@ impl Graph {
             v,
             vec![a.0],
             Some(Box::new(|g, ps, _, _| {
-                vec![g.zip(ps[0], |gi, xi| if xi > 0.0 { gi } else { 0.0 })]
+                for (gi, &xi) in g.data_mut().iter_mut().zip(ps[0].data()) {
+                    *gi = if xi > 0.0 { *gi } else { 0.0 };
+                }
+                vec![g.take()]
             })),
         )
     }
 
     /// Softmax over the last axis.
     pub fn softmax(&mut self, a: Var) -> Var {
-        let v = softmax_lastdim(&self.values[a.0]);
+        let av = &self.values[a.0];
+        let d = *av.shape().last().expect("softmax needs at least 1-D");
+        let mut out = self.pool.copy_of(av.data());
+        softmax_rows_inplace(&mut out, d);
+        let v = Tensor::new(av.shape().to_vec(), out);
         self.push(
             v,
             vec![a.0],
@@ -384,8 +533,8 @@ impl Graph {
         let d = *xv.shape().last().expect("layer_norm needs >=1-D");
         assert_eq!(self.values[gamma.0].shape(), &[d]);
         assert_eq!(self.values[beta.0].shape(), &[d]);
-        let gv = self.values[gamma.0].data().to_vec();
-        let bv = self.values[beta.0].data().to_vec();
+        let gv = self.values[gamma.0].data();
+        let bv = self.values[beta.0].data();
         let mut out = pool.take(xv.numel());
         for (row_idx, row) in xv.data().chunks(d).enumerate() {
             let mu: f64 = row.iter().sum::<f64>() / d as f64;
@@ -408,20 +557,23 @@ impl Graph {
                 let mut dx = pool.take(xv.numel());
                 let mut dgamma = pool.take(d);
                 let mut dbeta = pool.take(d);
+                // Per-row scratch, reused by every row.
+                let mut xhat = pool.take(d);
+                let mut dxhat = pool.take(d);
                 for (row_idx, (row, grow)) in
                     xv.data().chunks(d).zip(g.data().chunks(d)).enumerate()
                 {
                     let mu: f64 = row.iter().sum::<f64>() / n;
                     let var: f64 = row.iter().map(|&v| (v - mu) * (v - mu)).sum::<f64>() / n;
                     let sigma = (var + eps).sqrt();
-                    let xhat: Vec<f64> = row.iter().map(|&v| (v - mu) / sigma).collect();
-                    // Parameter grads.
                     for j in 0..d {
+                        xhat[j] = (row[j] - mu) / sigma;
+                        // Parameter grads.
                         dgamma[j] += grow[j] * xhat[j];
                         dbeta[j] += grow[j];
+                        // dxhat = g * gamma
+                        dxhat[j] = grow[j] * gv[j];
                     }
-                    // dxhat = g * gamma
-                    let dxhat: Vec<f64> = (0..d).map(|j| grow[j] * gv[j]).collect();
                     let mean_dxhat: f64 = dxhat.iter().sum::<f64>() / n;
                     let mean_dxhat_xhat: f64 =
                         dxhat.iter().zip(&xhat).map(|(&a, &b)| a * b).sum::<f64>() / n;
@@ -430,6 +582,8 @@ impl Graph {
                             (dxhat[j] - mean_dxhat - xhat[j] * mean_dxhat_xhat) / sigma;
                     }
                 }
+                pool.put(xhat);
+                pool.put(dxhat);
                 vec![
                     Tensor::new(xv.shape().to_vec(), dx),
                     Tensor::new(vec![d], dgamma),
@@ -690,25 +844,28 @@ impl Graph {
         let mut grads: Vec<Option<Tensor>> = vec![None; self.values.len()];
         grads[root.0] = Some(Tensor::scalar(1.0));
         for idx in (0..=root.0).rev() {
-            if grads[idx].is_none() || self.back[idx].is_none() {
+            let Some(f) = self.back[idx].as_ref() else {
                 continue;
-            }
-            let g = grads[idx].as_ref().unwrap();
-            let f = self.back[idx].as_ref().unwrap();
+            };
+            let Some(mut g) = grads[idx].take() else {
+                continue;
+            };
             let parent_vals: Vec<&Tensor> =
                 self.parents[idx].iter().map(|&p| &self.values[p]).collect();
-            let parent_grads = f(g, &parent_vals, &self.values[idx], &mut self.pool);
+            let parent_grads = f(&mut g, &parent_vals, &self.values[idx], &mut self.pool);
             debug_assert_eq!(parent_grads.len(), self.parents[idx].len());
-            for (p, pg) in self.parents[idx].clone().into_iter().zip(parent_grads) {
+            for (&p, pg) in self.parents[idx].iter().zip(parent_grads) {
                 match &mut grads[p] {
-                    Some(acc) => acc.add_assign(&pg),
+                    Some(acc) => {
+                        acc.add_assign(&pg);
+                        self.pool.put(pg.into_data());
+                    }
                     slot @ None => *slot = Some(pg),
                 }
             }
-            // This interior gradient is fully consumed — recycle its buffer.
-            if let Some(t) = grads[idx].take() {
-                self.pool.put(t.into_data());
-            }
+            // This interior gradient is consumed — recycle what the
+            // closure left of it.
+            self.pool.put(g.into_data());
         }
         grads
     }
@@ -837,6 +994,80 @@ mod tests {
             t(&[1, 2, 3], &[0.9, 0.2, -0.4, -0.1, 0.8, 0.3]),
             1e-5,
         );
+    }
+
+    /// Seeded standard-normal tensor.
+    fn pseudo(shape: &[usize], seed: u64) -> Tensor {
+        crate::init::normal_init(shape.to_vec(), 1.0, &mut crate::init::InitRng::new(seed))
+    }
+
+    #[test]
+    fn grad_attention_wrt_q_k_and_v() {
+        // One shape on each side of the kernel's FMA dispatch threshold.
+        for &(shape, heads) in &[([2usize, 5, 4], 2usize), ([1, 32, 8], 2)] {
+            let (q0, k0, v0) = (pseudo(&shape, 3), pseudo(&shape, 5), pseudo(&shape, 7));
+            let w0 = pseudo(&shape, 11);
+            for wrt in 0..3 {
+                let (q0, k0, v0, w0) = (q0.clone(), k0.clone(), v0.clone(), w0.clone());
+                let x0 = [&q0, &k0, &v0][wrt].clone();
+                grad_check(
+                    move |g, x| {
+                        let mut qkv = [
+                            g.constant(q0.clone()),
+                            g.constant(k0.clone()),
+                            g.constant(v0.clone()),
+                        ];
+                        qkv[wrt] = x;
+                        let y = g.attention(qkv[0], qkv[1], qkv[2], heads);
+                        let w = g.constant(w0.clone());
+                        let yw = g.mul(y, w);
+                        g.sum_all(yw)
+                    },
+                    x0,
+                    1e-5,
+                );
+            }
+        }
+    }
+
+    /// The op reduces within one `(batch, head)` problem only: a sample's
+    /// output and `dQ`/`dK`/`dV` are the same bits alone, first, or last
+    /// in a batch.
+    #[test]
+    fn attention_is_independent_of_batch_position() {
+        let (seq, dim, heads) = (37usize, 8usize, 2usize);
+        let sample = |i: u64| -> [Tensor; 4] {
+            std::array::from_fn(|t| pseudo(&[1, seq, dim], 100 * i + t as u64))
+        };
+        // Forward value and q/k/v gradients of every sample in the batch.
+        let run = |samples: &[[Tensor; 4]]| -> Vec<[Vec<f64>; 4]> {
+            let n = samples.len();
+            let stack = |t: usize| {
+                let data = samples.iter().flat_map(|s| s[t].data().to_vec()).collect();
+                Tensor::new(vec![n, seq, dim], data)
+            };
+            let mut g = Graph::new();
+            let (q, k, v) = (g.leaf(stack(0)), g.leaf(stack(1)), g.leaf(stack(2)));
+            let y = g.attention(q, k, v, heads);
+            let w = g.constant(stack(3));
+            let yw = g.mul(y, w);
+            let l = g.sum_all(yw);
+            let out = g.value(y).data().to_vec();
+            let grads = g.backward(l);
+            (0..n)
+                .map(|i| {
+                    let at = |x: &[f64]| x[i * seq * dim..(i + 1) * seq * dim].to_vec();
+                    let grad = |v: Var| at(grads[v.0].as_ref().unwrap().data());
+                    [at(&out), grad(q), grad(k), grad(v)]
+                })
+                .collect()
+        };
+        let (a, b, c) = (sample(1), sample(2), sample(3));
+        let alone = run(std::slice::from_ref(&b));
+        let last = run(&[a.clone(), c.clone(), b.clone()]);
+        let first = run(&[b, c, a]);
+        assert_eq!(alone[0], last[2]);
+        assert_eq!(alone[0], first[0]);
     }
 
     #[test]

@@ -9,6 +9,18 @@
 //! `backward`, the optimizer zips `parameters_mut()` with the binder's vars
 //! to apply updates. Every module's `forward` must therefore bind its
 //! parameters exactly once, in declaration order.
+//!
+//! ## Two attention paths, one for each purpose
+//!
+//! `forward` (attention, encoder layer, encoder stack) is what training,
+//! evaluation and prediction run: the projections feed one
+//! [`Graph::attention`] node, the kernel pair shared with the compiled
+//! plans, and no `S × S` tensor exists on the tape. `forward_with_attention`
+//! composes the same layer from the generic ops (split heads → `bmm_nt` →
+//! `scale` → `softmax` → `bmm` → merge heads) and returns the `[B·H, S, S]`
+//! weights as well: the Fig. 14 attention profile needs them, and the
+//! tests hold `forward` to it (output bitwise, gradients to rounding).
+//! Nothing selects between the two at run time.
 
 use crate::graph::{Graph, Var};
 use crate::init::{xavier_uniform, InitRng};
@@ -30,7 +42,7 @@ impl<'g> Binder<'g> {
 
     /// Bind a parameter tensor as a graph leaf and record its var.
     pub fn param(&mut self, t: &Tensor) -> Var {
-        let v = self.g.leaf(t.clone());
+        let v = self.g.leaf_copy(t);
         self.vars.push(v);
         v
     }
@@ -70,25 +82,18 @@ impl Linear {
         self.w.shape()[1]
     }
 
-    /// Forward over the last axis of an arbitrary-rank input.
+    /// Forward over the last axis of an input of rank two or more.
     pub fn forward(&self, b: &mut Binder, x: Var) -> Var {
-        let shape = b.g.value(x).shape().to_vec();
-        let in_dim = *shape.last().expect("linear input must be >=1-D");
         assert_eq!(
-            in_dim,
-            self.in_dim(),
+            b.g.value(x).shape().last(),
+            Some(&self.in_dim()),
             "linear expects last dim {}",
             self.in_dim()
         );
-        let rows = b.g.value(x).numel() / in_dim;
         let w = b.param(&self.w);
         let bias = b.param(&self.b);
-        let x2 = b.g.reshape(x, vec![rows, in_dim]);
-        let y = b.g.matmul(x2, w);
-        let y = b.g.add_bias(y, bias);
-        let mut out_shape = shape;
-        *out_shape.last_mut().unwrap() = self.out_dim();
-        b.g.reshape(y, out_shape)
+        let y = b.g.matmul(x, w);
+        b.g.add_bias(y, bias)
     }
 }
 
@@ -167,7 +172,9 @@ impl MultiHeadAttention {
     }
 
     /// Self-attention over `x: [B, S, D]`, returning `[B, S, D]` and the
-    /// attention weights `[B·H, S, S]` (for the paper's Fig. 14 analysis).
+    /// attention weights `[B·H, S, S]` (for the paper's Fig. 14 analysis):
+    /// [`Self::forward`] composed from the generic ops, which materialise
+    /// the weights.
     pub fn forward_with_attention(&self, b: &mut Binder, x: Var) -> (Var, Var) {
         let shape = b.g.value(x).shape().to_vec();
         assert_eq!(shape.len(), 3, "attention expects [B, S, D]");
@@ -193,8 +200,14 @@ impl MultiHeadAttention {
         (out, attn)
     }
 
+    /// Self-attention over `x: [B, S, D]` through the fused
+    /// [`Graph::attention`] op on the merged projections.
     pub fn forward(&self, b: &mut Binder, x: Var) -> Var {
-        self.forward_with_attention(b, x).0
+        let q = self.wq.forward(b, x);
+        let k = self.wk.forward(b, x);
+        let v = self.wv.forward(b, x);
+        let ctx = b.g.attention(q, k, v, self.heads);
+        self.wo.forward(b, ctx)
     }
 }
 
@@ -237,20 +250,26 @@ impl EncoderLayer {
         }
     }
 
-    pub fn forward_with_attention(&self, b: &mut Binder, x: Var) -> (Var, Var) {
-        let (att_out, attn) = self.mha.forward_with_attention(b, x);
+    /// Everything after the attention sub-layer: residual, LN, FF,
+    /// residual, LN.
+    fn after_attention(&self, b: &mut Binder, x: Var, att_out: Var) -> Var {
         let res1 = b.g.add(x, att_out);
         let x1 = self.ln1.forward(b, res1);
         let h = self.ff1.forward(b, x1);
         let h = b.g.relu(h);
         let h = self.ff2.forward(b, h);
         let res2 = b.g.add(x1, h);
-        let out = self.ln2.forward(b, res2);
-        (out, attn)
+        self.ln2.forward(b, res2)
+    }
+
+    pub fn forward_with_attention(&self, b: &mut Binder, x: Var) -> (Var, Var) {
+        let (att_out, attn) = self.mha.forward_with_attention(b, x);
+        (self.after_attention(b, x, att_out), attn)
     }
 
     pub fn forward(&self, b: &mut Binder, x: Var) -> Var {
-        self.forward_with_attention(b, x).0
+        let att_out = self.mha.forward(b, x);
+        self.after_attention(b, x, att_out)
     }
 }
 
@@ -306,7 +325,7 @@ impl TransformerEncoder {
     }
 
     pub fn forward(&self, b: &mut Binder, x: Var) -> Var {
-        self.forward_with_attention(b, x).0
+        self.layers.iter().fold(x, |x, layer| layer.forward(b, x))
     }
 }
 
@@ -406,6 +425,72 @@ mod tests {
         // Attention rows are distributions.
         for row in b.g.value(attn).data().chunks(5) {
             assert!((row.iter().sum::<f64>() - 1.0).abs() < 1e-9);
+        }
+    }
+
+    /// The fused path against the composed one: forward bit for bit,
+    /// every gradient to rounding. Yardstick per gradient tensor is the
+    /// max-abs over its `Linear`'s (weight, bias) pair: the K-bias
+    /// gradient is mathematically zero (softmax is shift-invariant), so
+    /// its own entries are rounding noise on both paths.
+    #[test]
+    fn fused_attention_matches_composed_attention() {
+        for &(batch, seq, dim, heads) in &[
+            (2usize, 20usize, 16usize, 4usize),
+            (1, 128, 16, 4),
+            (3, 7, 8, 2),
+            (2, 1, 16, 4),
+        ] {
+            let mut mha = MultiHeadAttention::new(dim, heads, &mut rng());
+            // Non-zero biases, so their gradients are exercised too.
+            let mut r = InitRng::new(9);
+            for lin in [&mut mha.wq, &mut mha.wk, &mut mha.wv, &mut mha.wo] {
+                lin.b = crate::init::normal_init(vec![dim], 0.3, &mut r);
+            }
+            let x0 = crate::init::normal_init(vec![batch, seq, dim], 1.0, &mut r);
+            let w0 = crate::init::normal_init(vec![batch, seq, dim], 1.0, &mut r);
+            let run = |fused: bool| {
+                let mut g = Graph::new();
+                let mut b = Binder::new(&mut g);
+                let x = b.g.leaf(x0.clone());
+                let y = if fused {
+                    mha.forward(&mut b, x)
+                } else {
+                    mha.forward_with_attention(&mut b, x).0
+                };
+                let w = b.g.constant(w0.clone());
+                let yw = b.g.mul(y, w);
+                let l = b.g.sum_all(yw);
+                let vars = b.vars.clone();
+                let out = g.value(y).clone();
+                let mut grads = g.backward(l);
+                let mut take = |v: Var| grads[v.0].take().expect("gradient flows");
+                let dx = take(x);
+                (out, dx, vars.into_iter().map(take).collect::<Vec<_>>())
+            };
+            let (out_f, dx_f, dp_f) = run(true);
+            let (out_c, dx_c, dp_c) = run(false);
+            let what = format!("({batch},{seq},{dim},{heads})");
+            assert_eq!(out_f.data(), out_c.data(), "{what}: forward bits");
+            let close = |f: &Tensor, c: &Tensor, yard: f64, name: &str| {
+                for (a, b) in f.data().iter().zip(c.data()) {
+                    assert!(
+                        (a - b).abs() <= 1e-12 * yard,
+                        "{what} {name}: fused {a:e} vs composed {b:e} (max-abs {yard:e})"
+                    );
+                }
+            };
+            close(&dx_f, &dx_c, dx_c.max_abs(), "dx");
+            for (i, name) in ["wq", "wk", "wv", "wo"].iter().enumerate() {
+                let yard = dp_c[2 * i].max_abs().max(dp_c[2 * i + 1].max_abs());
+                close(&dp_f[2 * i], &dp_c[2 * i], yard, &format!("d{name}.w"));
+                close(
+                    &dp_f[2 * i + 1],
+                    &dp_c[2 * i + 1],
+                    yard,
+                    &format!("d{name}.b"),
+                );
+            }
         }
     }
 

@@ -83,6 +83,21 @@ impl Tensor {
         self.data
     }
 
+    /// Move the tensor out, leaving `self` empty (fit only to be dropped
+    /// or repooled). How a backward closure hands its gradient's buffer
+    /// on instead of copying it.
+    pub(crate) fn take(&mut self) -> Tensor {
+        Tensor {
+            shape: std::mem::take(&mut self.shape),
+            data: std::mem::take(&mut self.data),
+        }
+    }
+
+    /// [`Tensor::reshape`] by move: same buffer, new shape.
+    pub(crate) fn with_shape(self, shape: Vec<usize>) -> Tensor {
+        Tensor::new(shape, self.data)
+    }
+
     /// The single value of a scalar tensor.
     pub fn item(&self) -> f64 {
         assert_eq!(self.numel(), 1, "item() requires a single-element tensor");
@@ -138,10 +153,19 @@ impl Tensor {
     }
 }
 
+/// `t` read as a matrix: its last axis as columns, every leading axis
+/// flattened into rows (row-major storage makes that free). The `*_into`
+/// kernels take activations this way, so a layer applied over the last
+/// axis of `[B, S, D]` needs no reshape.
+fn as_matrix(t: &Tensor, what: &str) -> (usize, usize) {
+    assert!(t.shape().len() >= 2, "{what} must be at least 2-D");
+    let cols = *t.shape().last().expect("checked non-empty");
+    (t.shape()[..t.shape().len() - 1].iter().product(), cols)
+}
+
 fn matmul2d_dims(a: &Tensor, b: &Tensor) -> (usize, usize, usize) {
-    assert_eq!(a.shape().len(), 2, "matmul2d lhs must be 2-D");
     assert_eq!(b.shape().len(), 2, "matmul2d rhs must be 2-D");
-    let (m, k) = (a.shape()[0], a.shape()[1]);
+    let (m, k) = as_matrix(a, "matmul2d lhs");
     let (k2, n) = (b.shape()[0], b.shape()[1]);
     assert_eq!(k, k2, "matmul2d inner dimensions differ: {k} vs {k2}");
     (m, n, k)
@@ -156,7 +180,8 @@ pub fn matmul2d(a: &Tensor, b: &Tensor) -> Tensor {
     Tensor::new(vec![m, n], out)
 }
 
-/// As [`matmul2d`], writing into a zeroed caller buffer of length `m * n`.
+/// As [`matmul2d`], writing into a zeroed caller buffer of length `m * n`;
+/// `a` may be `[..., k]`, its leading axes flattened into `m`.
 pub fn matmul2d_into(a: &Tensor, b: &Tensor, out: &mut [f64]) {
     let (m, n, k) = matmul2d_dims(a, b);
     assert_eq!(out.len(), m * n, "matmul2d output buffer size mismatch");
@@ -186,11 +211,11 @@ pub fn matmul2d_nt(a: &Tensor, bt: &Tensor) -> Tensor {
     Tensor::new(vec![m, n], out)
 }
 
-/// As [`matmul2d_nt`], writing into a zeroed caller buffer of length `m * n`.
+/// As [`matmul2d_nt`], writing into a zeroed caller buffer of length
+/// `m * n`; `a` may be `[..., k]`.
 pub fn matmul2d_nt_into(a: &Tensor, bt: &Tensor, out: &mut [f64]) {
-    assert_eq!(a.shape().len(), 2, "matmul2d_nt lhs must be 2-D");
     assert_eq!(bt.shape().len(), 2, "matmul2d_nt rhs must be 2-D");
-    let (m, k) = (a.shape()[0], a.shape()[1]);
+    let (m, k) = as_matrix(a, "matmul2d_nt lhs");
     let (n, k2) = (bt.shape()[0], bt.shape()[1]);
     assert_eq!(k, k2, "matmul2d_nt inner dimensions differ: {k} vs {k2}");
     assert_eq!(out.len(), m * n, "matmul2d_nt output buffer size mismatch");
@@ -226,12 +251,12 @@ pub fn matmul2d_tn(at: &Tensor, b: &Tensor) -> Tensor {
     Tensor::new(vec![m, n], out)
 }
 
-/// As [`matmul2d_tn`], writing into a zeroed caller buffer of length `m * n`.
+/// As [`matmul2d_tn`], writing into a zeroed caller buffer of length
+/// `m * n`; `at` and `b` may be `[..., m]` and `[..., n]` with the same
+/// leading axes.
 pub fn matmul2d_tn_into(at: &Tensor, b: &Tensor, out: &mut [f64]) {
-    assert_eq!(at.shape().len(), 2, "matmul2d_tn lhs must be 2-D");
-    assert_eq!(b.shape().len(), 2, "matmul2d_tn rhs must be 2-D");
-    let (k, m) = (at.shape()[0], at.shape()[1]);
-    let (k2, n) = (b.shape()[0], b.shape()[1]);
+    let (k, m) = as_matrix(at, "matmul2d_tn lhs");
+    let (k2, n) = as_matrix(b, "matmul2d_tn rhs");
     assert_eq!(k, k2, "matmul2d_tn inner dimensions differ: {k} vs {k2}");
     assert_eq!(out.len(), m * n, "matmul2d_tn output buffer size mismatch");
     if gemm_worthwhile(m, n, k) {
