@@ -12,14 +12,19 @@
 //!   arrival window preceding the serving span.
 //!
 //! The measured-vs-simulated gap isolates threading/scheduling jitter
-//! (it shrinks as `DBAT_SERVE_SPEEDUP` decreases); the
+//! (it shrinks as `gateway.speedup` decreases); the
 //! predicted-vs-simulated gap is the surrogate's model error.
+//!
+//! The served span and the time scale come from the typed config surface
+//! (`[gateway] horizon_s` / `speedup`, defaults 120 s at 60x), set with
+//! `--config <path>` or `--set`; nothing else is read from the environment
+//! beyond the shared `DEEPBAT_FAST` experiment switch.
 //!
 //! ```sh
 //! cargo run --release --bin live_gateway                 # full
-//! DEEPBAT_FAST=1 cargo run --release --bin live_gateway  # smoke
-//! DBAT_SERVE_HORIZON=600 DBAT_SERVE_SPEEDUP=32 \
-//!     cargo run --release --bin live_gateway
+//! DEEPBAT_FAST=1 cargo run --release --bin live_gateway  # smoke model
+//! cargo run --release --bin live_gateway -- \
+//!     --set gateway.horizon_s=600 --set gateway.speedup=32
 //! ```
 
 use dbat_bench::report::{banner, f, table};
@@ -27,15 +32,8 @@ use dbat_bench::ExpSettings;
 use dbat_core::DeepBatOptimizer;
 use dbat_serve::{DrainMode, Gateway, GatewayConfig, ProfiledBackend, WallClock};
 use dbat_sim::{simulate_batching, ConfigGrid, LambdaConfig, LatencySummary};
-use dbat_workload::{window_at_time, TraceKind};
+use dbat_workload::{window_at_time, AppConfig, TraceKind};
 use std::sync::Arc;
-
-fn env_f64(key: &str, default: f64) -> f64 {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 fn row(source: &str, s: &LatencySummary, cost_micro: f64) -> Vec<String> {
     vec![
@@ -50,9 +48,13 @@ fn row(source: &str, s: &LatencySummary, cost_micro: f64) -> Vec<String> {
 
 fn main() {
     let s = ExpSettings::from_env();
+    let app = AppConfig::from_args(std::env::args().skip(1)).unwrap_or_else(|e| {
+        eprintln!("config error: {e}");
+        std::process::exit(2);
+    });
     let _tel = s.init_telemetry("live_gateway");
-    let horizon = env_f64("DBAT_SERVE_HORIZON", if s.fast { 120.0 } else { 300.0 });
-    let speedup = env_f64("DBAT_SERVE_SPEEDUP", 64.0);
+    let horizon = app.gateway.horizon_s;
+    let speedup = app.gateway.speedup;
 
     banner(
         "live_gateway",

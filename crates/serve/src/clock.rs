@@ -13,14 +13,48 @@
 //!   (single-threaded) replay loop advances it, which is what lets a
 //!   gateway replay reproduce the discrete-event simulator bit for bit
 //!   (see `replay`).
+//!
+//! Live sleeps and timed parks are only as punctual as the kernel's
+//! timers: `precise_timers` is what each serving thread calls so they
+//! are.
 
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-/// Longest real duration ever returned by [`Clock::real_duration_until`]:
-/// waits are re-checked at least this often so shutdown signals are never
-/// missed behind a distant deadline.
+/// Longest real duration ever returned by [`Clock::real_duration_until`]
+/// (keeps a far-off or non-finite deadline inside what the OS timers
+/// accept; every caller re-checks its deadline after the wait).
 const MAX_REAL_WAIT: Duration = Duration::from_secs(86_400);
+
+/// Drop the calling thread's kernel timer slack to the minimum.
+///
+/// Linux rounds every timed sleep and timed futex wait of a normal thread
+/// up by a per-thread slack (50 µs by default) so it can coalesce timer
+/// interrupts. The serving threads sleep a modelled service time and park
+/// to a window deadline, and that slack lands on every request as latency
+/// the optimiser's `T` and `s(M, B)` know nothing about — so each thread
+/// the gateway owns, and each load-generator pacer, calls this once when
+/// it starts. The setting is per thread and lasts for the thread's life.
+/// No-op on other platforms (and on failure: the sleeps are then merely
+/// as late as before).
+pub(crate) fn precise_timers() {
+    #[cfg(target_os = "linux")]
+    {
+        use std::ffi::{c_int, c_ulong};
+        const PR_SET_TIMERSLACK: c_int = 29;
+        extern "C" {
+            // `int prctl(int option, ...)` from the libc std links.
+            fn prctl(option: c_int, ...) -> c_int;
+        }
+        // SAFETY: `PR_SET_TIMERSLACK` takes one integer argument (the
+        // slack in nanoseconds, passed as the `unsigned long` the kernel
+        // reads), touches no memory of ours, and only changes how the
+        // kernel rounds this thread's own timers.
+        unsafe {
+            prctl(PR_SET_TIMERSLACK, 1 as c_ulong);
+        }
+    }
+}
 
 /// A monotonic source of virtual time (seconds since the clock's origin).
 pub trait Clock: Send + Sync {
@@ -183,6 +217,27 @@ mod tests {
         c.sleep_until(target);
         assert!(c.now() >= target);
         assert_eq!(c.real_duration_until(c.now() - 1.0), Duration::ZERO);
+    }
+
+    /// The slack is per thread: a fresh thread starts at the default and
+    /// reads back 1 ns after the call. Skipped where procfs does not
+    /// expose it.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn precise_timers_drops_the_calling_threads_slack() {
+        let slack = std::thread::spawn(|| {
+            precise_timers();
+            // "/proc/thread-self" -> "<pid>/task/<tid>"; per-thread slack
+            // is published under "/proc/<tid>".
+            let task = std::fs::read_link("/proc/thread-self").ok()?;
+            let tid = task.file_name()?.to_str()?.to_owned();
+            std::fs::read_to_string(format!("/proc/{tid}/timerslack_ns")).ok()
+        })
+        .join()
+        .expect("probe thread panicked");
+        if let Some(ns) = slack {
+            assert_eq!(ns.trim(), "1");
+        }
     }
 
     #[test]

@@ -31,6 +31,14 @@
 //! (never two lanes of the same kind at once); no thread takes them in
 //! the opposite direction.
 //!
+//! Wake-ups are exact and targeted (DESIGN.md §11 has the table): every
+//! condition a thread parks on keeps, under the lock that already guards
+//! it, a note of who is parked, so a notifier wakes exactly the threads
+//! that can make progress and makes no futex call when nobody waits. No
+//! wait is a poll: each is one park to its real deadline (or untimed),
+//! and every gateway thread drops the kernel timer slack at start
+//! ([`crate::clock`]) so timed parks and service sleeps fire when asked.
+//!
 //! Reconfigurations are broadcast to every lane and applied by each
 //! lane's batcher at the requested boundary: arrivals stamped before
 //! the boundary join the old configuration's window, the window is then
@@ -40,7 +48,7 @@
 //! unsharded gateway gave.
 
 use crate::backend::InferenceBackend;
-use crate::clock::Clock;
+use crate::clock::{precise_timers, Clock};
 use crate::outcome::{ServeCounts, ServeOutcome, ServedBatch, ServedRequest};
 use dbat_sim::{
     Admitted, BatcherCore, ClassAssignment, Controller, DecisionContext, DecisionRecord,
@@ -53,13 +61,9 @@ use dbat_telemetry::{
 use dbat_workload::ClassId;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
-
-/// Upper bound on any single condvar wait: liveness backstop so state
-/// changes (drain, stop) are observed promptly even without a wakeup.
-const MAX_IDLE_WAIT: Duration = Duration::from_millis(100);
+use std::time::Instant;
 
 /// One request offered for admission. The old bare-float surface is
 /// subsumed: `Request::default()` is the legacy single-class submission
@@ -368,6 +372,12 @@ struct Inbox {
     drain: Option<DrainMode>,
     /// Boundary-ordered reconfiguration commands for this lane's batcher.
     reconfigs: VecDeque<Reconfig>,
+    /// The lane's batcher is parked on `arrival_cv` and nobody has
+    /// signalled it yet. Set by the batcher before it waits; taken by the
+    /// first thread that gives it a reason to wake (see
+    /// [`Lane::wake_batcher`]), so a running or already-signalled batcher
+    /// costs its submitters no futex call.
+    parked: bool,
 }
 
 /// Per-class telemetry handles (`serve.class.<i>.accepted` /
@@ -394,6 +404,13 @@ struct Lane {
     arrival_cv: Condvar,
     /// Queue space for submitters blocked on this lane.
     space_cv: Condvar,
+    /// Submitters parked (or about to park) on `space_cv`. Written only
+    /// under the inbox lock; read lock-free by completing workers, which
+    /// take the lock and notify only when it is non-zero. `SeqCst`
+    /// against `Shared::in_flight`: a submitter publishes itself here and
+    /// *then* re-reads `in_flight`, a worker lowers `in_flight` and *then*
+    /// reads this, so one of the two always sees the other.
+    blocked: AtomicUsize,
     /// Formed batches awaiting a worker (home workers first, thieves
     /// second).
     batches: Mutex<VecDeque<FormedBatch>>,
@@ -408,12 +425,25 @@ impl Lane {
             inbox: Mutex::new(Inbox::default()),
             arrival_cv: Condvar::new(),
             space_cv: Condvar::new(),
+            blocked: AtomicUsize::new(0),
             batches: Mutex::new(VecDeque::new()),
             depth: AtomicU64::new(0),
             tel: tel.is_enabled().then(|| LaneTel {
                 queue_depth: tel.gauge(&format!("serve.lane.{idx}.queue_depth")),
                 completed: tel.counter(&format!("serve.lane.{idx}.completed")),
             }),
+        }
+    }
+
+    /// Release the inbox after giving the batcher a reason to run
+    /// (arrival, reconfiguration, drain), waking it iff it is parked and
+    /// not yet signalled. The notify happens after the unlock so the
+    /// batcher does not wake into a held mutex.
+    fn wake_batcher(&self, mut inbox: MutexGuard<'_, Inbox>) {
+        let parked = std::mem::take(&mut inbox.parked);
+        drop(inbox);
+        if parked {
+            self.arrival_cv.notify_one();
         }
     }
 }
@@ -425,6 +455,10 @@ impl Lane {
 struct WorkState {
     ready: usize,
     live_batchers: usize,
+    /// Workers inside `work_cv.wait`: a batcher signals at most this many.
+    parked: usize,
+    /// Times a worker came back from `work_cv.wait` (the herd counter).
+    wakeups: u64,
 }
 
 /// Completed work (guarded by `Shared::done`).
@@ -438,6 +472,9 @@ struct Done {
     batches: Vec<ServedBatch>,
     completed: u64,
     total_cost: f64,
+    /// `shutdown` is parked on `done_cv` until `completed` reaches this;
+    /// the worker whose completion gets there makes the one notify.
+    drain_target: Option<u64>,
 }
 
 /// Telemetry handles resolved once at startup (`None` when disabled).
@@ -452,6 +489,8 @@ struct ServeTel {
     reconfig: Arc<Counter>,
     /// Batches a worker stole from a non-home lane.
     steal: Arc<Counter>,
+    /// Returns from `work_cv.wait`, pool-wide.
+    worker_wakeups: Arc<Counter>,
     queue_depth: Arc<Gauge>,
     batch_size: Arc<Histogram>,
     latency: Arc<Histogram>,
@@ -476,6 +515,7 @@ impl ServeTel {
             flush_drain: t.counter("serve.flush.drain"),
             reconfig: t.counter("serve.reconfig"),
             steal: t.counter("serve.steal"),
+            worker_wakeups: t.counter("serve.worker.wakeups"),
             queue_depth: t.gauge("serve.queue_depth"),
             batch_size: t.histogram("serve.batch_size"),
             latency: t.histogram("serve.latency"),
@@ -497,7 +537,7 @@ struct Shared {
     /// Accepted − completed, gateway-wide: the single shared atomic the
     /// admission path checks against `queue_capacity`. Incremented under
     /// a lane lock (so the capacity check is exact per lane); decremented
-    /// lock-free by workers.
+    /// lock-free by workers (see [`Lane::blocked`] for the ordering).
     in_flight: AtomicU64,
     /// Dense gateway-global request ids (the only other shared word the
     /// admit path touches).
@@ -652,6 +692,8 @@ impl Gateway {
             work: Mutex::new(WorkState {
                 ready: 0,
                 live_batchers: n_lanes,
+                parked: 0,
+                wakeups: 0,
             }),
             work_cv: Condvar::new(),
             done: Mutex::new(Done::default()),
@@ -783,7 +825,8 @@ impl Gateway {
         }
         // Capacity check is exact: increments happen under lane locks,
         // decrements (by workers) only ever free space.
-        while shared.in_flight.load(Ordering::Acquire) as usize >= shared.cfg.queue_capacity {
+        let full = || shared.in_flight.load(Ordering::SeqCst) as usize >= shared.cfg.queue_capacity;
+        if full() {
             match shared.cfg.backpressure {
                 BackpressurePolicy::Reject { retry_after_s } => {
                     return reject(
@@ -795,14 +838,20 @@ impl Gateway {
                     );
                 }
                 BackpressurePolicy::Block => {
-                    // Timed wait: workers signal space without the lane
-                    // lock, so re-check instead of trusting the wakeup.
-                    inbox = lane.space_cv.wait_timeout(inbox, MAX_IDLE_WAIT).unwrap().0;
+                    // Publish the intent to park, then look again: a
+                    // worker that freed space before it could see the
+                    // count is seen here, one that frees space later sees
+                    // the count and notifies under this lane's lock — so
+                    // the untimed wait cannot miss its wake-up.
+                    lane.blocked.fetch_add(1, Ordering::SeqCst);
+                    while !inbox.closed && full() {
+                        inbox = lane.space_cv.wait(inbox).unwrap();
+                    }
+                    lane.blocked.fetch_sub(1, Ordering::SeqCst);
                     if inbox.closed {
-                        // Shutdown wakes every parked submitter (all
-                        // lanes' space_cv) and turns them into clean
-                        // rejections, so drain can never deadlock on a
-                        // full lane.
+                        // `close` wakes every parked submitter and turns
+                        // them into clean rejections, so drain can never
+                        // deadlock on a full lane.
                         return reject(&mut inbox, shared, Admission::Closed);
                     }
                 }
@@ -829,7 +878,7 @@ impl Gateway {
         if let Some(ct) = shared.class_tel.get(req.class as usize) {
             ct.accepted.inc();
         }
-        let depth = shared.in_flight.fetch_add(1, Ordering::AcqRel) + 1;
+        let depth = shared.in_flight.fetch_add(1, Ordering::SeqCst) + 1;
         let lane_depth = lane.depth.fetch_add(1, Ordering::Relaxed) + 1;
         if let Some(tel) = &shared.tel {
             tel.accepted.inc();
@@ -838,8 +887,7 @@ impl Gateway {
         if let Some(lt) = &lane.tel {
             lt.queue_depth.set(lane_depth as f64);
         }
-        drop(inbox);
-        lane.arrival_cv.notify_all();
+        lane.wake_batcher(inbox);
         Admission::Accepted { id }
     }
 
@@ -850,22 +898,21 @@ impl Gateway {
     /// never deadlock on blocked producers. Call [`Gateway::shutdown`]
     /// afterwards (or directly — it closes too) to drain and collect.
     pub fn close(&self, mode: DrainMode) {
-        // Close every lane first (no lane can accept after this loop):
-        // a submit racing the close of an earlier lane can't slip into
-        // a later one after that lane's count was read by shutdown.
+        // No lane can accept once this loop ends, so the accepted counts
+        // `shutdown` reads afterwards are final.
         for lane in &self.shared.lanes {
             let mut inbox = lane.inbox.lock().unwrap();
             inbox.closed = true;
             if inbox.drain.is_none() {
                 inbox.drain = Some(mode);
             }
-        }
-        for lane in &self.shared.lanes {
             // Wake the batcher *and* every parked submitter: blocked
             // `submit` calls must resolve to rejections, not deadlock
-            // the drain.
-            lane.arrival_cv.notify_all();
-            lane.space_cv.notify_all();
+            // the drain. (`blocked` only changes under this lock.)
+            if lane.blocked.load(Ordering::SeqCst) > 0 {
+                lane.space_cv.notify_all();
+            }
+            lane.wake_batcher(inbox);
         }
     }
 
@@ -883,13 +930,9 @@ impl Gateway {
             .sum();
         {
             let mut done = self.shared.done.lock().unwrap();
+            done.drain_target = Some(accepted);
             while done.completed < accepted {
-                done = self
-                    .shared
-                    .done_cv
-                    .wait_timeout(done, MAX_IDLE_WAIT)
-                    .unwrap()
-                    .0;
+                done = self.shared.done_cv.wait(done).unwrap();
             }
         }
         for b in self.batchers.drain(..) {
@@ -901,7 +944,7 @@ impl Gateway {
         let (measurements, records) = match self.control.take() {
             Some((stop, handle)) => {
                 *stop.stop.lock().unwrap() = true;
-                stop.cv.notify_all();
+                stop.cv.notify_one();
                 let out = handle.join().expect("control thread panicked");
                 (out.measurements, out.records)
             }
@@ -926,6 +969,7 @@ impl Gateway {
             counts
         };
         let done = std::mem::take(&mut *self.shared.done.lock().unwrap());
+        let worker_wakeups = self.shared.work.lock().unwrap().wakeups;
         ServeOutcome {
             requests: done
                 .requests
@@ -935,6 +979,7 @@ impl Gateway {
             batches: done.batches,
             total_cost: done.total_cost,
             counts,
+            worker_wakeups,
             measurements,
             records,
         }
@@ -955,6 +1000,7 @@ fn reject(inbox: &mut Inbox, shared: &Shared, outcome: Admission) -> Admission {
 /// boundaries, flushes due windows, and ships formed batches to the
 /// lane's batch queue for the (work-stealing) worker pool.
 fn batcher_loop(shared: &Shared, lane_idx: usize) {
+    precise_timers();
     let lane = &shared.lanes[lane_idx];
     let clock = shared.clock.as_ref();
     let mut core = BatcherCore::for_lane(shared.lane_configs[lane_idx], lane_idx as u32);
@@ -966,7 +1012,8 @@ fn batcher_loop(shared: &Shared, lane_idx: usize) {
         {
             let mut inbox = lane.inbox.lock().unwrap();
             loop {
-                let deadline_due = core.next_deadline().is_some_and(|d| d <= clock.now());
+                let deadline = core.next_deadline();
+                let deadline_due = deadline.is_some_and(|d| d <= clock.now());
                 if !inbox.pending.is_empty() || !inbox.reconfigs.is_empty() || deadline_due {
                     break;
                 }
@@ -975,12 +1022,17 @@ fn batcher_loop(shared: &Shared, lane_idx: usize) {
                 {
                     break;
                 }
-                let wait = core
-                    .next_deadline()
-                    .map_or(MAX_IDLE_WAIT, |d| clock.real_duration_until(d))
-                    .min(MAX_IDLE_WAIT)
-                    .max(Duration::from_micros(50));
-                inbox = lane.arrival_cv.wait_timeout(inbox, wait).unwrap().0;
+                // One park: to the open window's deadline, or until an
+                // arrival / reconfiguration / drain wakes the lane.
+                inbox.parked = true;
+                inbox = match deadline {
+                    Some(d) => {
+                        let wait = clock.real_duration_until(d);
+                        lane.arrival_cv.wait_timeout(inbox, wait).unwrap().0
+                    }
+                    None => lane.arrival_cv.wait(inbox).unwrap(),
+                };
+                inbox.parked = false;
             }
             std::mem::swap(&mut work, &mut inbox.pending);
             std::mem::swap(&mut reconfigs, &mut inbox.reconfigs);
@@ -1026,10 +1078,15 @@ fn batcher_loop(shared: &Shared, lane_idx: usize) {
             }
             // Publish the batches *after* they are visible in the lane
             // queue: a worker that wins a claim always finds its batch.
+            // One parked worker is woken per batch; busy workers find
+            // the rest through `ready` when they come back.
             let mut ws = shared.work.lock().unwrap();
             ws.ready += n_formed;
+            let wake = n_formed.min(ws.parked);
             drop(ws);
-            shared.work_cv.notify_all();
+            for _ in 0..wake {
+                shared.work_cv.notify_one();
+            }
         }
         if drain_mode.is_some() {
             let inbox = lane.inbox.lock().unwrap();
@@ -1037,8 +1094,12 @@ fn batcher_loop(shared: &Shared, lane_idx: usize) {
                 drop(inbox);
                 let mut ws = shared.work.lock().unwrap();
                 ws.live_batchers -= 1;
+                // The last batcher out releases the whole pool.
+                let release = ws.live_batchers == 0 && ws.parked > 0;
                 drop(ws);
-                shared.work_cv.notify_all();
+                if release {
+                    shared.work_cv.notify_all();
+                }
                 return;
             }
         }
@@ -1063,7 +1124,13 @@ fn next_batch(shared: &Shared, home: usize) -> Option<FormedBatch> {
             if ws.live_batchers == 0 {
                 return None;
             }
+            ws.parked += 1;
             ws = shared.work_cv.wait(ws).unwrap();
+            ws.parked -= 1;
+            ws.wakeups += 1;
+            if let Some(tel) = &shared.tel {
+                tel.worker_wakeups.inc();
+            }
         }
     }
     let n = shared.lanes.len();
@@ -1092,6 +1159,7 @@ fn next_batch(shared: &Shared, home: usize) -> Option<FormedBatch> {
 /// otherwise), executes it through the backend (sleeping the planned
 /// service time on the gateway clock), and files the completion records.
 fn worker_loop(shared: &Shared, home: usize) {
+    precise_timers();
     while let Some(fb) = next_batch(shared, home) {
         let size = fb.requests.len() as u32;
         let lane = &shared.lanes[fb.lane as usize];
@@ -1150,6 +1218,7 @@ fn worker_loop(shared: &Shared, home: usize) {
         }
         done.total_cost += plan.cost;
         done.completed += size as u64;
+        let drained = done.drain_target.is_some_and(|n| done.completed >= n);
         drop(done);
         let tracer = shared.cfg.telemetry.tracer();
         if tracer.is_active() {
@@ -1165,7 +1234,7 @@ fn worker_loop(shared: &Shared, home: usize) {
             push_batch_trace(&mut events, &fb, batch_idx as u64, completed_at, group);
             tracer.record_many(&events);
         }
-        let depth = shared.in_flight.fetch_sub(size as u64, Ordering::AcqRel) - size as u64;
+        let depth = shared.in_flight.fetch_sub(size as u64, Ordering::SeqCst) - size as u64;
         let lane_depth = lane.depth.fetch_sub(size as u64, Ordering::Relaxed) - size as u64;
         if let Some(tel) = &shared.tel {
             tel.completed.add(size as u64);
@@ -1175,11 +1244,17 @@ fn worker_loop(shared: &Shared, home: usize) {
             lt.completed.add(size as u64);
             lt.queue_depth.set(lane_depth as f64);
         }
-        shared.done_cv.notify_all();
+        if drained {
+            shared.done_cv.notify_one();
+        }
         // Capacity is global, so a completion may unblock a submitter
-        // parked on *any* lane.
+        // parked on *any* lane. Taking the lane lock orders the notify
+        // after the submitter's park (it holds the lock until it waits).
         for l in &shared.lanes {
-            l.space_cv.notify_all();
+            if l.blocked.load(Ordering::SeqCst) > 0 {
+                let _inbox = l.inbox.lock().unwrap();
+                l.space_cv.notify_all();
+            }
         }
     }
 }
@@ -1207,6 +1282,7 @@ fn control_loop(
     mut ctl: Box<dyn Controller + Send>,
     first: DecisionRecord,
 ) -> ControlOut {
+    precise_timers();
     let interval = shared.cfg.decision_interval;
     let mut pending: VecDeque<(DecisionRecord, Instant)> = VecDeque::new();
     pending.push_back((first, Instant::now()));
@@ -1224,11 +1300,7 @@ fn control_loop(
                 if shared.clock.now() >= boundary {
                     break false;
                 }
-                let wait = shared
-                    .clock
-                    .real_duration_until(boundary)
-                    .min(MAX_IDLE_WAIT)
-                    .max(Duration::from_micros(50));
+                let wait = shared.clock.real_duration_until(boundary);
                 guard = stop.cv.wait_timeout(guard, wait).unwrap().0;
             }
         };
@@ -1262,8 +1334,7 @@ fn control_loop(
                 config: rec.config,
                 boundary,
             });
-            drop(inbox);
-            lane.arrival_cv.notify_all();
+            lane.wake_batcher(inbox);
         }
         if let Some(tel) = &shared.tel {
             tel.reconfig.inc();

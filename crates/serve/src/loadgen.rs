@@ -7,8 +7,12 @@
 //! hint is deliberately ignored — retrying would perturb the arrival
 //! process being replayed). Time scaling is entirely the clock's
 //! business: drive a [`crate::WallClock::with_speedup`] gateway to
-//! compress hours of trace into seconds of wall time.
+//! compress hours of trace into seconds of wall time. Every pacing
+//! thread drops the kernel timer slack first
+//! (`clock::precise_timers`), so a request is offered when it is due and
+//! not up to 50 µs later.
 
+use crate::clock::precise_timers;
 use crate::gateway::{Admission, Gateway, Request};
 use dbat_workload::ClassedTrace;
 use std::time::{Duration, Instant};
@@ -31,6 +35,7 @@ pub fn drive(gateway: &Gateway, timestamps: &[f64]) -> LoadStats {
         timestamps.windows(2).all(|w| w[0] <= w[1]),
         "timestamps must be sorted"
     );
+    precise_timers();
     let clock = gateway.clock();
     let mut stats = LoadStats::default();
     for &t in timestamps {
@@ -53,6 +58,7 @@ pub fn drive(gateway: &Gateway, timestamps: &[f64]) -> LoadStats {
 /// the function group serving that class. Same open-loop discipline as
 /// [`drive`].
 pub fn drive_classed(gateway: &Gateway, trace: &ClassedTrace) -> LoadStats {
+    precise_timers();
     let clock = gateway.clock();
     let mut stats = LoadStats::default();
     for (&t, &class) in trace.trace().timestamps().iter().zip(trace.labels()) {
@@ -141,6 +147,7 @@ pub fn drive_concurrent(
         let handles: Vec<_> = (0..producers)
             .map(|p| {
                 scope.spawn(move || {
+                    precise_timers();
                     let mut stats = ConcurrentLoadStats::default();
                     let origin = Instant::now();
                     for i in 0..per_producer {

@@ -90,6 +90,11 @@ pub struct ServeOutcome {
     /// Total billed cost, accumulated in batch order.
     pub total_cost: f64,
     pub counts: ServeCounts,
+    /// Times a pool worker was woken from its idle wait (live runs; 0 in
+    /// replays, which have no pool). With one targeted wake per formed
+    /// batch this stays within `batches + workers`; a broadcast hand-off
+    /// shows up as roughly `workers × batches`.
+    pub worker_wakeups: u64,
     /// Per-decision-interval measurements (controlled runs only).
     pub measurements: Vec<IntervalMeasurement>,
     /// Decision audit trail (controlled runs only).
@@ -239,6 +244,7 @@ mod tests {
                 completed: 2,
                 steals: 0,
             },
+            worker_wakeups: 0,
             measurements: Vec::new(),
             records: Vec::new(),
         };

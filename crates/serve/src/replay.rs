@@ -405,6 +405,7 @@ impl ReplayState {
                 // The replay is single-threaded: no worker pool, no steals.
                 steals: 0,
             },
+            worker_wakeups: 0,
             measurements,
             records,
         }

@@ -4,8 +4,8 @@
 //!
 //! Configuration comes from the one typed surface: `--config <path>`
 //! loads an [`AppConfig`] TOML/JSON file, and `--set section.key=value`
-//! flags override individual fields. The legacy `DBAT_SERVE_*` env vars
-//! are still honored on top.
+//! flags override individual fields. That is the only way to configure
+//! the run (telemetry keeps its own `DEEPBAT_*` switches).
 //!
 //! ```sh
 //! cargo run --release --example live_gateway
@@ -31,20 +31,13 @@
 use deepbat::prelude::*;
 use std::sync::Arc;
 
-fn env_f64(key: &str, default: f64) -> f64 {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
 fn main() {
     let app = AppConfig::from_args(std::env::args().skip(1)).unwrap_or_else(|e| {
         eprintln!("config error: {e}");
         std::process::exit(2);
     });
-    let horizon = env_f64("DBAT_SERVE_HORIZON", app.gateway.horizon_s);
-    let speedup = env_f64("DBAT_SERVE_SPEEDUP", app.gateway.speedup);
+    let horizon = app.gateway.horizon_s;
+    let speedup = app.gateway.speedup;
     let decision_interval = app.sim.decision_interval_s.min(horizon);
     deepbat::telemetry::init_from_env(None);
     let tel = telemetry();
@@ -52,15 +45,14 @@ fn main() {
 
     // Pull-based metrics endpoint (opt-in): Prometheus text at /metrics,
     // JSON at /snapshot, served from a plain std TcpListener thread.
-    let metrics_addr = std::env::var("DBAT_METRICS_ADDR")
-        .ok()
-        .or_else(|| app.gateway.metrics_addr.clone());
-    let exporter = metrics_addr.map(|addr| match MetricsExporter::start(global_arc(), &addr) {
-        Ok(e) => {
-            println!("metrics exporter listening on http://{}/metrics", e.addr());
-            e
+    let exporter = app.gateway.metrics_addr.as_deref().map(|addr| {
+        match MetricsExporter::start(global_arc(), addr) {
+            Ok(e) => {
+                println!("metrics exporter listening on http://{}/metrics", e.addr());
+                e
+            }
+            Err(err) => panic!("failed to bind metrics exporter on {addr}: {err}"),
         }
-        Err(err) => panic!("failed to bind metrics exporter on {addr}: {err}"),
     });
 
     // Flight recorder: keep the most recent trace events in a bounded
@@ -171,7 +163,7 @@ fn main() {
     println!("\n{}", tel.summary_table());
 
     // Keep serving /metrics for scrapers after the drain, if asked.
-    let linger = env_f64("DBAT_SERVE_LINGER", app.gateway.linger_s);
+    let linger = app.gateway.linger_s;
     if exporter.is_some() && linger > 0.0 {
         println!("lingering {linger:.0}s for metric scrapes...");
         std::thread::sleep(std::time::Duration::from_secs_f64(linger));

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Append one row per workload to BENCH_perf.jsonl (ROADMAP 3b's trajectory):
 # the end-to-end metrics from an untraced run of the BENCHMARK.json command
-# and two layer metrics from a traced one. Rows are comparable only between
+# and the pinned layer metrics from a traced one (a metric a workload does
+# not set reads 0 there). Rows are comparable only between
 # runs that alternated on the same box; never read one against a stale row.
 #   scripts/perf_row.sh <label> [seed]
 set -euo pipefail
@@ -9,6 +10,7 @@ cd "$(dirname "$0")/.."
 python3 - "${1:?usage: scripts/perf_row.sh <label> [seed]}" "${2:-1}" <<'PY'
 import json, subprocess, sys
 label, seed = sys.argv[1:]
+PINNED = ("nn.train_step_ms", "bench.peak_rss_mb", "serve.exec_lag_p50_us", "serve.submit_p50_ns")
 spec = json.load(open("BENCHMARK.json"))
 commit = subprocess.check_output(["git", "describe", "--always", "--dirty"], text=True).strip()
 def run(workload, trace):
@@ -21,7 +23,7 @@ with open("BENCH_perf.jsonl", "a") as rows:
         plain, traced = run(workload, "0"), run(workload, "1")
         row = {"commit": commit, "label": label, "workload": workload}
         row.update({m["name"]: plain[m["name"]] for m in spec["end_to_end"]})
-        row.update({name: traced[name] for name in ("nn.train_step_ms", "bench.peak_rss_mb")})
+        row.update({name: traced[name] for name in PINNED})
         rows.write(json.dumps(row) + "\n")
         print(json.dumps(row))
 PY

@@ -593,3 +593,348 @@ fn metrics_endpoint_reconciles_with_gateway_outcome() {
     assert!(response.contains("serve_latency{quantile=\"0.95\"}"));
     assert!(response.contains("serve_latency{quantile=\"0.99\"}"));
 }
+
+/// One targeted wake per formed batch: a paced `B = 1` run over a pool of
+/// 32 (mostly idle) workers wakes a worker about once per batch, where a
+/// broadcast hand-off wakes all 32 for every batch. Conservation
+/// and per-lane order (id order == admission order == dispatch order) are
+/// checked on the same run, with the `serve.worker.wakeups` counter
+/// reconciled against the outcome.
+#[test]
+fn paced_b1_run_wakes_about_one_worker_per_batch() {
+    let workers = 32usize;
+    let hub = Arc::new(Telemetry::new());
+    hub.enable();
+    let cfg = GatewayConfig {
+        initial: LambdaConfig::new(3008, 1, 0.0),
+        queue_capacity: 4096,
+        workers,
+        telemetry: hub.clone(),
+        ..GatewayConfig::default()
+    };
+    let gateway = Gateway::start(
+        cfg,
+        Arc::new(WallClock::with_speedup(10.0)),
+        Arc::new(ProfiledBackend::default()),
+    );
+    // 100/s virtual = one request per real millisecond; s(3008, 1) is
+    // 2.5 ms real, so two or three invocations overlap and the rest of
+    // the pool stays parked.
+    let clock = gateway.clock();
+    let n = 300u64;
+    for i in 0..n {
+        clock.sleep_until(0.05 + i as f64 * 0.01);
+        // A single generator: ids come back in admission order.
+        assert_eq!(
+            gateway.submit(deepbat::serve::Request::default()),
+            Admission::Accepted { id: i }
+        );
+    }
+    let out = gateway.shutdown(DrainMode::Graceful);
+
+    assert!(out.counts.conserved(), "{:?}", out.counts);
+    assert_eq!(out.counts.accepted, n);
+    assert_eq!(out.counts.completed, n);
+    assert_eq!(out.batches.len() as u64, n, "B = 1: one batch per request");
+    for (i, w) in out.requests.windows(2).enumerate() {
+        assert_eq!(w[0].id, i as u64);
+        assert!(w[1].arrival >= w[0].arrival, "admission order broke at {i}");
+        assert!(
+            w[1].dispatched_at >= w[0].dispatched_at,
+            "dispatch order broke at {i}"
+        );
+    }
+
+    let bound = out.batches.len() as u64 + workers as u64;
+    assert!(
+        out.worker_wakeups <= bound,
+        "{} worker wake-ups for {} batches over {workers} workers: the hand-off is a herd",
+        out.worker_wakeups,
+        out.batches.len()
+    );
+    assert_eq!(
+        hub.counter("serve.worker.wakeups").get(),
+        out.worker_wakeups
+    );
+}
+
+/// One `submit_to` call of the wake-up stress.
+struct StressCall {
+    /// Start and end of the call, nanoseconds since the leg's epoch.
+    t0: u64,
+    t1: u64,
+    lane: usize,
+    /// The id it was admitted under, `None` when refused or closed.
+    id: Option<u64>,
+}
+
+/// A profiled backend that stamps the end of every execution, so the
+/// stress can tell when queue space was about to be freed.
+struct StampingBackend {
+    inner: ProfiledBackend,
+    epoch: std::time::Instant,
+    completions_ns: std::sync::Mutex<Vec<u64>>,
+}
+
+impl InferenceBackend for StampingBackend {
+    fn name(&self) -> &'static str {
+        "stamping"
+    }
+    fn plan(&self, config: &LambdaConfig, batch_size: u32) -> deepbat::serve::BatchPlan {
+        self.inner.plan(config, batch_size)
+    }
+    fn execute(
+        &self,
+        clock: &dyn Clock,
+        plan: &deepbat::serve::BatchPlan,
+        batch: &deepbat::serve::FormedBatch,
+    ) {
+        self.inner.execute(clock, plan, batch);
+        let at = self.epoch.elapsed().as_nanos() as u64;
+        self.completions_ns.lock().unwrap().push(at);
+    }
+}
+
+/// One leg of the wake-up stress: three seeded submitters hammer a
+/// controlled gateway whose queue holds three requests while the control
+/// thread rotates the configuration every few real milliseconds; the
+/// gateway is closed under them two thirds of the way through.
+fn wakeup_stress_leg(
+    seed: u64,
+    policy: BackpressurePolicy,
+    mode: DrainMode,
+    lanes: usize,
+    workers: usize,
+) {
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::mpsc;
+    use std::time::{Duration, Instant};
+
+    const SUBMITTERS: usize = 3;
+    const PER_SUBMITTER: u64 = 150;
+    // A wait that outlives freed space by this much was not woken by it.
+    const STALL: Duration = Duration::from_millis(20);
+    let what = format!("seed {seed} {policy:?} {mode:?} lanes {lanes} workers {workers}");
+
+    // s(M, B) is 25-60 ms virtual: 0.1-0.3 ms real at this speed-up, so
+    // space is freed thousands of times a second and `STALL` is a long time.
+    let speedup = 200.0;
+    let cfg_a = LambdaConfig::new(2048, 2, 0.02);
+    let cfg_b = LambdaConfig::new(1024, 1, 0.0);
+    let script: Vec<LambdaConfig> = (0..4096)
+        .map(|i| if i % 2 == 0 { cfg_a } else { cfg_b })
+        .collect();
+    let epoch = Instant::now();
+    let backend = Arc::new(StampingBackend {
+        inner: ProfiledBackend::default(),
+        epoch,
+        completions_ns: std::sync::Mutex::new(Vec::new()),
+    });
+    let gateway = Arc::new(Gateway::start_controlled(
+        GatewayConfig {
+            queue_capacity: 3,
+            backpressure: policy,
+            lanes,
+            workers,
+            decision_interval: 1.0,
+            telemetry: Arc::new(Telemetry::new()),
+            ..GatewayConfig::default()
+        },
+        Arc::new(WallClock::with_speedup(speedup)),
+        backend.clone(),
+        Box::new(ScriptedController::new(script, 0.1)),
+    ));
+
+    let offered = Arc::new(AtomicU64::new(0));
+    let close_at = SUBMITTERS as u64 * PER_SUBMITTER * 2 / 3;
+    let (close_tx, close_rx) = mpsc::channel::<()>();
+    let (done_tx, done_rx) = mpsc::channel::<Vec<StressCall>>();
+    for s in 0..SUBMITTERS {
+        let (gw, offered) = (gateway.clone(), offered.clone());
+        let (close_tx, done_tx) = (close_tx.clone(), done_tx.clone());
+        std::thread::spawn(move || {
+            let mut rng = Rng::new(seed ^ (0xB10C << 8) ^ s as u64);
+            let mut calls = Vec::new();
+            for _ in 0..PER_SUBMITTER {
+                if offered.fetch_add(1, Ordering::Relaxed) + 1 == close_at {
+                    close_tx.send(()).expect("main thread waits for the close");
+                }
+                let lane = rng.below(lanes);
+                let t0 = epoch.elapsed().as_nanos() as u64;
+                let admission = gw.submit_to(lane, deepbat::serve::Request::default());
+                let t1 = epoch.elapsed().as_nanos() as u64;
+                let id = match admission {
+                    Admission::Accepted { id } => Some(id),
+                    Admission::Rejected { .. } | Admission::Closed => None,
+                };
+                calls.push(StressCall { t0, t1, lane, id });
+                // Bursts with short seeded gaps, so the queue is full most
+                // of the time and now and then runs dry.
+                if rng.bernoulli(0.3) {
+                    std::thread::sleep(Duration::from_micros(rng.below(300) as u64));
+                }
+            }
+            // Hand the gateway back first: once every tally is in, the
+            // main thread holds the only handle.
+            drop(gw);
+            done_tx
+                .send(calls)
+                .expect("main thread collects the tallies");
+        });
+    }
+    drop((close_tx, done_tx));
+
+    // Every wait below is bounded: a submitter that never comes back is a
+    // lost wake-up, reported as a failure and not as a hung test.
+    let patience = Duration::from_secs(20);
+    close_rx
+        .recv_timeout(patience)
+        .unwrap_or_else(|_| panic!("{what}: submitters stopped making progress"));
+    gateway.close(mode);
+    let mut calls: Vec<StressCall> = Vec::new();
+    for _ in 0..SUBMITTERS {
+        calls.extend(
+            done_rx
+                .recv_timeout(patience)
+                .unwrap_or_else(|_| panic!("{what}: a blocked submitter never resolved")),
+        );
+    }
+    let gateway = Arc::try_unwrap(gateway)
+        .ok()
+        .expect("every submitter handed its handle back");
+    let out = gateway.shutdown(mode);
+
+    // Conservation, exactly once.
+    let accepted = calls.iter().filter(|c| c.id.is_some()).count() as u64;
+    let refused = calls.len() as u64 - accepted;
+    assert!(out.counts.conserved(), "{what}: {:?}", out.counts);
+    assert_eq!(out.counts.submitted, calls.len() as u64, "{what}");
+    assert_eq!(calls.len() as u64, SUBMITTERS as u64 * PER_SUBMITTER);
+    assert_eq!(out.counts.accepted, accepted, "{what}");
+    assert_eq!(out.counts.rejected, refused, "{what}");
+    assert_eq!(
+        out.counts.completed, accepted,
+        "{what}: drain left work behind"
+    );
+    assert_eq!(out.requests.len() as u64, accepted, "{what}");
+    assert!(refused > 0, "{what}: the close came after the last submit");
+    for (i, r) in out.requests.iter().enumerate() {
+        assert_eq!(r.id, i as u64, "{what}: ids dense, one record each");
+    }
+    for c in &calls {
+        if let Some(id) = c.id {
+            assert_eq!(out.requests[id as usize].lane, c.lane as u32, "{what}");
+        }
+    }
+
+    // No window split or dropped across a rotate: batches partition the
+    // requests, each carries one scripted configuration and fits it, and
+    // along a lane (id order is admission order there) a batch's members
+    // are consecutive and arrival stamps never run backwards. (Dispatch
+    // stamps may: a sealed window runs out its old timeout while the new
+    // configuration's windows already flush.)
+    let mut members = vec![0u32; out.batches.len()];
+    for lane in 0..lanes as u32 {
+        let mut prev: Option<&deepbat::serve::ServedRequest> = None;
+        let mut closed_batches = std::collections::HashSet::new();
+        for r in out.requests.iter().filter(|r| r.lane == lane) {
+            let b = &out.batches[r.batch];
+            assert_eq!(b.lane, lane, "{what}: batch mixes lanes");
+            assert!(r.dispatched_at >= r.arrival && r.completed_at >= r.dispatched_at);
+            members[r.batch] += 1;
+            if let Some(p) = prev {
+                assert!(
+                    r.arrival >= p.arrival,
+                    "{what}: lane {lane} admission order"
+                );
+                if p.batch != r.batch {
+                    assert!(
+                        closed_batches.insert(p.batch),
+                        "{what}: batch {} was split around request {}",
+                        p.batch,
+                        r.id
+                    );
+                }
+            }
+            assert!(
+                !closed_batches.contains(&r.batch),
+                "{what}: batch {} was split around request {}",
+                r.batch,
+                r.id
+            );
+            prev = Some(r);
+        }
+    }
+    for (b, &n) in out.batches.iter().zip(&members) {
+        assert_eq!(b.size, n, "{what}: batch size disagrees with its members");
+        assert!(
+            b.config == cfg_a || b.config == cfg_b,
+            "{what}: {}",
+            b.config
+        );
+        assert!(
+            n >= 1 && n <= b.config.batch_size,
+            "{what}: size {n} under {}",
+            b.config
+        );
+        if b.reason == FlushReason::Capacity {
+            assert_eq!(n, b.config.batch_size, "{what}: short capacity flush");
+        }
+    }
+    assert!(
+        out.records.len() >= 2,
+        "{what}: no reconfiguration happened"
+    );
+
+    // No admitted submit came back long after the space it took was freed.
+    // Measured from the last completion before the call returned: that is
+    // at or after the completion that made room, so a wake-up that rides
+    // on a timed backstop instead of the notify shows in full, while a
+    // stall of the whole machine (every timer late at once, completions
+    // included) does not. Nothing waits under `Reject`.
+    let mut completions = backend.completions_ns.lock().unwrap().clone();
+    completions.sort_unstable();
+    let stall_ns = STALL.as_nanos() as u64;
+    for c in calls.iter().filter(|c| c.id.is_some()) {
+        if c.t1 - c.t0 <= stall_ns {
+            continue;
+        }
+        let before = completions.partition_point(|&done| done <= c.t1);
+        let freed = completions[..before]
+            .last()
+            .map_or(c.t0, |&done| done.max(c.t0));
+        assert!(
+            c.t1 - freed <= stall_ns,
+            "{what}: a submit blocked {} us and came back {} us after space was freed",
+            (c.t1 - c.t0) / 1000,
+            (c.t1 - freed) / 1000
+        );
+    }
+}
+
+/// Wake-up stress (the first slice of a seeded scheduler for the live
+/// gateway): every backpressure policy, drain mode, lane count and pool
+/// size, with a queue of three, a reconfiguration every 5 ms and a close
+/// under load. A lost wake-up fails as a stall or an unresolved
+/// submitter; a herd or a mis-ordered hand-off fails conservation, the
+/// never-split check or the per-lane order check. CI runs it unpinned
+/// and under `taskset -c 0`.
+#[test]
+fn wakeup_stress_every_policy_drain_lane_and_pool_shape() {
+    let mut seed = 0x17_u64;
+    for policy in [
+        BackpressurePolicy::Block,
+        BackpressurePolicy::Reject {
+            retry_after_s: 0.001,
+        },
+    ] {
+        for mode in [DrainMode::Graceful, DrainMode::Immediate] {
+            for lanes in [1usize, 2] {
+                for workers in [1usize, 32] {
+                    seed += 1;
+                    wakeup_stress_leg(seed, policy, mode, lanes, workers);
+                }
+            }
+        }
+    }
+}
