@@ -71,12 +71,12 @@ fn main() {
             let arrivals = window_to_arrivals(&w.interarrivals);
             let sim = simulate_batching(&arrivals, &cfg, &s.params, None);
             observed.extend(sim.latencies());
-            let e1 = model.encode_window(&w.interarrivals);
+            let e1 = model.encode_window_fast(&w.interarrivals);
             let feats = Tensor::new(
                 vec![1, 3],
                 vec![cfg.memory_mb as f64, cfg.batch_size as f64, cfg.timeout_s],
             );
-            let p = model.predict_encoded(&e1, &feats);
+            let p = model.predict_encoded_fast_pre(&e1, &model.preprocess_feats(&feats));
             for (acc, &v) in pred_acc.iter_mut().zip(&p.data()[1..5]) {
                 *acc += v.max(0.0);
             }

@@ -130,30 +130,6 @@ impl DeepBatController {
         rec
     }
 
-    /// Run the optimizer's int8 decision-parity gate over the seed trace:
-    /// one window per decision interval in `[t0, t1)`, compared between the
-    /// f64 fast path and the int8 sweep. Int8 scoring is enabled only when
-    /// the gate passes (see [`DeepBatOptimizer::try_enable_int8`]).
-    pub fn enable_int8_scoring(
-        &mut self,
-        model: &Surrogate,
-        trace: &Trace,
-        t0: f64,
-        t1: f64,
-        eps_cost: f64,
-    ) -> crate::optimizer::Int8Parity {
-        let l = model.cfg.seq_len;
-        let mut windows = Vec::new();
-        let mut t = t0;
-        while t < t1 {
-            if let Some(w) = window_at_time(trace, t, l, 1.0) {
-                windows.push(w.interarrivals);
-            }
-            t += self.decision_interval;
-        }
-        self.optimizer.try_enable_int8(model, &windows, eps_cost)
-    }
-
     /// Build the configuration schedule over `[t0, t1)` of the trace.
     pub fn schedule(
         &self,
@@ -453,12 +429,12 @@ pub fn estimate_gamma(
     for w in &windows {
         let cfg = configs[rng.below(configs.len())];
         let truth = label(&w.interarrivals, &cfg, params, f64::INFINITY);
-        let e1 = model.encode_window(&w.interarrivals);
+        let e1 = model.encode_window_fast(&w.interarrivals);
         let feats = dbat_nn::Tensor::new(
             vec![1, 3],
             vec![cfg.memory_mb as f64, cfg.batch_size as f64, cfg.timeout_s],
         );
-        let pred = model.predict_encoded(&e1, &feats);
+        let pred = model.predict_encoded_fast_pre(&e1, &model.preprocess_feats(&feats));
         let p95_hat = pred.data()[3].max(0.0);
         let p95 = truth.target[3];
         if p95 > 0.0 {

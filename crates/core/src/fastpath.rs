@@ -6,45 +6,16 @@
 //! line of kernel calls over a flat [`Arena`], with no autograd tape, no
 //! gradient buffers, and no per-call weight packing.
 //!
-//! Two scoring paths share the encoded window:
-//!
-//! * [`SurrogatePlan::score`] — f64, mirroring `Surrogate::predict_encoded`
-//!   **bitwise** (same kernels, same dispatch, same accumulation order);
-//! * [`SurrogatePlan::score_int8`] — per-channel symmetric int8 head
-//!   branch for the grid sweep, enabled only behind the optimizer's
-//!   decision-parity gate (see `DeepBatOptimizer::try_enable_int8`).
+//! [`SurrogatePlan::encode_window`] and [`SurrogatePlan::score`] mirror
+//! `Surrogate::encode_window` and `Surrogate::predict_encoded` **bitwise**
+//! (same kernels, same dispatch, same accumulation order); the graph
+//! methods stay as the oracle the tests compare the plan against.
 //!
 //! Plans are snapshots: any weight or standardiser update must rebuild
 //! them (`Surrogate::invalidate_plan`).
 
 use crate::surrogate::{Surrogate, LOG_EPS};
-use dbat_linalg::{gemm_i8, quantize_rows, QuantizedMat};
 use dbat_nn::{positional_encoding, relu_inplace, Arena, InferencePlan, MhaPlan, PackedLinear};
-
-/// A [`Linear`](dbat_nn::Linear) head quantized to per-output-channel
-/// symmetric int8 weights (bias kept in f64).
-#[derive(Clone, Debug)]
-struct QuantLinear {
-    w: QuantizedMat,
-    bias: Vec<f64>,
-}
-
-impl QuantLinear {
-    fn compile(l: &PackedLinear) -> Self {
-        QuantLinear {
-            w: QuantizedMat::quantize(l.weights(), l.in_dim(), l.out_dim()),
-            bias: l.bias().to_vec(),
-        }
-    }
-}
-
-/// Int8 variants of the three head-branch layers.
-#[derive(Clone, Debug)]
-struct Int8Head {
-    feat_ff: QuantLinear,
-    head1: QuantLinear,
-    head2: QuantLinear,
-}
 
 /// The full surrogate compiled for graph-free inference.
 #[derive(Clone, Debug)]
@@ -64,21 +35,12 @@ pub struct SurrogatePlan {
     /// Log-interarrival standardiser constants (single column).
     seq_mean: f64,
     seq_sd: f64,
-    int8: Int8Head,
 }
 
 impl SurrogatePlan {
     /// Snapshot the model's current weights and standardisers.
     pub fn compile(model: &Surrogate) -> Self {
         let cfg = model.cfg;
-        let feat_ff = PackedLinear::compile(&model.feat_ff);
-        let head1 = PackedLinear::compile(&model.head1);
-        let head2 = PackedLinear::compile(&model.head2);
-        let int8 = Int8Head {
-            feat_ff: QuantLinear::compile(&feat_ff),
-            head1: QuantLinear::compile(&head1),
-            head2: QuantLinear::compile(&head2),
-        };
         SurrogatePlan {
             seq_len: cfg.seq_len,
             dim: cfg.dim,
@@ -88,12 +50,11 @@ impl SurrogatePlan {
             pe: positional_encoding(cfg.seq_len, cfg.dim).into_data(),
             encoder: InferencePlan::compile(&model.encoder),
             pool_attn: MhaPlan::compile(&model.pool_attn),
-            feat_ff,
-            head1,
-            head2,
+            feat_ff: PackedLinear::compile(&model.feat_ff),
+            head1: PackedLinear::compile(&model.head1),
+            head2: PackedLinear::compile(&model.head2),
             seq_mean: model.seq_std.mean[0],
             seq_sd: model.seq_std.std[0],
-            int8,
         }
     }
 
@@ -193,46 +154,5 @@ impl SurrogatePlan {
         self.head1.forward(c, cat, hid);
         relu_inplace(hid);
         self.head2.forward(c, hid, out);
-    }
-
-    /// Int8 grid sweep: as [`score`](Self::score) but the three head-branch
-    /// matmuls run on per-channel symmetric int8 weights with per-row
-    /// activation quantization. `qfeats`/`qscale` are the pre-quantized
-    /// standardised feature rows (see [`quantize_rows`]). Approximate —
-    /// only used behind the optimizer's decision-parity gate.
-    pub fn score_int8(
-        &self,
-        e1: &[f64],
-        qfeats: &[i8],
-        qscale: &[f64],
-        c: usize,
-        out: &mut [f64],
-        arena: &mut Arena,
-    ) {
-        let (d, fh) = (self.dim, self.head1.out_dim());
-        assert_eq!(e1.len(), d);
-        assert_eq!(qfeats.len(), c * self.n_features);
-        assert_eq!(qscale.len(), c);
-        assert_eq!(out.len(), c * self.n_outputs);
-        let ([e2, cat, hid, qs1, qs2], [qcat, qhid]) =
-            arena.split_mixed([c * d, c * 2 * d, c * fh, c, c], [c * 2 * d, c * fh]);
-        gemm_i8(
-            c,
-            qfeats,
-            qscale,
-            &self.int8.feat_ff.w,
-            &self.int8.feat_ff.bias,
-            e2,
-        );
-        relu_inplace(e2);
-        for (i, row) in e2.chunks_exact(d).enumerate() {
-            cat[i * 2 * d..i * 2 * d + d].copy_from_slice(e1);
-            cat[i * 2 * d + d..(i + 1) * 2 * d].copy_from_slice(row);
-        }
-        quantize_rows(cat, c, 2 * d, qcat, qs1);
-        gemm_i8(c, qcat, qs1, &self.int8.head1.w, &self.int8.head1.bias, hid);
-        relu_inplace(hid);
-        quantize_rows(hid, c, fh, qhid, qs2);
-        gemm_i8(c, qhid, qs2, &self.int8.head2.w, &self.int8.head2.bias, out);
     }
 }

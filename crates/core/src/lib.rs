@@ -9,8 +9,7 @@
 //! * [`buffer`] — the reconfigurable batching Buffer;
 //! * [`surrogate`] — the deep surrogate model (Fig. 3 architecture);
 //! * [`fastpath`] — the surrogate compiled to graph-free kernel calls
-//!   (pre-packed weights, flat scratch, optional int8 grid scoring) for
-//!   sub-millisecond decisions;
+//!   (pre-packed weights, flat scratch) for sub-millisecond decisions;
 //! * [`traindata`] / [`mod@train`] — offline training on simulator-labelled
 //!   windows, plus OOD fine-tuning;
 //! * [`optimizer`] — the 2-step SLO/cost optimizer with the γ penalty;
@@ -39,7 +38,7 @@ pub use controller::{
 pub use drift::{DriftDetector, HealthMonitor, WindowStats};
 pub use fastpath::SurrogatePlan;
 pub use multiclass::SurrogateGroupScorer;
-pub use optimizer::{ConfigPrediction, Decision, DeepBatOptimizer, Int8Parity, ScoringMode};
+pub use optimizer::{ConfigPrediction, Decision, DeepBatOptimizer};
 pub use parser::WorkloadParser;
 pub use surrogate::{Surrogate, SurrogateConfig};
 pub use train::{

@@ -4,7 +4,6 @@
 //! penalty factor γ tightening the constraint (§III-D).
 
 use crate::surrogate::Surrogate;
-use dbat_linalg::quantize_rows;
 use dbat_nn::Tensor;
 use dbat_sim::{ConfigGrid, LambdaConfig, PERCENTILE_KEYS};
 use dbat_workload::stats::interp_tracked_percentile;
@@ -43,63 +42,20 @@ pub struct Decision {
     pub infer_s: f64,
 }
 
-/// How `predict_all` scores the configuration grid.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ScoringMode {
-    /// Autograd-tape forward — the tested reference path.
-    Graph,
-    /// Compiled graph-free plan — bitwise identical to [`Graph`](Self::Graph),
-    /// sub-millisecond. The default.
-    #[default]
-    Fast,
-    /// Int8 head-branch sweep. Only reachable through
-    /// [`DeepBatOptimizer::try_enable_int8`]'s decision-parity gate.
-    Int8,
-}
-
-/// Outcome of the int8 decision-parity gate.
-#[derive(Clone, Copy, Debug)]
-pub struct Int8Parity {
-    /// Seed-trace intervals checked.
-    pub intervals: usize,
-    /// Intervals where int8 chose the same `(M, B, T)` as the f64 path.
-    pub agree: usize,
-    /// Largest relative cost delta between the two chosen configs.
-    pub max_cost_delta: f64,
-    /// The cost tolerance the gate was run with.
-    pub eps_cost: f64,
-    /// Whether int8 scoring was enabled.
-    pub passed: bool,
-}
-
-impl Int8Parity {
-    /// Fraction of intervals with identical decisions (1.0 when empty).
-    pub fn agreement(&self) -> f64 {
-        if self.intervals == 0 {
-            1.0
-        } else {
-            self.agree as f64 / self.intervals as f64
-        }
-    }
-}
-
-/// The grid features preprocessed for one standardiser fit: standardised
-/// rows for the fast sweep, plus their int8 quantization. Rebuilt only
+/// The grid features standardised for one standardiser fit. Rebuilt only
 /// when the model's feature standardiser changes (e.g. after a refit).
 #[derive(Debug)]
 struct FeatCache {
     mean: Vec<f64>,
     std: Vec<f64>,
     pre: Tensor,
-    qx: Vec<i8>,
-    qs: Vec<f64>,
 }
 
 /// DeepBAT's SLO/cost optimizer. The configuration grid is fixed at
 /// construction: the flattened config list and the `[C, 3]` raw feature
-/// tensor are cached here, and the *standardised* (and quantized) grid
-/// tensor is cached per standardiser fit, so `predict_all` never rebuilds
-/// any of them per decision.
+/// tensor are cached here, and the *standardised* grid tensor is cached
+/// per standardiser fit, so `predict_all` never rebuilds any of them per
+/// decision.
 #[derive(Debug)]
 pub struct DeepBatOptimizer {
     pub grid: ConfigGrid,
@@ -110,7 +66,6 @@ pub struct DeepBatOptimizer {
     pub gamma: f64,
     configs: Vec<LambdaConfig>,
     grid_feats: Tensor,
-    mode: ScoringMode,
     feat_cache: Mutex<Option<Arc<FeatCache>>>,
 }
 
@@ -123,7 +78,6 @@ impl Clone for DeepBatOptimizer {
             gamma: self.gamma,
             configs: self.configs.clone(),
             grid_feats: self.grid_feats.clone(),
-            mode: self.mode,
             feat_cache: Mutex::new(self.feat_cache.lock().unwrap().clone()),
         }
     }
@@ -144,25 +98,8 @@ impl DeepBatOptimizer {
             gamma: 0.0,
             configs,
             grid_feats,
-            mode: ScoringMode::default(),
             feat_cache: Mutex::new(None),
         }
-    }
-
-    /// Current grid-scoring mode.
-    pub fn mode(&self) -> ScoringMode {
-        self.mode
-    }
-
-    /// Select [`ScoringMode::Graph`] or [`ScoringMode::Fast`].
-    /// [`ScoringMode::Int8`] cannot be set directly — it is only enabled by
-    /// passing [`DeepBatOptimizer::try_enable_int8`]'s parity gate.
-    pub fn set_mode(&mut self, mode: ScoringMode) {
-        assert!(
-            mode != ScoringMode::Int8,
-            "int8 scoring must pass the parity gate (try_enable_int8)"
-        );
-        self.mode = mode;
     }
 
     /// The preprocessed grid features for the model's current feature
@@ -174,17 +111,10 @@ impl DeepBatOptimizer {
                 return Arc::clone(c);
             }
         }
-        let pre = model.preprocess_feats(&self.grid_feats);
-        let (c, f) = (pre.shape()[0], pre.shape()[1]);
-        let mut qx = vec![0i8; c * f];
-        let mut qs = vec![0.0; c];
-        quantize_rows(pre.data(), c, f, &mut qx, &mut qs);
         let cache = Arc::new(FeatCache {
             mean: model.feat_std.mean.clone(),
             std: model.feat_std.std.clone(),
-            pre,
-            qx,
-            qs,
+            pre: model.preprocess_feats(&self.grid_feats),
         });
         *slot = Some(Arc::clone(&cache));
         cache
@@ -234,32 +164,15 @@ impl DeepBatOptimizer {
         }
     }
 
-    /// Score the grid for an already-encoded window in a specific mode.
-    fn sweep_encoded(&self, model: &Surrogate, e1: &[f64], mode: ScoringMode) -> Tensor {
-        match mode {
-            ScoringMode::Graph => model.predict_encoded(e1, &self.grid_feats),
-            ScoringMode::Fast => {
-                let cache = self.grid_cache(model);
-                model.predict_encoded_fast_pre(e1, &cache.pre)
-            }
-            ScoringMode::Int8 => {
-                let cache = self.grid_cache(model);
-                model.predict_encoded_int8_pre(e1, &cache.qx, &cache.qs)
-            }
-        }
-    }
-
     /// Predict every grid configuration for one window: encode the sequence
-    /// once, sweep the cached feature grid through the cheap branch.
+    /// once, sweep the cached feature grid through the cheap branch, both
+    /// on the model's compiled plan.
     pub fn predict_all(&self, model: &Surrogate, window: &[f64]) -> Vec<ConfigPrediction> {
         let t = dbat_telemetry::global();
         let start = std::time::Instant::now();
-        let e1 = match self.mode {
-            ScoringMode::Graph => model.encode_window(window),
-            ScoringMode::Fast | ScoringMode::Int8 => model.encode_window_fast(window),
-        };
+        let e1 = model.encode_window_fast(window);
         let encoded = start.elapsed();
-        let out = self.sweep_encoded(model, &e1, self.mode);
+        let out = model.predict_encoded_fast_pre(&e1, &self.grid_cache(model).pre);
         let preds = self.preds_from(&out);
         if t.is_enabled() {
             // The decide split, readable from a scrape: window encode
@@ -298,67 +211,14 @@ impl DeepBatOptimizer {
         }
         decision
     }
-
-    /// The int8 decision-parity gate: score every supplied seed-trace
-    /// window with both the f64 fast path and the int8 path, and enable
-    /// [`ScoringMode::Int8`] only if the chosen `(M, B, T)` agrees on at
-    /// least 99% of the intervals and the predicted cost of the chosen
-    /// configs never differs by more than `eps_cost` (relative). On
-    /// failure the mode is left untouched.
-    pub fn try_enable_int8(
-        &mut self,
-        model: &Surrogate,
-        windows: &[Vec<f64>],
-        eps_cost: f64,
-    ) -> Int8Parity {
-        let mut agree = 0usize;
-        let mut max_cost_delta: f64 = 0.0;
-        for w in windows {
-            let e1 = model.encode_window_fast(w);
-            let fast = self.preds_from(&self.sweep_encoded(model, &e1, ScoringMode::Fast));
-            let int8 = self.preds_from(&self.sweep_encoded(model, &e1, ScoringMode::Int8));
-            let (cf, _) = self.select(&fast);
-            let (ci, _) = self.select(&int8);
-            if cf.config == ci.config {
-                agree += 1;
-            }
-            let delta = (cf.cost_micro - ci.cost_micro).abs() / cf.cost_micro.abs().max(1e-9);
-            max_cost_delta = max_cost_delta.max(delta);
-        }
-        let intervals = windows.len();
-        let passed =
-            intervals > 0 && agree as f64 >= 0.99 * intervals as f64 && max_cost_delta <= eps_cost;
-        if passed {
-            self.mode = ScoringMode::Int8;
-        }
-        let parity = Int8Parity {
-            intervals,
-            agree,
-            max_cost_delta,
-            eps_cost,
-            passed,
-        };
-        let t = dbat_telemetry::global();
-        if t.is_enabled() {
-            t.emit(
-                "optimizer.int8_gate",
-                serde_json::json!({
-                    "intervals": parity.intervals,
-                    "agree": parity.agree,
-                    "max_cost_delta": parity.max_cost_delta,
-                    "eps_cost": parity.eps_cost,
-                    "passed": parity.passed,
-                }),
-            );
-        }
-        parity
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::surrogate::SurrogateConfig;
+    use crate::train::fit_standardizers;
+    use dbat_workload::{window_at_time, TraceKind, HOUR};
 
     fn model() -> Surrogate {
         Surrogate::new(SurrogateConfig::tiny(), 3)
@@ -408,83 +268,62 @@ mod tests {
         assert_eq!(d.chosen.percentile(95.0), min_p95);
     }
 
+    /// One window per decision interval over an hour of the seeded
+    /// synthetic-MAP trace.
+    fn seed_trace_windows(l: usize) -> Vec<Vec<f64>> {
+        let trace = TraceKind::SyntheticMap.generate_for(11, HOUR);
+        (1..=60)
+            .filter_map(|i| window_at_time(&trace, 60.0 * i as f64, l, 1.0))
+            .map(|w| w.interarrivals)
+            .collect()
+    }
+
+    /// The autograd graph is the oracle: at the paper's model widths and
+    /// 216-config grid, the plan-backed prediction table equals the graph
+    /// forward to the bit on every seed-trace window, so `choose` decides
+    /// exactly what the graph would.
     #[test]
-    fn fast_and_graph_modes_agree_bitwise() {
-        let m = model();
-        let w = window(m.cfg.seq_len);
-        let mut opt = DeepBatOptimizer::new(ConfigGrid::tiny(), 0.1);
-        assert_eq!(opt.mode(), ScoringMode::Fast);
-        let fast = opt.predict_all(&m, &w);
-        opt.set_mode(ScoringMode::Graph);
-        let graph = opt.predict_all(&m, &w);
-        for (a, b) in fast.iter().zip(&graph) {
-            assert_eq!(a.config, b.config);
-            assert_eq!(a.cost_micro.to_bits(), b.cost_micro.to_bits());
-            for (x, y) in a.percentiles.iter().zip(&b.percentiles) {
-                assert_eq!(x.to_bits(), y.to_bits());
+    fn predict_all_matches_graph_oracle_bitwise() {
+        let mut m = Surrogate::new(SurrogateConfig::default(), 13);
+        let opt = DeepBatOptimizer::new(ConfigGrid::paper_default(), 0.1);
+        let windows = seed_trace_windows(m.cfg.seq_len);
+        assert!(windows.len() >= 50, "only {} windows", windows.len());
+        let seqs = Tensor::new(vec![windows.len(), m.cfg.seq_len], windows.concat());
+        fit_standardizers(&mut m, &seqs, &opt.grid_feats);
+        for w in &windows {
+            let oracle = opt.preds_from(&m.predict_encoded(&m.encode_window(w), &opt.grid_feats));
+            let got = opt.choose(&m, w);
+            assert_eq!(got.all.len(), 216);
+            for (a, b) in got.all.iter().zip(&oracle) {
+                assert_eq!(a.config, b.config);
+                assert_eq!(a.cost_micro.to_bits(), b.cost_micro.to_bits());
+                assert_eq!(
+                    a.percentiles.map(f64::to_bits),
+                    b.percentiles.map(f64::to_bits)
+                );
             }
+            assert_eq!(got.chosen.config, opt.select(&oracle).0.config);
         }
     }
 
     #[test]
-    fn feat_cache_rebuilds_when_standardiser_changes() {
+    fn feat_cache_is_reused_until_fit_standardizers_changes_feat_std() {
         let mut m = model();
-        let w = window(m.cfg.seq_len);
         let opt = DeepBatOptimizer::new(ConfigGrid::tiny(), 0.1);
-        let before = opt.predict_all(&m, &w);
-        // Refit the feature standardiser: the cached preprocessed grid is
-        // stale and must be rebuilt, changing the predictions.
-        m.feat_std = dbat_nn::Standardizer {
-            mean: vec![2000.0, 8.0, 0.5],
-            std: vec![250.0, 1.5, 0.2],
-        };
+        let first = opt.grid_cache(&m);
+        // Same standardiser, even after a plan rebuild: the same cache.
         m.invalidate_plan();
-        let after = opt.predict_all(&m, &w);
+        assert!(Arc::ptr_eq(&first, &opt.grid_cache(&m)));
+        let seqs = Tensor::new(vec![1, m.cfg.seq_len], window(m.cfg.seq_len));
+        fit_standardizers(&mut m, &seqs, &opt.grid_feats);
+        let refit = opt.grid_cache(&m);
         assert!(
-            before
-                .iter()
-                .zip(&after)
-                .any(|(a, b)| a.cost_micro != b.cost_micro),
+            !Arc::ptr_eq(&first, &refit),
             "stale feature cache survived a standardiser refit"
         );
-        // And the rebuilt cache still matches the uncached graph path.
-        let mut graph_opt = opt.clone();
-        graph_opt.set_mode(ScoringMode::Graph);
-        let reference = graph_opt.predict_all(&m, &w);
-        for (a, b) in after.iter().zip(&reference) {
-            assert_eq!(a.cost_micro.to_bits(), b.cost_micro.to_bits());
-        }
-    }
-
-    #[test]
-    fn int8_gate_enables_only_on_parity() {
-        let m = model();
-        let l = m.cfg.seq_len;
-        let windows: Vec<Vec<f64>> = (0..8)
-            .map(|i| {
-                (0..l)
-                    .map(|j| 0.01 + 0.004 * ((i + j) % 5) as f64)
-                    .collect()
-            })
-            .collect();
-        // Untrained tiny model, identical head weights in both paths:
-        // parity is a property of the quantization error vs the decision
-        // margins. Whatever the verdict, the mode must reflect it.
-        let mut opt = DeepBatOptimizer::new(ConfigGrid::tiny(), 0.1);
-        let parity = opt.try_enable_int8(&m, &windows, 0.25);
-        assert_eq!(parity.intervals, windows.len());
-        assert!(parity.agreement() >= 0.0 && parity.agreement() <= 1.0);
-        assert_eq!(parity.passed, opt.mode() == ScoringMode::Int8);
-        // An impossible tolerance must never enable int8.
-        let mut strict = DeepBatOptimizer::new(ConfigGrid::tiny(), 0.1);
-        let p = strict.try_enable_int8(&m, &windows, -1.0);
-        assert!(!p.passed);
-        assert_eq!(strict.mode(), ScoringMode::Fast);
-        // An empty window set must never enable int8.
-        let mut empty = DeepBatOptimizer::new(ConfigGrid::tiny(), 0.1);
-        let p = empty.try_enable_int8(&m, &[], 1.0);
-        assert!(!p.passed && p.intervals == 0);
-        assert_eq!(empty.mode(), ScoringMode::Fast);
+        assert_eq!(refit.pre, m.preprocess_feats(&opt.grid_feats));
+        assert_ne!(refit.pre, first.pre);
+        assert!(Arc::ptr_eq(&refit, &opt.grid_cache(&m)));
     }
 
     #[test]

@@ -236,31 +236,15 @@ impl Surrogate {
         self.with_arena(|a| plan.encode_window(window_raw, a))
     }
 
-    /// Graph-free [`Surrogate::predict_encoded`]: bitwise-identical output.
-    pub fn predict_encoded_fast(&self, e1: &[f64], feats_raw: &Tensor) -> Tensor {
-        let feats = self.preprocess_feats(feats_raw);
-        self.predict_encoded_fast_pre(e1, &feats)
-    }
-
-    /// As [`Surrogate::predict_encoded_fast`] on *already standardised*
-    /// features — the optimizer caches the preprocessed grid tensor and
-    /// skips the per-decision transform.
+    /// Graph-free [`Surrogate::predict_encoded`] on *already standardised*
+    /// features ([`Surrogate::preprocess_feats`]): bitwise-identical
+    /// output. The optimizer caches the preprocessed grid tensor and skips
+    /// the per-decision transform.
     pub fn predict_encoded_fast_pre(&self, e1: &[f64], feats_pre: &Tensor) -> Tensor {
         let c = feats_pre.shape()[0];
         let plan = self.plan();
         let mut out = vec![0.0; c * self.cfg.n_outputs];
         self.with_arena(|a| plan.score(e1, feats_pre.data(), c, &mut out, a));
-        Tensor::new(vec![c, self.cfg.n_outputs], out)
-    }
-
-    /// Int8 grid sweep on pre-quantized standardised features (see
-    /// [`dbat_linalg::quantize_rows`]). Approximate — gate decisions on
-    /// parity with the f64 path before trusting it.
-    pub fn predict_encoded_int8_pre(&self, e1: &[f64], qfeats: &[i8], qscale: &[f64]) -> Tensor {
-        let c = qscale.len();
-        let plan = self.plan();
-        let mut out = vec![0.0; c * self.cfg.n_outputs];
-        self.with_arena(|a| plan.score_int8(e1, qfeats, qscale, c, &mut out, a));
         Tensor::new(vec![c, self.cfg.n_outputs], out)
     }
 
@@ -1006,7 +990,7 @@ mod tests {
             for c in [1usize, 3, 216] {
                 let feats = grid_feats(c);
                 let want = m.predict_encoded(&e_graph, &feats);
-                let got = m.predict_encoded_fast(&e_fast, &feats);
+                let got = m.predict_encoded_fast_pre(&e_fast, &m.preprocess_feats(&feats));
                 assert_eq!(want.shape(), got.shape());
                 assert_eq!(want.data(), got.data(), "sweep diverged at C={c}");
             }
@@ -1040,32 +1024,6 @@ mod tests {
         let after_graph = m.encode_window(&w);
         assert_ne!(before, after_fast, "train step must change the encoding");
         assert_eq!(after_fast, after_graph);
-    }
-
-    #[test]
-    fn int8_sweep_tracks_f64_sweep() {
-        let m = tiny();
-        let w = raw_window(m.cfg.seq_len);
-        let e1 = m.encode_window_fast(&w);
-        let c = 16;
-        let pre = m.preprocess_feats(&grid_feats(c));
-        let want = m.predict_encoded_fast_pre(&e1, &pre);
-        let mut qx = vec![0i8; c * 3];
-        let mut qs = vec![0.0; c];
-        dbat_linalg::quantize_rows(pre.data(), c, 3, &mut qx, &mut qs);
-        let got = m.predict_encoded_int8_pre(&e1, &qx, &qs);
-        assert_eq!(got.shape(), want.shape());
-        for (a, b) in want.data().iter().zip(got.data()) {
-            // Quantization error grows with activation magnitude, and an
-            // untrained model's outputs sit near relu kinks that amplify
-            // it: accept a generous 20% relative envelope here. The
-            // decision-parity gate, not this bound, is what admits int8
-            // into production scoring.
-            assert!(
-                (a - b).abs() <= 0.2 * a.abs().max(1.0) && b.is_finite(),
-                "int8 {b} drifted from f64 {a}"
-            );
-        }
     }
 
     #[test]

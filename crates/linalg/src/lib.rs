@@ -21,8 +21,6 @@
 //!   over query rows in ascending order within one head, so gradients do
 //!   not depend on batch position or shard. The compiled plans and the
 //!   training tape share this one kernel pair;
-//! * [`mod@int8`] — per-channel symmetric int8 quantized matmul for the
-//!   surrogate's parity-gated grid-scoring sweep;
 //! * [`mod@exp`] — deterministic vectorised `exp` ([`exp_inplace`]) and the
 //!   fused row softmax ([`softmax_rows_inplace`]): AVX2+FMA lanes with a
 //!   bitwise-identical scalar mirror, honouring `DBAT_GEMM_FORCE_SCALAR`
@@ -39,7 +37,6 @@ pub mod attention;
 pub mod exp;
 pub mod expm;
 pub mod gemm;
-pub mod int8;
 pub mod kron;
 pub mod lu;
 pub mod matrix;
@@ -51,7 +48,6 @@ pub use attention::{
 pub use exp::{exp_inplace, exp_rn, softmax_rows_inplace, softmax_rows_scaled_inplace};
 pub use expm::{expm, Uniformizer};
 pub use gemm::{gemm, gemm_prepacked, gemm_worthwhile, Layout, PackedMat};
-pub use int8::{gemm_i8, quantize_rows, QuantizedMat, I8_QMAX};
 pub use kron::{kron, kron_sum};
 pub use lu::{inverse, solve, LinalgError, Lu};
 pub use matrix::Mat;

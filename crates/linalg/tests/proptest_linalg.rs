@@ -1,10 +1,8 @@
 //! Property-based tests for the linear-algebra substrate.
 
 use dbat_linalg::gemm::{gemm_prepacked_with, gemm_with};
-use dbat_linalg::int8::gemm_i8_with;
 use dbat_linalg::{
-    ctmc_stationary, expm, gemm, gemm_prepacked, kron, quantize_rows, solve, Layout, Mat,
-    PackedMat, QuantizedMat, Uniformizer,
+    ctmc_stationary, expm, gemm, gemm_prepacked, kron, solve, Layout, Mat, PackedMat, Uniformizer,
 };
 use proptest::prelude::*;
 
@@ -113,16 +111,6 @@ proptest! {
     ) {
         check_prepacked(m, n, k, seed, flags & 1 != 0, flags & 2 != 0);
     }
-
-    // Int8 scoring: the pinned-scalar and dispatched dot kernels agree
-    // exactly, and both track the f64 product within the 8-bit error
-    // envelope.
-    #[test]
-    fn int8_scalar_and_dispatched_agree_and_track_f64(
-        rows in 1usize..32, k in 1usize..48, n in 1usize..20, seed in 0u64..1000
-    ) {
-        check_int8(rows, k, n, seed);
-    }
 }
 
 fn check_prepacked(
@@ -154,33 +142,6 @@ fn check_prepacked(
         gemm_prepacked(m, &a, Layout::Normal, &packed, &mut got);
     }
     assert_eq!(got, want);
-}
-
-fn check_int8(rows: usize, k: usize, n: usize, seed: u64) {
-    let x = pseudo(rows * k, seed);
-    let wraw = pseudo(k * n, seed ^ 0xF00D);
-    let bias = pseudo(n, seed ^ 0xB1A5);
-    let w = QuantizedMat::quantize(&wraw, k, n);
-    let mut xq = vec![0i8; rows * k];
-    let mut xs = vec![0.0; rows];
-    quantize_rows(&x, rows, k, &mut xq, &mut xs);
-    let mut scalar = vec![0.0; rows * n];
-    let mut auto = vec![0.0; rows * n];
-    gemm_i8_with(rows, &xq, &xs, &w, &bias, &mut scalar, false);
-    dbat_linalg::gemm_i8(rows, &xq, &xs, &w, &bias, &mut auto);
-    assert_eq!(&scalar, &auto);
-    // f64 reference: per-product error ≲ quant steps; sum over k.
-    for i in 0..rows {
-        for j in 0..n {
-            let mut acc = 0.0;
-            for p in 0..k {
-                acc += x[i * k + p] * wraw[p * n + j];
-            }
-            let want = acc + bias[j];
-            let bound = 0.05 * k as f64 + 1e-9;
-            assert!((scalar[i * n + j] - want).abs() <= bound);
-        }
-    }
 }
 
 /// Cheap deterministic pseudo-random values in [-2, 2].

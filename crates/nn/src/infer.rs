@@ -36,28 +36,6 @@ use dbat_linalg::{
 #[derive(Default, Debug)]
 pub struct Arena {
     buf: Vec<f64>,
-    qbuf: Vec<i8>,
-}
-
-fn split_slices<'a, T, const N: usize>(v: &'a mut Vec<T>, lens: &[usize; N]) -> [&'a mut [T]; N]
-where
-    T: Default + Clone,
-{
-    let total: usize = lens.iter().sum();
-    if v.len() < total {
-        v.resize(total, T::default());
-    }
-    let mut rest = &mut v[..];
-    let mut out = Vec::with_capacity(N);
-    for &l in lens {
-        let (head, tail) = rest.split_at_mut(l);
-        out.push(head);
-        rest = tail;
-    }
-    match out.try_into() {
-        Ok(arr) => arr,
-        Err(_) => unreachable!("split length preserved"),
-    }
 }
 
 impl Arena {
@@ -65,25 +43,28 @@ impl Arena {
         Arena::default()
     }
 
-    /// Current capacity of the f64 backing block.
+    /// Current capacity of the backing block.
     pub fn capacity(&self) -> usize {
         self.buf.len()
     }
 
-    /// Carve `N` non-overlapping f64 slices of the given lengths.
+    /// Carve `N` non-overlapping slices of the given lengths.
     pub fn split<const N: usize>(&mut self, lens: [usize; N]) -> [&mut [f64]; N] {
-        split_slices(&mut self.buf, &lens)
-    }
-
-    /// Carve f64 and i8 slices in one call (for quantized stages that
-    /// need both activation and int8 scratch simultaneously).
-    pub fn split_mixed<const N: usize, const M: usize>(
-        &mut self,
-        lens: [usize; N],
-        qlens: [usize; M],
-    ) -> ([&mut [f64]; N], [&mut [i8]; M]) {
-        let Arena { buf, qbuf } = self;
-        (split_slices(buf, &lens), split_slices(qbuf, &qlens))
+        let total: usize = lens.iter().sum();
+        if self.buf.len() < total {
+            self.buf.resize(total, 0.0);
+        }
+        let mut rest = &mut self.buf[..];
+        let mut out = Vec::with_capacity(N);
+        for l in lens {
+            let (head, tail) = rest.split_at_mut(l);
+            out.push(head);
+            rest = tail;
+        }
+        match out.try_into() {
+            Ok(arr) => arr,
+            Err(_) => unreachable!("split length preserved"),
+        }
     }
 }
 
@@ -118,22 +99,8 @@ impl PackedLinear {
         }
     }
 
-    pub fn in_dim(&self) -> usize {
-        self.in_dim
-    }
-
     pub fn out_dim(&self) -> usize {
         self.out_dim
-    }
-
-    /// Raw row-major `[in, out]` weights (for quantized compilation).
-    pub fn weights(&self) -> &[f64] {
-        &self.w
-    }
-
-    /// Bias vector `[out]`.
-    pub fn bias(&self) -> &[f64] {
-        &self.bias
     }
 
     /// `out[rows, out_dim] = x[rows, in_dim] · W + b`, mirroring the graph
@@ -536,8 +503,5 @@ mod tests {
         let cap = arena.capacity();
         let _ = arena.split([2, 2]);
         assert_eq!(arena.capacity(), cap);
-        let ([f], [q]) = arena.split_mixed([4], [6]);
-        assert_eq!(f.len(), 4);
-        assert_eq!(q.len(), 6);
     }
 }

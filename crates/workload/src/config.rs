@@ -2,16 +2,16 @@
 //!
 //! Every experiment binary and example used to grow its own ad-hoc flag
 //! plumbing; this module replaces that with a single declarative config
-//! covering the simulation setting, the controller, the serving gateway,
-//! the fault plan, and the multi-SLO request classes. Files load from
+//! covering the simulation setting, the serving gateway, and the
+//! multi-SLO request classes. Files load from
 //! JSON or a TOML subset (sections, `[[classes]]` array-of-tables, scalar
 //! and array values, `#` comments); unknown keys are rejected so typos
 //! fail loudly instead of silently taking defaults.
 //!
 //! The crate sits at the bottom of the workspace DAG, so the sections are
 //! plain data: upper crates convert them into their own richer types
-//! (`SimConfig::from_app`, gateway wiring, fault plans) rather than this
-//! module depending on them.
+//! (`SimConfig::from_app`, gateway wiring) rather than this module
+//! depending on them.
 
 use crate::class::{validate_classes, RequestClass};
 use crate::error::DbatError;
@@ -119,60 +119,6 @@ impl SimSection {
     }
 }
 
-/// Controller knobs: which policy drives decisions and how it scores.
-#[derive(Clone, Debug, PartialEq, Serialize)]
-pub struct ControllerSection {
-    /// Policy name (`deepbat`, `static`, `oracle`, `analytic`).
-    pub policy: String,
-    /// Surrogate scoring path (`graph`, `fast`, `int8`).
-    pub scoring: String,
-    /// SLO-tightening factor γ in (0, 1]; 1 disables tightening.
-    pub gamma: f64,
-}
-
-impl Default for ControllerSection {
-    fn default() -> Self {
-        ControllerSection {
-            policy: "deepbat".to_string(),
-            scoring: "fast".to_string(),
-            gamma: 1.0,
-        }
-    }
-}
-
-impl Deserialize for ControllerSection {
-    fn deserialize(v: &Value) -> Result<Self, Error> {
-        expect_keys(v, "[controller]", &["policy", "scoring", "gamma"])?;
-        let d = ControllerSection::default();
-        Ok(ControllerSection {
-            policy: take(v, "policy", d.policy)?,
-            scoring: take(v, "scoring", d.scoring)?,
-            gamma: take(v, "gamma", d.gamma)?,
-        })
-    }
-}
-
-impl ControllerSection {
-    pub fn validate(&self) -> Result<(), DbatError> {
-        const POLICIES: [&str; 4] = ["deepbat", "static", "oracle", "analytic"];
-        const SCORING: [&str; 3] = ["graph", "fast", "int8"];
-        if !POLICIES.contains(&self.policy.as_str()) {
-            return Err(DbatError::config(format!(
-                "controller.policy must be one of {POLICIES:?}"
-            )));
-        }
-        if !SCORING.contains(&self.scoring.as_str()) {
-            return Err(DbatError::config(format!(
-                "controller.scoring must be one of {SCORING:?}"
-            )));
-        }
-        if !(self.gamma > 0.0 && self.gamma <= 1.0) {
-            return Err(DbatError::config("controller.gamma must be in (0, 1]"));
-        }
-        Ok(())
-    }
-}
-
 /// Serving-gateway knobs (live gateway example and load harness).
 #[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct GatewaySection {
@@ -261,45 +207,6 @@ impl GatewaySection {
     }
 }
 
-/// Fault-plan knobs: a severity preset plus its seed. `intensity = 0`
-/// keeps the plan inert (the bit-identical zero-fault path).
-#[derive(Clone, Debug, PartialEq, Serialize)]
-pub struct FaultsSection {
-    /// Severity in [0, 1] of the standard four-channel preset.
-    pub intensity: f64,
-    /// Seed of the fault RNG stream.
-    pub seed: u64,
-}
-
-impl Default for FaultsSection {
-    fn default() -> Self {
-        FaultsSection {
-            intensity: 0.0,
-            seed: 7,
-        }
-    }
-}
-
-impl Deserialize for FaultsSection {
-    fn deserialize(v: &Value) -> Result<Self, Error> {
-        expect_keys(v, "[faults]", &["intensity", "seed"])?;
-        let d = FaultsSection::default();
-        Ok(FaultsSection {
-            intensity: take(v, "intensity", d.intensity)?,
-            seed: take(v, "seed", d.seed)?,
-        })
-    }
-}
-
-impl FaultsSection {
-    pub fn validate(&self) -> Result<(), DbatError> {
-        if !(0.0..=1.0).contains(&self.intensity) {
-            return Err(DbatError::config("faults.intensity must be in [0, 1]"));
-        }
-        Ok(())
-    }
-}
-
 /// One request class in the config file. The class id is its position in
 /// the `[[classes]]` list.
 #[derive(Clone, Debug, PartialEq, Serialize)]
@@ -329,9 +236,7 @@ impl Deserialize for ClassSpec {
 #[derive(Clone, Debug, PartialEq, Default, Serialize)]
 pub struct AppConfig {
     pub sim: SimSection,
-    pub controller: ControllerSection,
     pub gateway: GatewaySection,
-    pub faults: FaultsSection,
     /// Multi-SLO request classes; empty ⇒ the single-class setting with
     /// `sim.slo` as the one SLO.
     pub classes: Vec<ClassSpec>,
@@ -339,16 +244,10 @@ pub struct AppConfig {
 
 impl Deserialize for AppConfig {
     fn deserialize(v: &Value) -> Result<Self, Error> {
-        expect_keys(
-            v,
-            "config root",
-            &["sim", "controller", "gateway", "faults", "classes"],
-        )?;
+        expect_keys(v, "config root", &["sim", "gateway", "classes"])?;
         Ok(AppConfig {
             sim: take(v, "sim", SimSection::default())?,
-            controller: take(v, "controller", ControllerSection::default())?,
             gateway: take(v, "gateway", GatewaySection::default())?,
-            faults: take(v, "faults", FaultsSection::default())?,
             classes: take(v, "classes", Vec::new())?,
         })
     }
@@ -364,9 +263,7 @@ impl AppConfig {
     /// Check every section and the class list.
     pub fn validate(&self) -> Result<(), DbatError> {
         self.sim.validate()?;
-        self.controller.validate()?;
         self.gateway.validate()?;
-        self.faults.validate()?;
         if !self.classes.is_empty() {
             validate_classes(&self.request_classes())?;
         }
@@ -421,7 +318,7 @@ impl AppConfig {
     /// `--config <path>` loads a TOML/JSON file (documented defaults
     /// when absent), then any number of `--set section.key=value` flags
     /// override single fields, values parsing like TOML scalars
-    /// (`--set sim.slo=0.08`, `--set controller.policy="oracle"`).
+    /// (`--set sim.slo=0.08`, `--set sim.workload="twitter"`).
     /// Flags the binary defines for itself are ignored here, so
     /// `from_args` composes with local argument handling.
     pub fn from_args<I>(args: I) -> Result<AppConfig, DbatError>
@@ -471,7 +368,7 @@ impl AppConfig {
         };
         for (key, raw) in &sets {
             // TOML scalar syntax, with a bare-word convenience fallback
-            // (`--set controller.policy=oracle` needs no shell quoting);
+            // (`--set sim.workload=twitter` needs no shell quoting);
             // type mismatches still fail loudly at deserialization.
             let parsed = parse_toml_value(raw).unwrap_or_else(|_| Value::String(raw.to_string()));
             set_dotted(&mut v, key, parsed)?;
@@ -563,18 +460,8 @@ impl AppConfigBuilder {
         self
     }
 
-    pub fn controller(mut self, c: ControllerSection) -> Self {
-        self.cfg.controller = c;
-        self
-    }
-
     pub fn gateway(mut self, g: GatewaySection) -> Self {
         self.cfg.gateway = g;
-        self
-    }
-
-    pub fn faults(mut self, f: FaultsSection) -> Self {
-        self.cfg.faults = f;
         self
     }
 
@@ -806,18 +693,11 @@ percentile = 95.0
 horizon_s = 600.0
 workload = "twitter"
 
-[controller]
-policy = "deepbat"
-scoring = "fast"
-
 [gateway]
 lanes = 4
 workers = 4
 speedup = 120.0
 metrics_addr = "127.0.0.1:9184"
-
-[faults]
-intensity = 0.3
 
 [[classes]]
 slo = 0.08
@@ -836,7 +716,6 @@ slo = 0.5
         assert_eq!(cfg.sim.decision_interval_s, 60.0);
         assert_eq!(cfg.gateway.lanes, 4);
         assert_eq!(cfg.gateway.metrics_addr.as_deref(), Some("127.0.0.1:9184"));
-        assert_eq!(cfg.faults.intensity, 0.3);
         assert_eq!(cfg.classes.len(), 2);
         assert_eq!(cfg.classes[1].weight, 1.0);
         let rc = cfg.request_classes();
@@ -857,11 +736,43 @@ slo = 0.5
         assert!(AppConfig::from_toml_str("[simulation]\nslo = 0.1\n").is_err());
     }
 
+    /// No code reads a `[controller]` or `[faults]` section, so naming one
+    /// fails with the unknown-key error, by file and by `--set`.
+    #[test]
+    fn removed_sections_are_unknown_keys() {
+        let a = |xs: &[&str]| xs.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let unknown = |r: Result<AppConfig, DbatError>, key: &str| {
+            let err = r.unwrap_err().to_string();
+            assert!(
+                err.contains(&format!("unknown key `{key}` in config root")),
+                "unexpected error: {err}"
+            );
+        };
+        for (toml, set, key) in [
+            (
+                "[controller]\nscoring = \"fast\"\n",
+                "controller.scoring=fast",
+                "controller",
+            ),
+            (
+                "[controller]\ngamma = 0.8\n",
+                "controller.gamma=0.8",
+                "controller",
+            ),
+            (
+                "[faults]\nintensity = 0.3\n",
+                "faults.intensity=0.3",
+                "faults",
+            ),
+        ] {
+            unknown(AppConfig::from_toml_str(toml), key);
+            unknown(AppConfig::from_args(a(&["--set", set])), key);
+        }
+    }
+
     #[test]
     fn invalid_values_rejected() {
         assert!(AppConfig::from_toml_str("[sim]\nslo = -0.1\n").is_err());
-        assert!(AppConfig::from_toml_str("[faults]\nintensity = 2.0\n").is_err());
-        assert!(AppConfig::from_toml_str("[controller]\npolicy = \"magic\"\n").is_err());
         assert!(AppConfig::from_toml_str("[[classes]]\nweight = 1.0\n").is_err());
     }
 
@@ -920,12 +831,12 @@ slo = 0.5
             "--set",
             "sim.slo=0.08",
             "--set",
-            "controller.policy=oracle",
+            "sim.workload=azure",
             "--ignored-local-flag",
         ]))
         .unwrap();
         assert_eq!(cfg.sim.slo, 0.08);
-        assert_eq!(cfg.controller.policy, "oracle");
+        assert_eq!(cfg.sim.workload, "azure");
         // --config file, then --set wins over the file.
         let dir = std::env::temp_dir().join("dbat_from_args_test");
         std::fs::create_dir_all(&dir).unwrap();
@@ -950,8 +861,8 @@ slo = 0.5
     #[test]
     fn set_creates_absent_sections() {
         let a = |xs: &[&str]| xs.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        // A file that never mentions [controller] or [faults]; --set must
-        // create the section on the way down, not die on the missing table.
+        // A file that never mentions [gateway]; --set must create the
+        // section on the way down, not die on the missing table.
         let dir = std::env::temp_dir().join("dbat_set_absent_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("minimal.toml");
@@ -960,17 +871,13 @@ slo = 0.5
             "--config",
             path.to_str().unwrap(),
             "--set",
-            "controller.gamma=0.5",
-            "--set",
-            "faults.seed=9",
+            "gateway.workers=16",
         ]))
         .unwrap();
         assert_eq!(cfg.sim.slo, 0.2);
-        assert_eq!(cfg.controller.gamma, 0.5);
-        // The rest of the created sections keep their defaults.
-        assert_eq!(cfg.controller.policy, "deepbat");
-        assert_eq!(cfg.faults.seed, 9);
-        assert_eq!(cfg.faults.intensity, 0.0);
+        assert_eq!(cfg.gateway.workers, 16);
+        // The rest of the created section keeps its defaults.
+        assert_eq!(cfg.gateway.lanes, GatewaySection::default().lanes);
     }
 
     #[test]

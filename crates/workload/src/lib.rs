@@ -37,10 +37,7 @@ pub mod traces;
 pub mod window;
 
 pub use class::{validate_classes, ClassId, ClassedTrace, RequestClass};
-pub use config::{
-    AppConfig, AppConfigBuilder, ClassSpec, ControllerSection, FaultsSection, GatewaySection,
-    SimSection,
-};
+pub use config::{AppConfig, AppConfigBuilder, ClassSpec, GatewaySection, SimSection};
 pub use error::DbatError;
 pub use io::{read_trace, read_trace_auto, write_trace, TraceIoError};
 pub use map::{Map, MapError};
