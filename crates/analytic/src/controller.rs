@@ -5,24 +5,11 @@
 
 use crate::optimizer::optimize_from_interarrivals;
 use dbat_sim::{ConfigGrid, Controller, DecisionContext, DecisionRecord, LambdaConfig, SimParams};
-use dbat_workload::Trace;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-/// One planning interval with the configuration BATCH applies during it.
-#[derive(Clone, Copy, Debug)]
-pub struct PlannedInterval {
-    pub index: usize,
-    pub start: f64,
-    pub end: f64,
-    pub config: LambdaConfig,
-    /// False when fitting failed and the previous configuration was reused.
-    pub refitted: bool,
-    /// Wall-clock spent fitting + solving for this interval.
-    pub solve_time: Duration,
-}
-
-/// BATCH's control loop parameters, plus the closed-loop state the
-/// [`Controller`] implementation tracks between decisions.
+/// BATCH's control loop parameters and the state it carries between
+/// decisions: the configuration in force and which refit interval it was
+/// fitted for.
 #[derive(Clone, Debug)]
 pub struct BatchController {
     pub params: SimParams,
@@ -31,7 +18,6 @@ pub struct BatchController {
     pub percentile: f64,
     /// Re-fit cadence in seconds (the paper uses one hour).
     pub refit_interval: f64,
-    // Closed-loop state (trait-based use only).
     current: Option<LambdaConfig>,
     fitted_idx: Option<usize>,
     last_refit_ok: bool,
@@ -54,68 +40,12 @@ impl BatchController {
             records: Vec::new(),
         }
     }
-
-    /// Plan configurations over the trace. Interval `i` (for `i ≥ 1`) is
-    /// served with the configuration fitted on interval `i − 1`'s data;
-    /// interval 0 bootstraps from its own data (BATCH's warm-up profiling).
-    /// When fitting fails (too few arrivals) the previous configuration is
-    /// carried over.
-    pub fn plan(&self, trace: &Trace) -> Vec<PlannedInterval> {
-        let n = (trace.horizon() / self.refit_interval).ceil() as usize;
-        let mut out = Vec::with_capacity(n);
-        let mut current: Option<LambdaConfig> = None;
-        for i in 0..n {
-            let start = i as f64 * self.refit_interval;
-            let end = (start + self.refit_interval).min(trace.horizon());
-            // Fit window: previous interval, except at bootstrap.
-            let (fs, fe) = if i == 0 {
-                (start, end)
-            } else {
-                (start - self.refit_interval, start)
-            };
-            let t0 = Instant::now();
-            let ia = trace.slice(fs, fe).interarrivals();
-            let solved = optimize_from_interarrivals(
-                &ia,
-                &self.grid,
-                &self.params,
-                self.slo,
-                self.percentile,
-            );
-            let solve_time = t0.elapsed();
-            let (config, refitted) = match solved {
-                Some((best, _)) => (best.config, true),
-                None => (
-                    current.unwrap_or_else(|| LambdaConfig::new(2048, 1, 0.0)),
-                    false,
-                ),
-            };
-            current = Some(config);
-            out.push(PlannedInterval {
-                index: i,
-                start,
-                end,
-                config,
-                refitted,
-                solve_time,
-            });
-        }
-        out
-    }
-
-    /// The configuration active at absolute time `t` under a plan.
-    pub fn config_at(plan: &[PlannedInterval], t: f64) -> Option<LambdaConfig> {
-        plan.iter()
-            .find(|p| t >= p.start && t < p.end)
-            .map(|p| p.config)
-    }
 }
 
-/// Closed-loop BATCH: decisions follow the same schedule as
-/// [`BatchController::plan`] — re-fit at every `refit_interval` boundary on
-/// the previous refit-interval's arrivals (interval 0 profiles its own) —
-/// but driven incrementally by `dbat_sim::run_controller`, so BATCH can be
-/// compared head-to-head with DeepBAT and the fault-injected runs.
+/// Re-fit at every `refit_interval` boundary on the previous refit
+/// interval's arrivals; interval 0 bootstraps from its own data (BATCH's
+/// warm-up profiling). When fitting fails (too few arrivals) the previous
+/// configuration is carried over and the record is marked `fallback`.
 impl Controller for BatchController {
     fn name(&self) -> &'static str {
         "batch"
@@ -181,65 +111,7 @@ impl Controller for BatchController {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dbat_workload::{Map, Rng};
-
-    fn short_trace(rate: f64, horizon: f64) -> Trace {
-        let map = Map::poisson(rate);
-        let mut rng = Rng::new(77);
-        Trace::new(map.simulate(&mut rng, 0.0, horizon), horizon)
-    }
-
-    #[test]
-    fn plan_covers_every_interval() {
-        let mut ctl = BatchController::new(ConfigGrid::tiny(), 0.1);
-        ctl.refit_interval = 60.0;
-        let trace = short_trace(20.0, 300.0);
-        let plan = ctl.plan(&trace);
-        assert_eq!(plan.len(), 5);
-        for (i, p) in plan.iter().enumerate() {
-            assert_eq!(p.index, i);
-            assert!((p.start - i as f64 * 60.0).abs() < 1e-9);
-            assert!(p.refitted, "interval {i} should have fitted");
-        }
-    }
-
-    #[test]
-    fn config_at_lookup() {
-        let mut ctl = BatchController::new(ConfigGrid::tiny(), 0.1);
-        ctl.refit_interval = 60.0;
-        let trace = short_trace(20.0, 180.0);
-        let plan = ctl.plan(&trace);
-        let c = BatchController::config_at(&plan, 70.0).unwrap();
-        assert_eq!(c, plan[1].config);
-        assert!(BatchController::config_at(&plan, 1e9).is_none());
-    }
-
-    #[test]
-    fn closed_loop_matches_offline_plan() {
-        let trace = short_trace(20.0, 300.0);
-        let mut offline = BatchController::new(ConfigGrid::tiny(), 0.1);
-        offline.refit_interval = 60.0;
-        let plan = offline.plan(&trace);
-
-        let mut online = offline.clone();
-        let opts = dbat_sim::SimConfig::builder()
-            .slo(0.1)
-            .decision_interval(30.0)
-            .build()
-            .unwrap();
-        let out = dbat_sim::run_controller(&mut online, &trace, 0.0, 300.0, &opts);
-        assert_eq!(out.records.len(), 10);
-        for rec in &out.records {
-            let expected = BatchController::config_at(&plan, rec.start).unwrap();
-            assert_eq!(
-                rec.config, expected,
-                "closed loop diverged from plan() at t = {}",
-                rec.start
-            );
-            assert!(!rec.fallback);
-        }
-        assert_eq!(online.audit().len(), 10);
-    }
+    use dbat_workload::Trace;
 
     #[test]
     fn sparse_interval_carries_previous_config() {
@@ -249,9 +121,18 @@ mod tests {
         let trace = Trace::new(ts, 180.0);
         let mut ctl = BatchController::new(ConfigGrid::tiny(), 0.1);
         ctl.refit_interval = 60.0;
-        let plan = ctl.plan(&trace);
-        assert!(plan[0].refitted);
-        assert!(!plan[2].refitted, "empty interval cannot refit");
-        assert_eq!(plan[2].config, plan[1].config);
+        let recs: Vec<DecisionRecord> = (0..3)
+            .map(|i| {
+                ctl.decide(&DecisionContext {
+                    trace: &trace,
+                    start: i as f64 * 60.0,
+                    end: (i + 1) as f64 * 60.0,
+                    index: i,
+                })
+            })
+            .collect();
+        assert!(!recs[0].fallback && !recs[1].fallback);
+        assert!(recs[2].fallback, "empty interval cannot refit");
+        assert_eq!(recs[2].config, recs[1].config);
     }
 }

@@ -22,7 +22,7 @@ pub mod model;
 pub mod multiclass;
 pub mod optimizer;
 
-pub use controller::{BatchController, PlannedInterval};
+pub use controller::BatchController;
 pub use fit::{fit_map, fit_to_targets, FitTargets, FittedMap};
 pub use model::{AnalyticEvaluation, BatchModel, WaitStructure};
 pub use multiclass::AnalyticGroupScorer;

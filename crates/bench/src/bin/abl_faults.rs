@@ -28,20 +28,6 @@ fn main() {
     let gamma = estimate_gamma(&model, &first_hour, &s.grid, &s.params, 24, 79);
     println!("gamma = {gamma:.3}");
 
-    // Zero-fault sanity: the fault-capable driver with an inert plan must
-    // be bit-identical to the pre-fault schedule-then-measure pipeline.
-    {
-        let ctl = compare::deepbat(model.clone(), &s, gamma);
-        let (_, explicit) = ctl.run(&model, &trace, w0, w1);
-        let out = compare::run_policy(&mut ctl.clone(), &trace, &s, w0, w1);
-        assert_eq!(out.measurements.len(), explicit.len());
-        for (a, b) in out.measurements.iter().zip(&explicit) {
-            assert_eq!(a.summary.p95.to_bits(), b.summary.p95.to_bits());
-            assert_eq!(a.cost_per_request.to_bits(), b.cost_per_request.to_bits());
-        }
-        println!("zero-fault path: bit-identical to the fault-free pipeline ✓");
-    }
-
     let static_cfg = LambdaConfig::new(2048, 4, 0.05);
     let intensities = [0.0, 0.25, 0.5, 1.0];
     for (i, &level) in intensities.iter().enumerate() {

@@ -4,7 +4,8 @@
 //! fine-tuned 2.27% / 4.65%).
 
 use dbat_bench::{compare, report, ExpSettings};
-use dbat_core::{estimate_gamma, hourly_vcr};
+use dbat_core::estimate_gamma;
+use dbat_sim::hourly_vcr;
 use dbat_workload::{TraceKind, HOUR};
 use std::sync::Arc;
 

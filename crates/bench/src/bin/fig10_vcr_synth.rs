@@ -3,7 +3,8 @@
 //! hours whose predecessor was a poor predictor; DeepBAT stays low).
 
 use dbat_bench::{compare, report, ExpSettings};
-use dbat_core::{estimate_gamma, hourly_vcr};
+use dbat_core::estimate_gamma;
+use dbat_sim::hourly_vcr;
 use dbat_workload::{TraceKind, HOUR};
 use std::sync::Arc;
 

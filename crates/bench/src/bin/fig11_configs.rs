@@ -7,6 +7,7 @@
 
 use dbat_bench::{compare, report, ExpSettings};
 use dbat_core::estimate_gamma;
+use dbat_sim::DecisionRecord;
 use dbat_workload::{TraceKind, HOUR};
 use std::sync::Arc;
 
@@ -21,27 +22,10 @@ fn main() {
     let first_hour = trace.slice(0.0, HOUR.min(trace.horizon()));
     let gamma = estimate_gamma(&model, &first_hour, &s.grid, &s.params, 24, 81);
 
-    let db = compare::schedule_of(&compare::run_policy(
-        &mut compare::deepbat(model, &s, gamma),
-        &trace,
-        &s,
-        w0,
-        w1,
-    ));
-    let bt = compare::schedule_of(&compare::run_policy(
-        &mut compare::batch(&s),
-        &trace,
-        &s,
-        w0,
-        w1,
-    ));
-    let or = compare::schedule_of(&compare::run_policy(
-        &mut compare::oracle(&s),
-        &trace,
-        &s,
-        w0,
-        w1,
-    ));
+    let db =
+        compare::run_policy(&mut compare::deepbat(model, &s, gamma), &trace, &s, w0, w1).records;
+    let bt = compare::run_policy(&mut compare::batch(&s), &trace, &s, w0, w1).records;
+    let or = compare::run_policy(&mut compare::oracle(&s), &trace, &s, w0, w1).records;
 
     report::banner(
         "Fig 11",
@@ -56,16 +40,16 @@ fn main() {
         .zip(&or)
         .map(|((d, b), o)| {
             vec![
-                report::f((d.0 - w0) / 60.0, 0),
-                d.2.memory_mb.to_string(),
-                b.2.memory_mb.to_string(),
-                o.2.memory_mb.to_string(),
-                d.2.batch_size.to_string(),
-                b.2.batch_size.to_string(),
-                o.2.batch_size.to_string(),
-                report::f(d.2.timeout_s * 1e3, 0),
-                report::f(b.2.timeout_s * 1e3, 0),
-                report::f(o.2.timeout_s * 1e3, 0),
+                report::f((d.start - w0) / 60.0, 0),
+                d.config.memory_mb.to_string(),
+                b.config.memory_mb.to_string(),
+                o.config.memory_mb.to_string(),
+                d.config.batch_size.to_string(),
+                b.config.batch_size.to_string(),
+                o.config.batch_size.to_string(),
+                report::f(d.config.timeout_s * 1e3, 0),
+                report::f(b.config.timeout_s * 1e3, 0),
+                report::f(o.config.timeout_s * 1e3, 0),
             ]
         })
         .collect();
@@ -78,16 +62,20 @@ fn main() {
     );
 
     // Agreement score: how often each policy lands on the oracle's choice.
-    let agree = |sched: &[dbat_core::ScheduleEntry]| {
-        let hits = sched.iter().zip(&or).filter(|(a, o)| a.2 == o.2).count();
+    let agree = |sched: &[DecisionRecord]| {
+        let hits = sched
+            .iter()
+            .zip(&or)
+            .filter(|(a, o)| a.config == o.config)
+            .count();
         hits as f64 / or.len().max(1) as f64 * 100.0
     };
     // Distance in grid steps is more informative than exact hits.
-    let mem_dev = |sched: &[dbat_core::ScheduleEntry]| {
+    let mem_dev = |sched: &[DecisionRecord]| {
         sched
             .iter()
             .zip(&or)
-            .map(|(a, o)| (a.2.memory_mb as f64 - o.2.memory_mb as f64).abs())
+            .map(|(a, o)| (a.config.memory_mb as f64 - o.config.memory_mb as f64).abs())
             .sum::<f64>()
             / or.len().max(1) as f64
     };

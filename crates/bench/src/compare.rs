@@ -8,17 +8,14 @@ use dbat_analytic::BatchController;
 use dbat_core::{DeepBatController, Surrogate};
 use dbat_sim::{
     run_controller, Controller, FaultPlan, IntervalMeasurement, LambdaConfig, OracleController,
-    RunOutcome, ScheduleEntry, SimConfig, StaticController,
+    RunOutcome, SimConfig, StaticController,
 };
 use dbat_workload::Trace;
 use std::sync::Arc;
 
-/// DeepBAT as a closed-loop policy (decisions every
-/// `settings.decision_interval`, SLO-feasibility tightened by `gamma`).
+/// DeepBAT as a closed-loop policy (SLO-feasibility tightened by `gamma`).
 pub fn deepbat(model: Arc<Surrogate>, s: &ExpSettings, gamma: f64) -> DeepBatController {
     let mut ctl = DeepBatController::new(s.grid.clone(), s.slo);
-    ctl.params = s.params;
-    ctl.decision_interval = s.decision_interval;
     ctl.optimizer.percentile = s.percentile;
     ctl.optimizer.gamma = gamma;
     ctl.with_model(model)
@@ -68,8 +65,7 @@ pub fn sim_config_faulted(s: &ExpSettings, faults: FaultPlan) -> SimConfig {
 }
 
 /// Drive any policy over `[t0, t1)` of the trace and measure every
-/// decision interval. Fault-free; bit-identical to the pre-trait
-/// schedule-then-measure pipeline.
+/// decision interval. Fault-free.
 pub fn run_policy(
     ctl: &mut dyn Controller,
     trace: &Trace,
@@ -92,20 +88,11 @@ pub fn run_policy_faulted(
     run_controller(ctl, trace, t0, t1, &sim_config_faulted(s, faults))
 }
 
-/// The applied-configuration schedule of a finished run (for the
-/// per-interval configuration figures).
-pub fn schedule_of(out: &RunOutcome) -> Vec<ScheduleEntry> {
-    out.records
-        .iter()
-        .map(|r| (r.start, r.end, r.config))
-        .collect()
-}
-
 /// Aggregate a measurement set into a summary row:
 /// [label, intervals, VCR %, mean p95 ms, mean cost µ$/req].
 pub fn summary_row(label: &str, ms: &[IntervalMeasurement]) -> Vec<String> {
     let n = ms.len().max(1) as f64;
-    let vcr = dbat_core::vcr_of(ms);
+    let vcr = dbat_sim::vcr_of(ms);
     let mean_p95 = ms.iter().map(|m| m.summary.p95).sum::<f64>() / n;
     // Cost per request aggregated over all requests (not per-interval mean).
     let total_cost: f64 = ms
@@ -183,7 +170,6 @@ mod tests {
             out.measurements.iter().all(|m| !m.violation),
             "oracle violated its own SLO"
         );
-        assert_eq!(schedule_of(&out).len(), 4);
     }
 
     #[test]

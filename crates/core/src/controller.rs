@@ -1,47 +1,38 @@
-//! The online DeepBAT control loop (Fig. 2), now speaking the workspace's
-//! unified [`Controller`] trait, plus the graceful-degradation wrapper
-//! that guards any policy with a [`HealthMonitor`].
+//! The online DeepBAT control loop (Fig. 2) as a [`Controller`], plus the
+//! graceful-degradation wrapper that guards any policy with a
+//! [`HealthMonitor`].
 //!
-//! The shared measurement machinery (`IntervalMeasurement`,
-//! `DecisionRecord`, `measure_schedule`, VCR aggregation, the generic
-//! closed-loop driver) lives in `dbat_sim::controller` so that the
+//! The trait, the records and the closed-loop driver
+//! (`dbat_sim::run_controller`) live in `dbat_sim::controller` so that the
 //! analytic BATCH baseline can implement the same trait without a crate
-//! cycle; everything is re-exported here so existing `deepbat::core::*`
-//! paths keep working.
+//! cycle.
 
 use crate::drift::{HealthMonitor, WindowStats};
 use crate::optimizer::DeepBatOptimizer;
 use crate::surrogate::Surrogate;
-use crate::traindata::{label, window_to_arrivals};
-use dbat_sim::{simulate_batching, ConfigGrid, LambdaConfig, SimParams};
+use crate::traindata::label;
+use dbat_sim::{
+    ConfigGrid, Controller, DecisionContext, DecisionRecord, IntervalMeasurement, LambdaConfig,
+    SimParams,
+};
 use dbat_workload::{sample_windows, window_at_time, Rng, Trace};
 use serde::Serialize;
 use std::sync::Arc;
 
-pub use dbat_sim::controller::{
-    hourly_vcr, measure_schedule, record_sim_trace, run_controller, vcr_of, Controller,
-    DecisionContext, DecisionRecord, IntervalMeasurement, OracleController, RunOutcome,
-    ScheduleEntry, StaticController,
-};
-
-/// The DeepBAT control loop: every `decision_interval` seconds, read the
-/// most recent window from the trace, run the surrogate-driven optimizer,
-/// and apply the chosen configuration until the next decision.
-///
-/// The explicit-model methods ([`DeepBatController::schedule`],
-/// [`DeepBatController::run_audited`], …) take the surrogate as an
-/// argument; to drive it through the generic [`Controller`] trait instead,
-/// attach the model once with [`DeepBatController::with_model`].
+/// The DeepBAT policy: asked once per decision interval, it reads the most
+/// recent window of the arrivals observed so far (the Workload Parser,
+/// [`window_at_time`]) and runs the surrogate-driven optimizer on it. The
+/// surrogate is attached once with [`DeepBatController::with_model`].
 #[derive(Clone)]
 pub struct DeepBatController {
     pub optimizer: DeepBatOptimizer,
-    pub params: SimParams,
-    /// Seconds between re-optimisations.
+    /// Unread: the driver's `SimConfig::decision_interval` sets the
+    /// cadence. Kept only because `benchmark/` assigns it.
     pub decision_interval: f64,
-    /// Configuration used before the parser warms up.
+    /// Configuration used until `seq_len` inter-arrivals have been observed.
     pub bootstrap: LambdaConfig,
-    /// The surrogate consulted by the trait-based closed loop (`None`
-    /// until [`DeepBatController::with_model`]).
+    /// The surrogate `decide` consults (`None` until
+    /// [`DeepBatController::with_model`]).
     model: Option<Arc<Surrogate>>,
     records: Vec<DecisionRecord>,
 }
@@ -62,7 +53,6 @@ impl DeepBatController {
     pub fn new(grid: ConfigGrid, slo: f64) -> Self {
         DeepBatController {
             optimizer: DeepBatOptimizer::new(grid, slo),
-            params: SimParams::default(),
             decision_interval: 60.0,
             bootstrap: LambdaConfig::new(3008, 1, 0.0),
             model: None,
@@ -75,188 +65,6 @@ impl DeepBatController {
         self.model = Some(model);
         self
     }
-
-    /// One decision: what the controller would choose for
-    /// `[start, end)` given the trace so far.
-    fn decide_at(
-        &self,
-        model: &Surrogate,
-        trace: &Trace,
-        index: usize,
-        start: f64,
-        end: f64,
-    ) -> DecisionRecord {
-        let t_decide = std::time::Instant::now();
-        let l = model.cfg.seq_len;
-        let mut rec = match window_at_time(trace, start, l, 1.0) {
-            Some(w) => {
-                let decision = self.optimizer.choose(model, &w.interarrivals);
-                let mut rec = DecisionRecord::new(
-                    index,
-                    start,
-                    end,
-                    decision.chosen.config,
-                    self.optimizer.slo,
-                    self.optimizer.percentile,
-                );
-                rec.window_len = w.interarrivals.len();
-                rec.window_stats = Some(WindowStats::from_window(&w.interarrivals));
-                rec.grid_size = self.optimizer.grid.len();
-                rec.fallback = decision.fallback;
-                rec.predicted_percentiles = Some(decision.chosen.percentiles);
-                rec.predicted_cost_micro = Some(decision.chosen.cost_micro);
-                rec.infer_s = decision.infer_s;
-                rec
-            }
-            None => {
-                let mut rec = DecisionRecord::new(
-                    index,
-                    start,
-                    end,
-                    self.bootstrap,
-                    self.optimizer.slo,
-                    self.optimizer.percentile,
-                );
-                rec.bootstrap = true;
-                rec.grid_size = self.optimizer.grid.len();
-                rec
-            }
-        };
-        rec.decide_s = t_decide.elapsed().as_secs_f64();
-        let t = dbat_telemetry::global();
-        if t.is_enabled() {
-            t.histogram("controller.decide_s").record(rec.decide_s);
-        }
-        rec
-    }
-
-    /// Build the configuration schedule over `[t0, t1)` of the trace.
-    pub fn schedule(
-        &self,
-        model: &Surrogate,
-        trace: &Trace,
-        t0: f64,
-        t1: f64,
-    ) -> Vec<ScheduleEntry> {
-        self.schedule_audited(model, trace, t0, t1).0
-    }
-
-    /// Like [`DeepBatController::schedule`], but also return one
-    /// [`DecisionRecord`] per decision interval capturing what the
-    /// controller saw and chose. Measurement fields are `None`/0 here;
-    /// [`DeepBatController::run_audited`] fills them in.
-    pub fn schedule_audited(
-        &self,
-        model: &Surrogate,
-        trace: &Trace,
-        t0: f64,
-        t1: f64,
-    ) -> (Vec<ScheduleEntry>, Vec<DecisionRecord>) {
-        let mut entries = Vec::new();
-        let mut records = Vec::new();
-        let mut t = t0;
-        while t < t1 {
-            let end = (t + self.decision_interval).min(t1);
-            let record = self.decide_at(model, trace, entries.len(), t, end);
-            entries.push((t, end, record.config));
-            records.push(record);
-            t = end;
-        }
-        (entries, records)
-    }
-
-    /// Arrival-count-triggered variant (§III-A: DeepBAT "can work either as
-    /// discrete-time control … or after an accumulation of inference
-    /// requests"): re-optimise after every `every_n` arrivals instead of on
-    /// a wall-clock cadence. Decision boundaries therefore densify exactly
-    /// when traffic intensifies.
-    pub fn schedule_by_arrivals(
-        &self,
-        model: &Surrogate,
-        trace: &Trace,
-        t0: f64,
-        t1: f64,
-        every_n: usize,
-    ) -> Vec<ScheduleEntry> {
-        assert!(every_n >= 1);
-        let l = model.cfg.seq_len;
-        let ts = trace.timestamps();
-        let mut out = Vec::new();
-        let mut t = t0;
-        let mut idx = trace.lower_bound(t0);
-        while t < t1 {
-            let config = match window_at_time(trace, t, l, 1.0) {
-                Some(w) => self.optimizer.choose(model, &w.interarrivals).chosen.config,
-                None => self.bootstrap,
-            };
-            // Next decision: after `every_n` further arrivals (or t1).
-            idx = (idx + every_n).min(ts.len());
-            let end = if idx >= ts.len() { t1 } else { ts[idx].min(t1) };
-            let end = if end <= t { t1 } else { end };
-            out.push((t, end, config));
-            t = end;
-        }
-        out
-    }
-
-    /// Schedule then measure in one call.
-    pub fn run(
-        &self,
-        model: &Surrogate,
-        trace: &Trace,
-        t0: f64,
-        t1: f64,
-    ) -> (Vec<ScheduleEntry>, Vec<IntervalMeasurement>) {
-        let schedule = self.schedule(model, trace, t0, t1);
-        let measured = measure_schedule(
-            trace,
-            &schedule,
-            &self.params,
-            self.optimizer.slo,
-            self.optimizer.percentile,
-        );
-        (schedule, measured)
-    }
-
-    /// Schedule, measure, and merge into the full audit trail: one
-    /// [`DecisionRecord`] per decision interval with both the controller's
-    /// predictions and the ground-truth measurements. Each completed
-    /// record is emitted as a `controller.decision` telemetry event.
-    pub fn run_audited(
-        &self,
-        model: &Surrogate,
-        trace: &Trace,
-        t0: f64,
-        t1: f64,
-    ) -> (Vec<IntervalMeasurement>, Vec<DecisionRecord>) {
-        let (schedule, mut records) = self.schedule_audited(model, trace, t0, t1);
-        let measured = measure_schedule(
-            trace,
-            &schedule,
-            &self.params,
-            self.optimizer.slo,
-            self.optimizer.percentile,
-        );
-        // `measure_schedule` skips empty intervals, so join on start time
-        // rather than position.
-        let mut mi = measured.iter().peekable();
-        for rec in &mut records {
-            if let Some(m) = mi.peek() {
-                if m.start == rec.start {
-                    rec.record_measurement(m);
-                    mi.next();
-                }
-            }
-        }
-        let t = dbat_telemetry::global();
-        if t.is_enabled() {
-            for rec in &records {
-                t.emit("controller.decision", serde_json::to_value(rec));
-            }
-            t.flush();
-        }
-        (measured, records)
-    }
 }
 
 impl Controller for DeepBatController {
@@ -265,10 +73,38 @@ impl Controller for DeepBatController {
     }
 
     fn decide(&mut self, ctx: &DecisionContext<'_>) -> DecisionRecord {
-        let model = self.model.clone().expect(
+        let t_decide = std::time::Instant::now();
+        let model = self.model.as_deref().expect(
             "DeepBatController: attach a surrogate with with_model() before closed-loop use",
         );
-        self.decide_at(&model, ctx.trace, ctx.index, ctx.start, ctx.end)
+        let mut rec = DecisionRecord::new(
+            ctx.index,
+            ctx.start,
+            ctx.end,
+            self.bootstrap,
+            self.optimizer.slo,
+            self.optimizer.percentile,
+        );
+        rec.grid_size = self.optimizer.grid.len();
+        match window_at_time(ctx.trace, ctx.start, model.cfg.seq_len, 1.0) {
+            Some(w) => {
+                let decision = self.optimizer.choose(model, &w.interarrivals);
+                rec.config = decision.chosen.config;
+                rec.window_len = w.interarrivals.len();
+                rec.window_stats = Some(WindowStats::from_window(&w.interarrivals));
+                rec.fallback = decision.fallback;
+                rec.predicted_percentiles = Some(decision.chosen.percentiles);
+                rec.predicted_cost_micro = Some(decision.chosen.cost_micro);
+                rec.infer_s = decision.infer_s;
+            }
+            None => rec.bootstrap = true,
+        }
+        rec.decide_s = t_decide.elapsed().as_secs_f64();
+        let t = dbat_telemetry::global();
+        if t.is_enabled() {
+            t.histogram("controller.decide_s").record(rec.decide_s);
+        }
+        rec
     }
 
     fn audit(&self) -> &[DecisionRecord] {
@@ -449,25 +285,11 @@ pub fn estimate_gamma(
     }
 }
 
-/// Convenience: simulate one window's arrivals under one config and report
-/// whether the p-percentile latency violates the SLO (used in tests and the
-/// per-window VCR figures).
-pub fn window_violates(
-    window: &[f64],
-    config: &LambdaConfig,
-    params: &SimParams,
-    slo: f64,
-    percentile: f64,
-) -> bool {
-    let arrivals = window_to_arrivals(window);
-    let sim = simulate_batching(&arrivals, config, params, None);
-    sim.summary().percentile(percentile) > slo
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::surrogate::{Surrogate, SurrogateConfig};
+    use crate::surrogate::SurrogateConfig;
+    use dbat_sim::StaticController;
     use dbat_workload::Map;
 
     fn trace() -> Trace {
@@ -478,77 +300,6 @@ mod tests {
 
     fn model() -> Surrogate {
         Surrogate::new(SurrogateConfig::tiny(), 2)
-    }
-
-    #[test]
-    fn controller_schedule_spans_range() {
-        let tr = trace();
-        let ctl = DeepBatController::new(ConfigGrid::tiny(), 0.1);
-        let m = model();
-        let schedule = ctl.schedule(&m, &tr, 0.0, 300.0);
-        assert_eq!(schedule.len(), 5);
-        assert_eq!(schedule[0].0, 0.0);
-        assert_eq!(schedule[4].1, 300.0);
-        // The first decision at t = 0 has no history: bootstrap config.
-        assert_eq!(schedule[0].2, ctl.bootstrap);
-        // Later decisions come from the optimizer over the tiny grid.
-        for &(_, _, c) in &schedule[1..] {
-            assert!(ctl.optimizer.grid.configs().contains(&c));
-        }
-    }
-
-    #[test]
-    fn arrival_triggered_schedule_covers_and_densifies() {
-        let tr = trace();
-        let ctl = DeepBatController::new(ConfigGrid::tiny(), 0.1);
-        let m = model();
-        let sched = ctl.schedule_by_arrivals(&m, &tr, 0.0, 200.0, 500);
-        // Coverage: contiguous, spans [0, 200).
-        assert_eq!(sched.first().unwrap().0, 0.0);
-        assert_eq!(sched.last().unwrap().1, 200.0);
-        for w in sched.windows(2) {
-            assert_eq!(w[0].1, w[1].0, "schedule must be contiguous");
-        }
-        // At ~30 req/s, 500-arrival periods last ~16.7 s each.
-        let n_expected = (tr.count_in(0.0, 200.0) / 500).max(1);
-        assert!(
-            (sched.len() as i64 - n_expected as i64).unsigned_abs() <= 2,
-            "{} entries vs ~{n_expected} expected",
-            sched.len()
-        );
-        // Every interval's requests are measured exactly once.
-        let ms = measure_schedule(&tr, &sched, &SimParams::default(), 0.1, 95.0);
-        let total: usize = ms.iter().map(|x| x.requests).sum();
-        assert_eq!(total, tr.count_in(0.0, 200.0));
-    }
-
-    #[test]
-    fn run_produces_measurements() {
-        let tr = trace();
-        let ctl = DeepBatController::new(ConfigGrid::tiny(), 0.1);
-        let (schedule, measured) = ctl.run(&model(), &tr, 0.0, 240.0);
-        assert_eq!(schedule.len(), measured.len());
-        let v = vcr_of(&measured);
-        assert!((0.0..=100.0).contains(&v));
-    }
-
-    #[test]
-    fn trait_run_matches_explicit_model_run() {
-        let tr = trace();
-        let m = Arc::new(model());
-        let ctl = DeepBatController::new(ConfigGrid::tiny(), 0.1);
-        let (_, explicit) = ctl.run(&m, &tr, 0.0, 240.0);
-
-        let mut generic = ctl.clone().with_model(m.clone());
-        let opts = dbat_sim::SimConfig::new(0.1);
-        let out = run_controller(&mut generic, &tr, 0.0, 240.0, &opts);
-        assert_eq!(out.measurements.len(), explicit.len());
-        for (a, b) in out.measurements.iter().zip(&explicit) {
-            assert_eq!(a.config, b.config);
-            assert_eq!(a.summary.p95.to_bits(), b.summary.p95.to_bits());
-            assert_eq!(a.cost_per_request.to_bits(), b.cost_per_request.to_bits());
-        }
-        assert_eq!(generic.audit().len(), 4);
     }
 
     #[test]
@@ -658,20 +409,5 @@ mod tests {
         );
         assert!(g.is_finite());
         assert!(g >= 0.0);
-    }
-
-    #[test]
-    fn window_violates_consistency() {
-        let w = vec![0.01; 32];
-        let fast = LambdaConfig::new(3008, 1, 0.0);
-        assert!(!window_violates(
-            &w,
-            &fast,
-            &SimParams::default(),
-            0.1,
-            95.0
-        ));
-        let slow = LambdaConfig::new(512, 32, 5.0);
-        assert!(window_violates(&w, &slow, &SimParams::default(), 0.1, 95.0));
     }
 }

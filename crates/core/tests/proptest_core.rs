@@ -1,6 +1,6 @@
 //! Property-based tests for DeepBAT's components.
 
-use dbat_core::{label, window_to_arrivals, Buffer, WorkloadParser};
+use dbat_core::{label, window_to_arrivals};
 use dbat_sim::{LambdaConfig, SimParams};
 use proptest::prelude::*;
 
@@ -44,51 +44,6 @@ proptest! {
         let min_service = SimParams::default().profile.service_time(cfg.memory_mb, 1)
             .min(SimParams::default().profile.service_time(cfg.memory_mb, cfg.batch_size));
         prop_assert!(s.target[1] >= min_service - 1e-9);
-    }
-
-    #[test]
-    fn parser_window_always_right_length(ts in prop::collection::vec(0.0f64..100.0, 1..50), l in 1usize..16) {
-        let mut sorted = ts;
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let mut p = WorkloadParser::new(l);
-        p.observe_all(&sorted);
-        let w = p.window().unwrap();
-        prop_assert_eq!(w.len(), l);
-        prop_assert!(w.iter().all(|&x| x >= 0.0));
-    }
-
-    #[test]
-    fn buffer_conserves_requests(w in window(), cfg in config()) {
-        let arrivals = window_to_arrivals(&w);
-        let mut buffer = Buffer::from_config(&cfg);
-        let mut released = 0usize;
-        for (id, &t) in arrivals.iter().enumerate() {
-            if let Some(b) = buffer.poll(t) {
-                released += b.requests.len();
-            }
-            if let Some(b) = buffer.push(id as u64, t) {
-                released += b.requests.len();
-            }
-        }
-        if let Some(b) = buffer.flush(*arrivals.last().unwrap() + 1.0) {
-            released += b.requests.len();
-        }
-        prop_assert_eq!(released, arrivals.len());
-        prop_assert!(buffer.is_empty());
-    }
-
-    #[test]
-    fn buffer_batches_never_exceed_limit(w in window(), cfg in config()) {
-        let arrivals = window_to_arrivals(&w);
-        let mut buffer = Buffer::from_config(&cfg);
-        for (id, &t) in arrivals.iter().enumerate() {
-            if let Some(b) = buffer.poll(t) {
-                prop_assert!(b.requests.len() as u32 <= cfg.batch_size);
-            }
-            if let Some(b) = buffer.push(id as u64, t) {
-                prop_assert!(b.requests.len() as u32 <= cfg.batch_size);
-            }
-        }
     }
 
     #[test]

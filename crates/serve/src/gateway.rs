@@ -761,11 +761,6 @@ impl Gateway {
         self.shared.lanes.len()
     }
 
-    /// Batches claimed by a worker from a non-home lane so far.
-    pub fn steals(&self) -> u64 {
-        self.shared.steals.load(Ordering::Relaxed)
-    }
-
     /// Offer one request. Grouped gateways route by `req.class` to the
     /// owning group's lane; homogeneous gateways round-robin per thread,
     /// so concurrent submitters spread across lanes. A class no group

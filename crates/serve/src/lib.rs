@@ -41,7 +41,7 @@
 //!   [`dbat_sim::simulate_batching`] under the profiled backend
 //!   (any lane count; `lanes = 1` is the anchored configuration).
 //! * [`loadgen`] — open-loop trace replay against a live gateway, plus
-//!   a multi-producer concurrent driver for admission throughput.
+//!   a multi-producer flat-out driver for the concurrency tests.
 //! * [`scripted`] — a controller replaying a fixed configuration script
 //!   (predetermined reconfigurations for tests and ablations).
 //! * [`tokens`] — [`ContinuousBackend`]: the continuous-batching token
@@ -68,9 +68,7 @@ pub use clock::{Clock, VirtualClock, WallClock};
 /// keep one import path.
 pub use dbat_sim::window::{Admitted, BatcherCore, FlushReason, FormedBatch};
 pub use gateway::{Admission, BackpressurePolicy, DrainMode, Gateway, GatewayConfig, Request};
-pub use loadgen::{
-    drive, drive_classed, drive_concurrent, ConcurrentLoadStats, LaneAssignment, LoadStats,
-};
+pub use loadgen::{drive, drive_classed, drive_concurrent, LaneAssignment, LoadStats};
 pub use outcome::{ServeCounts, ServeOutcome, ServedBatch, ServedRequest};
 pub use replay::VirtualGateway;
 pub use scripted::ScriptedController;

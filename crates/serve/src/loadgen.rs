@@ -15,7 +15,6 @@
 use crate::clock::precise_timers;
 use crate::gateway::{Admission, Gateway, Request};
 use dbat_workload::ClassedTrace;
-use std::time::{Duration, Instant};
 
 /// Tally of one load-generation run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -87,84 +86,28 @@ pub enum LaneAssignment {
     Pinned,
 }
 
-/// Tally of one multi-producer drive, with enough timing to report
-/// admission overhead and open-loop throughput.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct ConcurrentLoadStats {
-    pub submitted: u64,
-    pub accepted: u64,
-    pub rejected: u64,
-    pub closed: u64,
-    /// Wall seconds from first to last submission, across all producers.
-    pub elapsed_s: f64,
-    /// Wall nanoseconds spent *inside* `submit` calls, summed over
-    /// producers (pacing sleeps excluded).
-    pub submit_ns: u64,
-}
-
-impl ConcurrentLoadStats {
-    /// Offered throughput in requests per minute.
-    pub fn rate_per_min(&self) -> f64 {
-        if self.elapsed_s <= 0.0 {
-            0.0
-        } else {
-            self.submitted as f64 / self.elapsed_s * 60.0
-        }
-    }
-
-    /// Mean admission overhead per submission, nanoseconds.
-    pub fn ns_per_submit(&self) -> f64 {
-        self.submit_ns as f64 / self.submitted.max(1) as f64
-    }
-
-    fn absorb(&mut self, o: &ConcurrentLoadStats) {
-        self.submitted += o.submitted;
-        self.accepted += o.accepted;
-        self.rejected += o.rejected;
-        self.closed += o.closed;
-        self.submit_ns += o.submit_ns;
-    }
-}
-
 /// Drive the gateway from `producers` concurrent threads, each offering
-/// `per_producer` requests. `interval` paces each producer open-loop on
-/// an absolute wall-clock schedule (a producer that falls behind does
-/// not stretch the schedule — it submits late and catches up, like a
-/// real open-loop generator); `None` submits flat out, measuring the
-/// admission plane's saturation throughput. Producers never wait for
-/// responses; rejected submissions are counted and dropped.
+/// `per_producer` requests flat out. Producers never wait for responses;
+/// rejected submissions are counted and dropped.
 pub fn drive_concurrent(
     gateway: &Gateway,
     producers: usize,
     per_producer: u64,
-    interval: Option<Duration>,
     lanes: LaneAssignment,
-) -> ConcurrentLoadStats {
+) -> LoadStats {
     assert!(producers >= 1, "need at least one producer");
-    let started = Instant::now();
-    let mut total = ConcurrentLoadStats::default();
+    let mut total = LoadStats::default();
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..producers)
             .map(|p| {
                 scope.spawn(move || {
-                    precise_timers();
-                    let mut stats = ConcurrentLoadStats::default();
-                    let origin = Instant::now();
-                    for i in 0..per_producer {
-                        if let Some(step) = interval {
-                            let target = origin + step * i as u32;
-                            let now = Instant::now();
-                            if target > now {
-                                std::thread::sleep(target - now);
-                            }
-                        }
+                    let mut stats = LoadStats::default();
+                    for _ in 0..per_producer {
                         stats.submitted += 1;
-                        let t0 = Instant::now();
                         let adm = match lanes {
                             LaneAssignment::RoundRobin => gateway.submit(Request::default()),
                             LaneAssignment::Pinned => gateway.submit_to(p, Request::default()),
                         };
-                        stats.submit_ns += t0.elapsed().as_nanos() as u64;
                         match adm {
                             Admission::Accepted { .. } => stats.accepted += 1,
                             Admission::Rejected { .. } => stats.rejected += 1,
@@ -179,10 +122,13 @@ pub fn drive_concurrent(
             })
             .collect();
         for h in handles {
-            total.absorb(&h.join().expect("producer thread panicked"));
+            let o = h.join().expect("producer thread panicked");
+            total.submitted += o.submitted;
+            total.accepted += o.accepted;
+            total.rejected += o.rejected;
+            total.closed += o.closed;
         }
     });
-    total.elapsed_s = started.elapsed().as_secs_f64();
     total
 }
 
@@ -270,11 +216,10 @@ mod tests {
             Arc::new(WallClock::with_speedup(100.0)),
             Arc::new(ProfiledBackend::default()),
         );
-        let stats = drive_concurrent(&gw, 4, 100, None, LaneAssignment::Pinned);
+        let stats = drive_concurrent(&gw, 4, 100, LaneAssignment::Pinned);
         assert_eq!(stats.submitted, 400);
         assert_eq!(stats.accepted, 400);
         assert_eq!(stats.rejected + stats.closed, 0);
-        assert!(stats.ns_per_submit() > 0.0);
         let out = gw.shutdown(DrainMode::Graceful);
         assert_eq!(out.counts.completed, 400);
         assert!(out.counts.conserved());

@@ -8,11 +8,9 @@
 //! `sim → {analytic, core}`: `dbat-analytic` cannot depend on `dbat-core`
 //! (core dev-depends on analytic), so the only crate both can name is
 //! this one. The shared measurement machinery (`IntervalMeasurement`,
-//! `DecisionRecord`, `measure_schedule`, VCR aggregation) moved here from
-//! `dbat-core` for the same reason; `dbat-core` re-exports them so
-//! existing paths keep working.
+//! `DecisionRecord`, VCR aggregation) lives here for the same reason.
 
-use crate::batching::{simulate_batching, SimOutcome, SimParams};
+use crate::batching::{SimOutcome, SimParams};
 use crate::config::{LambdaConfig, SimConfig};
 use crate::faults::{simulate_faults, FaultCounts};
 use crate::metrics::LatencySummary;
@@ -20,9 +18,6 @@ use crate::sweep::ground_truth;
 use dbat_telemetry::{FlushKind, SpanId, TraceConfig, TraceEvent, TraceId, TraceStage, Tracer};
 use dbat_workload::{Trace, WindowStats};
 use serde::{Deserialize, Serialize};
-
-/// A configuration active over `[start, end)`.
-pub type ScheduleEntry = (f64, f64, LambdaConfig);
 
 /// Measured outcome of serving one interval of the trace with one config.
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
@@ -363,37 +358,6 @@ impl Controller for OracleController {
     }
 }
 
-/// Replay a schedule against the trace: each interval's arrivals are served
-/// with that interval's configuration by the ground-truth simulator.
-/// Empty intervals are skipped (they can neither cost nor violate).
-pub fn measure_schedule(
-    trace: &Trace,
-    schedule: &[ScheduleEntry],
-    params: &SimParams,
-    slo: f64,
-    percentile: f64,
-) -> Vec<IntervalMeasurement> {
-    let mut out = Vec::with_capacity(schedule.len());
-    for &(start, end, config) in schedule {
-        let slice = trace.slice(start, end.min(trace.horizon()));
-        if slice.is_empty() {
-            continue;
-        }
-        let t_wall = std::time::Instant::now();
-        let sim = simulate_batching(slice.timestamps(), &config, params, None);
-        out.push(IntervalMeasurement::new(
-            (start, end),
-            config,
-            sim.summary(),
-            sim.cost_per_request(),
-            sim.requests.len(),
-            (slo, percentile),
-            t_wall.elapsed().as_secs_f64(),
-        ));
-    }
-    out
-}
-
 /// VCR (Eq. 11) over a set of interval measurements.
 pub fn vcr_of(measurements: &[IntervalMeasurement]) -> f64 {
     let flags: Vec<bool> = measurements.iter().map(|m| m.violation).collect();
@@ -596,9 +560,7 @@ pub(crate) fn drive_intervals<C: Controller + ?Sized>(
 /// With faults enabled, each interval runs under a sub-seeded copy of the
 /// plan (seed ⊕ index·φ) so the whole run is reproducible yet intervals
 /// draw independent fault streams; an interval that loses requests counts
-/// as violated regardless of its latency percentile. With the inert
-/// default plan this path is bit-identical to
-/// [`measure_schedule`] over the same schedule.
+/// as violated regardless of its latency percentile.
 pub fn run_controller<C: Controller + ?Sized>(
     ctl: &mut C,
     trace: &Trace,
@@ -662,6 +624,7 @@ pub fn run_controller<C: Controller + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batching::simulate_batching;
     use crate::config::ConfigGrid;
     use crate::faults::{FailureFault, FaultPlan};
     use dbat_workload::{Map, Rng};
@@ -670,24 +633,6 @@ mod tests {
         let map = Map::poisson(30.0);
         let mut rng = Rng::new(4);
         Trace::new(map.simulate(&mut rng, 0.0, 600.0), 600.0)
-    }
-
-    #[test]
-    fn measure_schedule_covers_intervals() {
-        let tr = trace();
-        let cfg = LambdaConfig::new(2048, 4, 0.05);
-        let schedule: Vec<ScheduleEntry> = (0..10)
-            .map(|i| (i as f64 * 60.0, (i + 1) as f64 * 60.0, cfg))
-            .collect();
-        let m = measure_schedule(&tr, &schedule, &SimParams::default(), 0.1, 95.0);
-        assert_eq!(m.len(), 10);
-        let total_requests: usize = m.iter().map(|x| x.requests).sum();
-        assert_eq!(total_requests, tr.len());
-        for x in &m {
-            assert!(x.cost_per_request > 0.0);
-            assert_eq!(x.violation, x.summary.p95 > 0.1);
-            assert_eq!(x.lost, 0);
-        }
     }
 
     #[test]
@@ -783,27 +728,6 @@ mod tests {
         assert_eq!(v.len(), 2);
         assert!((v[0] - 50.0).abs() < 1e-12);
         assert_eq!(v[1], 0.0);
-    }
-
-    #[test]
-    fn static_controller_faultless_run_matches_measure_schedule() {
-        let tr = trace();
-        let cfg = LambdaConfig::new(2048, 4, 0.05);
-        let mut ctl = StaticController::new(cfg, 0.1);
-        let out = run_controller(&mut ctl, &tr, 0.0, 300.0, &SimConfig::new(0.1));
-        let schedule: Vec<ScheduleEntry> = (0..5)
-            .map(|i| (i as f64 * 60.0, (i + 1) as f64 * 60.0, cfg))
-            .collect();
-        let base = measure_schedule(&tr, &schedule, &SimParams::default(), 0.1, 95.0);
-        assert_eq!(out.measurements.len(), base.len());
-        for (a, b) in out.measurements.iter().zip(&base) {
-            assert_eq!(a.summary.p95.to_bits(), b.summary.p95.to_bits());
-            assert_eq!(a.cost_per_request.to_bits(), b.cost_per_request.to_bits());
-            assert_eq!(a.violation, b.violation);
-        }
-        assert_eq!(out.counts, FaultCounts::default());
-        assert_eq!(ctl.audit().len(), 5);
-        assert!(ctl.audit().iter().all(|r| r.measured.is_some()));
     }
 
     #[test]

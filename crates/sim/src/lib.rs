@@ -56,9 +56,8 @@ pub use config::{
     ConfigGrid, LambdaConfig, SimConfig, SimConfigBuilder, MEMORY_MAX_MB, MEMORY_MIN_MB,
 };
 pub use controller::{
-    hourly_vcr, measure_schedule, record_sim_trace, run_controller, vcr_of, Controller,
-    DecisionContext, DecisionRecord, IntervalMeasurement, OracleController, RunOutcome,
-    ScheduleEntry, StaticController,
+    hourly_vcr, record_sim_trace, run_controller, vcr_of, Controller, DecisionContext,
+    DecisionRecord, IntervalMeasurement, OracleController, RunOutcome, StaticController,
 };
 pub use faults::{
     simulate_faults, ColdStartFault, FailureFault, FaultCounts, FaultEvent, FaultPlan,

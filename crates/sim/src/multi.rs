@@ -808,4 +808,26 @@ mod tests {
         assert_eq!(joint.groups.len(), 1, "equal SLOs should merge");
         assert_eq!(joint.groups[0].classes.len(), 2);
     }
+
+    #[test]
+    fn oracle_scorer_reads_percentile_on_the_0_100_scale() {
+        // `LatencySummary::percentile` takes [0, 100] and clamps anything
+        // ≤ 50 to p50, so a scorer handed the fraction 0.95 scores p50.
+        let cfg = LambdaConfig::new(2048, 8, 0.05);
+        let trace = dense(700, 0.004);
+        let mut scorer = OracleGroupScorer {
+            grid: ConfigGrid {
+                memories_mb: vec![cfg.memory_mb],
+                batch_sizes: vec![cfg.batch_size],
+                timeouts_s: vec![cfg.timeout_s],
+            },
+            params: SimParams::default(),
+            percentile: 95.0,
+        };
+        let scores = scorer.sweep(trace.timestamps());
+        let summary = crate::sweep::evaluate(trace.timestamps(), &cfg, &scorer.params).summary;
+        assert!(summary.p95 > summary.p50, "the two must be distinguishable");
+        assert_eq!(scores.len(), 1);
+        assert_eq!(scores[0].latency, summary.p95);
+    }
 }

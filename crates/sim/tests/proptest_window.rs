@@ -95,6 +95,7 @@ proptest! {
         for (k, (members, open, dispatch)) in want.iter().enumerate() {
             let got = &out.batches[k];
             prop_assert_eq!(got.size as usize, members.len());
+            prop_assert!(got.size <= cfg.batch_size, "batch over B");
             prop_assert_eq!(got.opened_at.to_bits(), (open + t0).to_bits());
             prop_assert_eq!(got.dispatched_at.to_bits(), (dispatch + t0).to_bits());
             for &m in members {
@@ -132,11 +133,13 @@ proptest! {
         core.due(f64::INFINITY, &mut formed);
         prop_assert!(core.is_idle());
 
-        // Exactly once, and one epoch (hence one config) per batch.
+        // Every admitted id leaves in exactly one batch of at most B, and
+        // one epoch (hence one config) per batch.
         let mut seen = vec![0u32; arr.len()];
         for fb in &formed {
             let e = epoch_of[fb.requests[0].id as usize];
             prop_assert_eq!(fb.config, cfgs[e % cfgs.len()]);
+            prop_assert!(fb.requests.len() <= fb.config.batch_size as usize, "batch over B");
             for r in &fb.requests {
                 prop_assert_eq!(epoch_of[r.id as usize], e);
                 seen[r.id as usize] += 1;

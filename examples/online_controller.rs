@@ -75,8 +75,6 @@ fn main() {
 
     // DeepBAT as a closed-loop controller behind the gateway.
     let mut ctl = DeepBatController::new(grid, slo);
-    ctl.params = params;
-    ctl.decision_interval = decision_interval;
     ctl.optimizer.percentile = percentile;
     let mut ctl = ctl.with_model(Arc::new(model));
 

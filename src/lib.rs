@@ -16,12 +16,12 @@
 //!
 //! | crate | contents |
 //! |---|---|
-//! | [`workload`] | MAP/MMPP arrival processes, the four synthetic evaluation traces, burstiness statistics (IDC/SCV/ACF) |
-//! | [`sim`] | discrete-event serverless batching simulator + AWS Lambda cost model (the ground-truth oracle), seeded fault injection, and the unified [`prelude::Controller`] trait |
+//! | [`workload`] | MAP/MMPP arrival processes, the four synthetic evaluation traces, burstiness statistics (IDC/SCV/ACF), and the Workload Parser (`window_at_time`: the last `l` inter-arrivals observed so far) |
+//! | [`sim`] | the Buffer (`BatcherCore`, the one §III-B window rule), the discrete-event batching simulator + AWS Lambda cost model that drive it (the ground-truth oracle), seeded fault injection, and the control loop: the [`prelude::Controller`] trait under [`prelude::run_controller`] |
 //! | [`linalg`] | dense matrices, LU, GTH, matrix exponentials (uniformization) |
 //! | [`analytic`] | the BATCH baseline: MAP fitting + matrix-analytic latency model + grid optimizer |
 //! | [`nn`] | tensors, reverse-mode autograd, Transformer layers, Adam |
-//! | [`core`] | DeepBAT itself: Workload Parser, Buffer, surrogate, training/fine-tuning, optimizer, online controller |
+//! | [`core`] | DeepBAT itself: the Transformer surrogate, training/fine-tuning, the 2-step optimizer, and [`prelude::DeepBatController`] |
 //! | [`serve`] | live threaded batching gateway: bounded admission, deadline batching, worker pool, hot controller reconfiguration, and a virtual-clock replay bitwise-equivalent to the simulator |
 //! | [`telemetry`] | observability: counters/gauges/histograms, spans, JSONL event sinks, causal request tracing with a flight recorder, a pull-based Prometheus/JSON exporter, and an SLO error-budget (burn-rate) monitor |
 //!
@@ -67,7 +67,7 @@
 //! let mut scorer = OracleGroupScorer {
 //!     grid: ConfigGrid::paper_default(),
 //!     params: SimParams::default(),
-//!     percentile: 0.95,
+//!     percentile: 95.0,
 //! };
 //! let plan = joint_decide(&trace, &classes, &mut scorer).unwrap();
 //!
@@ -102,9 +102,8 @@ pub use dbat_workload as workload;
 pub mod prelude {
     pub use dbat_analytic::{fit_map, optimize_from_interarrivals, BatchController, BatchModel};
     pub use dbat_core::{
-        estimate_gamma, fine_tune, generate_dataset, measure_schedule, run_controller, train,
-        Buffer, Controller, DecisionContext, DecisionRecord, DeepBatController, DeepBatOptimizer,
-        GracefulController, HealthMonitor, Surrogate, SurrogateConfig, TrainConfig, WorkloadParser,
+        estimate_gamma, fine_tune, generate_dataset, train, DeepBatController, DeepBatOptimizer,
+        GracefulController, HealthMonitor, Surrogate, SurrogateConfig, TrainConfig,
     };
     pub use dbat_nn::{Module, Tensor};
     pub use dbat_serve::{
@@ -113,11 +112,12 @@ pub mod prelude {
         VirtualGateway, WallClock,
     };
     pub use dbat_sim::{
-        joint_decide, simulate_batching, simulate_batching_multi, simulate_faults,
+        joint_decide, run_controller, simulate_batching, simulate_batching_multi, simulate_faults,
         simulate_faults_multi, single_config_baseline, vcr_of, ClassAssignment, ConfigGrid,
-        FaultPlan, FaultPlanBuilder, FunctionGroup, GroupScore, GroupScorer, IntervalMeasurement,
-        JointDecision, LambdaConfig, LatencySummary, OracleController, OracleGroupScorer, Pricing,
-        RunOutcome, ServiceProfile, SimConfig, SimOutcome, SimParams, StaticController,
+        Controller, DecisionContext, DecisionRecord, FaultPlan, FaultPlanBuilder, FunctionGroup,
+        GroupScore, GroupScorer, IntervalMeasurement, JointDecision, LambdaConfig, LatencySummary,
+        OracleController, OracleGroupScorer, Pricing, RunOutcome, ServiceProfile, SimConfig,
+        SimOutcome, SimParams, StaticController,
     };
     pub use dbat_telemetry::{
         global as telemetry, global_arc, BurnRate, BurnRateConfig, JsonlSink, MemorySink,

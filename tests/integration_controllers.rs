@@ -1,11 +1,9 @@
-//! Controller-level integration: DeepBAT's and BATCH's control loops over a
-//! shifting workload, measured by the shared harness.
+//! Controller-level integration: DeepBAT's and BATCH's policies over a
+//! shifting workload, driven and measured by `run_controller`.
 
-use deepbat::core::{
-    generate_dataset, measure_schedule, train, vcr_of, DeepBatController, Surrogate,
-    SurrogateConfig, TrainConfig,
-};
+use deepbat::core::SurrogateConfig;
 use deepbat::prelude::*;
+use std::sync::Arc;
 
 fn shifting_trace(seed: u64) -> Trace {
     // 5 minutes quiet, 5 minutes bursty.
@@ -25,22 +23,30 @@ fn grid() -> ConfigGrid {
     }
 }
 
+fn every_30s(slo: f64) -> SimConfig {
+    SimConfig::builder()
+        .slo(slo)
+        .decision_interval(30.0)
+        .build()
+        .unwrap()
+}
+
 #[test]
 fn measurement_harness_conserves_requests() {
     let trace = shifting_trace(1);
-    let schedule: Vec<(f64, f64, LambdaConfig)> = (0..10)
-        .map(|i| {
-            (
-                i as f64 * 60.0,
-                (i + 1) as f64 * 60.0,
-                LambdaConfig::new(2048, 4, 0.05),
-            )
-        })
-        .collect();
-    let ms = measure_schedule(&trace, &schedule, &SimParams::default(), 0.1, 95.0);
-    let total: usize = ms.iter().map(|m| m.requests).sum();
+    let mut ctl = StaticController::new(LambdaConfig::new(2048, 4, 0.05), 0.1);
+    let out = run_controller(&mut ctl, &trace, 0.0, 600.0, &SimConfig::new(0.1));
+    assert_eq!(out.measurements.len(), 10);
+    let total: usize = out.measurements.iter().map(|m| m.requests).sum();
     assert_eq!(total, trace.len());
-    assert!(ms.iter().all(|m| m.cost_per_request > 0.0));
+    for m in &out.measurements {
+        assert!(m.cost_per_request > 0.0);
+        assert_eq!(m.violation, m.summary.p95 > 0.1);
+        assert_eq!(m.lost, 0);
+    }
+    // Every decision was measured and archived by the controller too.
+    assert_eq!(ctl.audit().len(), 10);
+    assert!(out.records.iter().all(|r| r.measured.is_some()));
 }
 
 #[test]
@@ -48,16 +54,16 @@ fn batch_controller_plans_and_measures() {
     let trace = shifting_trace(2);
     let mut ctl = deepbat::analytic::BatchController::new(grid(), 0.1);
     ctl.refit_interval = 120.0;
-    let plan = ctl.plan(&trace);
-    assert_eq!(plan.len(), 5);
-    // All intervals with data must have refitted.
-    assert!(plan.iter().all(|p| p.refitted));
-    // Measure it with the shared harness.
-    let schedule: Vec<(f64, f64, LambdaConfig)> =
-        plan.iter().map(|p| (p.start, p.end, p.config)).collect();
-    let ms = measure_schedule(&trace, &schedule, &SimParams::default(), 0.1, 95.0);
-    let v = vcr_of(&ms);
-    assert!((0.0..=100.0).contains(&v));
+    let out = run_controller(&mut ctl, &trace, 0.0, 600.0, &every_30s(0.1));
+    assert_eq!(out.records.len(), 20);
+    // Every refit interval has data, so every fit succeeds.
+    assert!(out.records.iter().all(|r| !r.fallback));
+    // The configuration only changes at a refit boundary.
+    for refit in out.records.chunks(4) {
+        assert!(refit.iter().all(|r| r.config == refit[0].config));
+    }
+    assert_eq!(out.measurements.len(), 20);
+    assert!((0.0..=100.0).contains(&out.vcr()));
 }
 
 #[test]
@@ -84,22 +90,27 @@ fn deepbat_controller_adapts_to_shift() {
         },
     );
 
-    let mut ctl = DeepBatController::new(grid(), slo);
-    ctl.decision_interval = 30.0;
-    let (schedule, measured) = ctl.run(&model, &trace, 0.0, 600.0);
-    assert_eq!(schedule.len(), 20);
+    let mut ctl = DeepBatController::new(grid(), slo).with_model(Arc::new(model));
+    let out = run_controller(&mut ctl, &trace, 0.0, 600.0, &every_30s(slo));
+    assert_eq!(out.records.len(), 20);
+    // No history at t = 0: the bootstrap config, then the optimizer's.
+    assert!(out.records[0].bootstrap);
+    assert_eq!(out.records[0].config, ctl.bootstrap);
+    assert!(out.records[1..].iter().all(|r| !r.bootstrap));
 
     // The controller must not pick identical configurations for the quiet
     // and bursty halves (it sees very different windows).
-    let first_half: Vec<_> = schedule
+    let first_half: Vec<_> = out
+        .records
         .iter()
-        .filter(|e| e.0 < 300.0)
-        .map(|e| e.2)
+        .filter(|r| r.start < 300.0)
+        .map(|r| r.config)
         .collect();
-    let second_half: Vec<_> = schedule
+    let second_half: Vec<_> = out
+        .records
         .iter()
-        .filter(|e| e.0 >= 330.0)
-        .map(|e| e.2)
+        .filter(|r| r.start >= 330.0)
+        .map(|r| r.config)
         .collect();
     assert!(
         first_half.iter().any(|c| !second_half.contains(c))
@@ -107,5 +118,5 @@ fn deepbat_controller_adapts_to_shift() {
         "controller never adapted: {first_half:?} vs {second_half:?}"
     );
     // And the measured VCR should be well below total failure.
-    assert!(vcr_of(&measured) < 60.0, "VCR {}", vcr_of(&measured));
+    assert!(out.vcr() < 60.0, "VCR {}", out.vcr());
 }

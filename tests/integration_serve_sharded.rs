@@ -327,11 +327,63 @@ fn stress_randomized_lanes_keep_fifo_and_exactly_once() {
         Arc::new(WallClock::with_speedup(200.0)),
         Arc::new(ProfiledBackend::default()),
     );
-    let stats = drive_concurrent(&gw, 4, 200, None, LaneAssignment::RoundRobin);
+    let stats = drive_concurrent(&gw, 4, 200, LaneAssignment::RoundRobin);
     assert_eq!(stats.accepted, 800);
     let out = gw.shutdown(DrainMode::Graceful);
     assert_eq!(out.counts.completed, 800);
     assert!(out.counts.conserved());
+}
+
+/// A backend that costs nothing and returns immediately, so the run
+/// exercises the gateway's own hand-off and nothing else.
+struct NullBackend;
+
+impl InferenceBackend for NullBackend {
+    fn name(&self) -> &'static str {
+        "null"
+    }
+    fn plan(&self, _config: &LambdaConfig, _batch_size: u32) -> deepbat::serve::BatchPlan {
+        deepbat::serve::BatchPlan {
+            service_s: 0.0,
+            cost: 0.0,
+        }
+    }
+    fn execute(
+        &self,
+        _clock: &dyn Clock,
+        _plan: &deepbat::serve::BatchPlan,
+        _batch: &deepbat::serve::FormedBatch,
+    ) {
+    }
+}
+
+/// Four lanes fed by pinned producers but drained by a single worker
+/// homed on lane 0: lanes 1–3 can only drain by stealing, so a nonzero
+/// steal count is an invariant here, not a scheduling accident.
+#[test]
+fn single_worker_drains_four_fed_lanes_by_stealing() {
+    let gw = Gateway::start(
+        GatewayConfig {
+            initial: LambdaConfig::new(2048, 64, 0.005),
+            queue_capacity: 1 << 16,
+            backpressure: BackpressurePolicy::Block,
+            lanes: 4,
+            workers: 1,
+            ..GatewayConfig::default()
+        },
+        Arc::new(WallClock::new()),
+        Arc::new(NullBackend),
+    );
+    let stats = drive_concurrent(&gw, 4, 2_000, LaneAssignment::Pinned);
+    assert_eq!(stats.accepted, 8_000);
+    let out = gw.shutdown(DrainMode::Graceful);
+    assert!(out.counts.conserved(), "lost requests");
+    assert_eq!(out.counts.completed, stats.accepted, "drain was not clean");
+    assert!(
+        out.counts.steals >= 1,
+        "single worker over 4 fed lanes must steal (got {})",
+        out.counts.steals
+    );
 }
 
 /// Sharded virtual replays are deterministic: two runs over the same

@@ -6,7 +6,7 @@
 //! These tests share the process-global telemetry hub, so they run inside
 //! one #[test] body (their own integration binary) to stay deterministic.
 
-use deepbat::core::{DecisionRecord, DeepBatController, Surrogate, SurrogateConfig};
+use deepbat::core::SurrogateConfig;
 use deepbat::prelude::*;
 use deepbat::telemetry::{read_jsonl, JsonlSink, MemorySink, Sink};
 use std::sync::Arc;
@@ -30,19 +30,24 @@ fn online_controller_audit_trail() {
     tel.add_sink(jsonl.clone());
 
     let tr = trace();
-    let model = Surrogate::new(SurrogateConfig::tiny(), 2);
-    let ctl = DeepBatController::new(ConfigGrid::tiny(), 0.1);
+    let model = Arc::new(Surrogate::new(SurrogateConfig::tiny(), 2));
+    let mut ctl = DeepBatController::new(ConfigGrid::tiny(), 0.1).with_model(model);
+    let opts = SimConfig::new(0.1);
     let t1 = 300.0;
-    let n_intervals = (t1 / ctl.decision_interval) as usize;
+    let n_intervals = (t1 / opts.decision_interval) as usize;
 
-    let (measured, records) = ctl.run_audited(&model, &tr, 0.0, t1);
+    let RunOutcome {
+        measurements: measured,
+        records,
+        ..
+    } = run_controller(&mut ctl, &tr, 0.0, t1, &opts);
 
     // --- one record per decision interval, contiguous ------------------
     assert_eq!(records.len(), n_intervals);
     for (i, r) in records.iter().enumerate() {
         assert_eq!(r.index, i);
-        assert_eq!(r.start, i as f64 * ctl.decision_interval);
-        assert_eq!(r.end, (i + 1) as f64 * ctl.decision_interval);
+        assert_eq!(r.start, i as f64 * opts.decision_interval);
+        assert_eq!(r.end, (i + 1) as f64 * opts.decision_interval);
         assert_eq!(r.grid_size, ctl.optimizer.grid.len());
         assert_eq!(r.slo, 0.1);
         assert_eq!(r.percentile, 95.0);
