@@ -1,14 +1,17 @@
 //! Ablation — cold starts and concurrency limits (extensions over the
 //! paper's model; DESIGN.md §2): how the unlimited-warm-concurrency
-//! assumption shared by BATCH and DeepBAT degrades when invocations pay a
-//! cold-start penalty or queue behind an account concurrency quota.
+//! assumption shared by BATCH and DeepBAT degrades when containers expire
+//! between batches (the fault layer's keep-alive pool) or batches queue
+//! behind an account concurrency quota (its throttle channel).
 
 use dbat_bench::{report, ExpSettings};
 use dbat_sim::{
-    simulate_batching, simulate_faults, ColdStart, FaultPlan, LambdaConfig, SimParams,
-    ThrottleFault,
+    simulate_faults, ColdStartFault, FaultPlan, LambdaConfig, SimParams, ThrottleFault,
 };
 use dbat_workload::{TraceKind, HOUR};
+
+/// Container keep-alive windows swept by the first table, longest first.
+const KEEP_ALIVE_S: [f64; 8] = [f64::INFINITY, 10.0, 1.0, 0.5, 0.2, 0.1, 0.05, 0.0];
 
 fn main() {
     let s = ExpSettings::from_env();
@@ -17,6 +20,7 @@ fn main() {
     let slice = trace.slice(10.0 * 60.0, 25.0 * 60.0);
     let arrivals = slice.timestamps();
     let cfg = LambdaConfig::new(2048, 8, 0.05);
+    let params = SimParams::default();
     println!(
         "workload: 15-min azure-like slice, {} requests; config {cfg}",
         slice.len()
@@ -24,28 +28,30 @@ fn main() {
 
     report::banner(
         "Ablation: cold starts",
-        "p95/p99 vs cold-start probability (delay 400 ms)",
+        "p95/p99 vs container keep-alive (init delay 400 ms)",
     );
     let mut rows = Vec::new();
-    for prob in [0.0, 0.01, 0.05, 0.1, 0.25] {
-        let params = SimParams {
-            cold_start: if prob > 0.0 {
-                Some(ColdStart {
-                    probability: prob,
-                    delay_s: 0.4,
-                })
-            } else {
-                None
-            },
-            ..SimParams::default()
+    for keep_alive_s in KEEP_ALIVE_S {
+        // The cold-start channel on its own: a fresh container pays the
+        // init delay (billed), a warm one is reused LIFO until it has sat
+        // idle for longer than the keep-alive.
+        let plan = FaultPlan {
+            cold_start: Some(ColdStartFault {
+                delay_s: 0.4,
+                ref_memory_mb: cfg.memory_mb,
+                keep_alive_s,
+            }),
+            ..FaultPlan::default()
         };
-        let mut rng = dbat_workload::Rng::new(999);
-        let out = simulate_batching(arrivals, &cfg, &params, Some(&mut rng));
+        let out = simulate_faults(arrivals, &cfg, &params, &plan);
         let sum = out.summary();
-        let cold_frac = out.batches.iter().filter(|b| b.cold_start_s > 0.0).count() as f64
-            / out.batches.len().max(1) as f64;
+        let cold_frac = out.counts.cold_starts as f64 / out.sim.batches.len().max(1) as f64;
         rows.push(vec![
-            report::f(prob, 2),
+            if keep_alive_s.is_infinite() {
+                "inf".into()
+            } else {
+                report::f(keep_alive_s, 2)
+            },
             report::f(cold_frac * 100.0, 1),
             report::f(sum.p95 * 1e3, 1),
             report::f(sum.p99 * 1e3, 1),
@@ -53,17 +59,25 @@ fn main() {
         ]);
     }
     report::table(
-        &["P(cold)", "cold_batches_%", "p95_ms", "p99_ms", "cost_u$"],
+        &[
+            "keep_alive_s",
+            "cold_batches_%",
+            "p95_ms",
+            "p99_ms",
+            "cost_u$",
+        ],
         &rows,
     );
-    println!("\ncold starts inflate tail latency (p99 before p95) without changing");
-    println!("billed cost — the SLO margin chosen by the optimizer must absorb them.");
+    println!("\nwhile containers outlive the gap between batches (keep-alive >= 10 s here)");
+    println!("cold starts are a start-up transient. Below that the tail pays first (p99 at");
+    println!("1 s, p95 at 0.5 s) and, because init time is billed, cost per request grows");
+    println!("with the cold share: 0.71 -> 5.60 u$ with no reuse. The optimizer's SLO margin");
+    println!("cannot absorb a 400 ms init; keeping instances warm is the platform's job.");
 
     report::banner(
         "Ablation: concurrency quota",
         "p95 vs account concurrency limit",
     );
-    let params = SimParams::default();
     let mut rows = Vec::new();
     for limit in [1usize, 2, 4, 8, 16, usize::MAX] {
         // The quota is the fault model's throttle channel on its own: batches

@@ -18,7 +18,9 @@
 //! the joint decide beats the best single-config baseline on total cost
 //! while every class's SLO-met status is equal or better.
 //!
-//! Results land in `BENCH_multiclass.json` (or `$DBAT_BENCH_OUT`).
+//! Results land in `BENCH_multiclass.json` (or `$DBAT_BENCH_OUT`). The
+//! document carries no wall-clock fields (`benchmark/` is the only
+//! stopwatch), so re-runs are byte-identical — CI asserts exactly that.
 //!
 //! ```sh
 //! cargo run --release --bin abl_multiclass                     # full
@@ -62,21 +64,17 @@ fn run_scorer(
     classed: &ClassedTrace,
     classes: &[RequestClass],
     settings: &ExpSettings,
-) -> (Evaluated, Evaluated, f64) {
-    let t0 = std::time::Instant::now();
+) -> (Evaluated, Evaluated) {
     let joint = joint_decide(classed, classes, scorer).expect("joint decide");
-    let decide_s = t0.elapsed().as_secs_f64();
     let single = single_config_baseline(classed, classes, scorer).expect("baseline decide");
     println!(
-        "  {name}: joint {} group(s) in {:.2}s (feasible: {})",
+        "  {name}: joint {} group(s) (feasible: {})",
         joint.groups.len(),
-        decide_s,
         joint.feasible
     );
     (
         evaluate(classed, classes, joint, settings),
         evaluate(classed, classes, single, settings),
-        decide_s,
     )
 }
 
@@ -178,13 +176,12 @@ fn main() {
         params: settings.params,
         percentile: p,
     };
-    let (o_joint, o_single, o_secs) =
-        run_scorer("oracle", &mut oracle, &classed, &classes, &settings);
+    let (o_joint, o_single) = run_scorer("oracle", &mut oracle, &classed, &classes, &settings);
 
     // DeepBAT's surrogate fast path (the paper's decide latency story).
     let model = settings.ensure_base_model();
     let mut surrogate = SurrogateGroupScorer::new(&model, settings.grid.clone(), p);
-    let (s_joint, s_single, s_secs) =
+    let (s_joint, s_single) =
         run_scorer("surrogate", &mut surrogate, &classed, &classes, &settings);
 
     // The BATCH analytic baseline.
@@ -193,13 +190,12 @@ fn main() {
         params: settings.params,
         percentile: p,
     };
-    let (a_joint, a_single, a_secs) =
-        run_scorer("analytic", &mut analytic, &classed, &classes, &settings);
+    let (a_joint, a_single) = run_scorer("analytic", &mut analytic, &classed, &classes, &settings);
 
-    for (name, joint, single, secs) in [
-        ("oracle", &o_joint, &o_single, o_secs),
-        ("surrogate", &s_joint, &s_single, s_secs),
-        ("analytic", &a_joint, &a_single, a_secs),
+    for (name, joint, single) in [
+        ("oracle", &o_joint, &o_single),
+        ("surrogate", &s_joint, &s_single),
+        ("analytic", &a_joint, &a_single),
     ] {
         rows.push(row(name, "joint", joint, p));
         rows.push(row(name, "single", single, p));
@@ -207,7 +203,6 @@ fn main() {
         scorers_json.insert(
             name.to_string(),
             serde_json::json!({
-                "decide_s": secs,
                 "joint": serde_json::json!({
                     "groups": joint.plan.groups.len(),
                     "feasible": joint.plan.feasible,

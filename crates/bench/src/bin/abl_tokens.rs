@@ -21,9 +21,7 @@
 //! continuous batching strictly beats the token-blind windowed
 //! incumbent on goodput. A `StaticController` run through
 //! [`run_controller_tokens`] reports the closed-loop goodput of the
-//! incumbent config, and the continuous winner is replayed through
-//! `dbat-serve`'s `ContinuousBackend` under a virtual clock (bitwise
-//! cross-check of the serving path).
+//! incumbent config.
 //!
 //! Results land in `BENCH_tokens.json` (or `$DBAT_BENCH_OUT`). The
 //! document carries no wall-clock fields, so re-runs are byte-identical
@@ -36,7 +34,6 @@
 
 use dbat_bench::report::{banner, f, goodput_pct, goodput_rps, table};
 use dbat_bench::settings::ExpSettings;
-use dbat_serve::{ContinuousBackend, VirtualClock};
 use dbat_sim::{
     ground_truth, run_controller_tokens, simulate_tokens_continuous, simulate_tokens_windowed,
     Goodput, LambdaConfig, SimConfig, SimParams, StaticController, TokenParams, TokenSimOutcome,
@@ -245,18 +242,6 @@ fn main() {
                 .collect(),
         );
         assert!(cont_aware.out.conserved(), "continuous conservation");
-
-        // The serving path must reproduce the winner bit for bit.
-        let replay = ContinuousBackend::new(params, cont_aware.replicas).serve(
-            &VirtualClock::new(),
-            &tokenized,
-            &cont_aware.config,
-        );
-        assert_eq!(
-            replay.total_cost.to_bits(),
-            cont_aware.out.total_cost.to_bits(),
-            "virtual-clock serve replay diverged from the simulator"
-        );
 
         // Closed-loop goodput of the incumbent (windowed discipline).
         let mut ctl = StaticController::new(blind, settings.slo);

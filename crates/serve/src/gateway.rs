@@ -51,7 +51,7 @@ use crate::backend::InferenceBackend;
 use crate::clock::{precise_timers, Clock};
 use crate::outcome::{ServeCounts, ServeOutcome, ServedBatch, ServedRequest};
 use dbat_sim::{
-    Admitted, BatcherCore, ClassAssignment, Controller, DecisionContext, DecisionRecord,
+    Admitted, BatcherCore, ClassAssignment, Controller, DecisionContext, DecisionRecord, Feedback,
     FlushReason, FormedBatch, FunctionGroup, IntervalMeasurement, LambdaConfig, LatencySummary,
 };
 use dbat_telemetry::{
@@ -562,11 +562,6 @@ struct ControlStop {
     cv: Condvar,
 }
 
-struct ControlOut {
-    measurements: Vec<IntervalMeasurement>,
-    records: Vec<DecisionRecord>,
-}
-
 /// Round-robin origin for submitter threads, so concurrent producers
 /// start on different lanes instead of convoying on lane 0.
 static NEXT_SUBMITTER: AtomicUsize = AtomicUsize::new(0);
@@ -584,7 +579,7 @@ pub struct Gateway {
     shared: Arc<Shared>,
     batchers: Vec<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
-    control: Option<(Arc<ControlStop>, JoinHandle<ControlOut>)>,
+    control: Option<(Arc<ControlStop>, JoinHandle<Feedback>)>,
 }
 
 impl Gateway {
@@ -616,9 +611,7 @@ impl Gateway {
             end: cfg.decision_interval,
             index: 0,
         };
-        let t_decide = Instant::now();
-        let mut rec = ctl.decide(&ctx);
-        rec.decide_s = t_decide.elapsed().as_secs_f64();
+        let rec = Feedback::decide(ctl.as_mut(), &ctx);
         let mut cfg = cfg;
         cfg.initial = rec.config;
         Gateway::launch(cfg, clock, backend, Some((ctl, rec)))
@@ -936,14 +929,13 @@ impl Gateway {
         for w in self.workers.drain(..) {
             w.join().expect("worker thread panicked");
         }
-        let (measurements, records) = match self.control.take() {
+        let feedback = match self.control.take() {
             Some((stop, handle)) => {
                 *stop.stop.lock().unwrap() = true;
                 stop.cv.notify_one();
-                let out = handle.join().expect("control thread panicked");
-                (out.measurements, out.records)
+                handle.join().expect("control thread panicked")
             }
-            None => (Vec::new(), Vec::new()),
+            None => Feedback::default(),
         };
         // The run is over: preserve the flight recorder's tail for
         // post-mortems before the gateway object goes away.
@@ -975,8 +967,8 @@ impl Gateway {
             total_cost: done.total_cost,
             counts,
             worker_wakeups,
-            measurements,
-            records,
+            measurements: feedback.measurements,
+            records: feedback.records,
         }
     }
 }
@@ -1269,20 +1261,19 @@ fn merged_arrivals(shared: &Shared) -> Vec<f64> {
 
 /// The control thread: waits out each decision interval on the gateway
 /// clock, re-decides at the boundary from the merged observed arrival
-/// history, broadcasts the reconfiguration to every lane, and finalises
-/// completed intervals (measurement → `observe` → `commit`) in order.
+/// history, broadcasts the reconfiguration to every lane, and closes
+/// completed intervals through the [`Feedback`] protocol, in order.
 fn control_loop(
     shared: &Shared,
     stop: &ControlStop,
     mut ctl: Box<dyn Controller + Send>,
     first: DecisionRecord,
-) -> ControlOut {
+) -> Feedback {
     precise_timers();
     let interval = shared.cfg.decision_interval;
     let mut pending: VecDeque<(DecisionRecord, Instant)> = VecDeque::new();
     pending.push_back((first, Instant::now()));
-    let mut measurements = Vec::new();
-    let mut records = Vec::new();
+    let mut feedback = Feedback::default();
     let mut k = 0usize;
     loop {
         let boundary = (k + 1) as f64 * interval;
@@ -1317,9 +1308,7 @@ fn control_loop(
             end: boundary + interval,
             index: k + 1,
         };
-        let t_decide = Instant::now();
-        let mut rec = ctl.decide(&ctx);
-        rec.decide_s = t_decide.elapsed().as_secs_f64();
+        let rec = Feedback::decide(ctl.as_mut(), &ctx);
         // Broadcast: every lane gets the boundary-stamped command and
         // applies it in its own arrival order (per-lane boundary
         // ordering, exactly the unsharded guarantee).
@@ -1342,41 +1331,23 @@ fn control_loop(
             );
         }
         pending.push_back((rec, Instant::now()));
-        finalize_intervals(
-            shared,
-            ctl.as_mut(),
-            &mut pending,
-            &mut measurements,
-            &mut records,
-            false,
-        );
+        finalize_intervals(shared, ctl.as_mut(), &mut pending, &mut feedback, false);
         k += 1;
     }
     // Shutdown already waited for completed == accepted, so everything
     // left can be finalised unconditionally.
-    finalize_intervals(
-        shared,
-        ctl.as_mut(),
-        &mut pending,
-        &mut measurements,
-        &mut records,
-        true,
-    );
-    ControlOut {
-        measurements,
-        records,
-    }
+    finalize_intervals(shared, ctl.as_mut(), &mut pending, &mut feedback, true);
+    feedback
 }
 
 /// Finalise decided intervals head-of-line: once an interval has ended
 /// and every request that arrived in it (on any lane) has completed,
-/// measure it from the served records and run the feedback protocol.
+/// measure it from the served records and close it.
 fn finalize_intervals(
     shared: &Shared,
     ctl: &mut dyn Controller,
     pending: &mut VecDeque<(DecisionRecord, Instant)>,
-    measurements: &mut Vec<IntervalMeasurement>,
-    records: &mut Vec<DecisionRecord>,
+    feedback: &mut Feedback,
     force: bool,
 ) {
     while let Some(&(rec, wall)) = pending.front() {
@@ -1392,54 +1363,47 @@ fn finalize_intervals(
             let hi = inbox.log.partition_point(|a| a.arrival < rec.end);
             ids.extend(inbox.log[lo..hi].iter().map(|a| a.id));
         }
-        let mut rec = rec;
+        // `None`: an interval nothing arrived in.
+        let mut measured = None;
         if !ids.is_empty() {
             let done = shared.done.lock().unwrap();
             let served = ids
                 .iter()
                 .all(|&id| done.requests.get(id as usize).is_some_and(|r| r.is_some()));
-            if !served {
-                if force {
-                    // Should be unreachable: shutdown drains before stopping
-                    // the control thread. Commit undecorated rather than hang.
-                    ctl.commit(rec);
-                    records.push(*ctl.audit().last().expect("commit archives"));
-                    pending.pop_front();
-                    continue;
-                }
+            // An unserved request under `force` should be unreachable:
+            // shutdown drains before stopping the control thread. Commit
+            // unmeasured rather than hang.
+            if !served && !force {
                 break;
             }
-            let latencies: Vec<f64> = ids
-                .iter()
-                .map(|&id| {
-                    done.requests[id as usize]
-                        .as_ref()
-                        .expect("checked")
-                        .latency()
-                })
-                .collect();
-            let cost: f64 = done
-                .batches
-                .iter()
-                .filter(|b| b.opened_at >= rec.start && b.opened_at < rec.end)
-                .map(|b| b.cost)
-                .sum();
-            drop(done);
-            let m = IntervalMeasurement::new(
-                (rec.start, rec.end),
-                rec.config,
-                LatencySummary::from_latencies(&latencies),
-                cost / ids.len() as f64,
-                ids.len(),
-                (shared.cfg.slo, shared.cfg.percentile),
-                wall.elapsed().as_secs_f64(),
-            );
-            rec.record_measurement(&m);
-            ctl.observe(&m);
-            measurements.push(m);
+            if served {
+                let latencies: Vec<f64> = ids
+                    .iter()
+                    .map(|&id| {
+                        done.requests[id as usize]
+                            .as_ref()
+                            .expect("checked")
+                            .latency()
+                    })
+                    .collect();
+                let cost: f64 = done
+                    .batches
+                    .iter()
+                    .filter(|b| b.opened_at >= rec.start && b.opened_at < rec.end)
+                    .map(|b| b.cost)
+                    .sum();
+                measured = Some(IntervalMeasurement::new(
+                    (rec.start, rec.end),
+                    rec.config,
+                    LatencySummary::from_latencies(&latencies),
+                    cost / ids.len() as f64,
+                    ids.len(),
+                    (shared.cfg.slo, shared.cfg.percentile),
+                    wall.elapsed().as_secs_f64(),
+                ));
+            }
         }
-        ctl.commit(rec);
-        records.push(*ctl.audit().last().expect("commit archives"));
+        feedback.close(ctl, rec, measured);
         pending.pop_front();
     }
 }

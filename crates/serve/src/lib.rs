@@ -35,18 +35,14 @@
 //!   each [`Request`] to the lane serving its class, with per-class
 //!   `serve.class.<i>.*` telemetry.
 //! * [`replay`] — [`VirtualGateway`]: the same core and backend under one
-//!   single-threaded discrete-event loop (fixed, per-group and
-//!   closed-loop replays are that loop with a different routing closure,
-//!   boundary list and cost fold), **bitwise-equivalent** to
+//!   single-threaded discrete-event loop (the closed-loop replay is the
+//!   fixed one plus decision boundaries), **bitwise-equivalent** to
 //!   [`dbat_sim::simulate_batching`] under the profiled backend
 //!   (any lane count; `lanes = 1` is the anchored configuration).
 //! * [`loadgen`] — open-loop trace replay against a live gateway, plus
 //!   a multi-producer flat-out driver for the concurrency tests.
 //! * [`scripted`] — a controller replaying a fixed configuration script
 //!   (predetermined reconfigurations for tests and ablations).
-//! * [`tokens`] — [`ContinuousBackend`]: the continuous-batching token
-//!   discipline behind the same [`Clock`] trait; virtual-clock replays
-//!   are bitwise equal to `dbat_sim::simulate_tokens_continuous`.
 //!
 //! Telemetry: live runs emit `serve.*` metrics (admission counters,
 //! queue-depth gauge, flush-reason counters, reconfig events, per-batch
@@ -60,7 +56,6 @@ pub mod loadgen;
 pub mod outcome;
 pub mod replay;
 pub mod scripted;
-pub mod tokens;
 
 pub use backend::{BatchPlan, InferenceBackend, ProfiledBackend};
 pub use clock::{Clock, VirtualClock, WallClock};
@@ -72,4 +67,3 @@ pub use loadgen::{drive, drive_classed, drive_concurrent, LaneAssignment, LoadSt
 pub use outcome::{ServeCounts, ServeOutcome, ServedBatch, ServedRequest};
 pub use replay::VirtualGateway;
 pub use scripted::ScriptedController;
-pub use tokens::ContinuousBackend;

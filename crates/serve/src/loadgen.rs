@@ -27,20 +27,17 @@ pub struct LoadStats {
     pub closed: u64,
 }
 
-/// Replay `timestamps` (sorted, virtual seconds) into the gateway.
-/// Blocks the calling thread until the last timestamp has been offered.
-pub fn drive(gateway: &Gateway, timestamps: &[f64]) -> LoadStats {
-    debug_assert!(
-        timestamps.windows(2).all(|w| w[0] <= w[1]),
-        "timestamps must be sorted"
-    );
+/// The open-loop pacing loop: sleep to each due time on the gateway's
+/// clock, submit, tally; stop at the first submission a closed gateway
+/// refuses.
+fn pace(gateway: &Gateway, due: impl Iterator<Item = (f64, Request)>) -> LoadStats {
     precise_timers();
     let clock = gateway.clock();
     let mut stats = LoadStats::default();
-    for &t in timestamps {
+    for (t, req) in due {
         clock.sleep_until(t);
         stats.submitted += 1;
-        match gateway.submit(Request::default()) {
+        match gateway.submit(req) {
             Admission::Accepted { .. } => stats.accepted += 1,
             Admission::Rejected { .. } => stats.rejected += 1,
             Admission::Closed => {
@@ -52,27 +49,26 @@ pub fn drive(gateway: &Gateway, timestamps: &[f64]) -> LoadStats {
     stats
 }
 
+/// Replay `timestamps` (sorted, virtual seconds) into the gateway.
+/// Blocks the calling thread until the last timestamp has been offered.
+pub fn drive(gateway: &Gateway, timestamps: &[f64]) -> LoadStats {
+    debug_assert!(
+        timestamps.windows(2).all(|w| w[0] <= w[1]),
+        "timestamps must be sorted"
+    );
+    pace(gateway, timestamps.iter().map(|&t| (t, Request::default())))
+}
+
 /// Replay a class-tagged trace into the gateway: each arrival is
 /// submitted as its labelled class, so a grouped gateway routes it to
 /// the function group serving that class. Same open-loop discipline as
 /// [`drive`].
 pub fn drive_classed(gateway: &Gateway, trace: &ClassedTrace) -> LoadStats {
-    precise_timers();
-    let clock = gateway.clock();
-    let mut stats = LoadStats::default();
-    for (&t, &class) in trace.trace().timestamps().iter().zip(trace.labels()) {
-        clock.sleep_until(t);
-        stats.submitted += 1;
-        match gateway.submit(Request::of_class(class)) {
-            Admission::Accepted { .. } => stats.accepted += 1,
-            Admission::Rejected { .. } => stats.rejected += 1,
-            Admission::Closed => {
-                stats.closed += 1;
-                break;
-            }
-        }
-    }
-    stats
+    let timestamps = trace.trace().timestamps().iter();
+    let due = timestamps
+        .zip(trace.labels())
+        .map(|(&t, &c)| (t, Request::of_class(c)));
+    pace(gateway, due)
 }
 
 /// How a multi-producer drive assigns requests to batcher lanes.

@@ -13,13 +13,11 @@
 //! and [`ProfiledBackend::plan`] is the simulator's service/cost
 //! arithmetic, applied to the same `(M, b)` pairs.
 //!
-//! The three public replays (`replay`, `replay_grouped`,
-//! `replay_controlled`) are one event loop that differs only in how an
-//! arrival is routed to a lane, whether decision boundaries are scheduled,
-//! and how the total cost is folded. Decision boundaries are scheduled
-//! *before* arrivals, so a request at exactly an interval boundary arrives
-//! under the new configuration — the half-open `[start, end)` convention
-//! of the offline driver.
+//! The two public replays (`replay`, `replay_controlled`) are one event
+//! loop; the controlled one additionally schedules decision boundaries.
+//! Boundaries are scheduled *before* arrivals, so a request at exactly an
+//! interval boundary arrives under the new configuration — the half-open
+//! `[start, end)` convention of the offline driver.
 
 use crate::backend::{BatchPlan, InferenceBackend, ProfiledBackend};
 use crate::clock::VirtualClock;
@@ -27,12 +25,11 @@ use crate::gateway::{push_admission_trace, push_batch_trace};
 use crate::outcome::{ServeCounts, ServeOutcome, ServedBatch, ServedRequest};
 use dbat_sim::engine::Scheduler;
 use dbat_sim::{
-    Admitted, BatcherCore, ClassAssignment, Controller, DecisionContext, DecisionRecord,
-    FormedBatch, FunctionGroup, IntervalMeasurement, LambdaConfig, LatencySummary, SimConfig,
-    SimParams,
+    Admitted, BatcherCore, Controller, DecisionContext, DecisionRecord, Feedback, FormedBatch,
+    IntervalMeasurement, LambdaConfig, LatencySummary, SimConfig, SimParams,
 };
 use dbat_telemetry::{Telemetry, TraceEvent};
-use dbat_workload::{ClassId, ClassedTrace, Trace};
+use dbat_workload::Trace;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -113,53 +110,8 @@ impl VirtualGateway {
     /// Replay a fixed configuration over a sorted, non-negative arrival
     /// sequence. Mirrors `simulate_batching(arrivals, config, ..)`.
     pub fn replay(&mut self, arrivals: &[f64], config: &LambdaConfig) -> ServeOutcome {
-        let n_lanes = self.lanes;
         let cores = self.lane_cores(*config);
-        self.run(arrivals, cores, |i| (i % n_lanes, 0), false, None)
-    }
-
-    /// Replay heterogeneous function groups over a class-tagged trace:
-    /// one batcher lane per group, each arrival routed to the lane whose
-    /// group serves its class (the validated [`ClassAssignment`]). Lane
-    /// `g` runs group `g`'s configuration, so the events touching one
-    /// lane are exactly a single-lane [`VirtualGateway::replay`] over
-    /// that group's class-filtered arrivals — per-request stamps,
-    /// per-batch costs, **and** the total are bitwise-equal to
-    /// [`dbat_sim::simulate_batching_multi`]: cost accumulates per lane
-    /// and the total folds lane by lane in group-id order, exactly the
-    /// simulator's fold. Batch trace events carry the group id. Ignores
-    /// `with_lanes`; the group list fixes the lane count.
-    pub fn replay_grouped(
-        &mut self,
-        trace: &ClassedTrace,
-        groups: &[FunctionGroup],
-    ) -> ServeOutcome {
-        assert!(!groups.is_empty(), "need at least one function group");
-        assert!(
-            groups.iter().all(|g| g.params.is_none()),
-            "the replay gateway plans every batch with its one backend; \
-             per-group SimParams overrides are a simulator-only feature"
-        );
-        let n_classes = groups
-            .iter()
-            .flat_map(|g| g.classes.iter())
-            .map(|&c| c as usize + 1)
-            .max()
-            .unwrap_or(0);
-        let assignment =
-            ClassAssignment::from_groups(groups, n_classes).expect("invalid function groups");
-        let labels = trace.labels();
-        assert!(
-            labels.iter().all(|&c| (c as usize) < n_classes),
-            "trace labels a class no group serves"
-        );
-        let cores = groups
-            .iter()
-            .enumerate()
-            .map(|(g, grp)| BatcherCore::for_lane(grp.config, g as u32))
-            .collect();
-        let route = |i: usize| (assignment.group_of(labels[i]) as usize, labels[i]);
-        self.run(trace.trace().timestamps(), cores, route, true, None)
+        self.run(arrivals, cores, None)
     }
 
     /// Replay a closed-loop controller over `[t0, t1)` of the trace:
@@ -187,24 +139,19 @@ impl VirtualGateway {
         );
         assert!(t0 >= 0.0 && t1 >= t0, "need 0 <= t0 <= t1");
         let control = ControlLoop::new(ctl, trace, t0, t1, opts);
-        let n_lanes = self.lanes;
         // The pre-boundary core config is irrelevant: Boundary(0) pops
         // before any arrival and rotates to the first decision.
         let cores = self.lane_cores(LambdaConfig::new(512, 1, 0.0));
-        let route = |i: usize| (i % n_lanes, 0);
-        self.run(trace.slice_raw(t0, t1), cores, route, false, Some(control))
+        self.run(trace.slice_raw(t0, t1), cores, Some(control))
     }
 
-    /// The event loop behind every replay. `route` maps an arrival's
-    /// relative id to its lane and class; `grouped` selects the per-lane
-    /// cost fold (see [`ReplayState`]); `control`, when present, schedules
-    /// its decision boundaries and runs the closed loop at them.
+    /// The event loop behind both replays: arrival `i` goes to lane
+    /// `i % lanes`; `control`, when present, schedules its decision
+    /// boundaries and runs the closed loop at them.
     fn run(
         &mut self,
         arrivals: &[f64],
         mut cores: Vec<BatcherCore>,
-        route: impl Fn(usize) -> (usize, ClassId),
-        grouped: bool,
         mut control: Option<ControlLoop<'_>>,
     ) -> ServeOutcome {
         assert!(
@@ -225,8 +172,7 @@ impl VirtualGateway {
         for (i, &a) in arrivals.iter().enumerate() {
             sched.schedule(a, Event::Arrival(i));
         }
-        let lane_costs = grouped.then(|| vec![0.0; cores.len()]);
-        let mut state = ReplayState::new(arrivals.len(), lane_costs);
+        let mut state = ReplayState::new(arrivals.len());
         let mut formed: Vec<FormedBatch> = Vec::new();
         // Tracing stages into a plain local Vec — the replay loop is
         // single-threaded, so per-event locks would be pure overhead —
@@ -251,14 +197,14 @@ impl VirtualGateway {
                     0..cores.len()
                 }
                 Event::Arrival(i) => {
-                    let (lane, class) = route(i);
+                    let lane = i % cores.len();
                     if trace_on {
                         push_admission_trace(&mut trace_buf, i as u64, t, lane as u32);
                     }
                     let req = Admitted {
                         id: i as u64,
                         arrival: t,
-                        class,
+                        class: 0,
                     };
                     cores[lane].on_arrival(req, &mut formed);
                     lane..lane + 1
@@ -290,11 +236,8 @@ impl VirtualGateway {
             cores.iter().all(|c| c.is_idle()),
             "all requests must be dispatched"
         );
-        let (measurements, records) = match control {
-            Some(control) => control.finish(&state.requests),
-            None => (Vec::new(), Vec::new()),
-        };
-        state.into_outcome(measurements, records)
+        let feedback = control.map_or_else(Feedback::default, |c| c.finish(&state.requests));
+        state.into_outcome(feedback)
     }
 }
 
@@ -307,31 +250,21 @@ struct ReplayState {
     requests: Vec<Option<ServedRequest>>,
     batches: Vec<ServedBatch>,
     total_cost: f64,
-    /// Grouped replays (`Some`, one slot per lane = per function group)
-    /// accumulate cost per lane and fold the total in group-id order,
-    /// matching `simulate_batching_multi`'s group-by-group fold bit for
-    /// bit; an interleaved dispatch-order fold differs from the simulator
-    /// in the last bits. Their trace events carry the lane as the group
-    /// id; homogeneous replays report group 0 regardless of lane count.
-    lane_costs: Option<Vec<f64>>,
 }
 
 impl ReplayState {
-    fn new(n: usize, lane_costs: Option<Vec<f64>>) -> Self {
+    fn new(n: usize) -> Self {
         ReplayState {
             requests: vec![None; n],
             batches: Vec::new(),
             total_cost: 0.0,
-            lane_costs,
         }
     }
 
     /// Settle one freshly formed, planned batch: stamp completions and
-    /// accumulate cost in the simulator's fold order — dispatch order
-    /// for homogeneous replays, per lane (folded in group-id order at
-    /// the end) for grouped ones. The replay never calls `execute` —
-    /// each invocation runs on its own autoscaled instance, so
-    /// completion is dispatch + planned service.
+    /// accumulate cost in dispatch order, the simulator's fold. The
+    /// replay never calls `execute` — each invocation runs on its own
+    /// autoscaled instance, so completion is dispatch + planned service.
     fn settle(
         &mut self,
         fb: &FormedBatch,
@@ -341,12 +274,8 @@ impl ReplayState {
         let completed_at = fb.dispatched_at + plan.service_s;
         let batch_idx = self.batches.len();
         if let Some(buf) = trace_buf {
-            let group = if self.lane_costs.is_some() {
-                fb.lane
-            } else {
-                0
-            };
-            push_batch_trace(buf, fb, batch_idx as u64, completed_at, group);
+            // One homogeneous pool: group 0 at any lane count.
+            push_batch_trace(buf, fb, batch_idx as u64, completed_at, 0);
         }
         self.batches.push(ServedBatch {
             opened_at: fb.opened_at,
@@ -359,10 +288,7 @@ impl ReplayState {
             reason: fb.reason,
             lane: fb.lane,
         });
-        match &mut self.lane_costs {
-            Some(lanes) => lanes[fb.lane as usize] += plan.cost,
-            None => self.total_cost += plan.cost,
-        }
+        self.total_cost += plan.cost;
         for r in &fb.requests {
             let slot = &mut self.requests[r.id as usize];
             debug_assert!(slot.is_none(), "request {} served twice", r.id);
@@ -378,25 +304,17 @@ impl ReplayState {
         }
     }
 
-    fn into_outcome(
-        self,
-        measurements: Vec<IntervalMeasurement>,
-        records: Vec<DecisionRecord>,
-    ) -> ServeOutcome {
+    fn into_outcome(self, feedback: Feedback) -> ServeOutcome {
         let n = self.requests.len() as u64;
         let requests: Vec<ServedRequest> = self
             .requests
             .into_iter()
             .map(|r| r.expect("every request served"))
             .collect();
-        // Group-id-order fold: bitwise the multi-simulator's total.
-        let total_cost = self
-            .lane_costs
-            .map_or(self.total_cost, |lanes| lanes.iter().sum());
         ServeOutcome {
             requests,
             batches: self.batches,
-            total_cost,
+            total_cost: self.total_cost,
             counts: ServeCounts {
                 submitted: n,
                 accepted: n,
@@ -406,15 +324,15 @@ impl ReplayState {
                 steals: 0,
             },
             worker_wakeups: 0,
-            measurements,
-            records,
+            measurements: feedback.measurements,
+            records: feedback.records,
         }
     }
 }
 
 /// The closed loop of a controlled replay: the interval grid, which
-/// interval every request id arrived in, and the `decide` → measure →
-/// `observe` → `commit` protocol run at the decision boundaries.
+/// interval every request id arrived in, and the [`Feedback`] protocol
+/// run at the decision boundaries.
 struct ControlLoop<'a> {
     ctl: &'a mut dyn Controller,
     trace: &'a Trace,
@@ -433,8 +351,7 @@ struct ControlLoop<'a> {
     /// Head-of-line finalisation cursor.
     next_final: usize,
     decided: usize,
-    measurements: Vec<IntervalMeasurement>,
-    records: Vec<DecisionRecord>,
+    feedback: Feedback,
 }
 
 impl<'a> ControlLoop<'a> {
@@ -468,8 +385,7 @@ impl<'a> ControlLoop<'a> {
             pending: vec![None; n],
             next_final: 0,
             decided: 0,
-            measurements: Vec::new(),
-            records: Vec::new(),
+            feedback: Feedback::default(),
             intervals,
             bounds,
         }
@@ -490,9 +406,7 @@ impl<'a> ControlLoop<'a> {
             end,
             index: k,
         };
-        let t_decide = Instant::now();
-        let mut rec = self.ctl.decide(&ctx);
-        rec.decide_s = t_decide.elapsed().as_secs_f64();
+        let rec = Feedback::decide(&mut *self.ctl, &ctx);
         self.pending[k] = Some((rec, Instant::now()));
         self.decided = k + 1;
         rec.config
@@ -511,21 +425,21 @@ impl<'a> ControlLoop<'a> {
 
     /// Finalise, in interval order, every decided interval whose requests
     /// have all been served: build its measurement from the served
-    /// records, then run the `observe`/`commit` feedback protocol.
+    /// records and close it.
     fn finalize_ready(&mut self, served: &[Option<ServedRequest>]) {
         while self.next_final < self.decided && self.remaining[self.next_final] == 0 {
             let j = self.next_final;
-            let (mut rec, wall) = self.pending[j]
+            let (rec, wall) = self.pending[j]
                 .take()
                 .expect("decided interval has a record");
             let ids = self.bounds[j]..self.bounds[j + 1];
             let n = ids.len();
-            if n > 0 {
+            let measured = (n > 0).then(|| {
                 let latencies: Vec<f64> = served[ids]
                     .iter()
                     .map(|r| r.as_ref().expect("interval fully served").latency())
                     .collect();
-                let m = IntervalMeasurement::new(
+                IntervalMeasurement::new(
                     self.intervals[j],
                     rec.config,
                     LatencySummary::from_latencies(&latencies),
@@ -533,30 +447,22 @@ impl<'a> ControlLoop<'a> {
                     n,
                     (self.opts.slo, self.opts.percentile),
                     wall.elapsed().as_secs_f64(),
-                );
-                rec.record_measurement(&m);
-                self.ctl.observe(&m);
-                self.measurements.push(m);
-            }
-            self.ctl.commit(rec);
-            let kept = self.ctl.audit().last().expect("commit archives the record");
-            self.records.push(*kept);
+                )
+            });
+            self.feedback.close(&mut *self.ctl, rec, measured);
             self.next_final += 1;
         }
     }
 
     /// The trace has drained: finalise what is left.
-    fn finish(
-        mut self,
-        served: &[Option<ServedRequest>],
-    ) -> (Vec<IntervalMeasurement>, Vec<DecisionRecord>) {
+    fn finish(mut self, served: &[Option<ServedRequest>]) -> Feedback {
         self.finalize_ready(served);
         debug_assert_eq!(
             self.next_final,
             self.intervals.len(),
             "every interval finalised"
         );
-        (self.measurements, self.records)
+        self.feedback
     }
 }
 
@@ -630,63 +536,6 @@ mod tests {
             if r.requests > 0 {
                 assert!(r.measured.is_some());
             }
-        }
-    }
-
-    #[test]
-    fn grouped_replay_matches_multi_simulator_per_group() {
-        use dbat_sim::simulate_batching_multi;
-        use dbat_workload::RequestClass;
-        let params = SimParams::default();
-        let ts = burst_trace();
-        let labels: Vec<ClassId> = (0..ts.len()).map(|i| (i % 2) as ClassId).collect();
-        let classed = ClassedTrace::new(Trace::new(ts, 6.5), labels).unwrap();
-        let classes = vec![RequestClass::new(0, 0.08), RequestClass::new(1, 0.8)];
-        let groups = vec![
-            FunctionGroup::new(LambdaConfig::new(3008, 1, 0.0), vec![0]),
-            FunctionGroup::new(LambdaConfig::new(1024, 8, 0.025), vec![1]),
-        ];
-        let sim = simulate_batching_multi(&classed, &classes, &groups, &params).unwrap();
-        let mut gw = VirtualGateway::from_params(&params);
-        let out = gw.replay_grouped(&classed, &groups);
-        assert!(out.counts.conserved());
-        assert_eq!(out.counts.completed, classed.len() as u64);
-        for (g, grp_out) in sim.groups.iter().enumerate() {
-            let mine: Vec<&ServedRequest> =
-                out.requests.iter().filter(|r| r.lane == g as u32).collect();
-            assert_eq!(mine.len(), grp_out.sim.requests.len());
-            for (r, s) in mine.iter().zip(&grp_out.sim.requests) {
-                assert_eq!(r.arrival.to_bits(), s.arrival.to_bits());
-                assert_eq!(r.dispatched_at.to_bits(), s.dispatch.to_bits());
-                assert_eq!(r.completed_at.to_bits(), s.completion.to_bits());
-                assert_eq!(r.class as usize, g); // one class per group here
-            }
-            let my_batches: Vec<&ServedBatch> =
-                out.batches.iter().filter(|b| b.lane == g as u32).collect();
-            assert_eq!(my_batches.len(), grp_out.sim.batches.len());
-            for (b, s) in my_batches.iter().zip(&grp_out.sim.batches) {
-                assert_eq!(b.cost.to_bits(), s.cost.to_bits());
-                assert_eq!(b.size, s.size);
-            }
-        }
-        // The multi-group total folds per group in group-id order, so it
-        // is bitwise the simulator's — exact equality, not "last bits
-        // may differ".
-        assert_eq!(out.total_cost.to_bits(), sim.total_cost.to_bits());
-    }
-
-    #[test]
-    fn single_group_replay_is_bitwise_the_unsharded_replay() {
-        let params = SimParams::default();
-        let cfg = LambdaConfig::new(2048, 4, 0.05);
-        let classed = ClassedTrace::uniform(Trace::new(burst_trace(), 6.5), 0);
-        let groups = vec![FunctionGroup::new(cfg, vec![0])];
-        let plain = VirtualGateway::from_params(&params).replay(classed.trace().timestamps(), &cfg);
-        let grouped = VirtualGateway::from_params(&params).replay_grouped(&classed, &groups);
-        assert_eq!(plain.total_cost.to_bits(), grouped.total_cost.to_bits());
-        assert_eq!(plain.requests.len(), grouped.requests.len());
-        for (a, b) in plain.requests.iter().zip(&grouped.requests) {
-            assert_eq!(a.completed_at.to_bits(), b.completed_at.to_bits());
         }
     }
 

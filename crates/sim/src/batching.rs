@@ -7,30 +7,22 @@
 //! dispatch is one serverless invocation with deterministic service time
 //! `s(M, b)` for realised batch size `b`. Autoscaling gives every batch its
 //! own function instance, so batches never queue behind each other.
-//! A request's latency is `dispatch − arrival + cold_start? + s(M, b)`.
+//! A request's latency is `dispatch − arrival + s(M, b)`; cold starts and
+//! the other platform faults are [`crate::faults`]' business.
 
 use crate::config::LambdaConfig;
 use crate::metrics::LatencySummary;
 use crate::pricing::Pricing;
 use crate::service::ServiceProfile;
-use crate::window::{Admitted, BatcherCore, FlushReason, FormedBatch};
+use crate::window::walk_windows;
 use dbat_workload::Rng;
 use serde::{Deserialize, Serialize};
-
-/// Optional cold-start model (an extension over the paper, default off):
-/// each invocation independently pays `delay_s` with `probability`.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
-pub struct ColdStart {
-    pub probability: f64,
-    pub delay_s: f64,
-}
 
 /// Environment parameters shared across simulations.
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
 pub struct SimParams {
     pub profile: ServiceProfile,
     pub pricing: Pricing,
-    pub cold_start: Option<ColdStart>,
 }
 
 impl Default for SimParams {
@@ -38,7 +30,6 @@ impl Default for SimParams {
         SimParams {
             profile: ServiceProfile::ted_lium_like(),
             pricing: Pricing::aws_lambda(),
-            cold_start: None,
         }
     }
 }
@@ -54,7 +45,8 @@ pub struct BatchRecord {
     pub size: u32,
     /// Service time of the invocation.
     pub service_s: f64,
-    /// Cold-start delay paid by this invocation (0 when warm).
+    /// Cold-start delay paid by this invocation (0 when warm; only the
+    /// fault layer's container pool ever charges one).
     pub cold_start_s: f64,
     /// Invocation cost in USD.
     pub cost: f64,
@@ -131,140 +123,48 @@ impl SimOutcome {
     }
 }
 
-/// Telemetry handles resolved once per simulation run, so the hot loop
-/// never touches the metric registry. `None` when telemetry is disabled,
-/// making instrumentation a single branch per use.
-struct SimTel {
-    events: std::sync::Arc<dbat_telemetry::Counter>,
-    batch_size: std::sync::Arc<dbat_telemetry::Histogram>,
-    flush_timeout: std::sync::Arc<dbat_telemetry::Counter>,
-    flush_capacity: std::sync::Arc<dbat_telemetry::Counter>,
-    cold_starts: std::sync::Arc<dbat_telemetry::Counter>,
-    queue_depth: std::sync::Arc<dbat_telemetry::Gauge>,
-}
-
-impl SimTel {
-    fn resolve() -> Option<SimTel> {
-        let t = dbat_telemetry::global();
-        if !t.is_enabled() {
-            return None;
-        }
-        Some(SimTel {
-            events: t.counter("sim.events"),
-            batch_size: t.histogram("sim.batch_size"),
-            flush_timeout: t.counter("sim.flush.timeout"),
-            flush_capacity: t.counter("sim.flush.capacity"),
-            cold_starts: t.counter("sim.cold_starts"),
-            queue_depth: t.gauge("sim.queue_depth"),
-        })
-    }
-}
-
-/// Simulate the batching buffer over a finite arrival sequence: one
-/// [`BatcherCore`] fed every arrival in order, then told that time has run
-/// out. The core flushes a window's timeout when the next arrival (or the
-/// end of the trace) shows it has passed, stamped at the deadline, so no
-/// event queue is needed.
+/// Simulate the batching buffer over a finite arrival sequence: the
+/// window walk (`window::walk_windows`) forms the batches, and each one is
+/// served on its own autoscaled instance for `s(M, b)`.
 ///
-/// `rng` is only consulted when `params.cold_start` is set. Timestamps must
-/// be sorted ascending (the usual output of the workload generators).
+/// Timestamps must be sorted ascending (the usual output of the workload
+/// generators). Nothing reads the fourth parameter. It stays because
+/// `benchmark/` calls `simulate_batching(.., None)` and a change to this
+/// crate may not edit `benchmark/` in the same PR; ROADMAP item 2 lists
+/// its removal.
 pub fn simulate_batching(
     arrivals: &[f64],
     cfg: &LambdaConfig,
     params: &SimParams,
-    mut rng: Option<&mut Rng>,
+    _unused: Option<&mut Rng>,
 ) -> SimOutcome {
     debug_assert!(
         arrivals.windows(2).all(|w| w[0] <= w[1]),
         "arrivals must be sorted"
     );
-    if params.cold_start.is_some() {
-        assert!(rng.is_some(), "cold-start model requires an RNG");
-    }
-
-    // A trace that starts below zero is rebased to start at zero for the
-    // core, and the stamps it returns are shifted back — the arithmetic
-    // `tests/golden_windowed.rs` pins.
-    let t0 = arrivals.first().copied().unwrap_or(0.0).min(0.0);
-    let mut core = BatcherCore::new(*cfg);
-    let mut formed: Vec<FormedBatch> = Vec::new();
     let mut out = SimOutcome::unserved(arrivals);
-    let tel = SimTel::resolve();
-
-    for (i, &a) in arrivals.iter().enumerate() {
-        let req = Admitted {
-            id: i as u64,
-            arrival: a - t0,
-            class: 0,
-        };
-        core.on_arrival(req, &mut formed);
-        for fb in formed.drain(..) {
-            dispatch(&fb, t0, params, &mut rng, &mut out, &tel);
-        }
-        if let Some(tel) = &tel {
-            tel.queue_depth.set(core.buffered() as f64);
-        }
-    }
-    core.due(f64::INFINITY, &mut formed);
-    for fb in formed.drain(..) {
-        dispatch(&fb, t0, params, &mut rng, &mut out, &tel);
-    }
-    if let Some(tel) = &tel {
-        tel.events.add((arrivals.len() + out.batches.len()) as u64);
-        tel.queue_depth.set(0.0);
-    }
-    out
-}
-
-/// Serve one formed batch on its own autoscaled instance.
-fn dispatch(
-    fb: &FormedBatch,
-    t0: f64,
-    params: &SimParams,
-    rng: &mut Option<&mut Rng>,
-    out: &mut SimOutcome,
-    tel: &Option<SimTel>,
-) {
-    let size = fb.requests.len() as u32;
-    let service = params.profile.service_time(fb.config.memory_mb, size);
-    let cold = params
-        .cold_start
-        .zip(rng.as_deref_mut())
-        .map_or(0.0, |(cs, r)| {
-            if r.bernoulli(cs.probability) {
-                cs.delay_s
-            } else {
-                0.0
-            }
+    walk_windows(arrivals.iter().copied().enumerate(), cfg, |fb| {
+        let size = fb.requests.len() as u32;
+        let service = params.profile.service_time(fb.config.memory_mb, size);
+        let cost = params.pricing.invocation_cost(fb.config.memory_mb, service);
+        let batch_idx = out.batches.len();
+        out.batches.push(BatchRecord {
+            opened_at: fb.opened_at,
+            dispatched_at: fb.dispatched_at,
+            size,
+            service_s: service,
+            cold_start_s: 0.0,
+            cost,
         });
-    let cost = params.pricing.invocation_cost(fb.config.memory_mb, service);
-    if let Some(tel) = tel {
-        tel.batch_size.record(size as f64);
-        match fb.reason {
-            FlushReason::Timeout => tel.flush_timeout.inc(),
-            _ => tel.flush_capacity.inc(),
+        out.total_cost += cost;
+        for r in &fb.requests {
+            let rec = &mut out.requests[r.id as usize];
+            rec.dispatch = fb.dispatched_at;
+            rec.completion = fb.dispatched_at + service;
+            rec.batch = batch_idx;
         }
-        if cold > 0.0 {
-            tel.cold_starts.inc();
-        }
-    }
-    let dispatched_at = fb.dispatched_at + t0;
-    let batch_idx = out.batches.len();
-    out.batches.push(BatchRecord {
-        opened_at: fb.opened_at + t0,
-        dispatched_at,
-        size,
-        service_s: service,
-        cold_start_s: cold,
-        cost,
     });
-    out.total_cost += cost;
-    for r in &fb.requests {
-        let rec = &mut out.requests[r.id as usize];
-        rec.dispatch = dispatched_at;
-        rec.completion = dispatched_at + cold + service;
-        rec.batch = batch_idx;
-    }
+    out
 }
 
 #[cfg(test)]
@@ -376,25 +276,6 @@ mod tests {
         );
         // ... but latency is worse (Fig. 1 trade-off).
         assert!(batched.summary().p95 > single.summary().p95);
-    }
-
-    #[test]
-    fn cold_start_adds_latency() {
-        let cs = ColdStart {
-            probability: 1.0,
-            delay_s: 0.4,
-        };
-        let p = SimParams {
-            cold_start: Some(cs),
-            ..SimParams::default()
-        };
-        let mut rng = Rng::new(1);
-        let cfg = LambdaConfig::new(2048, 1, 0.0);
-        let out = simulate_batching(&[0.0], &cfg, &p, Some(&mut rng));
-        assert!(
-            (out.requests[0].latency() - (0.4 + p.profile.service_time(2048, 1))).abs() < 1e-12
-        );
-        assert_eq!(out.batches[0].cold_start_s, 0.4);
     }
 
     #[test]

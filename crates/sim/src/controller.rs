@@ -8,7 +8,8 @@
 //! `sim → {analytic, core}`: `dbat-analytic` cannot depend on `dbat-core`
 //! (core dev-depends on analytic), so the only crate both can name is
 //! this one. The shared measurement machinery (`IntervalMeasurement`,
-//! `DecisionRecord`, VCR aggregation) lives here for the same reason.
+//! `DecisionRecord`, VCR aggregation) and the [`Feedback`] protocol every
+//! closed-loop driver runs live here for the same reason.
 
 use crate::batching::{SimOutcome, SimParams};
 use crate::config::{LambdaConfig, SimConfig};
@@ -217,9 +218,9 @@ pub struct DecisionContext<'a> {
 /// accumulating an audit trail of [`DecisionRecord`]s.
 ///
 /// The protocol per interval is: `decide` → (driver measures) →
-/// `observe` → `commit`. `commit`'s default just archives the record;
-/// wrappers (graceful degradation) override it to learn from the
-/// completed record.
+/// `observe` → `commit`, run by [`Feedback`]. `commit`'s default just
+/// archives the record; wrappers (graceful degradation) override it to
+/// learn from the completed record.
 pub trait Controller {
     /// Short policy label used in reports and telemetry.
     fn name(&self) -> &'static str;
@@ -496,12 +497,61 @@ pub fn record_sim_trace(
     tracer.record_many(&events);
 }
 
-/// The closed-loop interval driver shared by [`run_controller`] and
+/// The feedback protocol of one closed-loop run, and what it has produced
+/// so far. Every driver — [`run_controller`],
+/// [`crate::tokens::run_controller_tokens`], `dbat-serve`'s controlled
+/// replay and its live control thread — asks for decisions through
+/// [`Feedback::decide`] and closes each interval through
+/// [`Feedback::close`]; they differ only in *when* an interval's
+/// measurement becomes available.
+#[derive(Clone, Debug, Default)]
+pub struct Feedback {
+    /// Measurements of the non-empty intervals closed so far, in order.
+    pub measurements: Vec<IntervalMeasurement>,
+    /// The record the controller archived for every closed interval.
+    pub records: Vec<DecisionRecord>,
+}
+
+impl Feedback {
+    /// Ask `ctl` for a decision, stamping how long the call took.
+    pub fn decide<C: Controller + ?Sized>(
+        ctl: &mut C,
+        ctx: &DecisionContext<'_>,
+    ) -> DecisionRecord {
+        let t_decide = std::time::Instant::now();
+        let mut rec = ctl.decide(ctx);
+        rec.decide_s = t_decide.elapsed().as_secs_f64();
+        rec
+    }
+
+    /// Close a decided interval: copy what was measured into its record,
+    /// show it to the controller (`observe`), then `commit`. `None` is an
+    /// interval with no arrivals, which can neither cost nor violate and
+    /// is committed unobserved.
+    pub fn close<C: Controller + ?Sized>(
+        &mut self,
+        ctl: &mut C,
+        mut rec: DecisionRecord,
+        measured: Option<IntervalMeasurement>,
+    ) {
+        if let Some(m) = measured {
+            rec.record_measurement(&m);
+            ctl.observe(&m);
+            self.measurements.push(m);
+        }
+        ctl.commit(rec);
+        // The committed record may have been rewritten (degradation
+        // wrappers annotate it), so archive what the controller kept.
+        let kept = ctl.audit().last().expect("commit must archive the record");
+        self.records.push(*kept);
+    }
+}
+
+/// The offline interval driver shared by [`run_controller`] and
 /// [`crate::tokens::run_controller_tokens`]: one `decide` → `measure` →
-/// `observe` → `commit` cycle per decision interval of `[t0, t1)`.
-/// `measure` serves the interval under the decided configuration and
-/// returns what happened, or `None` for an interval with no arrivals
-/// (which can neither cost nor violate).
+/// close cycle per decision interval of `[t0, t1)`. `measure` serves the
+/// interval under the decided configuration and returns what happened, or
+/// `None` for an interval with no arrivals.
 ///
 /// Each completed record is emitted as a `controller.decision` telemetry
 /// event — the audit trail — and the sinks are flushed.
@@ -512,13 +562,12 @@ pub(crate) fn drive_intervals<C: Controller + ?Sized>(
     t1: f64,
     opts: &SimConfig,
     mut measure: impl FnMut(&DecisionContext<'_>, &LambdaConfig) -> Option<IntervalMeasurement>,
-) -> (Vec<IntervalMeasurement>, Vec<DecisionRecord>) {
+) -> Feedback {
     assert!(
         opts.decision_interval > 0.0,
         "decision interval must be positive"
     );
-    let mut measurements = Vec::new();
-    let mut records = Vec::new();
+    let mut feedback = Feedback::default();
     let mut t = t0;
     let mut index = 0usize;
     while t < t1 {
@@ -529,29 +578,20 @@ pub(crate) fn drive_intervals<C: Controller + ?Sized>(
             end,
             index,
         };
-        let t_decide = std::time::Instant::now();
-        let mut rec = ctl.decide(&ctx);
-        rec.decide_s = t_decide.elapsed().as_secs_f64();
-        if let Some(m) = measure(&ctx, &rec.config) {
-            rec.record_measurement(&m);
-            ctl.observe(&m);
-            measurements.push(m);
-        }
-        ctl.commit(rec);
-        // The committed record may have been rewritten (degradation
-        // wrappers annotate it), so archive what the controller kept.
-        records.push(*ctl.audit().last().expect("commit must archive the record"));
+        let rec = Feedback::decide(ctl, &ctx);
+        let measured = measure(&ctx, &rec.config);
+        feedback.close(ctl, rec, measured);
         t = end;
         index += 1;
     }
     let tel = dbat_telemetry::global();
     if tel.is_enabled() {
-        for rec in &records {
+        for rec in &feedback.records {
             tel.emit("controller.decision", serde_json::to_value(rec));
         }
         tel.flush();
     }
-    (measurements, records)
+    feedback
 }
 
 /// Drive any [`Controller`] over `[t0, t1)` of the trace, measuring each
@@ -572,7 +612,7 @@ pub fn run_controller<C: Controller + ?Sized>(
     let tracer = dbat_telemetry::global().tracer();
     let mut trace_req_offset = 0u64;
     let mut trace_batch_offset = 0u64;
-    let (measurements, records) = drive_intervals(ctl, trace, t0, t1, opts, |ctx, config| {
+    let feedback = drive_intervals(ctl, trace, t0, t1, opts, |ctx, config| {
         let slice = trace.slice(ctx.start, ctx.end.min(trace.horizon()));
         if slice.is_empty() {
             return None;
@@ -614,8 +654,8 @@ pub fn run_controller<C: Controller + ?Sized>(
         Some(m)
     });
     RunOutcome {
-        measurements,
-        records,
+        measurements: feedback.measurements,
+        records: feedback.records,
         counts,
         goodput: None,
     }

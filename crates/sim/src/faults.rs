@@ -31,7 +31,7 @@ use crate::batching::{simulate_batching, BatchRecord, SimOutcome, SimParams};
 use crate::config::LambdaConfig;
 use crate::engine::{run, Scheduler};
 use crate::metrics::LatencySummary;
-use crate::window::{Admitted, BatcherCore, FormedBatch};
+use crate::window::{trace_origin, Admitted, BatcherCore, FormedBatch};
 use dbat_workload::{DbatError, Rng};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
@@ -667,8 +667,8 @@ enum Ev {
 }
 
 /// Everything a fault-injected run mutates, apart from the window core and
-/// the event queue its handler borrows. Times are rebased (`+ t0` on the
-/// way out), like [`simulate_batching`]'s.
+/// the event queue its handler borrows. Times are relative to
+/// [`trace_origin`] (`+ t0` on the way out), like the window walk's.
 struct FaultRun<'a> {
     memory_mb: u32,
     params: &'a SimParams,
@@ -894,7 +894,7 @@ pub fn simulate_faults(
         "arrivals must be sorted"
     );
 
-    let t0 = arrivals.first().copied().unwrap_or(0.0).min(0.0);
+    let t0 = trace_origin(arrivals.first().copied());
     let mut sched: Scheduler<Ev> = Scheduler::new();
     for (i, &a) in arrivals.iter().enumerate() {
         sched.schedule(a - t0, Ev::Arrival(i));

@@ -12,7 +12,9 @@
 //!   place the rule is written; the simulators below, `dbat-serve`'s
 //!   virtual replay and its live batcher threads are all drivers of it;
 //! * [`batching`] — [`simulate_batching`]: the arrivals walked through one
-//!   core in a plain loop, each formed batch served on its own instance;
+//!   core in a plain loop (the walk lives in [`window`], and the windowed
+//!   token simulator shares it), each formed batch served on its own
+//!   instance;
 //! * [`faults`] — [`simulate_faults`]: the same core, with seeded fault
 //!   injection (cold starts with a warm-container pool, failures + retry,
 //!   throttling — on its own, an account concurrency quota — and
@@ -24,16 +26,17 @@
 //! * [`pricing`] — AWS Lambda pay-as-you-go cost model;
 //! * [`metrics`] — latency summaries and the VCR metric (Eq. 11);
 //! * [`controller`] — the [`Controller`] trait the closed-loop policies
-//!   implement, the shared measurement/audit machinery, and the one
-//!   interval driver behind [`run_controller`] and
-//!   [`run_controller_tokens`];
+//!   implement, the shared measurement/audit machinery, the [`Feedback`]
+//!   protocol (`decide` → measure → `observe` → `commit`) every
+//!   closed-loop driver in the workspace runs, and the one interval
+//!   driver behind [`run_controller`] and [`run_controller_tokens`];
 //! * [`mod@sweep`] — rayon-parallel exhaustive grid search (Eq. 10 optimum);
 //! * [`multi`] — multi-SLO request classes served by heterogeneous
 //!   function groups, with the HarmonyBatch-style joint partition/config
 //!   decision ([`joint_decide`]);
 //! * [`tokens`] — the token-aware two-phase service model (prefill +
 //!   per-step decode), KV-capacity-constrained admission, the
-//!   continuous-batching discipline ([`ContinuousCore`]), and goodput
+//!   continuous-batching discipline, and goodput
 //!   under TTFT/TPOT SLOs.
 
 pub mod batching;
@@ -49,15 +52,13 @@ pub mod sweep;
 pub mod tokens;
 pub mod window;
 
-pub use batching::{
-    simulate_batching, BatchRecord, ColdStart, RequestRecord, SimOutcome, SimParams,
-};
+pub use batching::{simulate_batching, BatchRecord, RequestRecord, SimOutcome, SimParams};
 pub use config::{
     ConfigGrid, LambdaConfig, SimConfig, SimConfigBuilder, MEMORY_MAX_MB, MEMORY_MIN_MB,
 };
 pub use controller::{
     hourly_vcr, record_sim_trace, run_controller, vcr_of, Controller, DecisionContext,
-    DecisionRecord, IntervalMeasurement, OracleController, RunOutcome, StaticController,
+    DecisionRecord, Feedback, IntervalMeasurement, OracleController, RunOutcome, StaticController,
 };
 pub use faults::{
     simulate_faults, ColdStartFault, FailureFault, FaultCounts, FaultEvent, FaultPlan,
@@ -66,15 +67,14 @@ pub use faults::{
 pub use metrics::{vcr, LatencySummary, PERCENTILE_KEYS};
 pub use multi::{
     joint_decide, simulate_batching_multi, simulate_faults_multi, single_config_baseline,
-    ClassAssignment, ClassOutcome, FaultGroupOutcome, FunctionGroup, GroupOutcome, GroupScore,
-    GroupScorer, JointDecision, MultiFaultOutcome, MultiSimOutcome, OracleGroupScorer,
+    ClassAssignment, ClassOutcome, FunctionGroup, GroupOutcome, GroupScore, GroupScorer,
+    JointDecision, MultiSimOutcome, OracleGroupScorer,
 };
 pub use pricing::Pricing;
 pub use service::ServiceProfile;
 pub use sweep::{best_feasible, evaluate, ground_truth, sweep, Evaluation};
 pub use tokens::{
-    ceil_ms, record_token_trace, run_controller_tokens, simulate_tokens_continuous,
-    simulate_tokens_windowed, ContinuousCore, Goodput, TokenEvent, TokenInvocation, TokenParams,
-    TokenProfile, TokenRequestRecord, TokenSimOutcome,
+    ceil_ms, run_controller_tokens, simulate_tokens_continuous, simulate_tokens_windowed, Goodput,
+    TokenInvocation, TokenParams, TokenProfile, TokenRequestRecord, TokenSimOutcome,
 };
 pub use window::{Admitted, BatcherCore, FlushReason, FormedBatch};

@@ -11,13 +11,14 @@
 //!   pricing/profile) serving an assigned set of classes;
 //! * [`ClassAssignment`] — the validated class → group map (every class
 //!   served exactly once);
-//! * [`simulate_batching_multi`] / [`simulate_faults_multi`] — per-group
-//!   simulation with per-class conservation, cost attribution, and
-//!   latency summaries. Groups are independent buffers on an autoscaled
-//!   platform, so the multi simulation decomposes exactly into one
-//!   single-queue run per group over its class-filtered arrival
-//!   subsequence; with one group serving one class it reproduces
-//!   [`simulate_batching`] **bitwise** — the correctness anchor;
+//! * [`simulate_faults_multi`] (and [`simulate_batching_multi`], its
+//!   inert-plan call) — per-group simulation with per-class conservation,
+//!   cost attribution, and latency summaries. Groups are independent
+//!   buffers on an autoscaled platform, so the multi simulation
+//!   decomposes exactly into one single-queue run per group over its
+//!   class-filtered arrival subsequence; with one group serving one class
+//!   it reproduces [`simulate_faults`] (and so, fault-free,
+//!   [`crate::simulate_batching`]) **bitwise** — the correctness anchor;
 //! * [`joint_decide`] — HarmonyBatch-style joint optimization: classes
 //!   sorted by SLO, contiguous segments merged into groups (a group's SLO
 //!   is its tightest member's), each segment's config chosen by a
@@ -29,7 +30,7 @@
 //! both `dbat-core` (surrogate fast path) and `dbat-analytic` implement
 //! it, and `dbat-analytic` cannot depend on `dbat-core`.
 
-use crate::batching::{simulate_batching, SimOutcome, SimParams};
+use crate::batching::SimParams;
 use crate::config::{ConfigGrid, LambdaConfig};
 use crate::faults::{simulate_faults, FaultCounts, FaultPlan, FaultSimOutcome};
 use crate::metrics::LatencySummary;
@@ -118,8 +119,8 @@ impl ClassAssignment {
 /// One group's slice of a multi-class simulation.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct GroupOutcome {
-    pub sim: SimOutcome,
-    /// Class of each request, parallel to `sim.requests`.
+    pub out: FaultSimOutcome,
+    /// Class of each request, parallel to `out.sim.requests`.
     pub members: Vec<ClassId>,
     /// Original index in the classed trace of each request (exactly-once
     /// audits rely on these forming a partition of `0..trace.len()`).
@@ -151,13 +152,15 @@ impl ClassOutcome {
     }
 }
 
-/// Outcome of [`simulate_batching_multi`].
+/// Outcome of [`simulate_faults_multi`] / [`simulate_batching_multi`].
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct MultiSimOutcome {
     /// Per-group outcomes, parallel to the input group list.
     pub groups: Vec<GroupOutcome>,
     /// Per-class accounting, indexed by class id.
     pub per_class: Vec<ClassOutcome>,
+    /// Fault counts absorbed across groups (all zero under an inert plan).
+    pub counts: FaultCounts,
     /// Total cost across groups.
     pub total_cost: f64,
 }
@@ -170,24 +173,6 @@ impl MultiSimOutcome {
         let sliced: usize = self.groups.iter().map(|g| g.indices.len()).sum();
         all_served && sliced == trace_len
     }
-}
-
-/// Outcome of [`simulate_faults_multi`].
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct MultiFaultOutcome {
-    pub groups: Vec<FaultGroupOutcome>,
-    pub per_class: Vec<ClassOutcome>,
-    /// Fault counts absorbed across groups.
-    pub counts: FaultCounts,
-    pub total_cost: f64,
-}
-
-/// One group's slice of a fault-injected multi-class simulation.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct FaultGroupOutcome {
-    pub out: FaultSimOutcome,
-    pub members: Vec<ClassId>,
-    pub indices: Vec<usize>,
 }
 
 /// One group's slice of the trace: arrivals, their class labels, and
@@ -223,23 +208,20 @@ fn partition_by_group(
     Ok(buckets)
 }
 
-/// Aggregate per-class accounting from per-group request records.
-/// `served(group, request_idx)` filters lost requests under faults.
-fn per_class_outcomes(
-    classes: &[RequestClass],
-    groups: &[(&SimOutcome, &[ClassId])],
-    served: impl Fn(usize, usize) -> bool,
-) -> Vec<ClassOutcome> {
+/// Aggregate per-class accounting from per-group request records; lost
+/// requests count towards `requests` only.
+fn per_class_outcomes(classes: &[RequestClass], groups: &[GroupOutcome]) -> Vec<ClassOutcome> {
     let k = classes.len();
     let mut requests = vec![0usize; k];
     let mut served_n = vec![0usize; k];
     let mut cost = vec![0f64; k];
     let mut lats: Vec<Vec<f64>> = vec![Vec::new(); k];
-    for (g, (sim, members)) in groups.iter().enumerate() {
-        for (i, (r, &c)) in sim.requests.iter().zip(members.iter()).enumerate() {
+    for g in groups {
+        let sim = &g.out.sim;
+        for ((r, &c), &served) in sim.requests.iter().zip(&g.members).zip(&g.out.served) {
             let c = c as usize;
             requests[c] += 1;
-            if served(g, i) {
+            if served {
                 served_n[c] += 1;
                 lats[c].push(r.latency());
                 let b = &sim.batches[r.batch];
@@ -271,44 +253,17 @@ fn per_class_outcomes(
         .collect()
 }
 
-/// Simulate a class-tagged trace over heterogeneous function groups.
-///
-/// Groups are independent buffers on an autoscaled platform (batches
-/// never queue behind each other, within or across groups), so each
-/// group runs [`simulate_batching`] over its class-filtered arrival
-/// subsequence. With a single group serving a single class the outcome
-/// is **bitwise identical** to `simulate_batching` over the whole trace.
+/// Simulate a class-tagged trace over heterogeneous function groups on a
+/// fault-free platform: [`simulate_faults_multi`] under the inert plan.
+/// With a single group serving a single class the outcome is **bitwise
+/// identical** to [`crate::simulate_batching`] over the whole trace.
 pub fn simulate_batching_multi(
     trace: &ClassedTrace,
     classes: &[RequestClass],
     groups: &[FunctionGroup],
     params: &SimParams,
 ) -> Result<MultiSimOutcome, DbatError> {
-    validate_classes(classes)?;
-    let assignment = ClassAssignment::from_groups(groups, classes.len())?;
-    let buckets = partition_by_group(trace, &assignment, groups.len())?;
-    let mut outcomes = Vec::with_capacity(groups.len());
-    let mut total_cost = 0.0;
-    for (grp, (arrivals, members, indices)) in groups.iter().zip(buckets) {
-        let p = grp.params.as_ref().unwrap_or(params);
-        let sim = simulate_batching(&arrivals, &grp.config, p, None);
-        total_cost += sim.total_cost;
-        outcomes.push(GroupOutcome {
-            sim,
-            members,
-            indices,
-        });
-    }
-    let views: Vec<(&SimOutcome, &[ClassId])> = outcomes
-        .iter()
-        .map(|g| (&g.sim, g.members.as_slice()))
-        .collect();
-    let per_class = per_class_outcomes(classes, &views, |_, _| true);
-    Ok(MultiSimOutcome {
-        groups: outcomes,
-        per_class,
-        total_cost,
-    })
+    simulate_faults_multi(trace, classes, groups, params, &FaultPlan::default())
 }
 
 /// Derive group `g`'s fault seed from the plan seed. Group 0 keeps the
@@ -318,10 +273,14 @@ fn group_seed(seed: u64, g: usize) -> u64 {
     seed ^ (g as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
-/// Fault-injected variant of [`simulate_batching_multi`]: each group
-/// runs [`simulate_faults`] under a per-group sub-seeded copy of the
-/// plan. Lost requests (shed / retry-exhausted) are excluded from the
-/// per-class latency and cost accounting but still counted in
+/// Simulate a class-tagged trace over heterogeneous function groups.
+///
+/// Groups are independent buffers on an autoscaled platform (batches
+/// never queue behind each other, within or across groups), so each
+/// group runs [`simulate_faults`] over its class-filtered arrival
+/// subsequence under a per-group sub-seeded copy of the plan. Lost
+/// requests (shed / retry-exhausted) are excluded from the per-class
+/// latency and cost accounting but still counted in
 /// `per_class[c].requests`.
 pub fn simulate_faults_multi(
     trace: &ClassedTrace,
@@ -329,7 +288,7 @@ pub fn simulate_faults_multi(
     groups: &[FunctionGroup],
     params: &SimParams,
     plan: &FaultPlan,
-) -> Result<MultiFaultOutcome, DbatError> {
+) -> Result<MultiSimOutcome, DbatError> {
     validate_classes(classes)?;
     plan.validate()?;
     let assignment = ClassAssignment::from_groups(groups, classes.len())?;
@@ -343,18 +302,14 @@ pub fn simulate_faults_multi(
         let out = simulate_faults(&arrivals, &grp.config, p, &sub);
         counts.absorb(&out.counts);
         total_cost += out.sim.total_cost;
-        outcomes.push(FaultGroupOutcome {
+        outcomes.push(GroupOutcome {
             out,
             members,
             indices,
         });
     }
-    let views: Vec<(&SimOutcome, &[ClassId])> = outcomes
-        .iter()
-        .map(|g| (&g.out.sim, g.members.as_slice()))
-        .collect();
-    let per_class = per_class_outcomes(classes, &views, |g, i| outcomes[g].out.served[i]);
-    Ok(MultiFaultOutcome {
+    let per_class = per_class_outcomes(classes, &outcomes);
+    Ok(MultiSimOutcome {
         groups: outcomes,
         per_class,
         counts,
@@ -589,6 +544,7 @@ pub fn single_config_baseline(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::simulate_batching;
     use dbat_workload::Trace;
 
     fn dense(n: usize, dt: f64) -> Trace {
@@ -620,7 +576,7 @@ mod tests {
         let multi =
             simulate_batching_multi(&classed, &classes, &groups, &SimParams::default()).unwrap();
         assert_eq!(multi.groups.len(), 1);
-        let sim = &multi.groups[0].sim;
+        let sim = &multi.groups[0].out.sim;
         assert_eq!(sim.total_cost.to_bits(), base.total_cost.to_bits());
         assert_eq!(sim.requests.len(), base.requests.len());
         for (a, b) in sim.requests.iter().zip(&base.requests) {

@@ -17,33 +17,30 @@
 //! workload:
 //!
 //! * [`simulate_tokens_windowed`] — the paper's clairvoyant window
-//!   batching, re-costed token by token. Window formation is *identical*
-//!   to [`simulate_batching`] (it only depends on arrivals and `(B, T)`),
-//!   so the degenerate workload (1 prompt / 1 output token each, no
-//!   capacity limit) reduces to the base simulator **bit for bit**.
+//!   batching, re-costed token by token. Windows come from the same walk
+//!   over the window core as [`crate::simulate_batching`]'s (formation
+//!   only depends on arrivals and `(B, T)`), so the degenerate workload
+//!   (1 prompt / 1 output token each, no capacity limit) reduces to the
+//!   base simulator **bit for bit**.
 //! * [`simulate_tokens_continuous`] — continuous batching: requests join
 //!   the running batch at decode-step boundaries and leave on completion,
 //!   over a fixed fleet of engine replicas with KV-cache
 //!   capacity-constrained admission. Every decode step is dispatched as
 //!   one serverless invocation of the step's duration, which is exactly
-//!   [`simulate_batching`]'s cost accounting in the degenerate case.
+//!   [`crate::simulate_batching`]'s cost accounting in the degenerate case.
 //!
 //! Both disciplines are event-driven and bit-for-bit deterministic under
 //! fixed seeds, and both keep a conservation ledger:
 //! `completed + rejected == offered`.
 //!
-//! The shared per-engine state machine, [`ContinuousCore`], is clock-free
-//! (it consumes event times, it never reads a clock) so `dbat-serve` can
-//! drive the same struct behind its `Clock` trait and stay bitwise equal
-//! to the simulator under a virtual clock.
 
-use crate::batching::{simulate_batching, SimParams};
 use crate::config::{LambdaConfig, SimConfig};
 use crate::controller::{drive_intervals, Controller, IntervalMeasurement, RunOutcome};
 use crate::faults::FaultCounts;
 use crate::metrics::LatencySummary;
 use crate::pricing::Pricing;
 use crate::service::ServiceProfile;
+use crate::window::walk_windows;
 use dbat_telemetry::{TraceConfig, TraceEvent, TraceId, TraceStage, Tracer};
 use dbat_workload::{TokenSlo, TokenSpec, TokenizedTrace};
 use serde::{Deserialize, Serialize};
@@ -339,16 +336,27 @@ fn decode_schedule(outputs: &mut [u32]) -> Vec<u32> {
     active
 }
 
+/// Both token simulators index decode schedules by `output_tokens − 1`
+/// and count a request's first step, so a zero count is a caller bug:
+/// [`TokenSpec::new`] and [`TokenizedTrace::new`] cannot produce one.
+fn assert_positive_specs(specs: &[TokenSpec]) {
+    assert!(
+        specs.iter().all(|s| s.validate().is_ok()),
+        "token specs must have at least one prompt and one output token"
+    );
+}
+
 /// The paper's clairvoyant window batching, re-costed with the two-phase
 /// token model.
 ///
 /// Window formation (open on first arrival, dispatch at `min(B-th
 /// arrival, open + T)`, every batch on its own autoscaled instance) only
-/// depends on arrivals and `(B, T)`, so it is delegated verbatim to
-/// [`simulate_batching`]. Each dispatched batch then runs prefill over
-/// its summed prompt tokens followed by one decode step per output
-/// token, with members leaving the cohort as their outputs complete;
-/// the invocation bills its total ms-rounded busy time.
+/// depends on arrivals and `(B, T)`: the admitted arrivals go through
+/// `window::walk_windows`, the walk [`crate::simulate_batching`] uses. Each
+/// dispatched batch then runs prefill over its summed prompt tokens
+/// followed by one decode step per output token, with members leaving the
+/// cohort as their outputs complete; the invocation bills its total
+/// ms-rounded busy time.
 ///
 /// Admission: a request whose own KV footprint (`prompt + output`
 /// tokens) exceeds the function's capacity is rejected up front.
@@ -362,6 +370,7 @@ pub fn simulate_tokens_windowed(
     params: &TokenParams,
 ) -> TokenSimOutcome {
     assert_eq!(arrivals.len(), specs.len(), "one spec per arrival");
+    assert_positive_specs(specs);
     cfg.validate().expect("invalid configuration");
     let capacity = params.capacity_tokens(cfg.memory_mb);
 
@@ -369,47 +378,24 @@ pub fn simulate_tokens_windowed(
     let admitted: Vec<usize> = (0..arrivals.len())
         .filter(|&i| capacity.is_none_or(|c| specs[i].total_tokens() <= c))
         .collect();
-    let rejected = arrivals.len() - admitted.len();
-    let admitted_arrivals: Vec<f64> = admitted.iter().map(|&i| arrivals[i]).collect();
-
-    // Window formation, delegated bit-for-bit to the base simulator
-    // (service/cost of the base run are discarded).
-    let base = simulate_batching(&admitted_arrivals, cfg, &SimParams::default(), None);
-
-    let mut members: Vec<Vec<usize>> = vec![Vec::new(); base.batches.len()];
-    for (a, r) in base.requests.iter().enumerate() {
-        members[r.batch].push(a); // index into `admitted`
-    }
 
     let speed = params.profile.speed(cfg.memory_mb);
     let mut served: Vec<Option<TokenRequestRecord>> = vec![None; arrivals.len()];
-    let mut invocations = Vec::with_capacity(base.batches.len());
+    let mut invocations = Vec::new();
     let mut total_cost = 0.0;
 
-    for (bi, batch) in base.batches.iter().enumerate() {
-        let m = &members[bi];
-        debug_assert!(!m.is_empty());
-        let dispatch = batch.dispatched_at;
-        let prompt_sum: u64 = m
-            .iter()
-            .map(|&a| specs[admitted[a]].prompt_tokens as u64)
-            .sum();
-        let mut outputs: Vec<u32> = m
-            .iter()
-            .map(|&a| specs[admitted[a]].output_tokens)
-            .collect();
+    walk_windows(admitted.iter().map(|&i| (i, arrivals[i])), cfg, |fb| {
+        let members = || fb.requests.iter().map(|r| r.id as usize);
+        let dispatch = fb.dispatched_at;
+        let prompt_sum: u64 = members().map(|i| specs[i].prompt_tokens as u64).sum();
+        let mut outputs: Vec<u32> = members().map(|i| specs[i].output_tokens).collect();
         let active = decode_schedule(&mut outputs);
 
         let mut work = params.profile.prefill_work(prompt_sum);
-        let mut first_token = 0.0;
         let mut step_ends = Vec::with_capacity(active.len());
-        for (k, &b) in active.iter().enumerate() {
+        for &b in &active {
             work += params.profile.decode_work(b);
-            let t = dispatch + ceil_ms(work / speed);
-            if k == 0 {
-                first_token = t;
-            }
-            step_ends.push(t);
+            step_ends.push(dispatch + ceil_ms(work / speed));
         }
         let busy = ceil_ms(work / speed);
         let cost = params.pricing.invocation_cost(cfg.memory_mb, busy);
@@ -417,28 +403,27 @@ pub fn simulate_tokens_windowed(
         invocations.push(TokenInvocation {
             start: dispatch,
             busy_s: busy,
-            size: m.len() as u32,
-            joined: m.len() as u32,
+            size: fb.requests.len() as u32,
+            joined: fb.requests.len() as u32,
             cost,
             engine: 0,
-            anchor: admitted[m[0]],
+            anchor: fb.requests[0].id as usize,
         });
-        for &a in m {
-            let i = admitted[a];
+        for i in members() {
             let spec = specs[i];
             served[i] = Some(TokenRequestRecord {
                 arrival: arrivals[i],
                 dispatch,
-                first_token,
+                first_token: step_ends[0],
                 completion: step_ends[spec.output_tokens as usize - 1],
                 spec,
             });
         }
-    }
+    });
 
     let out = TokenSimOutcome {
         served: served.into_iter().flatten().collect(),
-        rejected,
+        rejected: arrivals.len() - admitted.len(),
         offered: arrivals.len(),
         invocations,
         total_cost,
@@ -447,10 +432,10 @@ pub fn simulate_tokens_windowed(
     out
 }
 
-/// An event consumed by [`ContinuousCore`]: the next pending arrival, or
+/// An event of the continuous discipline: the next pending arrival, or
 /// the end of the running decode step on one engine.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub enum TokenEvent {
+enum TokenEvent {
     Arrival,
     StepEnd(usize),
 }
@@ -480,29 +465,10 @@ impl Engine {
 }
 
 /// Continuous-batching state machine over a fixed fleet of engine
-/// replicas. Pure and clock-free: callers feed it timestamped events
-/// ([`TokenEvent`]) in the canonical order exposed by
-/// [`ContinuousCore::next_event`] — the simulator's event loop and the
-/// serve layer's `ContinuousBackend` drive the *same* struct, which is
-/// what makes virtual-clock replays bitwise equal to the simulator.
-///
-/// Discipline per engine:
-/// * an arriving request routes to the least-loaded replica (lowest id
-///   on ties) and is rejected only when its own KV footprint exceeds
-///   the replica's capacity;
-/// * at every step boundary the engine admits queued requests (FIFO)
-///   while the cohort is below `B` and the KV cache has room;
-/// * a step's work is prefill over the joiners' summed prompts (skipped
-///   when nobody joined) plus one decode unit over the cohort;
-/// * every step is dispatched as one invocation of the step's
-///   ms-rounded duration — [`simulate_batching`]'s cost accounting in
-///   the degenerate case;
-/// * members leave as their outputs complete, releasing KV room.
-///
-/// `config.timeout_s` is not consulted: continuous batching has no
-/// windows to time out.
+/// replicas: the state behind [`simulate_tokens_continuous`], which
+/// documents the discipline.
 #[derive(Clone, Debug)]
-pub struct ContinuousCore {
+struct ContinuousCore {
     arrivals: Vec<f64>,
     specs: Vec<TokenSpec>,
     config: LambdaConfig,
@@ -519,7 +485,7 @@ pub struct ContinuousCore {
 impl ContinuousCore {
     /// `replicas` engine instances, each running `config.memory_mb` of
     /// memory with cohort bound `config.batch_size`.
-    pub fn new(
+    fn new(
         arrivals: &[f64],
         specs: &[TokenSpec],
         config: &LambdaConfig,
@@ -528,6 +494,7 @@ impl ContinuousCore {
     ) -> Self {
         assert_eq!(arrivals.len(), specs.len(), "one spec per arrival");
         assert!(replicas >= 1, "at least one engine replica");
+        assert_positive_specs(specs);
         config.validate().expect("invalid configuration");
         debug_assert!(
             arrivals.windows(2).all(|w| w[0] <= w[1]),
@@ -552,7 +519,7 @@ impl ContinuousCore {
     /// every engine's running step end. Arrivals win ties (they were
     /// scheduled first), engines tie-break by ascending id. `None` once
     /// everything drained.
-    pub fn next_event(&self) -> Option<(f64, TokenEvent)> {
+    fn next_event(&self) -> Option<(f64, TokenEvent)> {
         let mut best: Option<(f64, TokenEvent)> = self
             .arrivals
             .get(self.next_arrival)
@@ -566,15 +533,6 @@ impl ContinuousCore {
             }
         }
         best
-    }
-
-    /// Apply one event at its timestamp (as produced by
-    /// [`Self::next_event`]).
-    pub fn apply(&mut self, t: f64, ev: TokenEvent) {
-        match ev {
-            TokenEvent::Arrival => self.on_arrival(t),
-            TokenEvent::StepEnd(e) => self.on_step_end(e, t),
-        }
     }
 
     fn on_arrival(&mut self, t: f64) {
@@ -681,17 +639,16 @@ impl ContinuousCore {
     }
 
     /// Drain every event in canonical order.
-    pub fn run_to_completion(&mut self) {
+    fn run_to_completion(&mut self) {
         while let Some((t, ev)) = self.next_event() {
-            self.apply(t, ev);
+            match ev {
+                TokenEvent::Arrival => self.on_arrival(t),
+                TokenEvent::StepEnd(e) => self.on_step_end(e, t),
+            }
         }
     }
 
-    pub fn is_drained(&self) -> bool {
-        self.next_event().is_none()
-    }
-
-    pub fn into_outcome(self) -> TokenSimOutcome {
+    fn into_outcome(self) -> TokenSimOutcome {
         debug_assert!(
             self.next_arrival == self.arrivals.len() && self.engines.iter().all(|e| e.load() == 0),
             "outcome taken before the core drained"
@@ -706,8 +663,26 @@ impl ContinuousCore {
     }
 }
 
-/// Continuous batching over `replicas` engine instances (see
-/// [`ContinuousCore`] for the discipline).
+/// Continuous batching over `replicas` engine instances, each running
+/// `cfg.memory_mb` of memory with cohort bound `cfg.batch_size`. Events
+/// run in one canonical order — the earliest of the pending arrival and
+/// every engine's step end; arrivals win ties, engines tie-break by id.
+///
+/// Discipline per engine:
+/// * an arriving request routes to the least-loaded replica (lowest id
+///   on ties) and is rejected only when its own KV footprint exceeds
+///   the replica's capacity;
+/// * at every step boundary the engine admits queued requests (FIFO)
+///   while the cohort is below `B` and the KV cache has room;
+/// * a step's work is prefill over the joiners' summed prompts (skipped
+///   when nobody joined) plus one decode unit over the cohort;
+/// * every step is dispatched as one invocation of the step's
+///   ms-rounded duration — [`crate::simulate_batching`]'s cost accounting
+///   in the degenerate case;
+/// * members leave as their outputs complete, releasing KV room.
+///
+/// `cfg.timeout_s` is not consulted: continuous batching has no
+/// windows to time out.
 pub fn simulate_tokens_continuous(
     arrivals: &[f64],
     specs: &[TokenSpec],
@@ -745,7 +720,7 @@ fn record_token_metrics(out: &TokenSimOutcome) {
 /// entry, one [`TraceStage::DecodeStep`] per invocation (anchored on its
 /// first active request, sized with the cohort), Complete at the last
 /// token.
-pub fn record_token_trace(
+fn record_token_trace(
     tracer: &Tracer,
     out: &TokenSimOutcome,
     config: &LambdaConfig,
@@ -783,8 +758,9 @@ pub fn record_token_trace(
 }
 
 /// Drive any [`Controller`] over a tokenized trace with the windowed
-/// token discipline — the same interval cycle and `controller.decision`
-/// audit events as [`crate::run_controller`], each interval measured by
+/// token discipline — the same interval cycle, `controller.decision`
+/// audit events and (when the tracer is active) causal trace events as
+/// [`crate::run_controller`], each interval measured by
 /// [`simulate_tokens_windowed`] — with goodput accumulated across the run
 /// and reported in [`RunOutcome::goodput`].
 ///
@@ -807,7 +783,10 @@ pub fn run_controller_tokens<C: Controller + ?Sized>(
     );
     let trace = tokenized.trace();
     let mut goodput = Goodput::default();
-    let (measurements, records) = drive_intervals(ctl, trace, t0, t1, opts, |ctx, config| {
+    let tracer = dbat_telemetry::global().tracer();
+    let mut trace_req_offset = 0u64;
+    let mut trace_inv_offset = 0u64;
+    let feedback = drive_intervals(ctl, trace, t0, t1, opts, |ctx, config| {
         let (lo, hi) = tokenized.index_range(ctx.start, ctx.end.min(trace.horizon()));
         if lo == hi {
             return None;
@@ -830,11 +809,16 @@ pub fn run_controller_tokens<C: Controller + ?Sized>(
             (opts.slo, opts.percentile),
             t_wall.elapsed().as_secs_f64(),
         );
+        if tracer.is_active() {
+            record_token_trace(tracer, &out, config, trace_req_offset, trace_inv_offset);
+        }
+        trace_req_offset += out.offered as u64;
+        trace_inv_offset += out.invocations.len() as u64;
         Some(m.with_losses(0, 0, out.rejected))
     });
     RunOutcome {
-        measurements,
-        records,
+        measurements: feedback.measurements,
+        records: feedback.records,
         counts: FaultCounts::default(),
         goodput: Some(goodput),
     }
@@ -843,7 +827,7 @@ pub fn run_controller_tokens<C: Controller + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batching::simulate_batching;
+    use crate::batching::{simulate_batching, SimParams};
     use dbat_workload::{LognormalTokens, TokenMix, Trace, TraceKind};
 
     fn azure_slice(n_target: usize) -> Trace {
@@ -986,6 +970,39 @@ mod tests {
         let w = simulate_tokens_windowed(&arrivals, &specs, &cfg, &params);
         assert!(w.conserved());
         assert_eq!(w.rejected, 1);
+    }
+
+    /// A spec built around `TokenSpec::new` (public fields, `Deserialize`).
+    fn zero_output() -> Vec<TokenSpec> {
+        vec![TokenSpec {
+            prompt_tokens: 8,
+            output_tokens: 0,
+        }]
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one prompt and one output token")]
+    fn windowed_rejects_a_zero_output_spec_at_entry() {
+        let params = TokenParams::llm_like();
+        simulate_tokens_windowed(
+            &[0.0],
+            &zero_output(),
+            &LambdaConfig::new(2048, 4, 0.05),
+            &params,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one prompt and one output token")]
+    fn continuous_rejects_a_zero_output_spec_at_entry() {
+        let params = TokenParams::llm_like();
+        simulate_tokens_continuous(
+            &[0.0],
+            &zero_output(),
+            &LambdaConfig::new(2048, 4, 0.05),
+            &params,
+            1,
+        );
     }
 
     #[test]

@@ -6,11 +6,13 @@
 //! rule as a pure, clock-free state machine: callers hand it every
 //! arrival with its timestamp and tell it when time has passed, and it
 //! hands back [`FormedBatch`]es. Every windowed driver in the workspace
-//! sits on top of it — [`crate::simulate_batching`] walks the arrivals in
-//! a plain loop, [`crate::simulate_faults`] and `dbat-serve`'s
-//! `VirtualGateway` schedule its deadlines on the event queue, and the
-//! live gateway's batcher threads wake on them — so they agree on window
-//! membership and dispatch stamps by construction.
+//! sits on top of it — [`crate::simulate_batching`] and
+//! [`crate::simulate_tokens_windowed`] share one plain loop over the
+//! arrivals (`walk_windows`) and differ only in how they serve a formed
+//! batch, [`crate::simulate_faults`] and `dbat-serve`'s `VirtualGateway`
+//! schedule its deadlines on the event queue, and the live gateway's
+//! batcher threads wake on them — so they agree on window membership and
+//! dispatch stamps by construction.
 //!
 //! Timeout flushes are stamped at the *deadline*, not at the observation
 //! time, so a driver that looks late (a batcher thread that overslept, a
@@ -253,6 +255,100 @@ impl BatcherCore {
         if let Some(w) = self.active.take() {
             out.push(w.form(now, FlushReason::Drain, self.lane));
         }
+    }
+}
+
+/// Where the window drivers put time zero: a trace that starts below zero
+/// (a sliced window rebased around its decision instant) is shifted to
+/// start at zero for the core, and every stamp is shifted back by the same
+/// amount on the way out — the arithmetic `tests/golden_windowed.rs` pins.
+pub(crate) fn trace_origin(first_arrival: Option<f64>) -> f64 {
+    first_arrival.unwrap_or(0.0).min(0.0)
+}
+
+/// Telemetry handles resolved once per walk, so the hot loop never touches
+/// the metric registry. `None` when telemetry is disabled, making
+/// instrumentation a single branch per use.
+struct WalkTel {
+    events: std::sync::Arc<dbat_telemetry::Counter>,
+    batch_size: std::sync::Arc<dbat_telemetry::Histogram>,
+    flush_timeout: std::sync::Arc<dbat_telemetry::Counter>,
+    flush_capacity: std::sync::Arc<dbat_telemetry::Counter>,
+    queue_depth: std::sync::Arc<dbat_telemetry::Gauge>,
+}
+
+impl WalkTel {
+    fn resolve() -> Option<WalkTel> {
+        let t = dbat_telemetry::global();
+        if !t.is_enabled() {
+            return None;
+        }
+        Some(WalkTel {
+            events: t.counter("sim.events"),
+            batch_size: t.histogram("sim.batch_size"),
+            flush_timeout: t.counter("sim.flush.timeout"),
+            flush_capacity: t.counter("sim.flush.capacity"),
+            queue_depth: t.gauge("sim.queue_depth"),
+        })
+    }
+}
+
+/// Walk a finite, sorted arrival sequence through one [`BatcherCore`]
+/// under `cfg`, then tell the core that time has run out, handing every
+/// formed batch to `dispatch` in dispatch order. The core flushes a
+/// window's timeout when the next arrival (or the end of the trace) shows
+/// it has passed, stamped at the deadline, so no event queue is needed.
+///
+/// `arrivals` yields `(id, timestamp)`: the id comes back as
+/// [`Admitted::id`], so a caller that feeds a filtered subsequence can
+/// still index its own per-request data. `opened_at` and `dispatched_at`
+/// of the batches handed out are in the caller's time; members' `arrival`
+/// stamps are relative to [`trace_origin`] (equal unless the trace starts
+/// below zero) — callers that need the arrival look it up by id.
+pub(crate) fn walk_windows(
+    arrivals: impl IntoIterator<Item = (usize, f64)>,
+    cfg: &LambdaConfig,
+    mut dispatch: impl FnMut(&FormedBatch),
+) {
+    let mut arrivals = arrivals.into_iter().peekable();
+    let t0 = trace_origin(arrivals.peek().map(|&(_, a)| a));
+    let mut core = BatcherCore::new(*cfg);
+    let mut formed: Vec<FormedBatch> = Vec::new();
+    let tel = WalkTel::resolve();
+    let (mut n_arrivals, mut n_batches) = (0u64, 0u64);
+    let mut hand_out = |formed: &mut Vec<FormedBatch>| {
+        for mut fb in formed.drain(..) {
+            fb.opened_at += t0;
+            fb.dispatched_at += t0;
+            if let Some(tel) = &tel {
+                tel.batch_size.record(fb.requests.len() as f64);
+                match fb.reason {
+                    FlushReason::Timeout => tel.flush_timeout.inc(),
+                    _ => tel.flush_capacity.inc(),
+                }
+            }
+            n_batches += 1;
+            dispatch(&fb);
+        }
+    };
+    for (id, a) in arrivals {
+        let req = Admitted {
+            id: id as u64,
+            arrival: a - t0,
+            class: 0,
+        };
+        core.on_arrival(req, &mut formed);
+        n_arrivals += 1;
+        hand_out(&mut formed);
+        if let Some(tel) = &tel {
+            tel.queue_depth.set(core.buffered() as f64);
+        }
+    }
+    core.due(f64::INFINITY, &mut formed);
+    hand_out(&mut formed);
+    if let Some(tel) = &tel {
+        tel.events.add(n_arrivals + n_batches);
+        tel.queue_depth.set(0.0);
     }
 }
 

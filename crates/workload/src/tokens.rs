@@ -41,6 +41,18 @@ impl TokenSpec {
         }
     }
 
+    /// The invariant [`TokenSpec::new`] establishes, for specs that did not
+    /// come through it (the fields are public and deserialisable).
+    pub fn validate(&self) -> Result<(), DbatError> {
+        if self.prompt_tokens == 0 || self.output_tokens == 0 {
+            return Err(DbatError::config(format!(
+                "token spec needs at least one prompt and one output token, got {}/{}",
+                self.prompt_tokens, self.output_tokens
+            )));
+        }
+        Ok(())
+    }
+
     /// Total resident tokens (prompt + output), the KV-cache footprint
     /// the request reaches right before it completes.
     pub fn total_tokens(&self) -> u64 {
@@ -158,6 +170,7 @@ impl EmpiricalTokens {
         if pool.is_empty() {
             return Err(DbatError::config("empirical token pool must be non-empty"));
         }
+        pool.iter().try_for_each(TokenSpec::validate)?;
         Ok(EmpiricalTokens { pool })
     }
 
@@ -249,7 +262,8 @@ pub struct TokenizedTrace {
 }
 
 impl TokenizedTrace {
-    /// Pair a trace with specs; errors when the lengths disagree.
+    /// Pair a trace with specs; errors when the lengths disagree or a
+    /// spec has a zero token count.
     pub fn new(trace: Trace, specs: Vec<TokenSpec>) -> Result<Self, DbatError> {
         if trace.len() != specs.len() {
             return Err(DbatError::config(format!(
@@ -258,6 +272,7 @@ impl TokenizedTrace {
                 trace.len()
             )));
         }
+        specs.iter().try_for_each(TokenSpec::validate)?;
         Ok(TokenizedTrace { trace, specs })
     }
 
@@ -388,6 +403,22 @@ mod tests {
         assert!(tt.specs().iter().all(|s| *s == TokenSpec::unit()));
         assert_eq!(TokenSpec::unit().total_tokens(), 2);
         assert!(TokenizedTrace::new(tr, vec![TokenSpec::unit()]).is_err());
+    }
+
+    #[test]
+    fn deserialised_zero_token_spec_is_a_typed_error() {
+        // The fields are public and deserialisable, so `TokenSpec::new`'s
+        // `.max(1)` is not the only way in.
+        for json in [
+            r#"{"prompt_tokens": 5, "output_tokens": 0}"#,
+            r#"{"prompt_tokens": 0, "output_tokens": 5}"#,
+        ] {
+            let spec: TokenSpec = serde_json::from_str(json).unwrap();
+            assert!(spec.validate().is_err());
+            let err = TokenizedTrace::new(trace(1), vec![spec]).unwrap_err();
+            assert!(matches!(err, DbatError::InvalidConfig(_)), "{err:?}");
+            assert!(EmpiricalTokens::new(vec![TokenSpec::unit(), spec]).is_err());
+        }
         assert!(TokenSlo::new(0.5, 0.05).validate().is_ok());
         assert!(TokenSlo::new(0.0, 0.05).validate().is_err());
         assert!(TokenSlo::new(0.5, f64::NAN).validate().is_err());

@@ -420,10 +420,6 @@ fn virtual_gateway_replays() {
         h.0
     };
 
-    let (classed, _, groups) = two_class_trace();
-    let mut h_grouped = Fnv::new();
-    h_grouped.serve(&VirtualGateway::from_params(&params).replay_grouped(&classed, &groups));
-
     let trace = TraceKind::AzureLike.generate_for(13, 180.0);
     let opts = SimConfig::builder()
         .params(params)
@@ -443,7 +439,6 @@ fn virtual_gateway_replays() {
     check(&[
         ("replay/lanes_1", fixed(1), 0xdc30_9c6e_cfec_f318),
         ("replay/lanes_3", fixed(3), 0xc108_c411_6696_2a6e),
-        ("replay/grouped", h_grouped.0, 0x1626_3244_386c_0387),
         (
             "replay/controlled_lanes_1",
             controlled(1),

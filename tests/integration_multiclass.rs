@@ -49,7 +49,7 @@ fn single_class_single_group_is_bitwise_simulate_batching() {
 
     assert!(multi.conserved(classed.len()));
     assert_eq!(multi.groups.len(), 1);
-    let sim = &multi.groups[0].sim;
+    let sim = &multi.groups[0].out.sim;
 
     // Bitwise, not approximately: every stamp, every batch cost, and
     // the total. The multi-queue path must not perturb a single queue.

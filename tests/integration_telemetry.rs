@@ -116,7 +116,7 @@ fn online_controller_audit_trail() {
     let flushes = tel.counter("sim.flush.timeout").get() + tel.counter("sim.flush.capacity").get();
     assert_eq!(batch_hist.count(), flushes);
     assert!(tel.counter("sim.events").get() >= tr.slice(0.0, t1).len() as u64);
-    assert_eq!(tel.counter("sim.cold_starts").get(), 0);
+    assert_eq!(tel.counter("sim.fault.cold_starts").get(), 0);
     assert_eq!(tel.counter("sim.clamped_events").get(), 0);
 
     // --- the decide split is readable from the hub -----------------------
