@@ -14,7 +14,7 @@
 //! Plans are snapshots: any weight or standardiser update must rebuild
 //! them (`Surrogate::invalidate_plan`).
 
-use crate::surrogate::{Surrogate, LOG_EPS};
+use crate::surrogate::{Surrogate, LOG_EPS, N_FEATURES};
 use dbat_nn::{positional_encoding, relu_inplace, Arena, InferencePlan, MhaPlan, PackedLinear};
 
 /// The full surrogate compiled for graph-free inference.
@@ -22,7 +22,6 @@ use dbat_nn::{positional_encoding, relu_inplace, Arena, InferencePlan, MhaPlan, 
 pub struct SurrogatePlan {
     seq_len: usize,
     dim: usize,
-    n_features: usize,
     n_outputs: usize,
     embed: PackedLinear,
     /// Sinusoidal positional encoding, `[seq_len · dim]`, baked at compile.
@@ -44,7 +43,6 @@ impl SurrogatePlan {
         SurrogatePlan {
             seq_len: cfg.seq_len,
             dim: cfg.dim,
-            n_features: cfg.n_features,
             n_outputs: cfg.n_outputs,
             embed: PackedLinear::compile(&model.embed),
             pe: positional_encoding(cfg.seq_len, cfg.dim).into_data(),
@@ -126,7 +124,7 @@ impl SurrogatePlan {
     }
 
     /// Sweep `c` *preprocessed* candidate feature rows (`feats_pre:
-    /// [c · n_features]`, standardised) against one encoded window,
+    /// [c · 3]`, standardised) against one encoded window,
     /// mirroring `Surrogate::predict_encoded` bitwise. Writes the
     /// `[c · n_outputs]` prediction table into `out`.
     pub fn score(
@@ -139,7 +137,7 @@ impl SurrogatePlan {
     ) {
         let (d, fh) = (self.dim, self.head1.out_dim());
         assert_eq!(e1.len(), d);
-        assert_eq!(feats_pre.len(), c * self.n_features);
+        assert_eq!(feats_pre.len(), c * N_FEATURES);
         assert_eq!(out.len(), c * self.n_outputs);
         let [e2, cat, hid] = arena.split([c * d, c * 2 * d, c * fh]);
         // E_2 = relu(feat_ff(F))

@@ -39,10 +39,9 @@ pub use multiclass::SurrogateGroupScorer;
 pub use optimizer::{ConfigPrediction, Decision, DeepBatOptimizer};
 pub use surrogate::{Surrogate, SurrogateConfig};
 pub use train::{
-    fine_tune, fit_standardizers, to_tensors, to_tensors_weighted, train, validation_mape,
+    fine_tune, fit_standardizers, to_tensors_weighted, train, validation_mape,
     validation_mape_split, TrainConfig, TrainReport,
 };
 pub use traindata::{
-    generate_dataset, generate_token_dataset, label, label_replicated, label_tokens,
-    window_to_arrivals, TrainSample, LABEL_REPLICAS,
+    generate_dataset, label, label_replicated, window_to_arrivals, TrainSample, LABEL_REPLICAS,
 };

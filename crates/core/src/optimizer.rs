@@ -35,7 +35,8 @@ pub struct Decision {
     pub chosen: ConfigPrediction,
     pub all: Vec<ConfigPrediction>,
     /// True when no configuration satisfied the tightened SLO and the
-    /// lowest-latency fallback was returned.
+    /// lowest-latency fallback was returned (the latency-safest grid point
+    /// if no prediction was finite at all).
     pub fallback: bool,
     /// Wall-clock seconds spent on surrogate inference + grid search for
     /// this decision (§IV measures online inference latency).
@@ -120,8 +121,11 @@ impl DeepBatOptimizer {
         cache
     }
 
-    /// Turn a `[C, 5]` prediction tensor into per-config predictions.
+    /// Turn a `[C, 5]` prediction tensor into per-config predictions,
+    /// floored at zero. A non-finite output stays as it is for `select` to
+    /// reject (`NaN.max(0.0)` would read as a free, instant config).
     fn preds_from(&self, out: &Tensor) -> Vec<ConfigPrediction> {
+        let floor = |x: f64| if x.is_finite() { x.max(0.0) } else { x };
         self.configs
             .iter()
             .enumerate()
@@ -129,39 +133,40 @@ impl DeepBatOptimizer {
                 let row = &out.data()[i * 5..(i + 1) * 5];
                 ConfigPrediction {
                     config,
-                    cost_micro: row[0].max(0.0),
-                    percentiles: [
-                        row[1].max(0.0),
-                        row[2].max(0.0),
-                        row[3].max(0.0),
-                        row[4].max(0.0),
-                    ],
+                    cost_micro: floor(row[0]),
+                    percentiles: [floor(row[1]), floor(row[2]), floor(row[3]), floor(row[4])],
                 }
             })
             .collect()
     }
 
     /// The 2-step selection over a prediction table: cheapest config
-    /// meeting the γ-tightened SLO, else the lowest-latency fallback.
+    /// meeting the γ-tightened SLO, else the lowest-latency fallback. A
+    /// config whose cost or constrained percentile is not finite is neither;
+    /// if that leaves nothing, the fallback is the latency-safest grid
+    /// point (most memory, then smallest batch, then shortest timeout).
     fn select(&self, all: &[ConfigPrediction]) -> (ConfigPrediction, bool) {
-        let feasible = all
+        let latency = |p: &ConfigPrediction| p.percentile(self.percentile);
+        let usable = all
             .iter()
-            .filter(|p| p.percentile(self.percentile) * (1.0 + self.gamma) <= self.slo)
-            .min_by(|a, b| a.cost_micro.partial_cmp(&b.cost_micro).unwrap());
-        match feasible {
-            Some(&best) => (best, false),
-            None => {
-                let best = *all
-                    .iter()
-                    .min_by(|a, b| {
-                        a.percentile(self.percentile)
-                            .partial_cmp(&b.percentile(self.percentile))
-                            .unwrap()
-                    })
-                    .expect("grid is non-empty");
-                (best, true)
-            }
+            .filter(|p| p.cost_micro.is_finite() && latency(p).is_finite());
+        let feasible = usable
+            .clone()
+            .filter(|p| latency(p) * (1.0 + self.gamma) <= self.slo)
+            .min_by(|a, b| a.cost_micro.total_cmp(&b.cost_micro));
+        if let Some(&best) = feasible {
+            return (best, false);
         }
+        let fastest = usable.min_by(|a, b| latency(a).total_cmp(&latency(b)));
+        let safest = || {
+            all.iter().min_by(|a, b| {
+                let (a, b) = (a.config, b.config);
+                (b.memory_mb.cmp(&a.memory_mb))
+                    .then(a.batch_size.cmp(&b.batch_size))
+                    .then(a.timeout_s.total_cmp(&b.timeout_s))
+            })
+        };
+        (*fastest.or_else(safest).expect("grid is non-empty"), true)
     }
 
     /// Predict every grid configuration for one window: encode the sequence
@@ -172,7 +177,14 @@ impl DeepBatOptimizer {
         let start = std::time::Instant::now();
         let e1 = model.encode_window_fast(window);
         let encoded = start.elapsed();
-        let out = model.predict_encoded_fast_pre(&e1, &self.grid_cache(model).pre);
+        // A NaN or ±∞ inter-arrival encodes to NaN, and the head's ReLU
+        // (`NaN.max(0.0)` is `0.0`) would launder that into finite-looking
+        // outputs: score nothing, so `select` sees the table for what it is.
+        let out = if e1.iter().all(|x| x.is_finite()) {
+            model.predict_encoded_fast_pre(&e1, &self.grid_cache(model).pre)
+        } else {
+            Tensor::full(vec![self.configs.len(), 5], f64::NAN)
+        };
         let preds = self.preds_from(&out);
         if t.is_enabled() {
             // The decide split, readable from a scrape: window encode
@@ -266,6 +278,63 @@ mod tests {
             .map(|p| p.percentile(95.0))
             .fold(f64::INFINITY, f64::min);
         assert_eq!(d.chosen.percentile(95.0), min_p95);
+    }
+
+    /// A poisoned window never panics and never puts a non-finite (or
+    /// laundered) prediction in the feasible seat: the table is all NaN and
+    /// the choice is the latency-safest grid point, flagged as a fallback.
+    /// Degenerate but finite windows decide as usual.
+    #[test]
+    fn hostile_windows_choose_a_finite_config_or_the_flagged_safe_one() {
+        let m = model();
+        let l = m.cfg.seq_len;
+        let opt = DeepBatOptimizer::new(ConfigGrid::tiny(), 0.1);
+        let safest = LambdaConfig::new(
+            *opt.grid.memories_mb.iter().max().unwrap(),
+            *opt.grid.batch_sizes.iter().min().unwrap(),
+            opt.grid
+                .timeouts_s
+                .iter()
+                .cloned()
+                .fold(f64::INFINITY, f64::min),
+        );
+        for (at, poison) in [
+            (l / 2, f64::NAN),
+            (0, f64::INFINITY),
+            (l - 1, f64::NEG_INFINITY),
+        ] {
+            let mut w = window(l);
+            w[at] = poison;
+            let d = opt.choose(&m, &w);
+            assert!(d.all.iter().all(|p| p.cost_micro.is_nan()), "{poison}");
+            assert!(d.fallback, "{poison} chose {:?} as feasible", d.chosen);
+            assert_eq!(d.chosen.config, safest);
+        }
+        for w in [vec![0.0; l], vec![0.02; l]] {
+            let d = opt.choose(&m, &w);
+            assert!(d.chosen.cost_micro.is_finite() && d.chosen.percentile(95.0).is_finite());
+        }
+        // The same rule on a hand-made table: the free NaN/−∞ rows lose to
+        // the finite one; +∞ latency is never the fallback minimum.
+        let row = |cost: f64, p95: f64| ConfigPrediction {
+            config: LambdaConfig::new(1024, 4, 0.05),
+            cost_micro: cost,
+            percentiles: [p95; 4],
+        };
+        let table = [
+            row(f64::NAN, 0.01),
+            row(0.1, f64::NEG_INFINITY),
+            row(2.0, 0.05),
+        ];
+        let (best, fallback) = opt.select(&table);
+        assert_eq!((best.cost_micro, fallback), (2.0, false));
+        let table = [
+            row(1.0, f64::INFINITY),
+            row(f64::INFINITY, 0.2),
+            row(3.0, 0.5),
+        ];
+        let (best, fallback) = opt.select(&table);
+        assert_eq!((best.cost_micro, fallback), (3.0, true));
     }
 
     /// One window per decision interval over an hour of the seeded

@@ -1,6 +1,6 @@
 //! Offline training and OOD fine-tuning of the surrogate (§III-D).
 
-use crate::surrogate::Surrogate;
+use crate::surrogate::{Surrogate, N_FEATURES};
 use crate::traindata::TrainSample;
 use dbat_nn::{gather_rows, shuffled_batches, Adam, InitRng, Standardizer, Tensor};
 
@@ -70,13 +70,9 @@ pub struct TrainReport {
     pub secs_per_epoch: f64,
 }
 
-/// Assemble `[N, L]` seq, `[N, F]` feats, `[N, 5]` targets, `[N, 5]` weights
-/// from samples (`F` = 3 for token-blind samples, 7 with token stats).
-pub fn to_tensors(data: &[TrainSample], violation_weight: f64) -> (Tensor, Tensor, Tensor, Tensor) {
-    to_tensors_weighted(data, violation_weight, 1.0)
-}
-
-/// As [`to_tensors`], with an extra weight on the latency outputs.
+/// Assemble `[N, L]` seq, `[N, 3]` feats, `[N, 5]` targets, `[N, 5]` weights
+/// from samples: a sample weighs `violation_weight` if it violates the SLO
+/// (else 1), times `latency_weight` on its four latency outputs.
 pub fn to_tensors_weighted(
     data: &[TrainSample],
     violation_weight: f64,
@@ -85,17 +81,14 @@ pub fn to_tensors_weighted(
     let n = data.len();
     assert!(n > 0, "empty dataset");
     let l = data[0].window.len();
-    let f_dim = data[0].feature_vec().len();
     let mut seq = Vec::with_capacity(n * l);
-    let mut feats = Vec::with_capacity(n * f_dim);
+    let mut feats = Vec::with_capacity(n * N_FEATURES);
     let mut targets = Vec::with_capacity(n * 5);
     let mut weights = Vec::with_capacity(n * 5);
     for s in data {
         assert_eq!(s.window.len(), l, "ragged windows");
-        let fv = s.feature_vec();
-        assert_eq!(fv.len(), f_dim, "mixed token-blind and token samples");
         seq.extend_from_slice(&s.window);
-        feats.extend_from_slice(&fv);
+        feats.extend_from_slice(&s.feature_vec());
         targets.extend_from_slice(&s.target);
         let w = if s.violates { violation_weight } else { 1.0 };
         weights.push(w);
@@ -103,7 +96,7 @@ pub fn to_tensors_weighted(
     }
     (
         Tensor::new(vec![n, l], seq),
-        Tensor::new(vec![n, f_dim], feats),
+        Tensor::new(vec![n, N_FEATURES], feats),
         Tensor::new(vec![n, 5], targets),
         Tensor::new(vec![n, 5], weights),
     )
@@ -118,6 +111,30 @@ pub fn fit_standardizers(model: &mut Surrogate, seq_raw: &Tensor, feats_raw: &Te
     model.feat_std = Standardizer::fit(feats_raw);
     // The compiled fast-path plan bakes the standardiser constants in.
     model.invalidate_plan();
+}
+
+/// One epoch over `rows` of the preprocessed `[seq, feats, targets,
+/// weights]`, the batch loop [`train`] and [`fine_tune`] share: shuffle,
+/// gather each batch, take one sharded step; returns the mean batch loss.
+fn run_epoch(
+    model: &mut Surrogate,
+    data: [&Tensor; 4],
+    rows: &[usize],
+    tc: &TrainConfig,
+    adam: &mut Adam,
+    rng: &mut InitRng,
+) -> f64 {
+    let mut epoch_loss = 0.0;
+    let mut batches = 0usize;
+    for batch in shuffled_batches(rows.len(), tc.batch_size, rng) {
+        let batch_rows: Vec<usize> = batch.iter().map(|&i| rows[i]).collect();
+        let [seq, feats, targets, weights] = data.map(|t| gather_rows(t, &batch_rows));
+        epoch_loss += model.train_step_sharded(
+            seq, feats, &targets, &weights, tc.alpha, tc.delta, adam, tc.shards, true,
+        );
+        batches += 1;
+    }
+    epoch_loss / batches.max(1) as f64
 }
 
 /// Full offline training: fits standardisers, runs the epoch loop, tracks a
@@ -147,25 +164,14 @@ pub fn train(model: &mut Surrogate, data: &[TrainSample], tc: &TrainConfig) -> T
         if tc.epochs >= 10 && epoch == tc.epochs * 7 / 10 {
             adam.lr *= 0.3;
         }
-        let mut epoch_loss = 0.0;
-        let mut batches = 0usize;
-        for batch in shuffled_batches(train_rows.len(), tc.batch_size, &mut rng) {
-            let rows: Vec<usize> = batch.iter().map(|&i| train_rows[i]).collect();
-            let loss = model.train_step_sharded(
-                gather_rows(&seq, &rows),
-                gather_rows(&feats, &rows),
-                &gather_rows(&targets, &rows),
-                &gather_rows(&weights, &rows),
-                tc.alpha,
-                tc.delta,
-                &mut adam,
-                tc.shards,
-                true,
-            );
-            epoch_loss += loss;
-            batches += 1;
-        }
-        train_losses.push(epoch_loss / batches.max(1) as f64);
+        train_losses.push(run_epoch(
+            model,
+            [&seq, &feats, &targets, &weights],
+            &train_rows,
+            tc,
+            &mut adam,
+            &mut rng,
+        ));
         if val_rows.is_empty() {
             val_losses.push(train_losses.last().copied().unwrap_or(0.0));
         } else {
@@ -240,6 +246,7 @@ pub fn fine_tune(
         to_tensors_weighted(data, tc.violation_weight, tc.latency_weight);
     let seq = model.preprocess_seq(&seq_raw);
     let feats = model.preprocess_feats(&feats_raw);
+    let rows: Vec<usize> = (0..data.len()).collect();
     let mut adam = Adam::new(tc.lr * 0.3);
     let mut rng = InitRng::new(tc.seed ^ 0xF17E);
     let mut train_losses = Vec::with_capacity(epochs);
@@ -247,24 +254,14 @@ pub fn fine_tune(
     let t0 = std::time::Instant::now();
     for epoch in 0..epochs {
         let epoch_t0 = std::time::Instant::now();
-        let mut epoch_loss = 0.0;
-        let mut batches = 0usize;
-        for batch in shuffled_batches(data.len(), tc.batch_size, &mut rng) {
-            let loss = model.train_step_sharded(
-                gather_rows(&seq, &batch),
-                gather_rows(&feats, &batch),
-                &gather_rows(&targets, &batch),
-                &gather_rows(&weights, &batch),
-                tc.alpha,
-                tc.delta,
-                &mut adam,
-                tc.shards,
-                true,
-            );
-            epoch_loss += loss;
-            batches += 1;
-        }
-        train_losses.push(epoch_loss / batches.max(1) as f64);
+        train_losses.push(run_epoch(
+            model,
+            [&seq, &feats, &targets, &weights],
+            &rows,
+            tc,
+            &mut adam,
+            &mut rng,
+        ));
         if tel.is_enabled() {
             tel.emit(
                 "train.finetune_epoch",
@@ -277,7 +274,6 @@ pub fn fine_tune(
         }
     }
     let secs_per_epoch = t0.elapsed().as_secs_f64() / epochs.max(1) as f64;
-    let rows: Vec<usize> = (0..data.len()).collect();
     let final_val_mape = validation_mape(model, data, &rows);
     model.trim_scratch();
     TrainReport {
@@ -306,7 +302,6 @@ pub fn validation_mape_split(
     }
     let samples: Vec<&TrainSample> = rows.iter().map(|&i| &data[i]).collect();
     let l = samples[0].window.len();
-    let f_dim = samples[0].feature_vec().len();
     let mut seq = Vec::new();
     let mut feats = Vec::new();
     for s in &samples {
@@ -315,7 +310,7 @@ pub fn validation_mape_split(
     }
     let pred = model.predict(
         &Tensor::new(vec![samples.len(), l], seq),
-        &Tensor::new(vec![samples.len(), f_dim], feats),
+        &Tensor::new(vec![samples.len(), N_FEATURES], feats),
     );
     let mut acc_cost = 0.0;
     let mut n_cost = 0usize;
@@ -367,7 +362,7 @@ mod tests {
     #[test]
     fn to_tensors_shapes_and_weights() {
         let data = dataset(10, 16);
-        let (s, f, t, w) = to_tensors(&data, 3.0);
+        let (s, f, t, w) = to_tensors_weighted(&data, 3.0, 8.0);
         assert_eq!(s.shape(), &[10, 16]);
         assert_eq!(f.shape(), &[10, 3]);
         assert_eq!(t.shape(), &[10, 5]);
@@ -375,6 +370,7 @@ mod tests {
         for (i, sample) in data.iter().enumerate() {
             let expect = if sample.violates { 3.0 } else { 1.0 };
             assert_eq!(w.data()[i * 5], expect);
+            assert_eq!(w.data()[i * 5 + 1..(i + 1) * 5], [expect * 8.0; 4]);
         }
     }
 
@@ -432,45 +428,6 @@ mod tests {
     }
 
     #[test]
-    fn token_features_train_end_to_end() {
-        // The 7-feature encoding (M, B, T + window token stats) must flow
-        // through tensor assembly, training, and validation unchanged.
-        use crate::traindata::generate_token_dataset;
-        use dbat_sim::TokenParams;
-        use dbat_workload::{LognormalTokens, TokenMix, TokenizedTrace};
-        let map = Map::poisson(40.0);
-        let mut rng = Rng::new(13);
-        let trace = Trace::new(map.simulate(&mut rng, 0.0, 200.0), 200.0);
-        let tokenized =
-            TokenizedTrace::sample(trace, &TokenMix::Lognormal(LognormalTokens::chat()), 29);
-        let data = generate_token_dataset(
-            &tokenized,
-            &ConfigGrid::tiny(),
-            &TokenParams::llm_like(),
-            40,
-            16,
-            2.0,
-            3,
-        );
-        let (s, f, t, w) = to_tensors(&data, 3.0);
-        assert_eq!(f.shape(), &[40, 7]);
-        assert_eq!((s.shape()[0], t.shape()[1], w.shape()[1]), (40, 5, 5));
-        let mut model = Surrogate::new(SurrogateConfig::tiny_tokens(), 5);
-        let tc = TrainConfig {
-            epochs: 12,
-            batch_size: 8,
-            lr: 3e-3,
-            val_fraction: 0.15,
-            ..TrainConfig::default()
-        };
-        let report = train(&mut model, &data, &tc);
-        let first = report.train_losses[0];
-        let last = *report.train_losses.last().unwrap();
-        assert!(last < first, "loss should drop: {first} -> {last}");
-        assert!(report.final_val_mape.is_finite());
-    }
-
-    #[test]
     fn fine_tune_improves_on_shifted_data() {
         // Train on Poisson(40), fine-tune on much slower Poisson(5) windows.
         let data = dataset(48, 16);
@@ -508,6 +465,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "empty dataset")]
     fn empty_dataset_panics() {
-        to_tensors(&[], 1.0);
+        to_tensors_weighted(&[], 1.0, 1.0);
     }
 }

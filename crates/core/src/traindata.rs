@@ -3,10 +3,9 @@
 //! configurations from the search grid, labelled by the ground-truth
 //! simulator.
 
-use dbat_sim::{
-    evaluate, simulate_tokens_windowed, ConfigGrid, LambdaConfig, SimParams, TokenParams,
-};
-use dbat_workload::{sample_windows, Rng, TokenSpec, TokenStats, TokenizedTrace, Trace, Window};
+use crate::surrogate::N_FEATURES;
+use dbat_sim::{evaluate, ConfigGrid, LambdaConfig, SimParams};
+use dbat_workload::{sample_windows, Rng, Trace, Window};
 use rayon::prelude::*;
 
 /// One supervised example.
@@ -19,26 +18,16 @@ pub struct TrainSample {
     pub target: [f64; 5],
     /// Whether the simulated p95 violates the SLO (drives the loss penalty).
     pub violates: bool,
-    /// Token statistics over the window's requests, when the sample was
-    /// labelled by the token-aware simulator. `None` keeps the original
-    /// 3-feature (M, B, T) encoding; `Some` widens it to 7.
-    pub token_stats: Option<TokenStats>,
 }
 
 impl TrainSample {
-    /// The scalar feature encoding: `[M, B, T]`, extended with
-    /// `[mean_prompt, p95_prompt, mean_output, p95_output]` for
-    /// token-labelled samples.
-    pub fn feature_vec(&self) -> Vec<f64> {
-        let mut v = vec![
+    /// The scalar feature encoding: `[M, B, T]`.
+    pub fn feature_vec(&self) -> [f64; N_FEATURES] {
+        [
             self.config.memory_mb as f64,
             self.config.batch_size as f64,
             self.config.timeout_s,
-        ];
-        if let Some(ts) = &self.token_stats {
-            v.extend_from_slice(&ts.feature_vec());
-        }
-        v
+        ]
     }
 }
 
@@ -90,41 +79,6 @@ pub fn label_replicated(
         config: *config,
         target: [eval.cost_per_request * 1e6, s.p50, s.p90, s.p95, s.p99],
         violates: s.p95 > slo,
-        token_stats: None,
-    }
-}
-
-/// Label one (window, specs, config) triple with the token-aware windowed
-/// simulator. The window and its specs are tiled `replicas` times (same
-/// bootstrap as [`label_replicated`]); targets keep the `[cost µ$/req,
-/// p50, p90, p95, p99]` layout, with latency meaning end-to-end
-/// completion. `token_stats` is computed over the *untiled* specs.
-pub fn label_tokens(
-    window: &[f64],
-    specs: &[TokenSpec],
-    config: &LambdaConfig,
-    params: &TokenParams,
-    slo: f64,
-    replicas: usize,
-) -> TrainSample {
-    assert!(replicas >= 1);
-    assert!(!specs.is_empty(), "token labelling needs specs");
-    let mut tiled = Vec::with_capacity(window.len() * replicas);
-    for _ in 0..replicas {
-        tiled.extend_from_slice(window);
-    }
-    let arrivals = window_to_arrivals(&tiled);
-    let tiled_specs: Vec<TokenSpec> = (0..arrivals.len())
-        .map(|i| specs[i % specs.len()])
-        .collect();
-    let out = simulate_tokens_windowed(&arrivals, &tiled_specs, config, params);
-    let s = out.summary();
-    TrainSample {
-        window: window.to_vec(),
-        config: *config,
-        target: [out.cost_per_request() * 1e6, s.p50, s.p90, s.p95, s.p99],
-        violates: s.p95 > slo || out.rejected > 0,
-        token_stats: Some(TokenStats::over(specs)),
     }
 }
 
@@ -149,51 +103,6 @@ pub fn generate_dataset(
         .par_iter()
         .zip(picks)
         .map(|(w, ci)| label(&w.interarrivals, &configs[ci], params, slo))
-        .collect()
-}
-
-/// Token-aware counterpart of [`generate_dataset`]: random full windows of
-/// the tokenized trace crossed with random grid configurations, labelled by
-/// [`simulate_tokens_windowed`]. Each window carries the token specs of the
-/// requests it covers, so samples encode 7 features (M, B, T + the four
-/// [`TokenStats`] channels).
-pub fn generate_token_dataset(
-    tokenized: &TokenizedTrace,
-    grid: &ConfigGrid,
-    params: &TokenParams,
-    n: usize,
-    seq_len: usize,
-    slo: f64,
-    seed: u64,
-) -> Vec<TrainSample> {
-    let trace = tokenized.trace();
-    if trace.len() <= seq_len {
-        return Vec::new();
-    }
-    let mut rng = Rng::new(seed);
-    let configs = grid.configs();
-    // Mirror `sample_windows`, but keep the ending index so the window's
-    // requests (arrivals `k - l ..= k`) can carry their token specs.
-    let draws: Vec<(Window, Vec<TokenSpec>, usize)> = (0..n)
-        .map(|_| {
-            let k = seq_len + rng.below(trace.len() - seq_len);
-            let w = dbat_workload::window_ending_at(trace, k, seq_len, 1.0);
-            let specs = tokenized.specs()[k - seq_len..=k].to_vec();
-            (w, specs, rng.below(configs.len()))
-        })
-        .collect();
-    draws
-        .par_iter()
-        .map(|(w, specs, ci)| {
-            label_tokens(
-                &w.interarrivals,
-                specs,
-                &configs[*ci],
-                params,
-                slo,
-                LABEL_REPLICAS,
-            )
-        })
         .collect()
 }
 
@@ -258,30 +167,6 @@ mod tests {
         let loose = label(&w, &cfg, &SimParams::default(), 10.0);
         assert!(tight.violates);
         assert!(!loose.violates);
-    }
-
-    #[test]
-    fn token_dataset_widens_features_and_stays_deterministic() {
-        use dbat_workload::{LognormalTokens, TokenMix, TokenizedTrace};
-        let tokenized =
-            TokenizedTrace::sample(trace(), &TokenMix::Lognormal(LognormalTokens::chat()), 7);
-        let params = TokenParams::llm_like();
-        let a = generate_token_dataset(&tokenized, &ConfigGrid::tiny(), &params, 12, 16, 0.5, 3);
-        let b = generate_token_dataset(&tokenized, &ConfigGrid::tiny(), &params, 12, 16, 0.5, 3);
-        assert_eq!(a.len(), 12);
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.window, y.window);
-            assert_eq!(x.target, y.target);
-            assert_eq!(x.token_stats, y.token_stats);
-        }
-        for s in &a {
-            let fv = s.feature_vec();
-            assert_eq!(fv.len(), 7, "token samples carry 7 features");
-            assert!(fv[3] >= 1.0, "mean prompt length is at least one token");
-            assert!(fv[4] >= fv[3] * 0.5, "p95 prompt is in range of the mean");
-            assert!(s.target.iter().all(|x| x.is_finite() && *x >= 0.0));
-            assert!(s.target[1] <= s.target[3], "percentiles monotone");
-        }
     }
 
     #[test]

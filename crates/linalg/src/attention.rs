@@ -747,7 +747,7 @@ mod tests {
 
     /// The unfused backward on contiguous `[seq, dh]` operands with the
     /// micro-kernel choice pinned: four GEMMs around the softmax backward
-    /// `dS = c · P ∘ (dP − rowsum(dP ∘ P))`, as the composed tape runs it.
+    /// `dS = c · P ∘ (dP − rowsum(dP ∘ P))`, the textbook op-by-op form.
     #[allow(clippy::too_many_arguments)]
     fn unfused_backward(
         seq: usize,

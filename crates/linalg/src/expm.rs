@@ -150,16 +150,6 @@ impl Uniformizer {
         }
         out
     }
-
-    /// Evolve a whole matrix of row vectors at once: returns `V · exp(Q t)`.
-    pub fn evolve_mat(&self, v: &Mat, t: f64) -> Mat {
-        let mut out = Mat::zeros(v.rows(), v.cols());
-        for i in 0..v.rows() {
-            let r = self.evolve(v.row(i), t);
-            out.row_mut(i).copy_from_slice(&r);
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -231,16 +221,5 @@ mod tests {
         // stationary = (0.6, 0.4)
         assert!((w[0] - 0.6).abs() < 1e-6, "{w:?}");
         assert!((w[1] - 0.4).abs() < 1e-6);
-    }
-
-    #[test]
-    fn evolve_mat_rows_independent() {
-        let q = Mat::from_rows(&[&[-1.0, 1.0], &[1.0, -1.0]]);
-        let u = Uniformizer::new(&q, 1e-12);
-        let v = Mat::from_rows(&[&[1.0, 0.0], &[0.0, 1.0]]);
-        let m = u.evolve_mat(&v, 0.7);
-        let r0 = u.evolve(&[1.0, 0.0], 0.7);
-        assert!((m[(0, 0)] - r0[0]).abs() < 1e-12);
-        assert!((m[(0, 1)] - r0[1]).abs() < 1e-12);
     }
 }

@@ -459,11 +459,6 @@ impl PackedMat {
     pub fn n(&self) -> usize {
         self.n
     }
-
-    /// Elements held by the packed panels (includes zero padding).
-    pub fn packed_len(&self) -> usize {
-        self.panels.len()
-    }
 }
 
 /// Packed matrix multiply against a pre-packed B: logical

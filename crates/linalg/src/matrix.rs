@@ -257,11 +257,6 @@ impl Mat {
             .fold(0.0_f64, f64::max)
     }
 
-    /// Frobenius norm.
-    pub fn norm_fro(&self) -> f64 {
-        self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
-    }
-
     /// `true` iff every entry of `self - other` is within `tol` in absolute value.
     pub fn approx_eq(&self, other: &Mat, tol: f64) -> bool {
         self.rows == other.rows
@@ -439,7 +434,6 @@ mod tests {
     fn norms() {
         let a = Mat::from_rows(&[&[3.0, -4.0], &[0.0, 0.0]]);
         assert_eq!(a.norm_inf(), 7.0);
-        assert!((a.norm_fro() - 5.0).abs() < 1e-12);
         assert_eq!(a.max_abs(), 4.0);
     }
 

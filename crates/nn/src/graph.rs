@@ -22,18 +22,13 @@
 //! agree by construction — and its backward is
 //! [`dbat_linalg::attention_head_backward`], which recomputes each block's
 //! probabilities instead of reading them off the tape. No node of a
-//! train / eval / predict tape is `S × S`. The generic `bmm_nt` → `scale` →
-//! `softmax` → `bmm` ops remain for
-//! `MultiHeadAttention::forward_with_attention`, which needs the weights
-//! themselves (Fig. 14) and serves as the fused op's test oracle.
+//! tape is `S × S`; the one caller that wants the weights themselves
+//! (Fig. 14) computes them off-tape with
+//! [`MultiHeadAttention::attention_weights`](crate::layers::MultiHeadAttention::attention_weights).
 
-use crate::tensor::{
-    bmm_into, bmm_nt_into, bmm_tn_into, matmul2d_into, matmul2d_nt_into, matmul2d_tn_into,
-    permute_0213 as permute_kernel, transpose_last2 as transpose_kernel, Tensor,
-};
+use crate::tensor::{matmul2d_into, matmul2d_nt_into, matmul2d_tn_into, Tensor};
 use dbat_linalg::{
     attention_backward_scratch_len, attention_head, attention_head_backward, attention_scratch_len,
-    softmax_rows_inplace,
 };
 use std::collections::HashMap;
 
@@ -324,66 +319,11 @@ impl Graph {
         )
     }
 
-    /// Batched matrix multiply `[N,a,b] @ [N,b,c]`.
-    pub fn bmm(&mut self, a: Var, b: Var) -> Var {
-        let pool = &mut self.pool;
-        let av = &self.values[a.0];
-        let bv = &self.values[b.0];
-        let (n, r, c) = (av.shape()[0], av.shape()[1], bv.shape()[2]);
-        let mut out = pool.take(n * r * c);
-        bmm_into(av, bv, &mut out);
-        let v = Tensor::new(vec![n, r, c], out);
-        self.push(
-            v,
-            vec![a.0, b.0],
-            Some(Box::new(|g, ps, _, pool| {
-                // dA = G Bᵀ, dB = Aᵀ G — fused kernels, no transposes.
-                let mut da = pool.take(ps[0].numel());
-                bmm_nt_into(g, ps[1], &mut da);
-                let mut db = pool.take(ps[1].numel());
-                bmm_tn_into(ps[0], g, &mut db);
-                vec![
-                    Tensor::new(ps[0].shape().to_vec(), da),
-                    Tensor::new(ps[1].shape().to_vec(), db),
-                ]
-            })),
-        )
-    }
-
-    /// Batched matmul against a transposed right operand:
-    /// `[N,r,k] @ [N,c,k]ᵀ -> [N,r,c]` (attention scores `Q Kᵀ`).
-    pub fn bmm_nt(&mut self, a: Var, b: Var) -> Var {
-        let pool = &mut self.pool;
-        let av = &self.values[a.0];
-        let bv = &self.values[b.0];
-        let (n, r, c) = (av.shape()[0], av.shape()[1], bv.shape()[1]);
-        let mut out = pool.take(n * r * c);
-        bmm_nt_into(av, bv, &mut out);
-        let v = Tensor::new(vec![n, r, c], out);
-        self.push(
-            v,
-            vec![a.0, b.0],
-            Some(Box::new(|g, ps, _, pool| {
-                // S = A Bᵀ ⇒ dA = G B, dB = Gᵀ A.
-                let mut da = pool.take(ps[0].numel());
-                bmm_into(g, ps[1], &mut da);
-                let mut db = pool.take(ps[1].numel());
-                bmm_tn_into(g, ps[0], &mut db);
-                vec![
-                    Tensor::new(ps[0].shape().to_vec(), da),
-                    Tensor::new(ps[1].shape().to_vec(), db),
-                ]
-            })),
-        )
-    }
-
     /// Multi-head scaled-dot-product attention over merged projections:
     /// `q`, `k`, `v` are `[B, S, D]` with head `h` in columns
     /// `[h·D/heads, (h+1)·D/heads)`, and so is the result,
-    /// `softmax(Q_h·K_hᵀ / √(D/heads)) · V_h` per head — the
-    /// split-heads → `bmm_nt` → `scale` → `softmax` → `bmm` → merge-heads
-    /// composition bit for bit, as one node that keeps nothing `S × S`
-    /// (see the module docs).
+    /// `softmax(Q_h·K_hᵀ / √(D/heads)) · V_h` per head, as one node that
+    /// keeps nothing `S × S` (see the module docs).
     pub fn attention(&mut self, q: Var, k: Var, v: Var, heads: usize) -> Var {
         let pool = &mut self.pool;
         let (qv, kv, vv) = (&self.values[q.0], &self.values[k.0], &self.values[v.0]);
@@ -453,26 +393,6 @@ impl Graph {
         )
     }
 
-    /// Transpose the last two axes.
-    pub fn transpose_last2(&mut self, a: Var) -> Var {
-        let v = transpose_kernel(&self.values[a.0]);
-        self.push(
-            v,
-            vec![a.0],
-            Some(Box::new(|g, _, _, _| vec![transpose_kernel(g)])),
-        )
-    }
-
-    /// Permute `[a,b,c,d] -> [a,c,b,d]` (involution).
-    pub fn permute_0213(&mut self, a: Var) -> Var {
-        let v = permute_kernel(&self.values[a.0]);
-        self.push(
-            v,
-            vec![a.0],
-            Some(Box::new(|g, _, _, _| vec![permute_kernel(g)])),
-        )
-    }
-
     /// Reshape: a pooled copy forward (the parent keeps its buffer on the
     /// tape), a move of the gradient buffer backward.
     pub fn reshape(&mut self, a: Var, shape: Vec<usize>) -> Var {
@@ -498,30 +418,6 @@ impl Graph {
                     *gi = if xi > 0.0 { *gi } else { 0.0 };
                 }
                 vec![g.take()]
-            })),
-        )
-    }
-
-    /// Softmax over the last axis.
-    pub fn softmax(&mut self, a: Var) -> Var {
-        let av = &self.values[a.0];
-        let d = *av.shape().last().expect("softmax needs at least 1-D");
-        let mut out = self.pool.copy_of(av.data());
-        softmax_rows_inplace(&mut out, d);
-        let v = Tensor::new(av.shape().to_vec(), out);
-        self.push(
-            v,
-            vec![a.0],
-            Some(Box::new(|g, _, out, pool| {
-                let d = *out.shape().last().unwrap();
-                let mut dx = pool.take(out.numel());
-                for (i, (grow, yrow)) in g.data().chunks(d).zip(out.data().chunks(d)).enumerate() {
-                    let dot: f64 = grow.iter().zip(yrow).map(|(&gi, &yi)| gi * yi).sum();
-                    for j in 0..d {
-                        dx[i * d + j] = yrow[j] * (grow[j] - dot);
-                    }
-                }
-                vec![Tensor::new(out.shape().to_vec(), dx)]
             })),
         )
     }
@@ -720,19 +616,14 @@ impl Graph {
         )
     }
 
-    /// Weighted Huber loss (scalar): `Σ w_i·h_δ(p_i − t_i) / Σ w_i`.
-    /// `target` and `weights` are plain tensors (non-differentiable).
-    pub fn huber_loss(&mut self, pred: Var, target: &Tensor, weights: &Tensor, delta: f64) -> Var {
-        let wsum: f64 = weights.data().iter().sum();
-        self.huber_loss_norm(pred, target, weights, delta, wsum)
-    }
-
-    /// [`Graph::huber_loss`] normalised by an explicit weight sum instead of
-    /// the local one. Shards of a batch evaluated over disjoint row ranges
-    /// with `wsum` = Σw over the *full* batch produce losses (and gradients)
-    /// that sum exactly to the full-batch values — the contract the
-    /// data-parallel trainer relies on for bit-identical results.
-    pub fn huber_loss_norm(
+    /// Weighted Huber loss (scalar): `Σ w_i·h_δ(p_i − t_i) / wsum`.
+    /// `target` and `weights` are plain tensors (non-differentiable), and
+    /// the caller supplies the normaliser: `wsum` = Σw over the *full*
+    /// batch. Shards of a batch evaluated over disjoint row ranges with
+    /// the same `wsum` then produce losses (and gradients) that sum
+    /// exactly to the full-batch values — the contract the data-parallel
+    /// trainer relies on for bit-identical results.
+    pub fn huber_loss(
         &mut self,
         pred: Var,
         target: &Tensor,
@@ -773,28 +664,10 @@ impl Graph {
     }
 
     /// Weighted MAPE loss in percent (scalar):
-    /// `100 · Σ w_i·|p_i − t_i|/|t_i| / Σ w_i`, skipping `t_i = 0`.
-    pub fn mape_loss(&mut self, pred: Var, target: &Tensor, weights: &Tensor) -> Var {
-        let wsum: f64 = target
-            .data()
-            .iter()
-            .zip(weights.data())
-            .filter(|(&t, _)| t != 0.0)
-            .map(|(_, &w)| w)
-            .sum();
-        self.mape_loss_norm(pred, target, weights, wsum)
-    }
-
-    /// [`Graph::mape_loss`] normalised by an explicit weight sum
-    /// (`wsum` = Σ w_i over the *full* batch where `t_i ≠ 0`) — the sharded
-    /// counterpart, see [`Graph::huber_loss_norm`].
-    pub fn mape_loss_norm(
-        &mut self,
-        pred: Var,
-        target: &Tensor,
-        weights: &Tensor,
-        wsum: f64,
-    ) -> Var {
+    /// `100 · Σ w_i·|p_i − t_i|/|t_i| / wsum`, skipping `t_i = 0`; `wsum` =
+    /// Σ w_i over the full batch where `t_i ≠ 0` (see
+    /// [`Graph::huber_loss`]).
+    pub fn mape_loss(&mut self, pred: Var, target: &Tensor, weights: &Tensor, wsum: f64) -> Var {
         let pv = &self.values[pred.0];
         assert_eq!(pv.numel(), target.numel(), "mape target size mismatch");
         assert_eq!(pv.numel(), weights.numel(), "mape weight size mismatch");
@@ -942,60 +815,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn grad_bmm_and_transpose() {
-        grad_check(
-            |g, x| {
-                let xt = g.transpose_last2(x);
-                let y = g.bmm(x, xt);
-                g.sum_all(y)
-            },
-            t(
-                &[2, 2, 3],
-                &[
-                    0.1, 0.2, 0.3, -0.4, 0.5, -0.6, 0.7, 0.8, -0.9, 1.0, -1.1, 1.2,
-                ],
-            ),
-            1e-5,
-        );
-    }
-
-    #[test]
-    fn grad_bmm_nt() {
-        grad_check(
-            |g, x| {
-                let w = g.leaf(t(
-                    &[2, 2, 3],
-                    &[
-                        0.2, -0.1, 0.4, 0.3, 0.6, -0.5, 0.1, 0.9, -0.2, 0.7, -0.3, 0.8,
-                    ],
-                ));
-                let s = g.bmm_nt(x, w);
-                let s2 = g.mul(s, s);
-                g.sum_all(s2)
-            },
-            t(
-                &[2, 2, 3],
-                &[
-                    0.1, 0.2, 0.3, -0.4, 0.5, -0.6, 0.7, 0.8, -0.9, 1.0, -1.1, 1.2,
-                ],
-            ),
-            1e-5,
-        );
-        // And gradient w.r.t. the transposed (right) operand.
-        let a0 = t(&[1, 2, 3], &[0.3, -0.2, 0.5, 0.1, 0.4, -0.6]);
-        grad_check(
-            move |g, w| {
-                let a = g.constant(a0.clone());
-                let s = g.bmm_nt(a, w);
-                let s2 = g.mul(s, s);
-                g.sum_all(s2)
-            },
-            t(&[1, 2, 3], &[0.9, 0.2, -0.4, -0.1, 0.8, 0.3]),
-            1e-5,
-        );
-    }
-
     /// Seeded standard-normal tensor.
     fn pseudo(shape: &[usize], seed: u64) -> Tensor {
         crate::init::normal_init(shape.to_vec(), 1.0, &mut crate::init::InitRng::new(seed))
@@ -1079,20 +898,6 @@ mod tests {
                 g.sum_all(y2)
             },
             t(&[4], &[1.0, -1.0, 0.5, -0.2]),
-            1e-5,
-        );
-    }
-
-    #[test]
-    fn grad_softmax() {
-        grad_check(
-            |g, x| {
-                let y = g.softmax(x);
-                let w = g.constant(t(&[2, 3], &[1.0, 2.0, 3.0, -1.0, 0.5, 2.0]));
-                let yw = g.mul(y, w);
-                g.sum_all(yw)
-            },
-            t(&[2, 3], &[0.2, -0.3, 0.5, 1.0, 0.0, -1.0]),
             1e-5,
         );
     }
@@ -1193,14 +998,12 @@ mod tests {
     }
 
     #[test]
-    fn grad_add_bias_permute_reshape() {
+    fn grad_add_bias_reshape() {
         grad_check(
             |g, x| {
                 let b = g.leaf(t(&[2], &[0.3, -0.2]));
                 let xb = g.add_bias(x, b);
-                let r = g.reshape(xb, vec![1, 2, 2, 2]);
-                let p = g.permute_0213(r);
-                let f = g.reshape(p, vec![4, 2]);
+                let f = g.reshape(xb, vec![4, 2]);
                 let f2 = g.mul(f, f);
                 g.sum_all(f2)
             },
@@ -1214,7 +1017,7 @@ mod tests {
         let target = t(&[4], &[1.0, 2.0, 3.0, 4.0]);
         let weights = t(&[4], &[1.0, 2.0, 1.0, 0.5]);
         grad_check(
-            move |g, x| g.huber_loss(x, &target, &weights, 1.0),
+            move |g, x| g.huber_loss(x, &target, &weights, 1.0, 4.5),
             // Mix of small (quadratic) and large (linear) errors.
             t(&[4], &[1.2, 1.5, 6.0, -1.0]),
             1e-5,
@@ -1226,7 +1029,7 @@ mod tests {
         let target = t(&[3], &[2.0, 4.0, 5.0]);
         let weights = t(&[3], &[1.0, 1.0, 2.0]);
         grad_check(
-            move |g, x| g.mape_loss(x, &target, &weights),
+            move |g, x| g.mape_loss(x, &target, &weights, 4.0),
             t(&[3], &[2.5, 3.0, 7.0]),
             1e-4,
         );
@@ -1238,7 +1041,7 @@ mod tests {
         let p = g.leaf(t(&[2], &[1.5, 5.0]));
         let target = t(&[2], &[1.0, 2.0]);
         let w = t(&[2], &[1.0, 1.0]);
-        let l = g.huber_loss(p, &target, &w, 1.0);
+        let l = g.huber_loss(p, &target, &w, 1.0, 2.0);
         // h(0.5) = 0.125; h(3.0) = 1*(3 - 0.5) = 2.5; mean = 1.3125
         assert!((g.value(l).item() - 1.3125).abs() < 1e-12);
     }
@@ -1249,7 +1052,7 @@ mod tests {
         let p = g.leaf(t(&[2], &[1.1, 4.0]));
         let target = t(&[2], &[1.0, 5.0]);
         let w = t(&[2], &[1.0, 1.0]);
-        let l = g.mape_loss(p, &target, &w);
+        let l = g.mape_loss(p, &target, &w, 2.0);
         // (10% + 20%) / 2 = 15%
         assert!((g.value(l).item() - 15.0).abs() < 1e-9);
     }
@@ -1274,7 +1077,7 @@ mod tests {
         let full = {
             let mut g = Graph::new();
             let p = g.leaf(t(&[6], &preds));
-            let l = g.huber_loss(p, &t(&[6], &targets), &t(&[6], &weights), 1.0);
+            let l = g.huber_loss(p, &t(&[6], &targets), &t(&[6], &weights), 1.0, full_wsum);
             let lv = g.value(l).item();
             let grads = g.backward(l);
             (lv, grads[p.0].clone().unwrap())
@@ -1284,7 +1087,7 @@ mod tests {
         for range in [0..3, 3..6] {
             let mut g = Graph::new();
             let p = g.leaf(t(&[3], &preds[range.clone()]));
-            let l = g.huber_loss_norm(
+            let l = g.huber_loss(
                 p,
                 &t(&[3], &targets[range.clone()]),
                 &t(&[3], &weights[range.clone()]),
@@ -1304,7 +1107,7 @@ mod tests {
         let full = {
             let mut g = Graph::new();
             let p = g.leaf(t(&[6], &preds));
-            let l = g.mape_loss(p, &t(&[6], &targets), &t(&[6], &weights));
+            let l = g.mape_loss(p, &t(&[6], &targets), &t(&[6], &weights), mape_wsum);
             let lv = g.value(l).item();
             let grads = g.backward(l);
             (lv, grads[p.0].clone().unwrap())
@@ -1314,7 +1117,7 @@ mod tests {
         for range in [0..3, 3..6] {
             let mut g = Graph::new();
             let p = g.leaf(t(&[3], &preds[range.clone()]));
-            let l = g.mape_loss_norm(
+            let l = g.mape_loss(
                 p,
                 &t(&[3], &targets[range.clone()]),
                 &t(&[3], &weights[range.clone()]),

@@ -11,13 +11,11 @@
 //! Every stage mirrors the corresponding graph op *exactly* — the same
 //! `gemm_worthwhile` kernel dispatch, the same accumulation order, the
 //! same elementwise formulas — so a plan forward is **bitwise identical**
-//! to the graph forward over the same weights. Attention is the one stage
-//! that is not op-for-op: the graph's split-heads → `bmm_nt` → scale →
-//! softmax → `bmm` → merge-heads becomes one
+//! to the graph forward over the same weights. Attention is one
 //! [`dbat_linalg::attention_head`] call per head over the merged
-//! projections, which keeps each element's operation sequence but never
-//! builds the `S × S` matrix. At decision sizes a forward spawns no thread
-//! and allocates nothing.
+//! projections — the call [`Graph::attention`](crate::graph::Graph::attention)
+//! makes — so neither side ever builds the `S × S` matrix. At decision
+//! sizes a forward spawns no thread and allocates nothing.
 //! The graph path stays in-tree as the tested reference; the equivalence
 //! is asserted by unit and property tests.
 
@@ -202,9 +200,7 @@ impl MhaPlan {
     ///
     /// The projections stay in the merged `[B, S, H·dh]` layout: each head
     /// is one fused score → softmax → context call over its strided
-    /// columns, writing its columns of `ctx` in place. That is the graph's
-    /// split-heads → `bmm_nt` → scale → softmax → `bmm` → merge-heads
-    /// pipeline with the same per-element arithmetic and no `S × S`
+    /// columns, writing its columns of `ctx` in place, with no `S × S`
     /// intermediate.
     #[allow(clippy::too_many_arguments)]
     pub fn forward(

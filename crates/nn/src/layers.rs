@@ -10,21 +10,19 @@
 //! to apply updates. Every module's `forward` must therefore bind its
 //! parameters exactly once, in declaration order.
 //!
-//! ## Two attention paths, one for each purpose
+//! ## Attention
 //!
-//! `forward` (attention, encoder layer, encoder stack) is what training,
-//! evaluation and prediction run: the projections feed one
+//! [`MultiHeadAttention::forward`] feeds its projections to one
 //! [`Graph::attention`] node, the kernel pair shared with the compiled
-//! plans, and no `S × S` tensor exists on the tape. `forward_with_attention`
-//! composes the same layer from the generic ops (split heads → `bmm_nt` →
-//! `scale` → `softmax` → `bmm` → merge heads) and returns the `[B·H, S, S]`
-//! weights as well: the Fig. 14 attention profile needs them, and the
-//! tests hold `forward` to it (output bitwise, gradients to rounding).
-//! Nothing selects between the two at run time.
+//! plans, so no `S × S` tensor exists on any tape. The weights themselves
+//! (Fig. 14) come from [`MultiHeadAttention::attention_weights`], a plain
+//! function of a layer's input that runs off the tape.
 
 use crate::graph::{Graph, Var};
+use crate::infer::PackedLinear;
 use crate::init::{xavier_uniform, InitRng};
-use crate::tensor::Tensor;
+use crate::tensor::{matmul2d_nt_into, Tensor};
+use dbat_linalg::softmax_rows_scaled_inplace;
 
 /// Records the graph leaves created for parameters during one forward pass.
 pub struct Binder<'g> {
@@ -164,40 +162,35 @@ impl MultiHeadAttention {
         }
     }
 
-    fn split_heads(&self, b: &mut Binder, x: Var, batch: usize, seq: usize, dim: usize) -> Var {
+    /// The attention weights `softmax(Q_h·K_hᵀ / √d_h)` of every head for
+    /// one sequence `x: [S, D]` (this layer's input), as `[H, S, S]` — what
+    /// [`Self::forward`] never materialises, for the paper's Fig. 14.
+    /// Non-differentiable and off the tape: the Q and K projections, then
+    /// per head the 2-D score kernel and the shared
+    /// [`softmax_rows_scaled_inplace`], the pipeline
+    /// [`dbat_linalg::attention_head`] is bit-equal to.
+    pub fn attention_weights(&self, x: &Tensor) -> Tensor {
+        assert_eq!(x.shape().len(), 2, "attention_weights expects [S, D]");
+        let (seq, dim) = (x.shape()[0], x.shape()[1]);
         let dh = dim / self.heads;
-        let x = b.g.reshape(x, vec![batch, seq, self.heads, dh]);
-        let x = b.g.permute_0213(x); // [B, H, S, dh]
-        b.g.reshape(x, vec![batch * self.heads, seq, dh])
-    }
-
-    /// Self-attention over `x: [B, S, D]`, returning `[B, S, D]` and the
-    /// attention weights `[B·H, S, S]` (for the paper's Fig. 14 analysis):
-    /// [`Self::forward`] composed from the generic ops, which materialise
-    /// the weights.
-    pub fn forward_with_attention(&self, b: &mut Binder, x: Var) -> (Var, Var) {
-        let shape = b.g.value(x).shape().to_vec();
-        assert_eq!(shape.len(), 3, "attention expects [B, S, D]");
-        let (batch, seq, dim) = (shape[0], shape[1], shape[2]);
-        let dh = dim / self.heads;
-
-        let q = self.wq.forward(b, x);
-        let k = self.wk.forward(b, x);
-        let v = self.wv.forward(b, x);
-        let q = self.split_heads(b, q, batch, seq, dim);
-        let k = self.split_heads(b, k, batch, seq, dim);
-        let v = self.split_heads(b, v, batch, seq, dim);
-
-        let scores = b.g.bmm_nt(q, k);
-        let scores = b.g.scale(scores, 1.0 / (dh as f64).sqrt());
-        let attn = b.g.softmax(scores); // [B·H, S, S]
-        let ctx = b.g.bmm(attn, v); // [B·H, S, dh]
-
-        let ctx = b.g.reshape(ctx, vec![batch, self.heads, seq, dh]);
-        let ctx = b.g.permute_0213(ctx); // [B, S, H, dh]
-        let ctx = b.g.reshape(ctx, vec![batch, seq, dim]);
-        let out = self.wo.forward(b, ctx);
-        (out, attn)
+        // A projection of `x` off the tape: the merged `[S, D]` buffer.
+        let project = |lin: &Linear| {
+            let mut out = vec![0.0; seq * dim];
+            PackedLinear::compile(lin).forward(seq, x.data(), &mut out);
+            out
+        };
+        // Head `h`'s columns of a merged projection, contiguous.
+        let head = |proj: &[f64], h: usize| {
+            let cols = proj.chunks(dim).flat_map(|row| &row[h * dh..(h + 1) * dh]);
+            Tensor::new(vec![seq, dh], cols.copied().collect())
+        };
+        let (q, k) = (project(&self.wq), project(&self.wk));
+        let mut weights = vec![0.0; self.heads * seq * seq];
+        for (h, w) in weights.chunks_mut((seq * seq).max(1)).enumerate() {
+            matmul2d_nt_into(&head(&q, h), &head(&k, h), w);
+            softmax_rows_scaled_inplace(w, seq, 1.0 / (dh as f64).sqrt());
+        }
+        Tensor::new(vec![self.heads, seq, seq], weights)
     }
 
     /// Self-attention over `x: [B, S, D]` through the fused
@@ -250,9 +243,8 @@ impl EncoderLayer {
         }
     }
 
-    /// Everything after the attention sub-layer: residual, LN, FF,
-    /// residual, LN.
-    fn after_attention(&self, b: &mut Binder, x: Var, att_out: Var) -> Var {
+    pub fn forward(&self, b: &mut Binder, x: Var) -> Var {
+        let att_out = self.mha.forward(b, x);
         let res1 = b.g.add(x, att_out);
         let x1 = self.ln1.forward(b, res1);
         let h = self.ff1.forward(b, x1);
@@ -260,16 +252,6 @@ impl EncoderLayer {
         let h = self.ff2.forward(b, h);
         let res2 = b.g.add(x1, h);
         self.ln2.forward(b, res2)
-    }
-
-    pub fn forward_with_attention(&self, b: &mut Binder, x: Var) -> (Var, Var) {
-        let (att_out, attn) = self.mha.forward_with_attention(b, x);
-        (self.after_attention(b, x, att_out), attn)
-    }
-
-    pub fn forward(&self, b: &mut Binder, x: Var) -> Var {
-        let att_out = self.mha.forward(b, x);
-        self.after_attention(b, x, att_out)
     }
 }
 
@@ -311,17 +293,6 @@ impl TransformerEncoder {
                 .map(|_| EncoderLayer::new(dim, heads, ff_hidden, rng))
                 .collect(),
         }
-    }
-
-    /// Forward, returning also the attention weights of the final layer.
-    pub fn forward_with_attention(&self, b: &mut Binder, mut x: Var) -> (Var, Option<Var>) {
-        let mut last_attn = None;
-        for layer in &self.layers {
-            let (out, attn) = layer.forward_with_attention(b, x);
-            x = out;
-            last_attn = Some(attn);
-        }
-        (x, last_attn)
     }
 
     pub fn forward(&self, b: &mut Binder, x: Var) -> Var {
@@ -413,82 +384,54 @@ mod tests {
         assert!((var - 1.0).abs() < 1e-3);
     }
 
+    /// The Fig. 14 weights are the ones the fused op uses and never keeps:
+    /// `[H, S, S]`, every row a distribution, and `weights_h · V_h` is the
+    /// fused [`Graph::attention`] context **bit for bit** on a shape either
+    /// side of `gemm_worthwhile` (the naive context loop's skip of
+    /// exactly-zero weights only shows for a non-finite `V`).
     #[test]
-    fn attention_output_shape_and_weights() {
-        let mha = MultiHeadAttention::new(8, 2, &mut rng());
-        let mut g = Graph::new();
-        let mut b = Binder::new(&mut g);
-        let x = b.g.leaf(Tensor::full(vec![3, 5, 8], 0.1));
-        let (y, attn) = mha.forward_with_attention(&mut b, x);
-        assert_eq!(b.g.value(y).shape(), &[3, 5, 8]);
-        assert_eq!(b.g.value(attn).shape(), &[6, 5, 5]);
-        // Attention rows are distributions.
-        for row in b.g.value(attn).data().chunks(5) {
-            assert!((row.iter().sum::<f64>() - 1.0).abs() < 1e-9);
-        }
-    }
-
-    /// The fused path against the composed one: forward bit for bit,
-    /// every gradient to rounding. Yardstick per gradient tensor is the
-    /// max-abs over its `Linear`'s (weight, bias) pair: the K-bias
-    /// gradient is mathematically zero (softmax is shift-invariant), so
-    /// its own entries are rounding noise on both paths.
-    #[test]
-    fn fused_attention_matches_composed_attention() {
-        for &(batch, seq, dim, heads) in &[
-            (2usize, 20usize, 16usize, 4usize),
-            (1, 128, 16, 4),
-            (3, 7, 8, 2),
-            (2, 1, 16, 4),
-        ] {
+    fn attention_weights_are_distributions_and_rebuild_the_fused_context() {
+        for &(seq, dim, heads) in &[(5usize, 8usize, 2usize), (64, 16, 4)] {
+            let dh = dim / heads;
+            let packed = dbat_linalg::gemm_worthwhile(seq, seq, dh);
+            assert_eq!(packed, seq == 64, "shapes must straddle the dispatch");
             let mut mha = MultiHeadAttention::new(dim, heads, &mut rng());
-            // Non-zero biases, so their gradients are exercised too.
             let mut r = InitRng::new(9);
-            for lin in [&mut mha.wq, &mut mha.wk, &mut mha.wv, &mut mha.wo] {
+            for lin in [&mut mha.wq, &mut mha.wk, &mut mha.wv] {
                 lin.b = crate::init::normal_init(vec![dim], 0.3, &mut r);
             }
-            let x0 = crate::init::normal_init(vec![batch, seq, dim], 1.0, &mut r);
-            let w0 = crate::init::normal_init(vec![batch, seq, dim], 1.0, &mut r);
-            let run = |fused: bool| {
-                let mut g = Graph::new();
-                let mut b = Binder::new(&mut g);
-                let x = b.g.leaf(x0.clone());
-                let y = if fused {
-                    mha.forward(&mut b, x)
-                } else {
-                    mha.forward_with_attention(&mut b, x).0
+            let x = crate::init::normal_init(vec![seq, dim], 1.0, &mut r);
+
+            let weights = mha.attention_weights(&x);
+            assert_eq!(weights.shape(), &[heads, seq, seq]);
+            for row in weights.data().chunks(seq) {
+                assert!(row.iter().all(|&w| (0.0..=1.0).contains(&w)));
+                assert!((row.iter().sum::<f64>() - 1.0).abs() < 1e-12);
+            }
+
+            let mut g = Graph::new();
+            let mut b = Binder::new(&mut g);
+            let xv = b.g.leaf(x.reshape(vec![1, seq, dim]));
+            let q = mha.wq.forward(&mut b, xv);
+            let k = mha.wk.forward(&mut b, xv);
+            let v = mha.wv.forward(&mut b, xv);
+            let ctx = b.g.attention(q, k, v, heads);
+            let (v, ctx) = (g.value(v), g.value(ctx));
+            for (h, w) in weights.data().chunks(seq * seq).enumerate() {
+                let cols = |t: &Tensor| -> Vec<f64> {
+                    let rows = t.data().chunks(dim);
+                    rows.flat_map(|row| &row[h * dh..(h + 1) * dh])
+                        .copied()
+                        .collect()
                 };
-                let w = b.g.constant(w0.clone());
-                let yw = b.g.mul(y, w);
-                let l = b.g.sum_all(yw);
-                let vars = b.vars.clone();
-                let out = g.value(y).clone();
-                let mut grads = g.backward(l);
-                let mut take = |v: Var| grads[v.0].take().expect("gradient flows");
-                let dx = take(x);
-                (out, dx, vars.into_iter().map(take).collect::<Vec<_>>())
-            };
-            let (out_f, dx_f, dp_f) = run(true);
-            let (out_c, dx_c, dp_c) = run(false);
-            let what = format!("({batch},{seq},{dim},{heads})");
-            assert_eq!(out_f.data(), out_c.data(), "{what}: forward bits");
-            let close = |f: &Tensor, c: &Tensor, yard: f64, name: &str| {
-                for (a, b) in f.data().iter().zip(c.data()) {
-                    assert!(
-                        (a - b).abs() <= 1e-12 * yard,
-                        "{what} {name}: fused {a:e} vs composed {b:e} (max-abs {yard:e})"
-                    );
-                }
-            };
-            close(&dx_f, &dx_c, dx_c.max_abs(), "dx");
-            for (i, name) in ["wq", "wk", "wv", "wo"].iter().enumerate() {
-                let yard = dp_c[2 * i].max_abs().max(dp_c[2 * i + 1].max_abs());
-                close(&dp_f[2 * i], &dp_c[2 * i], yard, &format!("d{name}.w"));
-                close(
-                    &dp_f[2 * i + 1],
-                    &dp_c[2 * i + 1],
-                    yard,
-                    &format!("d{name}.b"),
+                let rebuilt = crate::tensor::matmul2d(
+                    &Tensor::new(vec![seq, seq], w.to_vec()),
+                    &Tensor::new(vec![seq, dh], cols(v)),
+                );
+                assert_eq!(
+                    rebuilt.data(),
+                    &cols(ctx)[..],
+                    "({seq},{dim},{heads}) head {h}"
                 );
             }
         }

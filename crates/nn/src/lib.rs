@@ -4,11 +4,14 @@
 //! paper trains its surrogate in PyTorch; the repro band notes "ML training
 //! tooling thin" for Rust, so this crate builds the tooling itself.
 //!
-//! * [`tensor`] — dense `f64` tensors and rayon-parallel compute kernels;
+//! * [`tensor`] — dense `f64` tensors and the 2-D matmul kernels on the
+//!   packed `dbat-linalg` GEMM engine;
 //! * [`graph`] — tape-based reverse-mode autograd (every op gradient-checked
-//!   against central finite differences in the test suite);
-//! * [`layers`] — Linear, LayerNorm, multi-head attention, Transformer
-//!   encoder, sinusoidal positional encoding;
+//!   against central finite differences in the test suite); attention is
+//!   one fused, recomputing node, so no tape holds an `S × S` tensor;
+//! * [`layers`] — Linear, LayerNorm, multi-head attention (and its
+//!   off-tape Fig. 14 weights), Transformer encoder, sinusoidal positional
+//!   encoding;
 //! * [`infer`] — graph-free inference plans: the layer stack compiled to
 //!   direct kernel calls with pre-packed weights over a flat scratch
 //!   arena, bitwise-equivalent to the graph forward;
@@ -38,7 +41,4 @@ pub use layers::{
 };
 pub use optim::{tree_reduce_grads, Adam};
 pub use serialize::{load_into, Checkpoint};
-pub use tensor::{
-    bmm, bmm_naive, bmm_nt, bmm_nt_naive, bmm_tn, bmm_tn_naive, matmul2d, matmul2d_naive,
-    matmul2d_nt, matmul2d_tn, permute_0213, softmax_lastdim, transpose_last2, Tensor,
-};
+pub use tensor::{matmul2d, matmul2d_naive, matmul2d_nt, matmul2d_tn, Tensor};

@@ -1,14 +1,14 @@
 //! Dense row-major `f64` tensors and the raw compute kernels the autograd
 //! graph wraps.
 //!
-//! Matmul-family kernels (`matmul2d`, `bmm`, `bmm_nt`, `bmm_tn`) dispatch
+//! The matmul kernels (`matmul2d`, `matmul2d_nt`, `matmul2d_tn`) dispatch
 //! to the packed, register-tiled [`dbat_linalg::gemm()`] engine when the
-//! problem is large enough to amortise packing, falling back to the naive
-//! triple loops for tiny operands. The naive loops are kept as `*_naive`
-//! reference implementations: the property-test suite asserts the packed
-//! path matches them within 1e-12 across ragged shapes. `*_into` variants
-//! write into caller-provided buffers so the autograd graph can recycle
-//! allocations across forward passes.
+//! problem is large enough to amortise packing, falling back to naive
+//! loops for tiny operands. [`matmul2d_naive`] is kept as the reference
+//! implementation: the property-test suite asserts the packed path matches
+//! it within 1e-12 across ragged shapes. `*_into` variants write into
+//! caller-provided buffers so the autograd graph can recycle allocations
+//! across forward passes.
 
 use dbat_linalg::gemm::{gemm, gemm_worthwhile, Layout};
 use rayon::prelude::*;
@@ -344,273 +344,6 @@ pub(crate) fn naive_gemm_acc(
     }
 }
 
-fn bmm_dims(a: &Tensor, b: &Tensor, name: &str) -> (usize, usize, usize, usize) {
-    assert_eq!(a.shape().len(), 3, "{name} lhs must be 3-D");
-    assert_eq!(b.shape().len(), 3, "{name} rhs must be 3-D");
-    let n = a.shape()[0];
-    assert_eq!(n, b.shape()[0], "{name} batch dimensions differ");
-    (n, a.shape()[1], a.shape()[2], b.shape()[2])
-}
-
-/// Batched matmul: `[N, r, k] @ [N, k, c] -> [N, r, c]`, parallel over `N`,
-/// each batch on the packed kernel when large enough.
-pub fn bmm(a: &Tensor, b: &Tensor) -> Tensor {
-    let (n, r, k, c) = bmm_dims(a, b, "bmm");
-    assert_eq!(k, b.shape()[1], "bmm inner dimensions differ");
-    let mut out = vec![0.0; n * r * c];
-    bmm_into(a, b, &mut out);
-    Tensor::new(vec![n, r, c], out)
-}
-
-/// As [`bmm`], writing into a zeroed caller buffer of length `N * r * c`.
-pub fn bmm_into(a: &Tensor, b: &Tensor, out: &mut [f64]) {
-    let (n, r, k, c) = bmm_dims(a, b, "bmm");
-    assert_eq!(k, b.shape()[1], "bmm inner dimensions differ");
-    assert_eq!(out.len(), n * r * c, "bmm output buffer size mismatch");
-    let ad = a.data();
-    let bd = b.data();
-    let packed = gemm_worthwhile(r, c, k);
-    out.par_chunks_mut((r * c).max(1))
-        .enumerate()
-        .for_each(|(i, chunk)| {
-            let ab = &ad[i * r * k..(i + 1) * r * k];
-            let bb = &bd[i * k * c..(i + 1) * k * c];
-            if packed {
-                gemm(r, c, k, ab, Layout::Normal, bb, Layout::Normal, chunk);
-            } else {
-                naive_gemm_acc(r, c, k, ab, bb, chunk);
-            }
-        });
-}
-
-/// Batched matmul with the right operand transposed:
-/// `[N, r, k] @ [N, c, k]ᵀ -> [N, r, c]` — attention scores (`Q Kᵀ`) and
-/// the `dA = G Bᵀ` backward, without materialised transposes.
-pub fn bmm_nt(a: &Tensor, b: &Tensor) -> Tensor {
-    let (n, r, k, _) = bmm_dims(a, b, "bmm_nt");
-    let c = b.shape()[1];
-    assert_eq!(k, b.shape()[2], "bmm_nt inner dimensions differ");
-    let mut out = vec![0.0; n * r * c];
-    bmm_nt_into(a, b, &mut out);
-    Tensor::new(vec![n, r, c], out)
-}
-
-/// As [`bmm_nt`], writing into a zeroed caller buffer.
-pub fn bmm_nt_into(a: &Tensor, b: &Tensor, out: &mut [f64]) {
-    let (n, r, k, _) = bmm_dims(a, b, "bmm_nt");
-    let c = b.shape()[1];
-    assert_eq!(k, b.shape()[2], "bmm_nt inner dimensions differ");
-    assert_eq!(out.len(), n * r * c, "bmm_nt output buffer size mismatch");
-    let ad = a.data();
-    let bd = b.data();
-    let packed = gemm_worthwhile(r, c, k);
-    out.par_chunks_mut((r * c).max(1))
-        .enumerate()
-        .for_each(|(i, chunk)| {
-            let ab = &ad[i * r * k..(i + 1) * r * k];
-            let bb = &bd[i * c * k..(i + 1) * c * k];
-            if packed {
-                gemm(r, c, k, ab, Layout::Normal, bb, Layout::Transposed, chunk);
-            } else {
-                for row in 0..r {
-                    let arow = &ab[row * k..(row + 1) * k];
-                    let orow = &mut chunk[row * c..(row + 1) * c];
-                    for (o, brow) in orow.iter_mut().zip(bb.chunks_exact(k.max(1))) {
-                        let mut acc = 0.0;
-                        for (&x, &y) in arow.iter().zip(brow) {
-                            acc += x * y;
-                        }
-                        *o = acc;
-                    }
-                }
-            }
-        });
-}
-
-/// Reference batched `A·Bᵀ`: row-dot-product loops, kept for equivalence
-/// testing against the packed path.
-pub fn bmm_nt_naive(a: &Tensor, b: &Tensor) -> Tensor {
-    let (n, r, k, _) = bmm_dims(a, b, "bmm_nt");
-    let c = b.shape()[1];
-    assert_eq!(k, b.shape()[2], "bmm_nt inner dimensions differ");
-    let mut out = vec![0.0; n * r * c];
-    let ad = a.data();
-    let bd = b.data();
-    for (i, chunk) in out.chunks_mut((r * c).max(1)).enumerate() {
-        let ab = &ad[i * r * k..(i + 1) * r * k];
-        let bb = &bd[i * c * k..(i + 1) * c * k];
-        for row in 0..r {
-            let arow = &ab[row * k..(row + 1) * k];
-            let orow = &mut chunk[row * c..(row + 1) * c];
-            for (o, brow) in orow.iter_mut().zip(bb.chunks_exact(k.max(1))) {
-                let mut acc = 0.0;
-                for (&x, &y) in arow.iter().zip(brow) {
-                    acc += x * y;
-                }
-                *o = acc;
-            }
-        }
-    }
-    Tensor::new(vec![n, r, c], out)
-}
-
-/// Batched matmul with the left operand transposed:
-/// `[N, k, r]ᵀ @ [N, k, c] -> [N, r, c]` — the `dB = Aᵀ G` backward kernel.
-pub fn bmm_tn(a: &Tensor, b: &Tensor) -> Tensor {
-    let (n, k, r, c) = bmm_dims(a, b, "bmm_tn");
-    assert_eq!(k, b.shape()[1], "bmm_tn inner dimensions differ");
-    let mut out = vec![0.0; n * r * c];
-    bmm_tn_into(a, b, &mut out);
-    Tensor::new(vec![n, r, c], out)
-}
-
-/// As [`bmm_tn`], writing into a zeroed caller buffer.
-pub fn bmm_tn_into(a: &Tensor, b: &Tensor, out: &mut [f64]) {
-    let (n, k, r, c) = bmm_dims(a, b, "bmm_tn");
-    assert_eq!(k, b.shape()[1], "bmm_tn inner dimensions differ");
-    assert_eq!(out.len(), n * r * c, "bmm_tn output buffer size mismatch");
-    let ad = a.data();
-    let bd = b.data();
-    let packed = gemm_worthwhile(r, c, k);
-    out.par_chunks_mut((r * c).max(1))
-        .enumerate()
-        .for_each(|(i, chunk)| {
-            let ab = &ad[i * k * r..(i + 1) * k * r];
-            let bb = &bd[i * k * c..(i + 1) * k * c];
-            if packed {
-                gemm(r, c, k, ab, Layout::Transposed, bb, Layout::Normal, chunk);
-            } else {
-                for kk in 0..k {
-                    let arow = &ab[kk * r..(kk + 1) * r];
-                    let brow = &bb[kk * c..(kk + 1) * c];
-                    for (row, &av) in arow.iter().enumerate() {
-                        if av == 0.0 {
-                            continue;
-                        }
-                        let orow = &mut chunk[row * c..(row + 1) * c];
-                        for (o, &bv) in orow.iter_mut().zip(brow) {
-                            *o += av * bv;
-                        }
-                    }
-                }
-            }
-        });
-}
-
-/// Reference batched `Aᵀ·B`: rank-1 update loops, kept for equivalence
-/// testing against the packed path.
-pub fn bmm_tn_naive(a: &Tensor, b: &Tensor) -> Tensor {
-    let (n, k, r, c) = bmm_dims(a, b, "bmm_tn");
-    assert_eq!(k, b.shape()[1], "bmm_tn inner dimensions differ");
-    let mut out = vec![0.0; n * r * c];
-    let ad = a.data();
-    let bd = b.data();
-    for (i, chunk) in out.chunks_mut((r * c).max(1)).enumerate() {
-        let ab = &ad[i * k * r..(i + 1) * k * r];
-        let bb = &bd[i * k * c..(i + 1) * k * c];
-        for kk in 0..k {
-            let arow = &ab[kk * r..(kk + 1) * r];
-            let brow = &bb[kk * c..(kk + 1) * c];
-            for (row, &av) in arow.iter().enumerate() {
-                if av == 0.0 {
-                    continue;
-                }
-                let orow = &mut chunk[row * c..(row + 1) * c];
-                for (o, &bv) in orow.iter_mut().zip(brow) {
-                    *o += av * bv;
-                }
-            }
-        }
-    }
-    Tensor::new(vec![n, r, c], out)
-}
-
-/// Reference batched matmul: naive loops over every batch, kept for
-/// equivalence testing against the packed path.
-pub fn bmm_naive(a: &Tensor, b: &Tensor) -> Tensor {
-    let (n, r, k, c) = bmm_dims(a, b, "bmm");
-    assert_eq!(k, b.shape()[1], "bmm inner dimensions differ");
-    let mut out = vec![0.0; n * r * c];
-    let ad = a.data();
-    let bd = b.data();
-    for (i, chunk) in out.chunks_mut((r * c).max(1)).enumerate() {
-        naive_gemm_acc(
-            r,
-            c,
-            k,
-            &ad[i * r * k..(i + 1) * r * k],
-            &bd[i * k * c..(i + 1) * k * c],
-            chunk,
-        );
-    }
-    Tensor::new(vec![n, r, c], out)
-}
-
-/// Transpose the last two axes of a 2-D or 3-D tensor.
-pub fn transpose_last2(t: &Tensor) -> Tensor {
-    match t.shape() {
-        [r, c] => {
-            let (r, c) = (*r, *c);
-            let mut out = vec![0.0; r * c];
-            for i in 0..r {
-                for j in 0..c {
-                    out[j * r + i] = t.data()[i * c + j];
-                }
-            }
-            Tensor::new(vec![c, r], out)
-        }
-        [n, r, c] => {
-            let (n, r, c) = (*n, *r, *c);
-            let mut out = vec![0.0; n * r * c];
-            for b in 0..n {
-                let base = b * r * c;
-                for i in 0..r {
-                    for j in 0..c {
-                        out[base + j * r + i] = t.data()[base + i * c + j];
-                    }
-                }
-            }
-            Tensor::new(vec![n, c, r], out)
-        }
-        s => panic!("transpose_last2 expects 2-D or 3-D, got {s:?}"),
-    }
-}
-
-/// Permute axes `[a, b, c, d] -> [a, c, b, d]` (head split/merge for
-/// multi-head attention). The permutation is an involution.
-pub fn permute_0213(t: &Tensor) -> Tensor {
-    let s = t.shape();
-    assert_eq!(s.len(), 4, "permute_0213 expects a 4-D tensor");
-    let (a, b, c, d) = (s[0], s[1], s[2], s[3]);
-    let mut out = vec![0.0; t.numel()];
-    let src = t.data();
-    for ia in 0..a {
-        for ib in 0..b {
-            for ic in 0..c {
-                let src_base = ((ia * b + ib) * c + ic) * d;
-                let dst_base = ((ia * c + ic) * b + ib) * d;
-                out[dst_base..dst_base + d].copy_from_slice(&src[src_base..src_base + d]);
-            }
-        }
-    }
-    Tensor::new(vec![a, c, b, d], out)
-}
-
-/// Softmax over the last axis.
-///
-/// Runs on [`dbat_linalg::softmax_rows_inplace`] — the fused, vectorised
-/// max/exp/sum/divide kernel — because the attention softmax dominates
-/// the non-GEMM cost of a decision (`layers · heads · seq²`
-/// exponentials per forward). The compiled inference plans call the same
-/// kernel, which is what keeps the graph-free fast path bitwise equal to
-/// this graph op.
-pub fn softmax_lastdim(t: &Tensor) -> Tensor {
-    let d = *t.shape().last().expect("softmax needs at least 1-D");
-    let mut out = t.data().to_vec();
-    dbat_linalg::softmax_rows_inplace(&mut out, d);
-    Tensor::new(t.shape().to_vec(), out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -658,98 +391,6 @@ mod tests {
         };
         let c = matmul2d(&a, &id);
         assert_eq!(c.data(), a.data());
-    }
-
-    #[test]
-    fn bmm_batches_independent() {
-        let a = Tensor::new(vec![2, 1, 2], vec![1.0, 2.0, 3.0, 4.0]);
-        let b = Tensor::new(vec![2, 2, 1], vec![1.0, 1.0, 2.0, 0.5]);
-        let c = bmm(&a, &b);
-        assert_eq!(c.shape(), &[2, 1, 1]);
-        assert_eq!(c.data(), &[3.0, 8.0]);
-    }
-
-    #[test]
-    fn bmm_nt_matches_explicit_transpose() {
-        let a = Tensor::new(
-            vec![2, 3, 4],
-            (0..24).map(|i| (i as f64) * 0.3 - 2.0).collect(),
-        );
-        let b = Tensor::new(
-            vec![2, 5, 4],
-            (0..40).map(|i| (i as f64) * 0.1 - 1.0).collect(),
-        );
-        let fused = bmm_nt(&a, &b);
-        let explicit = bmm(&a, &transpose_last2(&b));
-        assert_eq!(fused.shape(), &[2, 3, 5]);
-        for (x, y) in fused.data().iter().zip(explicit.data()) {
-            assert!((x - y).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn bmm_tn_matches_explicit_transpose() {
-        let a = Tensor::new(
-            vec![2, 4, 3],
-            (0..24).map(|i| (i as f64) * 0.2 - 1.5).collect(),
-        );
-        let b = Tensor::new(vec![2, 4, 5], (0..40).map(|i| (i as f64) * 0.05).collect());
-        let fused = bmm_tn(&a, &b);
-        let explicit = bmm(&transpose_last2(&a), &b);
-        assert_eq!(fused.shape(), &[2, 3, 5]);
-        for (x, y) in fused.data().iter().zip(explicit.data()) {
-            assert!((x - y).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn transpose_2d_and_3d() {
-        let t = Tensor::new(vec![2, 3], (0..6).map(|i| i as f64).collect());
-        let tt = transpose_last2(&t);
-        assert_eq!(tt.shape(), &[3, 2]);
-        assert_eq!(tt.data(), &[0.0, 3.0, 1.0, 4.0, 2.0, 5.0]);
-        let t3 = Tensor::new(vec![2, 2, 2], (0..8).map(|i| i as f64).collect());
-        let tt3 = transpose_last2(&t3);
-        assert_eq!(tt3.data(), &[0.0, 2.0, 1.0, 3.0, 4.0, 6.0, 5.0, 7.0]);
-    }
-
-    #[test]
-    fn permute_0213_involution() {
-        let t = Tensor::new(vec![2, 3, 4, 5], (0..120).map(|i| i as f64).collect());
-        let p = permute_0213(&t);
-        assert_eq!(p.shape(), &[2, 4, 3, 5]);
-        let back = permute_0213(&p);
-        assert_eq!(back, t);
-    }
-
-    #[test]
-    fn permute_0213_moves_elements_correctly() {
-        // [1,2,2,1]: (b=0..2, c=0..2) element (ib, ic) -> (ic, ib)
-        let t = Tensor::new(vec![1, 2, 2, 1], vec![0.0, 1.0, 2.0, 3.0]);
-        let p = permute_0213(&t);
-        assert_eq!(p.data(), &[0.0, 2.0, 1.0, 3.0]);
-    }
-
-    #[test]
-    fn softmax_rows_sum_to_one() {
-        let t = Tensor::new(vec![2, 3], vec![1.0, 2.0, 3.0, -1.0, 0.0, 1.0]);
-        let s = softmax_lastdim(&t);
-        for row in s.data().chunks(3) {
-            let sum: f64 = row.iter().sum();
-            assert!((sum - 1.0).abs() < 1e-12);
-            assert!(
-                row.windows(2).all(|w| w[0] < w[1]),
-                "monotone inputs stay ordered"
-            );
-        }
-    }
-
-    #[test]
-    fn softmax_stable_for_large_inputs() {
-        let t = Tensor::new(vec![1, 2], vec![1000.0, 1001.0]);
-        let s = softmax_lastdim(&t);
-        assert!(s.data().iter().all(|x| x.is_finite()));
-        assert!((s.data()[0] + s.data()[1] - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! Property-based tests for tensors, kernels, and autograd invariants.
 
 use dbat_nn::{
-    bmm, bmm_naive, bmm_nt, bmm_nt_naive, bmm_tn, bmm_tn_naive, matmul2d, matmul2d_naive,
-    matmul2d_nt, matmul2d_tn, softmax_lastdim, transpose_last2, Binder, Graph, InitRng, LayerNorm,
-    Linear, Module, Standardizer, Tensor,
+    matmul2d, matmul2d_naive, matmul2d_nt, matmul2d_tn, Binder, Graph, InitRng, LayerNorm, Linear,
+    Module, Standardizer, Tensor,
 };
 use proptest::prelude::*;
 
@@ -29,23 +28,18 @@ fn matmul_pair() -> impl Strategy<Value = (Tensor, Tensor)> {
         })
 }
 
-/// Ragged batched operand pair `[b,r,k] x [b,k,c]` for bmm.
-fn bmm_pair() -> impl Strategy<Value = (Tensor, Tensor)> {
-    (
-        1usize..5,
-        1usize..20,
-        1usize..12,
-        1usize..12,
-        prop::collection::vec(-3.0f64..3.0, 4 * 19 * 11 + 4 * 11 * 11),
-    )
-        .prop_map(|(b, r, k, c, data)| {
-            let a = Tensor::new(vec![b, r, k], data[..b * r * k].to_vec());
-            let bb = Tensor::new(
-                vec![b, k, c],
-                data[b * r * k..b * r * k + b * k * c].to_vec(),
-            );
-            (a, bb)
-        })
+/// The transpose of a 2-D tensor (operand builder for the NT/TN kernels).
+fn transpose(t: &Tensor) -> Tensor {
+    let (r, c) = (t.shape()[0], t.shape()[1]);
+    let data = (0..c * r).map(|i| t.data()[(i % r) * c + i / r]).collect();
+    Tensor::new(vec![c, r], data)
+}
+
+/// Row softmax of `t` on the kernel the attention op runs.
+fn softmax_rows(t: &Tensor) -> Vec<f64> {
+    let mut out = t.data().to_vec();
+    dbat_linalg::softmax_rows_inplace(&mut out, t.shape()[1]);
+    out
 }
 
 fn assert_close(packed: &Tensor, naive: &Tensor, tol: f64) {
@@ -75,28 +69,8 @@ proptest! {
     }
 
     #[test]
-    fn fused_bmm_variants_agree(a in tensor(vec![3, 4, 5]), b in tensor(vec![3, 6, 5])) {
-        let fused = bmm_nt(&a, &b);
-        let explicit = bmm(&a, &transpose_last2(&b));
-        prop_assert_eq!(fused.shape(), explicit.shape());
-        for (x, y) in fused.data().iter().zip(explicit.data()) {
-            prop_assert!((x - y).abs() < 1e-10);
-        }
-    }
-
-    #[test]
-    fn bmm_tn_agrees_with_transpose(a in tensor(vec![2, 5, 3]), b in tensor(vec![2, 5, 4])) {
-        let fused = bmm_tn(&a, &b);
-        let explicit = bmm(&transpose_last2(&a), &b);
-        for (x, y) in fused.data().iter().zip(explicit.data()) {
-            prop_assert!((x - y).abs() < 1e-10);
-        }
-    }
-
-    #[test]
     fn softmax_rows_are_distributions(t in tensor(vec![4, 6])) {
-        let s = softmax_lastdim(&t);
-        for row in s.data().chunks(6) {
+        for row in softmax_rows(&t).chunks(6) {
             let sum: f64 = row.iter().sum();
             prop_assert!((sum - 1.0).abs() < 1e-10);
             prop_assert!(row.iter().all(|&x| x >= 0.0));
@@ -106,9 +80,7 @@ proptest! {
     #[test]
     fn softmax_invariant_to_row_shift(t in tensor(vec![2, 5]), c in -10.0f64..10.0) {
         let shifted = t.map(|x| x + c);
-        let a = softmax_lastdim(&t);
-        let b = softmax_lastdim(&shifted);
-        for (x, y) in a.data().iter().zip(b.data()) {
+        for (x, y) in softmax_rows(&t).iter().zip(&softmax_rows(&shifted)) {
             prop_assert!((x - y).abs() < 1e-10);
         }
     }
@@ -179,7 +151,7 @@ proptest! {
     fn packed_matmul2d_nt_matches_naive(ab in matmul_pair()) {
         // [m,k] @ [n,k]ᵀ — build the NT operand by transposing b.
         let (a, b) = ab;
-        let bt = transpose_last2(&b);
+        let bt = transpose(&b);
         assert_close(&matmul2d_nt(&a, &bt), &matmul2d_naive(&a, &b), 1e-12);
     }
 
@@ -187,28 +159,8 @@ proptest! {
     fn packed_matmul2d_tn_matches_naive(ab in matmul_pair()) {
         // [k,m]ᵀ @ [k,n] — build the TN operand by transposing a.
         let (a, b) = ab;
-        let at = transpose_last2(&a);
+        let at = transpose(&a);
         assert_close(&matmul2d_tn(&at, &b), &matmul2d_naive(&a, &b), 1e-12);
-    }
-
-    #[test]
-    fn packed_bmm_matches_naive(ab in bmm_pair()) {
-        let (a, b) = ab;
-        assert_close(&bmm(&a, &b), &bmm_naive(&a, &b), 1e-12);
-    }
-
-    #[test]
-    fn packed_bmm_nt_matches_naive(ab in bmm_pair()) {
-        let (a, b) = ab;
-        let bt = transpose_last2(&b);
-        assert_close(&bmm_nt(&a, &bt), &bmm_nt_naive(&a, &bt), 1e-12);
-    }
-
-    #[test]
-    fn packed_bmm_tn_matches_naive(ab in bmm_pair()) {
-        let (a, b) = ab;
-        let at = transpose_last2(&a);
-        assert_close(&bmm_tn(&at, &b), &bmm_tn_naive(&at, &b), 1e-12);
     }
 
     #[test]

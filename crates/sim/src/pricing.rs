@@ -43,14 +43,6 @@ impl Pricing {
         assert!(init_s >= 0.0);
         self.invocation_cost(memory_mb, init_s + service_s)
     }
-
-    /// Total cost of an invocation that was attempted `attempts` times
-    /// (each failed attempt is billed in full: duration plus the flat
-    /// per-request fee). Used by the fault layer's retry re-billing.
-    pub fn retry_cost(&self, memory_mb: u32, duration_s: f64, attempts: u32) -> f64 {
-        assert!(attempts >= 1);
-        attempts as f64 * self.invocation_cost(memory_mb, duration_s)
-    }
 }
 
 #[cfg(test)]

@@ -62,11 +62,6 @@ impl ServiceProfile {
         // Round up to 1 ms: Lambda bills (and we observe) at ms granularity.
         (raw * 1000.0).ceil() / 1000.0
     }
-
-    /// Per-request service time inside a batch.
-    pub fn per_request_service(&self, memory_mb: u32, batch: u32) -> f64 {
-        self.service_time(memory_mb, batch) / batch as f64
-    }
 }
 
 #[cfg(test)]
@@ -102,8 +97,6 @@ mod tests {
             s8 < 8.0 * s1,
             "batch of 8 must be far cheaper than 8 singles"
         );
-        // Per-request time strictly decreases with batch size here.
-        assert!(p.per_request_service(2048, 8) < p.per_request_service(2048, 1));
     }
 
     #[test]

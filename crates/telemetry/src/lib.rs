@@ -1,8 +1,8 @@
 //! # dbat-telemetry
 //!
 //! Structured observability for the DeepBAT workspace: lock-cheap metric
-//! primitives (counters, gauges, streaming histograms), wall-clock spans,
-//! structured events with pluggable sinks, and leveled stderr logging.
+//! primitives (counters, gauges, streaming histograms), structured events
+//! with pluggable sinks, and leveled stderr logging.
 //!
 //! ## Design
 //!
@@ -44,7 +44,6 @@ pub mod log;
 pub mod metrics;
 pub mod sink;
 pub mod slo;
-pub mod span;
 pub mod trace;
 
 pub use export::{sanitize_metric_name, MetricsExporter};
@@ -52,9 +51,8 @@ pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, TRACKED_PERCENTI
 // Re-export so downstream binaries can build event payloads without adding
 // their own serde_json dependency.
 pub use serde_json;
-pub use sink::{read_jsonl, Event, JsonlSink, MemorySink, Sink, StderrSink};
+pub use sink::{read_jsonl, Event, JsonlSink, MemorySink, Sink};
 pub use slo::{BurnRate, BurnRateConfig};
-pub use span::Span;
 pub use trace::{FlushKind, SpanId, TraceConfig, TraceEvent, TraceId, TraceStage, Tracer};
 
 use serde_json::Value;
@@ -181,22 +179,6 @@ impl Telemetry {
         }
     }
 
-    pub fn histogram_if_enabled(&self, name: &str) -> Option<Arc<Histogram>> {
-        if self.is_enabled() {
-            Some(self.histogram(name))
-        } else {
-            None
-        }
-    }
-
-    pub fn gauge_if_enabled(&self, name: &str) -> Option<Arc<Gauge>> {
-        if self.is_enabled() {
-            Some(self.gauge(name))
-        } else {
-            None
-        }
-    }
-
     /// Zero every registered metric (registry entries survive so existing
     /// handles stay valid).
     pub fn reset_metrics(&self) {
@@ -209,17 +191,6 @@ impl Telemetry {
         for h in self.histograms.read().unwrap().values() {
             h.reset();
         }
-    }
-
-    // ---- spans ------------------------------------------------------
-
-    /// Start a wall-clock span. On drop it records elapsed seconds into
-    /// the `span.<name>` histogram; inert when telemetry is disabled.
-    pub fn span(&self, name: &str) -> Span {
-        if !self.is_enabled() {
-            return Span::inert();
-        }
-        Span::active(self.histogram(&format!("span.{name}")))
     }
 
     // ---- events & sinks ---------------------------------------------
@@ -269,20 +240,6 @@ impl Telemetry {
     }
 
     // ---- tracing ----------------------------------------------------
-
-    /// Drain the tracer's captured events to every attached sink as
-    /// `trace` events (one JSONL line each, `ts` = the event's virtual
-    /// time), and also return them. Emission requires the hub to be
-    /// enabled; draining always happens so buffers never leak.
-    pub fn drain_trace_to_sinks(&self) -> Vec<TraceEvent> {
-        let events = self.tracer.drain();
-        if self.is_enabled() {
-            for ev in &events {
-                self.emit_at("trace", ev.t, serde_json::to_value(ev));
-            }
-        }
-        events
-    }
 
     /// Dump the flight recorder (most recent trace events) to the sinks
     /// as `trace.flight` events tagged with why the dump happened
@@ -480,13 +437,8 @@ mod tests {
         t.add_sink(sink.clone());
         assert!(!t.is_enabled());
         t.emit("x", json!({"a": 1}));
-        let s = t.span("work");
-        drop(s);
         assert!(sink.is_empty());
-        assert_eq!(t.histogram("span.work").count(), 0);
         assert!(t.counter_if_enabled("c").is_none());
-        assert!(t.histogram_if_enabled("h").is_none());
-        assert!(t.gauge_if_enabled("g").is_none());
     }
 
     #[test]
@@ -512,16 +464,6 @@ mod tests {
         c2.inc();
         assert_eq!(t.counter("same").get(), 2);
         assert!(Arc::ptr_eq(&c1, &c2));
-    }
-
-    #[test]
-    fn span_records_into_named_histogram() {
-        let t = Telemetry::new();
-        t.enable();
-        {
-            let _s = t.span("step");
-        }
-        assert_eq!(t.histogram("span.step").count(), 1);
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Event sinks: where structured telemetry goes once emitted.
 //!
 //! An [`Event`] is a timestamped, named JSON payload. Sinks are pluggable:
-//! the in-memory sink backs tests and programmatic inspection, the JSONL
-//! sink streams one JSON object per line to a file for offline analysis,
-//! and the stderr sink renders human-readable lines for interactive runs.
+//! the in-memory sink backs tests and programmatic inspection, and the
+//! JSONL sink streams one JSON object per line to a file for offline
+//! analysis.
 
 use serde_json::Value;
 use std::fs::File;
@@ -156,17 +156,6 @@ impl Sink for JsonlSink {
 impl Drop for JsonlSink {
     fn drop(&mut self) {
         self.flush();
-    }
-}
-
-/// Renders events as compact human-readable lines on stderr.
-#[derive(Default)]
-pub struct StderrSink;
-
-impl Sink for StderrSink {
-    fn emit(&self, event: &Event) {
-        let data = serde_json::to_string(&event.data).unwrap_or_default();
-        eprintln!("[telemetry] {} {}", event.kind, data);
     }
 }
 

@@ -270,15 +270,6 @@ impl Tracer {
         self.refresh_active();
     }
 
-    pub fn disable_capture(&self) {
-        self.capture.store(false, Ordering::Relaxed);
-        self.refresh_active();
-    }
-
-    pub fn capture_enabled(&self) -> bool {
-        self.capture.load(Ordering::Relaxed)
-    }
-
     /// Arm the flight recorder with space for the most recent `capacity`
     /// events; `capacity == 0` disarms it.
     pub fn enable_flight(&self, capacity: usize) {

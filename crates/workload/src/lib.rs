@@ -48,9 +48,7 @@ pub use stats::{
     autocorrelation, idc_by_counts, idc_from_interarrivals, idc_series, mape, mean, percentile,
     percentile_sorted, scv, variance, WindowStats,
 };
-pub use tokens::{
-    EmpiricalTokens, LognormalTokens, TokenMix, TokenSlo, TokenSpec, TokenStats, TokenizedTrace,
-};
+pub use tokens::{EmpiricalTokens, LognormalTokens, TokenMix, TokenSlo, TokenSpec, TokenizedTrace};
 pub use trace::Trace;
 pub use traces::{synthetic_segments, SyntheticSegment, TraceKind, DAY, HOUR};
 pub use window::{sample_windows, window_at_time, window_ending_at, windows, Window};

@@ -112,18 +112,6 @@ impl Rng {
             xs.swap(i, j);
         }
     }
-
-    /// Choose `k` distinct indices from `0..n` (k ≤ n), in random order.
-    pub fn choose_indices(&mut self, n: usize, k: usize) -> Vec<usize> {
-        assert!(k <= n);
-        let mut idx: Vec<usize> = (0..n).collect();
-        for i in 0..k {
-            let j = i + self.below(n - i);
-            idx.swap(i, j);
-        }
-        idx.truncate(k);
-        idx
-    }
 }
 
 #[cfg(test)]
@@ -216,18 +204,6 @@ mod tests {
         let mut sorted = xs.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn choose_indices_distinct() {
-        let mut r = Rng::new(29);
-        let idx = r.choose_indices(20, 10);
-        assert_eq!(idx.len(), 10);
-        let mut s = idx.clone();
-        s.sort_unstable();
-        s.dedup();
-        assert_eq!(s.len(), 10);
-        assert!(s.iter().all(|&i| i < 20));
     }
 
     #[test]

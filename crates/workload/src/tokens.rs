@@ -14,9 +14,7 @@
 //! * [`TokenizedTrace`] — a [`Trace`] paired with per-request specs,
 //!   timestamps untouched (no rebasing, mirroring `ClassedTrace`), so
 //!   token-aware runs stay bitwise comparable with token-blind ones;
-//! * [`TokenSlo`] — TTFT/TPOT targets next to the existing e2e SLO;
-//! * [`TokenStats`] — window-level summary statistics (mean/p95 prompt
-//!   and output lengths) for the controller's feature encoding.
+//! * [`TokenSlo`] — TTFT/TPOT targets next to the existing e2e SLO.
 
 use crate::error::DbatError;
 use crate::rng::Rng;
@@ -195,62 +193,6 @@ impl TokenMix {
     }
 }
 
-/// Window-level token statistics: the controller's feature extension.
-///
-/// Mean and p95 (nearest-rank) of prompt and output lengths over the
-/// requests observed in a window.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub struct TokenStats {
-    pub mean_prompt: f64,
-    pub p95_prompt: f64,
-    pub mean_output: f64,
-    pub p95_output: f64,
-}
-
-fn nearest_rank_p95(sorted: &[u32]) -> f64 {
-    debug_assert!(!sorted.is_empty());
-    let n = sorted.len();
-    let rank = ((0.95 * n as f64).ceil() as usize).clamp(1, n);
-    sorted[rank - 1] as f64
-}
-
-impl TokenStats {
-    /// Statistics over a batch of specs. Empty input yields all-zero
-    /// stats (an empty window carries no token signal).
-    pub fn over(specs: &[TokenSpec]) -> Self {
-        if specs.is_empty() {
-            return TokenStats {
-                mean_prompt: 0.0,
-                p95_prompt: 0.0,
-                mean_output: 0.0,
-                p95_output: 0.0,
-            };
-        }
-        let n = specs.len() as f64;
-        let mut prompts: Vec<u32> = specs.iter().map(|s| s.prompt_tokens).collect();
-        let mut outputs: Vec<u32> = specs.iter().map(|s| s.output_tokens).collect();
-        prompts.sort_unstable();
-        outputs.sort_unstable();
-        TokenStats {
-            mean_prompt: prompts.iter().map(|&p| p as f64).sum::<f64>() / n,
-            p95_prompt: nearest_rank_p95(&prompts),
-            mean_output: outputs.iter().map(|&o| o as f64).sum::<f64>() / n,
-            p95_output: nearest_rank_p95(&outputs),
-        }
-    }
-
-    /// The four features in controller encoding order:
-    /// `[mean_prompt, p95_prompt, mean_output, p95_output]`.
-    pub fn feature_vec(&self) -> [f64; 4] {
-        [
-            self.mean_prompt,
-            self.p95_prompt,
-            self.mean_output,
-            self.p95_output,
-        ]
-    }
-}
-
 /// An arrival trace with per-request token specs (parallel to
 /// `trace.timestamps()`). Timestamps are never rebased or perturbed —
 /// the token layer rides on top of the existing trace, exactly like
@@ -316,12 +258,6 @@ impl TokenizedTrace {
     pub fn index_range(&self, t0: f64, t1: f64) -> (usize, usize) {
         (self.trace.lower_bound(t0), self.trace.lower_bound(t1))
     }
-
-    /// Token statistics over the arrivals in `[t0, t1)`.
-    pub fn stats_in(&self, t0: f64, t1: f64) -> TokenStats {
-        let (lo, hi) = self.index_range(t0, t1);
-        TokenStats::over(&self.specs[lo..hi])
-    }
 }
 
 #[cfg(test)]
@@ -357,11 +293,16 @@ mod tests {
         );
         let gen =
             TokenizedTrace::sample(tr, &TokenMix::Lognormal(LognormalTokens::long_decode()), 3);
-        let s = TokenStats::over(sum.specs());
-        let g = TokenStats::over(gen.specs());
+        // (mean prompt, mean output) lengths.
+        let means = |t: &TokenizedTrace| {
+            let n = t.len() as f64;
+            let sum = |f: fn(&TokenSpec) -> u32| t.specs().iter().map(|s| f(s) as f64).sum::<f64>();
+            (sum(|s| s.prompt_tokens) / n, sum(|s| s.output_tokens) / n)
+        };
+        let (s, g) = (means(&sum), means(&gen));
         // Summarisation: prefill-heavy. Long-decode: decode-heavy.
-        assert!(s.mean_prompt > s.mean_output * 4.0, "{s:?}");
-        assert!(g.mean_output > g.mean_prompt * 2.0, "{g:?}");
+        assert!(s.0 > s.1 * 4.0, "{s:?}");
+        assert!(g.1 > g.0 * 2.0, "{g:?}");
         // All counts at least 1.
         assert!(sum
             .specs()
@@ -380,20 +321,10 @@ mod tests {
     }
 
     #[test]
-    fn stats_windows_and_ranges() {
-        let tr = trace(100); // arrivals at 0.00, 0.05, ..., 4.95
-        let specs: Vec<TokenSpec> = (0..100).map(|i| TokenSpec::new(i + 1, 2 * i + 1)).collect();
-        let tt = TokenizedTrace::new(tr, specs).unwrap();
-        let (lo, hi) = tt.index_range(1.0, 2.0);
-        assert_eq!((lo, hi), (20, 40));
-        let st = tt.stats_in(1.0, 2.0);
-        // Prompts 21..=40: mean 30.5, p95 = 39 (nearest rank 19 of 20).
-        assert!((st.mean_prompt - 30.5).abs() < 1e-12);
-        assert_eq!(st.p95_prompt, 39.0);
-        // Empty window carries zero stats.
-        let empty = tt.stats_in(50.0, 60.0);
-        assert_eq!(empty.mean_prompt, 0.0);
-        assert_eq!(empty.feature_vec(), [0.0; 4]);
+    fn index_ranges_by_time() {
+        let tt = TokenizedTrace::degenerate(trace(100)); // arrivals at 0.00, 0.05, ..., 4.95
+        assert_eq!(tt.index_range(1.0, 2.0), (20, 40));
+        assert_eq!(tt.index_range(50.0, 60.0), (100, 100));
     }
 
     #[test]

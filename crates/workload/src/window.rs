@@ -18,27 +18,6 @@ pub struct Window {
     pub padded: usize,
 }
 
-impl Window {
-    /// Mean interarrival time of the observed (non-padded) part.
-    pub fn mean_interarrival(&self) -> f64 {
-        let obs = &self.interarrivals[self.padded..];
-        if obs.is_empty() {
-            return 0.0;
-        }
-        obs.iter().sum::<f64>() / obs.len() as f64
-    }
-
-    /// Implied arrival rate of the window.
-    pub fn implied_rate(&self) -> f64 {
-        let m = self.mean_interarrival();
-        if m > 0.0 {
-            1.0 / m
-        } else {
-            0.0
-        }
-    }
-}
-
 /// Extract the window of the `l` interarrivals ending at the `k`-th arrival
 /// (0-based; requires `k >= 1`). Left-pads with the window's own mean
 /// interarrival (or `pad_default` when no data) if history is short.
@@ -131,7 +110,6 @@ mod tests {
         // Observed interarrivals up to arrival 2: [1, 2]; mean = 1.5 padding.
         assert_eq!(w.padded, 3);
         assert_eq!(w.interarrivals, vec![1.5, 1.5, 1.5, 1.0, 2.0]);
-        assert!((w.mean_interarrival() - 1.5).abs() < 1e-12);
     }
 
     #[test]
@@ -172,12 +150,5 @@ mod tests {
         let mut rng = Rng::new(4);
         let tiny = Trace::new(vec![0.0, 1.0], 2.0);
         assert!(sample_windows(&tiny, 5, 3, &mut rng).is_empty());
-    }
-
-    #[test]
-    fn implied_rate() {
-        let w = window_ending_at(&trace(), 5, 2, 1.0);
-        // interarrivals [4,5] -> mean 4.5 -> rate 1/4.5
-        assert!((w.implied_rate() - 1.0 / 4.5).abs() < 1e-12);
     }
 }

@@ -167,5 +167,54 @@ fn online_controller_audit_trail() {
     let on_disk = flushed.iter().filter(|e| e.kind == "controller.decision");
     assert_eq!(on_disk.count(), 2 * n_intervals);
 
+    // --- training emits its three event kinds with their payload keys ----
+    let data = generate_dataset(
+        &tr,
+        &ConfigGrid::tiny(),
+        &SimParams::default(),
+        16,
+        16,
+        0.1,
+        5,
+    );
+    let mut trainee = Surrogate::new(SurrogateConfig::tiny(), 2);
+    let tc = TrainConfig {
+        epochs: 2,
+        ..TrainConfig::default()
+    };
+    train(&mut trainee, &data, &tc);
+    fine_tune(&mut trainee, &data, 1, &tc);
+    let epoch_keys = [
+        "epoch",
+        "train_loss",
+        "val_loss",
+        "lr",
+        "secs",
+        "throughput",
+    ];
+    let done_keys = [
+        "epochs",
+        "samples",
+        "shards",
+        "final_val_mape",
+        "secs_per_epoch",
+        "throughput",
+    ];
+    for (kind, count, keys) in [
+        ("train.epoch", 2, &epoch_keys[..]),
+        (
+            "train.finetune_epoch",
+            1,
+            &["epoch", "train_loss", "secs"][..],
+        ),
+        ("train.done", 1, &done_keys[..]),
+    ] {
+        let events = mem.events_of_kind(kind);
+        assert_eq!(events.len(), count, "{kind}");
+        for key in keys {
+            assert!(!events[0].data[*key].is_null(), "{kind} lacks {key}");
+        }
+    }
+
     std::fs::remove_file(&jsonl_path).ok();
 }
