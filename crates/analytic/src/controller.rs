@@ -13,8 +13,8 @@ use std::time::Instant;
 #[derive(Clone, Debug)]
 pub struct BatchController {
     pub params: SimParams,
-    pub grid: ConfigGrid,
-    pub slo: f64,
+    pub(crate) grid: ConfigGrid,
+    pub(crate) slo: f64,
     pub percentile: f64,
     /// Re-fit cadence in seconds (the paper uses one hour).
     pub refit_interval: f64,

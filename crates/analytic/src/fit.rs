@@ -21,7 +21,7 @@ pub struct FitTargets {
 
 impl FitTargets {
     /// Measure targets from raw interarrival times.
-    pub fn from_interarrivals(ia: &[f64]) -> Option<FitTargets> {
+    pub(crate) fn from_interarrivals(ia: &[f64]) -> Option<FitTargets> {
         if ia.len() < 8 {
             return None;
         }
@@ -37,11 +37,10 @@ impl FitTargets {
     }
 }
 
-/// Outcome of a fit: the process plus a record of what was matched.
+/// Outcome of a fit: the process and how closely it matched.
 #[derive(Clone, Debug)]
 pub struct FittedMap {
     pub map: Map,
-    pub targets: FitTargets,
     /// Residual of the (scv, lag1) match; 0 for an exact fit.
     pub residual: f64,
     /// True when the fit degenerated to a Poisson process.
@@ -62,7 +61,6 @@ pub fn fit_to_targets(targets: FitTargets) -> FittedMap {
     if targets.scv <= 1.05 || targets.lag1 <= 0.005 {
         return FittedMap {
             map: Map::poisson(targets.rate),
-            targets,
             residual: ((targets.scv - 1.0).max(0.0)).hypot(targets.lag1.max(0.0)),
             is_poisson: true,
         };
@@ -121,7 +119,6 @@ pub fn fit_to_targets(targets: FitTargets) -> FittedMap {
     }
     FittedMap {
         map: best_cand.to_map().expect("searched MMPPs are valid"),
-        targets,
         residual: best_err,
         is_poisson: false,
     }

@@ -38,8 +38,8 @@ use rayon::prelude::*;
 /// Joint per-cycle (wait, realised batch size) structure for one `(B, T)`.
 #[derive(Clone, Debug)]
 pub struct WaitStructure {
-    pub batch: u32,
-    pub timeout: f64,
+    pub(crate) batch: u32,
+    pub(crate) timeout: f64,
     /// `(wait_seconds, realised_batch, expected mass per cycle)`.
     /// Masses sum to the expected number of requests per cycle.
     pub outcomes: Vec<(f64, u32, f64)>,
@@ -73,9 +73,9 @@ pub struct BatchModel {
     map: Map,
     params: SimParams,
     /// Number of grid cells over `[0, T]`; accuracy/cost trade-off.
-    pub grid_cells: usize,
+    pub(crate) grid_cells: usize,
     /// Fixed-point iterations for the cycle-opening phase distribution.
-    pub phase_iterations: usize,
+    pub(crate) phase_iterations: usize,
 }
 
 impl BatchModel {
@@ -90,10 +90,6 @@ impl BatchModel {
 
     pub fn from_fit(fit: &FittedMap, params: SimParams) -> Self {
         Self::new(fit.map.clone(), params)
-    }
-
-    pub fn map(&self) -> &Map {
-        &self.map
     }
 
     /// Compute the per-cycle wait/batch-size structure for `(B, T)`.
@@ -353,7 +349,7 @@ impl BatchModel {
 
     /// Evaluate a memory size against a precomputed `(B, T)` structure
     /// (lets the optimizer share structures across the memory axis).
-    pub fn evaluate_with_structure(
+    pub(crate) fn evaluate_with_structure(
         &self,
         ws: &WaitStructure,
         memory_mb: u32,

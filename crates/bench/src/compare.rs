@@ -48,12 +48,12 @@ pub fn fixed(s: &ExpSettings, config: LambdaConfig) -> StaticController {
 }
 
 /// The simulation options the figures run under (fault-free).
-pub fn sim_config(s: &ExpSettings) -> SimConfig {
+pub(crate) fn sim_config(s: &ExpSettings) -> SimConfig {
     sim_config_faulted(s, FaultPlan::default())
 }
 
 /// Same, with an explicit fault plan for the fault-injection ablation.
-pub fn sim_config_faulted(s: &ExpSettings, faults: FaultPlan) -> SimConfig {
+pub(crate) fn sim_config_faulted(s: &ExpSettings, faults: FaultPlan) -> SimConfig {
     SimConfig::builder()
         .params(s.params)
         .slo(s.slo)

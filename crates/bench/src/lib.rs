@@ -10,6 +10,4 @@ pub mod compare;
 pub mod report;
 pub mod settings;
 
-pub use settings::{
-    ExpSettings, TelemetryGuard, SEED_ALIBABA, SEED_AZURE, SEED_SYNTH, SEED_TWITTER,
-};
+pub use settings::ExpSettings;

@@ -15,10 +15,10 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 /// Deterministic seeds per trace (generation) — shared by all figures.
-pub const SEED_AZURE: u64 = 11;
-pub const SEED_TWITTER: u64 = 22;
-pub const SEED_ALIBABA: u64 = 33;
-pub const SEED_SYNTH: u64 = 44;
+pub(crate) const SEED_AZURE: u64 = 11;
+pub(crate) const SEED_TWITTER: u64 = 22;
+pub(crate) const SEED_ALIBABA: u64 = 33;
+pub(crate) const SEED_SYNTH: u64 = 44;
 
 /// Global experiment configuration.
 #[derive(Clone, Debug)]
@@ -32,8 +32,8 @@ pub struct ExpSettings {
     pub dataset_size: usize,
     pub epochs: usize,
     /// Fine-tuning dataset size / epochs for OOD traces.
-    pub ft_dataset_size: usize,
-    pub ft_epochs: usize,
+    pub(crate) ft_dataset_size: usize,
+    pub(crate) ft_epochs: usize,
     /// Latency SLO in seconds (paper: 0.1).
     pub slo: f64,
     /// SLO percentile (paper: 95th).
@@ -154,14 +154,14 @@ impl ExpSettings {
         }
     }
 
-    pub fn surrogate_config(&self) -> SurrogateConfig {
+    pub(crate) fn surrogate_config(&self) -> SurrogateConfig {
         SurrogateConfig {
             seq_len: self.seq_len,
             ..SurrogateConfig::default()
         }
     }
 
-    pub fn train_config(&self) -> TrainConfig {
+    pub(crate) fn train_config(&self) -> TrainConfig {
         // lr 3e-3 over ~50 epochs (with built-in step decay) reaches the
         // same loss plateau as the paper's 1e-3 x 100 epochs in half the
         // single-core wall-clock (see EXPERIMENTS.md).

@@ -1,13 +1,13 @@
 //! The online DeepBAT control loop (Fig. 2) as a [`Controller`], plus the
-//! graceful-degradation wrapper that guards any policy with a
-//! [`HealthMonitor`].
+//! graceful-degradation wrapper that guards any policy with a health
+//! monitor.
 //!
 //! The trait, the records and the closed-loop driver
 //! (`dbat_sim::run_controller`) live in `dbat_sim::controller` so that the
 //! analytic BATCH baseline can implement the same trait without a crate
 //! cycle.
 
-use crate::drift::{HealthMonitor, WindowStats};
+use crate::health::HealthMonitor;
 use crate::optimizer::DeepBatOptimizer;
 use crate::surrogate::Surrogate;
 use crate::traindata::label;
@@ -15,7 +15,7 @@ use dbat_sim::{
     ConfigGrid, Controller, DecisionContext, DecisionRecord, IntervalMeasurement, LambdaConfig,
     SimParams,
 };
-use dbat_workload::{sample_windows, window_at_time, Rng, Trace};
+use dbat_workload::{sample_windows, window_at_time, Rng, Trace, WindowStats};
 use serde::Serialize;
 use std::sync::Arc;
 
@@ -125,8 +125,8 @@ struct DegradationEvent {
 }
 
 /// Graceful degradation for any policy: while the wrapped controller's
-/// predictions are healthy it is transparent, but once the
-/// [`HealthMonitor`] trips (violation streak or persistent online-APE
+/// predictions are healthy it is transparent, but once the health
+/// monitor trips (violation streak or persistent online-APE
 /// drift) the wrapper stops consulting the inner policy and applies a
 /// safe configuration — high memory, no batching, no wait — until
 /// enough clean intervals re-arm it. Every overridden decision carries
@@ -134,14 +134,14 @@ struct DegradationEvent {
 /// emitted as a `controller.degradation` telemetry event.
 #[derive(Clone, Debug)]
 pub struct GracefulController<C: Controller> {
-    pub inner: C,
+    pub(crate) inner: C,
     pub monitor: HealthMonitor,
     /// Applied while degraded. Default: the paper grid's fastest point
     /// (max memory, B = 1, T = 0) — the latency-safest choice, bought
     /// with cost.
-    pub safe: LambdaConfig,
-    pub slo: f64,
-    pub percentile: f64,
+    pub(crate) safe: LambdaConfig,
+    pub(crate) slo: f64,
+    pub(crate) percentile: f64,
     records: Vec<DecisionRecord>,
 }
 
@@ -157,24 +157,9 @@ impl<C: Controller> GracefulController<C> {
         }
     }
 
-    /// Arm the monitor's SLO error-budget trigger: on top of the streak
-    /// and APE triggers, degrade when both the short and long rolling
-    /// windows burn the violation budget faster than
-    /// `threshold × budget` (multi-window burn-rate alerting).
-    pub fn with_burn_rate(mut self, cfg: dbat_telemetry::BurnRateConfig) -> Self {
-        self.monitor.burn_rate = Some(dbat_telemetry::BurnRate::new(cfg));
-        self
-    }
-
     /// Currently overriding the inner policy?
     pub fn is_degraded(&self) -> bool {
         self.monitor.is_degraded()
-    }
-
-    /// Fraction of the SLO error budget left (1.0 when no burn-rate
-    /// monitor is armed; negative once overspent).
-    pub fn budget_remaining(&self) -> f64 {
-        self.monitor.budget_remaining()
     }
 }
 
@@ -207,12 +192,8 @@ impl<C: Controller> Controller for GracefulController<C> {
     fn commit(&mut self, record: DecisionRecord) {
         let violated = record.violation.unwrap_or(false);
         let transition = self.monitor.observe(violated, record.online_ape());
-        let t = dbat_telemetry::global();
-        if self.monitor.burn_rate.is_some() {
-            t.gauge("serve.slo.budget_remaining")
-                .set(self.monitor.budget_remaining());
-        }
         if let Some(engaged) = transition {
+            let t = dbat_telemetry::global();
             if t.is_enabled() {
                 t.emit_at(
                     "controller.degradation",
@@ -343,57 +324,6 @@ mod tests {
         // The audit trail kept every decision, flagged appropriately.
         assert_eq!(ctl.audit().len(), 6);
         assert_eq!(ctl.audit().iter().filter(|r| r.degraded).count(), 3);
-    }
-
-    #[test]
-    fn burn_rate_engages_graceful_degradation_without_streak() {
-        use dbat_telemetry::BurnRateConfig;
-        let slo = 0.1;
-        let mut ctl = GracefulController::new(
-            StaticController::new(LambdaConfig::new(512, 32, 5.0), slo),
-            slo,
-        )
-        .with_burn_rate(BurnRateConfig {
-            budget: 0.05,
-            short_window: 4,
-            long_window: 8,
-            threshold: 2.0,
-        });
-        // The streak trigger needs 3 consecutive violations; inject an
-        // alternating violate/clean pattern that never builds a streak
-        // beyond 1, so only the error-budget monitor can fire.
-        ctl.monitor.max_violation_streak = 3;
-        static EMPTY_TRACE: std::sync::LazyLock<Trace> =
-            std::sync::LazyLock::new(|| Trace::new(vec![], 1.0));
-        let ctx = |i: usize| DecisionContext {
-            trace: &EMPTY_TRACE,
-            start: i as f64 * 60.0,
-            end: (i + 1) as f64 * 60.0,
-            index: i,
-        };
-        let mut engaged_at = None;
-        for i in 0..16 {
-            let mut rec = ctl.decide(&ctx(i));
-            if engaged_at.is_none() {
-                assert!(!rec.degraded, "must not degrade before budget burns");
-            }
-            rec.violation = Some(i % 2 == 0);
-            ctl.commit(rec);
-            if engaged_at.is_none() && ctl.is_degraded() {
-                engaged_at = Some(i);
-            }
-        }
-        // A 50% violation rate against a 5% budget trips as soon as the
-        // short window fills — deterministically at interval 3.
-        assert_eq!(engaged_at, Some(3));
-        assert!(ctl.budget_remaining() < 0.0, "budget overspent");
-        // While degraded the safe config is applied.
-        let rec = ctl.decide(&ctx(16));
-        assert!(rec.degraded);
-        assert_eq!(rec.config, ctl.safe);
-        // The budget gauge is published for the exporter to scrape.
-        let g = dbat_telemetry::global().gauge("serve.slo.budget_remaining");
-        assert!(g.get() < 0.0);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! Plans are snapshots: any weight or standardiser update must rebuild
 //! them (`Surrogate::invalidate_plan`).
 
-use crate::surrogate::{Surrogate, LOG_EPS, N_FEATURES};
+use crate::surrogate::{Surrogate, LOG_EPS, N_FEATURES, N_OUTPUTS};
 use dbat_nn::{positional_encoding, relu_inplace, Arena, InferencePlan, MhaPlan, PackedLinear};
 
 /// The full surrogate compiled for graph-free inference.
@@ -22,7 +22,6 @@ use dbat_nn::{positional_encoding, relu_inplace, Arena, InferencePlan, MhaPlan, 
 pub struct SurrogatePlan {
     seq_len: usize,
     dim: usize,
-    n_outputs: usize,
     embed: PackedLinear,
     /// Sinusoidal positional encoding, `[seq_len · dim]`, baked at compile.
     pe: Vec<f64>,
@@ -43,7 +42,6 @@ impl SurrogatePlan {
         SurrogatePlan {
             seq_len: cfg.seq_len,
             dim: cfg.dim,
-            n_outputs: cfg.n_outputs,
             embed: PackedLinear::compile(&model.embed),
             pe: positional_encoding(cfg.seq_len, cfg.dim).into_data(),
             encoder: InferencePlan::compile(&model.encoder),
@@ -56,18 +54,10 @@ impl SurrogatePlan {
         }
     }
 
-    pub fn n_outputs(&self) -> usize {
-        self.n_outputs
-    }
-
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
     /// Encode one raw window into its `E_1` representation (length `dim`),
     /// mirroring `Surrogate::encode_window` bitwise: preprocess → embed →
     /// +PE → encoder stack → mean pool → pooled self-attention.
-    pub fn encode_window(&self, window_raw: &[f64], arena: &mut Arena) -> Vec<f64> {
+    pub(crate) fn encode_window(&self, window_raw: &[f64], arena: &mut Arena) -> Vec<f64> {
         let (l, d) = (self.seq_len, self.dim);
         assert_eq!(window_raw.len(), l, "window length mismatch");
         let el = self.encoder.scratch_lens(1, l);
@@ -126,8 +116,8 @@ impl SurrogatePlan {
     /// Sweep `c` *preprocessed* candidate feature rows (`feats_pre:
     /// [c · 3]`, standardised) against one encoded window,
     /// mirroring `Surrogate::predict_encoded` bitwise. Writes the
-    /// `[c · n_outputs]` prediction table into `out`.
-    pub fn score(
+    /// `[c · N_OUTPUTS]` prediction table into `out`.
+    pub(crate) fn score(
         &self,
         e1: &[f64],
         feats_pre: &[f64],
@@ -138,7 +128,7 @@ impl SurrogatePlan {
         let (d, fh) = (self.dim, self.head1.out_dim());
         assert_eq!(e1.len(), d);
         assert_eq!(feats_pre.len(), c * N_FEATURES);
-        assert_eq!(out.len(), c * self.n_outputs);
+        assert_eq!(out.len(), c * N_OUTPUTS);
         let [e2, cat, hid] = arena.split([c * d, c * 2 * d, c * fh]);
         // E_2 = relu(feat_ff(F))
         self.feat_ff.forward(c, feats_pre, e2);

@@ -15,9 +15,9 @@ use dbat_sim::ConfigGrid;
 
 /// Scores group configs with the surrogate's fast-path grid sweep.
 pub struct SurrogateGroupScorer<'a> {
-    pub model: &'a Surrogate,
+    pub(crate) model: &'a Surrogate,
     /// The underlying optimizer (grid cache, scoring mode, percentile).
-    pub opt: DeepBatOptimizer,
+    pub(crate) opt: DeepBatOptimizer,
 }
 
 impl<'a> SurrogateGroupScorer<'a> {

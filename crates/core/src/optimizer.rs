@@ -3,7 +3,7 @@
 //! cost subject to the p-th percentile latency SLO — with the robustness
 //! penalty factor γ tightening the constraint (§III-D).
 
-use crate::surrogate::Surrogate;
+use crate::surrogate::{Surrogate, N_OUTPUTS};
 use dbat_nn::Tensor;
 use dbat_sim::{ConfigGrid, LambdaConfig, PERCENTILE_KEYS};
 use dbat_workload::stats::interp_tracked_percentile;
@@ -23,24 +23,23 @@ impl ConfigPrediction {
     /// Look up a predicted percentile. The four predicted keys
     /// (50/90/95/99) return their values exactly; other `p` in [0, 100]
     /// interpolate between the bracketing keys (clamped at the ends).
-    pub fn percentile(&self, p: f64) -> f64 {
+    pub(crate) fn percentile(&self, p: f64) -> f64 {
         interp_tracked_percentile(&PERCENTILE_KEYS, &self.percentiles, p)
     }
 }
 
-/// Outcome of one optimisation: the chosen configuration plus the full
-/// prediction table (useful for figures and debugging).
+/// Outcome of one optimisation: the chosen configuration (the full
+/// prediction table is [`DeepBatOptimizer::predict_all`]).
 #[derive(Clone, Debug)]
 pub struct Decision {
     pub chosen: ConfigPrediction,
-    pub all: Vec<ConfigPrediction>,
     /// True when no configuration satisfied the tightened SLO and the
     /// lowest-latency fallback was returned (the latency-safest grid point
     /// if no prediction was finite at all).
     pub fallback: bool,
     /// Wall-clock seconds spent on surrogate inference + grid search for
     /// this decision (§IV measures online inference latency).
-    pub infer_s: f64,
+    pub(crate) infer_s: f64,
 }
 
 /// The grid features standardised for one standardiser fit. Rebuilt only
@@ -60,7 +59,7 @@ struct FeatCache {
 #[derive(Debug)]
 pub struct DeepBatOptimizer {
     pub grid: ConfigGrid,
-    pub slo: f64,
+    pub(crate) slo: f64,
     /// Percentile the SLO constrains (paper: 95).
     pub percentile: f64,
     /// Robustness penalty γ: feasibility requires `p̂·(1+γ) ≤ SLO`.
@@ -121,7 +120,7 @@ impl DeepBatOptimizer {
         cache
     }
 
-    /// Turn a `[C, 5]` prediction tensor into per-config predictions,
+    /// Turn a `[C, N_OUTPUTS]` prediction tensor into per-config predictions,
     /// floored at zero. A non-finite output stays as it is for `select` to
     /// reject (`NaN.max(0.0)` would read as a free, instant config).
     fn preds_from(&self, out: &Tensor) -> Vec<ConfigPrediction> {
@@ -130,7 +129,7 @@ impl DeepBatOptimizer {
             .iter()
             .enumerate()
             .map(|(i, &config)| {
-                let row = &out.data()[i * 5..(i + 1) * 5];
+                let row = &out.data()[i * N_OUTPUTS..(i + 1) * N_OUTPUTS];
                 ConfigPrediction {
                     config,
                     cost_micro: floor(row[0]),
@@ -183,7 +182,7 @@ impl DeepBatOptimizer {
         let out = if e1.iter().all(|x| x.is_finite()) {
             model.predict_encoded_fast_pre(&e1, &self.grid_cache(model).pre)
         } else {
-            Tensor::full(vec![self.configs.len(), 5], f64::NAN)
+            Tensor::full(vec![self.configs.len(), N_OUTPUTS], f64::NAN)
         };
         let preds = self.preds_from(&out);
         if t.is_enabled() {
@@ -209,7 +208,6 @@ impl DeepBatOptimizer {
         let (chosen, fallback) = self.select(&all);
         let mut decision = Decision {
             chosen,
-            all,
             fallback,
             infer_s: 0.0,
         };
@@ -258,8 +256,8 @@ mod tests {
         let opt = DeepBatOptimizer::new(ConfigGrid::tiny(), 1e9);
         let d = opt.choose(&m, &window(m.cfg.seq_len));
         assert!(!d.fallback);
-        let min_cost = d
-            .all
+        let min_cost = opt
+            .predict_all(&m, &window(m.cfg.seq_len))
             .iter()
             .map(|p| p.cost_micro)
             .fold(f64::INFINITY, f64::min);
@@ -272,8 +270,8 @@ mod tests {
         let opt = DeepBatOptimizer::new(ConfigGrid::tiny(), -1.0);
         let d = opt.choose(&m, &window(m.cfg.seq_len));
         assert!(d.fallback);
-        let min_p95 = d
-            .all
+        let min_p95 = opt
+            .predict_all(&m, &window(m.cfg.seq_len))
             .iter()
             .map(|p| p.percentile(95.0))
             .fold(f64::INFINITY, f64::min);
@@ -305,8 +303,9 @@ mod tests {
         ] {
             let mut w = window(l);
             w[at] = poison;
+            let all = opt.predict_all(&m, &w);
+            assert!(all.iter().all(|p| p.cost_micro.is_nan()), "{poison}");
             let d = opt.choose(&m, &w);
-            assert!(d.all.iter().all(|p| p.cost_micro.is_nan()), "{poison}");
             assert!(d.fallback, "{poison} chose {:?} as feasible", d.chosen);
             assert_eq!(d.chosen.config, safest);
         }
@@ -361,9 +360,9 @@ mod tests {
         fit_standardizers(&mut m, &seqs, &opt.grid_feats);
         for w in &windows {
             let oracle = opt.preds_from(&m.predict_encoded(&m.encode_window(w), &opt.grid_feats));
-            let got = opt.choose(&m, w);
-            assert_eq!(got.all.len(), 216);
-            for (a, b) in got.all.iter().zip(&oracle) {
+            let got = opt.predict_all(&m, w);
+            assert_eq!(got.len(), 216);
+            for (a, b) in got.iter().zip(&oracle) {
                 assert_eq!(a.config, b.config);
                 assert_eq!(a.cost_micro.to_bits(), b.cost_micro.to_bits());
                 assert_eq!(
@@ -371,7 +370,10 @@ mod tests {
                     b.percentiles.map(f64::to_bits)
                 );
             }
-            assert_eq!(got.chosen.config, opt.select(&oracle).0.config);
+            assert_eq!(
+                opt.choose(&m, w).chosen.config,
+                opt.select(&oracle).0.config
+            );
         }
     }
 

@@ -35,6 +35,9 @@ pub(crate) const LOG_EPS: f64 = 1e-6;
 /// Scalar configuration features per candidate: `(M, B, T)`.
 pub(crate) const N_FEATURES: usize = 3;
 
+/// Output width: cost + four latency percentiles (p50, p90, p95, p99).
+pub(crate) const N_OUTPUTS: usize = 5;
+
 /// Cap on pooled scratch tapes / arenas retained between calls. Training
 /// warms tapes with batch-sized buffers; without a cap the pool keeps one
 /// such tape per peak-concurrency caller forever. Returns beyond the cap
@@ -54,8 +57,6 @@ pub struct SurrogateConfig {
     pub ff_hidden: usize,
     /// Number of stacked encoder layers (paper: 2, Fig. 15b).
     pub n_layers: usize,
-    /// Output width: cost + four latency percentiles.
-    pub n_outputs: usize,
 }
 
 impl Default for SurrogateConfig {
@@ -66,7 +67,6 @@ impl Default for SurrogateConfig {
             heads: 4,
             ff_hidden: 32,
             n_layers: 2,
-            n_outputs: 5,
         }
     }
 }
@@ -80,24 +80,45 @@ impl SurrogateConfig {
             heads: 2,
             ff_hidden: 16,
             n_layers: 1,
-            n_outputs: 5,
         }
+    }
+
+    /// Reject hyper-parameters no model can be built from: a zero size, or
+    /// a width the attention heads do not divide.
+    fn validate(&self) -> Result<(), String> {
+        let sizes = [
+            self.seq_len,
+            self.dim,
+            self.heads,
+            self.ff_hidden,
+            self.n_layers,
+        ];
+        if sizes.contains(&0) {
+            return Err(format!("every size must be positive: {self:?}"));
+        }
+        if !self.dim.is_multiple_of(self.heads) {
+            return Err(format!(
+                "{} heads do not divide dim {}",
+                self.heads, self.dim
+            ));
+        }
+        Ok(())
     }
 }
 
 /// The deep surrogate network plus its input standardisers.
 pub struct Surrogate {
     pub cfg: SurrogateConfig,
-    pub embed: Linear,
+    pub(crate) embed: Linear,
     pub encoder: TransformerEncoder,
-    pub pool_attn: MultiHeadAttention,
-    pub feat_ff: Linear,
-    pub head1: Linear,
-    pub head2: Linear,
+    pub(crate) pool_attn: MultiHeadAttention,
+    pub(crate) feat_ff: Linear,
+    pub(crate) head1: Linear,
+    pub(crate) head2: Linear,
     /// Standardiser for the log-interarrival channel (1 column).
-    pub seq_std: Standardizer,
+    pub(crate) seq_std: Standardizer,
     /// Standardiser for the (M, B, T) features.
-    pub feat_std: Standardizer,
+    pub(crate) feat_std: Standardizer,
     /// Pool of scratch autograd tapes reused across forward passes; each
     /// caller checks one out for the duration of its pass, so concurrent
     /// inference keeps every warmed buffer pool instead of the last writer
@@ -131,7 +152,7 @@ impl Surrogate {
             pool_attn: MultiHeadAttention::new(cfg.dim, cfg.heads, &mut rng),
             feat_ff: Linear::new(N_FEATURES, cfg.dim, &mut rng),
             head1: Linear::new(2 * cfg.dim, cfg.ff_hidden, &mut rng),
-            head2: Linear::new(cfg.ff_hidden, cfg.n_outputs, &mut rng),
+            head2: Linear::new(cfg.ff_hidden, N_OUTPUTS, &mut rng),
             seq_std: Standardizer {
                 mean: vec![0.0],
                 std: vec![1.0],
@@ -171,14 +192,14 @@ impl Surrogate {
     /// Drop every pooled scratch tape and fast-path arena.
     /// Call after training: the pools hold batch-sized warmed buffers that
     /// steady-state inference never needs again.
-    pub fn trim_scratch(&self) {
+    pub(crate) fn trim_scratch(&self) {
         self.scratch.lock().unwrap().clear();
         self.arenas.lock().unwrap().clear();
     }
 
     /// The compiled graph-free plan for the current weights, building it
     /// on first use. Cheap once warm (an `Arc` clone under a lock).
-    pub fn plan(&self) -> Arc<SurrogatePlan> {
+    pub(crate) fn plan(&self) -> Arc<SurrogatePlan> {
         let mut slot = self.plan.lock().unwrap();
         if let Some(p) = slot.as_ref() {
             return Arc::clone(p);
@@ -191,7 +212,7 @@ impl Surrogate {
     /// Drop the compiled plan so the next fast-path call re-snapshots the
     /// weights. Called automatically by the train step; required manually
     /// after any direct parameter or standardiser mutation.
-    pub fn invalidate_plan(&self) {
+    pub(crate) fn invalidate_plan(&self) {
         *self.plan.lock().unwrap() = None;
     }
 
@@ -207,23 +228,26 @@ impl Surrogate {
         out
     }
 
-    /// Graph-free [`Surrogate::encode_window`]: bitwise-identical output,
-    /// no tape, pre-packed weights, flat scratch.
+    /// Encode one raw window into its configuration-independent `E_1`
+    /// representation (length `dim`): the expensive branch, run once per
+    /// decision on the compiled plan (no tape, pre-packed weights, flat
+    /// scratch), bitwise identical to the graph forward.
     pub fn encode_window_fast(&self, window_raw: &[f64]) -> Vec<f64> {
         let plan = self.plan();
         self.with_arena(|a| plan.encode_window(window_raw, a))
     }
 
-    /// Graph-free [`Surrogate::predict_encoded`] on *already standardised*
-    /// features ([`Surrogate::preprocess_feats`]): bitwise-identical
-    /// output. The optimizer caches the preprocessed grid tensor and skips
-    /// the per-decision transform.
+    /// Sweep `C` candidate configurations against one encoded window on
+    /// the compiled plan, from *already standardised* features
+    /// ([`Surrogate::preprocess_feats`]): `[C, F]` → `[C, O]`, bitwise
+    /// identical to the graph forward. The optimizer caches the
+    /// preprocessed grid tensor and skips the per-decision transform.
     pub fn predict_encoded_fast_pre(&self, e1: &[f64], feats_pre: &Tensor) -> Tensor {
         let c = feats_pre.shape()[0];
         let plan = self.plan();
-        let mut out = vec![0.0; c * self.cfg.n_outputs];
+        let mut out = vec![0.0; c * N_OUTPUTS];
         self.with_arena(|a| plan.score(e1, feats_pre.data(), c, &mut out, a));
-        Tensor::new(vec![c, self.cfg.n_outputs], out)
+        Tensor::new(vec![c, N_OUTPUTS], out)
     }
 
     /// Log-transform raw interarrivals, then standardise. Input `[B, L]`.
@@ -269,7 +293,7 @@ impl Surrogate {
     /// Full differentiable forward on *preprocessed* inputs.
     /// `seq: [K, L]`, `feats: [K, F]` → `[K, O]`. The tape holds no
     /// attention weights (see `dbat_nn::Graph::attention`).
-    pub fn forward(&self, b: &mut Binder, seq: Var, feats: Var) -> Var {
+    pub(crate) fn forward(&self, b: &mut Binder, seq: Var, feats: Var) -> Var {
         let e1 = self.encode_windows(b, seq);
         // E_2 = FeedForward(Standardize(F))  (Eq. 5)
         let e2 = self.feat_ff.forward(b, feats);
@@ -296,8 +320,10 @@ impl Surrogate {
     }
 
     /// Encode one raw window into its configuration-independent `E_1`
-    /// representation (length `dim`). The expensive branch, run once.
-    pub fn encode_window(&self, window_raw: &[f64]) -> Vec<f64> {
+    /// representation (length `dim`) on the autograd graph: the oracle
+    /// [`Surrogate::encode_window_fast`] is tested against.
+    #[cfg(test)]
+    pub(crate) fn encode_window(&self, window_raw: &[f64]) -> Vec<f64> {
         assert_eq!(window_raw.len(), self.cfg.seq_len, "window length mismatch");
         let seq = self.preprocess_seq(&Tensor::new(vec![1, self.cfg.seq_len], window_raw.to_vec()));
         self.with_scratch(|g| {
@@ -308,10 +334,11 @@ impl Surrogate {
         })
     }
 
-    /// Sweep many candidate configurations against one encoded window: the
-    /// cheap branch of the optimizer's exhaustive search.
-    /// `feats_raw: [C, F]` → `[C, O]`.
-    pub fn predict_encoded(&self, e1: &[f64], feats_raw: &Tensor) -> Tensor {
+    /// Sweep many candidate configurations against one encoded window on
+    /// the autograd graph (`feats_raw: [C, F]` → `[C, O]`): the oracle
+    /// [`Surrogate::predict_encoded_fast_pre`] is tested against.
+    #[cfg(test)]
+    pub(crate) fn predict_encoded(&self, e1: &[f64], feats_raw: &Tensor) -> Tensor {
         assert_eq!(e1.len(), self.cfg.dim);
         let feats = self.preprocess_feats(feats_raw);
         self.with_scratch(|g| {
@@ -526,18 +553,35 @@ impl Surrogate {
     }
 
     /// Load from a JSON checkpoint. I/O problems surface as
-    /// [`DbatError::Io`]; malformed checkpoints as [`DbatError::Parse`].
+    /// [`DbatError::Io`]; malformed checkpoints (an unbuildable config, a
+    /// standardiser of the wrong width, a weight tensor of the wrong size
+    /// or with a non-finite value) as [`DbatError::Parse`].
     pub fn load(path: impl AsRef<std::path::Path>) -> Result<Self, DbatError> {
+        let parse =
+            |what: &str, e: String| DbatError::Parse(format!("surrogate checkpoint {what}: {e}"));
         let ck = Checkpoint::load(path)?;
         let cfg: SurrogateConfig = serde_json::from_value(ck.meta["config"].clone())
-            .map_err(|e| DbatError::Parse(format!("surrogate checkpoint config: {e}")))?;
+            .map_err(|e| parse("config", e.to_string()))?;
+        cfg.validate().map_err(|e| parse("config", e))?;
         let mut model = Surrogate::new(cfg, 0);
         model.seq_std = serde_json::from_value(ck.meta["seq_std"].clone())
-            .map_err(|e| DbatError::Parse(format!("surrogate checkpoint seq_std: {e}")))?;
+            .map_err(|e| parse("seq_std", e.to_string()))?;
         model.feat_std = serde_json::from_value(ck.meta["feat_std"].clone())
-            .map_err(|e| DbatError::Parse(format!("surrogate checkpoint feat_std: {e}")))?;
-        dbat_nn::load_into(ck.params, model.parameters_mut())
-            .map_err(|e| DbatError::Parse(format!("surrogate checkpoint weights: {e}")))?;
+            .map_err(|e| parse("feat_std", e.to_string()))?;
+        for (what, st, width) in [
+            ("seq_std", &model.seq_std, 1),
+            ("feat_std", &model.feat_std, N_FEATURES),
+        ] {
+            let finite = st.mean.iter().chain(&st.std).all(|x| x.is_finite());
+            let positive = st.std.iter().all(|&sd| sd > 0.0);
+            if st.mean.len() != width || st.std.len() != width || !finite || !positive {
+                return Err(parse(
+                    what,
+                    format!("expected {width} finite columns, std > 0"),
+                ));
+            }
+        }
+        dbat_nn::load_into(ck.params, model.parameters_mut()).map_err(|e| parse("weights", e))?;
         Ok(model)
     }
 }
@@ -954,7 +998,7 @@ mod tests {
     #[test]
     fn save_load_roundtrip_preserves_predictions() {
         let m = tiny();
-        let dir = std::env::temp_dir().join("dbat_surrogate_test");
+        let dir = std::env::temp_dir().join(format!("dbat_surrogate_test-{}", std::process::id()));
         let path = dir.join("s.json");
         m.save(&path).unwrap();
         let loaded = Surrogate::load(&path).unwrap();
@@ -964,6 +1008,73 @@ mod tests {
         let a = m.predict(&seq, &feats);
         let b = loaded.predict(&seq, &feats);
         assert_eq!(a, b);
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    /// A saved tiny model with one edit to its checkpoint JSON: every
+    /// malformed variant loads as `DbatError::Parse`, never a panic and
+    /// never a model that panics later.
+    #[test]
+    fn malformed_checkpoints_are_parse_errors() {
+        use serde_json::Value;
+        fn field<'a>(v: &'a mut Value, key: &str) -> &'a mut Value {
+            match v {
+                Value::Object(m) => m.get_mut(key).expect("checkpoint key"),
+                _ => panic!("not an object"),
+            }
+        }
+        fn first_weights(ck: &mut Value) -> &mut Vec<Value> {
+            match field(ck, "params") {
+                Value::Array(ps) => match field(&mut ps[0], "data") {
+                    Value::Array(data) => data,
+                    _ => panic!("data is not an array"),
+                },
+                _ => panic!("params is not an array"),
+            }
+        }
+        fn config(ck: &mut Value, key: &str, n: f64) {
+            *field(field(field(ck, "meta"), "config"), key) = Value::Number(n);
+        }
+        // A sentinel the JSON text swaps for `1e999`, which parses to +∞.
+        const HUGE: f64 = 123456.5;
+        type Edit = fn(&mut Value);
+        let edits: [(&str, Edit); 8] = [
+            ("one weight removed", |ck| drop(first_weights(ck).pop())),
+            ("one weight added", |ck| {
+                first_weights(ck).push(Value::Number(0.5))
+            }),
+            ("non-finite weight", |ck| {
+                first_weights(ck)[0] = Value::Number(HUGE)
+            }),
+            ("zero heads", |ck| config(ck, "heads", 0.0)),
+            ("heads not dividing dim", |ck| config(ck, "heads", 3.0)),
+            ("zero seq_len", |ck| config(ck, "seq_len", 0.0)),
+            ("empty seq_std", |ck| {
+                *field(field(field(ck, "meta"), "seq_std"), "mean") = Value::Array(Vec::new())
+            }),
+            ("zero feat_std", |ck| {
+                let std = field(field(field(ck, "meta"), "feat_std"), "std");
+                *std = Value::Array(vec![Value::Number(0.0); N_FEATURES])
+            }),
+        ];
+        let dir = std::env::temp_dir().join(format!("dbat_malformed_ckpt-{}", std::process::id()));
+        let path = dir.join("s.json");
+        tiny().save(&path).unwrap();
+        let saved = std::fs::read_to_string(&path).unwrap();
+        for (what, edit) in edits {
+            let mut ck: Value = serde_json::from_str(&saved).unwrap();
+            edit(&mut ck);
+            let text = serde_json::to_string(&ck)
+                .unwrap()
+                .replace(&HUGE.to_string(), "1e999");
+            std::fs::write(&path, text).unwrap();
+            let got = Surrogate::load(&path);
+            assert!(
+                matches!(got, Err(DbatError::Parse(_))),
+                "{what}: {:?}",
+                got.err()
+            );
+        }
         std::fs::remove_dir_all(dir).ok();
     }
 

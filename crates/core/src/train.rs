@@ -1,6 +1,6 @@
 //! Offline training and OOD fine-tuning of the surrogate (§III-D).
 
-use crate::surrogate::{Surrogate, N_FEATURES};
+use crate::surrogate::{Surrogate, N_FEATURES, N_OUTPUTS};
 use crate::traindata::TrainSample;
 use dbat_nn::{gather_rows, shuffled_batches, Adam, InitRng, Standardizer, Tensor};
 
@@ -83,8 +83,8 @@ pub fn to_tensors_weighted(
     let l = data[0].window.len();
     let mut seq = Vec::with_capacity(n * l);
     let mut feats = Vec::with_capacity(n * N_FEATURES);
-    let mut targets = Vec::with_capacity(n * 5);
-    let mut weights = Vec::with_capacity(n * 5);
+    let mut targets = Vec::with_capacity(n * N_OUTPUTS);
+    let mut weights = Vec::with_capacity(n * N_OUTPUTS);
     for s in data {
         assert_eq!(s.window.len(), l, "ragged windows");
         seq.extend_from_slice(&s.window);
@@ -97,8 +97,8 @@ pub fn to_tensors_weighted(
     (
         Tensor::new(vec![n, l], seq),
         Tensor::new(vec![n, N_FEATURES], feats),
-        Tensor::new(vec![n, 5], targets),
-        Tensor::new(vec![n, 5], weights),
+        Tensor::new(vec![n, N_OUTPUTS], targets),
+        Tensor::new(vec![n, N_OUTPUTS], weights),
     )
 }
 

@@ -3,7 +3,7 @@
 //! configurations from the search grid, labelled by the ground-truth
 //! simulator.
 
-use crate::surrogate::N_FEATURES;
+use crate::surrogate::{N_FEATURES, N_OUTPUTS};
 use dbat_sim::{evaluate, ConfigGrid, LambdaConfig, SimParams};
 use dbat_workload::{sample_windows, Rng, Trace, Window};
 use rayon::prelude::*;
@@ -13,16 +13,16 @@ use rayon::prelude::*;
 pub struct TrainSample {
     /// Raw interarrival window (seconds), length `seq_len`.
     pub window: Vec<f64>,
-    pub config: LambdaConfig,
+    pub(crate) config: LambdaConfig,
     /// `[cost µ$/req, p50, p90, p95, p99]` from the ground-truth simulator.
-    pub target: [f64; 5],
+    pub target: [f64; N_OUTPUTS],
     /// Whether the simulated p95 violates the SLO (drives the loss penalty).
     pub violates: bool,
 }
 
 impl TrainSample {
     /// The scalar feature encoding: `[M, B, T]`.
-    pub fn feature_vec(&self) -> [f64; N_FEATURES] {
+    pub(crate) fn feature_vec(&self) -> [f64; N_FEATURES] {
         [
             self.config.memory_mb as f64,
             self.config.batch_size as f64,
@@ -50,10 +50,10 @@ pub fn window_to_arrivals(window: &[f64]) -> Vec<f64> {
 /// bootstrap estimate of the *window-conditional* performance — the quantity
 /// the surrogate is meant to learn (and what the optimizer needs: expected
 /// behaviour of upcoming traffic that looks like this window).
-pub const LABEL_REPLICAS: usize = 8;
+pub(crate) const LABEL_REPLICAS: usize = 8;
 
 /// Label one (window, config) pair with the ground-truth simulator,
-/// replicating the window [`LABEL_REPLICAS`] times.
+/// replicating the window `LABEL_REPLICAS` times.
 pub fn label(window: &[f64], config: &LambdaConfig, params: &SimParams, slo: f64) -> TrainSample {
     label_replicated(window, config, params, slo, LABEL_REPLICAS)
 }

@@ -41,9 +41,9 @@ const LN2_HI: f64 = 6.931_471_803_691_238_16e-1;
 const LN2_LO: f64 = 1.908_214_929_270_587_70e-10;
 /// Below this the result flushes to `0.0` (exp(-708) ≈ 3.3e-308 is the
 /// last comfortably-normal value).
-pub const EXP_LO: f64 = -708.0;
+pub(crate) const EXP_LO: f64 = -708.0;
 /// At or above this the result saturates to `+inf`.
-pub const EXP_HI: f64 = 709.0;
+pub(crate) const EXP_HI: f64 = 709.0;
 
 /// Taylor coefficients `1/k!` for `k = 13, 12, …, 2`; the final two
 /// Horner steps add the implicit `1·r` and `1` terms. Truncation error
@@ -63,12 +63,12 @@ const POLY: [f64; 12] = [
     5.0e-1,                      // 1/2!
 ];
 
-/// Scalar fast `exp`, bitwise identical to one AVX2 lane of
-/// [`exp_inplace`]: every operation is a correctly-rounded IEEE
+/// Scalar fast `exp`, bitwise identical to one AVX2 lane of the softmax
+/// rows: every operation is a correctly-rounded IEEE
 /// mul/add/fma, so the instruction set cannot change the result.
 #[inline]
 #[allow(clippy::neg_cmp_op_on_partial_ord)] // `!(x > LO)` must catch NaN
-pub fn exp_rn(x: f64) -> f64 {
+pub(crate) fn exp_rn(x: f64) -> f64 {
     if !(x > EXP_LO) {
         // Covers -inf and NaN (which falls through the comparison).
         return if x.is_nan() { x } else { 0.0 };
@@ -106,17 +106,15 @@ pub fn exp_rn(x: f64) -> f64 {
 const WIDE: usize = 4;
 
 /// `N` vectors of four [`exp_rn`] lanes each: per lane the same sequence
-/// of correctly-rounded ops, with the flush (and, under `SATURATE`, the
-/// saturate) guard applied as a mask. Each step is written across all
-/// `N` vectors before the next begins (per-vector source order measured
-/// 0.74× where this measures 0.66×). The one lane body shared by
-/// [`exp_inplace`] and the softmax rows; softmax inputs are
-/// max-subtracted (`<= 0` or NaN), so it skips the saturate guard that
-/// can never fire there.
+/// of correctly-rounded ops, with the flush guard applied as a mask. Each
+/// step is written across all `N` vectors before the next begins
+/// (per-vector source order measured 0.74× where this measures 0.66×).
+/// Softmax inputs are max-subtracted (`<= 0` or NaN), so there is no
+/// saturate guard: it could never fire.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
 #[inline]
-fn exp_lanes<const N: usize, const SATURATE: bool>(
+fn exp_lanes<const N: usize>(
     x: [std::arch::x86_64::__m256d; N],
 ) -> [std::arch::x86_64::__m256d; N] {
     use std::arch::x86_64::*;
@@ -149,66 +147,12 @@ fn exp_lanes<const N: usize, const SATURATE: bool>(
             _mm256_set1_epi64x(0x3FF0_0000_0000_0000_u64 as i64),
         ));
         y[i] = _mm256_mul_pd(p[i], scale);
-        // Saturate/flush exactly as the scalar guards do; NaN lanes fail
-        // both compares and keep the propagated NaN in y.
-        if SATURATE {
-            let hi = _mm256_cmp_pd::<_CMP_GE_OQ>(x[i], _mm256_set1_pd(EXP_HI));
-            y[i] = _mm256_blendv_pd(y[i], _mm256_set1_pd(f64::INFINITY), hi);
-        }
+        // Flush exactly as the scalar guard does; NaN lanes fail the
+        // compare and keep the propagated NaN in y.
         let lo = _mm256_cmp_pd::<_CMP_LE_OQ>(x[i], _mm256_set1_pd(EXP_LO));
         y[i] = _mm256_andnot_pd(lo, y[i]);
     }
     y
-}
-
-/// `exp` over `N` consecutive vectors at `p`, in place.
-///
-/// # Safety
-/// `p` must be valid for `4 * N` reads and writes.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-#[inline]
-unsafe fn exp_vectors<const N: usize>(p: *mut f64) {
-    use std::arch::x86_64::*;
-    let mut x = [_mm256_setzero_pd(); N];
-    for (i, x) in x.iter_mut().enumerate() {
-        *x = _mm256_loadu_pd(p.add(4 * i));
-    }
-    for (i, y) in exp_lanes::<N, true>(x).into_iter().enumerate() {
-        _mm256_storeu_pd(p.add(4 * i), y);
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn exp_inplace_avx2(xs: &mut [f64]) {
-    let mut wide = xs.chunks_exact_mut(4 * WIDE);
-    for c in &mut wide {
-        exp_vectors::<WIDE>(c.as_mut_ptr());
-    }
-    let mut narrow = wide.into_remainder().chunks_exact_mut(4);
-    for c in &mut narrow {
-        exp_vectors::<1>(c.as_mut_ptr());
-    }
-    for x in narrow.into_remainder() {
-        *x = exp_rn(*x);
-    }
-}
-
-/// Replace every element of `xs` with its exponential. Dispatches to the
-/// AVX2+FMA lanes on capable x86-64 hosts (unless
-/// `DBAT_GEMM_FORCE_SCALAR=1`), the scalar mirror elsewhere — bitwise
-/// identical either way.
-pub fn exp_inplace(xs: &mut [f64]) {
-    #[cfg(target_arch = "x86_64")]
-    if crate::gemm::use_fma_kernels() {
-        // SAFETY: use_fma_kernels() verified avx2+fma at runtime.
-        unsafe { exp_inplace_avx2(xs) };
-        return;
-    }
-    for x in xs.iter_mut() {
-        *x = exp_rn(*x);
-    }
 }
 
 /// Scalar mirror of one softmax row, executing the *same* chunk-of-4
@@ -268,7 +212,7 @@ unsafe fn softmax_exp_vectors<const N: usize>(
     for (i, x) in x.iter_mut().enumerate() {
         *x = _mm256_sub_pd(_mm256_mul_pd(_mm256_loadu_pd(p.add(4 * i)), scale), m);
     }
-    for (i, y) in exp_lanes::<N, false>(x).into_iter().enumerate() {
+    for (i, y) in exp_lanes::<N>(x).into_iter().enumerate() {
         _mm256_storeu_pd(p.add(4 * i), y);
         acc = _mm256_add_pd(acc, y);
     }
@@ -344,13 +288,14 @@ unsafe fn softmax_row_avx2(row: &mut [f64], scale: f64) {
 }
 
 /// In-place softmax over consecutive rows of width `d`: max-subtract,
-/// [`exp_rn`]-family exponentials, a fixed-order 4-lane sum, and one
+/// `exp_rn`-family exponentials, a fixed-order 4-lane sum, and one
 /// reciprocal-multiply normalisation — all fused into three passes per
-/// row. Dispatches like [`exp_inplace`] and is bitwise identical on
-/// every path. This is *the* softmax for both the autograd graph and
-/// the fused attention head of the compiled inference plans; keeping
-/// them on one kernel is what lets the graph-free fast path mirror the
-/// graph bit for bit.
+/// row. Dispatches to the AVX2+FMA lanes on capable x86-64 hosts (unless
+/// `DBAT_GEMM_FORCE_SCALAR=1`), the scalar mirror elsewhere, and is
+/// bitwise identical on every path. This is *the* softmax for both the
+/// autograd graph and the fused attention head of the compiled inference
+/// plans; keeping them on one kernel is what lets the graph-free fast path
+/// mirror the graph bit for bit.
 pub fn softmax_rows_inplace(xs: &mut [f64], d: usize) {
     softmax_rows_scaled_inplace(xs, d, 1.0);
 }
@@ -514,32 +459,6 @@ mod tests {
                 );
             }
             assert!(got[..d].contains(&0.0), "spread must flush weights");
-        }
-    }
-
-    #[test]
-    fn dispatched_matches_scalar_bitwise() {
-        // Pseudo-random coverage of the hot domain, deliberately not a
-        // multiple of the vector width so the tail path runs too.
-        let mut state = 0x1234_5678_9abc_def0_u64;
-        let mut xs: Vec<f64> = (0..1031)
-            .map(|_| {
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                -((state % 70_000) as f64) * 0.01
-            })
-            .collect();
-        xs.push(0.0);
-        xs.push(-0.0);
-        xs.push(EXP_LO);
-        // Both guards, in a full vector so the lanes (not the scalar
-        // tail) see them.
-        xs.extend([EXP_HI, 800.0, f64::INFINITY, f64::NEG_INFINITY, 708.9]);
-        let want: Vec<f64> = xs.iter().map(|&x| exp_rn(x)).collect();
-        exp_inplace(&mut xs);
-        for (g, w) in xs.iter().zip(&want) {
-            assert_eq!(g.to_bits(), w.to_bits());
         }
     }
 }

@@ -93,15 +93,6 @@ impl Uniformizer {
         Uniformizer { p, lambda, eps }
     }
 
-    pub fn lambda(&self) -> f64 {
-        self.lambda
-    }
-
-    /// The uniformized stochastic matrix `P = I + Q/Λ`.
-    pub fn p(&self) -> &Mat {
-        &self.p
-    }
-
     /// Compute `v · exp(Q t)` for a row vector `v` (typically a probability
     /// vector, possibly sub-stochastic).
     pub fn evolve(&self, v: &[f64], t: f64) -> Vec<f64> {
@@ -164,7 +155,7 @@ mod tests {
 
     #[test]
     fn expm_diagonal() {
-        let a = Mat::diag(&[1.0, -2.0, 0.5]);
+        let a = Mat::from_rows(&[&[1.0, 0.0, 0.0], &[0.0, -2.0, 0.0], &[0.0, 0.0, 0.5]]);
         let e = expm(&a);
         for (i, &d) in [1.0, -2.0, 0.5].iter().enumerate() {
             assert!((e[(i, i)] - f64::exp(d)).abs() < 1e-12);

@@ -31,9 +31,9 @@
 use rayon::prelude::*;
 
 /// Rows per register tile.
-pub const MR: usize = 4;
+pub(crate) const MR: usize = 4;
 /// Columns per register tile (wide variant).
-pub const NR: usize = 8;
+pub(crate) const NR: usize = 8;
 /// Columns per register tile (narrow variant, for `n <= 4` outputs such
 /// as per-head attention contexts).
 const NR4: usize = 4;
@@ -449,16 +449,6 @@ impl PackedMat {
         }
         PackedMat { k, n, nr, panels }
     }
-
-    /// Logical inner dimension (rows of B).
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
-    /// Logical output dimension (columns of B).
-    pub fn n(&self) -> usize {
-        self.n
-    }
 }
 
 /// Packed matrix multiply against a pre-packed B: logical
@@ -505,7 +495,7 @@ pub fn gemm_prepacked_with(
 
 /// `m·n·k` below which the packed path is not worth the packing traffic
 /// and callers should prefer a naive loop.
-pub const GEMM_MIN_FLOPS: usize = 4096;
+pub(crate) const GEMM_MIN_FLOPS: usize = 4096;
 
 /// Whether the packed engine is expected to beat a naive loop for this
 /// problem shape.
@@ -631,7 +621,7 @@ mod tests {
                     let mut want = vec![0.0; m * n];
                     gemm_with(m, n, k, &a, Layout::Normal, bb, bl, &mut want, fma);
                     let packed = PackedMat::pack(bb, bl, k, n);
-                    assert_eq!((packed.k(), packed.n()), (k, n));
+                    assert_eq!((packed.k, packed.n), (k, n));
                     let mut got = vec![0.0; m * n];
                     gemm_prepacked_with(m, &a, Layout::Normal, &packed, &mut got, fma);
                     assert_eq!(got, want, "({m},{n},{k}) {bl:?} fma={fma}");

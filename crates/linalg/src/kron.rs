@@ -1,4 +1,4 @@
-//! Kronecker products and sums, used to assemble expanded generators
+//! Kronecker products, used to assemble expanded generators
 //! (MAP phase ⊗ counting level) in the BATCH analytic model.
 
 use crate::matrix::Mat;
@@ -22,15 +22,6 @@ pub fn kron(a: &Mat, b: &Mat) -> Mat {
         }
     }
     out
-}
-
-/// Kronecker sum `A ⊕ B = A ⊗ I + I ⊗ B` (both must be square).
-pub fn kron_sum(a: &Mat, b: &Mat) -> Mat {
-    assert!(
-        a.is_square() && b.is_square(),
-        "kron_sum requires square matrices"
-    );
-    &kron(a, &Mat::eye(b.rows())) + &kron(&Mat::eye(a.rows()), b)
 }
 
 #[cfg(test)]
@@ -66,17 +57,5 @@ mod tests {
         let lhs = kron(&a, &b).matmul(&kron(&c, &d));
         let rhs = kron(&a.matmul(&c), &b.matmul(&d));
         assert!(lhs.approx_eq(&rhs, 1e-12));
-    }
-
-    #[test]
-    fn kron_sum_generators() {
-        // Kronecker sum of two generators is a generator (rows sum to 0).
-        let q1 = Mat::from_rows(&[&[-1.0, 1.0], &[2.0, -2.0]]);
-        let q2 = Mat::from_rows(&[&[-3.0, 3.0], &[0.5, -0.5]]);
-        let s = kron_sum(&q1, &q2);
-        for rs in s.row_sums() {
-            assert!(rs.abs() < 1e-12);
-        }
-        assert_eq!(s.rows(), 4);
     }
 }

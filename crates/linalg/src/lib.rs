@@ -13,42 +13,42 @@
 //!   transposed layouts) shared with the `dbat-nn` tensor kernels, plus
 //!   [`PackedMat`]/[`gemm_prepacked`] for operands packed once at model
 //!   load and reused every call;
-//! * [`mod@attention`] — the fused score → softmax → context kernel for
-//!   one attention head ([`attention_head`]), bitwise identical to the
-//!   `gemm` → softmax → `gemm` pipeline it replaces, and its backward
+//! * [`attention_head`] — the fused score → softmax → context kernel for
+//!   one attention head, bitwise identical to the `gemm` → softmax →
+//!   `gemm` pipeline it replaces, and its backward
 //!   ([`attention_head_backward`]), which saves nothing `S × S`: it
 //!   recomputes each 8-row block's probabilities and reduces `dK`/`dV`
 //!   over query rows in ascending order within one head, so gradients do
 //!   not depend on batch position or shard. The compiled plans and the
 //!   training tape share this one kernel pair;
-//! * [`mod@exp`] — deterministic vectorised `exp` ([`exp_inplace`]) and the
-//!   fused row softmax ([`softmax_rows_inplace`]): AVX2+FMA lanes with a
-//!   bitwise-identical scalar mirror, honouring `DBAT_GEMM_FORCE_SCALAR`
-//!   like the GEMM kernels;
-//! * [`lu`] — LU factorisation, solves, inverses, determinants;
-//! * [`stationary`] — GTH-based stationary distributions (numerically robust
-//!   for rate matrices spanning many orders of magnitude);
-//! * [`mod@expm`] — Padé scaling-and-squaring `exp(A)` and a [`Uniformizer`] for
-//!   the repeated action `v·exp(Qt)` on time grids;
-//! * [`mod@kron`] — Kronecker products/sums for expanded (phase × level)
+//! * [`softmax_rows_inplace`] — the fused row softmax on a deterministic
+//!   vectorised `exp`: AVX2+FMA lanes with a bitwise-identical scalar
+//!   mirror, honouring `DBAT_GEMM_FORCE_SCALAR` like the GEMM kernels;
+//! * [`solve`] / [`inverse`] — LU factorisation with partial pivoting;
+//! * [`ctmc_stationary`] / [`dtmc_stationary`] — GTH-based stationary
+//!   distributions (numerically robust for rate matrices spanning many
+//!   orders of magnitude);
+//! * [`expm()`] — Padé scaling-and-squaring `exp(A)`, and a [`Uniformizer`]
+//!   for the repeated action `v·exp(Qt)` on time grids;
+//! * [`kron()`] — Kronecker products for expanded (phase × level)
 //!   generators.
 
-pub mod attention;
-pub mod exp;
-pub mod expm;
+mod attention;
+mod exp;
+mod expm;
 pub mod gemm;
-pub mod kron;
-pub mod lu;
-pub mod matrix;
-pub mod stationary;
+mod kron;
+mod lu;
+mod matrix;
+mod stationary;
 
 pub use attention::{
     attention_backward_scratch_len, attention_head, attention_head_backward, attention_scratch_len,
 };
-pub use exp::{exp_inplace, exp_rn, softmax_rows_inplace, softmax_rows_scaled_inplace};
+pub use exp::{softmax_rows_inplace, softmax_rows_scaled_inplace};
 pub use expm::{expm, Uniformizer};
 pub use gemm::{gemm, gemm_prepacked, gemm_worthwhile, Layout, PackedMat};
-pub use kron::{kron, kron_sum};
-pub use lu::{inverse, solve, LinalgError, Lu};
+pub use kron::kron;
+pub use lu::{inverse, solve};
 pub use matrix::Mat;
-pub use stationary::{ctmc_stationary, dtmc_stationary, StationaryError};
+pub use stationary::{ctmc_stationary, dtmc_stationary};

@@ -5,12 +5,10 @@ use crate::matrix::Mat;
 /// An LU factorisation `P·A = L·U` with partial pivoting, stored compactly
 /// (unit-lower `L` and upper `U` share one matrix).
 #[derive(Clone, Debug)]
-pub struct Lu {
+pub(crate) struct Lu {
     lu: Mat,
     /// Row permutation: `perm[i]` is the original row index now in position `i`.
     perm: Vec<usize>,
-    /// Sign of the permutation (+1/-1), used by `det`.
-    sign: f64,
 }
 
 /// Errors from the direct solvers.
@@ -37,7 +35,7 @@ impl std::error::Error for LinalgError {}
 
 impl Lu {
     /// Factorise a square matrix. Returns an error on (numerical) singularity.
-    pub fn new(a: &Mat) -> Result<Self, LinalgError> {
+    pub(crate) fn new(a: &Mat) -> Result<Self, LinalgError> {
         if !a.is_square() {
             return Err(LinalgError::ShapeMismatch(format!(
                 "LU requires a square matrix, got {}x{}",
@@ -48,7 +46,6 @@ impl Lu {
         let n = a.rows();
         let mut lu = a.clone();
         let mut perm: Vec<usize> = (0..n).collect();
-        let mut sign = 1.0;
         for k in 0..n {
             // Partial pivot: largest |entry| in column k at or below the diagonal.
             let mut p = k;
@@ -70,7 +67,6 @@ impl Lu {
                     lu[(p, j)] = tmp;
                 }
                 perm.swap(k, p);
-                sign = -sign;
             }
             let pivot = lu[(k, k)];
             for i in k + 1..n {
@@ -82,7 +78,7 @@ impl Lu {
                 }
             }
         }
-        Ok(Lu { lu, perm, sign })
+        Ok(Lu { lu, perm })
     }
 
     /// Solve `A x = b` for a single right-hand side.
@@ -119,7 +115,7 @@ impl Lu {
     }
 
     /// Solve `A X = B` column-wise.
-    pub fn solve_mat(&self, b: &Mat) -> Result<Mat, LinalgError> {
+    pub(crate) fn solve_mat(&self, b: &Mat) -> Result<Mat, LinalgError> {
         let n = self.lu.rows();
         if b.rows() != n {
             return Err(LinalgError::ShapeMismatch(format!(
@@ -140,16 +136,6 @@ impl Lu {
             }
         }
         Ok(out)
-    }
-
-    /// Determinant of the factored matrix.
-    pub fn det(&self) -> f64 {
-        let n = self.lu.rows();
-        let mut d = self.sign;
-        for i in 0..n {
-            d *= self.lu[(i, i)];
-        }
-        d
     }
 }
 
@@ -192,13 +178,6 @@ mod tests {
         let inv = inverse(&a).unwrap();
         assert!(a.matmul(&inv).approx_eq(&Mat::eye(3), 1e-10));
         assert!(inv.matmul(&a).approx_eq(&Mat::eye(3), 1e-10));
-    }
-
-    #[test]
-    fn det_matches_cofactor() {
-        let a = Mat::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        let lu = Lu::new(&a).unwrap();
-        assert!((lu.det() - (-2.0)).abs() < 1e-12);
     }
 
     #[test]

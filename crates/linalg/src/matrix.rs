@@ -31,17 +31,8 @@ impl Mat {
         }
     }
 
-    /// Create a matrix filled with `v`.
-    pub fn full(rows: usize, cols: usize, v: f64) -> Self {
-        Mat {
-            rows,
-            cols,
-            data: vec![v; rows * cols],
-        }
-    }
-
     /// Identity matrix of order `n`.
-    pub fn eye(n: usize) -> Self {
+    pub(crate) fn eye(n: usize) -> Self {
         let mut m = Mat::zeros(n, n);
         for i in 0..n {
             m[(i, i)] = 1.0;
@@ -72,16 +63,6 @@ impl Mat {
         }
     }
 
-    /// Build an `n`-square diagonal matrix from the given diagonal entries.
-    pub fn diag(entries: &[f64]) -> Self {
-        let n = entries.len();
-        let mut m = Mat::zeros(n, n);
-        for (i, &v) in entries.iter().enumerate() {
-            m[(i, i)] = v;
-        }
-        m
-    }
-
     pub fn rows(&self) -> usize {
         self.rows
     }
@@ -99,19 +80,10 @@ impl Mat {
         &self.data
     }
 
-    pub fn data_mut(&mut self) -> &mut [f64] {
-        &mut self.data
-    }
-
     /// A single row as a slice.
     pub fn row(&self, i: usize) -> &[f64] {
         assert!(i < self.rows);
         &self.data[i * self.cols..(i + 1) * self.cols]
-    }
-
-    pub fn row_mut(&mut self, i: usize) -> &mut [f64] {
-        assert!(i < self.rows);
-        &mut self.data[i * self.cols..(i + 1) * self.cols]
     }
 
     /// Transpose.
@@ -126,7 +98,7 @@ impl Mat {
     }
 
     /// Elementwise map.
-    pub fn map(&self, f: impl Fn(f64) -> f64) -> Mat {
+    pub(crate) fn map(&self, f: impl Fn(f64) -> f64) -> Mat {
         Mat {
             rows: self.rows,
             cols: self.cols,
@@ -172,10 +144,10 @@ impl Mat {
         }
     }
 
-    /// Reference triple-loop product into a zeroed buffer. Kept as the
-    /// correctness baseline the packed engine is tested against, and used
-    /// directly for operands too small to amortise packing.
-    pub fn matmul_naive(&self, other: &Mat) -> Mat {
+    /// Reference triple-loop product: the correctness baseline the packed
+    /// engine is tested against.
+    #[cfg(test)]
+    fn matmul_naive(&self, other: &Mat) -> Mat {
         assert_eq!(
             self.cols, other.rows,
             "matmul dimension mismatch: {}x{} * {}x{}",
@@ -191,6 +163,8 @@ impl Mat {
         }
     }
 
+    /// Triple-loop product into a zeroed buffer, for operands too small to
+    /// amortise packing.
     fn matmul_naive_into(&self, other: &Mat, out: &mut [f64]) {
         let (m, k, n) = (self.rows, self.cols, other.cols);
         let kernel = |i: usize, out_row: &mut [f64]| {
@@ -245,13 +219,8 @@ impl Mat {
         (0..self.rows).map(|i| self.row(i).iter().sum()).collect()
     }
 
-    /// Maximum absolute entry.
-    pub fn max_abs(&self) -> f64 {
-        self.data.iter().fold(0.0_f64, |m, &x| m.max(x.abs()))
-    }
-
     /// Infinity norm (maximum absolute row sum).
-    pub fn norm_inf(&self) -> f64 {
+    pub(crate) fn norm_inf(&self) -> f64 {
         (0..self.rows)
             .map(|i| self.row(i).iter().map(|x| x.abs()).sum::<f64>())
             .fold(0.0_f64, f64::max)
@@ -434,7 +403,6 @@ mod tests {
     fn norms() {
         let a = Mat::from_rows(&[&[3.0, -4.0], &[0.0, 0.0]]);
         assert_eq!(a.norm_inf(), 7.0);
-        assert_eq!(a.max_abs(), 4.0);
     }
 
     #[test]
@@ -445,13 +413,6 @@ mod tests {
         assert_eq!(&b - &a, Mat::from_rows(&[&[2.0, 3.0]]));
         assert_eq!((&a).neg(), Mat::from_rows(&[&[-1.0, -2.0]]));
         assert_eq!(a.scale(2.0), Mat::from_rows(&[&[2.0, 4.0]]));
-    }
-
-    #[test]
-    fn diag_builder() {
-        let d = Mat::diag(&[1.0, 2.0, 3.0]);
-        assert_eq!(d[(1, 1)], 2.0);
-        assert_eq!(d[(0, 1)], 0.0);
     }
 
     #[test]

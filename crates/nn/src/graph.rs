@@ -51,10 +51,6 @@ pub struct BufferPool {
 const POOL_PER_LEN: usize = 64;
 
 impl BufferPool {
-    pub fn new() -> Self {
-        BufferPool::default()
-    }
-
     /// A pooled buffer of exactly `len` elements, contents unspecified.
     fn recycled(&mut self, len: usize) -> Option<Vec<f64>> {
         self.free.get_mut(&len).and_then(|v| v.pop())
@@ -97,11 +93,6 @@ impl BufferPool {
             slot.push(buf);
         }
     }
-
-    /// Number of buffers currently held.
-    pub fn pooled(&self) -> usize {
-        self.free.values().map(Vec::len).sum()
-    }
 }
 
 /// `(node gradient, parent values, node value, pool) -> parent gradients`.
@@ -122,14 +113,6 @@ pub struct Graph {
 impl Graph {
     pub fn new() -> Self {
         Graph::default()
-    }
-
-    pub fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
     }
 
     /// The forward value of a node.
@@ -227,8 +210,10 @@ impl Graph {
         )
     }
 
-    /// Elementwise product.
-    pub fn mul(&mut self, a: Var, b: Var) -> Var {
+    /// Elementwise product: the gradient checks square their outputs with
+    /// it to get a smooth scalar loss.
+    #[cfg(test)]
+    pub(crate) fn mul(&mut self, a: Var, b: Var) -> Var {
         let v = self.zip_pooled(a.0, b.0, |x, y| x * y);
         self.push(
             v,
@@ -260,7 +245,7 @@ impl Graph {
     }
 
     /// Broadcast-add a bias vector `[D]` to the last axis of `x` `[..., D]`.
-    pub fn add_bias(&mut self, x: Var, b: Var) -> Var {
+    pub(crate) fn add_bias(&mut self, x: Var, b: Var) -> Var {
         let pool = &mut self.pool;
         let xv = &self.values[x.0];
         let bv = &self.values[b.0];
@@ -290,7 +275,7 @@ impl Graph {
 
     /// Matrix multiply over the last axis: `[..., k] @ [k, n] -> [..., n]`
     /// (the leading axes of `a` are its rows).
-    pub fn matmul(&mut self, a: Var, b: Var) -> Var {
+    pub(crate) fn matmul(&mut self, a: Var, b: Var) -> Var {
         let pool = &mut self.pool;
         let av = &self.values[a.0];
         let bv = &self.values[b.0];
@@ -324,7 +309,7 @@ impl Graph {
     /// `[h·D/heads, (h+1)·D/heads)`, and so is the result,
     /// `softmax(Q_h·K_hᵀ / √(D/heads)) · V_h` per head, as one node that
     /// keeps nothing `S × S` (see the module docs).
-    pub fn attention(&mut self, q: Var, k: Var, v: Var, heads: usize) -> Var {
+    pub(crate) fn attention(&mut self, q: Var, k: Var, v: Var, heads: usize) -> Var {
         let pool = &mut self.pool;
         let (qv, kv, vv) = (&self.values[q.0], &self.values[k.0], &self.values[v.0]);
         let shape = qv.shape().to_vec();
@@ -423,7 +408,7 @@ impl Graph {
     }
 
     /// Layer normalisation over the last axis with affine parameters.
-    pub fn layer_norm(&mut self, x: Var, gamma: Var, beta: Var, eps: f64) -> Var {
+    pub(crate) fn layer_norm(&mut self, x: Var, gamma: Var, beta: Var, eps: f64) -> Var {
         let pool = &mut self.pool;
         let xv = &self.values[x.0];
         let d = *xv.shape().last().expect("layer_norm needs >=1-D");
@@ -1169,27 +1154,29 @@ mod tests {
         let mut g = Graph::new();
         let (l1, gw1) = build(&mut g);
         g.reset();
-        assert!(g.is_empty());
-        assert!(
-            g.pool_mut().pooled() > 0,
-            "reset must repool tensor buffers"
-        );
+        assert!(g.values.is_empty());
+        assert!(pooled(&g.pool) > 0, "reset must repool tensor buffers");
         let (l2, gw2) = build(&mut g);
         assert_eq!(l1, l2);
         assert_eq!(gw1.data(), gw2.data());
     }
 
+    /// Number of buffers `pool` currently holds.
+    fn pooled(pool: &BufferPool) -> usize {
+        pool.free.values().map(Vec::len).sum()
+    }
+
     #[test]
     fn buffer_pool_reuses_exact_lengths() {
-        let mut pool = BufferPool::new();
+        let mut pool = BufferPool::default();
         let mut b = pool.take(16);
         b[3] = 7.0;
         pool.put(b);
-        assert_eq!(pool.pooled(), 1);
+        assert_eq!(pooled(&pool), 1);
         let b2 = pool.take(16);
         assert_eq!(b2.len(), 16);
         assert!(b2.iter().all(|&x| x == 0.0), "reused buffers are zeroed");
-        assert_eq!(pool.pooled(), 0);
+        assert_eq!(pooled(&pool), 0);
         // Different length misses the pool.
         let b3 = pool.take(8);
         assert_eq!(b3.len(), 8);

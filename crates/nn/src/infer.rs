@@ -123,7 +123,7 @@ impl PackedLinear {
 
 /// A [`LayerNorm`] compiled for inference (in-place row normalisation).
 #[derive(Clone, Debug)]
-pub struct LayerNormPlan {
+pub(crate) struct LayerNormPlan {
     gamma: Vec<f64>,
     beta: Vec<f64>,
     eps: f64,
@@ -131,7 +131,7 @@ pub struct LayerNormPlan {
 }
 
 impl LayerNormPlan {
-    pub fn compile(ln: &LayerNorm) -> Self {
+    pub(crate) fn compile(ln: &LayerNorm) -> Self {
         LayerNormPlan {
             gamma: ln.gamma.data().to_vec(),
             beta: ln.beta.data().to_vec(),
@@ -141,7 +141,7 @@ impl LayerNormPlan {
     }
 
     /// In-place row-wise layer norm, mirroring `Graph::layer_norm`.
-    pub fn forward(&self, x: &mut [f64]) {
+    pub(crate) fn forward(&self, x: &mut [f64]) {
         let d = self.dim;
         for row in x.chunks_mut(d.max(1)) {
             let mu: f64 = row.iter().sum::<f64>() / d as f64;
@@ -178,25 +178,10 @@ impl MhaPlan {
         }
     }
 
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    pub fn heads(&self) -> usize {
-        self.heads
-    }
-
-    /// Length of the `scores` scratch slice [`forward`](Self::forward)
-    /// needs: one head's packed Kᵀ plus the score rows of one query
-    /// block (see [`dbat_linalg::attention_head`]). Linear in `seq`, and
-    /// shared by every head and batch item in turn.
-    pub fn scores_len(&self, seq: usize) -> usize {
-        attention_scratch_len(seq, self.dim / self.heads)
-    }
-
     /// Self-attention over `x: [B, S, D]` into `out: [B, S, D]`, mirroring
     /// `MultiHeadAttention::forward` bit for bit. Scratch slices: `q`/`k`/
-    /// `v`/`ctx` of `B·S·D` and `scores` of [`scores_len`](Self::scores_len).
+    /// `v`/`ctx` of `B·S·D` and `scores` of
+    /// [`attention_scratch_len`]`(S, D / heads)`.
     ///
     /// The projections stay in the merged `[B, S, H·dh]` layout: each head
     /// is one fused score → softmax → context call over its strided
@@ -247,7 +232,7 @@ impl MhaPlan {
 
 /// One post-norm encoder layer compiled for inference.
 #[derive(Clone, Debug)]
-pub struct EncoderLayerPlan {
+pub(crate) struct EncoderLayerPlan {
     mha: MhaPlan,
     ln1: LayerNormPlan,
     ff1: PackedLinear,
@@ -256,7 +241,7 @@ pub struct EncoderLayerPlan {
 }
 
 impl EncoderLayerPlan {
-    pub fn compile(l: &EncoderLayer) -> Self {
+    pub(crate) fn compile(l: &EncoderLayer) -> Self {
         EncoderLayerPlan {
             mha: MhaPlan::compile(&l.mha),
             ln1: LayerNormPlan::compile(&l.ln1),
@@ -325,14 +310,6 @@ impl InferencePlan {
             heads,
             ff_hidden,
         }
-    }
-
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    pub fn heads(&self) -> usize {
-        self.heads
     }
 
     /// Scratch slice lengths for a `[batch, seq, dim]` forward, in the
@@ -451,8 +428,14 @@ mod tests {
             let plan = MhaPlan::compile(&mha);
             let bsd = batch * seq * dim;
             let mut arena = Arena::new();
-            let [out, q, k, v, ctx, scores] =
-                arena.split([bsd, bsd, bsd, bsd, bsd, plan.scores_len(seq)]);
+            let [out, q, k, v, ctx, scores] = arena.split([
+                bsd,
+                bsd,
+                bsd,
+                bsd,
+                bsd,
+                attention_scratch_len(seq, plan.dim / plan.heads),
+            ]);
             plan.forward(batch, seq, x.data(), out, q, k, v, ctx, scores);
             assert_eq!(&*out, &want[..], "({batch},{seq},{dim},{heads})");
         }

@@ -22,11 +22,12 @@ impl InitRng {
         z ^ (z >> 31)
     }
 
-    pub fn uniform(&mut self) -> f64 {
+    pub(crate) fn uniform(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
-    pub fn normal(&mut self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn normal(&mut self) -> f64 {
         let u1 = 1.0 - self.uniform();
         let u2 = self.uniform();
         (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
@@ -34,7 +35,7 @@ impl InitRng {
 }
 
 /// Xavier/Glorot uniform init for a `[fan_in, fan_out]` weight matrix.
-pub fn xavier_uniform(fan_in: usize, fan_out: usize, rng: &mut InitRng) -> Tensor {
+pub(crate) fn xavier_uniform(fan_in: usize, fan_out: usize, rng: &mut InitRng) -> Tensor {
     let bound = (6.0 / (fan_in + fan_out) as f64).sqrt();
     let data = (0..fan_in * fan_out)
         .map(|_| (rng.uniform() * 2.0 - 1.0) * bound)
@@ -42,8 +43,10 @@ pub fn xavier_uniform(fan_in: usize, fan_out: usize, rng: &mut InitRng) -> Tenso
     Tensor::new(vec![fan_in, fan_out], data)
 }
 
-/// Small-variance normal init (std 0.02), BERT-style.
-pub fn normal_init(shape: Vec<usize>, std: f64, rng: &mut InitRng) -> Tensor {
+/// Normal init with standard deviation `std`: seeded inputs for the
+/// gradient and kernel-equivalence tests.
+#[cfg(test)]
+pub(crate) fn normal_init(shape: Vec<usize>, std: f64, rng: &mut InitRng) -> Tensor {
     let n = shape.iter().product();
     let data = (0..n).map(|_| rng.normal() * std).collect();
     Tensor::new(shape, data)
@@ -73,7 +76,7 @@ mod tests {
         let bound = (6.0 / 48.0_f64).sqrt();
         assert!(w.data().iter().all(|x| x.abs() <= bound));
         // Not all-zero / not constant.
-        assert!(w.max_abs() > 0.0);
+        assert!(w.data().iter().any(|&x| x != 0.0));
     }
 
     #[test]

@@ -39,7 +39,7 @@ impl<'g> Binder<'g> {
     }
 
     /// Bind a parameter tensor as a graph leaf and record its var.
-    pub fn param(&mut self, t: &Tensor) -> Var {
+    pub(crate) fn param(&mut self, t: &Tensor) -> Var {
         let v = self.g.leaf_copy(t);
         self.vars.push(v);
         v
@@ -60,8 +60,8 @@ pub trait Module {
 /// Fully connected layer `y = x W + b` applied over the last axis.
 #[derive(Clone, Debug)]
 pub struct Linear {
-    pub w: Tensor,
-    pub b: Tensor,
+    pub(crate) w: Tensor,
+    pub(crate) b: Tensor,
 }
 
 impl Linear {
@@ -72,11 +72,11 @@ impl Linear {
         }
     }
 
-    pub fn in_dim(&self) -> usize {
+    pub(crate) fn in_dim(&self) -> usize {
         self.w.shape()[0]
     }
 
-    pub fn out_dim(&self) -> usize {
+    pub(crate) fn out_dim(&self) -> usize {
         self.w.shape()[1]
     }
 
@@ -107,9 +107,9 @@ impl Module for Linear {
 /// Layer normalisation over the last axis with affine parameters.
 #[derive(Clone, Debug)]
 pub struct LayerNorm {
-    pub gamma: Tensor,
-    pub beta: Tensor,
-    pub eps: f64,
+    pub(crate) gamma: Tensor,
+    pub(crate) beta: Tensor,
+    pub(crate) eps: f64,
 }
 
 impl LayerNorm {
@@ -140,11 +140,11 @@ impl Module for LayerNorm {
 /// Multi-head scaled-dot-product self-attention (Eq. 3 of the paper).
 #[derive(Clone, Debug)]
 pub struct MultiHeadAttention {
-    pub wq: Linear,
-    pub wk: Linear,
-    pub wv: Linear,
-    pub wo: Linear,
-    pub heads: usize,
+    pub(crate) wq: Linear,
+    pub(crate) wk: Linear,
+    pub(crate) wv: Linear,
+    pub(crate) wo: Linear,
+    pub(crate) heads: usize,
 }
 
 impl MultiHeadAttention {
@@ -193,8 +193,8 @@ impl MultiHeadAttention {
         Tensor::new(vec![self.heads, seq, seq], weights)
     }
 
-    /// Self-attention over `x: [B, S, D]` through the fused
-    /// [`Graph::attention`] op on the merged projections.
+    /// Self-attention over `x: [B, S, D]` through the graph's fused
+    /// attention op on the merged projections.
     pub fn forward(&self, b: &mut Binder, x: Var) -> Var {
         let q = self.wq.forward(b, x);
         let k = self.wk.forward(b, x);
@@ -226,14 +226,14 @@ impl Module for MultiHeadAttention {
 #[derive(Clone, Debug)]
 pub struct EncoderLayer {
     pub mha: MultiHeadAttention,
-    pub ln1: LayerNorm,
-    pub ff1: Linear,
-    pub ff2: Linear,
-    pub ln2: LayerNorm,
+    pub(crate) ln1: LayerNorm,
+    pub(crate) ff1: Linear,
+    pub(crate) ff2: Linear,
+    pub(crate) ln2: LayerNorm,
 }
 
 impl EncoderLayer {
-    pub fn new(dim: usize, heads: usize, ff_hidden: usize, rng: &mut InitRng) -> Self {
+    pub(crate) fn new(dim: usize, heads: usize, ff_hidden: usize, rng: &mut InitRng) -> Self {
         EncoderLayer {
             mha: MultiHeadAttention::new(dim, heads, rng),
             ln1: LayerNorm::new(dim),
@@ -362,7 +362,7 @@ mod tests {
     #[test]
     fn linear_zero_input_gives_bias() {
         let mut lin = Linear::new(2, 2, &mut rng());
-        lin.b = Tensor::from_vec(vec![0.5, -0.5]);
+        lin.b = Tensor::new(vec![2], vec![0.5, -0.5]);
         let mut g = Graph::new();
         let mut b = Binder::new(&mut g);
         let x = b.g.leaf(Tensor::zeros(vec![1, 2]));

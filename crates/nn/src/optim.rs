@@ -32,11 +32,11 @@ pub fn tree_reduce_grads(mut shards: Vec<Vec<Tensor>>) -> Vec<Tensor> {
 /// Adam with bias correction.
 pub struct Adam {
     pub lr: f64,
-    pub beta1: f64,
-    pub beta2: f64,
-    pub eps: f64,
+    pub(crate) beta1: f64,
+    pub(crate) beta2: f64,
+    pub(crate) eps: f64,
     /// Optional global-norm clip applied to the whole gradient set.
-    pub clip_norm: Option<f64>,
+    pub(crate) clip_norm: Option<f64>,
     t: u64,
     m: Vec<Tensor>,
     v: Vec<Tensor>,
@@ -54,11 +54,6 @@ impl Adam {
             m: Vec::new(),
             v: Vec::new(),
         }
-    }
-
-    /// Number of update steps taken so far.
-    pub fn steps(&self) -> u64 {
-        self.t
     }
 
     /// Apply one update. `params` and `grads` must align (same order every
@@ -168,11 +163,11 @@ mod tests {
 
     #[test]
     fn multiple_params_updated_independently() {
-        let mut x = Tensor::from_vec(vec![1.0, 1.0]);
+        let mut x = Tensor::new(vec![2], vec![1.0, 1.0]);
         let mut y = Tensor::scalar(5.0);
         let mut adam = Adam::new(0.05);
         for _ in 0..300 {
-            let gx = Tensor::from_vec(vec![2.0 * x.data()[0], 2.0 * (x.data()[1] + 1.0)]);
+            let gx = Tensor::new(vec![2], vec![2.0 * x.data()[0], 2.0 * (x.data()[1] + 1.0)]);
             let gy = Tensor::scalar(2.0 * (y.item() - 2.0));
             adam.step(&mut [&mut x, &mut y], &[gx, gy]);
         }
@@ -195,7 +190,7 @@ mod tests {
         let shards: Vec<Vec<Tensor>> = (0..5)
             .map(|s| {
                 vec![
-                    Tensor::from_vec(vec![s as f64, 2.0 * s as f64]),
+                    Tensor::new(vec![2], vec![s as f64, 2.0 * s as f64]),
                     Tensor::scalar(10.0 * s as f64),
                 ]
             })
@@ -212,10 +207,10 @@ mod tests {
         let mk = || {
             (0..4)
                 .map(|s| {
-                    vec![Tensor::from_vec(vec![
-                        0.1 * s as f64 + 0.7,
-                        1e-9 * s as f64,
-                    ])]
+                    vec![Tensor::new(
+                        vec![2],
+                        vec![0.1 * s as f64 + 0.7, 1e-9 * s as f64],
+                    )]
                 })
                 .collect::<Vec<_>>()
         };

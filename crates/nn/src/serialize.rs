@@ -8,8 +8,8 @@ use std::path::Path;
 /// A named, versioned bundle of parameter tensors plus arbitrary metadata.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct Checkpoint {
-    pub format_version: u32,
-    pub name: String,
+    pub(crate) format_version: u32,
+    pub(crate) name: String,
     pub params: Vec<Tensor>,
     /// Free-form metadata (architecture hyper-parameters, standardizers…).
     pub meta: serde_json::Value,
@@ -40,7 +40,11 @@ impl Checkpoint {
     }
 }
 
-/// Copy a loaded parameter list into a model's parameters (shapes must match).
+/// Copy a loaded parameter list into a model's parameters. Each tensor
+/// must have its target's shape, exactly as many values as that shape
+/// holds, and only finite values: a deserialised [`Tensor`] skips
+/// [`Tensor::new`]'s length check, and a non-finite weight would only
+/// surface later, as a panic or as a prediction a ReLU launders to zero.
 pub fn load_into(params: Vec<Tensor>, targets: Vec<&mut Tensor>) -> Result<(), String> {
     if params.len() != targets.len() {
         return Err(format!(
@@ -57,6 +61,16 @@ pub fn load_into(params: Vec<Tensor>, targets: Vec<&mut Tensor>) -> Result<(), S
                 dst.shape()
             ));
         }
+        if src.data().len() != dst.numel() {
+            return Err(format!(
+                "tensor {i}: {} values for shape {:?}",
+                src.data().len(),
+                dst.shape()
+            ));
+        }
+        if let Some(v) = src.data().iter().find(|v| !v.is_finite()) {
+            return Err(format!("tensor {i}: non-finite value {v}"));
+        }
         *dst = src;
     }
     Ok(())
@@ -68,11 +82,14 @@ mod tests {
 
     #[test]
     fn save_load_roundtrip() {
-        let dir = std::env::temp_dir().join("dbat_nn_ckpt_test");
+        let dir = std::env::temp_dir().join(format!("dbat_nn_ckpt_test-{}", std::process::id()));
         let path = dir.join("model.json");
         let ck = Checkpoint::new(
             "test",
-            vec![Tensor::from_vec(vec![1.0, 2.0]), Tensor::zeros(vec![2, 2])],
+            vec![
+                Tensor::new(vec![2], vec![1.0, 2.0]),
+                Tensor::zeros(vec![2, 2]),
+            ],
             serde_json::json!({"dim": 16}),
         );
         ck.save(&path).unwrap();
@@ -86,16 +103,35 @@ mod tests {
     #[test]
     fn load_into_checks_shapes() {
         let mut a = Tensor::zeros(vec![2]);
-        let ok = load_into(vec![Tensor::from_vec(vec![1.0, 2.0])], vec![&mut a]);
+        let ok = load_into(vec![Tensor::new(vec![2], vec![1.0, 2.0])], vec![&mut a]);
         assert!(ok.is_ok());
         assert_eq!(a.data(), &[1.0, 2.0]);
 
         let mut b = Tensor::zeros(vec![3]);
-        let err = load_into(vec![Tensor::from_vec(vec![1.0])], vec![&mut b]);
+        let err = load_into(vec![Tensor::new(vec![1], vec![1.0])], vec![&mut b]);
         assert!(err.is_err());
 
         let err2 = load_into(vec![], vec![&mut b]);
         assert!(err2.is_err());
+    }
+
+    /// A deserialised tensor can hold a wrong value count or a non-finite
+    /// value; neither reaches the model.
+    #[test]
+    fn load_into_rejects_wrong_lengths_and_non_finite_values() {
+        for json in [
+            r#"{"shape": [2], "data": [1.0]}"#,
+            r#"{"shape": [2], "data": [1.0, 2.0, 3.0]}"#,
+            r#"{"shape": [2], "data": [1.0, 1e999]}"#,
+        ] {
+            let src: Tensor = serde_json::from_str(json).unwrap();
+            let mut dst = Tensor::zeros(vec![2]);
+            assert!(load_into(vec![src], vec![&mut dst]).is_err(), "{json}");
+            assert_eq!(dst.data(), &[0.0, 0.0]);
+        }
+        let mut dst = Tensor::zeros(vec![1]);
+        let nan = Tensor::new(vec![1], vec![f64::NAN]);
+        assert!(load_into(vec![nan], vec![&mut dst]).is_err());
     }
 
     #[test]

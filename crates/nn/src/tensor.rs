@@ -48,17 +48,10 @@ impl Tensor {
         }
     }
 
-    pub fn scalar(v: f64) -> Self {
+    pub(crate) fn scalar(v: f64) -> Self {
         Tensor {
             shape: vec![1],
             data: vec![v],
-        }
-    }
-
-    pub fn from_vec(data: Vec<f64>) -> Self {
-        Tensor {
-            shape: vec![data.len()],
-            data,
         }
     }
 
@@ -74,7 +67,7 @@ impl Tensor {
         &self.data
     }
 
-    pub fn data_mut(&mut self) -> &mut [f64] {
+    pub(crate) fn data_mut(&mut self) -> &mut [f64] {
         &mut self.data
     }
 
@@ -141,15 +134,11 @@ impl Tensor {
     }
 
     /// In-place accumulation `self += other` (exact shape match).
-    pub fn add_assign(&mut self, other: &Tensor) {
+    pub(crate) fn add_assign(&mut self, other: &Tensor) {
         assert_eq!(self.shape, other.shape, "add_assign shape mismatch");
         for (a, &b) in self.data.iter_mut().zip(&other.data) {
             *a += b;
         }
-    }
-
-    pub fn max_abs(&self) -> f64 {
-        self.data.iter().fold(0.0_f64, |m, &x| m.max(x.abs()))
     }
 }
 
@@ -182,7 +171,7 @@ pub fn matmul2d(a: &Tensor, b: &Tensor) -> Tensor {
 
 /// As [`matmul2d`], writing into a zeroed caller buffer of length `m * n`;
 /// `a` may be `[..., k]`, its leading axes flattened into `m`.
-pub fn matmul2d_into(a: &Tensor, b: &Tensor, out: &mut [f64]) {
+pub(crate) fn matmul2d_into(a: &Tensor, b: &Tensor, out: &mut [f64]) {
     let (m, n, k) = matmul2d_dims(a, b);
     assert_eq!(out.len(), m * n, "matmul2d output buffer size mismatch");
     if gemm_worthwhile(m, n, k) {
@@ -213,7 +202,7 @@ pub fn matmul2d_nt(a: &Tensor, bt: &Tensor) -> Tensor {
 
 /// As [`matmul2d_nt`], writing into a zeroed caller buffer of length
 /// `m * n`; `a` may be `[..., k]`.
-pub fn matmul2d_nt_into(a: &Tensor, bt: &Tensor, out: &mut [f64]) {
+pub(crate) fn matmul2d_nt_into(a: &Tensor, bt: &Tensor, out: &mut [f64]) {
     assert_eq!(bt.shape().len(), 2, "matmul2d_nt rhs must be 2-D");
     let (m, k) = as_matrix(a, "matmul2d_nt lhs");
     let (n, k2) = (bt.shape()[0], bt.shape()[1]);
@@ -254,7 +243,7 @@ pub fn matmul2d_tn(at: &Tensor, b: &Tensor) -> Tensor {
 /// As [`matmul2d_tn`], writing into a zeroed caller buffer of length
 /// `m * n`; `at` and `b` may be `[..., m]` and `[..., n]` with the same
 /// leading axes.
-pub fn matmul2d_tn_into(at: &Tensor, b: &Tensor, out: &mut [f64]) {
+pub(crate) fn matmul2d_tn_into(at: &Tensor, b: &Tensor, out: &mut [f64]) {
     let (k, m) = as_matrix(at, "matmul2d_tn lhs");
     let (k2, n) = as_matrix(b, "matmul2d_tn rhs");
     assert_eq!(k, k2, "matmul2d_tn inner dimensions differ: {k} vs {k2}");
@@ -395,8 +384,8 @@ mod tests {
 
     #[test]
     fn zip_and_add_assign() {
-        let a = Tensor::from_vec(vec![1.0, 2.0]);
-        let b = Tensor::from_vec(vec![3.0, 5.0]);
+        let a = Tensor::new(vec![2], vec![1.0, 2.0]);
+        let b = Tensor::new(vec![2], vec![3.0, 5.0]);
         assert_eq!(a.zip(&b, |x, y| x * y).data(), &[3.0, 10.0]);
         let mut c = a.clone();
         c.add_assign(&b);

@@ -47,8 +47,8 @@ pub trait InferenceBackend: Send + Sync {
 /// latencies are directly comparable to simulated and predicted ones.
 #[derive(Clone, Copy, Debug)]
 pub struct ProfiledBackend {
-    pub profile: ServiceProfile,
-    pub pricing: Pricing,
+    pub(crate) profile: ServiceProfile,
+    pub(crate) pricing: Pricing,
 }
 
 impl ProfiledBackend {

@@ -62,7 +62,7 @@ pub trait Clock: Send + Sync {
     fn now(&self) -> f64;
 
     /// Block the caller until `now() >= deadline` (virtual seconds).
-    /// [`VirtualClock`] advances itself instead of blocking.
+    /// The virtual replay clock advances itself instead of blocking.
     fn sleep_until(&self, deadline: f64);
 
     /// Block for `duration_s` virtual seconds from now.
@@ -109,11 +109,6 @@ impl WallClock {
             scale: speedup,
         }
     }
-
-    /// The configured speedup factor.
-    pub fn speedup(&self) -> f64 {
-        self.scale
-    }
 }
 
 impl Default for WallClock {
@@ -151,17 +146,17 @@ impl Clock for WallClock {
 /// replay driver is the only thing that moves time. Not meant for the
 /// threaded gateway: concurrent sleepers would race each other forward.
 #[derive(Debug, Default)]
-pub struct VirtualClock {
+pub(crate) struct VirtualClock {
     now: Mutex<f64>,
 }
 
 impl VirtualClock {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         VirtualClock::default()
     }
 
     /// Move time forward to `t` (no-op if `t` is in the past).
-    pub fn advance_to(&self, t: f64) {
+    pub(crate) fn advance_to(&self, t: f64) {
         let mut now = self.now.lock().unwrap();
         if t > *now {
             *now = t;

@@ -75,9 +75,9 @@ pub struct Request {
     /// exact option under concurrent submitters. An explicit stamp is
     /// clamped to stay non-decreasing within its lane so the per-lane
     /// arrival log keeps its sorted invariant.
-    pub arrival: Option<f64>,
+    pub(crate) arrival: Option<f64>,
     /// Request class (indexes [`GatewayConfig::groups`] assignments).
-    pub class: ClassId,
+    pub(crate) class: ClassId,
 }
 
 impl Request {
@@ -87,19 +87,6 @@ impl Request {
             arrival: None,
             class,
         }
-    }
-
-    /// A request with an explicit arrival stamp (class 0).
-    pub fn at(arrival: f64) -> Self {
-        Request {
-            arrival: Some(arrival),
-            class: 0,
-        }
-    }
-
-    pub fn with_class(mut self, class: ClassId) -> Self {
-        self.class = class;
-        self
     }
 }
 
@@ -745,15 +732,6 @@ impl Gateway {
         self.shared.clock.clone()
     }
 
-    pub fn config(&self) -> &GatewayConfig {
-        &self.shared.cfg
-    }
-
-    /// Number of batcher lanes.
-    pub fn lanes(&self) -> usize {
-        self.shared.lanes.len()
-    }
-
     /// Offer one request. Grouped gateways route by `req.class` to the
     /// owning group's lane; homogeneous gateways round-robin per thread,
     /// so concurrent submitters spread across lanes. A class no group
@@ -996,6 +974,7 @@ fn batcher_loop(shared: &Shared, lane_idx: usize) {
         let mut work: VecDeque<Admitted> = VecDeque::new();
         let mut reconfigs: VecDeque<Reconfig> = VecDeque::new();
         let drain_mode;
+        let now;
         {
             let mut inbox = lane.inbox.lock().unwrap();
             loop {
@@ -1024,6 +1003,12 @@ fn batcher_loop(shared: &Shared, lane_idx: usize) {
             std::mem::swap(&mut work, &mut inbox.pending);
             std::mem::swap(&mut reconfigs, &mut inbox.reconfigs);
             drain_mode = inbox.drain;
+            // Read the clock before the lock is released: a request
+            // admitted after it is stamped no earlier than `now`, so no
+            // window is flushed past a deadline that a request still
+            // outside `work` arrived before (it would open a later window
+            // that could dispatch first).
+            now = clock.now();
         }
         // Interleave arrivals and reconfigurations by boundary: stamps
         // before a boundary join the old configuration's window, the
@@ -1043,9 +1028,9 @@ fn batcher_loop(shared: &Shared, lane_idx: usize) {
         for r in work {
             core.on_arrival(r, &mut formed);
         }
-        core.due(clock.now(), &mut formed);
+        core.due(now, &mut formed);
         if drain_mode == Some(DrainMode::Immediate) {
-            core.drain(clock.now(), &mut formed);
+            core.drain(now, &mut formed);
         }
         if !formed.is_empty() {
             let n_formed = formed.len();

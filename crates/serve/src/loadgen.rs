@@ -24,7 +24,7 @@ pub struct LoadStats {
     pub rejected: u64,
     /// Submissions refused because the gateway had closed; the generator
     /// stops at the first one.
-    pub closed: u64,
+    pub(crate) closed: u64,
 }
 
 /// The open-loop pacing loop: sleep to each due time on the gateway's

@@ -31,11 +31,6 @@ impl ServedRequest {
     pub fn latency(&self) -> f64 {
         self.completed_at - self.arrival
     }
-
-    /// Buffer wait (dispatch − arrival).
-    pub fn wait(&self) -> f64 {
-        self.dispatched_at - self.arrival
-    }
 }
 
 /// One dispatched invocation as executed by a worker.
@@ -103,7 +98,7 @@ pub struct ServeOutcome {
 
 impl ServeOutcome {
     /// Latencies in request (admission) order.
-    pub fn latencies(&self) -> Vec<f64> {
+    pub(crate) fn latencies(&self) -> Vec<f64> {
         self.requests.iter().map(|r| r.latency()).collect()
     }
 
@@ -163,17 +158,6 @@ impl ServeOutcome {
             out[r.class as usize] += 1;
         }
         out
-    }
-
-    /// Latency summary over one class's completed requests.
-    pub fn class_summary(&self, class: ClassId) -> LatencySummary {
-        let lat: Vec<f64> = self
-            .requests
-            .iter()
-            .filter(|r| r.class == class)
-            .map(|r| r.latency())
-            .collect();
-        LatencySummary::from_latencies(&lat)
     }
 }
 
@@ -252,8 +236,6 @@ mod tests {
         assert_eq!(out.mean_batch_size(), 2.0);
         assert_eq!(out.completed_by_lane(), vec![2]);
         assert_eq!(out.completed_by_class(), vec![1, 1]);
-        assert_eq!(out.class_summary(1).count, 1);
         assert!((out.cost_per_request() - 5e-7).abs() < 1e-18);
-        assert_eq!(out.requests[1].wait(), 0.05);
     }
 }

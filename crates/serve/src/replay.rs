@@ -52,7 +52,7 @@ pub struct VirtualGateway {
 }
 
 impl VirtualGateway {
-    pub fn new(backend: Box<dyn InferenceBackend>) -> Self {
+    pub(crate) fn new(backend: Box<dyn InferenceBackend>) -> Self {
         VirtualGateway {
             clock: VirtualClock::new(),
             backend,
@@ -86,18 +86,6 @@ impl VirtualGateway {
         assert!(n >= 1, "need at least one lane");
         self.lanes = n;
         self
-    }
-
-    pub fn lanes(&self) -> usize {
-        self.lanes
-    }
-
-    pub fn telemetry(&self) -> &Arc<Telemetry> {
-        &self.tel
-    }
-
-    pub fn clock(&self) -> &VirtualClock {
-        &self.clock
     }
 
     /// One core per lane, all under `config`.

@@ -12,8 +12,8 @@ use dbat_sim::{Controller, DecisionContext, DecisionRecord, LambdaConfig};
 #[derive(Clone, Debug)]
 pub struct ScriptedController {
     script: Vec<LambdaConfig>,
-    pub slo: f64,
-    pub percentile: f64,
+    pub(crate) slo: f64,
+    pub(crate) percentile: f64,
     records: Vec<DecisionRecord>,
 }
 
@@ -30,10 +30,6 @@ impl ScriptedController {
             percentile: 95.0,
             records: Vec::new(),
         }
-    }
-
-    pub fn script(&self) -> &[LambdaConfig] {
-        &self.script
     }
 }
 

@@ -47,7 +47,7 @@ pub struct BatchRecord {
     pub service_s: f64,
     /// Cold-start delay paid by this invocation (0 when warm; only the
     /// fault layer's container pool ever charges one).
-    pub cold_start_s: f64,
+    pub(crate) cold_start_s: f64,
     /// Invocation cost in USD.
     pub cost: f64,
 }

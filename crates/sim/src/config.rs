@@ -7,8 +7,8 @@ use dbat_workload::DbatError;
 use serde::{Deserialize, Serialize};
 
 /// AWS Lambda memory bounds (MB), per the paper's Eq. (10e).
-pub const MEMORY_MIN_MB: u32 = 128;
-pub const MEMORY_MAX_MB: u32 = 10_240;
+pub(crate) const MEMORY_MIN_MB: u32 = 128;
+pub(crate) const MEMORY_MAX_MB: u32 = 10_240;
 
 /// One candidate serverless configuration: memory size, batch size, timeout.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
@@ -28,7 +28,11 @@ impl LambdaConfig {
 
     /// Fallible constructor: validates Eq. (10c)–(10e) instead of
     /// panicking.
-    pub fn try_new(memory_mb: u32, batch_size: u32, timeout_s: f64) -> Result<Self, DbatError> {
+    pub(crate) fn try_new(
+        memory_mb: u32,
+        batch_size: u32,
+        timeout_s: f64,
+    ) -> Result<Self, DbatError> {
         let c = LambdaConfig {
             memory_mb,
             batch_size,
@@ -165,7 +169,7 @@ impl SimConfig {
         }
     }
 
-    pub fn validate(&self) -> Result<(), DbatError> {
+    pub(crate) fn validate(&self) -> Result<(), DbatError> {
         if !(self.slo > 0.0 && self.slo.is_finite()) {
             return Err(DbatError::config("SLO must be finite and > 0"));
         }

@@ -74,7 +74,7 @@ impl IntervalMeasurement {
     }
 
     /// Add the fault accounting; losing any request also violates.
-    pub fn with_losses(mut self, cold_starts: usize, retries: usize, lost: usize) -> Self {
+    pub(crate) fn with_losses(mut self, cold_starts: usize, retries: usize, lost: usize) -> Self {
         self.cold_starts = cold_starts;
         self.retries = retries;
         self.lost = lost;
@@ -192,7 +192,7 @@ impl DecisionRecord {
     }
 
     /// Copy an interval measurement into the record's measured fields.
-    pub fn record_measurement(&mut self, m: &IntervalMeasurement) {
+    pub(crate) fn record_measurement(&mut self, m: &IntervalMeasurement) {
         self.measured = Some(m.summary);
         self.measured_cost_per_request = Some(m.cost_per_request);
         self.requests = m.requests;
@@ -249,8 +249,8 @@ pub trait Controller {
 /// ablation.
 #[derive(Clone, Debug)]
 pub struct StaticController {
-    pub config: LambdaConfig,
-    pub slo: f64,
+    pub(crate) config: LambdaConfig,
+    pub(crate) slo: f64,
     pub percentile: f64,
     records: Vec<DecisionRecord>,
 }
@@ -296,12 +296,12 @@ impl Controller for StaticController {
 /// configuration. Deliberately peeks past the decision boundary.
 #[derive(Clone, Debug)]
 pub struct OracleController {
-    pub grid: crate::config::ConfigGrid,
+    pub(crate) grid: crate::config::ConfigGrid,
     pub params: SimParams,
-    pub slo: f64,
+    pub(crate) slo: f64,
     pub percentile: f64,
     /// Config used for intervals with no arrivals (nothing to optimise).
-    pub idle: LambdaConfig,
+    pub(crate) idle: LambdaConfig,
     records: Vec<DecisionRecord>,
 }
 
@@ -433,7 +433,7 @@ impl RunOutcome {
 /// and span ids stay unique across a whole closed-loop run. The flush
 /// reason is inferred exactly: a timeout flush can never reach the
 /// configured batch size, so `size >= B` identifies capacity flushes.
-pub fn record_sim_trace(
+pub(crate) fn record_sim_trace(
     tracer: &Tracer,
     out: &SimOutcome,
     config: &LambdaConfig,

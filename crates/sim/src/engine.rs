@@ -65,19 +65,6 @@ impl<E> Scheduler<E> {
         }
     }
 
-    /// Current simulation time (time of the last popped event).
-    pub fn now(&self) -> f64 {
-        self.now
-    }
-
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
     /// Schedule `event` at absolute time `t`.
     pub fn schedule(&mut self, t: f64, event: E) {
         debug_assert!(t.is_finite(), "event time must be finite");
@@ -113,7 +100,7 @@ impl<E> Scheduler<E> {
 
 /// Drain the scheduler, invoking `handler` on each event in time order.
 /// The handler may schedule further events.
-pub fn run<E>(sched: &mut Scheduler<E>, mut handler: impl FnMut(f64, E, &mut Scheduler<E>)) {
+pub(crate) fn run<E>(sched: &mut Scheduler<E>, mut handler: impl FnMut(f64, E, &mut Scheduler<E>)) {
     while let Some((t, ev)) = sched.pop() {
         // Temporarily move the event out so the handler can schedule freely.
         handler(t, ev, sched);
@@ -158,7 +145,7 @@ mod tests {
             }
         });
         assert_eq!(count, 6);
-        assert_eq!(s.now(), 5.0);
+        assert_eq!(s.now, 5.0);
     }
 
     #[test]
@@ -176,8 +163,8 @@ mod tests {
     #[test]
     fn empty_scheduler() {
         let mut s: Scheduler<()> = Scheduler::new();
-        assert!(s.is_empty());
+        assert!(s.heap.is_empty());
         assert_eq!(s.pop(), None);
-        assert_eq!(s.now(), 0.0);
+        assert_eq!(s.now, 0.0);
     }
 }

@@ -62,7 +62,7 @@ impl Default for ColdStartFault {
 
 impl ColdStartFault {
     /// Init delay for a container of `memory_mb`.
-    pub fn delay(&self, memory_mb: u32) -> f64 {
+    pub(crate) fn delay(&self, memory_mb: u32) -> f64 {
         self.delay_s * self.ref_memory_mb as f64 / memory_mb as f64
     }
 }
@@ -95,7 +95,7 @@ impl Default for RetryPolicy {
 impl RetryPolicy {
     /// Deterministic part of the backoff before attempt `attempt + 1`
     /// (0-based failed-attempt count ≥ 1).
-    pub fn backoff(&self, failed_attempts: u32) -> f64 {
+    pub(crate) fn backoff(&self, failed_attempts: u32) -> f64 {
         self.backoff_base_s
             * self
                 .backoff_factor
@@ -127,7 +127,7 @@ impl Default for FailureFault {
 
 impl FailureFault {
     /// Failure probability at `memory_mb`.
-    pub fn p_fail(&self, memory_mb: u32) -> f64 {
+    pub(crate) fn p_fail(&self, memory_mb: u32) -> f64 {
         let scale = (self.ref_memory_mb as f64 / memory_mb as f64).powf(self.memory_exponent);
         (self.probability * scale).clamp(0.0, 1.0)
     }
@@ -236,7 +236,7 @@ impl FaultPlan {
     }
 
     /// Check every enabled channel's parameter domain.
-    pub fn validate(&self) -> Result<(), DbatError> {
+    pub(crate) fn validate(&self) -> Result<(), DbatError> {
         if let Some(cs) = &self.cold_start {
             if !(cs.delay_s >= 0.0 && cs.delay_s.is_finite()) {
                 return Err(DbatError::config(
@@ -364,7 +364,7 @@ pub enum FaultEvent {
 
 impl FaultEvent {
     /// Event kind as a short label (telemetry / reports).
-    pub fn kind(&self) -> &'static str {
+    pub(crate) fn kind(&self) -> &'static str {
         match self {
             FaultEvent::ColdStart { .. } => "cold_start",
             FaultEvent::Failure { .. } => "failure",
@@ -465,7 +465,7 @@ impl FaultCounts {
         self.exhausted_requests + self.shed_requests
     }
 
-    pub fn absorb(&mut self, other: &FaultCounts) {
+    pub(crate) fn absorb(&mut self, other: &FaultCounts) {
         self.cold_starts += other.cold_starts;
         self.failures += other.failures;
         self.retries += other.retries;
@@ -477,7 +477,7 @@ impl FaultCounts {
 }
 
 /// Outcome of a fault-injected simulation. `sim.batches` holds one
-/// [`BatchRecord`] per *attempt* (so `sim.total_cost` includes re-billed
+/// batch record per *attempt* (so `sim.total_cost` includes re-billed
 /// retries and cold-start GB-seconds); unserved requests keep zeroed
 /// dispatch/completion fields and are excluded via [`FaultSimOutcome::served`].
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -870,8 +870,8 @@ impl FaultRun<'_> {
 /// draws); otherwise windows still come from the one [`BatcherCore`] — its
 /// deadline goes on the event queue when a window opens — and every formed
 /// batch runs the attempt / retry / throttle events documented on
-/// [`FaultPlan`]. Panics on an invalid plan (validate with
-/// [`FaultPlan::validate`] or build via [`FaultPlan::builder`]).
+/// [`FaultPlan`]. Panics on an invalid plan (build one via
+/// [`FaultPlan::builder`], which validates).
 pub fn simulate_faults(
     arrivals: &[f64],
     cfg: &LambdaConfig,

@@ -11,70 +11,69 @@
 //!   arrival, open + T)`) as a clock-free state machine. It is the only
 //!   place the rule is written; the simulators below, `dbat-serve`'s
 //!   virtual replay and its live batcher threads are all drivers of it;
-//! * [`batching`] — [`simulate_batching`]: the arrivals walked through one
-//!   core in a plain loop (the walk lives in [`window`], and the windowed
-//!   token simulator shares it), each formed batch served on its own
-//!   instance;
-//! * [`faults`] — [`simulate_faults`]: the same core, with seeded fault
-//!   injection (cold starts with a warm-container pool, failures + retry,
-//!   throttling — on its own, an account concurrency quota — and
+//! * [`simulate_batching`] — the arrivals walked through one core in a
+//!   plain loop (the walk lives in [`window`], and the windowed token
+//!   simulator shares it), each formed batch served on its own instance;
+//! * [`simulate_faults`] — the same core, with seeded fault injection
+//!   ([`FaultPlan`]: cold starts with a warm-container pool, failures +
+//!   retry, throttling — on its own, an account concurrency quota — and
 //!   stragglers) deciding what happens to each formed batch;
 //! * [`engine`] — the future-event list the fault simulator and the
 //!   virtual replay schedule deadlines, attempts and retries on;
-//! * [`config`] — `(M, B, T)` configurations and the shared search grid;
-//! * [`service`] — deterministic profiled service-time surface `s(M, B)`;
-//! * [`pricing`] — AWS Lambda pay-as-you-go cost model;
-//! * [`metrics`] — latency summaries and the VCR metric (Eq. 11);
-//! * [`controller`] — the [`Controller`] trait the closed-loop policies
-//!   implement, the shared measurement/audit machinery, the [`Feedback`]
-//!   protocol (`decide` → measure → `observe` → `commit`) every
-//!   closed-loop driver in the workspace runs, and the one interval
-//!   driver behind [`run_controller`] and [`run_controller_tokens`];
-//! * [`mod@sweep`] — rayon-parallel exhaustive grid search (Eq. 10 optimum);
+//! * [`LambdaConfig`] / [`ConfigGrid`] — `(M, B, T)` configurations and
+//!   the shared search grid;
+//! * [`ServiceProfile`] — deterministic profiled service-time surface
+//!   `s(M, B)`;
+//! * [`Pricing`] — AWS Lambda pay-as-you-go cost model;
+//! * [`LatencySummary`] and [`vcr_of`] — latency summaries and the VCR
+//!   metric (Eq. 11);
+//! * [`Controller`] — the trait the closed-loop policies implement, with
+//!   the shared measurement/audit machinery, the [`Feedback`] protocol
+//!   (`decide` → measure → `observe` → `commit`) every closed-loop driver
+//!   in the workspace runs, and the one interval driver behind
+//!   [`run_controller`] and [`run_controller_tokens`];
+//! * [`sweep()`] — rayon-parallel exhaustive grid search (Eq. 10 optimum);
 //! * [`multi`] — multi-SLO request classes served by heterogeneous
 //!   function groups, with the HarmonyBatch-style joint partition/config
 //!   decision ([`joint_decide`]);
-//! * [`tokens`] — the token-aware two-phase service model (prefill +
-//!   per-step decode), KV-capacity-constrained admission, the
-//!   continuous-batching discipline, and goodput
-//!   under TTFT/TPOT SLOs.
+//! * [`simulate_tokens_windowed`] / [`simulate_tokens_continuous`] — the
+//!   token-aware two-phase service model (prefill + per-step decode),
+//!   KV-capacity-constrained admission, the continuous-batching
+//!   discipline, and goodput under TTFT/TPOT SLOs.
 
-pub mod batching;
-pub mod config;
-pub mod controller;
+mod batching;
+mod config;
+mod controller;
 pub mod engine;
-pub mod faults;
-pub mod metrics;
+mod faults;
+mod metrics;
 pub mod multi;
-pub mod pricing;
-pub mod service;
-pub mod sweep;
-pub mod tokens;
+mod pricing;
+mod service;
+mod sweep;
+mod tokens;
 pub mod window;
 
-pub use batching::{simulate_batching, BatchRecord, RequestRecord, SimOutcome, SimParams};
-pub use config::{
-    ConfigGrid, LambdaConfig, SimConfig, SimConfigBuilder, MEMORY_MAX_MB, MEMORY_MIN_MB,
-};
+pub use batching::{simulate_batching, SimOutcome, SimParams};
+pub use config::{ConfigGrid, LambdaConfig, SimConfig};
 pub use controller::{
-    hourly_vcr, record_sim_trace, run_controller, vcr_of, Controller, DecisionContext,
-    DecisionRecord, Feedback, IntervalMeasurement, OracleController, RunOutcome, StaticController,
+    hourly_vcr, run_controller, vcr_of, Controller, DecisionContext, DecisionRecord, Feedback,
+    IntervalMeasurement, OracleController, RunOutcome, StaticController,
 };
 pub use faults::{
     simulate_faults, ColdStartFault, FailureFault, FaultCounts, FaultEvent, FaultPlan,
-    FaultPlanBuilder, FaultSimOutcome, RetryPolicy, StragglerFault, ThrottleFault,
+    FaultSimOutcome, RetryPolicy, StragglerFault, ThrottleFault,
 };
-pub use metrics::{vcr, LatencySummary, PERCENTILE_KEYS};
+pub use metrics::{LatencySummary, PERCENTILE_KEYS};
 pub use multi::{
     joint_decide, simulate_batching_multi, simulate_faults_multi, single_config_baseline,
-    ClassAssignment, ClassOutcome, FunctionGroup, GroupOutcome, GroupScore, GroupScorer,
-    JointDecision, MultiSimOutcome, OracleGroupScorer,
+    ClassAssignment, FunctionGroup, GroupScorer, JointDecision, MultiSimOutcome, OracleGroupScorer,
 };
 pub use pricing::Pricing;
 pub use service::ServiceProfile;
-pub use sweep::{best_feasible, evaluate, ground_truth, sweep, Evaluation};
+pub use sweep::{evaluate, ground_truth, sweep};
 pub use tokens::{
-    ceil_ms, run_controller_tokens, simulate_tokens_continuous, simulate_tokens_windowed, Goodput,
-    TokenInvocation, TokenParams, TokenProfile, TokenRequestRecord, TokenSimOutcome,
+    run_controller_tokens, simulate_tokens_continuous, simulate_tokens_windowed, Goodput,
+    TokenParams, TokenSimOutcome,
 };
 pub use window::{Admitted, BatcherCore, FlushReason, FormedBatch};

@@ -61,7 +61,7 @@ impl LatencySummary {
 
 /// SLO Violation Count Ratio (Eq. 11): the percentage of decision intervals
 /// whose measured latency exceeded the SLO.
-pub fn vcr(violations: &[bool]) -> f64 {
+pub(crate) fn vcr(violations: &[bool]) -> f64 {
     if violations.is_empty() {
         return 0.0;
     }

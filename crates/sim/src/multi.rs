@@ -46,7 +46,7 @@ pub struct FunctionGroup {
     /// Classes served by this group.
     pub classes: Vec<ClassId>,
     /// Per-group environment; `None` inherits the shared [`SimParams`].
-    pub params: Option<SimParams>,
+    pub(crate) params: Option<SimParams>,
 }
 
 impl FunctionGroup {
@@ -100,7 +100,7 @@ impl ClassAssignment {
     }
 
     /// All classes onto one group (the one-size-fits-all baseline).
-    pub fn single(n_classes: usize) -> Self {
+    pub(crate) fn single(n_classes: usize) -> Self {
         ClassAssignment {
             group_of: vec![0; n_classes],
         }
@@ -121,7 +121,7 @@ impl ClassAssignment {
 pub struct GroupOutcome {
     pub out: FaultSimOutcome,
     /// Class of each request, parallel to `out.sim.requests`.
-    pub members: Vec<ClassId>,
+    pub(crate) members: Vec<ClassId>,
     /// Original index in the classed trace of each request (exactly-once
     /// audits rely on these forming a partition of `0..trace.len()`).
     pub indices: Vec<usize>,

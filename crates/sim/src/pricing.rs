@@ -13,7 +13,7 @@ pub struct Pricing {
 
 impl Pricing {
     /// AWS Lambda list prices: $0.0000166667 / GB-s and $0.20 per 1M requests.
-    pub fn aws_lambda() -> Self {
+    pub(crate) fn aws_lambda() -> Self {
         Pricing {
             per_gb_second: 1.66667e-5,
             per_invocation: 2.0e-7,
@@ -29,17 +29,16 @@ impl Pricing {
         billed_s * gb * self.per_gb_second + self.per_invocation
     }
 
-    /// Cost per request when `batch` requests share one invocation.
-    pub fn cost_per_request(&self, memory_mb: u32, duration_s: f64, batch: u32) -> f64 {
-        assert!(batch >= 1);
-        self.invocation_cost(memory_mb, duration_s) / batch as f64
-    }
-
     /// Cost of an invocation whose container paid `init_s` of cold-start
     /// initialisation before `service_s` of work. The init phase is billed
     /// as regular GB-seconds (the post-2025 Lambda billing model), so a
     /// cold invocation costs strictly more than a warm one.
-    pub fn invocation_cost_with_init(&self, memory_mb: u32, init_s: f64, service_s: f64) -> f64 {
+    pub(crate) fn invocation_cost_with_init(
+        &self,
+        memory_mb: u32,
+        init_s: f64,
+        service_s: f64,
+    ) -> f64 {
         assert!(init_s >= 0.0);
         self.invocation_cost(memory_mb, init_s + service_s)
     }
@@ -74,17 +73,6 @@ mod tests {
         let hi = p.invocation_cost(2048, 0.1);
         // GB-s component scales 4x; flat fee identical.
         assert!(((hi - p.per_invocation) / (lo - p.per_invocation) - 4.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn batching_divides_cost() {
-        let p = Pricing::aws_lambda();
-        let single = p.cost_per_request(1024, 0.05, 1);
-        let batched = p.cost_per_request(1024, 0.08, 8);
-        assert!(
-            batched < single,
-            "batched {batched} should beat single {single}"
-        );
     }
 
     #[test]

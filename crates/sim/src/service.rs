@@ -22,15 +22,15 @@ use serde::{Deserialize, Serialize};
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
 pub struct ServiceProfile {
     /// Fixed work per invocation at the reference memory (seconds).
-    pub w0: f64,
+    pub(crate) w0: f64,
     /// Incremental work coefficient per request (seconds).
-    pub w1: f64,
+    pub(crate) w1: f64,
     /// Batch-scaling exponent in (0, 1]; 1 = perfectly linear.
-    pub gamma: f64,
+    pub(crate) gamma: f64,
     /// Memory (MB) at which `speed = 1`.
-    pub ref_memory_mb: u32,
+    pub(crate) ref_memory_mb: u32,
     /// Memory (MB) beyond which extra CPU no longer helps.
-    pub saturation_mb: u32,
+    pub(crate) saturation_mb: u32,
 }
 
 impl ServiceProfile {
@@ -38,7 +38,7 @@ impl ServiceProfile {
     /// SLO = 0.1 s frontier crosses the configuration grid: B = 1 at the
     /// reference memory (1792 MB = 1 vCPU) costs 42 ms, and large batches
     /// need high memory to stay under the SLO.
-    pub fn ted_lium_like() -> Self {
+    pub(crate) fn ted_lium_like() -> Self {
         ServiceProfile {
             w0: 0.030,
             w1: 0.012,
@@ -49,7 +49,7 @@ impl ServiceProfile {
     }
 
     /// Relative CPU speed at the given memory size.
-    pub fn speed(&self, memory_mb: u32) -> f64 {
+    pub(crate) fn speed(&self, memory_mb: u32) -> f64 {
         memory_mb.min(self.saturation_mb) as f64 / self.ref_memory_mb as f64
     }
 

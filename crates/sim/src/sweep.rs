@@ -22,7 +22,7 @@ pub struct Evaluation {
 
 impl Evaluation {
     /// Does this configuration meet `percentile(p) <= slo`?
-    pub fn feasible(&self, slo: f64, p: f64) -> bool {
+    pub(crate) fn feasible(&self, slo: f64, p: f64) -> bool {
         self.summary.percentile(p) <= slo
     }
 }
@@ -50,7 +50,7 @@ pub fn sweep(arrivals: &[f64], grid: &ConfigGrid, params: &SimParams) -> Vec<Eva
 /// The optimizer of Eq. (10): cheapest configuration whose `p`-th latency
 /// percentile meets the SLO. Falls back to the lowest-latency configuration
 /// when nothing is feasible (the least-bad choice, also what BATCH does).
-pub fn best_feasible(evals: &[Evaluation], slo: f64, p: f64) -> Option<Evaluation> {
+pub(crate) fn best_feasible(evals: &[Evaluation], slo: f64, p: f64) -> Option<Evaluation> {
     if evals.is_empty() {
         return None;
     }

@@ -13,8 +13,8 @@
 //! ```
 //!
 //! with the same memory-speed law (and 1 ms billing granularity) as
-//! [`ServiceProfile`]. Two disciplines serve a [`TokenizedTrace`]-shaped
-//! workload:
+//! [`ServiceProfile`](crate::ServiceProfile). Two disciplines serve a
+//! [`TokenizedTrace`]-shaped workload:
 //!
 //! * [`simulate_tokens_windowed`] — the paper's clairvoyant window
 //!   batching, re-costed token by token. Windows come from the same walk
@@ -39,7 +39,6 @@ use crate::controller::{drive_intervals, Controller, IntervalMeasurement, RunOut
 use crate::faults::FaultCounts;
 use crate::metrics::LatencySummary;
 use crate::pricing::Pricing;
-use crate::service::ServiceProfile;
 use crate::window::walk_windows;
 use dbat_telemetry::{TraceConfig, TraceEvent, TraceId, TraceStage, Tracer};
 use dbat_workload::{TokenSlo, TokenSpec, TokenizedTrace};
@@ -47,39 +46,39 @@ use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Round a duration up to the 1 ms billing granularity, the same rule
-/// [`ServiceProfile::service_time`] applies.
-pub fn ceil_ms(seconds: f64) -> f64 {
+/// [`crate::ServiceProfile::service_time`] applies.
+pub(crate) fn ceil_ms(seconds: f64) -> f64 {
     (seconds * 1000.0).ceil() / 1000.0
 }
 
 /// Two-phase service surface: prefill work over the batch's summed
 /// prompt tokens, decode work per step over the active cohort, both
-/// divided by the same memory-speed law as [`ServiceProfile`].
+/// divided by the same memory-speed law as [`crate::ServiceProfile`].
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
-pub struct TokenProfile {
+pub(crate) struct TokenProfile {
     /// Fixed prefill work per invocation at the reference memory (s).
-    pub prefill_w0: f64,
+    pub(crate) prefill_w0: f64,
     /// Prefill work per (summed) prompt token (s).
-    pub prefill_w1: f64,
+    pub(crate) prefill_w1: f64,
     /// Prefill scaling exponent over the summed prompt length.
-    pub prefill_gamma: f64,
+    pub(crate) prefill_gamma: f64,
     /// Fixed work per decode step (s).
-    pub decode_w0: f64,
+    pub(crate) decode_w0: f64,
     /// Decode work coefficient over the active cohort (s).
-    pub decode_w1: f64,
+    pub(crate) decode_w1: f64,
     /// Decode batch-scaling exponent in (0, 1].
-    pub decode_gamma: f64,
+    pub(crate) decode_gamma: f64,
     /// Memory (MB) at which `speed = 1`.
-    pub ref_memory_mb: u32,
+    pub(crate) ref_memory_mb: u32,
     /// Memory (MB) beyond which extra CPU no longer helps.
-    pub saturation_mb: u32,
+    pub(crate) saturation_mb: u32,
 }
 
 impl TokenProfile {
     /// An LLM-shaped profile: prefill linear in the summed prompt length,
     /// decode steps ~4–15 ms with sub-linear batch scaling, on the same
     /// memory-speed law as the ASR profile.
-    pub fn llm_like() -> Self {
+    pub(crate) fn llm_like() -> Self {
         TokenProfile {
             prefill_w0: 0.004,
             prefill_w1: 2.0e-5,
@@ -93,11 +92,12 @@ impl TokenProfile {
     }
 
     /// The degenerate profile that reduces the token model to a base
-    /// [`ServiceProfile`]: all prefill weight on the constant term, all
+    /// `ServiceProfile`: all prefill weight on the constant term, all
     /// decode weight on the cohort term. With unit token specs the step
     /// work is `(w0 + 0·P) + (0 + w1·b^γ)`, which is bitwise the base
     /// `w0 + w1·b^γ` (adding literal `0.0` to a finite f64 is exact).
-    pub fn degenerate(base: &ServiceProfile) -> Self {
+    #[cfg(test)]
+    pub(crate) fn degenerate(base: &crate::ServiceProfile) -> Self {
         TokenProfile {
             prefill_w0: base.w0,
             prefill_w1: 0.0,
@@ -111,20 +111,20 @@ impl TokenProfile {
     }
 
     /// Relative CPU speed at the given memory size (identical expression
-    /// to [`ServiceProfile::speed`] — bitwise part of the reduction).
-    pub fn speed(&self, memory_mb: u32) -> f64 {
+    /// to [`crate::ServiceProfile::speed`] — bitwise part of the reduction).
+    pub(crate) fn speed(&self, memory_mb: u32) -> f64 {
         memory_mb.min(self.saturation_mb) as f64 / self.ref_memory_mb as f64
     }
 
     /// Prefill work (reference-memory seconds) for a batch whose prompt
     /// tokens sum to `prompt_tokens`.
-    pub fn prefill_work(&self, prompt_tokens: u64) -> f64 {
+    pub(crate) fn prefill_work(&self, prompt_tokens: u64) -> f64 {
         self.prefill_w0 + self.prefill_w1 * (prompt_tokens as f64).powf(self.prefill_gamma)
     }
 
     /// Work (reference-memory seconds) of one decode step with `active`
     /// requests in the cohort.
-    pub fn decode_work(&self, active: u32) -> f64 {
+    pub(crate) fn decode_work(&self, active: u32) -> f64 {
         self.decode_w0 + self.decode_w1 * (active as f64).powf(self.decode_gamma)
     }
 }
@@ -133,8 +133,8 @@ impl TokenProfile {
 /// pricing, and the KV-cache capacity law.
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
 pub struct TokenParams {
-    pub profile: TokenProfile,
-    pub pricing: Pricing,
+    pub(crate) profile: TokenProfile,
+    pub(crate) pricing: Pricing,
     /// KV-cache bytes held per resident token; `<= 0` disables the
     /// capacity constraint entirely.
     pub kv_bytes_per_token: f64,
@@ -155,7 +155,8 @@ impl TokenParams {
     }
 
     /// No capacity constraint (the degenerate-reduction environment).
-    pub fn unconstrained(profile: TokenProfile) -> Self {
+    #[cfg(test)]
+    pub(crate) fn unconstrained(profile: TokenProfile) -> Self {
         TokenParams {
             profile,
             pricing: Pricing::aws_lambda(),
@@ -166,7 +167,7 @@ impl TokenParams {
 
     /// Resident-token capacity of a function with `memory_mb` of memory;
     /// `None` means unbounded (no KV constraint configured).
-    pub fn capacity_tokens(&self, memory_mb: u32) -> Option<u64> {
+    pub(crate) fn capacity_tokens(&self, memory_mb: u32) -> Option<u64> {
         if self.kv_bytes_per_token <= 0.0 {
             return None;
         }
@@ -178,25 +179,25 @@ impl TokenParams {
 /// One served request under a token-aware discipline.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct TokenRequestRecord {
-    pub arrival: f64,
+    pub(crate) arrival: f64,
     /// Time the request entered service (window dispatch / first step
     /// join).
-    pub dispatch: f64,
+    pub(crate) dispatch: f64,
     /// End of the first decode step the request participated in.
-    pub first_token: f64,
-    pub completion: f64,
-    pub spec: TokenSpec,
+    pub(crate) first_token: f64,
+    pub(crate) completion: f64,
+    pub(crate) spec: TokenSpec,
 }
 
 impl TokenRequestRecord {
     /// Time to first token.
-    pub fn ttft(&self) -> f64 {
+    pub(crate) fn ttft(&self) -> f64 {
         self.first_token - self.arrival
     }
 
     /// Time per output token after the first (0 for single-token
     /// outputs, which trivially satisfy any TPOT target).
-    pub fn tpot(&self) -> f64 {
+    pub(crate) fn tpot(&self) -> f64 {
         if self.spec.output_tokens <= 1 {
             0.0
         } else {
@@ -205,12 +206,12 @@ impl TokenRequestRecord {
     }
 
     /// End-to-end latency.
-    pub fn latency(&self) -> f64 {
+    pub(crate) fn latency(&self) -> f64 {
         self.completion - self.arrival
     }
 
     /// Both token SLOs met.
-    pub fn slo_ok(&self, slo: &TokenSlo) -> bool {
+    pub(crate) fn slo_ok(&self, slo: &TokenSlo) -> bool {
         self.ttft() <= slo.ttft_s && self.tpot() <= slo.tpot_s
     }
 }
@@ -219,18 +220,18 @@ impl TokenRequestRecord {
 /// one decode step (continuous discipline).
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct TokenInvocation {
-    pub start: f64,
+    pub(crate) start: f64,
     /// Billed busy time (ms-rounded).
-    pub busy_s: f64,
+    pub(crate) busy_s: f64,
     /// Requests active in the invocation.
-    pub size: u32,
+    pub(crate) size: u32,
     /// Requests that joined at the start of this invocation.
-    pub joined: u32,
-    pub cost: f64,
+    pub(crate) joined: u32,
+    pub(crate) cost: f64,
     /// Engine replica that ran it (always 0 for the windowed discipline).
-    pub engine: u32,
+    pub(crate) engine: u32,
     /// Index of the first active request (trace anchor).
-    pub anchor: usize,
+    pub(crate) anchor: usize,
 }
 
 /// Goodput: SLO-satisfying throughput under the token SLOs.
@@ -264,7 +265,7 @@ impl Goodput {
     }
 
     /// Absorb another interval's counts (horizons add).
-    pub fn absorb(&mut self, other: &Goodput) {
+    pub(crate) fn absorb(&mut self, other: &Goodput) {
         self.served += other.served;
         self.ok += other.ok;
         self.horizon_s += other.horizon_s;
@@ -290,11 +291,11 @@ impl TokenSimOutcome {
         self.served.len() + self.rejected == self.offered
     }
 
-    pub fn latencies(&self) -> Vec<f64> {
+    pub(crate) fn latencies(&self) -> Vec<f64> {
         self.served.iter().map(|r| r.latency()).collect()
     }
 
-    pub fn summary(&self) -> LatencySummary {
+    pub(crate) fn summary(&self) -> LatencySummary {
         LatencySummary::from_latencies(&self.latencies())
     }
 
@@ -338,7 +339,8 @@ fn decode_schedule(outputs: &mut [u32]) -> Vec<u32> {
 
 /// Both token simulators index decode schedules by `output_tokens − 1`
 /// and count a request's first step, so a zero count is a caller bug:
-/// [`TokenSpec::new`] and [`TokenizedTrace::new`] cannot produce one.
+/// [`TokenSpec::new`] and the [`TokenizedTrace`] samplers cannot produce
+/// one.
 fn assert_positive_specs(specs: &[TokenSpec]) {
     assert!(
         specs.iter().all(|s| s.validate().is_ok()),

@@ -132,16 +132,6 @@ impl BatcherCore {
         }
     }
 
-    /// The lane id this core stamps onto formed batches.
-    pub fn lane(&self) -> u32 {
-        self.lane
-    }
-
-    /// The configuration new windows open under.
-    pub fn config(&self) -> LambdaConfig {
-        self.config
-    }
-
     /// No open or sealed window holds requests.
     pub fn is_idle(&self) -> bool {
         self.active.is_none() && self.sealed.is_empty()
@@ -447,7 +437,7 @@ mod tests {
         // Reconfigure mid-window: old window sealed under the old config.
         let new_cfg = LambdaConfig::new(1024, 2, 0.01);
         core.rotate(new_cfg);
-        assert_eq!(core.config(), new_cfg);
+        assert_eq!(core.config, new_cfg);
         assert_eq!(core.buffered(), 2);
         // Arrivals after the rotation open a fresh window under the new
         // config; the sealed window gains no members.

@@ -28,7 +28,7 @@ use std::time::Duration;
 /// Map a dotted metric name onto the Prometheus grammar:
 /// `[a-zA-Z_:][a-zA-Z0-9_:]*`. Every illegal character becomes `_`, and
 /// a leading digit gets a `_` prefix.
-pub fn sanitize_metric_name(name: &str) -> String {
+pub(crate) fn sanitize_metric_name(name: &str) -> String {
     let mut out = String::with_capacity(name.len() + 1);
     for (i, c) in name.chars().enumerate() {
         let ok = c.is_ascii_alphanumeric() || c == '_' || c == ':';
@@ -44,7 +44,7 @@ impl Telemetry {
     /// Render every registered metric in the Prometheus text exposition
     /// format. Counters get the conventional `_total` suffix, histograms
     /// render as summaries with `quantile` labels.
-    pub fn prometheus_text(&self) -> String {
+    pub(crate) fn prometheus_text(&self) -> String {
         let mut out = String::new();
         for (name, value) in self.counter_values() {
             let mut n = sanitize_metric_name(&name);
@@ -212,8 +212,8 @@ mod tests {
     fn sanitizes_names_into_prometheus_grammar() {
         assert_eq!(sanitize_metric_name("serve.completed"), "serve_completed");
         assert_eq!(
-            sanitize_metric_name("serve.slo.budget_remaining"),
-            "serve_slo_budget_remaining"
+            sanitize_metric_name("controller.decide_s"),
+            "controller_decide_s"
         );
         assert_eq!(sanitize_metric_name("9lives"), "_9lives");
         assert_eq!(sanitize_metric_name("a-b c"), "a_b_c");

@@ -34,28 +34,24 @@
 //!
 //! assert_eq!(t.counter("demo.events").get(), 1);
 //! assert_eq!(sink.events_of_kind("demo.done").len(), 1);
-//! # t.disable();
-//! # t.clear_sinks();
-//! # t.reset_metrics();
 //! ```
 
-pub mod export;
+mod export;
 pub mod log;
-pub mod metrics;
-pub mod sink;
-pub mod slo;
-pub mod trace;
+mod metrics;
+mod sink;
+mod trace;
 
-pub use export::{sanitize_metric_name, MetricsExporter};
-pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, TRACKED_PERCENTILES};
+pub use export::MetricsExporter;
+pub use metrics::{Counter, Gauge, Histogram};
 // Re-export so downstream binaries can build event payloads without adding
 // their own serde_json dependency.
 pub use serde_json;
-pub use sink::{read_jsonl, Event, JsonlSink, MemorySink, Sink};
-pub use slo::{BurnRate, BurnRateConfig};
+pub use sink::{read_jsonl, JsonlSink, MemorySink, Sink};
 pub use trace::{FlushKind, SpanId, TraceConfig, TraceEvent, TraceId, TraceStage, Tracer};
 
 use serde_json::Value;
+use sink::Event;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
@@ -118,10 +114,6 @@ impl Telemetry {
         self.enabled.store(true, Ordering::Relaxed);
     }
 
-    pub fn disable(&self) {
-        self.enabled.store(false, Ordering::Relaxed);
-    }
-
     /// The no-op gate. Instrumented code checks this before doing any
     /// work; when false, instrumentation costs one relaxed load.
     #[inline]
@@ -179,31 +171,10 @@ impl Telemetry {
         }
     }
 
-    /// Zero every registered metric (registry entries survive so existing
-    /// handles stay valid).
-    pub fn reset_metrics(&self) {
-        for c in self.counters.read().unwrap().values() {
-            c.reset();
-        }
-        for g in self.gauges.read().unwrap().values() {
-            g.set(0.0);
-        }
-        for h in self.histograms.read().unwrap().values() {
-            h.reset();
-        }
-    }
-
     // ---- events & sinks ---------------------------------------------
 
     pub fn add_sink(&self, sink: Arc<dyn Sink>) {
         self.sinks.lock().unwrap().push(sink);
-    }
-
-    pub fn clear_sinks(&self) {
-        let drained: Vec<_> = std::mem::take(&mut *self.sinks.lock().unwrap());
-        for s in &drained {
-            s.flush();
-        }
     }
 
     /// Emit a structured event to every attached sink. No-op (and the
@@ -313,7 +284,7 @@ impl Telemetry {
     }
 
     /// Every registered counter's `(name, value)`, in name order.
-    pub fn counter_values(&self) -> Vec<(String, u64)> {
+    pub(crate) fn counter_values(&self) -> Vec<(String, u64)> {
         self.counters
             .read()
             .unwrap()
@@ -323,7 +294,7 @@ impl Telemetry {
     }
 
     /// Every registered gauge's `(name, value)`, in name order.
-    pub fn gauge_values(&self) -> Vec<(String, f64)> {
+    pub(crate) fn gauge_values(&self) -> Vec<(String, f64)> {
         self.gauges
             .read()
             .unwrap()
@@ -333,7 +304,7 @@ impl Telemetry {
     }
 
     /// Every registered histogram's `(name, handle)`, in name order.
-    pub fn histogram_handles(&self) -> Vec<(String, Arc<Histogram>)> {
+    pub(crate) fn histogram_handles(&self) -> Vec<(String, Arc<Histogram>)> {
         self.histograms
             .read()
             .unwrap()
@@ -437,7 +408,7 @@ mod tests {
         t.add_sink(sink.clone());
         assert!(!t.is_enabled());
         t.emit("x", json!({"a": 1}));
-        assert!(sink.is_empty());
+        assert!(sink.events_of_kind("x").is_empty());
         assert!(t.counter_if_enabled("c").is_none());
     }
 
@@ -450,9 +421,10 @@ mod tests {
         t.add_sink(b.clone());
         t.enable();
         t.emit("k", json!({"v": 7}));
-        assert_eq!(a.len(), 1);
-        assert_eq!(b.len(), 1);
-        assert_eq!(a.events()[0].data["v"].as_u64(), Some(7));
+        assert_eq!(b.events_of_kind("k").len(), 1);
+        let got = a.events_of_kind("k");
+        assert_eq!(got.len(), 1);
+        assert_eq!(got[0].data["v"].as_u64(), Some(7));
     }
 
     #[test]
@@ -464,19 +436,6 @@ mod tests {
         c2.inc();
         assert_eq!(t.counter("same").get(), 2);
         assert!(Arc::ptr_eq(&c1, &c2));
-    }
-
-    #[test]
-    fn reset_metrics_zeroes_but_keeps_handles() {
-        let t = Telemetry::new();
-        let c = t.counter("n");
-        c.add(5);
-        t.histogram("h").record(1.0);
-        t.gauge("g").set(2.0);
-        t.reset_metrics();
-        assert_eq!(c.get(), 0);
-        assert_eq!(t.histogram("h").count(), 0);
-        assert_eq!(t.gauge("g").get(), 0.0);
     }
 
     #[test]

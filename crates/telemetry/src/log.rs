@@ -17,7 +17,7 @@ pub enum Level {
 }
 
 impl Level {
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             Level::Error => "ERROR",
             Level::Warn => "WARN",
@@ -29,7 +29,7 @@ impl Level {
 }
 
 /// Parse a `DEEPBAT_LOG`-style filter string. `None` means `off`.
-pub fn parse_filter(s: &str) -> Option<Level> {
+pub(crate) fn parse_filter(s: &str) -> Option<Level> {
     match s.trim().to_ascii_lowercase().as_str() {
         "off" | "none" | "0" => None,
         "error" => Some(Level::Error),
@@ -50,7 +50,7 @@ fn max_level() -> Option<Level> {
 }
 
 /// Whether a message at `level` passes the `DEEPBAT_LOG` filter.
-pub fn enabled(level: Level) -> bool {
+pub(crate) fn enabled(level: Level) -> bool {
     match max_level() {
         Some(max) => level <= max,
         None => false,

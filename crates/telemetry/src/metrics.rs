@@ -16,10 +16,6 @@ pub struct Counter {
 }
 
 impl Counter {
-    pub fn new() -> Self {
-        Counter::default()
-    }
-
     #[inline]
     pub fn inc(&self) {
         self.add(1);
@@ -33,10 +29,6 @@ impl Counter {
     pub fn get(&self) -> u64 {
         self.value.load(Ordering::Relaxed)
     }
-
-    pub fn reset(&self) {
-        self.value.store(0, Ordering::Relaxed);
-    }
 }
 
 /// Last-write-wins instantaneous value.
@@ -46,12 +38,6 @@ pub struct Gauge {
 }
 
 impl Gauge {
-    pub fn new() -> Self {
-        Gauge {
-            bits: AtomicU64::new(0.0f64.to_bits()),
-        }
-    }
-
     #[inline]
     pub fn set(&self, v: f64) {
         self.bits.store(v.to_bits(), Ordering::Relaxed);
@@ -64,7 +50,7 @@ impl Gauge {
 
 /// The percentiles reported by [`Histogram::percentile_vector`], matching
 /// the surrogate's `PERCENTILE_KEYS` in `dbat-sim`.
-pub const TRACKED_PERCENTILES: [f64; 4] = [50.0, 90.0, 95.0, 99.0];
+pub(crate) const TRACKED_PERCENTILES: [f64; 4] = [50.0, 90.0, 95.0, 99.0];
 
 /// Streaming fixed-bucket histogram with quantile estimation.
 ///
@@ -87,16 +73,16 @@ pub struct Histogram {
 
 /// Plain-data view of a histogram for sinks and assertions.
 #[derive(Clone, Debug, Serialize)]
-pub struct HistogramSnapshot {
-    pub count: u64,
-    pub sum: f64,
-    pub min: f64,
-    pub max: f64,
-    pub mean: f64,
-    pub p50: f64,
-    pub p90: f64,
-    pub p95: f64,
-    pub p99: f64,
+pub(crate) struct HistogramSnapshot {
+    pub(crate) count: u64,
+    pub(crate) sum: f64,
+    pub(crate) min: f64,
+    pub(crate) max: f64,
+    pub(crate) mean: f64,
+    pub(crate) p50: f64,
+    pub(crate) p90: f64,
+    pub(crate) p95: f64,
+    pub(crate) p99: f64,
 }
 
 impl Default for Histogram {
@@ -110,7 +96,7 @@ impl Default for Histogram {
 impl Histogram {
     /// Log-spaced bucket edges from `lo` to `hi` with `per_decade` buckets
     /// per factor of 10.
-    pub fn log_spaced(lo: f64, hi: f64, per_decade: usize) -> Self {
+    pub(crate) fn log_spaced(lo: f64, hi: f64, per_decade: usize) -> Self {
         assert!(lo > 0.0 && hi > lo && per_decade > 0);
         let decades = (hi / lo).log10();
         let n = (decades * per_decade as f64).ceil() as usize;
@@ -160,7 +146,7 @@ impl Histogram {
         f64::from_bits(self.sum_bits.load(Ordering::Relaxed))
     }
 
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         let n = self.count();
         if n == 0 {
             0.0
@@ -169,17 +155,17 @@ impl Histogram {
         }
     }
 
-    pub fn min(&self) -> f64 {
+    pub(crate) fn min(&self) -> f64 {
         f64::from_bits(self.min_bits.load(Ordering::Relaxed))
     }
 
-    pub fn max(&self) -> f64 {
+    pub(crate) fn max(&self) -> f64 {
         f64::from_bits(self.max_bits.load(Ordering::Relaxed))
     }
 
     /// Estimate the `p`-th percentile (0..=100) by linear interpolation
     /// inside the bucket containing the rank. `None` when empty.
-    pub fn quantile(&self, p: f64) -> Option<f64> {
+    pub(crate) fn quantile(&self, p: f64) -> Option<f64> {
         let total = self.count();
         if total == 0 {
             return None;
@@ -216,7 +202,7 @@ impl Histogram {
     }
 
     /// `[p50, p90, p95, p99]`, matching `dbat-sim`'s `PERCENTILE_KEYS`.
-    pub fn percentile_vector(&self) -> Option<[f64; 4]> {
+    pub(crate) fn percentile_vector(&self) -> Option<[f64; 4]> {
         if self.count() == 0 {
             return None;
         }
@@ -227,7 +213,7 @@ impl Histogram {
         Some(out)
     }
 
-    pub fn snapshot(&self) -> HistogramSnapshot {
+    pub(crate) fn snapshot(&self) -> HistogramSnapshot {
         let pv = self.percentile_vector().unwrap_or([0.0; 4]);
         let empty = self.count() == 0;
         HistogramSnapshot {
@@ -241,18 +227,6 @@ impl Histogram {
             p95: pv[2],
             p99: pv[3],
         }
-    }
-
-    pub fn reset(&self) {
-        for b in &self.buckets {
-            b.store(0, Ordering::Relaxed);
-        }
-        self.count.store(0, Ordering::Relaxed);
-        self.sum_bits.store(0.0f64.to_bits(), Ordering::Relaxed);
-        self.min_bits
-            .store(f64::INFINITY.to_bits(), Ordering::Relaxed);
-        self.max_bits
-            .store(f64::NEG_INFINITY.to_bits(), Ordering::Relaxed);
     }
 }
 
@@ -293,13 +267,11 @@ mod tests {
 
     #[test]
     fn counter_and_gauge_basics() {
-        let c = Counter::new();
+        let c = Counter::default();
         c.inc();
         c.add(4);
         assert_eq!(c.get(), 5);
-        c.reset();
-        assert_eq!(c.get(), 0);
-        let g = Gauge::new();
+        let g = Gauge::default();
         assert_eq!(g.get(), 0.0);
         g.set(-2.5);
         assert_eq!(g.get(), -2.5);

@@ -16,7 +16,7 @@ use std::time::{SystemTime, UNIX_EPOCH};
 #[derive(Clone, Debug)]
 pub struct Event {
     /// Seconds since the Unix epoch at emission time.
-    pub ts: f64,
+    pub(crate) ts: f64,
     /// Dotted event kind, e.g. `"controller.decision"` or `"train.epoch"`.
     pub kind: String,
     /// Structured payload; shape is owned by the emitting layer.
@@ -24,7 +24,7 @@ pub struct Event {
 }
 
 impl Event {
-    pub fn new(kind: &str, data: Value) -> Self {
+    pub(crate) fn new(kind: &str, data: Value) -> Self {
         let ts = SystemTime::now()
             .duration_since(UNIX_EPOCH)
             .map(|d| d.as_secs_f64())
@@ -39,7 +39,7 @@ impl Event {
     /// An event stamped with an explicit timestamp instead of wall time
     /// — the serving layer passes virtual-clock seconds here so event
     /// streams are deterministic under `VirtualClock`.
-    pub fn with_ts(ts: f64, kind: &str, data: Value) -> Self {
+    pub(crate) fn with_ts(ts: f64, kind: &str, data: Value) -> Self {
         Event {
             ts,
             kind: kind.to_string(),
@@ -48,7 +48,7 @@ impl Event {
     }
 
     /// The wire form: `{"ts":…,"kind":…,"data":{…}}` on one line.
-    pub fn to_json_line(&self) -> String {
+    pub(crate) fn to_json_line(&self) -> String {
         let mut obj = serde_json::Map::new();
         obj.insert("ts".to_string(), Value::Number(self.ts));
         obj.insert("kind".to_string(), Value::String(self.kind.clone()));
@@ -57,7 +57,7 @@ impl Event {
     }
 
     /// Parse one JSONL line back into an event.
-    pub fn from_json_line(line: &str) -> Result<Event, serde_json::Error> {
+    pub(crate) fn from_json_line(line: &str) -> Result<Event, serde_json::Error> {
         let v: Value = serde_json::from_str(line)?;
         let ts = v["ts"]
             .as_f64()
@@ -93,10 +93,6 @@ impl MemorySink {
         MemorySink::default()
     }
 
-    pub fn events(&self) -> Vec<Event> {
-        self.events.lock().unwrap().clone()
-    }
-
     /// Events whose kind matches exactly.
     pub fn events_of_kind(&self, kind: &str) -> Vec<Event> {
         self.events
@@ -106,18 +102,6 @@ impl MemorySink {
             .filter(|e| e.kind == kind)
             .cloned()
             .collect()
-    }
-
-    pub fn len(&self) -> usize {
-        self.events.lock().unwrap().len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    pub fn clear(&self) {
-        self.events.lock().unwrap().clear();
     }
 }
 
@@ -186,16 +170,13 @@ mod tests {
     #[test]
     fn memory_sink_collects_and_filters() {
         let sink = MemorySink::new();
-        assert!(sink.is_empty());
         sink.emit(&Event::new("a", json!({"x": 1})));
         sink.emit(&Event::new("b", json!({"y": 2.5})));
         sink.emit(&Event::new("a", json!({"x": 3})));
-        assert_eq!(sink.len(), 3);
+        assert_eq!(sink.events.lock().unwrap().len(), 3);
         let a = sink.events_of_kind("a");
         assert_eq!(a.len(), 2);
         assert_eq!(a[1].data["x"].as_f64(), Some(3.0));
-        sink.clear();
-        assert!(sink.is_empty());
     }
 
     #[test]
@@ -215,7 +196,7 @@ mod tests {
 
     #[test]
     fn jsonl_sink_writes_parseable_lines() {
-        let dir = std::env::temp_dir().join("dbat-telemetry-test");
+        let dir = std::env::temp_dir().join(format!("dbat-telemetry-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("events.jsonl");
         {
@@ -231,7 +212,7 @@ mod tests {
             assert_eq!(ev.kind, "tick");
             assert_eq!(ev.data["i"].as_u64(), Some(i as u64));
         }
-        std::fs::remove_file(&path).ok();
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

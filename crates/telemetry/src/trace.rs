@@ -21,7 +21,7 @@
 //!   mutex hold per event while healthy and is dumped to the event sinks
 //!   only on degradation engage or drain.
 //!
-//! When neither consumer is armed, [`Tracer::record`] is a single relaxed
+//! When neither consumer is armed, [`Tracer::record_many`] is a single relaxed
 //! atomic load and an early return.
 
 use serde::{Deserialize, Serialize};
@@ -66,7 +66,7 @@ impl Deserialize for SpanId {
 }
 
 /// Lifecycle stage of a traced request. The declaration order is the
-/// causal order; [`TraceStage::rank`] exposes it for sorting.
+/// causal order; `rank` exposes it for sorting.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum TraceStage {
     /// The gateway accepted the request (assigned it an id).
@@ -89,7 +89,7 @@ pub enum TraceStage {
 
 impl TraceStage {
     /// Causal position, for deterministic tie-breaking at equal times.
-    pub fn rank(self) -> u8 {
+    pub(crate) fn rank(self) -> u8 {
         match self {
             TraceStage::Admit => 0,
             TraceStage::Enqueue => 1,
@@ -132,7 +132,7 @@ pub struct TraceConfig {
 pub struct TraceEvent {
     pub trace: TraceId,
     /// The batching window / batch this event belongs to, once known.
-    pub span: Option<SpanId>,
+    pub(crate) span: Option<SpanId>,
     pub stage: TraceStage,
     /// Virtual seconds on the emitter's clock — never wall time.
     pub t: f64,
@@ -245,7 +245,7 @@ impl Default for Tracer {
 }
 
 impl Tracer {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Tracer {
             id: NEXT_TRACER_ID.fetch_add(1, Ordering::Relaxed),
             active: AtomicBool::new(false),
@@ -291,8 +291,8 @@ impl Tracer {
         self.enable_flight(0);
     }
 
-    /// The no-op gate: false means [`Tracer::record`] returns after one
-    /// relaxed load. Call sites building non-trivial events should check
+    /// The no-op gate: false means [`Tracer::record_many`] returns after
+    /// one relaxed load. Call sites building non-trivial events should check
     /// it first.
     #[inline]
     pub fn is_active(&self) -> bool {
@@ -300,10 +300,6 @@ impl Tracer {
     }
 
     // ---- recording --------------------------------------------------
-
-    pub fn record(&self, ev: TraceEvent) {
-        self.record_many(&[ev]);
-    }
 
     /// Record a slice of events in one shot: the thread-local lookup, the
     /// capture-buffer lock, and the flight-ring lock are each taken once
@@ -367,26 +363,6 @@ impl Tracer {
         out
     }
 
-    /// Number of captured (undrained) events.
-    pub fn pending(&self) -> usize {
-        self.buffers
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|b| b.events.lock().unwrap().len())
-            .sum()
-    }
-
-    /// Copy of the flight ring, oldest first, without clearing it.
-    pub fn flight_snapshot(&self) -> Vec<TraceEvent> {
-        self.flight
-            .lock()
-            .unwrap()
-            .as_ref()
-            .map(|r| r.buf.iter().copied().collect())
-            .unwrap_or_default()
-    }
-
     /// Take the flight ring's contents, oldest first, leaving it armed
     /// but empty.
     pub fn take_flight(&self) -> Vec<TraceEvent> {
@@ -411,21 +387,20 @@ mod tests {
     fn inactive_tracer_records_nothing() {
         let tr = Tracer::new();
         assert!(!tr.is_active());
-        tr.record(ev(0, TraceStage::Admit, 0.0));
-        assert_eq!(tr.pending(), 0);
+        tr.record_many(&[ev(0, TraceStage::Admit, 0.0)]);
         assert!(tr.drain().is_empty());
-        assert!(tr.flight_snapshot().is_empty());
+        assert!(tr.take_flight().is_empty());
     }
 
     #[test]
     fn capture_drains_sorted_by_time_then_stage() {
         let tr = Tracer::new();
         tr.enable_capture();
-        tr.record(ev(1, TraceStage::Complete, 2.0));
-        tr.record(ev(1, TraceStage::Admit, 0.5));
+        tr.record_many(&[ev(1, TraceStage::Complete, 2.0)]);
+        tr.record_many(&[ev(1, TraceStage::Admit, 0.5)]);
         // Same timestamp: causal stage order must win.
-        tr.record(ev(2, TraceStage::Enqueue, 1.0));
-        tr.record(ev(2, TraceStage::Admit, 1.0));
+        tr.record_many(&[ev(2, TraceStage::Enqueue, 1.0)]);
+        tr.record_many(&[ev(2, TraceStage::Admit, 1.0)]);
         let out = tr.drain();
         assert_eq!(out.len(), 4);
         assert_eq!(out[0].stage, TraceStage::Admit);
@@ -447,7 +422,7 @@ mod tests {
             let tr = tr.clone();
             handles.push(std::thread::spawn(move || {
                 for i in 0..100u64 {
-                    tr.record(ev(k * 100 + i, TraceStage::Admit, (k * 100 + i) as f64));
+                    tr.record_many(&[ev(k * 100 + i, TraceStage::Admit, (k * 100 + i) as f64)]);
                 }
             }));
         }
@@ -467,16 +442,15 @@ mod tests {
         tr.enable_flight(3);
         assert!(tr.is_active());
         for i in 0..10u64 {
-            tr.record(ev(i, TraceStage::Admit, i as f64));
+            tr.record_many(&[ev(i, TraceStage::Admit, i as f64)]);
         }
-        let snap = tr.flight_snapshot();
+        let snap = tr.take_flight();
         assert_eq!(snap.len(), 3);
         assert_eq!(snap[0].trace, TraceId(7));
         assert_eq!(snap[2].trace, TraceId(9));
-        // Snapshot does not clear; take does.
-        assert_eq!(tr.flight_snapshot().len(), 3);
-        assert_eq!(tr.take_flight().len(), 3);
-        assert!(tr.flight_snapshot().is_empty());
+        // Take leaves the ring armed but empty.
+        assert!(tr.take_flight().is_empty());
+        assert!(tr.is_active());
         tr.disable_flight();
         assert!(!tr.is_active());
     }
@@ -486,26 +460,27 @@ mod tests {
         let batch: Vec<TraceEvent> = (0..10u64)
             .map(|i| ev(i, TraceStage::Admit, i as f64))
             .collect();
-        // Capture: bulk and singular drains are identical.
+        // Capture: bulk and one-at-a-time drains are identical.
         let (a, b) = (Tracer::new(), Tracer::new());
         a.enable_capture();
         b.enable_capture();
         a.record_many(&batch);
         for e in &batch {
-            b.record(*e);
+            b.record_many(&[*e]);
         }
         assert_eq!(a.drain(), b.drain());
         // Ring smaller than the slice: keeps exactly the tail.
         let tr = Tracer::new();
         tr.enable_flight(3);
         tr.record_many(&batch);
-        let snap = tr.flight_snapshot();
+        let snap = tr.take_flight();
         assert_eq!(snap.len(), 3);
         assert_eq!(snap[0].trace, TraceId(7));
         assert_eq!(snap[2].trace, TraceId(9));
         // Partial overflow: old entries evicted, order preserved.
+        tr.record_many(&batch);
         tr.record_many(&batch[..2]);
-        let snap = tr.flight_snapshot();
+        let snap = tr.take_flight();
         assert_eq!(snap[0].trace, TraceId(9));
         assert_eq!(snap[1].trace, TraceId(0));
         assert_eq!(snap[2].trace, TraceId(1));
@@ -517,9 +492,9 @@ mod tests {
         let b = Tracer::new();
         a.enable_capture();
         b.enable_capture();
-        a.record(ev(1, TraceStage::Admit, 0.0));
-        b.record(ev(2, TraceStage::Admit, 0.0));
-        b.record(ev(3, TraceStage::Admit, 1.0));
+        a.record_many(&[ev(1, TraceStage::Admit, 0.0)]);
+        b.record_many(&[ev(2, TraceStage::Admit, 0.0)]);
+        b.record_many(&[ev(3, TraceStage::Admit, 1.0)]);
         assert_eq!(a.drain().len(), 1);
         assert_eq!(b.drain().len(), 2);
     }

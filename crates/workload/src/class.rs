@@ -24,7 +24,7 @@ pub struct RequestClass {
     /// Latency SLO (seconds) on the constrained percentile.
     pub slo: f64,
     /// Relative traffic weight; `None` ⇒ 1.0.
-    pub weight: Option<f64>,
+    pub(crate) weight: Option<f64>,
 }
 
 impl RequestClass {
@@ -49,7 +49,7 @@ impl RequestClass {
         self.weight.unwrap_or(1.0)
     }
 
-    pub fn validate(&self) -> Result<(), DbatError> {
+    pub(crate) fn validate(&self) -> Result<(), DbatError> {
         if !(self.slo > 0.0 && self.slo.is_finite()) {
             return Err(DbatError::config("class SLO must be finite and > 0"));
         }
@@ -152,18 +152,6 @@ impl ClassedTrace {
         self.trace.is_empty()
     }
 
-    /// Arrivals of one class, in arrival order (timestamps untouched —
-    /// no rebasing, so sub-sequences stay bitwise comparable).
-    pub fn class_arrivals(&self, class: ClassId) -> Vec<f64> {
-        self.trace
-            .timestamps()
-            .iter()
-            .zip(&self.labels)
-            .filter(|&(_, &c)| c == class)
-            .map(|(&t, _)| t)
-            .collect()
-    }
-
     /// Number of requests in each class, indexed by class id (length =
     /// `max id + 1`).
     pub fn class_counts(&self) -> Vec<usize> {
@@ -208,8 +196,6 @@ mod tests {
         let tr = Trace::new(vec![0.1, 0.2, 0.3], 1.0);
         let ct = ClassedTrace::uniform(tr, 0);
         assert_eq!(ct.labels(), &[0, 0, 0]);
-        assert_eq!(ct.class_arrivals(0), vec![0.1, 0.2, 0.3]);
-        assert!(ct.class_arrivals(1).is_empty());
     }
 
     #[test]
@@ -223,24 +209,6 @@ mod tests {
         // 3:1 weights ⇒ class 0 gets about 75% of arrivals.
         let share = counts[0] as f64 / a.len() as f64;
         assert!((share - 0.75).abs() < 0.05, "share {share}");
-    }
-
-    #[test]
-    fn class_subsequences_partition_the_trace() {
-        let ts: Vec<f64> = (0..500).map(|i| i as f64 * 0.01).collect();
-        let tr = Trace::new(ts.clone(), 5.0);
-        let ct = ClassedTrace::tag_weighted(tr, &classes(), 3).unwrap();
-        let mut merged: Vec<f64> = ct
-            .class_arrivals(0)
-            .into_iter()
-            .chain(ct.class_arrivals(1))
-            .collect();
-        merged.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        // Exact bit equality: subsequences never perturb timestamps.
-        assert_eq!(merged.len(), ts.len());
-        for (a, b) in merged.iter().zip(&ts) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
     }
 
     #[test]

@@ -9,13 +9,12 @@
 //! fail loudly instead of silently taking defaults.
 //!
 //! The crate sits at the bottom of the workspace DAG, so the sections are
-//! plain data: upper crates convert them into their own richer types
-//! (`SimConfig::from_app`, gateway wiring) rather than this module
-//! depending on them.
+//! plain data: the binaries turn them into the upper crates' richer types
+//! rather than this module depending on them.
 
 use crate::class::{validate_classes, RequestClass};
 use crate::error::DbatError;
-use serde::{Deserialize, Error, Serialize, Value};
+use serde::{Deserialize, Error, Value};
 use std::path::Path;
 
 /// Reject keys outside the known set (typo protection).
@@ -44,7 +43,7 @@ fn take<T: Deserialize>(v: &Value, key: &str, default: T) -> Result<T, Error> {
 }
 
 /// Simulation setting: workload horizon, SLO, decision cadence.
-#[derive(Clone, Debug, PartialEq, Serialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SimSection {
     /// Latency SLO (seconds) on the constrained percentile.
     pub slo: f64,
@@ -100,7 +99,7 @@ impl Deserialize for SimSection {
 }
 
 impl SimSection {
-    pub fn validate(&self) -> Result<(), DbatError> {
+    pub(crate) fn validate(&self) -> Result<(), DbatError> {
         if !(self.slo > 0.0 && self.slo.is_finite()) {
             return Err(DbatError::config("sim.slo must be finite and > 0"));
         }
@@ -120,7 +119,7 @@ impl SimSection {
 }
 
 /// Serving-gateway knobs (live gateway example and load harness).
-#[derive(Clone, Debug, PartialEq, Serialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct GatewaySection {
     /// Number of batcher lanes (0 ⇒ one per worker).
     pub lanes: u64,
@@ -186,7 +185,7 @@ impl Deserialize for GatewaySection {
 }
 
 impl GatewaySection {
-    pub fn validate(&self) -> Result<(), DbatError> {
+    pub(crate) fn validate(&self) -> Result<(), DbatError> {
         if self.workers == 0 {
             return Err(DbatError::config("gateway.workers must be >= 1"));
         }
@@ -209,12 +208,12 @@ impl GatewaySection {
 
 /// One request class in the config file. The class id is its position in
 /// the `[[classes]]` list.
-#[derive(Clone, Debug, PartialEq, Serialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ClassSpec {
     /// Latency SLO (seconds) — required.
-    pub slo: f64,
+    pub(crate) slo: f64,
     /// Relative traffic weight.
-    pub weight: f64,
+    pub(crate) weight: f64,
 }
 
 impl Deserialize for ClassSpec {
@@ -233,7 +232,7 @@ impl Deserialize for ClassSpec {
 
 /// The whole application configuration. Every section is optional in the
 /// file and takes its documented defaults when absent.
-#[derive(Clone, Debug, PartialEq, Default, Serialize)]
+#[derive(Clone, Debug, PartialEq, Default)]
 pub struct AppConfig {
     pub sim: SimSection,
     pub gateway: GatewaySection,
@@ -254,14 +253,8 @@ impl Deserialize for AppConfig {
 }
 
 impl AppConfig {
-    pub fn builder() -> AppConfigBuilder {
-        AppConfigBuilder {
-            cfg: AppConfig::default(),
-        }
-    }
-
     /// Check every section and the class list.
-    pub fn validate(&self) -> Result<(), DbatError> {
+    pub(crate) fn validate(&self) -> Result<(), DbatError> {
         self.sim.validate()?;
         self.gateway.validate()?;
         if !self.classes.is_empty() {
@@ -281,37 +274,6 @@ impl AppConfig {
             .enumerate()
             .map(|(i, c)| RequestClass::with_weight(i as u16, c.slo, c.weight))
             .collect()
-    }
-
-    /// Parse a JSON config.
-    pub fn from_json_str(s: &str) -> Result<AppConfig, DbatError> {
-        let cfg: AppConfig =
-            serde_json::from_str(s).map_err(|e| DbatError::config(format!("config: {e}")))?;
-        cfg.validate()?;
-        Ok(cfg)
-    }
-
-    /// Parse a TOML-subset config (see [`parse_toml`]).
-    pub fn from_toml_str(s: &str) -> Result<AppConfig, DbatError> {
-        let v = parse_toml(s)?;
-        let cfg =
-            AppConfig::deserialize(&v).map_err(|e| DbatError::config(format!("config: {e}")))?;
-        cfg.validate()?;
-        Ok(cfg)
-    }
-
-    /// Load from a file, dispatching on the `.json` / `.toml` extension.
-    pub fn load(path: impl AsRef<Path>) -> Result<AppConfig, DbatError> {
-        let path = path.as_ref();
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| DbatError::config(format!("read {}: {e}", path.display())))?;
-        match path.extension().and_then(|e| e.to_str()) {
-            Some("json") => AppConfig::from_json_str(&text),
-            Some("toml") | None => AppConfig::from_toml_str(&text),
-            Some(other) => Err(DbatError::config(format!(
-                "unsupported config extension `.{other}` (use .toml or .json)"
-            ))),
-        }
     }
 
     /// Resolve a binary's configuration from its command line:
@@ -373,45 +335,15 @@ impl AppConfig {
             let parsed = parse_toml_value(raw).unwrap_or_else(|_| Value::String(raw.to_string()));
             set_dotted(&mut v, key, parsed)?;
         }
+        AppConfig::from_value(&v)
+    }
+
+    /// Deserialise a parsed TOML/JSON document and validate it.
+    fn from_value(v: &Value) -> Result<AppConfig, DbatError> {
         let cfg =
-            AppConfig::deserialize(&v).map_err(|e| DbatError::config(format!("config: {e}")))?;
+            AppConfig::deserialize(v).map_err(|e| DbatError::config(format!("config: {e}")))?;
         cfg.validate()?;
         Ok(cfg)
-    }
-
-    /// Pretty JSON encoding (every field explicit).
-    pub fn to_json_string(&self) -> String {
-        serde_json::to_string_pretty(self).expect("config serializes")
-    }
-
-    /// TOML encoding (sections + `[[classes]]`); parses back identically.
-    pub fn to_toml_string(&self) -> String {
-        let v = serde_json::to_value(self);
-        let mut out = String::new();
-        if let Value::Object(root) = &v {
-            for (key, section) in root {
-                match section {
-                    Value::Object(m) => {
-                        out.push_str(&format!("[{key}]\n"));
-                        emit_table(&mut out, m);
-                        out.push('\n');
-                    }
-                    Value::Array(items) => {
-                        for item in items {
-                            if let Value::Object(m) = item {
-                                out.push_str(&format!("[[{key}]]\n"));
-                                emit_table(&mut out, m);
-                                out.push('\n');
-                            }
-                        }
-                    }
-                    other => {
-                        out.push_str(&format!("{key} = {}\n", toml_scalar(other)));
-                    }
-                }
-            }
-        }
-        out
     }
 }
 
@@ -448,67 +380,10 @@ fn set_dotted(root: &mut Value, path: &str, value: Value) -> Result<(), DbatErro
     Ok(())
 }
 
-/// Builder with validation at `build()`.
-#[derive(Clone, Debug, Default)]
-pub struct AppConfigBuilder {
-    cfg: AppConfig,
-}
-
-impl AppConfigBuilder {
-    pub fn sim(mut self, s: SimSection) -> Self {
-        self.cfg.sim = s;
-        self
-    }
-
-    pub fn gateway(mut self, g: GatewaySection) -> Self {
-        self.cfg.gateway = g;
-        self
-    }
-
-    pub fn classes(mut self, classes: Vec<ClassSpec>) -> Self {
-        self.cfg.classes = classes;
-        self
-    }
-
-    pub fn build(self) -> Result<AppConfig, DbatError> {
-        self.cfg.validate()?;
-        Ok(self.cfg)
-    }
-}
-
-fn emit_table(out: &mut String, m: &serde::Map) {
-    for (k, v) in m {
-        match v {
-            Value::Null => {} // omitted keys take their defaults on parse
-            Value::Object(_) => unreachable!("nested tables are not emitted"),
-            other => out.push_str(&format!("{k} = {}\n", toml_scalar(other))),
-        }
-    }
-}
-
-fn toml_scalar(v: &Value) -> String {
-    match v {
-        Value::Bool(b) => b.to_string(),
-        Value::Number(n) => {
-            if n.fract() == 0.0 && n.abs() < 9.007_199_254_740_992e15 {
-                format!("{}", *n as i64)
-            } else {
-                format!("{n}")
-            }
-        }
-        Value::String(s) => format!("{:?}", s),
-        Value::Array(items) => {
-            let inner: Vec<String> = items.iter().map(toml_scalar).collect();
-            format!("[{}]", inner.join(", "))
-        }
-        Value::Null | Value::Object(_) => unreachable!("not a TOML scalar"),
-    }
-}
-
 /// Parse the TOML subset the config surface uses into the serde `Value`
 /// model: `[section]` and `[a.b]` tables, `[[name]]` array-of-tables,
 /// `key = value` with string/bool/number/array values, `#` comments.
-pub fn parse_toml(s: &str) -> Result<Value, DbatError> {
+pub(crate) fn parse_toml(s: &str) -> Result<Value, DbatError> {
     let mut root = serde::Map::new();
     // Path of the table the current `key = value` lines land in; the final
     // `usize` is the index within an array-of-tables (usize::MAX = plain).
@@ -685,6 +560,10 @@ fn split_top_level(s: &str) -> Vec<String> {
 mod tests {
     use super::*;
 
+    fn from_toml(s: &str) -> Result<AppConfig, DbatError> {
+        AppConfig::from_value(&parse_toml(s)?)
+    }
+
     const SAMPLE: &str = r#"
 # multi-SLO experiment
 [sim]
@@ -709,7 +588,7 @@ slo = 0.5
 
     #[test]
     fn toml_sample_parses() {
-        let cfg = AppConfig::from_toml_str(SAMPLE).unwrap();
+        let cfg = from_toml(SAMPLE).unwrap();
         assert_eq!(cfg.sim.workload, "twitter");
         assert_eq!(cfg.sim.horizon_s, 600.0);
         // Missing keys take the documented defaults.
@@ -725,15 +604,15 @@ slo = 0.5
 
     #[test]
     fn empty_config_is_all_defaults() {
-        let cfg = AppConfig::from_toml_str("").unwrap();
+        let cfg = from_toml("").unwrap();
         assert_eq!(cfg, AppConfig::default());
         assert_eq!(cfg.request_classes(), vec![RequestClass::new(0, 0.1)]);
     }
 
     #[test]
     fn unknown_keys_rejected() {
-        assert!(AppConfig::from_toml_str("[sim]\nslo_target = 0.1\n").is_err());
-        assert!(AppConfig::from_toml_str("[simulation]\nslo = 0.1\n").is_err());
+        assert!(from_toml("[sim]\nslo_target = 0.1\n").is_err());
+        assert!(from_toml("[simulation]\nslo = 0.1\n").is_err());
     }
 
     /// No code reads a `[controller]` or `[faults]` section, so naming one
@@ -765,41 +644,15 @@ slo = 0.5
                 "faults",
             ),
         ] {
-            unknown(AppConfig::from_toml_str(toml), key);
+            unknown(from_toml(toml), key);
             unknown(AppConfig::from_args(a(&["--set", set])), key);
         }
     }
 
     #[test]
     fn invalid_values_rejected() {
-        assert!(AppConfig::from_toml_str("[sim]\nslo = -0.1\n").is_err());
-        assert!(AppConfig::from_toml_str("[[classes]]\nweight = 1.0\n").is_err());
-    }
-
-    #[test]
-    fn json_round_trip_identical() {
-        let cfg = AppConfig::from_toml_str(SAMPLE).unwrap();
-        let json = cfg.to_json_string();
-        let back = AppConfig::from_json_str(&json).unwrap();
-        assert_eq!(cfg, back);
-    }
-
-    #[test]
-    fn toml_round_trip_identical() {
-        let cfg = AppConfig::from_toml_str(SAMPLE).unwrap();
-        let toml = cfg.to_toml_string();
-        let back = AppConfig::from_toml_str(&toml).unwrap();
-        assert_eq!(cfg, back);
-    }
-
-    #[test]
-    fn builder_validates() {
-        assert!(AppConfig::builder().build().is_ok());
-        let bad = SimSection {
-            slo: 0.0,
-            ..SimSection::default()
-        };
-        assert!(AppConfig::builder().sim(bad).build().is_err());
+        assert!(from_toml("[sim]\nslo = -0.1\n").is_err());
+        assert!(from_toml("[[classes]]\nweight = 1.0\n").is_err());
     }
 
     #[test]
@@ -838,7 +691,7 @@ slo = 0.5
         assert_eq!(cfg.sim.slo, 0.08);
         assert_eq!(cfg.sim.workload, "azure");
         // --config file, then --set wins over the file.
-        let dir = std::env::temp_dir().join("dbat_from_args_test");
+        let dir = std::env::temp_dir().join(format!("dbat_from_args_test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("exp.toml");
         std::fs::write(&path, SAMPLE).unwrap();
@@ -849,6 +702,7 @@ slo = 0.5
             "gateway.workers=16",
         ]))
         .unwrap();
+        std::fs::remove_dir_all(&dir).ok();
         assert_eq!(cfg.sim.workload, "twitter"); // from the file
         assert_eq!(cfg.gateway.workers, 16); // flag beats file
                                              // Errors stay loud: bad path segment, type mismatch, bad value.
@@ -863,7 +717,7 @@ slo = 0.5
         let a = |xs: &[&str]| xs.iter().map(|s| s.to_string()).collect::<Vec<_>>();
         // A file that never mentions [gateway]; --set must create the
         // section on the way down, not die on the missing table.
-        let dir = std::env::temp_dir().join("dbat_set_absent_test");
+        let dir = std::env::temp_dir().join(format!("dbat_set_absent_test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("minimal.toml");
         std::fs::write(&path, "[sim]\nslo = 0.2\n").unwrap();
@@ -874,6 +728,7 @@ slo = 0.5
             "gateway.workers=16",
         ]))
         .unwrap();
+        std::fs::remove_dir_all(&dir).ok();
         assert_eq!(cfg.sim.slo, 0.2);
         assert_eq!(cfg.gateway.workers, 16);
         // The rest of the created section keeps its defaults.
@@ -921,7 +776,8 @@ slo = 0.5
         );
         // A path through an array (per-class overrides are unsupported)
         // fails instead of scribbling over the classes list.
-        let dir = std::env::temp_dir().join("dbat_set_malformed_test");
+        let dir =
+            std::env::temp_dir().join(format!("dbat_set_malformed_test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("classes.toml");
         std::fs::write(&path, "[[classes]]\nslo = 0.1\n").unwrap();
@@ -932,6 +788,7 @@ slo = 0.5
             "classes.0.slo=0.2",
         ]))
         .unwrap_err();
+        std::fs::remove_dir_all(&dir).ok();
         assert!(
             err.to_string().contains("not a table"),
             "unexpected error: {err}"

@@ -32,7 +32,7 @@ impl DbatError {
     }
 
     /// Shorthand used by parameter checks.
-    pub fn parameter(msg: impl Into<String>) -> Self {
+    pub(crate) fn parameter(msg: impl Into<String>) -> Self {
         DbatError::InvalidParameter(msg.into())
     }
 }

@@ -39,7 +39,10 @@ impl From<std::io::Error> for TraceIoError {
 /// Lines starting with `#` and a leading `timestamp` CSV header are
 /// skipped. The horizon is `max(timestamp) + mean interarrival` unless
 /// `horizon` is given.
-pub fn read_trace(path: impl AsRef<Path>, horizon: Option<f64>) -> Result<Trace, TraceIoError> {
+pub(crate) fn read_trace(
+    path: impl AsRef<Path>,
+    horizon: Option<f64>,
+) -> Result<Trace, TraceIoError> {
     let file = fs::File::open(path)?;
     let mut ts = Vec::new();
     for (i, line) in BufReader::new(file).lines().enumerate() {
@@ -108,46 +111,56 @@ pub fn read_trace_auto(path: impl AsRef<Path>) -> Result<Trace, TraceIoError> {
 mod tests {
     use super::*;
 
-    fn tmp(name: &str) -> std::path::PathBuf {
-        std::env::temp_dir().join("dbat_io_tests").join(name)
+    /// A directory of this test's own (pid + test name); the test removes
+    /// it when done.
+    fn tmp(test: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("dbat_io_{test}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
     }
 
     #[test]
     fn roundtrip_preserves_trace() {
         let tr = Trace::new(vec![0.5, 1.25, 7.0], 10.0);
-        let p = tmp("roundtrip.txt");
+        let dir = tmp("roundtrip");
+        let p = dir.join("trace.txt");
         write_trace(&tr, &p).unwrap();
         let back = read_trace_auto(&p).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
         assert_eq!(back.timestamps(), tr.timestamps());
         assert_eq!(back.horizon(), 10.0);
     }
 
     #[test]
     fn reads_csv_with_header_and_comments() {
-        let p = tmp("csv.txt");
-        std::fs::create_dir_all(p.parent().unwrap()).unwrap();
+        let dir = tmp("csv");
+        let p = dir.join("trace.csv");
         std::fs::write(&p, "timestamp,extra\n# comment\n1.0,a\n0.5,b\n\n2.5,c\n").unwrap();
         let tr = read_trace(&p, Some(5.0)).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
         assert_eq!(tr.timestamps(), &[0.5, 1.0, 2.5]);
         assert_eq!(tr.horizon(), 5.0);
     }
 
     #[test]
     fn default_horizon_extends_past_last_arrival() {
-        let p = tmp("h.txt");
-        std::fs::create_dir_all(p.parent().unwrap()).unwrap();
+        let dir = tmp("horizon");
+        let p = dir.join("trace.txt");
         std::fs::write(&p, "0.0\n1.0\n2.0\n").unwrap();
         let tr = read_trace(&p, None).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
         assert!(tr.horizon() > 2.0);
         assert_eq!(tr.len(), 3);
     }
 
     #[test]
     fn parse_error_reports_line() {
-        let p = tmp("bad.txt");
-        std::fs::create_dir_all(p.parent().unwrap()).unwrap();
+        let dir = tmp("bad");
+        let p = dir.join("trace.txt");
         std::fs::write(&p, "1.0\nnot-a-number\n").unwrap();
-        match read_trace(&p, None) {
+        let got = read_trace(&p, None);
+        std::fs::remove_dir_all(&dir).ok();
+        match got {
             Err(TraceIoError::Parse { line, .. }) => assert_eq!(line, 2),
             other => panic!("expected parse error, got {other:?}"),
         }
@@ -155,9 +168,11 @@ mod tests {
 
     #[test]
     fn empty_file_rejected() {
-        let p = tmp("empty.txt");
-        std::fs::create_dir_all(p.parent().unwrap()).unwrap();
+        let dir = tmp("empty");
+        let p = dir.join("trace.txt");
         std::fs::write(&p, "# nothing\n").unwrap();
-        assert!(matches!(read_trace(&p, None), Err(TraceIoError::Empty)));
+        let got = read_trace(&p, None);
+        std::fs::remove_dir_all(&dir).ok();
+        assert!(matches!(got, Err(TraceIoError::Empty)));
     }
 }

@@ -62,7 +62,7 @@ pub struct Map {
 
 impl Map {
     /// Construct and validate a MAP from its defining matrices.
-    pub fn new(d0: Mat, d1: Mat) -> Result<Self, MapError> {
+    pub(crate) fn new(d0: Mat, d1: Mat) -> Result<Self, MapError> {
         if !d0.is_square() || d0.rows() != d1.rows() || !d1.is_square() {
             return Err(MapError::ShapeMismatch);
         }
@@ -121,11 +121,6 @@ impl Map {
         &self.d1
     }
 
-    /// Stationary phase distribution of the CTMC (time-stationary).
-    pub fn phase_stationary(&self) -> &[f64] {
-        &self.phase_stationary
-    }
-
     /// Stationary phase distribution just after an arrival.
     pub fn embedded_stationary(&self) -> &[f64] {
         &self.embedded_stationary
@@ -144,7 +139,7 @@ impl Map {
 
     /// k-th raw moment of the stationary interarrival time:
     /// `E[X^k] = k! · φ (-D0)^{-k} 1`.
-    pub fn interarrival_moment(&self, k: u32) -> f64 {
+    pub(crate) fn interarrival_moment(&self, k: u32) -> f64 {
         let n = self.order();
         let neg_d0_inv = inverse(&self.d0.scale(-1.0)).expect("valid MAP");
         let mut v = self.embedded_stationary.clone();
@@ -154,11 +149,6 @@ impl Map {
             fact *= i as f64;
         }
         fact * v.iter().take(n).sum::<f64>()
-    }
-
-    /// Mean stationary interarrival time.
-    pub fn mean_interarrival(&self) -> f64 {
-        self.interarrival_moment(1)
     }
 
     /// Squared coefficient of variation of interarrival times.
@@ -206,32 +196,6 @@ impl Map {
             k += 1;
         }
         scv * (1.0 + 2.0 * acc)
-    }
-
-    /// Superposition of two independent MAPs: the combined stream of both
-    /// processes, as a MAP of order `n·m` (Kronecker-sum construction).
-    /// Rates are additive: `rate(a ⊕ b) = rate(a) + rate(b)`.
-    pub fn superpose(&self, other: &Map) -> Map {
-        let d0 = dbat_linalg::kron_sum(&self.d0, &other.d0);
-        let d1 = dbat_linalg::kron_sum(&self.d1, &other.d1);
-        // kron_sum(D1a, D1b) = D1a⊗I + I⊗D1b: exactly "either component
-        // emits", which is the superposed arrival matrix.
-        Map::new(d0, d1).expect("superposition of valid MAPs is valid")
-    }
-
-    /// Bernoulli thinning: keep each arrival independently with probability
-    /// `p`. Dropped arrivals become hidden transitions, so
-    /// `rate(thin(p)) = p · rate(self)` while the phase process is
-    /// unchanged.
-    pub fn thin(&self, p: f64) -> Map {
-        assert!(
-            (0.0..=1.0).contains(&p),
-            "thinning probability must be in [0,1]"
-        );
-        assert!(p > 0.0, "thinning to zero rate yields no arrival process");
-        let d1 = self.d1.scale(p);
-        let d0 = &self.d0 + &self.d1.scale(1.0 - p);
-        Map::new(d0, d1).expect("thinned MAP is valid")
     }
 
     /// Simulate arrival timestamps on `[t0, t0 + horizon)`, starting from the
@@ -285,7 +249,7 @@ mod tests {
     fn poisson_properties() {
         let m = Map::poisson(5.0);
         assert!((m.rate() - 5.0).abs() < 1e-12);
-        assert!((m.mean_interarrival() - 0.2).abs() < 1e-12);
+        assert!((m.interarrival_moment(1) - 0.2).abs() < 1e-12);
         assert!((m.scv() - 1.0).abs() < 1e-10);
         assert!(m.lag_correlation(1).abs() < 1e-10);
         assert!((m.idc() - 1.0).abs() < 1e-8);
@@ -309,7 +273,7 @@ mod tests {
     fn mmpp_rate_formula() {
         let m = mmpp2_example();
         // pi of Q = [[-0.5,0.5],[0.1,-0.1]] is (1/6, 5/6).
-        let pi = m.phase_stationary();
+        let pi = &m.phase_stationary;
         assert!((pi[0] - 1.0 / 6.0).abs() < 1e-10);
         let expect = (1.0 / 6.0) * 20.0 + (5.0 / 6.0) * 1.0;
         assert!((m.rate() - expect).abs() < 1e-10);
@@ -368,58 +332,6 @@ mod tests {
             (scv - analytic).abs() / analytic < 0.1,
             "empirical {scv} vs analytic {analytic}"
         );
-    }
-
-    #[test]
-    fn superpose_rates_add() {
-        let a = mmpp2_example();
-        let b = Map::poisson(7.0);
-        let s = a.superpose(&b);
-        assert_eq!(s.order(), 2);
-        assert!((s.rate() - (a.rate() + 7.0)).abs() / s.rate() < 1e-9);
-        // Superposing two Poissons is Poisson: scv 1, no correlation.
-        let pp = Map::poisson(3.0).superpose(&Map::poisson(5.0));
-        assert!((pp.rate() - 8.0).abs() < 1e-10);
-        assert!((pp.scv() - 1.0).abs() < 1e-8);
-        assert!(pp.lag_correlation(1).abs() < 1e-8);
-    }
-
-    #[test]
-    fn superpose_preserves_burstiness_direction() {
-        let bursty = mmpp2_example();
-        let s = bursty.superpose(&Map::poisson(1.0));
-        // Mixing in a small Poisson stream keeps overdispersion.
-        assert!(s.idc() > 1.5, "idc {}", s.idc());
-    }
-
-    #[test]
-    fn thinning_scales_rate_keeps_validity() {
-        let m = mmpp2_example();
-        let t = m.thin(0.3);
-        assert!((t.rate() - 0.3 * m.rate()).abs() / m.rate() < 1e-9);
-        // Thinning a Poisson stays Poisson.
-        let tp = Map::poisson(10.0).thin(0.5);
-        assert!((tp.scv() - 1.0).abs() < 1e-10);
-        assert!((tp.rate() - 5.0).abs() < 1e-10);
-    }
-
-    #[test]
-    fn thinned_simulation_matches_rate() {
-        let m = mmpp2_example().thin(0.4);
-        let mut rng = Rng::new(55);
-        let arr = m.simulate(&mut rng, 0.0, 4_000.0);
-        let emp = arr.len() as f64 / 4_000.0;
-        assert!(
-            (emp - m.rate()).abs() / m.rate() < 0.07,
-            "{emp} vs {}",
-            m.rate()
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "thinning probability")]
-    fn thin_rejects_bad_probability() {
-        mmpp2_example().thin(1.5);
     }
 
     #[test]

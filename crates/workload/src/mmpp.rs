@@ -18,9 +18,9 @@ pub struct Mmpp2 {
     /// Arrival rate in phase 2.
     pub r2: f64,
     /// Rate of leaving phase 1.
-    pub s1: f64,
+    pub(crate) s1: f64,
     /// Rate of leaving phase 2.
-    pub s2: f64,
+    pub(crate) s2: f64,
 }
 
 impl Mmpp2 {
@@ -30,7 +30,7 @@ impl Mmpp2 {
 
     /// Fallible constructor: rejects negative arrival rates and
     /// non-positive switching rates instead of panicking.
-    pub fn try_new(r1: f64, r2: f64, s1: f64, s2: f64) -> Result<Self, DbatError> {
+    pub(crate) fn try_new(r1: f64, r2: f64, s1: f64, s2: f64) -> Result<Self, DbatError> {
         if !(r1 >= 0.0 && r2 >= 0.0) {
             return Err(DbatError::parameter(format!(
                 "arrival rates must be non-negative (r1={r1}, r2={r2})"
@@ -50,7 +50,7 @@ impl Mmpp2 {
     }
 
     /// Long-run arrival rate.
-    pub fn rate(&self) -> f64 {
+    pub(crate) fn rate(&self) -> f64 {
         let p1 = self.p1();
         p1 * self.r1 + (1.0 - p1) * self.r2
     }
@@ -91,7 +91,12 @@ impl Mmpp2 {
 
     /// Fallible variant of [`Mmpp2::from_targets`] validating the target
     /// domain (`rate > 0`, `idc > 1`, `ratio > 1`, `p1 ∈ (0, 1)`).
-    pub fn try_from_targets(rate: f64, idc: f64, ratio: f64, p1: f64) -> Result<Self, DbatError> {
+    pub(crate) fn try_from_targets(
+        rate: f64,
+        idc: f64,
+        ratio: f64,
+        p1: f64,
+    ) -> Result<Self, DbatError> {
         if !(rate > 0.0 && idc > 1.0 && ratio > 1.0 && (0.0..1.0).contains(&p1) && p1 > 0.0) {
             return Err(DbatError::parameter(format!(
                 "targets out of domain: need rate > 0, idc > 1, ratio > 1, p1 in (0,1) \

@@ -8,7 +8,12 @@ use crate::trace::Trace;
 ///
 /// Uses thinning: candidates arrive at rate `rate_max` and are kept with
 /// probability `rate(t)/rate_max`. Panics (debug) if the bound is violated.
-pub fn nhpp<F: Fn(f64) -> f64>(rng: &mut Rng, rate: F, rate_max: f64, horizon: f64) -> Trace {
+pub(crate) fn nhpp<F: Fn(f64) -> f64>(
+    rng: &mut Rng,
+    rate: F,
+    rate_max: f64,
+    horizon: f64,
+) -> Trace {
     assert!(rate_max > 0.0, "rate_max must be positive");
     assert!(horizon > 0.0, "horizon must be positive");
     let mut t = 0.0;

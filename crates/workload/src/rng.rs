@@ -29,13 +29,8 @@ impl Rng {
         }
     }
 
-    /// Derive an independent child generator (for parallel fan-out).
-    pub fn split(&mut self) -> Rng {
-        Rng::new(self.next_u64())
-    }
-
     /// Next raw 64-bit output.
-    pub fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         let result = self.s[0]
             .wrapping_add(self.s[3])
             .rotate_left(23)
@@ -56,7 +51,7 @@ impl Rng {
     }
 
     /// Uniform in `[lo, hi)`.
-    pub fn uniform_in(&mut self, lo: f64, hi: f64) -> f64 {
+    pub(crate) fn uniform_in(&mut self, lo: f64, hi: f64) -> f64 {
         lo + (hi - lo) * self.uniform()
     }
 
@@ -82,7 +77,7 @@ impl Rng {
     }
 
     /// Normal with the given mean and standard deviation.
-    pub fn normal_with(&mut self, mean: f64, std: f64) -> f64 {
+    pub(crate) fn normal_with(&mut self, mean: f64, std: f64) -> f64 {
         mean + std * self.normal()
     }
 
@@ -92,7 +87,7 @@ impl Rng {
     }
 
     /// Sample an index from an unnormalised non-negative weight vector.
-    pub fn categorical(&mut self, weights: &[f64]) -> usize {
+    pub(crate) fn categorical(&mut self, weights: &[f64]) -> usize {
         let total: f64 = weights.iter().sum();
         debug_assert!(total > 0.0, "weights must have positive mass");
         let mut u = self.uniform() * total;
@@ -103,14 +98,6 @@ impl Rng {
             u -= w;
         }
         weights.len() - 1
-    }
-
-    /// Fisher–Yates shuffle.
-    pub fn shuffle<T>(&mut self, xs: &mut [T]) {
-        for i in (1..xs.len()).rev() {
-            let j = self.below(i + 1);
-            xs.swap(i, j);
-        }
     }
 }
 
@@ -194,23 +181,5 @@ mod tests {
         assert_eq!(counts[1], 0);
         let ratio = counts[2] as f64 / counts[0] as f64;
         assert!((ratio - 3.0).abs() < 0.3, "ratio {ratio}");
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut r = Rng::new(23);
-        let mut xs: Vec<u32> = (0..50).collect();
-        r.shuffle(&mut xs);
-        let mut sorted = xs.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn split_generates_independent_stream() {
-        let mut parent = Rng::new(31);
-        let mut child = parent.split();
-        // Streams should differ from each other and from the parent.
-        assert_ne!(parent.next_u64(), child.next_u64());
     }
 }

@@ -12,7 +12,7 @@ pub struct WindowStats {
     /// Mean of log-interarrivals (log-rate proxy).
     pub log_mean: f64,
     /// Standard deviation of log-interarrivals (burstiness proxy).
-    pub log_std: f64,
+    pub(crate) log_std: f64,
 }
 
 impl WindowStats {
@@ -171,25 +171,6 @@ pub fn interp_tracked_percentile(keys: &[f64], values: &[f64], p: f64) -> f64 {
     values[hi - 1] * (1.0 - w) + values[hi] * w
 }
 
-/// Mean absolute percentage error between predictions and ground truth,
-/// in percent. Pairs with `truth == 0` are skipped.
-pub fn mape(pred: &[f64], truth: &[f64]) -> f64 {
-    assert_eq!(pred.len(), truth.len(), "mape length mismatch");
-    let mut acc = 0.0;
-    let mut n = 0usize;
-    for (p, t) in pred.iter().zip(truth) {
-        if *t != 0.0 {
-            acc += ((p - t) / t).abs();
-            n += 1;
-        }
-    }
-    if n == 0 {
-        0.0
-    } else {
-        acc / n as f64 * 100.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -278,19 +259,6 @@ mod tests {
             assert!(v >= prev);
             prev = v;
         }
-    }
-
-    #[test]
-    fn mape_basic() {
-        let pred = [1.1, 1.9, 3.0];
-        let truth = [1.0, 2.0, 3.0];
-        let m = mape(&pred, &truth);
-        assert!((m - (10.0 + 5.0 + 0.0) / 3.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn mape_skips_zero_truth() {
-        assert_eq!(mape(&[1.0, 5.0], &[0.0, 5.0]), 0.0);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! This module layers token lengths onto existing arrival traces:
 //!
 //! * [`TokenSpec`] — one request's prompt/output token counts;
-//! * [`LognormalTokens`] / [`EmpiricalTokens`] — seeded samplers
+//! * [`LognormalTokens`] — a seeded sampler
 //!   (same seed ⇒ same specs, bit for bit);
 //! * [`TokenizedTrace`] — a [`Trace`] paired with per-request specs,
 //!   timestamps untouched (no rebasing, mirroring `ClassedTrace`), so
@@ -59,7 +59,7 @@ impl TokenSpec {
 
     /// The degenerate unit request: 1 prompt token, 1 output token.
     /// Used by the reduction proofs back to the token-blind simulator.
-    pub fn unit() -> Self {
+    pub(crate) fn unit() -> Self {
         TokenSpec {
             prompt_tokens: 1,
             output_tokens: 1,
@@ -80,16 +80,6 @@ impl TokenSlo {
     pub fn new(ttft_s: f64, tpot_s: f64) -> Self {
         TokenSlo { ttft_s, tpot_s }
     }
-
-    pub fn validate(&self) -> Result<(), DbatError> {
-        if !(self.ttft_s > 0.0 && self.ttft_s.is_finite()) {
-            return Err(DbatError::config("TTFT SLO must be finite and > 0"));
-        }
-        if !(self.tpot_s > 0.0 && self.tpot_s.is_finite()) {
-            return Err(DbatError::config("TPOT SLO must be finite and > 0"));
-        }
-        Ok(())
-    }
 }
 
 /// Lognormal prompt/output length sampler: `exp(N(mu, sigma))`, rounded
@@ -98,17 +88,17 @@ impl TokenSlo {
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct LognormalTokens {
     /// `ln`-space mean of the prompt length.
-    pub mu_prompt: f64,
-    pub sigma_prompt: f64,
+    pub(crate) mu_prompt: f64,
+    pub(crate) sigma_prompt: f64,
     /// `ln`-space mean of the output length.
-    pub mu_output: f64,
-    pub sigma_output: f64,
+    pub(crate) mu_output: f64,
+    pub(crate) sigma_output: f64,
     /// Hard cap on either count (context-window stand-in).
-    pub cap: u32,
+    pub(crate) cap: u32,
 }
 
 impl LognormalTokens {
-    pub fn new(
+    pub(crate) fn new(
         median_prompt: f64,
         sigma_prompt: f64,
         median_output: f64,
@@ -144,7 +134,7 @@ impl LognormalTokens {
         (x as u32).clamp(1, self.cap.max(1))
     }
 
-    pub fn sample(&self, rng: &mut Rng) -> TokenSpec {
+    pub(crate) fn sample(&self, rng: &mut Rng) -> TokenSpec {
         // Prompt first, then output: the draw order is part of the
         // determinism contract (same seed ⇒ same spec stream).
         let prompt = self.draw(rng, self.mu_prompt, self.sigma_prompt);
@@ -156,39 +146,16 @@ impl LognormalTokens {
     }
 }
 
-/// Empirical sampler: draws uniformly (with replacement) from a pool of
-/// observed `(prompt, output)` pairs, e.g. measured production lengths.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct EmpiricalTokens {
-    pub pool: Vec<TokenSpec>,
-}
-
-impl EmpiricalTokens {
-    pub fn new(pool: Vec<TokenSpec>) -> Result<Self, DbatError> {
-        if pool.is_empty() {
-            return Err(DbatError::config("empirical token pool must be non-empty"));
-        }
-        pool.iter().try_for_each(TokenSpec::validate)?;
-        Ok(EmpiricalTokens { pool })
-    }
-
-    pub fn sample(&self, rng: &mut Rng) -> TokenSpec {
-        self.pool[rng.below(self.pool.len())]
-    }
-}
-
-/// A token-length distribution: either parametric or empirical.
+/// A token-length distribution.
 #[derive(Clone, Debug, PartialEq)]
 pub enum TokenMix {
     Lognormal(LognormalTokens),
-    Empirical(EmpiricalTokens),
 }
 
 impl TokenMix {
-    pub fn sample(&self, rng: &mut Rng) -> TokenSpec {
+    pub(crate) fn sample(&self, rng: &mut Rng) -> TokenSpec {
         match self {
             TokenMix::Lognormal(l) => l.sample(rng),
-            TokenMix::Empirical(e) => e.sample(rng),
         }
     }
 }
@@ -204,20 +171,6 @@ pub struct TokenizedTrace {
 }
 
 impl TokenizedTrace {
-    /// Pair a trace with specs; errors when the lengths disagree or a
-    /// spec has a zero token count.
-    pub fn new(trace: Trace, specs: Vec<TokenSpec>) -> Result<Self, DbatError> {
-        if trace.len() != specs.len() {
-            return Err(DbatError::config(format!(
-                "spec count {} does not match trace length {}",
-                specs.len(),
-                trace.len()
-            )));
-        }
-        specs.iter().try_for_each(TokenSpec::validate)?;
-        Ok(TokenizedTrace { trace, specs })
-    }
-
     /// Draw one spec per arrival from a seeded stream (same seed ⇒ same
     /// specs), leaving the timestamps bit-identical.
     pub fn sample(trace: Trace, mix: &TokenMix, seed: u64) -> Self {
@@ -311,16 +264,6 @@ mod tests {
     }
 
     #[test]
-    fn empirical_sampler_draws_from_the_pool() {
-        let pool = vec![TokenSpec::new(10, 5), TokenSpec::new(20, 7)];
-        let emp = EmpiricalTokens::new(pool.clone()).unwrap();
-        let tr = trace(200);
-        let tt = TokenizedTrace::sample(tr, &TokenMix::Empirical(emp), 1);
-        assert!(tt.specs().iter().all(|s| pool.contains(s)));
-        assert!(EmpiricalTokens::new(vec![]).is_err());
-    }
-
-    #[test]
     fn index_ranges_by_time() {
         let tt = TokenizedTrace::degenerate(trace(100)); // arrivals at 0.00, 0.05, ..., 4.95
         assert_eq!(tt.index_range(1.0, 2.0), (20, 40));
@@ -333,7 +276,6 @@ mod tests {
         let tt = TokenizedTrace::degenerate(tr.clone());
         assert!(tt.specs().iter().all(|s| *s == TokenSpec::unit()));
         assert_eq!(TokenSpec::unit().total_tokens(), 2);
-        assert!(TokenizedTrace::new(tr, vec![TokenSpec::unit()]).is_err());
     }
 
     #[test]
@@ -345,13 +287,8 @@ mod tests {
             r#"{"prompt_tokens": 0, "output_tokens": 5}"#,
         ] {
             let spec: TokenSpec = serde_json::from_str(json).unwrap();
-            assert!(spec.validate().is_err());
-            let err = TokenizedTrace::new(trace(1), vec![spec]).unwrap_err();
+            let err = spec.validate().unwrap_err();
             assert!(matches!(err, DbatError::InvalidConfig(_)), "{err:?}");
-            assert!(EmpiricalTokens::new(vec![TokenSpec::unit(), spec]).is_err());
         }
-        assert!(TokenSlo::new(0.5, 0.05).validate().is_ok());
-        assert!(TokenSlo::new(0.0, 0.05).validate().is_err());
-        assert!(TokenSlo::new(0.5, f64::NAN).validate().is_err());
     }
 }

@@ -88,7 +88,7 @@ impl Trace {
     }
 
     /// Arrival counts in consecutive bins of width `bin` (covers the horizon).
-    pub fn counts(&self, bin: f64) -> Vec<usize> {
+    pub(crate) fn counts(&self, bin: f64) -> Vec<usize> {
         assert!(bin > 0.0);
         let nbins = (self.horizon / bin).ceil() as usize;
         let mut counts = vec![0usize; nbins.max(1)];
@@ -109,7 +109,7 @@ impl Trace {
 
     /// Concatenate another trace after this one (its timestamps shifted by
     /// this trace's horizon).
-    pub fn extend_with(&mut self, other: &Trace) {
+    pub(crate) fn extend_with(&mut self, other: &Trace) {
         let off = self.horizon;
         self.timestamps
             .extend(other.timestamps.iter().map(|t| t + off));

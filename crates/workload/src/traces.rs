@@ -25,7 +25,7 @@ use crate::trace::Trace;
 /// One hour, in seconds.
 pub const HOUR: f64 = 3_600.0;
 /// One day, in seconds — the default horizon of every generator.
-pub const DAY: f64 = 86_400.0;
+pub(crate) const DAY: f64 = 86_400.0;
 
 /// Piecewise-constant modulation factor driven by a two-state CTMC.
 #[derive(Clone, Debug)]
@@ -106,11 +106,6 @@ impl TraceKind {
             "synthetic" | "map" => Some(TraceKind::SyntheticMap),
             _ => None,
         }
-    }
-
-    /// Generate a full 24-hour trace.
-    pub fn generate(&self, seed: u64) -> Trace {
-        self.generate_for(seed, DAY)
     }
 
     /// Generate a trace over an arbitrary horizon (seconds). Shorter horizons
@@ -201,14 +196,14 @@ fn alibaba_like(rng: &mut Rng, horizon: f64) -> Trace {
 /// Parameters of one hourly MMPP(2) segment of the synthetic trace, exposed
 /// so experiments can report the ground-truth burstiness profile.
 #[derive(Clone, Copy, Debug)]
-pub struct SyntheticSegment {
-    pub hour: usize,
-    pub mmpp: Mmpp2,
+pub(crate) struct SyntheticSegment {
+    pub(crate) hour: usize,
+    pub(crate) mmpp: Mmpp2,
 }
 
 /// The deterministic per-hour MMPP parameters of the synthetic trace for a
 /// given seed (used by both the generator and the experiment reports).
-pub fn synthetic_segments(seed: u64, hours: usize) -> Vec<SyntheticSegment> {
+pub(crate) fn synthetic_segments(seed: u64, hours: usize) -> Vec<SyntheticSegment> {
     let mut rng = Rng::new(seed ^ 0x5E7_u64 ^ 0xFEED);
     (0..hours)
         .map(|hour| {

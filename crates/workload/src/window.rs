@@ -13,15 +13,15 @@ pub struct Window {
     /// Exactly `l` interarrival times (seconds), oldest first.
     pub interarrivals: Vec<f64>,
     /// Absolute time of the last arrival in the window.
-    pub end_time: f64,
+    pub(crate) end_time: f64,
     /// How many leading entries are padding rather than observed data.
-    pub padded: usize,
+    pub(crate) padded: usize,
 }
 
 /// Extract the window of the `l` interarrivals ending at the `k`-th arrival
 /// (0-based; requires `k >= 1`). Left-pads with the window's own mean
 /// interarrival (or `pad_default` when no data) if history is short.
-pub fn window_ending_at(trace: &Trace, k: usize, l: usize, pad_default: f64) -> Window {
+pub(crate) fn window_ending_at(trace: &Trace, k: usize, l: usize, pad_default: f64) -> Window {
     assert!(l >= 1, "window length must be >= 1");
     assert!(
         k >= 1 && k < trace.len(),
@@ -57,19 +57,6 @@ pub fn window_at_time(trace: &Trace, t: f64, l: usize, pad_default: f64) -> Opti
         return None;
     }
     Some(window_ending_at(trace, idx - 1, l, pad_default))
-}
-
-/// All non-overlapping-by-`stride` windows of length `l` over the trace:
-/// windows end at arrivals `l, l + stride, l + 2·stride, ...`.
-pub fn windows(trace: &Trace, l: usize, stride: usize) -> Vec<Window> {
-    assert!(stride >= 1);
-    let mut out = Vec::new();
-    let mut k = l;
-    while k < trace.len() {
-        out.push(window_ending_at(trace, k, l, 1.0));
-        k += stride;
-    }
-    out
 }
 
 /// Uniformly sample `count` full (unpadded) windows from the trace. Used for
@@ -124,14 +111,6 @@ mod tests {
     fn window_at_time_insufficient_history() {
         assert!(window_at_time(&trace(), 0.5, 4, 1.0).is_none());
         assert!(window_at_time(&Trace::new(vec![], 1.0), 0.5, 4, 1.0).is_none());
-    }
-
-    #[test]
-    fn windows_stride() {
-        let ws = windows(&trace(), 2, 2);
-        assert_eq!(ws.len(), 2);
-        assert_eq!(ws[0].interarrivals, vec![1.0, 2.0]);
-        assert_eq!(ws[1].interarrivals, vec![3.0, 4.0]);
     }
 
     #[test]

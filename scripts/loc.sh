@@ -2,7 +2,7 @@
 # The three sizes every simplicity PR compares between parent and change,
 # for the working tree:
 #   1. .rs lines over crates src examples tests vendor
-#   2. non-test lines (each file up to its first `#[cfg(test)]`) per crate's
+#   2. non-test lines (each file up to its `#[cfg(test)] mod`) per crate's
 #      src/, and for sim + serve (ROADMAP item 2's gate)
 #   3. `pub` items (fn/struct/enum/trait/type/const/static/mod/use lines
 #      outside tests) over crates src
@@ -11,10 +11,16 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# Lines of each file before its first `#[cfg(test)]`, concatenated.
+# Lines of each file before its first `#[cfg(test)]` module, concatenated.
+# A `#[cfg(test)]` on any other item (a test-only reference kept in place)
+# does not end the count.
 non_test() {
     find "$@" -name '*.rs' -print0 |
-        xargs -0 -r awk 'FNR == 1 { on = 1 } /#\[cfg\(test\)\]/ { on = 0 } on'
+        xargs -0 -r awk '
+            FNR == 1 { on = 1; held = 0 }
+            held { held = 0; if ($0 ~ /^[ \t]*mod /) on = 0; else if (on) print prev }
+            on && /#\[cfg\(test\)\]/ { held = 1; prev = $0; next }
+            on'
 }
 
 echo "rs_lines $(find crates src examples tests vendor -name '*.rs' -print0 | xargs -0 cat | wc -l)"

@@ -16,14 +16,14 @@
 //!
 //! | crate | contents |
 //! |---|---|
-//! | [`workload`] | MAP/MMPP arrival processes, the four synthetic evaluation traces, burstiness statistics (IDC/SCV/ACF), and the Workload Parser (`window_at_time`: the last `l` inter-arrivals observed so far) |
+//! | [`workload`] | MAP/MMPP arrival processes, the four synthetic evaluation traces, burstiness statistics (IDC/SCV/ACF), and the surrogate's input window (`window_at_time`: the last `l` inter-arrivals observed so far) |
 //! | [`sim`] | the Buffer (`BatcherCore`, the one §III-B window rule), the discrete-event batching simulator + AWS Lambda cost model that drive it (the ground-truth oracle), seeded fault injection, and the control loop: the [`prelude::Controller`] trait under [`prelude::run_controller`] |
 //! | [`linalg`] | dense matrices, LU, GTH, matrix exponentials (uniformization) |
 //! | [`analytic`] | the BATCH baseline: MAP fitting + matrix-analytic latency model + grid optimizer |
 //! | [`nn`] | tensors, reverse-mode autograd, Transformer layers, Adam |
 //! | [`core`] | DeepBAT itself: the Transformer surrogate, training/fine-tuning, the 2-step optimizer, and [`prelude::DeepBatController`] |
 //! | [`serve`] | live threaded batching gateway: bounded admission, deadline batching, worker pool, hot controller reconfiguration, and a virtual-clock replay bitwise-equivalent to the simulator |
-//! | [`telemetry`] | observability: counters/gauges/histograms, spans, JSONL event sinks, causal request tracing with a flight recorder, a pull-based Prometheus/JSON exporter, and an SLO error-budget (burn-rate) monitor |
+//! | [`telemetry`] | observability: counters/gauges/histograms, JSONL event sinks, causal request tracing with a flight recorder, and a pull-based Prometheus/JSON exporter |
 //!
 //! ## Quickstart
 //!
@@ -100,31 +100,26 @@ pub use dbat_workload as workload;
 
 /// The commonly used names in one import.
 pub mod prelude {
-    pub use dbat_analytic::{fit_map, optimize_from_interarrivals, BatchController, BatchModel};
+    pub use dbat_analytic::{fit_map, BatchModel};
     pub use dbat_core::{
         estimate_gamma, fine_tune, generate_dataset, train, DeepBatController, DeepBatOptimizer,
-        GracefulController, HealthMonitor, Surrogate, SurrogateConfig, TrainConfig,
+        GracefulController, Surrogate, SurrogateConfig, TrainConfig,
     };
-    pub use dbat_nn::{Module, Tensor};
+    pub use dbat_nn::Module;
     pub use dbat_serve::{
         drive_classed, Admission, BackpressurePolicy, Clock, DrainMode, Gateway, GatewayConfig,
-        InferenceBackend, ProfiledBackend, Request, ScriptedController, ServeOutcome, VirtualClock,
-        VirtualGateway, WallClock,
+        InferenceBackend, ProfiledBackend, Request, ScriptedController, VirtualGateway, WallClock,
     };
     pub use dbat_sim::{
         joint_decide, run_controller, simulate_batching, simulate_batching_multi, simulate_faults,
-        simulate_faults_multi, single_config_baseline, vcr_of, ClassAssignment, ConfigGrid,
-        Controller, DecisionContext, DecisionRecord, FaultPlan, FaultPlanBuilder, FunctionGroup,
-        GroupScore, GroupScorer, IntervalMeasurement, JointDecision, LambdaConfig, LatencySummary,
-        OracleController, OracleGroupScorer, Pricing, RunOutcome, ServiceProfile, SimConfig,
+        simulate_faults_multi, ConfigGrid, Controller, DecisionContext, DecisionRecord, FaultPlan,
+        FunctionGroup, IntervalMeasurement, LambdaConfig, OracleGroupScorer, RunOutcome, SimConfig,
         SimOutcome, SimParams, StaticController,
     };
     pub use dbat_telemetry::{
-        global as telemetry, global_arc, BurnRate, BurnRateConfig, JsonlSink, MemorySink,
-        MetricsExporter, Telemetry, TraceEvent, TraceStage,
+        global as telemetry, global_arc, MetricsExporter, Telemetry, TraceEvent, TraceStage,
     };
     pub use dbat_workload::{
-        AppConfig, ClassId, ClassedTrace, DbatError, Map, Mmpp2, RequestClass, Rng, Trace,
-        TraceKind, Window, DAY, HOUR,
+        AppConfig, ClassedTrace, Map, Mmpp2, RequestClass, Rng, Trace, TraceKind, HOUR,
     };
 }

@@ -133,7 +133,7 @@ fn checkpoint_roundtrip_through_optimizer() {
         },
         33,
     );
-    let dir = std::env::temp_dir().join("deepbat_integration_ckpt");
+    let dir = std::env::temp_dir().join(format!("deepbat_integration_ckpt-{}", std::process::id()));
     let path = dir.join("m.json");
     model.save(&path).unwrap();
     let loaded = Surrogate::load(&path).unwrap();

@@ -21,7 +21,7 @@ fn trace() -> Trace {
 fn online_controller_audit_trail() {
     let tel = deepbat::telemetry::global();
     let mem = Arc::new(MemorySink::new());
-    let dir = std::env::temp_dir().join("deepbat-telemetry-it");
+    let dir = std::env::temp_dir().join(format!("deepbat-telemetry-it-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let jsonl_path = dir.join("decisions.jsonl");
     let jsonl = Arc::new(JsonlSink::create(&jsonl_path).unwrap());
@@ -216,5 +216,5 @@ fn online_controller_audit_trail() {
         }
     }
 
-    std::fs::remove_file(&jsonl_path).ok();
+    std::fs::remove_dir_all(&dir).ok();
 }
