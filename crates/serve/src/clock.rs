@@ -2,23 +2,18 @@
 //!
 //! Every timestamp the gateway reads — arrival stamps, batch deadlines,
 //! service sleeps, decision boundaries — flows through the [`Clock`]
-//! trait, in *virtual seconds*. Two implementations cover the two ways
-//! the gateway runs:
-//!
-//! * [`WallClock`] — live serving. Virtual time is real elapsed time
-//!   multiplied by a configurable `scale` (speedup), so a 24-hour trace
-//!   can be replayed in minutes with every timeout, service time and
-//!   decision interval compressed consistently.
-//! * [`VirtualClock`] — deterministic replay. Time only moves when the
-//!   (single-threaded) replay loop advances it, which is what lets a
-//!   gateway replay reproduce the discrete-event simulator bit for bit
-//!   (see `replay`).
+//! trait, in *virtual seconds*. [`WallClock`] is the live implementation:
+//! virtual time is real elapsed time multiplied by a configurable `scale`
+//! (speedup), so a 24-hour trace can be replayed in minutes with every
+//! timeout, service time and decision interval compressed consistently.
+//! The deterministic replay (see `replay`) needs no clock: it runs the
+//! offline window walk, whose stamps are the arrivals and deadlines
+//! themselves.
 //!
 //! Live sleeps and timed parks are only as punctual as the kernel's
 //! timers: `precise_timers` is what each serving thread calls so they
 //! are.
 
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Longest real duration ever returned by [`Clock::real_duration_until`]
@@ -62,7 +57,6 @@ pub trait Clock: Send + Sync {
     fn now(&self) -> f64;
 
     /// Block the caller until `now() >= deadline` (virtual seconds).
-    /// The virtual replay clock advances itself instead of blocking.
     fn sleep_until(&self, deadline: f64);
 
     /// Block for `duration_s` virtual seconds from now.
@@ -141,59 +135,9 @@ impl Clock for WallClock {
     }
 }
 
-/// Manually advanced time for the deterministic single-threaded replay
-/// loop. `sleep_until` *advances* the clock instead of blocking, so the
-/// replay driver is the only thing that moves time. Not meant for the
-/// threaded gateway: concurrent sleepers would race each other forward.
-#[derive(Debug, Default)]
-pub(crate) struct VirtualClock {
-    now: Mutex<f64>,
-}
-
-impl VirtualClock {
-    pub(crate) fn new() -> Self {
-        VirtualClock::default()
-    }
-
-    /// Move time forward to `t` (no-op if `t` is in the past).
-    pub(crate) fn advance_to(&self, t: f64) {
-        let mut now = self.now.lock().unwrap();
-        if t > *now {
-            *now = t;
-        }
-    }
-}
-
-impl Clock for VirtualClock {
-    fn now(&self) -> f64 {
-        *self.now.lock().unwrap()
-    }
-
-    fn sleep_until(&self, deadline: f64) {
-        self.advance_to(deadline);
-    }
-
-    fn real_duration_until(&self, _deadline: f64) -> Duration {
-        Duration::ZERO
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn virtual_clock_advances_monotonically() {
-        let c = VirtualClock::new();
-        assert_eq!(c.now(), 0.0);
-        c.advance_to(5.0);
-        assert_eq!(c.now(), 5.0);
-        c.advance_to(3.0); // past: ignored
-        assert_eq!(c.now(), 5.0);
-        c.sleep(2.0);
-        assert_eq!(c.now(), 7.0);
-        assert_eq!(c.real_duration_until(100.0), Duration::ZERO);
-    }
 
     #[test]
     fn wall_clock_scales_time() {

@@ -482,8 +482,8 @@ struct ServeTel {
     batch_size: Arc<Histogram>,
     latency: Arc<Histogram>,
     /// Worker execute duration in clock (virtual) seconds — replaces the
-    /// old wall-time `serve.execute` span so summaries are deterministic
-    /// under `VirtualClock`.
+    /// old wall-time `serve.execute` span so summaries follow the
+    /// gateway clock, not the host.
     execute: Arc<Histogram>,
 }
 
@@ -1138,7 +1138,7 @@ fn worker_loop(shared: &Shared, home: usize) {
         let plan = shared.backend.plan(&fb.config, size);
         // Execute time is measured on the gateway clock (virtual
         // seconds), not wall time, so the `span.serve.execute`
-        // histogram is deterministic under `VirtualClock`.
+        // histogram is in the same units as every other stamp.
         let exec_started = shared.clock.now();
         shared.backend.execute(shared.clock.as_ref(), &plan, &fb);
         let completed_at = shared.clock.now();
@@ -1308,7 +1308,7 @@ fn control_loop(
         if let Some(tel) = &shared.tel {
             tel.reconfig.inc();
             // Stamped at the decision boundary on the gateway clock, so
-            // the event stream is deterministic under `VirtualClock`.
+            // the event lines up with the requests' own stamps.
             shared.cfg.telemetry.emit_at(
                 "serve.reconfig",
                 boundary,

@@ -16,9 +16,8 @@
 //!                                                 pool · InferenceBackend
 //! ```
 //!
-//! * [`Clock`] — the trait all gateway time flows through: [`WallClock`]
-//!   (live, optionally time-scaled) and a virtual clock (deterministic
-//!   replay).
+//! * [`Clock`] — the trait all live gateway time flows through;
+//!   [`WallClock`] is real time, optionally scaled.
 //! * [`BatcherCore`] — the pure `(M, B, T)` window state machine. It
 //!   lives in [`dbat_sim::window`], where the simulators drive it too, and
 //!   is re-exported here; hot reconfiguration seals windows, never splits
@@ -34,11 +33,11 @@
 //!   [`dbat_sim::FunctionGroup`]s and `submit` routes each [`Request`] to
 //!   the lane serving its class, with per-class `serve.class.<i>.*`
 //!   telemetry.
-//! * [`VirtualGateway`] — the same core and backend under one
-//!   single-threaded discrete-event loop (the closed-loop replay is the
-//!   fixed one plus decision boundaries), **bitwise-equivalent** to
-//!   [`dbat_sim::simulate_batching`] under the profiled backend
-//!   (any lane count; `lanes = 1` is the anchored configuration).
+//! * [`VirtualGateway`] — the same core and the profiled backend's
+//!   arithmetic run as `dbat_sim`'s one offline window walk (the
+//!   closed-loop replay is the fixed one plus decision boundaries), so it
+//!   is **bitwise-equivalent** to [`dbat_sim::simulate_batching`]; it has
+//!   one batcher core (no lanes).
 //! * [`drive`] — open-loop trace replay against a live gateway, plus
 //!   a multi-producer flat-out driver for the concurrency tests.
 //! * [`ScriptedController`] — a controller replaying a fixed
@@ -48,7 +47,8 @@
 //! Telemetry: live runs emit `serve.*` metrics (admission counters,
 //! queue-depth gauge, flush-reason counters, reconfig events, per-batch
 //! execution spans) through `dbat-telemetry` when enabled; the
-//! deterministic replay is unsampled by design.
+//! deterministic replay emits none of them (its window walk counts the
+//! `sim.*` walk metrics, as every simulator does).
 
 mod backend;
 mod clock;

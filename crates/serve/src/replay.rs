@@ -1,70 +1,51 @@
-//! Deterministic virtual-clock replay: the gateway run as a
-//! single-threaded discrete-event loop.
+//! Deterministic replay: the gateway's batching and serving arithmetic
+//! run as the one offline window walk.
 //!
-//! [`VirtualGateway`] drives the *same* window core ([`BatcherCore`]) and
-//! backend the threaded gateway uses, but over
-//! [`dbat_sim::engine::Scheduler`] with a [`VirtualClock`], so every stamp
-//! is an exact event time. With the default [`ProfiledBackend`] this makes
-//! a replay **bitwise-equivalent** to [`dbat_sim::simulate_batching`]
-//! (cold starts off): identical per-request dispatch/completion/latency
-//! floats and identical per-invocation costs, accumulated in the same
-//! dispatch order. The window stamps agree by construction — both sides
-//! drive one core, which stamps timeout flushes at the window deadline —
-//! and [`ProfiledBackend::plan`] is the simulator's service/cost
-//! arithmetic, applied to the same `(M, b)` pairs.
+//! [`VirtualGateway`] forms windows with [`walk_windows`] — the walk over
+//! the same window core ([`dbat_sim::BatcherCore`]) that every simulator
+//! drives — and plans each batch with the gateway's [`ProfiledBackend`],
+//! so every stamp is exact. This makes a replay **bitwise-equivalent** to
+//! [`dbat_sim::simulate_batching`]: identical per-request
+//! dispatch/completion/latency floats and identical per-invocation costs,
+//! accumulated in the same dispatch order. The window stamps agree by
+//! construction — both sides run the one walk — and
+//! [`ProfiledBackend::plan`] is the simulator's service/cost arithmetic,
+//! applied to the same `(M, b)` pairs.
 //!
-//! The two public replays (`replay`, `replay_controlled`) are one event
-//! loop; the controlled one additionally schedules decision boundaries.
-//! Boundaries are scheduled *before* arrivals, so a request at exactly an
-//! interval boundary arrives under the new configuration — the half-open
+//! The two public replays (`replay`, `replay_controlled`) are one walk;
+//! the controlled one adds the walk's decision boundaries, at which
+//! [`ControlLoop`] runs the closed loop. A boundary comes before an
+//! arrival at the same instant, so a request at exactly an interval
+//! boundary arrives under the new configuration — the half-open
 //! `[start, end)` convention of the offline driver.
 
 use crate::backend::{BatchPlan, InferenceBackend, ProfiledBackend};
-use crate::clock::VirtualClock;
 use crate::gateway::{push_admission_trace, push_batch_trace};
 use crate::outcome::{ServeCounts, ServeOutcome, ServedBatch, ServedRequest};
-use dbat_sim::engine::Scheduler;
+use dbat_sim::window::walk_windows;
 use dbat_sim::{
-    Admitted, BatcherCore, Controller, DecisionContext, DecisionRecord, Feedback, FormedBatch,
-    IntervalMeasurement, LambdaConfig, LatencySummary, SimConfig, SimParams,
+    Controller, DecisionContext, DecisionRecord, Feedback, FormedBatch, IntervalMeasurement,
+    LambdaConfig, LatencySummary, SimConfig, SimParams,
 };
-use dbat_telemetry::{Telemetry, TraceEvent};
+use dbat_telemetry::{Telemetry, TraceEvent, Tracer};
 use dbat_workload::Trace;
 use std::sync::Arc;
 use std::time::Instant;
 
-enum Event {
-    /// Decision boundary `k` (controlled runs). Scheduled first, so it
-    /// wins FIFO ties against arrivals at the same instant.
-    Boundary(usize),
-    /// Arrival of relative request id `i`.
-    Arrival(usize),
-    /// Lane `l`'s batch-window deadline may have matured.
-    Deadline(usize),
-}
-
 /// The gateway, replayed deterministically.
 pub struct VirtualGateway {
-    clock: VirtualClock,
-    backend: Box<dyn InferenceBackend>,
+    backend: ProfiledBackend,
     tel: Arc<Telemetry>,
-    lanes: usize,
 }
 
 impl VirtualGateway {
-    pub(crate) fn new(backend: Box<dyn InferenceBackend>) -> Self {
-        VirtualGateway {
-            clock: VirtualClock::new(),
-            backend,
-            tel: dbat_telemetry::global_arc(),
-            lanes: 1,
-        }
-    }
-
     /// A gateway whose backend plans with exactly the simulator's
     /// profile and pricing — the bitwise-equivalent configuration.
     pub fn from_params(params: &SimParams) -> Self {
-        VirtualGateway::new(Box::new(ProfiledBackend::from_params(params)))
+        VirtualGateway {
+            backend: ProfiledBackend::from_params(params),
+            tel: dbat_telemetry::global_arc(),
+        }
     }
 
     /// Report to (and trace into) `tel` instead of the process-global
@@ -75,31 +56,10 @@ impl VirtualGateway {
         self
     }
 
-    /// Replay through `n` batcher lanes (requests round-robin by id,
-    /// `id % n`, mirroring the threaded gateway's round-robin submit).
-    /// Each lane runs its own [`BatcherCore`], all driven by the one
-    /// discrete-event loop, so the replay stays single-threaded and
-    /// deterministic at any lane count. With `n = 1` the event sequence
-    /// is exactly the unsharded one — the bitwise equivalence to
-    /// [`dbat_sim::simulate_batching`] is unchanged.
-    pub fn with_lanes(mut self, n: usize) -> Self {
-        assert!(n >= 1, "need at least one lane");
-        self.lanes = n;
-        self
-    }
-
-    /// One core per lane, all under `config`.
-    fn lane_cores(&self, config: LambdaConfig) -> Vec<BatcherCore> {
-        (0..self.lanes)
-            .map(|l| BatcherCore::for_lane(config, l as u32))
-            .collect()
-    }
-
     /// Replay a fixed configuration over a sorted, non-negative arrival
     /// sequence. Mirrors `simulate_batching(arrivals, config, ..)`.
     pub fn replay(&mut self, arrivals: &[f64], config: &LambdaConfig) -> ServeOutcome {
-        let cores = self.lane_cores(*config);
-        self.run(arrivals, cores, None)
+        self.run(arrivals, config, None)
     }
 
     /// Replay a closed-loop controller over `[t0, t1)` of the trace:
@@ -127,20 +87,19 @@ impl VirtualGateway {
         );
         assert!(t0 >= 0.0 && t1 >= t0, "need 0 <= t0 <= t1");
         let control = ControlLoop::new(ctl, trace, t0, t1, opts);
-        // The pre-boundary core config is irrelevant: Boundary(0) pops
-        // before any arrival and rotates to the first decision.
-        let cores = self.lane_cores(LambdaConfig::new(512, 1, 0.0));
-        self.run(trace.slice_raw(t0, t1), cores, Some(control))
+        // The pre-boundary config is irrelevant: boundary 0 comes before
+        // any arrival and rotates to the first decision.
+        let initial = LambdaConfig::new(512, 1, 0.0);
+        self.run(trace.slice_raw(t0, t1), &initial, Some(control))
     }
 
-    /// The event loop behind both replays: arrival `i` goes to lane
-    /// `i % lanes`; `control`, when present, schedules its decision
-    /// boundaries and runs the closed loop at them.
+    /// The walk behind both replays; `control`, when present, supplies
+    /// the decision boundaries and runs the closed loop at them.
     fn run(
         &mut self,
         arrivals: &[f64],
-        mut cores: Vec<BatcherCore>,
-        mut control: Option<ControlLoop<'_>>,
+        config: &LambdaConfig,
+        control: Option<ControlLoop<'_>>,
     ) -> ServeOutcome {
         assert!(
             arrivals.windows(2).all(|w| w[0] <= w[1]),
@@ -150,82 +109,41 @@ impl VirtualGateway {
             arrivals.first().is_none_or(|&a| a >= 0.0),
             "arrivals must be non-negative"
         );
-        let mut sched: Scheduler<Event> = Scheduler::new();
-        // Boundaries first: lowest sequence numbers win ties at t == start.
-        // Arrivals next and deadlines as they arise, so at equal times an
-        // arrival pops before a deadline and joins the window.
-        for (k, &(start, _)) in control.iter().flat_map(|c| &c.intervals).enumerate() {
-            sched.schedule(start, Event::Boundary(k));
-        }
-        for (i, &a) in arrivals.iter().enumerate() {
-            sched.schedule(a, Event::Arrival(i));
-        }
-        let mut state = ReplayState::new(arrivals.len());
-        let mut formed: Vec<FormedBatch> = Vec::new();
-        // Tracing stages into a plain local Vec — the replay loop is
-        // single-threaded, so per-event locks would be pure overhead —
-        // and submits bounded chunks through one lock each.
+        let boundaries: Vec<f64> = control
+            .iter()
+            .flat_map(|c| &c.intervals)
+            .map(|&(start, _)| start)
+            .collect();
         let tracer = self.tel.tracer();
-        let trace_on = tracer.is_active();
-        let mut trace_buf: Vec<TraceEvent> = Vec::new();
-        while let Some((t, ev)) = sched.pop() {
-            self.clock.advance_to(t);
-            // Lanes whose core this event touched (and whose deadline
-            // must therefore be re-scheduled): all of them at a
-            // boundary, exactly one otherwise.
-            let touched = match ev {
-                Event::Boundary(k) => {
-                    let control = control.as_mut().expect("only control schedules boundaries");
-                    let config = control.decide(k, &state.requests);
-                    // Broadcast: every lane rotates at the boundary,
-                    // exactly like the threaded gateway's reconfig fan-out.
-                    for core in &mut cores {
-                        core.rotate(config);
-                    }
-                    0..cores.len()
-                }
-                Event::Arrival(i) => {
-                    let lane = i % cores.len();
-                    if trace_on {
-                        push_admission_trace(&mut trace_buf, i as u64, t, lane as u32);
-                    }
-                    let req = Admitted {
-                        id: i as u64,
-                        arrival: t,
-                        class: 0,
-                    };
-                    cores[lane].on_arrival(req, &mut formed);
-                    lane..lane + 1
-                }
-                Event::Deadline(l) => {
-                    cores[l].due(t, &mut formed);
-                    l..l + 1
-                }
-            };
-            for fb in formed.drain(..) {
-                let plan = self.backend.plan(&fb.config, fb.requests.len() as u32);
-                state.settle(&fb, &plan, trace_on.then_some(&mut trace_buf));
-                if let Some(control) = control.as_mut() {
-                    control.on_batch(&fb, &plan);
-                }
-            }
-            if trace_buf.len() >= TRACE_CHUNK {
-                tracer.record_many(&trace_buf);
-                trace_buf.clear();
-            }
-            for l in touched {
-                if let Some(d) = cores[l].next_deadline() {
-                    sched.schedule(d, Event::Deadline(l));
-                }
-            }
-        }
-        tracer.record_many(&trace_buf);
-        debug_assert!(
-            cores.iter().all(|c| c.is_idle()),
-            "all requests must be dispatched"
+        let mut state = ReplayState {
+            requests: vec![None; arrivals.len()],
+            batches: Vec::new(),
+            total_cost: 0.0,
+            control,
+            // Tracing stages into a plain local Vec — the replay is
+            // single-threaded, so per-event locks would be pure overhead —
+            // and submits bounded chunks through one lock each.
+            trace_buf: tracer.is_active().then(Vec::new),
+        };
+        let backend = self.backend;
+        walk_windows(
+            arrivals.iter().copied().enumerate(),
+            config,
+            &boundaries,
+            &mut state,
+            |state, k| {
+                let control = state.control.as_mut().expect("only control has boundaries");
+                control.decide(k, &state.requests)
+            },
+            |state, fb| {
+                let plan = backend.plan(&fb.config, fb.requests.len() as u32);
+                state.settle(&fb, &plan, tracer);
+            },
         );
-        let feedback = control.map_or_else(Feedback::default, |c| c.finish(&state.requests));
-        state.into_outcome(feedback)
+        if let Some(buf) = &state.trace_buf {
+            tracer.record_many(buf);
+        }
+        state.into_outcome()
     }
 }
 
@@ -233,37 +151,35 @@ impl VirtualGateway {
 /// bounding the replay's local buffer when only the flight ring is armed.
 const TRACE_CHUNK: usize = 16 * 1024;
 
-/// Shared bookkeeping of a replay run.
-struct ReplayState {
+/// Everything a replay accumulates as the walk hands out batches.
+struct ReplayState<'a> {
     requests: Vec<Option<ServedRequest>>,
     batches: Vec<ServedBatch>,
     total_cost: f64,
+    control: Option<ControlLoop<'a>>,
+    /// Trace events not yet submitted, when the tracer is armed.
+    trace_buf: Option<Vec<TraceEvent>>,
 }
 
-impl ReplayState {
-    fn new(n: usize) -> Self {
-        ReplayState {
-            requests: vec![None; n],
-            batches: Vec::new(),
-            total_cost: 0.0,
-        }
-    }
-
+impl ReplayState<'_> {
     /// Settle one freshly formed, planned batch: stamp completions and
     /// accumulate cost in dispatch order, the simulator's fold. The
     /// replay never calls `execute` — each invocation runs on its own
     /// autoscaled instance, so completion is dispatch + planned service.
-    fn settle(
-        &mut self,
-        fb: &FormedBatch,
-        plan: &BatchPlan,
-        trace_buf: Option<&mut Vec<TraceEvent>>,
-    ) {
+    fn settle(&mut self, fb: &FormedBatch, plan: &BatchPlan, tracer: &Tracer) {
         let completed_at = fb.dispatched_at + plan.service_s;
         let batch_idx = self.batches.len();
-        if let Some(buf) = trace_buf {
-            // One homogeneous pool: group 0 at any lane count.
+        if let Some(buf) = &mut self.trace_buf {
+            // Admission is staged with its batch, as the live worker does;
+            // every event carries its own stamp.
+            for r in &fb.requests {
+                push_admission_trace(buf, r.id, r.arrival, fb.lane);
+            }
             push_batch_trace(buf, fb, batch_idx as u64, completed_at, 0);
+            if buf.len() >= TRACE_CHUNK {
+                tracer.record_many(buf);
+                buf.clear();
+            }
         }
         self.batches.push(ServedBatch {
             opened_at: fb.opened_at,
@@ -290,10 +206,16 @@ impl ReplayState {
                 class: r.class,
             });
         }
+        if let Some(control) = &mut self.control {
+            control.on_batch(fb, plan);
+        }
     }
 
-    fn into_outcome(self, feedback: Feedback) -> ServeOutcome {
+    fn into_outcome(self) -> ServeOutcome {
         let n = self.requests.len() as u64;
+        let feedback = self
+            .control
+            .map_or_else(Feedback::default, |c| c.finish(&self.requests));
         let requests: Vec<ServedRequest> = self
             .requests
             .into_iter()

@@ -1,9 +1,9 @@
-//! A small discrete-event simulation core: a time-ordered event queue with
-//! deterministic FIFO tie-breaking and a driver loop.
+//! A small future-event list: a time-ordered event queue with
+//! deterministic FIFO tie-breaking.
 //!
-//! The fault simulator and `dbat-serve`'s virtual replay run on it, each
-//! with its own event type. (Plain `simulate_batching` needs no queue: the
-//! window core flushes timeouts as the arrival walk passes them.)
+//! Only the fault simulator's service stage runs on it (attempt ends and
+//! retries). Window formation needs no queue: the window walk flushes
+//! timeouts as it passes them.
 
 use dbat_telemetry::Counter;
 use std::cmp::Ordering;
@@ -39,8 +39,8 @@ impl<E> Ord for Entry<E> {
 }
 
 /// A future-event list. Time never goes backwards: scheduling an event
-/// before the current simulation time panics (debug) / clamps (release).
-pub struct Scheduler<E> {
+/// before the last popped time panics (debug) / clamps (release).
+pub(crate) struct Scheduler<E> {
     heap: BinaryHeap<Entry<E>>,
     seq: u64,
     now: f64,
@@ -49,24 +49,20 @@ pub struct Scheduler<E> {
     clamped: Option<Arc<Counter>>,
 }
 
-impl<E> Default for Scheduler<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl<E> Scheduler<E> {
-    pub fn new() -> Self {
+    /// An empty queue with no past: any finite time may be scheduled
+    /// until the first pop.
+    pub(crate) fn new() -> Self {
         Scheduler {
             heap: BinaryHeap::new(),
             seq: 0,
-            now: 0.0,
+            now: f64::NEG_INFINITY,
             clamped: dbat_telemetry::global().counter_if_enabled("sim.clamped_events"),
         }
     }
 
     /// Schedule `event` at absolute time `t`.
-    pub fn schedule(&mut self, t: f64, event: E) {
+    pub(crate) fn schedule(&mut self, t: f64, event: E) {
         debug_assert!(t.is_finite(), "event time must be finite");
         debug_assert!(
             t >= self.now,
@@ -90,20 +86,20 @@ impl<E> Scheduler<E> {
     }
 
     /// Pop the earliest event, advancing the clock.
-    pub fn pop(&mut self) -> Option<(f64, E)> {
+    pub(crate) fn pop(&mut self) -> Option<(f64, E)> {
         self.heap.pop().map(|e| {
             self.now = e.time;
             (e.time, e.event)
         })
     }
-}
 
-/// Drain the scheduler, invoking `handler` on each event in time order.
-/// The handler may schedule further events.
-pub(crate) fn run<E>(sched: &mut Scheduler<E>, mut handler: impl FnMut(f64, E, &mut Scheduler<E>)) {
-    while let Some((t, ev)) = sched.pop() {
-        // Temporarily move the event out so the handler can schedule freely.
-        handler(t, ev, sched);
+    /// Pop the earliest event if it falls strictly before `bound`.
+    pub(crate) fn pop_before(&mut self, bound: f64) -> Option<(f64, E)> {
+        if self.heap.peek()?.time < bound {
+            self.pop()
+        } else {
+            None
+        }
     }
 }
 
@@ -111,15 +107,17 @@ pub(crate) fn run<E>(sched: &mut Scheduler<E>, mut handler: impl FnMut(f64, E, &
 mod tests {
     use super::*;
 
+    fn drain<E>(s: &mut Scheduler<E>) -> Vec<(f64, E)> {
+        std::iter::from_fn(|| s.pop()).collect()
+    }
+
     #[test]
     fn pops_in_time_order() {
         let mut s = Scheduler::new();
         s.schedule(3.0, "c");
         s.schedule(1.0, "a");
         s.schedule(2.0, "b");
-        let mut seen = Vec::new();
-        run(&mut s, |t, e, _| seen.push((t, e)));
-        assert_eq!(seen, vec![(1.0, "a"), (2.0, "b"), (3.0, "c")]);
+        assert_eq!(drain(&mut s), vec![(1.0, "a"), (2.0, "b"), (3.0, "c")]);
     }
 
     #[test]
@@ -128,22 +126,20 @@ mod tests {
         s.schedule(1.0, 1);
         s.schedule(1.0, 2);
         s.schedule(1.0, 3);
-        let mut seen = Vec::new();
-        run(&mut s, |_, e, _| seen.push(e));
-        assert_eq!(seen, vec![1, 2, 3]);
+        assert_eq!(drain(&mut s), vec![(1.0, 1), (1.0, 2), (1.0, 3)]);
     }
 
     #[test]
-    fn handler_can_schedule_more() {
+    fn events_scheduled_while_popping_run_in_order() {
         let mut s = Scheduler::new();
         s.schedule(0.0, 0u32);
         let mut count = 0;
-        run(&mut s, |t, e, sch| {
+        while let Some((t, e)) = s.pop() {
             count += 1;
             if e < 5 {
-                sch.schedule(t + 1.0, e + 1);
+                s.schedule(t + 1.0, e + 1);
             }
-        });
+        }
         assert_eq!(count, 6);
         assert_eq!(s.now, 5.0);
     }
@@ -154,10 +150,21 @@ mod tests {
         s.schedule(5.0, ());
         s.schedule(2.0, ());
         let mut prev = f64::NEG_INFINITY;
-        run(&mut s, |t, _, _| {
+        while let Some((t, ())) = s.pop() {
             assert!(t >= prev);
             prev = t;
-        });
+        }
+    }
+
+    #[test]
+    fn pop_before_is_strict() {
+        let mut s = Scheduler::new();
+        s.schedule(1.0, "a");
+        s.schedule(2.0, "b");
+        assert_eq!(s.pop_before(1.0), None);
+        assert_eq!(s.pop_before(2.0), Some((1.0, "a")));
+        assert_eq!(s.pop_before(2.0), None);
+        assert_eq!(s.pop_before(f64::INFINITY), Some((2.0, "b")));
     }
 
     #[test]
@@ -165,6 +172,7 @@ mod tests {
         let mut s: Scheduler<()> = Scheduler::new();
         assert!(s.heap.is_empty());
         assert_eq!(s.pop(), None);
-        assert_eq!(s.now, 0.0);
+        assert_eq!(s.pop_before(f64::INFINITY), None);
+        assert_eq!(s.now, f64::NEG_INFINITY);
     }
 }

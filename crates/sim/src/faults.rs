@@ -18,20 +18,23 @@
 //! * **stragglers** — attempts are slowed by a service-time multiplier
 //!   with some probability.
 //!
-//! Batches are formed by the shared [`crate::window::BatcherCore`]; this
-//! layer only decides what happens to a formed batch. All randomness
-//! comes from one xoshiro stream seeded by [`FaultPlan::seed`] and the
-//! event queue breaks ties FIFO, so the same seed reproduces the same
-//! event trace, latencies, and cost bit-for-bit.
+//! Batches are formed by the shared window walk
+//! ([`crate::window::walk_windows`]); this layer is a service stage that
+//! only decides what happens to a formed batch. It admits each batch at
+//! its dispatch stamp, after running the queued attempt-end and retry
+//! events that fall strictly before it (so at a tie the batch goes
+//! first). All randomness comes from one xoshiro stream seeded by
+//! [`FaultPlan::seed`] and the event queue breaks ties FIFO, so the same
+//! seed reproduces the same event trace, latencies, and cost bit-for-bit.
 //! With an inert plan ([`FaultPlan::is_inert`]) the simulation delegates
 //! to [`crate::batching::simulate_batching`], keeping the zero-fault path
 //! bit-identical to the paper figures.
 
 use crate::batching::{simulate_batching, BatchRecord, SimOutcome, SimParams};
 use crate::config::LambdaConfig;
-use crate::engine::{run, Scheduler};
+use crate::engine::Scheduler;
 use crate::metrics::LatencySummary;
-use crate::window::{trace_origin, Admitted, BatcherCore, FormedBatch};
+use crate::window::{walk_windows, Admitted, FormedBatch};
 use dbat_workload::{DbatError, Rng};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
@@ -257,6 +260,10 @@ impl FaultPlan {
             if fl.ref_memory_mb == 0 {
                 return Err(DbatError::config("failure ref memory must be > 0"));
             }
+            // A NaN `p_fail` would make every draw a success.
+            if !fl.memory_exponent.is_finite() {
+                return Err(DbatError::config("failure memory exponent must be finite"));
+            }
             let r = &fl.retry;
             if r.max_attempts < 1 {
                 return Err(DbatError::config("retry max_attempts must be >= 1"));
@@ -480,7 +487,7 @@ impl FaultCounts {
 /// batch record per *attempt* (so `sim.total_cost` includes re-billed
 /// retries and cold-start GB-seconds); unserved requests keep zeroed
 /// dispatch/completion fields and are excluded via [`FaultSimOutcome::served`].
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct FaultSimOutcome {
     pub sim: SimOutcome,
     /// Per-request served flag, parallel to `sim.requests`.
@@ -518,61 +525,6 @@ impl FaultSimOutcome {
         } else {
             self.sim.total_cost / n as f64
         }
-    }
-}
-
-// Deserialize for FaultEvent is only needed for round-tripping outcomes
-// in tests; reconstruct from the tagged object.
-impl Deserialize for FaultEvent {
-    fn deserialize(v: &serde::Value) -> Result<Self, serde::Error> {
-        let num = |k: &str| -> Result<f64, serde::Error> {
-            v.field(k)
-                .as_f64()
-                .ok_or_else(|| serde::Error::new(format!("missing field {k}")))
-        };
-        let at = num("at")?;
-        let kind = v
-            .field("kind")
-            .as_str()
-            .ok_or_else(|| serde::Error::new("missing field kind"))?;
-        Ok(match kind {
-            "cold_start" => FaultEvent::ColdStart {
-                at,
-                batch: num("batch")? as usize,
-                delay_s: num("delay_s")?,
-            },
-            "failure" => FaultEvent::Failure {
-                at,
-                batch: num("batch")? as usize,
-                attempt: num("attempt")? as u32,
-            },
-            "retry" => FaultEvent::Retry {
-                at,
-                batch: num("batch")? as usize,
-                attempt: num("attempt")? as u32,
-                backoff_s: num("backoff_s")?,
-            },
-            "exhausted" => FaultEvent::Exhausted {
-                at,
-                batch: num("batch")? as usize,
-                requests: num("requests")? as usize,
-            },
-            "throttled" => FaultEvent::Throttled {
-                at,
-                batch: num("batch")? as usize,
-            },
-            "shed" => FaultEvent::Shed {
-                at,
-                batch: num("batch")? as usize,
-                requests: num("requests")? as usize,
-            },
-            "straggler" => FaultEvent::Straggler {
-                at,
-                batch: num("batch")? as usize,
-                multiplier: num("multiplier")?,
-            },
-            other => return Err(serde::Error::new(format!("unknown fault kind {other}"))),
-        })
     }
 }
 
@@ -658,23 +610,20 @@ struct Attempt {
 }
 
 enum Ev {
-    Arrival(usize),
-    /// The `open + T` deadline of the window opened when this was scheduled.
-    Deadline,
     AttemptEnd(Attempt),
     /// A retry of `batch` becomes eligible after backoff.
     RetryStart(usize),
 }
 
-/// Everything a fault-injected run mutates, apart from the window core and
-/// the event queue its handler borrows. Times are relative to
-/// [`trace_origin`] (`+ t0` on the way out), like the window walk's.
+/// Everything a fault-injected run mutates: the service stage behind the
+/// window walk. Its times are the caller's, like the formed batches'.
 struct FaultRun<'a> {
     memory_mb: u32,
     params: &'a SimParams,
     plan: &'a FaultPlan,
-    t0: f64,
     rng: Rng,
+    /// Pending attempt ends and retries.
+    sched: Scheduler<Ev>,
     pool: Option<ContainerPool>,
     /// Formed batches waiting for a concurrency slot, longest wait first.
     queue: VecDeque<usize>,
@@ -704,36 +653,49 @@ impl FaultRun<'_> {
         self.out.events.push(ev);
     }
 
-    /// Register the windows the core just formed and admit each.
-    fn admit_formed(&mut self, formed: &mut Vec<FormedBatch>, t: f64, sch: &mut Scheduler<Ev>) {
-        for fb in formed.drain(..) {
-            let b = self.batches.len();
-            self.batches.push(PendingBatch {
-                members: fb.requests,
-                win_opened: fb.opened_at,
-                attempts: 0,
-                done: false,
-            });
-            self.admit(b, t, sch);
+    /// Run the queued attempt ends and retries that fall strictly before
+    /// `t`, in time order.
+    fn run_until(&mut self, t: f64) {
+        while let Some((at, ev)) = self.sched.pop_before(t) {
+            match ev {
+                Ev::AttemptEnd(a) => self.end_attempt(a, at),
+                Ev::RetryStart(b) => {
+                    if !self.batches[b].done {
+                        self.admit(b, at);
+                    }
+                }
+            }
         }
     }
 
+    /// Register a batch the window walk formed and admit it at its
+    /// dispatch stamp, once every earlier event has run.
+    fn admit_formed(&mut self, fb: FormedBatch) {
+        let t = fb.dispatched_at;
+        self.run_until(t);
+        let b = self.batches.len();
+        self.batches.push(PendingBatch {
+            members: fb.requests,
+            win_opened: fb.opened_at,
+            attempts: 0,
+            done: false,
+        });
+        self.admit(b, t);
+    }
+
     /// Admission: start, queue, or shed batch `b` at sim-time `t`.
-    fn admit(&mut self, b: usize, t: f64, sch: &mut Scheduler<Ev>) {
+    fn admit(&mut self, b: usize, t: f64) {
         let throttle = self.plan.throttle;
         if self.running < throttle.map_or(usize::MAX, |th| th.max_concurrency) {
             self.running += 1;
-            self.start_attempt(b, t, sch);
+            self.start_attempt(b, t);
         } else if self.queue.len() < throttle.map_or(usize::MAX, |th| th.queue_capacity) {
             self.queue.push_back(b);
-            self.push_event(FaultEvent::Throttled {
-                at: t + self.t0,
-                batch: b,
-            });
+            self.push_event(FaultEvent::Throttled { at: t, batch: b });
         } else {
             self.batches[b].done = true;
             self.push_event(FaultEvent::Shed {
-                at: t + self.t0,
+                at: t,
                 batch: b,
                 requests: self.batches[b].members.len(),
             });
@@ -742,7 +704,7 @@ impl FaultRun<'_> {
 
     /// Start one attempt of batch `b` at sim-time `t` (concurrency slot
     /// already reserved by the caller).
-    fn start_attempt(&mut self, b: usize, t: f64, sch: &mut Scheduler<Ev>) {
+    fn start_attempt(&mut self, b: usize, t: f64) {
         let pb = &mut self.batches[b];
         pb.attempts += 1;
         let attempt = pb.attempts;
@@ -763,7 +725,7 @@ impl FaultRun<'_> {
             if self.rng.bernoulli(st.probability) {
                 service *= st.multiplier;
                 self.push_event(FaultEvent::Straggler {
-                    at: t + self.t0,
+                    at: t,
                     batch: b,
                     multiplier: st.multiplier,
                 });
@@ -776,7 +738,7 @@ impl FaultRun<'_> {
         let duration = cold + service;
         if cold > 0.0 {
             self.push_event(FaultEvent::ColdStart {
-                at: t + self.t0,
+                at: t,
                 batch: b,
                 delay_s: cold,
             });
@@ -793,8 +755,8 @@ impl FaultRun<'_> {
         self.out.sim.total_cost += cost;
         let record = self.out.sim.batches.len();
         self.out.sim.batches.push(BatchRecord {
-            opened_at: win_opened + self.t0,
-            dispatched_at: t + self.t0,
+            opened_at: win_opened,
+            dispatched_at: t,
             size,
             service_s: service,
             cold_start_s: cold,
@@ -807,12 +769,12 @@ impl FaultRun<'_> {
             fail,
             record,
         };
-        sch.schedule(t + duration, Ev::AttemptEnd(running));
+        self.sched.schedule(t + duration, Ev::AttemptEnd(running));
     }
 
     /// An attempt ends at `t`: stamp its requests, or retry / give up,
     /// then hand the freed slot on.
-    fn end_attempt(&mut self, a: Attempt, t: f64, sch: &mut Scheduler<Ev>) {
+    fn end_attempt(&mut self, a: Attempt, t: f64) {
         let (b, attempt) = (a.batch, a.number);
         self.running -= 1;
         if !a.fail {
@@ -820,14 +782,14 @@ impl FaultRun<'_> {
             for r in &self.batches[b].members {
                 let i = r.id as usize;
                 let rec = &mut self.out.sim.requests[i];
-                rec.dispatch = a.start + self.t0;
-                rec.completion = t + self.t0;
+                rec.dispatch = a.start;
+                rec.completion = t;
                 rec.batch = a.record;
                 self.out.served[i] = true;
             }
         } else {
             self.push_event(FaultEvent::Failure {
-                at: t + self.t0,
+                at: t,
                 batch: b,
                 attempt,
             });
@@ -840,16 +802,16 @@ impl FaultRun<'_> {
                 };
                 let backoff = retry.backoff(attempt) * jitter;
                 self.push_event(FaultEvent::Retry {
-                    at: t + backoff + self.t0,
+                    at: t + backoff,
                     batch: b,
                     attempt: attempt + 1,
                     backoff_s: backoff,
                 });
-                sch.schedule(t + backoff, Ev::RetryStart(b));
+                self.sched.schedule(t + backoff, Ev::RetryStart(b));
             } else {
                 self.batches[b].done = true;
                 self.push_event(FaultEvent::Exhausted {
-                    at: t + self.t0,
+                    at: t,
                     batch: b,
                     requests: self.batches[b].members.len(),
                 });
@@ -858,7 +820,7 @@ impl FaultRun<'_> {
         // A slot freed: admit the longest-waiting queued batch.
         if let Some(nb) = self.queue.pop_front() {
             self.running += 1;
-            self.start_attempt(nb, t, sch);
+            self.start_attempt(nb, t);
         }
     }
 }
@@ -867,9 +829,8 @@ impl FaultRun<'_> {
 ///
 /// With `plan.is_inert()` this is exactly
 /// [`crate::batching::simulate_batching`] (bit-identical outcome, no RNG
-/// draws); otherwise windows still come from the one [`BatcherCore`] — its
-/// deadline goes on the event queue when a window opens — and every formed
-/// batch runs the attempt / retry / throttle events documented on
+/// draws); otherwise the same window walk forms the batches and every
+/// formed batch runs the attempt / retry / throttle events documented on
 /// [`FaultPlan`]. Panics on an invalid plan (build one via
 /// [`FaultPlan::builder`], which validates).
 pub fn simulate_faults(
@@ -894,19 +855,12 @@ pub fn simulate_faults(
         "arrivals must be sorted"
     );
 
-    let t0 = trace_origin(arrivals.first().copied());
-    let mut sched: Scheduler<Ev> = Scheduler::new();
-    for (i, &a) in arrivals.iter().enumerate() {
-        sched.schedule(a - t0, Ev::Arrival(i));
-    }
-    let mut core = BatcherCore::new(*cfg);
-    let mut formed: Vec<FormedBatch> = Vec::new();
     let mut st = FaultRun {
         memory_mb: cfg.memory_mb,
         params,
         plan,
-        t0,
         rng: Rng::new(plan.seed),
+        sched: Scheduler::new(),
         pool: plan.cold_start.map(|cs| ContainerPool {
             keep_alive_s: cs.keep_alive_s,
             idle_since: Vec::new(),
@@ -922,36 +876,17 @@ pub fn simulate_faults(
         },
         hub: Some(dbat_telemetry::global()).filter(|hub| hub.is_enabled()),
     };
+    let windowed = arrivals.iter().copied().enumerate();
+    walk_windows(
+        windowed,
+        cfg,
+        &[],
+        &mut st,
+        |_, _| *cfg,
+        FaultRun::admit_formed,
+    );
+    st.run_until(f64::INFINITY);
 
-    run(&mut sched, |t, ev, sch| match ev {
-        Ev::Arrival(i) => {
-            let opens = core.is_idle();
-            let req = Admitted {
-                id: i as u64,
-                arrival: t,
-                class: 0,
-            };
-            core.on_arrival(req, &mut formed);
-            // Scheduled before anything the batch below schedules, so the
-            // timeout keeps its place in the queue's FIFO tie-break.
-            if let (true, Some(deadline)) = (opens, core.next_deadline()) {
-                sch.schedule(deadline, Ev::Deadline);
-            }
-            st.admit_formed(&mut formed, t, sch);
-        }
-        Ev::Deadline => {
-            core.due(t, &mut formed);
-            st.admit_formed(&mut formed, t, sch);
-        }
-        Ev::AttemptEnd(a) => st.end_attempt(a, t, sch),
-        Ev::RetryStart(b) => {
-            if !st.batches[b].done {
-                st.admit(b, t, sch);
-            }
-        }
-    });
-
-    debug_assert!(core.is_idle(), "all requests must leave the buffer");
     if let Some(hub) = st.hub {
         publish_counts(hub, &st.out.counts);
     }
@@ -1213,6 +1148,15 @@ mod tests {
             })
             .build()
             .is_err());
+        for exponent in [f64::NAN, f64::INFINITY] {
+            assert!(FaultPlan::builder()
+                .failures(FailureFault {
+                    memory_exponent: exponent,
+                    ..FailureFault::default()
+                })
+                .build()
+                .is_err());
+        }
         let plan = FaultPlan::builder()
             .seed(9)
             .cold_start(ColdStartFault::default())
@@ -1224,19 +1168,47 @@ mod tests {
     }
 
     #[test]
-    fn fault_events_roundtrip_serde() {
-        let plan = FaultPlan::intensity(0.8, 7);
-        let out = simulate_faults(
-            &dense(150, 0.006),
-            &LambdaConfig::new(1024, 2, 0.02),
-            &params(),
-            &plan,
-        );
-        assert!(!out.events.is_empty());
-        for ev in &out.events {
-            let v = serde_json::to_value(ev);
-            let back = FaultEvent::deserialize(&v).unwrap();
-            assert_eq!(*ev, back);
-        }
+    #[should_panic(expected = "invalid fault plan")]
+    fn nan_memory_exponent_is_an_invalid_plan() {
+        let plan = FaultPlan {
+            failures: Some(FailureFault {
+                memory_exponent: f64::NAN,
+                ..FailureFault::default()
+            }),
+            ..FaultPlan::default()
+        };
+        simulate_faults(&[0.0], &LambdaConfig::new(2048, 1, 0.0), &params(), &plan);
+    }
+
+    #[test]
+    fn batch_at_an_attempt_end_is_admitted_before_the_slot_frees() {
+        // The second arrival lands exactly when the first attempt ends:
+        // the batch it forms is admitted first, finds the one slot busy
+        // and queues, then starts as the slot frees.
+        let s = params().profile.service_time(2048, 1);
+        let cfg = LambdaConfig::new(2048, 1, 0.0);
+        let out = simulate_faults(&[0.0, s], &cfg, &params(), &quota(1));
+        assert_eq!(out.counts.throttled, 1);
+        assert_eq!(out.sim.requests[1].dispatch, s);
+        assert_eq!(out.sim.requests[1].completion, s + s);
+    }
+
+    #[test]
+    fn trace_starting_below_zero_runs_in_its_own_time() {
+        let plan = FaultPlan {
+            cold_start: Some(ColdStartFault {
+                delay_s: 0.5,
+                ref_memory_mb: 2048,
+                keep_alive_s: 100.0,
+            }),
+            ..FaultPlan::default()
+        };
+        let cfg = LambdaConfig::new(2048, 2, 0.05);
+        let out = simulate_faults(&[-2.0, -1.99, -1.0], &cfg, &params(), &plan);
+        assert_eq!(out.served_count(), 3);
+        assert_eq!(out.counts.cold_starts, 1);
+        assert!((out.sim.batches[0].dispatched_at - -1.99).abs() < 1e-12);
+        assert!((out.sim.batches[1].dispatched_at - -0.95).abs() < 1e-12);
+        assert!(out.sim.requests.iter().all(|r| r.completion > r.dispatch));
     }
 }

@@ -9,17 +9,18 @@
 //! * [`window`] — [`BatcherCore`], the paper's buffer rule (§III-B: open
 //!   on the first arrival into an empty buffer, dispatch at `min(B-th
 //!   arrival, open + T)`) as a clock-free state machine. It is the only
-//!   place the rule is written; the simulators below, `dbat-serve`'s
-//!   virtual replay and its live batcher threads are all drivers of it;
-//! * [`simulate_batching`] — the arrivals walked through one core in a
-//!   plain loop (the walk lives in [`window`], and the windowed token
-//!   simulator shares it), each formed batch served on its own instance;
-//! * [`simulate_faults`] — the same core, with seeded fault injection
+//!   place the rule is written, and it has two drivers:
+//!   [`window::walk_windows`], the one loop over a finite arrival
+//!   sequence (with optional decision boundaries) behind every simulator
+//!   below and `dbat-serve`'s virtual replay, and the live gateway's
+//!   batcher threads;
+//! * [`simulate_batching`] — the walk, each formed batch served on its own
+//!   instance (the windowed token simulator serves them the same way);
+//! * [`simulate_faults`] — the walk plus a seeded fault stage
 //!   ([`FaultPlan`]: cold starts with a warm-container pool, failures +
 //!   retry, throttling — on its own, an account concurrency quota — and
-//!   stragglers) deciding what happens to each formed batch;
-//! * [`engine`] — the future-event list the fault simulator and the
-//!   virtual replay schedule deadlines, attempts and retries on;
+//!   stragglers) deciding what happens to each formed batch; its attempts
+//!   and retries run on a private future-event list;
 //! * [`LambdaConfig`] / [`ConfigGrid`] — `(M, B, T)` configurations and
 //!   the shared search grid;
 //! * [`ServiceProfile`] — deterministic profiled service-time surface
@@ -44,7 +45,7 @@
 mod batching;
 mod config;
 mod controller;
-pub mod engine;
+mod engine;
 mod faults;
 mod metrics;
 pub mod multi;

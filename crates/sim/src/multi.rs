@@ -117,7 +117,7 @@ impl ClassAssignment {
 }
 
 /// One group's slice of a multi-class simulation.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct GroupOutcome {
     pub out: FaultSimOutcome,
     /// Class of each request, parallel to `out.sim.requests`.
@@ -153,7 +153,7 @@ impl ClassOutcome {
 }
 
 /// Outcome of [`simulate_faults_multi`] / [`simulate_batching_multi`].
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct MultiSimOutcome {
     /// Per-group outcomes, parallel to the input group list.
     pub groups: Vec<GroupOutcome>,

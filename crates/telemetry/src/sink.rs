@@ -37,8 +37,8 @@ impl Event {
     }
 
     /// An event stamped with an explicit timestamp instead of wall time
-    /// — the serving layer passes virtual-clock seconds here so event
-    /// streams are deterministic under `VirtualClock`.
+    /// — the serving layer passes its clock's virtual seconds here so
+    /// events line up with the stamps they describe.
     pub(crate) fn with_ts(ts: f64, kind: &str, data: Value) -> Self {
         Event {
             ts,

@@ -7,8 +7,8 @@
 //! `Flush` is a batch-level event carrying the [`FlushKind`] and batch
 //! size. Events are stamped in **virtual seconds** (whatever clock the
 //! emitter runs on — the serve `Clock` trait for the gateway, simulated
-//! time for the simulator), never wall time, so traces from a
-//! `VirtualClock` run are deterministic and diffable.
+//! time for the simulator and the replay), never wall time, so traces
+//! from a deterministic replay are themselves deterministic and diffable.
 //!
 //! Two independent consumers can be armed on a [`Tracer`]:
 //!

@@ -22,7 +22,7 @@
 //! | [`analytic`] | the BATCH baseline: MAP fitting + matrix-analytic latency model + grid optimizer |
 //! | [`nn`] | tensors, reverse-mode autograd, Transformer layers, Adam |
 //! | [`core`] | DeepBAT itself: the Transformer surrogate, training/fine-tuning, the 2-step optimizer, and [`prelude::DeepBatController`] |
-//! | [`serve`] | live threaded batching gateway: bounded admission, deadline batching, worker pool, hot controller reconfiguration, and a virtual-clock replay bitwise-equivalent to the simulator |
+//! | [`serve`] | live threaded batching gateway: bounded admission, deadline batching, worker pool, hot controller reconfiguration, and a deterministic replay bitwise-equivalent to the simulator |
 //! | [`telemetry`] | observability: counters/gauges/histograms, JSONL event sinks, causal request tracing with a flight recorder, and a pull-based Prometheus/JSON exporter |
 //!
 //! ## Quickstart

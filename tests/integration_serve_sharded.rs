@@ -1,29 +1,19 @@
 //! Sharded-gateway integration tests: lane partitioning, work-stealing,
 //! and the observability that rides on them.
 //!
-//! The tentpole invariants:
+//! The invariants (each lane runs the same `BatcherCore` the unsharded
+//! gateway runs, and `lanes = 1` *is* the unsharded gateway):
 //!
-//! * **Lane isolation** — each lane runs the same `BatcherCore` the
-//!   unsharded gateway ran, so a lane's replay is bitwise identical to
-//!   an unsharded replay of just that lane's arrivals, and `lanes = 1`
-//!   *is* the unsharded gateway (the anchor the existing equivalence
-//!   suite pins).
 //! * **Conservation across lanes** — ids are gateway-global and dense;
 //!   per-lane completed counts sum to the global total; per-lane FIFO
 //!   order survives concurrent submitters and work-stealing workers.
 //! * **No shutdown deadlock** — submitters parked on a full lane under
 //!   `BackpressurePolicy::Block` are woken by the drain and resolve as
 //!   clean rejections.
-//! * **Deterministic sharded traces** — virtual-clock replays at any
-//!   lane count produce byte-identical trace streams across reruns.
 
 use deepbat::prelude::*;
 use deepbat::serve::{drive_concurrent, LaneAssignment};
 use std::sync::{Arc, Condvar, Mutex};
-
-fn azure_trace(horizon: f64) -> Trace {
-    TraceKind::AzureLike.generate_for(11, horizon)
-}
 
 /// Per-lane `serve.lane.<i>.*` metrics reconcile against the global
 /// counters — in the hub and through a real `/metrics` scrape.
@@ -384,124 +374,4 @@ fn single_worker_drains_four_fed_lanes_by_stealing() {
         "single worker over 4 fed lanes must steal (got {})",
         out.counts.steals
     );
-}
-
-/// Sharded virtual replays are deterministic: two runs over the same
-/// trace produce byte-identical trace streams, overall and per lane.
-#[test]
-fn sharded_replay_trace_streams_are_byte_identical_across_reruns() {
-    let params = SimParams::default();
-    let trace = azure_trace(60.0);
-    let cfg = LambdaConfig::new(2048, 8, 0.05);
-    let lanes = 4usize;
-
-    let run = || {
-        let hub = Arc::new(Telemetry::new());
-        hub.tracer().enable_capture();
-        let mut gw = VirtualGateway::from_params(&params)
-            .with_telemetry(hub.clone())
-            .with_lanes(lanes);
-        let out = gw.replay(trace.timestamps(), &cfg);
-        (out, hub.tracer().drain())
-    };
-    let (out_a, ev_a) = run();
-    let (_, ev_b) = run();
-
-    assert!(!ev_a.is_empty());
-    assert_eq!(ev_a, ev_b, "sharded trace streams must be identical");
-    // Byte-identical, not merely equal: serialize both drains and
-    // compare the rendered bytes (this is what makes dumped trace JSONL
-    // diffable across reruns).
-    let render = |evs: &[TraceEvent]| -> Vec<String> {
-        evs.iter()
-            .map(|e| deepbat::telemetry::serde_json::to_string(e).expect("serializable"))
-            .collect()
-    };
-    assert_eq!(render(&ev_a), render(&ev_b));
-
-    // Every event carries its lane; filtering per lane partitions the
-    // stream and still aggregates to the same reconciled totals.
-    let n = out_a.requests.len();
-    assert_eq!(ev_a.len(), 5 * n + out_a.batches.len());
-    let mut per_lane_completes = vec![0usize; lanes];
-    for e in &ev_a {
-        assert!((e.lane as usize) < lanes);
-        if e.stage == TraceStage::Complete {
-            per_lane_completes[e.lane as usize] += 1;
-        }
-    }
-    assert_eq!(per_lane_completes.iter().sum::<usize>(), n);
-    let by_lane = out_a.completed_by_lane();
-    for (l, &c) in per_lane_completes.iter().enumerate() {
-        assert_eq!(c as u64, by_lane[l], "lane {l} trace/outcome mismatch");
-    }
-}
-
-/// Lane isolation, proved through the simulator: a 4-lane replay's
-/// per-lane stamps are bitwise identical to unsharded replays of each
-/// lane's own arrival subsequence — sharding changes *where* a request
-/// is batched, never *how*. And `with_lanes(1)` stays bitwise equal to
-/// `simulate_batching`, the anchor the whole suite hangs on.
-#[test]
-fn sharded_replay_lanes_are_bitwise_independent_subreplays() {
-    let params = SimParams::default();
-    let trace = azure_trace(45.0);
-    let cfg = LambdaConfig::new(1024, 4, 0.03);
-    let lanes = 4usize;
-
-    // Anchor: one lane == the unsharded gateway == the simulator.
-    let sim = simulate_batching(trace.timestamps(), &cfg, &params, None);
-    let mut gw1 = VirtualGateway::from_params(&params).with_lanes(1);
-    let one = gw1.replay(trace.timestamps(), &cfg);
-    assert_eq!(one.requests.len(), sim.requests.len());
-    for (r, s) in one.requests.iter().zip(&sim.requests) {
-        assert_eq!(r.dispatched_at.to_bits(), s.dispatch.to_bits());
-        assert_eq!(r.completed_at.to_bits(), s.completion.to_bits());
-    }
-    assert_eq!(one.total_cost.to_bits(), sim.total_cost.to_bits());
-
-    // Sharded run: requests land on lane id % 4 by construction.
-    let mut gw4 = VirtualGateway::from_params(&params).with_lanes(lanes);
-    let sharded = gw4.replay(trace.timestamps(), &cfg);
-    assert!(sharded.counts.conserved());
-    for r in &sharded.requests {
-        assert_eq!(r.lane as usize, r.id as usize % lanes);
-    }
-
-    // Each lane, replayed alone through an unsharded gateway, matches
-    // the sharded run bitwise on every stamp.
-    let ts = trace.timestamps();
-    for lane in 0..lanes {
-        let sub: Vec<f64> = ts
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| i % lanes == lane)
-            .map(|(_, &t)| t)
-            .collect();
-        let mut sub_gw = VirtualGateway::from_params(&params);
-        let sub_out = sub_gw.replay(&sub, &cfg);
-        let lane_reqs: Vec<_> = sharded
-            .requests
-            .iter()
-            .filter(|r| r.lane as usize == lane)
-            .collect();
-        assert_eq!(sub_out.requests.len(), lane_reqs.len());
-        for (a, b) in sub_out.requests.iter().zip(&lane_reqs) {
-            assert_eq!(a.arrival.to_bits(), b.arrival.to_bits());
-            assert_eq!(a.dispatched_at.to_bits(), b.dispatched_at.to_bits());
-            assert_eq!(a.completed_at.to_bits(), b.completed_at.to_bits());
-        }
-        // Same batch boundaries, sizes, and costs on the lane.
-        let lane_batches: Vec<_> = sharded
-            .batches
-            .iter()
-            .filter(|b| b.lane as usize == lane)
-            .collect();
-        assert_eq!(sub_out.batches.len(), lane_batches.len());
-        for (a, b) in sub_out.batches.iter().zip(&lane_batches) {
-            assert_eq!(a.dispatched_at.to_bits(), b.dispatched_at.to_bits());
-            assert_eq!(a.cost.to_bits(), b.cost.to_bits());
-            assert_eq!(a.size, b.size);
-        }
-    }
 }
