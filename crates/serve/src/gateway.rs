@@ -1,17 +1,18 @@
-//! The live threaded gateway: N sharded batcher lanes, a work-stealing
-//! worker pool, and an optional control thread for hot reconfiguration.
+//! The live threaded gateway: N sharded batcher lanes feeding one shared
+//! ready queue, a worker pool, and an optional control thread for hot
+//! reconfiguration.
 //!
 //! Built entirely on std primitives (threads + `Mutex`/`Condvar`, no
 //! async runtime). Thread layout (`lanes = N`, any number of submitters):
 //!
 //! ```text
-//!  submit() ──▶ lane 0 [inbox] ──▶ batcher 0 ──▶ [lane 0 batches] ─┐
-//!  submit() ──▶ lane 1 [inbox] ──▶ batcher 1 ──▶ [lane 1 batches] ─┤
-//!     ...          ...                ...              ...         │
-//!  submit() ──▶ lane N-1 [..] ──▶ batcher N-1 ─▶ [lane N-1 ..] ───┤
-//!                                                                  ▼
-//!  control thread ── Reconfig broadcast to every lane ──▶  work-stealing
-//!  (any Controller)   at interval boundaries               worker pool
+//!  submit() ──▶ lane 0 [inbox] ──▶ batcher 0 ───┐
+//!  submit() ──▶ lane 1 [inbox] ──▶ batcher 1 ───┤
+//!     ...          ...                ...       ├──▶ [ready queue] ──▶ worker pool
+//!  submit() ──▶ lane N-1 [..] ──▶ batcher N-1 ──┘
+//!
+//!  control thread ── Reconfig broadcast to every lane
+//!  (any Controller)   at interval boundaries
 //! ```
 //!
 //! Sharding keeps the admission path free of cross-lane coordination:
@@ -22,14 +23,12 @@
 //! semantics (and the per-lane arrival log, stamped under the lane
 //! lock) are identical to the unsharded gateway with `lanes = 1`.
 //!
-//! Workers have a *home lane* (`worker i % lanes`) whose batch queue
-//! they drain first; when it is empty they steal the oldest batch from
-//! the next non-empty lane. A single global `(ready, live_batchers)`
-//! counter pair under one small mutex is the only cross-lane
-//! synchronization point, and it is touched per *batch*, not per
-//! request. Lock order is `lane.inbox → lane.batches → done`
-//! (never two lanes of the same kind at once); no thread takes them in
-//! the opposite direction.
+//! Formed batches go, in formation order, onto one FIFO under the small
+//! `work` mutex, and any worker pops the front: like the paper's
+//! autoscaled instances, no worker belongs to a lane. The queue is
+//! touched once per *batch* by its batcher and once by its worker, never
+//! per request. Lock order is `lane.inbox → work → done`, and `work` is
+//! a leaf: nothing else is locked while it is held.
 //!
 //! Wake-ups are exact and targeted (DESIGN.md §11 has the table): every
 //! condition a thread parks on keeps, under the lock that already guards
@@ -49,15 +48,12 @@
 
 use crate::backend::InferenceBackend;
 use crate::clock::{precise_timers, Clock};
-use crate::outcome::{ServeCounts, ServeOutcome, ServedBatch, ServedRequest};
+use crate::outcome::{Ledger, ServeCounts, ServeOutcome};
 use dbat_sim::{
     Admitted, BatcherCore, ClassAssignment, Controller, DecisionContext, DecisionRecord, Feedback,
     FlushReason, FormedBatch, FunctionGroup, IntervalMeasurement, LambdaConfig, LatencySummary,
 };
-use dbat_telemetry::{
-    Counter, FlushKind, Gauge, Histogram, SpanId, Telemetry, TraceConfig, TraceEvent, TraceId,
-    TraceStage,
-};
+use dbat_telemetry::{Counter, Gauge, Histogram, Telemetry};
 use dbat_workload::ClassId;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -65,28 +61,19 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-/// One request offered for admission. The old bare-float surface is
-/// subsumed: `Request::default()` is the legacy single-class submission
-/// (class 0, stamped at admission on the gateway clock).
+/// One request offered for admission, stamped on the gateway clock under
+/// its lane's lock. `Request::default()` is the single-class submission
+/// (class 0).
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct Request {
-    /// Explicit arrival stamp in virtual seconds. `None` (the default)
-    /// stamps the request at admission on the gateway clock — the only
-    /// exact option under concurrent submitters. An explicit stamp is
-    /// clamped to stay non-decreasing within its lane so the per-lane
-    /// arrival log keeps its sorted invariant.
-    pub(crate) arrival: Option<f64>,
     /// Request class (indexes [`GatewayConfig::groups`] assignments).
     pub(crate) class: ClassId,
 }
 
 impl Request {
-    /// A class-tagged request, stamped at admission.
+    /// A class-tagged request.
     pub fn of_class(class: ClassId) -> Self {
-        Request {
-            arrival: None,
-            class,
-        }
+        Request { class }
     }
 }
 
@@ -106,68 +93,10 @@ pub enum Admission {
     Accepted { id: u64 },
     /// Refused. `retry_after_s` is the backpressure retry hint; `None`
     /// means retrying can never help (e.g. the request's class is not
-    /// served by any group) — previously reported as `∞`, which does
-    /// not survive a JSON round trip.
+    /// served by any group).
     Rejected { retry_after_s: Option<f64> },
     /// The gateway is shutting down and accepts no new work.
     Closed,
-}
-
-// Hand-written serde: the derive handles unit-only enums, and `∞` is
-// not representable in JSON anyway — `Rejected` omits the field for
-// "never retry" instead.
-impl serde::Serialize for Admission {
-    fn serialize(&self) -> serde::Value {
-        let mut m = serde::Map::new();
-        match self {
-            Admission::Accepted { id } => {
-                m.insert("status".into(), serde::Value::String("accepted".into()));
-                m.insert("id".into(), serde::Value::Number(*id as f64));
-            }
-            Admission::Rejected { retry_after_s } => {
-                m.insert("status".into(), serde::Value::String("rejected".into()));
-                if let Some(s) = retry_after_s {
-                    m.insert("retry_after_s".into(), serde::Value::Number(*s));
-                }
-            }
-            Admission::Closed => {
-                m.insert("status".into(), serde::Value::String("closed".into()));
-            }
-        }
-        serde::Value::Object(m)
-    }
-}
-
-impl serde::Deserialize for Admission {
-    fn deserialize(v: &serde::Value) -> Result<Self, serde::Error> {
-        let status = v
-            .get("status")
-            .and_then(|s| s.as_str())
-            .ok_or_else(|| serde::Error::new("admission needs a status string"))?;
-        match status {
-            "accepted" => {
-                let id = v
-                    .get("id")
-                    .and_then(|i| i.as_u64())
-                    .ok_or_else(|| serde::Error::new("accepted admission needs an id"))?;
-                Ok(Admission::Accepted { id })
-            }
-            "rejected" => {
-                let retry_after_s = match v.get("retry_after_s") {
-                    None => None,
-                    Some(s) => Some(
-                        s.as_f64()
-                            .ok_or_else(|| serde::Error::new("retry_after_s must be a number"))?,
-                    ),
-                };
-                Ok(Admission::Rejected { retry_after_s })
-            }
-            "closed" => Ok(Admission::Closed),
-            other => Err(serde::Error::new(format!(
-                "unknown admission status {other:?}"
-            ))),
-        }
-    }
 }
 
 /// How `shutdown` disposes of buffered requests.
@@ -197,8 +126,8 @@ pub struct GatewayConfig {
     pub lanes: usize,
     /// Worker threads executing batches (invocations run concurrently,
     /// mirroring serverless autoscaling; size for peak in-flight batches).
-    /// Worker `i`'s home lane is `i % lanes`; it steals from other lanes
-    /// when its home queue is empty.
+    /// Every worker serves every lane: each takes the oldest batch from
+    /// the one shared ready queue.
     pub workers: usize,
     /// Decision interval for the control thread, virtual seconds.
     pub decision_interval: f64,
@@ -246,93 +175,6 @@ impl Default for GatewayConfig {
     }
 }
 
-/// The trace-model mirror of a [`FlushReason`].
-pub(crate) fn flush_kind(reason: FlushReason) -> FlushKind {
-    match reason {
-        FlushReason::Capacity => FlushKind::Capacity,
-        FlushReason::Timeout => FlushKind::Timeout,
-        FlushReason::Drain => FlushKind::Drain,
-    }
-}
-
-/// The trace-model mirror of a [`LambdaConfig`], tagged with the
-/// function group that owns it (0 outside multi-group serving).
-pub(crate) fn trace_config(config: &LambdaConfig, group: u32) -> TraceConfig {
-    TraceConfig {
-        memory_mb: config.memory_mb,
-        batch_size: config.batch_size,
-        timeout_s: config.timeout_s,
-        group,
-    }
-}
-
-/// Stage the admission-side events for one request. Both gateways admit
-/// and enqueue in the same instant (the live gateway stamps arrival
-/// under the lane lock; the virtual one has no separate admission
-/// queue), so the two events share the arrival timestamp. The live
-/// worker stages these lazily at batch settle — trace events carry
-/// their own timestamps, so deferring the recording keeps the admission
-/// hot path free of tracing locks without changing event content.
-pub(crate) fn push_admission_trace(out: &mut Vec<TraceEvent>, id: u64, t: f64, lane: u32) {
-    out.push(TraceEvent::new(TraceId(id), TraceStage::Admit, t).with_lane(lane));
-    out.push(TraceEvent::new(TraceId(id), TraceStage::Enqueue, t).with_lane(lane));
-}
-
-/// Stage the full per-request trace of one settled batch: window joins
-/// at each member's arrival, the batch-level flush, per-request dispatch
-/// and completion. Shared by the live worker and the virtual replay so
-/// both emit an identical event shape. Every event carries the batch's
-/// lane id, so a sharded stream can be filtered per lane and still
-/// aggregate to the same reconciled totals. Events go into `out` so
-/// callers can submit a whole batch (or a whole replay) through one
-/// `Tracer::record_many` instead of paying per-event locks.
-pub(crate) fn push_batch_trace(
-    out: &mut Vec<TraceEvent>,
-    fb: &FormedBatch,
-    batch_idx: u64,
-    completed_at: f64,
-    group: u32,
-) {
-    let span = SpanId(batch_idx);
-    let cfg = trace_config(&fb.config, group);
-    let reason = flush_kind(fb.reason);
-    let lane = fb.lane;
-    out.reserve(1 + 3 * fb.requests.len());
-    out.push(
-        TraceEvent::new(
-            TraceId(fb.requests[0].id),
-            TraceStage::Flush,
-            fb.dispatched_at,
-        )
-        .with_span(span)
-        .with_config(cfg)
-        .with_reason(reason)
-        .with_size(fb.requests.len() as u32)
-        .with_lane(lane),
-    );
-    for r in &fb.requests {
-        let id = TraceId(r.id);
-        out.push(
-            TraceEvent::new(id, TraceStage::WindowJoin, r.arrival)
-                .with_span(span)
-                .with_config(cfg)
-                .with_lane(lane),
-        );
-        out.push(
-            TraceEvent::new(id, TraceStage::Dispatch, fb.dispatched_at)
-                .with_span(span)
-                .with_config(cfg)
-                .with_reason(reason)
-                .with_lane(lane),
-        );
-        out.push(
-            TraceEvent::new(id, TraceStage::Complete, completed_at)
-                .with_span(span)
-                .with_lane(lane),
-        );
-    }
-}
-
 /// A reconfiguration command: apply `config` to arrivals from `boundary`.
 #[derive(Clone, Copy, Debug)]
 struct Reconfig {
@@ -352,9 +194,6 @@ struct Inbox {
     submitted: u64,
     accepted: u64,
     rejected: u64,
-    /// Last arrival stamped on this lane: explicit `Request::arrival`
-    /// stamps are clamped against it so the lane stays sorted.
-    last_arrival: f64,
     closed: bool,
     drain: Option<DrainMode>,
     /// Boundary-ordered reconfiguration commands for this lane's batcher.
@@ -384,7 +223,11 @@ struct LaneTel {
 }
 
 /// One batcher lane: a bounded admission inbox feeding a dedicated
-/// batcher thread, and a queue of formed batches for the worker pool.
+/// batcher thread. Lanes sit side by side in `Shared::lanes`, and every
+/// request writes its lane's inbox lock and `depth`; the alignment keeps
+/// two lanes off one cache line (and its prefetched pair), so producers
+/// on different lanes do not contend through false sharing.
+#[repr(align(128))]
 struct Lane {
     inbox: Mutex<Inbox>,
     /// New work / reconfig / drain for this lane's batcher.
@@ -398,9 +241,6 @@ struct Lane {
     /// *then* re-reads `in_flight`, a worker lowers `in_flight` and *then*
     /// reads this, so one of the two always sees the other.
     blocked: AtomicUsize,
-    /// Formed batches awaiting a worker (home workers first, thieves
-    /// second).
-    batches: Mutex<VecDeque<FormedBatch>>,
     /// Admitted-not-completed on this lane (feeds the lane gauge).
     depth: AtomicU64,
     tel: Option<LaneTel>,
@@ -413,7 +253,6 @@ impl Lane {
             arrival_cv: Condvar::new(),
             space_cv: Condvar::new(),
             blocked: AtomicUsize::new(0),
-            batches: Mutex::new(VecDeque::new()),
             depth: AtomicU64::new(0),
             tel: tel.is_enabled().then(|| LaneTel {
                 queue_depth: tel.gauge(&format!("serve.lane.{idx}.queue_depth")),
@@ -435,12 +274,14 @@ impl Lane {
     }
 }
 
-/// Work-stealing coordination: how many formed batches sit in lane
-/// queues, and how many batcher threads are still alive. Touched once
-/// per batch (not per request); the batch payloads live in the per-lane
-/// queues.
+/// The worker pool's side of the gateway (guarded by `Shared::work`):
+/// the formed batches of every lane, and how many batcher threads are
+/// still alive. Touched once per batch by its batcher and once by its
+/// worker, never per request.
 struct WorkState {
-    ready: usize,
+    /// Formed batches awaiting a worker: each lane's in formation order,
+    /// popped from the front by any worker.
+    ready: VecDeque<FormedBatch>,
     live_batchers: usize,
     /// Workers inside `work_cv.wait`: a batcher signals at most this many.
     parked: usize,
@@ -449,18 +290,12 @@ struct WorkState {
 }
 
 /// Completed work (guarded by `Shared::done`).
-#[derive(Default)]
 struct Done {
-    /// Indexed by request id; `Some` once served. Empty when
-    /// `record_outcome` is off.
-    requests: Vec<Option<ServedRequest>>,
-    /// In completion order (the live gateway cannot know dispatch order
-    /// ahead of execution; replays use dispatch order instead).
-    batches: Vec<ServedBatch>,
-    completed: u64,
-    total_cost: f64,
-    /// `shutdown` is parked on `done_cv` until `completed` reaches this;
-    /// the worker whose completion gets there makes the one notify.
+    /// Batches settled so far, in completion order (the live gateway
+    /// cannot know dispatch order ahead of execution).
+    ledger: Ledger,
+    /// `shutdown` is parked on `done_cv` until `ledger.completed` reaches
+    /// this; the worker whose completion gets there makes the one notify.
     drain_target: Option<u64>,
 }
 
@@ -474,8 +309,6 @@ struct ServeTel {
     flush_timeout: Arc<Counter>,
     flush_drain: Arc<Counter>,
     reconfig: Arc<Counter>,
-    /// Batches a worker stole from a non-home lane.
-    steal: Arc<Counter>,
     /// Returns from `work_cv.wait`, pool-wide.
     worker_wakeups: Arc<Counter>,
     queue_depth: Arc<Gauge>,
@@ -501,7 +334,6 @@ impl ServeTel {
             flush_timeout: t.counter("serve.flush.timeout"),
             flush_drain: t.counter("serve.flush.drain"),
             reconfig: t.counter("serve.reconfig"),
-            steal: t.counter("serve.steal"),
             worker_wakeups: t.counter("serve.worker.wakeups"),
             queue_depth: t.gauge("serve.queue_depth"),
             batch_size: t.histogram("serve.batch_size"),
@@ -516,7 +348,7 @@ struct Shared {
     clock: Arc<dyn Clock>,
     backend: Arc<dyn InferenceBackend>,
     lanes: Vec<Lane>,
-    /// Cross-lane work accounting for the worker pool.
+    /// The shared ready queue every lane's batcher fills.
     work: Mutex<WorkState>,
     work_cv: Condvar,
     done: Mutex<Done>,
@@ -529,8 +361,6 @@ struct Shared {
     /// Dense gateway-global request ids (the only other shared word the
     /// admit path touches).
     next_id: AtomicU64,
-    /// Batches claimed from a non-home lane.
-    steals: AtomicU64,
     /// Keep the per-lane arrival logs (needed by the control thread).
     record_arrivals: bool,
     /// Class → lane routing for grouped gateways (`None` = homogeneous).
@@ -664,23 +494,26 @@ impl Gateway {
         let lanes = (0..n_lanes).map(|i| Lane::new(&cfg.telemetry, i)).collect();
         let record_arrivals = ctl.is_some();
         let n_workers = cfg.workers;
+        let ledger = Ledger::new(cfg.record_outcome);
         let shared = Arc::new(Shared {
             cfg,
             clock,
             backend,
             lanes,
             work: Mutex::new(WorkState {
-                ready: 0,
+                ready: VecDeque::new(),
                 live_batchers: n_lanes,
                 parked: 0,
                 wakeups: 0,
             }),
             work_cv: Condvar::new(),
-            done: Mutex::new(Done::default()),
+            done: Mutex::new(Done {
+                ledger,
+                drain_target: None,
+            }),
             done_cv: Condvar::new(),
             in_flight: AtomicU64::new(0),
             next_id: AtomicU64::new(0),
-            steals: AtomicU64::new(0),
             record_arrivals,
             routes,
             lane_configs,
@@ -699,10 +532,9 @@ impl Gateway {
         let workers = (0..n_workers)
             .map(|i| {
                 let s = shared.clone();
-                let home = i % n_lanes;
                 std::thread::Builder::new()
                     .name(format!("dbat-serve-worker-{i}"))
-                    .spawn(move || worker_loop(&s, home))
+                    .spawn(move || worker_loop(&s))
                     .expect("spawn worker")
             })
             .collect();
@@ -823,13 +655,9 @@ impl Gateway {
                 }
             }
         }
-        // Explicit stamps are clamped to the lane's last arrival so the
+        // Stamped under the lane lock from a monotonic clock, so the
         // per-lane log (and the batcher's arrival order) stays sorted.
-        let arrival = req
-            .arrival
-            .unwrap_or_else(|| shared.clock.now())
-            .max(inbox.last_arrival);
-        inbox.last_arrival = arrival;
+        let arrival = shared.clock.now();
         let id = shared.next_id.fetch_add(1, Ordering::Relaxed);
         let admitted = Admitted {
             id,
@@ -897,7 +725,7 @@ impl Gateway {
         {
             let mut done = self.shared.done.lock().unwrap();
             done.drain_target = Some(accepted);
-            while done.completed < accepted {
+            while done.ledger.completed < accepted {
                 done = self.shared.done_cv.wait(done).unwrap();
             }
         }
@@ -918,36 +746,16 @@ impl Gateway {
         // The run is over: preserve the flight recorder's tail for
         // post-mortems before the gateway object goes away.
         self.shared.cfg.telemetry.dump_flight("drain");
-        let counts = {
-            let done = self.shared.done.lock().unwrap();
-            let mut counts = ServeCounts {
-                completed: done.completed,
-                steals: self.shared.steals.load(Ordering::Relaxed),
-                ..ServeCounts::default()
-            };
-            for lane in &self.shared.lanes {
-                let inbox = lane.inbox.lock().unwrap();
-                counts.submitted += inbox.submitted;
-                counts.accepted += inbox.accepted;
-                counts.rejected += inbox.rejected;
-            }
-            counts
-        };
-        let done = std::mem::take(&mut *self.shared.done.lock().unwrap());
-        let worker_wakeups = self.shared.work.lock().unwrap().wakeups;
-        ServeOutcome {
-            requests: done
-                .requests
-                .into_iter()
-                .map(|r| r.expect("accepted request not served"))
-                .collect(),
-            batches: done.batches,
-            total_cost: done.total_cost,
-            counts,
-            worker_wakeups,
-            measurements: feedback.measurements,
-            records: feedback.records,
+        let mut counts = ServeCounts::default();
+        for lane in &self.shared.lanes {
+            let inbox = lane.inbox.lock().unwrap();
+            counts.submitted += inbox.submitted;
+            counts.accepted += inbox.accepted;
+            counts.rejected += inbox.rejected;
         }
+        let ledger = std::mem::take(&mut self.shared.done.lock().unwrap().ledger);
+        let worker_wakeups = self.shared.work.lock().unwrap().wakeups;
+        ledger.finish(counts, worker_wakeups, feedback)
     }
 }
 
@@ -962,8 +770,8 @@ fn reject(inbox: &mut Inbox, shared: &Shared, outcome: Admission) -> Admission {
 
 /// One lane's batcher thread: drains the lane's admission queue into
 /// batch windows, applies broadcast reconfigurations at their
-/// boundaries, flushes due windows, and ships formed batches to the
-/// lane's batch queue for the (work-stealing) worker pool.
+/// boundaries, flushes due windows, and publishes formed batches on the
+/// shared ready queue.
 fn batcher_loop(shared: &Shared, lane_idx: usize) {
     precise_timers();
     let lane = &shared.lanes[lane_idx];
@@ -1033,28 +841,21 @@ fn batcher_loop(shared: &Shared, lane_idx: usize) {
             core.drain(now, &mut formed);
         }
         if !formed.is_empty() {
-            let n_formed = formed.len();
-            {
-                let mut q = lane.batches.lock().unwrap();
-                for fb in formed.drain(..) {
-                    if let Some(tel) = &shared.tel {
-                        match fb.reason {
-                            FlushReason::Capacity => tel.flush_capacity.inc(),
-                            FlushReason::Timeout => tel.flush_timeout.inc(),
-                            FlushReason::Drain => tel.flush_drain.inc(),
-                        }
-                        tel.batch_size.record(fb.requests.len() as f64);
+            if let Some(tel) = &shared.tel {
+                for fb in &formed {
+                    match fb.reason {
+                        FlushReason::Capacity => tel.flush_capacity.inc(),
+                        FlushReason::Timeout => tel.flush_timeout.inc(),
+                        FlushReason::Drain => tel.flush_drain.inc(),
                     }
-                    q.push_back(fb);
+                    tel.batch_size.record(fb.requests.len() as f64);
                 }
             }
-            // Publish the batches *after* they are visible in the lane
-            // queue: a worker that wins a claim always finds its batch.
-            // One parked worker is woken per batch; busy workers find
-            // the rest through `ready` when they come back.
+            // One parked worker is woken per batch; busy workers find the
+            // rest in the queue when they come back.
             let mut ws = shared.work.lock().unwrap();
-            ws.ready += n_formed;
-            let wake = n_formed.min(ws.parked);
+            let wake = formed.len().min(ws.parked);
+            ws.ready.extend(formed.drain(..));
             drop(ws);
             for _ in 0..wake {
                 shared.work_cv.notify_one();
@@ -1078,64 +879,40 @@ fn batcher_loop(shared: &Shared, lane_idx: usize) {
     }
 }
 
-/// Claim one formed batch for a worker whose home lane is `home`:
-/// block until some lane has work (or all batchers exited), then pop
-/// from the home lane, stealing from the next non-empty lane when home
-/// is dry. Returns `None` when the gateway is fully drained.
-fn next_batch(shared: &Shared, home: usize) -> Option<FormedBatch> {
-    {
-        let mut ws = shared.work.lock().unwrap();
-        loop {
-            if ws.ready > 0 {
-                // Claim one batch. The batch is already visible in some
-                // lane queue (batchers publish queue-first), so the scan
-                // below always finds one.
-                ws.ready -= 1;
-                break;
-            }
-            if ws.live_batchers == 0 {
-                return None;
-            }
-            ws.parked += 1;
-            ws = shared.work_cv.wait(ws).unwrap();
-            ws.parked -= 1;
-            ws.wakeups += 1;
-            if let Some(tel) = &shared.tel {
-                tel.worker_wakeups.inc();
-            }
-        }
-    }
-    let n = shared.lanes.len();
+/// Take the oldest formed batch, parking until a batcher publishes one.
+/// A claim is checked before the exit condition, so no batch is
+/// stranded; returns `None` once the queue is empty and every batcher
+/// has exited.
+fn next_batch(shared: &Shared) -> Option<FormedBatch> {
+    let mut ws = shared.work.lock().unwrap();
     loop {
-        for off in 0..n {
-            let l = (home + off) % n;
-            if let Some(fb) = shared.lanes[l].batches.lock().unwrap().pop_front() {
-                if l != home {
-                    shared.steals.fetch_add(1, Ordering::Relaxed);
-                    if let Some(tel) = &shared.tel {
-                        tel.steal.inc();
-                    }
-                }
-                return Some(fb);
-            }
+        if let Some(fb) = ws.ready.pop_front() {
+            return Some(fb);
         }
-        // Transient: another claimant took the batch we scanned past
-        // while ours sits in a lane we already visited. There are always
-        // at least as many queued batches as outstanding claims, so a
-        // rescan terminates.
-        std::thread::yield_now();
+        if ws.live_batchers == 0 {
+            return None;
+        }
+        ws.parked += 1;
+        ws = shared.work_cv.wait(ws).unwrap();
+        ws.parked -= 1;
+        ws.wakeups += 1;
+        if let Some(tel) = &shared.tel {
+            tel.worker_wakeups.inc();
+        }
     }
 }
 
-/// A worker: claims a formed batch (home lane first, stealing
-/// otherwise), executes it through the backend (sleeping the planned
-/// service time on the gateway clock), and files the completion records.
-fn worker_loop(shared: &Shared, home: usize) {
+/// A worker: takes a formed batch from the ready queue, executes it
+/// through the backend (sleeping the planned service time on the gateway
+/// clock), and settles it into the ledger.
+fn worker_loop(shared: &Shared) {
     precise_timers();
-    while let Some(fb) = next_batch(shared, home) {
-        let size = fb.requests.len() as u32;
+    let tracer = shared.cfg.telemetry.tracer();
+    let mut events = Vec::new();
+    while let Some(fb) = next_batch(shared) {
+        let size = fb.requests.len() as u64;
         let lane = &shared.lanes[fb.lane as usize];
-        let plan = shared.backend.plan(&fb.config, size);
+        let plan = shared.backend.plan(&fb.config, size as u32);
         // Execute time is measured on the gateway clock (virtual
         // seconds), not wall time, so the `span.serve.execute`
         // histogram is in the same units as every other stamp.
@@ -1144,39 +921,6 @@ fn worker_loop(shared: &Shared, home: usize) {
         let completed_at = shared.clock.now();
         if let Some(tel) = &shared.tel {
             tel.execute.record(completed_at - exec_started);
-        }
-        let mut done = shared.done.lock().unwrap();
-        let batch_idx = done.batches.len();
-        if shared.cfg.record_outcome {
-            done.batches.push(ServedBatch {
-                opened_at: fb.opened_at,
-                dispatched_at: fb.dispatched_at,
-                completed_at,
-                size,
-                service_s: plan.service_s,
-                cost: plan.cost,
-                config: fb.config,
-                reason: fb.reason,
-                lane: fb.lane,
-            });
-            for r in &fb.requests {
-                let id = r.id as usize;
-                if done.requests.len() <= id {
-                    done.requests.resize(id + 1, None);
-                }
-                debug_assert!(done.requests[id].is_none(), "request {id} served twice");
-                done.requests[id] = Some(ServedRequest {
-                    id: r.id,
-                    arrival: r.arrival,
-                    dispatched_at: fb.dispatched_at,
-                    completed_at,
-                    batch: batch_idx,
-                    lane: fb.lane,
-                    class: r.class,
-                });
-            }
-        }
-        if let Some(tel) = &shared.tel {
             for r in &fb.requests {
                 tel.latency.record(completed_at - r.arrival);
             }
@@ -1188,32 +932,29 @@ fn worker_loop(shared: &Shared, home: usize) {
                 }
             }
         }
-        done.total_cost += plan.cost;
-        done.completed += size as u64;
-        let drained = done.drain_target.is_some_and(|n| done.completed >= n);
+        // On grouped gateways the lane *is* the function group.
+        let group = if shared.routes.is_some() { fb.lane } else { 0 };
+        let trace = tracer.is_active().then_some(&mut events);
+        let mut done = shared.done.lock().unwrap();
+        done.ledger.settle(&fb, &plan, completed_at, group, trace);
+        let drained = done
+            .drain_target
+            .is_some_and(|n| done.ledger.completed >= n);
         drop(done);
-        let tracer = shared.cfg.telemetry.tracer();
-        if tracer.is_active() {
-            // Admission events are staged here too (see
-            // `push_admission_trace`): one `record_many` per batch is the
-            // only tracing lock the serving path ever takes.
-            let mut events = Vec::with_capacity(1 + 5 * fb.requests.len());
-            for r in &fb.requests {
-                push_admission_trace(&mut events, r.id, r.arrival, fb.lane);
-            }
-            // On grouped gateways the lane *is* the function group.
-            let group = if shared.routes.is_some() { fb.lane } else { 0 };
-            push_batch_trace(&mut events, &fb, batch_idx as u64, completed_at, group);
+        if !events.is_empty() {
+            // One `record_many` per batch is the only tracing lock the
+            // serving path ever takes.
             tracer.record_many(&events);
+            events.clear();
         }
-        let depth = shared.in_flight.fetch_sub(size as u64, Ordering::SeqCst) - size as u64;
-        let lane_depth = lane.depth.fetch_sub(size as u64, Ordering::Relaxed) - size as u64;
+        let depth = shared.in_flight.fetch_sub(size, Ordering::SeqCst) - size;
+        let lane_depth = lane.depth.fetch_sub(size, Ordering::Relaxed) - size;
         if let Some(tel) = &shared.tel {
-            tel.completed.add(size as u64);
+            tel.completed.add(size);
             tel.queue_depth.set(depth as f64);
         }
         if let Some(lt) = &lane.tel {
-            lt.completed.add(size as u64);
+            lt.completed.add(size);
             lt.queue_depth.set(lane_depth as f64);
         }
         if drained {
@@ -1352,9 +1093,12 @@ fn finalize_intervals(
         let mut measured = None;
         if !ids.is_empty() {
             let done = shared.done.lock().unwrap();
-            let served = ids
-                .iter()
-                .all(|&id| done.requests.get(id as usize).is_some_and(|r| r.is_some()));
+            let served = ids.iter().all(|&id| {
+                done.ledger
+                    .requests
+                    .get(id as usize)
+                    .is_some_and(|r| r.is_some())
+            });
             // An unserved request under `force` should be unreachable:
             // shutdown drains before stopping the control thread. Commit
             // unmeasured rather than hang.
@@ -1365,13 +1109,14 @@ fn finalize_intervals(
                 let latencies: Vec<f64> = ids
                     .iter()
                     .map(|&id| {
-                        done.requests[id as usize]
+                        done.ledger.requests[id as usize]
                             .as_ref()
                             .expect("checked")
                             .latency()
                     })
                     .collect();
                 let cost: f64 = done
+                    .ledger
                     .batches
                     .iter()
                     .filter(|b| b.opened_at >= rec.start && b.opened_at < rec.end)
@@ -1520,35 +1265,6 @@ mod tests {
         assert_eq!(out.counts.rejected, 1);
         assert_eq!(out.counts.completed, 4);
         assert!(out.counts.conserved());
-    }
-
-    #[test]
-    fn admission_round_trips_through_json() {
-        // `Rejected { retry_after_s: None }` used to be `∞`, which JSON
-        // cannot represent; the sentinel must survive a full round trip.
-        let cases = [
-            Admission::Accepted { id: 42 },
-            Admission::Rejected {
-                retry_after_s: Some(0.25),
-            },
-            Admission::Rejected {
-                retry_after_s: None,
-            },
-            Admission::Closed,
-        ];
-        for adm in cases {
-            let text = serde_json::to_string(&adm).expect("serializable");
-            let back: Admission = serde_json::from_str(&text).expect("parseable");
-            assert_eq!(back, adm, "round trip of {text}");
-        }
-        // The no-retry sentinel omits the field entirely.
-        let text = serde_json::to_string(&Admission::Rejected {
-            retry_after_s: None,
-        })
-        .unwrap();
-        assert!(!text.contains("retry_after_s"), "got {text}");
-        // Unknown statuses are a clear error, not a silent default.
-        assert!(serde_json::from_str::<Admission>("{\"status\":\"weird\"}").is_err());
     }
 
     #[test]
@@ -1721,5 +1437,47 @@ mod tests {
         assert!(out.requests.is_empty());
         assert!(out.batches.is_empty());
         assert!(out.total_cost > 0.0, "cost still accumulates");
+    }
+
+    /// A batch's span id is its settle index, which the ledger counts
+    /// whether or not it keeps records: without records, every traced
+    /// batch still gets a span of its own.
+    #[test]
+    fn traced_batches_get_distinct_spans_without_records() {
+        let hub = Arc::new(Telemetry::new());
+        hub.tracer().enable_capture();
+        let n = 24u64;
+        let cfg = GatewayConfig {
+            initial: LambdaConfig::new(2048, 1, 0.0),
+            queue_capacity: 64,
+            backpressure: BackpressurePolicy::Block,
+            workers: 2,
+            record_outcome: false,
+            telemetry: hub.clone(),
+            ..GatewayConfig::default()
+        };
+        let gw = Gateway::start(
+            cfg,
+            Arc::new(WallClock::with_speedup(100.0)),
+            Arc::new(ProfiledBackend::default()),
+        );
+        for _ in 0..n {
+            assert!(matches!(
+                gw.submit(Request::default()),
+                Admission::Accepted { .. }
+            ));
+        }
+        let out = gw.shutdown(DrainMode::Graceful);
+        assert_eq!(out.counts.completed, n);
+        let flushes: Vec<u64> = hub
+            .tracer()
+            .drain()
+            .iter()
+            .filter(|e| e.stage == dbat_telemetry::TraceStage::Flush)
+            .map(|e| e.sort_key().3)
+            .collect();
+        assert_eq!(flushes.len() as u64, n, "B = 1: one flush per request");
+        let spans: std::collections::BTreeSet<u64> = flushes.into_iter().collect();
+        assert_eq!(spans.len() as u64, n, "span ids repeat");
     }
 }

@@ -12,8 +12,9 @@
 //!                                                         │
 //!  controller thread ── hot (M,B,T) reconfiguration ──────┤
 //!   (DeepBAT, BATCH,    broadcast to every lane           ▼
-//!    Static, Oracle)    at interval boundaries    work-stealing worker
-//!                                                 pool · InferenceBackend
+//!    Static, Oracle)    at interval boundaries    one shared ready queue
+//!                                                 ──▶ worker pool
+//!                                                 · InferenceBackend
 //! ```
 //!
 //! * [`Clock`] — the trait all live gateway time flows through;
@@ -26,7 +27,8 @@
 //!   [`ProfiledBackend`] sleeps the calibrated `s(M, b)` and bills the
 //!   simulator's pricing model.
 //! * [`Gateway`] — N sharded batcher lanes with bounded admission and
-//!   explicit backpressure, a work-stealing worker pool, a control thread
+//!   explicit backpressure, one ready queue that any worker of the pool
+//!   takes the oldest formed batch from, a control thread
 //!   running any [`dbat_sim::Controller`] (reconfigurations broadcast to
 //!   every lane), graceful drain. Multi-class mode: configure
 //!   [`GatewayConfig::groups`] with heterogeneous
@@ -37,7 +39,9 @@
 //!   arithmetic run as `dbat_sim`'s one offline window walk (the
 //!   closed-loop replay is the fixed one plus decision boundaries), so it
 //!   is **bitwise-equivalent** to [`dbat_sim::simulate_batching`]; it has
-//!   one batcher core (no lanes).
+//!   one batcher core (no lanes). Both gateways file each served batch —
+//!   records, cost, trace events — through one settle
+//!   (`outcome::Ledger::settle`), so their outcomes are built one way.
 //! * [`drive`] — open-loop trace replay against a live gateway, plus
 //!   a multi-producer flat-out driver for the concurrency tests.
 //! * [`ScriptedController`] — a controller replaying a fixed

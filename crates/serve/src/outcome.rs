@@ -1,9 +1,15 @@
 //! What a finished gateway run looks like: per-request and per-batch
 //! records mirroring the simulator's [`dbat_sim::SimOutcome`], plus the
 //! admission accounting and (for controlled runs) the per-interval
-//! measurements and decision audit trail.
+//! measurements and decision audit trail — and the one [`Ledger`] both
+//! gateways file their served batches into.
 
-use dbat_sim::{DecisionRecord, FlushReason, IntervalMeasurement, LambdaConfig, LatencySummary};
+use crate::backend::BatchPlan;
+use dbat_sim::{
+    DecisionRecord, Feedback, FlushReason, FormedBatch, IntervalMeasurement, LambdaConfig,
+    LatencySummary,
+};
+use dbat_telemetry::{FlushKind, SpanId, TraceConfig, TraceEvent, TraceId, TraceStage};
 use dbat_workload::ClassId;
 use serde::{Deserialize, Serialize};
 
@@ -62,8 +68,8 @@ pub struct ServeCounts {
     pub rejected: u64,
     /// Requests that finished execution.
     pub completed: u64,
-    /// Batches a worker popped from a lane other than its home lane
-    /// (work-stealing; informational, not part of the conservation law).
+    /// Always 0: every worker takes its batches from one shared ready
+    /// queue. Kept only because `benchmark/` still constructs and reads it.
     pub steals: u64,
 }
 
@@ -161,6 +167,176 @@ impl ServeOutcome {
     }
 }
 
+/// Everything a run has served so far, filed one batch at a time by
+/// [`Ledger::settle`] — the live worker's settle (under the gateway's
+/// `done` lock) and the replay's are this one call.
+#[derive(Default)]
+pub(crate) struct Ledger {
+    /// Keep per-request and per-batch records
+    /// (`GatewayConfig::record_outcome`; replays always do).
+    record: bool,
+    /// Indexed by request id; `Some` once served. Empty without records.
+    pub(crate) requests: Vec<Option<ServedRequest>>,
+    /// In settle order: completion order live, dispatch order in replays.
+    /// Empty without records.
+    pub(crate) batches: Vec<ServedBatch>,
+    /// Billed cost, accumulated in settle order.
+    total_cost: f64,
+    /// Requests settled.
+    pub(crate) completed: u64,
+    /// Batches settled: the next batch's index and trace span id, counted
+    /// with or without records.
+    settled: u64,
+}
+
+impl Ledger {
+    pub(crate) fn new(record: bool) -> Ledger {
+        Ledger {
+            record,
+            ..Ledger::default()
+        }
+    }
+
+    /// File one executed batch that completed at `completed_at`: its
+    /// cost, its records, and — into `trace`, when the tracer is armed —
+    /// its full six-stage trace: admission and enqueue, window joins at
+    /// each member's arrival, the batch-level flush, per-request dispatch
+    /// and completion. Admission is staged here, not at admission: every
+    /// event carries its own stamp, so deferring it keeps the admission
+    /// path free of tracing locks without changing event content, and a
+    /// caller submits a whole batch (or a whole replay) through one
+    /// `Tracer::record_many`. Every event carries the batch's lane, so a
+    /// sharded stream filters per lane; configurations are tagged with
+    /// `group`, the function group owning the lane (0 outside multi-group
+    /// serving).
+    pub(crate) fn settle(
+        &mut self,
+        fb: &FormedBatch,
+        plan: &BatchPlan,
+        completed_at: f64,
+        group: u32,
+        trace: Option<&mut Vec<TraceEvent>>,
+    ) {
+        let batch = self.settled;
+        self.settled += 1;
+        self.completed += fb.requests.len() as u64;
+        self.total_cost += plan.cost;
+        if let Some(out) = trace {
+            let lane = fb.lane;
+            out.reserve(1 + 5 * fb.requests.len());
+            for r in &fb.requests {
+                // Both gateways admit and enqueue in the same instant (the
+                // live one stamps arrival under the lane lock; the replay
+                // has no admission queue), so both events take the arrival.
+                let id = TraceId(r.id);
+                out.push(TraceEvent::new(id, TraceStage::Admit, r.arrival).with_lane(lane));
+                out.push(TraceEvent::new(id, TraceStage::Enqueue, r.arrival).with_lane(lane));
+            }
+            let span = SpanId(batch);
+            let cfg = TraceConfig {
+                memory_mb: fb.config.memory_mb,
+                batch_size: fb.config.batch_size,
+                timeout_s: fb.config.timeout_s,
+                group,
+            };
+            let reason = match fb.reason {
+                FlushReason::Capacity => FlushKind::Capacity,
+                FlushReason::Timeout => FlushKind::Timeout,
+                FlushReason::Drain => FlushKind::Drain,
+            };
+            out.push(
+                TraceEvent::new(
+                    TraceId(fb.requests[0].id),
+                    TraceStage::Flush,
+                    fb.dispatched_at,
+                )
+                .with_span(span)
+                .with_config(cfg)
+                .with_reason(reason)
+                .with_size(fb.requests.len() as u32)
+                .with_lane(lane),
+            );
+            for r in &fb.requests {
+                let id = TraceId(r.id);
+                out.push(
+                    TraceEvent::new(id, TraceStage::WindowJoin, r.arrival)
+                        .with_span(span)
+                        .with_config(cfg)
+                        .with_lane(lane),
+                );
+                out.push(
+                    TraceEvent::new(id, TraceStage::Dispatch, fb.dispatched_at)
+                        .with_span(span)
+                        .with_config(cfg)
+                        .with_reason(reason)
+                        .with_lane(lane),
+                );
+                out.push(
+                    TraceEvent::new(id, TraceStage::Complete, completed_at)
+                        .with_span(span)
+                        .with_lane(lane),
+                );
+            }
+        }
+        if !self.record {
+            return;
+        }
+        self.batches.push(ServedBatch {
+            opened_at: fb.opened_at,
+            dispatched_at: fb.dispatched_at,
+            completed_at,
+            size: fb.requests.len() as u32,
+            service_s: plan.service_s,
+            cost: plan.cost,
+            config: fb.config,
+            reason: fb.reason,
+            lane: fb.lane,
+        });
+        for r in &fb.requests {
+            let id = r.id as usize;
+            if self.requests.len() <= id {
+                self.requests.resize(id + 1, None);
+            }
+            debug_assert!(self.requests[id].is_none(), "request {id} served twice");
+            self.requests[id] = Some(ServedRequest {
+                id: r.id,
+                arrival: r.arrival,
+                dispatched_at: fb.dispatched_at,
+                completed_at,
+                batch: batch as usize,
+                lane: fb.lane,
+                class: r.class,
+            });
+        }
+    }
+
+    /// The finished run. `counts` brings the admission side; `completed`
+    /// is the ledger's own.
+    pub(crate) fn finish(
+        self,
+        counts: ServeCounts,
+        worker_wakeups: u64,
+        feedback: Feedback,
+    ) -> ServeOutcome {
+        ServeOutcome {
+            requests: self
+                .requests
+                .into_iter()
+                .map(|r| r.expect("accepted request not served"))
+                .collect(),
+            batches: self.batches,
+            total_cost: self.total_cost,
+            counts: ServeCounts {
+                completed: self.completed,
+                ..counts
+            },
+            worker_wakeups,
+            measurements: feedback.measurements,
+            records: feedback.records,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -172,7 +348,7 @@ mod tests {
             accepted: 7,
             rejected: 3,
             completed: 7,
-            steals: 2,
+            ..ServeCounts::default()
         };
         assert!(ok.conserved());
         let leak = ServeCounts {
@@ -180,7 +356,7 @@ mod tests {
             accepted: 7,
             rejected: 2,
             completed: 7,
-            steals: 0,
+            ..ServeCounts::default()
         };
         assert!(!leak.conserved());
     }
@@ -226,7 +402,7 @@ mod tests {
                 accepted: 2,
                 rejected: 0,
                 completed: 2,
-                steals: 0,
+                ..ServeCounts::default()
             },
             worker_wakeups: 0,
             measurements: Vec::new(),

@@ -20,14 +20,13 @@
 //! `[start, end)` convention of the offline driver.
 
 use crate::backend::{BatchPlan, InferenceBackend, ProfiledBackend};
-use crate::gateway::{push_admission_trace, push_batch_trace};
-use crate::outcome::{ServeCounts, ServeOutcome, ServedBatch, ServedRequest};
+use crate::outcome::{Ledger, ServeCounts, ServeOutcome, ServedRequest};
 use dbat_sim::window::walk_windows;
 use dbat_sim::{
     Controller, DecisionContext, DecisionRecord, Feedback, FormedBatch, IntervalMeasurement,
     LambdaConfig, LatencySummary, SimConfig, SimParams,
 };
-use dbat_telemetry::{Telemetry, TraceEvent, Tracer};
+use dbat_telemetry::{Telemetry, TraceEvent};
 use dbat_workload::Trace;
 use std::sync::Arc;
 use std::time::Instant;
@@ -116,9 +115,7 @@ impl VirtualGateway {
             .collect();
         let tracer = self.tel.tracer();
         let mut state = ReplayState {
-            requests: vec![None; arrivals.len()],
-            batches: Vec::new(),
-            total_cost: 0.0,
+            ledger: Ledger::new(true),
             control,
             // Tracing stages into a plain local Vec — the replay is
             // single-threaded, so per-event locks would be pure overhead —
@@ -133,17 +130,42 @@ impl VirtualGateway {
             &mut state,
             |state, k| {
                 let control = state.control.as_mut().expect("only control has boundaries");
-                control.decide(k, &state.requests)
+                control.decide(k, &state.ledger.requests)
             },
             |state, fb| {
+                // Cost folds in dispatch order, the simulator's fold. The
+                // replay never calls `execute` — each invocation runs on its
+                // own autoscaled instance, so completion is dispatch +
+                // planned service.
                 let plan = backend.plan(&fb.config, fb.requests.len() as u32);
-                state.settle(&fb, &plan, tracer);
+                let completed_at = fb.dispatched_at + plan.service_s;
+                let buf = state.trace_buf.as_mut();
+                state.ledger.settle(&fb, &plan, completed_at, 0, buf);
+                if let Some(buf) = &mut state.trace_buf {
+                    if buf.len() >= TRACE_CHUNK {
+                        tracer.record_many(buf);
+                        buf.clear();
+                    }
+                }
+                if let Some(control) = &mut state.control {
+                    control.on_batch(&fb, &plan);
+                }
             },
         );
         if let Some(buf) = &state.trace_buf {
             tracer.record_many(buf);
         }
-        state.into_outcome()
+        let feedback = state
+            .control
+            .map_or_else(Feedback::default, |c| c.finish(&state.ledger.requests));
+        let n = arrivals.len() as u64;
+        let counts = ServeCounts {
+            submitted: n,
+            accepted: n,
+            ..ServeCounts::default()
+        };
+        // The replay has no worker pool, so nothing ever wakes.
+        state.ledger.finish(counts, 0, feedback)
     }
 }
 
@@ -153,91 +175,10 @@ const TRACE_CHUNK: usize = 16 * 1024;
 
 /// Everything a replay accumulates as the walk hands out batches.
 struct ReplayState<'a> {
-    requests: Vec<Option<ServedRequest>>,
-    batches: Vec<ServedBatch>,
-    total_cost: f64,
+    ledger: Ledger,
     control: Option<ControlLoop<'a>>,
     /// Trace events not yet submitted, when the tracer is armed.
     trace_buf: Option<Vec<TraceEvent>>,
-}
-
-impl ReplayState<'_> {
-    /// Settle one freshly formed, planned batch: stamp completions and
-    /// accumulate cost in dispatch order, the simulator's fold. The
-    /// replay never calls `execute` — each invocation runs on its own
-    /// autoscaled instance, so completion is dispatch + planned service.
-    fn settle(&mut self, fb: &FormedBatch, plan: &BatchPlan, tracer: &Tracer) {
-        let completed_at = fb.dispatched_at + plan.service_s;
-        let batch_idx = self.batches.len();
-        if let Some(buf) = &mut self.trace_buf {
-            // Admission is staged with its batch, as the live worker does;
-            // every event carries its own stamp.
-            for r in &fb.requests {
-                push_admission_trace(buf, r.id, r.arrival, fb.lane);
-            }
-            push_batch_trace(buf, fb, batch_idx as u64, completed_at, 0);
-            if buf.len() >= TRACE_CHUNK {
-                tracer.record_many(buf);
-                buf.clear();
-            }
-        }
-        self.batches.push(ServedBatch {
-            opened_at: fb.opened_at,
-            dispatched_at: fb.dispatched_at,
-            completed_at,
-            size: fb.requests.len() as u32,
-            service_s: plan.service_s,
-            cost: plan.cost,
-            config: fb.config,
-            reason: fb.reason,
-            lane: fb.lane,
-        });
-        self.total_cost += plan.cost;
-        for r in &fb.requests {
-            let slot = &mut self.requests[r.id as usize];
-            debug_assert!(slot.is_none(), "request {} served twice", r.id);
-            *slot = Some(ServedRequest {
-                id: r.id,
-                arrival: r.arrival,
-                dispatched_at: fb.dispatched_at,
-                completed_at,
-                batch: batch_idx,
-                lane: fb.lane,
-                class: r.class,
-            });
-        }
-        if let Some(control) = &mut self.control {
-            control.on_batch(fb, plan);
-        }
-    }
-
-    fn into_outcome(self) -> ServeOutcome {
-        let n = self.requests.len() as u64;
-        let feedback = self
-            .control
-            .map_or_else(Feedback::default, |c| c.finish(&self.requests));
-        let requests: Vec<ServedRequest> = self
-            .requests
-            .into_iter()
-            .map(|r| r.expect("every request served"))
-            .collect();
-        ServeOutcome {
-            requests,
-            batches: self.batches,
-            total_cost: self.total_cost,
-            counts: ServeCounts {
-                submitted: n,
-                accepted: n,
-                rejected: 0,
-                completed: n,
-                // The replay is single-threaded: no worker pool, no steals.
-                steals: 0,
-            },
-            worker_wakeups: 0,
-            measurements: feedback.measurements,
-            records: feedback.records,
-        }
-    }
 }
 
 /// The closed loop of a controlled replay: the interval grid, which

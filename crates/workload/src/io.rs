@@ -11,7 +11,19 @@ use std::path::Path;
 #[derive(Debug)]
 pub enum TraceIoError {
     Io(std::io::Error),
-    Parse { line: usize, content: String },
+    Parse {
+        line: usize,
+        content: String,
+    },
+    /// A timestamp below zero: traces start at time 0.
+    Negative {
+        line: usize,
+        value: f64,
+    },
+    /// A `horizon=` header that is not a finite, positive number.
+    Horizon {
+        content: String,
+    },
     Empty,
 }
 
@@ -21,6 +33,12 @@ impl std::fmt::Display for TraceIoError {
             TraceIoError::Io(e) => write!(f, "io error: {e}"),
             TraceIoError::Parse { line, content } => {
                 write!(f, "unparsable timestamp at line {line}: {content:?}")
+            }
+            TraceIoError::Negative { line, value } => {
+                write!(f, "negative timestamp at line {line}: {value}")
+            }
+            TraceIoError::Horizon { content } => {
+                write!(f, "horizon must be finite and positive, got {content:?}")
             }
             TraceIoError::Empty => write!(f, "trace file contains no timestamps"),
         }
@@ -57,6 +75,12 @@ pub(crate) fn read_trace(
         // Accept "ts" or "ts,anything" rows.
         let field = t.split(',').next().unwrap_or(t).trim();
         match field.parse::<f64>() {
+            Ok(v) if v < 0.0 => {
+                return Err(TraceIoError::Negative {
+                    line: i + 1,
+                    value: v,
+                })
+            }
             Ok(v) if v.is_finite() => ts.push(v),
             _ => {
                 return Err(TraceIoError::Parse {
@@ -96,14 +120,25 @@ pub fn write_trace(trace: &Trace, path: impl AsRef<Path>) -> std::io::Result<()>
 }
 
 /// Read a trace written by [`write_trace`], recovering the exact horizon.
+/// A horizon header that is not a finite, positive number is an error.
 pub fn read_trace_auto(path: impl AsRef<Path>) -> Result<Trace, TraceIoError> {
     // Peek the first line for the horizon comment.
     let content = fs::read_to_string(&path)?;
-    let horizon = content
+    let horizon = match content
         .lines()
         .next()
         .and_then(|l| l.strip_prefix("# deepbat trace, horizon="))
-        .and_then(|h| h.trim().parse::<f64>().ok());
+    {
+        None => None,
+        Some(h) => match h.trim().parse::<f64>() {
+            Ok(v) if v.is_finite() && v > 0.0 => Some(v),
+            _ => {
+                return Err(TraceIoError::Horizon {
+                    content: h.to_string(),
+                })
+            }
+        },
+    };
     read_trace(path, horizon)
 }
 
@@ -164,6 +199,37 @@ mod tests {
             Err(TraceIoError::Parse { line, .. }) => assert_eq!(line, 2),
             other => panic!("expected parse error, got {other:?}"),
         }
+    }
+
+    /// Hostile files come back as typed errors, never as a panic inside
+    /// `Trace::new`.
+    #[test]
+    fn malformed_horizons_and_negative_stamps_rejected() {
+        let dir = tmp("malformed");
+        let p = dir.join("trace.txt");
+        let read = |text: &str| {
+            std::fs::write(&p, text).unwrap();
+            read_trace_auto(&p)
+        };
+        for h in ["0", "-1", "NaN", "inf", "-inf", "soon"] {
+            let got = read(&format!("# deepbat trace, horizon={h}\n0.5\n1.0\n"));
+            assert!(
+                matches!(got, Err(TraceIoError::Horizon { .. })),
+                "horizon={h}: {got:?}"
+            );
+        }
+        // Only negative stamps: the derived horizon would be -1.
+        let got = read("-5\n-3\n");
+        assert!(
+            matches!(got, Err(TraceIoError::Negative { line: 1, .. })),
+            "{got:?}"
+        );
+        let got = read("# deepbat trace, horizon=10\n1.0\n-0.5\n");
+        assert!(
+            matches!(got, Err(TraceIoError::Negative { line: 3, .. })),
+            "{got:?}"
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -21,6 +21,7 @@ use deepbat::sim::{
     TokenParams,
 };
 use deepbat::workload::{LognormalTokens, TokenMix, TokenSlo, TokenizedTrace};
+use std::sync::Arc;
 
 /// FNV-1a over little-endian 8-byte words.
 struct Fnv(u64);
@@ -43,6 +44,18 @@ impl Fnv {
 
     fn n(&mut self, v: usize) {
         self.u(v as u64);
+    }
+
+    /// Every drained trace event, byte by byte as its JSON text.
+    fn events(&mut self, events: &[TraceEvent]) {
+        self.n(events.len());
+        for ev in events {
+            let json = deepbat::telemetry::serde_json::to_string(ev).expect("serialisable");
+            for b in json.bytes() {
+                self.0 ^= b as u64;
+                self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
     }
 
     fn sim(&mut self, out: &SimOutcome) {
@@ -431,10 +444,17 @@ fn virtual_gateway_replays() {
         .build()
         .unwrap();
     let mut ctl = ScriptedController::new(six_configs().to_vec(), 0.1);
-    let mut gw = VirtualGateway::from_params(&params);
+    // Traced on a hub of its own: tracing reads only computed stamps, so
+    // the outcome row is the untraced one.
+    let hub = Arc::new(Telemetry::new());
+    hub.tracer().enable_capture();
+    let mut gw = VirtualGateway::from_params(&params).with_telemetry(hub.clone());
     let mut h = Fnv::new();
     h.serve(&gw.replay_controlled(&mut ctl, &trace, 0.0, 180.0, &opts));
     let controlled = h.0;
+    let mut h = Fnv::new();
+    h.events(&hub.tracer().drain());
+    let stream = h.0;
 
     check(&[
         ("replay/lanes_1", fixed, 0xdc30_9c6e_cfec_f318),
@@ -442,6 +462,11 @@ fn virtual_gateway_replays() {
             "replay/controlled_lanes_1",
             controlled,
             0xd050_c5a8_3895_84f3,
+        ),
+        (
+            "replay/controlled_trace_stream",
+            stream,
+            0x30ee_85b6_fff9_2890,
         ),
     ]);
 }

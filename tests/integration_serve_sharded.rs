@@ -1,12 +1,14 @@
-//! Sharded-gateway integration tests: lane partitioning, work-stealing,
-//! and the observability that rides on them.
+//! Sharded-gateway integration tests: lane partitioning, the one shared
+//! ready queue every lane's batches reach the worker pool through, and
+//! the observability that rides on them.
 //!
 //! The invariants (each lane runs the same `BatcherCore` the unsharded
 //! gateway runs, and `lanes = 1` *is* the unsharded gateway):
 //!
 //! * **Conservation across lanes** — ids are gateway-global and dense;
 //!   per-lane completed counts sum to the global total; per-lane FIFO
-//!   order survives concurrent submitters and work-stealing workers.
+//!   order survives concurrent submitters and a pool of workers that each
+//!   take any lane's batches.
 //! * **No shutdown deadlock** — submitters parked on a full lane under
 //!   `BackpressurePolicy::Block` are woken by the drain and resolve as
 //!   clean rejections.
@@ -208,8 +210,8 @@ fn blocked_submitters_resolve_as_rejections_during_shutdown() {
 /// Seeded stress: 8 concurrent submitters × 4 lanes with randomized
 /// lane assignment. Exactly-once completion, dense global ids, requests
 /// served on the lane they were submitted to, and per-lane FIFO order
-/// (admission order == dispatch order within a lane) all hold under
-/// work-stealing workers.
+/// (admission order == dispatch order within a lane) all hold while four
+/// workers take every lane's batches from the one ready queue.
 #[test]
 fn stress_randomized_lanes_keep_fifo_and_exactly_once() {
     let lanes = 4usize;
@@ -347,11 +349,11 @@ impl InferenceBackend for NullBackend {
     }
 }
 
-/// Four lanes fed by pinned producers but drained by a single worker
-/// homed on lane 0: lanes 1–3 can only drain by stealing, so a nonzero
-/// steal count is an invariant here, not a scheduling accident.
+/// Four lanes fed by pinned producers but drained by a single worker: the
+/// shared ready queue hands it every lane's batches, and the drain is
+/// clean.
 #[test]
-fn single_worker_drains_four_fed_lanes_by_stealing() {
+fn single_worker_drains_four_fed_lanes() {
     let gw = Gateway::start(
         GatewayConfig {
             initial: LambdaConfig::new(2048, 64, 0.005),
@@ -369,9 +371,4 @@ fn single_worker_drains_four_fed_lanes_by_stealing() {
     let out = gw.shutdown(DrainMode::Graceful);
     assert!(out.counts.conserved(), "lost requests");
     assert_eq!(out.counts.completed, stats.accepted, "drain was not clean");
-    assert!(
-        out.counts.steals >= 1,
-        "single worker over 4 fed lanes must steal (got {})",
-        out.counts.steals
-    );
 }
