@@ -7,7 +7,8 @@
 //! components live where they run: the Workload Parser is
 //! [`dbat_workload::window_at_time`] over the arrivals observed so far, the
 //! Buffer is [`dbat_sim::BatcherCore`] (driven by the simulators,
-//! `dbat_serve::VirtualGateway` and the live lane batchers), and the control
+//! `dbat_serve::VirtualGateway`'s fixed-configuration replay and the live
+//! lane batchers), and the control
 //! loop is [`dbat_sim::Controller::decide`] under
 //! [`dbat_sim::run_controller`] or the gateway's control thread.
 //!

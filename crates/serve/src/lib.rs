@@ -36,10 +36,11 @@
 //!   the lane serving its class, with per-class `serve.class.<i>.*`
 //!   telemetry.
 //! * [`VirtualGateway`] — the same core and the profiled backend's
-//!   arithmetic run as `dbat_sim`'s one offline window walk (the
-//!   closed-loop replay is the fixed one plus decision boundaries), so it
-//!   is **bitwise-equivalent** to [`dbat_sim::simulate_batching`]; it has
-//!   one batcher core (no lanes). Both gateways file each served batch —
+//!   arithmetic run as `dbat_sim`'s one offline window walk under one
+//!   fixed configuration, so it is **bitwise-equivalent** to
+//!   [`dbat_sim::simulate_batching`]; it has one batcher core (no lanes).
+//!   Closed loops run under [`dbat_sim::run_controller`] offline and on
+//!   the [`Gateway`]'s control thread live. Both gateways file each served batch —
 //!   records, cost, trace events — through one settle
 //!   (`outcome::Ledger::settle`), so their outcomes are built one way.
 //! * [`drive`] — open-loop trace replay against a live gateway, plus

@@ -144,34 +144,27 @@ pub fn simulate_batching(
     );
     let mut out = SimOutcome::unserved(arrivals);
     let arrivals = arrivals.iter().copied().enumerate();
-    walk_windows(
-        arrivals,
-        cfg,
-        &[],
-        &mut out,
-        |_, _| *cfg,
-        |out, fb| {
-            let size = fb.requests.len() as u32;
-            let service = params.profile.service_time(fb.config.memory_mb, size);
-            let cost = params.pricing.invocation_cost(fb.config.memory_mb, service);
-            let batch_idx = out.batches.len();
-            out.batches.push(BatchRecord {
-                opened_at: fb.opened_at,
-                dispatched_at: fb.dispatched_at,
-                size,
-                service_s: service,
-                cold_start_s: 0.0,
-                cost,
-            });
-            out.total_cost += cost;
-            for r in &fb.requests {
-                let rec = &mut out.requests[r.id as usize];
-                rec.dispatch = fb.dispatched_at;
-                rec.completion = fb.dispatched_at + service;
-                rec.batch = batch_idx;
-            }
-        },
-    );
+    walk_windows(arrivals, cfg, |fb| {
+        let size = fb.requests.len() as u32;
+        let service = params.profile.service_time(fb.config.memory_mb, size);
+        let cost = params.pricing.invocation_cost(fb.config.memory_mb, service);
+        let batch_idx = out.batches.len();
+        out.batches.push(BatchRecord {
+            opened_at: fb.opened_at,
+            dispatched_at: fb.dispatched_at,
+            size,
+            service_s: service,
+            cold_start_s: 0.0,
+            cost,
+        });
+        out.total_cost += cost;
+        for r in &fb.requests {
+            let rec = &mut out.requests[r.id as usize];
+            rec.dispatch = fb.dispatched_at;
+            rec.completion = fb.dispatched_at + service;
+            rec.batch = batch_idx;
+        }
+    });
     out
 }
 

@@ -499,8 +499,8 @@ pub(crate) fn record_sim_trace(
 
 /// The feedback protocol of one closed-loop run, and what it has produced
 /// so far. Every driver — [`run_controller`],
-/// [`crate::tokens::run_controller_tokens`], `dbat-serve`'s controlled
-/// replay and its live control thread — asks for decisions through
+/// [`crate::tokens::run_controller_tokens`] and `dbat-serve`'s live
+/// control thread — asks for decisions through
 /// [`Feedback::decide`] and closes each interval through
 /// [`Feedback::close`]; they differ only in *when* an interval's
 /// measurement becomes available.

@@ -877,14 +877,7 @@ pub fn simulate_faults(
         hub: Some(dbat_telemetry::global()).filter(|hub| hub.is_enabled()),
     };
     let windowed = arrivals.iter().copied().enumerate();
-    walk_windows(
-        windowed,
-        cfg,
-        &[],
-        &mut st,
-        |_, _| *cfg,
-        FaultRun::admit_formed,
-    );
+    walk_windows(windowed, cfg, |fb| st.admit_formed(fb));
     st.run_until(f64::INFINITY);
 
     if let Some(hub) = st.hub {

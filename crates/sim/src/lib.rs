@@ -11,7 +11,7 @@
 //!   arrival, open + T)`) as a clock-free state machine. It is the only
 //!   place the rule is written, and it has two drivers:
 //!   [`window::walk_windows`], the one loop over a finite arrival
-//!   sequence (with optional decision boundaries) behind every simulator
+//!   sequence under one configuration, behind every simulator
 //!   below and `dbat-serve`'s virtual replay, and the live gateway's
 //!   batcher threads;
 //! * [`simulate_batching`] — the walk, each formed batch served on its own

@@ -387,49 +387,42 @@ pub fn simulate_tokens_windowed(
     let mut total_cost = 0.0;
 
     let windowed = admitted.iter().map(|&i| (i, arrivals[i]));
-    walk_windows(
-        windowed,
-        cfg,
-        &[],
-        &mut (),
-        |_, _| *cfg,
-        |_, fb| {
-            let members = || fb.requests.iter().map(|r| r.id as usize);
-            let dispatch = fb.dispatched_at;
-            let prompt_sum: u64 = members().map(|i| specs[i].prompt_tokens as u64).sum();
-            let mut outputs: Vec<u32> = members().map(|i| specs[i].output_tokens).collect();
-            let active = decode_schedule(&mut outputs);
+    walk_windows(windowed, cfg, |fb| {
+        let members = || fb.requests.iter().map(|r| r.id as usize);
+        let dispatch = fb.dispatched_at;
+        let prompt_sum: u64 = members().map(|i| specs[i].prompt_tokens as u64).sum();
+        let mut outputs: Vec<u32> = members().map(|i| specs[i].output_tokens).collect();
+        let active = decode_schedule(&mut outputs);
 
-            let mut work = params.profile.prefill_work(prompt_sum);
-            let mut step_ends = Vec::with_capacity(active.len());
-            for &b in &active {
-                work += params.profile.decode_work(b);
-                step_ends.push(dispatch + ceil_ms(work / speed));
-            }
-            let busy = ceil_ms(work / speed);
-            let cost = params.pricing.invocation_cost(cfg.memory_mb, busy);
-            total_cost += cost;
-            invocations.push(TokenInvocation {
-                start: dispatch,
-                busy_s: busy,
-                size: fb.requests.len() as u32,
-                joined: fb.requests.len() as u32,
-                cost,
-                engine: 0,
-                anchor: fb.requests[0].id as usize,
+        let mut work = params.profile.prefill_work(prompt_sum);
+        let mut step_ends = Vec::with_capacity(active.len());
+        for &b in &active {
+            work += params.profile.decode_work(b);
+            step_ends.push(dispatch + ceil_ms(work / speed));
+        }
+        let busy = ceil_ms(work / speed);
+        let cost = params.pricing.invocation_cost(cfg.memory_mb, busy);
+        total_cost += cost;
+        invocations.push(TokenInvocation {
+            start: dispatch,
+            busy_s: busy,
+            size: fb.requests.len() as u32,
+            joined: fb.requests.len() as u32,
+            cost,
+            engine: 0,
+            anchor: fb.requests[0].id as usize,
+        });
+        for i in members() {
+            let spec = specs[i];
+            served[i] = Some(TokenRequestRecord {
+                arrival: arrivals[i],
+                dispatch,
+                first_token: step_ends[0],
+                completion: step_ends[spec.output_tokens as usize - 1],
+                spec,
             });
-            for i in members() {
-                let spec = specs[i];
-                served[i] = Some(TokenRequestRecord {
-                    arrival: arrivals[i],
-                    dispatch,
-                    first_token: step_ends[0],
-                    completion: step_ends[spec.output_tokens as usize - 1],
-                    spec,
-                });
-            }
-        },
-    );
+        }
+    });
 
     let out = TokenSimOutcome {
         served: served.into_iter().flatten().collect(),

@@ -6,13 +6,13 @@
 //! rule as a pure, clock-free state machine: callers hand it every
 //! arrival with its timestamp and tell it when time has passed, and it
 //! hands back [`FormedBatch`]es. It has two drivers: [`walk_windows`], the
-//! one plain loop over a finite arrival sequence that every offline driver
-//! shares — [`crate::simulate_batching`], [`crate::simulate_tokens_windowed`],
-//! [`crate::simulate_faults`] and `dbat-serve`'s `VirtualGateway` differ
-//! only in how they serve a formed batch (and the controlled replay in
-//! the configuration it picks at each decision boundary) — and the live
-//! gateway's batcher threads, which wake on its deadlines. So they agree
-//! on window membership and dispatch stamps by construction.
+//! one plain loop over a finite arrival sequence under one configuration
+//! that every offline driver shares — [`crate::simulate_batching`],
+//! [`crate::simulate_tokens_windowed`], [`crate::simulate_faults`] and
+//! `dbat-serve`'s `VirtualGateway` differ only in how they serve a formed
+//! batch — and the live gateway's batcher threads, which wake on its
+//! deadlines and rotate at decision boundaries. So they agree on window
+//! membership and dispatch stamps by construction.
 //!
 //! Timeout flushes are stamped at the *deadline*, not at the observation
 //! time, so a driver that looks late (a batcher thread that overslept, a
@@ -26,10 +26,11 @@
 //! requests — and subsequent arrivals open fresh windows under the new
 //! configuration. A formed window is therefore never split or dropped
 //! by a reconfiguration, and every batch's requests arrived under a
-//! single configuration epoch. Rotating at every decision boundary
-//! (even when the configuration is unchanged) is also what makes each
-//! control interval independent, matching how the offline driver
-//! simulates intervals in isolation.
+//! single configuration epoch. The live batcher rotates at every decision
+//! boundary (even when the configuration is unchanged), which makes each
+//! control interval independent — matching the offline closed loop,
+//! [`crate::run_controller`], which serves each interval with a walk of
+//! its own.
 
 use crate::config::LambdaConfig;
 use dbat_workload::ClassId;
@@ -184,8 +185,7 @@ impl BatcherCore {
     }
 
     /// Flush matured windows, oldest deadline first. `strict` flushes
-    /// `deadline < bound` only (pre-arrival catch-up, and the walk's
-    /// decision boundaries); non-strict flushes
+    /// `deadline < bound` only (pre-arrival catch-up); non-strict flushes
     /// `deadline <= bound`.
     fn flush_matured(&mut self, bound: f64, strict: bool, out: &mut Vec<FormedBatch>) {
         let matured = |w: &Window| {
@@ -290,31 +290,16 @@ impl WalkTel {
 /// window's timeout when the next arrival (or the end of the trace) shows
 /// it has passed, stamped at the deadline, so no event queue is needed.
 ///
-/// `boundaries` are sorted decision instants. At boundary `k` (time `s`)
-/// the walk first hands out every window whose deadline is strictly
-/// before `s`, then asks `decide` for the configuration windows open
-/// under from then on and seals the open window ([`BatcherCore::rotate`]).
-/// A boundary comes before an arrival at the same instant, so that
-/// arrival opens a window under the new configuration, while a window
-/// whose deadline equals `s` is sealed under its old one and dispatches
-/// at that deadline. `decide` and `dispatch` share the caller's state
-/// `st`, which is how a closed loop sees at boundary `k` every batch
-/// handed out before it. Without boundaries `decide` is never called (the
-/// fixed-configuration drivers pass one that keeps `cfg`).
-///
 /// `arrivals` yields `(id, timestamp)`: the id comes back as
 /// [`Admitted::id`], so a caller that feeds a filtered subsequence can
 /// still index its own per-request data. `opened_at` and `dispatched_at`
 /// of the batches handed out are in the caller's time; members' `arrival`
 /// stamps are relative to the trace origin (equal unless the trace starts
 /// below zero) — callers that need the arrival look it up by id.
-pub fn walk_windows<S>(
+pub fn walk_windows(
     arrivals: impl IntoIterator<Item = (usize, f64)>,
     cfg: &LambdaConfig,
-    boundaries: &[f64],
-    st: &mut S,
-    mut decide: impl FnMut(&mut S, usize) -> LambdaConfig,
-    mut dispatch: impl FnMut(&mut S, FormedBatch),
+    mut dispatch: impl FnMut(FormedBatch),
 ) {
     let mut arrivals = arrivals.into_iter().peekable();
     let t0 = trace_origin(arrivals.peek().map(|&(_, a)| a));
@@ -322,7 +307,7 @@ pub fn walk_windows<S>(
     let mut formed: Vec<FormedBatch> = Vec::new();
     let tel = WalkTel::resolve();
     let (mut n_arrivals, mut n_batches) = (0u64, 0u64);
-    let mut hand_out = |st: &mut S, formed: &mut Vec<FormedBatch>| {
+    let mut hand_out = |formed: &mut Vec<FormedBatch>| {
         for mut fb in formed.drain(..) {
             fb.opened_at += t0;
             fb.dispatched_at += t0;
@@ -334,35 +319,24 @@ pub fn walk_windows<S>(
                 }
             }
             n_batches += 1;
-            dispatch(st, fb);
+            dispatch(fb);
         }
     };
-    let mut arrivals = arrivals.map(|(id, a)| (id, a - t0)).peekable();
-    // Segment `k` is the arrivals strictly before boundary `k`, which then
-    // closes it; the last segment runs to the end of the trace.
-    let ends = boundaries.iter().map(|&s| s - t0).chain([f64::INFINITY]);
-    for (k, end) in ends.enumerate() {
-        while let Some((id, arrival)) = arrivals.next_if(|&(_, a)| a < end) {
-            let req = Admitted {
-                id: id as u64,
-                arrival,
-                class: 0,
-            };
-            core.on_arrival(req, &mut formed);
-            n_arrivals += 1;
-            hand_out(st, &mut formed);
-            if let Some(tel) = &tel {
-                tel.queue_depth.set(core.buffered() as f64);
-            }
-        }
-        if k < boundaries.len() {
-            core.flush_matured(end, true, &mut formed);
-            hand_out(st, &mut formed);
-            core.rotate(decide(st, k));
+    for (id, a) in arrivals {
+        let req = Admitted {
+            id: id as u64,
+            arrival: a - t0,
+            class: 0,
+        };
+        core.on_arrival(req, &mut formed);
+        n_arrivals += 1;
+        hand_out(&mut formed);
+        if let Some(tel) = &tel {
+            tel.queue_depth.set(core.buffered() as f64);
         }
     }
     core.due(f64::INFINITY, &mut formed);
-    hand_out(st, &mut formed);
+    hand_out(&mut formed);
     if let Some(tel) = &tel {
         tel.events.add(n_arrivals + n_batches);
         tel.queue_depth.set(0.0);
@@ -499,39 +473,6 @@ mod tests {
         assert_eq!(out.len(), 2);
         assert_eq!(out[0].dispatched_at, 0.10 + 0.05); // short deadline first
         assert_eq!(out[1].dispatched_at, 0.50);
-    }
-
-    #[test]
-    fn walk_boundary_at_a_deadline_seals_then_dispatches_at_it() {
-        // The window opened at 0 expires at 0.5, exactly the boundary: it
-        // is not yet handed out when the boundary decides, is sealed under
-        // the old config and dispatches at its deadline, while the arrival
-        // at the boundary opens a window under the new config.
-        let old = LambdaConfig::new(2048, 8, 0.5);
-        let new = LambdaConfig::new(1024, 4, 0.1);
-        let (mut batches, mut decided) = (Vec::new(), Vec::new());
-        walk_windows(
-            [(0, 0.0), (1, 0.5)],
-            &old,
-            &[0.5],
-            &mut batches,
-            |batches, k| {
-                decided.push((k, batches.len()));
-                new
-            },
-            |batches, fb| batches.push(fb),
-        );
-        assert_eq!(decided, [(0, 0)]);
-        assert_eq!(batches.len(), 2);
-        let ids = |fb: &FormedBatch| fb.requests.iter().map(|r| r.id).collect::<Vec<_>>();
-        assert_eq!(ids(&batches[0]), [0]);
-        assert_eq!(batches[0].config, old);
-        assert_eq!(batches[0].dispatched_at, 0.5);
-        assert_eq!(batches[0].reason, FlushReason::Timeout);
-        assert_eq!(ids(&batches[1]), [1]);
-        assert_eq!(batches[1].config, new);
-        assert_eq!(batches[1].opened_at, 0.5);
-        assert_eq!(batches[1].dispatched_at, 0.5 + 0.1);
     }
 
     #[test]

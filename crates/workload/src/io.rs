@@ -20,7 +20,8 @@ pub enum TraceIoError {
         line: usize,
         value: f64,
     },
-    /// A `horizon=` header that is not a finite, positive number.
+    /// A `horizon=` header that is not a finite, positive number, or that
+    /// lies below the last timestamp (a trace covers `[0, horizon)`).
     Horizon {
         content: String,
     },
@@ -38,7 +39,10 @@ impl std::fmt::Display for TraceIoError {
                 write!(f, "negative timestamp at line {line}: {value}")
             }
             TraceIoError::Horizon { content } => {
-                write!(f, "horizon must be finite and positive, got {content:?}")
+                write!(
+                    f,
+                    "horizon must be finite, positive and not below the last timestamp, got {content:?}"
+                )
             }
             TraceIoError::Empty => write!(f, "trace file contains no timestamps"),
         }
@@ -56,7 +60,8 @@ impl From<std::io::Error> for TraceIoError {
 /// Read a trace from a text file: one timestamp (seconds, f64) per line.
 /// Lines starting with `#` and a leading `timestamp` CSV header are
 /// skipped. The horizon is `max(timestamp) + mean interarrival` unless
-/// `horizon` is given.
+/// `horizon` is given; a given horizon below the last timestamp is an
+/// error (a stamp exactly at it is kept).
 pub(crate) fn read_trace(
     path: impl AsRef<Path>,
     horizon: Option<f64>,
@@ -90,19 +95,27 @@ pub(crate) fn read_trace(
             }
         }
     }
-    if ts.is_empty() {
+    ts.sort_by(f64::total_cmp);
+    let Some(&last) = ts.last() else {
         return Err(TraceIoError::Empty);
-    }
-    ts.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let h = horizon.unwrap_or_else(|| {
-        let last = *ts.last().unwrap();
-        let mean_ia = if ts.len() > 1 {
-            (last - ts[0]) / (ts.len() - 1) as f64
-        } else {
-            1.0
-        };
-        last + mean_ia.max(1e-9)
-    });
+    };
+    let h = match horizon {
+        // Equality stays accepted: rebasing can round a stamp onto it.
+        Some(h) if h < last => {
+            return Err(TraceIoError::Horizon {
+                content: format!("{h} (last timestamp {last})"),
+            })
+        }
+        Some(h) => h,
+        None => {
+            let mean_ia = if ts.len() > 1 {
+                (last - ts[0]) / (ts.len() - 1) as f64
+            } else {
+                1.0
+            };
+            last + mean_ia.max(1e-9)
+        }
+    };
     Ok(Trace::new(ts, h))
 }
 
@@ -120,7 +133,8 @@ pub fn write_trace(trace: &Trace, path: impl AsRef<Path>) -> std::io::Result<()>
 }
 
 /// Read a trace written by [`write_trace`], recovering the exact horizon.
-/// A horizon header that is not a finite, positive number is an error.
+/// A horizon header that is not a finite, positive number, or that lies
+/// below the last timestamp, is an error.
 pub fn read_trace_auto(path: impl AsRef<Path>) -> Result<Trace, TraceIoError> {
     // Peek the first line for the horizon comment.
     let content = fs::read_to_string(&path)?;
@@ -227,6 +241,15 @@ mod tests {
         let got = read("# deepbat trace, horizon=10\n1.0\n-0.5\n");
         assert!(
             matches!(got, Err(TraceIoError::Negative { line: 3, .. })),
+            "{got:?}"
+        );
+        // A horizon below the last stamp would break the trace's
+        // `[0, horizon)`; a stamp exactly at the horizon is kept.
+        let got = read("# deepbat trace, horizon=2\n1\n5\n");
+        assert!(matches!(got, Err(TraceIoError::Horizon { .. })), "{got:?}");
+        let got = read("# deepbat trace, horizon=5\n1\n5\n");
+        assert!(
+            matches!(&got, Ok(t) if t.horizon() == 5.0 && t.len() == 2),
             "{got:?}"
         );
         std::fs::remove_dir_all(&dir).ok();

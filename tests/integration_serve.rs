@@ -1,12 +1,10 @@
 //! Gateway integration tests: the simulator as the gateway's oracle.
 //!
-//! The virtual-clock replays must reproduce `simulate_batching` *bitwise*
+//! The virtual-clock replay must reproduce `simulate_batching` *bitwise*
 //! — identical per-request dispatch/completion floats and identical
-//! per-invocation costs — both for fixed configurations and across a
-//! mid-run reconfiguration split at an interval boundary. The threaded
-//! tests check the live invariants: exactly-once delivery under
-//! concurrent submitters and drain, and reconfigurations never splitting
-//! a formed batch.
+//! per-invocation costs. The threaded tests check the live invariants:
+//! exactly-once delivery under concurrent submitters and drain, and
+//! reconfigurations never splitting a formed batch.
 //!
 //! The observability tests ride on scoped (injected) telemetry hubs:
 //! request tracing must not perturb the bitwise replay, virtual-clock
@@ -62,90 +60,6 @@ fn replay_is_bitwise_equivalent_to_simulator() {
             "summary percentiles must agree bitwise"
         );
     }
-}
-
-/// A mid-run reconfiguration at an interval boundary: the gateway replay
-/// equals, bitwise, the per-interval simulations over the *un-rebased*
-/// arrival slices — including the sealed window that straddles the
-/// boundary under the old configuration.
-#[test]
-fn reconfiguration_split_is_bitwise_equivalent_per_interval() {
-    let params = SimParams::default();
-    let trace = azure_trace(120.0);
-    let interval = 60.0;
-    // Long-timeout first config so a window reliably straddles t = 60.
-    let cfg_a = LambdaConfig::new(2048, 64, 0.5);
-    let cfg_b = LambdaConfig::new(1024, 8, 0.025);
-    let opts = SimConfig::builder()
-        .params(params)
-        .slo(0.1)
-        .percentile(95.0)
-        .decision_interval(interval)
-        .build()
-        .unwrap();
-
-    let mut ctl = ScriptedController::new(vec![cfg_a, cfg_b], 0.1);
-    let mut gw = VirtualGateway::from_params(&params);
-    let out = gw.replay_controlled(&mut ctl, &trace, 0.0, 120.0, &opts);
-    assert!(out.counts.conserved());
-    assert_eq!(out.counts.completed, trace.len() as u64);
-
-    let mut req_cursor = 0usize;
-    for (k, &cfg) in [cfg_a, cfg_b].iter().enumerate() {
-        let (start, end) = (k as f64 * interval, (k + 1) as f64 * interval);
-        // Un-rebased window: `Trace::slice` would shift timestamps and
-        // perturb the float arithmetic below the comparison's bar.
-        let window = trace.slice_raw(start, end);
-        let sim = simulate_batching(window, &cfg, &params, None);
-
-        // Per-request stamps, in arrival order, bitwise.
-        for (r, s) in out.requests[req_cursor..req_cursor + window.len()]
-            .iter()
-            .zip(&sim.requests)
-        {
-            assert_eq!(r.arrival.to_bits(), s.arrival.to_bits());
-            assert_eq!(r.dispatched_at.to_bits(), s.dispatch.to_bits());
-            assert_eq!(r.completed_at.to_bits(), s.completion.to_bits());
-        }
-        req_cursor += window.len();
-
-        // Per-batch records of this interval (windows *opened* in it,
-        // even if dispatched past its end), in dispatch order, bitwise.
-        let batches: Vec<_> = out
-            .batches
-            .iter()
-            .filter(|b| b.opened_at >= start && b.opened_at < end)
-            .collect();
-        assert_eq!(batches.len(), sim.batches.len());
-        for (b, s) in batches.iter().zip(&sim.batches) {
-            assert_eq!(b.opened_at.to_bits(), s.opened_at.to_bits());
-            assert_eq!(b.dispatched_at.to_bits(), s.dispatched_at.to_bits());
-            assert_eq!(b.cost.to_bits(), s.cost.to_bits());
-            assert_eq!(b.size, s.size);
-            assert_eq!(b.config, cfg);
-        }
-        // The interval's cost folds in the same order: bitwise equal, and
-        // so is the measured cost-per-request.
-        let cost: f64 = batches.iter().map(|b| b.cost).sum();
-        assert_eq!(cost.to_bits(), sim.total_cost.to_bits());
-        let m = &out.measurements[k];
-        assert_eq!(m.requests, window.len());
-        assert_eq!(
-            m.cost_per_request.to_bits(),
-            sim.cost_per_request().to_bits()
-        );
-        assert_eq!(m.summary.p95.to_bits(), sim.summary().p95.to_bits());
-    }
-
-    // The reconfiguration actually split work across the boundary: some
-    // window opened under the old config and dispatched past t = 60
-    // without being cut short or handed to the new config.
-    assert!(
-        out.batches
-            .iter()
-            .any(|b| b.config == cfg_a && b.opened_at < interval && b.dispatched_at > interval),
-        "expected a sealed window straddling the boundary"
-    );
 }
 
 /// The batching core itself: rotating the configuration mid-window seals
@@ -254,9 +168,10 @@ fn drain_during_shutdown_delivers_every_accepted_request_exactly_once() {
 /// repeatedly while traffic flows, no batch is ever split or dropped, and
 /// every formed batch carries exactly one of the scripted configurations.
 /// (Exact epoch alignment is nondeterministic on a wall clock — the
-/// control thread wakes *after* the boundary passes — so the bitwise
-/// alignment is asserted in the virtual-clock tests above; here we assert
-/// the structural invariants that must hold regardless of jitter.)
+/// control thread wakes *after* the boundary passes — so per-epoch
+/// batching is asserted on the core itself, by `proptest_window`'s
+/// `rotation_never_splits_or_drops_a_window`; here we assert the
+/// structural invariants that must hold regardless of jitter.)
 #[test]
 fn live_reconfiguration_never_splits_or_loses_work() {
     let interval = 0.5;
@@ -359,85 +274,19 @@ fn tracing_enabled_replay_stays_bitwise_equivalent_to_simulator() {
     }
 }
 
-/// Same invariant across a controlled replay with a mid-run
-/// reconfiguration: the traced run's stamps, costs, and measurements are
-/// bitwise identical to an untraced run of the same script.
-#[test]
-fn tracing_enabled_controlled_replay_is_bitwise_identical_to_untraced() {
-    let params = SimParams::default();
-    let trace = azure_trace(120.0);
-    let cfg_a = LambdaConfig::new(2048, 64, 0.5);
-    let cfg_b = LambdaConfig::new(1024, 8, 0.025);
-    let opts = SimConfig::builder()
-        .params(params)
-        .slo(0.1)
-        .percentile(95.0)
-        .decision_interval(60.0)
-        .build()
-        .unwrap();
-
-    let run = |traced: bool| {
-        let mut ctl = ScriptedController::new(vec![cfg_a, cfg_b], 0.1);
-        let mut gw = VirtualGateway::from_params(&params);
-        if traced {
-            let hub = Arc::new(Telemetry::new());
-            hub.tracer().enable_capture();
-            hub.tracer().enable_flight(256);
-            gw = gw.with_telemetry(hub);
-        }
-        gw.replay_controlled(&mut ctl, &trace, 0.0, 120.0, &opts)
-    };
-    let plain = run(false);
-    let traced = run(true);
-
-    assert_eq!(plain.counts, traced.counts);
-    assert_eq!(plain.requests.len(), traced.requests.len());
-    for (a, b) in plain.requests.iter().zip(&traced.requests) {
-        assert_eq!(a.arrival.to_bits(), b.arrival.to_bits());
-        assert_eq!(a.dispatched_at.to_bits(), b.dispatched_at.to_bits());
-        assert_eq!(a.completed_at.to_bits(), b.completed_at.to_bits());
-        assert_eq!(a.batch, b.batch);
-    }
-    assert_eq!(plain.batches.len(), traced.batches.len());
-    for (a, b) in plain.batches.iter().zip(&traced.batches) {
-        assert_eq!(a.dispatched_at.to_bits(), b.dispatched_at.to_bits());
-        assert_eq!(a.cost.to_bits(), b.cost.to_bits());
-        assert_eq!(a.size, b.size);
-    }
-    for (a, b) in plain.measurements.iter().zip(&traced.measurements) {
-        assert_eq!(a.summary.p95.to_bits(), b.summary.p95.to_bits());
-        assert_eq!(a.cost_per_request.to_bits(), b.cost_per_request.to_bits());
-    }
-}
-
 /// Under the virtual clock the trace stream is fully deterministic: two
-/// runs of the same controlled replay produce event-for-event identical
-/// drains (same stages, same spans, same float timestamps bit-for-bit) —
-/// which is what makes dumped trace JSONL diffable across runs.
+/// runs of the same replay produce event-for-event identical drains (same
+/// stages, same spans, same float timestamps bit-for-bit) — which is what
+/// makes dumped trace JSONL diffable across runs.
 #[test]
 fn virtual_clock_trace_stream_is_deterministic_across_runs() {
     let params = SimParams::default();
     let trace = azure_trace(90.0);
-    let opts = SimConfig::builder()
-        .params(params)
-        .slo(0.1)
-        .percentile(95.0)
-        .decision_interval(30.0)
-        .build()
-        .unwrap();
     let run = || {
         let hub = Arc::new(Telemetry::new());
         hub.tracer().enable_capture();
-        let mut ctl = ScriptedController::new(
-            vec![
-                LambdaConfig::new(2048, 8, 0.05),
-                LambdaConfig::new(1536, 4, 0.025),
-                LambdaConfig::new(2048, 8, 0.05),
-            ],
-            0.1,
-        );
         let mut gw = VirtualGateway::from_params(&params).with_telemetry(hub.clone());
-        gw.replay_controlled(&mut ctl, &trace, 0.0, 90.0, &opts);
+        gw.replay(trace.timestamps(), &LambdaConfig::new(2048, 8, 0.05));
         hub.tracer().drain()
     };
     let a = run();
