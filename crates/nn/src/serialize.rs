@@ -25,11 +25,21 @@ impl Checkpoint {
         }
     }
 
+    /// Write the checkpoint as JSON. A non-finite weight has no JSON
+    /// number (it would be written as `null`, which [`Checkpoint::load`]
+    /// rejects), so it fails the save with `InvalidData` before anything
+    /// is written.
     pub fn save(&self, path: impl AsRef<Path>) -> std::io::Result<()> {
+        let invalid = |e| std::io::Error::new(std::io::ErrorKind::InvalidData, e);
+        for (i, t) in self.params.iter().enumerate() {
+            if let Some(v) = t.data().iter().find(|v| !v.is_finite()) {
+                return Err(invalid(format!("tensor {i}: non-finite value {v}")));
+            }
+        }
+        let json = serde_json::to_string(self).map_err(|e| invalid(e.to_string()))?;
         if let Some(dir) = path.as_ref().parent() {
             fs::create_dir_all(dir)?;
         }
-        let json = serde_json::to_string(self).expect("checkpoint serialises");
         fs::write(path, json)
     }
 
@@ -98,6 +108,27 @@ mod tests {
         assert_eq!(loaded.params, ck.params);
         assert_eq!(loaded.meta["dim"].as_u64(), Some(16));
         std::fs::remove_dir_all(dir).ok();
+    }
+
+    /// A diverged weight fails the save instead of leaving a file that
+    /// `load` cannot read back.
+    #[test]
+    fn save_rejects_non_finite_weights_and_writes_nothing() {
+        let dir = std::env::temp_dir().join(format!("dbat_nn_ckpt_nan-{}", std::process::id()));
+        let path = dir.join("model.json");
+        let ck = Checkpoint::new(
+            "diverged",
+            vec![
+                Tensor::zeros(vec![2]),
+                Tensor::new(vec![2], vec![1.0, f64::NAN]),
+            ],
+            serde_json::json!({}),
+        );
+        let err = ck.save(&path).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("tensor 1"), "{err}");
+        assert!(err.to_string().contains("NaN"), "{err}");
+        assert!(!dir.exists(), "a failed save created {}", dir.display());
     }
 
     #[test]

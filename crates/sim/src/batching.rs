@@ -119,7 +119,7 @@ impl SimOutcome {
     }
 
     pub fn summary(&self) -> LatencySummary {
-        LatencySummary::from_latencies(&self.latencies())
+        LatencySummary::from_owned(self.latencies())
     }
 }
 
@@ -138,34 +138,55 @@ pub fn simulate_batching(
     params: &SimParams,
     _unused: Option<&mut Rng>,
 ) -> SimOutcome {
+    simulate_shape(arrivals, cfg, &[cfg.memory_mb], params).swap_remove(0)
+}
+
+/// [`simulate_batching`] at each of `memories_mb`, in order, from one window
+/// walk under `cfg`'s `(B, T)`: memory never moves a window (§III-B), and
+/// each size prices `s(M, b)` once per realised batch size.
+pub(crate) fn simulate_shape(
+    arrivals: &[f64],
+    cfg: &LambdaConfig,
+    memories_mb: &[u32],
+    params: &SimParams,
+) -> Vec<SimOutcome> {
     debug_assert!(
         arrivals.windows(2).all(|w| w[0] <= w[1]),
         "arrivals must be sorted"
     );
-    let mut out = SimOutcome::unserved(arrivals);
+    // Per size: its `(service_s, cost)` by batch size, and its outcome.
+    let slots = (cfg.batch_size as usize).min(arrivals.len()) + 1;
+    let mut sizes: Vec<_> = memories_mb
+        .iter()
+        .map(|&m| (m, vec![None; slots], SimOutcome::unserved(arrivals)))
+        .collect();
     let arrivals = arrivals.iter().copied().enumerate();
     walk_windows(arrivals, cfg, |fb| {
         let size = fb.requests.len() as u32;
-        let service = params.profile.service_time(fb.config.memory_mb, size);
-        let cost = params.pricing.invocation_cost(fb.config.memory_mb, service);
-        let batch_idx = out.batches.len();
-        out.batches.push(BatchRecord {
-            opened_at: fb.opened_at,
-            dispatched_at: fb.dispatched_at,
-            size,
-            service_s: service,
-            cold_start_s: 0.0,
-            cost,
-        });
-        out.total_cost += cost;
-        for r in &fb.requests {
-            let rec = &mut out.requests[r.id as usize];
-            rec.dispatch = fb.dispatched_at;
-            rec.completion = fb.dispatched_at + service;
-            rec.batch = batch_idx;
+        for (memory_mb, prices, out) in &mut sizes {
+            let (service, cost) = *prices[size as usize].get_or_insert_with(|| {
+                let service = params.profile.service_time(*memory_mb, size);
+                (service, params.pricing.invocation_cost(*memory_mb, service))
+            });
+            let batch_idx = out.batches.len();
+            out.batches.push(BatchRecord {
+                opened_at: fb.opened_at,
+                dispatched_at: fb.dispatched_at,
+                size,
+                service_s: service,
+                cold_start_s: 0.0,
+                cost,
+            });
+            out.total_cost += cost;
+            for r in &fb.requests {
+                let rec = &mut out.requests[r.id as usize];
+                rec.dispatch = fb.dispatched_at;
+                rec.completion = fb.dispatched_at + service;
+                rec.batch = batch_idx;
+            }
         }
     });
-    out
+    sizes.into_iter().map(|(_, _, out)| out).collect()
 }
 
 #[cfg(test)]

@@ -510,7 +510,7 @@ impl FaultSimOutcome {
     }
 
     pub fn summary(&self) -> LatencySummary {
-        LatencySummary::from_latencies(&self.latencies())
+        LatencySummary::from_owned(self.latencies())
     }
 
     pub fn served_count(&self) -> usize {

@@ -20,7 +20,13 @@ pub struct LatencySummary {
 
 impl LatencySummary {
     pub fn from_latencies(latencies: &[f64]) -> Self {
-        if latencies.is_empty() {
+        LatencySummary::from_owned(latencies.to_vec())
+    }
+
+    /// [`LatencySummary::from_latencies`] sorting its own vector. For finite
+    /// latencies the unstable sort gives the stable sort's vector, bit for bit.
+    pub(crate) fn from_owned(mut sorted: Vec<f64>) -> Self {
+        if sorted.is_empty() {
             return LatencySummary {
                 p50: 0.0,
                 p90: 0.0,
@@ -31,8 +37,7 @@ impl LatencySummary {
                 count: 0,
             };
         }
-        let mut sorted = latencies.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        sorted.sort_unstable_by(f64::total_cmp);
         let mean = sorted.iter().sum::<f64>() / sorted.len() as f64;
         LatencySummary {
             p50: percentile_sorted(&sorted, 50.0),
@@ -40,7 +45,7 @@ impl LatencySummary {
             p95: percentile_sorted(&sorted, 95.0),
             p99: percentile_sorted(&sorted, 99.0),
             mean,
-            max: *sorted.last().unwrap(),
+            max: sorted[sorted.len() - 1],
             count: sorted.len(),
         }
     }

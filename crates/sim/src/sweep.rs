@@ -2,10 +2,13 @@
 //!
 //! The paper's ground truth is "a search across all possible configurations
 //! of memory size, batch size, and timeout" driven by simulation (§IV-A).
-//! Sweeping the grid is embarrassingly parallel, so each configuration is
-//! simulated on its own rayon task.
+//! A window leaves at `min(B-th arrival, open + T)` (§III-B), so memory
+//! never changes which requests share it or when; M enters only through
+//! `s(M, b)` and the price. [`sweep`] therefore walks the windows once per
+//! `(B, T)` shape, one rayon task each, and prices that walk at every
+//! memory size: each row equals [`evaluate`] of its configuration.
 
-use crate::batching::{simulate_batching, SimParams};
+use crate::batching::{simulate_batching, simulate_shape, SimOutcome, SimParams};
 use crate::config::{ConfigGrid, LambdaConfig};
 use crate::metrics::LatencySummary;
 use rayon::prelude::*;
@@ -21,6 +24,16 @@ pub struct Evaluation {
 }
 
 impl Evaluation {
+    /// Summarise one configuration's simulated outcome.
+    fn of(config: LambdaConfig, out: &SimOutcome) -> Self {
+        Evaluation {
+            config,
+            summary: out.summary(),
+            cost_per_request: out.cost_per_request(),
+            mean_batch_size: out.mean_batch_size(),
+        }
+    }
+
     /// Does this configuration meet `percentile(p) <= slo`?
     pub(crate) fn feasible(&self, slo: f64, p: f64) -> bool {
         self.summary.percentile(p) <= slo
@@ -29,21 +42,29 @@ impl Evaluation {
 
 /// Simulate a single configuration over the given arrivals.
 pub fn evaluate(arrivals: &[f64], cfg: &LambdaConfig, params: &SimParams) -> Evaluation {
-    let out = simulate_batching(arrivals, cfg, params, None);
-    Evaluation {
-        config: *cfg,
-        summary: out.summary(),
-        cost_per_request: out.cost_per_request(),
-        mean_batch_size: out.mean_batch_size(),
-    }
+    Evaluation::of(*cfg, &simulate_batching(arrivals, cfg, params, None))
 }
 
-/// Simulate every configuration of the grid in parallel (deterministic
-/// output order: the grid's enumeration order).
+/// Simulate every configuration of the grid, one task per `(B, T)` index
+/// pair, in [`ConfigGrid::configs`] order (M-major; repeated values keep
+/// a row each). Walk telemetry (`sim.events`, `sim.flush.*`) counts one
+/// walk per shape.
 pub fn sweep(arrivals: &[f64], grid: &ConfigGrid, params: &SimParams) -> Vec<Evaluation> {
-    grid.configs()
+    let configs = grid.configs();
+    let shapes = grid.batch_sizes.len() * grid.timeouts_s.len();
+    let by_shape: Vec<Vec<Evaluation>> = configs[..shapes.min(configs.len())]
         .par_iter()
-        .map(|cfg| evaluate(arrivals, cfg, params))
+        .enumerate()
+        .map(|(shape, cfg)| {
+            let outs = simulate_shape(arrivals, cfg, &grid.memories_mb, params);
+            let rows = configs[shape..].iter().step_by(shapes);
+            rows.zip(&outs)
+                .map(|(cfg, out)| Evaluation::of(*cfg, out))
+                .collect()
+        })
+        .collect();
+    (0..configs.len())
+        .map(|i| by_shape[i % shapes][i / shapes])
         .collect()
 }
 

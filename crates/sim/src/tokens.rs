@@ -296,7 +296,7 @@ impl TokenSimOutcome {
     }
 
     pub(crate) fn summary(&self) -> LatencySummary {
-        LatencySummary::from_latencies(&self.latencies())
+        LatencySummary::from_owned(self.latencies())
     }
 
     pub fn cost_per_request(&self) -> f64 {

@@ -1,6 +1,9 @@
-//! Property-based tests: conservation laws of the batching simulator.
+//! Property-based tests: conservation laws of the batching simulator, and
+//! the grid sweep against one simulation per configuration.
 
-use dbat_sim::{simulate_batching, ConfigGrid, LambdaConfig, SimParams};
+use dbat_sim::{
+    evaluate, simulate_batching, sweep, ConfigGrid, LambdaConfig, LatencySummary, SimParams,
+};
 use proptest::prelude::*;
 
 /// Strategy: a sorted arrival sequence of 1..200 points over ~[0, 20] s.
@@ -23,6 +26,59 @@ fn config() -> impl Strategy<Value = LambdaConfig> {
         prop::sample::select(vec![0.0f64, 0.01, 0.05, 0.1, 0.5]),
     )
         .prop_map(|(m, b, t)| LambdaConfig::new(m, b, t))
+}
+
+/// Sorted arrivals that may be empty or a single stamp, repeat stamps
+/// (zero gaps) and start below zero.
+fn edge_arrivals() -> impl Strategy<Value = Vec<f64>> {
+    // Two in five gaps are zero.
+    let gap = (0u32..5, 0.0f64..0.08).prop_map(|(k, g)| if k < 2 { 0.0 } else { g });
+    (-1.0f64..0.5, prop::collection::vec(gap, 0..120)).prop_map(|(start, gaps)| {
+        let mut t = start;
+        gaps.iter()
+            .map(|g| {
+                t += g;
+                t
+            })
+            .collect()
+    })
+}
+
+/// A small grid drawn from few values, so entries repeat; `B = 1`, `T = 0`
+/// and memories on both sides of the 3 008 MB saturation point all occur.
+/// An empty memory list makes an empty grid.
+fn small_grid() -> impl Strategy<Value = ConfigGrid> {
+    let memory = prop::sample::select(vec![512u32, 1024, 3008, 4096, 10_240]);
+    let batch = prop::sample::select(vec![1u32, 2, 4, 16]);
+    let timeout = prop::sample::select(vec![0.0f64, 0.01, 0.05]);
+    (
+        prop::collection::vec(memory, 0..4),
+        prop::collection::vec(batch, 1..4),
+        prop::collection::vec(timeout, 1..4),
+    )
+        .prop_map(|(memories_mb, batch_sizes, timeouts_s)| ConfigGrid {
+            memories_mb,
+            batch_sizes,
+            timeouts_s,
+        })
+}
+
+/// The bit pattern of every field of an evaluation.
+fn eval_bits(config: &LambdaConfig, s: &LatencySummary, cost: f64, mean_batch: f64) -> [u64; 12] {
+    [
+        config.memory_mb as u64,
+        config.batch_size as u64,
+        config.timeout_s.to_bits(),
+        s.p50.to_bits(),
+        s.p90.to_bits(),
+        s.p95.to_bits(),
+        s.p99.to_bits(),
+        s.mean.to_bits(),
+        s.max.to_bits(),
+        s.count as u64,
+        cost.to_bits(),
+        mean_batch.to_bits(),
+    ]
 }
 
 proptest! {
@@ -94,5 +150,23 @@ proptest! {
         let cfgs = grid.configs();
         let cfg = cfgs[idx % cfgs.len()];
         prop_assert!(cfg.validate().is_ok());
+    }
+
+    // One row per grid entry, in `ConfigGrid::configs` order, each equal
+    // bit for bit to `evaluate` of its configuration.
+    #[test]
+    fn sweep_equals_evaluate_per_config(arr in edge_arrivals(), grid in small_grid()) {
+        let params = SimParams::default();
+        let evals = sweep(&arr, &grid, &params);
+        let configs = grid.configs();
+        prop_assert_eq!(evals.len(), configs.len());
+        for (e, cfg) in evals.iter().zip(&configs) {
+            let want = evaluate(&arr, cfg, &params);
+            prop_assert_eq!(
+                eval_bits(&e.config, &e.summary, e.cost_per_request, e.mean_batch_size),
+                eval_bits(&want.config, &want.summary, want.cost_per_request, want.mean_batch_size),
+                "{}", cfg
+            );
+        }
     }
 }

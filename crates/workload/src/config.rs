@@ -357,7 +357,9 @@ fn set_dotted(root: &mut Value, path: &str, value: Value) -> Result<(), DbatErro
             "--set: empty segment in `{path}`"
         )));
     }
-    let (last, parents) = parts.split_last().expect("split yields a segment");
+    let Some((last, parents)) = parts.split_last() else {
+        return Err(DbatError::config(format!("--set: empty path `{path}`")));
+    };
     let mut cur = root;
     for (i, part) in parents.iter().enumerate() {
         let Value::Object(m) = cur else {

@@ -10,7 +10,9 @@ cd "$(dirname "$0")/.."
 python3 - "${1:?usage: scripts/perf_row.sh <label> [seed]}" "${2:-1}" <<'PY'
 import json, subprocess, sys
 label, seed = sys.argv[1:]
-PINNED = ("nn.train_step_ms", "bench.peak_rss_mb", "serve.exec_lag_p50_us", "serve.submit_p50_ns")
+PINNED = ("nn.train_step_ms", "bench.peak_rss_mb", "serve.exec_lag_p50_us", "serve.submit_p50_ns",
+          "sim.windowed_mreq_per_s", "core.label_samples_per_s",
+          "core.val_mape_pct", "core.choose_us", "core.speedup_vs_batch")
 spec = json.load(open("BENCHMARK.json"))
 commit = subprocess.check_output(["git", "describe", "--always", "--dirty"], text=True).strip()
 def run(workload, trace):

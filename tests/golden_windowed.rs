@@ -24,8 +24,8 @@
 use deepbat::prelude::*;
 use deepbat::serve::{ServeOutcome, ServedBatch};
 use deepbat::sim::{
-    run_controller_tokens, ColdStartFault, FaultCounts, FaultEvent, FaultSimOutcome, ThrottleFault,
-    TokenParams,
+    run_controller_tokens, sweep, ColdStartFault, FaultCounts, FaultEvent, FaultSimOutcome,
+    LatencySummary, ThrottleFault, TokenParams,
 };
 use deepbat::workload::{LognormalTokens, TokenMix, TokenSlo, TokenizedTrace};
 use std::sync::Arc;
@@ -162,6 +162,25 @@ impl Fnv {
         self.f(c.timeout_s);
     }
 
+    fn summary(&mut self, s: &LatencySummary) {
+        for v in [s.p50, s.p90, s.p95, s.p99, s.mean, s.max] {
+            self.f(v);
+        }
+        self.n(s.count);
+    }
+
+    /// Every `Evaluation` of a sweep, in output order.
+    fn sweep(&mut self, arrivals: &[f64], grid: &ConfigGrid, params: &SimParams) {
+        let evals = sweep(arrivals, grid, params);
+        self.n(evals.len());
+        for e in &evals {
+            self.config(&e.config);
+            self.summary(&e.summary);
+            self.f(e.cost_per_request);
+            self.f(e.mean_batch_size);
+        }
+    }
+
     fn batch(&mut self, b: &ServedBatch) {
         self.f(b.opened_at);
         self.f(b.dispatched_at);
@@ -180,17 +199,7 @@ impl Fnv {
             self.f(m.start);
             self.f(m.end);
             self.config(&m.config);
-            for v in [
-                m.summary.p50,
-                m.summary.p90,
-                m.summary.p95,
-                m.summary.p99,
-                m.summary.mean,
-                m.summary.max,
-            ] {
-                self.f(v);
-            }
-            self.n(m.summary.count);
+            self.summary(&m.summary);
             self.f(m.cost_per_request);
             self.n(m.requests);
             self.u(m.violation as u64);
@@ -252,6 +261,32 @@ fn six_configs() -> [LambdaConfig; 6] {
     ]
 }
 
+/// The timeout the edge arrival sets are built around.
+const EDGE_T: f64 = 0.05;
+
+/// A window sliced before its rebase: the first stamp is negative.
+fn negative_start() -> Vec<f64> {
+    (0..400).map(|i| -1.5 + i as f64 * 0.0073).collect()
+}
+
+/// Duplicate stamps, and an arrival exactly at `open + T` (it joins).
+fn ties_and_deadline() -> [f64; 11] {
+    let t = EDGE_T;
+    [
+        1.0,
+        1.0,
+        1.0 + t,
+        1.0 + t,
+        2.0,
+        2.0,
+        2.0,
+        2.0 + t,
+        3.0,
+        3.0 + t,
+        3.0 + t + t,
+    ]
+}
+
 #[test]
 fn simulate_batching_grid_and_edge_windows() {
     let params = SimParams::default();
@@ -266,23 +301,7 @@ fn simulate_batching_grid_and_edge_windows() {
         h.0
     };
 
-    // A window sliced before its rebase: the first stamp is negative.
-    let negative: Vec<f64> = (0..400).map(|i| -1.5 + i as f64 * 0.0073).collect();
-    // Duplicate stamps, and an arrival exactly at `open + T` (it joins).
-    let t = 0.05;
-    let ties = [
-        1.0,
-        1.0,
-        1.0 + t,
-        1.0 + t,
-        2.0,
-        2.0,
-        2.0,
-        2.0 + t,
-        3.0,
-        3.0 + t,
-        3.0 + t + t,
-    ];
+    let t = EDGE_T;
     let edge_hash = |arrivals: &[f64]| {
         let mut h = Fnv::new();
         for cfg in [
@@ -315,13 +334,66 @@ fn simulate_batching_grid_and_edge_windows() {
         ),
         (
             "edge/negative_start",
-            edge_hash(&negative),
+            edge_hash(&negative_start()),
             0x3d9e_d7ad_3984_7958,
         ),
         (
             "edge/ties_and_deadline",
-            edge_hash(&ties),
+            edge_hash(&ties_and_deadline()),
             0x44fa_00e1_ed60_1c44,
+        ),
+    ]);
+}
+
+/// `sweep`'s summaries, costs and mean batch sizes, in output order. The
+/// literals were taken before `sweep` shared one window walk across the
+/// memory sizes of a `(B, T)` pair.
+#[test]
+fn sweep_summaries() {
+    let params = SimParams::default();
+    let paper = ConfigGrid::paper_default();
+    let grid_hash = |kind: TraceKind| {
+        let mut h = Fnv::new();
+        h.sweep(&head(kind, 7, 5000), &paper, &params);
+        h.0
+    };
+    // `B = 1`, `T = 0`, a memory past the 3 008 MB saturation point and a
+    // duplicated batch size (each duplicate still gets its own rows).
+    let small = ConfigGrid {
+        memories_mb: vec![512, 3008, 8192],
+        batch_sizes: vec![1, 4, 4, 16],
+        timeouts_s: vec![0.0, EDGE_T],
+    };
+    let edge_hash = |arrivals: &[f64]| {
+        let mut h = Fnv::new();
+        h.sweep(arrivals, &small, &params);
+        h.0
+    };
+    check(&[
+        (
+            "sweep/azure",
+            grid_hash(TraceKind::AzureLike),
+            0x8c1f_05fc_44b2_97ed,
+        ),
+        (
+            "sweep/alibaba",
+            grid_hash(TraceKind::AlibabaLike),
+            0x2904_acce_38b6_eec8,
+        ),
+        (
+            "sweep/synthetic",
+            grid_hash(TraceKind::SyntheticMap),
+            0x5204_10ae_436a_7ef2,
+        ),
+        (
+            "sweep/negative_start",
+            edge_hash(&negative_start()),
+            0x87c6_ad02_236c_324e,
+        ),
+        (
+            "sweep/ties_and_deadline",
+            edge_hash(&ties_and_deadline()),
+            0x4ae0_5f7b_df12_5d0d,
         ),
     ]);
 }
