@@ -12,12 +12,11 @@ use dbat_bench::{compare, report, ExpSettings};
 use dbat_core::{estimate_gamma, GracefulController};
 use dbat_sim::{Controller, FaultPlan, LambdaConfig};
 use dbat_workload::{TraceKind, HOUR};
-use std::sync::Arc;
 
 fn main() {
     let s = ExpSettings::from_env();
     let _telemetry = s.init_telemetry("abl_faults");
-    let model = Arc::new(s.ensure_finetuned(TraceKind::SyntheticMap));
+    let model = s.ensure_finetuned(TraceKind::SyntheticMap);
     let trace = s.trace(TraceKind::SyntheticMap);
     // Same showcase hour as fig09, so the zero-fault rows must reproduce
     // its summary numbers exactly.

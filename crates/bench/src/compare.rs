@@ -1,14 +1,15 @@
 //! Shared machinery for the head-to-head figures (Figs. 6–12): build the
 //! closed-loop policies — DeepBAT, BATCH, the clairvoyant oracle, a fixed
 //! static config — as [`Controller`] values, and drive any of them with
-//! the one generic [`run_policy`] loop (optionally fault-injected).
+//! the one generic [`run_policy`] loop (optionally fault-injected). A run's
+//! aggregates are [`RunOutcome`]'s own (`vcr`, `cost_per_request`).
 
 use crate::settings::ExpSettings;
 use dbat_analytic::BatchController;
 use dbat_core::{DeepBatController, Surrogate};
 use dbat_sim::{
-    run_controller, Controller, FaultPlan, IntervalMeasurement, LambdaConfig, OracleController,
-    RunOutcome, SimConfig, StaticController,
+    run_controller, Controller, FaultPlan, LambdaConfig, OracleController, RunOutcome, SimConfig,
+    StaticController,
 };
 use dbat_workload::Trace;
 use std::sync::Arc;
@@ -47,23 +48,6 @@ pub fn fixed(s: &ExpSettings, config: LambdaConfig) -> StaticController {
     ctl
 }
 
-/// The simulation options the figures run under (fault-free).
-pub(crate) fn sim_config(s: &ExpSettings) -> SimConfig {
-    sim_config_faulted(s, FaultPlan::default())
-}
-
-/// Same, with an explicit fault plan for the fault-injection ablation.
-pub(crate) fn sim_config_faulted(s: &ExpSettings, faults: FaultPlan) -> SimConfig {
-    SimConfig::builder()
-        .params(s.params)
-        .slo(s.slo)
-        .percentile(s.percentile)
-        .decision_interval(s.decision_interval)
-        .faults(faults)
-        .build()
-        .expect("experiment settings are valid")
-}
-
 /// Drive any policy over `[t0, t1)` of the trace and measure every
 /// decision interval. Fault-free.
 pub fn run_policy(
@@ -73,7 +57,7 @@ pub fn run_policy(
     t0: f64,
     t1: f64,
 ) -> RunOutcome {
-    run_controller(ctl, trace, t0, t1, &sim_config(s))
+    run_policy_faulted(ctl, trace, s, t0, t1, FaultPlan::default())
 }
 
 /// Drive any policy with injected faults.
@@ -85,38 +69,16 @@ pub fn run_policy_faulted(
     t1: f64,
     faults: FaultPlan,
 ) -> RunOutcome {
-    run_controller(ctl, trace, t0, t1, &sim_config_faulted(s, faults))
+    let cfg = SimConfig::builder()
+        .params(s.params)
+        .slo(s.slo)
+        .percentile(s.percentile)
+        .decision_interval(s.decision_interval)
+        .faults(faults)
+        .build()
+        .expect("experiment settings are valid");
+    run_controller(ctl, trace, t0, t1, &cfg)
 }
-
-/// Aggregate a measurement set into a summary row:
-/// [label, intervals, VCR %, mean p95 ms, mean cost µ$/req].
-pub fn summary_row(label: &str, ms: &[IntervalMeasurement]) -> Vec<String> {
-    let n = ms.len().max(1) as f64;
-    let vcr = dbat_sim::vcr_of(ms);
-    let mean_p95 = ms.iter().map(|m| m.summary.p95).sum::<f64>() / n;
-    // Cost per request aggregated over all requests (not per-interval mean).
-    let total_cost: f64 = ms
-        .iter()
-        .map(|m| m.cost_per_request * m.requests as f64)
-        .sum();
-    let total_req: f64 = ms.iter().map(|m| m.requests as f64).sum();
-    vec![
-        label.to_string(),
-        ms.len().to_string(),
-        crate::report::f(vcr, 1),
-        crate::report::f(mean_p95 * 1e3, 1),
-        crate::report::f(total_cost / total_req.max(1.0) * 1e6, 4),
-    ]
-}
-
-/// Headers matching [`summary_row`].
-pub const SUMMARY_HEADERS: [&str; 5] = [
-    "policy",
-    "intervals",
-    "VCR_%",
-    "mean_p95_ms",
-    "cost_u$_per_req",
-];
 
 /// Summary row for a fault-injected run:
 /// [label, VCR %, cost µ$/req, degraded %, cold starts, retries, lost].
@@ -146,7 +108,7 @@ pub const FAULT_HEADERS: [&str; 7] = [
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dbat_sim::LatencySummary;
+    use dbat_sim::{IntervalMeasurement, LatencySummary};
     use dbat_workload::{Map, Rng};
 
     fn trace(rate: f64, horizon: f64) -> Trace {
@@ -187,9 +149,9 @@ mod tests {
     }
 
     #[test]
-    fn summary_row_aggregates_by_requests() {
+    fn cost_per_request_weighs_served_requests() {
         let cfg = dbat_sim::LambdaConfig::new(1024, 1, 0.0);
-        let mk = |requests: usize, cost: f64, violation: bool| IntervalMeasurement {
+        let mk = |requests: usize, lost: usize, cost: f64, violation: bool| IntervalMeasurement {
             start: 0.0,
             end: 1.0,
             config: cfg,
@@ -199,14 +161,22 @@ mod tests {
             violation,
             cold_starts: 0,
             retries: 0,
-            lost: 0,
+            lost,
             wall_s: 0.0,
         };
+        let run = |measurements| RunOutcome {
+            measurements,
+            records: Vec::new(),
+            counts: Default::default(),
+            goodput: None,
+        };
         // 100 requests at 1µ$ + 300 at 2µ$ => 1.75 µ$/req weighted.
-        let row = summary_row("x", &[mk(100, 1e-6, true), mk(300, 2e-6, false)]);
-        assert_eq!(row[0], "x");
-        assert_eq!(row[1], "2");
-        assert_eq!(row[2], "50.0");
-        assert_eq!(row[4], "1.7500");
+        let out = run(vec![mk(100, 0, 1e-6, true), mk(300, 0, 2e-6, false)]);
+        assert_eq!(out.vcr(), 50.0);
+        assert_eq!(format!("{:.4}", out.cost_per_request() * 1e6), "1.7500");
+        // Lost requests are not served, so they carry no cost: 100 served
+        // at 1µ$ + 100 of 300 served at 2µ$ => 1.5 µ$/req, not 1.75.
+        let out = run(vec![mk(100, 0, 1e-6, false), mk(300, 200, 2e-6, true)]);
+        assert_eq!(format!("{:.4}", out.cost_per_request() * 1e6), "1.5000");
     }
 }

@@ -1,5 +1,5 @@
-//! Plain-text table/series printing for the figure regenerators. Output is
-//! aligned columns (readable in a terminal, trivially machine-parseable).
+//! Plain-text table printing for the ablation binaries. Output is aligned
+//! columns (readable in a terminal, trivially machine-parseable).
 
 /// Print a figure/table header banner.
 pub fn banner(id: &str, title: &str) {
@@ -38,11 +38,6 @@ pub fn f(v: f64, decimals: usize) -> String {
     format!("{v:.decimals$}")
 }
 
-/// Format a cost in micro-dollars per request.
-pub fn usd_micro(v: f64) -> String {
-    format!("{:.4}", v * 1e6)
-}
-
 /// Format a goodput as requests/second with its SLO-attainment share —
 /// the two numbers every token-discipline table wants side by side.
 pub fn goodput_rps(g: &dbat_sim::Goodput) -> String {
@@ -54,32 +49,13 @@ pub fn goodput_pct(g: &dbat_sim::Goodput) -> String {
     format!("{:.1}%", g.attainment_pct())
 }
 
-/// A crude inline bar for terminal "plots" (value in [0, 1]).
-pub fn bar(frac: f64, width: usize) -> String {
-    let n = ((frac.clamp(0.0, 1.0)) * width as f64).round() as usize;
-    let mut s = String::with_capacity(width);
-    for i in 0..width {
-        s.push(if i < n { '#' } else { '.' });
-    }
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn bar_widths() {
-        assert_eq!(bar(0.0, 4), "....");
-        assert_eq!(bar(1.0, 4), "####");
-        assert_eq!(bar(0.5, 4), "##..");
-        assert_eq!(bar(2.0, 3), "###"); // clamped
-    }
-
-    #[test]
     fn format_helpers() {
         assert_eq!(f(1.23456, 2), "1.23");
-        assert_eq!(usd_micro(2.5e-6), "2.5000");
     }
 
     #[test]

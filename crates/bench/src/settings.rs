@@ -1,17 +1,18 @@
 //! Shared experiment settings and the model cache.
 //!
-//! Every figure binary pulls its configuration from [`ExpSettings`] so the
+//! Every experiment pulls its configuration from [`ExpSettings`] so the
 //! whole evaluation is consistent (same SLO, grid, traces, seeds). Setting
 //! `DEEPBAT_FAST=1` shrinks training and horizons for smoke runs.
 
 use dbat_core::{
-    fine_tune, generate_dataset, train, validation_mape_split, Surrogate, SurrogateConfig,
-    TrainConfig,
+    fine_tune, generate_dataset, train, Surrogate, SurrogateConfig, TrainConfig, TrainSample,
 };
 use dbat_sim::{ConfigGrid, SimParams};
 use dbat_telemetry::{log_info, log_warn, JsonlSink};
 use dbat_workload::{Trace, TraceKind, HOUR};
-use std::path::PathBuf;
+use serde::{Deserialize, Serialize};
+use std::cell::OnceCell;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// Deterministic seeds per trace (generation) — shared by all figures.
@@ -19,6 +20,12 @@ pub(crate) const SEED_AZURE: u64 = 11;
 pub(crate) const SEED_TWITTER: u64 = 22;
 pub(crate) const SEED_ALIBABA: u64 = 33;
 pub(crate) const SEED_SYNTH: u64 = 44;
+
+/// Seeds of the training recipe: the base dataset's window draw, the base
+/// model's initialisation, and each fine-tuning dataset's window draw.
+const SEED_BASE_DATA: u64 = 101;
+const SEED_BASE_INIT: u64 = 2024;
+const SEED_FT_DATA: u64 = 202;
 
 /// Global experiment configuration.
 #[derive(Clone, Debug)]
@@ -72,7 +79,7 @@ impl Drop for TelemetryGuard {
 }
 
 impl ExpSettings {
-    /// Enable telemetry for a figure binary: turn on the global hub and
+    /// Enable telemetry for a bench binary: turn on the global hub and
     /// stream events as JSONL to `<cache_dir>/telemetry/<bin>.jsonl`.
     /// Hold the returned guard for the life of `main`.
     /// `DEEPBAT_TELEMETRY=0|off|false` leaves telemetry disabled.
@@ -118,39 +125,29 @@ impl ExpSettings {
 
     /// Settings from the environment (`DEEPBAT_FAST=1` for smoke runs).
     pub fn from_env() -> Self {
-        let fast = std::env::var("DEEPBAT_FAST")
-            .map(|v| v == "1")
-            .unwrap_or(false);
-        if fast {
-            ExpSettings {
-                seq_len: 64,
-                dataset_size: 240,
-                epochs: 6,
-                ft_dataset_size: 80,
-                ft_epochs: 3,
-                slo: 0.1,
-                percentile: 95.0,
-                grid: ConfigGrid::paper_default(),
-                params: SimParams::default(),
-                decision_interval: 60.0,
-                eval_hours: 3,
-                fast,
-            }
-        } else {
-            ExpSettings {
-                seq_len: 128,
-                dataset_size: 2000,
-                epochs: 50,
-                ft_dataset_size: 500,
-                ft_epochs: 12,
-                slo: 0.1,
-                percentile: 95.0,
-                grid: ConfigGrid::paper_default(),
-                params: SimParams::default(),
-                decision_interval: 60.0,
-                eval_hours: 12,
-                fast,
-            }
+        ExpSettings::new(
+            std::env::var("DEEPBAT_FAST")
+                .map(|v| v == "1")
+                .unwrap_or(false),
+        )
+    }
+
+    /// The fast (smoke-scale) or full settings.
+    pub(crate) fn new(fast: bool) -> Self {
+        let pick = |smoke: usize, full: usize| if fast { smoke } else { full };
+        ExpSettings {
+            seq_len: pick(64, 128),
+            dataset_size: pick(240, 2000),
+            epochs: pick(6, 50),
+            ft_dataset_size: pick(80, 500),
+            ft_epochs: pick(3, 12),
+            slo: 0.1,
+            percentile: 95.0,
+            grid: ConfigGrid::paper_default(),
+            params: SimParams::default(),
+            decision_interval: 60.0,
+            eval_hours: pick(3, 12),
+            fast,
         }
     }
 
@@ -198,86 +195,179 @@ impl ExpSettings {
         }
     }
 
-    /// Load the cached base surrogate or train it on the first half of the
-    /// Azure-like trace (the paper trains on Azure's first 12 hours).
-    pub fn ensure_base_model(&self) -> Surrogate {
-        let path = self.cache_dir().join("base.json");
-        if let Ok(m) = Surrogate::load(&path) {
-            if m.cfg == self.surrogate_config() {
-                log_info!(
-                    "deepbat",
-                    "loaded cached base model from {}",
-                    path.display()
-                );
-                return m;
-            }
-        }
-        log_info!(
-            "deepbat",
-            "training base model ({} samples, {} epochs)…",
-            self.dataset_size,
-            self.epochs
-        );
-        let trace = self.trace(TraceKind::AzureLike);
-        let train_horizon = trace.horizon() / 2.0; // "first 12 hours"
-        let train_slice = trace.slice(0.0, train_horizon);
-        let data = generate_dataset(
-            &train_slice,
+    /// Everything the base model's weights depend on, as one string.
+    fn base_recipe(&self) -> String {
+        format!(
+            "{self:?} {:?} {:?} trace_seed={SEED_AZURE} data_seed={SEED_BASE_DATA} \
+             init_seed={SEED_BASE_INIT} kernels={}",
+            self.surrogate_config(),
+            self.train_config(),
+            gemm_kernels()
+        )
+    }
+
+    /// The base recipe plus what fine-tuning on `kind` adds to it.
+    fn finetune_recipe(&self, kind: TraceKind) -> String {
+        format!(
+            "{} | fine-tune {} trace_seed={} data_seed={SEED_FT_DATA}",
+            self.base_recipe(),
+            kind.name(),
+            self.seed_for(kind)
+        )
+    }
+
+    /// Simulator-labelled training windows drawn from `trace`.
+    fn dataset(&self, trace: &Trace, n: usize, seed: u64) -> Vec<TrainSample> {
+        generate_dataset(
+            trace,
             &self.grid,
             &self.params,
-            self.dataset_size,
+            n,
             self.seq_len,
             self.slo,
-            101,
-        );
-        let mut model = Surrogate::new(self.surrogate_config(), 2024);
-        let report = train(&mut model, &data, &self.train_config());
-        let rows: Vec<usize> = (data.len() * 9 / 10..data.len()).collect();
-        let (cost_mape, lat_mape) = validation_mape_split(&model, &data, &rows);
-        log_info!(
-            "deepbat",
-            "trained: val MAPE {:.2}% (cost {:.2}%, latency {:.2}%), {:.1}s/epoch",
-            report.final_val_mape,
-            cost_mape,
-            lat_mape,
-            report.secs_per_epoch
-        );
-        model.save(&path).expect("cache dir writable");
-        model
+            seed,
+        )
+    }
+
+    /// Load the cached base surrogate or train it on the first half of the
+    /// Azure-like trace (the paper trains on Azure's first 12 hours).
+    pub fn ensure_base_model(&self) -> Arc<Surrogate> {
+        self.base_model().model
     }
 
     /// Load or build the fine-tuned variant for an OOD trace (fine-tuned on
     /// the trace's first hour, §IV-C).
-    pub fn ensure_finetuned(&self, kind: TraceKind) -> Surrogate {
-        let path = self.cache_dir().join(format!("ft-{}.json", kind.name()));
-        if let Ok(m) = Surrogate::load(&path) {
-            if m.cfg == self.surrogate_config() {
-                log_info!(
-                    "deepbat",
-                    "loaded cached fine-tuned model {}",
-                    path.display()
-                );
-                return m;
-            }
-        }
-        let mut model = self.ensure_base_model();
-        log_info!("deepbat", "fine-tuning on first hour of {}…", kind.name());
-        let trace = self.trace(kind);
-        let first_hour = trace.slice(0.0, HOUR.min(trace.horizon()));
-        let data = generate_dataset(
-            &first_hour,
-            &self.grid,
-            &self.params,
-            self.ft_dataset_size,
-            self.seq_len,
-            self.slo,
-            202,
-        );
-        let report = fine_tune(&mut model, &data, self.ft_epochs, &self.train_config());
-        log_info!("deepbat", "fine-tuned: MAPE {:.2}%", report.final_val_mape);
-        model.save(&path).expect("cache dir writable");
-        model
+    pub fn ensure_finetuned(&self, kind: TraceKind) -> Arc<Surrogate> {
+        self.finetuned_model(kind).model
     }
+
+    fn base_model(&self) -> Trained {
+        cached(&self.cache_dir(), "base", self.base_recipe(), || {
+            log_info!(
+                "deepbat",
+                "training base model ({} samples, {} epochs)…",
+                self.dataset_size,
+                self.epochs
+            );
+            let trace = self.trace(TraceKind::AzureLike);
+            let first_half = trace.slice(0.0, trace.horizon() / 2.0);
+            let data = self.dataset(&first_half, self.dataset_size, SEED_BASE_DATA);
+            let mut model = Surrogate::new(self.surrogate_config(), SEED_BASE_INIT);
+            let report = train(&mut model, &data, &self.train_config());
+            (model, report.final_val_mape)
+        })
+    }
+
+    fn finetuned_model(&self, kind: TraceKind) -> Trained {
+        let name = format!("ft-{}", kind.name());
+        cached(&self.cache_dir(), &name, self.finetune_recipe(kind), || {
+            let base = self.base_model().model;
+            let mut model = Arc::into_inner(base).expect("a freshly loaded model has one owner");
+            log_info!("deepbat", "fine-tuning on first hour of {}…", kind.name());
+            let trace = self.trace(kind);
+            let first_hour = trace.slice(0.0, HOUR.min(trace.horizon()));
+            let data = self.dataset(&first_hour, self.ft_dataset_size, SEED_FT_DATA);
+            let report = fine_tune(&mut model, &data, self.ft_epochs, &self.train_config());
+            (model, report.final_val_mape)
+        })
+    }
+}
+
+/// A surrogate and the record of its training.
+pub(crate) struct Trained {
+    pub(crate) model: Arc<Surrogate>,
+    pub(crate) record: TrainRecord,
+}
+
+/// The surrogate models the experiments share, each loaded from the cache
+/// (or trained) at most once per process.
+pub(crate) struct Models<'a> {
+    s: &'a ExpSettings,
+    /// The base model, then the two fine-tuned on the OOD traces the paper
+    /// fine-tunes on (Alibaba-like, synthetic).
+    cells: [OnceCell<Trained>; 3],
+}
+
+impl<'a> Models<'a> {
+    pub(crate) fn new(s: &'a ExpSettings) -> Self {
+        let cells = Default::default();
+        Models { s, cells }
+    }
+
+    pub(crate) fn base(&self) -> &Trained {
+        self.cells[0].get_or_init(|| self.s.base_model())
+    }
+
+    pub(crate) fn finetuned(&self, kind: TraceKind) -> &Trained {
+        let i = match kind {
+            TraceKind::AlibabaLike => 1,
+            TraceKind::SyntheticMap => 2,
+            other => panic!("no fine-tuned model for {}", other.name()),
+        };
+        self.cells[i].get_or_init(|| self.s.finetuned_model(kind))
+    }
+}
+
+/// What a cached checkpoint was trained under and the validation MAPE its
+/// training reported, stored beside the weights as `<name>.recipe.json`.
+#[derive(Serialize, Deserialize)]
+pub(crate) struct TrainRecord {
+    /// Every input the weights depend on (settings, architecture, training
+    /// hyper-parameters, seeds, GEMM kernel family): a checkpoint is
+    /// reused only under an identical recipe.
+    pub(crate) recipe: String,
+    /// Validation MAPE (%) over all five outputs.
+    pub(crate) val_mape_pct: f64,
+}
+
+/// Load checkpoint `name` from `dir` if its record carries `recipe`;
+/// otherwise train it with `train`, which returns the model and its
+/// validation MAPE, and cache the weights and the record.
+fn cached(
+    dir: &Path,
+    name: &str,
+    recipe: String,
+    train: impl FnOnce() -> (Surrogate, f64),
+) -> Trained {
+    let weights = dir.join(format!("{name}.json"));
+    let record_path = dir.join(format!("{name}.recipe.json"));
+    let record = std::fs::read_to_string(&record_path)
+        .ok()
+        .and_then(|text| serde_json::from_str::<TrainRecord>(&text).ok())
+        .filter(|r| r.recipe == recipe);
+    if let Some(record) = record {
+        if let Ok(model) = Surrogate::load(&weights) {
+            log_info!("deepbat", "loaded cached model {}", weights.display());
+            let model = Arc::new(model);
+            return Trained { model, record };
+        }
+    }
+    let (model, val_mape_pct) = train();
+    log_info!("deepbat", "trained {name}: val MAPE {val_mape_pct:.2}%");
+    std::fs::create_dir_all(dir).expect("cache dir writable");
+    model.save(&weights).expect("cache dir writable");
+    let record = TrainRecord {
+        recipe,
+        val_mape_pct,
+    };
+    let text = serde_json::to_string_pretty(&record).expect("record serialises");
+    std::fs::write(&record_path, text).expect("cache dir writable");
+    let model = Arc::new(model);
+    Trained { model, record }
+}
+
+/// The kernel family the GEMM and softmax kernels run on. The two round
+/// differently, so trained weights depend on it: `dbat-linalg` picks the
+/// FMA kernels on x86-64 with AVX2 + FMA unless `DBAT_GEMM_FORCE_SCALAR`
+/// is set (to anything but `0`).
+fn gemm_kernels() -> &'static str {
+    let forced = std::env::var_os("DBAT_GEMM_FORCE_SCALAR").is_some_and(|v| v != "0");
+    #[cfg(target_arch = "x86_64")]
+    if !forced && is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
+        return "fma";
+    }
+    let _ = forced;
+    "scalar"
 }
 
 #[cfg(test)]
@@ -286,10 +376,8 @@ mod tests {
 
     #[test]
     fn fast_settings_are_smaller() {
-        std::env::set_var("DEEPBAT_FAST", "1");
-        let fast = ExpSettings::from_env();
-        std::env::remove_var("DEEPBAT_FAST");
-        let full = ExpSettings::from_env();
+        let fast = ExpSettings::new(true);
+        let full = ExpSettings::new(false);
         assert!(fast.fast);
         assert!(!full.fast);
         assert!(fast.dataset_size < full.dataset_size);
@@ -298,8 +386,44 @@ mod tests {
     }
 
     #[test]
+    fn a_checkpoint_is_retrained_under_another_recipe() {
+        let dir = std::env::temp_dir().join(format!("dbat-bench-cache-{}", std::process::id()));
+        let s = ExpSettings::new(true);
+        let more_epochs = ExpSettings {
+            epochs: s.epochs + 1,
+            ..s.clone()
+        };
+        let more_data = ExpSettings {
+            dataset_size: s.dataset_size + 1,
+            ..s.clone()
+        };
+        assert_ne!(s.base_recipe(), more_epochs.base_recipe());
+        assert_ne!(s.base_recipe(), more_data.base_recipe());
+        assert_ne!(
+            s.finetune_recipe(TraceKind::AlibabaLike),
+            s.finetune_recipe(TraceKind::SyntheticMap)
+        );
+        let trainings = std::cell::Cell::new(0);
+        let fetch = |settings: &ExpSettings| {
+            let trained = cached(&dir, "base", settings.base_recipe(), || {
+                trainings.set(trainings.get() + 1);
+                let model = Surrogate::new(settings.surrogate_config(), 1);
+                (model, trainings.get() as f64)
+            });
+            trained.record.val_mape_pct
+        };
+        assert_eq!(fetch(&s), 1.0, "an empty cache trains");
+        assert_eq!(fetch(&s), 1.0, "the same recipe loads");
+        assert_eq!(fetch(&more_epochs), 2.0, "another recipe retrains");
+        assert_eq!(fetch(&more_epochs), 2.0);
+        assert_eq!(fetch(&s), 3.0, "the cache holds the last recipe only");
+        assert_eq!(trainings.get(), 3);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn traces_deterministic() {
-        let s = ExpSettings::from_env();
+        let s = ExpSettings::new(false);
         // Use a short manual horizon to keep the test quick.
         let a = TraceKind::AzureLike.generate_for(s.seed_for(TraceKind::AzureLike), 600.0);
         let b = TraceKind::AzureLike.generate_for(SEED_AZURE, 600.0);

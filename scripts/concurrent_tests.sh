@@ -16,7 +16,7 @@ for line in sys.stdin:
         print(m["executable"])'
 }
 
-bins="$(executables -p dbat-core -p dbat-nn -p dbat-telemetry -p dbat-workload --lib)
+bins="$(executables -p dbat-bench -p dbat-core -p dbat-nn -p dbat-telemetry -p dbat-workload --lib)
 $(executables --test integration_pipeline --test integration_telemetry)"
 for bin in $bins; do
     "$bin" -q &
