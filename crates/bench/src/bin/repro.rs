@@ -1,6 +1,7 @@
-//! Regenerate the reproduction ledger: every paper figure and table (and
-//! the γ, cold-start and label-replication ablations) run in one process,
-//! each surrogate model loaded or trained once.
+//! Regenerate the reproduction ledger: every paper figure and table and
+//! every ablation (γ, cold starts, label replication, faults, multi-SLO
+//! groups, token-aware batching) run in one process, each surrogate model
+//! loaded or trained once.
 //!
 //! `repro` runs everything and writes `REPRO_fast.json` under
 //! `DEEPBAT_FAST=1`, `REPRO.json` otherwise. `repro fig08 fig10` runs only

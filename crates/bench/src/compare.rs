@@ -80,31 +80,6 @@ pub fn run_policy_faulted(
     run_controller(ctl, trace, t0, t1, &cfg)
 }
 
-/// Summary row for a fault-injected run:
-/// [label, VCR %, cost µ$/req, degraded %, cold starts, retries, lost].
-pub fn fault_row(label: &str, out: &RunOutcome) -> Vec<String> {
-    vec![
-        label.to_string(),
-        crate::report::f(out.vcr(), 1),
-        crate::report::f(out.cost_per_request() * 1e6, 4),
-        crate::report::f(out.degraded_rate(), 1),
-        out.counts.cold_starts.to_string(),
-        out.counts.retries.to_string(),
-        out.counts.lost_requests().to_string(),
-    ]
-}
-
-/// Headers matching [`fault_row`].
-pub const FAULT_HEADERS: [&str; 7] = [
-    "policy",
-    "VCR_%",
-    "cost_u$_per_req",
-    "degraded_%",
-    "cold_starts",
-    "retries",
-    "lost",
-];
-
 #[cfg(test)]
 mod tests {
     use super::*;

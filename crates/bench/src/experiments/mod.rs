@@ -1,15 +1,17 @@
-//! The paper's figures and tables as functions: each takes the shared
-//! [`ExpSettings`] (and, where it needs one, the process's `Models`, each
-//! surrogate loaded or trained once) and returns a small typed summary
-//! that [`crate::ledger`] writes into the reproduction ledger. Values are
-//! rounded to the precision the figure reports, in its units (ms, µ$ per
-//! request, %).
+//! The paper's figures and tables, and the ablations, as functions: each
+//! takes the shared [`ExpSettings`] (and, where it needs one, the
+//! process's `Models`, each surrogate loaded or trained once) and returns a
+//! small typed summary that [`crate::ledger`] writes into the reproduction
+//! ledger. Values are rounded to the precision the figure reports, in its
+//! units (ms, µ$ per request or in total, %).
 //!
 //! [`ExpSettings`]: crate::ExpSettings
 
+pub(crate) mod multiclass;
 pub(crate) mod policies;
 pub(crate) mod surrogate;
-pub mod workload;
+pub(crate) mod tokens;
+pub(crate) mod workload;
 
 use dbat_sim::{hourly_vcr, RunOutcome};
 use dbat_workload::HOUR;

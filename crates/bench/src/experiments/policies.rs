@@ -1,6 +1,6 @@
-//! The head-to-head experiments (Figs. 6–12 and the γ ablation): DeepBAT
-//! against BATCH, the clairvoyant oracle and its own pretrained variant,
-//! each driven by [`compare::run_policy`].
+//! The head-to-head experiments (Figs. 6–12, the γ ablation and the fault
+//! sweep): DeepBAT against BATCH, the clairvoyant oracle and its own
+//! pretrained variant, each driven by [`compare::run_policy`].
 
 use super::{non_decreasing, non_increasing, r, Hourly, Span, Totals};
 use crate::compare;
@@ -8,8 +8,8 @@ use crate::ledger::Claim::{NotReproduced, NotReproducedInFull, Reproduced, Repro
 use crate::ledger::{Claims, Summary};
 use crate::settings::Models;
 use crate::ExpSettings;
-use dbat_core::{estimate_gamma, Surrogate};
-use dbat_sim::{Controller, DecisionRecord, RunOutcome};
+use dbat_core::{estimate_gamma, GracefulController, Surrogate};
+use dbat_sim::{Controller, DecisionRecord, FaultPlan, LambdaConfig, RunOutcome};
 use dbat_workload::{Trace, TraceKind, HOUR};
 use serde::Serialize;
 use std::sync::Arc;
@@ -37,6 +37,17 @@ fn finetuned(
     let first_hour = trace.slice(0.0, HOUR.min(trace.horizon()));
     let gamma = estimate_gamma(&model, &first_hour, &s.grid, &s.params, 24, seed);
     (trace, model, gamma)
+}
+
+/// The synthetic trace's sharpest previous-hour mismatch (the paper's hour
+/// 3→4 is hour 2 here, see Fig. 10), shown by Figs. 9 and 11 and the fault
+/// sweep.
+fn burst_hour(s: &ExpSettings) -> f64 {
+    if s.fast {
+        1.0
+    } else {
+        2.0
+    }
 }
 
 /// Hour `h0` of `trace`, clipped to its end.
@@ -150,12 +161,19 @@ pub(crate) fn fig07(s: &ExpSettings, m: &Models) -> ShowcaseHour {
     showcase_hour(s, m, TraceKind::AlibabaLike, h0, 77)
 }
 
-/// Fig. 9: the synthetic trace's sharpest previous-hour mismatch (the
-/// paper's hour 3→4 is hour 2 here, see Fig. 10).
+/// Fig. 9: the synthetic trace's burst hour.
 pub(crate) fn fig09(s: &ExpSettings, m: &Models) -> ShowcaseHour {
-    let h0 = if s.fast { 1.0 } else { 2.0 };
-    showcase_hour(s, m, TraceKind::SyntheticMap, h0, 79)
+    showcase_hour(
+        s,
+        m,
+        TraceKind::SyntheticMap,
+        burst_hour(s),
+        FIG09_GAMMA_SEED,
+    )
 }
+
+/// The seed of Fig. 9's γ estimate, which the fault sweep shares.
+const FIG09_GAMMA_SEED: u64 = 79;
 
 /// Fig. 8: per-hour VCR over the Alibaba-like trace, with the pretrained
 /// model (no fine-tuning) as the ablation.
@@ -270,7 +288,7 @@ pub(crate) struct Fig11 {
 
 pub(crate) fn fig11(s: &ExpSettings, m: &Models) -> Fig11 {
     let (trace, model, gamma) = finetuned(s, m, TraceKind::SyntheticMap, 81);
-    let h0 = if s.fast { 1.0 } else { 2.0 };
+    let h0 = burst_hour(s);
     let (w0, w1) = hour(h0, &trace);
     let run = runner(s, &trace, w0, w1);
     let db = run(&mut compare::deepbat(model, s, gamma)).records;
@@ -419,6 +437,141 @@ impl Summary for AblGamma {
             (Reproduced, "vcr_never_rises", non_increasing(&vcr)),
             (Reproduced, "gamma_1_dearer_than_0", dearer),
             (NotReproducedInFull, "cost_monotone", non_decreasing(&cost)),
+        ]
+    }
+}
+
+/// One policy's run at one fault intensity.
+#[derive(Serialize)]
+pub(crate) struct FaultRun {
+    pub totals: Totals,
+    pub degraded_pct: f64,
+    pub cold_starts: usize,
+    pub retries: usize,
+    pub lost: usize,
+    /// Times the degradation wrapper engaged; `null` in the control arm,
+    /// which runs unwrapped.
+    pub engagements: Option<usize>,
+    /// Intervals (minutes into the hour) served in degraded mode.
+    pub degraded: Vec<usize>,
+}
+
+/// `inner` over `[t0, t1)` of `trace` under `plan`: unwrapped when the
+/// plan is inert, behind the degradation wrapper otherwise.
+fn fault_run<C: Controller>(
+    mut inner: C,
+    s: &ExpSettings,
+    trace: &Trace,
+    (t0, t1): (f64, f64),
+    plan: FaultPlan,
+) -> FaultRun {
+    let (out, engagements) = if plan.is_inert() {
+        (compare::run_policy(&mut inner, trace, s, t0, t1), None)
+    } else {
+        let mut ctl = GracefulController::new(inner, s.slo);
+        let out = compare::run_policy_faulted(&mut ctl, trace, s, t0, t1, plan);
+        (out, Some(ctl.monitor.engagements()))
+    };
+    FaultRun {
+        totals: Totals::of(&out),
+        degraded_pct: r(out.degraded_rate(), 1),
+        cold_starts: out.counts.cold_starts,
+        retries: out.counts.retries,
+        lost: out.counts.lost_requests(),
+        engagements,
+        degraded: (out.records.iter().enumerate())
+            .filter(|(_, rec)| rec.degraded)
+            .map(|(i, _)| i)
+            .collect(),
+    }
+}
+
+/// One fault intensity of the sweep.
+#[derive(Serialize)]
+pub(crate) struct FaultLevel {
+    pub intensity: f64,
+    /// The fault plan's seed (0 for the inert control arm).
+    pub seed: u64,
+    pub deepbat_ft: FaultRun,
+    pub batch: FaultRun,
+    /// The fixed configuration `fixed_config`.
+    pub fixed: FaultRun,
+}
+
+/// Ablation: fault intensity (cold starts, failures with retries,
+/// throttling, stragglers) against DeepBAT, BATCH and a fixed
+/// configuration, each behind the graceful-degradation wrapper, on Fig. 9's
+/// hour. Intensity 0 is the control arm: no faults and no wrapper, so its
+/// DeepBAT and BATCH totals are Fig. 9's.
+#[derive(Serialize)]
+pub(crate) struct AblFaults {
+    pub gamma: f64,
+    pub hour: f64,
+    pub fixed_config: String,
+    pub levels: Vec<FaultLevel>,
+}
+
+pub(crate) fn abl_faults(s: &ExpSettings, m: &Models) -> AblFaults {
+    let (trace, model, gamma) = finetuned(s, m, TraceKind::SyntheticMap, FIG09_GAMMA_SEED);
+    let h0 = burst_hour(s);
+    let window = hour(h0, &trace);
+    let fixed = LambdaConfig::new(2048, 4, 0.05);
+    let levels = ([0.0, 0.25, 0.5, 1.0].into_iter().enumerate())
+        .map(|(i, intensity)| {
+            let plan = if intensity == 0.0 {
+                FaultPlan::default()
+            } else {
+                FaultPlan::intensity(intensity, 4242 + i as u64)
+            };
+            FaultLevel {
+                intensity,
+                seed: plan.seed,
+                deepbat_ft: fault_run(
+                    compare::deepbat(model.clone(), s, gamma),
+                    s,
+                    &trace,
+                    window,
+                    plan,
+                ),
+                batch: fault_run(compare::batch(s), s, &trace, window, plan),
+                fixed: fault_run(compare::fixed(s, fixed), s, &trace, window, plan),
+            }
+        })
+        .collect();
+    AblFaults {
+        gamma: r(gamma, 3),
+        hour: h0,
+        fixed_config: fixed.to_string(),
+        levels,
+    }
+}
+
+impl AblFaults {
+    /// `of` each run, level by level, for DeepBAT, BATCH and the fixed
+    /// configuration.
+    fn by_policy(&self, of: impl Fn(&FaultRun) -> f64) -> [Vec<f64>; 3] {
+        let at =
+            |run: fn(&FaultLevel) -> &FaultRun| self.levels.iter().map(|l| of(run(l))).collect();
+        [at(|l| &l.deepbat_ft), at(|l| &l.batch), at(|l| &l.fixed)]
+    }
+}
+
+impl Summary for AblFaults {
+    fn claims(&self) -> Claims {
+        let cost = self.by_policy(|run| run.totals.cost_uusd);
+        // Over the faulted levels: the control arm runs unwrapped.
+        let engaged = self.by_policy(|run| run.engagements.unwrap_or(0) as f64);
+        vec![
+            (
+                Reproduced,
+                "cost_rises_with_intensity",
+                cost.iter().all(|c| non_decreasing(c)),
+            ),
+            (
+                NotReproduced,
+                "wrapper_engages_more_often",
+                engaged.iter().all(|e| non_decreasing(&e[1..])),
+            ),
         ]
     }
 }

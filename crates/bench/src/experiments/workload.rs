@@ -188,7 +188,7 @@ const QUOTAS: [usize; 6] = [1, 2, 4, 8, 16, usize::MAX];
 
 /// The cold-start channel on its own, per keep-alive window.
 #[derive(Serialize)]
-pub struct KeepAlive {
+pub(crate) struct KeepAlive {
     /// `null` for a container that never expires.
     pub keep_alive_s: Vec<Option<f64>>,
     pub cold_batches_pct: Vec<f64>,
@@ -199,7 +199,7 @@ pub struct KeepAlive {
 
 /// The throttle channel on its own, per account concurrency limit.
 #[derive(Serialize)]
-pub struct Quota {
+pub(crate) struct Quota {
     /// `null` for no limit.
     pub limit: Vec<Option<usize>>,
     pub p50_ms: Vec<f64>,
@@ -210,14 +210,14 @@ pub struct Quota {
 /// Ablation: cold starts (400 ms init) and concurrency quotas, extensions
 /// over the paper's unlimited-warm model, on a 15-minute Azure-like slice.
 #[derive(Serialize)]
-pub struct AblColdstart {
+pub(crate) struct AblColdstart {
     pub requests: usize,
     pub config: String,
     pub keep_alive: KeepAlive,
     pub quota: Quota,
 }
 
-pub fn abl_coldstart(s: &ExpSettings) -> AblColdstart {
+pub(crate) fn abl_coldstart(s: &ExpSettings) -> AblColdstart {
     let trace = TraceKind::AzureLike.generate_for(s.seed_for(TraceKind::AzureLike), HOUR);
     let slice = trace.slice(10.0 * 60.0, 25.0 * 60.0);
     let arrivals = slice.timestamps();

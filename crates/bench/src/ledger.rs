@@ -4,7 +4,7 @@
 //! `repro` binary writes it as `REPRO_fast.json` (`DEEPBAT_FAST=1`) or
 //! `REPRO.json`.
 
-use crate::experiments::{policies, surrogate, workload};
+use crate::experiments::{multiclass, policies, surrogate, tokens, workload};
 use crate::settings::Models;
 use crate::ExpSettings;
 use dbat_telemetry::log_info;
@@ -104,6 +104,11 @@ const EXPERIMENTS: &[(&str, Run)] = &[
     ("abl_gamma", |s, m| Box::new(policies::abl_gamma(s, m))),
     ("abl_coldstart", |s, _| Box::new(workload::abl_coldstart(s))),
     ("abl_replicas", |s, _| Box::new(surrogate::abl_replicas(s))),
+    ("abl_faults", |s, m| Box::new(policies::abl_faults(s, m))),
+    ("abl_multiclass", |s, m| {
+        Box::new(multiclass::abl_multiclass(s, m))
+    }),
+    ("abl_tokens", |s, _| Box::new(tokens::abl_tokens(s))),
 ];
 
 /// Run the named experiments (all of them when `names` is empty) and
@@ -223,10 +228,18 @@ mod tests {
         );
     }
 
+    /// The committed fast- and full-mode ledgers.
+    fn committed() -> [Value; 2] {
+        [
+            include_str!("../../../REPRO_fast.json"),
+            include_str!("../../../REPRO.json"),
+        ]
+        .map(|text| serde_json::from_str(text).expect("a committed ledger parses"))
+    }
+
     #[test]
     fn model_free_experiments_match_the_committed_fast_ledger() {
-        let committed: Value =
-            serde_json::from_str(include_str!("../../../REPRO_fast.json")).unwrap();
+        let [committed, _] = committed();
         let names = ["fig01", "fig04", "fig05", "abl_coldstart"].map(String::from);
         let (ledger, mismatches) = run(&ExpSettings::new(true), &names).unwrap();
         assert!(mismatches.is_empty(), "{mismatches:?}");
@@ -237,5 +250,91 @@ mod tests {
                 "{name} differs from REPRO_fast.json (regenerate it: DEEPBAT_FAST=1 repro)"
             );
         }
+    }
+
+    #[test]
+    fn fault_sweep_control_arm_equals_fig09() {
+        for ledger in committed() {
+            let e = &ledger["experiments"];
+            let mode = ledger["mode"].as_str().unwrap_or_default();
+            let control = &e["abl_faults"]["measured"]["levels"][0];
+            assert_eq!(control["intensity"].as_f64(), Some(0.0));
+            for policy in ["deepbat_ft", "batch"] {
+                let totals = &e["fig09"]["measured"][policy]["totals"];
+                assert!(
+                    totals.as_object().is_some(),
+                    "the {mode} ledger lacks fig09"
+                );
+                assert_eq!(
+                    &control[policy]["totals"], totals,
+                    "{policy}, {mode} ledger"
+                );
+            }
+        }
+    }
+
+    /// The value a citation's `path` names in a ledger `entry`:
+    /// `claims.<name>`, `paper.<key>` or a path into `measured` such as
+    /// `sweep[2].totals.vcr_pct`.
+    fn cited<'a>(entry: &'a Value, path: &str) -> Option<&'a Value> {
+        if let Some(name) = path.strip_prefix("claims.") {
+            return entry["claims"].get(name);
+        }
+        if let Some(key) = path.strip_prefix("paper.") {
+            return entry["paper"].get(key);
+        }
+        let mut v = &entry["measured"];
+        for part in path.split('.') {
+            let mut steps = part.split('[');
+            v = v.get(steps.next()?)?;
+            for index in steps {
+                let i: usize = index.strip_suffix(']')?.parse().ok()?;
+                v = v.as_array()?.get(i)?;
+            }
+        }
+        Some(v)
+    }
+
+    #[test]
+    fn every_ledger_citation_in_the_docs_resolves() {
+        let [fast, full] = committed();
+        let mut resolved = 0;
+        for (doc, text) in [
+            ("EXPERIMENTS.md", include_str!("../../../EXPERIMENTS.md")),
+            ("README.md", include_str!("../../../README.md")),
+            ("DESIGN.md", include_str!("../../../DESIGN.md")),
+        ] {
+            let mut fenced = false;
+            let prose: Vec<&str> = (text.lines())
+                .filter(|line| {
+                    fenced ^= line.starts_with("```");
+                    !fenced && !line.starts_with("```")
+                })
+                .collect();
+            let prose = prose.join("\n");
+            // Odd segments are the backticked spans; a citation is
+            // `[fast:]<experiment>.<path>`, and `fast:` names the fast ledger.
+            for span in prose.split('`').skip(1).step_by(2) {
+                let (ledger, citation) = match span.strip_prefix("fast:") {
+                    Some(rest) => (&fast, rest),
+                    None => (&full, span),
+                };
+                let Some((name, path)) = citation.split_once('.') else {
+                    continue;
+                };
+                let plain = |c: char| c.is_ascii_alphanumeric() || "_.[]".contains(c);
+                if !EXPERIMENTS.iter().any(|(n, _)| *n == name) || !path.chars().all(plain) {
+                    continue;
+                }
+                let entry = &ledger["experiments"][name];
+                assert!(
+                    cited(entry, path).is_some(),
+                    "{doc}: `{span}` names no value in the {} ledger",
+                    ledger["mode"].as_str().unwrap_or_default()
+                );
+                resolved += 1;
+            }
+        }
+        assert!(resolved > 150, "only {resolved} citations found");
     }
 }

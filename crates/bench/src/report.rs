@@ -1,5 +1,6 @@
-//! Plain-text table printing for the ablation binaries. Output is aligned
-//! columns (readable in a terminal, trivially machine-parseable).
+//! Plain-text table printing for the `live_gateway` and `overhead_tracing`
+//! binaries. Output is aligned columns (readable in a terminal, trivially
+//! machine-parseable).
 
 /// Print a figure/table header banner.
 pub fn banner(id: &str, title: &str) {
@@ -38,17 +39,6 @@ pub fn f(v: f64, decimals: usize) -> String {
     format!("{v:.decimals$}")
 }
 
-/// Format a goodput as requests/second with its SLO-attainment share —
-/// the two numbers every token-discipline table wants side by side.
-pub fn goodput_rps(g: &dbat_sim::Goodput) -> String {
-    format!("{:.2}", g.rps())
-}
-
-/// Format the SLO-attainment percentage of a goodput cell.
-pub fn goodput_pct(g: &dbat_sim::Goodput) -> String {
-    format!("{:.1}%", g.attainment_pct())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -62,19 +52,5 @@ mod tests {
     #[should_panic(expected = "row width mismatch")]
     fn ragged_rows_panic() {
         table(&["a", "b"], &[vec!["1".into()]]);
-    }
-
-    #[test]
-    fn goodput_columns() {
-        let g = dbat_sim::Goodput {
-            served: 200,
-            ok: 150,
-            horizon_s: 100.0,
-        };
-        assert_eq!(goodput_rps(&g), "1.50");
-        assert_eq!(goodput_pct(&g), "75.0%");
-        let empty = dbat_sim::Goodput::default();
-        assert_eq!(goodput_rps(&empty), "0.00");
-        assert_eq!(goodput_pct(&empty), "0.0%");
     }
 }

@@ -765,7 +765,8 @@ fn record_token_trace(
 /// audit events and (when the tracer is active) causal trace events as
 /// [`crate::run_controller`], each interval measured by
 /// [`simulate_tokens_windowed`] — with goodput accumulated across the run
-/// and reported in [`RunOutcome::goodput`].
+/// and reported in [`RunOutcome::goodput`]. Its horizon is every decided
+/// interval's span, silent intervals included, so `rps` is over `t1 − t0`.
 ///
 /// The fault layer does not compose with the token model yet, so
 /// `opts.faults` must be inert; `opts.slo`/`opts.percentile` keep their
@@ -792,6 +793,7 @@ pub fn run_controller_tokens<C: Controller + ?Sized>(
     let feedback = drive_intervals(ctl, trace, t0, t1, opts, |ctx, config| {
         let (lo, hi) = tokenized.index_range(ctx.start, ctx.end.min(trace.horizon()));
         if lo == hi {
+            goodput.horizon_s += ctx.end - ctx.start;
             return None;
         }
         let t_wall = std::time::Instant::now();
@@ -1109,5 +1111,35 @@ mod tests {
         assert!(g.ok > 0);
         assert!(!out.measurements.is_empty());
         assert_eq!(out.records.len(), out.measurements.len());
+    }
+
+    #[test]
+    fn goodput_horizon_counts_silent_intervals() {
+        use crate::controller::StaticController;
+        // Arrivals in the first and the fourth minute only: minutes two and
+        // three are decided but have nothing to measure.
+        let ts = (1..=40).chain(181..=220).map(f64::from).collect();
+        let tt = chat_tokens(&Trace::new(ts, 240.0));
+        let mut ctl = StaticController::new(LambdaConfig::new(3008, 8, 0.05), 2.0);
+        let opts = SimConfig::builder()
+            .slo(2.0)
+            .decision_interval(60.0)
+            .build()
+            .unwrap();
+        let (t0, t1) = (0.0, 240.0);
+        let out = run_controller_tokens(
+            &mut ctl,
+            &tt,
+            t0,
+            t1,
+            &opts,
+            &TokenParams::llm_like(),
+            &TokenSlo::new(0.5, 0.05),
+        );
+        assert_eq!(out.records.len(), 4);
+        assert_eq!(out.measurements.len(), 2);
+        let g = out.goodput.expect("token runs report goodput");
+        assert_eq!(g.horizon_s, t1 - t0);
+        assert_eq!(g.rps(), g.ok as f64 / 240.0);
     }
 }

@@ -1,18 +1,16 @@
 //! `AppConfig` — the one typed, validated configuration surface.
 //!
-//! Every experiment binary and example used to grow its own ad-hoc flag
+//! Every example and serving binary used to grow its own ad-hoc flag
 //! plumbing; this module replaces that with a single declarative config
-//! covering the simulation setting, the serving gateway, and the
-//! multi-SLO request classes. Files load from
-//! JSON or a TOML subset (sections, `[[classes]]` array-of-tables, scalar
-//! and array values, `#` comments); unknown keys are rejected so typos
-//! fail loudly instead of silently taking defaults.
+//! covering the simulation setting and the serving gateway. Files load
+//! from JSON or a TOML subset (sections, scalar and array values, `#`
+//! comments); unknown keys are rejected so typos fail loudly instead of
+//! silently taking defaults.
 //!
 //! The crate sits at the bottom of the workspace DAG, so the sections are
 //! plain data: the binaries turn them into the upper crates' richer types
 //! rather than this module depending on them.
 
-use crate::class::{validate_classes, RequestClass};
 use crate::error::DbatError;
 use serde::{Deserialize, Error, Value};
 use std::path::Path;
@@ -42,7 +40,7 @@ fn take<T: Deserialize>(v: &Value, key: &str, default: T) -> Result<T, Error> {
     }
 }
 
-/// Simulation setting: workload horizon, SLO, decision cadence.
+/// Simulation setting: SLO, decision cadence, workload.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SimSection {
     /// Latency SLO (seconds) on the constrained percentile.
@@ -51,8 +49,6 @@ pub struct SimSection {
     pub percentile: f64,
     /// Seconds between controller decisions.
     pub decision_interval_s: f64,
-    /// Workload horizon in seconds.
-    pub horizon_s: f64,
     /// Seed for workload generation.
     pub seed: u64,
     /// Synthetic workload kind (`azure`, `twitter`, `alibaba`, `map`).
@@ -65,7 +61,6 @@ impl Default for SimSection {
             slo: 0.1,
             percentile: 95.0,
             decision_interval_s: 60.0,
-            horizon_s: 3600.0,
             seed: 42,
             workload: "azure".to_string(),
         }
@@ -81,7 +76,6 @@ impl Deserialize for SimSection {
                 "slo",
                 "percentile",
                 "decision_interval_s",
-                "horizon_s",
                 "seed",
                 "workload",
             ],
@@ -91,7 +85,6 @@ impl Deserialize for SimSection {
             slo: take(v, "slo", d.slo)?,
             percentile: take(v, "percentile", d.percentile)?,
             decision_interval_s: take(v, "decision_interval_s", d.decision_interval_s)?,
-            horizon_s: take(v, "horizon_s", d.horizon_s)?,
             seed: take(v, "seed", d.seed)?,
             workload: take(v, "workload", d.workload)?,
         })
@@ -110,9 +103,6 @@ impl SimSection {
             return Err(DbatError::config(
                 "sim.decision_interval_s must be finite and > 0",
             ));
-        }
-        if !(self.horizon_s > 0.0 && self.horizon_s.is_finite()) {
-            return Err(DbatError::config("sim.horizon_s must be finite and > 0"));
         }
         Ok(())
     }
@@ -206,74 +196,30 @@ impl GatewaySection {
     }
 }
 
-/// One request class in the config file. The class id is its position in
-/// the `[[classes]]` list.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ClassSpec {
-    /// Latency SLO (seconds) — required.
-    pub(crate) slo: f64,
-    /// Relative traffic weight.
-    pub(crate) weight: f64,
-}
-
-impl Deserialize for ClassSpec {
-    fn deserialize(v: &Value) -> Result<Self, Error> {
-        expect_keys(v, "[[classes]]", &["slo", "weight"])?;
-        let slo = match v.get("slo") {
-            Some(x) => f64::deserialize(x).map_err(|e| e.in_field("slo"))?,
-            None => return Err(Error::new("[[classes]] entry is missing `slo`")),
-        };
-        Ok(ClassSpec {
-            slo,
-            weight: take(v, "weight", 1.0)?,
-        })
-    }
-}
-
 /// The whole application configuration. Every section is optional in the
 /// file and takes its documented defaults when absent.
 #[derive(Clone, Debug, PartialEq, Default)]
 pub struct AppConfig {
     pub sim: SimSection,
     pub gateway: GatewaySection,
-    /// Multi-SLO request classes; empty ⇒ the single-class setting with
-    /// `sim.slo` as the one SLO.
-    pub classes: Vec<ClassSpec>,
 }
 
 impl Deserialize for AppConfig {
     fn deserialize(v: &Value) -> Result<Self, Error> {
-        expect_keys(v, "config root", &["sim", "gateway", "classes"])?;
+        expect_keys(v, "config root", &["sim", "gateway"])?;
         Ok(AppConfig {
             sim: take(v, "sim", SimSection::default())?,
             gateway: take(v, "gateway", GatewaySection::default())?,
-            classes: take(v, "classes", Vec::new())?,
         })
     }
 }
 
 impl AppConfig {
-    /// Check every section and the class list.
+    /// Check every section.
     pub(crate) fn validate(&self) -> Result<(), DbatError> {
         self.sim.validate()?;
         self.gateway.validate()?;
-        if !self.classes.is_empty() {
-            validate_classes(&self.request_classes())?;
-        }
         Ok(())
-    }
-
-    /// The configured request classes with dense ids. With no `[[classes]]`
-    /// entries this is the single class `{id 0, sim.slo}`.
-    pub fn request_classes(&self) -> Vec<RequestClass> {
-        if self.classes.is_empty() {
-            return vec![RequestClass::new(0, self.sim.slo)];
-        }
-        self.classes
-            .iter()
-            .enumerate()
-            .map(|(i, c)| RequestClass::with_weight(i as u16, c.slo, c.weight))
-            .collect()
     }
 
     /// Resolve a binary's configuration from its command line:
@@ -348,8 +294,7 @@ impl AppConfig {
 }
 
 /// Insert `value` at a dotted path (`sim.slo`), creating intermediate
-/// tables. Paths through non-tables are rejected (`classes.0.slo` is not
-/// supported — override the whole `classes` array instead).
+/// tables. Paths through non-tables (an array's element) are rejected.
 fn set_dotted(root: &mut Value, path: &str, value: Value) -> Result<(), DbatError> {
     let parts: Vec<&str> = path.split('.').collect();
     if parts.iter().any(|p| p.is_empty()) {
@@ -383,41 +328,24 @@ fn set_dotted(root: &mut Value, path: &str, value: Value) -> Result<(), DbatErro
 }
 
 /// Parse the TOML subset the config surface uses into the serde `Value`
-/// model: `[section]` and `[a.b]` tables, `[[name]]` array-of-tables,
-/// `key = value` with string/bool/number/array values, `#` comments.
+/// model: `[section]` and `[a.b]` tables, `key = value` with
+/// string/bool/number/array values, `#` comments.
 pub(crate) fn parse_toml(s: &str) -> Result<Value, DbatError> {
     let mut root = serde::Map::new();
-    // Path of the table the current `key = value` lines land in; the final
-    // `usize` is the index within an array-of-tables (usize::MAX = plain).
-    let mut cur: Vec<(String, usize)> = Vec::new();
+    // Path of the table the current `key = value` lines land in.
+    let mut cur: Vec<String> = Vec::new();
     for (lineno, raw) in s.lines().enumerate() {
         let line = strip_comment(raw).trim().to_string();
         let err = |msg: &str| DbatError::config(format!("TOML line {}: {msg}", lineno + 1));
         if line.is_empty() {
             continue;
         }
-        if let Some(name) = line.strip_prefix("[[").and_then(|l| l.strip_suffix("]]")) {
+        if let Some(name) = line.strip_prefix('[').and_then(|l| l.strip_suffix(']')) {
             let name = name.trim();
-            if name.is_empty() {
-                return Err(err("empty [[table]] name"));
+            if name.is_empty() || name.contains(['[', ']']) {
+                return Err(err(&format!("bad [table] name `{name}`")));
             }
-            let arr = root
-                .entry(name.to_string())
-                .or_insert_with(|| Value::Array(Vec::new()));
-            let Value::Array(items) = arr else {
-                return Err(err(&format!("`{name}` is not an array of tables")));
-            };
-            items.push(Value::Object(serde::Map::new()));
-            cur = vec![(name.to_string(), items.len() - 1)];
-        } else if let Some(name) = line.strip_prefix('[').and_then(|l| l.strip_suffix(']')) {
-            let name = name.trim();
-            if name.is_empty() {
-                return Err(err("empty [table] name"));
-            }
-            cur = name
-                .split('.')
-                .map(|p| (p.trim().to_string(), usize::MAX))
-                .collect();
+            cur = name.split('.').map(|p| p.trim().to_string()).collect();
         } else if let Some((key, val)) = line.split_once('=') {
             let key = key.trim().trim_matches('"').to_string();
             if key.is_empty() {
@@ -438,28 +366,15 @@ pub(crate) fn parse_toml(s: &str) -> Result<Value, DbatError> {
 }
 
 /// Walk (and create) the table at `path` under `root`.
-fn resolve_table<'a>(
-    root: &'a mut serde::Map,
-    path: &[(String, usize)],
-) -> Option<&'a mut serde::Map> {
+fn resolve_table<'a>(root: &'a mut serde::Map, path: &[String]) -> Option<&'a mut serde::Map> {
     let mut m = root;
-    for (key, idx) in path {
+    for key in path {
         let slot = m
             .entry(key.clone())
             .or_insert_with(|| Value::Object(serde::Map::new()));
-        if *idx == usize::MAX {
-            match slot {
-                Value::Object(inner) => m = inner,
-                _ => return None,
-            }
-        } else {
-            match slot {
-                Value::Array(items) => match items.get_mut(*idx) {
-                    Some(Value::Object(inner)) => m = inner,
-                    _ => return None,
-                },
-                _ => return None,
-            }
+        match slot {
+            Value::Object(inner) => m = inner,
+            _ => return None,
         }
     }
     Some(m)
@@ -567,11 +482,10 @@ mod tests {
     }
 
     const SAMPLE: &str = r#"
-# multi-SLO experiment
+# live gateway run
 [sim]
 slo = 0.1
 percentile = 95.0
-horizon_s = 600.0
 workload = "twitter"
 
 [gateway]
@@ -579,36 +493,22 @@ lanes = 4
 workers = 4
 speedup = 120.0
 metrics_addr = "127.0.0.1:9184"
-
-[[classes]]
-slo = 0.08
-weight = 3.0
-
-[[classes]]
-slo = 0.5
 "#;
 
     #[test]
     fn toml_sample_parses() {
         let cfg = from_toml(SAMPLE).unwrap();
         assert_eq!(cfg.sim.workload, "twitter");
-        assert_eq!(cfg.sim.horizon_s, 600.0);
         // Missing keys take the documented defaults.
         assert_eq!(cfg.sim.decision_interval_s, 60.0);
         assert_eq!(cfg.gateway.lanes, 4);
         assert_eq!(cfg.gateway.metrics_addr.as_deref(), Some("127.0.0.1:9184"));
-        assert_eq!(cfg.classes.len(), 2);
-        assert_eq!(cfg.classes[1].weight, 1.0);
-        let rc = cfg.request_classes();
-        assert_eq!(rc[0].id, 0);
-        assert_eq!(rc[1].slo, 0.5);
     }
 
     #[test]
     fn empty_config_is_all_defaults() {
         let cfg = from_toml("").unwrap();
         assert_eq!(cfg, AppConfig::default());
-        assert_eq!(cfg.request_classes(), vec![RequestClass::new(0, 0.1)]);
     }
 
     #[test]
@@ -617,8 +517,9 @@ slo = 0.5
         assert!(from_toml("[simulation]\nslo = 0.1\n").is_err());
     }
 
-    /// No code reads a `[controller]` or `[faults]` section, so naming one
-    /// fails with the unknown-key error, by file and by `--set`.
+    /// No code reads a `[controller]`, `[faults]` or `[classes]` section,
+    /// so naming one fails with the unknown-key error, by file and by
+    /// `--set`.
     #[test]
     fn removed_sections_are_unknown_keys() {
         let a = |xs: &[&str]| xs.iter().map(|s| s.to_string()).collect::<Vec<_>>();
@@ -645,16 +546,22 @@ slo = 0.5
                 "faults.intensity=0.3",
                 "faults",
             ),
+            ("[classes]\nslo = 0.08\n", "classes.slo=0.08", "classes"),
         ] {
             unknown(from_toml(toml), key);
             unknown(AppConfig::from_args(a(&["--set", set])), key);
         }
+        // Nor does any code read a workload horizon from `[sim]`.
+        let err = from_toml("[sim]\nhorizon_s = 600.0\n").unwrap_err();
+        assert!(
+            err.to_string().contains("unknown key `horizon_s` in [sim]"),
+            "unexpected error: {err}"
+        );
     }
 
     #[test]
     fn invalid_values_rejected() {
         assert!(from_toml("[sim]\nslo = -0.1\n").is_err());
-        assert!(from_toml("[[classes]]\nweight = 1.0\n").is_err());
     }
 
     #[test]
@@ -664,6 +571,7 @@ slo = 0.5
         assert_eq!(v.field("a").field("s").as_str(), Some("x # y"));
         assert!(parse_toml("[a]\nk = 1\nk = 2\n").is_err());
         assert!(parse_toml("nonsense\n").is_err());
+        assert!(parse_toml("[[classes]]\nslo = 0.08\n").is_err());
         let v = parse_toml("[a.b]\nxs = [1, 2, 3]\n").unwrap();
         assert_eq!(
             v.field("a").field("b").field("xs"),
@@ -776,18 +684,17 @@ slo = 0.5
             err.to_string().contains("empty segment"),
             "unexpected error: {err}"
         );
-        // A path through an array (per-class overrides are unsupported)
-        // fails instead of scribbling over the classes list.
+        // A path through an array fails instead of scribbling over it.
         let dir =
             std::env::temp_dir().join(format!("dbat_set_malformed_test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("classes.toml");
-        std::fs::write(&path, "[[classes]]\nslo = 0.1\n").unwrap();
+        let path = dir.join("array.toml");
+        std::fs::write(&path, "[sim]\nxs = [0.1, 0.2]\n").unwrap();
         let err = AppConfig::from_args(a(&[
             "--config",
             path.to_str().unwrap(),
             "--set",
-            "classes.0.slo=0.2",
+            "sim.xs.0=0.3",
         ]))
         .unwrap_err();
         std::fs::remove_dir_all(&dir).ok();

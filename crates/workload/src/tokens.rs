@@ -124,7 +124,7 @@ impl LognormalTokens {
     }
 
     /// Generation-like: short prompts, long outputs (decode-heavy).
-    /// This is the "long-decode" distribution of the `abl_tokens` bench.
+    /// This is the "long-decode" distribution of the `abl_tokens` ablation.
     pub fn long_decode() -> Self {
         LognormalTokens::new(48.0, 0.5, 256.0, 0.6)
     }
