@@ -176,6 +176,68 @@ impl TokenParams {
     }
 }
 
+/// Both disciplines' admission rule: a request whose own KV footprint
+/// (`prompt + output` tokens) exceeds the capacity can never run.
+fn admits(capacity: Option<u64>, spec: &TokenSpec) -> bool {
+    capacity.is_none_or(|c| spec.total_tokens() <= c)
+}
+
+/// A decode step's work, and the billed duration and cost of a step that
+/// only decodes, for every cohort size `b` one call can form (at most `B`
+/// and at most its request count). Each entry is one evaluation of the
+/// expression a step would otherwise evaluate itself, so a table lookup
+/// is bitwise the direct computation.
+struct StepTable {
+    params: TokenParams,
+    memory_mb: u32,
+    speed: f64,
+    /// `decode_work(b)`.
+    work: Vec<f64>,
+    /// `ceil_ms(decode_work(b) / speed)`.
+    busy_s: Vec<f64>,
+    /// The invocation cost of `busy_s[b]`.
+    cost: Vec<f64>,
+}
+
+impl StepTable {
+    fn new(params: &TokenParams, cfg: &LambdaConfig, requests: usize) -> Self {
+        let memory_mb = cfg.memory_mb;
+        let speed = params.profile.speed(memory_mb);
+        let max_cohort = (cfg.batch_size as usize).min(requests) as u32;
+        let work: Vec<f64> = (0..=max_cohort)
+            .map(|b| params.profile.decode_work(b))
+            .collect();
+        let busy_s: Vec<f64> = work.iter().map(|w| ceil_ms(w / speed)).collect();
+        let cost = busy_s
+            .iter()
+            .map(|&busy| params.pricing.invocation_cost(memory_mb, busy))
+            .collect();
+        StepTable {
+            params: *params,
+            memory_mb,
+            speed,
+            work,
+            busy_s,
+            cost,
+        }
+    }
+
+    /// The billed duration and cost of a step over `cohort` requests, of
+    /// which `joined` joined it with `joiner_prompts` prompt tokens in
+    /// all: prefill (skipped when nobody joined) plus one decode unit.
+    fn step(&self, cohort: usize, joined: u32, joiner_prompts: u64) -> (f64, f64) {
+        if joined == 0 {
+            return (self.busy_s[cohort], self.cost[cohort]);
+        }
+        let work = self.params.profile.prefill_work(joiner_prompts) + self.work[cohort];
+        let busy = ceil_ms(work / self.speed);
+        (
+            busy,
+            self.params.pricing.invocation_cost(self.memory_mb, busy),
+        )
+    }
+}
+
 /// One served request under a token-aware discipline.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct TokenRequestRecord {
@@ -318,13 +380,14 @@ impl TokenSimOutcome {
     }
 }
 
-/// Count of requests still active after `k` decode steps, for a batch
-/// with the given output lengths: walks `k = 1..=max` with a sorted
-/// pointer instead of re-scanning members (O(b log b + max)).
-fn decode_schedule(outputs: &mut [u32]) -> Vec<u32> {
+/// Fill `active[k − 1]` with the count of requests active in decode step
+/// `k`, for a batch with the given output lengths: walks `k = 1..=max`
+/// with a sorted pointer instead of re-scanning members (O(b log b + max)).
+fn decode_schedule(outputs: &mut [u32], active: &mut Vec<u32>) {
     outputs.sort_unstable();
     let max = *outputs.last().expect("non-empty batch") as usize;
-    let mut active = Vec::with_capacity(max);
+    active.clear();
+    active.reserve(max);
     let mut alive = outputs.len() as u32;
     let mut ptr = 0usize;
     for k in 1..=max as u32 {
@@ -334,7 +397,6 @@ fn decode_schedule(outputs: &mut [u32]) -> Vec<u32> {
             alive -= 1;
         }
     }
-    active
 }
 
 /// Both token simulators index decode schedules by `output_tokens − 1`
@@ -378,26 +440,30 @@ pub fn simulate_tokens_windowed(
 
     // Admission: oversize requests can never fit an instance.
     let admitted: Vec<usize> = (0..arrivals.len())
-        .filter(|&i| capacity.is_none_or(|c| specs[i].total_tokens() <= c))
+        .filter(|&i| admits(capacity, &specs[i]))
         .collect();
 
-    let speed = params.profile.speed(cfg.memory_mb);
+    let steps = StepTable::new(params, cfg, admitted.len());
+    let speed = steps.speed;
     let mut served: Vec<Option<TokenRequestRecord>> = vec![None; arrivals.len()];
     let mut invocations = Vec::new();
     let mut total_cost = 0.0;
+    // Per-window scratch, reused across windows.
+    let (mut outputs, mut active, mut step_ends) = (Vec::new(), Vec::new(), Vec::new());
 
     let windowed = admitted.iter().map(|&i| (i, arrivals[i]));
     walk_windows(windowed, cfg, |fb| {
         let members = || fb.requests.iter().map(|r| r.id as usize);
         let dispatch = fb.dispatched_at;
         let prompt_sum: u64 = members().map(|i| specs[i].prompt_tokens as u64).sum();
-        let mut outputs: Vec<u32> = members().map(|i| specs[i].output_tokens).collect();
-        let active = decode_schedule(&mut outputs);
+        outputs.clear();
+        outputs.extend(members().map(|i| specs[i].output_tokens));
+        decode_schedule(&mut outputs, &mut active);
 
         let mut work = params.profile.prefill_work(prompt_sum);
-        let mut step_ends = Vec::with_capacity(active.len());
+        step_ends.clear();
         for &b in &active {
-            work += params.profile.decode_work(b);
+            work += steps.work[b as usize];
             step_ends.push(dispatch + ceil_ms(work / speed));
         }
         let busy = ceil_ms(work / speed);
@@ -470,13 +536,12 @@ impl Engine {
 /// Continuous-batching state machine over a fixed fleet of engine
 /// replicas: the state behind [`simulate_tokens_continuous`], which
 /// documents the discipline.
-#[derive(Clone, Debug)]
-struct ContinuousCore {
-    arrivals: Vec<f64>,
-    specs: Vec<TokenSpec>,
+struct ContinuousCore<'a> {
+    arrivals: &'a [f64],
+    specs: &'a [TokenSpec],
     config: LambdaConfig,
-    params: TokenParams,
     capacity: Option<u64>,
+    steps: StepTable,
     engines: Vec<Engine>,
     next_arrival: usize,
     served: Vec<Option<TokenRequestRecord>>,
@@ -485,12 +550,12 @@ struct ContinuousCore {
     total_cost: f64,
 }
 
-impl ContinuousCore {
+impl<'a> ContinuousCore<'a> {
     /// `replicas` engine instances, each running `config.memory_mb` of
     /// memory with cohort bound `config.batch_size`.
     fn new(
-        arrivals: &[f64],
-        specs: &[TokenSpec],
+        arrivals: &'a [f64],
+        specs: &'a [TokenSpec],
         config: &LambdaConfig,
         params: &TokenParams,
         replicas: usize,
@@ -504,11 +569,11 @@ impl ContinuousCore {
             "arrivals must be sorted"
         );
         ContinuousCore {
-            arrivals: arrivals.to_vec(),
-            specs: specs.to_vec(),
+            arrivals,
+            specs,
             config: *config,
-            params: *params,
             capacity: params.capacity_tokens(config.memory_mb),
+            steps: StepTable::new(params, config, arrivals.len()),
             engines: vec![Engine::default(); replicas],
             next_arrival: 0,
             served: vec![None; arrivals.len()],
@@ -541,10 +606,7 @@ impl ContinuousCore {
     fn on_arrival(&mut self, t: f64) {
         let i = self.next_arrival;
         self.next_arrival += 1;
-        if self
-            .capacity
-            .is_some_and(|c| self.specs[i].total_tokens() > c)
-        {
+        if !admits(self.capacity, &self.specs[i]) {
             self.rejected += 1;
             return;
         }
@@ -588,23 +650,13 @@ impl ContinuousCore {
                 return;
             }
         }
-        let cohort = self.engines[e].active.len() as u32;
-        let work = if joined > 0 {
-            self.params.profile.prefill_work(joiner_prompts)
-                + self.params.profile.decode_work(cohort)
-        } else {
-            self.params.profile.decode_work(cohort)
-        };
-        let dur = ceil_ms(work / self.params.profile.speed(self.config.memory_mb));
-        let cost = self
-            .params
-            .pricing
-            .invocation_cost(self.config.memory_mb, dur);
+        let cohort = self.engines[e].active.len();
+        let (dur, cost) = self.steps.step(cohort, joined, joiner_prompts);
         self.total_cost += cost;
         self.invocations.push(TokenInvocation {
             start: t,
             busy_s: dur,
-            size: cohort,
+            size: cohort as u32,
             joined,
             cost,
             engine: e as u32,
@@ -614,30 +666,29 @@ impl ContinuousCore {
     }
 
     fn on_step_end(&mut self, e: usize, t: f64) {
+        let (arrivals, specs) = (self.arrivals, self.specs);
         let eng = &mut self.engines[e];
         debug_assert_eq!(eng.step_end, Some(t));
         eng.step_end = None;
-        let mut still = Vec::with_capacity(eng.active.len());
-        for mut slot in eng.active.drain(..) {
-            if slot.first_token.is_none() {
-                slot.first_token = Some(t);
-            }
+        // In place, keeping member order: the next step's anchor is the
+        // cohort's longest-resident member.
+        eng.active.retain_mut(|slot| {
+            let first_token = *slot.first_token.get_or_insert(t);
             slot.remaining -= 1;
-            if slot.remaining == 0 {
-                let i = slot.idx;
-                eng.kv_used -= self.specs[i].total_tokens();
-                self.served[i] = Some(TokenRequestRecord {
-                    arrival: self.arrivals[i],
-                    dispatch: slot.dispatch,
-                    first_token: slot.first_token.expect("set above"),
-                    completion: t,
-                    spec: self.specs[i],
-                });
-            } else {
-                still.push(slot);
+            if slot.remaining > 0 {
+                return true;
             }
-        }
-        eng.active = still;
+            let i = slot.idx;
+            eng.kv_used -= specs[i].total_tokens();
+            self.served[i] = Some(TokenRequestRecord {
+                arrival: arrivals[i],
+                dispatch: slot.dispatch,
+                first_token,
+                completion: t,
+                spec: specs[i],
+            });
+            false
+        });
         self.begin_step(e, t);
     }
 
@@ -718,14 +769,17 @@ fn record_token_metrics(out: &TokenSimOutcome) {
     }
 }
 
-/// Record causal trace events for a settled token run, reading only the
-/// outcome's stamps: Admit/Enqueue at arrival, Dispatch at service
-/// entry, one [`TraceStage::DecodeStep`] per invocation (anchored on its
-/// first active request, sized with the cohort), Complete at the last
-/// token.
+/// Record causal trace events for a settled token run over `specs`,
+/// reading only the outcome's stamps: Admit/Enqueue at arrival, Dispatch
+/// at service entry, one [`TraceStage::DecodeStep`] per invocation
+/// (anchored on its first active request, sized with the cohort),
+/// Complete at the last token. Every id is `req_offset` plus the
+/// request's offered index, the index an invocation's anchor holds.
 fn record_token_trace(
     tracer: &Tracer,
     out: &TokenSimOutcome,
+    specs: &[TokenSpec],
+    params: &TokenParams,
     config: &LambdaConfig,
     req_offset: u64,
     inv_offset: u64,
@@ -750,8 +804,12 @@ fn record_token_trace(
             .with_lane(inv.engine),
         );
     }
-    for (ri, r) in out.served.iter().enumerate() {
-        let id = TraceId(req_offset + ri as u64);
+    // The served records are the admitted requests in offered order.
+    let capacity = params.capacity_tokens(config.memory_mb);
+    let offered = (0..specs.len()).filter(|&i| admits(capacity, &specs[i]));
+    debug_assert_eq!(out.offered, specs.len());
+    for (i, r) in offered.zip(&out.served) {
+        let id = TraceId(req_offset + i as u64);
         events.push(TraceEvent::new(id, TraceStage::Admit, r.arrival));
         events.push(TraceEvent::new(id, TraceStage::Enqueue, r.arrival));
         events.push(TraceEvent::new(id, TraceStage::Dispatch, r.dispatch).with_config(cfg));
@@ -797,12 +855,8 @@ pub fn run_controller_tokens<C: Controller + ?Sized>(
             return None;
         }
         let t_wall = std::time::Instant::now();
-        let out = simulate_tokens_windowed(
-            &tokenized.arrivals()[lo..hi],
-            &tokenized.specs()[lo..hi],
-            config,
-            params,
-        );
+        let specs = &tokenized.specs()[lo..hi];
+        let out = simulate_tokens_windowed(&tokenized.arrivals()[lo..hi], specs, config, params);
         debug_assert!(out.conserved());
         goodput.absorb(&out.goodput(slo, ctx.end - ctx.start));
         let m = IntervalMeasurement::new(
@@ -815,7 +869,15 @@ pub fn run_controller_tokens<C: Controller + ?Sized>(
             t_wall.elapsed().as_secs_f64(),
         );
         if tracer.is_active() {
-            record_token_trace(tracer, &out, config, trace_req_offset, trace_inv_offset);
+            record_token_trace(
+                tracer,
+                &out,
+                specs,
+                params,
+                config,
+                trace_req_offset,
+                trace_inv_offset,
+            );
         }
         trace_req_offset += out.offered as u64;
         trace_inv_offset += out.invocations.len() as u64;
@@ -1141,5 +1203,97 @@ mod tests {
         let g = out.goodput.expect("token runs report goodput");
         assert_eq!(g.horizon_s, t1 - t0);
         assert_eq!(g.rps(), g.ok as f64 / 240.0);
+    }
+
+    /// Generated continuous-batching cases: a token mix, cohort bound,
+    /// fleet size and memory (640 and 1 024 MB are KV-bound) over sorted
+    /// arrivals with repeated stamps.
+    mod generated {
+        use super::*;
+        use proptest::prelude::*;
+
+        fn case() -> impl Strategy<Value = (TokenizedTrace, LambdaConfig, usize)> {
+            let mix = prop::sample::select(vec![
+                LognormalTokens::chat(),
+                LognormalTokens::summarize(),
+                LognormalTokens::long_decode(),
+            ]);
+            // One in four gaps is zero.
+            let gap = (0u32..4, 0.0f64..0.05).prop_map(|(k, g)| if k == 0 { 0.0 } else { g });
+            let memory = prop::sample::select(vec![640u32, 1024, 2048, 3008]);
+            (
+                (mix, 0u64..1000),
+                prop::collection::vec(gap, 1..200),
+                memory,
+                1u32..=32,
+                1usize..=16,
+            )
+                .prop_map(|((mix, seed), gaps, memory_mb, b, replicas)| {
+                    let mut t = 0.0;
+                    let arrivals: Vec<f64> = gaps
+                        .iter()
+                        .map(|g| {
+                            t += g;
+                            t
+                        })
+                        .collect();
+                    let trace = Trace::new(arrivals, t + 1.0);
+                    let tt = TokenizedTrace::sample(trace, &TokenMix::Lognormal(mix), seed);
+                    (tt, LambdaConfig::new(memory_mb, b, 0.05), replicas)
+                })
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            #[test]
+            fn continuous_engine_invariants(drawn in case()) {
+                let (tt, cfg, replicas) = drawn;
+                let params = TokenParams::llm_like();
+                let run = || {
+                    simulate_tokens_continuous(tt.arrivals(), tt.specs(), &cfg, &params, replicas)
+                };
+                let out = run();
+                prop_assert!(out.conserved());
+                prop_assert_eq!(out.offered, tt.len());
+
+                let again = run();
+                prop_assert_eq!(&again.served, &out.served);
+                prop_assert_eq!(&again.invocations, &out.invocations);
+                prop_assert_eq!(again.rejected, out.rejected);
+                prop_assert_eq!(again.total_cost.to_bits(), out.total_cost.to_bits());
+
+                let mut last: Vec<Option<&TokenInvocation>> = vec![None; replicas];
+                let mut cost = 0.0;
+                for inv in &out.invocations {
+                    prop_assert!(inv.size <= cfg.batch_size && inv.joined <= inv.size);
+                    if let Some(prev) = last[inv.engine as usize] {
+                        let end = prev.start + prev.busy_s;
+                        prop_assert!(inv.start > prev.start);
+                        prop_assert!(
+                            inv.start == end
+                                || (inv.start > end && tt.arrivals().contains(&inv.start)),
+                            "engine {} restarts at {} after a step ending at {}",
+                            inv.engine,
+                            inv.start,
+                            end
+                        );
+                    }
+                    last[inv.engine as usize] = Some(inv);
+                    cost += inv.cost;
+                }
+                prop_assert_eq!(out.total_cost.to_bits(), cost.to_bits());
+
+                for r in &out.served {
+                    prop_assert!(
+                        r.arrival <= r.dispatch
+                            && r.dispatch < r.first_token
+                            && r.first_token <= r.completion,
+                        "{:?}",
+                        r
+                    );
+                }
+            }
+        }
     }
 }

@@ -20,12 +20,16 @@
 //! `run_controller*` rows, and the replay's trace staging (the one settle
 //! it shares with the live worker) by `replay/trace_stream`, a traced
 //! fixed replay whose literal was taken before that deletion.
+//!
+//! The `tokens_*` rows pin both token simulators' whole outcomes. Their
+//! literals were taken before the decode step was tabulated.
 
 use deepbat::prelude::*;
 use deepbat::serve::{ServeOutcome, ServedBatch};
 use deepbat::sim::{
-    run_controller_tokens, sweep, ColdStartFault, FaultCounts, FaultEvent, FaultSimOutcome,
-    LatencySummary, ThrottleFault, TokenParams,
+    run_controller_tokens, simulate_tokens_continuous, simulate_tokens_windowed, sweep,
+    ColdStartFault, FaultCounts, FaultEvent, FaultSimOutcome, LatencySummary, ThrottleFault,
+    TokenParams, TokenSimOutcome,
 };
 use deepbat::workload::{LognormalTokens, TokenMix, TokenSlo, TokenizedTrace};
 use std::sync::Arc;
@@ -154,6 +158,42 @@ impl Fnv {
             }
         }
         self.counts(&out.counts);
+    }
+
+    /// Every served record (stamps and spec), every invocation field, and
+    /// the outcome's counts and total cost. The record fields are
+    /// crate-private, so they are read through the outcome's serde form,
+    /// which keeps every `f64` as it is.
+    fn tokens(&mut self, out: &TokenSimOutcome) {
+        use deepbat::telemetry::serde_json::{to_value, Value};
+        let f = |v: &Value, key: &str| {
+            v[key]
+                .as_f64()
+                .unwrap_or_else(|| panic!("`{key}` is a number"))
+        };
+        self.n(out.served.len());
+        for r in out.served.iter().map(to_value) {
+            for key in ["arrival", "dispatch", "first_token", "completion"] {
+                self.f(f(&r, key));
+            }
+            self.u(f(&r["spec"], "prompt_tokens") as u64);
+            self.u(f(&r["spec"], "output_tokens") as u64);
+        }
+        self.n(out.invocations.len());
+        for inv in out.invocations.iter().map(to_value) {
+            self.f(f(&inv, "start"));
+            self.f(f(&inv, "busy_s"));
+            for key in ["size", "joined"] {
+                self.u(f(&inv, key) as u64);
+            }
+            self.f(f(&inv, "cost"));
+            for key in ["engine", "anchor"] {
+                self.u(f(&inv, key) as u64);
+            }
+        }
+        self.n(out.rejected);
+        self.n(out.offered);
+        self.f(out.total_cost);
     }
 
     fn config(&mut self, c: &LambdaConfig) {
@@ -584,4 +624,79 @@ fn closed_loop_measurement_streams() {
         ),
         ("run_controller_tokens", h_tok.0, 0xa2af_2a94_fd04_b0fb),
     ]);
+}
+
+/// Both token simulators over each lognormal mix: cohort bounds 4 and 32,
+/// a roomy 3 008 MB and a KV-bound 1 024 MB (room for 1 024 resident
+/// tokens, so long requests are rejected and cohorts are KV-limited), and
+/// 1, 4 and 16 engine replicas for the continuous one.
+#[test]
+fn token_simulator_outcomes() {
+    let arrivals = head(TraceKind::AzureLike, 17, 500);
+    let trace = Trace::new(arrivals, 3600.0);
+    let params = TokenParams::llm_like();
+    let configs = [
+        LambdaConfig::new(3008, 4, 0.05),
+        LambdaConfig::new(3008, 32, 0.2),
+        LambdaConfig::new(1024, 4, 0.05),
+        LambdaConfig::new(1024, 32, 0.2),
+    ];
+    let mut rows = Vec::new();
+    for (name, mix, golden) in [
+        (
+            "chat",
+            LognormalTokens::chat(),
+            [
+                0xe7f7_d51a_52f2_7af8,
+                0xf117_f07d_98c0_ac72,
+                0x1ffe_bf35_c840_7fd8,
+                0xd2ae_63e0_9ad4_ed75,
+            ],
+        ),
+        (
+            "summarize",
+            LognormalTokens::summarize(),
+            [
+                0x79f0_4839_8106_94ad,
+                0x0682_70fe_368e_b7c5,
+                0x3174_a2b7_fd0b_285d,
+                0x76a1_af1e_e460_c491,
+            ],
+        ),
+        (
+            "long_decode",
+            LognormalTokens::long_decode(),
+            [
+                0x2ef9_0ebc_3c84_ec36,
+                0x9974_ce50_3f7c_9648,
+                0x77f3_b9f3_230c_dff4,
+                0xd200_fc6d_2e54_78f7,
+            ],
+        ),
+    ] {
+        let tt = TokenizedTrace::sample(trace.clone(), &TokenMix::Lognormal(mix), 5);
+        let mut h = Fnv::new();
+        for cfg in &configs {
+            let out = simulate_tokens_windowed(tt.arrivals(), tt.specs(), cfg, &params);
+            // Only the KV-bound memory rejects, under every mix.
+            assert_eq!(out.rejected > 0, cfg.memory_mb == 1024, "{name} {cfg:?}");
+            h.tokens(&out);
+        }
+        rows.push((format!("tokens_windowed/{name}"), h.0, golden[0]));
+        for (k, replicas) in [1, 4, 16].into_iter().enumerate() {
+            let mut h = Fnv::new();
+            for cfg in &configs {
+                let out =
+                    simulate_tokens_continuous(tt.arrivals(), tt.specs(), cfg, &params, replicas);
+                h.tokens(&out);
+            }
+            rows.push((
+                format!("tokens_continuous/{name}/replicas_{replicas}"),
+                h.0,
+                golden[k + 1],
+            ));
+        }
+    }
+    let rows: Vec<(&str, u64, u64)> = rows.iter().map(|(n, g, w)| (n.as_str(), *g, *w)).collect();
+    check(&rows);
 }
