@@ -1,27 +1,27 @@
-//! The live threaded gateway: N sharded batcher lanes feeding one shared
-//! ready queue, a worker pool, and an optional control thread for hot
-//! reconfiguration.
+//! The live threaded gateway: one batcher lane per function group
+//! feeding one shared ready queue, a worker pool, and an optional
+//! control thread for hot reconfiguration.
 //!
 //! Built entirely on std primitives (threads + `Mutex`/`Condvar`, no
-//! async runtime). Thread layout (`lanes = N`, any number of submitters):
+//! async runtime). Thread layout (any number of submitters):
 //!
 //! ```text
 //!  submit() ──▶ lane 0 [inbox] ──▶ batcher 0 ───┐
-//!  submit() ──▶ lane 1 [inbox] ──▶ batcher 1 ───┤
-//!     ...          ...                ...       ├──▶ [ready queue] ──▶ worker pool
-//!  submit() ──▶ lane N-1 [..] ──▶ batcher N-1 ──┘
+//!     ...  (grouped: class ─▶ its group's lane)  ├──▶ [ready queue] ──▶ worker pool
+//!  submit() ──▶ lane G-1 [..] ──▶ batcher G-1 ──┘
 //!
-//!  control thread ── Reconfig broadcast to every lane
+//!  control thread ── Reconfig to lane 0
 //!  (any Controller)   at interval boundaries
 //! ```
 //!
-//! Sharding keeps the admission path free of cross-lane coordination:
-//! a submitter touches exactly one lane mutex, one global id allocator,
-//! and one global in-flight atomic (the capacity bound) — no lock is
-//! ever taken on two lanes at once. Each lane runs its own
-//! [`BatcherCore`] on its own batcher thread, so per-lane window
-//! semantics (and the per-lane arrival log, stamped under the lane
-//! lock) are identical to the unsharded gateway with `lanes = 1`.
+//! An ungrouped gateway has exactly one lane, like the paper's one
+//! buffer per function (§III-B); a grouped gateway
+//! ([`GatewayConfig::groups`]) has one lane per function group, and
+//! `submit` routes each request to the lane serving its class. A
+//! submitter touches one lane mutex, one global id allocator, and one
+//! global in-flight atomic (the capacity bound) — no lock is ever taken
+//! on two lanes at once. Each lane runs its own [`BatcherCore`] on its
+//! own batcher thread and keeps its arrival log stamped under its lock.
 //!
 //! Formed batches go, in formation order, onto one FIFO under the small
 //! `work` mutex, and any worker pops the front: like the paper's
@@ -38,13 +38,12 @@
 //! and every gateway thread drops the kernel timer slack at start
 //! ([`crate::clock`]) so timed parks and service sleeps fire when asked.
 //!
-//! Reconfigurations are broadcast to every lane and applied by each
-//! lane's batcher at the requested boundary: arrivals stamped before
-//! the boundary join the old configuration's window, the window is then
-//! sealed (never split or dropped — see [`BatcherCore::rotate`]), and
-//! later arrivals open windows under the new configuration. Boundary
-//! ordering is preserved *per lane*, which is exactly the guarantee the
-//! unsharded gateway gave.
+//! Only an ungrouped gateway runs a control thread, so reconfigurations
+//! go to its one lane and are applied by its batcher at the requested
+//! boundary: arrivals stamped before the boundary join the old
+//! configuration's window, the window is then sealed (never split or
+//! dropped — see [`BatcherCore::rotate`]), and later arrivals open
+//! windows under the new configuration.
 
 use crate::backend::InferenceBackend;
 use crate::clock::{precise_timers, Clock};
@@ -117,17 +116,16 @@ pub struct GatewayConfig {
     pub initial: LambdaConfig,
     /// Admission bound: maximum requests in flight gateway-wide
     /// (accepted but not yet completed). Enforced exactly, via one
-    /// global atomic — lanes share the bound.
+    /// global atomic — a grouped gateway's lanes share the bound.
     pub queue_capacity: usize,
     pub backpressure: BackpressurePolicy,
-    /// Batcher lanes. `1` reproduces the unsharded gateway exactly;
-    /// more lanes shard the admission path so concurrent submitters
-    /// stop contending on a single inbox mutex.
+    /// Unread. Kept only because `benchmark/` sets it; ROADMAP item 1(e)
+    /// removes it.
     pub lanes: usize,
     /// Worker threads executing batches (invocations run concurrently,
     /// mirroring serverless autoscaling; size for peak in-flight batches).
-    /// Every worker serves every lane: each takes the oldest batch from
-    /// the one shared ready queue.
+    /// Every worker serves every group's lane: each takes the oldest
+    /// batch from the one shared ready queue.
     pub workers: usize,
     /// Decision interval for the control thread, virtual seconds.
     pub decision_interval: f64,
@@ -149,9 +147,9 @@ pub struct GatewayConfig {
     /// non-empty, lane `g` runs `groups[g].config` and serves exactly
     /// the classes assigned to group `g`: submissions route by
     /// `Request::class` (covering every class exactly once is
-    /// validated at startup), `lanes`/`initial` are superseded (one
-    /// lane per group), and the `serve.class.<i>.*` counters track each
-    /// class. Empty (the default) keeps the homogeneous sharded gateway.
+    /// validated at startup), `initial` is superseded, and the
+    /// `serve.class.<i>.*` counters track each class. Empty (the
+    /// default) is the homogeneous gateway: one lane under `initial`.
     pub groups: Vec<FunctionGroup>,
 }
 
@@ -213,20 +211,12 @@ struct ClassTel {
     completed: Arc<Counter>,
 }
 
-/// Per-lane telemetry handles (`None` when telemetry is disabled).
-struct LaneTel {
-    /// `serve.lane.<i>.queue_depth`: admitted-not-completed on the lane.
-    queue_depth: Arc<Gauge>,
-    /// `serve.lane.<i>.completed`: requests completed from the lane's
-    /// windows. Lane-sum equals `serve.completed` at drain.
-    completed: Arc<Counter>,
-}
-
-/// One batcher lane: a bounded admission inbox feeding a dedicated
-/// batcher thread. Lanes sit side by side in `Shared::lanes`, and every
-/// request writes its lane's inbox lock and `depth`; the alignment keeps
-/// two lanes off one cache line (and its prefetched pair), so producers
-/// on different lanes do not contend through false sharing.
+/// One batcher lane (one per function group): a bounded admission inbox
+/// feeding a dedicated batcher thread. Lanes sit side by side in
+/// `Shared::lanes`, and every request writes its lane's inbox lock; the
+/// alignment keeps two lanes off one cache line (and its prefetched
+/// pair), so producers on different lanes do not contend through false
+/// sharing.
 #[repr(align(128))]
 struct Lane {
     inbox: Mutex<Inbox>,
@@ -241,23 +231,15 @@ struct Lane {
     /// *then* re-reads `in_flight`, a worker lowers `in_flight` and *then*
     /// reads this, so one of the two always sees the other.
     blocked: AtomicUsize,
-    /// Admitted-not-completed on this lane (feeds the lane gauge).
-    depth: AtomicU64,
-    tel: Option<LaneTel>,
 }
 
 impl Lane {
-    fn new(tel: &Telemetry, idx: usize) -> Lane {
+    fn new() -> Lane {
         Lane {
             inbox: Mutex::new(Inbox::default()),
             arrival_cv: Condvar::new(),
             space_cv: Condvar::new(),
             blocked: AtomicUsize::new(0),
-            depth: AtomicU64::new(0),
-            tel: tel.is_enabled().then(|| LaneTel {
-                queue_depth: tel.gauge(&format!("serve.lane.{idx}.queue_depth")),
-                completed: tel.counter(&format!("serve.lane.{idx}.completed")),
-            }),
         }
     }
 
@@ -361,12 +343,12 @@ struct Shared {
     /// Dense gateway-global request ids (the only other shared word the
     /// admit path touches).
     next_id: AtomicU64,
-    /// Keep the per-lane arrival logs (needed by the control thread).
+    /// Keep the arrival log (needed by the control thread).
     record_arrivals: bool,
     /// Class → lane routing for grouped gateways (`None` = homogeneous).
     routes: Option<ClassAssignment>,
     /// Initial configuration per lane: `groups[g].config` when grouped,
-    /// `cfg.initial` on every lane otherwise.
+    /// `cfg.initial` on the one lane otherwise.
     lane_configs: Vec<LambdaConfig>,
     /// Indexed by class id; empty when telemetry is disabled.
     class_tel: Vec<ClassTel>,
@@ -377,17 +359,6 @@ struct Shared {
 struct ControlStop {
     stop: Mutex<bool>,
     cv: Condvar,
-}
-
-/// Round-robin origin for submitter threads, so concurrent producers
-/// start on different lanes instead of convoying on lane 0.
-static NEXT_SUBMITTER: AtomicUsize = AtomicUsize::new(0);
-
-thread_local! {
-    /// Per-thread lane cursor: advances on every `submit`, seeded from
-    /// `NEXT_SUBMITTER` so threads interleave across lanes without any
-    /// shared-state traffic on the hot path.
-    static LANE_CURSOR: std::cell::Cell<usize> = const { std::cell::Cell::new(usize::MAX) };
 }
 
 /// The running gateway. Dropping without `shutdown` detaches the
@@ -412,9 +383,9 @@ impl Gateway {
     /// Start under a closed-loop controller. The controller's first
     /// decision is taken synchronously here (interval `[0, I)`, empty
     /// history) and becomes the initial configuration; afterwards the
-    /// control thread re-decides at every interval boundary, broadcasts
-    /// the reconfiguration to every lane, and feeds measured intervals
-    /// back through `observe`/`commit`.
+    /// control thread re-decides at every interval boundary, hands the
+    /// reconfiguration to the gateway's one lane, and feeds measured
+    /// intervals back through `observe`/`commit`.
     pub fn start_controlled(
         cfg: GatewayConfig,
         clock: Arc<dyn Clock>,
@@ -455,12 +426,11 @@ impl Gateway {
         // admissions, per-group configs fixed at startup (the joint
         // decide runs offline — a control thread would overwrite the
         // heterogeneous per-group configs with one broadcast config).
-        let (n_lanes, lane_configs, routes) = if cfg.groups.is_empty() {
-            assert!(cfg.lanes >= 1, "need at least one batcher lane");
+        let (lane_configs, routes) = if cfg.groups.is_empty() {
             cfg.initial
                 .validate()
                 .expect("invalid initial configuration");
-            (cfg.lanes, vec![cfg.initial; cfg.lanes], None)
+            (vec![cfg.initial], None)
         } else {
             assert!(
                 ctl.is_none(),
@@ -477,8 +447,9 @@ impl Gateway {
             let assignment = ClassAssignment::from_groups(&cfg.groups, n_classes)
                 .expect("invalid function groups");
             let lane_configs: Vec<LambdaConfig> = cfg.groups.iter().map(|g| g.config).collect();
-            (cfg.groups.len(), lane_configs, Some(assignment))
+            (lane_configs, Some(assignment))
         };
+        let n_lanes = lane_configs.len();
         let tel = ServeTel::resolve(&cfg.telemetry);
         let n_classes = routes.as_ref().map_or(1, ClassAssignment::n_classes);
         let class_tel: Vec<ClassTel> = if cfg.telemetry.is_enabled() {
@@ -491,7 +462,7 @@ impl Gateway {
         } else {
             Vec::new()
         };
-        let lanes = (0..n_lanes).map(|i| Lane::new(&cfg.telemetry, i)).collect();
+        let lanes = (0..n_lanes).map(|_| Lane::new()).collect();
         let record_arrivals = ctl.is_some();
         let n_workers = cfg.workers;
         let ledger = Ledger::new(cfg.record_outcome);
@@ -565,51 +536,36 @@ impl Gateway {
     }
 
     /// Offer one request. Grouped gateways route by `req.class` to the
-    /// owning group's lane; homogeneous gateways round-robin per thread,
-    /// so concurrent submitters spread across lanes. A class no group
-    /// serves is refused (counted as rejected, `retry_after_s: None` —
-    /// retrying cannot help). Blocks only under
+    /// owning group's lane; an ungrouped gateway has one lane. A class no
+    /// group serves is refused (counted as rejected, `retry_after_s:
+    /// None` — retrying cannot help). Blocks only under
     /// [`BackpressurePolicy::Block`] with a full queue.
     pub fn submit(&self, req: Request) -> Admission {
-        if let Some(routes) = &self.shared.routes {
-            if (req.class as usize) >= routes.n_classes() {
-                let shared = &*self.shared;
-                let mut inbox = shared.lanes[0].inbox.lock().unwrap();
-                inbox.submitted += 1;
-                if let Some(tel) = &shared.tel {
-                    tel.submitted.inc();
-                }
-                return reject(
-                    &mut inbox,
-                    shared,
-                    Admission::Rejected {
-                        retry_after_s: None,
-                    },
-                );
+        let Some(routes) = &self.shared.routes else {
+            return self.submit_to(0, req);
+        };
+        if (req.class as usize) >= routes.n_classes() {
+            let shared = &*self.shared;
+            let mut inbox = shared.lanes[0].inbox.lock().unwrap();
+            inbox.submitted += 1;
+            if let Some(tel) = &shared.tel {
+                tel.submitted.inc();
             }
-            let lane = routes.group_of(req.class) as usize;
-            return self.submit_to(lane, req);
+            return reject(
+                &mut inbox,
+                shared,
+                Admission::Rejected {
+                    retry_after_s: None,
+                },
+            );
         }
-        let n = self.shared.lanes.len();
-        let lane = LANE_CURSOR.with(|c| {
-            let mut v = c.get();
-            if v == usize::MAX {
-                // First submit from this thread: start threads on
-                // different lanes.
-                v = NEXT_SUBMITTER
-                    .fetch_add(1, Ordering::Relaxed)
-                    .wrapping_mul(0x9E37_79B9);
-            }
-            c.set(v.wrapping_add(1));
-            v % n
-        });
-        self.submit_to(lane, req)
+        self.submit_to(routes.group_of(req.class) as usize, req)
     }
 
-    /// Offer one request on a specific lane (`lane % lanes()`), stamped
-    /// on arrival. The explicit form exists for load harnesses and
-    /// tests that pin producers to lanes; `submit` round-robins (and, on
-    /// grouped gateways, routes by class — pinning bypasses the routes).
+    /// Offer one request on a specific lane (`lane %` the lane count),
+    /// stamped on arrival. On an ungrouped gateway every `lane` is its one
+    /// lane; on a grouped one, pinning bypasses the class routes. Load
+    /// harnesses call it; `submit` is the routed form.
     pub fn submit_to(&self, lane: usize, req: Request) -> Admission {
         let shared = &*self.shared;
         let lane = &shared.lanes[lane % shared.lanes.len()];
@@ -621,7 +577,7 @@ impl Gateway {
         if inbox.closed {
             return reject(&mut inbox, shared, Admission::Closed);
         }
-        // Capacity check is exact: increments happen under lane locks,
+        // Capacity check is exact: increments happen under a lane lock,
         // decrements (by workers) only ever free space.
         let full = || shared.in_flight.load(Ordering::SeqCst) as usize >= shared.cfg.queue_capacity;
         if full() {
@@ -656,7 +612,7 @@ impl Gateway {
             }
         }
         // Stamped under the lane lock from a monotonic clock, so the
-        // per-lane log (and the batcher's arrival order) stays sorted.
+        // lane's log (and the batcher's arrival order) stays sorted.
         let arrival = shared.clock.now();
         let id = shared.next_id.fetch_add(1, Ordering::Relaxed);
         let admitted = Admitted {
@@ -673,13 +629,9 @@ impl Gateway {
             ct.accepted.inc();
         }
         let depth = shared.in_flight.fetch_add(1, Ordering::SeqCst) + 1;
-        let lane_depth = lane.depth.fetch_add(1, Ordering::Relaxed) + 1;
         if let Some(tel) = &shared.tel {
             tel.accepted.inc();
             tel.queue_depth.set(depth as f64);
-        }
-        if let Some(lt) = &lane.tel {
-            lt.queue_depth.set(lane_depth as f64);
         }
         lane.wake_batcher(inbox);
         Admission::Accepted { id }
@@ -713,7 +665,7 @@ impl Gateway {
     /// Stop accepting work, serve everything accepted, join all threads
     /// and return the assembled outcome. Conservation:
     /// `submitted == accepted + rejected` and `completed == accepted`,
-    /// summed across lanes.
+    /// summed over the lanes.
     pub fn shutdown(mut self, mode: DrainMode) -> ServeOutcome {
         self.close(mode);
         let accepted: u64 = self
@@ -769,9 +721,8 @@ fn reject(inbox: &mut Inbox, shared: &Shared, outcome: Admission) -> Admission {
 }
 
 /// One lane's batcher thread: drains the lane's admission queue into
-/// batch windows, applies broadcast reconfigurations at their
-/// boundaries, flushes due windows, and publishes formed batches on the
-/// shared ready queue.
+/// batch windows, applies reconfigurations at their boundaries, flushes
+/// due windows, and publishes formed batches on the shared ready queue.
 fn batcher_loop(shared: &Shared, lane_idx: usize) {
     precise_timers();
     let lane = &shared.lanes[lane_idx];
@@ -911,7 +862,6 @@ fn worker_loop(shared: &Shared) {
     let mut events = Vec::new();
     while let Some(fb) = next_batch(shared) {
         let size = fb.requests.len() as u64;
-        let lane = &shared.lanes[fb.lane as usize];
         let plan = shared.backend.plan(&fb.config, size as u32);
         // Execute time is measured on the gateway clock (virtual
         // seconds), not wall time, so the `span.serve.execute`
@@ -932,11 +882,9 @@ fn worker_loop(shared: &Shared) {
                 }
             }
         }
-        // On grouped gateways the lane *is* the function group.
-        let group = if shared.routes.is_some() { fb.lane } else { 0 };
         let trace = tracer.is_active().then_some(&mut events);
         let mut done = shared.done.lock().unwrap();
-        done.ledger.settle(&fb, &plan, completed_at, group, trace);
+        done.ledger.settle(&fb, &plan, completed_at, trace);
         let drained = done
             .drain_target
             .is_some_and(|n| done.ledger.completed >= n);
@@ -948,14 +896,9 @@ fn worker_loop(shared: &Shared) {
             events.clear();
         }
         let depth = shared.in_flight.fetch_sub(size, Ordering::SeqCst) - size;
-        let lane_depth = lane.depth.fetch_sub(size, Ordering::Relaxed) - size;
         if let Some(tel) = &shared.tel {
             tel.completed.add(size);
             tel.queue_depth.set(depth as f64);
-        }
-        if let Some(lt) = &lane.tel {
-            lt.completed.add(size);
-            lt.queue_depth.set(lane_depth as f64);
         }
         if drained {
             shared.done_cv.notify_one();
@@ -972,23 +915,12 @@ fn worker_loop(shared: &Shared) {
     }
 }
 
-/// Snapshot every lane's arrival log, merged into one sorted sequence.
-/// Lanes are locked one at a time (never two at once); each per-lane log
-/// is already sorted, so this is a k-way merge done as concat + sort.
-fn merged_arrivals(shared: &Shared) -> Vec<f64> {
-    let mut all: Vec<f64> = Vec::new();
-    for lane in &shared.lanes {
-        let inbox = lane.inbox.lock().unwrap();
-        all.extend(inbox.log.iter().map(|a| a.arrival));
-    }
-    all.sort_by(f64::total_cmp);
-    all
-}
-
 /// The control thread: waits out each decision interval on the gateway
-/// clock, re-decides at the boundary from the merged observed arrival
-/// history, broadcasts the reconfiguration to every lane, and closes
-/// completed intervals through the [`Feedback`] protocol, in order.
+/// clock, re-decides at the boundary from the observed arrival history,
+/// hands the reconfiguration to the lane, and closes completed intervals
+/// through the [`Feedback`] protocol, in order. A controlled gateway is
+/// ungrouped, so lane 0 is its only lane and its log, stamped under the
+/// lane lock, is already sorted.
 fn control_loop(
     shared: &Shared,
     stop: &ControlStop,
@@ -996,6 +928,7 @@ fn control_loop(
     first: DecisionRecord,
 ) -> Feedback {
     precise_timers();
+    let lane = &shared.lanes[0];
     let interval = shared.cfg.decision_interval;
     let mut pending: VecDeque<(DecisionRecord, Instant)> = VecDeque::new();
     pending.push_back((first, Instant::now()));
@@ -1021,7 +954,10 @@ fn control_loop(
         }
         // Decide for [boundary, boundary + interval) from what has been
         // observed so far (never peeking past the boundary).
-        let arrivals = merged_arrivals(shared);
+        let arrivals: Vec<f64> = {
+            let inbox = lane.inbox.lock().unwrap();
+            inbox.log.iter().map(|a| a.arrival).collect()
+        };
         let horizon = shared
             .clock
             .now()
@@ -1035,17 +971,14 @@ fn control_loop(
             index: k + 1,
         };
         let rec = Feedback::decide(ctl.as_mut(), &ctx);
-        // Broadcast: every lane gets the boundary-stamped command and
-        // applies it in its own arrival order (per-lane boundary
-        // ordering, exactly the unsharded guarantee).
-        for lane in &shared.lanes {
-            let mut inbox = lane.inbox.lock().unwrap();
-            inbox.reconfigs.push_back(Reconfig {
-                config: rec.config,
-                boundary,
-            });
-            lane.wake_batcher(inbox);
-        }
+        // The batcher applies the boundary-stamped command in its
+        // arrival order.
+        let mut inbox = lane.inbox.lock().unwrap();
+        inbox.reconfigs.push_back(Reconfig {
+            config: rec.config,
+            boundary,
+        });
+        lane.wake_batcher(inbox);
         if let Some(tel) = &shared.tel {
             tel.reconfig.inc();
             // Stamped at the decision boundary on the gateway clock, so
@@ -1067,8 +1000,8 @@ fn control_loop(
 }
 
 /// Finalise decided intervals head-of-line: once an interval has ended
-/// and every request that arrived in it (on any lane) has completed,
-/// measure it from the served records and close it.
+/// and every request that arrived in it has completed, measure it from
+/// the served records and close it.
 fn finalize_intervals(
     shared: &Shared,
     ctl: &mut dyn Controller,
@@ -1080,15 +1013,14 @@ fn finalize_intervals(
         if !force && shared.clock.now() < rec.end {
             break;
         }
-        // Ids of every request that arrived in [start, end), across all
-        // lanes (each per-lane log is sorted by arrival).
-        let mut ids: Vec<u64> = Vec::new();
-        for lane in &shared.lanes {
-            let inbox = lane.inbox.lock().unwrap();
+        // Ids of every request that arrived in [start, end) on the one
+        // lane (its log is sorted by arrival).
+        let ids: Vec<u64> = {
+            let inbox = shared.lanes[0].inbox.lock().unwrap();
             let lo = inbox.log.partition_point(|a| a.arrival < rec.start);
             let hi = inbox.log.partition_point(|a| a.arrival < rec.end);
-            ids.extend(inbox.log[lo..hi].iter().map(|a| a.id));
-        }
+            inbox.log[lo..hi].iter().map(|a| a.id).collect()
+        };
         // `None`: an interval nothing arrived in.
         let mut measured = None;
         if !ids.is_empty() {
@@ -1313,12 +1245,14 @@ mod tests {
 
     #[test]
     fn sharded_lanes_partition_work_and_conserve() {
+        let config = LambdaConfig::new(2048, 4, 0.005);
         let cfg = GatewayConfig {
-            initial: LambdaConfig::new(2048, 4, 0.005),
             queue_capacity: 1024,
             backpressure: BackpressurePolicy::Block,
-            lanes: 4,
             workers: 4,
+            groups: (0..4)
+                .map(|g| FunctionGroup::new(config, vec![g]))
+                .collect(),
             ..GatewayConfig::default()
         };
         let gw = Gateway::start(
@@ -1326,9 +1260,9 @@ mod tests {
             Arc::new(WallClock::with_speedup(100.0)),
             Arc::new(ProfiledBackend::default()),
         );
-        for i in 0..200usize {
+        for i in 0..200u16 {
             assert!(matches!(
-                gw.submit_to(i % 4, Request::default()),
+                gw.submit(Request::of_class(i % 4)),
                 Admission::Accepted { .. }
             ));
         }
@@ -1336,15 +1270,14 @@ mod tests {
         assert_eq!(out.counts.accepted, 200);
         assert_eq!(out.counts.completed, 200);
         assert!(out.counts.conserved());
-        // Every lane carried work, batches never mix lanes, and the
-        // per-lane partition covers everything exactly once.
-        let by_lane = out.completed_by_lane();
-        assert_eq!(by_lane.len(), 4);
-        assert_eq!(by_lane, vec![50, 50, 50, 50]);
+        // Every group's lane carried its class's work, batches never mix
+        // lanes, and the partition covers everything exactly once.
+        assert_eq!(out.completed_by_class(), vec![50, 50, 50, 50]);
         for b in &out.batches {
             assert!(b.lane < 4);
         }
         for r in &out.requests {
+            assert_eq!(r.lane, r.class as u32);
             assert_eq!(r.lane, out.batches[r.batch].lane);
         }
     }
@@ -1413,7 +1346,6 @@ mod tests {
             initial: LambdaConfig::new(2048, 8, 0.002),
             queue_capacity: 512,
             backpressure: BackpressurePolicy::Block,
-            lanes: 2,
             workers: 2,
             record_outcome: false,
             ..GatewayConfig::default()

@@ -6,15 +6,15 @@
 //! runtime).
 //!
 //! ```text
-//!  load generators ──▶ submit() ──▶ lane 0..N-1 ──▶ batcher threads
-//!   (trace replay,      bounded, Block / Reject      one per lane, forms
-//!    multi-producer)    backpressure, global cap     batches under (M,B,T)
-//!                                                         │
-//!  controller thread ── hot (M,B,T) reconfiguration ──────┤
-//!   (DeepBAT, BATCH,    broadcast to every lane           ▼
-//!    Static, Oracle)    at interval boundaries    one shared ready queue
-//!                                                 ──▶ worker pool
-//!                                                 · InferenceBackend
+//!  load generators ──▶ submit() ──▶ one lane per ──▶ batcher threads
+//!   (trace replay,      bounded,      function group  one per lane, forms
+//!    multi-producer)    Block/Reject, (ungrouped: 1)  batches under (M,B,T)
+//!                       global cap                         │
+//!  controller thread ── hot (M,B,T) reconfiguration ───────┤
+//!   (DeepBAT, BATCH,    to the ungrouped gateway's         ▼
+//!    Static, Oracle)    lane at interval boundaries  one shared ready queue
+//!                                                    ──▶ worker pool
+//!                                                    · InferenceBackend
 //! ```
 //!
 //! * [`Clock`] — the trait all live gateway time flows through;
@@ -26,11 +26,11 @@
 //! * [`InferenceBackend`] — the pluggable executor; the default
 //!   [`ProfiledBackend`] sleeps the calibrated `s(M, b)` and bills the
 //!   simulator's pricing model.
-//! * [`Gateway`] — N sharded batcher lanes with bounded admission and
-//!   explicit backpressure, one ready queue that any worker of the pool
-//!   takes the oldest formed batch from, a control thread
-//!   running any [`dbat_sim::Controller`] (reconfigurations broadcast to
-//!   every lane), graceful drain. Multi-class mode: configure
+//! * [`Gateway`] — one batcher lane per function group (an ungrouped
+//!   gateway has one) with bounded admission and explicit backpressure,
+//!   one ready queue that any worker of the pool takes the oldest formed
+//!   batch from, a control thread running any [`dbat_sim::Controller`]
+//!   on an ungrouped gateway, graceful drain. Multi-class mode: configure
 //!   [`GatewayConfig::groups`] with heterogeneous
 //!   [`dbat_sim::FunctionGroup`]s and `submit` routes each [`Request`] to
 //!   the lane serving its class, with per-class `serve.class.<i>.*`
@@ -69,7 +69,7 @@ pub use clock::{Clock, WallClock};
 /// keep one import path.
 pub use dbat_sim::window::{Admitted, BatcherCore, FlushReason, FormedBatch};
 pub use gateway::{Admission, BackpressurePolicy, DrainMode, Gateway, GatewayConfig, Request};
-pub use loadgen::{drive, drive_classed, drive_concurrent, LaneAssignment};
+pub use loadgen::{drive, drive_classed, drive_concurrent};
 pub use outcome::{ServeCounts, ServeOutcome, ServedBatch, ServedRequest};
 pub use replay::VirtualGateway;
 pub use scripted::ScriptedController;

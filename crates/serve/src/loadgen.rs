@@ -14,7 +14,7 @@
 
 use crate::clock::precise_timers;
 use crate::gateway::{Admission, Gateway, Request};
-use dbat_workload::ClassedTrace;
+use dbat_workload::{ClassId, ClassedTrace};
 
 /// Tally of one load-generation run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -71,40 +71,24 @@ pub fn drive_classed(gateway: &Gateway, trace: &ClassedTrace) -> LoadStats {
     pace(gateway, due)
 }
 
-/// How a multi-producer drive assigns requests to batcher lanes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum LaneAssignment {
-    /// Let the gateway round-robin (`Gateway::submit`).
-    RoundRobin,
-    /// Pin producer `p` to lane `p % lanes` (`Gateway::submit_to`):
-    /// each producer thread hits exactly one lane mutex, the
-    /// shared-nothing fast path a sharded admission plane is built for.
-    Pinned,
-}
-
 /// Drive the gateway from `producers` concurrent threads, each offering
-/// `per_producer` requests flat out. Producers never wait for responses;
-/// rejected submissions are counted and dropped.
-pub fn drive_concurrent(
-    gateway: &Gateway,
-    producers: usize,
-    per_producer: u64,
-    lanes: LaneAssignment,
-) -> LoadStats {
+/// `per_producer` requests flat out. Producer `p` submits class `p`, so a
+/// grouped gateway routes it to the group serving that class; an
+/// ungrouped gateway serves every producer on its one lane. Producers
+/// never wait for responses; rejected submissions are counted and
+/// dropped.
+pub fn drive_concurrent(gateway: &Gateway, producers: usize, per_producer: u64) -> LoadStats {
     assert!(producers >= 1, "need at least one producer");
     let mut total = LoadStats::default();
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..producers)
             .map(|p| {
                 scope.spawn(move || {
+                    let req = Request::of_class(p as ClassId);
                     let mut stats = LoadStats::default();
                     for _ in 0..per_producer {
                         stats.submitted += 1;
-                        let adm = match lanes {
-                            LaneAssignment::RoundRobin => gateway.submit(Request::default()),
-                            LaneAssignment::Pinned => gateway.submit_to(p, Request::default()),
-                        };
-                        match adm {
+                        match gateway.submit(req) {
                             Admission::Accepted { .. } => stats.accepted += 1,
                             Admission::Rejected { .. } => stats.rejected += 1,
                             Admission::Closed => {
@@ -199,12 +183,16 @@ mod tests {
 
     #[test]
     fn concurrent_producers_conserve_across_lanes() {
+        use dbat_sim::FunctionGroup;
+        let config = LambdaConfig::new(2048, 16, 0.001);
         let cfg = GatewayConfig {
-            initial: LambdaConfig::new(2048, 16, 0.001),
             queue_capacity: 4096,
             backpressure: BackpressurePolicy::Block,
-            lanes: 2,
             workers: 2,
+            groups: vec![
+                FunctionGroup::new(config, vec![0, 2]),
+                FunctionGroup::new(config, vec![1, 3]),
+            ],
             ..GatewayConfig::default()
         };
         let gw = crate::gateway::Gateway::start(
@@ -212,15 +200,18 @@ mod tests {
             Arc::new(WallClock::with_speedup(100.0)),
             Arc::new(ProfiledBackend::default()),
         );
-        let stats = drive_concurrent(&gw, 4, 100, LaneAssignment::Pinned);
+        let stats = drive_concurrent(&gw, 4, 100);
         assert_eq!(stats.submitted, 400);
         assert_eq!(stats.accepted, 400);
         assert_eq!(stats.rejected + stats.closed, 0);
         let out = gw.shutdown(DrainMode::Graceful);
         assert_eq!(out.counts.completed, 400);
         assert!(out.counts.conserved());
-        // Pinned producers 0..4 over 2 lanes: both lanes carried work.
-        let by_lane = out.completed_by_lane();
-        assert_eq!(by_lane, vec![200, 200]);
+        // Producers 0..4 submit classes 0..4 over two groups: both
+        // groups' lanes carried their classes' work.
+        assert_eq!(out.completed_by_class(), vec![100; 4]);
+        for r in &out.requests {
+            assert_eq!(r.lane, r.class as u32 % 2);
+        }
     }
 }

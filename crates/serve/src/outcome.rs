@@ -26,7 +26,8 @@ pub struct ServedRequest {
     pub completed_at: f64,
     /// Index into [`ServeOutcome::batches`].
     pub batch: usize,
-    /// Batcher lane that carried the request (0 in unsharded runs).
+    /// Batcher lane that carried the request: its function group's index
+    /// on a grouped gateway, 0 otherwise.
     pub lane: u32,
     /// Request class it was submitted under (0 in single-class runs).
     pub class: ClassId,
@@ -51,7 +52,8 @@ pub struct ServedBatch {
     /// The configuration epoch the batch was formed under.
     pub config: LambdaConfig,
     pub reason: FlushReason,
-    /// Batcher lane that formed the window (0 in unsharded runs).
+    /// Batcher lane that formed the window: its function group's index
+    /// on a grouped gateway, 0 otherwise.
     pub lane: u32,
 }
 
@@ -134,22 +136,6 @@ impl ServeOutcome {
         dbat_sim::vcr_of(&self.measurements)
     }
 
-    /// Completed-request count per lane (index = lane id). Sums to
-    /// `counts.completed` whenever per-request records were kept.
-    pub fn completed_by_lane(&self) -> Vec<u64> {
-        let lanes = self
-            .requests
-            .iter()
-            .map(|r| r.lane as usize + 1)
-            .max()
-            .unwrap_or(0);
-        let mut out = vec![0u64; lanes];
-        for r in &self.requests {
-            out[r.lane as usize] += 1;
-        }
-        out
-    }
-
     /// Completed-request count per class (index = class id). Sums to
     /// `counts.completed` whenever per-request records were kept.
     pub fn completed_by_class(&self) -> Vec<u64> {
@@ -206,15 +192,14 @@ impl Ledger {
     /// path free of tracing locks without changing event content, and a
     /// caller submits a whole batch (or a whole replay) through one
     /// `Tracer::record_many`. Every event carries the batch's lane, so a
-    /// sharded stream filters per lane; configurations are tagged with
-    /// `group`, the function group owning the lane (0 outside multi-group
-    /// serving).
+    /// grouped stream filters per group; configurations are tagged with
+    /// the lane too, since the lane is the function group (0 outside
+    /// multi-group serving).
     pub(crate) fn settle(
         &mut self,
         fb: &FormedBatch,
         plan: &BatchPlan,
         completed_at: f64,
-        group: u32,
         trace: Option<&mut Vec<TraceEvent>>,
     ) {
         let batch = self.settled;
@@ -237,7 +222,7 @@ impl Ledger {
                 memory_mb: fb.config.memory_mb,
                 batch_size: fb.config.batch_size,
                 timeout_s: fb.config.timeout_s,
-                group,
+                group: lane,
             };
             let reason = match fb.reason {
                 FlushReason::Capacity => FlushKind::Capacity,
@@ -410,7 +395,6 @@ mod tests {
         };
         assert_eq!(out.latencies(), vec![0.3, 0.25]);
         assert_eq!(out.mean_batch_size(), 2.0);
-        assert_eq!(out.completed_by_lane(), vec![2]);
         assert_eq!(out.completed_by_class(), vec![1, 1]);
         assert!((out.cost_per_request() - 5e-7).abs() < 1e-18);
     }

@@ -72,7 +72,7 @@ impl VirtualGateway {
             // planned service.
             let plan = backend.plan(&fb.config, fb.requests.len() as u32);
             let completed_at = fb.dispatched_at + plan.service_s;
-            ledger.settle(&fb, &plan, completed_at, 0, trace_buf.as_mut());
+            ledger.settle(&fb, &plan, completed_at, trace_buf.as_mut());
             if let Some(buf) = &mut trace_buf {
                 if buf.len() >= TRACE_CHUNK {
                     tracer.record_many(buf);

@@ -11,9 +11,9 @@
 //! `DecisionRecord`, VCR aggregation) and the [`Feedback`] protocol every
 //! closed-loop driver runs live here for the same reason.
 
-use crate::batching::{SimOutcome, SimParams};
+use crate::batching::SimParams;
 use crate::config::{LambdaConfig, SimConfig};
-use crate::faults::{simulate_faults, FaultCounts};
+use crate::faults::{simulate_faults, FaultCounts, FaultSimOutcome};
 use crate::metrics::LatencySummary;
 use crate::sweep::ground_truth;
 use dbat_telemetry::{FlushKind, SpanId, TraceConfig, TraceEvent, TraceId, TraceStage, Tracer};
@@ -429,17 +429,23 @@ impl RunOutcome {
 /// simulation interval, reading only the outcome's existing stamps (no
 /// new arithmetic, so replay equivalence guarantees are untouched).
 ///
+/// A request the fault model lost (shed or retry-exhausted) gets only its
+/// `Admit` and `Enqueue`: its record's dispatch and completion stamps are
+/// placeholders, so it is never dispatched, completed, or made a batch's
+/// `Flush` anchor.
+///
 /// `req_offset`/`batch_offset` globalise per-interval indices so trace
 /// and span ids stay unique across a whole closed-loop run. The flush
 /// reason is inferred exactly: a timeout flush can never reach the
 /// configured batch size, so `size >= B` identifies capacity flushes.
 pub(crate) fn record_sim_trace(
     tracer: &Tracer,
-    out: &SimOutcome,
+    faulted: &FaultSimOutcome,
     config: &LambdaConfig,
     req_offset: u64,
     batch_offset: u64,
 ) {
+    let (out, served) = (&faulted.sim, &faulted.served);
     let cfg = TraceConfig {
         memory_mb: config.memory_mb,
         batch_size: config.batch_size,
@@ -447,10 +453,10 @@ pub(crate) fn record_sim_trace(
         // The offline driver simulates one homogeneous pool.
         group: 0,
     };
-    // Anchor each batch-level Flush on its first member request.
+    // Anchor each batch-level Flush on its first served member.
     let mut first_member: Vec<Option<u64>> = vec![None; out.batches.len()];
     for (ri, r) in out.requests.iter().enumerate() {
-        if first_member[r.batch].is_none() {
+        if served[ri] && first_member[r.batch].is_none() {
             first_member[r.batch] = Some(req_offset + ri as u64);
         }
     }
@@ -477,10 +483,13 @@ pub(crate) fn record_sim_trace(
     }
     for (ri, r) in out.requests.iter().enumerate() {
         let id = TraceId(req_offset + ri as u64);
-        let span = SpanId(batch_offset + r.batch as u64);
-        let b = &out.batches[r.batch];
         events.push(TraceEvent::new(id, TraceStage::Admit, r.arrival));
         events.push(TraceEvent::new(id, TraceStage::Enqueue, r.arrival));
+        if !served[ri] {
+            continue;
+        }
+        let span = SpanId(batch_offset + r.batch as u64);
+        let b = &out.batches[r.batch];
         events.push(
             TraceEvent::new(id, TraceStage::WindowJoin, r.arrival)
                 .with_span(span)
@@ -641,13 +650,7 @@ pub fn run_controller<C: Controller + ?Sized>(
             out.counts.lost_requests(),
         );
         if tracer.is_active() {
-            record_sim_trace(
-                tracer,
-                &out.sim,
-                config,
-                trace_req_offset,
-                trace_batch_offset,
-            );
+            record_sim_trace(tracer, &out, config, trace_req_offset, trace_batch_offset);
         }
         trace_req_offset += out.sim.requests.len() as u64;
         trace_batch_offset += out.sim.batches.len() as u64;
@@ -664,7 +667,6 @@ pub fn run_controller<C: Controller + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batching::simulate_batching;
     use crate::config::ConfigGrid;
     use crate::faults::{FailureFault, FaultPlan};
     use dbat_workload::{Map, Rng};
@@ -679,16 +681,17 @@ mod tests {
     fn record_sim_trace_reconstructs_latency_segments() {
         let tr = trace();
         let cfg = LambdaConfig::new(2048, 4, 0.05);
-        let out = simulate_batching(
+        let faulted = simulate_faults(
             &tr.timestamps()[..tr.lower_bound(60.0)],
             &cfg,
             &SimParams::default(),
-            None,
+            &FaultPlan::default(),
         );
+        let out = &faulted.sim;
         assert!(!out.requests.is_empty() && !out.batches.is_empty());
         let hub = dbat_telemetry::Telemetry::new();
         hub.tracer().enable_capture();
-        record_sim_trace(hub.tracer(), &out, &cfg, 1000, 50);
+        record_sim_trace(hub.tracer(), &faulted, &cfg, 1000, 50);
         let events = hub.tracer().drain();
         // Five per-request stages plus one batch-level Flush per batch.
         assert_eq!(events.len(), out.requests.len() * 5 + out.batches.len());

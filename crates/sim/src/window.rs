@@ -71,7 +71,8 @@ pub struct FormedBatch {
     /// Dispatch stamp: the B-th arrival, the deadline, or the drain time.
     pub dispatched_at: f64,
     pub reason: FlushReason,
-    /// The batcher lane that formed this window (0 in unsharded runs).
+    /// The batcher lane that formed this window: its function group's
+    /// index on a grouped gateway, 0 otherwise.
     pub lane: u32,
 }
 
@@ -112,7 +113,8 @@ pub struct BatcherCore {
     /// Windows sealed by [`BatcherCore::rotate`], oldest first, still
     /// waiting for their original deadlines.
     sealed: Vec<Window>,
-    /// Lane id stamped onto every formed batch (0 in unsharded runs).
+    /// Lane id stamped onto every formed batch (the function group; 0 on
+    /// an ungrouped gateway).
     lane: u32,
 }
 
@@ -121,8 +123,8 @@ impl BatcherCore {
         BatcherCore::for_lane(config, 0)
     }
 
-    /// A core whose formed batches carry `lane` — one per batcher lane in
-    /// the sharded gateway.
+    /// A core whose formed batches carry `lane` — one per function group's
+    /// lane in a grouped gateway.
     pub fn for_lane(config: LambdaConfig, lane: u32) -> Self {
         config.validate().expect("invalid configuration");
         BatcherCore {

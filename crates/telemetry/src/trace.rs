@@ -142,7 +142,8 @@ pub struct TraceEvent {
     pub reason: Option<FlushKind>,
     /// Batch size, attached to `Flush`.
     pub size: Option<u32>,
-    /// Batcher lane that carried the request (0 in unsharded runs).
+    /// Batcher lane that carried the request: its function group on a
+    /// grouped gateway, 0 otherwise.
     pub lane: u32,
 }
 

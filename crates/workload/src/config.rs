@@ -111,11 +111,9 @@ impl SimSection {
 /// Serving-gateway knobs (live gateway example and load harness).
 #[derive(Clone, Debug, PartialEq)]
 pub struct GatewaySection {
-    /// Number of batcher lanes (0 ⇒ one per worker).
-    pub lanes: u64,
     /// Number of worker threads.
     pub workers: u64,
-    /// Per-lane admission queue capacity (0 ⇒ unbounded).
+    /// Admission queue capacity, gateway-wide (0 ⇒ unbounded).
     pub queue_capacity: u64,
     /// Reject (with retry-after) instead of blocking when the queue fills.
     pub backpressure: bool,
@@ -132,7 +130,6 @@ pub struct GatewaySection {
 impl Default for GatewaySection {
     fn default() -> Self {
         GatewaySection {
-            lanes: 1,
             workers: 2,
             queue_capacity: 0,
             backpressure: false,
@@ -150,7 +147,6 @@ impl Deserialize for GatewaySection {
             v,
             "[gateway]",
             &[
-                "lanes",
                 "workers",
                 "queue_capacity",
                 "backpressure",
@@ -162,7 +158,6 @@ impl Deserialize for GatewaySection {
         )?;
         let d = GatewaySection::default();
         Ok(GatewaySection {
-            lanes: take(v, "lanes", d.lanes)?,
             workers: take(v, "workers", d.workers)?,
             queue_capacity: take(v, "queue_capacity", d.queue_capacity)?,
             backpressure: take(v, "backpressure", d.backpressure)?,
@@ -489,7 +484,6 @@ percentile = 95.0
 workload = "twitter"
 
 [gateway]
-lanes = 4
 workers = 4
 speedup = 120.0
 metrics_addr = "127.0.0.1:9184"
@@ -501,7 +495,7 @@ metrics_addr = "127.0.0.1:9184"
         assert_eq!(cfg.sim.workload, "twitter");
         // Missing keys take the documented defaults.
         assert_eq!(cfg.sim.decision_interval_s, 60.0);
-        assert_eq!(cfg.gateway.lanes, 4);
+        assert_eq!(cfg.gateway.workers, 4);
         assert_eq!(cfg.gateway.metrics_addr.as_deref(), Some("127.0.0.1:9184"));
     }
 
@@ -517,9 +511,9 @@ metrics_addr = "127.0.0.1:9184"
         assert!(from_toml("[simulation]\nslo = 0.1\n").is_err());
     }
 
-    /// No code reads a `[controller]`, `[faults]` or `[classes]` section,
-    /// so naming one fails with the unknown-key error, by file and by
-    /// `--set`.
+    /// No code reads a `[controller]`, `[faults]` or `[classes]` section
+    /// or a `gateway.lanes` key, so naming one fails with the unknown-key
+    /// error, by TOML file, by JSON file and by `--set`.
     #[test]
     fn removed_sections_are_unknown_keys() {
         let a = |xs: &[&str]| xs.iter().map(|s| s.to_string()).collect::<Vec<_>>();
@@ -551,6 +545,25 @@ metrics_addr = "127.0.0.1:9184"
             unknown(from_toml(toml), key);
             unknown(AppConfig::from_args(a(&["--set", set])), key);
         }
+        // The gateway has one lane per function group: `lanes` is gone
+        // from `[gateway]`.
+        let in_gateway = |r: Result<AppConfig, DbatError>| {
+            let err = r.unwrap_err().to_string();
+            assert!(
+                err.contains("unknown key `lanes` in [gateway]"),
+                "unexpected error: {err}"
+            );
+        };
+        in_gateway(from_toml("[gateway]\nlanes = 4\n"));
+        in_gateway(AppConfig::from_args(a(&["--set", "gateway.lanes=4"])));
+        let dir =
+            std::env::temp_dir().join(format!("dbat_removed_keys_test-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("lanes.json");
+        std::fs::write(&path, r#"{"gateway": {"lanes": 2}}"#).unwrap();
+        let by_file = AppConfig::from_args(a(&["--config", path.to_str().unwrap()]));
+        std::fs::remove_dir_all(&dir).ok();
+        in_gateway(by_file);
         // Nor does any code read a workload horizon from `[sim]`.
         let err = from_toml("[sim]\nhorizon_s = 600.0\n").unwrap_err();
         assert!(
@@ -642,7 +655,7 @@ metrics_addr = "127.0.0.1:9184"
         assert_eq!(cfg.sim.slo, 0.2);
         assert_eq!(cfg.gateway.workers, 16);
         // The rest of the created section keeps its defaults.
-        assert_eq!(cfg.gateway.lanes, GatewaySection::default().lanes);
+        assert_eq!(cfg.gateway.speedup, GatewaySection::default().speedup);
     }
 
     #[test]

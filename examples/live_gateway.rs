@@ -95,11 +95,6 @@ fn main() {
         } else {
             app.gateway.queue_capacity as usize
         },
-        lanes: if app.gateway.lanes == 0 {
-            workers
-        } else {
-            app.gateway.lanes as usize
-        },
         workers,
         backpressure: if app.gateway.backpressure {
             BackpressurePolicy::Reject { retry_after_s: 0.1 }

@@ -507,7 +507,7 @@ fn paced_b1_run_wakes_about_one_worker_per_batch() {
     );
 }
 
-/// One `submit_to` call of the wake-up stress.
+/// One `submit` call of the wake-up stress.
 struct StressCall {
     /// Start and end of the call, nanoseconds since the leg's epoch.
     t0: u64,
@@ -544,15 +544,26 @@ impl InferenceBackend for StampingBackend {
     }
 }
 
+/// The gateway a wake-up stress leg hammers.
+#[derive(Clone, Copy, Debug)]
+enum StressShape {
+    /// Ungrouped (one lane) under a control thread that rotates the
+    /// configuration every few real milliseconds.
+    Controlled,
+    /// `n` function groups, one lane each, statically configured; group
+    /// `g` serves class `g`. Capacity is gateway-wide, so a completion on
+    /// one lane must wake submitters parked on another.
+    Grouped(u16),
+}
+
 /// One leg of the wake-up stress: three seeded submitters hammer a
-/// controlled gateway whose queue holds three requests while the control
-/// thread rotates the configuration every few real milliseconds; the
-/// gateway is closed under them two thirds of the way through.
+/// gateway whose queue holds three requests; the gateway is closed under
+/// them two thirds of the way through.
 fn wakeup_stress_leg(
     seed: u64,
     policy: BackpressurePolicy,
     mode: DrainMode,
-    lanes: usize,
+    shape: StressShape,
     workers: usize,
 ) {
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -563,7 +574,7 @@ fn wakeup_stress_leg(
     const PER_SUBMITTER: u64 = 150;
     // A wait that outlives freed space by this much was not woken by it.
     const STALL: Duration = Duration::from_millis(20);
-    let what = format!("seed {seed} {policy:?} {mode:?} lanes {lanes} workers {workers}");
+    let what = format!("seed {seed} {policy:?} {mode:?} {shape:?} workers {workers}");
 
     // s(M, B) is 25-60 ms virtual: 0.1-0.3 ms real at this speed-up, so
     // space is freed thousands of times a second and `STALL` is a long time.
@@ -579,20 +590,41 @@ fn wakeup_stress_leg(
         epoch,
         completions_ns: std::sync::Mutex::new(Vec::new()),
     });
-    let gateway = Arc::new(Gateway::start_controlled(
-        GatewayConfig {
-            queue_capacity: 3,
-            backpressure: policy,
-            lanes,
-            workers,
-            decision_interval: 1.0,
-            telemetry: Arc::new(Telemetry::new()),
-            ..GatewayConfig::default()
-        },
-        Arc::new(WallClock::with_speedup(speedup)),
-        backend.clone(),
-        Box::new(ScriptedController::new(script, 0.1)),
-    ));
+    let cfg = GatewayConfig {
+        queue_capacity: 3,
+        backpressure: policy,
+        workers,
+        decision_interval: 1.0,
+        telemetry: Arc::new(Telemetry::new()),
+        ..GatewayConfig::default()
+    };
+    let clock = Arc::new(WallClock::with_speedup(speedup));
+    let (lanes, gateway) = match shape {
+        StressShape::Controlled => (
+            1,
+            Gateway::start_controlled(
+                cfg,
+                clock,
+                backend.clone(),
+                Box::new(ScriptedController::new(script.clone(), 0.1)),
+            ),
+        ),
+        // Group `g` runs the script's `g`-th configuration.
+        StressShape::Grouped(n) => (
+            n,
+            Gateway::start(
+                GatewayConfig {
+                    groups: (0..n)
+                        .map(|g| FunctionGroup::new(script[g as usize], vec![g]))
+                        .collect(),
+                    ..cfg
+                },
+                clock,
+                backend.clone(),
+            ),
+        ),
+    };
+    let gateway = Arc::new(gateway);
 
     let offered = Arc::new(AtomicU64::new(0));
     let close_at = SUBMITTERS as u64 * PER_SUBMITTER * 2 / 3;
@@ -608,9 +640,9 @@ fn wakeup_stress_leg(
                 if offered.fetch_add(1, Ordering::Relaxed) + 1 == close_at {
                     close_tx.send(()).expect("main thread waits for the close");
                 }
-                let lane = rng.below(lanes);
+                let lane = rng.below(lanes as usize);
                 let t0 = epoch.elapsed().as_nanos() as u64;
-                let admission = gw.submit_to(lane, deepbat::serve::Request::default());
+                let admission = gw.submit(deepbat::serve::Request::of_class(lane as u16));
                 let t1 = epoch.elapsed().as_nanos() as u64;
                 let id = match admission {
                     Admission::Accepted { id } => Some(id),
@@ -683,7 +715,7 @@ fn wakeup_stress_leg(
     // stamps may: a sealed window runs out its old timeout while the new
     // configuration's windows already flush.)
     let mut members = vec![0u32; out.batches.len()];
-    for lane in 0..lanes as u32 {
+    for lane in 0..u32::from(lanes) {
         let mut prev: Option<&deepbat::serve::ServedRequest> = None;
         let mut closed_batches = std::collections::HashSet::new();
         for r in out.requests.iter().filter(|r| r.lane == lane) {
@@ -716,11 +748,18 @@ fn wakeup_stress_leg(
     }
     for (b, &n) in out.batches.iter().zip(&members) {
         assert_eq!(b.size, n, "{what}: batch size disagrees with its members");
-        assert!(
-            b.config == cfg_a || b.config == cfg_b,
-            "{what}: {}",
-            b.config
-        );
+        match shape {
+            StressShape::Controlled => assert!(
+                b.config == cfg_a || b.config == cfg_b,
+                "{what}: {}",
+                b.config
+            ),
+            StressShape::Grouped(_) => assert_eq!(
+                b.config, script[b.lane as usize],
+                "{what}: lane {} left its group's configuration",
+                b.lane
+            ),
+        }
         assert!(
             n >= 1 && n <= b.config.batch_size,
             "{what}: size {n} under {}",
@@ -730,10 +769,12 @@ fn wakeup_stress_leg(
             assert_eq!(n, b.config.batch_size, "{what}: short capacity flush");
         }
     }
-    assert!(
-        out.records.len() >= 2,
-        "{what}: no reconfiguration happened"
-    );
+    if let StressShape::Controlled = shape {
+        assert!(
+            out.records.len() >= 2,
+            "{what}: no reconfiguration happened"
+        );
+    }
 
     // No admitted submit came back long after the space it took was freed.
     // Measured from the last completion before the call returned: that is
@@ -762,12 +803,14 @@ fn wakeup_stress_leg(
 }
 
 /// Wake-up stress (the first slice of a seeded scheduler for the live
-/// gateway): every backpressure policy, drain mode, lane count and pool
-/// size, with a queue of three, a reconfiguration every 5 ms and a close
-/// under load. A lost wake-up fails as a stall or an unresolved
-/// submitter; a herd or a mis-ordered hand-off fails conservation, the
-/// never-split check or the per-lane order check. CI runs it unpinned
-/// and under `taskset -c 0`.
+/// gateway): every backpressure policy, drain mode, gateway shape and
+/// pool size, with a queue of three and a close under load. The
+/// controlled one-lane legs reconfigure every 5 ms; the grouped legs (2
+/// and 4 lanes, class-tagged submitters) park submitters on several lanes
+/// that share the one capacity bound. A lost wake-up fails as a stall or
+/// an unresolved submitter; a herd or a mis-ordered hand-off fails
+/// conservation, the never-split check or the per-lane order check. CI
+/// runs it unpinned and under `taskset -c 0`.
 #[test]
 fn wakeup_stress_every_policy_drain_lane_and_pool_shape() {
     let mut seed = 0x17_u64;
@@ -778,10 +821,14 @@ fn wakeup_stress_every_policy_drain_lane_and_pool_shape() {
         },
     ] {
         for mode in [DrainMode::Graceful, DrainMode::Immediate] {
-            for lanes in [1usize, 2] {
+            for shape in [
+                StressShape::Controlled,
+                StressShape::Grouped(2),
+                StressShape::Grouped(4),
+            ] {
                 for workers in [1usize, 32] {
                     seed += 1;
-                    wakeup_stress_leg(seed, policy, mode, lanes, workers);
+                    wakeup_stress_leg(seed, policy, mode, shape, workers);
                 }
             }
         }

@@ -1,105 +1,28 @@
-//! Sharded-gateway integration tests: lane partitioning, the one shared
-//! ready queue every lane's batches reach the worker pool through, and
-//! the observability that rides on them.
+//! Grouped-gateway integration tests: one lane per function group, and
+//! the one shared ready queue every group's batches reach the worker pool
+//! through.
 //!
-//! The invariants (each lane runs the same `BatcherCore` the unsharded
-//! gateway runs, and `lanes = 1` *is* the unsharded gateway):
+//! The invariants (each group's lane runs the same `BatcherCore` an
+//! ungrouped gateway's one lane runs):
 //!
 //! * **Conservation across lanes** — ids are gateway-global and dense;
-//!   per-lane completed counts sum to the global total; per-lane FIFO
+//!   per-group completed counts sum to the global total; per-group FIFO
 //!   order survives concurrent submitters and a pool of workers that each
-//!   take any lane's batches.
-//! * **No shutdown deadlock** — submitters parked on a full lane under
-//!   `BackpressurePolicy::Block` are woken by the drain and resolve as
-//!   clean rejections.
+//!   take any group's batches.
+//! * **No shutdown deadlock** — submitters parked on several full lanes
+//!   under `BackpressurePolicy::Block` are woken by the drain and resolve
+//!   as clean rejections.
 
 use deepbat::prelude::*;
-use deepbat::serve::{drive_concurrent, LaneAssignment};
+use deepbat::serve::drive_concurrent;
 use std::sync::{Arc, Condvar, Mutex};
 
-/// Per-lane `serve.lane.<i>.*` metrics reconcile against the global
-/// counters — in the hub and through a real `/metrics` scrape.
-#[test]
-fn lane_metrics_reconcile_with_global_completed_total() {
-    use std::io::{Read as _, Write as _};
-
-    let lanes = 4usize;
-    let hub = Arc::new(Telemetry::new());
-    hub.enable();
-    let cfg = GatewayConfig {
-        initial: LambdaConfig::new(2048, 8, 0.01),
-        queue_capacity: 4096,
-        backpressure: BackpressurePolicy::Block,
-        lanes,
-        workers: 4,
-        telemetry: hub.clone(),
-        ..GatewayConfig::default()
-    };
-    let gateway = Gateway::start(
-        cfg,
-        Arc::new(WallClock::with_speedup(100.0)),
-        Arc::new(ProfiledBackend::default()),
-    );
-    for i in 0..400usize {
-        assert!(matches!(
-            gateway.submit_to(i % lanes, Request::default()),
-            Admission::Accepted { .. }
-        ));
-    }
-    let out = gateway.shutdown(DrainMode::Graceful);
-    assert_eq!(out.counts.completed, 400);
-    assert!(out.counts.conserved());
-
-    // Hub-level reconciliation: lane-sum == global == outcome.
-    let lane_sum: u64 = (0..lanes)
-        .map(|i| hub.counter(&format!("serve.lane.{i}.completed")).get())
-        .sum();
-    assert_eq!(lane_sum, out.counts.completed);
-    assert_eq!(hub.counter("serve.completed").get(), out.counts.completed);
-    for i in 0..lanes {
-        assert_eq!(
-            hub.counter(&format!("serve.lane.{i}.completed")).get(),
-            100,
-            "round-robin over {lanes} lanes must balance exactly"
-        );
-        // Drained: every lane's depth gauge has settled back to zero.
-        assert_eq!(hub.gauge(&format!("serve.lane.{i}.queue_depth")).get(), 0.0);
-    }
-    // The outcome's own per-lane view agrees with the lane counters.
-    assert_eq!(out.completed_by_lane(), vec![100; lanes]);
-
-    // Scrape /metrics and reconcile the rendered Prometheus text.
-    let exporter = MetricsExporter::start(hub.clone(), "127.0.0.1:0").unwrap();
-    let mut stream = std::net::TcpStream::connect(exporter.addr()).unwrap();
-    write!(stream, "GET /metrics HTTP/1.1\r\nHost: test\r\n\r\n").unwrap();
-    let mut response = String::new();
-    stream.read_to_string(&mut response).unwrap();
-    exporter.shutdown();
-    assert!(response.starts_with("HTTP/1.1 200 OK"));
-
-    let sample = |name: &str| -> f64 {
-        response
-            .lines()
-            .find(|l| l.starts_with(name) && l[name.len()..].starts_with(' '))
-            .unwrap_or_else(|| panic!("{name} sample missing"))
-            .split_whitespace()
-            .nth(1)
-            .unwrap()
-            .parse()
-            .unwrap()
-    };
-    let scraped_lane_sum: f64 = (0..lanes)
-        .map(|i| sample(&format!("serve_lane_{i}_completed_total")))
-        .sum();
-    assert_eq!(scraped_lane_sum as u64, out.counts.completed);
-    assert_eq!(
-        sample("serve_completed_total") as u64,
-        out.counts.completed,
-        "lane counters must sum to the scraped global total"
-    );
-    for i in 0..lanes {
-        assert_eq!(sample(&format!("serve_lane_{i}_queue_depth")), 0.0);
-    }
+/// `n` function groups under one configuration; group `g` serves class
+/// `g`, so a class-tagged request rides lane `g`.
+fn groups(n: u16, config: LambdaConfig) -> Vec<FunctionGroup> {
+    (0..n)
+        .map(|g| FunctionGroup::new(config, vec![g]))
+        .collect()
 }
 
 /// A backend whose executions block until the test opens the gate,
@@ -130,22 +53,21 @@ impl InferenceBackend for GatedBackend {
     }
 }
 
-/// Submitters parked on a full lane under `Block` must not deadlock the
-/// drain: shutdown wakes them, they resolve as rejections, and every
-/// accepted request is still served exactly once.
+/// Submitters parked on two full group lanes under `Block` must not
+/// deadlock the drain: the close wakes them, they resolve as rejections,
+/// and every accepted request is still served exactly once.
 #[test]
 fn blocked_submitters_resolve_as_rejections_during_shutdown() {
     let gate = Arc::new((Mutex::new(false), Condvar::new()));
     let capacity = 4usize;
     let cfg = GatewayConfig {
+        queue_capacity: capacity,
+        backpressure: BackpressurePolicy::Block,
+        workers: 2,
         // Batch of 1, no timeout: each accepted request becomes an
         // in-flight invocation immediately, holding its capacity slot
         // until the gate opens.
-        initial: LambdaConfig::new(2048, 1, 0.0),
-        queue_capacity: capacity,
-        backpressure: BackpressurePolicy::Block,
-        lanes: 2,
-        workers: 2,
+        groups: groups(2, LambdaConfig::new(2048, 1, 0.0)),
         ..GatewayConfig::default()
     };
     let gateway = Arc::new(Gateway::start(
@@ -158,17 +80,17 @@ fn blocked_submitters_resolve_as_rejections_during_shutdown() {
     ));
 
     // Fill capacity exactly; the gate is shut so nothing completes.
-    for i in 0..capacity {
+    for i in 0..capacity as u16 {
         assert!(matches!(
-            gateway.submit_to(i % 2, Request::default()),
+            gateway.submit(Request::of_class(i % 2)),
             Admission::Accepted { .. }
         ));
     }
-    // Park concurrent submitters on both (full) lanes.
-    let blocked: Vec<_> = (0..4)
+    // Park concurrent submitters on both groups' (full) lanes.
+    let blocked: Vec<_> = (0..4u16)
         .map(|i| {
             let gw = gateway.clone();
-            std::thread::spawn(move || gw.submit_to(i % 2, Request::default()))
+            std::thread::spawn(move || gw.submit(Request::of_class(i % 2)))
         })
         .collect();
     // Let them reach the space_cv wait (timed waits make this robust
@@ -207,22 +129,21 @@ fn blocked_submitters_resolve_as_rejections_during_shutdown() {
     assert!(out.counts.conserved());
 }
 
-/// Seeded stress: 8 concurrent submitters × 4 lanes with randomized
-/// lane assignment. Exactly-once completion, dense global ids, requests
-/// served on the lane they were submitted to, and per-lane FIFO order
+/// Seeded stress: 8 concurrent submitters × 4 function groups with
+/// randomized classes. Exactly-once completion, dense global ids,
+/// requests served on their class's group lane, and per-group FIFO order
 /// (admission order == dispatch order within a lane) all hold while four
-/// workers take every lane's batches from the one ready queue.
+/// workers take every group's batches from the one ready queue.
 #[test]
 fn stress_randomized_lanes_keep_fifo_and_exactly_once() {
     let lanes = 4usize;
     let submitters = 8usize;
     let per_thread = 250usize;
     let cfg = GatewayConfig {
-        initial: LambdaConfig::new(2048, 4, 0.002),
         queue_capacity: 8192,
         backpressure: BackpressurePolicy::Block,
-        lanes,
         workers: 4,
+        groups: groups(lanes as u16, LambdaConfig::new(2048, 4, 0.002)),
         ..GatewayConfig::default()
     };
     let gateway = Arc::new(Gateway::start(
@@ -231,8 +152,8 @@ fn stress_randomized_lanes_keep_fifo_and_exactly_once() {
         Arc::new(ProfiledBackend::default()),
     ));
 
-    // Each submitter randomizes its lane per request from its own seeded
-    // stream and records which lane each accepted id went to.
+    // Each submitter randomizes its class per request from its own seeded
+    // stream and records which lane (= class) each accepted id went to.
     let handles: Vec<_> = (0..submitters)
         .map(|s| {
             let gw = gateway.clone();
@@ -241,7 +162,7 @@ fn stress_randomized_lanes_keep_fifo_and_exactly_once() {
                 let mut sent: Vec<(u64, usize)> = Vec::with_capacity(per_thread);
                 for _ in 0..per_thread {
                     let lane = rng.below(lanes);
-                    match gw.submit_to(lane, Request::default()) {
+                    match gw.submit(Request::of_class(lane as u16)) {
                         Admission::Accepted { id } => sent.push((id, lane)),
                         other => panic!("unexpected admission under Block: {other:?}"),
                     }
@@ -268,14 +189,14 @@ fn stress_randomized_lanes_keep_fifo_and_exactly_once() {
     for (i, r) in out.requests.iter().enumerate() {
         assert_eq!(r.id, i as u64);
     }
-    // Served on the lane it was submitted to.
+    // Served on the lane its class routes to.
     for &(id, lane) in &lane_of {
         assert_eq!(
             out.requests[id as usize].lane, lane as u32,
             "request {id} hopped lanes"
         );
     }
-    // Per-lane FIFO: global ids are allocated under the lane lock, so
+    // Per-group FIFO: global ids are allocated under the lane lock, so
     // within a lane id order == admission order; arrivals and dispatches
     // must both be non-decreasing along it (no reconfig in this run, so
     // windows flush strictly in formation order).
@@ -300,18 +221,17 @@ fn stress_randomized_lanes_keep_fifo_and_exactly_once() {
         }
         assert!(count > 0, "lane {lane} starved across 2000 random picks");
     }
-    // Lane partition covers everything exactly once.
-    let by_lane = out.completed_by_lane();
-    assert_eq!(by_lane.iter().sum::<u64>(), total);
+    // The group partition covers everything exactly once.
+    let by_class = out.completed_by_class();
+    assert_eq!(by_class.iter().sum::<u64>(), total);
 
     // The multi-producer loadgen driver agrees with all of the above on
-    // a fresh gateway (round-robin this time).
+    // a fresh gateway (one class per producer this time).
     let cfg = GatewayConfig {
-        initial: LambdaConfig::new(2048, 4, 0.002),
         queue_capacity: 8192,
         backpressure: BackpressurePolicy::Block,
-        lanes,
         workers: 4,
+        groups: groups(lanes as u16, LambdaConfig::new(2048, 4, 0.002)),
         ..GatewayConfig::default()
     };
     let gw = Gateway::start(
@@ -319,11 +239,12 @@ fn stress_randomized_lanes_keep_fifo_and_exactly_once() {
         Arc::new(WallClock::with_speedup(200.0)),
         Arc::new(ProfiledBackend::default()),
     );
-    let stats = drive_concurrent(&gw, 4, 200, LaneAssignment::RoundRobin);
+    let stats = drive_concurrent(&gw, 4, 200);
     assert_eq!(stats.accepted, 800);
     let out = gw.shutdown(DrainMode::Graceful);
     assert_eq!(out.counts.completed, 800);
     assert!(out.counts.conserved());
+    assert_eq!(out.completed_by_class(), vec![200; 4]);
 }
 
 /// A backend that costs nothing and returns immediately, so the run
@@ -349,26 +270,26 @@ impl InferenceBackend for NullBackend {
     }
 }
 
-/// Four lanes fed by pinned producers but drained by a single worker: the
-/// shared ready queue hands it every lane's batches, and the drain is
-/// clean.
+/// Four group lanes, each fed by its own producer, drained by a single
+/// worker: the shared ready queue hands it every group's batches, and the
+/// drain is clean.
 #[test]
 fn single_worker_drains_four_fed_lanes() {
     let gw = Gateway::start(
         GatewayConfig {
-            initial: LambdaConfig::new(2048, 64, 0.005),
             queue_capacity: 1 << 16,
             backpressure: BackpressurePolicy::Block,
-            lanes: 4,
             workers: 1,
+            groups: groups(4, LambdaConfig::new(2048, 64, 0.005)),
             ..GatewayConfig::default()
         },
         Arc::new(WallClock::new()),
         Arc::new(NullBackend),
     );
-    let stats = drive_concurrent(&gw, 4, 2_000, LaneAssignment::Pinned);
+    let stats = drive_concurrent(&gw, 4, 2_000);
     assert_eq!(stats.accepted, 8_000);
     let out = gw.shutdown(DrainMode::Graceful);
     assert!(out.counts.conserved(), "lost requests");
     assert_eq!(out.counts.completed, stats.accepted, "drain was not clean");
+    assert_eq!(out.completed_by_class(), vec![2_000; 4]);
 }
