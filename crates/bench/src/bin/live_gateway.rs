@@ -52,7 +52,7 @@ fn main() {
         eprintln!("config error: {e}");
         std::process::exit(2);
     });
-    let _tel = s.init_telemetry("live_gateway");
+    let tel = s.init_telemetry("live_gateway");
     let horizon = app.gateway.horizon_s;
     let speedup = app.gateway.speedup;
 
@@ -70,7 +70,7 @@ fn main() {
     // it predicts for — here the whole trace, so the window ends at t=0
     // ... which has no history. Use the window ending mid-trace instead:
     // the trace is stationary enough for a fidelity table.
-    let model = s.ensure_base_model();
+    let model = s.ensure_base_model(&tel.hub);
     let window = window_at_time(&trace, horizon / 2.0, s.seq_len, 1.0);
     if window.is_none() {
         println!("(not enough arrivals for a surrogate window; predicted rows omitted)");
@@ -97,6 +97,7 @@ fn main() {
                 initial: cfg,
                 queue_capacity: trace.len().max(1024),
                 workers: 8,
+                telemetry: tel.hub.clone(),
                 ..GatewayConfig::default()
             },
             Arc::new(WallClock::with_speedup(speedup)),

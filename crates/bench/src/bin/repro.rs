@@ -15,8 +15,12 @@ use dbat_telemetry::log_error;
 fn main() {
     let names: Vec<String> = std::env::args().skip(1).collect();
     let s = ExpSettings::from_env();
-    let _telemetry = s.init_telemetry("repro");
-    let (ledger, mismatches) = ledger::run(&s, &names).unwrap_or_else(|e| {
+    let telemetry = s.init_telemetry("repro");
+    let run = ledger::run(&s, &names, &telemetry.hub);
+    // Close the run's telemetry (`run.metrics`, sinks flushed) before any
+    // exit below, which would skip the guard's drop.
+    drop(telemetry);
+    let (ledger, mismatches) = run.unwrap_or_else(|e| {
         eprintln!("repro: {e}\nusage: repro [experiment…]");
         std::process::exit(2)
     });

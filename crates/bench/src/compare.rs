@@ -11,6 +11,7 @@ use dbat_sim::{
     run_controller, Controller, FaultPlan, LambdaConfig, OracleController, RunOutcome, SimConfig,
     StaticController,
 };
+use dbat_telemetry::Telemetry;
 use dbat_workload::Trace;
 use std::sync::Arc;
 
@@ -49,15 +50,16 @@ pub fn fixed(s: &ExpSettings, config: LambdaConfig) -> StaticController {
 }
 
 /// Drive any policy over `[t0, t1)` of the trace and measure every
-/// decision interval. Fault-free.
+/// decision interval, publishing the run to `hub`. Fault-free.
 pub fn run_policy(
     ctl: &mut dyn Controller,
     trace: &Trace,
     s: &ExpSettings,
+    hub: &Arc<Telemetry>,
     t0: f64,
     t1: f64,
 ) -> RunOutcome {
-    run_policy_faulted(ctl, trace, s, t0, t1, FaultPlan::default())
+    run_policy_faulted(ctl, trace, s, hub, t0, t1, FaultPlan::default())
 }
 
 /// Drive any policy with injected faults.
@@ -65,6 +67,7 @@ pub fn run_policy_faulted(
     ctl: &mut dyn Controller,
     trace: &Trace,
     s: &ExpSettings,
+    hub: &Arc<Telemetry>,
     t0: f64,
     t1: f64,
     faults: FaultPlan,
@@ -75,6 +78,7 @@ pub fn run_policy_faulted(
         .percentile(s.percentile)
         .decision_interval(s.decision_interval)
         .faults(faults)
+        .telemetry(hub.clone())
         .build()
         .expect("experiment settings are valid");
     run_controller(ctl, trace, t0, t1, &cfg)
@@ -98,7 +102,7 @@ mod tests {
         s.decision_interval = 30.0;
         let tr = trace(40.0, 120.0);
         let mut ctl = oracle(&s);
-        let out = run_policy(&mut ctl, &tr, &s, 0.0, 120.0);
+        let out = run_policy(&mut ctl, &tr, &s, &Arc::default(), 0.0, 120.0);
         assert_eq!(out.records.len(), 4);
         assert_eq!(out.records[0].start, 0.0);
         assert_eq!(out.records[3].end, 120.0);
@@ -116,7 +120,7 @@ mod tests {
         s.decision_interval = 60.0;
         let tr = trace(30.0, 2.0 * 3600.0);
         let mut ctl = batch(&s);
-        let out = run_policy(&mut ctl, &tr, &s, 0.0, 7200.0);
+        let out = run_policy(&mut ctl, &tr, &s, &Arc::default(), 0.0, 7200.0);
         assert_eq!(out.records.len(), 120);
         // Within one BATCH hour, the config must be constant.
         let first_hour: Vec<_> = out.records.iter().take(60).map(|r| r.config).collect();

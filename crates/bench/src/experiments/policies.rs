@@ -14,14 +14,15 @@ use dbat_workload::{Trace, TraceKind, HOUR};
 use serde::Serialize;
 use std::sync::Arc;
 
-/// Drive a policy over `[t0, t1)` of `trace`.
+/// Drive a policy over `[t0, t1)` of `trace`, publishing to the run's hub.
 fn runner<'a>(
     s: &'a ExpSettings,
+    m: &'a Models,
     trace: &'a Trace,
     t0: f64,
     t1: f64,
 ) -> impl Fn(&mut dyn Controller) -> RunOutcome + 'a {
-    move |ctl| compare::run_policy(ctl, trace, s, t0, t1)
+    move |ctl| compare::run_policy(ctl, trace, s, &m.hub, t0, t1)
 }
 
 /// An OOD trace, the model fine-tuned on it, and γ from that model's
@@ -86,9 +87,9 @@ pub(crate) fn fig06(s: &ExpSettings, m: &Models) -> Fig06 {
     // γ from held-out Azure data, past the training half.
     let held_out = azure.slice(azure.horizon() / 2.0, azure.horizon() / 2.0 + HOUR);
     let gamma = estimate_gamma(model, &held_out, &s.grid, &s.params, 24, 76);
-    let snapshot = runner(s, &azure, w0, w1);
+    let snapshot = runner(s, m, &azure, w0, w1);
     let twitter = s.trace(TraceKind::TwitterLike);
-    let zero_shot = runner(s, &twitter, 0.0, (3.0 * HOUR).min(twitter.horizon()));
+    let zero_shot = runner(s, m, &twitter, 0.0, (3.0 * HOUR).min(twitter.horizon()));
     let deepbat = || compare::deepbat(model.clone(), s, gamma);
     Fig06 {
         gamma: r(gamma, 3),
@@ -133,7 +134,7 @@ pub(crate) struct ShowcaseHour {
 fn showcase_hour(s: &ExpSettings, m: &Models, kind: TraceKind, h0: f64, seed: u64) -> ShowcaseHour {
     let (trace, model, gamma) = finetuned(s, m, kind, seed);
     let (w0, w1) = hour(h0, &trace);
-    let run = runner(s, &trace, w0, w1);
+    let run = runner(s, m, &trace, w0, w1);
     ShowcaseHour {
         gamma: r(gamma, 3),
         hour: h0,
@@ -189,7 +190,7 @@ pub(crate) struct Fig08 {
 pub(crate) fn fig08(s: &ExpSettings, m: &Models) -> Fig08 {
     let (trace, model, gamma) = finetuned(s, m, TraceKind::AlibabaLike, 78);
     let hours = eval_hours(s, &trace);
-    let run = runner(s, &trace, 0.0, hours as f64 * HOUR);
+    let run = runner(s, m, &trace, 0.0, hours as f64 * HOUR);
     let base = m.base().model.clone();
     Fig08 {
         gamma: r(gamma, 3),
@@ -248,7 +249,7 @@ pub(crate) struct Fig10 {
 pub(crate) fn fig10(s: &ExpSettings, m: &Models) -> Fig10 {
     let (trace, model, gamma) = finetuned(s, m, TraceKind::SyntheticMap, 80);
     let hours = eval_hours(s, &trace);
-    let run = runner(s, &trace, 0.0, hours as f64 * HOUR);
+    let run = runner(s, m, &trace, 0.0, hours as f64 * HOUR);
     Fig10 {
         gamma: r(gamma, 3),
         hours,
@@ -290,7 +291,7 @@ pub(crate) fn fig11(s: &ExpSettings, m: &Models) -> Fig11 {
     let (trace, model, gamma) = finetuned(s, m, TraceKind::SyntheticMap, 81);
     let h0 = burst_hour(s);
     let (w0, w1) = hour(h0, &trace);
-    let run = runner(s, &trace, w0, w1);
+    let run = runner(s, m, &trace, w0, w1);
     let db = run(&mut compare::deepbat(model, s, gamma)).records;
     let bt = run(&mut compare::batch(s)).records;
     let or = run(&mut compare::oracle(s)).records;
@@ -365,7 +366,7 @@ pub(crate) fn fig12(s: &ExpSettings, m: &Models) -> Fig12 {
     let slos = (slos.iter())
         .map(|&slo| {
             let s = &ExpSettings { slo, ..s.clone() };
-            let run = runner(s, &trace, w0, w1);
+            let run = runner(s, m, &trace, w0, w1);
             SloRun {
                 slo_ms: r(slo * 1e3, 0),
                 deepbat_ft: Span::of(&run(&mut compare::deepbat(model.clone(), s, gamma))),
@@ -415,7 +416,7 @@ pub(crate) struct AblGamma {
 pub(crate) fn abl_gamma(s: &ExpSettings, m: &Models) -> AblGamma {
     let (trace, model, gamma_est) = finetuned(s, m, TraceKind::SyntheticMap, 90);
     let hours = eval_hours(s, &trace).min(6);
-    let run = runner(s, &trace, 0.0, hours as f64 * HOUR);
+    let run = runner(s, m, &trace, 0.0, hours as f64 * HOUR);
     let sweep = ([0.0, 0.1, gamma_est, 0.5, 1.0].into_iter())
         .map(|gamma| GammaRun {
             gamma: r(gamma, 3),
@@ -461,15 +462,18 @@ pub(crate) struct FaultRun {
 fn fault_run<C: Controller>(
     mut inner: C,
     s: &ExpSettings,
+    m: &Models,
     trace: &Trace,
     (t0, t1): (f64, f64),
     plan: FaultPlan,
 ) -> FaultRun {
+    let hub = &m.hub;
     let (out, engagements) = if plan.is_inert() {
-        (compare::run_policy(&mut inner, trace, s, t0, t1), None)
+        (compare::run_policy(&mut inner, trace, s, hub, t0, t1), None)
     } else {
         let mut ctl = GracefulController::new(inner, s.slo);
-        let out = compare::run_policy_faulted(&mut ctl, trace, s, t0, t1, plan);
+        ctl.telemetry = hub.clone();
+        let out = compare::run_policy_faulted(&mut ctl, trace, s, hub, t0, t1, plan);
         (out, Some(ctl.monitor.engagements()))
     };
     FaultRun {
@@ -529,12 +533,13 @@ pub(crate) fn abl_faults(s: &ExpSettings, m: &Models) -> AblFaults {
                 deepbat_ft: fault_run(
                     compare::deepbat(model.clone(), s, gamma),
                     s,
+                    m,
                     &trace,
                     window,
                     plan,
                 ),
-                batch: fault_run(compare::batch(s), s, &trace, window, plan),
-                fixed: fault_run(compare::fixed(s, fixed), s, &trace, window, plan),
+                batch: fault_run(compare::batch(s), s, m, &trace, window, plan),
+                fixed: fault_run(compare::fixed(s, fixed), s, m, &trace, window, plan),
             }
         })
         .collect();

@@ -14,6 +14,7 @@ use dbat_core::{
 };
 use dbat_nn::Tensor;
 use dbat_sim::{simulate_batching, LambdaConfig};
+use dbat_telemetry::Telemetry;
 use dbat_workload::{
     percentile, sample_windows, variance, window_at_time, Rng, TraceKind, Window, HOUR,
 };
@@ -307,7 +308,7 @@ pub(crate) struct Fig15 {
     pub layers_final_val_loss: Vec<f64>,
 }
 
-pub(crate) fn fig15(s: &ExpSettings) -> Fig15 {
+pub(crate) fn fig15(s: &ExpSettings, hub: &Telemetry) -> Fig15 {
     let trace = s.trace(TraceKind::AzureLike);
     let half = trace.slice(0.0, trace.horizon() / 2.0);
     let (n, epochs) = if s.fast { (120, 2) } else { (500, 20) };
@@ -322,7 +323,9 @@ pub(crate) fn fig15(s: &ExpSettings) -> Fig15 {
             n_layers,
             ..SurrogateConfig::default()
         };
-        train(&mut Surrogate::new(cfg, init_seed), &data, &tc)
+        let report = train(&mut Surrogate::new(cfg, init_seed), &data, &tc);
+        report.publish(hub);
+        report
     };
     // l = 512 is left out: one epoch takes about a minute on one core.
     let seq_len = if s.fast {
@@ -419,7 +422,7 @@ pub(crate) struct AblReplicas {
     pub holdout_mape_pct: Vec<f64>,
 }
 
-pub(crate) fn abl_replicas(s: &ExpSettings) -> AblReplicas {
+pub(crate) fn abl_replicas(s: &ExpSettings, hub: &Telemetry) -> AblReplicas {
     let (n_train, n_val, epochs, seq_len) = if s.fast {
         (100, 40, 3, 32)
     } else {
@@ -455,6 +458,7 @@ pub(crate) fn abl_replicas(s: &ExpSettings) -> AblReplicas {
         .map(|&n| {
             let mut model = Surrogate::new(cfg, 77);
             let report = train(&mut model, &label(&windows, 810, n), &tc);
+            report.publish(hub);
             let loss = *report.train_losses.last().expect("at least one epoch");
             (r(loss, 4), r(validation_mape(&model, &val, &val_rows), 2))
         })

@@ -27,10 +27,12 @@ use dbat_sim::{
     ground_truth, run_controller_tokens, simulate_tokens_continuous, simulate_tokens_windowed,
     Goodput, LambdaConfig, SimConfig, StaticController, TokenParams, TokenSimOutcome,
 };
+use dbat_telemetry::Telemetry;
 use dbat_workload::{LognormalTokens, TokenMix, TokenSlo, TokenizedTrace, TraceKind};
 use rayon::prelude::*;
 use serde::Serialize;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Seed of the Azure-like arrivals (the token lengths draw from it too).
 const SEED: u64 = 42;
@@ -148,7 +150,7 @@ pub(crate) struct AblTokens {
     pub distributions: BTreeMap<String, Distribution>,
 }
 
-pub(crate) fn abl_tokens(s: &ExpSettings) -> AblTokens {
+pub(crate) fn abl_tokens(s: &ExpSettings, hub: &Arc<Telemetry>) -> AblTokens {
     let horizon = if s.fast { 300.0 } else { 1200.0 };
     let trace = TraceKind::AzureLike.generate_for(SEED, horizon);
     let params = TokenParams::llm_like();
@@ -213,6 +215,7 @@ pub(crate) fn abl_tokens(s: &ExpSettings) -> AblTokens {
             let opts = SimConfig::builder()
                 .slo(horizon)
                 .decision_interval(s.decision_interval)
+                .telemetry(hub.clone())
                 .build()
                 .expect("valid sim config");
             let run =

@@ -7,8 +7,10 @@ use crate::ledger::Claim::Reproduced;
 use crate::ledger::{Claims, Summary};
 use crate::ExpSettings;
 use dbat_sim::{
-    evaluate, simulate_faults, ColdStartFault, FaultPlan, LambdaConfig, SimParams, ThrottleFault,
+    evaluate, publish_sim, simulate_faults, ColdStartFault, FaultPlan, LambdaConfig, SimParams,
+    ThrottleFault,
 };
+use dbat_telemetry::Telemetry;
 use dbat_workload::{idc_series, TraceKind, HOUR};
 use serde::Serialize;
 use std::collections::BTreeMap;
@@ -217,12 +219,17 @@ pub(crate) struct AblColdstart {
     pub quota: Quota,
 }
 
-pub(crate) fn abl_coldstart(s: &ExpSettings) -> AblColdstart {
+pub(crate) fn abl_coldstart(s: &ExpSettings, hub: &Telemetry) -> AblColdstart {
     let trace = TraceKind::AzureLike.generate_for(s.seed_for(TraceKind::AzureLike), HOUR);
     let slice = trace.slice(10.0 * 60.0, 25.0 * 60.0);
     let arrivals = slice.timestamps();
     let cfg = LambdaConfig::new(2048, 8, 0.05);
     let params = SimParams::default();
+    let simulate = |plan: FaultPlan| {
+        let out = simulate_faults(arrivals, &cfg, &params, &plan);
+        publish_sim(hub, &out, &cfg);
+        out
+    };
     let cold: Vec<_> = (KEEP_ALIVE_S.iter())
         .map(|&keep_alive_s| {
             // A fresh container pays the init delay (billed); a warm one is
@@ -235,7 +242,7 @@ pub(crate) fn abl_coldstart(s: &ExpSettings) -> AblColdstart {
                 }),
                 ..FaultPlan::default()
             };
-            simulate_faults(arrivals, &cfg, &params, &plan)
+            simulate(plan)
         })
         .collect();
     let quota: Vec<_> = (QUOTAS.iter())
@@ -248,7 +255,7 @@ pub(crate) fn abl_coldstart(s: &ExpSettings) -> AblColdstart {
                 }),
                 ..FaultPlan::default()
             };
-            simulate_faults(arrivals, &cfg, &params, &plan).summary()
+            simulate(plan).summary()
         })
         .collect();
     let summaries: Vec<_> = cold.iter().map(|o| o.summary()).collect();

@@ -7,8 +7,9 @@
 use crate::experiments::{multiclass, policies, surrogate, tokens, workload};
 use crate::settings::Models;
 use crate::ExpSettings;
-use dbat_telemetry::log_info;
+use dbat_telemetry::{log_info, Telemetry};
 use serde::{Map, Serialize, Value};
+use std::sync::Arc;
 
 /// What EXPERIMENTS.md records for a shape claim, and so the modes it is
 /// checked in: a claim the fast mode is too small to show is checked in
@@ -97,31 +98,40 @@ const EXPERIMENTS: &[(&str, Run)] = &[
     ("fig12", |s, m| Box::new(policies::fig12(s, m))),
     ("fig13", |s, m| Box::new(surrogate::fig13(s, m))),
     ("fig14", |s, m| Box::new(surrogate::fig14(s, m))),
-    ("fig15", |s, _| Box::new(surrogate::fig15(s))),
+    ("fig15", |s, m| Box::new(surrogate::fig15(s, &m.hub))),
     ("tbl_prediction_time", |s, m| {
         Box::new(surrogate::tbl_prediction_time(s, m))
     }),
     ("abl_gamma", |s, m| Box::new(policies::abl_gamma(s, m))),
-    ("abl_coldstart", |s, _| Box::new(workload::abl_coldstart(s))),
-    ("abl_replicas", |s, _| Box::new(surrogate::abl_replicas(s))),
+    ("abl_coldstart", |s, m| {
+        Box::new(workload::abl_coldstart(s, &m.hub))
+    }),
+    ("abl_replicas", |s, m| {
+        Box::new(surrogate::abl_replicas(s, &m.hub))
+    }),
     ("abl_faults", |s, m| Box::new(policies::abl_faults(s, m))),
     ("abl_multiclass", |s, m| {
         Box::new(multiclass::abl_multiclass(s, m))
     }),
-    ("abl_tokens", |s, _| Box::new(tokens::abl_tokens(s))),
+    ("abl_tokens", |s, m| Box::new(tokens::abl_tokens(s, &m.hub))),
 ];
 
-/// Run the named experiments (all of them when `names` is empty) and
-/// assemble the ledger, with a message for every claim whose outcome
+/// Run the named experiments (all of them when `names` is empty),
+/// publishing their training, decisions and measured intervals to `hub`,
+/// and assemble the ledger, with a message for every claim whose outcome
 /// differs from the recorded one. Unknown names are an error.
-pub fn run(s: &ExpSettings, names: &[String]) -> Result<(Value, Vec<String>), String> {
+pub fn run(
+    s: &ExpSettings,
+    names: &[String],
+    hub: &Arc<Telemetry>,
+) -> Result<(Value, Vec<String>), String> {
     if let Some(bad) = names
         .iter()
         .find(|n| !EXPERIMENTS.iter().any(|(name, _)| name == n))
     {
         return Err(format!("unknown experiment `{bad}`"));
     }
-    let models = Models::new(s);
+    let models = Models::new(s, hub.clone());
     let mut experiments = Map::new();
     let mut mismatches = Vec::new();
     for &(name, run) in EXPERIMENTS {
@@ -241,7 +251,8 @@ mod tests {
     fn model_free_experiments_match_the_committed_fast_ledger() {
         let [committed, _] = committed();
         let names = ["fig01", "fig04", "fig05", "abl_coldstart"].map(String::from);
-        let (ledger, mismatches) = run(&ExpSettings::new(true), &names).unwrap();
+        let hub = Arc::default();
+        let (ledger, mismatches) = run(&ExpSettings::new(true), &names, &hub).unwrap();
         assert!(mismatches.is_empty(), "{mismatches:?}");
         for name in &names {
             assert_eq!(

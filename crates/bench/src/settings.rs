@@ -8,7 +8,7 @@ use dbat_core::{
     fine_tune, generate_dataset, train, Surrogate, SurrogateConfig, TrainConfig, TrainSample,
 };
 use dbat_sim::{ConfigGrid, SimParams};
-use dbat_telemetry::{log_info, log_warn, JsonlSink};
+use dbat_telemetry::{log_info, Telemetry};
 use dbat_workload::{Trace, TraceKind, HOUR};
 use serde::{Deserialize, Serialize};
 use std::cell::OnceCell;
@@ -55,70 +55,38 @@ pub struct ExpSettings {
     pub fast: bool,
 }
 
-/// RAII guard returned by [`ExpSettings::init_telemetry`]. Dropping it
-/// emits a final `run.metrics` event with every recorded metric and
-/// flushes all sinks, so the JSONL file is complete when `main` returns.
+/// A bench binary's telemetry, returned by [`ExpSettings::init_telemetry`]:
+/// the run's hub, and on drop a final `run.metrics` event with every
+/// recorded metric, all sinks flushed, so the JSONL file is complete when
+/// `main` returns.
 pub struct TelemetryGuard {
+    pub hub: Arc<Telemetry>,
     bin: String,
 }
 
 impl Drop for TelemetryGuard {
     fn drop(&mut self) {
-        let t = dbat_telemetry::global();
+        let t = &self.hub;
         if t.is_enabled() {
-            let mut data = serde_json::Map::new();
-            data.insert(
-                "bin".to_string(),
-                serde_json::Value::String(self.bin.clone()),
-            );
-            data.insert("metrics".to_string(), t.metrics_json());
-            t.emit("run.metrics", serde_json::Value::Object(data));
+            let data = serde_json::json!({ "bin": self.bin, "metrics": t.metrics_json() });
+            t.emit("run.metrics", data);
             t.flush();
         }
     }
 }
 
 impl ExpSettings {
-    /// Enable telemetry for a bench binary: turn on the global hub and
-    /// stream events as JSONL to `<cache_dir>/telemetry/<bin>.jsonl`.
-    /// Hold the returned guard for the life of `main`.
-    /// `DEEPBAT_TELEMETRY=0|off|false` leaves telemetry disabled.
+    /// A bench binary's hub ([`Telemetry::from_env`]), streaming events
+    /// as JSONL to `<cache_dir>/telemetry/<bin>.jsonl` and opened with a
+    /// `run.start` event. Hold the returned guard for the life of `main`.
     pub fn init_telemetry(&self, bin: &str) -> TelemetryGuard {
-        let t = dbat_telemetry::global();
-        if let Ok(v) = std::env::var("DEEPBAT_TELEMETRY") {
-            if matches!(
-                v.to_ascii_lowercase().as_str(),
-                "0" | "off" | "false" | "no"
-            ) {
-                return TelemetryGuard {
-                    bin: bin.to_string(),
-                };
-            }
-        }
-        t.enable();
-        let dir = self.cache_dir().join("telemetry");
-        match std::fs::create_dir_all(&dir) {
-            Ok(()) => {
-                let path = dir.join(format!("{bin}.jsonl"));
-                match JsonlSink::create(&path) {
-                    Ok(sink) => t.add_sink(Arc::new(sink)),
-                    Err(e) => log_warn!("telemetry", "cannot open {}: {e}", path.display()),
-                }
-            }
-            Err(e) => log_warn!("telemetry", "cannot create {}: {e}", dir.display()),
-        }
-        t.emit(
-            "run.start",
-            serde_json::json!({
-                "bin": bin,
-                "fast": self.fast,
-                "slo": self.slo,
-                "percentile": self.percentile,
-                "seq_len": self.seq_len,
-                "grid_size": self.grid.len(),
-            }),
-        );
+        let path = self.cache_dir().join(format!("telemetry/{bin}.jsonl"));
+        let hub = Telemetry::from_env(Some(&path));
+        let data = serde_json::json!({ "bin": bin, "fast": self.fast, "slo": self.slo,
+            "percentile": self.percentile, "seq_len": self.seq_len, "grid_size": self.grid.len() });
+        hub.emit("run.start", data);
         TelemetryGuard {
+            hub,
             bin: bin.to_string(),
         }
     }
@@ -230,18 +198,13 @@ impl ExpSettings {
     }
 
     /// Load the cached base surrogate or train it on the first half of the
-    /// Azure-like trace (the paper trains on Azure's first 12 hours).
-    pub fn ensure_base_model(&self) -> Arc<Surrogate> {
-        self.base_model().model
+    /// Azure-like trace (the paper trains on Azure's first 12 hours),
+    /// publishing a training run's report to `hub`.
+    pub fn ensure_base_model(&self, hub: &Telemetry) -> Arc<Surrogate> {
+        self.base_model(hub).model
     }
 
-    /// Load or build the fine-tuned variant for an OOD trace (fine-tuned on
-    /// the trace's first hour, §IV-C).
-    pub fn ensure_finetuned(&self, kind: TraceKind) -> Arc<Surrogate> {
-        self.finetuned_model(kind).model
-    }
-
-    fn base_model(&self) -> Trained {
+    fn base_model(&self, hub: &Telemetry) -> Trained {
         cached(&self.cache_dir(), "base", self.base_recipe(), || {
             log_info!(
                 "deepbat",
@@ -254,20 +217,24 @@ impl ExpSettings {
             let data = self.dataset(&first_half, self.dataset_size, SEED_BASE_DATA);
             let mut model = Surrogate::new(self.surrogate_config(), SEED_BASE_INIT);
             let report = train(&mut model, &data, &self.train_config());
+            report.publish(hub);
             (model, report.final_val_mape)
         })
     }
 
-    fn finetuned_model(&self, kind: TraceKind) -> Trained {
+    /// Load or build the fine-tuned variant for an OOD trace (fine-tuned on
+    /// the trace's first hour, §IV-C).
+    fn finetuned_model(&self, kind: TraceKind, hub: &Telemetry) -> Trained {
         let name = format!("ft-{}", kind.name());
         cached(&self.cache_dir(), &name, self.finetune_recipe(kind), || {
-            let base = self.base_model().model;
+            let base = self.base_model(hub).model;
             let mut model = Arc::into_inner(base).expect("a freshly loaded model has one owner");
             log_info!("deepbat", "fine-tuning on first hour of {}…", kind.name());
             let trace = self.trace(kind);
             let first_hour = trace.slice(0.0, HOUR.min(trace.horizon()));
             let data = self.dataset(&first_hour, self.ft_dataset_size, SEED_FT_DATA);
             let report = fine_tune(&mut model, &data, self.ft_epochs, &self.train_config());
+            report.publish(hub);
             (model, report.final_val_mape)
         })
     }
@@ -279,23 +246,26 @@ pub(crate) struct Trained {
     pub(crate) record: TrainRecord,
 }
 
-/// The surrogate models the experiments share, each loaded from the cache
-/// (or trained) at most once per process.
+/// What every experiment of one run shares: the surrogate models, each
+/// loaded from the cache (or trained) at most once per process, and the
+/// run's telemetry hub. The hub travels here, not in [`ExpSettings`] or
+/// [`TrainConfig`], whose `Debug` text is the model cache's recipe key.
 pub(crate) struct Models<'a> {
     s: &'a ExpSettings,
+    pub(crate) hub: Arc<Telemetry>,
     /// The base model, then the two fine-tuned on the OOD traces the paper
     /// fine-tunes on (Alibaba-like, synthetic).
     cells: [OnceCell<Trained>; 3],
 }
 
 impl<'a> Models<'a> {
-    pub(crate) fn new(s: &'a ExpSettings) -> Self {
+    pub(crate) fn new(s: &'a ExpSettings, hub: Arc<Telemetry>) -> Self {
         let cells = Default::default();
-        Models { s, cells }
+        Models { s, hub, cells }
     }
 
     pub(crate) fn base(&self) -> &Trained {
-        self.cells[0].get_or_init(|| self.s.base_model())
+        self.cells[0].get_or_init(|| self.s.base_model(&self.hub))
     }
 
     pub(crate) fn finetuned(&self, kind: TraceKind) -> &Trained {
@@ -304,7 +274,7 @@ impl<'a> Models<'a> {
             TraceKind::SyntheticMap => 2,
             other => panic!("no fine-tuned model for {}", other.name()),
         };
-        self.cells[i].get_or_init(|| self.s.finetuned_model(kind))
+        self.cells[i].get_or_init(|| self.s.finetuned_model(kind, &self.hub))
     }
 }
 

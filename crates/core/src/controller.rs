@@ -15,8 +15,8 @@ use dbat_sim::{
     ConfigGrid, Controller, DecisionContext, DecisionRecord, IntervalMeasurement, LambdaConfig,
     SimParams,
 };
+use dbat_telemetry::Telemetry;
 use dbat_workload::{sample_windows, window_at_time, Rng, Trace, WindowStats};
-use serde::Serialize;
 use std::sync::Arc;
 
 /// The DeepBAT policy: asked once per decision interval, it reads the most
@@ -73,7 +73,6 @@ impl Controller for DeepBatController {
     }
 
     fn decide(&mut self, ctx: &DecisionContext<'_>) -> DecisionRecord {
-        let t_decide = std::time::Instant::now();
         let model = self.model.as_deref().expect(
             "DeepBatController: attach a surrogate with with_model() before closed-loop use",
         );
@@ -96,13 +95,9 @@ impl Controller for DeepBatController {
                 rec.predicted_percentiles = Some(decision.chosen.percentiles);
                 rec.predicted_cost_micro = Some(decision.chosen.cost_micro);
                 rec.infer_s = decision.infer_s;
+                rec.encode_s = decision.encode_s;
             }
             None => rec.bootstrap = true,
-        }
-        rec.decide_s = t_decide.elapsed().as_secs_f64();
-        let t = dbat_telemetry::global();
-        if t.is_enabled() {
-            t.histogram("controller.decide_s").record(rec.decide_s);
         }
         rec
     }
@@ -116,26 +111,24 @@ impl Controller for DeepBatController {
     }
 }
 
-/// Telemetry payload for degraded-mode transitions.
-#[derive(Clone, Copy, Debug, Serialize)]
-struct DegradationEvent {
-    index: usize,
-    at: f64,
-    engaged: bool,
-}
-
 /// Graceful degradation for any policy: while the wrapped controller's
 /// predictions are healthy it is transparent, but once the health
 /// monitor trips (violation streak or persistent online-APE
 /// drift) the wrapper stops consulting the inner policy and applies a
 /// safe configuration — high memory, no batching, no wait — until
 /// enough clean intervals re-arm it. Every overridden decision carries
-/// `degraded = true` in the audit trail, and each engage/disengage is
-/// emitted as a `controller.degradation` telemetry event.
+/// `degraded = true` in the audit trail, each engage/disengage is emitted
+/// to the wrapper's hub as a `controller.degradation` event, and an
+/// engage dumps that hub's flight recorder as `trace.flight` events
+/// tagged `why: "degradation"`.
 #[derive(Clone, Debug)]
 pub struct GracefulController<C: Controller> {
     pub(crate) inner: C,
     pub monitor: HealthMonitor,
+    /// The hub degradations are reported to: give it the run's own
+    /// (`SimConfig::telemetry`) so the dump holds that run's trace. A
+    /// fresh, disabled hub by default.
+    pub telemetry: Arc<Telemetry>,
     /// Applied while degraded. Default: the paper grid's fastest point
     /// (max memory, B = 1, T = 0) — the latency-safest choice, bought
     /// with cost.
@@ -150,6 +143,7 @@ impl<C: Controller> GracefulController<C> {
         GracefulController {
             inner,
             monitor: HealthMonitor::default(),
+            telemetry: Arc::default(),
             safe: LambdaConfig::new(4096, 1, 0.0),
             slo,
             percentile: 95.0,
@@ -193,22 +187,13 @@ impl<C: Controller> Controller for GracefulController<C> {
         let violated = record.violation.unwrap_or(false);
         let transition = self.monitor.observe(violated, record.online_ape());
         if let Some(engaged) = transition {
-            let t = dbat_telemetry::global();
-            if t.is_enabled() {
-                t.emit_at(
-                    "controller.degradation",
-                    record.end,
-                    serde_json::to_value(&DegradationEvent {
-                        index: record.index,
-                        at: record.end,
-                        engaged,
-                    }),
-                );
-            }
+            let (index, at) = (record.index, record.end);
+            let data = serde_json::json!({ "index": index, "at": at, "engaged": engaged });
+            self.telemetry.emit_at("controller.degradation", at, data);
             if engaged {
                 // Preserve the moments leading up to the trip for
                 // post-mortem before the ring is overwritten.
-                t.dump_flight("degradation");
+                self.telemetry.dump_flight("degradation");
             }
         }
         self.records.push(record);

@@ -40,6 +40,9 @@ pub struct Decision {
     /// Wall-clock seconds spent on surrogate inference + grid search for
     /// this decision (§IV measures online inference latency).
     pub(crate) infer_s: f64,
+    /// The window-encode share of `infer_s`; the rest scores the grid
+    /// and selects.
+    pub(crate) encode_s: f64,
 }
 
 /// The grid features standardised for one standardiser fit. Rebuilt only
@@ -172,54 +175,35 @@ impl DeepBatOptimizer {
     /// once, sweep the cached feature grid through the cheap branch, both
     /// on the model's compiled plan.
     pub fn predict_all(&self, model: &Surrogate, window: &[f64]) -> Vec<ConfigPrediction> {
-        let t = dbat_telemetry::global();
-        let start = std::time::Instant::now();
-        let e1 = model.encode_window_fast(window);
-        let encoded = start.elapsed();
+        self.score(model, &model.encode_window_fast(window))
+    }
+
+    /// The prediction table for an encoded window.
+    fn score(&self, model: &Surrogate, e1: &[f64]) -> Vec<ConfigPrediction> {
         // A NaN or ±∞ inter-arrival encodes to NaN, and the head's ReLU
         // (`NaN.max(0.0)` is `0.0`) would launder that into finite-looking
         // outputs: score nothing, so `select` sees the table for what it is.
         let out = if e1.iter().all(|x| x.is_finite()) {
-            model.predict_encoded_fast_pre(&e1, &self.grid_cache(model).pre)
+            model.predict_encoded_fast_pre(e1, &self.grid_cache(model).pre)
         } else {
             Tensor::full(vec![self.configs.len(), N_OUTPUTS], f64::NAN)
         };
-        let preds = self.preds_from(&out);
-        if t.is_enabled() {
-            // The decide split, readable from a scrape: window encode
-            // against grid score (sweep + prediction table).
-            let total = start.elapsed();
-            t.histogram("controller.encode_s")
-                .record(encoded.as_secs_f64());
-            t.histogram("controller.score_s")
-                .record((total - encoded).as_secs_f64());
-            t.histogram("controller.predict_all_s")
-                .record(total.as_secs_f64());
-        }
-        preds
+        self.preds_from(&out)
     }
 
     /// The 2-step optimisation (§III-D "Online Model Inference"): filter by
     /// the (γ-tightened) SLO constraint, then minimise predicted cost.
     pub fn choose(&self, model: &Surrogate, window: &[f64]) -> Decision {
-        let t = dbat_telemetry::global();
         let start = std::time::Instant::now();
-        let all = self.predict_all(model, window);
-        let (chosen, fallback) = self.select(&all);
-        let mut decision = Decision {
+        let e1 = model.encode_window_fast(window);
+        let encode_s = start.elapsed().as_secs_f64();
+        let (chosen, fallback) = self.select(&self.score(model, &e1));
+        Decision {
             chosen,
             fallback,
-            infer_s: 0.0,
-        };
-        decision.infer_s = start.elapsed().as_secs_f64();
-        if t.is_enabled() {
-            t.counter("controller.decisions").inc();
-            if decision.fallback {
-                t.counter("controller.fallbacks").inc();
-            }
-            t.histogram("controller.infer_s").record(decision.infer_s);
+            infer_s: start.elapsed().as_secs_f64(),
+            encode_s,
         }
-        decision
     }
 }
 

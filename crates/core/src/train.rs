@@ -3,6 +3,8 @@
 use crate::surrogate::{Surrogate, N_FEATURES, N_OUTPUTS};
 use crate::traindata::TrainSample;
 use dbat_nn::{gather_rows, shuffled_batches, Adam, InitRng, Standardizer, Tensor};
+use dbat_telemetry::Telemetry;
+use serde_json::json;
 
 /// Training hyper-parameters (paper values in `Default`).
 #[derive(Clone, Debug)]
@@ -59,15 +61,65 @@ impl TrainConfig {
     }
 }
 
-/// Per-epoch training record.
+/// Per-epoch training record: what [`train`] or [`fine_tune`] saw, which
+/// [`TrainReport::publish`] emits as telemetry.
 #[derive(Clone, Debug)]
 pub struct TrainReport {
     pub train_losses: Vec<f64>,
     pub val_losses: Vec<f64>,
+    /// Wall-clock seconds of each epoch, its validation pass included.
+    pub epoch_s: Vec<f64>,
+    /// The learning rate each epoch ran at.
+    pub epoch_lr: Vec<f64>,
     /// Validation MAPE (%) over all outputs at the end of training.
     pub final_val_mape: f64,
     /// Wall-clock seconds per epoch (mean).
     pub secs_per_epoch: f64,
+    /// Samples in the dataset and in its training split, the train step's
+    /// shard count, and whether [`fine_tune`] made the report.
+    samples: usize,
+    train_samples: usize,
+    shards: usize,
+    fine_tune: bool,
+}
+
+impl TrainReport {
+    /// Emit the report to `hub`: a training run as one `train.epoch` event
+    /// per epoch (also recorded in the `train.epoch_s` and
+    /// `train.throughput` histograms, throughput in training samples per
+    /// second) and a closing `train.done`; a fine-tune as one
+    /// `train.finetune_epoch` event per epoch.
+    pub fn publish(&self, hub: &Telemetry) {
+        if !hub.is_enabled() {
+            return;
+        }
+        let throughput = |secs: f64| self.train_samples as f64 / secs.max(f64::MIN_POSITIVE);
+        for (epoch, &secs) in self.epoch_s.iter().enumerate() {
+            let (train_loss, val_loss) = (self.train_losses[epoch], self.val_losses[epoch]);
+            if self.fine_tune {
+                let data = json!({ "epoch": epoch, "train_loss": train_loss, "secs": secs });
+                hub.emit("train.finetune_epoch", data);
+                continue;
+            }
+            let (lr, per_s) = (self.epoch_lr[epoch], throughput(secs));
+            hub.emit(
+                "train.epoch",
+                json!({ "epoch": epoch, "train_loss": train_loss, "val_loss": val_loss,
+                        "lr": lr, "secs": secs, "throughput": per_s }),
+            );
+            hub.histogram("train.epoch_s").record(secs);
+            hub.histogram("train.throughput").record(per_s);
+        }
+        if !self.fine_tune {
+            let (epochs, per_s) = (self.epoch_s.len(), throughput(self.secs_per_epoch));
+            hub.emit(
+                "train.done",
+                json!({ "epochs": epochs, "samples": self.samples, "shards": self.shards,
+                        "final_val_mape": self.final_val_mape,
+                        "secs_per_epoch": self.secs_per_epoch, "throughput": per_s }),
+            );
+        }
+    }
 }
 
 /// Assemble `[N, L]` seq, `[N, 3]` feats, `[N, 5]` targets, `[N, 5]` weights
@@ -156,7 +208,8 @@ pub fn train(model: &mut Surrogate, data: &[TrainSample], tc: &TrainConfig) -> T
     let mut rng = InitRng::new(tc.seed);
     let mut train_losses = Vec::with_capacity(tc.epochs);
     let mut val_losses = Vec::with_capacity(tc.epochs);
-    let tel = dbat_telemetry::global();
+    let mut epoch_s = Vec::with_capacity(tc.epochs);
+    let mut epoch_lr = Vec::with_capacity(tc.epochs);
     let t0 = std::time::Instant::now();
     for epoch in 0..tc.epochs {
         let epoch_t0 = std::time::Instant::now();
@@ -184,23 +237,8 @@ pub fn train(model: &mut Surrogate, data: &[TrainSample], tc: &TrainConfig) -> T
                 tc.delta,
             ));
         }
-        if tel.is_enabled() {
-            let secs = epoch_t0.elapsed().as_secs_f64();
-            let throughput = n_train as f64 / secs.max(f64::MIN_POSITIVE);
-            tel.emit(
-                "train.epoch",
-                serde_json::json!({
-                    "epoch": epoch,
-                    "train_loss": train_losses.last().copied().unwrap_or(0.0),
-                    "val_loss": val_losses.last().copied().unwrap_or(0.0),
-                    "lr": adam.lr,
-                    "secs": secs,
-                    "throughput": throughput,
-                }),
-            );
-            tel.histogram("train.epoch_s").record(secs);
-            tel.histogram("train.throughput").record(throughput);
-        }
+        epoch_s.push(epoch_t0.elapsed().as_secs_f64());
+        epoch_lr.push(adam.lr);
     }
     let secs_per_epoch = t0.elapsed().as_secs_f64() / tc.epochs.max(1) as f64;
 
@@ -212,24 +250,17 @@ pub fn train(model: &mut Surrogate, data: &[TrainSample], tc: &TrainConfig) -> T
     let final_val_mape = validation_mape(model, data, eval_rows);
     // Release the batch-sized scratch tapes training warmed up.
     model.trim_scratch();
-    if tel.is_enabled() {
-        tel.emit(
-            "train.done",
-            serde_json::json!({
-                "epochs": tc.epochs,
-                "samples": n,
-                "shards": tc.shards,
-                "final_val_mape": final_val_mape,
-                "secs_per_epoch": secs_per_epoch,
-                "throughput": n_train as f64 / secs_per_epoch.max(f64::MIN_POSITIVE),
-            }),
-        );
-    }
     TrainReport {
         train_losses,
         val_losses,
+        epoch_s,
+        epoch_lr,
         final_val_mape,
         secs_per_epoch,
+        samples: n,
+        train_samples: n_train,
+        shards: tc.shards,
+        fine_tune: false,
     }
 }
 
@@ -250,9 +281,9 @@ pub fn fine_tune(
     let mut adam = Adam::new(tc.lr * 0.3);
     let mut rng = InitRng::new(tc.seed ^ 0xF17E);
     let mut train_losses = Vec::with_capacity(epochs);
-    let tel = dbat_telemetry::global();
+    let mut epoch_s = Vec::with_capacity(epochs);
     let t0 = std::time::Instant::now();
-    for epoch in 0..epochs {
+    for _ in 0..epochs {
         let epoch_t0 = std::time::Instant::now();
         train_losses.push(run_epoch(
             model,
@@ -262,16 +293,7 @@ pub fn fine_tune(
             &mut adam,
             &mut rng,
         ));
-        if tel.is_enabled() {
-            tel.emit(
-                "train.finetune_epoch",
-                serde_json::json!({
-                    "epoch": epoch,
-                    "train_loss": train_losses.last().copied().unwrap_or(0.0),
-                    "secs": epoch_t0.elapsed().as_secs_f64(),
-                }),
-            );
-        }
+        epoch_s.push(epoch_t0.elapsed().as_secs_f64());
     }
     let secs_per_epoch = t0.elapsed().as_secs_f64() / epochs.max(1) as f64;
     let final_val_mape = validation_mape(model, data, &rows);
@@ -279,8 +301,14 @@ pub fn fine_tune(
     TrainReport {
         val_losses: train_losses.clone(),
         train_losses,
+        epoch_lr: vec![adam.lr; epochs],
+        epoch_s,
         final_val_mape,
         secs_per_epoch,
+        samples: data.len(),
+        train_samples: data.len(),
+        shards: tc.shards,
+        fine_tune: true,
     }
 }
 

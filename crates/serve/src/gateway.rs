@@ -49,8 +49,9 @@ use crate::backend::InferenceBackend;
 use crate::clock::{precise_timers, Clock};
 use crate::outcome::{Ledger, ServeCounts, ServeOutcome};
 use dbat_sim::{
-    Admitted, BatcherCore, ClassAssignment, Controller, DecisionContext, DecisionRecord, Feedback,
-    FlushReason, FormedBatch, FunctionGroup, IntervalMeasurement, LambdaConfig, LatencySummary,
+    publish_decision, Admitted, BatcherCore, ClassAssignment, Controller, DecisionContext,
+    DecisionRecord, Feedback, FlushReason, FormedBatch, FunctionGroup, IntervalMeasurement,
+    LambdaConfig, LatencySummary,
 };
 use dbat_telemetry::{Counter, Gauge, Histogram, Telemetry};
 use dbat_workload::ClassId;
@@ -139,9 +140,9 @@ pub struct GatewayConfig {
     /// unaffected. Controlled runs require records (measurements are
     /// computed from them) and panic if this is off.
     pub record_outcome: bool,
-    /// The telemetry hub this gateway reports to. Defaults to the
-    /// process-global hub; tests inject a scoped `Arc::new(Telemetry::new())`
-    /// so parallel gateways never contend on shared counters.
+    /// The telemetry hub this gateway reports to, traces into and, when
+    /// controlled, publishes its decisions' `controller.*` metrics to. A
+    /// fresh, disabled hub by default.
     pub telemetry: Arc<Telemetry>,
     /// Heterogeneous function groups for multi-class serving. When
     /// non-empty, lane `g` runs `groups[g].config` and serves exactly
@@ -167,7 +168,7 @@ impl Default for GatewayConfig {
             slo: 0.1,
             percentile: 95.0,
             record_outcome: true,
-            telemetry: dbat_telemetry::global_arc(),
+            telemetry: Arc::default(),
             groups: Vec::new(),
         }
     }
@@ -400,6 +401,7 @@ impl Gateway {
             index: 0,
         };
         let rec = Feedback::decide(ctl.as_mut(), &ctx);
+        publish_decision(&cfg.telemetry, &rec);
         let mut cfg = cfg;
         cfg.initial = rec.config;
         Gateway::launch(cfg, clock, backend, Some((ctl, rec)))
@@ -971,6 +973,7 @@ fn control_loop(
             index: k + 1,
         };
         let rec = Feedback::decide(ctl.as_mut(), &ctx);
+        publish_decision(&shared.cfg.telemetry, &rec);
         // The batcher applies the boundary-stamped command in its
         // arrival order.
         let mut inbox = lane.inbox.lock().unwrap();

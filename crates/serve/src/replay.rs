@@ -35,13 +35,13 @@ impl VirtualGateway {
     pub fn from_params(params: &SimParams) -> Self {
         VirtualGateway {
             backend: ProfiledBackend::from_params(params),
-            tel: dbat_telemetry::global_arc(),
+            tel: Arc::default(),
         }
     }
 
-    /// Report to (and trace into) `tel` instead of the process-global
-    /// hub. Tracing reads only already-computed stamps, so a traced
-    /// replay stays bitwise-identical to an untraced one.
+    /// Trace into `tel` instead of the default fresh, disabled hub.
+    /// Tracing reads only already-computed stamps, so a traced replay
+    /// stays bitwise-identical to an untraced one.
     pub fn with_telemetry(mut self, tel: Arc<Telemetry>) -> Self {
         self.tel = tel;
         self

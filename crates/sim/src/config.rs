@@ -3,8 +3,10 @@
 
 use crate::batching::SimParams;
 use crate::faults::FaultPlan;
+use dbat_telemetry::Telemetry;
 use dbat_workload::DbatError;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// AWS Lambda memory bounds (MB), per the paper's Eq. (10e).
 pub(crate) const MEMORY_MIN_MB: u32 = 128;
@@ -141,6 +143,8 @@ pub struct SimConfig {
     pub decision_interval: f64,
     /// Fault-injection plan (inert by default).
     pub faults: FaultPlan,
+    /// Where the drivers publish and trace the run (fresh, disabled hub by default).
+    pub telemetry: Arc<Telemetry>,
 }
 
 impl Default for SimConfig {
@@ -151,6 +155,7 @@ impl Default for SimConfig {
             percentile: 95.0,
             decision_interval: 60.0,
             faults: FaultPlan::default(),
+            telemetry: Arc::default(),
         }
     }
 }
@@ -215,6 +220,11 @@ impl SimConfigBuilder {
 
     pub fn faults(mut self, plan: FaultPlan) -> Self {
         self.cfg.faults = plan;
+        self
+    }
+
+    pub fn telemetry(mut self, hub: Arc<Telemetry>) -> Self {
+        self.cfg.telemetry = hub;
         self
     }
 

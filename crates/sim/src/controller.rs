@@ -15,6 +15,7 @@ use crate::batching::SimParams;
 use crate::config::{LambdaConfig, SimConfig};
 use crate::faults::{simulate_faults, FaultCounts, FaultSimOutcome};
 use crate::metrics::LatencySummary;
+use crate::publish::{publish_decision, publish_sim};
 use crate::sweep::ground_truth;
 use dbat_telemetry::{FlushKind, SpanId, TraceConfig, TraceEvent, TraceId, TraceStage, Tracer};
 use dbat_workload::{Trace, WindowStats};
@@ -85,7 +86,7 @@ impl IntervalMeasurement {
 
 /// The decision-audit record: everything the controller knew and chose at
 /// one decision interval, plus (when measured) what actually happened.
-/// One of these is emitted per interval as a `controller.decision`
+/// The offline drivers emit one per interval as a `controller.decision`
 /// telemetry event; the JSONL stream is the controller's audit trail.
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
 pub struct DecisionRecord {
@@ -117,8 +118,10 @@ pub struct DecisionRecord {
     pub predicted_percentiles: Option<[f64; 4]>,
     /// Surrogate-predicted cost (µ$/req) for `config` (`None` at bootstrap).
     pub predicted_cost_micro: Option<f64>,
-    /// Wall-clock seconds of surrogate inference + grid search.
+    /// Wall-clock seconds of inference and grid search (0 if none ran).
     pub infer_s: f64,
+    /// The window-encode share of `infer_s` (0 without a surrogate).
+    pub encode_s: f64,
     /// Wall-clock seconds of the whole `decide` call (window slicing +
     /// inference + bookkeeping; always ≥ `infer_s`). Stamped by the
     /// closed-loop drivers so live and simulated audit trails carry the
@@ -164,6 +167,7 @@ impl DecisionRecord {
             predicted_percentiles: None,
             predicted_cost_micro: None,
             infer_s: 0.0,
+            encode_s: 0.0,
             decide_s: 0.0,
             measured: None,
             measured_cost_per_request: None,
@@ -434,18 +438,25 @@ impl RunOutcome {
 /// placeholders, so it is never dispatched, completed, or made a batch's
 /// `Flush` anchor.
 ///
-/// `req_offset`/`batch_offset` globalise per-interval indices so trace
-/// and span ids stay unique across a whole closed-loop run. The flush
+/// `next` (request, batch) globalises per-interval indices so trace and
+/// span ids stay unique across a whole closed-loop run. The flush
 /// reason is inferred exactly: a timeout flush can never reach the
 /// configured batch size, so `size >= B` identifies capacity flushes.
 pub(crate) fn record_sim_trace(
     tracer: &Tracer,
     faulted: &FaultSimOutcome,
     config: &LambdaConfig,
-    req_offset: u64,
-    batch_offset: u64,
+    next: &mut (u64, u64),
 ) {
     let (out, served) = (&faulted.sim, &faulted.served);
+    let (req_offset, batch_offset) = *next;
+    *next = (
+        req_offset + out.requests.len() as u64,
+        batch_offset + out.batches.len() as u64,
+    );
+    if !tracer.is_active() {
+        return;
+    }
     let cfg = TraceConfig {
         memory_mb: config.memory_mb,
         batch_size: config.batch_size,
@@ -562,8 +573,8 @@ impl Feedback {
 /// interval under the decided configuration and returns what happened, or
 /// `None` for an interval with no arrivals.
 ///
-/// Each completed record is emitted as a `controller.decision` telemetry
-/// event — the audit trail — and the sinks are flushed.
+/// Each decision is published to `opts.telemetry` as it is made, and each
+/// completed record after the run as a `controller.decision` event.
 pub(crate) fn drive_intervals<C: Controller + ?Sized>(
     ctl: &mut C,
     trace: &Trace,
@@ -588,12 +599,13 @@ pub(crate) fn drive_intervals<C: Controller + ?Sized>(
             index,
         };
         let rec = Feedback::decide(ctl, &ctx);
+        publish_decision(&opts.telemetry, &rec);
         let measured = measure(&ctx, &rec.config);
         feedback.close(ctl, rec, measured);
         t = end;
         index += 1;
     }
-    let tel = dbat_telemetry::global();
+    let tel = &opts.telemetry;
     if tel.is_enabled() {
         for rec in &feedback.records {
             tel.emit("controller.decision", serde_json::to_value(rec));
@@ -618,9 +630,7 @@ pub fn run_controller<C: Controller + ?Sized>(
     opts: &SimConfig,
 ) -> RunOutcome {
     let mut counts = FaultCounts::default();
-    let tracer = dbat_telemetry::global().tracer();
-    let mut trace_req_offset = 0u64;
-    let mut trace_batch_offset = 0u64;
+    let mut trace_ids = (0, 0);
     let feedback = drive_intervals(ctl, trace, t0, t1, opts, |ctx, config| {
         let slice = trace.slice(ctx.start, ctx.end.min(trace.horizon()));
         if slice.is_empty() {
@@ -649,11 +659,8 @@ pub fn run_controller<C: Controller + ?Sized>(
             out.counts.retries,
             out.counts.lost_requests(),
         );
-        if tracer.is_active() {
-            record_sim_trace(tracer, &out, config, trace_req_offset, trace_batch_offset);
-        }
-        trace_req_offset += out.sim.requests.len() as u64;
-        trace_batch_offset += out.sim.batches.len() as u64;
+        publish_sim(&opts.telemetry, &out, config);
+        record_sim_trace(opts.telemetry.tracer(), &out, config, &mut trace_ids);
         Some(m)
     });
     RunOutcome {
@@ -691,7 +698,7 @@ mod tests {
         assert!(!out.requests.is_empty() && !out.batches.is_empty());
         let hub = dbat_telemetry::Telemetry::new();
         hub.tracer().enable_capture();
-        record_sim_trace(hub.tracer(), &faulted, &cfg, 1000, 50);
+        record_sim_trace(hub.tracer(), &faulted, &cfg, &mut (1000, 50));
         let events = hub.tracer().drain();
         // Five per-request stages plus one batch-level Flush per batch.
         assert_eq!(events.len(), out.requests.len() * 5 + out.batches.len());
@@ -729,25 +736,21 @@ mod tests {
 
     #[test]
     fn run_controller_emits_trace_when_tracer_active() {
-        // run_controller records through the GLOBAL hub's tracer; flip the
-        // flight ring on (bounded, safe if a parallel test also records)
-        // and check events landed.
+        // run_controller records through its own hub's tracer, so the
+        // capture holds exactly this run's events.
         let tr = trace();
-        let tracer = dbat_telemetry::global().tracer();
-        tracer.enable_flight(4096);
+        let opts = SimConfig::new(0.1);
+        opts.telemetry.tracer().enable_capture();
         let mut ctl = StaticController::new(LambdaConfig::new(2048, 4, 0.05), 0.1);
-        let out = run_controller(&mut ctl, &tr, 0.0, 120.0, &SimConfig::new(0.1));
-        let events = tracer.take_flight();
-        tracer.disable_flight();
+        let out = run_controller(&mut ctl, &tr, 0.0, 120.0, &opts);
+        let events = opts.telemetry.tracer().drain();
         let total: usize = out.measurements.iter().map(|m| m.requests).sum();
         assert!(total > 0);
         let completes = events
             .iter()
             .filter(|e| e.stage == TraceStage::Complete)
             .count();
-        // Ring may have wrapped or absorbed events from concurrent tests,
-        // so assert presence, not exact equality.
-        assert!(completes > 0, "expected Complete events in flight ring");
+        assert_eq!(completes, total, "one Complete per served request");
     }
 
     #[test]

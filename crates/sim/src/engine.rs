@@ -5,10 +5,8 @@
 //! retries). Window formation needs no queue: the window walk flushes
 //! timeouts as it passes them.
 
-use dbat_telemetry::Counter;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::sync::Arc;
 
 struct Entry<E> {
     time: f64,
@@ -44,9 +42,8 @@ pub(crate) struct Scheduler<E> {
     heap: BinaryHeap<Entry<E>>,
     seq: u64,
     now: f64,
-    /// Telemetry counter for events clamped into the present (resolved
-    /// once at construction; `None` when telemetry is disabled).
-    clamped: Option<Arc<Counter>>,
+    /// Events scheduled into the past and clamped into the present.
+    pub(crate) clamped: usize,
 }
 
 impl<E> Scheduler<E> {
@@ -57,7 +54,7 @@ impl<E> Scheduler<E> {
             heap: BinaryHeap::new(),
             seq: 0,
             now: f64::NEG_INFINITY,
-            clamped: dbat_telemetry::global().counter_if_enabled("sim.clamped_events"),
+            clamped: 0,
         }
     }
 
@@ -70,11 +67,9 @@ impl<E> Scheduler<E> {
             self.now
         );
         if t < self.now {
-            // Release builds clamp instead of panicking; the counter makes
+            // Release builds clamp instead of panicking; the count makes
             // that silent repair observable.
-            if let Some(c) = &self.clamped {
-                c.inc();
-            }
+            self.clamped += 1;
         }
         let t = t.max(self.now);
         self.heap.push(Entry {

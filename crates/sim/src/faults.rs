@@ -464,6 +464,8 @@ pub struct FaultCounts {
     /// Requests lost to queue-overflow shedding.
     pub shed_requests: usize,
     pub stragglers: usize,
+    /// Events the service stage clamped from its past into the present.
+    pub clamped_events: usize,
 }
 
 impl FaultCounts {
@@ -480,6 +482,7 @@ impl FaultCounts {
         self.throttled += other.throttled;
         self.shed_requests += other.shed_requests;
         self.stragglers += other.stragglers;
+        self.clamped_events += other.clamped_events;
     }
 }
 
@@ -525,21 +528,6 @@ impl FaultSimOutcome {
         } else {
             self.sim.total_cost / n as f64
         }
-    }
-}
-
-/// Publish a finished run's fault counts as `sim.fault.*` counters.
-fn publish_counts(hub: &dbat_telemetry::Telemetry, c: &FaultCounts) {
-    for (name, n) in [
-        ("sim.fault.cold_starts", c.cold_starts),
-        ("sim.fault.failures", c.failures),
-        ("sim.fault.retries", c.retries),
-        ("sim.fault.exhausted_requests", c.exhausted_requests),
-        ("sim.fault.throttled", c.throttled),
-        ("sim.fault.shed_requests", c.shed_requests),
-        ("sim.fault.stragglers", c.stragglers),
-    ] {
-        hub.counter(name).add(n as u64);
     }
 }
 
@@ -630,9 +618,6 @@ struct FaultRun<'a> {
     running: usize,
     batches: Vec<PendingBatch>,
     out: FaultSimOutcome,
-    /// The telemetry hub, when enabled: every fault is emitted as a
-    /// `sim.fault` event as it happens.
-    hub: Option<&'static dbat_telemetry::Telemetry>,
 }
 
 impl FaultRun<'_> {
@@ -646,9 +631,6 @@ impl FaultRun<'_> {
             FaultEvent::Throttled { .. } => counts.throttled += 1,
             FaultEvent::Shed { requests, .. } => counts.shed_requests += requests,
             FaultEvent::Straggler { .. } => counts.stragglers += 1,
-        }
-        if let Some(hub) = self.hub {
-            hub.emit("sim.fault", serde_json::to_value(&ev));
         }
         self.out.events.push(ev);
     }
@@ -874,15 +856,11 @@ pub fn simulate_faults(
             events: Vec::new(),
             counts: FaultCounts::default(),
         },
-        hub: Some(dbat_telemetry::global()).filter(|hub| hub.is_enabled()),
     };
     let windowed = arrivals.iter().copied().enumerate();
     walk_windows(windowed, cfg, |fb| st.admit_formed(fb));
     st.run_until(f64::INFINITY);
-
-    if let Some(hub) = st.hub {
-        publish_counts(hub, &st.out.counts);
-    }
+    st.out.counts.clamped_events = st.sched.clamped;
     st.out
 }
 

@@ -33,6 +33,7 @@
 //!   (`decide` → measure → `observe` → `commit`) every closed-loop driver
 //!   in the workspace runs, and the one interval driver behind
 //!   [`run_controller`] and [`run_controller_tokens`];
+//! * [`publish_decision`] / [`publish_sim`] — what a driver publishes;
 //! * [`sweep()`] — rayon-parallel exhaustive grid search (Eq. 10 optimum);
 //! * [`multi`] — multi-SLO request classes served by heterogeneous
 //!   function groups, with the HarmonyBatch-style joint partition/config
@@ -50,6 +51,7 @@ mod faults;
 mod metrics;
 pub mod multi;
 mod pricing;
+mod publish;
 mod service;
 mod sweep;
 mod tokens;
@@ -71,6 +73,7 @@ pub use multi::{
     ClassAssignment, FunctionGroup, GroupScorer, JointDecision, MultiSimOutcome, OracleGroupScorer,
 };
 pub use pricing::Pricing;
+pub use publish::{publish_decision, publish_sim};
 pub use service::ServiceProfile;
 pub use sweep::{evaluate, ground_truth, sweep};
 pub use tokens::{

@@ -47,8 +47,7 @@ pub fn evaluate(arrivals: &[f64], cfg: &LambdaConfig, params: &SimParams) -> Eva
 
 /// Simulate every configuration of the grid, one task per `(B, T)` index
 /// pair, in [`ConfigGrid::configs`] order (M-major; repeated values keep
-/// a row each). Walk telemetry (`sim.events`, `sim.flush.*`) counts one
-/// walk per shape.
+/// a row each).
 pub fn sweep(arrivals: &[f64], grid: &ConfigGrid, params: &SimParams) -> Vec<Evaluation> {
     let configs = grid.configs();
     let shapes = grid.batch_sizes.len() * grid.timeouts_s.len();

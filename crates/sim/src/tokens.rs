@@ -39,6 +39,7 @@ use crate::controller::{drive_intervals, Controller, IntervalMeasurement, RunOut
 use crate::faults::FaultCounts;
 use crate::metrics::LatencySummary;
 use crate::pricing::Pricing;
+use crate::publish::publish_tokens;
 use crate::window::walk_windows;
 use dbat_telemetry::{TraceConfig, TraceEvent, TraceId, TraceStage, Tracer};
 use dbat_workload::{TokenSlo, TokenSpec, TokenizedTrace};
@@ -490,15 +491,13 @@ pub fn simulate_tokens_windowed(
         }
     });
 
-    let out = TokenSimOutcome {
+    TokenSimOutcome {
         served: served.into_iter().flatten().collect(),
         rejected: arrivals.len() - admitted.len(),
         offered: arrivals.len(),
         invocations,
         total_cost,
-    };
-    record_token_metrics(&out);
-    out
+    }
 }
 
 /// An event of the continuous discipline: the next pending arrival, or
@@ -746,44 +745,30 @@ pub fn simulate_tokens_continuous(
 ) -> TokenSimOutcome {
     let mut core = ContinuousCore::new(arrivals, specs, cfg, params, replicas);
     core.run_to_completion();
-    let out = core.into_outcome();
-    record_token_metrics(&out);
-    out
-}
-
-/// Publish `sim.tokens.*` counters from a settled outcome (one registry
-/// touch per run; reading stamps only, so replay equivalence holds).
-fn record_token_metrics(out: &TokenSimOutcome) {
-    let t = dbat_telemetry::global();
-    if !t.is_enabled() {
-        return;
-    }
-    t.counter("sim.tokens.invocations")
-        .add(out.invocations.len() as u64);
-    t.counter("sim.tokens.completed")
-        .add(out.served.len() as u64);
-    t.counter("sim.tokens.rejected").add(out.rejected as u64);
-    let cohorts = t.histogram("sim.tokens.step_active");
-    for inv in &out.invocations {
-        cohorts.record(inv.size as f64);
-    }
+    core.into_outcome()
 }
 
 /// Record causal trace events for a settled token run over `specs`,
 /// reading only the outcome's stamps: Admit/Enqueue at arrival, Dispatch
 /// at service entry, one [`TraceStage::DecodeStep`] per invocation
 /// (anchored on its first active request, sized with the cohort),
-/// Complete at the last token. Every id is `req_offset` plus the
-/// request's offered index, the index an invocation's anchor holds.
+/// Complete at the last token. Every id is `next.0` plus the request's
+/// offered index, the index an invocation's anchor holds; `next` advances
+/// past the run even while the tracer is off.
 fn record_token_trace(
     tracer: &Tracer,
     out: &TokenSimOutcome,
-    specs: &[TokenSpec],
-    params: &TokenParams,
-    config: &LambdaConfig,
-    req_offset: u64,
-    inv_offset: u64,
+    (specs, params, config): (&[TokenSpec], &TokenParams, &LambdaConfig),
+    next: &mut (u64, u64),
 ) {
+    let (req_offset, inv_offset) = *next;
+    *next = (
+        req_offset + out.offered as u64,
+        inv_offset + out.invocations.len() as u64,
+    );
+    if !tracer.is_active() {
+        return;
+    }
     let cfg = TraceConfig {
         memory_mb: config.memory_mb,
         batch_size: config.batch_size,
@@ -819,9 +804,8 @@ fn record_token_trace(
 }
 
 /// Drive any [`Controller`] over a tokenized trace with the windowed
-/// token discipline — the same interval cycle, `controller.decision`
-/// audit events and (when the tracer is active) causal trace events as
-/// [`crate::run_controller`], each interval measured by
+/// token discipline — the same interval cycle and publishing to
+/// `opts.telemetry` as [`crate::run_controller`], each interval measured by
 /// [`simulate_tokens_windowed`] — with goodput accumulated across the run
 /// and reported in [`RunOutcome::goodput`]. Its horizon is every decided
 /// interval's span, silent intervals included, so `rps` is over `t1 − t0`.
@@ -845,9 +829,7 @@ pub fn run_controller_tokens<C: Controller + ?Sized>(
     );
     let trace = tokenized.trace();
     let mut goodput = Goodput::default();
-    let tracer = dbat_telemetry::global().tracer();
-    let mut trace_req_offset = 0u64;
-    let mut trace_inv_offset = 0u64;
+    let mut trace_ids = (0, 0);
     let feedback = drive_intervals(ctl, trace, t0, t1, opts, |ctx, config| {
         let (lo, hi) = tokenized.index_range(ctx.start, ctx.end.min(trace.horizon()));
         if lo == hi {
@@ -868,19 +850,9 @@ pub fn run_controller_tokens<C: Controller + ?Sized>(
             (opts.slo, opts.percentile),
             t_wall.elapsed().as_secs_f64(),
         );
-        if tracer.is_active() {
-            record_token_trace(
-                tracer,
-                &out,
-                specs,
-                params,
-                config,
-                trace_req_offset,
-                trace_inv_offset,
-            );
-        }
-        trace_req_offset += out.offered as u64;
-        trace_inv_offset += out.invocations.len() as u64;
+        publish_tokens(&opts.telemetry, &out, config);
+        let tracer = opts.telemetry.tracer();
+        record_token_trace(tracer, &out, (specs, params, config), &mut trace_ids);
         Some(m.with_losses(0, 0, out.rejected))
     });
     RunOutcome {
@@ -1294,6 +1266,87 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// Causal trace ids of the token-aware closed loop: every request's
+    /// events carry its offered index, so a decode step's anchor joins the
+    /// request it names even after a KV rejection.
+    #[test]
+    fn trace_ids_are_offered_indices_after_a_kv_rejection() {
+        use crate::controller::StaticController;
+        use std::collections::BTreeMap;
+        // 640 MB less 512 MB of weights at 0.5 MiB per token: 256 resident
+        // tokens, so about a third of chat-sized requests are rejected.
+        let (config, capacity_tokens) = (LambdaConfig::new(640, 8, 0.05), 256);
+        let (interval_s, intervals) = (10.0, 3);
+        let chat = TokenMix::Lognormal(LognormalTokens::chat());
+        let tokenized =
+            TokenizedTrace::sample(TraceKind::AzureLike.generate_for(3, 600.0), &chat, 8);
+        let (arrivals, specs) = (tokenized.arrivals(), tokenized.specs());
+        let params = TokenParams::llm_like();
+        let fits = |i: usize| specs[i].total_tokens() <= capacity_tokens;
+
+        // The run starts on an oversize request, so its first interval does.
+        let first = (1..arrivals.len())
+            .find(|&i| !fits(i) && arrivals[i - 1] < arrivals[i])
+            .expect("an oversize request");
+        let t0 = arrivals[first];
+        let t1 = t0 + intervals as f64 * interval_s;
+        let opts = SimConfig::builder().slo(2.0).decision_interval(interval_s);
+        let opts = opts.build().unwrap();
+        opts.telemetry.tracer().enable_capture();
+        let mut ctl = StaticController::new(config, 2.0);
+        let slo = TokenSlo::new(0.5, 0.05);
+        let out = run_controller_tokens(&mut ctl, &tokenized, t0, t1, &opts, &params, &slo);
+        let events = opts.telemetry.tracer().drain();
+        assert_eq!(out.measurements.len(), intervals);
+        assert!(out.measurements.iter().all(|m| m.lost > 0));
+
+        // Every admitted request's arrival and completion, keyed by its
+        // offered index counted from `t0` (the ids the closed loop hands
+        // out); rejected requests have no events at all.
+        let (mut admit, mut complete) = (BTreeMap::new(), BTreeMap::new());
+        for k in 0..intervals {
+            let start = t0 + k as f64 * interval_s;
+            let (lo, hi) = tokenized.index_range(start, start + interval_s);
+            let sim = simulate_tokens_windowed(&arrivals[lo..hi], &specs[lo..hi], &config, &params);
+            for (i, r) in (lo..hi).filter(|&i| fits(i)).zip(&sim.served) {
+                admit.insert((i - first) as u64, arrivals[i].to_bits());
+                complete.insert((i - first) as u64, r.completion.to_bits());
+            }
+        }
+        let of = |stage| {
+            events
+                .iter()
+                .filter(move |e: &&TraceEvent| e.stage == stage)
+        };
+        let stamps = |stage| {
+            of(stage)
+                .map(|e| (e.trace.0, e.t.to_bits()))
+                .collect::<BTreeMap<_, _>>()
+        };
+        for (stage, want) in [
+            (TraceStage::Admit, &admit),
+            (TraceStage::Complete, &complete),
+        ] {
+            assert_eq!(
+                of(stage).count(),
+                want.len(),
+                "one {stage:?} per admitted request"
+            );
+            assert_eq!(&stamps(stage), want, "{stage:?} stamps by id");
+        }
+        let mut steps = of(TraceStage::DecodeStep).peekable();
+        assert!(steps.peek().is_some());
+        for step in steps {
+            let id = step.trace.0;
+            let (a, c) = (f64::from_bits(admit[&id]), f64::from_bits(complete[&id]));
+            assert!(
+                a <= step.t && step.t < c,
+                "decode step at {} outside id {id}",
+                step.t
+            );
         }
     }
 }

@@ -259,33 +259,6 @@ fn trace_origin(first_arrival: Option<f64>) -> f64 {
     first_arrival.unwrap_or(0.0).min(0.0)
 }
 
-/// Telemetry handles resolved once per walk, so the hot loop never touches
-/// the metric registry. `None` when telemetry is disabled, making
-/// instrumentation a single branch per use.
-struct WalkTel {
-    events: std::sync::Arc<dbat_telemetry::Counter>,
-    batch_size: std::sync::Arc<dbat_telemetry::Histogram>,
-    flush_timeout: std::sync::Arc<dbat_telemetry::Counter>,
-    flush_capacity: std::sync::Arc<dbat_telemetry::Counter>,
-    queue_depth: std::sync::Arc<dbat_telemetry::Gauge>,
-}
-
-impl WalkTel {
-    fn resolve() -> Option<WalkTel> {
-        let t = dbat_telemetry::global();
-        if !t.is_enabled() {
-            return None;
-        }
-        Some(WalkTel {
-            events: t.counter("sim.events"),
-            batch_size: t.histogram("sim.batch_size"),
-            flush_timeout: t.counter("sim.flush.timeout"),
-            flush_capacity: t.counter("sim.flush.capacity"),
-            queue_depth: t.gauge("sim.queue_depth"),
-        })
-    }
-}
-
 /// Walk a finite, sorted arrival sequence through one [`BatcherCore`]
 /// under `cfg`, then tell the core that time has run out, handing every
 /// formed batch to `dispatch` in dispatch order. The core flushes a
@@ -307,20 +280,10 @@ pub fn walk_windows(
     let t0 = trace_origin(arrivals.peek().map(|&(_, a)| a));
     let mut core = BatcherCore::new(*cfg);
     let mut formed: Vec<FormedBatch> = Vec::new();
-    let tel = WalkTel::resolve();
-    let (mut n_arrivals, mut n_batches) = (0u64, 0u64);
     let mut hand_out = |formed: &mut Vec<FormedBatch>| {
         for mut fb in formed.drain(..) {
             fb.opened_at += t0;
             fb.dispatched_at += t0;
-            if let Some(tel) = &tel {
-                tel.batch_size.record(fb.requests.len() as f64);
-                match fb.reason {
-                    FlushReason::Timeout => tel.flush_timeout.inc(),
-                    _ => tel.flush_capacity.inc(),
-                }
-            }
-            n_batches += 1;
             dispatch(fb);
         }
     };
@@ -331,18 +294,10 @@ pub fn walk_windows(
             class: 0,
         };
         core.on_arrival(req, &mut formed);
-        n_arrivals += 1;
         hand_out(&mut formed);
-        if let Some(tel) = &tel {
-            tel.queue_depth.set(core.buffered() as f64);
-        }
     }
     core.due(f64::INFINITY, &mut formed);
     hand_out(&mut formed);
-    if let Some(tel) = &tel {
-        tel.events.add(n_arrivals + n_batches);
-        tel.queue_depth.set(0.0);
-    }
 }
 
 #[cfg(test)]

@@ -6,12 +6,14 @@
 //!
 //! ## Design
 //!
-//! A single process-wide [`Telemetry`] handle (see [`global`]) starts
-//! **disabled**. In that state every instrumentation call is a single
-//! relaxed atomic load followed by an early return — cheap enough to leave
-//! in simulator hot loops. Binaries that want observability call
-//! [`Telemetry::enable`] (or [`init_from_env`]) once at startup, attach
-//! sinks, and read metrics or drain events at the end of the run.
+//! A [`Telemetry`] hub is an argument, never process state: each run owns
+//! one and hands it to the drivers that publish into it, so two runs in
+//! one process never see each other's metrics, events or traces. A hub
+//! starts **disabled**; in that state every call is a single relaxed
+//! atomic load followed by an early return. Binaries build theirs with
+//! [`Telemetry::from_env`] (enabled unless `DEEPBAT_TELEMETRY` vetoes it,
+//! with an optional JSONL sink) and read metrics or drain events at the
+//! end of the run.
 //!
 //! Metrics are identified by dotted string names (`"sim.batch_size"`,
 //! `"controller.infer_s"`). Handles are `Arc`s: hot paths resolve a handle
@@ -20,10 +22,10 @@
 //! ## Example
 //!
 //! ```
-//! use dbat_telemetry::{global, MemorySink};
+//! use dbat_telemetry::{MemorySink, Telemetry};
 //! use std::sync::Arc;
 //!
-//! let t = global();
+//! let t = Telemetry::new();
 //! let sink = Arc::new(MemorySink::new());
 //! t.enable();
 //! t.add_sink(sink.clone());
@@ -47,17 +49,16 @@ pub use metrics::{Counter, Gauge, Histogram};
 // Re-export so downstream binaries can build event payloads without adding
 // their own serde_json dependency.
 pub use serde_json;
-pub use sink::{read_jsonl, JsonlSink, MemorySink, Sink};
+pub use sink::{read_jsonl, Event, JsonlSink, MemorySink, Sink};
 pub use trace::{FlushKind, SpanId, TraceConfig, TraceEvent, TraceId, TraceStage, Tracer};
 
 use serde_json::Value;
-use sink::Event;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::sync::{Arc, Mutex, RwLock};
 
-/// Process-wide telemetry hub: a metric registry plus a list of event
-/// sinks, all behind an enabled/disabled switch.
+/// A telemetry hub: a metric registry, a list of event sinks and a
+/// request tracer, all behind an enabled/disabled switch.
 pub struct Telemetry {
     enabled: AtomicBool,
     counters: RwLock<BTreeMap<String, Arc<Counter>>>,
@@ -89,8 +90,7 @@ impl Default for Telemetry {
 }
 
 impl Telemetry {
-    /// A fresh, disabled hub. Most code should use [`global`] instead;
-    /// this exists for isolated tests.
+    /// A fresh, disabled hub.
     pub fn new() -> Self {
         Telemetry {
             enabled: AtomicBool::new(false),
@@ -100,6 +100,30 @@ impl Telemetry {
             sinks: Mutex::new(Vec::new()),
             tracer: Tracer::new(),
         }
+    }
+
+    /// A binary's hub: enabled, streaming events as JSONL to `jsonl_path`
+    /// when given (its directory is created), unless the environment
+    /// vetoes with `DEEPBAT_TELEMETRY=0|off|false|no`, which yields a
+    /// disabled hub with no sink.
+    pub fn from_env(jsonl_path: Option<&std::path::Path>) -> Arc<Telemetry> {
+        let hub = Arc::new(Telemetry::new());
+        if std::env::var("DEEPBAT_TELEMETRY").is_ok_and(|v| vetoes(&v)) {
+            return hub;
+        }
+        hub.enable();
+        if let Some(path) = jsonl_path {
+            let dir = path.parent().unwrap_or(std::path::Path::new("."));
+            match std::fs::create_dir_all(dir).and_then(|()| JsonlSink::create(path)) {
+                Ok(sink) => hub.add_sink(Arc::new(sink)),
+                Err(e) => log_warn!(
+                    "telemetry",
+                    "cannot open JSONL sink {}: {e}",
+                    path.display()
+                ),
+            }
+        }
+        hub
     }
 
     /// This hub's request tracer. Disarmed (and nearly free) by default;
@@ -159,16 +183,6 @@ impl Telemetry {
             .entry(name.to_string())
             .or_default()
             .clone()
-    }
-
-    /// Resolve a counter handle only when telemetry is enabled; `None`
-    /// otherwise. Lets hot paths skip registry access entirely.
-    pub fn counter_if_enabled(&self, name: &str) -> Option<Arc<Counter>> {
-        if self.is_enabled() {
-            Some(self.counter(name))
-        } else {
-            None
-        }
     }
 
     // ---- events & sinks ---------------------------------------------
@@ -341,65 +355,18 @@ impl Telemetry {
     }
 }
 
-static GLOBAL: OnceLock<Arc<Telemetry>> = OnceLock::new();
-
-/// The process-wide telemetry hub. Starts disabled; instrumented library
-/// code is a no-op until a binary enables it.
-pub fn global() -> &'static Telemetry {
-    GLOBAL.get_or_init(|| Arc::new(Telemetry::new()))
-}
-
-/// The process-wide hub as an owned handle, for code that stores its
-/// telemetry (e.g. `GatewayConfig`) so tests can inject a scoped hub
-/// instead of contending on the global one.
-pub fn global_arc() -> Arc<Telemetry> {
-    GLOBAL.get_or_init(|| Arc::new(Telemetry::new())).clone()
-}
-
-/// Convenience startup for binaries: enable the global hub and, when
-/// `jsonl_path` is given, attach a JSONL sink writing there. Returns the
-/// sink so callers can flush explicitly.
-///
-/// The environment can veto: `DEEPBAT_TELEMETRY=0|off|false` leaves the
-/// hub disabled and attaches no sink.
-pub fn init_from_env(jsonl_path: Option<&std::path::Path>) -> Option<Arc<JsonlSink>> {
-    if let Ok(v) = std::env::var("DEEPBAT_TELEMETRY") {
-        if matches!(
-            v.to_ascii_lowercase().as_str(),
-            "0" | "off" | "false" | "no"
-        ) {
-            return None;
-        }
-    }
-    let t = global();
-    t.enable();
-    match jsonl_path {
-        Some(path) => match JsonlSink::create(path) {
-            Ok(sink) => {
-                let sink = Arc::new(sink);
-                t.add_sink(sink.clone());
-                Some(sink)
-            }
-            Err(e) => {
-                log_warn!(
-                    "telemetry",
-                    "cannot open JSONL sink {}: {e}",
-                    path.display()
-                );
-                None
-            }
-        },
-        None => None,
-    }
+/// Whether a `DEEPBAT_TELEMETRY` value switches telemetry off.
+fn vetoes(value: &str) -> bool {
+    matches!(
+        value.to_ascii_lowercase().as_str(),
+        "0" | "off" | "false" | "no"
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use serde_json::json;
-
-    // These tests use private hubs, not `global()`, so they can run in
-    // parallel without crosstalk.
 
     #[test]
     fn disabled_hub_emits_nothing() {
@@ -409,7 +376,16 @@ mod tests {
         assert!(!t.is_enabled());
         t.emit("x", json!({"a": 1}));
         assert!(sink.events_of_kind("x").is_empty());
-        assert!(t.counter_if_enabled("c").is_none());
+    }
+
+    #[test]
+    fn the_veto_reads_off_switches_only() {
+        for off in ["0", "off", "OFF", "false", "False", "no"] {
+            assert!(vetoes(off), "{off}");
+        }
+        for on in ["1", "on", "true", "yes", "", "offline"] {
+            assert!(!vetoes(on), "{on}");
+        }
     }
 
     #[test]

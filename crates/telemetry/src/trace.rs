@@ -288,10 +288,6 @@ impl Tracer {
         self.refresh_active();
     }
 
-    pub fn disable_flight(&self) {
-        self.enable_flight(0);
-    }
-
     /// The no-op gate: false means [`Tracer::record_many`] returns after
     /// one relaxed load. Call sites building non-trivial events should check
     /// it first.
@@ -452,7 +448,7 @@ mod tests {
         // Take leaves the ring armed but empty.
         assert!(tr.take_flight().is_empty());
         assert!(tr.is_active());
-        tr.disable_flight();
+        tr.enable_flight(0);
         assert!(!tr.is_active());
     }
 

@@ -39,14 +39,13 @@ fn main() {
     let horizon = app.gateway.horizon_s;
     let speedup = app.gateway.speedup;
     let decision_interval = app.sim.decision_interval_s.min(horizon);
-    deepbat::telemetry::init_from_env(None);
-    let tel = telemetry();
-    tel.enable();
+    // The run's hub: enabled unless `DEEPBAT_TELEMETRY=0|off|false|no`.
+    let tel = Telemetry::from_env(None);
 
     // Pull-based metrics endpoint (opt-in): Prometheus text at /metrics,
     // JSON at /snapshot, served from a plain std TcpListener thread.
     let exporter = app.gateway.metrics_addr.as_deref().map(|addr| {
-        match MetricsExporter::start(global_arc(), addr) {
+        match MetricsExporter::start(tel.clone(), addr) {
             Ok(e) => {
                 println!("metrics exporter listening on http://{}/metrics", e.addr());
                 e
@@ -104,6 +103,7 @@ fn main() {
         decision_interval,
         slo: app.sim.slo,
         percentile: app.sim.percentile,
+        telemetry: tel.clone(),
         ..GatewayConfig::default()
     };
     let gateway = Gateway::start_controlled(

@@ -38,11 +38,8 @@ fn main() {
     let params = SimParams::default();
 
     // Stream telemetry as JSONL next to the figure outputs.
-    let tel = telemetry();
-    let tel_dir = std::path::Path::new("target/deepbat/telemetry");
-    std::fs::create_dir_all(tel_dir).expect("create telemetry dir");
-    let jsonl = tel_dir.join("online_controller.jsonl");
-    deepbat::telemetry::init_from_env(Some(&jsonl));
+    let jsonl = std::path::Path::new("target/deepbat/telemetry/online_controller.jsonl");
+    let tel = Telemetry::from_env(Some(jsonl));
 
     // A workload that shifts intensity mid-stream (quiet -> burst).
     let quiet = Map::poisson(15.0);
@@ -63,7 +60,7 @@ fn main() {
         },
         5,
     );
-    train(
+    let report = train(
         &mut model,
         &data,
         &TrainConfig {
@@ -71,6 +68,7 @@ fn main() {
             ..TrainConfig::default()
         },
     );
+    report.publish(&tel);
 
     // DeepBAT as a closed-loop controller.
     let mut ctl = DeepBatController::new(grid, slo);
@@ -83,6 +81,7 @@ fn main() {
         .slo(slo)
         .percentile(percentile)
         .decision_interval(decision_interval)
+        .telemetry(tel.clone())
         .build()
         .expect("valid sim config");
     // Emits every committed record as a `controller.decision` event.

@@ -17,7 +17,7 @@ for line in sys.stdin:
 }
 
 bins="$(executables -p dbat-bench -p dbat-core -p dbat-nn -p dbat-telemetry -p dbat-workload --lib)
-$(executables --test integration_pipeline --test integration_telemetry)"
+$(executables --test integration_pipeline --test integration_controllers)"
 for bin in $bins; do
     "$bin" -q &
     first=$!

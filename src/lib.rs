@@ -116,9 +116,7 @@ pub mod prelude {
         FunctionGroup, IntervalMeasurement, LambdaConfig, OracleGroupScorer, RunOutcome, SimConfig,
         SimOutcome, SimParams, StaticController,
     };
-    pub use dbat_telemetry::{
-        global as telemetry, global_arc, MetricsExporter, Telemetry, TraceEvent, TraceStage,
-    };
+    pub use dbat_telemetry::{MetricsExporter, Telemetry, TraceEvent, TraceStage};
     pub use dbat_workload::{
         AppConfig, ClassedTrace, Map, Mmpp2, RequestClass, Rng, Trace, TraceKind, HOUR,
     };

@@ -1,9 +1,14 @@
 //! Fault-injection integration: seeded determinism across the public API,
-//! retry billing against hand-computed GB-seconds, and the graceful
-//! degradation loop engaging/disengaging under injected faults.
+//! retry billing against hand-computed GB-seconds, the graceful
+//! degradation loop engaging/disengaging under injected faults, and what
+//! a faulted closed loop traces and reports into its own hub.
 
 use deepbat::prelude::*;
 use deepbat::sim::{ColdStartFault, FailureFault, RetryPolicy, StragglerFault, ThrottleFault};
+use deepbat::telemetry::{Event, MemorySink};
+use std::collections::HashMap;
+use std::sync::Arc;
+use TraceStage::{Admit, Complete, Dispatch, Enqueue, Flush};
 
 fn bursty_trace(seed: u64, horizon: f64) -> Trace {
     let map = Mmpp2::from_targets(60.0, 40.0, 10.0, 0.3).to_map().unwrap();
@@ -173,4 +178,103 @@ fn throttle_and_straggler_faults_surface_in_run_outcome() {
     let lost: usize = out.measurements.iter().map(|m| m.lost).sum();
     assert_eq!(out.counts.lost_requests(), lost);
     assert!(lost <= arrived);
+}
+
+/// A request the fault model sheds or retries out is lost: it gets its
+/// `Admit` and `Enqueue` events and nothing else. It is never dispatched
+/// or completed (at t = 0 or at all), and it never anchors a batch's
+/// `Flush`.
+#[test]
+fn lost_requests_are_traced_as_admitted_and_never_completed() {
+    let trace = TraceKind::AzureLike.generate_for(11, 120.0);
+    let throttle = ThrottleFault {
+        max_concurrency: 1,
+        queue_capacity: 1,
+    };
+    let plan = FaultPlan::builder().seed(3).throttle(throttle).build();
+    let opts = SimConfig::builder()
+        .slo(0.1)
+        .faults(plan.unwrap())
+        .build()
+        .unwrap();
+    let mut ctl = StaticController::new(LambdaConfig::new(1024, 1, 0.0), 0.1);
+    opts.telemetry.tracer().enable_capture();
+    let run = run_controller(&mut ctl, &trace, 0.0, 120.0, &opts);
+    let events = opts.telemetry.tracer().drain();
+
+    let offered: usize = run.measurements.iter().map(|m| m.requests).sum();
+    let served = offered - run.counts.lost_requests();
+    assert_eq!(offered, trace.len());
+    assert!(served < offered, "the throttle must shed requests");
+    let of = |stage| {
+        events
+            .iter()
+            .filter(move |e: &&TraceEvent| e.stage == stage)
+    };
+    let counts = [Admit, Enqueue, Dispatch, Complete].map(|stage| of(stage).count());
+    assert_eq!(counts, [offered, offered, served, served]);
+    let stamps = |stage| of(stage).map(|e| (e.trace, e.t)).collect::<HashMap<_, _>>();
+    let (admitted, completed) = (stamps(Admit), stamps(Complete));
+    for (id, done) in &completed {
+        assert!(
+            *done >= admitted[id],
+            "{id:?} completed before its admission"
+        );
+    }
+    for flush in of(Flush) {
+        let never_served = format!("{:?} anchors a flush but was never served", flush.trace);
+        assert!(completed.contains_key(&flush.trace), "{never_served}");
+    }
+}
+
+/// A policy that always violates, behind the degradation wrapper and run
+/// on the same flight-armed hub: the wrapper's `controller.degradation`
+/// events and its post-mortem reach that hub, and the dump holds this
+/// run's own trace, up to the interval that tripped it.
+#[test]
+fn a_degradation_dumps_this_runs_flight_into_its_hub() {
+    let trace = bursty_trace(17, 600.0);
+    let (hub, sink) = (Arc::new(Telemetry::new()), Arc::new(MemorySink::new()));
+    hub.enable();
+    hub.add_sink(sink.clone());
+    hub.tracer().enable_flight(4096);
+    let opts = SimConfig::builder()
+        .slo(0.1)
+        .telemetry(hub.clone())
+        .build()
+        .unwrap();
+    // A 5 s window timeout cannot meet a 100 ms SLO.
+    let inner = StaticController::new(LambdaConfig::new(512, 32, 5.0), 0.1);
+    let mut ctl = GracefulController::new(inner, 0.1);
+    ctl.telemetry = hub.clone();
+    let out = run_controller(&mut ctl, &trace, 0.0, 600.0, &opts);
+
+    // Three violations engage the safe configuration, which meets the SLO
+    // and re-arms the wrapper three intervals later, and so on.
+    let transitions = sink.events_of_kind("controller.degradation");
+    let index = |e: &Event| e.data["index"].as_u64().unwrap() as usize;
+    let engaged: Vec<usize> = (transitions.iter())
+        .filter(|e| e.data["engaged"].as_bool() == Some(true))
+        .map(index)
+        .collect();
+    assert_eq!(engaged.len(), ctl.monitor.engagements());
+    assert_eq!(engaged[0], 2, "the third violation engages");
+    assert!(transitions.len() > engaged.len(), "the safe config re-arms");
+    for e in &transitions {
+        assert_eq!(e.data["at"].as_f64(), Some(out.records[index(e)].end));
+    }
+
+    // Each engagement dumps the ring: tagged, and naming only requests of
+    // this run offered up to the interval that last engaged.
+    let engaged_last = *engaged.last().unwrap();
+    let offered: usize = out.measurements[..=engaged_last]
+        .iter()
+        .map(|m| m.requests)
+        .sum();
+    let flight = sink.events_of_kind("trace.flight");
+    assert!(!flight.is_empty(), "the engagement dumped no flight events");
+    for e in &flight {
+        assert_eq!(e.data["why"].as_str(), Some("degradation"));
+        assert!(e.data["trace"].as_u64().unwrap() < offered as u64);
+    }
 }
