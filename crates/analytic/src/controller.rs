@@ -5,6 +5,7 @@
 
 use crate::optimizer::optimize_from_interarrivals;
 use dbat_sim::{ConfigGrid, Controller, DecisionContext, DecisionRecord, LambdaConfig, SimParams};
+use dbat_workload::Trace;
 use std::time::Instant;
 
 /// BATCH's control loop parameters and the state it carries between
@@ -99,6 +100,13 @@ impl Controller for BatchController {
         rec
     }
 
+    /// Where the refit for `next`'s refit interval reads from: `decide`'s
+    /// `fs`.
+    fn reads_from(&self, _history: &Trace, next: f64) -> f64 {
+        let r_idx = (next / self.refit_interval).floor() as usize;
+        r_idx.saturating_sub(1) as f64 * self.refit_interval
+    }
+
     fn audit(&self) -> &[DecisionRecord] {
         &self.records
     }
@@ -111,7 +119,6 @@ impl Controller for BatchController {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dbat_workload::Trace;
 
     #[test]
     fn sparse_interval_carries_previous_config() {

@@ -102,6 +102,19 @@ impl Controller for DeepBatController {
         rec
     }
 
+    /// The oldest arrival of the next window: the `seq_len + 1`-th most
+    /// recent before `next` ([`window_at_time`] reads `seq_len`
+    /// inter-arrivals). With fewer arrivals the window is padded from
+    /// all of them.
+    fn reads_from(&self, history: &Trace, next: f64) -> f64 {
+        let before = history.lower_bound(next);
+        let oldest = self
+            .model
+            .as_ref()
+            .and_then(|m| before.checked_sub(m.cfg.seq_len + 1));
+        oldest.map_or(f64::NEG_INFINITY, |i| history.timestamps()[i])
+    }
+
     fn audit(&self) -> &[DecisionRecord] {
         &self.records
     }
@@ -177,6 +190,12 @@ impl<C: Controller> Controller for GracefulController<C> {
         } else {
             self.inner.decide(ctx)
         }
+    }
+
+    /// The inner policy's lookback, degraded or not: a degraded spell
+    /// ends without notice, and the inner policy then reads its window.
+    fn reads_from(&self, history: &Trace, next: f64) -> f64 {
+        self.inner.reads_from(history, next)
     }
 
     fn observe(&mut self, measurement: &IntervalMeasurement) {

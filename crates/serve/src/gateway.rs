@@ -47,7 +47,7 @@
 
 use crate::backend::InferenceBackend;
 use crate::clock::{precise_timers, Clock};
-use crate::outcome::{Ledger, ServeCounts, ServeOutcome};
+use crate::outcome::{interval_of, Ledger, ServeCounts, ServeOutcome};
 use dbat_sim::{
     publish_decision, Admitted, BatcherCore, ClassAssignment, Controller, DecisionContext,
     DecisionRecord, Feedback, FlushReason, FormedBatch, FunctionGroup, IntervalMeasurement,
@@ -55,7 +55,7 @@ use dbat_sim::{
 };
 use dbat_telemetry::{Counter, Gauge, Histogram, Telemetry};
 use dbat_workload::ClassId;
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
@@ -134,11 +134,11 @@ pub struct GatewayConfig {
     pub slo: f64,
     pub percentile: f64,
     /// Keep per-request / per-batch records for the final
-    /// [`ServeOutcome`]. Disable for pure throughput harnesses, where
-    /// millions of records would dominate memory and the worker's
-    /// done-lock hold time; counts, telemetry, and conservation are
-    /// unaffected. Controlled runs require records (measurements are
-    /// computed from them) and panic if this is off.
+    /// [`ServeOutcome`], and nothing else. Disable for long or
+    /// throughput runs, where millions of records would dominate memory
+    /// and the worker's done-lock hold time; counts, telemetry,
+    /// conservation and a controlled run's interval measurements are
+    /// unaffected.
     pub record_outcome: bool,
     /// The telemetry hub this gateway reports to, traces into and, when
     /// controlled, publishes its decisions' `controller.*` metrics to. A
@@ -186,10 +186,10 @@ struct Reconfig {
 struct Inbox {
     /// Admitted on this lane, not yet handed to the lane's batcher.
     pending: VecDeque<Admitted>,
-    /// `(id, arrival)` of every request accepted on this lane, sorted by
-    /// arrival (stamps are taken under this lock from a monotonic
-    /// clock). Only kept when a control thread needs the history.
-    log: Vec<Admitted>,
+    /// Arrival stamps since the control thread last took them, sorted
+    /// (stamped under this lock from a monotonic clock). Only kept for a
+    /// control thread.
+    log: Vec<f64>,
     submitted: u64,
     accepted: u64,
     rejected: u64,
@@ -344,7 +344,7 @@ struct Shared {
     /// Dense gateway-global request ids (the only other shared word the
     /// admit path touches).
     next_id: AtomicU64,
-    /// Keep the arrival log (needed by the control thread).
+    /// Log arrival stamps for the control thread.
     record_arrivals: bool,
     /// Class → lane routing for grouped gateways (`None` = homogeneous).
     routes: Option<ClassAssignment>,
@@ -419,11 +419,6 @@ impl Gateway {
             cfg.decision_interval > 0.0,
             "decision interval must be positive"
         );
-        assert!(
-            ctl.is_none() || cfg.record_outcome,
-            "controlled runs measure intervals from per-request records; \
-             record_outcome must stay enabled"
-        );
         // Grouped gateways: one lane per function group, class-routed
         // admissions, per-group configs fixed at startup (the joint
         // decide runs offline — a control thread would overwrite the
@@ -467,7 +462,10 @@ impl Gateway {
         let lanes = (0..n_lanes).map(|_| Lane::new()).collect();
         let record_arrivals = ctl.is_some();
         let n_workers = cfg.workers;
-        let ledger = Ledger::new(cfg.record_outcome);
+        let ledger = Ledger::new(
+            cfg.record_outcome,
+            record_arrivals.then_some(cfg.decision_interval),
+        );
         let shared = Arc::new(Shared {
             cfg,
             clock,
@@ -623,7 +621,7 @@ impl Gateway {
             class: req.class,
         };
         if shared.record_arrivals {
-            inbox.log.push(admitted);
+            inbox.log.push(arrival);
         }
         inbox.pending.push_back(admitted);
         inbox.accepted += 1;
@@ -918,11 +916,15 @@ fn worker_loop(shared: &Shared) {
 }
 
 /// The control thread: waits out each decision interval on the gateway
-/// clock, re-decides at the boundary from the observed arrival history,
-/// hands the reconfiguration to the lane, and closes completed intervals
+/// clock, re-decides at the boundary from the arrivals it keeps, hands
+/// the reconfiguration to the lane, and closes completed intervals
 /// through the [`Feedback`] protocol, in order. A controlled gateway is
-/// ungrouped, so lane 0 is its only lane and its log, stamped under the
-/// lane lock, is already sorted.
+/// ungrouped, so lane 0 is its only lane.
+///
+/// It keeps the stamps its controller may still read, from
+/// [`Controller::reads_from`] of the next boundary on, and a count of
+/// admissions per open interval; measurements come from the ledger's
+/// per-interval accumulators.
 fn control_loop(
     shared: &Shared,
     stop: &ControlStop,
@@ -932,9 +934,15 @@ fn control_loop(
     precise_timers();
     let lane = &shared.lanes[0];
     let interval = shared.cfg.decision_interval;
-    let mut pending: VecDeque<(DecisionRecord, Instant)> = VecDeque::new();
-    pending.push_back((first, Instant::now()));
+    let tel = &shared.cfg.telemetry;
+    let retained = tel.is_enabled().then(|| tel.gauge("serve.control.history"));
+    // Decided intervals not yet closed: index, record, decision instant.
+    let mut decided = VecDeque::from([(0, first, Instant::now())]);
     let mut feedback = Feedback::default();
+    // The sorted arrival stamps a decision may still read, and the
+    // admissions counted into each interval not yet closed.
+    let mut history: Vec<f64> = Vec::new();
+    let mut arrived: BTreeMap<usize, usize> = BTreeMap::new();
     let mut k = 0usize;
     loop {
         let boundary = (k + 1) as f64 * interval;
@@ -951,125 +959,92 @@ fn control_loop(
                 guard = stop.cv.wait_timeout(guard, wait).unwrap().0;
             }
         };
-        if stopped {
-            break;
+        // Take what the lane logged since the last boundary (a swap); every
+        // request stamped before `seen` is in it.
+        let (fresh, seen) = {
+            let mut inbox = lane.inbox.lock().unwrap();
+            (std::mem::take(&mut inbox.log), shared.clock.now())
+        };
+        for &t in &fresh {
+            *arrived.entry(interval_of(t, interval)).or_default() += 1;
         }
-        // Decide for [boundary, boundary + interval) from what has been
-        // observed so far (never peeking past the boundary).
-        let arrivals: Vec<f64> = {
-            let inbox = lane.inbox.lock().unwrap();
-            inbox.log.iter().map(|a| a.arrival).collect()
-        };
-        let horizon = shared
-            .clock
-            .now()
-            .max(boundary)
-            .max(arrivals.last().copied().unwrap_or(0.0) + 1e-9);
-        let trace = dbat_workload::Trace::new(arrivals, horizon);
-        let ctx = DecisionContext {
-            trace: &trace,
-            start: boundary,
-            end: boundary + interval,
-            index: k + 1,
-        };
-        let rec = Feedback::decide(ctl.as_mut(), &ctx);
-        publish_decision(&shared.cfg.telemetry, &rec);
-        // The batcher applies the boundary-stamped command in its
-        // arrival order.
-        let mut inbox = lane.inbox.lock().unwrap();
-        inbox.reconfigs.push_back(Reconfig {
-            config: rec.config,
-            boundary,
-        });
-        lane.wake_batcher(inbox);
-        if let Some(tel) = &shared.tel {
-            tel.reconfig.inc();
-            // Stamped at the decision boundary on the gateway clock, so
-            // the event lines up with the requests' own stamps.
-            shared.cfg.telemetry.emit_at(
-                "serve.reconfig",
+        history.extend(fresh);
+        let next = (k + 2) as f64 * interval;
+        // Every stamp taken is before `seen`.
+        let trace = dbat_workload::Trace::new(history, seen.max(boundary));
+        if !stopped {
+            // Decide for [boundary, next) from what has been observed so
+            // far (never peeking past the boundary).
+            let ctx = DecisionContext {
+                trace: &trace,
+                start: boundary,
+                end: next,
+                index: k + 1,
+            };
+            let rec = Feedback::decide(ctl.as_mut(), &ctx);
+            publish_decision(tel, &rec);
+            // The batcher applies the boundary-stamped command in its
+            // arrival order.
+            let mut inbox = lane.inbox.lock().unwrap();
+            inbox.reconfigs.push_back(Reconfig {
+                config: rec.config,
                 boundary,
-                dbat_telemetry::serde_json::to_value(&rec),
-            );
-        }
-        pending.push_back((rec, Instant::now()));
-        finalize_intervals(shared, ctl.as_mut(), &mut pending, &mut feedback, false);
-        k += 1;
-    }
-    // Shutdown already waited for completed == accepted, so everything
-    // left can be finalised unconditionally.
-    finalize_intervals(shared, ctl.as_mut(), &mut pending, &mut feedback, true);
-    feedback
-}
-
-/// Finalise decided intervals head-of-line: once an interval has ended
-/// and every request that arrived in it has completed, measure it from
-/// the served records and close it.
-fn finalize_intervals(
-    shared: &Shared,
-    ctl: &mut dyn Controller,
-    pending: &mut VecDeque<(DecisionRecord, Instant)>,
-    feedback: &mut Feedback,
-    force: bool,
-) {
-    while let Some(&(rec, wall)) = pending.front() {
-        if !force && shared.clock.now() < rec.end {
-            break;
-        }
-        // Ids of every request that arrived in [start, end) on the one
-        // lane (its log is sorted by arrival).
-        let ids: Vec<u64> = {
-            let inbox = shared.lanes[0].inbox.lock().unwrap();
-            let lo = inbox.log.partition_point(|a| a.arrival < rec.start);
-            let hi = inbox.log.partition_point(|a| a.arrival < rec.end);
-            inbox.log[lo..hi].iter().map(|a| a.id).collect()
-        };
-        // `None`: an interval nothing arrived in.
-        let mut measured = None;
-        if !ids.is_empty() {
-            let done = shared.done.lock().unwrap();
-            let served = ids.iter().all(|&id| {
-                done.ledger
-                    .requests
-                    .get(id as usize)
-                    .is_some_and(|r| r.is_some())
             });
-            // An unserved request under `force` should be unreachable:
-            // shutdown drains before stopping the control thread. Commit
-            // unmeasured rather than hang.
-            if !served && !force {
+            lane.wake_batcher(inbox);
+            if let Some(tel) = &shared.tel {
+                tel.reconfig.inc();
+                // Stamped at the decision boundary on the gateway clock, so
+                // the event lines up with the requests' own stamps.
+                shared.cfg.telemetry.emit_at(
+                    "serve.reconfig",
+                    boundary,
+                    dbat_telemetry::serde_json::to_value(&rec),
+                );
+            }
+            decided.push_back((k + 1, rec, Instant::now()));
+        }
+        // Close decided intervals head-of-line: once one has ended by
+        // `seen` and every request that arrived in it has settled, measure
+        // it from its ledger accumulator. After the drain (`stopped`),
+        // close everything decided.
+        while let Some(&(i, rec, wall)) = decided.front() {
+            if !stopped && seen < (i + 1) as f64 * interval {
                 break;
             }
-            if served {
-                let latencies: Vec<f64> = ids
-                    .iter()
-                    .map(|&id| {
-                        done.ledger.requests[id as usize]
-                            .as_ref()
-                            .expect("checked")
-                            .latency()
-                    })
-                    .collect();
-                let cost: f64 = done
-                    .ledger
-                    .batches
-                    .iter()
-                    .filter(|b| b.opened_at >= rec.start && b.opened_at < rec.end)
-                    .map(|b| b.cost)
-                    .sum();
-                measured = Some(IntervalMeasurement::new(
+            let n = arrived.get(&i).copied().unwrap_or(0);
+            let mut done = shared.done.lock().unwrap();
+            let Some(acc) = done.ledger.close_interval(i, n, stopped) else {
+                break;
+            };
+            drop(done);
+            // `None`: an interval nothing arrived in. An unserved request
+            // after the drain should be unreachable: commit it unmeasured
+            // rather than hang.
+            let measured = (n > 0 && acc.latencies.len() == n).then(|| {
+                IntervalMeasurement::new(
                     (rec.start, rec.end),
                     rec.config,
-                    LatencySummary::from_latencies(&latencies),
-                    cost / ids.len() as f64,
-                    ids.len(),
+                    LatencySummary::from_latencies(&acc.latencies),
+                    acc.cost / n as f64,
+                    n,
                     (shared.cfg.slo, shared.cfg.percentile),
                     wall.elapsed().as_secs_f64(),
-                ));
-            }
+                )
+            });
+            feedback.close(ctl.as_mut(), rec, measured);
+            decided.pop_front();
+            arrived.remove(&i);
         }
-        feedback.close(ctl, rec, measured);
-        pending.pop_front();
+        if stopped {
+            return feedback;
+        }
+        // Keep only what a later decision may read.
+        let from = ctl.reads_from(&trace, next);
+        history = trace.timestamps()[trace.lower_bound(from)..].to_vec();
+        if let Some(gauge) = &retained {
+            gauge.set(history.len() as f64);
+        }
+        k += 1;
     }
 }
 

@@ -12,6 +12,7 @@ use dbat_sim::{
 use dbat_telemetry::{FlushKind, SpanId, TraceConfig, TraceEvent, TraceId, TraceStage};
 use dbat_workload::ClassId;
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 
 /// One request as served by the gateway.
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
@@ -153,6 +154,23 @@ impl ServeOutcome {
     }
 }
 
+/// The decision interval `k` with `k·width ≤ t < (k + 1)·width`. The
+/// quotient can round across a boundary; the bounds are the products.
+pub(crate) fn interval_of(t: f64, width: f64) -> usize {
+    let q = (t / width) as usize;
+    q + usize::from(t >= (q + 1) as f64 * width) - usize::from(q > 0 && t < q as f64 * width)
+}
+
+/// What has settled of one decision interval, filed by
+/// [`Ledger::settle`] and taken whole when the interval closes.
+#[derive(Default)]
+pub(crate) struct IntervalAcc {
+    /// Latencies of the requests that arrived in it, in settle order.
+    pub(crate) latencies: Vec<f64>,
+    /// Billed cost of the batches opened in it, summed in settle order.
+    pub(crate) cost: f64,
+}
+
 /// Everything a run has served so far, filed one batch at a time by
 /// [`Ledger::settle`] — the live worker's settle (under the gateway's
 /// `done` lock) and the replay's are this one call.
@@ -161,11 +179,16 @@ pub(crate) struct Ledger {
     /// Keep per-request and per-batch records
     /// (`GatewayConfig::record_outcome`; replays always do).
     record: bool,
+    /// A controlled run's decision interval `I`: interval `k` is
+    /// `[k·I, (k + 1)·I)`. `None` without a control thread.
+    interval: Option<f64>,
+    /// The open intervals' accumulators, by interval.
+    open: BTreeMap<usize, IntervalAcc>,
     /// Indexed by request id; `Some` once served. Empty without records.
-    pub(crate) requests: Vec<Option<ServedRequest>>,
+    requests: Vec<Option<ServedRequest>>,
     /// In settle order: completion order live, dispatch order in replays.
     /// Empty without records.
-    pub(crate) batches: Vec<ServedBatch>,
+    batches: Vec<ServedBatch>,
     /// Billed cost, accumulated in settle order.
     total_cost: f64,
     /// Requests settled.
@@ -176,11 +199,26 @@ pub(crate) struct Ledger {
 }
 
 impl Ledger {
-    pub(crate) fn new(record: bool) -> Ledger {
+    /// A ledger keeping records when `record`, and accumulating each
+    /// decision interval when given one.
+    pub(crate) fn new(record: bool, interval: Option<f64>) -> Ledger {
         Ledger {
             record,
+            interval,
             ..Ledger::default()
         }
+    }
+
+    /// Remove interval `k`'s accumulator once the `arrived` requests that
+    /// arrived in it have all settled, or with `force`.
+    pub(crate) fn close_interval(
+        &mut self,
+        k: usize,
+        arrived: usize,
+        force: bool,
+    ) -> Option<IntervalAcc> {
+        let settled = self.open.get(&k).map_or(0, |acc| acc.latencies.len());
+        (settled >= arrived || force).then(|| self.open.remove(&k).unwrap_or_default())
     }
 
     /// File one executed batch that completed at `completed_at`: its
@@ -206,6 +244,18 @@ impl Ledger {
         self.settled += 1;
         self.completed += fb.requests.len() as u64;
         self.total_cost += plan.cost;
+        if let Some(width) = self.interval {
+            // A batch's cost goes to the interval it opened in, each
+            // member's latency to the interval it arrived in.
+            let open = &mut self.open;
+            open.entry(interval_of(fb.opened_at, width))
+                .or_default()
+                .cost += plan.cost;
+            for r in &fb.requests {
+                let acc = open.entry(interval_of(r.arrival, width)).or_default();
+                acc.latencies.push(completed_at - r.arrival);
+            }
+        }
         if let Some(out) = trace {
             let lane = fb.lane;
             out.reserve(1 + 5 * fb.requests.len());

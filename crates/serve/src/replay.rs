@@ -59,7 +59,7 @@ impl VirtualGateway {
             "arrivals must be non-negative"
         );
         let tracer = self.tel.tracer();
-        let mut ledger = Ledger::new(true);
+        let mut ledger = Ledger::new(true, None);
         // Tracing stages into a plain local Vec — the replay is
         // single-threaded, so per-event locks would be pure overhead —
         // and submits bounded chunks through one lock each.

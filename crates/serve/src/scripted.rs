@@ -6,6 +6,7 @@
 //! gateway against per-interval simulations.
 
 use dbat_sim::{Controller, DecisionContext, DecisionRecord, LambdaConfig};
+use dbat_workload::Trace;
 
 /// Applies `script[i]` to decision interval `i`, holding the last entry
 /// once the script runs out.
@@ -50,6 +51,11 @@ impl Controller for ScriptedController {
         )
     }
 
+    /// A script reads nothing.
+    fn reads_from(&self, _history: &Trace, _next: f64) -> f64 {
+        f64::INFINITY
+    }
+
     fn audit(&self) -> &[DecisionRecord] {
         &self.records
     }
@@ -62,7 +68,6 @@ impl Controller for ScriptedController {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dbat_workload::Trace;
 
     #[test]
     fn script_indexes_and_saturates() {

@@ -204,11 +204,13 @@ impl DecisionRecord {
     }
 }
 
-/// What a controller sees when asked for a decision: the trace up to (and
-/// including) the decision boundary, and the interval the choice governs.
-/// Controllers must only consult `trace` up to `start` — the driver hands
-/// the full trace for slicing convenience, but peeking past the boundary
-/// is clairvoyance (only [`OracleController`] does it, deliberately).
+/// What a controller sees when asked for a decision: the arrivals observed
+/// so far, and the interval the choice governs. Controllers must only
+/// consult `trace` up to `start`. The offline drivers hand the whole trace
+/// for slicing convenience, but peeking past the boundary is clairvoyance
+/// (only [`OracleController`] does it, deliberately). The live gateway
+/// hands what it has seen, from the stamp [`Controller::reads_from`]
+/// named at the previous decision.
 #[derive(Clone, Copy)]
 pub struct DecisionContext<'a> {
     pub trace: &'a Trace,
@@ -231,6 +233,14 @@ pub trait Controller {
 
     /// Choose a configuration for `[ctx.start, ctx.end)`.
     fn decide(&mut self, ctx: &DecisionContext<'_>) -> DecisionRecord;
+
+    /// The earliest arrival stamp that the decision at `next`, or any
+    /// later one, may read, given the arrivals observed so far. A live
+    /// driver drops older stamps, so its history is as long as the
+    /// controller's lookback. Default: every stamp (`-∞`).
+    fn reads_from(&self, _history: &Trace, _next: f64) -> f64 {
+        f64::NEG_INFINITY
+    }
 
     /// Feedback hook: the measured outcome of a previously decided
     /// interval. Default: ignore.
@@ -284,6 +294,11 @@ impl Controller for StaticController {
             self.slo,
             self.percentile,
         )
+    }
+
+    /// A fixed configuration reads nothing.
+    fn reads_from(&self, _history: &Trace, _next: f64) -> f64 {
+        f64::INFINITY
     }
 
     fn audit(&self) -> &[DecisionRecord] {

@@ -370,19 +370,6 @@ pub enum FaultEvent {
 }
 
 impl FaultEvent {
-    /// Event kind as a short label (telemetry / reports).
-    pub(crate) fn kind(&self) -> &'static str {
-        match self {
-            FaultEvent::ColdStart { .. } => "cold_start",
-            FaultEvent::Failure { .. } => "failure",
-            FaultEvent::Retry { .. } => "retry",
-            FaultEvent::Exhausted { .. } => "exhausted",
-            FaultEvent::Throttled { .. } => "throttled",
-            FaultEvent::Shed { .. } => "shed",
-            FaultEvent::Straggler { .. } => "straggler",
-        }
-    }
-
     /// Timestamp (trace seconds).
     pub fn at(&self) -> f64 {
         match *self {
@@ -394,61 +381,6 @@ impl FaultEvent {
             | FaultEvent::Shed { at, .. }
             | FaultEvent::Straggler { at, .. } => at,
         }
-    }
-}
-
-// The vendored serde derive covers named-field structs only, so the
-// event's tagged-object encoding is written by hand.
-impl Serialize for FaultEvent {
-    fn serialize(&self) -> serde::Value {
-        let mut m = serde::Map::new();
-        let mut put = |k: &str, v: f64| {
-            m.insert(k.to_string(), serde::Value::Number(v));
-        };
-        put("at", self.at());
-        match *self {
-            FaultEvent::ColdStart { batch, delay_s, .. } => {
-                put("batch", batch as f64);
-                put("delay_s", delay_s);
-            }
-            FaultEvent::Failure { batch, attempt, .. } => {
-                put("batch", batch as f64);
-                put("attempt", attempt as f64);
-            }
-            FaultEvent::Retry {
-                batch,
-                attempt,
-                backoff_s,
-                ..
-            } => {
-                put("batch", batch as f64);
-                put("attempt", attempt as f64);
-                put("backoff_s", backoff_s);
-            }
-            FaultEvent::Exhausted {
-                batch, requests, ..
-            }
-            | FaultEvent::Shed {
-                batch, requests, ..
-            } => {
-                put("batch", batch as f64);
-                put("requests", requests as f64);
-            }
-            FaultEvent::Throttled { batch, .. } => {
-                put("batch", batch as f64);
-            }
-            FaultEvent::Straggler {
-                batch, multiplier, ..
-            } => {
-                put("batch", batch as f64);
-                put("multiplier", multiplier);
-            }
-        }
-        m.insert(
-            "kind".to_string(),
-            serde::Value::String(self.kind().to_string()),
-        );
-        serde::Value::Object(m)
     }
 }
 
@@ -490,7 +422,7 @@ impl FaultCounts {
 /// batch record per *attempt* (so `sim.total_cost` includes re-billed
 /// retries and cold-start GB-seconds); unserved requests keep zeroed
 /// dispatch/completion fields and are excluded via [`FaultSimOutcome::served`].
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct FaultSimOutcome {
     pub sim: SimOutcome,
     /// Per-request served flag, parallel to `sim.requests`.

@@ -28,17 +28,15 @@ pub fn publish_decision(hub: &Telemetry, rec: &DecisionRecord) {
 }
 
 /// Publish one simulated run under `config`: its window metrics (where an
-/// invocation is one attempt), one `sim.fault` event per injected fault,
-/// and the `sim.fault.*` and `sim.clamped_events` counters.
+/// invocation is one attempt) and the `sim.fault.*` and
+/// `sim.clamped_events` counters. The individual faults stay in
+/// [`FaultSimOutcome::events`] for callers that want them.
 pub fn publish_sim(hub: &Telemetry, out: &FaultSimOutcome, config: &LambdaConfig) {
     if !hub.is_enabled() {
         return;
     }
     let sizes = out.sim.batches.iter().map(|b| b.size);
     publish_windows(hub, out.sim.requests.len(), sizes, config.batch_size);
-    for ev in &out.events {
-        hub.emit("sim.fault", serde_json::to_value(ev));
-    }
     let c = &out.counts;
     for (name, n) in [
         ("sim.fault.cold_starts", c.cold_starts),

@@ -367,3 +367,88 @@ fn runs_in_one_process_see_only_their_own_hub() {
         "{counters}"
     );
 }
+
+/// A record with its wall-clock fields zeroed, in a form that compares
+/// every other field bit for bit.
+fn untimed(mut rec: DecisionRecord) -> String {
+    rec.infer_s = 0.0;
+    rec.encode_s = 0.0;
+    rec.decide_s = 0.0;
+    format!("{rec:?}")
+}
+
+/// Walk `n` decision boundaries twice: once handing the controller the
+/// whole trace, once the trace without every stamp before what
+/// `reads_from` named at an earlier boundary — stamps once dropped stay
+/// dropped, as in the live gateway's history. Both walks commit the same
+/// synthetic outcomes (three violations in every seven boundaries), so a
+/// degradation wrapper engages and re-arms alike in both. The records
+/// must agree, timing fields aside.
+fn assert_trimmed_history_decides_alike<C: Controller>(make: impl Fn() -> C, trace: &Trace) {
+    let (interval, n) = (15.0, 40);
+    let (mut whole, mut trimmed) = (make(), make());
+    let mut from = f64::NEG_INFINITY;
+    for k in 0..n {
+        let (start, end) = (k as f64 * interval, (k + 1) as f64 * interval);
+        let kept = Trace::new(
+            trace.timestamps()[trace.lower_bound(from)..].to_vec(),
+            trace.horizon(),
+        );
+        let ctx = |trace| DecisionContext {
+            trace,
+            start,
+            end,
+            index: k,
+        };
+        let a = whole.decide(&ctx(trace));
+        let b = trimmed.decide(&ctx(&kept));
+        assert_eq!(untimed(a), untimed(b), "{} at boundary {k}", whole.name());
+        for (ctl, mut rec) in [(&mut whole, a), (&mut trimmed, b)] {
+            rec.violation = Some(k % 7 < 3);
+            ctl.commit(rec);
+        }
+        // The next decision is at `end`; hand over every kept arrival
+        // before it, the most a control thread can hold by then.
+        let history = Trace::new(
+            kept.timestamps()[..kept.lower_bound(end)].to_vec(),
+            trace.horizon(),
+        );
+        from = from.max(trimmed.reads_from(&history, end));
+    }
+    assert!(
+        trace.lower_bound(from) > 0,
+        "{}: nothing was ever dropped",
+        whole.name()
+    );
+}
+
+/// Every controller's `reads_from` keeps what its later decisions read:
+/// DeepBAT (a tiny surrogate) its window, BATCH (a one-minute refit) the
+/// previous refit interval, the static and scripted policies nothing, and
+/// the degradation wrapper its inner policy's lookback, across degraded
+/// spells.
+#[test]
+fn trimmed_history_decides_like_the_whole_trace() {
+    let trace = shifting_trace(3);
+    let model = Arc::new(Surrogate::new(SurrogateConfig::tiny(), 2));
+    let batch = || {
+        let mut ctl = deepbat::analytic::BatchController::new(grid(), 0.1);
+        ctl.refit_interval = 60.0;
+        ctl
+    };
+    assert_trimmed_history_decides_alike(
+        || DeepBatController::new(ConfigGrid::tiny(), 0.1).with_model(model.clone()),
+        &trace,
+    );
+    assert_trimmed_history_decides_alike(batch, &trace);
+    assert_trimmed_history_decides_alike(
+        || StaticController::new(LambdaConfig::new(2048, 4, 0.05), 0.1),
+        &trace,
+    );
+    let script = vec![
+        LambdaConfig::new(2048, 4, 0.05),
+        LambdaConfig::new(1024, 8, 0.02),
+    ];
+    assert_trimmed_history_decides_alike(|| ScriptedController::new(script.clone(), 0.1), &trace);
+    assert_trimmed_history_decides_alike(|| GracefulController::new(batch(), 0.1), &trace);
+}

@@ -13,7 +13,8 @@
 //! endpoint must serve Prometheus text that agrees with both.
 
 use deepbat::prelude::*;
-use deepbat::serve::{BatcherCore, FlushReason};
+use deepbat::serve::{BatcherCore, FlushReason, ServeOutcome, ServedRequest};
+use deepbat::sim::LatencySummary;
 use std::sync::Arc;
 
 fn azure_trace(horizon: f64) -> Trace {
@@ -221,6 +222,230 @@ fn live_reconfiguration_never_splits_or_loses_work() {
     // double-counted, nothing dropped.
     let sizes: u64 = out.batches.iter().map(|b| b.size as u64).sum();
     assert_eq!(sizes, out.counts.completed);
+    assert_measurements_match_records(&out, (0.1, 95.0), "live reconfiguration");
+}
+
+/// The bits of a latency summary, for exact comparison.
+fn summary_bits(s: &LatencySummary) -> ([u64; 6], usize) {
+    let fields = [s.p50, s.p90, s.p95, s.p99, s.mean, s.max];
+    (fields.map(f64::to_bits), s.count)
+}
+
+/// Recompute every live interval measurement from the run's records, as
+/// a measurement is defined: the requests that arrived in `[start, end)`,
+/// the latency summary over them, and the cost of the batches opened in
+/// `[start, end)`, summed in `out.batches` order and divided by that
+/// request count. Each must equal its measurement bit for bit, and every
+/// decided interval that had arrivals must have been measured.
+fn assert_measurements_match_records(
+    out: &ServeOutcome,
+    (slo, percentile): (f64, f64),
+    what: &str,
+) {
+    let arrived = |start: f64, end: f64| -> Vec<&ServedRequest> {
+        out.requests
+            .iter()
+            .filter(|r| r.arrival >= start && r.arrival < end)
+            .collect()
+    };
+    let with_arrivals = out
+        .records
+        .iter()
+        .filter(|rec| !arrived(rec.start, rec.end).is_empty())
+        .count();
+    assert_eq!(
+        out.measurements.len(),
+        with_arrivals,
+        "{what}: measured intervals against intervals with arrivals"
+    );
+    for m in &out.measurements {
+        let members = arrived(m.start, m.end);
+        let latencies: Vec<f64> = members.iter().map(|r| r.latency()).collect();
+        let cost: f64 = out
+            .batches
+            .iter()
+            .filter(|b| b.opened_at >= m.start && b.opened_at < m.end)
+            .map(|b| b.cost)
+            .sum();
+        let summary = LatencySummary::from_latencies(&latencies);
+        let at = format!("{what}: interval [{}, {})", m.start, m.end);
+        assert_eq!(m.requests, members.len(), "{at}: requests");
+        assert_eq!(
+            summary_bits(&m.summary),
+            summary_bits(&summary),
+            "{at}: summary"
+        );
+        assert_eq!(
+            m.cost_per_request.to_bits(),
+            (cost / members.len() as f64).to_bits(),
+            "{at}: cost per request"
+        );
+        assert_eq!(m.violation, summary.percentile(percentile) > slo, "{at}");
+    }
+}
+
+/// A controlled gateway keeps no per-request records when asked not to,
+/// and still measures every interval that had arrivals: the ledger fills
+/// each interval's accumulator at settle. Which intervals had arrivals is
+/// read off the request trace's `Admit` stamps, which the gateway stages
+/// with or without records.
+#[test]
+fn controlled_gateway_measures_every_interval_without_records() {
+    let hub = Arc::new(Telemetry::new());
+    hub.tracer().enable_capture();
+    let cfg_a = LambdaConfig::new(2048, 8, 0.1);
+    let cfg_b = LambdaConfig::new(1024, 2, 0.02);
+    let script: Vec<LambdaConfig> = (0..32)
+        .map(|i| if i % 2 == 0 { cfg_a } else { cfg_b })
+        .collect();
+    let cfg = GatewayConfig {
+        queue_capacity: 4096,
+        workers: 4,
+        decision_interval: 0.5,
+        record_outcome: false,
+        telemetry: hub.clone(),
+        ..GatewayConfig::default()
+    };
+    let gateway = Gateway::start_controlled(
+        cfg,
+        Arc::new(WallClock::with_speedup(20.0)),
+        Arc::new(ProfiledBackend::default()),
+        Box::new(ScriptedController::new(script, 0.1)),
+    );
+    // Two bursts of steady traffic with a silent second between them.
+    let ts: Vec<f64> = (0..80)
+        .map(|i| i as f64 * 0.025)
+        .chain((0..40).map(|i| 3.0 + i as f64 * 0.025))
+        .collect();
+    let stats = deepbat::serve::drive(&gateway, &ts);
+    let out = gateway.shutdown(DrainMode::Graceful);
+
+    assert!(out.counts.conserved(), "{:?}", out.counts);
+    assert_eq!(out.counts.accepted, stats.accepted);
+    assert_eq!(out.counts.completed, out.counts.accepted);
+    assert!(out.requests.is_empty() && out.batches.is_empty());
+    let measured: usize = out.measurements.iter().map(|m| m.requests).sum();
+    assert_eq!(measured as u64, out.counts.accepted);
+
+    let admits: Vec<f64> = hub
+        .tracer()
+        .drain()
+        .iter()
+        .filter(|e| e.stage == TraceStage::Admit)
+        .map(|e| e.t)
+        .collect();
+    assert_eq!(admits.len() as u64, out.counts.accepted);
+    let arrived = |start: f64, end: f64| admits.iter().filter(|&&t| t >= start && t < end).count();
+    let with_arrivals = out
+        .records
+        .iter()
+        .filter(|rec| arrived(rec.start, rec.end) > 0)
+        .count();
+    assert!(out.records.len() >= 6, "expected several decisions");
+    assert_eq!(out.measurements.len(), with_arrivals);
+    for m in &out.measurements {
+        assert_eq!(m.requests, arrived(m.start, m.end));
+    }
+}
+
+/// A scripted controller that reads the last `keep` arrivals before each
+/// decision, as DeepBAT reads its window.
+struct ReadsLast {
+    inner: ScriptedController,
+    keep: usize,
+}
+
+impl Controller for ReadsLast {
+    fn name(&self) -> &'static str {
+        "reads-last"
+    }
+    fn decide(&mut self, ctx: &DecisionContext<'_>) -> DecisionRecord {
+        self.inner.decide(ctx)
+    }
+    fn reads_from(&self, history: &Trace, next: f64) -> f64 {
+        let oldest = history.lower_bound(next).checked_sub(self.keep);
+        oldest.map_or(f64::NEG_INFINITY, |i| history.timestamps()[i])
+    }
+    fn audit(&self) -> &[DecisionRecord] {
+        self.inner.audit()
+    }
+    fn audit_mut(&mut self) -> &mut Vec<DecisionRecord> {
+        self.inner.audit_mut()
+    }
+}
+
+/// The control thread's history is as long as its controller's lookback,
+/// not as the run: the `serve.control.history` gauge peaks no higher
+/// over 400 decision intervals of steady load than over 100, give or
+/// take one interval's arrivals. (A history that kept every arrival
+/// would peak four times higher.)
+#[test]
+fn control_history_is_bounded_by_the_lookback() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    const PER_INTERVAL: usize = 20;
+    const KEEP: usize = 50;
+    let peak = |intervals: usize| -> f64 {
+        let hub = Arc::new(Telemetry::new());
+        hub.enable();
+        let cfg = GatewayConfig {
+            initial: LambdaConfig::new(2048, 4, 0.01),
+            queue_capacity: 4096,
+            workers: 4,
+            decision_interval: 1.0,
+            telemetry: hub.clone(),
+            ..GatewayConfig::default()
+        };
+        let ctl = ReadsLast {
+            inner: ScriptedController::new(vec![LambdaConfig::new(2048, 4, 0.01)], 0.1),
+            keep: KEEP,
+        };
+        // 10 ms of real time per decision interval: the history holds
+        // more than `KEEP` stamps only while the control thread is late
+        // past the next boundary.
+        let gateway = Gateway::start_controlled(
+            cfg,
+            Arc::new(WallClock::with_speedup(100.0)),
+            Arc::new(ProfiledBackend::default()),
+            Box::new(ctl),
+        );
+        let gauge = hub.gauge("serve.control.history");
+        let done = AtomicBool::new(false);
+        let ts: Vec<f64> = (0..intervals * PER_INTERVAL)
+            .map(|i| i as f64 / PER_INTERVAL as f64)
+            .collect();
+        let peak = std::thread::scope(|scope| {
+            let sampler = scope.spawn(|| {
+                let mut peak = 0.0f64;
+                while !done.load(Ordering::Relaxed) {
+                    peak = peak.max(gauge.get());
+                    std::thread::sleep(std::time::Duration::from_micros(100));
+                }
+                peak.max(gauge.get())
+            });
+            deepbat::serve::drive(&gateway, &ts);
+            done.store(true, Ordering::Relaxed);
+            sampler.join().unwrap()
+        });
+        let out = gateway.shutdown(DrainMode::Graceful);
+        assert!(out.counts.conserved() && out.counts.completed == out.counts.accepted);
+        assert!(
+            out.records.len() >= intervals,
+            "{} decisions",
+            out.records.len()
+        );
+        peak
+    };
+    let short = peak(100);
+    let long = peak(400);
+    assert!(
+        short >= KEEP as f64,
+        "the gauge never showed the lookback: {short}"
+    );
+    assert!(
+        long <= short + PER_INTERVAL as f64,
+        "history grows with the run: peak {long} over 400 intervals, {short} over 100"
+    );
 }
 
 /// The hard observability invariant: switching request tracing ON (both
@@ -774,6 +999,8 @@ fn wakeup_stress_leg(
             out.records.len() >= 2,
             "{what}: no reconfiguration happened"
         );
+        // The configuration's SLO: `GatewayConfig::default()`'s.
+        assert_measurements_match_records(&out, (0.1, 95.0), &what);
     }
 
     // No admitted submit came back long after the space it took was freed.
