@@ -23,7 +23,6 @@ pub struct BatchController {
     fitted_idx: Option<usize>,
     last_refit_ok: bool,
     last_window_len: usize,
-    records: Vec<DecisionRecord>,
 }
 
 impl BatchController {
@@ -38,7 +37,6 @@ impl BatchController {
             fitted_idx: None,
             last_refit_ok: false,
             last_window_len: 0,
-            records: Vec::new(),
         }
     }
 }
@@ -105,14 +103,6 @@ impl Controller for BatchController {
     fn reads_from(&self, _history: &Trace, next: f64) -> f64 {
         let r_idx = (next / self.refit_interval).floor() as usize;
         r_idx.saturating_sub(1) as f64 * self.refit_interval
-    }
-
-    fn audit(&self) -> &[DecisionRecord] {
-        &self.records
-    }
-
-    fn audit_mut(&mut self) -> &mut Vec<DecisionRecord> {
-        &mut self.records
     }
 }
 

@@ -2,25 +2,19 @@
 
 use crate::fit::{fit_map, FittedMap};
 use crate::model::{AnalyticEvaluation, BatchModel};
-use dbat_sim::{ConfigGrid, SimParams};
+use dbat_sim::{select_config, ConfigGrid, SimParams};
 
 /// Pick the cheapest configuration whose `p`-th latency percentile meets the
-/// SLO; fall back to the lowest-latency configuration when none is feasible.
+/// SLO; fall back to the lowest-latency configuration when none is feasible
+/// (the one rule, [`select_config`], on the analytic percentiles).
 pub fn select_best(evals: &[AnalyticEvaluation], slo: f64, p: f64) -> Option<AnalyticEvaluation> {
-    if evals.is_empty() {
-        return None;
-    }
-    let feasible = evals
-        .iter()
-        .filter(|e| e.percentile(p) <= slo)
-        .min_by(|a, b| a.cost_per_request.partial_cmp(&b.cost_per_request).unwrap());
-    match feasible {
-        Some(e) => Some(*e),
-        None => evals
-            .iter()
-            .min_by(|a, b| a.percentile(p).partial_cmp(&b.percentile(p)).unwrap())
-            .copied(),
-    }
+    select_config(
+        evals,
+        |e| e.cost_per_request,
+        |e| e.percentile(p),
+        |l| l <= slo,
+    )
+    .map(|(e, _)| *e)
 }
 
 /// One full BATCH decision: fit a MAP to the observed interarrivals, solve
@@ -83,6 +77,20 @@ mod tests {
         let grid = ConfigGrid::tiny();
         let params = SimParams::default();
         assert!(optimize_from_interarrivals(&[0.1], &grid, &params, 0.1, 95.0).is_none());
+    }
+
+    /// NaN percentiles or costs are never chosen, feasible or fallback.
+    #[test]
+    fn select_best_skips_nan_evaluations() {
+        let model = BatchModel::new(Map::poisson(20.0), SimParams::default());
+        let mut evals = model.evaluate_grid(&ConfigGrid::tiny());
+        evals[0].cost_per_request = f64::NAN;
+        evals[1].percentiles = [f64::NAN; 4];
+        for slo in [10.0, 1e-6] {
+            let best = select_best(&evals, slo, 95.0).unwrap();
+            assert!(best.cost_per_request.is_finite() && best.percentile(95.0).is_finite());
+            assert!(best.config != evals[0].config && best.config != evals[1].config);
+        }
     }
 
     #[test]

@@ -34,7 +34,6 @@ pub struct DeepBatController {
     /// The surrogate `decide` consults (`None` until
     /// [`DeepBatController::with_model`]).
     model: Option<Arc<Surrogate>>,
-    records: Vec<DecisionRecord>,
 }
 
 impl std::fmt::Debug for DeepBatController {
@@ -44,7 +43,6 @@ impl std::fmt::Debug for DeepBatController {
             .field("decision_interval", &self.decision_interval)
             .field("bootstrap", &self.bootstrap)
             .field("model", &self.model.as_ref().map(|_| "Surrogate"))
-            .field("records", &self.records.len())
             .finish()
     }
 }
@@ -56,7 +54,6 @@ impl DeepBatController {
             decision_interval: 60.0,
             bootstrap: LambdaConfig::new(3008, 1, 0.0),
             model: None,
-            records: Vec::new(),
         }
     }
 
@@ -114,14 +111,6 @@ impl Controller for DeepBatController {
             .and_then(|m| before.checked_sub(m.cfg.seq_len + 1));
         oldest.map_or(f64::NEG_INFINITY, |i| history.timestamps()[i])
     }
-
-    fn audit(&self) -> &[DecisionRecord] {
-        &self.records
-    }
-
-    fn audit_mut(&mut self) -> &mut Vec<DecisionRecord> {
-        &mut self.records
-    }
 }
 
 /// Graceful degradation for any policy: while the wrapped controller's
@@ -148,7 +137,6 @@ pub struct GracefulController<C: Controller> {
     pub(crate) safe: LambdaConfig,
     pub(crate) slo: f64,
     pub(crate) percentile: f64,
-    records: Vec<DecisionRecord>,
 }
 
 impl<C: Controller> GracefulController<C> {
@@ -160,7 +148,6 @@ impl<C: Controller> GracefulController<C> {
             safe: LambdaConfig::new(4096, 1, 0.0),
             slo,
             percentile: 95.0,
-            records: Vec::new(),
         }
     }
 
@@ -202,7 +189,7 @@ impl<C: Controller> Controller for GracefulController<C> {
         self.inner.observe(measurement);
     }
 
-    fn commit(&mut self, record: DecisionRecord) {
+    fn commit(&mut self, record: &DecisionRecord) {
         let violated = record.violation.unwrap_or(false);
         let transition = self.monitor.observe(violated, record.online_ape());
         if let Some(engaged) = transition {
@@ -215,15 +202,6 @@ impl<C: Controller> Controller for GracefulController<C> {
                 self.telemetry.dump_flight("degradation");
             }
         }
-        self.records.push(record);
-    }
-
-    fn audit(&self) -> &[DecisionRecord] {
-        &self.records
-    }
-
-    fn audit_mut(&mut self) -> &mut Vec<DecisionRecord> {
-        &mut self.records
     }
 }
 
@@ -294,7 +272,9 @@ mod tests {
             StaticController::new(LambdaConfig::new(512, 32, 5.0), safe_slo),
             safe_slo,
         );
-        // Hand-drive the decide/commit protocol with synthetic outcomes.
+        // Hand-drive the protocol with synthetic outcomes; `Feedback`
+        // keeps the audit trail.
+        let mut feedback = dbat_sim::Feedback::default();
         static EMPTY_TRACE: std::sync::LazyLock<Trace> =
             std::sync::LazyLock::new(|| Trace::new(vec![], 1.0));
         let ctx = |i: usize| DecisionContext {
@@ -307,7 +287,7 @@ mod tests {
             let mut rec = ctl.decide(&ctx(i));
             assert!(!rec.degraded);
             rec.violation = Some(true);
-            ctl.commit(rec);
+            feedback.close(&mut ctl, rec, None);
         }
         assert!(ctl.is_degraded(), "three violations must engage fallback");
         // While degraded the safe config is applied without consulting
@@ -319,15 +299,15 @@ mod tests {
         for i in 3..6 {
             let mut rec = ctl.decide(&ctx(i));
             rec.violation = Some(false);
-            ctl.commit(rec);
+            feedback.close(&mut ctl, rec, None);
         }
         assert!(!ctl.is_degraded());
         let rec = ctl.decide(&ctx(6));
         assert!(!rec.degraded);
         assert_eq!(rec.config, LambdaConfig::new(512, 32, 5.0));
         // The audit trail kept every decision, flagged appropriately.
-        assert_eq!(ctl.audit().len(), 6);
-        assert_eq!(ctl.audit().iter().filter(|r| r.degraded).count(), 3);
+        assert_eq!(feedback.records.len(), 6);
+        assert_eq!(feedback.records.iter().filter(|r| r.degraded).count(), 3);
     }
 
     #[test]

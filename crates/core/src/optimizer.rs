@@ -5,7 +5,7 @@
 
 use crate::surrogate::{Surrogate, N_OUTPUTS};
 use dbat_nn::Tensor;
-use dbat_sim::{ConfigGrid, LambdaConfig, PERCENTILE_KEYS};
+use dbat_sim::{select_config, ConfigGrid, LambdaConfig, PERCENTILE_KEYS};
 use dbat_workload::stats::interp_tracked_percentile;
 use std::sync::{Arc, Mutex};
 
@@ -142,33 +142,23 @@ impl DeepBatOptimizer {
             .collect()
     }
 
-    /// The 2-step selection over a prediction table: cheapest config
-    /// meeting the γ-tightened SLO, else the lowest-latency fallback. A
-    /// config whose cost or constrained percentile is not finite is neither;
-    /// if that leaves nothing, the fallback is the latency-safest grid
-    /// point (most memory, then smallest batch, then shortest timeout).
+    /// The 2-step selection over a prediction table: [`select_config`] with
+    /// the γ-tightened SLO. If no prediction is finite, the fallback is the
+    /// latency-safest grid point (most memory, then smallest batch, then
+    /// shortest timeout).
     fn select(&self, all: &[ConfigPrediction]) -> (ConfigPrediction, bool) {
+        let meets = |l: f64| l * (1.0 + self.gamma) <= self.slo;
         let latency = |p: &ConfigPrediction| p.percentile(self.percentile);
-        let usable = all
-            .iter()
-            .filter(|p| p.cost_micro.is_finite() && latency(p).is_finite());
-        let feasible = usable
-            .clone()
-            .filter(|p| latency(p) * (1.0 + self.gamma) <= self.slo)
-            .min_by(|a, b| a.cost_micro.total_cmp(&b.cost_micro));
-        if let Some(&best) = feasible {
-            return (best, false);
+        if let Some((best, fallback)) = select_config(all, |p| p.cost_micro, latency, meets) {
+            return (*best, fallback);
         }
-        let fastest = usable.min_by(|a, b| latency(a).total_cmp(&latency(b)));
-        let safest = || {
-            all.iter().min_by(|a, b| {
-                let (a, b) = (a.config, b.config);
-                (b.memory_mb.cmp(&a.memory_mb))
-                    .then(a.batch_size.cmp(&b.batch_size))
-                    .then(a.timeout_s.total_cmp(&b.timeout_s))
-            })
-        };
-        (*fastest.or_else(safest).expect("grid is non-empty"), true)
+        let safest = all.iter().min_by(|a, b| {
+            let (a, b) = (a.config, b.config);
+            (b.memory_mb.cmp(&a.memory_mb))
+                .then(a.batch_size.cmp(&b.batch_size))
+                .then(a.timeout_s.total_cmp(&b.timeout_s))
+        });
+        (*safest.expect("grid is non-empty"), true)
     }
 
     /// Predict every grid configuration for one window: encode the sequence

@@ -1347,6 +1347,17 @@ mod tests {
         assert!(out.requests.is_empty());
         assert!(out.batches.is_empty());
         assert!(out.total_cost > 0.0, "cost still accumulates");
+        // Per-request cost and batch size come from the counts.
+        assert!((1..=100).contains(&out.settled_batches));
+        assert_eq!(
+            out.cost_per_request().to_bits(),
+            (out.total_cost / 100.0).to_bits()
+        );
+        assert_eq!(
+            out.mean_batch_size().to_bits(),
+            (100.0 / out.settled_batches as f64).to_bits()
+        );
+        assert!(out.cost_per_request() > 0.0 && out.mean_batch_size() >= 1.0);
     }
 
     /// A batch's span id is its settle index, which the ledger counts

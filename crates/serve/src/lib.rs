@@ -43,8 +43,7 @@
 //!   the [`Gateway`]'s control thread live. Both gateways file each served batch —
 //!   records, cost, trace events — through one settle
 //!   (`outcome::Ledger::settle`), so their outcomes are built one way.
-//! * [`drive`] — open-loop trace replay against a live gateway, plus
-//!   a multi-producer flat-out driver for the concurrency tests.
+//! * [`drive`] — open-loop trace replay against a live gateway.
 //! * [`ScriptedController`] — a controller replaying a fixed
 //!   configuration script (predetermined reconfigurations for tests and
 //!   ablations).
@@ -69,7 +68,7 @@ pub use clock::{Clock, WallClock};
 /// keep one import path.
 pub use dbat_sim::window::{Admitted, BatcherCore, FlushReason, FormedBatch};
 pub use gateway::{Admission, BackpressurePolicy, DrainMode, Gateway, GatewayConfig, Request};
-pub use loadgen::{drive, drive_classed, drive_concurrent};
+pub use loadgen::{drive, drive_classed};
 pub use outcome::{ServeCounts, ServeOutcome, ServedBatch, ServedRequest};
 pub use replay::VirtualGateway;
 pub use scripted::ScriptedController;

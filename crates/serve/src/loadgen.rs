@@ -14,7 +14,7 @@
 
 use crate::clock::precise_timers;
 use crate::gateway::{Admission, Gateway, Request};
-use dbat_workload::{ClassId, ClassedTrace};
+use dbat_workload::ClassedTrace;
 
 /// Tally of one load-generation run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -69,47 +69,6 @@ pub fn drive_classed(gateway: &Gateway, trace: &ClassedTrace) -> LoadStats {
         .zip(trace.labels())
         .map(|(&t, &c)| (t, Request::of_class(c)));
     pace(gateway, due)
-}
-
-/// Drive the gateway from `producers` concurrent threads, each offering
-/// `per_producer` requests flat out. Producer `p` submits class `p`, so a
-/// grouped gateway routes it to the group serving that class; an
-/// ungrouped gateway serves every producer on its one lane. Producers
-/// never wait for responses; rejected submissions are counted and
-/// dropped.
-pub fn drive_concurrent(gateway: &Gateway, producers: usize, per_producer: u64) -> LoadStats {
-    assert!(producers >= 1, "need at least one producer");
-    let mut total = LoadStats::default();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..producers)
-            .map(|p| {
-                scope.spawn(move || {
-                    let req = Request::of_class(p as ClassId);
-                    let mut stats = LoadStats::default();
-                    for _ in 0..per_producer {
-                        stats.submitted += 1;
-                        match gateway.submit(req) {
-                            Admission::Accepted { .. } => stats.accepted += 1,
-                            Admission::Rejected { .. } => stats.rejected += 1,
-                            Admission::Closed => {
-                                stats.closed += 1;
-                                break;
-                            }
-                        }
-                    }
-                    stats
-                })
-            })
-            .collect();
-        for h in handles {
-            let o = h.join().expect("producer thread panicked");
-            total.submitted += o.submitted;
-            total.accepted += o.accepted;
-            total.rejected += o.rejected;
-            total.closed += o.closed;
-        }
-    });
-    total
 }
 
 #[cfg(test)]
@@ -178,40 +137,6 @@ mod tests {
         assert_eq!(out.completed_by_class(), vec![20, 20]);
         for r in &out.requests {
             assert_eq!(r.lane, r.class as u32, "class routed to its group lane");
-        }
-    }
-
-    #[test]
-    fn concurrent_producers_conserve_across_lanes() {
-        use dbat_sim::FunctionGroup;
-        let config = LambdaConfig::new(2048, 16, 0.001);
-        let cfg = GatewayConfig {
-            queue_capacity: 4096,
-            backpressure: BackpressurePolicy::Block,
-            workers: 2,
-            groups: vec![
-                FunctionGroup::new(config, vec![0, 2]),
-                FunctionGroup::new(config, vec![1, 3]),
-            ],
-            ..GatewayConfig::default()
-        };
-        let gw = crate::gateway::Gateway::start(
-            cfg,
-            Arc::new(WallClock::with_speedup(100.0)),
-            Arc::new(ProfiledBackend::default()),
-        );
-        let stats = drive_concurrent(&gw, 4, 100);
-        assert_eq!(stats.submitted, 400);
-        assert_eq!(stats.accepted, 400);
-        assert_eq!(stats.rejected + stats.closed, 0);
-        let out = gw.shutdown(DrainMode::Graceful);
-        assert_eq!(out.counts.completed, 400);
-        assert!(out.counts.conserved());
-        // Producers 0..4 submit classes 0..4 over two groups: both
-        // groups' lanes carried their classes' work.
-        assert_eq!(out.completed_by_class(), vec![100; 4]);
-        for r in &out.requests {
-            assert_eq!(r.lane, r.class as u32 % 2);
         }
     }
 }

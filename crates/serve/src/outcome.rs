@@ -94,6 +94,9 @@ pub struct ServeOutcome {
     /// Total billed cost, accumulated in batch order.
     pub total_cost: f64,
     pub counts: ServeCounts,
+    /// Batches executed, counted with or without records (with records,
+    /// `batches.len()`).
+    pub settled_batches: u64,
     /// Times a pool worker was woken from its idle wait (live runs; 0 in
     /// replays, which have no pool). With one targeted wake per formed
     /// batch this stays within `batches + workers`; a broadcast hand-off
@@ -111,23 +114,28 @@ impl ServeOutcome {
         self.requests.iter().map(|r| r.latency()).collect()
     }
 
+    /// Latency summary over the per-request records: empty when the run
+    /// kept none (`GatewayConfig::record_outcome` off).
     pub fn summary(&self) -> LatencySummary {
         LatencySummary::from_latencies(&self.latencies())
     }
 
+    /// Billed cost per completed request, from the counts (records or not).
     pub fn cost_per_request(&self) -> f64 {
-        if self.requests.is_empty() {
+        if self.counts.completed == 0 {
             0.0
         } else {
-            self.total_cost / self.requests.len() as f64
+            self.total_cost / self.counts.completed as f64
         }
     }
 
+    /// Completed requests per executed batch, from the counts (records or
+    /// not).
     pub fn mean_batch_size(&self) -> f64 {
-        if self.batches.is_empty() {
+        if self.settled_batches == 0 {
             0.0
         } else {
-            self.requests.len() as f64 / self.batches.len() as f64
+            self.counts.completed as f64 / self.settled_batches as f64
         }
     }
 
@@ -365,6 +373,7 @@ impl Ledger {
                 completed: self.completed,
                 ..counts
             },
+            settled_batches: self.settled,
             worker_wakeups,
             measurements: feedback.measurements,
             records: feedback.records,
@@ -439,6 +448,7 @@ mod tests {
                 completed: 2,
                 ..ServeCounts::default()
             },
+            settled_batches: 1,
             worker_wakeups: 0,
             measurements: Vec::new(),
             records: Vec::new(),

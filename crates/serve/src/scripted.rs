@@ -15,7 +15,6 @@ pub struct ScriptedController {
     script: Vec<LambdaConfig>,
     pub(crate) slo: f64,
     pub(crate) percentile: f64,
-    records: Vec<DecisionRecord>,
 }
 
 impl ScriptedController {
@@ -29,7 +28,6 @@ impl ScriptedController {
             script,
             slo,
             percentile: 95.0,
-            records: Vec::new(),
         }
     }
 }
@@ -54,14 +52,6 @@ impl Controller for ScriptedController {
     /// A script reads nothing.
     fn reads_from(&self, _history: &Trace, _next: f64) -> f64 {
         f64::INFINITY
-    }
-
-    fn audit(&self) -> &[DecisionRecord] {
-        &self.records
-    }
-
-    fn audit_mut(&mut self) -> &mut Vec<DecisionRecord> {
-        &mut self.records
     }
 }
 

@@ -130,7 +130,7 @@ impl SimOutcome {
 /// Timestamps must be sorted ascending (the usual output of the workload
 /// generators). Nothing reads the fourth parameter. It stays because
 /// `benchmark/` calls `simulate_batching(.., None)` and a change to this
-/// crate may not edit `benchmark/` in the same PR; ROADMAP item 2 lists
+/// crate may not edit `benchmark/` in the same PR; ROADMAP item 1(e) lists
 /// its removal.
 pub fn simulate_batching(
     arrivals: &[f64],

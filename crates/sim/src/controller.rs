@@ -220,13 +220,14 @@ pub struct DecisionContext<'a> {
 }
 
 /// A closed-loop batching policy: asked for a configuration once per
-/// decision interval, shown the measured outcome afterwards, and
-/// accumulating an audit trail of [`DecisionRecord`]s.
+/// decision interval and shown the measured outcome afterwards. A policy
+/// only decides: the audit trail of [`DecisionRecord`]s is kept once, by
+/// the driver's [`Feedback`].
 ///
 /// The protocol per interval is: `decide` → (driver measures) →
-/// `observe` → `commit`, run by [`Feedback`]. `commit`'s default just
-/// archives the record; wrappers (graceful degradation) override it to
-/// learn from the completed record.
+/// `observe` → `commit`, run by [`Feedback`]. `commit` does nothing by
+/// default; wrappers (graceful degradation) override it to learn from the
+/// completed record.
 pub trait Controller {
     /// Short policy label used in reports and telemetry.
     fn name(&self) -> &'static str;
@@ -246,16 +247,9 @@ pub trait Controller {
     /// interval. Default: ignore.
     fn observe(&mut self, _measurement: &IntervalMeasurement) {}
 
-    /// Archive a completed (decided + measured) record. Default: append
-    /// to the audit trail.
-    fn commit(&mut self, record: DecisionRecord) {
-        self.audit_mut().push(record);
-    }
-
-    /// The decision-audit trail accumulated so far.
-    fn audit(&self) -> &[DecisionRecord];
-
-    fn audit_mut(&mut self) -> &mut Vec<DecisionRecord>;
+    /// Learn from a completed (decided + measured) record, which
+    /// [`Feedback`] then archives. Default: ignore.
+    fn commit(&mut self, _record: &DecisionRecord) {}
 }
 
 /// The trivial policy: one fixed configuration forever. The floor every
@@ -266,7 +260,6 @@ pub struct StaticController {
     pub(crate) config: LambdaConfig,
     pub(crate) slo: f64,
     pub percentile: f64,
-    records: Vec<DecisionRecord>,
 }
 
 impl StaticController {
@@ -275,7 +268,6 @@ impl StaticController {
             config,
             slo,
             percentile: 95.0,
-            records: Vec::new(),
         }
     }
 }
@@ -300,14 +292,6 @@ impl Controller for StaticController {
     fn reads_from(&self, _history: &Trace, _next: f64) -> f64 {
         f64::INFINITY
     }
-
-    fn audit(&self) -> &[DecisionRecord] {
-        &self.records
-    }
-
-    fn audit_mut(&mut self) -> &mut Vec<DecisionRecord> {
-        &mut self.records
-    }
 }
 
 /// The clairvoyant upper bound: sweeps the grid on the interval's *own*
@@ -321,7 +305,6 @@ pub struct OracleController {
     pub percentile: f64,
     /// Config used for intervals with no arrivals (nothing to optimise).
     pub(crate) idle: LambdaConfig,
-    records: Vec<DecisionRecord>,
 }
 
 impl OracleController {
@@ -332,7 +315,6 @@ impl OracleController {
             slo,
             percentile: 95.0,
             idle: LambdaConfig::new(512, 1, 0.0),
-            records: Vec::new(),
         }
     }
 }
@@ -368,14 +350,6 @@ impl Controller for OracleController {
         rec.grid_size = self.grid.len();
         rec
     }
-
-    fn audit(&self) -> &[DecisionRecord] {
-        &self.records
-    }
-
-    fn audit_mut(&mut self) -> &mut Vec<DecisionRecord> {
-        &mut self.records
-    }
 }
 
 /// VCR (Eq. 11) over a set of interval measurements.
@@ -404,8 +378,8 @@ pub fn hourly_vcr(measurements: &[IntervalMeasurement], hours: usize, hour_s: f6
 #[derive(Clone, Debug)]
 pub struct RunOutcome {
     pub measurements: Vec<IntervalMeasurement>,
-    /// The records committed during this run (also appended to the
-    /// controller's own audit trail).
+    /// The run's audit trail: every record committed during it, in
+    /// interval order (the only copy; controllers keep none).
     pub records: Vec<DecisionRecord>,
     /// Aggregate fault accounting over the whole run.
     pub counts: FaultCounts,
@@ -543,7 +517,7 @@ pub(crate) fn record_sim_trace(
 pub struct Feedback {
     /// Measurements of the non-empty intervals closed so far, in order.
     pub measurements: Vec<IntervalMeasurement>,
-    /// The record the controller archived for every closed interval.
+    /// The audit trail: the record of every closed interval, in order.
     pub records: Vec<DecisionRecord>,
 }
 
@@ -560,9 +534,9 @@ impl Feedback {
     }
 
     /// Close a decided interval: copy what was measured into its record,
-    /// show it to the controller (`observe`), then `commit`. `None` is an
-    /// interval with no arrivals, which can neither cost nor violate and
-    /// is committed unobserved.
+    /// show it to the controller (`observe`), `commit` it, and archive it.
+    /// `None` is an interval with no arrivals, which can neither cost nor
+    /// violate and is committed unobserved.
     pub fn close<C: Controller + ?Sized>(
         &mut self,
         ctl: &mut C,
@@ -574,11 +548,8 @@ impl Feedback {
             ctl.observe(&m);
             self.measurements.push(m);
         }
-        ctl.commit(rec);
-        // The committed record may have been rewritten (degradation
-        // wrappers annotate it), so archive what the controller kept.
-        let kept = ctl.audit().last().expect("commit must archive the record");
-        self.records.push(*kept);
+        ctl.commit(&rec);
+        self.records.push(rec);
     }
 }
 

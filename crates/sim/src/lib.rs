@@ -34,7 +34,9 @@
 //!   in the workspace runs, and the one interval driver behind
 //!   [`run_controller`] and [`run_controller_tokens`];
 //! * [`publish_decision`] / [`publish_sim`] — what a driver publishes;
-//! * [`sweep()`] — rayon-parallel exhaustive grid search (Eq. 10 optimum);
+//! * [`sweep()`] — rayon-parallel exhaustive grid search, and
+//!   [`select_config`], the one Eq. (10) selection rule every policy
+//!   applies to its own table;
 //! * [`multi`] — multi-SLO request classes served by heterogeneous
 //!   function groups, with the HarmonyBatch-style joint partition/config
 //!   decision ([`joint_decide`]);
@@ -75,7 +77,7 @@ pub use multi::{
 pub use pricing::Pricing;
 pub use publish::{publish_decision, publish_sim};
 pub use service::ServiceProfile;
-pub use sweep::{evaluate, ground_truth, sweep};
+pub use sweep::{evaluate, ground_truth, select_config, sweep};
 pub use tokens::{
     run_controller_tokens, simulate_tokens_continuous, simulate_tokens_windowed, Goodput,
     TokenParams, TokenSimOutcome,

@@ -34,6 +34,7 @@ use crate::batching::SimParams;
 use crate::config::{ConfigGrid, LambdaConfig};
 use crate::faults::{simulate_faults, FaultCounts, FaultPlan, FaultSimOutcome};
 use crate::metrics::LatencySummary;
+use crate::sweep::select_config;
 use dbat_workload::{validate_classes, ClassId, ClassedTrace, DbatError, RequestClass};
 use serde::{Deserialize, Serialize};
 
@@ -378,14 +379,11 @@ pub struct JointDecision {
     pub feasible: bool,
 }
 
-/// Cheapest feasible score for a segment, or `None` when no config meets
-/// the segment SLO.
-fn best_for_segment(scores: &[GroupScore], slo: f64) -> Option<GroupScore> {
-    scores
-        .iter()
-        .filter(|s| s.latency <= slo)
-        .min_by(|a, b| a.cost.partial_cmp(&b.cost).unwrap())
-        .copied()
+/// [`select_config`] over a segment's scores: the cheapest score whose
+/// latency `meets` the segment SLO, else the fastest, with whether it met
+/// it. `None` when no score is finite.
+fn select_score(scores: &[GroupScore], meets: impl Fn(f64) -> bool) -> Option<(GroupScore, bool)> {
+    select_config(scores, |s| s.cost, |s| s.latency, meets).map(|(s, fallback)| (*s, !fallback))
 }
 
 /// Jointly partition classes into function groups and pick each group's
@@ -413,8 +411,7 @@ pub fn joint_decide(
     order.sort_by(|&a, &b| {
         classes[a]
             .slo
-            .partial_cmp(&classes[b].slo)
-            .unwrap()
+            .total_cmp(&classes[b].slo)
             .then(classes[a].id.cmp(&classes[b].id))
     });
     let mut rank = vec![0usize; k];
@@ -441,7 +438,8 @@ pub fn joint_decide(
         let slo = classes[order[i]].slo;
         for (j, slot) in row.iter_mut().enumerate().skip(i) {
             let arrivals = segment_arrivals(i, j);
-            *slot = best_for_segment(&scorer.sweep(&arrivals), slo);
+            *slot = select_score(&scorer.sweep(&arrivals), |l| l <= slo)
+                .and_then(|(s, met)| met.then_some(s));
         }
     }
 
@@ -487,12 +485,8 @@ pub fn joint_decide(
         predicted_cost = 0.0;
         for r in 0..k {
             let arrivals = segment_arrivals(r, r);
-            let scores = scorer.sweep(&arrivals);
-            let least_bad = scores
-                .iter()
-                .min_by(|a, b| a.latency.partial_cmp(&b.latency).unwrap())
-                .copied()
-                .ok_or_else(|| DbatError::config("scorer returned no candidates"))?;
+            let (least_bad, _) = select_score(&scorer.sweep(&arrivals), |_| false)
+                .ok_or_else(|| DbatError::config("scorer returned no finite candidate"))?;
             predicted_cost += least_bad.cost;
             groups.push(FunctionGroup::new(
                 least_bad.config,
@@ -520,18 +514,9 @@ pub fn single_config_baseline(
 ) -> Result<JointDecision, DbatError> {
     validate_classes(classes)?;
     let min_slo = classes.iter().map(|c| c.slo).fold(f64::INFINITY, f64::min);
-    let scores = scorer.sweep(trace.trace().timestamps());
-    let (score, feasible) = match best_for_segment(&scores, min_slo) {
-        Some(s) => (s, true),
-        None => (
-            scores
-                .iter()
-                .min_by(|a, b| a.latency.partial_cmp(&b.latency).unwrap())
-                .copied()
-                .ok_or_else(|| DbatError::config("scorer returned no candidates"))?,
-            false,
-        ),
-    };
+    let (score, feasible) =
+        select_score(&scorer.sweep(trace.trace().timestamps()), |l| l <= min_slo)
+            .ok_or_else(|| DbatError::config("scorer returned no finite candidate"))?;
     let all: Vec<ClassId> = classes.iter().map(|c| c.id).collect();
     Ok(JointDecision {
         groups: vec![FunctionGroup::new(score.config, all)],
@@ -763,6 +748,79 @@ mod tests {
         assert!(joint.feasible);
         assert_eq!(joint.groups.len(), 1, "equal SLOs should merge");
         assert_eq!(joint.groups[0].classes.len(), 2);
+    }
+
+    /// The oracle's table with two rows in three poisoned: a NaN cost at
+    /// `i % 3 == 0`, a NaN latency at `i % 3 == 1`.
+    struct NanScorer(OracleGroupScorer);
+
+    impl NanScorer {
+        fn tiny() -> Self {
+            NanScorer(OracleGroupScorer {
+                grid: ConfigGrid::tiny(),
+                params: SimParams::default(),
+                percentile: 95.0,
+            })
+        }
+
+        fn finite_configs(&self) -> Vec<LambdaConfig> {
+            self.0
+                .grid
+                .configs()
+                .into_iter()
+                .skip(2)
+                .step_by(3)
+                .collect()
+        }
+    }
+
+    impl GroupScorer for NanScorer {
+        fn sweep(&mut self, arrivals: &[f64]) -> Vec<GroupScore> {
+            let mut scores = self.0.sweep(arrivals);
+            for (i, s) in scores.iter_mut().enumerate() {
+                match i % 3 {
+                    0 => s.cost = f64::NAN,
+                    1 => s.latency = f64::NAN,
+                    _ => {}
+                }
+            }
+            scores
+        }
+    }
+
+    type Decide = fn(
+        &ClassedTrace,
+        &[RequestClass],
+        &mut dyn GroupScorer,
+    ) -> Result<JointDecision, DbatError>;
+
+    /// A NaN score is neither feasible nor fastest: `decide` picks a finite
+    /// row, feasible under loose SLOs and as the fallback under impossible
+    /// ones.
+    fn never_chooses_a_nan_score(decide: Decide) {
+        let trace = dense(600, 0.004);
+        for (slos, feasible) in [([0.5, 0.8], true), ([1e-9, 2e-9], false)] {
+            let classes = vec![RequestClass::new(0, slos[0]), RequestClass::new(1, slos[1])];
+            let classed = ClassedTrace::tag_weighted(trace.clone(), &classes, 5).unwrap();
+            let mut scorer = NanScorer::tiny();
+            let finite = scorer.finite_configs();
+            let d = decide(&classed, &classes, &mut scorer).unwrap();
+            assert_eq!(d.feasible, feasible);
+            assert!(d.predicted_cost.is_finite());
+            for g in &d.groups {
+                assert!(finite.contains(&g.config), "{} was poisoned", g.config);
+            }
+        }
+    }
+
+    #[test]
+    fn joint_decide_never_chooses_a_nan_score() {
+        never_chooses_a_nan_score(joint_decide);
+    }
+
+    #[test]
+    fn single_config_baseline_never_chooses_a_nan_score() {
+        never_chooses_a_nan_score(single_config_baseline);
     }
 
     #[test]

@@ -33,11 +33,6 @@ impl Evaluation {
             mean_batch_size: out.mean_batch_size(),
         }
     }
-
-    /// Does this configuration meet `percentile(p) <= slo`?
-    pub(crate) fn feasible(&self, slo: f64, p: f64) -> bool {
-        self.summary.percentile(p) <= slo
-    }
 }
 
 /// Simulate a single configuration over the given arrivals.
@@ -67,32 +62,43 @@ pub fn sweep(arrivals: &[f64], grid: &ConfigGrid, params: &SimParams) -> Vec<Eva
         .collect()
 }
 
-/// The optimizer of Eq. (10): cheapest configuration whose `p`-th latency
-/// percentile meets the SLO. Falls back to the lowest-latency configuration
-/// when nothing is feasible (the least-bad choice, also what BATCH does).
-pub(crate) fn best_feasible(evals: &[Evaluation], slo: f64, p: f64) -> Option<Evaluation> {
-    if evals.is_empty() {
-        return None;
+/// The selection rule of Eq. (10) (§III-E), the one every policy applies
+/// to its own table — the ground truth here, BATCH's analytic grid,
+/// DeepBAT's predictions, the multi-SLO segments: the cheapest candidate
+/// whose constrained latency `meets` the SLO, else the fastest, flagged as
+/// a fallback (`true`). A candidate whose cost or latency is not finite is
+/// neither; `None` when that leaves nothing. Values compare by
+/// `total_cmp`, and a tie goes to the earlier candidate.
+pub fn select_config<T>(
+    candidates: &[T],
+    cost: impl Fn(&T) -> f64,
+    latency: impl Fn(&T) -> f64,
+    meets: impl Fn(f64) -> bool,
+) -> Option<(&T, bool)> {
+    let mut cheapest: Option<(&T, f64)> = None;
+    let mut fastest: Option<(&T, f64)> = None;
+    // Strictly less, so the earlier candidate keeps a tie.
+    let beats = |x: f64, best: Option<(&T, f64)>| best.is_none_or(|(_, b)| x.total_cmp(&b).is_lt());
+    for c in candidates {
+        let (k, l) = (cost(c), latency(c));
+        if !(k.is_finite() && l.is_finite()) {
+            continue;
+        }
+        if meets(l) && beats(k, cheapest) {
+            cheapest = Some((c, k));
+        }
+        if beats(l, fastest) {
+            fastest = Some((c, l));
+        }
     }
-    let feasible = evals
-        .iter()
-        .filter(|e| e.feasible(slo, p))
-        .min_by(|a, b| a.cost_per_request.partial_cmp(&b.cost_per_request).unwrap());
-    match feasible {
-        Some(e) => Some(*e),
-        None => evals
-            .iter()
-            .min_by(|a, b| {
-                a.summary
-                    .percentile(p)
-                    .partial_cmp(&b.summary.percentile(p))
-                    .unwrap()
-            })
-            .copied(),
+    match cheapest {
+        Some((c, _)) => Some((c, false)),
+        None => fastest.map(|(c, _)| (c, true)),
     }
 }
 
-/// Ground truth in one call: sweep the grid and pick the optimum.
+/// Ground truth in one call: sweep the grid and pick the optimum by
+/// [`select_config`] on the simulated `p`-th percentile.
 pub fn ground_truth(
     arrivals: &[f64],
     grid: &ConfigGrid,
@@ -100,7 +106,14 @@ pub fn ground_truth(
     slo: f64,
     p: f64,
 ) -> Option<Evaluation> {
-    best_feasible(&sweep(arrivals, grid, params), slo, p)
+    let evals = sweep(arrivals, grid, params);
+    select_config(
+        &evals,
+        |e| e.cost_per_request,
+        |e| e.summary.percentile(p),
+        |l| l <= slo,
+    )
+    .map(|(e, _)| *e)
 }
 
 #[cfg(test)]
@@ -109,6 +122,12 @@ mod tests {
 
     fn dense_arrivals() -> Vec<f64> {
         (0..600).map(|i| i as f64 * 0.004).collect()
+    }
+
+    /// Eq. (10) on simulated p95s.
+    fn best_p95(evals: &[Evaluation], slo: f64) -> Option<(Evaluation, bool)> {
+        let p95 = |e: &Evaluation| e.summary.percentile(95.0);
+        select_config(evals, |e| e.cost_per_request, p95, |l| l <= slo).map(|(e, f)| (*e, f))
     }
 
     #[test]
@@ -126,10 +145,13 @@ mod tests {
         let params = SimParams::default();
         let evals = sweep(&dense_arrivals(), &grid, &params);
         let slo = 0.1;
-        let best = best_feasible(&evals, slo, 95.0).unwrap();
-        assert!(best.feasible(slo, 95.0), "chosen config violates SLO");
+        let (best, fallback) = best_p95(&evals, slo).unwrap();
+        assert!(
+            !fallback && best.summary.p95 <= slo,
+            "chosen config violates SLO"
+        );
         for e in &evals {
-            if e.feasible(slo, 95.0) {
+            if e.summary.p95 <= slo {
                 assert!(best.cost_per_request <= e.cost_per_request + 1e-18);
             }
         }
@@ -140,7 +162,8 @@ mod tests {
         let grid = ConfigGrid::tiny();
         let evals = sweep(&dense_arrivals(), &grid, &SimParams::default());
         // SLO of 1 microsecond is unattainable.
-        let best = best_feasible(&evals, 1e-6, 95.0).unwrap();
+        let (best, fallback) = best_p95(&evals, 1e-6).unwrap();
+        assert!(fallback);
         let min_p95 = evals
             .iter()
             .map(|e| e.summary.p95)
@@ -177,6 +200,6 @@ mod tests {
 
     #[test]
     fn empty_evals_none() {
-        assert!(best_feasible(&[], 0.1, 95.0).is_none());
+        assert!(best_p95(&[], 0.1).is_none());
     }
 }

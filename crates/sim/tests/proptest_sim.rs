@@ -1,8 +1,10 @@
-//! Property-based tests: conservation laws of the batching simulator, and
-//! the grid sweep against one simulation per configuration.
+//! Property-based tests: conservation laws of the batching simulator, the
+//! grid sweep against one simulation per configuration, and the Eq. (10)
+//! selection rule against a naive reference.
 
 use dbat_sim::{
-    evaluate, simulate_batching, sweep, ConfigGrid, LambdaConfig, LatencySummary, SimParams,
+    evaluate, select_config, simulate_batching, sweep, ConfigGrid, LambdaConfig, LatencySummary,
+    SimParams,
 };
 use proptest::prelude::*;
 
@@ -167,6 +169,65 @@ proptest! {
                 eval_bits(&want.config, &want.summary, want.cost_per_request, want.mean_batch_size),
                 "{}", cfg
             );
+        }
+    }
+}
+
+/// Strategy: a hostile table value — NaN, ±∞, ±0 and a few repeated
+/// values (so ties occur) among plain draws from `[0, 1)`.
+fn table_value() -> impl Strategy<Value = f64> {
+    (0u32..12, 0.0f64..1.0).prop_map(|(k, x)| match k {
+        0 => f64::NAN,
+        1 => f64::INFINITY,
+        2 => f64::NEG_INFINITY,
+        3 => -0.0,
+        4 => 0.0,
+        5..=7 => [0.1, 0.25, 0.5][k as usize - 5],
+        _ => x,
+    })
+}
+
+/// The naive reference of Eq. (10): drop the rows with a non-finite cost
+/// or latency; stably sort the feasible rest by cost and take the first;
+/// if none is feasible, stably sort them all by latency and take the first
+/// as the fallback. Rows are `(cost, latency)`; the answer is an index.
+fn reference_select(rows: &[(f64, f64)], meets: impl Fn(f64) -> bool) -> Option<(usize, bool)> {
+    let finite: Vec<usize> = (0..rows.len())
+        .filter(|&i| rows[i].0.is_finite() && rows[i].1.is_finite())
+        .collect();
+    let mut feasible: Vec<usize> = finite
+        .iter()
+        .copied()
+        .filter(|&i| meets(rows[i].1))
+        .collect();
+    feasible.sort_by(|&a, &b| rows[a].0.total_cmp(&rows[b].0));
+    if let Some(&i) = feasible.first() {
+        return Some((i, false));
+    }
+    let mut fastest = finite;
+    fastest.sort_by(|&a, &b| rows[a].1.total_cmp(&rows[b].1));
+    fastest.first().map(|&i| (i, true))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    // DeepBAT's γ-tightened constraint (γ and the SLO may be hostile too)
+    // and the plain one: the shared rule picks exactly the reference's row.
+    #[test]
+    fn select_config_matches_the_sorting_reference(
+        rows in prop::collection::vec((table_value(), table_value()), 0..40),
+        gamma in table_value(),
+        slo in table_value(),
+    ) {
+        let tightened = |l: f64| l * (1.0 + gamma) <= slo;
+        let plain = |l: f64| l <= slo;
+        for meets in [&tightened as &dyn Fn(f64) -> bool, &plain] {
+            let got = select_config(&rows, |r| r.0, |r| r.1, meets).map(|(chosen, fallback)| {
+                let i = rows.iter().position(|r| std::ptr::eq(r, chosen));
+                (i.expect("the choice is a row of the table"), fallback)
+            });
+            prop_assert_eq!(got, reference_select(&rows, meets), "{:?}", rows);
         }
     }
 }

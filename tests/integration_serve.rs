@@ -366,12 +366,6 @@ impl Controller for ReadsLast {
         let oldest = history.lower_bound(next).checked_sub(self.keep);
         oldest.map_or(f64::NEG_INFINITY, |i| history.timestamps()[i])
     }
-    fn audit(&self) -> &[DecisionRecord] {
-        self.inner.audit()
-    }
-    fn audit_mut(&mut self) -> &mut Vec<DecisionRecord> {
-        self.inner.audit_mut()
-    }
 }
 
 /// The control thread's history is as long as its controller's lookback,

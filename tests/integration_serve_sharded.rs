@@ -14,7 +14,6 @@
 //!   as clean rejections.
 
 use deepbat::prelude::*;
-use deepbat::serve::drive_concurrent;
 use std::sync::{Arc, Condvar, Mutex};
 
 /// `n` function groups under one configuration; group `g` serves class
@@ -23,6 +22,29 @@ fn groups(n: u16, config: LambdaConfig) -> Vec<FunctionGroup> {
     (0..n)
         .map(|g| FunctionGroup::new(config, vec![g]))
         .collect()
+}
+
+/// Submit from `producers` concurrent threads, `per_producer` requests
+/// each, flat out; producer `p` submits class `p`, so it feeds group
+/// `p`'s lane. Returns the requests admitted.
+fn flood_from_producers(gw: &Gateway, producers: u16, per_producer: u64) -> u64 {
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..producers)
+            .map(|p| {
+                scope.spawn(move || {
+                    (0..per_producer)
+                        .filter(|_| {
+                            matches!(gw.submit(Request::of_class(p)), Admission::Accepted { .. })
+                        })
+                        .count() as u64
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("producer thread panicked"))
+            .sum()
+    })
 }
 
 /// A backend whose executions block until the test opens the gate,
@@ -225,8 +247,8 @@ fn stress_randomized_lanes_keep_fifo_and_exactly_once() {
     let by_class = out.completed_by_class();
     assert_eq!(by_class.iter().sum::<u64>(), total);
 
-    // The multi-producer loadgen driver agrees with all of the above on
-    // a fresh gateway (one class per producer this time).
+    // Concurrent producers agree with all of the above on a fresh
+    // gateway (one class per producer this time).
     let cfg = GatewayConfig {
         queue_capacity: 8192,
         backpressure: BackpressurePolicy::Block,
@@ -239,12 +261,41 @@ fn stress_randomized_lanes_keep_fifo_and_exactly_once() {
         Arc::new(WallClock::with_speedup(200.0)),
         Arc::new(ProfiledBackend::default()),
     );
-    let stats = drive_concurrent(&gw, 4, 200);
-    assert_eq!(stats.accepted, 800);
+    assert_eq!(flood_from_producers(&gw, 4, 200), 800);
     let out = gw.shutdown(DrainMode::Graceful);
     assert_eq!(out.counts.completed, 800);
     assert!(out.counts.conserved());
     assert_eq!(out.completed_by_class(), vec![200; 4]);
+}
+
+/// Four concurrent producers, one class each, over two groups of two
+/// classes: every request is served on its class's group lane, and the
+/// drain conserves them all.
+#[test]
+fn concurrent_producers_conserve_across_lanes() {
+    let config = LambdaConfig::new(2048, 16, 0.001);
+    let gw = Gateway::start(
+        GatewayConfig {
+            queue_capacity: 4096,
+            backpressure: BackpressurePolicy::Block,
+            workers: 2,
+            groups: vec![
+                FunctionGroup::new(config, vec![0, 2]),
+                FunctionGroup::new(config, vec![1, 3]),
+            ],
+            ..GatewayConfig::default()
+        },
+        Arc::new(WallClock::with_speedup(100.0)),
+        Arc::new(ProfiledBackend::default()),
+    );
+    assert_eq!(flood_from_producers(&gw, 4, 100), 400);
+    let out = gw.shutdown(DrainMode::Graceful);
+    assert_eq!(out.counts.completed, 400);
+    assert!(out.counts.conserved());
+    assert_eq!(out.completed_by_class(), vec![100; 4]);
+    for r in &out.requests {
+        assert_eq!(r.lane, r.class as u32 % 2);
+    }
 }
 
 /// A backend that costs nothing and returns immediately, so the run
@@ -286,10 +337,10 @@ fn single_worker_drains_four_fed_lanes() {
         Arc::new(WallClock::new()),
         Arc::new(NullBackend),
     );
-    let stats = drive_concurrent(&gw, 4, 2_000);
-    assert_eq!(stats.accepted, 8_000);
+    let accepted = flood_from_producers(&gw, 4, 2_000);
+    assert_eq!(accepted, 8_000);
     let out = gw.shutdown(DrainMode::Graceful);
     assert!(out.counts.conserved(), "lost requests");
-    assert_eq!(out.counts.completed, stats.accepted, "drain was not clean");
+    assert_eq!(out.counts.completed, accepted, "drain was not clean");
     assert_eq!(out.completed_by_class(), vec![2_000; 4]);
 }

@@ -24,7 +24,6 @@ struct Recorder {
     /// Start of every decided interval, by index.
     starts: Vec<f64>,
     calls: Vec<Call>,
-    records: Vec<DecisionRecord>,
 }
 
 const SCRIPT: [(u32, u32, f64); 4] = [
@@ -39,7 +38,6 @@ impl Recorder {
         Recorder {
             starts: Vec::new(),
             calls: Vec::new(),
-            records: Vec::new(),
         }
     }
 }
@@ -64,17 +62,8 @@ impl Controller for Recorder {
         ));
     }
 
-    fn commit(&mut self, record: DecisionRecord) {
+    fn commit(&mut self, record: &DecisionRecord) {
         self.calls.push(Call::Commit(record.index));
-        self.records.push(record);
-    }
-
-    fn audit(&self) -> &[DecisionRecord] {
-        &self.records
-    }
-
-    fn audit_mut(&mut self) -> &mut Vec<DecisionRecord> {
-        &mut self.records
     }
 }
 
