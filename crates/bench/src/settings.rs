@@ -326,18 +326,16 @@ fn cached(
     Trained { model, record }
 }
 
-/// The kernel family the GEMM and softmax kernels run on. The two round
-/// differently, so trained weights depend on it: `dbat-linalg` picks the
-/// FMA kernels on x86-64 with AVX2 + FMA unless `DBAT_GEMM_FORCE_SCALAR`
-/// is set (to anything but `0`).
+/// The kernel family the GEMM, softmax and attention kernels run on. The
+/// scalar tier rounds its products differently from the fused ones, so
+/// trained weights depend on it; AVX2 and AVX-512 give the same bits and
+/// share one family.
 fn gemm_kernels() -> &'static str {
-    let forced = std::env::var_os("DBAT_GEMM_FORCE_SCALAR").is_some_and(|v| v != "0");
-    #[cfg(target_arch = "x86_64")]
-    if !forced && is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
-        return "fma";
+    if dbat_linalg::kernel_tier().fused() {
+        "fma"
+    } else {
+        "scalar"
     }
-    let _ = forced;
-    "scalar"
 }
 
 #[cfg(test)]

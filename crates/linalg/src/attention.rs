@@ -18,13 +18,26 @@
 //!
 //! Determinism contract: every output element executes exactly the
 //! operation sequence of the unfused pipeline. Each score is a chain from
-//! zero over `p`, the softmax is the one shared kernel, and each context
-//! element is a chain from zero over `j`. The chains are fused
-//! multiply-adds where [`gemm`](crate::gemm::gemm) would pick its FMA
-//! micro-kernels *and* [`gemm_worthwhile`] holds, and plain
-//! multiply-then-add otherwise (mirroring the scalar micro-kernels and the
-//! callers' naive small-operand loops), so the result is **bitwise
-//! identical** to `gemm` → softmax → `gemm` under the same dispatch.
+//! zero over `p`, the softmax is the one shared row order, and each
+//! context element is a chain from zero over `j`. The chains are fused
+//! multiply-adds where [`gemm`](crate::gemm::gemm) would pick a vector
+//! [`Tier`] *and* [`gemm_worthwhile`] holds, and plain multiply-then-add
+//! otherwise (mirroring the scalar micro-kernels and the callers' naive
+//! small-operand loops), so the result is **bitwise identical** to `gemm`
+//! → softmax → `gemm` under the same dispatch.
+//!
+//! The two vector flavours differ only in how lanes are laid out. The
+//! AVX2 flavour puts key positions (scores) and head columns (context)
+//! across its 4 lanes and runs the row softmax over the block's score
+//! rows. The AVX-512 flavour puts the block's 8 query rows across its 8
+//! lanes: a key's scores are one vector, read straight from K with no Kᵀ
+//! pack; the softmax needs no per-row horizontal step
+//! (`exp::softmax_lanes_avx512`); and a head column's context is
+//! one vector, so a `d_h = 4` head still fills 8 lanes. Lanes over rows
+//! is what made the AVX-512 head pay: with the AVX2 head and the 8-lane
+//! row softmax, `core.encode_us` measured 494–548 µs against 379–397 µs
+//! for this flavour, run side by side on the two vCPUs of a 2.1 GHz
+//! AVX-512 host.
 //!
 //! ## Backward
 //!
@@ -57,11 +70,15 @@
 //! are (see above), and plain multiply-then-add otherwise.
 
 use crate::exp::softmax_rows_scaled_inplace;
-use crate::gemm::{gemm_worthwhile, use_fma_kernels};
+#[cfg(target_arch = "x86_64")]
+use crate::exp::{softmax_lanes_avx512, softmax_rows_with};
+use crate::gemm::gemm_worthwhile;
+use crate::tier::{kernel_tier, Tier};
 
 /// Query rows per block: eight independent accumulator chains keep both
 /// FMA ports busy, and `ROW_BLOCK · S` scores (8 KB at `S = 128`) plus the
-/// packed Kᵀ stay L1-resident.
+/// packed Kᵀ stay L1-resident. Also the AVX-512 lane count, which
+/// [`head_avx512`] lays across the block's rows.
 const ROW_BLOCK: usize = 8;
 
 /// Scratch [`attention_head`] needs for one head: packed Kᵀ (`dh · seq`),
@@ -74,10 +91,11 @@ pub fn attention_scratch_len(seq: usize, dh: usize) -> usize {
 /// One attention head: `out = softmax(scale · Q·Kᵀ) · V` over strided
 /// `[seq, dh]` views with row stride `ld` (see the module docs). `scratch`
 /// must hold [`attention_scratch_len`] elements; its contents are
-/// unspecified on entry and exit. Requires `scale > 0`. Bitwise identical
-/// to the unfused `gemm` → [`softmax_rows_scaled_inplace`] → `gemm`
-/// pipeline, including the naive small-operand fallback below
-/// [`gemm_worthwhile`].
+/// unspecified on entry and exit. Requires `scale > 0` (checked, as in
+/// [`softmax_rows_scaled_inplace`]): the flavours agree only for a
+/// positive scale. Bitwise identical to the unfused `gemm` →
+/// [`softmax_rows_scaled_inplace`] → `gemm` pipeline, including the naive
+/// small-operand fallback below [`gemm_worthwhile`].
 #[allow(clippy::too_many_arguments)]
 pub fn attention_head(
     seq: usize,
@@ -90,37 +108,61 @@ pub fn attention_head(
     out: &mut [f64],
     scratch: &mut [f64],
 ) {
+    assert!(scale > 0.0, "attention scale must be positive, got {scale}");
     if seq == 0 || dh == 0 {
         return;
     }
-    // The FMA kernel indexes through raw pointers; these bounds are what
-    // its SAFETY argument rests on.
+    // The vector flavours index through raw pointers; these bounds are
+    // what their SAFETY arguments rest on.
     let span = (seq - 1) * ld + dh;
     assert!(ld >= dh, "row stride {ld} shorter than head width {dh}");
     assert!(q.len() >= span && k.len() >= span && v.len() >= span && out.len() >= span);
     assert!(scratch.len() >= attention_scratch_len(seq, dh));
     let (kt, rest) = scratch.split_at_mut(dh * seq);
     let (rows, qb) = rest.split_at_mut(ROW_BLOCK * seq);
+    let qb = &mut qb[..ROW_BLOCK * dh];
 
-    // Kᵀ packed once per head: kt[p * seq + j] = K[j, p].
+    let packed = gemm_worthwhile(seq, seq, dh);
+    #[cfg(target_arch = "x86_64")]
+    match kernel_tier() {
+        // SAFETY (both arms): `kernel_tier` returns only a tier detected on
+        // this CPU; the slice bounds were asserted above.
+        Tier::Avx512 if packed => {
+            unsafe { head_avx512(seq, dh, ld, scale, q, k, v, out, rows, qb) };
+            return;
+        }
+        Tier::Avx2 if packed => {
+            pack_kt(seq, dh, ld, k, kt);
+            unsafe { head_fma(seq, dh, ld, scale, q, v, out, kt, rows, qb) };
+            return;
+        }
+        _ => {}
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = (qb, kernel_tier() == Tier::Scalar);
+    pack_kt(seq, dh, ld, k, kt);
+    head_mul_add(seq, dh, ld, scale, q, v, out, kt, rows, !packed);
+}
+
+/// Kᵀ packed once per head: `kt[p * seq + j] = K[j, p]`.
+fn pack_kt(seq: usize, dh: usize, ld: usize, k: &[f64], kt: &mut [f64]) {
     for (j, krow) in k.chunks(ld).take(seq).enumerate() {
         for (p, &kv) in krow[..dh].iter().enumerate() {
             kt[p * seq + j] = kv;
         }
     }
+}
 
-    let packed = gemm_worthwhile(seq, seq, dh);
-    #[cfg(target_arch = "x86_64")]
-    if packed && use_fma_kernels() {
-        let qb = &mut qb[..ROW_BLOCK * dh];
-        // SAFETY: use_fma_kernels() verified avx2+fma at runtime; the
-        // slice bounds were asserted above.
-        unsafe { head_fma(seq, dh, ld, scale, q, v, out, kt, rows, qb) };
-        return;
+/// Pack rows `[i0, i0 + rb)` of Q as `qb[p * ROW_BLOCK + r] = Q[i0 + r, p]`,
+/// zero-padding rows past `rb`, so the tile loops read one contiguous
+/// panel and need no row tail.
+fn pack_q_block(dh: usize, ld: usize, q: &[f64], i0: usize, rb: usize, qb: &mut [f64]) {
+    qb.fill(0.0);
+    for r in 0..rb {
+        for (p, &qv) in q[(i0 + r) * ld..][..dh].iter().enumerate() {
+            qb[p * ROW_BLOCK + r] = qv;
+        }
     }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = (qb, use_fma_kernels);
-    head_mul_add(seq, dh, ld, scale, q, v, out, kt, rows, !packed);
 }
 
 /// Multiply-then-add flavour, one row block at a time. `skip_zero` mirrors
@@ -199,15 +241,7 @@ unsafe fn head_fma(
     let dh4 = dh - dh % 4;
     for i0 in (0..seq).step_by(RB) {
         let rb = RB.min(seq - i0);
-        // Pack the block's query rows as qb[p * RB + r] = Q[i0 + r, p],
-        // zero-padding rows past the end, so the tile loop broadcasts
-        // from one contiguous panel and needs no row tail.
-        qb.fill(0.0);
-        for r in 0..rb {
-            for (p, &qv) in q[(i0 + r) * ld..][..dh].iter().enumerate() {
-                qb[p * RB + r] = qv;
-            }
-        }
+        pack_q_block(dh, ld, q, i0, rb, qb);
 
         let (qp, ktp, rp) = (qb.as_ptr(), kt.as_ptr(), rows.as_mut_ptr());
         for j in (0..seq4).step_by(4) {
@@ -232,7 +266,7 @@ unsafe fn head_fma(
             }
         }
 
-        softmax_rows_scaled_inplace(&mut rows[..rb * seq], seq, scale);
+        softmax_rows_with(Tier::Avx2, &mut rows[..rb * seq], seq, scale);
 
         // Rows past `rb` were not normalised; their accumulators are
         // computed and dropped.
@@ -259,6 +293,140 @@ unsafe fn head_fma(
             }
         }
     }
+}
+
+/// AVX-512 flavour, transposed: the eight lanes of a vector are the
+/// block's eight query rows. Each key's scores are one vector, a chain
+/// from zero over `p` of `fma(Q[r, p], K[j, p], ·)` read straight from K
+/// (no Kᵀ pack); [`softmax_lanes_avx512`] exponentiates the tile with no
+/// per-row horizontal step; and each context column is one vector, a
+/// chain from zero over `j` of `fma(P[r, j], V[j, d], ·)` with
+/// `P[r, j] = e[r, j] · (1 / sum_r)` formed on the fly. Every element's
+/// operations and their order are [`head_fma`]'s, so the two give the
+/// same bits.
+///
+/// # Safety
+/// Caller must ensure the CPU supports AVX-512F, AVX2 and FMA, that `q`,
+/// `k`, `v` and `out` hold at least `(seq - 1) * ld + dh` elements with
+/// `ld >= dh`, and that `rows` and `qb` hold `ROW_BLOCK * seq` and
+/// `ROW_BLOCK * dh`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx2,fma")]
+#[allow(clippy::too_many_arguments)]
+unsafe fn head_avx512(
+    seq: usize,
+    dh: usize,
+    ld: usize,
+    scale: f64,
+    q: &[f64],
+    k: &[f64],
+    v: &[f64],
+    out: &mut [f64],
+    rows: &mut [f64],
+    qb: &mut [f64],
+) {
+    use std::arch::x86_64::*;
+    const RB: usize = ROW_BLOCK;
+    let (kp, vp) = (k.as_ptr(), v.as_ptr());
+    for i0 in (0..seq).step_by(RB) {
+        let rb = RB.min(seq - i0);
+        pack_q_block(dh, ld, q, i0, rb, qb);
+        // Score tile, `rows[RB * j + r] = S[i0 + r, j]`, and its row maxima.
+        let (qp, tp) = (qb.as_ptr(), rows.as_mut_ptr());
+        let mut max = _mm512_set1_pd(f64::NEG_INFINITY);
+        let mut j = 0;
+        while j + 4 <= seq {
+            max = score_keys::<4>(j, dh, ld, qp, kp, tp, max);
+            j += 4;
+        }
+        while j < seq {
+            max = score_keys::<1>(j, dh, ld, qp, kp, tp, max);
+            j += 1;
+        }
+        let inv = softmax_lanes_avx512(&mut rows[..RB * seq], seq, scale, max);
+        // Rows past `rb` (zero queries) are computed and dropped.
+        let mut d = 0;
+        while d < dh {
+            let n = if dh - d >= 4 { 4 } else { 1 };
+            let mut tile = [[0.0f64; RB]; 4];
+            if n == 4 {
+                let acc = context_cols::<4>(seq, ld, d, rows.as_ptr(), inv, vp);
+                for (t, a) in tile.iter_mut().zip(acc) {
+                    _mm512_storeu_pd(t.as_mut_ptr(), a);
+                }
+            } else {
+                let [a] = context_cols::<1>(seq, ld, d, rows.as_ptr(), inv, vp);
+                _mm512_storeu_pd(tile[0].as_mut_ptr(), a);
+            }
+            for r in 0..rb {
+                for (u, t) in tile[..n].iter().enumerate() {
+                    out[(i0 + r) * ld + d + u] = t[r];
+                }
+            }
+            d += n;
+        }
+    }
+}
+
+/// The score vectors of keys `j .. j + N` (see [`head_avx512`]), stored at
+/// `t[8 * j ..]`; returns `max` folded with them.
+///
+/// # Safety
+/// As [`head_avx512`]; `qb` is the block's packed queries and `t` the
+/// score tile.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx2,fma")]
+#[inline]
+#[allow(clippy::too_many_arguments)]
+unsafe fn score_keys<const N: usize>(
+    j: usize,
+    dh: usize,
+    ld: usize,
+    qb: *const f64,
+    k: *const f64,
+    t: *mut f64,
+    mut max: std::arch::x86_64::__m512d,
+) -> std::arch::x86_64::__m512d {
+    use std::arch::x86_64::*;
+    let mut s = [_mm512_setzero_pd(); N];
+    for p in 0..dh {
+        let qv = _mm512_loadu_pd(qb.add(p * ROW_BLOCK));
+        for (u, s) in s.iter_mut().enumerate() {
+            *s = _mm512_fmadd_pd(qv, _mm512_set1_pd(*k.add((j + u) * ld + p)), *s);
+        }
+    }
+    for (u, s) in s.into_iter().enumerate() {
+        _mm512_storeu_pd(t.add(ROW_BLOCK * (j + u)), s);
+        max = _mm512_max_pd(max, s);
+    }
+    max
+}
+
+/// The context vectors of head columns `d .. d + N` (see [`head_avx512`])
+/// from the exponentiated tile `t` and the row reciprocals `inv`.
+///
+/// # Safety
+/// As [`head_avx512`]; `t` holds `8 * seq` elements.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx2,fma")]
+#[inline]
+unsafe fn context_cols<const N: usize>(
+    seq: usize,
+    ld: usize,
+    d: usize,
+    t: *const f64,
+    inv: std::arch::x86_64::__m512d,
+    v: *const f64,
+) -> [std::arch::x86_64::__m512d; N] {
+    use std::arch::x86_64::*;
+    let mut acc = [_mm512_setzero_pd(); N];
+    for j in 0..seq {
+        let pj = _mm512_mul_pd(_mm512_loadu_pd(t.add(ROW_BLOCK * j)), inv);
+        for (u, a) in acc.iter_mut().enumerate() {
+            *a = _mm512_fmadd_pd(pj, _mm512_set1_pd(*v.add(j * ld + d + u)), *a);
+        }
+    }
+    acc
 }
 
 /// Scratch [`attention_head_backward`] needs for one head: packed Kᵀ and
@@ -305,8 +473,8 @@ pub fn attention_head_backward(
     // The flavour the forward took for this shape, so the recomputed
     // probabilities are the forward's, bit for bit.
     #[cfg(target_arch = "x86_64")]
-    if gemm_worthwhile(seq, seq, dh) && use_fma_kernels() {
-        // SAFETY: use_fma_kernels() verified avx2+fma at runtime.
+    if gemm_worthwhile(seq, seq, dh) && kernel_tier().fused() {
+        // SAFETY: a fused tier was detected at runtime, so AVX2 and FMA.
         unsafe { backward_fma(seq, dh, ld, scale, q, k, v, o, d_o, dq, dk, dv, scratch) };
         return;
     }
@@ -559,15 +727,60 @@ mod tests {
         q: &[f64],
         k: &[f64],
         v: &[f64],
-        fma: bool,
+        tier: Tier,
     ) -> (Vec<f64>, Vec<f64>) {
         use Layout::{Normal, Transposed};
         let mut s = vec![0.0; seq * seq];
-        gemm_with(seq, seq, dh, q, Normal, k, Transposed, &mut s, fma);
+        gemm_with(seq, seq, dh, q, Normal, k, Transposed, &mut s, tier);
         softmax_rows_scaled_inplace(&mut s, seq, scale);
         let mut ctx = vec![0.0; seq * dh];
-        gemm_with(seq, dh, seq, &s, Normal, v, Normal, &mut ctx, fma);
+        gemm_with(seq, dh, seq, &s, Normal, v, Normal, &mut ctx, tier);
         (s, ctx)
+    }
+
+    /// One forward flavour called directly, whatever the shape or
+    /// `kernel_tier` would pick, on strided operands with the head at
+    /// column `off`: the whole `[seq, ld]` output, padding included.
+    #[allow(clippy::too_many_arguments)]
+    fn flavour(
+        tier: Tier,
+        skip_zero: bool,
+        seq: usize,
+        dh: usize,
+        ld: usize,
+        scale: f64,
+        qs: &[f64],
+        ks: &[f64],
+        vs: &[f64],
+        off: usize,
+    ) -> Vec<f64> {
+        assert!(tier.supported());
+        let mut scratch = vec![f64::NAN; attention_scratch_len(seq, dh)];
+        let (kt, rest) = scratch.split_at_mut(dh * seq);
+        let (rows, qb) = rest.split_at_mut(ROW_BLOCK * seq);
+        let (q, k, v) = (&qs[off..], &ks[off..], &vs[off..]);
+        let mut out = vec![-1.0; seq * ld];
+        let o = &mut out[off..];
+        match tier {
+            Tier::Scalar => {
+                pack_kt(seq, dh, ld, k, kt);
+                head_mul_add(seq, dh, ld, scale, q, v, o, kt, rows, skip_zero);
+            }
+            // SAFETY (both arms): the tier is supported; slices sized as
+            // in attention_head.
+            #[cfg(target_arch = "x86_64")]
+            Tier::Avx2 => unsafe {
+                pack_kt(seq, dh, ld, k, kt);
+                head_fma(seq, dh, ld, scale, q, v, o, kt, rows, qb);
+            },
+            #[cfg(target_arch = "x86_64")]
+            Tier::Avx512 => unsafe { head_avx512(seq, dh, ld, scale, q, k, v, o, rows, qb) },
+            #[cfg(not(target_arch = "x86_64"))]
+            _ => unreachable!("no vector tier off x86-64"),
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = qb;
+        out
     }
 
     /// Scatter contiguous `[seq, dh]` into a `[seq, heads·dh]` buffer at
@@ -630,8 +843,12 @@ mod tests {
                     let what = format!("seq {seq} dh {dh} case {case}");
 
                     // Dispatched entry against the dispatch gemm makes.
-                    let fma = use_fma_kernels() && gemm_worthwhile(seq, seq, dh);
-                    let (weights, want) = unfused(seq, dh, scale, &q, &k, &v, fma);
+                    let tier = if gemm_worthwhile(seq, seq, dh) {
+                        kernel_tier()
+                    } else {
+                        Tier::Scalar
+                    };
+                    let (weights, want) = unfused(seq, dh, scale, &q, &k, &v, tier);
                     let mut out = vec![-1.0; seq * ld];
                     attention_head(
                         seq,
@@ -649,66 +866,40 @@ mod tests {
                         assert!(weights.contains(&0.0), "{what}: no flushed weight");
                     }
 
-                    // Each flavour pinned, whatever the shape would pick.
-                    let (kt, rest) = scratch.split_at_mut(dh * seq);
-                    let (rows, qb) = rest.split_at_mut(ROW_BLOCK * seq);
-                    for (j, krow) in k.chunks(dh).enumerate() {
-                        for (p, &kv) in krow.iter().enumerate() {
-                            kt[p * seq + j] = kv;
-                        }
-                    }
-                    let want = scatter(
-                        &unfused(seq, dh, scale, &q, &k, &v, false).1,
-                        seq,
-                        dh,
-                        ld,
-                        h,
-                        -1.0,
-                    );
+                    // Each flavour pinned, whatever the shape would pick:
+                    // multiply-then-add against the scalar pipeline, the
+                    // fused ones against the AVX2 pipeline.
                     for skip_zero in [false, true] {
-                        let mut out = vec![-1.0; seq * ld];
-                        head_mul_add(
+                        let want = unfused(seq, dh, scale, &q, &k, &v, Tier::Scalar).1;
+                        let got = flavour(
+                            Tier::Scalar,
+                            skip_zero,
                             seq,
                             dh,
                             ld,
                             scale,
-                            &qs[off..],
-                            &vs[off..],
-                            &mut out[off..],
-                            kt,
-                            rows,
-                            skip_zero,
+                            &qs,
+                            &ks,
+                            &vs,
+                            off,
                         );
-                        same_bits(&out, &want, &format!("{what} mul-add skip {skip_zero}"));
+                        same_bits(
+                            &got,
+                            &scatter(&want, seq, dh, ld, h, -1.0),
+                            &format!("{what} mul-add skip {skip_zero}"),
+                        );
                     }
-                    #[cfg(target_arch = "x86_64")]
-                    if use_fma_kernels() {
-                        let want = scatter(
-                            &unfused(seq, dh, scale, &q, &k, &v, true).1,
-                            seq,
-                            dh,
-                            ld,
-                            h,
-                            -1.0,
+                    for tier in [Tier::Avx2, Tier::Avx512] {
+                        if !tier.supported() {
+                            continue;
+                        }
+                        let want = unfused(seq, dh, scale, &q, &k, &v, Tier::Avx2).1;
+                        let got = flavour(tier, false, seq, dh, ld, scale, &qs, &ks, &vs, off);
+                        same_bits(
+                            &got,
+                            &scatter(&want, seq, dh, ld, h, -1.0),
+                            &format!("{what} {tier:?}"),
                         );
-                        let mut out = vec![-1.0; seq * ld];
-                        // SAFETY: avx2+fma detected; slices sized as in
-                        // attention_head.
-                        unsafe {
-                            head_fma(
-                                seq,
-                                dh,
-                                ld,
-                                scale,
-                                &qs[off..],
-                                &vs[off..],
-                                &mut out[off..],
-                                kt,
-                                rows,
-                                qb,
-                            )
-                        };
-                        same_bits(&out, &want, &format!("{what} fma"));
                     }
                 }
             }
@@ -717,6 +908,66 @@ mod tests {
             below > 0 && above > 0,
             "shapes must straddle GEMM_MIN_FLOPS"
         );
+    }
+
+    /// The AVX2 and AVX-512 forward flavours, each called directly, give
+    /// the same bits over sequence lengths straddling the 4-, 8- and
+    /// 16-lane tiles and hostile operands: ±∞ and NaN entries, a 1e300
+    /// spread, and a query row whose scores are all −∞. An AVX-512 leg the
+    /// CPU lacks is skipped with a note.
+    #[test]
+    fn fused_flavours_match_bitwise_on_ragged_and_hostile_heads() {
+        if !Tier::Avx512.supported() {
+            println!("no AVX-512F on this CPU: AVX-512 attention leg skipped");
+            return;
+        }
+        for seq in [1usize, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 33, 39, 128] {
+            for dh in [1usize, 4, 5, 8] {
+                for case in 0..4 {
+                    let mut q = fill(seq * dh, 3 + seq as u64);
+                    let mut k = fill(seq * dh, 5 + dh as u64);
+                    let mut v = fill(seq * dh, 7);
+                    let last = seq * dh - 1;
+                    match case {
+                        1 => {
+                            q[0] = f64::INFINITY;
+                            k[last] = f64::NEG_INFINITY;
+                            v[last / 2] = f64::NAN;
+                        }
+                        2 => {
+                            q[last] = 1e300;
+                            q[0] = -1e300;
+                            v[0] = f64::INFINITY;
+                        }
+                        3 => {
+                            // Row 0 scores −∞ against every key.
+                            for j in 0..seq {
+                                k[j * dh] = k[j * dh].abs() + 0.5;
+                            }
+                            q[..dh].fill(0.0);
+                            q[0] = f64::NEG_INFINITY;
+                        }
+                        _ => {}
+                    }
+                    let (ld, h) = (dh + 3, 0);
+                    let strided = |x: &[f64]| scatter(x, seq, dh, ld, h, 7.0);
+                    let (qs, ks, vs) = (strided(&q), strided(&k), strided(&v));
+                    let want = flavour(Tier::Avx2, false, seq, dh, ld, 0.5, &qs, &ks, &vs, 0);
+                    let got = flavour(Tier::Avx512, false, seq, dh, ld, 0.5, &qs, &ks, &vs, 0);
+                    same_bits(&got, &want, &format!("seq {seq} dh {dh} case {case}"));
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "attention scale must be positive")]
+    fn negative_scale_is_rejected() {
+        let (seq, dh) = (4, 2);
+        let x = fill(seq * dh, 3);
+        let mut out = vec![0.0; seq * dh];
+        let mut scratch = vec![0.0; attention_scratch_len(seq, dh)];
+        attention_head(seq, dh, dh, -1.0, &x, &x, &x, &mut out, &mut scratch);
     }
 
     /// The zero-weight skip is the one place the two multiply-then-add
@@ -757,14 +1008,14 @@ mod tests {
         k: &[f64],
         v: &[f64],
         d_o: &[f64],
-        fma: bool,
+        tier: Tier,
     ) -> [Vec<f64>; 3] {
         use Layout::{Normal, Transposed};
-        let (p, _) = unfused(seq, dh, scale, q, k, v, fma);
+        let (p, _) = unfused(seq, dh, scale, q, k, v, tier);
         let mut dv = vec![0.0; seq * dh];
-        gemm_with(seq, dh, seq, &p, Transposed, d_o, Normal, &mut dv, fma);
+        gemm_with(seq, dh, seq, &p, Transposed, d_o, Normal, &mut dv, tier);
         let mut ds = vec![0.0; seq * seq];
-        gemm_with(seq, seq, dh, d_o, Normal, v, Transposed, &mut ds, fma);
+        gemm_with(seq, seq, dh, d_o, Normal, v, Transposed, &mut ds, tier);
         for (dsrow, prow) in ds.chunks_mut(seq).zip(p.chunks(seq)) {
             let dot: f64 = dsrow.iter().zip(prow).map(|(&g, &y)| g * y).sum();
             for (x, &y) in dsrow.iter_mut().zip(prow) {
@@ -772,9 +1023,9 @@ mod tests {
             }
         }
         let mut dq = vec![0.0; seq * dh];
-        gemm_with(seq, dh, seq, &ds, Normal, k, Normal, &mut dq, fma);
+        gemm_with(seq, dh, seq, &ds, Normal, k, Normal, &mut dq, tier);
         let mut dk = vec![0.0; seq * dh];
-        gemm_with(seq, dh, seq, &ds, Transposed, q, Normal, &mut dk, fma);
+        gemm_with(seq, dh, seq, &ds, Transposed, q, Normal, &mut dk, tier);
         [dq, dk, dv]
     }
 
@@ -799,18 +1050,18 @@ mod tests {
                 // 0: the dispatched entry; 1: multiply-then-add pinned;
                 // 2: FMA pinned (where the CPU has it).
                 for flavour in 0..3 {
-                    let fma = match flavour {
-                        0 => use_fma_kernels() && gemm_worthwhile(seq, seq, dh),
-                        1 => false,
-                        _ => true,
+                    let tier = match flavour {
+                        0 if gemm_worthwhile(seq, seq, dh) => kernel_tier(),
+                        0 | 1 => Tier::Scalar,
+                        _ => Tier::Avx2,
                     };
-                    if fma && !use_fma_kernels() {
+                    if !tier.supported() {
                         continue;
                     }
                     let what = format!("seq {seq} dh {dh} flavour {flavour}");
                     // The forward output the backward reads, same flavour.
-                    let o = strided(&unfused(seq, dh, scale, &q, &k, &v, fma).1);
-                    let want = unfused_backward(seq, dh, scale, &q, &k, &v, &d_o, fma);
+                    let o = strided(&unfused(seq, dh, scale, &q, &k, &v, tier).1);
+                    let want = unfused_backward(seq, dh, scale, &q, &k, &v, &d_o, tier);
                     let mut scratch = vec![f64::NAN; attention_backward_scratch_len(seq, dh)];
                     let mut got = [
                         vec![-1.0; seq * ld],
@@ -842,7 +1093,7 @@ mod tests {
                             0 => run!(attention_head_backward),
                             1 => run!(backward_blocks::<false>),
                             #[cfg(target_arch = "x86_64")]
-                            // SAFETY: use_fma_kernels() checked above.
+                            // SAFETY: Tier::Avx2 supported, checked above.
                             _ => unsafe { run!(backward_fma) },
                             #[cfg(not(target_arch = "x86_64"))]
                             _ => unreachable!(),

@@ -5,20 +5,28 @@
 //! `layers · heads · seq²` ≈ 131 k exponentials, and libm's scalar `exp`
 //! alone costs more than every matmul in the encoder combined. This
 //! module replaces it with a branch-free Cody–Waite range reduction plus
-//! a degree-13 Taylor–Horner polynomial, evaluated 4 lanes at a time
-//! with AVX2+FMA where available, several vectors in flight at once. On
-//! the decision path the caller is [`crate::attention`]'s fused head,
-//! which runs the row softmax over one L1-resident block of score rows
-//! at a time; the autograd graph calls the same routine over whole
-//! `[rows, d]` tensors.
+//! a degree-13 Taylor–Horner polynomial, evaluated with several vectors
+//! in flight at once on the widest [`Tier`] the CPU runs: 8 lanes per
+//! vector under AVX-512, 4 under AVX2+FMA, one under `Scalar`. The
+//! autograd graph and the `Scalar`/AVX2 attention flavours call the row
+//! softmax ([`softmax_rows_scaled_inplace`]) over whole `[rows, d]`
+//! tensors or one L1-resident block of score rows; the AVX-512 attention
+//! flavour keeps its block of eight rows lane-interleaved and calls
+//! [`softmax_lanes_avx512`], which runs each row's operations on one lane.
 //!
 //! Determinism contract (the same one the GEMM micro-kernels honour):
-//! the scalar path executes the *same* sequence of correctly-rounded
-//! IEEE operations (`mul_add` ≡ fused multiply-add) as the AVX2 lanes,
-//! so both paths produce **bitwise identical** results and
-//! `DBAT_GEMM_FORCE_SCALAR=1` swaps implementations without changing a
-//! single output bit. Accuracy is a few ulps against libm `exp`; the
-//! softmax callers only ever see max-subtracted inputs in `(-inf, 0]`.
+//! every tier executes the *same* sequence of correctly-rounded IEEE
+//! operations per element (`mul_add` ≡ fused multiply-add), and every
+//! row sums its exponentials in one order: four partial sums by column
+//! mod 4 over the full chunks of four, combined as `(s0 + s2) + (s1 + s3)`,
+//! then the tail left to right. An 8-lane vector adds its low half, then
+//! its high half, into the same four partial sums. So all tiers produce
+//! **bitwise identical** results, and `DBAT_GEMM_FORCE_SCALAR=1` swaps
+//! implementations without changing a single output bit. Accuracy is a
+//! few ulps against libm `exp`; the softmax callers only ever see
+//! max-subtracted inputs in `(-inf, 0]`. On a 2.1 GHz AVX-512 host the
+//! 8-lane row softmax took `linalg.softmax_ns_per_row` from 373 ns to
+//! 189 ns (medians of ten `closed_loop` pairs in `BENCH_perf.jsonl`).
 //!
 //! Out-of-range behaviour: inputs at or below [`EXP_LO`] flush to
 //! exactly `0.0` (this covers `-inf`), inputs at or above [`EXP_HI`]
@@ -28,6 +36,8 @@
 // full decimal expansions so they can be checked digit-for-digit against
 // fdlibm; the extra digits round to the same f64.
 #![allow(clippy::excessive_precision)]
+
+use crate::tier::{assert_runs, kernel_tier, Tier};
 
 /// log2(e), the range-reduction multiplier.
 const LOG2E: f64 = std::f64::consts::LOG2_E;
@@ -155,6 +165,52 @@ fn exp_lanes<const N: usize>(
     y
 }
 
+/// [`exp_lanes`] on eight lanes per vector: per lane the same sequence of
+/// correctly-rounded ops as [`exp_rn`], the flush guard applied as a mask,
+/// no saturate guard (softmax inputs are max-subtracted).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx2,fma")]
+#[inline]
+pub(crate) fn exp_lanes512<const N: usize>(
+    x: [std::arch::x86_64::__m512d; N],
+) -> [std::arch::x86_64::__m512d; N] {
+    use std::arch::x86_64::*;
+    let shift = _mm512_set1_pd(SHIFT);
+    let one = _mm512_set1_pd(1.0);
+    let t = x.map(|x| _mm512_fmadd_pd(x, _mm512_set1_pd(LOG2E), shift));
+    let n = t.map(|t| _mm512_sub_pd(t, shift));
+    let mut r = x;
+    for i in 0..N {
+        r[i] = _mm512_fmadd_pd(n[i], _mm512_set1_pd(-LN2_HI), x[i]);
+    }
+    for i in 0..N {
+        r[i] = _mm512_fmadd_pd(n[i], _mm512_set1_pd(-LN2_LO), r[i]);
+    }
+    let mut p = [_mm512_set1_pd(POLY[0]); N];
+    for &cf in &POLY[1..] {
+        for i in 0..N {
+            p[i] = _mm512_fmadd_pd(p[i], r[i], _mm512_set1_pd(cf));
+        }
+    }
+    for _ in 0..2 {
+        for i in 0..N {
+            p[i] = _mm512_fmadd_pd(p[i], r[i], one);
+        }
+    }
+    let mut y = p;
+    for i in 0..N {
+        let scale = _mm512_castsi512_pd(_mm512_add_epi64(
+            _mm512_slli_epi64::<52>(_mm512_castpd_si512(t[i])),
+            _mm512_set1_epi64(0x3FF0_0000_0000_0000_u64 as i64),
+        ));
+        // Zero the lanes at or below EXP_LO; NaN lanes fail the compare
+        // and keep the propagated NaN.
+        let lo = _mm512_cmp_pd_mask::<_CMP_LE_OQ>(x[i], _mm512_set1_pd(EXP_LO));
+        y[i] = _mm512_maskz_mov_pd(!lo, _mm512_mul_pd(p[i], scale));
+    }
+    y
+}
+
 /// Scalar mirror of one softmax row, executing the *same* chunk-of-4
 /// accumulator structure as the AVX2 path so results are bitwise
 /// identical: 4 partial sums over full chunks combined as
@@ -219,16 +275,84 @@ unsafe fn softmax_exp_vectors<const N: usize>(
     acc
 }
 
+/// As [`softmax_exp_vectors`] over `N` eight-lane vectors: each vector
+/// adds its low half, then its high half, into the same 4-lane partial
+/// sums, so every partial sum sees its elements in the AVX2 order.
+///
+/// # Safety
+/// `p` must be valid for `8 * N` reads and writes.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx2,fma")]
+#[inline]
+unsafe fn softmax_exp_vectors512<const N: usize>(
+    p: *mut f64,
+    scale: std::arch::x86_64::__m512d,
+    m: std::arch::x86_64::__m512d,
+    mut acc: std::arch::x86_64::__m256d,
+) -> std::arch::x86_64::__m256d {
+    use std::arch::x86_64::*;
+    let mut x = [_mm512_setzero_pd(); N];
+    for (i, x) in x.iter_mut().enumerate() {
+        *x = _mm512_sub_pd(_mm512_mul_pd(_mm512_loadu_pd(p.add(8 * i)), scale), m);
+    }
+    for (i, y) in exp_lanes512::<N>(x).into_iter().enumerate() {
+        _mm512_storeu_pd(p.add(8 * i), y);
+        acc = _mm256_add_pd(acc, _mm512_castpd512_pd256(y));
+        acc = _mm256_add_pd(acc, _mm512_extractf64x4_pd::<1>(y));
+    }
+    acc
+}
+
+/// The row's 4-wide remainder and scalar tail after the vector passes,
+/// then the sum `(s0 + s2) + (s1 + s3)` of the partial sums `acc` plus the
+/// tail left to right, matching [`softmax_row_scalar`]; returns the
+/// row's reciprocal `1 / sum`.
+///
+/// # Safety
+/// The CPU must support AVX2 and FMA.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn softmax_row_close(
+    rest: &mut [f64],
+    scale: f64,
+    m: f64,
+    mut acc: std::arch::x86_64::__m256d,
+) -> f64 {
+    use std::arch::x86_64::*;
+    let mut narrow = rest.chunks_exact_mut(4);
+    for c in &mut narrow {
+        acc = softmax_exp_vectors::<1>(
+            c.as_mut_ptr(),
+            _mm256_set1_pd(scale),
+            _mm256_set1_pd(m),
+            acc,
+        );
+    }
+    let a_lo = _mm256_castpd256_pd128(acc);
+    let a_hi = _mm256_extractf128_pd::<1>(acc);
+    let a2 = _mm_add_pd(a_lo, a_hi);
+    let mut sum = _mm_cvtsd_f64(a2) + _mm_cvtsd_f64(_mm_unpackhi_pd(a2, a2));
+    for v in narrow.into_remainder() {
+        *v = exp_rn(*v * scale - m);
+        sum += *v;
+    }
+    1.0 / sum
+}
+
+/// One row of [`softmax_rows_scaled_inplace`] on 4-lane vectors.
+///
+/// # Safety
+/// The CPU must support AVX2 and FMA.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
 unsafe fn softmax_row_avx2(row: &mut [f64], scale: f64) {
     use std::arch::x86_64::*;
     // Max scan over the *raw* values. Order-insensitive for the finite
-    // scores softmax sees (±0 ties cannot change any downstream bit), so
-    // two vector accumulators (halving the dependent max chain) plus a
-    // scalar tail are safe. The scale is applied to the max once
-    // afterwards — see softmax_row_scalar for why that is bitwise equal to
-    // scaling first.
+    // scores softmax sees (±0 ties cannot change any downstream bit, and a
+    // NaN anywhere makes the whole row NaN), so two vector accumulators
+    // (halving the dependent max chain) plus a scalar tail are safe. The
+    // scale is applied to the max once afterwards — see
+    // softmax_row_scalar for why that is bitwise equal to scaling first.
     let ninf = _mm256_set1_pd(f64::NEG_INFINITY);
     let (mut m4, mut n4) = (ninf, ninf);
     let mut chunks = row.chunks_exact(8);
@@ -259,23 +383,10 @@ unsafe fn softmax_row_avx2(row: &mut [f64], scale: f64) {
     for c in &mut wide {
         acc = softmax_exp_vectors::<WIDE>(c.as_mut_ptr(), cv, mv, acc);
     }
-    let mut narrow = wide.into_remainder().chunks_exact_mut(4);
-    for c in &mut narrow {
-        acc = softmax_exp_vectors::<1>(c.as_mut_ptr(), cv, mv, acc);
-    }
-    // (s0 + s2) + (s1 + s3), matching softmax_row_scalar.
-    let a_lo = _mm256_castpd256_pd128(acc);
-    let a_hi = _mm256_extractf128_pd::<1>(acc);
-    let a2 = _mm_add_pd(a_lo, a_hi);
-    let mut sum = _mm_cvtsd_f64(a2) + _mm_cvtsd_f64(_mm_unpackhi_pd(a2, a2));
-    for v in narrow.into_remainder() {
-        *v = exp_rn(*v * scale - m);
-        sum += *v;
-    }
+    let inv = softmax_row_close(wide.into_remainder(), scale, m, acc);
 
     // One reciprocal per row, then a multiply pass; mul is correctly
     // rounded, so vector lanes match scalar bitwise.
-    let inv = 1.0 / sum;
     let sv = _mm256_set1_pd(inv);
     let mut chunks = row.chunks_exact_mut(4);
     for c in &mut chunks {
@@ -287,39 +398,157 @@ unsafe fn softmax_row_avx2(row: &mut [f64], scale: f64) {
     }
 }
 
+/// [`softmax_row_avx2`] eight lanes at a time: the same max, the same
+/// exponentials, the same 4-lane partial sums in the same order (see
+/// [`softmax_exp_vectors512`]), the same 4-wide remainder and scalar tail,
+/// the same reciprocal — so the same bits.
+///
+/// # Safety
+/// The CPU must support AVX-512F, AVX2 and FMA.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx2,fma")]
+unsafe fn softmax_row_avx512(row: &mut [f64], scale: f64) {
+    use std::arch::x86_64::*;
+    let ninf = _mm512_set1_pd(f64::NEG_INFINITY);
+    let (mut m8, mut n8) = (ninf, ninf);
+    let mut chunks = row.chunks_exact(16);
+    for c in &mut chunks {
+        m8 = _mm512_max_pd(m8, _mm512_loadu_pd(c.as_ptr()));
+        n8 = _mm512_max_pd(n8, _mm512_loadu_pd(c.as_ptr().add(8)));
+    }
+    let mut tail = chunks.remainder();
+    if tail.len() >= 8 {
+        m8 = _mm512_max_pd(m8, _mm512_loadu_pd(tail.as_ptr()));
+        tail = &tail[8..];
+    }
+    let mut max = _mm512_reduce_max_pd(_mm512_max_pd(m8, n8));
+    for &v in tail {
+        max = max.max(v);
+    }
+    let m = scale * max;
+
+    let (cv, mv) = (_mm512_set1_pd(scale), _mm512_set1_pd(m));
+    let mut acc = _mm256_setzero_pd();
+    let mut wide = row.chunks_exact_mut(8 * WIDE);
+    for c in &mut wide {
+        acc = softmax_exp_vectors512::<WIDE>(c.as_mut_ptr(), cv, mv, acc);
+    }
+    let mut one = wide.into_remainder().chunks_exact_mut(8);
+    for c in &mut one {
+        acc = softmax_exp_vectors512::<1>(c.as_mut_ptr(), cv, mv, acc);
+    }
+    let inv = softmax_row_close(one.into_remainder(), scale, m, acc);
+
+    let sv = _mm512_set1_pd(inv);
+    let mut chunks = row.chunks_exact_mut(8);
+    for c in &mut chunks {
+        let y = _mm512_mul_pd(_mm512_loadu_pd(c.as_ptr()), sv);
+        _mm512_storeu_pd(c.as_mut_ptr(), y);
+    }
+    for v in chunks.into_remainder() {
+        *v *= inv;
+    }
+}
+
+/// The softmax of eight rows held lane-interleaved, as the fused attention
+/// head's AVX-512 flavour keeps its score tile: element `(r, j)` of the
+/// `8 × seq` block at `block[8 * j + r]`, and `max` the eight raw row
+/// maxima. Overwrites every element with its numerator
+/// `exp(scale·x − scale·max)` and returns the eight reciprocals `1 / sum`;
+/// the caller multiplies them in. Each lane runs [`softmax_row_scalar`]'s
+/// operations in its order — partial sums by `j mod 4` over the full
+/// chunks, `(s0 + s2) + (s1 + s3)`, then the tail — so the normalised
+/// rows are the row softmax's bits.
+///
+/// # Safety
+/// The CPU must support AVX-512F, AVX2 and FMA, and `block` must hold
+/// `8 * seq` elements.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx2,fma")]
+pub(crate) unsafe fn softmax_lanes_avx512(
+    block: &mut [f64],
+    seq: usize,
+    scale: f64,
+    max: std::arch::x86_64::__m512d,
+) -> std::arch::x86_64::__m512d {
+    use std::arch::x86_64::*;
+    let p = block[..8 * seq].as_mut_ptr();
+    let cv = _mm512_set1_pd(scale);
+    let mv = _mm512_mul_pd(cv, max);
+    let seq4 = seq - seq % 4;
+    let mut s = [_mm512_setzero_pd(); 4];
+    for j in (0..seq4).step_by(4) {
+        let mut x = [_mm512_setzero_pd(); 4];
+        for (u, x) in x.iter_mut().enumerate() {
+            *x = _mm512_sub_pd(_mm512_mul_pd(_mm512_loadu_pd(p.add(8 * (j + u))), cv), mv);
+        }
+        for (u, (y, s)) in exp_lanes512::<4>(x).into_iter().zip(&mut s).enumerate() {
+            _mm512_storeu_pd(p.add(8 * (j + u)), y);
+            *s = _mm512_add_pd(*s, y);
+        }
+    }
+    let mut sum = _mm512_add_pd(_mm512_add_pd(s[0], s[2]), _mm512_add_pd(s[1], s[3]));
+    for j in seq4..seq {
+        let x = _mm512_sub_pd(_mm512_mul_pd(_mm512_loadu_pd(p.add(8 * j)), cv), mv);
+        let [y] = exp_lanes512::<1>([x]);
+        _mm512_storeu_pd(p.add(8 * j), y);
+        sum = _mm512_add_pd(sum, y);
+    }
+    _mm512_div_pd(_mm512_set1_pd(1.0), sum)
+}
+
 /// In-place softmax over consecutive rows of width `d`: max-subtract,
 /// `exp_rn`-family exponentials, a fixed-order 4-lane sum, and one
 /// reciprocal-multiply normalisation — all fused into three passes per
-/// row. Dispatches to the AVX2+FMA lanes on capable x86-64 hosts (unless
-/// `DBAT_GEMM_FORCE_SCALAR=1`), the scalar mirror elsewhere, and is
-/// bitwise identical on every path. This is *the* softmax for both the
-/// autograd graph and the fused attention head of the compiled inference
-/// plans; keeping them on one kernel is what lets the graph-free fast path
-/// mirror the graph bit for bit.
+/// row. Dispatches on [`kernel_tier`] (AVX-512 or AVX2 lanes on capable
+/// x86-64 hosts, the scalar mirror under `DBAT_GEMM_FORCE_SCALAR=1` and
+/// elsewhere) and is bitwise identical on every tier. This is *the*
+/// softmax for both the autograd graph and the fused attention head of the
+/// compiled inference plans; keeping them on one kernel is what lets the
+/// graph-free fast path mirror the graph bit for bit.
 pub fn softmax_rows_inplace(xs: &mut [f64], d: usize) {
     softmax_rows_scaled_inplace(xs, d, 1.0);
 }
 
 /// As [`softmax_rows_inplace`], computing `softmax(scale · x)` per row
-/// without a separate scaling pass. Requires `scale > 0`; the result is
-/// bitwise identical to multiplying every element by `scale` first and
-/// then calling [`softmax_rows_inplace`] (monotone rounding makes the
-/// fused max/subtract exact — see `softmax_row_scalar`'s notes). This
-/// is what lets attention fold its `1/√d_h` score scaling into the
-/// softmax for free while staying bit-equal to the graph path's
-/// scale-then-softmax ops.
+/// without a separate scaling pass. Requires `scale > 0` (checked: with
+/// any other scale the max-subtract would subtract the minimum, and the
+/// tiers would no longer agree); the result is bitwise identical to
+/// multiplying every element by `scale` first and then calling
+/// [`softmax_rows_inplace`] (monotone rounding makes the fused
+/// max/subtract exact — see `softmax_row_scalar`'s notes). This is what
+/// lets attention fold its `1/√d_h` score scaling into the softmax for
+/// free while staying bit-equal to the graph path's scale-then-softmax
+/// ops.
 pub fn softmax_rows_scaled_inplace(xs: &mut [f64], d: usize, scale: f64) {
-    debug_assert!(scale > 0.0, "softmax scale must be positive");
+    softmax_rows_with(kernel_tier(), xs, d, scale);
+}
+
+/// [`softmax_rows_scaled_inplace`] on a given tier (panics on one the CPU
+/// does not run).
+pub(crate) fn softmax_rows_with(tier: Tier, xs: &mut [f64], d: usize, scale: f64) {
+    assert!(scale > 0.0, "softmax scale must be positive, got {scale}");
+    assert_runs(tier);
     if d == 0 {
         return;
     }
     #[cfg(target_arch = "x86_64")]
-    if crate::gemm::use_fma_kernels() {
-        for row in xs.chunks_mut(d) {
-            // SAFETY: use_fma_kernels() verified avx2+fma at runtime.
-            unsafe { softmax_row_avx2(row, scale) };
+    match tier {
+        Tier::Avx512 => {
+            for row in xs.chunks_mut(d) {
+                // SAFETY: the tier runs on this CPU (`assert_runs`).
+                unsafe { softmax_row_avx512(row, scale) };
+            }
+            return;
         }
-        return;
+        Tier::Avx2 => {
+            for row in xs.chunks_mut(d) {
+                // SAFETY: the tier runs on this CPU (`assert_runs`).
+                unsafe { softmax_row_avx2(row, scale) };
+            }
+            return;
+        }
+        Tier::Scalar => {}
     }
     for row in xs.chunks_mut(d) {
         softmax_row_scalar(row, scale);
@@ -460,5 +689,108 @@ mod tests {
             }
             assert!(got[..d].contains(&0.0), "spread must flush weights");
         }
+    }
+
+    /// Every tier the CPU runs, each called directly rather than through
+    /// `DBAT_GEMM_FORCE_SCALAR`, against the scalar mirror bit for bit:
+    /// widths straddling the 4-, 8- and 16-lane loops, and hostile rows
+    /// (±∞, NaN, a 1e300 spread, all −∞). An AVX-512 or AVX2 leg the CPU
+    /// lacks is skipped with a note.
+    #[test]
+    fn every_tier_matches_scalar_bitwise_on_ragged_and_hostile_rows() {
+        for tier in Tier::ALL {
+            if !tier.supported() {
+                println!("{tier:?} not supported on this CPU: softmax leg skipped");
+            }
+        }
+        for d in [1usize, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 33, 39, 128] {
+            let rows = 8;
+            let mut xs: Vec<f64> = (0..rows * d)
+                .map(|i| ((i * 173) % 89) as f64 * 0.43 - 19.0)
+                .collect();
+            let at = |r: usize, j: usize| r * d + j * 7 % d;
+            xs[at(1, 0)] = f64::INFINITY;
+            xs[at(2, 1)] = f64::NEG_INFINITY;
+            xs[at(3, 2)] = f64::NAN;
+            xs[at(4, 3)] = 1e300;
+            xs[at(4, 4)] = -1e300;
+            xs[5 * d..6 * d].fill(f64::NEG_INFINITY);
+            for scale in [1.0, 0.5, 1e-3] {
+                let mut want = xs.clone();
+                for row in want.chunks_mut(d) {
+                    softmax_row_scalar(row, scale);
+                }
+                for tier in Tier::ALL.into_iter().filter(|t| t.supported()) {
+                    let mut got = xs.clone();
+                    softmax_rows_with(tier, &mut got, d, scale);
+                    for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                        assert!(
+                            g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
+                            "{tier:?} d {d} scale {scale} element {i}: {g:e} vs {w:e}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// The AVX-512 head's lane-interleaved softmax against the row softmax:
+    /// eight rows transposed, exponentiated, normalised by the returned
+    /// reciprocals, transposed back.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn lane_softmax_matches_row_softmax_bitwise() {
+        use std::arch::x86_64::*;
+        if !Tier::Avx512.supported() {
+            println!("no AVX-512F on this CPU: lane softmax not checked");
+            return;
+        }
+        for d in [1usize, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 33, 39, 128] {
+            let mut xs: Vec<f64> = (0..8 * d)
+                .map(|i| ((i * 211) % 101) as f64 * 37.0 - 1800.0)
+                .collect();
+            xs[d / 2] = f64::NAN;
+            xs[d + d / 3] = f64::INFINITY;
+            xs[2 * d..3 * d].fill(f64::NEG_INFINITY);
+            xs[3 * d] = 1e300;
+            let scale = 0.5;
+            let mut want = xs.clone();
+            softmax_rows_with(Tier::Scalar, &mut want, d, scale);
+            let mut block = vec![0.0; 8 * d];
+            let mut max = [f64::NEG_INFINITY; 8];
+            for (r, row) in xs.chunks(d).enumerate() {
+                for (j, &x) in row.iter().enumerate() {
+                    block[8 * j + r] = x;
+                    max[r] = max[r].max(x);
+                }
+            }
+            let mut inv = [0.0; 8];
+            // SAFETY: AVX-512F detected; `block` holds 8 * d elements.
+            unsafe {
+                let v = softmax_lanes_avx512(&mut block, d, scale, _mm512_loadu_pd(max.as_ptr()));
+                _mm512_storeu_pd(inv.as_mut_ptr(), v);
+            }
+            for (r, row) in want.chunks(d).enumerate() {
+                for (j, &w) in row.iter().enumerate() {
+                    let g = block[8 * j + r] * inv[r];
+                    assert!(
+                        g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
+                        "d {d} row {r} column {j}: {g:e} vs {w:e}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "softmax scale must be positive")]
+    fn non_positive_scale_is_rejected() {
+        softmax_rows_scaled_inplace(&mut [1.0, 2.0, 3.0], 3, 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "softmax scale must be positive")]
+    fn nan_scale_is_rejected() {
+        softmax_rows_scaled_inplace(&mut [1.0, 2.0, 3.0], 3, f64::NAN);
     }
 }

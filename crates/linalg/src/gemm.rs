@@ -16,18 +16,25 @@
 //!    registers: output traffic drops from one read-modify-write per
 //!    multiply (the naive `ikj` loop) to one store per `k` products.
 //!
-//! On x86-64 the micro-kernel dispatches at runtime to an AVX2+FMA
-//! variant when the CPU supports it (the workspace builds against the
-//! portable x86-64 baseline, so this is the only way to reach 256-bit
-//! FMA without per-host `RUSTFLAGS`); everywhere else a scalar variant
-//! autovectorises at whatever width the target offers. Products are
-//! accumulated over `k` in the same order as the naive triple loop, so
+//! The micro-kernel follows the crate's [`Tier`]: AVX2+FMA 4×8 and 4×4
+//! tiles, and under AVX-512 a 4×16 tile that reads two adjacent `NR`
+//! panels at once (the pack is the same; an odd last panel and the narrow
+//! tile stay on AVX2). Every output element is one FMA chain over `k` in
+//! ascending order on both vector tiers, so they give the same bits; the
+//! scalar tiles (the `Scalar` tier, and every non-x86-64 target) use plain
+//! mul+add and autovectorise at whatever width the target offers. Products
+//! are accumulated over `k` in the same order as the naive triple loop, so
 //! results match the reference within a few ULPs (FMA keeps intermediate
 //! products unrounded — it is *more* accurate, not differently ordered).
+//! On a 2.1 GHz AVX-512 host the 4×16 tile took
+//! `linalg.gemm_small_gflops` (the encoder's 128×16×16 product) from 7.9
+//! to 10.9 GF/s and `core.score216_us` (the 216-row grid score) from 70 µs
+//! to 57 µs (medians of ten `closed_loop` pairs in `BENCH_perf.jsonl`).
 //!
 //! Row-blocks dispatch over rayon above `PAR_FLOPS` (each worker packs
 //! its own A panels; the shared B pack is read-only).
 
+use crate::tier::{assert_runs, kernel_tier, Tier};
 use rayon::prelude::*;
 
 /// Rows per register tile.
@@ -53,38 +60,6 @@ pub enum Layout {
     Normal,
     /// Row-major storage of the *transpose*: `src[j * ld + i]` is `(i, j)`.
     Transposed,
-}
-
-/// `DBAT_GEMM_FORCE_SCALAR=1` (any value other than `0`) disables the FMA
-/// micro-kernels so the portable scalar path can be exercised on x86-64
-/// hardware — CI uses this to run the equivalence suites on both paths.
-pub(crate) fn force_scalar_env() -> bool {
-    std::env::var_os("DBAT_GEMM_FORCE_SCALAR").is_some_and(|v| v != "0")
-}
-
-#[inline]
-pub(crate) fn use_fma_kernels() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        use std::sync::atomic::{AtomicU8, Ordering};
-        static CACHED: AtomicU8 = AtomicU8::new(0);
-        match CACHED.load(Ordering::Relaxed) {
-            1 => true,
-            2 => false,
-            _ => {
-                let ok = !force_scalar_env()
-                    && std::arch::is_x86_feature_detected!("avx2")
-                    && std::arch::is_x86_feature_detected!("fma");
-                CACHED.store(if ok { 1 } else { 2 }, Ordering::Relaxed);
-                ok
-            }
-        }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        let _ = force_scalar_env;
-        false
-    }
 }
 
 /// Pack columns `[j0, j0 + nr)` of the logical `k × n` operand B into
@@ -265,6 +240,74 @@ unsafe fn mk_fma_4x4(k: usize, ap: &[f64], bp: &[f64], acc: &mut [f64; MR * NR4]
     _mm256_storeu_pd(o.add(12), c3);
 }
 
+/// AVX-512 `4 × 16` micro-kernel over two adjacent `NR`-wide panels: 8 zmm
+/// accumulators, 2 panel loads and 4 broadcasts per k-step. Each output
+/// element is the same FMA chain over `k` as in [`mk_fma_4x8`], so the two
+/// give the same bits.
+///
+/// # Safety
+/// Caller must ensure the CPU supports AVX-512F, `ap.len() >= k * MR`, and
+/// `bp.len() >= 2 * k * NR` (panel `jb` followed by panel `jb + 1`).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx2,fma")]
+unsafe fn mk_avx512_4x16(k: usize, ap: &[f64], bp: &[f64], acc: &mut [f64; MR * 2 * NR]) {
+    use std::arch::x86_64::*;
+    let mut c = [[_mm512_setzero_pd(); 2]; MR];
+    let a = ap.as_ptr();
+    let (b0, b1) = (bp.as_ptr(), bp.as_ptr().add(k * NR));
+    for p in 0..k {
+        let bv = [
+            _mm512_loadu_pd(b0.add(p * NR)),
+            _mm512_loadu_pd(b1.add(p * NR)),
+        ];
+        for (ir, row) in c.iter_mut().enumerate() {
+            let av = _mm512_set1_pd(*a.add(p * MR + ir));
+            row[0] = _mm512_fmadd_pd(av, bv[0], row[0]);
+            row[1] = _mm512_fmadd_pd(av, bv[1], row[1]);
+        }
+    }
+    let o = acc.as_mut_ptr();
+    for (ir, row) in c.iter().enumerate() {
+        _mm512_storeu_pd(o.add(ir * 2 * NR), row[0]);
+        _mm512_storeu_pd(o.add(ir * 2 * NR + NR), row[1]);
+    }
+}
+
+/// Run the micro-kernel `tier` picks for one `MR`-row tile against
+/// `panels` adjacent B panels (`bp`), writing the `MR × panels · nr` tile
+/// row-major into `acc`. Two panels at once only under [`Tier::Avx512`].
+fn micro_kernel(
+    tier: Tier,
+    k: usize,
+    nr: usize,
+    panels: usize,
+    ap: &[f64],
+    bp: &[f64],
+    acc: &mut [f64],
+) {
+    #[cfg(target_arch = "x86_64")]
+    match (tier, nr, panels) {
+        // SAFETY (all arms): the tier runs on this CPU (`assert_runs`);
+        // `ap` holds k*MR and `bp` panels*k*nr elements.
+        (Tier::Avx512, NR, 2) => {
+            return unsafe { mk_avx512_4x16(k, ap, bp, acc.try_into().unwrap()) }
+        }
+        (Tier::Avx2 | Tier::Avx512, NR, 1) => {
+            return unsafe { mk_fma_4x8(k, ap, bp, acc.try_into().unwrap()) }
+        }
+        (Tier::Avx2 | Tier::Avx512, NR4, 1) => {
+            return unsafe { mk_fma_4x4(k, ap, bp, acc.try_into().unwrap()) }
+        }
+        _ => {}
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = (tier, panels);
+    match nr {
+        NR => mk_scalar_4x8(k, ap, bp, acc.try_into().unwrap()),
+        _ => mk_scalar_4x4(k, ap, bp, acc.try_into().unwrap()),
+    }
+}
+
 /// Process rows `[row0, row1)` against the fully packed B.
 #[allow(clippy::too_many_arguments)]
 fn gemm_rows(
@@ -278,7 +321,7 @@ fn gemm_rows(
     row0: usize,
     row1: usize,
     out: &mut [f64],
-    fma: bool,
+    tier: Tier,
 ) {
     // The A panel lives on the stack for small `k` (every layer of the
     // surrogate), so a pre-packed product allocates nothing. Cache-line
@@ -294,51 +337,29 @@ fn gemm_rows(
         heap.resize(k * MR, 0.0);
         &mut heap[..]
     };
-    let mut acc = [0.0; MR * NR];
+    let mut acc = [0.0; MR * 2 * NR];
     let n_panels = n.div_ceil(nr);
     let mut i0 = row0;
     while i0 < row1 {
         pack_a(a, a_layout, m, k, i0, apanel);
         let mh = MR.min(row1 - i0);
-        for jb in 0..n_panels {
-            let j0 = jb * nr;
-            let nw = nr.min(n - j0);
-            let bp = &bpack[jb * k * nr..(jb + 1) * k * nr];
-            let acc = &mut acc[..MR * nr];
-            if nr == NR {
-                let acc: &mut [f64; MR * NR] = acc.try_into().unwrap();
-                #[cfg(target_arch = "x86_64")]
-                if fma {
-                    // SAFETY: `fma` is true only when AVX2+FMA were
-                    // detected at runtime; panel lengths are k*MR / k*NR.
-                    unsafe { mk_fma_4x8(k, apanel, bp, acc) }
-                } else {
-                    mk_scalar_4x8(k, apanel, bp, acc);
-                }
-                #[cfg(not(target_arch = "x86_64"))]
-                {
-                    let _ = fma;
-                    mk_scalar_4x8(k, apanel, bp, acc);
-                }
+        let mut jb = 0;
+        while jb < n_panels {
+            let panels = if tier == Tier::Avx512 && nr == NR && jb + 1 < n_panels {
+                2
             } else {
-                let acc: &mut [f64; MR * NR4] = acc.try_into().unwrap();
-                #[cfg(target_arch = "x86_64")]
-                if fma {
-                    // SAFETY: as above.
-                    unsafe { mk_fma_4x4(k, apanel, bp, acc) }
-                } else {
-                    mk_scalar_4x4(k, apanel, bp, acc);
-                }
-                #[cfg(not(target_arch = "x86_64"))]
-                {
-                    let _ = fma;
-                    mk_scalar_4x4(k, apanel, bp, acc);
-                }
-            }
+                1
+            };
+            let (j0, w) = (jb * nr, panels * nr);
+            let nw = w.min(n - j0);
+            let bp = &bpack[jb * k * nr..(jb + panels) * k * nr];
+            let acc = &mut acc[..MR * w];
+            micro_kernel(tier, k, nr, panels, apanel, bp, acc);
             for ir in 0..mh {
                 let dst = &mut out[(i0 - row0 + ir) * n + j0..(i0 - row0 + ir) * n + j0 + nw];
-                dst.copy_from_slice(&acc[ir * nr..ir * nr + nw]);
+                dst.copy_from_slice(&acc[ir * w..ir * w + nw]);
             }
+            jb += panels;
         }
         i0 += MR;
     }
@@ -358,11 +379,11 @@ pub fn gemm(
     b_layout: Layout,
     out: &mut [f64],
 ) {
-    gemm_with(m, n, k, a, a_layout, b, b_layout, out, use_fma_kernels());
+    gemm_with(m, n, k, a, a_layout, b, b_layout, out, kernel_tier());
 }
 
-/// [`gemm`] with the micro-kernel choice pinned, so tests can exercise
-/// the scalar path on hardware where runtime detection would pick FMA.
+/// [`gemm`] with the micro-kernel tier pinned, so tests can exercise every
+/// tier the CPU runs (panics on one it does not).
 #[doc(hidden)]
 #[allow(clippy::too_many_arguments)]
 pub fn gemm_with(
@@ -374,9 +395,10 @@ pub fn gemm_with(
     b: &[f64],
     b_layout: Layout,
     out: &mut [f64],
-    fma: bool,
+    tier: Tier,
 ) {
     debug_assert_eq!(out.len(), m * n);
+    assert_runs(tier);
     if m == 0 || n == 0 {
         return;
     }
@@ -405,10 +427,10 @@ pub fn gemm_with(
             .for_each(|(blk, chunk)| {
                 let row0 = blk * ROW_BLOCK;
                 let row1 = (row0 + ROW_BLOCK).min(m);
-                gemm_rows(a, a_layout, bpack, m, n, k, nr, row0, row1, chunk, fma);
+                gemm_rows(a, a_layout, bpack, m, n, k, nr, row0, row1, chunk, tier);
             });
     } else {
-        gemm_rows(a, a_layout, &bpack, m, n, k, nr, 0, m, out, fma);
+        gemm_rows(a, a_layout, &bpack, m, n, k, nr, 0, m, out, tier);
     }
 }
 
@@ -456,11 +478,11 @@ impl PackedMat {
 /// overwritten (`out.len() == m * n`). Bitwise-identical to [`gemm`] with
 /// the same operands.
 pub fn gemm_prepacked(m: usize, a: &[f64], a_layout: Layout, b: &PackedMat, out: &mut [f64]) {
-    gemm_prepacked_with(m, a, a_layout, b, out, use_fma_kernels());
+    gemm_prepacked_with(m, a, a_layout, b, out, kernel_tier());
 }
 
-/// [`gemm_prepacked`] with the micro-kernel choice pinned, so tests can
-/// exercise the scalar path on hardware where detection would pick FMA.
+/// [`gemm_prepacked`] with the micro-kernel tier pinned, so tests can
+/// exercise every tier the CPU runs (panics on one it does not).
 #[doc(hidden)]
 pub fn gemm_prepacked_with(
     m: usize,
@@ -468,10 +490,11 @@ pub fn gemm_prepacked_with(
     a_layout: Layout,
     b: &PackedMat,
     out: &mut [f64],
-    fma: bool,
+    tier: Tier,
 ) {
     let (n, k, nr) = (b.n, b.k, b.nr);
     debug_assert_eq!(out.len(), m * n);
+    assert_runs(tier);
     if m == 0 || n == 0 {
         return;
     }
@@ -486,10 +509,10 @@ pub fn gemm_prepacked_with(
             .for_each(|(blk, chunk)| {
                 let row0 = blk * ROW_BLOCK;
                 let row1 = (row0 + ROW_BLOCK).min(m);
-                gemm_rows(a, a_layout, bpack, m, n, k, nr, row0, row1, chunk, fma);
+                gemm_rows(a, a_layout, bpack, m, n, k, nr, row0, row1, chunk, tier);
             });
     } else {
-        gemm_rows(a, a_layout, &b.panels, m, n, k, nr, 0, m, out, fma);
+        gemm_rows(a, a_layout, &b.panels, m, n, k, nr, 0, m, out, tier);
     }
 }
 
@@ -596,7 +619,7 @@ mod tests {
     fn forced_scalar_kernels_match_naive_across_ragged_shapes() {
         check_all_layouts(|m, n, k, a, al, b, bl| {
             let mut out = vec![0.0; m * n];
-            gemm_with(m, n, k, a, al, b, bl, &mut out, false);
+            gemm_with(m, n, k, a, al, b, bl, &mut out, Tier::Scalar);
             out
         });
     }
@@ -609,22 +632,79 @@ mod tests {
     }
 
     /// Pre-packing B once must reproduce the per-call pack bit for bit,
-    /// on both micro-kernel variants and both B layouts.
+    /// on every micro-kernel tier the CPU runs and both B layouts.
     #[test]
     fn prepacked_matches_gemm_bitwise_across_ragged_shapes() {
-        for fma in [use_fma_kernels(), false] {
+        for tier in Tier::ALL.into_iter().filter(|t| t.supported()) {
             for &(m, n, k) in SHAPES {
                 let a = fill(m * k, 1 + m as u64);
                 let b = fill(k * n, 2 + n as u64);
                 let bt = transpose(&b, k, n);
                 for (bl, bb) in [(Layout::Normal, &b), (Layout::Transposed, &bt)] {
                     let mut want = vec![0.0; m * n];
-                    gemm_with(m, n, k, &a, Layout::Normal, bb, bl, &mut want, fma);
+                    gemm_with(m, n, k, &a, Layout::Normal, bb, bl, &mut want, tier);
                     let packed = PackedMat::pack(bb, bl, k, n);
                     assert_eq!((packed.k, packed.n), (k, n));
                     let mut got = vec![0.0; m * n];
-                    gemm_prepacked_with(m, &a, Layout::Normal, &packed, &mut got, fma);
-                    assert_eq!(got, want, "({m},{n},{k}) {bl:?} fma={fma}");
+                    gemm_prepacked_with(m, &a, Layout::Normal, &packed, &mut got, tier);
+                    assert_eq!(got, want, "({m},{n},{k}) {bl:?} {tier:?}");
+                }
+            }
+        }
+    }
+
+    /// Widths that straddle the 4-, 8- and 16-column tiles.
+    const RAGGED: [usize; 14] = [1, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 33, 39, 128];
+
+    /// The AVX2 and AVX-512 micro-kernels, each called directly, give the
+    /// same bits on ragged widths and on operands holding ±∞, NaN and a
+    /// 1e300 spread (an AVX-512 leg is skipped, with a note, on CPUs
+    /// without it).
+    #[test]
+    fn fused_tiers_match_bitwise_on_ragged_and_hostile_operands() {
+        if !Tier::Avx2.supported() {
+            println!("no AVX2+FMA on this CPU: fused GEMM tiers not compared");
+            return;
+        }
+        if !Tier::Avx512.supported() {
+            println!("no AVX-512F on this CPU: AVX-512 GEMM leg skipped");
+            return;
+        }
+        for &n in &RAGGED {
+            for &(m, k) in &[(1usize, 1usize), (5, 3), (13, 16), (64, 33)] {
+                for hostile in [false, true] {
+                    let mut a = fill(m * k, 3 + n as u64);
+                    let mut b = fill(k * n, 5 + m as u64);
+                    if hostile {
+                        let (na, nb) = (a.len(), b.len());
+                        a[0] = f64::INFINITY;
+                        a[na / 2] = 1e300;
+                        b[nb - 1] = f64::NAN;
+                        b[nb / 3] = f64::NEG_INFINITY;
+                        b[0] = -1e-300;
+                    }
+                    let run = |tier| {
+                        let mut out = vec![0.0; m * n];
+                        gemm_with(
+                            m,
+                            n,
+                            k,
+                            &a,
+                            Layout::Normal,
+                            &b,
+                            Layout::Normal,
+                            &mut out,
+                            tier,
+                        );
+                        out
+                    };
+                    let (want, got) = (run(Tier::Avx2), run(Tier::Avx512));
+                    for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                        assert!(
+                            g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
+                            "({m},{n},{k}) hostile {hostile} element {i}: {g:e} vs {w:e}"
+                        );
+                    }
                 }
             }
         }

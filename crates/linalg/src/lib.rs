@@ -22,8 +22,13 @@
 //!   not depend on batch position or shard. The compiled plans and the
 //!   training tape share this one kernel pair;
 //! * [`softmax_rows_inplace`] — the fused row softmax on a deterministic
-//!   vectorised `exp`: AVX2+FMA lanes with a bitwise-identical scalar
-//!   mirror, honouring `DBAT_GEMM_FORCE_SCALAR` like the GEMM kernels;
+//!   vectorised `exp`, bitwise identical on every tier;
+//! * [`Tier`] / [`kernel_tier`] — the one cached instruction-set tier
+//!   (`Scalar`, `Avx2`, `Avx512`) that all three kernel families above
+//!   dispatch on. `DBAT_GEMM_FORCE_SCALAR=1` pins `Scalar` for the GEMM,
+//!   the softmax and the attention head alike. `Avx2` and `Avx512` give
+//!   the same bits (each output element keeps its chain of fused ops in
+//!   the same order); `Scalar` rounds its products differently;
 //! * [`solve`] / [`inverse`] — LU factorisation with partial pivoting;
 //! * [`ctmc_stationary`] / [`dtmc_stationary`] — GTH-based stationary
 //!   distributions (numerically robust for rate matrices spanning many
@@ -41,6 +46,7 @@ mod kron;
 mod lu;
 mod matrix;
 mod stationary;
+mod tier;
 
 pub use attention::{
     attention_backward_scratch_len, attention_head, attention_head_backward, attention_scratch_len,
@@ -52,3 +58,4 @@ pub use kron::kron;
 pub use lu::{inverse, solve};
 pub use matrix::Mat;
 pub use stationary::{ctmc_stationary, dtmc_stationary};
+pub use tier::{kernel_tier, Tier};

@@ -2,7 +2,8 @@
 
 use dbat_linalg::gemm::{gemm_prepacked_with, gemm_with};
 use dbat_linalg::{
-    ctmc_stationary, expm, gemm, gemm_prepacked, kron, solve, Layout, Mat, PackedMat, Uniformizer,
+    ctmc_stationary, expm, gemm, gemm_prepacked, kron, solve, Layout, Mat, PackedMat, Tier,
+    Uniformizer,
 };
 use proptest::prelude::*;
 
@@ -130,14 +131,24 @@ fn check_prepacked(
     };
     let mut want = vec![0.0; m * n];
     if force_scalar {
-        gemm_with(m, n, k, &a, Layout::Normal, &b, layout, &mut want, false);
+        gemm_with(
+            m,
+            n,
+            k,
+            &a,
+            Layout::Normal,
+            &b,
+            layout,
+            &mut want,
+            Tier::Scalar,
+        );
     } else {
         gemm(m, n, k, &a, Layout::Normal, &b, layout, &mut want);
     }
     let packed = PackedMat::pack(&b, layout, k, n);
     let mut got = vec![0.0; m * n];
     if force_scalar {
-        gemm_prepacked_with(m, &a, Layout::Normal, &packed, &mut got, false);
+        gemm_prepacked_with(m, &a, Layout::Normal, &packed, &mut got, Tier::Scalar);
     } else {
         gemm_prepacked(m, &a, Layout::Normal, &packed, &mut got);
     }

@@ -46,23 +46,19 @@ impl Arena {
         self.buf.len()
     }
 
-    /// Carve `N` non-overlapping slices of the given lengths.
+    /// Carve `N` non-overlapping slices of the given lengths. Allocates only
+    /// when the backing block must grow.
     pub fn split<const N: usize>(&mut self, lens: [usize; N]) -> [&mut [f64]; N] {
         let total: usize = lens.iter().sum();
         if self.buf.len() < total {
             self.buf.resize(total, 0.0);
         }
         let mut rest = &mut self.buf[..];
-        let mut out = Vec::with_capacity(N);
-        for l in lens {
-            let (head, tail) = rest.split_at_mut(l);
-            out.push(head);
+        lens.map(|l| {
+            let (head, tail) = std::mem::take(&mut rest).split_at_mut(l);
             rest = tail;
-        }
-        match out.try_into() {
-            Ok(arr) => arr,
-            Err(_) => unreachable!("split length preserved"),
-        }
+            head
+        })
     }
 }
 
