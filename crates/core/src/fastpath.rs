@@ -13,9 +13,12 @@
 //!
 //! Plans are snapshots: any weight or standardiser update must rebuild
 //! them (`Surrogate::invalidate_plan`).
+//!
+//! `head1`'s chains run over `E_1` first, the same steps for every
+//! candidate row: [`SharedRowLinear`] runs them once per decision.
 
 use crate::surrogate::{Surrogate, LOG_EPS, N_FEATURES, N_OUTPUTS};
-use dbat_nn::{positional_encoding, relu_inplace, Arena, InferencePlan, MhaPlan, PackedLinear};
+use dbat_nn::{positional_encoding, Arena, InferencePlan, MhaPlan, PackedLinear, SharedRowLinear};
 
 /// The full surrogate compiled for graph-free inference.
 #[derive(Clone, Debug)]
@@ -28,7 +31,8 @@ pub struct SurrogatePlan {
     encoder: InferencePlan,
     pool_attn: MhaPlan,
     feat_ff: PackedLinear,
-    head1: PackedLinear,
+    /// `head1` over `[E_1 | E_2]`, its `E_1` half shared by every row.
+    head1: SharedRowLinear,
     head2: PackedLinear,
     /// Log-interarrival standardiser constants (single column).
     seq_mean: f64,
@@ -47,7 +51,7 @@ impl SurrogatePlan {
             encoder: InferencePlan::compile(&model.encoder),
             pool_attn: MhaPlan::compile(&model.pool_attn),
             feat_ff: PackedLinear::compile(&model.feat_ff),
-            head1: PackedLinear::compile(&model.head1),
+            head1: SharedRowLinear::compile(&model.head1, cfg.dim),
             head2: PackedLinear::compile(&model.head2),
             seq_mean: model.seq_std.mean[0],
             seq_sd: model.seq_std.std[0],
@@ -129,18 +133,11 @@ impl SurrogatePlan {
         assert_eq!(e1.len(), d);
         assert_eq!(feats_pre.len(), c * N_FEATURES);
         assert_eq!(out.len(), c * N_OUTPUTS);
-        let [e2, cat, hid] = arena.split([c * d, c * 2 * d, c * fh]);
+        let [e2, prefix, hid] = arena.split([c * d, fh, c * fh]);
         // E_2 = relu(feat_ff(F))
-        self.feat_ff.forward(c, feats_pre, e2);
-        relu_inplace(e2);
-        // Concat(E_1, E_2): E_1 broadcast across the candidate rows.
-        for (i, row) in e2.chunks_exact(d).enumerate() {
-            cat[i * 2 * d..i * 2 * d + d].copy_from_slice(e1);
-            cat[i * 2 * d + d..(i + 1) * 2 * d].copy_from_slice(row);
-        }
-        // O = head2(relu(head1(cat)))
-        self.head1.forward(c, cat, hid);
-        relu_inplace(hid);
+        self.feat_ff.forward_relu(c, feats_pre, e2);
+        // O = head2(relu(head1(Concat(E_1, E_2))))
+        self.head1.forward_relu(e1, c, e2, prefix, hid);
         self.head2.forward(c, hid, out);
     }
 }

@@ -5,11 +5,11 @@
 //! The unfused pipeline is three calls per head — `gemm(Q·Kᵀ)`, a row
 //! softmax, `gemm(attn·V)` — over an `S × S` intermediate that falls out
 //! of L1 (128 KB at `S = 128`), with a `k = d_h` and an `n = d_h` GEMM
-//! whose packing and tile write-back outweigh their arithmetic. Here Kᵀ is
-//! packed once per head, and each block of `ROW_BLOCK` (8) query rows writes
-//! its score rows into a scratch that stays in L1, runs the shared
-//! [`softmax_rows_scaled_inplace`] over them, and accumulates the context
-//! rows straight into the caller's output.
+//! whose packing and tile write-back outweigh their arithmetic. Here each
+//! block of query rows (`ROW_BLOCK` = 8, or `WIDE_BLOCK` = 16 under
+//! AVX-512) writes its score rows into a scratch that stays in L1, runs the
+//! softmax over them, and accumulates the context rows straight into the
+//! caller's output.
 //!
 //! Operands are *strided views*: element `(i, p)` of Q, K, V and the
 //! output lives at `i * ld + p`, so a head reads its columns of the merged
@@ -29,15 +29,15 @@
 //! The two vector flavours differ only in how lanes are laid out. The
 //! AVX2 flavour puts key positions (scores) and head columns (context)
 //! across its 4 lanes and runs the row softmax over the block's score
-//! rows. The AVX-512 flavour puts the block's 8 query rows across its 8
-//! lanes: a key's scores are one vector, read straight from K with no Kᵀ
-//! pack; the softmax needs no per-row horizontal step
-//! (`exp::softmax_lanes_avx512`); and a head column's context is
-//! one vector, so a `d_h = 4` head still fills 8 lanes. Lanes over rows
-//! is what made the AVX-512 head pay: with the AVX2 head and the 8-lane
-//! row softmax, `core.encode_us` measured 494–548 µs against 379–397 µs
-//! for this flavour, run side by side on the two vCPUs of a 2.1 GHz
-//! AVX-512 host.
+//! rows (Kᵀ packed once per head). The AVX-512 flavour puts the block's
+//! 16 query rows across the lanes of two 8-lane halves: a key's scores are
+//! one vector per half, read straight from K with no Kᵀ pack; the softmax
+//! needs no per-row horizontal step (`exp::softmax_lanes_avx512`); and a
+//! head column's context is one vector per half, so a `d_h = 4` head runs
+//! the 8 independent FMA chains two ports need. Lanes over rows made the
+//! AVX-512 head pay (`core.encode_us` 494–548 µs with the AVX2 head
+//! against 379–397 µs with 8 rows to the lanes); 16 rows took one 128-key
+//! head from ~20 µs to ~16 µs (DESIGN §9).
 //!
 //! ## Backward
 //!
@@ -77,15 +77,19 @@ use crate::tier::{kernel_tier, Tier};
 
 /// Query rows per block: eight independent accumulator chains keep both
 /// FMA ports busy, and `ROW_BLOCK · S` scores (8 KB at `S = 128`) plus the
-/// packed Kᵀ stay L1-resident. Also the AVX-512 lane count, which
-/// [`head_avx512`] lays across the block's rows.
+/// packed Kᵀ stay L1-resident. The AVX2 and multiply-then-add forward
+/// flavours and the backward use it.
 const ROW_BLOCK: usize = 8;
 
+/// Query rows per block of [`head_avx512`]: two 8-lane halves (16 KB of
+/// scores at `S = 128`, still L1-resident).
+const WIDE_BLOCK: usize = 16;
+
 /// Scratch [`attention_head`] needs for one head: packed Kᵀ (`dh · seq`),
-/// the score rows of one block (`ROW_BLOCK · seq`), and the block's packed
-/// query rows (`ROW_BLOCK · dh`). Linear in `seq`.
+/// the score rows of one block (`WIDE_BLOCK · seq`), and the block's packed
+/// query rows (`WIDE_BLOCK · dh`). Linear in `seq`.
 pub fn attention_scratch_len(seq: usize, dh: usize) -> usize {
-    (dh + ROW_BLOCK) * seq + ROW_BLOCK * dh
+    (dh + WIDE_BLOCK) * seq + WIDE_BLOCK * dh
 }
 
 /// One attention head: `out = softmax(scale · Q·Kᵀ) · V` over strided
@@ -119,8 +123,8 @@ pub fn attention_head(
     assert!(q.len() >= span && k.len() >= span && v.len() >= span && out.len() >= span);
     assert!(scratch.len() >= attention_scratch_len(seq, dh));
     let (kt, rest) = scratch.split_at_mut(dh * seq);
-    let (rows, qb) = rest.split_at_mut(ROW_BLOCK * seq);
-    let qb = &mut qb[..ROW_BLOCK * dh];
+    let (rows, qb) = rest.split_at_mut(WIDE_BLOCK * seq);
+    let qb = &mut qb[..WIDE_BLOCK * dh];
 
     let packed = gemm_worthwhile(seq, seq, dh);
     #[cfg(target_arch = "x86_64")]
@@ -128,7 +132,11 @@ pub fn attention_head(
         // SAFETY (both arms): `kernel_tier` returns only a tier detected on
         // this CPU; the slice bounds were asserted above.
         Tier::Avx512 if packed => {
-            unsafe { head_avx512(seq, dh, ld, scale, q, k, v, out, rows, qb) };
+            if dh == 4 {
+                unsafe { head_avx512::<4>(seq, dh, ld, scale, q, k, v, out, rows, qb) };
+            } else {
+                unsafe { head_avx512::<0>(seq, dh, ld, scale, q, k, v, out, rows, qb) };
+            }
             return;
         }
         Tier::Avx2 if packed => {
@@ -153,14 +161,15 @@ fn pack_kt(seq: usize, dh: usize, ld: usize, k: &[f64], kt: &mut [f64]) {
     }
 }
 
-/// Pack rows `[i0, i0 + rb)` of Q as `qb[p * ROW_BLOCK + r] = Q[i0 + r, p]`,
-/// zero-padding rows past `rb`, so the tile loops read one contiguous
-/// panel and need no row tail.
+/// Pack rows `[i0, i0 + rb)` of Q as `qb[p * w + r] = Q[i0 + r, p]` for
+/// a block `w = qb.len() / dh` rows wide, zero-padding rows past `rb`, so
+/// the tile loops read one contiguous panel and need no row tail.
 fn pack_q_block(dh: usize, ld: usize, q: &[f64], i0: usize, rb: usize, qb: &mut [f64]) {
+    let w = qb.len() / dh;
     qb.fill(0.0);
     for r in 0..rb {
         for (p, &qv) in q[(i0 + r) * ld..][..dh].iter().enumerate() {
-            qb[p * ROW_BLOCK + r] = qv;
+            qb[p * w + r] = qv;
         }
     }
 }
@@ -241,7 +250,7 @@ unsafe fn head_fma(
     let dh4 = dh - dh % 4;
     for i0 in (0..seq).step_by(RB) {
         let rb = RB.min(seq - i0);
-        pack_q_block(dh, ld, q, i0, rb, qb);
+        pack_q_block(dh, ld, q, i0, rb, &mut qb[..RB * dh]);
 
         let (qp, ktp, rp) = (qb.as_ptr(), kt.as_ptr(), rows.as_mut_ptr());
         for j in (0..seq4).step_by(4) {
@@ -295,25 +304,30 @@ unsafe fn head_fma(
     }
 }
 
-/// AVX-512 flavour, transposed: the eight lanes of a vector are the
-/// block's eight query rows. Each key's scores are one vector, a chain
-/// from zero over `p` of `fma(Q[r, p], K[j, p], ·)` read straight from K
-/// (no Kᵀ pack); [`softmax_lanes_avx512`] exponentiates the tile with no
-/// per-row horizontal step; and each context column is one vector, a
+/// AVX-512 flavour, transposed: a block is `WIDE_BLOCK` (16) query rows
+/// held as two 8-lane halves, lane `r` of half `h` being row `8h + r`.
+/// Each key's scores are one vector per half, a chain from zero over `p`
+/// of `fma(Q[r, p], K[j, p], ·)` read straight from K (no Kᵀ pack);
+/// [`softmax_lanes_avx512`] exponentiates the tile with no per-row
+/// horizontal step; and each context column is one vector per half, a
 /// chain from zero over `j` of `fma(P[r, j], V[j, d], ·)` with
-/// `P[r, j] = e[r, j] · (1 / sum_r)` formed on the fly. Every element's
-/// operations and their order are [`head_fma`]'s, so the two give the
-/// same bits.
+/// `P[r, j] = e[r, j] · (1 / sum_r)` formed on the fly, so a `d_h = 4`
+/// head runs 8 independent chains. Every element's operations and their
+/// order are [`head_fma`]'s, so the two give the same bits. The row maxima
+/// fold from four accumulators per half: a finite row's maximum is the
+/// same in any order, and a NaN or +∞ row normalises to all-NaN whatever
+/// the fold keeps (tested in `exp`). `DH = 4` is compiled apart so its
+/// loops unroll; `DH = 0` reads the width from `dh`.
 ///
 /// # Safety
 /// Caller must ensure the CPU supports AVX-512F, AVX2 and FMA, that `q`,
 /// `k`, `v` and `out` hold at least `(seq - 1) * ld + dh` elements with
-/// `ld >= dh`, and that `rows` and `qb` hold `ROW_BLOCK * seq` and
-/// `ROW_BLOCK * dh`.
+/// `ld >= dh`, and that `rows` and `qb` hold `WIDE_BLOCK * seq` and
+/// `WIDE_BLOCK * dh`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx2,fma")]
 #[allow(clippy::too_many_arguments)]
-unsafe fn head_avx512(
+unsafe fn head_avx512<const DH: usize>(
     seq: usize,
     dh: usize,
     ld: usize,
@@ -326,37 +340,47 @@ unsafe fn head_avx512(
     qb: &mut [f64],
 ) {
     use std::arch::x86_64::*;
-    const RB: usize = ROW_BLOCK;
+    const RB: usize = WIDE_BLOCK;
+    let dh = if DH == 0 { dh } else { DH };
     let (kp, vp) = (k.as_ptr(), v.as_ptr());
     for i0 in (0..seq).step_by(RB) {
         let rb = RB.min(seq - i0);
-        pack_q_block(dh, ld, q, i0, rb, qb);
-        // Score tile, `rows[RB * j + r] = S[i0 + r, j]`, and its row maxima.
+        pack_q_block(dh, ld, q, i0, rb, &mut qb[..RB * dh]);
+        // Score tile, `rows[RB * j + r] = S[i0 + r, j]`, and its row maxima
+        // in four accumulators per half (one per key of a group of four).
         let (qp, tp) = (qb.as_ptr(), rows.as_mut_ptr());
-        let mut max = _mm512_set1_pd(f64::NEG_INFINITY);
+        let mut max = [[_mm512_set1_pd(f64::NEG_INFINITY); 2]; 4];
         let mut j = 0;
         while j + 4 <= seq {
-            max = score_keys::<4>(j, dh, ld, qp, kp, tp, max);
+            score_keys::<4>(j, dh, ld, qp, kp, tp, &mut max);
             j += 4;
         }
         while j < seq {
-            max = score_keys::<1>(j, dh, ld, qp, kp, tp, max);
+            score_keys::<1>(j, dh, ld, qp, kp, tp, std::array::from_mut(&mut max[0]));
             j += 1;
         }
-        let inv = softmax_lanes_avx512(&mut rows[..RB * seq], seq, scale, max);
+        let fold = |h: usize| {
+            _mm512_max_pd(
+                _mm512_max_pd(max[0][h], max[1][h]),
+                _mm512_max_pd(max[2][h], max[3][h]),
+            )
+        };
+        let inv = softmax_lanes_avx512(&mut rows[..RB * seq], seq, scale, [fold(0), fold(1)]);
         // Rows past `rb` (zero queries) are computed and dropped.
         let mut d = 0;
         while d < dh {
             let n = if dh - d >= 4 { 4 } else { 1 };
             let mut tile = [[0.0f64; RB]; 4];
+            let mut keep = |u: usize, acc: [__m512d; 2]| {
+                _mm512_storeu_pd(tile[u].as_mut_ptr(), acc[0]);
+                _mm512_storeu_pd(tile[u].as_mut_ptr().add(8), acc[1]);
+            };
             if n == 4 {
                 let acc = context_cols::<4>(seq, ld, d, rows.as_ptr(), inv, vp);
-                for (t, a) in tile.iter_mut().zip(acc) {
-                    _mm512_storeu_pd(t.as_mut_ptr(), a);
-                }
+                acc.into_iter().enumerate().for_each(|(u, a)| keep(u, a));
             } else {
                 let [a] = context_cols::<1>(seq, ld, d, rows.as_ptr(), inv, vp);
-                _mm512_storeu_pd(tile[0].as_mut_ptr(), a);
+                keep(0, a);
             }
             for r in 0..rb {
                 for (u, t) in tile[..n].iter().enumerate() {
@@ -368,8 +392,9 @@ unsafe fn head_avx512(
     }
 }
 
-/// The score vectors of keys `j .. j + N` (see [`head_avx512`]), stored at
-/// `t[8 * j ..]`; returns `max` folded with them.
+/// The score vectors of keys `j .. j + N` (see [`head_avx512`]), both
+/// halves, stored at `t[WIDE_BLOCK * j ..]`; folds key `j + u`'s scores
+/// into `max[u]`.
 ///
 /// # Safety
 /// As [`head_avx512`]; `qb` is the block's packed queries and `t` the
@@ -385,28 +410,35 @@ unsafe fn score_keys<const N: usize>(
     qb: *const f64,
     k: *const f64,
     t: *mut f64,
-    mut max: std::arch::x86_64::__m512d,
-) -> std::arch::x86_64::__m512d {
+    max: &mut [[std::arch::x86_64::__m512d; 2]; N],
+) {
     use std::arch::x86_64::*;
-    let mut s = [_mm512_setzero_pd(); N];
+    let mut s = [[_mm512_setzero_pd(); 2]; N];
     for p in 0..dh {
-        let qv = _mm512_loadu_pd(qb.add(p * ROW_BLOCK));
+        let qv = [
+            _mm512_loadu_pd(qb.add(p * WIDE_BLOCK)),
+            _mm512_loadu_pd(qb.add(p * WIDE_BLOCK + 8)),
+        ];
         for (u, s) in s.iter_mut().enumerate() {
-            *s = _mm512_fmadd_pd(qv, _mm512_set1_pd(*k.add((j + u) * ld + p)), *s);
+            let kv = _mm512_set1_pd(*k.add((j + u) * ld + p));
+            s[0] = _mm512_fmadd_pd(qv[0], kv, s[0]);
+            s[1] = _mm512_fmadd_pd(qv[1], kv, s[1]);
         }
     }
-    for (u, s) in s.into_iter().enumerate() {
-        _mm512_storeu_pd(t.add(ROW_BLOCK * (j + u)), s);
-        max = _mm512_max_pd(max, s);
+    for (u, (s, m)) in s.into_iter().zip(max).enumerate() {
+        for h in 0..2 {
+            _mm512_storeu_pd(t.add(WIDE_BLOCK * (j + u) + 8 * h), s[h]);
+            m[h] = _mm512_max_pd(m[h], s[h]);
+        }
     }
-    max
 }
 
-/// The context vectors of head columns `d .. d + N` (see [`head_avx512`])
-/// from the exponentiated tile `t` and the row reciprocals `inv`.
+/// The context vectors of head columns `d .. d + N` (see [`head_avx512`]),
+/// both halves, from the exponentiated tile `t` and the row reciprocals
+/// `inv`.
 ///
 /// # Safety
-/// As [`head_avx512`]; `t` holds `8 * seq` elements.
+/// As [`head_avx512`]; `t` holds `WIDE_BLOCK * seq` elements.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx2,fma")]
 #[inline]
@@ -415,15 +447,20 @@ unsafe fn context_cols<const N: usize>(
     ld: usize,
     d: usize,
     t: *const f64,
-    inv: std::arch::x86_64::__m512d,
+    inv: [std::arch::x86_64::__m512d; 2],
     v: *const f64,
-) -> [std::arch::x86_64::__m512d; N] {
+) -> [[std::arch::x86_64::__m512d; 2]; N] {
     use std::arch::x86_64::*;
-    let mut acc = [_mm512_setzero_pd(); N];
+    let mut acc = [[_mm512_setzero_pd(); 2]; N];
     for j in 0..seq {
-        let pj = _mm512_mul_pd(_mm512_loadu_pd(t.add(ROW_BLOCK * j)), inv);
+        let pj = [
+            _mm512_mul_pd(_mm512_loadu_pd(t.add(WIDE_BLOCK * j)), inv[0]),
+            _mm512_mul_pd(_mm512_loadu_pd(t.add(WIDE_BLOCK * j + 8)), inv[1]),
+        ];
         for (u, a) in acc.iter_mut().enumerate() {
-            *a = _mm512_fmadd_pd(pj, _mm512_set1_pd(*v.add(j * ld + d + u)), *a);
+            let vv = _mm512_set1_pd(*v.add(j * ld + d + u));
+            a[0] = _mm512_fmadd_pd(pj[0], vv, a[0]);
+            a[1] = _mm512_fmadd_pd(pj[1], vv, a[1]);
         }
     }
     acc
@@ -757,7 +794,7 @@ mod tests {
         assert!(tier.supported());
         let mut scratch = vec![f64::NAN; attention_scratch_len(seq, dh)];
         let (kt, rest) = scratch.split_at_mut(dh * seq);
-        let (rows, qb) = rest.split_at_mut(ROW_BLOCK * seq);
+        let (rows, qb) = rest.split_at_mut(WIDE_BLOCK * seq);
         let (q, k, v) = (&qs[off..], &ks[off..], &vs[off..]);
         let mut out = vec![-1.0; seq * ld];
         let o = &mut out[off..];
@@ -774,7 +811,11 @@ mod tests {
                 head_fma(seq, dh, ld, scale, q, v, o, kt, rows, qb);
             },
             #[cfg(target_arch = "x86_64")]
-            Tier::Avx512 => unsafe { head_avx512(seq, dh, ld, scale, q, k, v, o, rows, qb) },
+            Tier::Avx512 if dh == 4 => unsafe {
+                head_avx512::<4>(seq, dh, ld, scale, q, k, v, o, rows, qb)
+            },
+            #[cfg(target_arch = "x86_64")]
+            Tier::Avx512 => unsafe { head_avx512::<0>(seq, dh, ld, scale, q, k, v, o, rows, qb) },
             #[cfg(not(target_arch = "x86_64"))]
             _ => unreachable!("no vector tier off x86-64"),
         }
@@ -960,6 +1001,73 @@ mod tests {
         }
     }
 
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+        // The 16-row AVX-512 head against the AVX2 head (the fused
+        // reference chain; the scalar tier rounds its products apart),
+        // bit for bit, on generated heads: every sequence length up to
+        // 40 and around 128 and 256, head widths 1–8, padded strides, and
+        // hostile entries (±∞, NaN, a 1e300 spread, an all −∞ score row).
+        #[test]
+        fn wide_head_matches_avx2_on_generated_heads(
+            seq in seq_lengths(),
+            dh in 1usize..=8,
+            seed in 0u64..1000,
+            variant in 0usize..12,
+        ) {
+            check_wide_head(seq, dh, seed, variant);
+        }
+    }
+
+    /// Every length up to 40 and the three around 128 and 256.
+    fn seq_lengths() -> impl proptest::strategy::Strategy<Value = usize> {
+        let lens: Vec<usize> = (1..=40).chain(127..=129).chain(255..=257).collect();
+        proptest::prelude::prop::sample::select(lens)
+    }
+
+    fn check_wide_head(seq: usize, dh: usize, seed: u64, variant: usize) {
+        if !Tier::Avx512.supported() {
+            return;
+        }
+        let (pad, case) = (variant % 3, variant / 3);
+        let mut q = fill(seq * dh, seed);
+        let mut k = fill(seq * dh, seed ^ 0x55);
+        let mut v = fill(seq * dh, seed ^ 0xAA);
+        let at = |i: usize| (i * 7919 + seed as usize) % (seq * dh);
+        match case {
+            1 => {
+                q[at(1)] = f64::INFINITY;
+                k[at(2)] = f64::NEG_INFINITY;
+                v[at(3)] = f64::NAN;
+            }
+            2 => {
+                q[at(4)] = 1e300;
+                k[at(5)] = -1e300;
+                v[at(6)] = f64::INFINITY;
+            }
+            3 => {
+                let r = at(7) / dh;
+                for j in 0..seq {
+                    k[j * dh] = k[j * dh].abs() + 0.5;
+                }
+                q[r * dh..(r + 1) * dh].fill(0.0);
+                q[r * dh] = f64::NEG_INFINITY;
+            }
+            _ => {}
+        }
+        let ld = dh + pad;
+        let strided = |x: &[f64]| scatter(x, seq, dh, ld, 0, 7.0);
+        let (qs, ks, vs) = (strided(&q), strided(&k), strided(&v));
+        let scale = 1.0 / (dh as f64).sqrt();
+        let want = flavour(Tier::Avx2, false, seq, dh, ld, scale, &qs, &ks, &vs, 0);
+        let got = flavour(Tier::Avx512, false, seq, dh, ld, scale, &qs, &ks, &vs, 0);
+        same_bits(
+            &got,
+            &want,
+            &format!("seq {seq} dh {dh} ld {ld} case {case}"),
+        );
+    }
+
     #[test]
     #[should_panic(expected = "attention scale must be positive")]
     fn negative_scale_is_rejected() {
@@ -988,7 +1096,8 @@ mod tests {
 
     #[test]
     fn scratch_is_linear_in_seq() {
-        assert_eq!(attention_scratch_len(128, 4), 12 * 128 + 32);
+        // Kᵀ (4 · 128), a 16-row score block (16 · 128) and its queries.
+        assert_eq!(attention_scratch_len(128, 4), 20 * 128 + 64);
         assert!(attention_scratch_len(256, 4) < 2 * attention_scratch_len(128, 4) + 1);
         assert_eq!(attention_backward_scratch_len(128, 4), 32 * 128 + 64);
         assert!(

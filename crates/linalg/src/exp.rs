@@ -11,7 +11,7 @@
 //! autograd graph and the `Scalar`/AVX2 attention flavours call the row
 //! softmax ([`softmax_rows_scaled_inplace`]) over whole `[rows, d]`
 //! tensors or one L1-resident block of score rows; the AVX-512 attention
-//! flavour keeps its block of eight rows lane-interleaved and calls
+//! flavour keeps its block of sixteen rows lane-interleaved and calls
 //! [`softmax_lanes_avx512`], which runs each row's operations on one lane.
 //!
 //! Determinism contract (the same one the GEMM micro-kernels honour):
@@ -76,7 +76,7 @@ const POLY: [f64; 12] = [
 /// Scalar fast `exp`, bitwise identical to one AVX2 lane of the softmax
 /// rows: every operation is a correctly-rounded IEEE
 /// mul/add/fma, so the instruction set cannot change the result.
-#[inline]
+#[inline(always)]
 #[allow(clippy::neg_cmp_op_on_partial_ord)] // `!(x > LO)` must catch NaN
 pub(crate) fn exp_rn(x: f64) -> f64 {
     if !(x > EXP_LO) {
@@ -175,6 +175,8 @@ pub(crate) fn exp_lanes512<const N: usize>(
     x: [std::arch::x86_64::__m512d; N],
 ) -> [std::arch::x86_64::__m512d; N] {
     use std::arch::x86_64::*;
+    // The flush masks first: `x` dies with `r`, so 8 vectors fit.
+    let lo = x.map(|x| _mm512_cmp_pd_mask::<_CMP_LE_OQ>(x, _mm512_set1_pd(EXP_LO)));
     let shift = _mm512_set1_pd(SHIFT);
     let one = _mm512_set1_pd(1.0);
     let t = x.map(|x| _mm512_fmadd_pd(x, _mm512_set1_pd(LOG2E), shift));
@@ -199,14 +201,10 @@ pub(crate) fn exp_lanes512<const N: usize>(
     }
     let mut y = p;
     for i in 0..N {
-        let scale = _mm512_castsi512_pd(_mm512_add_epi64(
-            _mm512_slli_epi64::<52>(_mm512_castpd_si512(t[i])),
-            _mm512_set1_epi64(0x3FF0_0000_0000_0000_u64 as i64),
-        ));
-        // Zero the lanes at or below EXP_LO; NaN lanes fail the compare
-        // and keep the propagated NaN.
-        let lo = _mm512_cmp_pd_mask::<_CMP_LE_OQ>(x[i], _mm512_set1_pd(EXP_LO));
-        y[i] = _mm512_maskz_mov_pd(!lo, _mm512_mul_pd(p[i], scale));
+        // p · 2^n in one op, zeroing the flushed lanes (NaN lanes keep
+        // their NaN). Above EXP_LO, n >= -1021: p · 2^n is normal, so this
+        // and the other tiers' multiply by the assembled 2^n are exact.
+        y[i] = _mm512_maskz_scalef_pd(!lo[i], p[i], n[i]);
     }
     y
 }
@@ -224,6 +222,7 @@ pub(crate) fn exp_lanes512<const N: usize>(
 /// multiply-by-`scale` pass followed by an unscaled softmax would give.
 /// With `scale = 1.0` the multiply is exact and this *is* the unscaled
 /// softmax.
+#[inline(always)]
 fn softmax_row_scalar(row: &mut [f64], scale: f64) {
     let mut max = f64::NEG_INFINITY;
     for &v in row.iter() {
@@ -247,6 +246,17 @@ fn softmax_row_scalar(row: &mut [f64], scale: f64) {
     for v in row.iter_mut() {
         *v *= inv;
     }
+}
+
+/// [`softmax_row_scalar`] compiled with `fma`: each `mul_add` is one
+/// instruction, not a libm call (~45× on a 128-wide row), same bits.
+///
+/// # Safety
+/// The CPU must support FMA.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "fma")]
+unsafe fn softmax_row_scalar_fma(row: &mut [f64], scale: f64) {
+    softmax_row_scalar(row, scale);
 }
 
 /// `exp(scale·x - m)` over `N` consecutive vectors at `p`, in place,
@@ -450,51 +460,59 @@ unsafe fn softmax_row_avx512(row: &mut [f64], scale: f64) {
     }
 }
 
-/// The softmax of eight rows held lane-interleaved, as the fused attention
-/// head's AVX-512 flavour keeps its score tile: element `(r, j)` of the
-/// `8 × seq` block at `block[8 * j + r]`, and `max` the eight raw row
-/// maxima. Overwrites every element with its numerator
-/// `exp(scale·x − scale·max)` and returns the eight reciprocals `1 / sum`;
-/// the caller multiplies them in. Each lane runs [`softmax_row_scalar`]'s
-/// operations in its order — partial sums by `j mod 4` over the full
-/// chunks, `(s0 + s2) + (s1 + s3)`, then the tail — so the normalised
-/// rows are the row softmax's bits.
+/// The softmax of sixteen rows held lane-interleaved as two 8-lane halves
+/// (the AVX-512 head's score tile): element `(r, j)` at `block[16 * j + r]`,
+/// `max` each half's raw row maxima. Overwrites every element with
+/// its numerator `exp(scale·x − scale·max)` and returns each half's
+/// reciprocals `1 / sum`; the caller multiplies them in. Each lane runs
+/// [`softmax_row_scalar`]'s operations in its order — partial sums by
+/// `j mod 4` over the full chunks, `(s0 + s2) + (s1 + s3)`, then the tail —
+/// so the normalised rows are the row softmax's bits.
 ///
 /// # Safety
 /// The CPU must support AVX-512F, AVX2 and FMA, and `block` must hold
-/// `8 * seq` elements.
+/// `16 * seq` elements.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx2,fma")]
 pub(crate) unsafe fn softmax_lanes_avx512(
     block: &mut [f64],
     seq: usize,
     scale: f64,
-    max: std::arch::x86_64::__m512d,
-) -> std::arch::x86_64::__m512d {
+    max: [std::arch::x86_64::__m512d; 2],
+) -> [std::arch::x86_64::__m512d; 2] {
     use std::arch::x86_64::*;
-    let p = block[..8 * seq].as_mut_ptr();
+    let p = block[..16 * seq].as_mut_ptr();
     let cv = _mm512_set1_pd(scale);
-    let mv = _mm512_mul_pd(cv, max);
+    let mv = max.map(|m| _mm512_mul_pd(cv, m));
+    // Vector `i` of a group of four keys is key `i / 2`, half `i % 2`.
+    let at = |j: usize, i: usize| p.add(16 * (j + i / 2) + 8 * (i % 2));
     let seq4 = seq - seq % 4;
-    let mut s = [_mm512_setzero_pd(); 4];
+    let mut s = [_mm512_setzero_pd(); 8];
     for j in (0..seq4).step_by(4) {
-        let mut x = [_mm512_setzero_pd(); 4];
-        for (u, x) in x.iter_mut().enumerate() {
-            *x = _mm512_sub_pd(_mm512_mul_pd(_mm512_loadu_pd(p.add(8 * (j + u))), cv), mv);
-        }
-        for (u, (y, s)) in exp_lanes512::<4>(x).into_iter().zip(&mut s).enumerate() {
-            _mm512_storeu_pd(p.add(8 * (j + u)), y);
+        let x: [__m512d; 8] = std::array::from_fn(|i| {
+            _mm512_sub_pd(_mm512_mul_pd(_mm512_loadu_pd(at(j, i)), cv), mv[i % 2])
+        });
+        for (i, (y, s)) in exp_lanes512::<8>(x).into_iter().zip(&mut s).enumerate() {
+            _mm512_storeu_pd(at(j, i), y);
             *s = _mm512_add_pd(*s, y);
         }
     }
-    let mut sum = _mm512_add_pd(_mm512_add_pd(s[0], s[2]), _mm512_add_pd(s[1], s[3]));
+    let mut sum: [__m512d; 2] = std::array::from_fn(|h| {
+        _mm512_add_pd(
+            _mm512_add_pd(s[h], s[4 + h]),
+            _mm512_add_pd(s[2 + h], s[6 + h]),
+        )
+    });
     for j in seq4..seq {
-        let x = _mm512_sub_pd(_mm512_mul_pd(_mm512_loadu_pd(p.add(8 * j)), cv), mv);
-        let [y] = exp_lanes512::<1>([x]);
-        _mm512_storeu_pd(p.add(8 * j), y);
-        sum = _mm512_add_pd(sum, y);
+        let x = std::array::from_fn(|h| {
+            _mm512_sub_pd(_mm512_mul_pd(_mm512_loadu_pd(at(j, h)), cv), mv[h])
+        });
+        for (h, y) in exp_lanes512::<2>(x).into_iter().enumerate() {
+            _mm512_storeu_pd(at(j, h), y);
+            sum[h] = _mm512_add_pd(sum[h], y);
+        }
     }
-    _mm512_div_pd(_mm512_set1_pd(1.0), sum)
+    sum.map(|s| _mm512_div_pd(_mm512_set1_pd(1.0), s))
 }
 
 /// In-place softmax over consecutive rows of width `d`: max-subtract,
@@ -545,6 +563,13 @@ pub(crate) fn softmax_rows_with(tier: Tier, xs: &mut [f64], d: usize, scale: f64
             for row in xs.chunks_mut(d) {
                 // SAFETY: the tier runs on this CPU (`assert_runs`).
                 unsafe { softmax_row_avx2(row, scale) };
+            }
+            return;
+        }
+        Tier::Scalar if std::arch::is_x86_feature_detected!("fma") => {
+            for row in xs.chunks_mut(d) {
+                // SAFETY: FMA detected on this CPU.
+                unsafe { softmax_row_scalar_fma(row, scale) };
             }
             return;
         }
@@ -735,8 +760,11 @@ mod tests {
     }
 
     /// The AVX-512 head's lane-interleaved softmax against the row softmax:
-    /// eight rows transposed, exponentiated, normalised by the returned
-    /// reciprocals, transposed back.
+    /// sixteen rows transposed, exponentiated, normalised by the returned
+    /// reciprocals, transposed back. The raw maxima are folded in several
+    /// orders (the head folds four accumulators): rows with NaN, ±∞, ±0
+    /// ties and all −∞ come out the same bits, NaN rows all-NaN, whatever
+    /// the order.
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn lane_softmax_matches_row_softmax_bitwise() {
@@ -746,37 +774,62 @@ mod tests {
             return;
         }
         for d in [1usize, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 33, 39, 128] {
-            let mut xs: Vec<f64> = (0..8 * d)
+            let mut xs: Vec<f64> = (0..16 * d)
                 .map(|i| ((i * 211) % 101) as f64 * 37.0 - 1800.0)
                 .collect();
             xs[d / 2] = f64::NAN;
             xs[d + d / 3] = f64::INFINITY;
             xs[2 * d..3 * d].fill(f64::NEG_INFINITY);
             xs[3 * d] = 1e300;
+            xs[4 * d..5 * d].fill(0.0);
+            xs[4 * d + d / 2] = -0.0;
+            xs[9 * d + d - 1] = f64::NEG_INFINITY;
+            xs[10 * d..11 * d].fill(-0.0);
+            xs[11 * d] = f64::NAN;
+            xs[11 * d + d - 1] = f64::INFINITY;
             let scale = 0.5;
             let mut want = xs.clone();
             softmax_rows_with(Tier::Scalar, &mut want, d, scale);
-            let mut block = vec![0.0; 8 * d];
-            let mut max = [f64::NEG_INFINITY; 8];
-            for (r, row) in xs.chunks(d).enumerate() {
-                for (j, &x) in row.iter().enumerate() {
-                    block[8 * j + r] = x;
-                    max[r] = max[r].max(x);
+            let orders: [fn(usize) -> Vec<usize>; 3] = [
+                |d| (0..d).collect(),
+                |d| (0..d).rev().collect(),
+                |d| (0..d).step_by(2).chain((1..d).step_by(2)).collect(),
+            ];
+            for order in orders {
+                let mut block = vec![0.0; 16 * d];
+                let mut max = [f64::NEG_INFINITY; 16];
+                for (r, row) in xs.chunks(d).enumerate() {
+                    for (j, &x) in row.iter().enumerate() {
+                        block[16 * j + r] = x;
+                    }
+                    for j in order(d) {
+                        // The vector max: the second operand on NaN or a tie.
+                        // SAFETY: AVX-512F detected.
+                        max[r] = unsafe {
+                            let v = _mm512_max_pd(_mm512_set1_pd(max[r]), _mm512_set1_pd(row[j]));
+                            _mm512_cvtsd_f64(v)
+                        };
+                    }
                 }
-            }
-            let mut inv = [0.0; 8];
-            // SAFETY: AVX-512F detected; `block` holds 8 * d elements.
-            unsafe {
-                let v = softmax_lanes_avx512(&mut block, d, scale, _mm512_loadu_pd(max.as_ptr()));
-                _mm512_storeu_pd(inv.as_mut_ptr(), v);
-            }
-            for (r, row) in want.chunks(d).enumerate() {
-                for (j, &w) in row.iter().enumerate() {
-                    let g = block[8 * j + r] * inv[r];
-                    assert!(
-                        g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
-                        "d {d} row {r} column {j}: {g:e} vs {w:e}"
-                    );
+                let mut inv = [0.0; 16];
+                // SAFETY: AVX-512F detected; `block` holds 16 * d elements.
+                unsafe {
+                    let halves = [0, 8].map(|h| _mm512_loadu_pd(max[h..].as_ptr()));
+                    let v = softmax_lanes_avx512(&mut block, d, scale, halves);
+                    _mm512_storeu_pd(inv.as_mut_ptr(), v[0]);
+                    _mm512_storeu_pd(inv[8..].as_mut_ptr(), v[1]);
+                }
+                for (r, row) in want.chunks(d).enumerate() {
+                    for (j, &w) in row.iter().enumerate() {
+                        let g = block[16 * j + r] * inv[r];
+                        assert!(
+                            g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
+                            "d {d} row {r} column {j}: {g:e} vs {w:e}"
+                        );
+                    }
+                }
+                for r in [0, 11] {
+                    assert!(want[r * d..(r + 1) * d].iter().all(|x| x.is_nan()));
                 }
             }
         }

@@ -17,19 +17,21 @@
 //!    multiply (the naive `ikj` loop) to one store per `k` products.
 //!
 //! The micro-kernel follows the crate's [`Tier`]: AVX2+FMA 4×8 and 4×4
-//! tiles, and under AVX-512 a 4×16 tile that reads two adjacent `NR`
-//! panels at once (the pack is the same; an odd last panel and the narrow
-//! tile stay on AVX2). Every output element is one FMA chain over `k` in
-//! ascending order on both vector tiers, so they give the same bits; the
-//! scalar tiles (the `Scalar` tier, and every non-x86-64 target) use plain
-//! mul+add and autovectorise at whatever width the target offers. Products
-//! are accumulated over `k` in the same order as the naive triple loop, so
+//! tiles; under AVX-512 step 2 goes — an 8×16 tile (8×8 for an odd last
+//! panel) broadcasts `A[i, p]` straight from A in either layout into 16
+//! zmm accumulators and stores under a lane mask (the 4×4 tile stays on
+//! AVX2). Every output element is one FMA chain over `k` in ascending
+//! order on both vector tiers, so they give the same bits; the scalar
+//! tiles (the `Scalar` tier, and every non-x86-64 target) use plain mul+add
+//! and autovectorise at whatever width the target offers. Products are
+//! accumulated over `k` in the same order as the naive triple loop, so
 //! results match the reference within a few ULPs (FMA keeps intermediate
 //! products unrounded — it is *more* accurate, not differently ordered).
-//! On a 2.1 GHz AVX-512 host the 4×16 tile took
-//! `linalg.gemm_small_gflops` (the encoder's 128×16×16 product) from 7.9
-//! to 10.9 GF/s and `core.score216_us` (the 216-row grid score) from 70 µs
-//! to 57 µs (medians of ten `closed_loop` pairs in `BENCH_perf.jsonl`).
+//!
+//! [`gemm_prepacked`]'s [`Chains`] start each chain from a given row and
+//! add a bias and a ReLU in the store. The 8×16 tile with that store took
+//! the encoder's linears of an `l = 128` decision from ~77 µs to ~25 µs
+//! (63 % of the tier's 67 GF/s FMA peak; DESIGN §9).
 //!
 //! Row-blocks dispatch over rayon above `PAR_FLOPS` (each worker packs
 //! its own A panels; the shared B pack is read-only).
@@ -60,6 +62,37 @@ pub enum Layout {
     Normal,
     /// Row-major storage of the *transpose*: `src[j * ld + i]` is `(i, j)`.
     Transposed,
+}
+
+/// Each output's chain over `k` starts from `start[j]` (zero by default)
+/// and is stored as `relu?(chain + bias[j])`. Starting from a row keeps a
+/// split chain's bits: `[x | y] · [W₁; W₂]` is `y · W₂` started from
+/// `x · W₁`.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Chains<'a> {
+    /// Every row's chains start from this row (`n` values).
+    pub start: Option<&'a [f64]>,
+    /// Added to every finished chain (`n` values).
+    pub bias: Option<&'a [f64]>,
+    /// `v.max(0.0)` after the bias.
+    pub relu: bool,
+}
+
+impl Chains<'_> {
+    /// The store's bias and ReLU over the finished chains of columns
+    /// `j0 .. j0 + row.len()` of one row.
+    pub fn finish(&self, row: &mut [f64], j0: usize) {
+        if let Some(bias) = self.bias {
+            for (o, &b) in row.iter_mut().zip(&bias[j0..]) {
+                *o += b;
+            }
+        }
+        if self.relu {
+            for o in row {
+                *o = o.max(0.0);
+            }
+        }
+    }
 }
 
 /// Pack columns `[j0, j0 + nr)` of the logical `k × n` operand B into
@@ -127,11 +160,11 @@ fn pack_a(a: &[f64], layout: Layout, m: usize, k: usize, i0: usize, panel: &mut 
 
 /// Scalar `MR × 8` micro-kernel: plain mul+add so the compiler can
 /// autovectorise at the target's native width. Like the FMA kernels it
-/// *overwrites* `acc` (accumulation happens in a local zero-initialised
-/// tile), so callers never need to re-zero between tiles.
+/// *continues* the chains held in `acc` (zero, or a [`Chains::start`] row,
+/// as `gemm_rows` fills it) and leaves the finished tile there.
 #[inline]
 fn mk_scalar_4x8(k: usize, ap: &[f64], bp: &[f64], acc: &mut [f64; MR * NR]) {
-    let mut c = [0.0; MR * NR];
+    let mut c = *acc;
     for p in 0..k {
         let a = &ap[p * MR..p * MR + MR];
         let b = &bp[p * NR..p * NR + NR];
@@ -146,10 +179,10 @@ fn mk_scalar_4x8(k: usize, ap: &[f64], bp: &[f64], acc: &mut [f64; MR * NR]) {
     *acc = c;
 }
 
-/// Scalar `MR × 4` micro-kernel; overwrites `acc` like [`mk_scalar_4x8`].
+/// Scalar `MR × 4` micro-kernel; continues `acc` like [`mk_scalar_4x8`].
 #[inline]
 fn mk_scalar_4x4(k: usize, ap: &[f64], bp: &[f64], acc: &mut [f64; MR * NR4]) {
-    let mut c = [0.0; MR * NR4];
+    let mut c = *acc;
     for p in 0..k {
         let a = &ap[p * MR..p * MR + MR];
         let b = &bp[p * NR4..p * NR4 + NR4];
@@ -174,14 +207,15 @@ fn mk_scalar_4x4(k: usize, ap: &[f64], bp: &[f64], acc: &mut [f64; MR * NR4]) {
 #[target_feature(enable = "avx2,fma")]
 unsafe fn mk_fma_4x8(k: usize, ap: &[f64], bp: &[f64], acc: &mut [f64; MR * NR]) {
     use std::arch::x86_64::*;
-    let mut c00 = _mm256_setzero_pd();
-    let mut c01 = _mm256_setzero_pd();
-    let mut c10 = _mm256_setzero_pd();
-    let mut c11 = _mm256_setzero_pd();
-    let mut c20 = _mm256_setzero_pd();
-    let mut c21 = _mm256_setzero_pd();
-    let mut c30 = _mm256_setzero_pd();
-    let mut c31 = _mm256_setzero_pd();
+    let o = acc.as_mut_ptr();
+    let mut c00 = _mm256_loadu_pd(o);
+    let mut c01 = _mm256_loadu_pd(o.add(4));
+    let mut c10 = _mm256_loadu_pd(o.add(8));
+    let mut c11 = _mm256_loadu_pd(o.add(12));
+    let mut c20 = _mm256_loadu_pd(o.add(16));
+    let mut c21 = _mm256_loadu_pd(o.add(20));
+    let mut c30 = _mm256_loadu_pd(o.add(24));
+    let mut c31 = _mm256_loadu_pd(o.add(28));
     let a = ap.as_ptr();
     let b = bp.as_ptr();
     for p in 0..k {
@@ -200,7 +234,6 @@ unsafe fn mk_fma_4x8(k: usize, ap: &[f64], bp: &[f64], acc: &mut [f64; MR * NR])
         c30 = _mm256_fmadd_pd(a3, b0, c30);
         c31 = _mm256_fmadd_pd(a3, b1, c31);
     }
-    let o = acc.as_mut_ptr();
     _mm256_storeu_pd(o, c00);
     _mm256_storeu_pd(o.add(4), c01);
     _mm256_storeu_pd(o.add(8), c10);
@@ -220,10 +253,11 @@ unsafe fn mk_fma_4x8(k: usize, ap: &[f64], bp: &[f64], acc: &mut [f64; MR * NR])
 #[target_feature(enable = "avx2,fma")]
 unsafe fn mk_fma_4x4(k: usize, ap: &[f64], bp: &[f64], acc: &mut [f64; MR * NR4]) {
     use std::arch::x86_64::*;
-    let mut c0 = _mm256_setzero_pd();
-    let mut c1 = _mm256_setzero_pd();
-    let mut c2 = _mm256_setzero_pd();
-    let mut c3 = _mm256_setzero_pd();
+    let o = acc.as_mut_ptr();
+    let mut c0 = _mm256_loadu_pd(o);
+    let mut c1 = _mm256_loadu_pd(o.add(4));
+    let mut c2 = _mm256_loadu_pd(o.add(8));
+    let mut c3 = _mm256_loadu_pd(o.add(12));
     let a = ap.as_ptr();
     let b = bp.as_ptr();
     for p in 0..k {
@@ -233,78 +267,96 @@ unsafe fn mk_fma_4x4(k: usize, ap: &[f64], bp: &[f64], acc: &mut [f64; MR * NR4]
         c2 = _mm256_fmadd_pd(_mm256_broadcast_sd(&*a.add(p * MR + 2)), b0, c2);
         c3 = _mm256_fmadd_pd(_mm256_broadcast_sd(&*a.add(p * MR + 3)), b0, c3);
     }
-    let o = acc.as_mut_ptr();
     _mm256_storeu_pd(o, c0);
     _mm256_storeu_pd(o.add(4), c1);
     _mm256_storeu_pd(o.add(8), c2);
     _mm256_storeu_pd(o.add(12), c3);
 }
 
-/// AVX-512 `4 × 16` micro-kernel over two adjacent `NR`-wide panels: 8 zmm
-/// accumulators, 2 panel loads and 4 broadcasts per k-step. Each output
-/// element is the same FMA chain over `k` as in [`mk_fma_4x8`], so the two
-/// give the same bits.
+/// Rows per [`tile_avx512_8`] tile.
+const MR8: usize = 8;
+
+/// AVX-512 `8 × 8·P` tile with no A pack: each k-step broadcasts
+/// `A[i, p]` from `a + i·rs + p·ps` (Normal A: `rs = k, ps = 1`;
+/// Transposed: `rs = 1, ps = m`), loads `P` adjacent B panels and runs
+/// `8·P` FMAs into accumulators started from [`Chains::start`]. The store
+/// adds the bias, applies the ReLU and writes `rows × cols` into `out`
+/// (row stride `ldo`) under a lane mask. Each element is `mk_fma_4x8`'s
+/// chain, so the bits are the AVX2 tier's.
 ///
 /// # Safety
-/// Caller must ensure the CPU supports AVX-512F, `ap.len() >= k * MR`, and
-/// `bp.len() >= 2 * k * NR` (panel `jb` followed by panel `jb + 1`).
+/// The CPU supports AVX-512F; `1 <= rows <= 8`, `cols <= P · NR`; A's
+/// `rows × k` elements, `P` panels of `k · NR` at `bp` and `rows` rows of
+/// `cols` at `out` are in bounds, and the chain rows hold `cols` values.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx2,fma")]
-unsafe fn mk_avx512_4x16(k: usize, ap: &[f64], bp: &[f64], acc: &mut [f64; MR * 2 * NR]) {
+#[allow(clippy::too_many_arguments)]
+unsafe fn tile_avx512_8<const P: usize>(
+    k: usize,
+    a: *const f64,
+    [rs, ps]: [usize; 2],
+    rows: usize,
+    bp: *const f64,
+    cols: usize,
+    chains: Chains,
+    out: *mut f64,
+    ldo: usize,
+) {
     use std::arch::x86_64::*;
-    let mut c = [[_mm512_setzero_pd(); 2]; MR];
-    let a = ap.as_ptr();
-    let (b0, b1) = (bp.as_ptr(), bp.as_ptr().add(k * NR));
+    let mask: [__mmask8; P] =
+        std::array::from_fn(|h| ((1u32 << cols.saturating_sub(h * NR).min(NR)) - 1) as u8);
+    let row = |v: Option<&[f64]>| -> [__m512d; P] {
+        std::array::from_fn(|h| match v {
+            Some(v) => _mm512_maskz_loadu_pd(mask[h], v.as_ptr().add(h * NR)),
+            None => _mm512_setzero_pd(),
+        })
+    };
+    // Rows past `rows` re-read the last row; their tiles are dropped.
+    let ar: [*const f64; MR8] = std::array::from_fn(|ir| a.add(ir.min(rows - 1) * rs));
+    let mut c = [row(chains.start); MR8];
     for p in 0..k {
-        let bv = [
-            _mm512_loadu_pd(b0.add(p * NR)),
-            _mm512_loadu_pd(b1.add(p * NR)),
-        ];
-        for (ir, row) in c.iter_mut().enumerate() {
-            let av = _mm512_set1_pd(*a.add(p * MR + ir));
-            row[0] = _mm512_fmadd_pd(av, bv[0], row[0]);
-            row[1] = _mm512_fmadd_pd(av, bv[1], row[1]);
+        let bv: [__m512d; P] =
+            std::array::from_fn(|h| _mm512_loadu_pd(bp.add(h * k * NR + p * NR)));
+        for (ir, acc) in c.iter_mut().enumerate() {
+            let av = _mm512_set1_pd(*ar[ir].add(p * ps));
+            for h in 0..P {
+                acc[h] = _mm512_fmadd_pd(av, bv[h], acc[h]);
+            }
         }
     }
-    let o = acc.as_mut_ptr();
-    for (ir, row) in c.iter().enumerate() {
-        _mm512_storeu_pd(o.add(ir * 2 * NR), row[0]);
-        _mm512_storeu_pd(o.add(ir * 2 * NR + NR), row[1]);
+    let bias = row(chains.bias);
+    for (ir, acc) in c.iter().enumerate().take(rows) {
+        for h in 0..P {
+            let mut v = acc[h];
+            if chains.bias.is_some() {
+                v = _mm512_add_pd(v, bias[h]);
+            }
+            if chains.relu {
+                // What `v.max(0.0)` lowers to: NaN and -0.0 give +0.0.
+                v = _mm512_max_pd(v, _mm512_setzero_pd());
+            }
+            _mm512_mask_storeu_pd(out.add(ir * ldo + h * NR), mask[h], v);
+        }
     }
 }
 
-/// Run the micro-kernel `tier` picks for one `MR`-row tile against
-/// `panels` adjacent B panels (`bp`), writing the `MR × panels · nr` tile
-/// row-major into `acc`. Two panels at once only under [`Tier::Avx512`].
-fn micro_kernel(
-    tier: Tier,
-    k: usize,
-    nr: usize,
-    panels: usize,
-    ap: &[f64],
-    bp: &[f64],
-    acc: &mut [f64],
-) {
+/// Run the micro-kernel `tier` picks for one `MR`-row tile, continuing
+/// the chains in `acc` (the `MR × nr` tile, row-major).
+fn micro_kernel(tier: Tier, k: usize, nr: usize, ap: &[f64], bp: &[f64], acc: &mut [f64]) {
     #[cfg(target_arch = "x86_64")]
-    match (tier, nr, panels) {
-        // SAFETY (all arms): the tier runs on this CPU (`assert_runs`);
-        // `ap` holds k*MR and `bp` panels*k*nr elements.
-        (Tier::Avx512, NR, 2) => {
-            return unsafe { mk_avx512_4x16(k, ap, bp, acc.try_into().unwrap()) }
-        }
-        (Tier::Avx2 | Tier::Avx512, NR, 1) => {
-            return unsafe { mk_fma_4x8(k, ap, bp, acc.try_into().unwrap()) }
-        }
-        (Tier::Avx2 | Tier::Avx512, NR4, 1) => {
-            return unsafe { mk_fma_4x4(k, ap, bp, acc.try_into().unwrap()) }
-        }
-        _ => {}
+    if tier.fused() {
+        // SAFETY (both arms): the tier runs on this CPU (`assert_runs`);
+        // `ap` holds k*MR and `bp` k*nr elements.
+        return match nr {
+            NR => unsafe { mk_fma_4x8(k, ap, bp, acc.try_into().expect("an MR × nr tile")) },
+            _ => unsafe { mk_fma_4x4(k, ap, bp, acc.try_into().expect("an MR × nr tile")) },
+        };
     }
     #[cfg(not(target_arch = "x86_64"))]
-    let _ = (tier, panels);
+    let _ = tier;
     match nr {
-        NR => mk_scalar_4x8(k, ap, bp, acc.try_into().unwrap()),
-        _ => mk_scalar_4x4(k, ap, bp, acc.try_into().unwrap()),
+        NR => mk_scalar_4x8(k, ap, bp, acc.try_into().expect("an MR × nr tile")),
+        _ => mk_scalar_4x4(k, ap, bp, acc.try_into().expect("an MR × nr tile")),
     }
 }
 
@@ -322,7 +374,42 @@ fn gemm_rows(
     row1: usize,
     out: &mut [f64],
     tier: Tier,
+    chains: Chains,
 ) {
+    #[cfg(target_arch = "x86_64")]
+    if tier == Tier::Avx512 && nr == NR {
+        let (rs, ps) = match a_layout {
+            Layout::Normal => (k, 1),
+            Layout::Transposed => (1, m),
+        };
+        let n_panels = n.div_ceil(NR);
+        for i0 in (row0..row1).step_by(MR8) {
+            let rows = MR8.min(row1 - i0);
+            for jb in (0..n_panels).step_by(2) {
+                let j0 = jb * NR;
+                let ends = Chains {
+                    start: chains.start.map(|v| &v[j0..]),
+                    bias: chains.bias.map(|v| &v[j0..]),
+                    relu: chains.relu,
+                };
+                let (ap, bp) = (
+                    a.as_ptr().wrapping_add(i0 * rs),
+                    bpack[jb * k * NR..].as_ptr(),
+                );
+                let op = out[(i0 - row0) * n + j0..].as_mut_ptr();
+                let (cols, strides) = ((n - j0).min(2 * NR), [rs, ps]);
+                // SAFETY (both arms): the tier runs on this CPU; the tile
+                // reads A (`m × k`, asserted) and the panels only for
+                // `k > 0`, and writes output rows inside `out`.
+                if jb + 1 < n_panels {
+                    unsafe { tile_avx512_8::<2>(k, ap, strides, rows, bp, cols, ends, op, n) };
+                } else {
+                    unsafe { tile_avx512_8::<1>(k, ap, strides, rows, bp, cols, ends, op, n) };
+                }
+            }
+        }
+        return;
+    }
     // The A panel lives on the stack for small `k` (every layer of the
     // surrogate), so a pre-packed product allocates nothing. Cache-line
     // aligned: at the stack's natural 8-byte alignment the 216-row score
@@ -337,31 +424,26 @@ fn gemm_rows(
         heap.resize(k * MR, 0.0);
         &mut heap[..]
     };
-    let mut acc = [0.0; MR * 2 * NR];
-    let n_panels = n.div_ceil(nr);
-    let mut i0 = row0;
-    while i0 < row1 {
+    let mut acc = [0.0; MR * NR];
+    let acc = &mut acc[..MR * nr];
+    for i0 in (row0..row1).step_by(MR) {
         pack_a(a, a_layout, m, k, i0, apanel);
         let mh = MR.min(row1 - i0);
-        let mut jb = 0;
-        while jb < n_panels {
-            let panels = if tier == Tier::Avx512 && nr == NR && jb + 1 < n_panels {
-                2
-            } else {
-                1
-            };
-            let (j0, w) = (jb * nr, panels * nr);
-            let nw = w.min(n - j0);
-            let bp = &bpack[jb * k * nr..(jb + panels) * k * nr];
-            let acc = &mut acc[..MR * w];
-            micro_kernel(tier, k, nr, panels, apanel, bp, acc);
-            for ir in 0..mh {
-                let dst = &mut out[(i0 - row0 + ir) * n + j0..(i0 - row0 + ir) * n + j0 + nw];
-                dst.copy_from_slice(&acc[ir * w..ir * w + nw]);
+        for (jb, j0) in (0..n).step_by(nr).enumerate() {
+            let nw = nr.min(n - j0);
+            for tile_row in acc.chunks_exact_mut(nr) {
+                match chains.start {
+                    Some(start) => tile_row[..nw].copy_from_slice(&start[j0..j0 + nw]),
+                    None => tile_row[..nw].fill(0.0),
+                }
             }
-            jb += panels;
+            micro_kernel(tier, k, nr, apanel, &bpack[jb * k * nr..], acc);
+            for ir in 0..mh {
+                let dst = &mut out[(i0 - row0 + ir) * n + j0..][..nw];
+                dst.copy_from_slice(&acc[ir * nr..ir * nr + nw]);
+                chains.finish(dst, j0);
+            }
         }
-        i0 += MR;
     }
 }
 
@@ -397,41 +479,8 @@ pub fn gemm_with(
     out: &mut [f64],
     tier: Tier,
 ) {
-    debug_assert_eq!(out.len(), m * n);
-    assert_runs(tier);
-    if m == 0 || n == 0 {
-        return;
-    }
-    if k == 0 {
-        out.fill(0.0);
-        return;
-    }
-    let nr = if n <= NR4 { NR4 } else { NR };
-    let n_panels = n.div_ceil(nr);
-    let mut bpack = vec![0.0; n_panels * k * nr];
-    for jb in 0..n_panels {
-        pack_b(
-            b,
-            b_layout,
-            k,
-            n,
-            jb * nr,
-            nr,
-            &mut bpack[jb * k * nr..(jb + 1) * k * nr],
-        );
-    }
-    if m * n * k > PAR_FLOPS && m > ROW_BLOCK {
-        let bpack = &bpack;
-        out.par_chunks_mut(ROW_BLOCK * n)
-            .enumerate()
-            .for_each(|(blk, chunk)| {
-                let row0 = blk * ROW_BLOCK;
-                let row1 = (row0 + ROW_BLOCK).min(m);
-                gemm_rows(a, a_layout, bpack, m, n, k, nr, row0, row1, chunk, tier);
-            });
-    } else {
-        gemm_rows(a, a_layout, &bpack, m, n, k, nr, 0, m, out, tier);
-    }
+    let packed = PackedMat::pack(b, b_layout, k, n);
+    gemm_prepacked_with(m, a, a_layout, &packed, Chains::default(), out, tier);
 }
 
 /// A B operand packed once into micro-kernel column panels and kept for
@@ -474,11 +523,19 @@ impl PackedMat {
 }
 
 /// Packed matrix multiply against a pre-packed B: logical
-/// `(m × k) · (k × n) -> out` with `k`/`n` taken from `b`. `out` is fully
-/// overwritten (`out.len() == m * n`). Bitwise-identical to [`gemm`] with
-/// the same operands.
-pub fn gemm_prepacked(m: usize, a: &[f64], a_layout: Layout, b: &PackedMat, out: &mut [f64]) {
-    gemm_prepacked_with(m, a, a_layout, b, out, kernel_tier());
+/// `(m × k) · (k × n) -> out` with `k`/`n` taken from `b`, each chain
+/// started and stored per `chains`. `out` is fully overwritten
+/// (`out.len() == m * n`). With default [`Chains`], bitwise-identical to
+/// [`gemm`] with the same operands.
+pub fn gemm_prepacked(
+    m: usize,
+    a: &[f64],
+    a_layout: Layout,
+    b: &PackedMat,
+    chains: Chains,
+    out: &mut [f64],
+) {
+    gemm_prepacked_with(m, a, a_layout, b, chains, out, kernel_tier());
 }
 
 /// [`gemm_prepacked`] with the micro-kernel tier pinned, so tests can
@@ -489,17 +546,19 @@ pub fn gemm_prepacked_with(
     a: &[f64],
     a_layout: Layout,
     b: &PackedMat,
+    chains: Chains,
     out: &mut [f64],
     tier: Tier,
 ) {
     let (n, k, nr) = (b.n, b.k, b.nr);
-    debug_assert_eq!(out.len(), m * n);
+    // The AVX-512 tile reads and writes through raw pointers.
+    assert!(a.len() >= m * k && out.len() == m * n);
+    assert!([chains.start, chains.bias]
+        .iter()
+        .flatten()
+        .all(|r| r.len() >= n));
     assert_runs(tier);
     if m == 0 || n == 0 {
-        return;
-    }
-    if k == 0 {
-        out.fill(0.0);
         return;
     }
     if m * n * k > PAR_FLOPS && m > ROW_BLOCK {
@@ -509,10 +568,12 @@ pub fn gemm_prepacked_with(
             .for_each(|(blk, chunk)| {
                 let row0 = blk * ROW_BLOCK;
                 let row1 = (row0 + ROW_BLOCK).min(m);
-                gemm_rows(a, a_layout, bpack, m, n, k, nr, row0, row1, chunk, tier);
+                gemm_rows(
+                    a, a_layout, bpack, m, n, k, nr, row0, row1, chunk, tier, chains,
+                );
             });
     } else {
-        gemm_rows(a, a_layout, &b.panels, m, n, k, nr, 0, m, out, tier);
+        gemm_rows(a, a_layout, &b.panels, m, n, k, nr, 0, m, out, tier, chains);
     }
 }
 
@@ -646,7 +707,8 @@ mod tests {
                     let packed = PackedMat::pack(bb, bl, k, n);
                     assert_eq!((packed.k, packed.n), (k, n));
                     let mut got = vec![0.0; m * n];
-                    gemm_prepacked_with(m, &a, Layout::Normal, &packed, &mut got, tier);
+                    let none = Chains::default();
+                    gemm_prepacked_with(m, &a, Layout::Normal, &packed, none, &mut got, tier);
                     assert_eq!(got, want, "({m},{n},{k}) {bl:?} {tier:?}");
                 }
             }
@@ -657,8 +719,8 @@ mod tests {
     const RAGGED: [usize; 14] = [1, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 33, 39, 128];
 
     /// The AVX2 and AVX-512 micro-kernels, each called directly, give the
-    /// same bits on ragged widths and on operands holding ±∞, NaN and a
-    /// 1e300 spread (an AVX-512 leg is skipped, with a note, on CPUs
+    /// same bits on ragged widths, both A layouts, and operands holding ±∞,
+    /// NaN and a 1e300 spread (an AVX-512 leg is skipped, with a note, on CPUs
     /// without it).
     #[test]
     fn fused_tiers_match_bitwise_on_ragged_and_hostile_operands() {
@@ -683,27 +745,20 @@ mod tests {
                         b[nb / 3] = f64::NEG_INFINITY;
                         b[0] = -1e-300;
                     }
-                    let run = |tier| {
-                        let mut out = vec![0.0; m * n];
-                        gemm_with(
-                            m,
-                            n,
-                            k,
-                            &a,
-                            Layout::Normal,
-                            &b,
-                            Layout::Normal,
-                            &mut out,
-                            tier,
-                        );
-                        out
-                    };
-                    let (want, got) = (run(Tier::Avx2), run(Tier::Avx512));
-                    for (i, (g, w)) in got.iter().zip(&want).enumerate() {
-                        assert!(
-                            g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
-                            "({m},{n},{k}) hostile {hostile} element {i}: {g:e} vs {w:e}"
-                        );
+                    let at = transpose(&a, m, k);
+                    for (al, a) in [(Layout::Normal, &a), (Layout::Transposed, &at)] {
+                        let run = |tier| {
+                            let mut out = vec![0.0; m * n];
+                            gemm_with(m, n, k, a, al, &b, Layout::Normal, &mut out, tier);
+                            out
+                        };
+                        let (want, got) = (run(Tier::Avx2), run(Tier::Avx512));
+                        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                            assert!(
+                                g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
+                                "({m},{n},{k}) {al:?} hostile {hostile} element {i}: {g:e} vs {w:e}"
+                            );
+                        }
                     }
                 }
             }
@@ -714,7 +769,7 @@ mod tests {
     fn prepacked_zero_k_zeroes_output() {
         let packed = PackedMat::pack(&[], Layout::Normal, 0, 3);
         let mut out = vec![7.0; 6];
-        gemm_prepacked(2, &[], Layout::Normal, &packed, &mut out);
+        gemm_prepacked(2, &[], Layout::Normal, &packed, Chains::default(), &mut out);
         assert!(out.iter().all(|&x| x == 0.0));
     }
 }

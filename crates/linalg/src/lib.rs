@@ -12,7 +12,8 @@
 //! * [`mod@gemm`] — packed, register-tiled GEMM micro-kernels (normal and
 //!   transposed layouts) shared with the `dbat-nn` tensor kernels, plus
 //!   [`PackedMat`]/[`gemm_prepacked`] for operands packed once at model
-//!   load and reused every call;
+//!   load and reused every call, whose chains may start from a given row
+//!   and whose store may add a bias and apply a ReLU ([`Chains`]);
 //! * [`attention_head`] — the fused score → softmax → context kernel for
 //!   one attention head, bitwise identical to the `gemm` → softmax →
 //!   `gemm` pipeline it replaces, and its backward
@@ -53,7 +54,7 @@ pub use attention::{
 };
 pub use exp::{softmax_rows_inplace, softmax_rows_scaled_inplace};
 pub use expm::{expm, Uniformizer};
-pub use gemm::{gemm, gemm_prepacked, gemm_worthwhile, Layout, PackedMat};
+pub use gemm::{gemm, gemm_prepacked, gemm_worthwhile, Chains, Layout, PackedMat};
 pub use kron::kron;
 pub use lu::{inverse, solve};
 pub use matrix::Mat;

@@ -2,7 +2,7 @@
 
 use dbat_linalg::gemm::{gemm_prepacked_with, gemm_with};
 use dbat_linalg::{
-    ctmc_stationary, expm, gemm, gemm_prepacked, kron, solve, Layout, Mat, PackedMat, Tier,
+    ctmc_stationary, expm, gemm, gemm_prepacked, kron, solve, Chains, Layout, Mat, PackedMat, Tier,
     Uniformizer,
 };
 use proptest::prelude::*;
@@ -148,9 +148,17 @@ fn check_prepacked(
     let packed = PackedMat::pack(&b, layout, k, n);
     let mut got = vec![0.0; m * n];
     if force_scalar {
-        gemm_prepacked_with(m, &a, Layout::Normal, &packed, &mut got, Tier::Scalar);
+        gemm_prepacked_with(
+            m,
+            &a,
+            Layout::Normal,
+            &packed,
+            Chains::default(),
+            &mut got,
+            Tier::Scalar,
+        );
     } else {
-        gemm_prepacked(m, &a, Layout::Normal, &packed, &mut got);
+        gemm_prepacked(m, &a, Layout::Normal, &packed, Chains::default(), &mut got);
     }
     assert_eq!(got, want);
 }
@@ -166,4 +174,116 @@ fn pseudo(n: usize, seed: u64) -> Vec<f64> {
             (x % 4000) as f64 / 1000.0 - 2.0
         })
         .collect()
+}
+
+proptest! {
+    // The AVX-512 8-row tile (Normal A read in place, the bias and ReLU in
+    // its store) against the AVX2 kernels with the bias and ReLU run as a
+    // separate pass, bit for bit, on ragged `m`, `k` and the encoder's
+    // widths; and on every tier, a product whose A rows share their first
+    // `s` columns split there: the shared row's product started into the
+    // rest is the whole product's bits.
+    #[test]
+    fn chained_gemm_matches_across_tiers_and_splits(
+        m in 1usize..40, k in 1usize..=40, ni in 0usize..4, split in 0usize..=40,
+        seed in 0u64..1000, flags in 0u8..8,
+    ) {
+        let n = [5, 16, 32, 48][ni];
+        check_chains(m, k, n, split.min(k), seed, flags & 1 != 0, flags & 2 != 0, flags & 4 != 0);
+    }
+}
+
+#[allow(clippy::too_many_arguments)]
+fn check_chains(
+    m: usize,
+    k: usize,
+    n: usize,
+    s: usize,
+    seed: u64,
+    hostile: bool,
+    with_bias: bool,
+    relu: bool,
+) {
+    let mut a = pseudo(m * k, seed);
+    let mut b = pseudo(k * n, seed ^ 0xF00D);
+    let mut start = pseudo(n, seed ^ 0xCAFE);
+    let mut bias = pseudo(n, seed ^ 0xBEAD);
+    if hostile {
+        // A zero row started from -0.0 with a -0.0 bias ends at -0.0
+        // before the ReLU; ±∞, NaN and 1e300 poison their columns.
+        a[(m / 2) * k..(m / 2 + 1) * k].fill(0.0);
+        start[0] = -0.0;
+        bias[0] = -0.0;
+        a[0] = f64::INFINITY;
+        b[k * n - 1] = f64::NAN;
+        b[n / 2] = 1e300;
+        start[n - 1] = f64::NEG_INFINITY;
+    }
+    let bias = with_bias.then_some(&bias[..]);
+    let packed = PackedMat::pack(&b, Layout::Normal, k, n);
+    let run = |a: &[f64], tier: Tier, chains: Chains| {
+        let mut out = vec![0.0; m * n];
+        gemm_prepacked_with(m, a, Layout::Normal, &packed, chains, &mut out, tier);
+        out
+    };
+    let same = |got: &[f64], want: &[f64], what: &str| {
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            assert!(
+                g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
+                "({m},{n},{k}) {what} element {i}: {g:e} vs {w:e}"
+            );
+        }
+    };
+    let chains = Chains {
+        start: Some(&start),
+        bias,
+        relu,
+    };
+    if Tier::Avx512.supported() {
+        let from = Chains {
+            start: Some(&start),
+            ..Chains::default()
+        };
+        let mut want = run(&a, Tier::Avx2, from);
+        for row in want.chunks_mut(n) {
+            if let Some(bias) = bias {
+                row.iter_mut().zip(bias).for_each(|(o, b)| *o += b);
+            }
+            if relu {
+                row.iter_mut().for_each(|o| *o = o.max(0.0));
+            }
+        }
+        same(
+            &run(&a, Tier::Avx512, chains),
+            &want,
+            "AVX-512 tile vs AVX2 + passes",
+        );
+    }
+    // The split: rows share A[.., ..s] (row 0's), then go their own way.
+    for row in 1..m {
+        let (head, tail) = a.split_at_mut(row * k);
+        tail[..s].copy_from_slice(&head[..s]);
+    }
+    let rest: Vec<f64> = a.chunks(k).flat_map(|r| r[s..].to_vec()).collect();
+    let (top, bottom) = b.split_at(s * n);
+    let (top, bottom) = (
+        PackedMat::pack(top, Layout::Normal, s, n),
+        PackedMat::pack(bottom, Layout::Normal, k - s, n),
+    );
+    for tier in Tier::ALL.into_iter().filter(|t| t.supported()) {
+        let want = run(&a, tier, chains);
+        let mut prefix = vec![0.0; n];
+        let from = Chains {
+            start: Some(&start),
+            ..Chains::default()
+        };
+        gemm_prepacked_with(1, &a[..s], Layout::Normal, &top, from, &mut prefix, tier);
+        let mut got = vec![0.0; m * n];
+        let cont = Chains {
+            start: Some(&prefix),
+            ..chains
+        };
+        gemm_prepacked_with(m, &rest, Layout::Normal, &bottom, cont, &mut got, tier);
+        same(&got, &want, &format!("{tier:?} split at {s}"));
+    }
 }

@@ -14,15 +14,17 @@
 //! to the graph forward over the same weights. Attention is one
 //! [`dbat_linalg::attention_head`] call per head over the merged
 //! projections — the call [`Graph::attention`](crate::graph::Graph::attention)
-//! makes — so neither side ever builds the `S × S` matrix. At decision
-//! sizes a forward spawns no thread and allocates nothing.
+//! makes — so neither side ever builds the `S × S` matrix. A bias and a
+//! following ReLU run in the GEMM's store ([`Chains`]). At decision sizes
+//! a forward spawns no thread and allocates nothing.
 //! The graph path stays in-tree as the tested reference; the equivalence
 //! is asserted by unit and property tests.
 
 use crate::layers::{EncoderLayer, LayerNorm, Linear, MultiHeadAttention, TransformerEncoder};
 use crate::tensor::naive_gemm_acc;
 use dbat_linalg::{
-    attention_head, attention_scratch_len, gemm_prepacked, gemm_worthwhile, Layout, PackedMat,
+    attention_head, attention_scratch_len, gemm_prepacked, gemm_worthwhile, Chains, Layout,
+    PackedMat,
 };
 
 /// One flat scratch block reused across inference calls.
@@ -62,13 +64,6 @@ impl Arena {
     }
 }
 
-/// In-place ReLU, mirroring the graph's `relu` (`x.max(0.0)`).
-pub fn relu_inplace(x: &mut [f64]) {
-    for v in x {
-        *v = v.max(0.0);
-    }
-}
-
 /// A [`Linear`] layer compiled for inference: B-panels packed once, raw
 /// weights kept for the small-operand fallback so kernel dispatch matches
 /// the graph path exactly.
@@ -76,18 +71,22 @@ pub fn relu_inplace(x: &mut [f64]) {
 pub struct PackedLinear {
     packed: PackedMat,
     w: Vec<f64>,
-    bias: Vec<f64>,
+    bias: Option<Vec<f64>>,
     in_dim: usize,
     out_dim: usize,
 }
 
 impl PackedLinear {
     pub fn compile(l: &Linear) -> Self {
-        let (k, n) = (l.in_dim(), l.out_dim());
+        Self::from_weights(l.w.data(), Some(l.b.data()), l.in_dim(), l.out_dim())
+    }
+
+    /// Pack a row-major `[k, n]` weight and an optional bias.
+    fn from_weights(w: &[f64], bias: Option<&[f64]>, k: usize, n: usize) -> Self {
         PackedLinear {
-            packed: PackedMat::pack(l.w.data(), Layout::Normal, k, n),
-            w: l.w.data().to_vec(),
-            bias: l.b.data().to_vec(),
+            packed: PackedMat::pack(w, Layout::Normal, k, n),
+            w: w.to_vec(),
+            bias: bias.map(<[f64]>::to_vec),
             in_dim: k,
             out_dim: n,
         }
@@ -100,20 +99,98 @@ impl PackedLinear {
     /// `out[rows, out_dim] = x[rows, in_dim] · W + b`, mirroring the graph
     /// path (`matmul` then `add_bias`) bit for bit.
     pub fn forward(&self, rows: usize, x: &[f64], out: &mut [f64]) {
+        self.run(rows, x, None, false, self.packed_for(rows), out);
+    }
+
+    /// [`Self::forward`] then the graph's `relu`, done in the store.
+    pub fn forward_relu(&self, rows: usize, x: &[f64], out: &mut [f64]) {
+        self.run(rows, x, None, true, self.packed_for(rows), out);
+    }
+
+    /// Whether the graph's `[rows, in] · [in, out]` product runs packed.
+    fn packed_for(&self, rows: usize) -> bool {
+        gemm_worthwhile(rows, self.out_dim, self.in_dim)
+    }
+
+    /// The product, chains started from `start` (zero if `None`), bias and
+    /// `relu` in the store, packed or on the naive loop as told.
+    fn run(
+        &self,
+        rows: usize,
+        x: &[f64],
+        start: Option<&[f64]>,
+        relu: bool,
+        packed: bool,
+        out: &mut [f64],
+    ) {
         let (k, n) = (self.in_dim, self.out_dim);
         debug_assert_eq!(x.len(), rows * k);
         debug_assert_eq!(out.len(), rows * n);
-        if gemm_worthwhile(rows, n, k) {
-            gemm_prepacked(rows, x, Layout::Normal, &self.packed, out);
-        } else {
-            out.fill(0.0);
-            naive_gemm_acc(rows, n, k, x, &self.w, out);
+        let chains = Chains {
+            start,
+            bias: self.bias.as_deref(),
+            relu,
+        };
+        if packed {
+            gemm_prepacked(rows, x, Layout::Normal, &self.packed, chains, out);
+            return;
         }
         for row in out.chunks_mut(n.max(1)) {
-            for (o, &b) in row.iter_mut().zip(&self.bias) {
-                *o += b;
+            match start {
+                Some(start) => row.copy_from_slice(start),
+                None => row.fill(0.0),
             }
         }
+        naive_gemm_acc(rows, n, k, x, &self.w, out);
+        for row in out.chunks_mut(n.max(1)) {
+            chains.finish(row, 0);
+        }
+    }
+}
+
+/// A [`Linear`] over `[s | x]` with `s` one row shared by every row, as
+/// the surrogate's head reads `[E_1 | E_2]`: every chain's `s` steps are
+/// the same for all rows, so they run once and each row continues from
+/// them — the whole layer's bits at the cost of the `x` columns.
+#[derive(Clone, Debug)]
+pub struct SharedRowLinear {
+    /// `W[..at]`, no bias.
+    shared: PackedLinear,
+    /// `W[at..]` and the bias.
+    rest: PackedLinear,
+}
+
+impl SharedRowLinear {
+    /// Split `l` at input column `at` (the shared row's width).
+    pub fn compile(l: &Linear, at: usize) -> Self {
+        let (k, n) = (l.in_dim(), l.out_dim());
+        assert!(at <= k, "split at {at} past the input width {k}");
+        let (top, bottom) = l.w.data().split_at(at * n);
+        SharedRowLinear {
+            shared: PackedLinear::from_weights(top, None, at, n),
+            rest: PackedLinear::from_weights(bottom, Some(l.b.data()), k - at, n),
+        }
+    }
+
+    pub fn out_dim(&self) -> usize {
+        self.rest.out_dim
+    }
+
+    /// `out[i] = relu([s | x[i]] · W + b)`, the graph's concat → `matmul`
+    /// → `add_bias` → `relu` bit for bit, on the kernels the whole product
+    /// would take. `prefix` is `out_dim` elements of scratch.
+    pub fn forward_relu(
+        &self,
+        s: &[f64],
+        rows: usize,
+        x: &[f64],
+        prefix: &mut [f64],
+        out: &mut [f64],
+    ) {
+        let k = self.shared.in_dim + self.rest.in_dim;
+        let packed = gemm_worthwhile(rows, self.out_dim(), k);
+        self.shared.run(1, s, None, false, packed, prefix);
+        self.rest.run(rows, x, Some(prefix), true, packed, out);
     }
 }
 
@@ -271,8 +348,7 @@ impl EncoderLayerPlan {
         }
         self.ln1.forward(x);
         // Feed-forward on x1, then residual 2 + LN2.
-        self.ff1.forward(rows, x, ffh);
-        relu_inplace(ffh);
+        self.ff1.forward_relu(rows, x, ffh);
         self.ff2.forward(rows, ffh, q);
         for (xv, &hv) in x.iter_mut().zip(q.iter()) {
             *xv += hv;
@@ -396,6 +472,76 @@ mod tests {
             let mut got = vec![0.0; rows * outd];
             plan.forward(rows, x.data(), &mut got);
             assert_eq!(got, want, "({rows},{ind},{outd})");
+
+            // The ReLU in the store is the graph's relu op, NaN and -0.0
+            // included.
+            let mut x = x.data().to_vec();
+            x[0] = f64::NAN;
+            let mut g = Graph::new();
+            let mut b = Binder::new(&mut g);
+            let xv = b.g.leaf(Tensor::new(vec![rows, ind], x.clone()));
+            let yv = lin.forward(&mut b, xv);
+            let yv = b.g.relu(yv);
+            let want = g.value(yv).data().to_vec();
+            plan.forward_relu(rows, &x, &mut got);
+            assert!(got
+                .iter()
+                .zip(&want)
+                .all(|(g, w)| g.to_bits() == w.to_bits()));
+        }
+    }
+
+    /// The graph's `relu(concat_broadcast_row(s, x) · W + b)`, the head
+    /// `SharedRowLinear` stands in for.
+    fn graph_shared_row(lin: &Linear, s: &[f64], rows: usize, x: &[f64]) -> Vec<f64> {
+        let mut g = Graph::new();
+        let mut b = Binder::new(&mut g);
+        let sv = b.g.leaf(Tensor::new(vec![s.len()], s.to_vec()));
+        let xv =
+            b.g.leaf(Tensor::new(vec![rows, x.len() / rows], x.to_vec()));
+        let cat = b.g.concat_broadcast_row(sv, xv);
+        let h = lin.forward(&mut b, cat);
+        let y = b.g.relu(h);
+        g.value(y).data().to_vec()
+    }
+
+    proptest::proptest! {
+        // The shared row's chains once, each row continued from them, is
+        // the graph's concat → matmul → bias → ReLU bit for bit, on both
+        // sides of `gemm_worthwhile` (1–3 rows of a 16 + 16 → 32 head take
+        // the naive loop) and with zero rows, whose chains and bias end at
+        // ±0.0 before the ReLU.
+        #[test]
+        fn shared_row_linear_matches_graph_concat_head_bitwise(
+            rows in 1usize..=240, d in 1usize..=16, fh in 1usize..=40, seed in 0u64..1000,
+        ) {
+            check_shared_row(rows, d, fh, seed);
+        }
+    }
+
+    fn check_shared_row(rows: usize, d: usize, fh: usize, seed: u64) {
+        let lin = Linear::new(2 * d, fh, &mut InitRng::new(seed));
+        let s = pseudo(d, seed ^ 1);
+        let mut x = pseudo(rows * d, seed ^ 2);
+        x[(rows / 2) * d..(rows / 2 + 1) * d].fill(0.0);
+        let want = graph_shared_row(&lin, &s, rows, &x);
+        let plan = SharedRowLinear::compile(&lin, d);
+        let (mut prefix, mut got) = (vec![0.0; fh], vec![0.0; rows * fh]);
+        plan.forward_relu(&s, rows, &x, &mut prefix, &mut got);
+        let same = got
+            .iter()
+            .zip(&want)
+            .all(|(g, w)| g.to_bits() == w.to_bits());
+        assert!(same, "({rows},{d},{fh}) seed {seed}");
+    }
+
+    #[test]
+    fn shared_row_linear_covers_the_scoring_shapes() {
+        // The surrogate's 216-row grid and a grid small enough for the
+        // naive loop.
+        for rows in [216, 3] {
+            assert_eq!(gemm_worthwhile(rows, 32, 32), rows == 216);
+            check_shared_row(rows, 16, 32, 7);
         }
     }
 

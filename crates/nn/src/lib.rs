@@ -30,7 +30,7 @@ mod tensor;
 
 pub use data::{gather_rows, shuffled_batches, Standardizer};
 pub use graph::{Graph, Var};
-pub use infer::{relu_inplace, Arena, InferencePlan, MhaPlan, PackedLinear};
+pub use infer::{Arena, InferencePlan, MhaPlan, PackedLinear, SharedRowLinear};
 pub use init::InitRng;
 pub use layers::{
     add_positional, positional_encoding, Binder, LayerNorm, Linear, Module, MultiHeadAttention,
