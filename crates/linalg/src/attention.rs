@@ -6,83 +6,68 @@
 //! softmax, `gemm(attn·V)` — over an `S × S` intermediate that falls out
 //! of L1 (128 KB at `S = 128`), with a `k = d_h` and an `n = d_h` GEMM
 //! whose packing and tile write-back outweigh their arithmetic. Here each
-//! block of query rows (`ROW_BLOCK` = 8, or `WIDE_BLOCK` = 16 under
-//! AVX-512) writes its score rows into a scratch that stays in L1, runs the
-//! softmax over them, and accumulates the context rows straight into the
-//! caller's output.
-//!
-//! Operands are *strided views*: element `(i, p)` of Q, K, V and the
-//! output lives at `i * ld + p`, so a head reads its columns of the merged
-//! `[S, H·d_h]` projections and writes its columns of the merged context
-//! in place — no head split, merge or gather copies.
+//! block of query rows writes its scores into a scratch that stays in L1,
+//! runs the softmax over them, and accumulates the context rows straight
+//! into the caller's output. Operands are *strided views*: element `(i, p)`
+//! of Q, K, V and the output lives at `i * ld + p`, so a head reads and
+//! writes its columns of the merged `[S, H·d_h]` buffers in place.
 //!
 //! Determinism contract: every output element executes exactly the
-//! operation sequence of the unfused pipeline. Each score is a chain from
-//! zero over `p`, the softmax is the one shared row order, and each
-//! context element is a chain from zero over `j`. The chains are fused
+//! operation sequence of the unfused pipeline — a score is a chain from
+//! zero over `p`, the softmax is the one shared row order, a context
+//! element is a chain from zero over `j`. The chains are fused
 //! multiply-adds where [`gemm`](crate::gemm::gemm) would pick a vector
 //! [`Tier`] *and* [`gemm_worthwhile`] holds, and plain multiply-then-add
-//! otherwise (mirroring the scalar micro-kernels and the callers' naive
-//! small-operand loops), so the result is **bitwise identical** to `gemm`
-//! → softmax → `gemm` under the same dispatch.
+//! otherwise, so the result is **bitwise identical** to `gemm` → softmax
+//! → `gemm` under the same dispatch.
 //!
-//! The two vector flavours differ only in how lanes are laid out. The
-//! AVX2 flavour puts key positions (scores) and head columns (context)
-//! across its 4 lanes and runs the row softmax over the block's score
-//! rows (Kᵀ packed once per head). The AVX-512 flavour puts the block's
-//! 16 query rows across the lanes of two 8-lane halves: a key's scores are
-//! one vector per half, read straight from K with no Kᵀ pack; the softmax
-//! needs no per-row horizontal step (`exp::softmax_lanes_avx512`); and a
-//! head column's context is one vector per half, so a `d_h = 4` head runs
-//! the 8 independent FMA chains two ports need. Lanes over rows made the
-//! AVX-512 head pay (`core.encode_us` 494–548 µs with the AVX2 head
-//! against 379–397 µs with 8 rows to the lanes); 16 rows took one 128-key
-//! head from ~20 µs to ~16 µs (DESIGN §9).
+//! The vector forward is one body over the lane types: a block is `2·N`
+//! query rows across the lanes of two `N`-lane halves (8 rows on AVX2, 16
+//! on AVX-512). A key's scores are one vector per half, read straight from
+//! K; the softmax needs no per-row horizontal step (`exp::softmax_lanes`);
+//! and a head column's context is one vector per half, so a `d_h = 4` head
+//! runs the 8 independent FMA chains two ports need (DESIGN §9). The
+//! multiply-then-add flavour packs Kᵀ and runs the row softmax over 8-row
+//! blocks.
 //!
 //! ## Backward
 //!
 //! [`attention_head_backward`] is the training half of the same kernel. The
-//! forward saves nothing `S × S` — the tape keeps only Q, K, V and the
-//! context O, all `[S, d_h]` views — so for each block of `ROW_BLOCK` query
-//! rows the backward **recomputes** the block's probability rows `P` with
-//! the forward's own score chains and the shared
-//! [`softmax_rows_scaled_inplace`] (the same bits the forward produced),
-//! then forms
+//! tape keeps only Q, K, V and the context O, so for each block of
+//! `ROW_BLOCK` query rows the backward **recomputes** the probability rows
+//! `P` with the forward's score chains and the shared
+//! [`softmax_rows_scaled_inplace`] (the forward's bits), then forms
 //!
 //! ```text
 //! dP = dO·Vᵀ            dS = c · P ∘ (dP − rowsum(dO ∘ O))
 //! dQ = dS·K             dK += dSᵀ·Q            dV += Pᵀ·dO
 //! ```
 //!
-//! with scratch linear in `S`: packed Kᵀ and Vᵀ, transposed `dKᵀ`/`dVᵀ`
-//! accumulators, and the `P` and `dS` rows of one block. `rowsum(dO ∘ O)`
-//! equals the softmax backward's `rowsum(dP ∘ P)` because `O = P·V`; it
-//! costs `d_h` instead of `S` multiplies per row.
-//!
-//! Summation order: every `dK`/`dV` element is one chain over the query
-//! rows in ascending order (row blocks ascending, rows ascending within a
-//! block), every `dQ` element is four interleaved partial sums over the
-//! keys combined as `(s0 + s2) + (s1 + s3)` plus a left-to-right tail. All
-//! of it stays inside one `(batch, head)` problem and depends only on
-//! `seq`, `d_h` and that head's operands, so a sample's gradients do not
-//! change with the batch it sits in, its position there, or the shard that
-//! ran it. The chains are fused multiply-adds exactly when the forward's
-//! are (see above), and plain multiply-then-add otherwise.
+//! with scratch linear in `S`. `rowsum(dO ∘ O)` equals the softmax
+//! backward's `rowsum(dP ∘ P)` because `O = P·V`, at `d_h` instead of `S`
+//! multiplies per row. Every `dK`/`dV` element is one chain over the query
+//! rows in ascending order, every `dQ` element four interleaved partial
+//! sums over the keys combined as `(s0 + s2) + (s1 + s3)` plus a
+//! left-to-right tail, all inside one `(batch, head)` problem: a sample's
+//! gradients do not change with its batch, its position there, or the
+//! shard that ran it. The chains are fused multiply-adds exactly when the
+//! forward's are.
 
-use crate::exp::softmax_rows_scaled_inplace;
 #[cfg(target_arch = "x86_64")]
-use crate::exp::{softmax_lanes_avx512, softmax_rows_with};
+use crate::exp::softmax_lanes;
+use crate::exp::softmax_rows_scaled_inplace;
 use crate::gemm::gemm_worthwhile;
+#[cfg(target_arch = "x86_64")]
+use crate::lanes::{run_avx2, run_avx512, Kernel, Lanes};
 use crate::tier::{kernel_tier, Tier};
 
-/// Query rows per block: eight independent accumulator chains keep both
-/// FMA ports busy, and `ROW_BLOCK · S` scores (8 KB at `S = 128`) plus the
-/// packed Kᵀ stay L1-resident. The AVX2 and multiply-then-add forward
-/// flavours and the backward use it.
+/// Query rows per block of the multiply-then-add forward and of the
+/// backward: `ROW_BLOCK · S` scores (8 KB at `S = 128`) plus the packed Kᵀ
+/// stay L1-resident.
 const ROW_BLOCK: usize = 8;
 
-/// Query rows per block of [`head_avx512`]: two 8-lane halves (16 KB of
-/// scores at `S = 128`, still L1-resident).
+/// The most query rows a block holds: two 8-lane halves (16 KB of scores
+/// at `S = 128`, still L1-resident).
 const WIDE_BLOCK: usize = 16;
 
 /// Scratch [`attention_head`] needs for one head: packed Kᵀ (`dh · seq`),
@@ -125,93 +110,66 @@ pub fn attention_head(
     let (kt, rest) = scratch.split_at_mut(dh * seq);
     let (rows, qb) = rest.split_at_mut(WIDE_BLOCK * seq);
     let qb = &mut qb[..WIDE_BLOCK * dh];
-
+    let head = Head {
+        seq,
+        dh,
+        ld,
+        scale,
+        q,
+        k,
+        v,
+        out,
+        rows,
+        qb,
+    };
     let packed = gemm_worthwhile(seq, seq, dh);
     #[cfg(target_arch = "x86_64")]
-    match kernel_tier() {
+    if packed && kernel_tier().fused() {
         // SAFETY (both arms): `kernel_tier` returns only a tier detected on
         // this CPU; the slice bounds were asserted above.
-        Tier::Avx512 if packed => {
-            if dh == 4 {
-                unsafe { head_avx512::<4>(seq, dh, ld, scale, q, k, v, out, rows, qb) };
-            } else {
-                unsafe { head_avx512::<0>(seq, dh, ld, scale, q, k, v, out, rows, qb) };
-            }
-            return;
-        }
-        Tier::Avx2 if packed => {
-            pack_kt(seq, dh, ld, k, kt);
-            unsafe { head_fma(seq, dh, ld, scale, q, v, out, kt, rows, qb) };
-            return;
-        }
-        _ => {}
+        return match kernel_tier() {
+            Tier::Avx512 => unsafe { run_avx512(head) },
+            _ => unsafe { run_avx2(head) },
+        };
     }
     #[cfg(not(target_arch = "x86_64"))]
-    let _ = (qb, kernel_tier() == Tier::Scalar);
-    pack_kt(seq, dh, ld, k, kt);
-    head_mul_add(seq, dh, ld, scale, q, v, out, kt, rows, !packed);
+    let _ = kernel_tier() == Tier::Scalar;
+    head_mul_add(head, kt, !packed);
 }
 
-/// Kᵀ packed once per head: `kt[p * seq + j] = K[j, p]`.
-fn pack_kt(seq: usize, dh: usize, ld: usize, k: &[f64], kt: &mut [f64]) {
-    for (j, krow) in k.chunks(ld).take(seq).enumerate() {
+/// Multiply-then-add flavour, one row block at a time, against the packed
+/// Kᵀ. `skip_zero` mirrors the naive context loop's skip of exactly-zero
+/// attention weights (it only shows when V holds a non-finite value); the
+/// scalar GEMM tiles do not skip.
+fn head_mul_add(h: Head, kt: &mut [f64], skip_zero: bool) {
+    let (seq, dh, ld) = (h.seq, h.dh, h.ld);
+    // Kᵀ packed once per head: `kt[p * seq + j] = K[j, p]`.
+    for (j, krow) in h.k.chunks(ld).take(seq).enumerate() {
         for (p, &kv) in krow[..dh].iter().enumerate() {
             kt[p * seq + j] = kv;
         }
     }
-}
-
-/// Pack rows `[i0, i0 + rb)` of Q as `qb[p * w + r] = Q[i0 + r, p]` for
-/// a block `w = qb.len() / dh` rows wide, zero-padding rows past `rb`, so
-/// the tile loops read one contiguous panel and need no row tail.
-fn pack_q_block(dh: usize, ld: usize, q: &[f64], i0: usize, rb: usize, qb: &mut [f64]) {
-    let w = qb.len() / dh;
-    qb.fill(0.0);
-    for r in 0..rb {
-        for (p, &qv) in q[(i0 + r) * ld..][..dh].iter().enumerate() {
-            qb[p * w + r] = qv;
-        }
-    }
-}
-
-/// Multiply-then-add flavour, one row block at a time. `skip_zero` mirrors
-/// the naive context loop's skip of exactly-zero attention weights (it
-/// only shows when V holds a non-finite value); the scalar micro-kernels
-/// do not skip.
-#[allow(clippy::too_many_arguments)]
-fn head_mul_add(
-    seq: usize,
-    dh: usize,
-    ld: usize,
-    scale: f64,
-    q: &[f64],
-    v: &[f64],
-    out: &mut [f64],
-    kt: &[f64],
-    rows: &mut [f64],
-    skip_zero: bool,
-) {
     for i0 in (0..seq).step_by(ROW_BLOCK) {
         let rb = ROW_BLOCK.min(seq - i0);
-        let block = &mut rows[..rb * seq];
+        let block = &mut h.rows[..rb * seq];
         block.fill(0.0);
         for (r, srow) in block.chunks_exact_mut(seq).enumerate() {
-            let qrow = &q[(i0 + r) * ld..][..dh];
+            let qrow = &h.q[(i0 + r) * ld..][..dh];
             for (&qv, ktrow) in qrow.iter().zip(kt.chunks_exact(seq)) {
                 for (s, &kv) in srow.iter_mut().zip(ktrow) {
                     *s += qv * kv;
                 }
             }
         }
-        softmax_rows_scaled_inplace(block, seq, scale);
+        softmax_rows_scaled_inplace(block, seq, h.scale);
         for (r, srow) in block.chunks_exact(seq).enumerate() {
-            let orow = &mut out[(i0 + r) * ld..][..dh];
+            let orow = &mut h.out[(i0 + r) * ld..][..dh];
             orow.fill(0.0);
             for (j, &a) in srow.iter().enumerate() {
                 if skip_zero && a == 0.0 {
                     continue;
                 }
-                for (o, &vv) in orow.iter_mut().zip(&v[j * ld..j * ld + dh]) {
+                for (o, &vv) in orow.iter_mut().zip(&h.v[j * ld..j * ld + dh]) {
                     *o += a * vv;
                 }
             }
@@ -219,172 +177,103 @@ fn head_mul_add(
     }
 }
 
-/// AVX2+FMA flavour: `ROW_BLOCK × 4` register tiles for the scores (lanes
-/// over key positions) and for the context (lanes over head columns), with
-/// scalar `mul_add` chains — the same correctly-rounded fused op — for the
-/// key and column tails.
-///
-/// # Safety
-/// Caller must ensure the CPU supports AVX2 and FMA, that `q`, `v` and
-/// `out` hold at least `(seq - 1) * ld + dh` elements with `ld >= dh`, and
-/// that `kt`, `rows`, `qb` hold `dh * seq`, `ROW_BLOCK * seq` and
-/// `ROW_BLOCK * dh`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn head_fma(
+/// One head's forward: [`attention_head`]'s operands and the scratch of
+/// one block's scores and packed queries.
+struct Head<'a> {
     seq: usize,
     dh: usize,
     ld: usize,
     scale: f64,
-    q: &[f64],
-    v: &[f64],
-    out: &mut [f64],
-    kt: &[f64],
-    rows: &mut [f64],
-    qb: &mut [f64],
-) {
-    use std::arch::x86_64::*;
-    const RB: usize = ROW_BLOCK;
-    let seq4 = seq - seq % 4;
-    let dh4 = dh - dh % 4;
-    for i0 in (0..seq).step_by(RB) {
-        let rb = RB.min(seq - i0);
-        pack_q_block(dh, ld, q, i0, rb, &mut qb[..RB * dh]);
+    q: &'a [f64],
+    k: &'a [f64],
+    v: &'a [f64],
+    out: &'a mut [f64],
+    rows: &'a mut [f64],
+    qb: &'a mut [f64],
+}
 
-        let (qp, ktp, rp) = (qb.as_ptr(), kt.as_ptr(), rows.as_mut_ptr());
-        for j in (0..seq4).step_by(4) {
-            let mut acc = [_mm256_setzero_pd(); RB];
-            for p in 0..dh {
-                let kv = _mm256_loadu_pd(ktp.add(p * seq + j));
-                for (r, a) in acc.iter_mut().enumerate() {
-                    *a = _mm256_fmadd_pd(_mm256_broadcast_sd(&*qp.add(p * RB + r)), kv, *a);
-                }
-            }
-            for (r, a) in acc.iter().enumerate() {
-                _mm256_storeu_pd(rp.add(r * seq + j), *a);
-            }
-        }
-        for j in seq4..seq {
-            for r in 0..rb {
-                let mut acc = 0.0f64;
-                for p in 0..dh {
-                    acc = qb[p * RB + r].mul_add(kt[p * seq + j], acc);
-                }
-                rows[r * seq + j] = acc;
-            }
-        }
-
-        softmax_rows_with(Tier::Avx2, &mut rows[..rb * seq], seq, scale);
-
-        // Rows past `rb` were not normalised; their accumulators are
-        // computed and dropped.
-        let (vp, rp, op) = (v.as_ptr(), rows.as_ptr(), out.as_mut_ptr());
-        for d in (0..dh4).step_by(4) {
-            let mut acc = [_mm256_setzero_pd(); RB];
-            for j in 0..seq {
-                let vv = _mm256_loadu_pd(vp.add(j * ld + d));
-                for (r, a) in acc.iter_mut().enumerate() {
-                    *a = _mm256_fmadd_pd(_mm256_broadcast_sd(&*rp.add(r * seq + j)), vv, *a);
-                }
-            }
-            for (r, a) in acc.iter().enumerate().take(rb) {
-                _mm256_storeu_pd(op.add((i0 + r) * ld + d), *a);
-            }
-        }
-        for d in dh4..dh {
-            for r in 0..rb {
-                let mut acc = 0.0f64;
-                for j in 0..seq {
-                    acc = rows[r * seq + j].mul_add(v[j * ld + d], acc);
-                }
-                out[(i0 + r) * ld + d] = acc;
-            }
+#[cfg(target_arch = "x86_64")]
+impl Kernel for Head<'_> {
+    #[inline(always)]
+    unsafe fn run<L: Lanes>(self) {
+        match self.dh {
+            4 => head_lanes::<L, 4>(self),
+            _ => head_lanes::<L, 0>(self),
         }
     }
 }
 
-/// AVX-512 flavour, transposed: a block is `WIDE_BLOCK` (16) query rows
-/// held as two 8-lane halves, lane `r` of half `h` being row `8h + r`.
-/// Each key's scores are one vector per half, a chain from zero over `p`
-/// of `fma(Q[r, p], K[j, p], ·)` read straight from K (no Kᵀ pack);
-/// [`softmax_lanes_avx512`] exponentiates the tile with no per-row
+/// The vector flavour on `L` lanes, rows across the lanes: a block is
+/// `2·N` query rows held as two `N`-lane halves, lane `r` of half `h`
+/// being row `N·h + r`. Each key's scores are one vector per half, a chain
+/// from zero over `p` of `fma(Q[r, p], K[j, p], ·)` read straight from K
+/// (no Kᵀ pack); [`softmax_lanes`] exponentiates the tile with no per-row
 /// horizontal step; and each context column is one vector per half, a
 /// chain from zero over `j` of `fma(P[r, j], V[j, d], ·)` with
 /// `P[r, j] = e[r, j] · (1 / sum_r)` formed on the fly, so a `d_h = 4`
-/// head runs 8 independent chains. Every element's operations and their
-/// order are [`head_fma`]'s, so the two give the same bits. The row maxima
-/// fold from four accumulators per half: a finite row's maximum is the
-/// same in any order, and a NaN or +∞ row normalises to all-NaN whatever
-/// the fold keeps (tested in `exp`). `DH = 4` is compiled apart so its
-/// loops unroll; `DH = 0` reads the width from `dh`.
+/// head runs 8 independent chains. The row maxima fold from four
+/// accumulators per half: a finite row's maximum is the same in any order,
+/// and a NaN or +∞ row normalises to all-NaN whatever the fold keeps
+/// (tested in `exp`). `DH = 4` is compiled apart so its loops unroll;
+/// `DH = 0` reads the width from `dh`.
 ///
 /// # Safety
-/// Caller must ensure the CPU supports AVX-512F, AVX2 and FMA, that `q`,
-/// `k`, `v` and `out` hold at least `(seq - 1) * ld + dh` elements with
-/// `ld >= dh`, and that `rows` and `qb` hold `WIDE_BLOCK * seq` and
-/// `WIDE_BLOCK * dh`.
+/// As [`Lanes`]; `q`, `k`, `v` and `out` hold at least
+/// `(seq - 1) * ld + dh` elements with `ld >= dh`, and `rows` and `qb` hold
+/// `2·N·seq` and `2·N·dh`.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx2,fma")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn head_avx512<const DH: usize>(
-    seq: usize,
-    dh: usize,
-    ld: usize,
-    scale: f64,
-    q: &[f64],
-    k: &[f64],
-    v: &[f64],
-    out: &mut [f64],
-    rows: &mut [f64],
-    qb: &mut [f64],
-) {
-    use std::arch::x86_64::*;
-    const RB: usize = WIDE_BLOCK;
-    let dh = if DH == 0 { dh } else { DH };
-    let (kp, vp) = (k.as_ptr(), v.as_ptr());
-    for i0 in (0..seq).step_by(RB) {
-        let rb = RB.min(seq - i0);
-        pack_q_block(dh, ld, q, i0, rb, &mut qb[..RB * dh]);
-        // Score tile, `rows[RB * j + r] = S[i0 + r, j]`, and its row maxima
+#[inline(always)]
+unsafe fn head_lanes<L: Lanes, const DH: usize>(h: Head) {
+    let (seq, ld, w) = (h.seq, h.ld, 2 * L::N);
+    let dh = if DH == 0 { h.dh } else { DH };
+    let (kp, vp) = (h.k.as_ptr(), h.v.as_ptr());
+    for i0 in (0..seq).step_by(w) {
+        let rb = w.min(seq - i0);
+        // The block's queries as `qb[p * w + r] = Q[i0 + r, p]`, zero past
+        // `rb`, so the tile loops need no row tail.
+        h.qb.fill(0.0);
+        for r in 0..rb {
+            for (p, &qv) in h.q[(i0 + r) * ld..][..dh].iter().enumerate() {
+                h.qb[p * w + r] = qv;
+            }
+        }
+        // Score tile, `rows[2N · j + r] = S[i0 + r, j]`, and its row maxima
         // in four accumulators per half (one per key of a group of four).
-        let (qp, tp) = (qb.as_ptr(), rows.as_mut_ptr());
-        let mut max = [[_mm512_set1_pd(f64::NEG_INFINITY); 2]; 4];
-        let mut j = 0;
-        while j + 4 <= seq {
-            score_keys::<4>(j, dh, ld, qp, kp, tp, &mut max);
-            j += 4;
+        let (qp, tp) = (h.qb.as_ptr(), h.rows.as_mut_ptr());
+        let mut max = [[L::splat(f64::NEG_INFINITY); 2]; 4];
+        let seq4 = seq - seq % 4;
+        for j in (0..seq4).step_by(4) {
+            score_keys::<L, 4>(j, dh, ld, qp, kp, tp, &mut max);
         }
-        while j < seq {
-            score_keys::<1>(j, dh, ld, qp, kp, tp, std::array::from_mut(&mut max[0]));
-            j += 1;
+        for j in seq4..seq {
+            score_keys::<L, 1>(j, dh, ld, qp, kp, tp, std::array::from_mut(&mut max[0]));
         }
-        let fold = |h: usize| {
-            _mm512_max_pd(
-                _mm512_max_pd(max[0][h], max[1][h]),
-                _mm512_max_pd(max[2][h], max[3][h]),
-            )
-        };
-        let inv = softmax_lanes_avx512(&mut rows[..RB * seq], seq, scale, [fold(0), fold(1)]);
+        let mut fold = max[0];
+        for (half, m) in fold.iter_mut().enumerate() {
+            *m = max[0][half]
+                .max(max[1][half])
+                .max(max[2][half].max(max[3][half]));
+        }
+        let inv = softmax_lanes::<L>(&mut h.rows[..w * seq], seq, h.scale, fold);
         // Rows past `rb` (zero queries) are computed and dropped.
         let mut d = 0;
         while d < dh {
             let n = if dh - d >= 4 { 4 } else { 1 };
-            let mut tile = [[0.0f64; RB]; 4];
-            let mut keep = |u: usize, acc: [__m512d; 2]| {
-                _mm512_storeu_pd(tile[u].as_mut_ptr(), acc[0]);
-                _mm512_storeu_pd(tile[u].as_mut_ptr().add(8), acc[1]);
-            };
+            let mut acc = [inv; 4];
             if n == 4 {
-                let acc = context_cols::<4>(seq, ld, d, rows.as_ptr(), inv, vp);
-                acc.into_iter().enumerate().for_each(|(u, a)| keep(u, a));
+                acc = context_cols::<L, 4>(seq, ld, d, h.rows.as_ptr(), inv, vp);
             } else {
-                let [a] = context_cols::<1>(seq, ld, d, rows.as_ptr(), inv, vp);
-                keep(0, a);
+                [acc[0]] = context_cols::<L, 1>(seq, ld, d, h.rows.as_ptr(), inv, vp);
+            }
+            // Room for the widest block.
+            let mut tile = [[0.0f64; WIDE_BLOCK]; 4];
+            for (t, acc) in tile.iter_mut().zip(&acc).take(n) {
+                acc[0].store(t.as_mut_ptr());
+                acc[1].store(t.as_mut_ptr().add(L::N));
             }
             for r in 0..rb {
                 for (u, t) in tile[..n].iter().enumerate() {
-                    out[(i0 + r) * ld + d + u] = t[r];
+                    h.out[(i0 + r) * ld + d + u] = t[r];
                 }
             }
             d += n;
@@ -392,75 +281,70 @@ unsafe fn head_avx512<const DH: usize>(
     }
 }
 
-/// The score vectors of keys `j .. j + N` (see [`head_avx512`]), both
-/// halves, stored at `t[WIDE_BLOCK * j ..]`; folds key `j + u`'s scores
-/// into `max[u]`.
+/// The score vectors of keys `j .. j + N` (see [`head_lanes`]), both
+/// halves, stored at `t[2L · j ..]` for `L` lanes; folds key `j + u`'s
+/// scores into `max[u]`.
 ///
 /// # Safety
-/// As [`head_avx512`]; `qb` is the block's packed queries and `t` the
-/// score tile.
+/// As [`head_lanes`]; `qb` is the block's packed queries and `t` the score
+/// tile.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx2,fma")]
-#[inline]
+#[inline(always)]
 #[allow(clippy::too_many_arguments)]
-unsafe fn score_keys<const N: usize>(
+unsafe fn score_keys<L: Lanes, const N: usize>(
     j: usize,
     dh: usize,
     ld: usize,
     qb: *const f64,
     k: *const f64,
     t: *mut f64,
-    max: &mut [[std::arch::x86_64::__m512d; 2]; N],
+    max: &mut [[L; 2]; N],
 ) {
-    use std::arch::x86_64::*;
-    let mut s = [[_mm512_setzero_pd(); 2]; N];
+    let w = 2 * L::N;
+    let mut s = [[L::splat(0.0); 2]; N];
     for p in 0..dh {
-        let qv = [
-            _mm512_loadu_pd(qb.add(p * WIDE_BLOCK)),
-            _mm512_loadu_pd(qb.add(p * WIDE_BLOCK + 8)),
-        ];
+        let qv = [L::load(qb.add(p * w)), L::load(qb.add(p * w + L::N))];
         for (u, s) in s.iter_mut().enumerate() {
-            let kv = _mm512_set1_pd(*k.add((j + u) * ld + p));
-            s[0] = _mm512_fmadd_pd(qv[0], kv, s[0]);
-            s[1] = _mm512_fmadd_pd(qv[1], kv, s[1]);
+            let kv = L::splat(*k.add((j + u) * ld + p));
+            s[0] = qv[0].fmadd(kv, s[0]);
+            s[1] = qv[1].fmadd(kv, s[1]);
         }
     }
     for (u, (s, m)) in s.into_iter().zip(max).enumerate() {
         for h in 0..2 {
-            _mm512_storeu_pd(t.add(WIDE_BLOCK * (j + u) + 8 * h), s[h]);
-            m[h] = _mm512_max_pd(m[h], s[h]);
+            s[h].store(t.add(w * (j + u) + L::N * h));
+            m[h] = m[h].max(s[h]);
         }
     }
 }
 
-/// The context vectors of head columns `d .. d + N` (see [`head_avx512`]),
+/// The context vectors of head columns `d .. d + N` (see [`head_lanes`]),
 /// both halves, from the exponentiated tile `t` and the row reciprocals
 /// `inv`.
 ///
 /// # Safety
-/// As [`head_avx512`]; `t` holds `WIDE_BLOCK * seq` elements.
+/// As [`head_lanes`]; `t` holds `2L · seq` elements for `L` lanes.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx2,fma")]
-#[inline]
-unsafe fn context_cols<const N: usize>(
+#[inline(always)]
+unsafe fn context_cols<L: Lanes, const N: usize>(
     seq: usize,
     ld: usize,
     d: usize,
     t: *const f64,
-    inv: [std::arch::x86_64::__m512d; 2],
+    inv: [L; 2],
     v: *const f64,
-) -> [[std::arch::x86_64::__m512d; 2]; N] {
-    use std::arch::x86_64::*;
-    let mut acc = [[_mm512_setzero_pd(); 2]; N];
+) -> [[L; 2]; N] {
+    let w = 2 * L::N;
+    let mut acc = [[L::splat(0.0); 2]; N];
     for j in 0..seq {
         let pj = [
-            _mm512_mul_pd(_mm512_loadu_pd(t.add(WIDE_BLOCK * j)), inv[0]),
-            _mm512_mul_pd(_mm512_loadu_pd(t.add(WIDE_BLOCK * j + 8)), inv[1]),
+            L::load(t.add(w * j)).mul(inv[0]),
+            L::load(t.add(w * j + L::N)).mul(inv[1]),
         ];
         for (u, a) in acc.iter_mut().enumerate() {
-            let vv = _mm512_set1_pd(*v.add(j * ld + d + u));
-            a[0] = _mm512_fmadd_pd(pj[0], vv, a[0]);
-            a[1] = _mm512_fmadd_pd(pj[1], vv, a[1]);
+            let vv = L::splat(*v.add(j * ld + d + u));
+            a[0] = pj[0].fmadd(vv, a[0]);
+            a[1] = pj[1].fmadd(vv, a[1]);
         }
     }
     acc
@@ -480,7 +364,8 @@ pub fn attention_backward_scratch_len(seq: usize, dh: usize) -> usize {
 /// strided `[seq, dh]` views with row stride `ld`; only those `dh` columns
 /// of each row are written. `scratch` must hold
 /// [`attention_backward_scratch_len`] elements; its contents are
-/// unspecified on entry and exit. Requires `scale > 0`. Nothing `S × S` is
+/// unspecified on entry and exit. Requires `scale > 0` (checked, as in
+/// [`attention_head`]). Nothing `S × S` is
 /// read or built: each block's probabilities are recomputed (see the
 /// module docs for the formulas and the summation order).
 #[allow(clippy::too_many_arguments)]
@@ -499,6 +384,7 @@ pub fn attention_head_backward(
     dv: &mut [f64],
     scratch: &mut [f64],
 ) {
+    assert!(scale > 0.0, "attention scale must be positive, got {scale}");
     if seq == 0 || dh == 0 {
         return;
     }
@@ -756,7 +642,7 @@ mod tests {
     }
 
     /// The unfused pipeline on contiguous `[seq, dh]` operands with the
-    /// micro-kernel choice pinned: the attention weights and the context.
+    /// GEMM tier pinned: the attention weights and the context.
     fn unfused(
         seq: usize,
         dh: usize,
@@ -798,29 +684,29 @@ mod tests {
         let (q, k, v) = (&qs[off..], &ks[off..], &vs[off..]);
         let mut out = vec![-1.0; seq * ld];
         let o = &mut out[off..];
+        let head = Head {
+            seq,
+            dh,
+            ld,
+            scale,
+            q,
+            k,
+            v,
+            out: o,
+            rows,
+            qb,
+        };
         match tier {
-            Tier::Scalar => {
-                pack_kt(seq, dh, ld, k, kt);
-                head_mul_add(seq, dh, ld, scale, q, v, o, kt, rows, skip_zero);
-            }
-            // SAFETY (both arms): the tier is supported; slices sized as
-            // in attention_head.
+            Tier::Scalar => head_mul_add(head, kt, skip_zero),
+            // SAFETY (both arms): the tier is supported; slices sized as in
+            // attention_head.
             #[cfg(target_arch = "x86_64")]
-            Tier::Avx2 => unsafe {
-                pack_kt(seq, dh, ld, k, kt);
-                head_fma(seq, dh, ld, scale, q, v, o, kt, rows, qb);
-            },
+            Tier::Avx2 => unsafe { run_avx2(head) },
             #[cfg(target_arch = "x86_64")]
-            Tier::Avx512 if dh == 4 => unsafe {
-                head_avx512::<4>(seq, dh, ld, scale, q, k, v, o, rows, qb)
-            },
-            #[cfg(target_arch = "x86_64")]
-            Tier::Avx512 => unsafe { head_avx512::<0>(seq, dh, ld, scale, q, k, v, o, rows, qb) },
+            Tier::Avx512 => unsafe { run_avx512(head) },
             #[cfg(not(target_arch = "x86_64"))]
             _ => unreachable!("no vector tier off x86-64"),
         }
-        #[cfg(not(target_arch = "x86_64"))]
-        let _ = qb;
         out
     }
 
@@ -951,16 +837,77 @@ mod tests {
         );
     }
 
-    /// The AVX2 and AVX-512 forward flavours, each called directly, give
-    /// the same bits over sequence lengths straddling the 4-, 8- and
-    /// 16-lane tiles and hostile operands: ±∞ and NaN entries, a 1e300
-    /// spread, and a query row whose scores are all −∞. An AVX-512 leg the
-    /// CPU lacks is skipped with a note.
+    /// The fused flavours' reference, written apart from them, on the
+    /// strided operands `flavour` takes: for each row a `mul_add` score
+    /// chain from zero over `p`, the scalar row softmax (compiled with FMA
+    /// where the CPU has it; the same bits either way), then a `mul_add`
+    /// context chain from zero over `j` of `P[r, j] = e[r, j] · (1 / sum)`.
+    #[allow(clippy::too_many_arguments)]
+    fn reference_head(
+        seq: usize,
+        dh: usize,
+        ld: usize,
+        scale: f64,
+        qs: &[f64],
+        ks: &[f64],
+        vs: &[f64],
+        off: usize,
+    ) -> Vec<f64> {
+        let at = |x: &[f64], i: usize, p: usize| x[off + i * ld + p];
+        let mut out = vec![-1.0; seq * ld];
+        let mut s = vec![0.0; seq];
+        for i in 0..seq {
+            for (j, sj) in s.iter_mut().enumerate() {
+                *sj = (0..dh).fold(0.0, |acc, p| at(qs, i, p).mul_add(at(ks, j, p), acc));
+            }
+            crate::exp::softmax_rows_with(Tier::Scalar, &mut s, seq, scale);
+            for d in 0..dh {
+                out[off + i * ld + d] =
+                    (0..seq).fold(0.0, |acc, j| s[j].mul_add(at(vs, j, d), acc));
+            }
+        }
+        out
+    }
+
+    /// Every vector flavour the CPU runs against [`reference_head`], and
+    /// the two against each other where both run: the output's bits on
+    /// the strided view, padding included.
+    #[allow(clippy::too_many_arguments)]
+    fn check_vector_flavours(
+        seq: usize,
+        dh: usize,
+        ld: usize,
+        scale: f64,
+        qs: &[f64],
+        ks: &[f64],
+        vs: &[f64],
+        what: &str,
+    ) {
+        let want = reference_head(seq, dh, ld, scale, qs, ks, vs, 0);
+        let mut ran = Vec::new();
+        for tier in [Tier::Avx2, Tier::Avx512] {
+            if tier.supported() {
+                let got = flavour(tier, false, seq, dh, ld, scale, qs, ks, vs, 0);
+                same_bits(&got, &want, &format!("{what} {tier:?} vs reference"));
+                ran.push(got);
+            }
+        }
+        if let [avx2, avx512] = &ran[..] {
+            same_bits(avx512, avx2, &format!("{what} AVX-512 vs AVX2"));
+        }
+    }
+
+    /// Each vector forward flavour the CPU runs, called directly, against
+    /// the independent reference over sequence lengths straddling the 4-,
+    /// 8- and 16-lane tiles and hostile operands: ±∞ and NaN entries, a
+    /// 1e300 spread, and a query row whose scores are all −∞. A tier the CPU
+    /// lacks is skipped with a note.
     #[test]
     fn fused_flavours_match_bitwise_on_ragged_and_hostile_heads() {
-        if !Tier::Avx512.supported() {
-            println!("no AVX-512F on this CPU: AVX-512 attention leg skipped");
-            return;
+        for tier in [Tier::Avx2, Tier::Avx512] {
+            if !tier.supported() {
+                println!("{tier:?} not supported on this CPU: attention leg skipped");
+            }
         }
         for seq in [1usize, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 33, 39, 128] {
             for dh in [1usize, 4, 5, 8] {
@@ -993,9 +940,8 @@ mod tests {
                     let (ld, h) = (dh + 3, 0);
                     let strided = |x: &[f64]| scatter(x, seq, dh, ld, h, 7.0);
                     let (qs, ks, vs) = (strided(&q), strided(&k), strided(&v));
-                    let want = flavour(Tier::Avx2, false, seq, dh, ld, 0.5, &qs, &ks, &vs, 0);
-                    let got = flavour(Tier::Avx512, false, seq, dh, ld, 0.5, &qs, &ks, &vs, 0);
-                    same_bits(&got, &want, &format!("seq {seq} dh {dh} case {case}"));
+                    let what = format!("seq {seq} dh {dh} case {case}");
+                    check_vector_flavours(seq, dh, ld, 0.5, &qs, &ks, &vs, &what);
                 }
             }
         }
@@ -1003,11 +949,11 @@ mod tests {
 
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
-        // The 16-row AVX-512 head against the AVX2 head (the fused
-        // reference chain; the scalar tier rounds its products apart),
-        // bit for bit, on generated heads: every sequence length up to
-        // 40 and around 128 and 256, head widths 1–8, padded strides, and
-        // hostile entries (±∞, NaN, a 1e300 spread, an all −∞ score row).
+        // Each vector head the CPU runs against the independent reference
+        // (and the two against each other), bit for bit, on generated
+        // heads: every sequence length up to 40 and around 128 and 256,
+        // head widths 1–8, padded strides, and hostile entries (±∞, NaN, a
+        // 1e300 spread, an all −∞ score row).
         #[test]
         fn wide_head_matches_avx2_on_generated_heads(
             seq in seq_lengths(),
@@ -1026,9 +972,6 @@ mod tests {
     }
 
     fn check_wide_head(seq: usize, dh: usize, seed: u64, variant: usize) {
-        if !Tier::Avx512.supported() {
-            return;
-        }
         let (pad, case) = (variant % 3, variant / 3);
         let mut q = fill(seq * dh, seed);
         let mut k = fill(seq * dh, seed ^ 0x55);
@@ -1059,13 +1002,8 @@ mod tests {
         let strided = |x: &[f64]| scatter(x, seq, dh, ld, 0, 7.0);
         let (qs, ks, vs) = (strided(&q), strided(&k), strided(&v));
         let scale = 1.0 / (dh as f64).sqrt();
-        let want = flavour(Tier::Avx2, false, seq, dh, ld, scale, &qs, &ks, &vs, 0);
-        let got = flavour(Tier::Avx512, false, seq, dh, ld, scale, &qs, &ks, &vs, 0);
-        same_bits(
-            &got,
-            &want,
-            &format!("seq {seq} dh {dh} ld {ld} case {case}"),
-        );
+        let what = format!("seq {seq} dh {dh} ld {ld} case {case}");
+        check_vector_flavours(seq, dh, ld, scale, &qs, &ks, &vs, &what);
     }
 
     #[test]
@@ -1076,6 +1014,48 @@ mod tests {
         let mut out = vec![0.0; seq * dh];
         let mut scratch = vec![0.0; attention_scratch_len(seq, dh)];
         attention_head(seq, dh, dh, -1.0, &x, &x, &x, &mut out, &mut scratch);
+    }
+
+    /// The backward checks the same precondition itself, so the panic
+    /// names the attention and not the softmax inside it.
+    #[test]
+    #[should_panic(expected = "attention scale must be positive")]
+    fn backward_rejects_a_negative_scale() {
+        let (seq, dh) = (4, 2);
+        let x = fill(seq * dh, 3);
+        let mut g = [
+            vec![0.0; seq * dh],
+            vec![0.0; seq * dh],
+            vec![0.0; seq * dh],
+        ];
+        let [dq, dk, dv] = &mut g;
+        let mut scratch = vec![0.0; attention_backward_scratch_len(seq, dh)];
+        attention_head_backward(
+            seq,
+            dh,
+            dh,
+            -1.0,
+            &x,
+            &x,
+            &x,
+            &x,
+            &x,
+            dq,
+            dk,
+            dv,
+            &mut scratch,
+        );
+    }
+
+    /// ... and checks it before it looks at the shape: an empty head with
+    /// a zero scale is rejected too.
+    #[test]
+    #[should_panic(expected = "attention scale must be positive")]
+    fn backward_rejects_a_non_positive_scale_even_on_an_empty_head() {
+        let mut g = [Vec::new(), Vec::new(), Vec::new()];
+        let [dq, dk, dv] = &mut g;
+        let e: &[f64] = &[];
+        attention_head_backward(0, 4, 4, 0.0, e, e, e, e, e, dq, dk, dv, &mut []);
     }
 
     /// The zero-weight skip is the one place the two multiply-then-add
@@ -1106,7 +1086,7 @@ mod tests {
     }
 
     /// The unfused backward on contiguous `[seq, dh]` operands with the
-    /// micro-kernel choice pinned: four GEMMs around the softmax backward
+    /// GEMM tier pinned: four GEMMs around the softmax backward
     /// `dS = c · P ∘ (dP − rowsum(dP ∘ P))`, the textbook op-by-op form.
     #[allow(clippy::too_many_arguments)]
     fn unfused_backward(

@@ -5,28 +5,24 @@
 //! `layers · heads · seq²` ≈ 131 k exponentials, and libm's scalar `exp`
 //! alone costs more than every matmul in the encoder combined. This
 //! module replaces it with a branch-free Cody–Waite range reduction plus
-//! a degree-13 Taylor–Horner polynomial, evaluated with several vectors
-//! in flight at once on the widest [`Tier`] the CPU runs: 8 lanes per
-//! vector under AVX-512, 4 under AVX2+FMA, one under `Scalar`. The
-//! autograd graph and the `Scalar`/AVX2 attention flavours call the row
-//! softmax ([`softmax_rows_scaled_inplace`]) over whole `[rows, d]`
-//! tensors or one L1-resident block of score rows; the AVX-512 attention
-//! flavour keeps its block of sixteen rows lane-interleaved and calls
-//! [`softmax_lanes_avx512`], which runs each row's operations on one lane.
+//! a degree-13 Taylor–Horner polynomial ([`exp_rn`]). Its vector form is
+//! one body over the lane types (4 lanes on AVX2, 8 on AVX-512) with
+//! several vectors in flight. The row softmax
+//! ([`softmax_rows_scaled_inplace`]) serves the autograd graph and the
+//! multiply-then-add attention; the vector attention head keeps its block
+//! lane-interleaved and calls [`softmax_lanes`], which runs each row's
+//! operations on one lane.
 //!
-//! Determinism contract (the same one the GEMM micro-kernels honour):
-//! every tier executes the *same* sequence of correctly-rounded IEEE
-//! operations per element (`mul_add` ≡ fused multiply-add), and every
-//! row sums its exponentials in one order: four partial sums by column
-//! mod 4 over the full chunks of four, combined as `(s0 + s2) + (s1 + s3)`,
-//! then the tail left to right. An 8-lane vector adds its low half, then
-//! its high half, into the same four partial sums. So all tiers produce
-//! **bitwise identical** results, and `DBAT_GEMM_FORCE_SCALAR=1` swaps
-//! implementations without changing a single output bit. Accuracy is a
-//! few ulps against libm `exp`; the softmax callers only ever see
-//! max-subtracted inputs in `(-inf, 0]`. On a 2.1 GHz AVX-512 host the
-//! 8-lane row softmax took `linalg.softmax_ns_per_row` from 373 ns to
-//! 189 ns (medians of ten `closed_loop` pairs in `BENCH_perf.jsonl`).
+//! Determinism contract (the same one the GEMM tiles honour): every tier
+//! executes the *same* sequence of correctly-rounded IEEE operations per
+//! element (`mul_add` ≡ fused multiply-add), and every row sums its
+//! exponentials in one order: four partial sums by column mod 4 over the
+//! full chunks of four, combined as `(s0 + s2) + (s1 + s3)`, then the tail
+//! left to right; a vector folds into the four partial sums four lanes at
+//! a time. So all tiers produce **bitwise identical** results, and
+//! `DBAT_GEMM_FORCE_SCALAR=1` swaps implementations without changing a
+//! single output bit. Accuracy is a few ulps against libm `exp`; the
+//! softmax callers only ever see max-subtracted inputs in `(-inf, 0]`.
 //!
 //! Out-of-range behaviour: inputs at or below [`EXP_LO`] flush to
 //! exactly `0.0` (this covers `-inf`), inputs at or above [`EXP_HI`]
@@ -37,6 +33,8 @@
 // fdlibm; the extra digits round to the same f64.
 #![allow(clippy::excessive_precision)]
 
+#[cfg(target_arch = "x86_64")]
+use crate::lanes::{run_avx2, run_avx512, F64x4, Kernel, Lanes};
 use crate::tier::{assert_runs, kernel_tier, Tier};
 
 /// log2(e), the range-reduction multiplier.
@@ -106,107 +104,55 @@ pub(crate) fn exp_rn(x: f64) -> f64 {
     p * scale
 }
 
-/// Vectors per iteration of the AVX2 exp passes. One vector's Horner
-/// chain is 14 dependent FMAs, so a one-vector loop leaves the FMA ports
-/// waiting on latency; [`exp_lanes`] steps `WIDE` independent vectors
-/// together instead. Measured on a 128-wide softmax row: 0.66× the
+/// Vectors per step of the row softmax's exp pass: one vector's Horner
+/// chain is 14 dependent FMAs. On a 128-wide AVX2 row, 0.66× the
 /// one-vector loop at 4, 0.74× at 2, 0.63× at 8 (which leaves more of a
 /// short row to the one-vector remainder).
 #[cfg(target_arch = "x86_64")]
 const WIDE: usize = 4;
 
-/// `N` vectors of four [`exp_rn`] lanes each: per lane the same sequence
-/// of correctly-rounded ops, with the flush guard applied as a mask. Each
-/// step is written across all `N` vectors before the next begins
-/// (per-vector source order measured 0.74× where this measures 0.66×).
-/// Softmax inputs are max-subtracted (`<= 0` or NaN), so there is no
-/// saturate guard: it could never fire.
+/// `N` vectors of [`exp_rn`] lanes: per lane the same sequence of
+/// correctly-rounded ops, the flush guard applied as a mask (NaN lanes keep
+/// their NaN). Each step is written across all `N` vectors before the next
+/// begins (per-vector source order measured 0.74× where this measures
+/// 0.66×). Softmax inputs are max-subtracted (`<= 0` or NaN), so there is
+/// no saturate guard: it could never fire.
+///
+/// # Safety
+/// As [`Lanes`].
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-#[inline]
-fn exp_lanes<const N: usize>(
-    x: [std::arch::x86_64::__m256d; N],
-) -> [std::arch::x86_64::__m256d; N] {
-    use std::arch::x86_64::*;
-    let shift = _mm256_set1_pd(SHIFT);
-    let one = _mm256_set1_pd(1.0);
-    let t = x.map(|x| _mm256_fmadd_pd(x, _mm256_set1_pd(LOG2E), shift));
-    let n = t.map(|t| _mm256_sub_pd(t, shift));
+#[inline(always)]
+unsafe fn exp_lanes<L: Lanes, const N: usize>(x: [L; N]) -> [L; N] {
+    let shift = L::splat(SHIFT);
+    let (mut flush, mut t, mut n, mut e) = ([L::first(0); N], x, x, x);
+    for i in 0..N {
+        flush[i] = x[i].le(L::splat(EXP_LO));
+        t[i] = x[i].fmadd(L::splat(LOG2E), shift);
+        n[i] = t[i].sub(shift);
+        e[i] = L::pow2(t[i], n[i]);
+    }
     let mut r = x;
     for i in 0..N {
-        r[i] = _mm256_fmadd_pd(n[i], _mm256_set1_pd(-LN2_HI), x[i]);
+        r[i] = n[i].fmadd(L::splat(-LN2_HI), x[i]);
     }
     for i in 0..N {
-        r[i] = _mm256_fmadd_pd(n[i], _mm256_set1_pd(-LN2_LO), r[i]);
+        r[i] = n[i].fmadd(L::splat(-LN2_LO), r[i]);
     }
-    let mut p = [_mm256_set1_pd(POLY[0]); N];
-    for &cf in &POLY[1..] {
+    let mut p = [L::splat(POLY[0]); N];
+    for &c in &POLY[1..] {
         for i in 0..N {
-            p[i] = _mm256_fmadd_pd(p[i], r[i], _mm256_set1_pd(cf));
+            p[i] = p[i].fmadd(r[i], L::splat(c));
         }
     }
     for _ in 0..2 {
         for i in 0..N {
-            p[i] = _mm256_fmadd_pd(p[i], r[i], one);
+            p[i] = p[i].fmadd(r[i], L::splat(1.0));
         }
     }
-    let mut y = p;
     for i in 0..N {
-        let scale = _mm256_castsi256_pd(_mm256_add_epi64(
-            _mm256_slli_epi64(_mm256_castpd_si256(t[i]), 52),
-            _mm256_set1_epi64x(0x3FF0_0000_0000_0000_u64 as i64),
-        ));
-        y[i] = _mm256_mul_pd(p[i], scale);
-        // Flush exactly as the scalar guard does; NaN lanes fail the
-        // compare and keep the propagated NaN in y.
-        let lo = _mm256_cmp_pd::<_CMP_LE_OQ>(x[i], _mm256_set1_pd(EXP_LO));
-        y[i] = _mm256_andnot_pd(lo, y[i]);
+        p[i] = p[i].ldexp_flush(e[i], flush[i]);
     }
-    y
-}
-
-/// [`exp_lanes`] on eight lanes per vector: per lane the same sequence of
-/// correctly-rounded ops as [`exp_rn`], the flush guard applied as a mask,
-/// no saturate guard (softmax inputs are max-subtracted).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx2,fma")]
-#[inline]
-pub(crate) fn exp_lanes512<const N: usize>(
-    x: [std::arch::x86_64::__m512d; N],
-) -> [std::arch::x86_64::__m512d; N] {
-    use std::arch::x86_64::*;
-    // The flush masks first: `x` dies with `r`, so 8 vectors fit.
-    let lo = x.map(|x| _mm512_cmp_pd_mask::<_CMP_LE_OQ>(x, _mm512_set1_pd(EXP_LO)));
-    let shift = _mm512_set1_pd(SHIFT);
-    let one = _mm512_set1_pd(1.0);
-    let t = x.map(|x| _mm512_fmadd_pd(x, _mm512_set1_pd(LOG2E), shift));
-    let n = t.map(|t| _mm512_sub_pd(t, shift));
-    let mut r = x;
-    for i in 0..N {
-        r[i] = _mm512_fmadd_pd(n[i], _mm512_set1_pd(-LN2_HI), x[i]);
-    }
-    for i in 0..N {
-        r[i] = _mm512_fmadd_pd(n[i], _mm512_set1_pd(-LN2_LO), r[i]);
-    }
-    let mut p = [_mm512_set1_pd(POLY[0]); N];
-    for &cf in &POLY[1..] {
-        for i in 0..N {
-            p[i] = _mm512_fmadd_pd(p[i], r[i], _mm512_set1_pd(cf));
-        }
-    }
-    for _ in 0..2 {
-        for i in 0..N {
-            p[i] = _mm512_fmadd_pd(p[i], r[i], one);
-        }
-    }
-    let mut y = p;
-    for i in 0..N {
-        // p · 2^n in one op, zeroing the flushed lanes (NaN lanes keep
-        // their NaN). Above EXP_LO, n >= -1021: p · 2^n is normal, so this
-        // and the other tiers' multiply by the assembled 2^n are exact.
-        y[i] = _mm512_maskz_scalef_pd(!lo[i], p[i], n[i]);
-    }
-    y
+    p
 }
 
 /// Scalar mirror of one softmax row, executing the *same* chunk-of-4
@@ -248,282 +194,180 @@ fn softmax_row_scalar(row: &mut [f64], scale: f64) {
     }
 }
 
-/// [`softmax_row_scalar`] compiled with `fma`: each `mul_add` is one
-/// instruction, not a libm call (~45× on a 128-wide row), same bits.
+/// [`softmax_row_scalar`] over every row, compiled with `fma`: each
+/// `mul_add` is one instruction, not a libm call (~45× on a 128-wide row),
+/// same bits.
 ///
 /// # Safety
 /// The CPU must support FMA.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "fma")]
-unsafe fn softmax_row_scalar_fma(row: &mut [f64], scale: f64) {
-    softmax_row_scalar(row, scale);
+unsafe fn softmax_rows_scalar_fma(xs: &mut [f64], d: usize, scale: f64) {
+    for row in xs.chunks_mut(d) {
+        softmax_row_scalar(row, scale);
+    }
 }
 
 /// `exp(scale·x - m)` over `N` consecutive vectors at `p`, in place,
-/// adding them to the row's 4-lane partial sums in order.
+/// folded into the row's 4-lane partial sums in order ([`Lanes::fold`]).
 ///
 /// # Safety
-/// `p` must be valid for `4 * N` reads and writes.
+/// As [`Lanes`]; `p` is valid for `N` vectors.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-#[inline]
-unsafe fn softmax_exp_vectors<const N: usize>(
+#[inline(always)]
+unsafe fn softmax_exp_vectors<L: Lanes, const N: usize>(
     p: *mut f64,
-    scale: std::arch::x86_64::__m256d,
-    m: std::arch::x86_64::__m256d,
-    mut acc: std::arch::x86_64::__m256d,
-) -> std::arch::x86_64::__m256d {
-    use std::arch::x86_64::*;
-    let mut x = [_mm256_setzero_pd(); N];
-    for (i, x) in x.iter_mut().enumerate() {
-        *x = _mm256_sub_pd(_mm256_mul_pd(_mm256_loadu_pd(p.add(4 * i)), scale), m);
-    }
-    for (i, y) in exp_lanes::<N>(x).into_iter().enumerate() {
-        _mm256_storeu_pd(p.add(4 * i), y);
-        acc = _mm256_add_pd(acc, y);
-    }
-    acc
-}
-
-/// As [`softmax_exp_vectors`] over `N` eight-lane vectors: each vector
-/// adds its low half, then its high half, into the same 4-lane partial
-/// sums, so every partial sum sees its elements in the AVX2 order.
-///
-/// # Safety
-/// `p` must be valid for `8 * N` reads and writes.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx2,fma")]
-#[inline]
-unsafe fn softmax_exp_vectors512<const N: usize>(
-    p: *mut f64,
-    scale: std::arch::x86_64::__m512d,
-    m: std::arch::x86_64::__m512d,
-    mut acc: std::arch::x86_64::__m256d,
-) -> std::arch::x86_64::__m256d {
-    use std::arch::x86_64::*;
-    let mut x = [_mm512_setzero_pd(); N];
-    for (i, x) in x.iter_mut().enumerate() {
-        *x = _mm512_sub_pd(_mm512_mul_pd(_mm512_loadu_pd(p.add(8 * i)), scale), m);
-    }
-    for (i, y) in exp_lanes512::<N>(x).into_iter().enumerate() {
-        _mm512_storeu_pd(p.add(8 * i), y);
-        acc = _mm256_add_pd(acc, _mm512_castpd512_pd256(y));
-        acc = _mm256_add_pd(acc, _mm512_extractf64x4_pd::<1>(y));
-    }
-    acc
-}
-
-/// The row's 4-wide remainder and scalar tail after the vector passes,
-/// then the sum `(s0 + s2) + (s1 + s3)` of the partial sums `acc` plus the
-/// tail left to right, matching [`softmax_row_scalar`]; returns the
-/// row's reciprocal `1 / sum`.
-///
-/// # Safety
-/// The CPU must support AVX2 and FMA.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn softmax_row_close(
-    rest: &mut [f64],
     scale: f64,
     m: f64,
-    mut acc: std::arch::x86_64::__m256d,
-) -> f64 {
-    use std::arch::x86_64::*;
-    let mut narrow = rest.chunks_exact_mut(4);
-    for c in &mut narrow {
-        acc = softmax_exp_vectors::<1>(
-            c.as_mut_ptr(),
-            _mm256_set1_pd(scale),
-            _mm256_set1_pd(m),
-            acc,
-        );
+    mut acc: F64x4,
+) -> F64x4 {
+    let (cv, mv, mut x) = (L::splat(scale), L::splat(m), [L::splat(0.0); N]);
+    for (i, x) in x.iter_mut().enumerate() {
+        *x = L::load(p.add(L::N * i)).mul(cv).sub(mv);
     }
-    let a_lo = _mm256_castpd256_pd128(acc);
-    let a_hi = _mm256_extractf128_pd::<1>(acc);
-    let a2 = _mm_add_pd(a_lo, a_hi);
-    let mut sum = _mm_cvtsd_f64(a2) + _mm_cvtsd_f64(_mm_unpackhi_pd(a2, a2));
-    for v in narrow.into_remainder() {
-        *v = exp_rn(*v * scale - m);
-        sum += *v;
+    for (i, y) in exp_lanes(x).into_iter().enumerate() {
+        y.store(p.add(L::N * i));
+        acc = y.fold(acc);
     }
-    1.0 / sum
+    acc
 }
 
-/// One row of [`softmax_rows_scaled_inplace`] on 4-lane vectors.
-///
-/// # Safety
-/// The CPU must support AVX2 and FMA.
+/// Rows of width `d` of [`softmax_rows_scaled_inplace`] on `L` lanes, each
+/// in [`softmax_row_scalar`]'s order: every vector folds into the same four
+/// partial sums by column mod 4 (`WIDE` vectors at a time, then one, then
+/// four lanes), the tail is added left to right, and one reciprocal is
+/// multiplied in.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn softmax_row_avx2(row: &mut [f64], scale: f64) {
-    use std::arch::x86_64::*;
-    // Max scan over the *raw* values. Order-insensitive for the finite
-    // scores softmax sees (±0 ties cannot change any downstream bit, and a
-    // NaN anywhere makes the whole row NaN), so two vector accumulators
-    // (halving the dependent max chain) plus a scalar tail are safe. The
-    // scale is applied to the max once afterwards — see
-    // softmax_row_scalar for why that is bitwise equal to scaling first.
-    let ninf = _mm256_set1_pd(f64::NEG_INFINITY);
-    let (mut m4, mut n4) = (ninf, ninf);
-    let mut chunks = row.chunks_exact(8);
-    for c in &mut chunks {
-        m4 = _mm256_max_pd(m4, _mm256_loadu_pd(c.as_ptr()));
-        n4 = _mm256_max_pd(n4, _mm256_loadu_pd(c.as_ptr().add(4)));
-    }
-    let mut tail = chunks.remainder();
-    if tail.len() >= 4 {
-        m4 = _mm256_max_pd(m4, _mm256_loadu_pd(tail.as_ptr()));
-        tail = &tail[4..];
-    }
-    m4 = _mm256_max_pd(m4, n4);
-    let lo = _mm256_castpd256_pd128(m4);
-    let hi = _mm256_extractf128_pd::<1>(m4);
-    let m2 = _mm_max_pd(lo, hi);
-    let mut max = _mm_cvtsd_f64(_mm_max_sd(m2, _mm_unpackhi_pd(m2, m2)));
-    for &v in tail {
-        max = max.max(v);
-    }
-    let m = scale * max;
-
-    // exp(scale·x - m), accumulating the 4-lane partial sums in the same
-    // pass, WIDE vectors at a time and then one at a time.
-    let (cv, mv) = (_mm256_set1_pd(scale), _mm256_set1_pd(m));
-    let mut acc = _mm256_setzero_pd();
-    let mut wide = row.chunks_exact_mut(4 * WIDE);
-    for c in &mut wide {
-        acc = softmax_exp_vectors::<WIDE>(c.as_mut_ptr(), cv, mv, acc);
-    }
-    let inv = softmax_row_close(wide.into_remainder(), scale, m, acc);
-
-    // One reciprocal per row, then a multiply pass; mul is correctly
-    // rounded, so vector lanes match scalar bitwise.
-    let sv = _mm256_set1_pd(inv);
-    let mut chunks = row.chunks_exact_mut(4);
-    for c in &mut chunks {
-        let y = _mm256_mul_pd(_mm256_loadu_pd(c.as_ptr()), sv);
-        _mm256_storeu_pd(c.as_mut_ptr(), y);
-    }
-    for v in chunks.into_remainder() {
-        *v *= inv;
-    }
+struct SoftmaxRows<'a> {
+    xs: &'a mut [f64],
+    d: usize,
+    scale: f64,
 }
 
-/// [`softmax_row_avx2`] eight lanes at a time: the same max, the same
-/// exponentials, the same 4-lane partial sums in the same order (see
-/// [`softmax_exp_vectors512`]), the same 4-wide remainder and scalar tail,
-/// the same reciprocal — so the same bits.
-///
-/// # Safety
-/// The CPU must support AVX-512F, AVX2 and FMA.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx2,fma")]
-unsafe fn softmax_row_avx512(row: &mut [f64], scale: f64) {
-    use std::arch::x86_64::*;
-    let ninf = _mm512_set1_pd(f64::NEG_INFINITY);
-    let (mut m8, mut n8) = (ninf, ninf);
-    let mut chunks = row.chunks_exact(16);
-    for c in &mut chunks {
-        m8 = _mm512_max_pd(m8, _mm512_loadu_pd(c.as_ptr()));
-        n8 = _mm512_max_pd(n8, _mm512_loadu_pd(c.as_ptr().add(8)));
-    }
-    let mut tail = chunks.remainder();
-    if tail.len() >= 8 {
-        m8 = _mm512_max_pd(m8, _mm512_loadu_pd(tail.as_ptr()));
-        tail = &tail[8..];
-    }
-    let mut max = _mm512_reduce_max_pd(_mm512_max_pd(m8, n8));
-    for &v in tail {
-        max = max.max(v);
-    }
-    let m = scale * max;
+impl Kernel for SoftmaxRows<'_> {
+    #[inline(always)]
+    unsafe fn run<L: Lanes>(self) {
+        let scale = self.scale;
+        for row in self.xs.chunks_mut(self.d) {
+            // Max scan over the *raw* values. Order-insensitive for the
+            // finite scores softmax sees (±0 ties cannot change any
+            // downstream bit, and a NaN anywhere makes the whole row NaN),
+            // so two vector accumulators (halving the dependent max chain)
+            // plus a scalar tail are safe. The scale is applied to the max
+            // once afterwards — see softmax_row_scalar for why that is
+            // bitwise equal to scaling first.
+            let ninf = L::splat(f64::NEG_INFINITY);
+            let (mut m0, mut m1) = (ninf, ninf);
+            let mut chunks = row.chunks_exact(2 * L::N);
+            for c in &mut chunks {
+                m0 = m0.max(L::load(c.as_ptr()));
+                m1 = m1.max(L::load(c.as_ptr().add(L::N)));
+            }
+            let mut tail = chunks.remainder();
+            if tail.len() >= L::N {
+                m0 = m0.max(L::load(tail.as_ptr()));
+                tail = &tail[L::N..];
+            }
+            let mut max = m0.max(m1).hmax();
+            for &v in tail {
+                max = max.max(v);
+            }
+            let m = scale * max;
 
-    let (cv, mv) = (_mm512_set1_pd(scale), _mm512_set1_pd(m));
-    let mut acc = _mm256_setzero_pd();
-    let mut wide = row.chunks_exact_mut(8 * WIDE);
-    for c in &mut wide {
-        acc = softmax_exp_vectors512::<WIDE>(c.as_mut_ptr(), cv, mv, acc);
-    }
-    let mut one = wide.into_remainder().chunks_exact_mut(8);
-    for c in &mut one {
-        acc = softmax_exp_vectors512::<1>(c.as_mut_ptr(), cv, mv, acc);
-    }
-    let inv = softmax_row_close(one.into_remainder(), scale, m, acc);
+            let mut acc = F64x4::splat(0.0);
+            let mut wide = row.chunks_exact_mut(L::N * WIDE);
+            for c in &mut wide {
+                acc = softmax_exp_vectors::<L, WIDE>(c.as_mut_ptr(), scale, m, acc);
+            }
+            let mut one = wide.into_remainder().chunks_exact_mut(L::N);
+            for c in &mut one {
+                acc = softmax_exp_vectors::<L, 1>(c.as_mut_ptr(), scale, m, acc);
+            }
+            let mut four = one.into_remainder().chunks_exact_mut(4);
+            for c in &mut four {
+                acc = softmax_exp_vectors::<F64x4, 1>(c.as_mut_ptr(), scale, m, acc);
+            }
+            let mut sum = acc.sum();
+            for v in four.into_remainder() {
+                *v = exp_rn(*v * scale - m);
+                sum += *v;
+            }
 
-    let sv = _mm512_set1_pd(inv);
-    let mut chunks = row.chunks_exact_mut(8);
-    for c in &mut chunks {
-        let y = _mm512_mul_pd(_mm512_loadu_pd(c.as_ptr()), sv);
-        _mm512_storeu_pd(c.as_mut_ptr(), y);
-    }
-    for v in chunks.into_remainder() {
-        *v *= inv;
+            // One reciprocal per row, then a multiply pass; mul is
+            // correctly rounded, so vector lanes match scalar bitwise.
+            let inv = 1.0 / sum;
+            let mut chunks = row.chunks_exact_mut(L::N);
+            for c in &mut chunks {
+                L::load(c.as_ptr()).mul(L::splat(inv)).store(c.as_mut_ptr());
+            }
+            for v in chunks.into_remainder() {
+                *v *= inv;
+            }
+        }
     }
 }
 
-/// The softmax of sixteen rows held lane-interleaved as two 8-lane halves
-/// (the AVX-512 head's score tile): element `(r, j)` at `block[16 * j + r]`,
-/// `max` each half's raw row maxima. Overwrites every element with
-/// its numerator `exp(scale·x − scale·max)` and returns each half's
-/// reciprocals `1 / sum`; the caller multiplies them in. Each lane runs
-/// [`softmax_row_scalar`]'s operations in its order — partial sums by
+/// The softmax of `2·N` rows held lane-interleaved as two `N`-lane halves
+/// (the attention head's score tile): element `(r, j)` at
+/// `block[2N·j + r]`, `max` each half's raw row maxima. Overwrites every
+/// element with its numerator `exp(scale·x − scale·max)` and returns each
+/// half's reciprocals `1 / sum`; the caller multiplies them in. Each lane
+/// runs [`softmax_row_scalar`]'s operations in its order — partial sums by
 /// `j mod 4` over the full chunks, `(s0 + s2) + (s1 + s3)`, then the tail —
 /// so the normalised rows are the row softmax's bits.
 ///
 /// # Safety
-/// The CPU must support AVX-512F, AVX2 and FMA, and `block` must hold
-/// `16 * seq` elements.
+/// As [`Lanes`]; `block` holds `2·N·seq` elements.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx2,fma")]
-pub(crate) unsafe fn softmax_lanes_avx512(
+#[inline(always)]
+pub(crate) unsafe fn softmax_lanes<L: Lanes>(
     block: &mut [f64],
     seq: usize,
     scale: f64,
-    max: [std::arch::x86_64::__m512d; 2],
-) -> [std::arch::x86_64::__m512d; 2] {
-    use std::arch::x86_64::*;
-    let p = block[..16 * seq].as_mut_ptr();
-    let cv = _mm512_set1_pd(scale);
-    let mv = max.map(|m| _mm512_mul_pd(cv, m));
+    max: [L; 2],
+) -> [L; 2] {
+    let w = 2 * L::N;
+    let p = block[..w * seq].as_mut_ptr();
+    let cv = L::splat(scale);
+    let mv = [cv.mul(max[0]), cv.mul(max[1])];
     // Vector `i` of a group of four keys is key `i / 2`, half `i % 2`.
-    let at = |j: usize, i: usize| p.add(16 * (j + i / 2) + 8 * (i % 2));
+    let at = |j: usize, i: usize| p.add(w * (j + i / 2) + L::N * (i % 2));
     let seq4 = seq - seq % 4;
-    let mut s = [_mm512_setzero_pd(); 8];
+    let mut s = [L::splat(0.0); 8];
     for j in (0..seq4).step_by(4) {
-        let x: [__m512d; 8] = std::array::from_fn(|i| {
-            _mm512_sub_pd(_mm512_mul_pd(_mm512_loadu_pd(at(j, i)), cv), mv[i % 2])
-        });
-        for (i, (y, s)) in exp_lanes512::<8>(x).into_iter().zip(&mut s).enumerate() {
-            _mm512_storeu_pd(at(j, i), y);
-            *s = _mm512_add_pd(*s, y);
+        let mut x = s;
+        for (i, x) in x.iter_mut().enumerate() {
+            *x = L::load(at(j, i)).mul(cv).sub(mv[i % 2]);
+        }
+        for (i, (y, s)) in exp_lanes(x).into_iter().zip(&mut s).enumerate() {
+            y.store(at(j, i));
+            *s = s.add(y);
         }
     }
-    let mut sum: [__m512d; 2] = std::array::from_fn(|h| {
-        _mm512_add_pd(
-            _mm512_add_pd(s[h], s[4 + h]),
-            _mm512_add_pd(s[2 + h], s[6 + h]),
-        )
-    });
+    let mut sum = [
+        s[0].add(s[4]).add(s[2].add(s[6])),
+        s[1].add(s[5]).add(s[3].add(s[7])),
+    ];
     for j in seq4..seq {
-        let x = std::array::from_fn(|h| {
-            _mm512_sub_pd(_mm512_mul_pd(_mm512_loadu_pd(at(j, h)), cv), mv[h])
-        });
-        for (h, y) in exp_lanes512::<2>(x).into_iter().enumerate() {
-            _mm512_storeu_pd(at(j, h), y);
-            sum[h] = _mm512_add_pd(sum[h], y);
+        let mut x = sum;
+        for (h, x) in x.iter_mut().enumerate() {
+            *x = L::load(at(j, h)).mul(cv).sub(mv[h]);
+        }
+        for (h, y) in exp_lanes(x).into_iter().enumerate() {
+            y.store(at(j, h));
+            sum[h] = sum[h].add(y);
         }
     }
-    sum.map(|s| _mm512_div_pd(_mm512_set1_pd(1.0), s))
+    [L::splat(1.0).div(sum[0]), L::splat(1.0).div(sum[1])]
 }
 
 /// In-place softmax over consecutive rows of width `d`: max-subtract,
 /// `exp_rn`-family exponentials, a fixed-order 4-lane sum, and one
-/// reciprocal-multiply normalisation — all fused into three passes per
-/// row. Dispatches on [`kernel_tier`] (AVX-512 or AVX2 lanes on capable
-/// x86-64 hosts, the scalar mirror under `DBAT_GEMM_FORCE_SCALAR=1` and
-/// elsewhere) and is bitwise identical on every tier. This is *the*
-/// softmax for both the autograd graph and the fused attention head of the
-/// compiled inference plans; keeping them on one kernel is what lets the
-/// graph-free fast path mirror the graph bit for bit.
+/// reciprocal-multiply normalisation, in three passes per row. Dispatches
+/// on [`kernel_tier`] and is bitwise identical on every tier. This is *the*
+/// softmax of the autograd graph and of the attention kernels the plans
+/// and the graph share.
 pub fn softmax_rows_inplace(xs: &mut [f64], d: usize) {
     softmax_rows_scaled_inplace(xs, d, 1.0);
 }
@@ -552,26 +396,12 @@ pub(crate) fn softmax_rows_with(tier: Tier, xs: &mut [f64], d: usize, scale: f64
     }
     #[cfg(target_arch = "x86_64")]
     match tier {
-        Tier::Avx512 => {
-            for row in xs.chunks_mut(d) {
-                // SAFETY: the tier runs on this CPU (`assert_runs`).
-                unsafe { softmax_row_avx512(row, scale) };
-            }
-            return;
-        }
-        Tier::Avx2 => {
-            for row in xs.chunks_mut(d) {
-                // SAFETY: the tier runs on this CPU (`assert_runs`).
-                unsafe { softmax_row_avx2(row, scale) };
-            }
-            return;
-        }
+        // SAFETY (all three arms): the tier runs on this CPU (`assert_runs`),
+        // or FMA was detected.
+        Tier::Avx512 => return unsafe { run_avx512(SoftmaxRows { xs, d, scale }) },
+        Tier::Avx2 => return unsafe { run_avx2(SoftmaxRows { xs, d, scale }) },
         Tier::Scalar if std::arch::is_x86_feature_detected!("fma") => {
-            for row in xs.chunks_mut(d) {
-                // SAFETY: FMA detected on this CPU.
-                unsafe { softmax_row_scalar_fma(row, scale) };
-            }
-            return;
+            return unsafe { softmax_rows_scalar_fma(xs, d, scale) };
         }
         Tier::Scalar => {}
     }
@@ -759,20 +589,63 @@ mod tests {
         }
     }
 
-    /// The AVX-512 head's lane-interleaved softmax against the row softmax:
-    /// sixteen rows transposed, exponentiated, normalised by the returned
-    /// reciprocals, transposed back. The raw maxima are folded in several
-    /// orders (the head folds four accumulators): rows with NaN, ±∞, ±0
-    /// ties and all −∞ come out the same bits, NaN rows all-NaN, whatever
-    /// the order.
+    /// [`softmax_lanes`] over `xs`'s rows, `2·N` at a time (the row count
+    /// is a multiple of 16): each block transposed, its raw row maxima
+    /// folded in `order` with the vector max, exponentiated, normalised by
+    /// the returned reciprocals and transposed back.
+    #[cfg(target_arch = "x86_64")]
+    #[inline(always)]
+    unsafe fn lanes_run<L: Lanes>(xs: &[f64], d: usize, scale: f64, order: &[usize]) -> Vec<f64> {
+        let w = 2 * L::N;
+        let mut out = Vec::new();
+        for rows in xs.chunks(w * d) {
+            let mut block = vec![0.0; w * d];
+            let mut max = [f64::NEG_INFINITY; 16];
+            for (r, row) in rows.chunks(d).enumerate() {
+                for (j, &x) in row.iter().enumerate() {
+                    block[w * j + r] = x;
+                }
+                for &j in order {
+                    // The vector max: the second operand on NaN or a tie.
+                    let mut m = [0.0; 8];
+                    L::splat(max[r]).max(L::splat(row[j])).store(m.as_mut_ptr());
+                    max[r] = m[0];
+                }
+            }
+            let halves = [0, L::N].map(|h| L::load(max[h..].as_ptr()));
+            let mut inv = [0.0; 16];
+            for (h, v) in softmax_lanes(&mut block, d, scale, halves)
+                .into_iter()
+                .enumerate()
+            {
+                v.store(inv[L::N * h..].as_mut_ptr());
+            }
+            out.extend((0..w * d).map(|i| block[w * (i % d) + i / d] * inv[i / d]));
+        }
+        out
+    }
+
+    /// [`lanes_run`] as a kernel, so each tier's entry runs it; the result
+    /// goes to the last field.
+    #[cfg(target_arch = "x86_64")]
+    struct LaneRun<'a>(&'a [f64], usize, f64, &'a [usize], &'a mut Vec<f64>);
+
+    #[cfg(target_arch = "x86_64")]
+    impl Kernel for LaneRun<'_> {
+        #[inline(always)]
+        unsafe fn run<L: Lanes>(self) {
+            *self.4 = lanes_run::<L>(self.0, self.1, self.2, self.3);
+        }
+    }
+
+    /// The head's lane-interleaved softmax on each vector tier the CPU runs
+    /// against the row softmax: sixteen rows, as one 16-row block or two
+    /// 8-row ones. The raw maxima are folded in several orders (the head
+    /// folds four accumulators): rows with NaN, ±∞, ±0 ties and all −∞
+    /// come out the same bits, NaN rows all-NaN, whatever the order.
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn lane_softmax_matches_row_softmax_bitwise() {
-        use std::arch::x86_64::*;
-        if !Tier::Avx512.supported() {
-            println!("no AVX-512F on this CPU: lane softmax not checked");
-            return;
-        }
         for d in [1usize, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 33, 39, 128] {
             let mut xs: Vec<f64> = (0..16 * d)
                 .map(|i| ((i * 211) % 101) as f64 * 37.0 - 1800.0)
@@ -790,46 +663,38 @@ mod tests {
             let scale = 0.5;
             let mut want = xs.clone();
             softmax_rows_with(Tier::Scalar, &mut want, d, scale);
+            for r in [0, 11] {
+                assert!(want[r * d..(r + 1) * d].iter().all(|x| x.is_nan()));
+            }
             let orders: [fn(usize) -> Vec<usize>; 3] = [
                 |d| (0..d).collect(),
                 |d| (0..d).rev().collect(),
                 |d| (0..d).step_by(2).chain((1..d).step_by(2)).collect(),
             ];
-            for order in orders {
-                let mut block = vec![0.0; 16 * d];
-                let mut max = [f64::NEG_INFINITY; 16];
-                for (r, row) in xs.chunks(d).enumerate() {
-                    for (j, &x) in row.iter().enumerate() {
-                        block[16 * j + r] = x;
-                    }
-                    for j in order(d) {
-                        // The vector max: the second operand on NaN or a tie.
-                        // SAFETY: AVX-512F detected.
-                        max[r] = unsafe {
-                            let v = _mm512_max_pd(_mm512_set1_pd(max[r]), _mm512_set1_pd(row[j]));
-                            _mm512_cvtsd_f64(v)
-                        };
-                    }
+            for tier in [Tier::Avx2, Tier::Avx512] {
+                if !tier.supported() {
+                    println!("{tier:?} not supported on this CPU: lane softmax not checked");
+                    continue;
                 }
-                let mut inv = [0.0; 16];
-                // SAFETY: AVX-512F detected; `block` holds 16 * d elements.
-                unsafe {
-                    let halves = [0, 8].map(|h| _mm512_loadu_pd(max[h..].as_ptr()));
-                    let v = softmax_lanes_avx512(&mut block, d, scale, halves);
-                    _mm512_storeu_pd(inv.as_mut_ptr(), v[0]);
-                    _mm512_storeu_pd(inv[8..].as_mut_ptr(), v[1]);
-                }
-                for (r, row) in want.chunks(d).enumerate() {
-                    for (j, &w) in row.iter().enumerate() {
-                        let g = block[16 * j + r] * inv[r];
+                for order in orders {
+                    let order = order(d);
+                    let mut got = Vec::new();
+                    let run = LaneRun(&xs, d, scale, &order, &mut got);
+                    // SAFETY: the tier runs on this CPU.
+                    unsafe {
+                        match tier {
+                            Tier::Avx2 => run_avx2(run),
+                            _ => run_avx512(run),
+                        }
+                    }
+                    for (i, (g, w)) in got.iter().zip(&want).enumerate() {
                         assert!(
                             g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
-                            "d {d} row {r} column {j}: {g:e} vs {w:e}"
+                            "{tier:?} d {d} row {} column {}: {g:e} vs {w:e}",
+                            i / d,
+                            i % d
                         );
                     }
-                }
-                for r in [0, 11] {
-                    assert!(want[r * d..(r + 1) * d].iter().all(|x| x.is_nan()));
                 }
             }
         }

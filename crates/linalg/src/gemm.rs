@@ -1,59 +1,48 @@
-//! Packed, cache-blocked GEMM micro-kernel engine.
+//! Packed, cache-blocked GEMM engine.
 //!
 //! One engine serves every dense matmul shape in the workspace: plain
 //! `A·B`, `A·Bᵀ` (attention scores, `dA` backward), and `Aᵀ·B` (`dB`
-//! backward), over both [`crate::Mat`] and the `dbat-nn` tensors. The
-//! strategy is the classic three-step BLAS scheme, sized for the small-to-
-//! medium operands this workspace produces:
+//! backward), over both [`crate::Mat`] and the `dbat-nn` tensors:
 //!
-//! 1. **Pack** the B operand once per call into column panels of width
-//!    `NR`, zero-padded, so the micro-kernel streams one contiguous panel
-//!    per k-step regardless of the logical layout (normal or transposed).
-//! 2. **Pack** each block of `MR` A rows into a `k × MR` panel, again
-//!    zero-padded, so the micro-kernel broadcasts contiguous scalars.
-//! 3. Run a fixed-size **register-tile micro-kernel** (`MR×NR` = 4×8, or
-//!    4×4 for narrow outputs) whose accumulators live entirely in
-//!    registers: output traffic drops from one read-modify-write per
-//!    multiply (the naive `ikj` loop) to one store per `k` products.
+//! 1. **Pack** B into zero-padded column panels `NR = 8` wide, whatever
+//!    its layout: once per call, or once per model load ([`PackedMat`]).
+//! 2. Run a **register tile** over each block of output, broadcasting
+//!    `A[i, p]` straight from A in either layout (A is not packed): output
+//!    traffic drops from one read-modify-write per multiply (the naive
+//!    `ikj` loop) to one store per `k` products.
 //!
-//! The micro-kernel follows the crate's [`Tier`]: AVX2+FMA 4×8 and 4×4
-//! tiles; under AVX-512 step 2 goes — an 8×16 tile (8×8 for an odd last
-//! panel) broadcasts `A[i, p]` straight from A in either layout into 16
-//! zmm accumulators and stores under a lane mask (the 4×4 tile stays on
-//! AVX2). Every output element is one FMA chain over `k` in ascending
-//! order on both vector tiers, so they give the same bits; the scalar
-//! tiles (the `Scalar` tier, and every non-x86-64 target) use plain mul+add
-//! and autovectorise at whatever width the target offers. Products are
-//! accumulated over `k` in the same order as the naive triple loop, so
-//! results match the reference within a few ULPs (FMA keeps intermediate
-//! products unrounded — it is *more* accurate, not differently ordered).
-//!
+//! The vector tile is one body over the lane types: `TILE_ROWS` rows of
+//! two vectors (4 × 8 on AVX2, 8 × 16 on AVX-512), one vector for a last
+//! strip of at most `N` columns, stored under a lane mask. Every output
+//! element is one FMA chain over `k` in ascending order on both vector
+//! tiers, so they give the same bits; the scalar 4 × 8 tile (the `Scalar`
+//! tier, and every non-x86-64 target) uses plain mul+add and autovectorises
+//! at whatever width the target offers. Products accumulate over `k` in the
+//! naive loop's order, so results match it within a few ULPs (FMA keeps
+//! intermediate products unrounded — more accurate, not reordered).
 //! [`gemm_prepacked`]'s [`Chains`] start each chain from a given row and
-//! add a bias and a ReLU in the store. The 8×16 tile with that store took
-//! the encoder's linears of an `l = 128` decision from ~77 µs to ~25 µs
-//! (63 % of the tier's 67 GF/s FMA peak; DESIGN §9).
+//! add a bias and a ReLU in the store (DESIGN §9 has the tile's figures).
 //!
-//! Row-blocks dispatch over rayon above `PAR_FLOPS` (each worker packs
-//! its own A panels; the shared B pack is read-only).
+//! Row-blocks dispatch over rayon above `PAR_FLOPS` (the B pack is shared
+//! read-only).
 
+#[cfg(target_arch = "x86_64")]
+use crate::lanes::{run_avx2, run_avx512, Kernel, Lanes};
 use crate::tier::{assert_runs, kernel_tier, Tier};
 use rayon::prelude::*;
 
-/// Rows per register tile.
-pub(crate) const MR: usize = 4;
-/// Columns per register tile (wide variant).
-pub(crate) const NR: usize = 8;
-/// Columns per register tile (narrow variant, for `n <= 4` outputs such
-/// as per-head attention contexts).
-const NR4: usize = 4;
+/// Rows per scalar tile.
+const MR: usize = 4;
+/// Columns per packed B panel, and per scalar tile.
+const NR: usize = 8;
 
 /// `m·n·k` above which row-blocks are distributed over rayon workers.
 const PAR_FLOPS: usize = 64 * 64 * 64;
-/// Rows per parallel work unit (multiple of `MR`).
+/// Rows per parallel work unit (a multiple of every tier's tile rows).
 const ROW_BLOCK: usize = 64;
-/// A-panel elements (`k · MR`) up to which `gemm_rows` packs into a stack
-/// buffer instead of a heap `Vec`: `k <= 64`, 2 KB.
-const A_PANEL_STACK: usize = 64 * MR;
+/// The most rows a vector tile holds ([`Lanes::TILE_ROWS`]).
+#[cfg(target_arch = "x86_64")]
+const MAX_TILE_ROWS: usize = 8;
 
 /// How a packed operand is laid out in its source slice.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -95,356 +84,153 @@ impl Chains<'_> {
     }
 }
 
-/// Pack columns `[j0, j0 + nr)` of the logical `k × n` operand B into
-/// `panel` (`k * nr` elements, `panel[p * nr + jr] = B[p, j0 + jr]`),
-/// zero-padding columns past `n`.
-#[inline]
-fn pack_b(b: &[f64], layout: Layout, k: usize, n: usize, j0: usize, nr: usize, panel: &mut [f64]) {
-    let nw = nr.min(n - j0);
-    match layout {
-        Layout::Normal => {
-            // B stored k × n row-major.
-            for p in 0..k {
-                let src = &b[p * n + j0..p * n + j0 + nw];
-                let dst = &mut panel[p * nr..p * nr + nr];
-                dst[..nw].copy_from_slice(src);
-                dst[nw..].fill(0.0);
-            }
-        }
-        Layout::Transposed => {
-            // B stored n × k row-major (i.e. Bᵀ): walk nw source rows.
-            for (jr, col) in (j0..j0 + nw).enumerate() {
-                let src = &b[col * k..(col + 1) * k];
-                for p in 0..k {
-                    panel[p * nr + jr] = src[p];
-                }
-            }
-            if nw < nr {
-                for p in 0..k {
-                    panel[p * nr + nw..(p + 1) * nr].fill(0.0);
-                }
+/// Rows `span` of one product against the packed B: the kernel every tier
+/// runs, in its own tiles.
+struct Product<'a> {
+    /// `A[i, p]` is `a[i * rs + p * ps]`, `strides = [rs, ps]`.
+    a: &'a [f64],
+    strides: [usize; 2],
+    bpack: &'a [f64],
+    /// `[m, n, k]`.
+    shape: [usize; 3],
+    /// `[row0, row1)`; `out` holds these rows.
+    span: [usize; 2],
+    out: &'a mut [f64],
+    chains: Chains<'a>,
+}
+
+impl Product<'_> {
+    /// The rows in tiles of `mr` rows by `w` columns: `tile(self, i0, j0)`
+    /// runs the one at row `i0`, column `j0`.
+    #[inline(always)]
+    fn tiles(mut self, [mr, w]: [usize; 2], mut tile: impl FnMut(&mut Self, usize, usize)) {
+        for i0 in (self.span[0]..self.span[1]).step_by(mr) {
+            for j0 in (0..self.shape[1]).step_by(w) {
+                tile(&mut self, i0, j0);
             }
         }
     }
 }
 
-/// Pack rows `[i0, i0 + MR)` of the logical `m × k` operand A into
-/// `panel` (`k * MR` elements, `panel[p * MR + ir] = A[i0 + ir, p]`),
-/// zero-padding rows past `m`.
-#[inline]
-fn pack_a(a: &[f64], layout: Layout, m: usize, k: usize, i0: usize, panel: &mut [f64]) {
-    let mh = MR.min(m - i0);
-    match layout {
-        Layout::Normal => {
-            for (ir, row) in (i0..i0 + mh).enumerate() {
-                let src = &a[row * k..(row + 1) * k];
-                for p in 0..k {
-                    panel[p * MR + ir] = src[p];
-                }
-            }
-        }
-        Layout::Transposed => {
-            // A stored k × m row-major (i.e. Aᵀ): columns are contiguous.
-            for p in 0..k {
-                let src = &a[p * m + i0..p * m + i0 + mh];
-                panel[p * MR..p * MR + mh].copy_from_slice(src);
-            }
-        }
+/// Scalar `MR × NR` tile at row `i0`, column `j0`: plain mul+add so the
+/// compiler can autovectorise at the target's native width. Rows past the
+/// span re-read its last row; their chains are dropped.
+fn tile_scalar(t: &mut Product, i0: usize, j0: usize) {
+    let ([_, n, k], [row0, row1], [rs, ps]) = (t.shape, t.span, t.strides);
+    let (last, cols) = ((row1 - 1).min(i0 + MR - 1), (n - j0).min(NR));
+    let mut c = [[0.0; NR]; MR];
+    if let Some(start) = t.chains.start {
+        c.iter_mut()
+            .for_each(|row| row[..cols].copy_from_slice(&start[j0..][..cols]));
     }
-    if mh < MR {
-        for p in 0..k {
-            panel[p * MR + mh..(p + 1) * MR].fill(0.0);
-        }
-    }
-}
-
-/// Scalar `MR × 8` micro-kernel: plain mul+add so the compiler can
-/// autovectorise at the target's native width. Like the FMA kernels it
-/// *continues* the chains held in `acc` (zero, or a [`Chains::start`] row,
-/// as `gemm_rows` fills it) and leaves the finished tile there.
-#[inline]
-fn mk_scalar_4x8(k: usize, ap: &[f64], bp: &[f64], acc: &mut [f64; MR * NR]) {
-    let mut c = *acc;
+    let panel = &t.bpack[j0 / NR * k * NR..];
     for p in 0..k {
-        let a = &ap[p * MR..p * MR + MR];
-        let b = &bp[p * NR..p * NR + NR];
-        for ir in 0..MR {
-            let av = a[ir];
-            let row = &mut c[ir * NR..ir * NR + NR];
-            for (o, &bv) in row.iter_mut().zip(b) {
+        for (i, row) in (i0..).zip(&mut c) {
+            let av = t.a[i.min(last) * rs + p * ps];
+            for (o, &bv) in row.iter_mut().zip(&panel[p * NR..][..NR]) {
                 *o += av * bv;
             }
         }
     }
-    *acc = c;
+    for (i, row) in (i0..=last).zip(&c) {
+        let dst = &mut t.out[(i - row0) * n + j0..][..cols];
+        dst.copy_from_slice(&row[..cols]);
+        t.chains.finish(dst, j0);
+    }
 }
 
-/// Scalar `MR × 4` micro-kernel; continues `acc` like [`mk_scalar_4x8`].
-#[inline]
-fn mk_scalar_4x4(k: usize, ap: &[f64], bp: &[f64], acc: &mut [f64; MR * NR4]) {
-    let mut c = *acc;
+/// `TILE_ROWS × V·N` tile on `L` lanes at row `i0`, column `j0`, with no A
+/// pack: each k-step broadcasts `A[i, p]` in place, loads `V` vectors of B
+/// and runs `TILE_ROWS·V` FMAs into accumulators started from
+/// [`Chains::start`]. The store adds the bias, applies the ReLU and writes
+/// the tile's outputs under a lane mask. Each element is one FMA chain over
+/// `k` in ascending order, whatever `L` and `V`: the same bits on every
+/// vector tier. Rows past the span re-read its last row; their chains are
+/// dropped.
+///
+/// # Safety
+/// As [`Lanes`]; at most `V · N` columns are left from `j0`, A holds
+/// `m × k`, and `bpack` every panel.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn tile<L: Lanes, const V: usize>(t: &mut Product, i0: usize, j0: usize) {
+    let ([_, n, k], [row0, row1], [rs, ps]) = (t.shape, t.span, t.strides);
+    let (last, cols) = ((row1 - 1).min(i0 + L::TILE_ROWS - 1), n - j0);
+    let (mut mask, mut start, mut bias) =
+        ([L::first(0); V], [L::splat(0.0); V], [L::splat(0.0); V]);
+    let mut br = [t.bpack.as_ptr(); V];
+    for v in 0..V {
+        let c = j0 + v * L::N;
+        mask[v] = L::first(cols.saturating_sub(v * L::N));
+        if let Some(r) = t.chains.start {
+            start[v] = L::load_masked(mask[v], r.as_ptr().add(c));
+        }
+        if let Some(r) = t.chains.bias {
+            bias[v] = L::load_masked(mask[v], r.as_ptr().add(c));
+        }
+        // Columns `c ..` sit in panel `c / NR`.
+        br[v] = br[v].wrapping_add(c / NR * k * NR + c % NR);
+    }
+    let mut ar = [t.a.as_ptr(); MAX_TILE_ROWS];
+    for (i, a) in (i0..).zip(&mut ar) {
+        *a = a.wrapping_add(i.min(last) * rs);
+    }
+    let mut c = [start; MAX_TILE_ROWS];
     for p in 0..k {
-        let a = &ap[p * MR..p * MR + MR];
-        let b = &bp[p * NR4..p * NR4 + NR4];
-        for ir in 0..MR {
-            let av = a[ir];
-            let row = &mut c[ir * NR4..ir * NR4 + NR4];
-            for (o, &bv) in row.iter_mut().zip(b) {
-                *o += av * bv;
+        let mut bv = start;
+        for v in 0..V {
+            bv[v] = L::load(br[v].add(p * NR));
+        }
+        for (acc, a) in c.iter_mut().zip(ar).take(L::TILE_ROWS) {
+            let av = L::splat(*a.add(p * ps));
+            for v in 0..V {
+                acc[v] = av.fmadd(bv[v], acc[v]);
             }
         }
     }
-    *acc = c;
-}
-
-/// AVX2+FMA `4 × 8` micro-kernel: 8 ymm accumulators, 2 panel loads and 4
-/// broadcasts per k-step.
-///
-/// # Safety
-/// Caller must ensure the CPU supports AVX2 and FMA, `ap.len() >= k * MR`,
-/// and `bp.len() >= k * NR`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn mk_fma_4x8(k: usize, ap: &[f64], bp: &[f64], acc: &mut [f64; MR * NR]) {
-    use std::arch::x86_64::*;
-    let o = acc.as_mut_ptr();
-    let mut c00 = _mm256_loadu_pd(o);
-    let mut c01 = _mm256_loadu_pd(o.add(4));
-    let mut c10 = _mm256_loadu_pd(o.add(8));
-    let mut c11 = _mm256_loadu_pd(o.add(12));
-    let mut c20 = _mm256_loadu_pd(o.add(16));
-    let mut c21 = _mm256_loadu_pd(o.add(20));
-    let mut c30 = _mm256_loadu_pd(o.add(24));
-    let mut c31 = _mm256_loadu_pd(o.add(28));
-    let a = ap.as_ptr();
-    let b = bp.as_ptr();
-    for p in 0..k {
-        let b0 = _mm256_loadu_pd(b.add(p * NR));
-        let b1 = _mm256_loadu_pd(b.add(p * NR + 4));
-        let a0 = _mm256_broadcast_sd(&*a.add(p * MR));
-        c00 = _mm256_fmadd_pd(a0, b0, c00);
-        c01 = _mm256_fmadd_pd(a0, b1, c01);
-        let a1 = _mm256_broadcast_sd(&*a.add(p * MR + 1));
-        c10 = _mm256_fmadd_pd(a1, b0, c10);
-        c11 = _mm256_fmadd_pd(a1, b1, c11);
-        let a2 = _mm256_broadcast_sd(&*a.add(p * MR + 2));
-        c20 = _mm256_fmadd_pd(a2, b0, c20);
-        c21 = _mm256_fmadd_pd(a2, b1, c21);
-        let a3 = _mm256_broadcast_sd(&*a.add(p * MR + 3));
-        c30 = _mm256_fmadd_pd(a3, b0, c30);
-        c31 = _mm256_fmadd_pd(a3, b1, c31);
-    }
-    _mm256_storeu_pd(o, c00);
-    _mm256_storeu_pd(o.add(4), c01);
-    _mm256_storeu_pd(o.add(8), c10);
-    _mm256_storeu_pd(o.add(12), c11);
-    _mm256_storeu_pd(o.add(16), c20);
-    _mm256_storeu_pd(o.add(20), c21);
-    _mm256_storeu_pd(o.add(24), c30);
-    _mm256_storeu_pd(o.add(28), c31);
-}
-
-/// AVX2+FMA `4 × 4` micro-kernel.
-///
-/// # Safety
-/// Caller must ensure the CPU supports AVX2 and FMA, `ap.len() >= k * MR`,
-/// and `bp.len() >= k * NR4`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn mk_fma_4x4(k: usize, ap: &[f64], bp: &[f64], acc: &mut [f64; MR * NR4]) {
-    use std::arch::x86_64::*;
-    let o = acc.as_mut_ptr();
-    let mut c0 = _mm256_loadu_pd(o);
-    let mut c1 = _mm256_loadu_pd(o.add(4));
-    let mut c2 = _mm256_loadu_pd(o.add(8));
-    let mut c3 = _mm256_loadu_pd(o.add(12));
-    let a = ap.as_ptr();
-    let b = bp.as_ptr();
-    for p in 0..k {
-        let b0 = _mm256_loadu_pd(b.add(p * NR4));
-        c0 = _mm256_fmadd_pd(_mm256_broadcast_sd(&*a.add(p * MR)), b0, c0);
-        c1 = _mm256_fmadd_pd(_mm256_broadcast_sd(&*a.add(p * MR + 1)), b0, c1);
-        c2 = _mm256_fmadd_pd(_mm256_broadcast_sd(&*a.add(p * MR + 2)), b0, c2);
-        c3 = _mm256_fmadd_pd(_mm256_broadcast_sd(&*a.add(p * MR + 3)), b0, c3);
-    }
-    _mm256_storeu_pd(o, c0);
-    _mm256_storeu_pd(o.add(4), c1);
-    _mm256_storeu_pd(o.add(8), c2);
-    _mm256_storeu_pd(o.add(12), c3);
-}
-
-/// Rows per [`tile_avx512_8`] tile.
-const MR8: usize = 8;
-
-/// AVX-512 `8 × 8·P` tile with no A pack: each k-step broadcasts
-/// `A[i, p]` from `a + i·rs + p·ps` (Normal A: `rs = k, ps = 1`;
-/// Transposed: `rs = 1, ps = m`), loads `P` adjacent B panels and runs
-/// `8·P` FMAs into accumulators started from [`Chains::start`]. The store
-/// adds the bias, applies the ReLU and writes `rows × cols` into `out`
-/// (row stride `ldo`) under a lane mask. Each element is `mk_fma_4x8`'s
-/// chain, so the bits are the AVX2 tier's.
-///
-/// # Safety
-/// The CPU supports AVX-512F; `1 <= rows <= 8`, `cols <= P · NR`; A's
-/// `rows × k` elements, `P` panels of `k · NR` at `bp` and `rows` rows of
-/// `cols` at `out` are in bounds, and the chain rows hold `cols` values.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx2,fma")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn tile_avx512_8<const P: usize>(
-    k: usize,
-    a: *const f64,
-    [rs, ps]: [usize; 2],
-    rows: usize,
-    bp: *const f64,
-    cols: usize,
-    chains: Chains,
-    out: *mut f64,
-    ldo: usize,
-) {
-    use std::arch::x86_64::*;
-    let mask: [__mmask8; P] =
-        std::array::from_fn(|h| ((1u32 << cols.saturating_sub(h * NR).min(NR)) - 1) as u8);
-    let row = |v: Option<&[f64]>| -> [__m512d; P] {
-        std::array::from_fn(|h| match v {
-            Some(v) => _mm512_maskz_loadu_pd(mask[h], v.as_ptr().add(h * NR)),
-            None => _mm512_setzero_pd(),
-        })
-    };
-    // Rows past `rows` re-read the last row; their tiles are dropped.
-    let ar: [*const f64; MR8] = std::array::from_fn(|ir| a.add(ir.min(rows - 1) * rs));
-    let mut c = [row(chains.start); MR8];
-    for p in 0..k {
-        let bv: [__m512d; P] =
-            std::array::from_fn(|h| _mm512_loadu_pd(bp.add(h * k * NR + p * NR)));
-        for (ir, acc) in c.iter_mut().enumerate() {
-            let av = _mm512_set1_pd(*ar[ir].add(p * ps));
-            for h in 0..P {
-                acc[h] = _mm512_fmadd_pd(av, bv[h], acc[h]);
+    let out = t.out.as_mut_ptr();
+    for (i, acc) in (i0..=last).zip(&c) {
+        for v in 0..V {
+            let mut x = acc[v];
+            if t.chains.bias.is_some() {
+                x = x.add(bias[v]);
             }
-        }
-    }
-    let bias = row(chains.bias);
-    for (ir, acc) in c.iter().enumerate().take(rows) {
-        for h in 0..P {
-            let mut v = acc[h];
-            if chains.bias.is_some() {
-                v = _mm512_add_pd(v, bias[h]);
+            if t.chains.relu {
+                x = x.max(L::splat(0.0));
             }
-            if chains.relu {
-                // What `v.max(0.0)` lowers to: NaN and -0.0 give +0.0.
-                v = _mm512_max_pd(v, _mm512_setzero_pd());
-            }
-            _mm512_mask_storeu_pd(out.add(ir * ldo + h * NR), mask[h], v);
+            x.store_masked(mask[v], out.add((i - row0) * n + j0 + v * L::N));
         }
     }
 }
 
-/// Run the micro-kernel `tier` picks for one `MR`-row tile, continuing
-/// the chains in `acc` (the `MR × nr` tile, row-major).
-fn micro_kernel(tier: Tier, k: usize, nr: usize, ap: &[f64], bp: &[f64], acc: &mut [f64]) {
+/// Tiles of two vectors per row, one where at most `N` columns are left.
+#[cfg(target_arch = "x86_64")]
+impl Kernel for Product<'_> {
+    #[inline(always)]
+    unsafe fn run<L: Lanes>(self) {
+        self.tiles([L::TILE_ROWS, 2 * L::N], |t, i0, j0| {
+            if t.shape[1] - j0 > L::N {
+                tile::<L, 2>(t, i0, j0)
+            } else {
+                tile::<L, 1>(t, i0, j0)
+            }
+        });
+    }
+}
+
+/// One product's rows on the tier's tiles.
+fn gemm_rows(p: Product, tier: Tier) {
     #[cfg(target_arch = "x86_64")]
-    if tier.fused() {
-        // SAFETY (both arms): the tier runs on this CPU (`assert_runs`);
-        // `ap` holds k*MR and `bp` k*nr elements.
-        return match nr {
-            NR => unsafe { mk_fma_4x8(k, ap, bp, acc.try_into().expect("an MR × nr tile")) },
-            _ => unsafe { mk_fma_4x4(k, ap, bp, acc.try_into().expect("an MR × nr tile")) },
-        };
+    match tier {
+        // SAFETY (both arms): the tier runs on this CPU (`assert_runs`); A
+        // holds `m × k` (asserted) and `bpack` every panel.
+        Tier::Avx512 => return unsafe { run_avx512(p) },
+        Tier::Avx2 => return unsafe { run_avx2(p) },
+        Tier::Scalar => {}
     }
     #[cfg(not(target_arch = "x86_64"))]
     let _ = tier;
-    match nr {
-        NR => mk_scalar_4x8(k, ap, bp, acc.try_into().expect("an MR × nr tile")),
-        _ => mk_scalar_4x4(k, ap, bp, acc.try_into().expect("an MR × nr tile")),
-    }
-}
-
-/// Process rows `[row0, row1)` against the fully packed B.
-#[allow(clippy::too_many_arguments)]
-fn gemm_rows(
-    a: &[f64],
-    a_layout: Layout,
-    bpack: &[f64],
-    m: usize,
-    n: usize,
-    k: usize,
-    nr: usize,
-    row0: usize,
-    row1: usize,
-    out: &mut [f64],
-    tier: Tier,
-    chains: Chains,
-) {
-    #[cfg(target_arch = "x86_64")]
-    if tier == Tier::Avx512 && nr == NR {
-        let (rs, ps) = match a_layout {
-            Layout::Normal => (k, 1),
-            Layout::Transposed => (1, m),
-        };
-        let n_panels = n.div_ceil(NR);
-        for i0 in (row0..row1).step_by(MR8) {
-            let rows = MR8.min(row1 - i0);
-            for jb in (0..n_panels).step_by(2) {
-                let j0 = jb * NR;
-                let ends = Chains {
-                    start: chains.start.map(|v| &v[j0..]),
-                    bias: chains.bias.map(|v| &v[j0..]),
-                    relu: chains.relu,
-                };
-                let (ap, bp) = (
-                    a.as_ptr().wrapping_add(i0 * rs),
-                    bpack[jb * k * NR..].as_ptr(),
-                );
-                let op = out[(i0 - row0) * n + j0..].as_mut_ptr();
-                let (cols, strides) = ((n - j0).min(2 * NR), [rs, ps]);
-                // SAFETY (both arms): the tier runs on this CPU; the tile
-                // reads A (`m × k`, asserted) and the panels only for
-                // `k > 0`, and writes output rows inside `out`.
-                if jb + 1 < n_panels {
-                    unsafe { tile_avx512_8::<2>(k, ap, strides, rows, bp, cols, ends, op, n) };
-                } else {
-                    unsafe { tile_avx512_8::<1>(k, ap, strides, rows, bp, cols, ends, op, n) };
-                }
-            }
-        }
-        return;
-    }
-    // The A panel lives on the stack for small `k` (every layer of the
-    // surrogate), so a pre-packed product allocates nothing. Cache-line
-    // aligned: at the stack's natural 8-byte alignment the 216-row score
-    // sweep measured 39.8 µs against 34.5 µs aligned.
-    #[repr(align(64))]
-    struct Aligned([f64; A_PANEL_STACK]);
-    let mut stack = Aligned([0.0; A_PANEL_STACK]);
-    let mut heap = Vec::new();
-    let apanel = if k * MR <= A_PANEL_STACK {
-        &mut stack.0[..k * MR]
-    } else {
-        heap.resize(k * MR, 0.0);
-        &mut heap[..]
-    };
-    let mut acc = [0.0; MR * NR];
-    let acc = &mut acc[..MR * nr];
-    for i0 in (row0..row1).step_by(MR) {
-        pack_a(a, a_layout, m, k, i0, apanel);
-        let mh = MR.min(row1 - i0);
-        for (jb, j0) in (0..n).step_by(nr).enumerate() {
-            let nw = nr.min(n - j0);
-            for tile_row in acc.chunks_exact_mut(nr) {
-                match chains.start {
-                    Some(start) => tile_row[..nw].copy_from_slice(&start[j0..j0 + nw]),
-                    None => tile_row[..nw].fill(0.0),
-                }
-            }
-            micro_kernel(tier, k, nr, apanel, &bpack[jb * k * nr..], acc);
-            for ir in 0..mh {
-                let dst = &mut out[(i0 - row0 + ir) * n + j0..][..nw];
-                dst.copy_from_slice(&acc[ir * nr..ir * nr + nw]);
-                chains.finish(dst, j0);
-            }
-        }
-    }
+    p.tiles([MR, NR], tile_scalar);
 }
 
 /// General packed matrix multiply: logical `(m × k) · (k × n) -> out`,
@@ -464,7 +250,7 @@ pub fn gemm(
     gemm_with(m, n, k, a, a_layout, b, b_layout, out, kernel_tier());
 }
 
-/// [`gemm`] with the micro-kernel tier pinned, so tests can exercise every
+/// [`gemm`] with the tile's tier pinned, so tests can exercise every
 /// tier the CPU runs (panics on one it does not).
 #[doc(hidden)]
 #[allow(clippy::too_many_arguments)]
@@ -483,42 +269,47 @@ pub fn gemm_with(
     gemm_prepacked_with(m, a, a_layout, &packed, Chains::default(), out, tier);
 }
 
-/// A B operand packed once into micro-kernel column panels and kept for
-/// reuse across many GEMM calls.
+/// A B operand packed once into `NR`-column panels and kept for reuse
+/// across many GEMM calls.
 ///
 /// [`gemm`] re-packs B on every invocation, which is the right trade for
 /// one-shot products but pure overhead when the same operand (a layer's
 /// weight matrix) is multiplied every decision interval. `PackedMat`
-/// hoists that pack to model load/refit time: the panel layout, the
-/// `nr` choice, and therefore the micro-kernel dispatch are *identical*
-/// to what [`gemm`] builds internally, so [`gemm_prepacked`] produces
-/// bitwise-identical output to [`gemm`] over the same operands.
+/// hoists that pack to model load/refit time: the panel layout is
+/// *identical* to what [`gemm`] builds internally, so [`gemm_prepacked`]
+/// produces bitwise-identical output to [`gemm`] over the same operands.
 #[derive(Clone, Debug)]
 pub struct PackedMat {
     k: usize,
     n: usize,
-    nr: usize,
     panels: Vec<f64>,
 }
 
 impl PackedMat {
     /// Pack the logical `k × n` operand B (stored per `layout`).
     pub fn pack(b: &[f64], layout: Layout, k: usize, n: usize) -> Self {
-        let nr = if n <= NR4 { NR4 } else { NR };
-        let n_panels = n.div_ceil(nr);
-        let mut panels = vec![0.0; n_panels * k * nr];
-        for jb in 0..n_panels {
-            pack_b(
-                b,
-                layout,
-                k,
-                n,
-                jb * nr,
-                nr,
-                &mut panels[jb * k * nr..(jb + 1) * k * nr],
-            );
+        // Panel `j0 / NR` holds columns `j0 ..` as `panel[p * NR + jr]`,
+        // zero past `n`.
+        let mut panels = vec![0.0; n.div_ceil(NR) * k * NR];
+        for j0 in (0..n).step_by(NR) {
+            let (panel, nw) = (&mut panels[j0 * k..][..k * NR], NR.min(n - j0));
+            match layout {
+                Layout::Normal => {
+                    for p in 0..k {
+                        panel[p * NR..][..nw].copy_from_slice(&b[p * n + j0..][..nw]);
+                    }
+                }
+                // B stored n × k: walk the panel's source rows.
+                Layout::Transposed => {
+                    for (jr, row) in b[j0 * k..].chunks(k.max(1)).take(nw).enumerate() {
+                        for (p, &x) in row.iter().enumerate() {
+                            panel[p * NR + jr] = x;
+                        }
+                    }
+                }
+            }
         }
-        PackedMat { k, n, nr, panels }
+        PackedMat { k, n, panels }
     }
 }
 
@@ -538,7 +329,7 @@ pub fn gemm_prepacked(
     gemm_prepacked_with(m, a, a_layout, b, chains, out, kernel_tier());
 }
 
-/// [`gemm_prepacked`] with the micro-kernel tier pinned, so tests can
+/// [`gemm_prepacked`] with the tile's tier pinned, so tests can
 /// exercise every tier the CPU runs (panics on one it does not).
 #[doc(hidden)]
 pub fn gemm_prepacked_with(
@@ -550,8 +341,8 @@ pub fn gemm_prepacked_with(
     out: &mut [f64],
     tier: Tier,
 ) {
-    let (n, k, nr) = (b.n, b.k, b.nr);
-    // The AVX-512 tile reads and writes through raw pointers.
+    let (n, k) = (b.n, b.k);
+    // The vector tiles read and write through raw pointers.
     assert!(a.len() >= m * k && out.len() == m * n);
     assert!([chains.start, chains.bias]
         .iter()
@@ -561,19 +352,34 @@ pub fn gemm_prepacked_with(
     if m == 0 || n == 0 {
         return;
     }
+    let strides = match a_layout {
+        Layout::Normal => [k, 1],
+        Layout::Transposed => [1, m],
+    };
+    let rows = |span, out| {
+        let (bpack, shape) = (&b.panels[..], [m, n, k]);
+        gemm_rows(
+            Product {
+                a,
+                strides,
+                bpack,
+                shape,
+                span,
+                out,
+                chains,
+            },
+            tier,
+        );
+    };
     if m * n * k > PAR_FLOPS && m > ROW_BLOCK {
-        let bpack = &b.panels;
         out.par_chunks_mut(ROW_BLOCK * n)
             .enumerate()
-            .for_each(|(blk, chunk)| {
+            .for_each(|(blk, out)| {
                 let row0 = blk * ROW_BLOCK;
-                let row1 = (row0 + ROW_BLOCK).min(m);
-                gemm_rows(
-                    a, a_layout, bpack, m, n, k, nr, row0, row1, chunk, tier, chains,
-                );
+                rows([row0, (row0 + ROW_BLOCK).min(m)], out);
             });
     } else {
-        gemm_rows(a, a_layout, &b.panels, m, n, k, nr, 0, m, out, tier, chains);
+        rows([0, m], out);
     }
 }
 
@@ -673,8 +479,8 @@ mod tests {
         });
     }
 
-    /// The scalar micro-kernels must match the naive reference even when
-    /// the host CPU would normally dispatch to the FMA kernels — this is
+    /// The scalar tile must match the naive reference even when the host
+    /// CPU would normally dispatch to the FMA tiles — this is
     /// the path every non-AVX2 target (e.g. aarch64) takes.
     #[test]
     fn forced_scalar_kernels_match_naive_across_ragged_shapes() {
@@ -693,7 +499,7 @@ mod tests {
     }
 
     /// Pre-packing B once must reproduce the per-call pack bit for bit,
-    /// on every micro-kernel tier the CPU runs and both B layouts.
+    /// on every tier the CPU runs and both B layouts.
     #[test]
     fn prepacked_matches_gemm_bitwise_across_ragged_shapes() {
         for tier in Tier::ALL.into_iter().filter(|t| t.supported()) {
@@ -718,20 +524,41 @@ mod tests {
     /// Widths that straddle the 4-, 8- and 16-column tiles.
     const RAGGED: [usize; 14] = [1, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 33, 39, 128];
 
-    /// The AVX2 and AVX-512 micro-kernels, each called directly, give the
-    /// same bits on ragged widths, both A layouts, and operands holding ±∞,
-    /// NaN and a 1e300 spread (an AVX-512 leg is skipped, with a note, on CPUs
-    /// without it).
+    /// The vector tiers' reference, written apart from them: each output a
+    /// `mul_add` chain over `k` in ascending order from zero.
+    fn reference(m: usize, n: usize, k: usize, a: &[f64], al: Layout, b: &[f64]) -> Vec<f64> {
+        let at = |i: usize, p: usize| match al {
+            Layout::Normal => a[i * k + p],
+            Layout::Transposed => a[p * m + i],
+        };
+        (0..m * n)
+            .map(|e| (0..k).fold(0.0, |acc, p| at(e / n, p).mul_add(b[p * n + e % n], acc)))
+            .collect()
+    }
+
+    /// Each vector tier the CPU runs, called directly, against the
+    /// independent `mul_add` reference, and the two against each other where
+    /// both run: ragged widths, both A layouts, and operands holding ±∞, NaN
+    /// and a 1e300 spread. A tier the CPU lacks is skipped with a note.
     #[test]
     fn fused_tiers_match_bitwise_on_ragged_and_hostile_operands() {
-        if !Tier::Avx2.supported() {
-            println!("no AVX2+FMA on this CPU: fused GEMM tiers not compared");
-            return;
-        }
-        if !Tier::Avx512.supported() {
-            println!("no AVX-512F on this CPU: AVX-512 GEMM leg skipped");
-            return;
-        }
+        let tiers: Vec<Tier> = [Tier::Avx2, Tier::Avx512]
+            .into_iter()
+            .filter(|t| {
+                t.supported() || {
+                    println!("{t:?} not supported on this CPU: its GEMM leg skipped");
+                    false
+                }
+            })
+            .collect();
+        let same = |got: &[f64], want: &[f64], what: &str| {
+            for (i, (g, w)) in got.iter().zip(want).enumerate() {
+                assert!(
+                    g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
+                    "{what} element {i}: {g:e} vs {w:e}"
+                );
+            }
+        };
         for &n in &RAGGED {
             for &(m, k) in &[(1usize, 1usize), (5, 3), (13, 16), (64, 33)] {
                 for hostile in [false, true] {
@@ -747,17 +574,19 @@ mod tests {
                     }
                     let at = transpose(&a, m, k);
                     for (al, a) in [(Layout::Normal, &a), (Layout::Transposed, &at)] {
-                        let run = |tier| {
-                            let mut out = vec![0.0; m * n];
-                            gemm_with(m, n, k, a, al, &b, Layout::Normal, &mut out, tier);
-                            out
-                        };
-                        let (want, got) = (run(Tier::Avx2), run(Tier::Avx512));
-                        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
-                            assert!(
-                                g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
-                                "({m},{n},{k}) {al:?} hostile {hostile} element {i}: {g:e} vs {w:e}"
-                            );
+                        let what = format!("({m},{n},{k}) {al:?} hostile {hostile}");
+                        let want = reference(m, n, k, a, al, &b);
+                        let got: Vec<Vec<f64>> = tiers
+                            .iter()
+                            .map(|&tier| {
+                                let mut out = vec![0.0; m * n];
+                                gemm_with(m, n, k, a, al, &b, Layout::Normal, &mut out, tier);
+                                same(&out, &want, &format!("{what} {tier:?} vs reference"));
+                                out
+                            })
+                            .collect();
+                        if let [avx2, avx512] = &got[..] {
+                            same(avx512, avx2, &format!("{what} AVX-512 vs AVX2"));
                         }
                     }
                 }

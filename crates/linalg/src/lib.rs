@@ -9,7 +9,7 @@
 //!
 //! * [`Mat`] — dense row-major `f64` matrices whose `matmul` runs on the
 //!   packed [`mod@gemm`] engine;
-//! * [`mod@gemm`] — packed, register-tiled GEMM micro-kernels (normal and
+//! * [`mod@gemm`] — a packed, register-tiled GEMM engine (normal and
 //!   transposed layouts) shared with the `dbat-nn` tensor kernels, plus
 //!   [`PackedMat`]/[`gemm_prepacked`] for operands packed once at model
 //!   load and reused every call, whose chains may start from a given row
@@ -25,11 +25,10 @@
 //! * [`softmax_rows_inplace`] — the fused row softmax on a deterministic
 //!   vectorised `exp`, bitwise identical on every tier;
 //! * [`Tier`] / [`kernel_tier`] — the one cached instruction-set tier
-//!   (`Scalar`, `Avx2`, `Avx512`) that all three kernel families above
-//!   dispatch on. `DBAT_GEMM_FORCE_SCALAR=1` pins `Scalar` for the GEMM,
-//!   the softmax and the attention head alike. `Avx2` and `Avx512` give
-//!   the same bits (each output element keeps its chain of fused ops in
-//!   the same order); `Scalar` rounds its products differently;
+//!   (`Scalar`, `Avx2`, `Avx512`) all three families above dispatch on
+//!   (`DBAT_GEMM_FORCE_SCALAR=1` pins `Scalar`). Each vector family is one
+//!   body over 4- or 8-lane types, so `Avx2` and `Avx512` give the same
+//!   bits; `Scalar` rounds its products differently;
 //! * [`solve`] / [`inverse`] — LU factorisation with partial pivoting;
 //! * [`ctmc_stationary`] / [`dtmc_stationary`] — GTH-based stationary
 //!   distributions (numerically robust for rate matrices spanning many
@@ -44,6 +43,8 @@ mod exp;
 mod expm;
 pub mod gemm;
 mod kron;
+#[cfg(target_arch = "x86_64")]
+mod lanes;
 mod lu;
 mod matrix;
 mod stationary;

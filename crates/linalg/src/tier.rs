@@ -1,12 +1,12 @@
 //! The instruction-set tier every vector kernel of this crate runs on.
 //!
 //! The workspace builds against the portable x86-64 baseline, so the wide
-//! kernels are reached by runtime detection, never by per-host
-//! `RUSTFLAGS`. One cached [`Tier`] picks the flavour of all three kernel
-//! families at once: the GEMM micro-kernels, the softmax `exp` and the
-//! fused attention head. `DBAT_GEMM_FORCE_SCALAR=1` (any value other than
-//! `0`) pins [`Tier::Scalar`] for every one of them, so the portable path
-//! can be exercised on x86-64 hardware.
+//! kernels are reached by runtime detection, never by per-host `RUSTFLAGS`.
+//! One cached [`Tier`] picks the flavour of every kernel family at once:
+//! the GEMM tile, the softmax and the fused attention head. A vector
+//! family is one body over the lane types, which a vector tier only
+//! instantiates on its lanes. `DBAT_GEMM_FORCE_SCALAR=1` (any value other
+//! than `0`) pins [`Tier::Scalar`] for every family.
 //!
 //! [`Tier::Avx2`] and [`Tier::Avx512`] give the same bits: every output
 //! element runs the same chain of correctly-rounded fused operations in

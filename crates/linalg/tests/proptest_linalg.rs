@@ -104,7 +104,7 @@ proptest! {
 proptest! {
     // Pre-packing B once is bitwise-identical to the per-call pack, on
     // ragged shapes straddling tile widths, for both the dispatched and
-    // the pinned-scalar micro-kernels and both B layouts.
+    // the pinned-scalar tile and both B layouts.
     #[test]
     fn prepacked_matches_per_call_pack_bitwise(
         m in 1usize..40, n in 1usize..40, k in 1usize..24, seed in 0u64..1000,
@@ -177,12 +177,12 @@ fn pseudo(n: usize, seed: u64) -> Vec<f64> {
 }
 
 proptest! {
-    // The AVX-512 8-row tile (Normal A read in place, the bias and ReLU in
-    // its store) against the AVX2 kernels with the bias and ReLU run as a
-    // separate pass, bit for bit, on ragged `m`, `k` and the encoder's
-    // widths; and on every tier, a product whose A rows share their first
-    // `s` columns split there: the shared row's product started into the
-    // rest is the whole product's bits.
+    // Each vector tier the CPU runs (A read in place, the bias and ReLU in
+    // the tile's store) against a plain `mul_add` reference, and the two
+    // against each other, bit for bit, on ragged `m`, `k` and the
+    // encoder's widths; and on every tier, a product whose A rows share
+    // their first `s` columns split there: the shared row's product
+    // started into the rest is the whole product's bits.
     #[test]
     fn chained_gemm_matches_across_tiers_and_splits(
         m in 1usize..40, k in 1usize..=40, ni in 0usize..4, split in 0usize..=40,
@@ -191,6 +191,26 @@ proptest! {
         let n = [5, 16, 32, 48][ni];
         check_chains(m, k, n, split.min(k), seed, flags & 1 != 0, flags & 2 != 0, flags & 4 != 0);
     }
+}
+
+/// The vector tiers' reference, written apart from them: each output a
+/// `mul_add` chain over `k` in ascending order from `start[j]`, then the
+/// bias added and the ReLU applied.
+fn reference_chains(m: usize, n: usize, k: usize, a: &[f64], b: &[f64], c: Chains) -> Vec<f64> {
+    (0..m * n)
+        .map(|e| {
+            let (i, j) = (e / n, e % n);
+            let from = c.start.map_or(0.0, |s| s[j]);
+            let mut x = (0..k).fold(from, |acc, p| a[i * k + p].mul_add(b[p * n + j], acc));
+            if let Some(bias) = c.bias {
+                x += bias[j];
+            }
+            if c.relu {
+                x = x.max(0.0);
+            }
+            x
+        })
+        .collect()
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -239,25 +259,18 @@ fn check_chains(
         bias,
         relu,
     };
-    if Tier::Avx512.supported() {
-        let from = Chains {
-            start: Some(&start),
-            ..Chains::default()
-        };
-        let mut want = run(&a, Tier::Avx2, from);
-        for row in want.chunks_mut(n) {
-            if let Some(bias) = bias {
-                row.iter_mut().zip(bias).for_each(|(o, b)| *o += b);
-            }
-            if relu {
-                row.iter_mut().for_each(|o| *o = o.max(0.0));
-            }
-        }
-        same(
-            &run(&a, Tier::Avx512, chains),
-            &want,
-            "AVX-512 tile vs AVX2 + passes",
-        );
+    let want = reference_chains(m, n, k, &a, &b, chains);
+    let vector: Vec<Vec<f64>> = [Tier::Avx2, Tier::Avx512]
+        .into_iter()
+        .filter(|t| t.supported())
+        .map(|tier| {
+            let got = run(&a, tier, chains);
+            same(&got, &want, &format!("{tier:?} vs reference"));
+            got
+        })
+        .collect();
+    if let [avx2, avx512] = &vector[..] {
+        same(avx512, avx2, "AVX-512 vs AVX2");
     }
     // The split: rows share A[.., ..s] (row 0's), then go their own way.
     for row in 1..m {

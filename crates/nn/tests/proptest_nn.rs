@@ -174,7 +174,8 @@ proptest! {
 }
 
 /// Deterministic sweep over dims that sit exactly on and around the packed
-/// kernel's tile edges (MR=4, NR=8 full panels, NR4=4 narrow panels), so
+/// kernel's tile edges (4- and 8-row tiles over 8-wide panels, 4-wide
+/// vectors for the last columns), so
 /// every remainder-handling branch is covered regardless of what proptest
 /// happens to generate.
 #[test]

@@ -6,6 +6,8 @@
 #      src/, and for sim + serve (ROADMAP item 2's gate)
 #   3. `pub` items (fn/struct/enum/trait/type/const/static/mod/use lines
 #      outside tests) over crates src
+#   4. per crate, non-test `#[target_feature]` functions and lines naming
+#      an x86-64 vector intrinsic (`_mm_`, `_mm256_`, `_mm512_`)
 # Prints only; run it on both commits and subtract.
 #   scripts/loc.sh
 set -euo pipefail
@@ -30,3 +32,8 @@ done
 echo "non_test_lines sim+serve $(non_test crates/sim/src crates/serve/src | wc -l)"
 echo "pub_items $(non_test crates/*/src src |
     grep -cE '^\s*pub (fn|struct|enum|trait|type|const|static|mod|use) ')"
+for crate in crates/*/; do
+    src=$(non_test "$crate/src")
+    echo "target_feature_fns $(basename "$crate") $(grep -c '^[[:space:]]*#\[target_feature' <<<"$src" || true)"
+    echo "intrinsic_lines $(basename "$crate") $(grep -cE '(^|[^A-Za-z0-9_])_mm(256|512)?_' <<<"$src" || true)"
+done
