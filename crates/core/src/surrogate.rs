@@ -995,6 +995,112 @@ mod tests {
         );
     }
 
+    /// A batch of `k` raw windows of length `l`, configurations and
+    /// targets: one zero target (MAPE skips it) and cost targets far
+    /// enough off for Huber's linear arm.
+    fn paper_batch(k: usize, l: usize) -> (Tensor, Tensor, Tensor, Tensor) {
+        let seq = (0..k)
+            .flat_map(|i| (0..l).map(move |j| 0.004 + 0.003 * ((i * 7 + j * 3) % 11) as f64))
+            .collect();
+        let feats: Vec<f64> = (0..k)
+            .flat_map(|i| {
+                [
+                    512.0 + 320.0 * i as f64,
+                    (i % 5 + 1) as f64,
+                    0.03 * i as f64,
+                ]
+            })
+            .collect();
+        let targets = feats
+            .chunks(3)
+            .enumerate()
+            .flat_map(|(i, f)| {
+                let y = 0.002 * f[0] / 512.0 + 0.04 * f[1];
+                let cost = if i == 3 {
+                    0.0
+                } else {
+                    4.0 * y * (i % 3) as f64
+                };
+                [cost, 0.5 * y, 0.8 * y, y, 1.2 * y]
+            })
+            .collect();
+        let weights = (0..k * 5).map(|i| 1.0 + (i % 3) as f64).collect();
+        (
+            Tensor::new(vec![k, l], seq),
+            Tensor::new(vec![k, 3], feats),
+            Tensor::new(vec![k, 5], targets),
+            Tensor::new(vec![k, 5], weights),
+        )
+    }
+
+    /// Two train steps on one shard, then two on four, at the paper's
+    /// widths (2 layers, 4 heads, dim 16): every loss and every parameter,
+    /// to the bit. The window length 24 is not a power of two, so a
+    /// mean-pool that multiplied by `1/l` instead of dividing by `l` would
+    /// show; the second layer pins the four-way sum of its input's
+    /// gradient. One literal per GEMM path.
+    #[test]
+    fn paper_width_train_steps_bits_are_pinned() {
+        let cfg = SurrogateConfig {
+            seq_len: 24,
+            ..SurrogateConfig::default()
+        };
+        let mut m = Surrogate::new(cfg, 17);
+        let (seq_raw, feats_raw, tgt, w) = paper_batch(8, cfg.seq_len);
+        crate::train::fit_standardizers(&mut m, &seq_raw, &feats_raw);
+        let mut adam = Adam::new(3e-3);
+        let losses: Vec<f64> = [1, 1, 4, 4]
+            .into_iter()
+            .map(|shards| {
+                let (seq, feats) = (m.preprocess_seq(&seq_raw), m.preprocess_feats(&feats_raw));
+                m.train_step_sharded(seq, feats, &tgt, &w, 0.05, 1.0, &mut adam, shards, true)
+            })
+            .collect();
+        let hash = fnv1a(
+            losses
+                .iter()
+                .chain(m.parameters().into_iter().flat_map(|t| t.data())),
+        );
+        const FMA: u64 = 0xa22af503d8b85073;
+        const SCALAR: u64 = 0xbcdaf0d1ebdb7b69;
+        assert!(
+            [FMA, SCALAR].contains(&hash),
+            "train-step hash {hash:#x}, losses {losses:?}"
+        );
+    }
+
+    /// The decision's prediction table at the paper's widths: one window
+    /// of 128 encoded, the 216-configuration grid scored against it, and
+    /// `predict` over three windows, every output to the bit. One literal
+    /// per GEMM path.
+    #[test]
+    fn paper_width_prediction_table_bits_are_pinned() {
+        let cfg = SurrogateConfig {
+            seq_len: 128,
+            ..SurrogateConfig::default()
+        };
+        let mut m = Surrogate::new(cfg, 19);
+        let (seq_raw, feats_raw, _, _) = paper_batch(3, cfg.seq_len);
+        crate::train::fit_standardizers(&mut m, &seq_raw, &feats_raw);
+        let grid: Vec<f64> = dbat_sim::ConfigGrid::paper_default()
+            .configs()
+            .iter()
+            .flat_map(|c| [c.memory_mb as f64, c.batch_size as f64, c.timeout_s])
+            .collect();
+        let grid = m.preprocess_feats(&Tensor::new(vec![216, 3], grid));
+        let e1 = m.encode_window_fast(&seq_raw.data()[..cfg.seq_len]);
+        let table = m.predict_encoded_fast_pre(&e1, &grid);
+        let predicted = m.predict(&seq_raw, &feats_raw);
+        let hash = fnv1a(e1.iter().chain(table.data()).chain(predicted.data()));
+        const FMA: u64 = 0x3db27cce0cd86354;
+        const SCALAR: u64 = 0x0f6d1cfd3cd2b1f3;
+        assert!(
+            [FMA, SCALAR].contains(&hash),
+            "prediction hash {hash:#x}, table starts {:?}",
+            &table.data()[..5]
+        );
+    }
+
     #[test]
     fn save_load_roundtrip_preserves_predictions() {
         let m = tiny();
