@@ -13,8 +13,9 @@
 //! [`dbat_sim::run_controller`] or the gateway's control thread.
 //!
 //! * [`Surrogate`] — the deep surrogate model (Fig. 3 architecture);
-//! * [`SurrogatePlan`] — the surrogate compiled to graph-free kernel calls
-//!   (pre-packed weights, flat scratch) for sub-millisecond decisions;
+//! * [`SurrogatePlan`] — the surrogate compiled to direct kernel calls
+//!   (pre-packed weights, flat scratch): one forward for sub-millisecond
+//!   decisions, predictions and training, and the train step's backward;
 //! * [`generate_dataset`] / [`mod@train`] — offline training on
 //!   simulator-labelled windows, plus OOD fine-tuning;
 //! * [`DeepBatOptimizer`] — the 2-step SLO/cost optimizer with the γ
@@ -28,6 +29,7 @@
 mod controller;
 mod fastpath;
 mod health;
+mod loss;
 mod multiclass;
 mod optimizer;
 mod surrogate;

@@ -202,7 +202,6 @@ mod tests {
     use super::*;
     use crate::surrogate::SurrogateConfig;
     use crate::train::fit_standardizers;
-    use dbat_workload::{window_at_time, TraceKind, HOUR};
 
     fn model() -> Surrogate {
         Surrogate::new(SurrogateConfig::tiny(), 3)
@@ -308,47 +307,6 @@ mod tests {
         ];
         let (best, fallback) = opt.select(&table);
         assert_eq!((best.cost_micro, fallback), (3.0, true));
-    }
-
-    /// One window per decision interval over an hour of the seeded
-    /// synthetic-MAP trace.
-    fn seed_trace_windows(l: usize) -> Vec<Vec<f64>> {
-        let trace = TraceKind::SyntheticMap.generate_for(11, HOUR);
-        (1..=60)
-            .filter_map(|i| window_at_time(&trace, 60.0 * i as f64, l, 1.0))
-            .map(|w| w.interarrivals)
-            .collect()
-    }
-
-    /// The autograd graph is the oracle: at the paper's model widths and
-    /// 216-config grid, the plan-backed prediction table equals the graph
-    /// forward to the bit on every seed-trace window, so `choose` decides
-    /// exactly what the graph would.
-    #[test]
-    fn predict_all_matches_graph_oracle_bitwise() {
-        let mut m = Surrogate::new(SurrogateConfig::default(), 13);
-        let opt = DeepBatOptimizer::new(ConfigGrid::paper_default(), 0.1);
-        let windows = seed_trace_windows(m.cfg.seq_len);
-        assert!(windows.len() >= 50, "only {} windows", windows.len());
-        let seqs = Tensor::new(vec![windows.len(), m.cfg.seq_len], windows.concat());
-        fit_standardizers(&mut m, &seqs, &opt.grid_feats);
-        for w in &windows {
-            let oracle = opt.preds_from(&m.predict_encoded(&m.encode_window(w), &opt.grid_feats));
-            let got = opt.predict_all(&m, w);
-            assert_eq!(got.len(), 216);
-            for (a, b) in got.iter().zip(&oracle) {
-                assert_eq!(a.config, b.config);
-                assert_eq!(a.cost_micro.to_bits(), b.cost_micro.to_bits());
-                assert_eq!(
-                    a.percentiles.map(f64::to_bits),
-                    b.percentiles.map(f64::to_bits)
-                );
-            }
-            assert_eq!(
-                opt.choose(&m, w).chosen.config,
-                opt.select(&oracle).0.config
-            );
-        }
     }
 
     #[test]

@@ -19,10 +19,11 @@
 //! is what makes DeepBAT's decision latency milliseconds while BATCH
 //! re-solves matrix exponentials per configuration (§IV-F).
 
-use crate::fastpath::SurrogatePlan;
+use crate::fastpath::{SurrogatePlan, Workspace};
+use crate::loss::{Loss, ShardNorms};
 use dbat_nn::{
-    add_positional, tree_reduce_grads, Adam, Arena, Binder, Checkpoint, Graph, InitRng, Linear,
-    Module, MultiHeadAttention, Standardizer, Tensor, TransformerEncoder, Var,
+    tree_reduce_grads, Adam, Checkpoint, InferencePlan, InitRng, Linear, Module,
+    MultiHeadAttention, Standardizer, Tensor, TransformerEncoder,
 };
 use dbat_workload::DbatError;
 use rayon::prelude::*;
@@ -38,10 +39,10 @@ pub(crate) const N_FEATURES: usize = 3;
 /// Output width: cost + four latency percentiles (p50, p90, p95, p99).
 pub(crate) const N_OUTPUTS: usize = 5;
 
-/// Cap on pooled scratch tapes / arenas retained between calls. Training
-/// warms tapes with batch-sized buffers; without a cap the pool keeps one
-/// such tape per peak-concurrency caller forever. Returns beyond the cap
-/// are dropped, so pools shrink back to steady-state inference needs.
+/// Cap on pooled arenas retained between calls. Training warms arenas
+/// with batch-sized buffers; without a cap the pool keeps one such arena
+/// per peak-concurrency caller forever. Returns beyond the cap are
+/// dropped, so the pool shrinks back to steady-state inference needs.
 const SCRATCH_POOL_CAP: usize = 4;
 
 /// Architecture hyper-parameters (paper defaults in `Default`).
@@ -119,21 +120,15 @@ pub struct Surrogate {
     pub(crate) seq_std: Standardizer,
     /// Standardiser for the (M, B, T) features.
     pub(crate) feat_std: Standardizer,
-    /// Pool of scratch autograd tapes reused across forward passes; each
-    /// caller checks one out for the duration of its pass, so concurrent
-    /// inference keeps every warmed buffer pool instead of the last writer
-    /// overwriting the rest. Repeated same-shaped predictions are
-    /// allocation-free once a tape is warm. The train step draws its
-    /// per-shard tapes from the same pool.
-    scratch: Mutex<Vec<Graph>>,
-    /// Lazily compiled graph-free inference plan (see [`SurrogatePlan`]).
+    /// Lazily compiled plan (see [`SurrogatePlan`]).
     /// Invalidated on every weight/standardiser update; callers that
     /// mutate parameters directly (e.g. through [`Module::parameters_mut`])
     /// must call [`Surrogate::invalidate_plan`] themselves.
     plan: Mutex<Option<Arc<SurrogatePlan>>>,
-    /// Pooled scratch arenas for the fast path (same checkout protocol as
-    /// `scratch`, same [`SCRATCH_POOL_CAP`]).
-    arenas: Mutex<Vec<Arena>>,
+    /// Pooled arenas, one checked out per call (or per train-step shard)
+    /// for its duration, so concurrent callers each keep a warmed one;
+    /// capped at [`SCRATCH_POOL_CAP`].
+    arenas: Mutex<Vec<Workspace>>,
 }
 
 impl Surrogate {
@@ -161,43 +156,19 @@ impl Surrogate {
                 mean: vec![0.0; N_FEATURES],
                 std: vec![1.0; N_FEATURES],
             },
-            scratch: Mutex::new(Vec::new()),
             plan: Mutex::new(None),
             arenas: Mutex::new(Vec::new()),
         }
     }
 
-    /// Run `f` on a scratch tape checked out of the pool (a fresh tape if
-    /// the pool is empty), then reset it and return it to the pool so its
-    /// buffers survive for the next call. `f` must clone out anything it
-    /// keeps. The lock is held only around the pop/push, never across `f`,
-    /// so concurrent callers each get their own tape.
-    fn with_scratch<R>(&self, f: impl FnOnce(&mut Graph) -> R) -> R {
-        let mut g = self.scratch.lock().unwrap().pop().unwrap_or_default();
-        let out = f(&mut g);
-        g.reset();
-        self.return_scratch(g);
-        out
-    }
-
-    /// Return a scratch tape to the pool, dropping it if the pool is
-    /// already at [`SCRATCH_POOL_CAP`] (so over-provisioned pools shrink).
-    fn return_scratch(&self, g: Graph) {
-        let mut pool = self.scratch.lock().unwrap();
-        if pool.len() < SCRATCH_POOL_CAP {
-            pool.push(g);
-        }
-    }
-
-    /// Drop every pooled scratch tape and fast-path arena.
-    /// Call after training: the pools hold batch-sized warmed buffers that
-    /// steady-state inference never needs again.
+    /// Drop every pooled arena. Call after training: the pool holds
+    /// batch-sized warmed buffers that steady-state inference never needs
+    /// again.
     pub(crate) fn trim_scratch(&self) {
-        self.scratch.lock().unwrap().clear();
         self.arenas.lock().unwrap().clear();
     }
 
-    /// The compiled graph-free plan for the current weights, building it
+    /// The compiled plan for the current weights, building it
     /// on first use. Cheap once warm (an `Arc` clone under a lock).
     pub(crate) fn plan(&self) -> Arc<SurrogatePlan> {
         let mut slot = self.plan.lock().unwrap();
@@ -216,37 +187,43 @@ impl Surrogate {
         *self.plan.lock().unwrap() = None;
     }
 
-    /// Run `f` on a pooled fast-path arena (checkout protocol and cap as
-    /// [`Surrogate::with_scratch`]).
-    fn with_arena<R>(&self, f: impl FnOnce(&mut Arena) -> R) -> R {
+    /// Run `f` on an arena checked out of the pool (a fresh one if it is
+    /// empty), then return it. The lock is held only around the pop and
+    /// the push, never across `f`.
+    fn with_arena<R>(&self, f: impl FnOnce(&mut Workspace) -> R) -> R {
         let mut a = self.arenas.lock().unwrap().pop().unwrap_or_default();
         let out = f(&mut a);
+        self.return_arena(a);
+        out
+    }
+
+    /// Return an arena to the pool, dropping it if the pool is already at
+    /// [`SCRATCH_POOL_CAP`] (so over-provisioned pools shrink).
+    fn return_arena(&self, a: Workspace) {
         let mut pool = self.arenas.lock().unwrap();
         if pool.len() < SCRATCH_POOL_CAP {
             pool.push(a);
         }
-        out
     }
 
     /// Encode one raw window into its configuration-independent `E_1`
     /// representation (length `dim`): the expensive branch, run once per
-    /// decision on the compiled plan (no tape, pre-packed weights, flat
-    /// scratch), bitwise identical to the graph forward.
+    /// decision on the compiled plan (pre-packed weights, flat scratch).
     pub fn encode_window_fast(&self, window_raw: &[f64]) -> Vec<f64> {
         let plan = self.plan();
-        self.with_arena(|a| plan.encode_window(window_raw, a))
+        self.with_arena(|a| plan.encode_window(window_raw, &mut a.main))
     }
 
     /// Sweep `C` candidate configurations against one encoded window on
     /// the compiled plan, from *already standardised* features
     /// ([`Surrogate::preprocess_feats`]): `[C, F]` → `[C, O]`, bitwise
-    /// identical to the graph forward. The optimizer caches the
-    /// preprocessed grid tensor and skips the per-decision transform.
+    /// what [`Surrogate::predict`] gives for each row. The optimizer caches
+    /// the preprocessed grid tensor and skips the per-decision transform.
     pub fn predict_encoded_fast_pre(&self, e1: &[f64], feats_pre: &Tensor) -> Tensor {
         let c = feats_pre.shape()[0];
         let plan = self.plan();
         let mut out = vec![0.0; c * N_OUTPUTS];
-        self.with_arena(|a| plan.score(e1, feats_pre.data(), c, &mut out, a));
+        self.with_arena(|a| plan.score(e1, feats_pre.data(), c, &mut out, &mut a.main));
         Tensor::new(vec![c, N_OUTPUTS], out)
     }
 
@@ -263,124 +240,41 @@ impl Surrogate {
         self.feat_std.transform(raw)
     }
 
-    /// `E_pos = FeedForward(S) + PosEnc` (Eq. 1) for preprocessed windows
-    /// `seq: [K, L]` → `[K, L, D]`.
-    fn embed_windows(&self, b: &mut Binder, seq: Var) -> Var {
-        let shape = b.g.value(seq).shape().to_vec();
-        assert_eq!(shape.len(), 2, "seq must be [K, L]");
-        assert_eq!(shape[1], self.cfg.seq_len, "window length mismatch");
-        let s3 = b.g.reshape(seq, vec![shape[0], shape[1], 1]);
-        let e_seq = self.embed.forward(b, s3);
-        add_positional(b, e_seq)
-    }
-
-    /// The configuration-independent branch: preprocessed windows
-    /// `seq: [K, L]` → `E_1: [K, D]`.
-    fn encode_windows(&self, b: &mut Binder, seq: Var) -> Var {
-        let k = b.g.value(seq).shape()[0];
-        let e_pos = self.embed_windows(b, seq);
-        // E_Trans = TransformerEncoder(E_pos)  (Eq. 2)
-        let e_trans = self.encoder.forward(b, e_pos);
-        // E_p = MeanPool(E_Trans), [K, D]
-        let e_p = b.g.mean_axis1(e_trans);
-        // E_1 = MultiHeadAtt(E_p, E_p, E_p)  (Eq. 4; mask is a no-op on a
-        // length-1 pooled sequence)
-        let e_p3 = b.g.reshape(e_p, vec![k, 1, self.cfg.dim]);
-        let e1 = self.pool_attn.forward(b, e_p3);
-        b.g.reshape(e1, vec![k, self.cfg.dim])
-    }
-
-    /// Full differentiable forward on *preprocessed* inputs.
-    /// `seq: [K, L]`, `feats: [K, F]` → `[K, O]`. The tape holds no
-    /// attention weights (see `dbat_nn::Graph::attention`).
-    pub(crate) fn forward(&self, b: &mut Binder, seq: Var, feats: Var) -> Var {
-        let e1 = self.encode_windows(b, seq);
-        // E_2 = FeedForward(Standardize(F))  (Eq. 5)
-        let e2 = self.feat_ff.forward(b, feats);
-        let e2 = b.g.relu(e2);
-        // O = FeedForward(Concat(E_1, E_2))  (Eq. 6)
-        let cat = b.g.concat_lastdim(e1, e2);
-        let h = self.head1.forward(b, cat);
-        let h = b.g.relu(h);
-        self.head2.forward(b, h)
-    }
-
     /// Inference on raw inputs: `seq_raw: [K, L]` interarrivals (seconds),
     /// `feats_raw: [K, F]` configurations. Returns `[K, O]` predictions.
     pub fn predict(&self, seq_raw: &Tensor, feats_raw: &Tensor) -> Tensor {
         let seq = self.preprocess_seq(seq_raw);
         let feats = self.preprocess_feats(feats_raw);
-        self.with_scratch(|g| {
-            let mut b = Binder::new(g);
-            let sv = b.g.leaf(seq);
-            let fv = b.g.leaf(feats);
-            let out = self.forward(&mut b, sv, fv);
-            b.g.value(out).clone()
-        })
-    }
-
-    /// Encode one raw window into its configuration-independent `E_1`
-    /// representation (length `dim`) on the autograd graph: the oracle
-    /// [`Surrogate::encode_window_fast`] is tested against.
-    #[cfg(test)]
-    pub(crate) fn encode_window(&self, window_raw: &[f64]) -> Vec<f64> {
-        assert_eq!(window_raw.len(), self.cfg.seq_len, "window length mismatch");
-        let seq = self.preprocess_seq(&Tensor::new(vec![1, self.cfg.seq_len], window_raw.to_vec()));
-        self.with_scratch(|g| {
-            let mut b = Binder::new(g);
-            let sv = b.g.leaf(seq);
-            let e1 = self.encode_windows(&mut b, sv);
-            b.g.value(e1).data().to_vec()
-        })
-    }
-
-    /// Sweep many candidate configurations against one encoded window on
-    /// the autograd graph (`feats_raw: [C, F]` → `[C, O]`): the oracle
-    /// [`Surrogate::predict_encoded_fast_pre`] is tested against.
-    #[cfg(test)]
-    pub(crate) fn predict_encoded(&self, e1: &[f64], feats_raw: &Tensor) -> Tensor {
-        assert_eq!(e1.len(), self.cfg.dim);
-        let feats = self.preprocess_feats(feats_raw);
-        self.with_scratch(|g| {
-            let mut b = Binder::new(g);
-            // E1 enters once as a single row and is broadcast across the
-            // candidate rows at the concat — no [C, dim] tile materialised.
-            let e1v =
-                b.g.constant(Tensor::new(vec![1, self.cfg.dim], e1.to_vec()));
-            let fv = b.g.leaf(feats);
-            let e2 = self.feat_ff.forward(&mut b, fv);
-            let e2 = b.g.relu(e2);
-            let cat = b.g.concat_broadcast_row(e1v, e2);
-            let h = self.head1.forward(&mut b, cat);
-            let h = b.g.relu(h);
-            let out = self.head2.forward(&mut b, h);
-            b.g.value(out).clone()
-        })
+        let (k, plan) = (seq.shape()[0], self.plan());
+        let pred = self.with_arena(|ws| {
+            plan.forward(k, seq.data(), feats.data(), ws, false)
+                .to_vec()
+        });
+        Tensor::new(vec![k, N_OUTPUTS], pred)
     }
 
     /// Mean encoder attention received by each sequence position for one raw
     /// window (aggregated over heads and query positions) — Fig. 14. Runs
     /// the encoder up to its last layer, then asks that layer's attention
-    /// for the weights the tape never holds.
+    /// for the weights no forward keeps.
     pub fn attention_profile(&self, window_raw: &[f64]) -> Vec<f64> {
         let l = self.cfg.seq_len;
         assert_eq!(window_raw.len(), l);
-        let seq = self.preprocess_seq(&Tensor::new(vec![1, l], window_raw.to_vec()));
         let (last, earlier) = self
             .encoder
             .layers
             .split_last()
             .expect("encoder has at least one layer");
-        let attn = self.with_scratch(|g| {
-            let mut b = Binder::new(g);
-            let sv = b.g.leaf(seq);
-            let e_pos = self.embed_windows(&mut b, sv);
-            let x = earlier
-                .iter()
-                .fold(e_pos, |x, layer| layer.forward(&mut b, x));
-            let x = b.g.value(x).reshape(vec![l, self.cfg.dim]);
-            last.mha.attention_weights(&x) // [H, L, L]
-        });
+        let mut x = self.plan().embed_window(window_raw);
+        if !earlier.is_empty() {
+            let earlier = InferencePlan::compile(&TransformerEncoder {
+                layers: earlier.to_vec(),
+            });
+            self.with_arena(|a| earlier.forward(1, l, &mut x, &mut a.main));
+        }
+        let attn = last
+            .mha
+            .attention_weights(&Tensor::new(vec![l, self.cfg.dim], x)); // [H, L, L]
         let mut profile = vec![0.0; l];
         for row in attn.data().chunks(l) {
             for (p, &a) in profile.iter_mut().zip(row) {
@@ -398,11 +292,12 @@ impl Surrogate {
     /// One Adam step on a preprocessed mini-batch; returns the loss.
     /// `weights` carries the paper's SLO-violation penalty (§IV-D). The
     /// batch is split into `shards` contiguous row ranges (at most one per
-    /// row; `1` is the whole batch on one tape) trained data-parallel: each
-    /// shard runs forward/backward on its own graph, losses use the
-    /// *global* weight normalisers (so shard gradients sum exactly to the
-    /// full-shard-set gradients), and the per-shard gradients are combined
-    /// by a fixed-order tree reduction before the single optimizer step.
+    /// row; `1` is the whole batch) trained data-parallel: each shard runs
+    /// forward and backward on the step's one compiled plan over its own
+    /// arena, losses use the *global* weight normalisers (so shard
+    /// gradients sum exactly to the full-shard-set gradients), and the
+    /// per-shard gradients are combined by a fixed-order tree reduction
+    /// before the single optimizer step.
     ///
     /// Determinism contract: the result is a pure function of the inputs and
     /// the shard count — `parallel` only changes scheduling, never the
@@ -423,98 +318,39 @@ impl Surrogate {
     ) -> f64 {
         let n = seq.shape()[0];
         let s = shards.clamp(1, n.max(1));
-        let l = seq.shape()[1];
-        let fdim = feats.shape()[1];
-        let odim = targets.shape()[1];
-        // Global normalisers shared by every shard's loss ops.
+        // Global normalisers shared by every shard's loss.
         let norms = ShardNorms::of(targets, weights);
-
-        // One slot per shard: its scratch graph plus its contiguous row
-        // slice of every input. Graphs persist across steps in the scratch
-        // pool (up to its cap; shards beyond it build a fresh tape).
-        struct Slot {
-            graph: Graph,
-            inputs: Option<(Tensor, Tensor, Tensor, Tensor)>,
-            loss: f64,
-            grads: Vec<Tensor>,
-        }
-        let mut slots: Vec<Slot> = (0..s)
-            .map(|i| {
-                let mut graph = self.scratch.lock().unwrap().pop().unwrap_or_default();
-                let (r0, r1) = (i * n / s, (i + 1) * n / s);
-                let rows = r1 - r0;
-                let mut slice = |src: &Tensor, width: usize| {
-                    let mut buf = graph.pool_mut().take(rows * width);
-                    buf.copy_from_slice(&src.data()[r0 * width..r1 * width]);
-                    Tensor::new(vec![rows, width], buf)
-                };
-                let inputs = Some((
-                    slice(&seq, l),
-                    slice(&feats, fdim),
-                    slice(targets, odim),
-                    slice(weights, odim),
-                ));
-                Slot {
-                    graph,
-                    inputs,
-                    loss: 0.0,
-                    grads: Vec::new(),
-                }
-            })
-            .collect();
-
+        let plan = self.plan();
         let model: &Surrogate = self;
-        let run = |slot: &mut Slot| {
-            let (seq_s, feats_s, tgt_s, w_s) = slot.inputs.take().expect("slot runs once");
-            let (loss, grads) = shard_forward_backward(
-                model,
-                &mut slot.graph,
-                seq_s,
-                feats_s,
-                &tgt_s,
-                &w_s,
+        let run = |i: usize| {
+            let rows = i * n / s..(i + 1) * n / s;
+            let loss = Loss {
+                targets: rows_of(targets, &rows),
+                weights: rows_of(weights, &rows),
                 alpha,
                 delta,
                 norms,
-            );
-            slot.graph.pool_mut().put(tgt_s.into_data());
-            slot.graph.pool_mut().put(w_s.into_data());
-            slot.loss = loss;
-            slot.grads = grads;
+            };
+            let mut grads: Vec<Tensor> = (model.parameters().into_iter())
+                .map(|p| Tensor::zeros(p.shape().to_vec()))
+                .collect();
+            let (k, seq, feats) = (rows.len(), rows_of(&seq, &rows), rows_of(&feats, &rows));
+            let value = model.with_arena(|a| plan.train_rows(k, seq, feats, &loss, &mut grads, a));
+            (value, grads)
         };
-        if parallel {
-            slots
-                .par_chunks_mut(1)
-                .enumerate()
-                .for_each(|(_, chunk)| run(&mut chunk[0]));
+        let shard_ids: Vec<usize> = (0..s).collect();
+        let per_shard: Vec<(f64, Vec<Tensor>)> = if parallel {
+            shard_ids.par_iter().map(|&i| run(i)).collect()
         } else {
-            for slot in &mut slots {
-                run(slot);
-            }
-        }
+            shard_ids.into_iter().map(run).collect()
+        };
 
         // Fixed index-order loss sum and fixed-order gradient tree: both are
         // independent of which thread ran which shard.
-        let loss_val: f64 = slots.iter().map(|sl| sl.loss).sum();
-        let per_shard: Vec<Vec<Tensor>> = slots
-            .iter_mut()
-            .map(|sl| std::mem::take(&mut sl.grads))
-            .collect();
-        let mut reduced = tree_reduce_grads(per_shard);
-        let mut params = self.parameters_mut();
-        adam.step(&mut params, &reduced);
+        let loss_val: f64 = per_shard.iter().map(|(loss, _)| loss).sum();
+        let reduced = tree_reduce_grads(per_shard.into_iter().map(|(_, g)| g).collect());
+        adam.step(&mut self.parameters_mut(), &reduced);
         self.invalidate_plan();
-        // Returned last-first, so each shard pops its own warmed tape again.
-        for (i, slot) in slots.into_iter().enumerate().rev() {
-            let mut graph = slot.graph;
-            if i == 0 {
-                // Recycle the reduced gradient buffers through one pool.
-                for t in reduced.drain(..) {
-                    graph.pool_mut().put(t.into_data());
-                }
-            }
-            self.return_scratch(graph);
-        }
         loss_val
     }
 
@@ -528,17 +364,15 @@ impl Surrogate {
         alpha: f64,
         delta: f64,
     ) -> f64 {
-        let norms = ShardNorms::of(targets, weights);
-        self.with_scratch(|g| {
-            let mut b = Binder::new(g);
-            let sv = b.g.leaf(seq);
-            let fv = b.g.leaf(feats);
-            let pred = self.forward(&mut b, sv, fv);
-            let ml = b.g.mape_loss(pred, targets, weights, norms.mape_wsum);
-            let hl =
-                b.g.huber_loss(pred, targets, weights, delta, norms.huber_wsum);
-            alpha * b.g.value(ml).item() + (1.0 - alpha) * b.g.value(hl).item()
-        })
+        let loss = Loss {
+            targets: targets.data(),
+            weights: weights.data(),
+            alpha,
+            delta,
+            norms: ShardNorms::of(targets, weights),
+        };
+        let (k, plan) = (seq.shape()[0], self.plan());
+        self.with_arena(|ws| loss.value(plan.forward(k, seq.data(), feats.data(), ws, false)))
     }
 
     /// Save to a JSON checkpoint (weights + config + standardisers).
@@ -586,74 +420,10 @@ impl Surrogate {
     }
 }
 
-/// The loss ops' weight normalisers (see `Graph::huber_loss`): computed
-/// over the full batch, shared by every shard so that shard gradients sum
-/// exactly to the full-batch gradients.
-#[derive(Clone, Copy)]
-struct ShardNorms {
-    huber_wsum: f64,
-    mape_wsum: f64,
-}
-
-impl ShardNorms {
-    fn of(targets: &Tensor, weights: &Tensor) -> Self {
-        ShardNorms {
-            huber_wsum: weights.data().iter().sum(),
-            mape_wsum: targets
-                .data()
-                .iter()
-                .zip(weights.data())
-                .filter(|&(&t, _)| t != 0.0)
-                .map(|(_, &w)| w)
-                .sum(),
-        }
-    }
-}
-
-/// Forward + combined loss + backward on one (shard of a) batch, returning
-/// the loss value and per-parameter gradients in binding order. The tape is
-/// reset (buffers repooled) before returning, ready for the next step.
-#[allow(clippy::too_many_arguments)]
-fn shard_forward_backward(
-    model: &Surrogate,
-    g: &mut Graph,
-    seq: Tensor,
-    feats: Tensor,
-    targets: &Tensor,
-    weights: &Tensor,
-    alpha: f64,
-    delta: f64,
-    norms: ShardNorms,
-) -> (f64, Vec<Tensor>) {
-    let (loss, vars, loss_val) = {
-        let mut b = Binder::new(g);
-        let sv = b.g.leaf(seq);
-        let fv = b.g.leaf(feats);
-        let pred = model.forward(&mut b, sv, fv);
-        let ml = b.g.mape_loss(pred, targets, weights, norms.mape_wsum);
-        let hl =
-            b.g.huber_loss(pred, targets, weights, delta, norms.huber_wsum);
-        let ml_s = b.g.scale(ml, alpha);
-        let hl_s = b.g.scale(hl, 1.0 - alpha);
-        let loss = b.g.add(ml_s, hl_s);
-        let lv = b.g.value(loss).item();
-        (loss, b.vars, lv)
-    };
-    let mut grads = g.backward(loss);
-    let grad_tensors: Vec<Tensor> = vars
-        .iter()
-        .map(|v| {
-            grads[v.0]
-                .take()
-                .unwrap_or_else(|| Tensor::zeros(g.value(*v).shape().to_vec()))
-        })
-        .collect();
-    // Repool the remaining (input-leaf) gradients and the tape itself.
-    for t in grads.into_iter().flatten() {
-        g.pool_mut().put(t.into_data());
-    }
-    g.reset();
-    (loss_val, grad_tensors)
+/// Rows `rows` of a 2-D tensor, as one slice.
+fn rows_of<'t>(t: &'t Tensor, rows: &std::ops::Range<usize>) -> &'t [f64] {
+    let width = t.shape()[1];
+    &t.data()[rows.start * width..rows.end * width]
 }
 
 impl Module for Surrogate {
@@ -713,8 +483,8 @@ mod tests {
         let seq = Tensor::new(vec![3, l], [w.clone(), w.clone(), w.clone()].concat());
         let full = m.predict(&seq, &feats);
         // Split path: encode once, sweep.
-        let e1 = m.encode_window(&w);
-        let swept = m.predict_encoded(&e1, &feats);
+        let e1 = m.encode_window_fast(&w);
+        let swept = m.predict_encoded_fast_pre(&e1, &m.preprocess_feats(&feats));
         for (a, b) in full.data().iter().zip(swept.data()) {
             assert!((a - b).abs() < 1e-9, "full {a} vs swept {b}");
         }
@@ -930,10 +700,10 @@ mod tests {
     }
 
     /// Fig. 14's profile is the last encoder layer's softmax(Q·Kᵀ/√d_h),
-    /// the weights the fused attention op uses and never keeps: these are
-    /// the bits the profile has had since before `Graph::attention`
-    /// existed (every GEMM here is below the packed-kernel threshold, so
-    /// the hash does not depend on the FMA dispatch).
+    /// the weights the fused attention kernel uses and never keeps: these
+    /// are the bits the profile has had since before attention was one
+    /// fused kernel (every GEMM here is below the packed-kernel threshold,
+    /// so the hash does not depend on the FMA dispatch).
     #[test]
     fn attention_profile_bits_are_pinned() {
         let m = tiny();
@@ -1202,43 +972,61 @@ mod tests {
         }
     }
 
-    /// Sweep features for `c` candidates (varying all three columns).
-    fn grid_feats(c: usize) -> Tensor {
-        let mut f = Vec::with_capacity(c * 3);
-        for i in 0..c {
-            f.extend_from_slice(&[
-                512.0 + 128.0 * (i % 7) as f64,
-                (i % 6 + 1) as f64,
-                0.05 * (i % 4) as f64,
-            ]);
-        }
-        Tensor::new(vec![c, 3], f)
-    }
-
+    /// The train step's backward against central differences of its loss
+    /// at `SurrogateConfig::tiny()`, w.r.t. sampled elements of every
+    /// parameter tensor. The inputs keep every ReLU and every `|·|` in the
+    /// loss away from its kink by more than the step.
     #[test]
-    fn fast_path_matches_graph_path_bitwise() {
-        for cfg in [SurrogateConfig::tiny(), SurrogateConfig::default()] {
-            let mut m = Surrogate::new(cfg, 13);
-            // Non-trivial standardisers so the preprocess mirror is
-            // exercised with real constants.
-            m.seq_std = Standardizer {
-                mean: vec![-3.7],
-                std: vec![0.42],
-            };
-            m.feat_std = Standardizer {
-                mean: vec![1500.0, 3.0, 0.1],
-                std: vec![900.0, 2.0, 0.07],
-            };
-            let w = raw_window(cfg.seq_len);
-            let e_graph = m.encode_window(&w);
-            let e_fast = m.encode_window_fast(&w);
-            assert_eq!(e_graph, e_fast, "encode diverged ({cfg:?})");
-            for c in [1usize, 3, 216] {
-                let feats = grid_feats(c);
-                let want = m.predict_encoded(&e_graph, &feats);
-                let got = m.predict_encoded_fast_pre(&e_fast, &m.preprocess_feats(&feats));
-                assert_eq!(want.shape(), got.shape());
-                assert_eq!(want.data(), got.data(), "sweep diverged at C={c}");
+    fn whole_model_gradients_match_central_differences() {
+        let mut m = tiny();
+        let (seq_raw, feats_raw, tgt, w) = paper_batch(4, m.cfg.seq_len);
+        crate::train::fit_standardizers(&mut m, &seq_raw, &feats_raw);
+        let (seq, feats) = (m.preprocess_seq(&seq_raw), m.preprocess_feats(&feats_raw));
+        let (alpha, delta) = (0.3, 1.0);
+        let loss = |m: &Surrogate| m.eval_loss(seq.clone(), feats.clone(), &tgt, &w, alpha, delta);
+        let mut grads: Vec<Tensor> = (m.parameters().into_iter())
+            .map(|p| Tensor::zeros(p.shape().to_vec()))
+            .collect();
+        let norms = ShardNorms::of(&tgt, &w);
+        let l = Loss {
+            targets: tgt.data(),
+            weights: w.data(),
+            alpha,
+            delta,
+            norms,
+        };
+        let plan = SurrogatePlan::compile(&m);
+        let value = plan.train_rows(
+            4,
+            seq.data(),
+            feats.data(),
+            &l,
+            &mut grads,
+            &mut Workspace::default(),
+        );
+        assert_eq!(value, loss(&m));
+        let h = 1e-6;
+        for (p, g) in grads.iter().enumerate() {
+            let n = g.numel();
+            // Up to five elements of each tensor, spread over it.
+            for i in (0..5).map(|j| j * n / 5).filter(|&i| i < n) {
+                let at = |step: f64| {
+                    let mut params: Vec<Tensor> = m.parameters().into_iter().cloned().collect();
+                    let mut data = params[p].data().to_vec();
+                    data[i] += step;
+                    params[p] = Tensor::new(params[p].shape().to_vec(), data);
+                    let mut m2 = Surrogate::new(m.cfg, 7);
+                    m2.seq_std = m.seq_std.clone();
+                    m2.feat_std = m.feat_std.clone();
+                    dbat_nn::load_into(params, m2.parameters_mut()).unwrap();
+                    loss(&m2)
+                };
+                let numeric = (at(h) - at(-h)) / (2.0 * h);
+                let analytic = g.data()[i];
+                assert!(
+                    (analytic - numeric).abs() <= 1e-5 * (1.0 + numeric.abs()),
+                    "parameter {p} element {i}: analytic {analytic} vs numeric {numeric}"
+                );
             }
         }
     }
@@ -1266,27 +1054,25 @@ mod tests {
             1,
             false,
         );
-        // The fast path must re-snapshot the stepped weights and keep
-        // matching the graph path exactly.
-        let after_fast = m.encode_window_fast(&w);
-        let after_graph = m.encode_window(&w);
-        assert_ne!(before, after_fast, "train step must change the encoding");
-        assert_eq!(after_fast, after_graph);
+        // The cached plan must re-snapshot the stepped weights.
+        let after = m.encode_window_fast(&w);
+        let fresh = SurrogatePlan::compile(&m).encode_window(&w, &mut Default::default());
+        assert_ne!(before, after, "train step must change the encoding");
+        assert_eq!(after, fresh);
     }
 
     #[test]
     fn scratch_pools_are_capped_and_trimmable() {
         let m = tiny();
         for _ in 0..3 * SCRATCH_POOL_CAP {
-            m.return_scratch(Graph::new());
+            m.return_arena(Workspace::default());
         }
-        assert_eq!(m.scratch.lock().unwrap().len(), SCRATCH_POOL_CAP);
+        assert_eq!(m.arenas.lock().unwrap().len(), SCRATCH_POOL_CAP);
+        m.trim_scratch();
+        assert!(m.arenas.lock().unwrap().is_empty());
         let w = raw_window(m.cfg.seq_len);
         let _ = m.encode_window_fast(&w);
-        assert!(!m.arenas.lock().unwrap().is_empty());
-        m.trim_scratch();
-        assert!(m.scratch.lock().unwrap().is_empty());
-        assert!(m.arenas.lock().unwrap().is_empty());
+        assert_eq!(m.arenas.lock().unwrap().len(), 1);
     }
 
     /// The fast path's steady state is small and does not grow: at the
@@ -1303,11 +1089,11 @@ mod tests {
         let m = Surrogate::new(cfg, 3);
         let w = raw_window(cfg.seq_len);
         let first = m.encode_window_fast(&w);
-        let cap = m.arenas.lock().unwrap()[0].capacity();
+        let cap = m.arenas.lock().unwrap()[0].main.capacity();
         let second = m.encode_window_fast(&w);
         let pool = m.arenas.lock().unwrap();
         assert_eq!(pool.len(), 1);
-        assert_eq!(pool[0].capacity(), cap);
+        assert_eq!(pool[0].main.capacity(), cap);
         assert_eq!(first, second);
         assert!(
             cap * std::mem::size_of::<f64>() <= 160 * 1024,

@@ -248,7 +248,7 @@ pub fn train(model: &mut Surrogate, data: &[TrainSample], tc: &TrainConfig) -> T
         &val_rows
     };
     let final_val_mape = validation_mape(model, data, eval_rows);
-    // Release the batch-sized scratch tapes training warmed up.
+    // Release the batch-sized arenas training warmed up.
     model.trim_scratch();
     TrainReport {
         train_losses,

@@ -1,33 +1,41 @@
-//! Graph-free inference plans: the layer stack compiled to direct kernel
-//! calls over one flat reusable scratch arena.
+//! The layer stack compiled to direct kernel calls over flat arenas: one
+//! forward, for inference and for training, and its hand-written
+//! backward.
 //!
-//! The autograd [`Graph`](crate::graph::Graph) is the right tool for
-//! training, but pure inference pays for tape nodes, gradient
-//! bookkeeping, buffer-pool checkouts, and a fresh B-operand pack on
-//! every GEMM. A plan removes all of that: weights are packed **once**
-//! at compile time ([`PackedMat`]), activations live in a single
-//! caller-owned [`Arena`], and each stage is a direct function call.
+//! Weights are packed **once** at compile time ([`PackedMat`]),
+//! activations live in caller-owned [`Arena`]s, and each stage is a
+//! direct function call. A bias and a following ReLU run in the GEMM's
+//! store ([`Chains`]). Attention is one [`dbat_linalg::attention_head`]
+//! call per (sequence, head) over the merged projections, so nothing
+//! `S × S` is ever built. At decision sizes a forward spawns no thread and
+//! allocates nothing.
 //!
-//! Every stage mirrors the corresponding graph op *exactly* — the same
-//! `gemm_worthwhile` kernel dispatch, the same accumulation order, the
-//! same elementwise formulas — so a plan forward is **bitwise identical**
-//! to the graph forward over the same weights. Attention is one
-//! [`dbat_linalg::attention_head`] call per head over the merged
-//! projections — the call [`Graph::attention`](crate::graph::Graph::attention)
-//! makes — so neither side ever builds the `S × S` matrix. A bias and a
-//! following ReLU run in the GEMM's store ([`Chains`]). At decision sizes
-//! a forward spawns no thread and allocates nothing.
-//! The graph path stays in-tree as the tested reference; the equivalence
-//! is asserted by unit and property tests.
+//! A training forward is the same forward with each layer's buffers kept
+//! for the backward, one block per layer ([`InferencePlan::forward_in`]).
+//! The backward walks the
+//! stages in reverse:
+//! * linear: `dX = dY·Wᵀ` and `dW = Xᵀ·dY` on the transposed-operand
+//!   kernels and their `gemm_worthwhile` dispatch, the bias gradient as
+//!   column sums from zero in row order;
+//! * LayerNorm recomputes each row's statistics from its kept input;
+//! * ReLU masks on the kept post-ReLU output: `y > 0` exactly when `x > 0`,
+//!   and a NaN gives 0 either way;
+//! * attention is [`dbat_linalg::attention_head_backward`], which
+//!   recomputes each block's probabilities instead of keeping them;
+//! * an encoder layer's input gradient adds its four contributions in one
+//!   fixed order, `((d_res1 + dX_v) + dX_k) + dX_q`.
+//!
+//! Parameter gradients come back in [`Module::parameters`](crate::Module)
+//! order.
 
 use crate::layers::{EncoderLayer, LayerNorm, Linear, MultiHeadAttention, TransformerEncoder};
-use crate::tensor::naive_gemm_acc;
+use crate::tensor::{gemm_nt_into, gemm_tn_into, naive_gemm_acc, Tensor};
 use dbat_linalg::{
-    attention_head, attention_scratch_len, gemm_prepacked, gemm_worthwhile, Chains, Layout,
-    PackedMat,
+    attention_backward_scratch_len, attention_head, attention_head_backward, attention_scratch_len,
+    gemm_prepacked, gemm_worthwhile, Chains, Layout, PackedMat,
 };
 
-/// One flat scratch block reused across inference calls.
+/// One flat scratch block reused across calls.
 ///
 /// [`Arena::split`] carves it into non-overlapping mutable slices, growing
 /// the backing buffer on demand (steady state: zero allocations). Slice
@@ -53,20 +61,41 @@ impl Arena {
     pub fn split<const N: usize>(&mut self, lens: [usize; N]) -> [&mut [f64]; N] {
         let total: usize = lens.iter().sum();
         if self.buf.len() < total {
+            // To the size asked, not the next doubling: an arena settles
+            // after its first use.
+            self.buf.reserve_exact(total - self.buf.len());
             self.buf.resize(total, 0.0);
         }
-        let mut rest = &mut self.buf[..];
-        lens.map(|l| {
-            let (head, tail) = std::mem::take(&mut rest).split_at_mut(l);
-            rest = tail;
-            head
-        })
+        carve(&mut self.buf, lens)
     }
 }
 
-/// A [`Linear`] layer compiled for inference: B-panels packed once, raw
-/// weights kept for the small-operand fallback so kernel dispatch matches
-/// the graph path exactly.
+/// The first `Σ lens` elements of `buf` as `N` consecutive slices.
+pub fn carve<const N: usize>(buf: &mut [f64], lens: [usize; N]) -> [&mut [f64]; N] {
+    let mut rest = buf;
+    lens.map(|l| {
+        let (head, tail) = std::mem::take(&mut rest).split_at_mut(l);
+        rest = tail;
+        head
+    })
+}
+
+/// `acc += x`, element by element.
+fn add_into(acc: &mut [f64], x: &[f64]) {
+    for (a, &b) in acc.iter_mut().zip(x) {
+        *a += b;
+    }
+}
+
+/// The ReLU backward on the kept post-ReLU output `y`.
+pub fn relu_mask(dy: &mut [f64], y: &[f64]) {
+    for (g, &v) in dy.iter_mut().zip(y) {
+        *g = if v > 0.0 { *g } else { 0.0 };
+    }
+}
+
+/// A [`Linear`] layer compiled: B-panels packed once, raw weights kept for
+/// the small-operand fallback and for the backward's `dY·Wᵀ`.
 #[derive(Clone, Debug)]
 pub struct PackedLinear {
     packed: PackedMat,
@@ -96,18 +125,17 @@ impl PackedLinear {
         self.out_dim
     }
 
-    /// `out[rows, out_dim] = x[rows, in_dim] · W + b`, mirroring the graph
-    /// path (`matmul` then `add_bias`) bit for bit.
+    /// `out[rows, out_dim] = x[rows, in_dim] · W + b`.
     pub fn forward(&self, rows: usize, x: &[f64], out: &mut [f64]) {
         self.run(rows, x, None, false, self.packed_for(rows), out);
     }
 
-    /// [`Self::forward`] then the graph's `relu`, done in the store.
+    /// [`Self::forward`] then a ReLU, done in the store.
     pub fn forward_relu(&self, rows: usize, x: &[f64], out: &mut [f64]) {
         self.run(rows, x, None, true, self.packed_for(rows), out);
     }
 
-    /// Whether the graph's `[rows, in] · [in, out]` product runs packed.
+    /// Whether the `[rows, in] · [in, out]` product runs packed.
     fn packed_for(&self, rows: usize) -> bool {
         gemm_worthwhile(rows, self.out_dim, self.in_dim)
     }
@@ -146,12 +174,39 @@ impl PackedLinear {
             chains.finish(row, 0);
         }
     }
+
+    /// Backward of [`Self::forward`] over the `x` it read and the output
+    /// gradient `dy`: `grads` gets `[dW, db]` — `dW = xᵀ·dy`, `db` the
+    /// column sums of `dy` — and `dx`, when asked, `dy·Wᵀ`.
+    pub fn backward(
+        &self,
+        rows: usize,
+        x: &[f64],
+        dy: &[f64],
+        grads: &mut [Tensor],
+        dx: Option<&mut [f64]>,
+    ) {
+        let (k, n) = (self.in_dim, self.out_dim);
+        let [dw, db] = grads else {
+            panic!("a linear layer has two parameters, got {}", grads.len())
+        };
+        gemm_tn_into(k, n, rows, x, dy, dw.data_mut());
+        let db = db.data_mut();
+        db.fill(0.0);
+        for row in dy.chunks(n) {
+            add_into(db, row);
+        }
+        if let Some(dx) = dx {
+            gemm_nt_into(rows, k, n, dy, &self.w, dx);
+        }
+    }
 }
 
 /// A [`Linear`] over `[s | x]` with `s` one row shared by every row, as
-/// the surrogate's head reads `[E_1 | E_2]`: every chain's `s` steps are
-/// the same for all rows, so they run once and each row continues from
-/// them — the whole layer's bits at the cost of the `x` columns.
+/// the surrogate's head reads `[E_1 | E_2]` in a decision: every chain's
+/// `s` steps are the same for all rows, so they run once and each row
+/// continues from them — the whole layer's bits at the cost of the `x`
+/// columns.
 #[derive(Clone, Debug)]
 pub struct SharedRowLinear {
     /// `W[..at]`, no bias.
@@ -176,9 +231,10 @@ impl SharedRowLinear {
         self.rest.out_dim
     }
 
-    /// `out[i] = relu([s | x[i]] · W + b)`, the graph's concat → `matmul`
-    /// → `add_bias` → `relu` bit for bit, on the kernels the whole product
-    /// would take. `prefix` is `out_dim` elements of scratch.
+    /// `out[i] = relu([s | x[i]] · W + b)`, the whole layer's
+    /// [`PackedLinear::forward_relu`] over the concatenated rows bit for
+    /// bit, on the kernels the whole product would take. `prefix` is
+    /// `out_dim` elements of scratch.
     pub fn forward_relu(
         &self,
         s: &[f64],
@@ -194,7 +250,7 @@ impl SharedRowLinear {
     }
 }
 
-/// A [`LayerNorm`] compiled for inference (in-place row normalisation).
+/// A [`LayerNorm`] compiled (in-place row normalisation).
 #[derive(Clone, Debug)]
 pub(crate) struct LayerNormPlan {
     gamma: Vec<f64>,
@@ -213,7 +269,7 @@ impl LayerNormPlan {
         }
     }
 
-    /// In-place row-wise layer norm, mirroring `Graph::layer_norm`.
+    /// In-place row-wise layer norm.
     pub(crate) fn forward(&self, x: &mut [f64]) {
         let d = self.dim;
         for row in x.chunks_mut(d.max(1)) {
@@ -226,9 +282,42 @@ impl LayerNormPlan {
             }
         }
     }
+
+    /// Backward over the rows `x` the forward normalised: `grads` gets
+    /// `[dγ, dβ]` and `dx` the input gradient; each row's statistics are
+    /// recomputed from `x`.
+    pub(crate) fn backward(&self, x: &[f64], dy: &[f64], grads: &mut [Tensor], dx: &mut [f64]) {
+        let d = self.dim;
+        let n = d as f64;
+        let [dgamma, dbeta] = grads else {
+            panic!("a layer norm has two parameters, got {}", grads.len())
+        };
+        let (dgamma, dbeta) = (dgamma.data_mut(), dbeta.data_mut());
+        dgamma.fill(0.0);
+        dbeta.fill(0.0);
+        let mut xhat = vec![0.0; d];
+        for ((row, grow), dxhat) in x.chunks(d).zip(dy.chunks(d)).zip(dx.chunks_mut(d)) {
+            let mu: f64 = row.iter().sum::<f64>() / n;
+            let var: f64 = row.iter().map(|&v| (v - mu) * (v - mu)).sum::<f64>() / n;
+            let sigma = (var + self.eps).sqrt();
+            for j in 0..d {
+                xhat[j] = (row[j] - mu) / sigma;
+                dgamma[j] += grow[j] * xhat[j];
+                dbeta[j] += grow[j];
+                dxhat[j] = grow[j] * self.gamma[j];
+            }
+            let mean_dxhat: f64 = dxhat.iter().sum::<f64>() / n;
+            let mean_dxhat_xhat: f64 =
+                dxhat.iter().zip(&xhat).map(|(&a, &b)| a * b).sum::<f64>() / n;
+            // `dxhat` becomes the row's input gradient in place.
+            for j in 0..d {
+                dxhat[j] = (dxhat[j] - mean_dxhat - xhat[j] * mean_dxhat_xhat) / sigma;
+            }
+        }
+    }
 }
 
-/// A [`MultiHeadAttention`] compiled for inference.
+/// A [`MultiHeadAttention`] compiled.
 #[derive(Clone, Debug)]
 pub struct MhaPlan {
     wq: PackedLinear,
@@ -251,10 +340,22 @@ impl MhaPlan {
         }
     }
 
-    /// Self-attention over `x: [B, S, D]` into `out: [B, S, D]`, mirroring
-    /// `MultiHeadAttention::forward` bit for bit. Scratch slices: `q`/`k`/
-    /// `v`/`ctx` of `B·S·D` and `scores` of
-    /// [`attention_scratch_len`]`(S, D / heads)`.
+    /// The attention scale `1/√d_h`, and `d_h`.
+    fn head_dims(&self) -> (f64, usize) {
+        let dh = self.dim / self.heads;
+        (1.0 / (dh as f64).sqrt(), dh)
+    }
+
+    /// Where each (sequence, head) problem starts in a merged buffer, in
+    /// index order.
+    fn heads(&self, batch: usize, seq: usize) -> impl Iterator<Item = usize> {
+        let (d, dh, h) = (self.dim, self.dim / self.heads, self.heads);
+        (0..batch).flat_map(move |b| (0..h).map(move |hi| b * seq * d + hi * dh))
+    }
+
+    /// Self-attention over `x: [B, S, D]` into `out: [B, S, D]`. Scratch
+    /// slices: `q`/`k`/`v`/`ctx` of `B·S·D` (what the backward reads) and
+    /// `scores` of [`attention_scratch_len`]`(S, D / heads)`.
     ///
     /// The projections stay in the merged `[B, S, H·dh]` layout: each head
     /// is one fused score → softmax → context call over its strided
@@ -273,8 +374,8 @@ impl MhaPlan {
         ctx: &mut [f64],
         scores: &mut [f64],
     ) {
-        let (d, h) = (self.dim, self.heads);
-        let dh = d / h;
+        let d = self.dim;
+        let (c, dh) = self.head_dims();
         let rows = batch * seq;
         debug_assert_eq!(x.len(), rows * d);
         debug_assert_eq!(out.len(), rows * d);
@@ -282,28 +383,105 @@ impl MhaPlan {
         self.wq.forward(rows, x, q);
         self.wk.forward(rows, x, k);
         self.wv.forward(rows, x, v);
-        let c = 1.0 / (dh as f64).sqrt();
-        for b in 0..batch {
-            for hi in 0..h {
-                let off = b * seq * d + hi * dh;
-                attention_head(
-                    seq,
-                    dh,
-                    d,
-                    c,
-                    &q[off..],
-                    &k[off..],
-                    &v[off..],
-                    &mut ctx[off..],
-                    scores,
-                );
-            }
+        for o in self.heads(batch, seq) {
+            let (qh, kh, vh) = (&q[o..], &k[o..], &v[o..]);
+            attention_head(seq, dh, d, c, qh, kh, vh, &mut ctx[o..], scores);
         }
         self.wo.forward(rows, ctx, out);
     }
+
+    /// Scratch [`Self::backward`] carves: four `B·S·D` gradients, one
+    /// `B·S·D` product and one head's attention backward scratch.
+    pub fn backward_scratch_len(&self, batch: usize, seq: usize) -> usize {
+        5 * batch * seq * self.dim + attention_backward_scratch_len(seq, self.head_dims().1)
+    }
+
+    /// Backward of [`Self::forward`] from what it read and wrote (`x`,
+    /// `q`, `k`, `v`, `ctx`) and the output gradient `d_out`: `grads` gets
+    /// the eight projection gradients in parameter order. The input
+    /// gradient's three contributions go to `dx` in the order V, K, Q; the
+    /// first is added to what `dx` holds when `add`, else overwrites it.
+    #[allow(clippy::too_many_arguments)]
+    pub fn backward(
+        &self,
+        batch: usize,
+        seq: usize,
+        [x, q, k, v, ctx]: [&[f64]; 5],
+        d_out: &[f64],
+        grads: &mut [Tensor],
+        dx: &mut [f64],
+        mut add: bool,
+        scratch: &mut [f64],
+    ) {
+        let (d, rows) = (self.dim, batch * seq);
+        let (c, dh) = self.head_dims();
+        let (n, s) = (rows * d, attention_backward_scratch_len(seq, dh));
+        let [dctx, dq, dk, dv, tmp, scores] = carve(scratch, [n, n, n, n, n, s]);
+        self.wo
+            .backward(rows, ctx, d_out, &mut grads[6..8], Some(dctx));
+        for o in self.heads(batch, seq) {
+            let (qh, kh, vh, oh, doh) = (&q[o..], &k[o..], &v[o..], &ctx[o..], &dctx[o..]);
+            let (dqh, dkh, dvh) = (&mut dq[o..], &mut dk[o..], &mut dv[o..]);
+            attention_head_backward(seq, dh, d, c, qh, kh, vh, oh, doh, dqh, dkh, dvh, scores);
+        }
+        for (lin, dp, at) in [
+            (&self.wv, &*dv, 4),
+            (&self.wk, &*dk, 2),
+            (&self.wq, &*dq, 0),
+        ] {
+            let grads = &mut grads[at..at + 2];
+            if add {
+                lin.backward(rows, x, dp, grads, Some(tmp));
+                add_into(dx, tmp);
+            } else {
+                lin.backward(rows, x, dp, grads, Some(dx));
+                add = true;
+            }
+        }
+    }
 }
 
-/// One post-norm encoder layer compiled for inference.
+/// One encoder layer's buffers. `q`, `k`, `v`, `ctx` and `ffh` are its
+/// stages' outputs; `kept`, in a training forward, receives copies of the
+/// layer's input, `x + MHA(x)`, LN1's output `x1` and `x1 + FF(x1)`.
+/// Inference passes every layer the same buffers and keeps nothing.
+struct LayerBufs<'a> {
+    q: &'a mut [f64],
+    k: &'a mut [f64],
+    v: &'a mut [f64],
+    ctx: &'a mut [f64],
+    ffh: &'a mut [f64],
+    kept: Option<[&'a mut [f64]; 4]>,
+}
+
+impl<'a> LayerBufs<'a> {
+    /// Lengths of one layer's block over `rows` rows.
+    fn lens(rows: usize, dim: usize, ff: usize, keep: bool) -> [usize; 9] {
+        let (rd, kd) = (rows * dim, if keep { rows * dim } else { 0 });
+        [rd, rd, rd, rd, rows * ff, kd, kd, kd, kd]
+    }
+
+    fn carve(block: &'a mut [f64], lens: [usize; 9], keep: bool) -> Self {
+        let [q, k, v, ctx, ffh, x, res1, x1, res2] = carve(block, lens);
+        LayerBufs {
+            q,
+            k,
+            v,
+            ctx,
+            ffh,
+            kept: keep.then_some([x, res1, x1, res2]),
+        }
+    }
+
+    /// Copy `x` into kept slot `i` (a no-op when nothing is kept).
+    fn keep(&mut self, i: usize, x: &[f64]) {
+        if let Some(kept) = &mut self.kept {
+            kept[i].copy_from_slice(x);
+        }
+    }
+}
+
+/// One post-norm encoder layer compiled.
 #[derive(Clone, Debug)]
 pub(crate) struct EncoderLayerPlan {
     mha: MhaPlan,
@@ -324,40 +502,69 @@ impl EncoderLayerPlan {
         }
     }
 
-    /// `x ← LN2(LN1(x + MHA(x)) + FF(LN1(…)))` in place, mirroring
-    /// `EncoderLayer::forward`.
-    #[allow(clippy::too_many_arguments)]
+    /// `x ← LN2(x1 + FF(x1))` with `x1 = LN1(x + MHA(x))`, in place;
+    /// `att` and `scores` are scratch.
     fn forward(
         &self,
         batch: usize,
         seq: usize,
         x: &mut [f64],
-        q: &mut [f64],
-        k: &mut [f64],
-        v: &mut [f64],
-        ctx: &mut [f64],
+        b: &mut LayerBufs,
         att: &mut [f64],
         scores: &mut [f64],
-        ffh: &mut [f64],
     ) {
         let rows = batch * seq;
-        self.mha.forward(batch, seq, x, att, q, k, v, ctx, scores);
-        // Residual 1 + LN1: x now holds x1.
-        for (xv, &av) in x.iter_mut().zip(att.iter()) {
-            *xv += av;
-        }
+        b.keep(0, x);
+        self.mha
+            .forward(batch, seq, x, att, b.q, b.k, b.v, b.ctx, scores);
+        add_into(x, att);
+        b.keep(1, x);
         self.ln1.forward(x);
-        // Feed-forward on x1, then residual 2 + LN2.
-        self.ff1.forward_relu(rows, x, ffh);
-        self.ff2.forward(rows, ffh, q);
-        for (xv, &hv) in x.iter_mut().zip(q.iter()) {
-            *xv += hv;
-        }
+        b.keep(2, x);
+        self.ff1.forward_relu(rows, x, b.ffh);
+        self.ff2.forward(rows, b.ffh, att);
+        add_into(x, att);
+        b.keep(3, x);
         self.ln2.forward(x);
+    }
+
+    /// Backward from the kept buffers: `dy` holds the output gradient on
+    /// entry and the input gradient on exit; `grads` gets the layer's 16
+    /// parameter gradients in parameter order.
+    fn backward(
+        &self,
+        batch: usize,
+        seq: usize,
+        b: &LayerBufs,
+        dy: &mut [f64],
+        grads: &mut [Tensor],
+        scratch: &mut [f64],
+    ) {
+        let rows = batch * seq;
+        let Some([x, res1, x1, res2]) = &b.kept else {
+            panic!("the backward needs a training forward's buffers")
+        };
+        let (rd, rf) = (dy.len(), b.ffh.len());
+        let (mine, rest) = scratch.split_at_mut(3 * rd + rf);
+        let [dres2, dffh, tmp, dres1] = carve(mine, [rd, rf, rd, rd]);
+        self.ln2.backward(res2, dy, &mut grads[14..16], dres2);
+        self.ff2
+            .backward(rows, b.ffh, dres2, &mut grads[12..14], Some(dffh));
+        relu_mask(dffh, b.ffh);
+        self.ff1
+            .backward(rows, x1, dffh, &mut grads[10..12], Some(tmp));
+        // x1 feeds the residual and FF1: d_res2 + dX_ff1.
+        add_into(dres2, tmp);
+        self.ln1.backward(res1, dres2, &mut grads[8..10], dres1);
+        // The residual's share first, then the projections'.
+        dy.copy_from_slice(dres1);
+        let saved = [&**x, &*b.q, &*b.k, &*b.v, &*b.ctx];
+        self.mha
+            .backward(batch, seq, saved, dres1, &mut grads[..8], dy, true, rest);
     }
 }
 
-/// A [`TransformerEncoder`] stack compiled to a graph-free forward.
+/// A [`TransformerEncoder`] stack compiled.
 #[derive(Clone, Debug)]
 pub struct InferencePlan {
     layers: Vec<EncoderLayerPlan>,
@@ -365,6 +572,9 @@ pub struct InferencePlan {
     heads: usize,
     ff_hidden: usize,
 }
+
+/// Parameters per encoder layer (its [`Module::parameters`](crate::Module)).
+const LAYER_PARAMS: usize = 16;
 
 impl InferencePlan {
     /// Compile the encoder's current weights. The plan snapshots the
@@ -384,47 +594,99 @@ impl InferencePlan {
         }
     }
 
-    /// Scratch slice lengths for a `[batch, seq, dim]` forward, in the
-    /// order [`Self::forward_with`] expects them.
-    pub fn scratch_lens(&self, batch: usize, seq: usize) -> [usize; 7] {
-        let bsd = batch * seq * self.dim;
-        [
-            bsd,
-            bsd,
-            bsd,
-            bsd,
-            bsd,
-            attention_scratch_len(seq, self.dim / self.heads),
-            batch * seq * self.ff_hidden,
-        ]
+    fn layer_lens(&self, rows: usize, keep: bool) -> [usize; 9] {
+        LayerBufs::lens(rows, self.dim, self.ff_hidden, keep)
+    }
+
+    /// Length of one block of [`Self::forward_in`]'s `acts` over `rows`
+    /// rows: the buffers of one layer, also those kept when `keep`.
+    pub fn acts_len(&self, rows: usize, keep: bool) -> usize {
+        self.layer_lens(rows, keep).iter().sum()
+    }
+
+    /// Length of the `scores` scratch of a forward over sequences of
+    /// `seq`.
+    pub fn scores_len(&self, seq: usize) -> usize {
+        attention_scratch_len(seq, self.dim / self.heads)
     }
 
     /// In-place forward over `x` (flattened `[batch, seq, dim]`), using
     /// scratch from `arena`.
     pub fn forward(&self, batch: usize, seq: usize, x: &mut [f64], arena: &mut Arena) {
-        let [q, k, v, ctx, att, scores, ffh] = arena.split(self.scratch_lens(batch, seq));
-        self.forward_with(batch, seq, x, q, k, v, ctx, att, scores, ffh);
+        let rows = batch * seq;
+        let [acts, att, scores] = arena.split([
+            self.acts_len(rows, false),
+            rows * self.dim,
+            self.scores_len(seq),
+        ]);
+        self.forward_in(batch, seq, x, &mut [acts], att, scores, false);
     }
 
-    /// As [`forward`](Self::forward) with caller-carved scratch slices
-    /// (lengths per [`scratch_lens`](Self::scratch_lens)).
+    /// In-place forward over `x` with caller-carved buffers: `acts`
+    /// blocks of [`Self::acts_len`], `att` of `batch·seq·dim`, `scores` of
+    /// [`Self::scores_len`]. Every layer runs in `acts[0]`; with `keep`,
+    /// layer `i` runs in `acts[i]` and leaves there what
+    /// [`Self::backward`] reads.
     #[allow(clippy::too_many_arguments)]
-    pub fn forward_with(
+    pub fn forward_in(
         &self,
         batch: usize,
         seq: usize,
         x: &mut [f64],
-        q: &mut [f64],
-        k: &mut [f64],
-        v: &mut [f64],
-        ctx: &mut [f64],
+        acts: &mut [&mut [f64]],
         att: &mut [f64],
         scores: &mut [f64],
-        ffh: &mut [f64],
+        keep: bool,
     ) {
         debug_assert_eq!(x.len(), batch * seq * self.dim);
-        for l in &self.layers {
-            l.forward(batch, seq, x, q, k, v, ctx, att, scores, ffh);
+        let lens = self.layer_lens(batch * seq, keep);
+        if keep {
+            assert_eq!(acts.len(), self.layers.len(), "one block per layer");
+            for (l, block) in self.layers.iter().zip(acts) {
+                l.forward(
+                    batch,
+                    seq,
+                    x,
+                    &mut LayerBufs::carve(block, lens, true),
+                    att,
+                    scores,
+                );
+            }
+        } else {
+            let mut b = LayerBufs::carve(acts[0], lens, false);
+            for l in &self.layers {
+                l.forward(batch, seq, x, &mut b, att, scores);
+            }
+        }
+    }
+
+    /// Scratch [`Self::backward`] needs over `batch` sequences of `seq`.
+    pub fn backward_scratch_len(&self, batch: usize, seq: usize) -> usize {
+        let Some(l) = self.layers.first() else {
+            return 0;
+        };
+        let rows = batch * seq;
+        3 * rows * self.dim + rows * self.ff_hidden + l.mha.backward_scratch_len(batch, seq)
+    }
+
+    /// Backward of a kept [`Self::forward_in`], last layer first: `dy`
+    /// holds the stack's output gradient on entry and its input gradient
+    /// on exit; `grads` gets every layer's parameter gradients in
+    /// parameter order.
+    pub fn backward(
+        &self,
+        batch: usize,
+        seq: usize,
+        acts: &mut [&mut [f64]],
+        dy: &mut [f64],
+        grads: &mut [Tensor],
+        scratch: &mut [f64],
+    ) {
+        let lens = self.layer_lens(batch * seq, true);
+        let per_layer = grads.chunks_mut(LAYER_PARAMS);
+        for ((l, block), grads) in self.layers.iter().zip(acts).zip(per_layer).rev() {
+            let b = LayerBufs::carve(block, lens, true);
+            l.backward(batch, seq, &b, dy, grads, scratch);
         }
     }
 }
@@ -432,10 +694,8 @@ impl InferencePlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::Graph;
-    use crate::init::InitRng;
-    use crate::layers::Binder;
-    use crate::tensor::Tensor;
+    use crate::init::{normal_init, InitRng};
+    use crate::layers::Module;
 
     fn pseudo(n: usize, seed: u64) -> Vec<f64> {
         let mut x = seed.wrapping_mul(0x9E3779B97F4A7C15).max(1);
@@ -449,70 +709,243 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn packed_linear_matches_graph_linear_bitwise() {
-        // Shapes straddling the gemm_worthwhile threshold on both sides.
-        for &(rows, ind, outd) in &[
-            (1usize, 4usize, 4usize),
-            (3, 16, 5),
-            (216, 3, 16),
-            (256, 16, 16),
-            (216, 32, 32),
-        ] {
-            let mut rng = InitRng::new(7);
-            let lin = Linear::new(ind, outd, &mut rng);
-            let x = Tensor::new(vec![rows, ind], pseudo(rows * ind, 3));
-            let mut g = Graph::new();
-            let mut b = Binder::new(&mut g);
-            let xv = b.g.leaf(x.clone());
-            let yv = lin.forward(&mut b, xv);
-            let want = g.value(yv).data().to_vec();
-
-            let plan = PackedLinear::compile(&lin);
-            let mut got = vec![0.0; rows * outd];
-            plan.forward(rows, x.data(), &mut got);
-            assert_eq!(got, want, "({rows},{ind},{outd})");
-
-            // The ReLU in the store is the graph's relu op, NaN and -0.0
-            // included.
-            let mut x = x.data().to_vec();
-            x[0] = f64::NAN;
-            let mut g = Graph::new();
-            let mut b = Binder::new(&mut g);
-            let xv = b.g.leaf(Tensor::new(vec![rows, ind], x.clone()));
-            let yv = lin.forward(&mut b, xv);
-            let yv = b.g.relu(yv);
-            let want = g.value(yv).data().to_vec();
-            plan.forward_relu(rows, &x, &mut got);
-            assert!(got
-                .iter()
-                .zip(&want)
-                .all(|(g, w)| g.to_bits() == w.to_bits()));
+    /// Central differences of `f` at `x0` against the analytic gradient
+    /// `want`, at 1e-5 relative tolerance, over the elements `at`.
+    fn grad_check(
+        f: impl Fn(&[f64]) -> f64,
+        x0: &[f64],
+        want: &[f64],
+        at: impl IntoIterator<Item = usize>,
+    ) {
+        let h = 1e-6;
+        for i in at {
+            let mut x = x0.to_vec();
+            x[i] = x0[i] + h;
+            let fp = f(&x);
+            x[i] = x0[i] - h;
+            let fm = f(&x);
+            let numeric = (fp - fm) / (2.0 * h);
+            assert!(
+                (want[i] - numeric).abs() <= 1e-5 * (1.0 + numeric.abs()),
+                "element {i}: analytic {} vs numeric {numeric}",
+                want[i]
+            );
         }
     }
 
-    /// The graph's `relu(concat_broadcast_row(s, x) · W + b)`, the head
-    /// `SharedRowLinear` stands in for.
-    fn graph_shared_row(lin: &Linear, s: &[f64], rows: usize, x: &[f64]) -> Vec<f64> {
-        let mut g = Graph::new();
-        let mut b = Binder::new(&mut g);
-        let sv = b.g.leaf(Tensor::new(vec![s.len()], s.to_vec()));
-        let xv =
-            b.g.leaf(Tensor::new(vec![rows, x.len() / rows], x.to_vec()));
-        let cat = b.g.concat_broadcast_row(sv, xv);
-        let h = lin.forward(&mut b, cat);
-        let y = b.g.relu(h);
-        g.value(y).data().to_vec()
+    /// `Σ w ⊙ y`: a smooth scalar of an output with a fixed weight.
+    fn dot(w: &[f64], y: &[f64]) -> f64 {
+        w.iter().zip(y).map(|(a, b)| a * b).sum()
+    }
+
+    fn zero_grads(m: &impl Module) -> Vec<Tensor> {
+        let shapes = m.parameters().into_iter().map(|p| p.shape().to_vec());
+        shapes.map(Tensor::zeros).collect()
+    }
+
+    #[test]
+    fn grad_linear_wrt_input_weight_and_bias() {
+        // One shape on each side of the packed-kernel threshold.
+        for &(rows, ind, outd) in &[(3usize, 4usize, 5usize), (40, 16, 12)] {
+            let lin = Linear::new(ind, outd, &mut InitRng::new(7));
+            let (x0, w) = (pseudo(rows * ind, 3), pseudo(rows * outd, 4));
+            let plan = PackedLinear::compile(&lin);
+            let mut grads = zero_grads(&lin);
+            let mut dx = vec![0.0; rows * ind];
+            plan.backward(rows, &x0, &w, &mut grads, Some(&mut dx));
+            let out = |lin: &Linear, x: &[f64]| {
+                let mut y = vec![0.0; rows * outd];
+                PackedLinear::compile(lin).forward(rows, x, &mut y);
+                dot(&w, &y)
+            };
+            grad_check(|x| out(&lin, x), &x0, &dx, 0..x0.len());
+            for (p, g) in grads.iter().enumerate() {
+                let p0 = lin.parameters()[p].data().to_vec();
+                let f = |v: &[f64]| {
+                    let mut l = lin.clone();
+                    l.parameters_mut()[p].data_mut().copy_from_slice(v);
+                    out(&l, &x0)
+                };
+                grad_check(f, &p0, g.data(), 0..p0.len());
+            }
+        }
+    }
+
+    #[test]
+    fn grad_relu_mask() {
+        let (x0, w) = (vec![1.0, -1.0, 0.5, -0.2], vec![0.3, -0.7, 1.1, 2.0]);
+        let relu = |x: &[f64]| x.iter().map(|v| v.max(0.0)).collect::<Vec<_>>();
+        let mut dy = w.clone();
+        relu_mask(&mut dy, &relu(&x0));
+        grad_check(|x| dot(&w, &relu(x)), &x0, &dy, 0..4);
+        // A NaN input passes no gradient, as `x > 0` is false for it.
+        let mut dy = vec![1.0];
+        relu_mask(&mut dy, &[f64::NAN.max(0.0)]);
+        assert_eq!(dy, [0.0]);
+    }
+
+    #[test]
+    fn grad_layer_norm_wrt_input_gamma_and_beta() {
+        let mut ln = LayerNorm::new(5);
+        let mut r = InitRng::new(4);
+        ln.gamma = normal_init(vec![5], 0.5, &mut r).map(|g| g + 1.0);
+        ln.beta = normal_init(vec![5], 0.3, &mut r);
+        let (x0, w) = (pseudo(15, 8), pseudo(15, 9));
+        let mut grads = zero_grads(&ln);
+        let mut dx = vec![0.0; 15];
+        LayerNormPlan::compile(&ln).backward(&x0, &w, &mut grads, &mut dx);
+        let out = |ln: &LayerNorm, x: &[f64]| {
+            let mut y = x.to_vec();
+            LayerNormPlan::compile(ln).forward(&mut y);
+            dot(&w, &y)
+        };
+        grad_check(|x| out(&ln, x), &x0, &dx, 0..15);
+        for (p, g) in grads.iter().enumerate() {
+            let p0 = ln.parameters()[p].data().to_vec();
+            let f = |v: &[f64]| {
+                let mut l = ln.clone();
+                l.parameters_mut()[p].data_mut().copy_from_slice(v);
+                out(&l, &x0)
+            };
+            grad_check(f, &p0, g.data(), 0..5);
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn layernorm_output_row_stats(x in proptest::prelude::prop::collection::vec(-3.0f64..3.0, 24)) {
+            let mut y = x;
+            LayerNormPlan::compile(&LayerNorm::new(8)).forward(&mut y);
+            for row in y.chunks(8) {
+                let mean: f64 = row.iter().sum::<f64>() / 8.0;
+                proptest::prop_assert!(mean.abs() < 1e-9, "row mean {mean}");
+            }
+        }
+    }
+
+    /// One attention head per (sequence, head) over merged `[B, S, D]`
+    /// projections, as [`MhaPlan::forward`] runs them.
+    fn attention(batch: usize, seq: usize, dim: usize, heads: usize, qkv: [&[f64]; 3]) -> Vec<f64> {
+        let dh = dim / heads;
+        let mut out = vec![0.0; batch * seq * dim];
+        let mut scores = vec![0.0; attention_scratch_len(seq, dh)];
+        for off in (0..batch).flat_map(|b| (0..heads).map(move |h| b * seq * dim + h * dh)) {
+            let [q, k, v] = qkv.map(|t| &t[off..]);
+            let c = 1.0 / (dh as f64).sqrt();
+            attention_head(seq, dh, dim, c, q, k, v, &mut out[off..], &mut scores);
+        }
+        out
+    }
+
+    /// `dQ`, `dK`, `dV` of `Σ w ⊙ attention(q, k, v)`.
+    fn attention_grads(
+        batch: usize,
+        seq: usize,
+        dim: usize,
+        heads: usize,
+        qkv: [&[f64]; 3],
+        w: &[f64],
+    ) -> [Vec<f64>; 3] {
+        let dh = dim / heads;
+        let o = attention(batch, seq, dim, heads, qkv);
+        let mut d = [(); 3].map(|_| vec![0.0; o.len()]);
+        let mut scratch = vec![0.0; attention_backward_scratch_len(seq, dh)];
+        for off in (0..batch).flat_map(|b| (0..heads).map(move |h| b * seq * dim + h * dh)) {
+            let [q, k, v] = qkv.map(|t| &t[off..]);
+            let [dq, dk, dv] = &mut d;
+            let c = 1.0 / (dh as f64).sqrt();
+            attention_head_backward(
+                seq,
+                dh,
+                dim,
+                c,
+                q,
+                k,
+                v,
+                &o[off..],
+                &w[off..],
+                &mut dq[off..],
+                &mut dk[off..],
+                &mut dv[off..],
+                &mut scratch,
+            );
+        }
+        d
+    }
+
+    #[test]
+    fn grad_attention_wrt_q_k_and_v() {
+        // One shape on each side of the kernel's FMA dispatch threshold.
+        for &([batch, seq, dim], heads) in &[([2usize, 5, 4], 2usize), ([1, 32, 8], 2)] {
+            let n = batch * seq * dim;
+            let qkv0 = [pseudo(n, 3), pseudo(n, 5), pseudo(n, 7)];
+            let w = pseudo(n, 11);
+            let want = attention_grads(batch, seq, dim, heads, qkv0.each_ref().map(|t| &t[..]), &w);
+            for wrt in 0..3 {
+                let f = |x: &[f64]| {
+                    let mut qkv = qkv0.each_ref().map(|t| &t[..]);
+                    qkv[wrt] = x;
+                    dot(&w, &attention(batch, seq, dim, heads, qkv))
+                };
+                grad_check(f, &qkv0[wrt], &want[wrt], 0..n);
+            }
+        }
+    }
+
+    /// The attention reduces within one `(sequence, head)` problem only: a
+    /// sample's output and `dQ`/`dK`/`dV` are the same bits alone, first,
+    /// or last in a batch.
+    #[test]
+    fn attention_is_independent_of_batch_position() {
+        let (seq, dim, heads) = (37usize, 8usize, 2usize);
+        let sample = |i: u64| -> [Vec<f64>; 4] {
+            std::array::from_fn(|t| pseudo(seq * dim, 100 * i + t as u64))
+        };
+        let run = |samples: &[[Vec<f64>; 4]]| -> Vec<[Vec<f64>; 4]> {
+            let n = samples.len();
+            let stack = |t: usize| {
+                samples
+                    .iter()
+                    .flat_map(|s| s[t].clone())
+                    .collect::<Vec<_>>()
+            };
+            let (q, k, v, w) = (stack(0), stack(1), stack(2), stack(3));
+            let out = attention(n, seq, dim, heads, [&q, &k, &v]);
+            let [dq, dk, dv] = attention_grads(n, seq, dim, heads, [&q, &k, &v], &w);
+            let at = |x: &[f64], i: usize| x[i * seq * dim..(i + 1) * seq * dim].to_vec();
+            (0..n)
+                .map(|i| [at(&out, i), at(&dq, i), at(&dk, i), at(&dv, i)])
+                .collect()
+        };
+        let (a, b, c) = (sample(1), sample(2), sample(3));
+        let alone = run(std::slice::from_ref(&b));
+        let last = run(&[a.clone(), c.clone(), b.clone()]);
+        let first = run(&[b, c, a]);
+        assert_eq!(alone[0], last[2]);
+        assert_eq!(alone[0], first[0]);
+    }
+
+    /// The relu of the whole head over the concatenated rows.
+    fn concat_head(lin: &Linear, s: &[f64], rows: usize, x: &[f64]) -> Vec<f64> {
+        let d = x.len() / rows;
+        let cat: Vec<f64> = x
+            .chunks(d)
+            .flat_map(|r| s.iter().chain(r))
+            .copied()
+            .collect();
+        let mut out = vec![0.0; rows * lin.out_dim()];
+        PackedLinear::compile(lin).forward_relu(rows, &cat, &mut out);
+        out
     }
 
     proptest::proptest! {
         // The shared row's chains once, each row continued from them, is
-        // the graph's concat → matmul → bias → ReLU bit for bit, on both
+        // the whole head over the concatenated rows bit for bit, on both
         // sides of `gemm_worthwhile` (1–3 rows of a 16 + 16 → 32 head take
         // the naive loop) and with zero rows, whose chains and bias end at
         // ±0.0 before the ReLU.
         #[test]
-        fn shared_row_linear_matches_graph_concat_head_bitwise(
+        fn shared_row_linear_matches_the_concat_product_bitwise(
             rows in 1usize..=240, d in 1usize..=16, fh in 1usize..=40, seed in 0u64..1000,
         ) {
             check_shared_row(rows, d, fh, seed);
@@ -524,7 +957,7 @@ mod tests {
         let s = pseudo(d, seed ^ 1);
         let mut x = pseudo(rows * d, seed ^ 2);
         x[(rows / 2) * d..(rows / 2 + 1) * d].fill(0.0);
-        let want = graph_shared_row(&lin, &s, rows, &x);
+        let want = concat_head(&lin, &s, rows, &x);
         let plan = SharedRowLinear::compile(&lin, d);
         let (mut prefix, mut got) = (vec![0.0; fh], vec![0.0; rows * fh]);
         plan.forward_relu(&s, rows, &x, &mut prefix, &mut got);
@@ -546,71 +979,6 @@ mod tests {
     }
 
     #[test]
-    fn mha_plan_matches_graph_attention_bitwise() {
-        for &(batch, seq, dim, heads) in &[
-            (1usize, 1usize, 16usize, 4usize),
-            (2, 5, 8, 2),
-            (1, 64, 16, 4),
-            // Sequence tails (not a multiple of 4 or of the row block)
-            // on both sides of the packed-kernel threshold, and dh ≠ 4.
-            (1, 63, 16, 4),
-            (2, 37, 16, 2),
-            (1, 19, 8, 4),
-            (3, 6, 12, 2),
-        ] {
-            let mut rng = InitRng::new(11);
-            let mha = MultiHeadAttention::new(dim, heads, &mut rng);
-            let x = Tensor::new(vec![batch, seq, dim], pseudo(batch * seq * dim, 5));
-            let mut g = Graph::new();
-            let mut b = Binder::new(&mut g);
-            let xv = b.g.leaf(x.clone());
-            let yv = mha.forward(&mut b, xv);
-            let want = g.value(yv).data().to_vec();
-
-            let plan = MhaPlan::compile(&mha);
-            let bsd = batch * seq * dim;
-            let mut arena = Arena::new();
-            let [out, q, k, v, ctx, scores] = arena.split([
-                bsd,
-                bsd,
-                bsd,
-                bsd,
-                bsd,
-                attention_scratch_len(seq, plan.dim / plan.heads),
-            ]);
-            plan.forward(batch, seq, x.data(), out, q, k, v, ctx, scores);
-            assert_eq!(&*out, &want[..], "({batch},{seq},{dim},{heads})");
-        }
-    }
-
-    #[test]
-    fn inference_plan_matches_graph_encoder_bitwise() {
-        for &(batch, seq, dim, heads, ff, layers) in &[
-            (1usize, 8usize, 8usize, 2usize, 16usize, 1usize),
-            (2, 5, 8, 2, 16, 2),
-            (1, 256, 16, 4, 32, 2),
-            (1, 77, 16, 4, 32, 2),
-            (2, 30, 16, 2, 32, 1),
-            (1, 50, 8, 4, 16, 2),
-        ] {
-            let mut rng = InitRng::new(23);
-            let enc = TransformerEncoder::new(layers, dim, heads, ff, &mut rng);
-            let x = Tensor::new(vec![batch, seq, dim], pseudo(batch * seq * dim, 9));
-            let mut g = Graph::new();
-            let mut b = Binder::new(&mut g);
-            let xv = b.g.leaf(x.clone());
-            let yv = enc.forward(&mut b, xv);
-            let want = g.value(yv).data().to_vec();
-
-            let plan = InferencePlan::compile(&enc);
-            let mut arena = Arena::new();
-            let mut got = x.data().to_vec();
-            plan.forward(batch, seq, &mut got, &mut arena);
-            assert_eq!(got, want, "({batch},{seq},{dim},{heads},{ff},{layers})");
-        }
-    }
-
-    #[test]
     fn arena_split_is_disjoint_and_reusable() {
         let mut arena = Arena::new();
         {
@@ -624,5 +992,23 @@ mod tests {
         let cap = arena.capacity();
         let _ = arena.split([2, 2]);
         assert_eq!(arena.capacity(), cap);
+    }
+
+    /// A kept forward and one without keeps give the same bits.
+    #[test]
+    fn a_kept_forward_is_the_inference_forward() {
+        let (batch, seq, dim, heads, ff) = (2usize, 9usize, 8usize, 2usize, 16usize);
+        let enc = TransformerEncoder::new(2, dim, heads, ff, &mut InitRng::new(5));
+        let plan = InferencePlan::compile(&enc);
+        let x0 = pseudo(batch * seq * dim, 6);
+        let mut want = x0.clone();
+        plan.forward(batch, seq, &mut want, &mut Arena::new());
+        let mut got = x0;
+        let rows = batch * seq;
+        let mut acts = vec![vec![0.0; plan.acts_len(rows, true)]; 2];
+        let mut acts: Vec<&mut [f64]> = acts.iter_mut().map(|b| &mut b[..]).collect();
+        let (mut att, mut scores) = (vec![0.0; rows * dim], vec![0.0; plan.scores_len(seq)]);
+        plan.forward_in(batch, seq, &mut got, &mut acts, &mut att, &mut scores, true);
+        assert_eq!(got, want);
     }
 }

@@ -1,54 +1,21 @@
 //! Neural-network layers: Linear, LayerNorm, multi-head attention, the
 //! Transformer encoder layer, and sinusoidal positional encoding.
 //!
-//! ## Parameter binding
-//!
-//! Layers own their parameters as plain [`Tensor`]s. Each forward pass binds
-//! them into the autograd [`Graph`] through a [`Binder`], which records the
-//! leaf [`Var`]s *in the same order as* [`Module::parameters`]. After
-//! `backward`, the optimizer zips `parameters_mut()` with the binder's vars
-//! to apply updates. Every module's `forward` must therefore bind its
-//! parameters exactly once, in declaration order.
-//!
-//! ## Attention
-//!
-//! [`MultiHeadAttention::forward`] feeds its projections to one
-//! [`Graph::attention`] node, the kernel pair shared with the compiled
-//! plans, so no `S × S` tensor exists on any tape. The weights themselves
-//! (Fig. 14) come from [`MultiHeadAttention::attention_weights`], a plain
-//! function of a layer's input that runs off the tape.
+//! Layers own their parameters as plain [`Tensor`]s; [`Module::parameters`]
+//! lists them in one fixed order, which checkpoints, the optimizer and the
+//! compiled plans' backward ([`crate::infer`]) all follow. Every forward
+//! and backward runs on a compiled plan. The attention weights themselves
+//! (Fig. 14), which no forward materialises, come from
+//! [`MultiHeadAttention::attention_weights`].
 
-use crate::graph::{Graph, Var};
 use crate::infer::PackedLinear;
 use crate::init::{xavier_uniform, InitRng};
-use crate::tensor::{matmul2d_nt_into, Tensor};
+use crate::tensor::{gemm_nt_into, Tensor};
 use dbat_linalg::softmax_rows_scaled_inplace;
-
-/// Records the graph leaves created for parameters during one forward pass.
-pub struct Binder<'g> {
-    pub g: &'g mut Graph,
-    pub vars: Vec<Var>,
-}
-
-impl<'g> Binder<'g> {
-    pub fn new(g: &'g mut Graph) -> Self {
-        Binder {
-            g,
-            vars: Vec::new(),
-        }
-    }
-
-    /// Bind a parameter tensor as a graph leaf and record its var.
-    pub(crate) fn param(&mut self, t: &Tensor) -> Var {
-        let v = self.g.leaf_copy(t);
-        self.vars.push(v);
-        v
-    }
-}
 
 /// Anything with trainable parameters.
 pub trait Module {
-    /// Parameters in a fixed order (must match forward binding order).
+    /// Parameters in a fixed order (the order gradients come back in).
     fn parameters(&self) -> Vec<&Tensor>;
     fn parameters_mut(&mut self) -> Vec<&mut Tensor>;
 
@@ -79,20 +46,6 @@ impl Linear {
     pub(crate) fn out_dim(&self) -> usize {
         self.w.shape()[1]
     }
-
-    /// Forward over the last axis of an input of rank two or more.
-    pub fn forward(&self, b: &mut Binder, x: Var) -> Var {
-        assert_eq!(
-            b.g.value(x).shape().last(),
-            Some(&self.in_dim()),
-            "linear expects last dim {}",
-            self.in_dim()
-        );
-        let w = b.param(&self.w);
-        let bias = b.param(&self.b);
-        let y = b.g.matmul(x, w);
-        b.g.add_bias(y, bias)
-    }
 }
 
 impl Module for Linear {
@@ -119,12 +72,6 @@ impl LayerNorm {
             beta: Tensor::zeros(vec![dim]),
             eps: 1e-5,
         }
-    }
-
-    pub fn forward(&self, b: &mut Binder, x: Var) -> Var {
-        let gamma = b.param(&self.gamma);
-        let beta = b.param(&self.beta);
-        b.g.layer_norm(x, gamma, beta, self.eps)
     }
 }
 
@@ -164,43 +111,32 @@ impl MultiHeadAttention {
 
     /// The attention weights `softmax(Q_h·K_hᵀ / √d_h)` of every head for
     /// one sequence `x: [S, D]` (this layer's input), as `[H, S, S]` — what
-    /// [`Self::forward`] never materialises, for the paper's Fig. 14.
-    /// Non-differentiable and off the tape: the Q and K projections, then
-    /// per head the 2-D score kernel and the shared
+    /// no forward materialises, for the paper's Fig. 14: the Q and K
+    /// projections, then per head the 2-D score kernel and the shared
     /// [`softmax_rows_scaled_inplace`], the pipeline
     /// [`dbat_linalg::attention_head`] is bit-equal to.
     pub fn attention_weights(&self, x: &Tensor) -> Tensor {
         assert_eq!(x.shape().len(), 2, "attention_weights expects [S, D]");
         let (seq, dim) = (x.shape()[0], x.shape()[1]);
         let dh = dim / self.heads;
-        // A projection of `x` off the tape: the merged `[S, D]` buffer.
+        // A projection of `x`: the merged `[S, D]` buffer.
         let project = |lin: &Linear| {
             let mut out = vec![0.0; seq * dim];
             PackedLinear::compile(lin).forward(seq, x.data(), &mut out);
             out
         };
         // Head `h`'s columns of a merged projection, contiguous.
-        let head = |proj: &[f64], h: usize| {
+        let head = |proj: &[f64], h: usize| -> Vec<f64> {
             let cols = proj.chunks(dim).flat_map(|row| &row[h * dh..(h + 1) * dh]);
-            Tensor::new(vec![seq, dh], cols.copied().collect())
+            cols.copied().collect()
         };
         let (q, k) = (project(&self.wq), project(&self.wk));
         let mut weights = vec![0.0; self.heads * seq * seq];
         for (h, w) in weights.chunks_mut((seq * seq).max(1)).enumerate() {
-            matmul2d_nt_into(&head(&q, h), &head(&k, h), w);
+            gemm_nt_into(seq, seq, dh, &head(&q, h), &head(&k, h), w);
             softmax_rows_scaled_inplace(w, seq, 1.0 / (dh as f64).sqrt());
         }
         Tensor::new(vec![self.heads, seq, seq], weights)
-    }
-
-    /// Self-attention over `x: [B, S, D]` through the graph's fused
-    /// attention op on the merged projections.
-    pub fn forward(&self, b: &mut Binder, x: Var) -> Var {
-        let q = self.wq.forward(b, x);
-        let k = self.wk.forward(b, x);
-        let v = self.wv.forward(b, x);
-        let ctx = b.g.attention(q, k, v, self.heads);
-        self.wo.forward(b, ctx)
     }
 }
 
@@ -241,17 +177,6 @@ impl EncoderLayer {
             ff2: Linear::new(ff_hidden, dim, rng),
             ln2: LayerNorm::new(dim),
         }
-    }
-
-    pub fn forward(&self, b: &mut Binder, x: Var) -> Var {
-        let att_out = self.mha.forward(b, x);
-        let res1 = b.g.add(x, att_out);
-        let x1 = self.ln1.forward(b, res1);
-        let h = self.ff1.forward(b, x1);
-        let h = b.g.relu(h);
-        let h = self.ff2.forward(b, h);
-        let res2 = b.g.add(x1, h);
-        self.ln2.forward(b, res2)
     }
 }
 
@@ -294,10 +219,6 @@ impl TransformerEncoder {
                 .collect(),
         }
     }
-
-    pub fn forward(&self, b: &mut Binder, x: Var) -> Var {
-        self.layers.iter().fold(x, |x, layer| layer.forward(b, x))
-    }
 }
 
 impl Module for TransformerEncoder {
@@ -324,70 +245,73 @@ pub fn positional_encoding(seq: usize, dim: usize) -> Tensor {
     Tensor::new(vec![seq, dim], data)
 }
 
-/// Add the positional encoding to `x: [B, S, D]` (as a non-trainable
-/// constant tiled over the batch).
-pub fn add_positional(b: &mut Binder, x: Var) -> Var {
-    let shape = b.g.value(x).shape().to_vec();
-    assert_eq!(shape.len(), 3, "positional encoding expects [B, S, D]");
-    let (batch, seq, dim) = (shape[0], shape[1], shape[2]);
-    let pe = positional_encoding(seq, dim);
-    let mut tiled = Vec::with_capacity(batch * seq * dim);
-    for _ in 0..batch {
-        tiled.extend_from_slice(pe.data());
-    }
-    let pe_var = b.g.constant(Tensor::new(vec![batch, seq, dim], tiled));
-    b.g.add(x, pe_var)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::infer::{Arena, InferencePlan, LayerNormPlan, MhaPlan};
 
     fn rng() -> InitRng {
         InitRng::new(42)
+    }
+
+    fn pseudo(n: usize, seed: u64) -> Vec<f64> {
+        crate::init::normal_init(vec![n], 1.0, &mut InitRng::new(seed)).into_data()
+    }
+
+    /// Central differences of `f` at `x0` against `want`, at 1e-5
+    /// relative tolerance.
+    fn grad_check(f: impl Fn(&[f64]) -> f64, x0: &[f64], want: &[f64]) {
+        let h = 1e-6;
+        for i in 0..x0.len() {
+            let mut x = x0.to_vec();
+            x[i] = x0[i] + h;
+            let fp = f(&x);
+            x[i] = x0[i] - h;
+            let numeric = (fp - f(&x)) / (2.0 * h);
+            assert!(
+                (want[i] - numeric).abs() <= 1e-5 * (1.0 + numeric.abs()),
+                "element {i}: analytic {} vs numeric {numeric}",
+                want[i]
+            );
+        }
     }
 
     #[test]
     fn linear_shapes_and_params() {
         let lin = Linear::new(4, 6, &mut rng());
         assert_eq!(lin.num_parameters(), 4 * 6 + 6);
-        let mut g = Graph::new();
-        let mut b = Binder::new(&mut g);
-        let x = b.g.leaf(Tensor::zeros(vec![2, 3, 4]));
-        let y = lin.forward(&mut b, x);
-        assert_eq!(b.g.value(y).shape(), &[2, 3, 6]);
-        assert_eq!(b.vars.len(), 2);
+        assert_eq!(lin.parameters().len(), 2);
+        let plan = PackedLinear::compile(&lin);
+        assert_eq!(plan.out_dim(), 6);
+        // Applied over the last axis: a [2, 3, 4] input is 6 rows.
+        let mut y = vec![f64::NAN; 6 * 6];
+        plan.forward(6, &[0.5; 24], &mut y);
+        assert!(y.iter().all(|v| v.is_finite()));
     }
 
     #[test]
     fn linear_zero_input_gives_bias() {
         let mut lin = Linear::new(2, 2, &mut rng());
         lin.b = Tensor::new(vec![2], vec![0.5, -0.5]);
-        let mut g = Graph::new();
-        let mut b = Binder::new(&mut g);
-        let x = b.g.leaf(Tensor::zeros(vec![1, 2]));
-        let y = lin.forward(&mut b, x);
-        assert_eq!(b.g.value(y).data(), &[0.5, -0.5]);
+        let mut y = vec![0.0; 2];
+        PackedLinear::compile(&lin).forward(1, &[0.0, 0.0], &mut y);
+        assert_eq!(y, [0.5, -0.5]);
     }
 
     #[test]
     fn layernorm_normalises() {
-        let ln = LayerNorm::new(4);
-        let mut g = Graph::new();
-        let mut b = Binder::new(&mut g);
-        let x = b.g.leaf(Tensor::new(vec![1, 4], vec![1.0, 2.0, 3.0, 4.0]));
-        let y = ln.forward(&mut b, x);
-        let out = b.g.value(y).data().to_vec();
+        let mut out = vec![1.0, 2.0, 3.0, 4.0];
+        LayerNormPlan::compile(&LayerNorm::new(4)).forward(&mut out);
         let mean: f64 = out.iter().sum::<f64>() / 4.0;
         let var: f64 = out.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / 4.0;
         assert!(mean.abs() < 1e-9);
         assert!((var - 1.0).abs() < 1e-3);
     }
 
-    /// The Fig. 14 weights are the ones the fused op uses and never keeps:
-    /// `[H, S, S]`, every row a distribution, and `weights_h · V_h` is the
-    /// fused [`Graph::attention`] context **bit for bit** on a shape either
-    /// side of `gemm_worthwhile` (the naive context loop's skip of
+    /// The Fig. 14 weights are the ones the fused head uses and never
+    /// keeps: `[H, S, S]`, every row a distribution, and `weights_h · V_h`
+    /// is the compiled attention's context **bit for bit** on a shape
+    /// either side of `gemm_worthwhile` (the naive context loop's skip of
     /// exactly-zero weights only shows for a non-finite `V`).
     #[test]
     fn attention_weights_are_distributions_and_rebuild_the_fused_context() {
@@ -409,17 +333,20 @@ mod tests {
                 assert!((row.iter().sum::<f64>() - 1.0).abs() < 1e-12);
             }
 
-            let mut g = Graph::new();
-            let mut b = Binder::new(&mut g);
-            let xv = b.g.leaf(x.reshape(vec![1, seq, dim]));
-            let q = mha.wq.forward(&mut b, xv);
-            let k = mha.wk.forward(&mut b, xv);
-            let v = mha.wv.forward(&mut b, xv);
-            let ctx = b.g.attention(q, k, v, heads);
-            let (v, ctx) = (g.value(v), g.value(ctx));
+            let sd = seq * dim;
+            let mut arena = Arena::new();
+            let [out, q, k, v, ctx, scores] = arena.split([
+                sd,
+                sd,
+                sd,
+                sd,
+                sd,
+                dbat_linalg::attention_scratch_len(seq, dh),
+            ]);
+            MhaPlan::compile(&mha).forward(1, seq, x.data(), out, q, k, v, ctx, scores);
             for (h, w) in weights.data().chunks(seq * seq).enumerate() {
-                let cols = |t: &Tensor| -> Vec<f64> {
-                    let rows = t.data().chunks(dim);
+                let cols = |t: &[f64]| -> Vec<f64> {
+                    let rows = t.chunks(dim);
                     rows.flat_map(|row| &row[h * dh..(h + 1) * dh])
                         .copied()
                         .collect()
@@ -439,14 +366,12 @@ mod tests {
 
     #[test]
     fn encoder_layer_preserves_shape() {
-        let enc = EncoderLayer::new(8, 2, 16, &mut rng());
-        let mut g = Graph::new();
-        let mut b = Binder::new(&mut g);
-        let x = b.g.leaf(Tensor::full(vec![2, 4, 8], 0.3));
-        let y = enc.forward(&mut b, x);
-        assert_eq!(b.g.value(y).shape(), &[2, 4, 8]);
-        // Binding order matches parameters() order (count check).
-        assert_eq!(b.vars.len(), enc.parameters().len());
+        let enc = TransformerEncoder::new(1, 8, 2, 16, &mut rng());
+        assert_eq!(enc.parameters().len(), 16);
+        let mut x = vec![0.3; 2 * 4 * 8];
+        InferencePlan::compile(&enc).forward(2, 4, &mut x, &mut Arena::new());
+        assert_eq!(x.len(), 2 * 4 * 8);
+        assert!(x.iter().all(|v| v.is_finite()));
     }
 
     #[test]
@@ -470,59 +395,55 @@ mod tests {
         assert_ne!(&pe.data()[0..6], &pe.data()[6..12]);
     }
 
-    #[test]
-    fn add_positional_broadcasts_over_batch() {
-        let mut g = Graph::new();
-        let mut b = Binder::new(&mut g);
-        let x = b.g.leaf(Tensor::zeros(vec![2, 3, 4]));
-        let y = add_positional(&mut b, x);
-        let out = b.g.value(y);
-        assert_eq!(out.shape(), &[2, 3, 4]);
-        // Both batch entries equal the raw positional encoding.
-        let pe = positional_encoding(3, 4);
-        assert_eq!(&out.data()[..12], pe.data());
-        assert_eq!(&out.data()[12..], pe.data());
-    }
-
+    /// Central differences of a two-layer encoder stack over two
+    /// sequences, w.r.t. its input and every element of every parameter:
+    /// the compiled backward, layer by layer.
     #[test]
     fn gradients_flow_through_full_encoder() {
-        // End-to-end gradient check on a tiny encoder: perturb one weight.
-        let enc = EncoderLayer::new(4, 2, 8, &mut rng());
-        let x0 = Tensor::new(vec![1, 3, 4], (0..12).map(|i| 0.1 * i as f64).collect());
-
-        let loss_of = |enc: &EncoderLayer| {
-            let mut g = Graph::new();
-            let mut b = Binder::new(&mut g);
-            let x = b.g.leaf(x0.clone());
-            let y = enc.forward(&mut b, x);
-            let y2 = b.g.mul(y, y);
-            let l = b.g.sum_all(y2);
-            (g.value(l).item(), ())
+        let (batch, seq, dim, heads, ff) = (2usize, 5usize, 4usize, 2usize, 8usize);
+        let mut enc = TransformerEncoder::new(2, dim, heads, ff, &mut rng());
+        // Non-zero biases and LayerNorm affines, so every gradient is live.
+        let mut r = InitRng::new(3);
+        for p in enc.parameters_mut() {
+            if p.shape().len() == 1 {
+                let noise = crate::init::normal_init(p.shape().to_vec(), 0.2, &mut r);
+                p.data_mut()
+                    .iter_mut()
+                    .zip(noise.data())
+                    .for_each(|(a, b)| *a += b);
+            }
+        }
+        let n = batch * seq * dim;
+        let (x0, w) = (pseudo(n, 12), pseudo(n, 13));
+        let loss = |enc: &TransformerEncoder, x: &[f64]| {
+            let mut y = x.to_vec();
+            InferencePlan::compile(enc).forward(batch, seq, &mut y, &mut Arena::new());
+            y.iter().zip(&w).map(|(a, b)| a * b).sum::<f64>()
         };
 
-        // Analytic gradient of the first weight element of wq.
-        let (analytic, vars) = {
-            let mut g = Graph::new();
-            let mut b = Binder::new(&mut g);
-            let x = b.g.leaf(x0.clone());
-            let y = enc.forward(&mut b, x);
-            let y2 = b.g.mul(y, y);
-            let l = b.g.sum_all(y2);
-            let vars = b.vars.clone();
-            let grads = g.backward(l);
-            (grads[vars[0].0].as_ref().unwrap().data()[0], vars)
-        };
-        assert_eq!(vars.len(), enc.parameters().len());
+        let plan = InferencePlan::compile(&enc);
+        let rows = batch * seq;
+        let mut acts = vec![vec![0.0; plan.acts_len(rows, true)]; 2];
+        let mut acts: Vec<&mut [f64]> = acts.iter_mut().map(|b| &mut b[..]).collect();
+        let (mut att, mut scores) = (vec![0.0; rows * dim], vec![0.0; plan.scores_len(seq)]);
+        let mut y = x0.clone();
+        plan.forward_in(batch, seq, &mut y, &mut acts, &mut att, &mut scores, true);
+        let mut grads: Vec<Tensor> = (enc.parameters().into_iter())
+            .map(|p| Tensor::zeros(p.shape().to_vec()))
+            .collect();
+        let mut dx = w.clone();
+        let mut scratch = vec![0.0; plan.backward_scratch_len(batch, seq)];
+        plan.backward(batch, seq, &mut acts, &mut dx, &mut grads, &mut scratch);
 
-        let h = 1e-6;
-        let mut plus = enc.clone();
-        plus.mha.wq.w.data_mut()[0] += h;
-        let mut minus = enc.clone();
-        minus.mha.wq.w.data_mut()[0] -= h;
-        let numeric = (loss_of(&plus).0 - loss_of(&minus).0) / (2.0 * h);
-        assert!(
-            (analytic - numeric).abs() < 1e-4 * (1.0 + numeric.abs()),
-            "analytic {analytic} vs numeric {numeric}"
-        );
+        grad_check(|x| loss(&enc, x), &x0, &dx);
+        for (p, g) in grads.iter().enumerate() {
+            let p0 = enc.parameters()[p].data().to_vec();
+            let f = |v: &[f64]| {
+                let mut e = enc.clone();
+                e.parameters_mut()[p].data_mut().copy_from_slice(v);
+                loss(&e, &x0)
+            };
+            grad_check(f, &p0, g.data());
+        }
     }
 }

@@ -6,21 +6,21 @@
 //!
 //! * [`Tensor`] — dense `f64` tensors and the 2-D matmul kernels on the
 //!   packed `dbat-linalg` GEMM engine;
-//! * [`Graph`] — tape-based reverse-mode autograd (every op gradient-checked
-//!   against central finite differences in the test suite); attention is
-//!   one fused, recomputing node, so no tape holds an `S × S` tensor;
-//! * [`Linear`], [`LayerNorm`], [`MultiHeadAttention`] (and its off-tape
-//!   Fig. 14 weights), [`TransformerEncoder`], [`positional_encoding`];
-//! * [`InferencePlan`] — graph-free inference plans: the layer stack
-//!   compiled to direct kernel calls with pre-packed weights over a flat
-//!   scratch [`Arena`], bitwise-equivalent to the graph forward;
+//! * [`Linear`], [`LayerNorm`], [`MultiHeadAttention`] (and its Fig. 14
+//!   weights), [`TransformerEncoder`], [`positional_encoding`] — the
+//!   parameters, in one [`Module::parameters`] order;
+//! * [`InferencePlan`] — the layer stack compiled to direct kernel calls
+//!   with pre-packed weights over a flat scratch [`Arena`]: one forward
+//!   for inference and training, and its hand-written backward (every
+//!   stage checked against central finite differences in the test suite);
+//!   attention is one fused, recomputing kernel pair, so nothing `S × S`
+//!   is ever built;
 //! * [`Adam`] — Adam with global-norm clipping;
 //! * [`InitRng`] — deterministic Xavier initialisation;
 //! * [`Standardizer`] — standardisation, plus shuffled mini-batching;
 //! * [`Checkpoint`] — JSON checkpoints.
 
 mod data;
-mod graph;
 mod infer;
 mod init;
 mod layers;
@@ -29,12 +29,10 @@ mod serialize;
 mod tensor;
 
 pub use data::{gather_rows, shuffled_batches, Standardizer};
-pub use graph::{Graph, Var};
-pub use infer::{Arena, InferencePlan, MhaPlan, PackedLinear, SharedRowLinear};
+pub use infer::{carve, relu_mask, Arena, InferencePlan, MhaPlan, PackedLinear, SharedRowLinear};
 pub use init::InitRng;
 pub use layers::{
-    add_positional, positional_encoding, Binder, LayerNorm, Linear, Module, MultiHeadAttention,
-    TransformerEncoder,
+    positional_encoding, LayerNorm, Linear, Module, MultiHeadAttention, TransformerEncoder,
 };
 pub use optim::{tree_reduce_grads, Adam};
 pub use serialize::{load_into, Checkpoint};

@@ -125,61 +125,61 @@ mod tests {
     #[test]
     fn adam_minimises_quadratic() {
         // f(x) = (x - 3)^2, gradient 2(x-3).
-        let mut x = Tensor::scalar(0.0);
+        let mut x = Tensor::full(vec![1], 0.0);
         let mut adam = Adam::new(0.1);
         for _ in 0..500 {
-            let g = Tensor::scalar(2.0 * (x.item() - 3.0));
+            let g = Tensor::full(vec![1], 2.0 * (x.data()[0] - 3.0));
             adam.step(&mut [&mut x], &[g]);
         }
-        assert!((x.item() - 3.0).abs() < 1e-3, "x = {}", x.item());
+        assert!((x.data()[0] - 3.0).abs() < 1e-3, "x = {}", x.data()[0]);
     }
 
     #[test]
     fn adam_first_step_magnitude() {
         // With bias correction, the first step is ~lr regardless of grad scale.
         for grad in [1e-4, 1.0] {
-            let mut x = Tensor::scalar(0.0);
+            let mut x = Tensor::full(vec![1], 0.0);
             let mut adam = Adam::new(0.01);
             adam.clip_norm = None;
-            adam.step(&mut [&mut x], &[Tensor::scalar(grad)]);
+            adam.step(&mut [&mut x], &[Tensor::full(vec![1], grad)]);
             assert!(
-                (x.item().abs() - 0.01).abs() < 1e-6,
+                (x.data()[0].abs() - 0.01).abs() < 1e-6,
                 "first step {} for grad {grad}",
-                x.item()
+                x.data()[0]
             );
         }
     }
 
     #[test]
     fn clipping_limits_update_direction_scale() {
-        let mut a = Tensor::scalar(0.0);
+        let mut a = Tensor::full(vec![1], 0.0);
         let mut adam = Adam::new(0.1);
         adam.clip_norm = Some(1.0);
         // A huge gradient gets rescaled to norm 1 before the Adam moments.
-        adam.step(&mut [&mut a], &[Tensor::scalar(1e9)]);
-        assert!(a.item().is_finite());
-        assert!(a.item().abs() <= 0.11);
+        adam.step(&mut [&mut a], &[Tensor::full(vec![1], 1e9)]);
+        assert!(a.data()[0].is_finite());
+        assert!(a.data()[0].abs() <= 0.11);
     }
 
     #[test]
     fn multiple_params_updated_independently() {
         let mut x = Tensor::new(vec![2], vec![1.0, 1.0]);
-        let mut y = Tensor::scalar(5.0);
+        let mut y = Tensor::full(vec![1], 5.0);
         let mut adam = Adam::new(0.05);
         for _ in 0..300 {
             let gx = Tensor::new(vec![2], vec![2.0 * x.data()[0], 2.0 * (x.data()[1] + 1.0)]);
-            let gy = Tensor::scalar(2.0 * (y.item() - 2.0));
+            let gy = Tensor::full(vec![1], 2.0 * (y.data()[0] - 2.0));
             adam.step(&mut [&mut x, &mut y], &[gx, gy]);
         }
         assert!(x.data()[0].abs() < 0.01);
         assert!((x.data()[1] + 1.0).abs() < 0.01);
-        assert!((y.item() - 2.0).abs() < 0.01);
+        assert!((y.data()[0] - 2.0).abs() < 0.01);
     }
 
     #[test]
     #[should_panic(expected = "length mismatch")]
     fn mismatched_inputs_panic() {
-        let mut x = Tensor::scalar(0.0);
+        let mut x = Tensor::full(vec![1], 0.0);
         let mut adam = Adam::new(0.1);
         adam.step(&mut [&mut x], &[]);
     }
@@ -191,13 +191,13 @@ mod tests {
             .map(|s| {
                 vec![
                     Tensor::new(vec![2], vec![s as f64, 2.0 * s as f64]),
-                    Tensor::scalar(10.0 * s as f64),
+                    Tensor::full(vec![1], 10.0 * s as f64),
                 ]
             })
             .collect();
         let sum = tree_reduce_grads(shards);
         assert_eq!(sum[0].data(), &[10.0, 20.0]); // 0+1+2+3+4
-        assert_eq!(sum[1].item(), 100.0);
+        assert_eq!(sum[1].data()[0], 100.0);
     }
 
     #[test]

@@ -1,14 +1,14 @@
-//! Dense row-major `f64` tensors and the raw compute kernels the autograd
-//! graph wraps.
+//! Dense row-major `f64` tensors and the matmul kernels the compiled
+//! plans' backward runs.
 //!
 //! The matmul kernels (`matmul2d`, `matmul2d_nt`, `matmul2d_tn`) dispatch
 //! to the packed, register-tiled [`dbat_linalg::gemm()`] engine when the
 //! problem is large enough to amortise packing, falling back to naive
 //! loops for tiny operands. [`matmul2d_naive`] is kept as the reference
 //! implementation: the property-test suite asserts the packed path matches
-//! it within 1e-12 across ragged shapes. `*_into` variants write into
-//! caller-provided buffers so the autograd graph can recycle allocations
-//! across forward passes.
+//! it within 1e-12 across ragged shapes. The transposed-operand kernels
+//! also run on caller slices (`gemm_nt_into`, `gemm_tn_into`): a linear
+//! layer's `dX = dY·Wᵀ` and `dW = Xᵀ·dY`.
 
 use dbat_linalg::gemm::{gemm, gemm_worthwhile, Layout};
 use rayon::prelude::*;
@@ -48,13 +48,6 @@ impl Tensor {
         }
     }
 
-    pub(crate) fn scalar(v: f64) -> Self {
-        Tensor {
-            shape: vec![1],
-            data: vec![v],
-        }
-    }
-
     pub fn shape(&self) -> &[usize] {
         &self.shape
     }
@@ -71,30 +64,9 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consume the tensor and return its backing buffer (for pooled reuse).
+    /// Consume the tensor and return its backing buffer.
     pub fn into_data(self) -> Vec<f64> {
         self.data
-    }
-
-    /// Move the tensor out, leaving `self` empty (fit only to be dropped
-    /// or repooled). How a backward closure hands its gradient's buffer
-    /// on instead of copying it.
-    pub(crate) fn take(&mut self) -> Tensor {
-        Tensor {
-            shape: std::mem::take(&mut self.shape),
-            data: std::mem::take(&mut self.data),
-        }
-    }
-
-    /// [`Tensor::reshape`] by move: same buffer, new shape.
-    pub(crate) fn with_shape(self, shape: Vec<usize>) -> Tensor {
-        Tensor::new(shape, self.data)
-    }
-
-    /// The single value of a scalar tensor.
-    pub fn item(&self) -> f64 {
-        assert_eq!(self.numel(), 1, "item() requires a single-element tensor");
-        self.data[0]
     }
 
     /// Reinterpret with a new shape (same element count).
@@ -163,17 +135,8 @@ fn matmul2d_dims(a: &Tensor, b: &Tensor) -> (usize, usize, usize) {
 /// 2-D matmul: `[m, k] @ [k, n] -> [m, n]`. Packed register-tiled kernel
 /// (rayon-parallel over row blocks) above a size threshold, naive below.
 pub fn matmul2d(a: &Tensor, b: &Tensor) -> Tensor {
-    let (m, n, _) = matmul2d_dims(a, b);
-    let mut out = vec![0.0; m * n];
-    matmul2d_into(a, b, &mut out);
-    Tensor::new(vec![m, n], out)
-}
-
-/// As [`matmul2d`], writing into a zeroed caller buffer of length `m * n`;
-/// `a` may be `[..., k]`, its leading axes flattened into `m`.
-pub(crate) fn matmul2d_into(a: &Tensor, b: &Tensor, out: &mut [f64]) {
     let (m, n, k) = matmul2d_dims(a, b);
-    assert_eq!(out.len(), m * n, "matmul2d output buffer size mismatch");
+    let mut out = vec![0.0; m * n];
     if gemm_worthwhile(m, n, k) {
         gemm(
             m,
@@ -183,47 +146,37 @@ pub(crate) fn matmul2d_into(a: &Tensor, b: &Tensor, out: &mut [f64]) {
             Layout::Normal,
             b.data(),
             Layout::Normal,
-            out,
+            &mut out,
         );
     } else {
-        naive_gemm_acc(m, n, k, a.data(), b.data(), out);
+        naive_gemm_acc(m, n, k, a.data(), b.data(), &mut out);
     }
+    Tensor::new(vec![m, n], out)
 }
 
 /// 2-D matmul with the right operand transposed: `[m, k] @ [n, k]ᵀ`.
 /// The `dA = G·Bᵀ` backward of [`matmul2d`], without materialising `Bᵀ`.
 pub fn matmul2d_nt(a: &Tensor, bt: &Tensor) -> Tensor {
-    let m = a.shape()[0];
-    let n = bt.shape()[0];
-    let mut out = vec![0.0; m * n];
-    matmul2d_nt_into(a, bt, &mut out);
-    Tensor::new(vec![m, n], out)
-}
-
-/// As [`matmul2d_nt`], writing into a zeroed caller buffer of length
-/// `m * n`; `a` may be `[..., k]`.
-pub(crate) fn matmul2d_nt_into(a: &Tensor, bt: &Tensor, out: &mut [f64]) {
     assert_eq!(bt.shape().len(), 2, "matmul2d_nt rhs must be 2-D");
     let (m, k) = as_matrix(a, "matmul2d_nt lhs");
     let (n, k2) = (bt.shape()[0], bt.shape()[1]);
     assert_eq!(k, k2, "matmul2d_nt inner dimensions differ: {k} vs {k2}");
+    let mut out = vec![0.0; m * n];
+    gemm_nt_into(m, n, k, a.data(), bt.data(), &mut out);
+    Tensor::new(vec![m, n], out)
+}
+
+/// `out[m, n] = a[m, k] · bt[n, k]ᵀ`, fully overwriting `out`: packed
+/// above the `gemm_worthwhile` threshold, dot products over contiguous
+/// rows below it.
+pub(crate) fn gemm_nt_into(m: usize, n: usize, k: usize, a: &[f64], bt: &[f64], out: &mut [f64]) {
     assert_eq!(out.len(), m * n, "matmul2d_nt output buffer size mismatch");
     if gemm_worthwhile(m, n, k) {
-        gemm(
-            m,
-            n,
-            k,
-            a.data(),
-            Layout::Normal,
-            bt.data(),
-            Layout::Transposed,
-            out,
-        );
+        gemm(m, n, k, a, Layout::Normal, bt, Layout::Transposed, out);
     } else {
-        // Dot products over contiguous rows of A and Bᵀ.
         for (i, orow) in out.chunks_mut(n.max(1)).enumerate().take(m) {
-            let arow = &a.data()[i * k..(i + 1) * k];
-            for (o, brow) in orow.iter_mut().zip(bt.data().chunks_exact(k.max(1))) {
+            let arow = &a[i * k..(i + 1) * k];
+            for (o, brow) in orow.iter_mut().zip(bt.chunks_exact(k.max(1))) {
                 *o = arow.iter().zip(brow).map(|(&x, &y)| x * y).sum();
             }
         }
@@ -233,37 +186,26 @@ pub(crate) fn matmul2d_nt_into(a: &Tensor, bt: &Tensor, out: &mut [f64]) {
 /// 2-D matmul with the left operand transposed: `[k, m]ᵀ @ [k, n]`.
 /// The `dB = Aᵀ·G` backward of [`matmul2d`], without materialising `Aᵀ`.
 pub fn matmul2d_tn(at: &Tensor, b: &Tensor) -> Tensor {
-    let m = at.shape()[1];
-    let n = b.shape()[1];
-    let mut out = vec![0.0; m * n];
-    matmul2d_tn_into(at, b, &mut out);
-    Tensor::new(vec![m, n], out)
-}
-
-/// As [`matmul2d_tn`], writing into a zeroed caller buffer of length
-/// `m * n`; `at` and `b` may be `[..., m]` and `[..., n]` with the same
-/// leading axes.
-pub(crate) fn matmul2d_tn_into(at: &Tensor, b: &Tensor, out: &mut [f64]) {
     let (k, m) = as_matrix(at, "matmul2d_tn lhs");
     let (k2, n) = as_matrix(b, "matmul2d_tn rhs");
     assert_eq!(k, k2, "matmul2d_tn inner dimensions differ: {k} vs {k2}");
+    let mut out = vec![0.0; m * n];
+    gemm_tn_into(m, n, k, at.data(), b.data(), &mut out);
+    Tensor::new(vec![m, n], out)
+}
+
+/// `out[m, n] = at[k, m]ᵀ · b[k, n]`, fully overwriting `out`: packed
+/// above the `gemm_worthwhile` threshold, a sum of rank-1 updates over
+/// contiguous inner rows from zero below it.
+pub(crate) fn gemm_tn_into(m: usize, n: usize, k: usize, at: &[f64], b: &[f64], out: &mut [f64]) {
     assert_eq!(out.len(), m * n, "matmul2d_tn output buffer size mismatch");
     if gemm_worthwhile(m, n, k) {
-        gemm(
-            m,
-            n,
-            k,
-            at.data(),
-            Layout::Transposed,
-            b.data(),
-            Layout::Normal,
-            out,
-        );
+        gemm(m, n, k, at, Layout::Transposed, b, Layout::Normal, out);
     } else {
-        // Sum of rank-1 updates with contiguous inner rows.
+        out.fill(0.0);
         for p in 0..k {
-            let arow = &at.data()[p * m..(p + 1) * m];
-            let brow = &b.data()[p * n..(p + 1) * n];
+            let arow = &at[p * m..(p + 1) * m];
+            let brow = &b[p * n..(p + 1) * n];
             for (i, &av) in arow.iter().enumerate() {
                 if av == 0.0 {
                     continue;
@@ -308,9 +250,8 @@ pub fn matmul2d_naive(a: &Tensor, b: &Tensor) -> Tensor {
     Tensor::new(vec![m, n], out)
 }
 
-/// Naive accumulating `ikj` kernel into a zeroed buffer (serial). Shared
-/// with the graph-free inference plans so both paths take bit-identical
-/// small-operand fallbacks.
+/// Naive accumulating `ikj` kernel into a zeroed buffer (serial): the
+/// small-operand fallback of [`matmul2d`] and of the compiled plans.
 pub(crate) fn naive_gemm_acc(
     m: usize,
     n: usize,
@@ -342,7 +283,6 @@ mod tests {
         let t = Tensor::new(vec![2, 3], vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
         assert_eq!(t.shape(), &[2, 3]);
         assert_eq!(t.numel(), 6);
-        assert_eq!(Tensor::scalar(7.0).item(), 7.0);
     }
 
     #[test]

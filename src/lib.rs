@@ -20,7 +20,7 @@
 //! | [`sim`] | the Buffer (`BatcherCore`, the one §III-B window rule), the discrete-event batching simulator + AWS Lambda cost model that drive it (the ground-truth oracle), seeded fault injection, and the control loop: the [`prelude::Controller`] trait under [`prelude::run_controller`] |
 //! | [`linalg`] | dense matrices, LU, GTH, matrix exponentials (uniformization) |
 //! | [`analytic`] | the BATCH baseline: MAP fitting + matrix-analytic latency model + grid optimizer |
-//! | [`nn`] | tensors, reverse-mode autograd, Transformer layers, Adam |
+//! | [`nn`] | tensors, Transformer layers compiled to one forward and its hand-written backward, Adam |
 //! | [`core`] | DeepBAT itself: the Transformer surrogate, training/fine-tuning, the 2-step optimizer, and [`prelude::DeepBatController`] |
 //! | [`serve`] | live threaded batching gateway: bounded admission, deadline batching, worker pool, hot controller reconfiguration, and a deterministic replay bitwise-equivalent to the simulator |
 //! | [`telemetry`] | observability: counters/gauges/histograms, JSONL event sinks, causal request tracing with a flight recorder, and a pull-based Prometheus/JSON exporter |
