@@ -349,6 +349,7 @@ fn split(d: usize, dcat: &[f64], da: &mut [f64], db: &mut [f64]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dbat_nn::Module;
 
     /// Central differences of `f` at `x0` against `want`, at 1e-5
     /// relative tolerance, over the elements `at`.
@@ -381,6 +382,25 @@ mod tests {
         (0..n)
             .map(|i| scale * ((i * 7 % 11) as f64 - 5.0))
             .collect()
+    }
+
+    /// The positional encoding is added to every window of a batch: with
+    /// zero inputs the embedding is its bias plus the table, window by
+    /// window.
+    #[test]
+    fn embed_adds_the_positional_encoding_to_every_window() {
+        let m = Surrogate::new(crate::SurrogateConfig::tiny(), 3);
+        let plan = SurrogatePlan::compile(&m);
+        let (l, d) = (plan.seq_len, plan.dim);
+        let mut x = vec![f64::NAN; 3 * l * d];
+        plan.embed(3, &vec![0.0; 3 * l], &mut x);
+        let bias = m.embed.parameters()[1].data();
+        for window in x.chunks(l * d) {
+            for (row, pe) in window.chunks(d).zip(plan.pe.chunks(d)) {
+                let want: Vec<f64> = bias.iter().zip(pe).map(|(b, p)| b + p).collect();
+                assert_eq!(row, &want[..]);
+            }
+        }
     }
 
     #[test]
