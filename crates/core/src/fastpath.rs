@@ -223,6 +223,8 @@ impl SurrogatePlan {
         ws: &'w mut Workspace,
         keep: bool,
     ) -> &'w [f64] {
+        assert_eq!(seq.len(), k * self.seq_len, "window length mismatch");
+        assert_eq!(feats.len(), k * N_FEATURES, "feature width mismatch");
         let lens = self.batch_lens(k);
         let [block] = ws.main.split([lens.iter().sum()]);
         let [x, pooled, q, kk, v, ctx, e1, e2, cat, hid, pred, att, scores] = carve(block, lens);
