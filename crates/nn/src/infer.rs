@@ -743,8 +743,10 @@ mod tests {
         shapes.map(Tensor::zeros).collect()
     }
 
-    #[test]
-    fn grad_linear_wrt_input_weight_and_bias() {
+    /// Checks `PackedLinear::backward` against central differences: `dX`
+    /// when `input`, and the gradient of each parameter index in `params`
+    /// (0 = W, 1 = bias).
+    fn check_linear_backward(input: bool, params: &[usize]) {
         // One shape on each side of the packed-kernel threshold.
         for &(rows, ind, outd) in &[(3usize, 4usize, 5usize), (40, 16, 12)] {
             let lin = Linear::new(ind, outd, &mut InitRng::new(7));
@@ -758,17 +760,29 @@ mod tests {
                 PackedLinear::compile(lin).forward(rows, x, &mut y);
                 dot(&w, &y)
             };
-            grad_check(|x| out(&lin, x), &x0, &dx, 0..x0.len());
-            for (p, g) in grads.iter().enumerate() {
+            if input {
+                grad_check(|x| out(&lin, x), &x0, &dx, 0..x0.len());
+            }
+            for &p in params {
                 let p0 = lin.parameters()[p].data().to_vec();
                 let f = |v: &[f64]| {
                     let mut l = lin.clone();
                     l.parameters_mut()[p].data_mut().copy_from_slice(v);
                     out(&l, &x0)
                 };
-                grad_check(f, &p0, g.data(), 0..p0.len());
+                grad_check(f, &p0, grads[p].data(), 0..p0.len());
             }
         }
+    }
+
+    #[test]
+    fn grad_linear_wrt_input_and_weight() {
+        check_linear_backward(true, &[0]);
+    }
+
+    #[test]
+    fn grad_linear_wrt_bias() {
+        check_linear_backward(false, &[1]);
     }
 
     #[test]
@@ -784,8 +798,10 @@ mod tests {
         assert_eq!(dy, [0.0]);
     }
 
-    #[test]
-    fn grad_layer_norm_wrt_input_gamma_and_beta() {
+    /// Checks `LayerNormPlan::backward` against central differences: `dX`
+    /// when `input`, and the gradient of each parameter index in `params`
+    /// (0 = gamma, 1 = beta).
+    fn check_layer_norm_backward(input: bool, params: &[usize]) {
         let mut ln = LayerNorm::new(5);
         let mut r = InitRng::new(4);
         ln.gamma = normal_init(vec![5], 0.5, &mut r).map(|g| g + 1.0);
@@ -799,16 +815,28 @@ mod tests {
             LayerNormPlan::compile(ln).forward(&mut y);
             dot(&w, &y)
         };
-        grad_check(|x| out(&ln, x), &x0, &dx, 0..15);
-        for (p, g) in grads.iter().enumerate() {
+        if input {
+            grad_check(|x| out(&ln, x), &x0, &dx, 0..15);
+        }
+        for &p in params {
             let p0 = ln.parameters()[p].data().to_vec();
             let f = |v: &[f64]| {
                 let mut l = ln.clone();
                 l.parameters_mut()[p].data_mut().copy_from_slice(v);
                 out(&l, &x0)
             };
-            grad_check(f, &p0, g.data(), 0..5);
+            grad_check(f, &p0, grads[p].data(), 0..5);
         }
+    }
+
+    #[test]
+    fn grad_layer_norm_wrt_input() {
+        check_layer_norm_backward(true, &[]);
+    }
+
+    #[test]
+    fn grad_layer_norm_wrt_gamma_and_beta() {
+        check_layer_norm_backward(false, &[0, 1]);
     }
 
     proptest::proptest! {
