@@ -839,6 +839,40 @@ mod tests {
         );
     }
 
+    /// As `paper_width_train_steps_bits_are_pinned` at the window of 128
+    /// the benchmark trains on: the first window length whose attention
+    /// backward takes the fused kernel (below 32 it runs the scalar one).
+    /// One step on one shard, then one on four. One literal per GEMM path.
+    #[test]
+    fn paper_width_window_128_train_steps_bits_are_pinned() {
+        let cfg = SurrogateConfig {
+            seq_len: 128,
+            ..SurrogateConfig::default()
+        };
+        let mut m = Surrogate::new(cfg, 23);
+        let (seq_raw, feats_raw, tgt, w) = paper_batch(8, cfg.seq_len);
+        crate::train::fit_standardizers(&mut m, &seq_raw, &feats_raw);
+        let mut adam = Adam::new(3e-3);
+        let losses: Vec<f64> = [1, 4]
+            .into_iter()
+            .map(|shards| {
+                let (seq, feats) = (m.preprocess_seq(&seq_raw), m.preprocess_feats(&feats_raw));
+                m.train_step_sharded(seq, feats, &tgt, &w, 0.05, 1.0, &mut adam, shards, true)
+            })
+            .collect();
+        let hash = fnv1a(
+            losses
+                .iter()
+                .chain(m.parameters().into_iter().flat_map(|t| t.data())),
+        );
+        const FMA: u64 = 0x029b3de0799252cf;
+        const SCALAR: u64 = 0x402e5dd2a5d20b25;
+        assert!(
+            [FMA, SCALAR].contains(&hash),
+            "train-step hash {hash:#x}, losses {losses:?}"
+        );
+    }
+
     /// The decision's prediction table at the paper's widths: one window
     /// of 128 encoded, the 216-configuration grid scored against it, and
     /// `predict` over three windows, every output to the bit. One literal

@@ -1271,4 +1271,81 @@ mod tests {
             same_bits(a, m, "alone vs merged");
         }
     }
+
+    /// FNV-1a over a stream of `f64` bit patterns.
+    fn fnv1a<'a>(xs: impl IntoIterator<Item = &'a f64>) -> u64 {
+        xs.into_iter().fold(0xcbf29ce484222325u64, |h, x| {
+            (h ^ x.to_bits()).wrapping_mul(0x100000001b3)
+        })
+    }
+
+    /// The dispatched backward's `dq`, `dk` and `dv` (head 1 of a strided
+    /// layout, the forward's own output as `o`), hashed column by column.
+    fn backward_hash(seq: usize, dh: usize, ld: usize) -> u64 {
+        let strided = |seed: u64| scatter(&fill(seq * dh, seed), seq, dh, ld, 1, 7.0);
+        let (q, k, v, d_o) = (strided(21), strided(23), strided(29), strided(31));
+        let (off, scale) = (dh, 1.0 / (dh as f64).sqrt());
+        let mut o = vec![0.0; seq * ld];
+        let len = attention_scratch_len(seq, dh).max(attention_backward_scratch_len(seq, dh));
+        let mut scratch = vec![f64::NAN; len];
+        attention_head(
+            seq,
+            dh,
+            ld,
+            scale,
+            &q[off..],
+            &k[off..],
+            &v[off..],
+            &mut o[off..],
+            &mut scratch,
+        );
+        let mut g = [
+            vec![0.0; seq * ld],
+            vec![0.0; seq * ld],
+            vec![0.0; seq * ld],
+        ];
+        let [dq, dk, dv] = &mut g;
+        attention_head_backward(
+            seq,
+            dh,
+            ld,
+            scale,
+            &q[off..],
+            &k[off..],
+            &v[off..],
+            &o[off..],
+            &d_o[off..],
+            &mut dq[off..],
+            &mut dk[off..],
+            &mut dv[off..],
+            &mut scratch,
+        );
+        fnv1a(
+            g.iter()
+                .flat_map(|x| (0..seq).flat_map(move |i| &x[i * ld + off..i * ld + off + dh])),
+        )
+    }
+
+    /// The backward's gradients to the bit at three fused shapes: the
+    /// training head (128, 4, 16), a ragged length (37, 4, 12) and a wide
+    /// head (64, 8, 16). One literal for the fused tiers, one for the
+    /// scalar tier (`DBAT_GEMM_FORCE_SCALAR=1`).
+    #[test]
+    fn backward_bits_are_pinned() {
+        let fused = kernel_tier().fused();
+        for (seq, dh, ld, fma, scalar) in [
+            (128, 4, 16, 0x9e6c4b32d835fe1f_u64, 0x1ded37b9b3dbdcc3_u64),
+            (37, 4, 12, 0xc0576ca0abc9dbcc, 0x23ef3c76617aee10),
+            (64, 8, 16, 0xdb909b18a644a53a, 0x11a3cafa3bda4514),
+        ] {
+            let hash = backward_hash(seq, dh, ld);
+            let want = if fused { fma } else { scalar };
+            assert_eq!(
+                hash,
+                want,
+                "({seq}, {dh}, {ld}) backward hash {hash:#x} on {:?}",
+                kernel_tier()
+            );
+        }
+    }
 }
