@@ -33,10 +33,9 @@
 //! ## Backward
 //!
 //! [`attention_head_backward`] is the training half of the same kernel. The
-//! tape keeps only Q, K, V and the context O, so for each block of
-//! `ROW_BLOCK` query rows the backward **recomputes** the probability rows
-//! `P` with the forward's score chains and the shared
-//! [`softmax_rows_scaled_inplace`] (the forward's bits), then forms
+//! training forward keeps only Q, K, V and the context O, so for each block
+//! of query rows the backward **recomputes** the probabilities `P` with the
+//! forward's own score chains and softmax, then forms
 //!
 //! ```text
 //! dP = dO·Vᵀ            dS = c · P ∘ (dP − rowsum(dO ∘ O))
@@ -45,13 +44,32 @@
 //!
 //! with scratch linear in `S`. `rowsum(dO ∘ O)` equals the softmax
 //! backward's `rowsum(dP ∘ P)` because `O = P·V`, at `d_h` instead of `S`
-//! multiplies per row. Every `dK`/`dV` element is one chain over the query
-//! rows in ascending order, every `dQ` element four interleaved partial
-//! sums over the keys combined as `(s0 + s2) + (s1 + s3)` plus a
-//! left-to-right tail, all inside one `(batch, head)` problem: a sample's
-//! gradients do not change with its batch, its position there, or the
-//! shard that ran it. The chains are fused multiply-adds exactly when the
-//! forward's are.
+//! multiplies per row.
+//!
+//! Every element has one operation sequence, whatever the tier runs it
+//! on: a `dK`/`dV` element is one chain from zero over the query rows in
+//! ascending order; a `dQ` element is four partial sums by `j mod 4` over
+//! the keys, combined as `(s0 + s2) + (s1 + s3)`, then the tail keys left to
+//! right; `dP` and `rowsum(dO ∘ O)` are chains from zero over `p`. All of it
+//! stays inside one `(batch, head)` problem, so a sample's gradients do not
+//! change with its batch, its position there, or the shard that ran it.
+//! The chains are fused multiply-adds exactly when the forward's are.
+//!
+//! The fused tiers run one body over the lane types, in the forward's
+//! layout: a block is `2·N` query rows across the lanes of two halves (16
+//! rows on AVX-512, 8 on AVX2), scored and exponentiated as the forward
+//! does (`block_exp`, then `exp::softmax_lanes`, whose rows are the row
+//! softmax's bits). `P`, `dP`, `dS` and `dQ` then run one row per lane and
+//! need no horizontal step. `dK` and `dV` chain over the rows, so they run
+//! keys across lanes instead: `P` and `dS` of two adjacent keys are zipped
+//! into pairs (`Lanes::zip`), and one vector accumulates `N/2` head columns
+//! of a key pair, each lane fed by a broadcast pair (`Lanes::load_pair`)
+//! times the row's Q or dO, so no tile is transposed. A block's keys are
+//! walked in groups of 16 so that its tiles stay in L1. Neither the block
+//! height nor the lane count enters an element's sequence (a row belongs to
+//! one block whatever its height, and one lane holds one element's chain),
+//! so AVX2 and AVX-512 give the same bits. The scalar tier runs the same
+//! sequences with plain multiply-then-add over 8-row blocks.
 
 #[cfg(target_arch = "x86_64")]
 use crate::exp::softmax_lanes;
@@ -61,7 +79,7 @@ use crate::gemm::gemm_worthwhile;
 use crate::lanes::{run_avx2, run_avx512, Kernel, Lanes};
 use crate::tier::{kernel_tier, Tier};
 
-/// Query rows per block of the multiply-then-add forward and of the
+/// Query rows per block of the multiply-then-add forward and of the scalar
 /// backward: `ROW_BLOCK · S` scores (8 KB at `S = 128`) plus the packed Kᵀ
 /// stay L1-resident.
 const ROW_BLOCK: usize = 8;
@@ -205,17 +223,12 @@ impl Kernel for Head<'_> {
 
 /// The vector flavour on `L` lanes, rows across the lanes: a block is
 /// `2·N` query rows held as two `N`-lane halves, lane `r` of half `h`
-/// being row `N·h + r`. Each key's scores are one vector per half, a chain
-/// from zero over `p` of `fma(Q[r, p], K[j, p], ·)` read straight from K
-/// (no Kᵀ pack); [`softmax_lanes`] exponentiates the tile with no per-row
-/// horizontal step; and each context column is one vector per half, a
-/// chain from zero over `j` of `fma(P[r, j], V[j, d], ·)` with
-/// `P[r, j] = e[r, j] · (1 / sum_r)` formed on the fly, so a `d_h = 4`
-/// head runs 8 independent chains. The row maxima fold from four
-/// accumulators per half: a finite row's maximum is the same in any order,
-/// and a NaN or +∞ row normalises to all-NaN whatever the fold keeps
-/// (tested in `exp`). `DH = 4` is compiled apart so its loops unroll;
-/// `DH = 0` reads the width from `dh`.
+/// being row `N·h + r`. [`block_exp`] scores and exponentiates the block;
+/// each context column is then one vector per half, a chain from zero over
+/// `j` of `fma(P[r, j], V[j, d], ·)` with `P[r, j] = e[r, j] · (1 / sum_r)`
+/// formed on the fly, so a `d_h = 4` head runs 8 independent chains.
+/// `DH = 4` is compiled apart so its loops unroll; `DH = 0` reads the width
+/// from `dh`.
 ///
 /// # Safety
 /// As [`Lanes`]; `q`, `k`, `v` and `out` hold at least
@@ -229,61 +242,107 @@ unsafe fn head_lanes<L: Lanes, const DH: usize>(h: Head) {
     let (kp, vp) = (h.k.as_ptr(), h.v.as_ptr());
     for i0 in (0..seq).step_by(w) {
         let rb = w.min(seq - i0);
-        // The block's queries as `qb[p * w + r] = Q[i0 + r, p]`, zero past
-        // `rb`, so the tile loops need no row tail.
-        h.qb.fill(0.0);
-        for r in 0..rb {
-            for (p, &qv) in h.q[(i0 + r) * ld..][..dh].iter().enumerate() {
-                h.qb[p * w + r] = qv;
-            }
-        }
-        // Score tile, `rows[2N · j + r] = S[i0 + r, j]`, and its row maxima
-        // in four accumulators per half (one per key of a group of four).
-        let (qp, tp) = (h.qb.as_ptr(), h.rows.as_mut_ptr());
-        let mut max = [[L::splat(f64::NEG_INFINITY); 2]; 4];
-        let seq4 = seq - seq % 4;
-        for j in (0..seq4).step_by(4) {
-            score_keys::<L, 4>(j, dh, ld, qp, kp, tp, &mut max);
-        }
-        for j in seq4..seq {
-            score_keys::<L, 1>(j, dh, ld, qp, kp, tp, std::array::from_mut(&mut max[0]));
-        }
-        let mut fold = max[0];
-        for (half, m) in fold.iter_mut().enumerate() {
-            *m = max[0][half]
-                .max(max[1][half])
-                .max(max[2][half].max(max[3][half]));
-        }
-        let inv = softmax_lanes::<L>(&mut h.rows[..w * seq], seq, h.scale, fold);
+        let q = &h.q[i0 * ld..];
+        let inv = block_exp::<L>(seq, dh, ld, h.scale, q, rb, (kp, ld), h.qb, h.rows);
         // Rows past `rb` (zero queries) are computed and dropped.
+        let t = h.rows.as_ptr();
         let mut d = 0;
         while d < dh {
-            let n = if dh - d >= 4 { 4 } else { 1 };
-            let mut acc = [inv; 4];
-            if n == 4 {
-                acc = context_cols::<L, 4>(seq, ld, d, h.rows.as_ptr(), inv, vp);
+            let out = &mut h.out[i0 * ld + d..];
+            if dh - d >= 4 {
+                store_cols(&context_cols::<L, 4>(seq, ld, d, t, inv, vp), rb, ld, out);
+                d += 4;
             } else {
-                [acc[0]] = context_cols::<L, 1>(seq, ld, d, h.rows.as_ptr(), inv, vp);
+                store_cols(&context_cols::<L, 1>(seq, ld, d, t, inv, vp), rb, ld, out);
+                d += 1;
             }
-            // Room for the widest block.
-            let mut tile = [[0.0f64; WIDE_BLOCK]; 4];
-            for (t, acc) in tile.iter_mut().zip(&acc).take(n) {
-                acc[0].store(t.as_mut_ptr());
-                acc[1].store(t.as_mut_ptr().add(L::N));
-            }
-            for r in 0..rb {
-                for (u, t) in tile[..n].iter().enumerate() {
-                    h.out[(i0 + r) * ld + d + u] = t[r];
-                }
-            }
-            d += n;
         }
     }
 }
 
-/// The score vectors of keys `j .. j + N` (see [`head_lanes`]), both
-/// halves, stored at `t[2L · j ..]` for `L` lanes; folds key `j + u`'s
-/// scores into `max[u]`.
+/// The start of a block in both directions: the `rb` query rows at `q`
+/// packed into `qb` as `qb[p · 2N + r] = Q[r, p]` (zero past `rb`, so the
+/// tile loops need no row tail), the score tile `rows[2N · j + r] =
+/// S[r, j]`, and [`softmax_lanes`] over it. Returns each half's reciprocal
+/// row sums; the tile holds the numerators. A score is a chain from zero
+/// over `p` of `fma(Q[r, p], K[j, p], ·)` read straight from K. The row
+/// maxima fold from four accumulators per half: a finite row's maximum is
+/// the same in any order, and a NaN or +∞ row normalises to all-NaN
+/// whatever the fold keeps (tested in `exp`).
+///
+/// # Safety
+/// As [`head_lanes`]; `q` holds rows `0 .. rb` of Q.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+unsafe fn block_exp<L: Lanes>(
+    seq: usize,
+    dh: usize,
+    ld: usize,
+    scale: f64,
+    q: &[f64],
+    rb: usize,
+    (k, kld): (*const f64, usize),
+    qb: &mut [f64],
+    rows: &mut [f64],
+) -> [L; 2] {
+    let w = 2 * L::N;
+    qb.fill(0.0);
+    for r in 0..rb {
+        for (p, &qv) in q[r * ld..][..dh].iter().enumerate() {
+            qb[p * w + r] = qv;
+        }
+    }
+    let (qp, tp) = (qb.as_ptr(), rows.as_mut_ptr());
+    let mut max = [[L::splat(f64::NEG_INFINITY); 2]; 4];
+    let seq4 = seq - seq % 4;
+    for j in (0..seq4).step_by(4) {
+        score_keys::<L, 4>(j, dh, kld, qp, k, tp, &mut max);
+    }
+    for j in seq4..seq {
+        score_keys::<L, 1>(j, dh, kld, qp, k, tp, std::array::from_mut(&mut max[0]));
+    }
+    let mut fold = max[0];
+    for (half, m) in fold.iter_mut().enumerate() {
+        *m = max[0][half]
+            .max(max[1][half])
+            .max(max[2][half].max(max[3][half]));
+    }
+    softmax_lanes::<L>(&mut rows[..w * seq], seq, scale, fold)
+}
+
+/// For keys `j .. j + N`, both halves: chains from zero over `p` of
+/// `fma(c[p · 2L + r], x[(j + u) · ld + p], ·)` for `L` lanes, with `c` a
+/// packed block (see [`block_exp`]). The scores when `c` holds the queries
+/// and `x` is K; `dP` when they are `dO` and V.
+///
+/// # Safety
+/// As [`head_lanes`]; `c` holds `2L · dh` elements.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn key_dots<L: Lanes, const N: usize>(
+    j: usize,
+    dh: usize,
+    ld: usize,
+    c: *const f64,
+    x: *const f64,
+) -> [[L; 2]; N] {
+    let w = 2 * L::N;
+    let mut s = [[L::splat(0.0); 2]; N];
+    for p in 0..dh {
+        let cv = [L::load(c.add(p * w)), L::load(c.add(p * w + L::N))];
+        for (u, s) in s.iter_mut().enumerate() {
+            let xv = L::splat(*x.add((j + u) * ld + p));
+            s[0] = cv[0].fmadd(xv, s[0]);
+            s[1] = cv[1].fmadd(xv, s[1]);
+        }
+    }
+    s
+}
+
+/// The score vectors of keys `j .. j + N` ([`key_dots`] of the queries and
+/// K), stored at `t[2L · j ..]` for `L` lanes; folds key `j + u`'s scores
+/// into `max[u]`.
 ///
 /// # Safety
 /// As [`head_lanes`]; `qb` is the block's packed queries and `t` the score
@@ -301,15 +360,7 @@ unsafe fn score_keys<L: Lanes, const N: usize>(
     max: &mut [[L; 2]; N],
 ) {
     let w = 2 * L::N;
-    let mut s = [[L::splat(0.0); 2]; N];
-    for p in 0..dh {
-        let qv = [L::load(qb.add(p * w)), L::load(qb.add(p * w + L::N))];
-        for (u, s) in s.iter_mut().enumerate() {
-            let kv = L::splat(*k.add((j + u) * ld + p));
-            s[0] = qv[0].fmadd(kv, s[0]);
-            s[1] = qv[1].fmadd(kv, s[1]);
-        }
-    }
+    let s = key_dots::<L, N>(j, dh, ld, qb, k);
     for (u, (s, m)) in s.into_iter().zip(max).enumerate() {
         for h in 0..2 {
             s[h].store(t.add(w * (j + u) + L::N * h));
@@ -350,13 +401,84 @@ unsafe fn context_cols<L: Lanes, const N: usize>(
     acc
 }
 
-/// Scratch [`attention_head_backward`] needs for one head: packed Kᵀ and
-/// Vᵀ and the transposed `dKᵀ`/`dVᵀ` accumulators (`dh · seq` each), the
-/// `P` and `dS` rows of one block (`ROW_BLOCK · seq` each), and the
-/// block's packed query and output-gradient rows (`ROW_BLOCK · dh` each).
-/// Linear in `seq`.
+/// Lanes `0 .. rb` of the column vectors `cols` (rows across lanes, two
+/// halves each) to rows `0 .. rb` of `out`: column `u` of row `r` at
+/// `r · ld + u`.
+///
+/// # Safety
+/// As [`Lanes`].
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn store_cols<L: Lanes, const N: usize>(
+    cols: &[[L; 2]; N],
+    rb: usize,
+    ld: usize,
+    out: &mut [f64],
+) {
+    // Room for the widest block.
+    let mut tile = [[0.0f64; WIDE_BLOCK]; N];
+    for (t, c) in tile.iter_mut().zip(cols) {
+        c[0].store(t.as_mut_ptr());
+        c[1].store(t.as_mut_ptr().add(L::N));
+    }
+    for r in 0..rb {
+        for (u, t) in tile.iter().enumerate() {
+            out[r * ld + u] = t[r];
+        }
+    }
+}
+
+/// Keys per group of the fused backward: a block's keys are walked this
+/// many at a time, and the key-major buffers round up to it.
+const KEY_GROUP: usize = 16;
+
+/// Scratch [`attention_head_backward`] needs for one head, linear in `seq`:
+/// the fused tiers' buffers ([`lane_buffers`]) on a cache line, or the
+/// scalar tier's packed Kᵀ, Vᵀ, `dKᵀ` and `dVᵀ` and one `ROW_BLOCK` of `P`,
+/// `dS` and packed rows, whichever is larger.
 pub fn attention_backward_scratch_len(seq: usize, dh: usize) -> usize {
-    (4 * dh + 2 * ROW_BLOCK) * seq + 2 * ROW_BLOCK * dh
+    let lanes = lane_buffers(seq, dh, WIDE_BLOCK).iter().sum::<usize>() + 7;
+    lanes.max((4 * dh + 2 * ROW_BLOCK) * seq + 2 * ROW_BLOCK * dh)
+}
+
+/// The fused backward's buffers for blocks of `w` rows, each a whole
+/// number of cache lines: over the keys rounded up to [`KEY_GROUP`], the
+/// block's tile, `dK`, `dQ`'s partial sums (between the two accumulator
+/// streams, so they are not a multiple of 4 KB apart), `dV`, and K and V
+/// packed; over one key group, its `dS` tile and its paired `P` and `dS`;
+/// and the block's packed dO and Q rows, and both with every column twice.
+fn lane_buffers(seq: usize, dh: usize, w: usize) -> [usize; 13] {
+    let (keys, paired, g) = (
+        seq.next_multiple_of(KEY_GROUP),
+        dh.next_multiple_of(4),
+        KEY_GROUP,
+    );
+    let (key, row) = ([w, paired, 0, paired, dh, dh], [0, 0, 4 * dh, 0, 0, 0]);
+    let [t, dk, sums, dv, k, v] = std::array::from_fn(|i| key[i] * keys + row[i] * w);
+    [
+        t,
+        dk,
+        sums,
+        dv,
+        k,
+        v,
+        w * g,
+        w * g,
+        w * g,
+        w * dh,
+        w * dh,
+        2 * w * paired,
+        2 * w * paired,
+    ]
+}
+
+/// `buf` cut into consecutive pieces of the given lengths.
+fn carve<const N: usize>(mut buf: &mut [f64], lens: [usize; N]) -> [&mut [f64]; N] {
+    lens.map(|n| {
+        let (piece, rest) = std::mem::take(&mut buf).split_at_mut(n);
+        buf = rest;
+        piece
+    })
 }
 
 /// Backward of [`attention_head`]: given the forward's operands, its
@@ -365,9 +487,8 @@ pub fn attention_backward_scratch_len(seq: usize, dh: usize) -> usize {
 /// of each row are written. `scratch` must hold
 /// [`attention_backward_scratch_len`] elements; its contents are
 /// unspecified on entry and exit. Requires `scale > 0` (checked, as in
-/// [`attention_head`]). Nothing `S × S` is
-/// read or built: each block's probabilities are recomputed (see the
-/// module docs for the formulas and the summation order).
+/// [`attention_head`]). Nothing `S × S` is read or built: each block's
+/// probabilities are recomputed (see the module docs).
 #[allow(clippy::too_many_arguments)]
 pub fn attention_head_backward(
     seq: usize,
@@ -397,229 +518,417 @@ pub fn attention_head_backward(
     // probabilities are the forward's, bit for bit.
     #[cfg(target_arch = "x86_64")]
     if gemm_worthwhile(seq, seq, dh) && kernel_tier().fused() {
-        // SAFETY: a fused tier was detected at runtime, so AVX2 and FMA.
-        unsafe { backward_fma(seq, dh, ld, scale, q, k, v, o, d_o, dq, dk, dv, scratch) };
-        return;
+        let (shape, ops, grads) = ((seq, dh, ld, scale), [q, k, v, o, d_o], [dq, dk, dv]);
+        let b = Backward {
+            shape,
+            ops,
+            grads,
+            scratch,
+        };
+        // SAFETY (both arms): `kernel_tier` returns only a tier detected on
+        // this CPU; the slice bounds were asserted above.
+        return match kernel_tier() {
+            Tier::Avx512 => unsafe { run_avx512(b) },
+            _ => unsafe { run_avx2(b) },
+        };
     }
-    backward_blocks::<false>(seq, dh, ld, scale, q, k, v, o, d_o, dq, dk, dv, scratch);
+    backward_blocks(seq, dh, ld, scale, [q, k, v, o, d_o], [dq, dk, dv], scratch);
 }
 
-/// [`backward_blocks`] compiled with AVX2+FMA enabled, so its `mul_add`s
-/// are single instructions and its lane loops use 256-bit registers.
+/// One head's backward on the fused tiers: `(seq, dh, ld, scale)`, Q, K,
+/// V, O and dO, dQ, dK and dV, and the scratch.
+#[cfg(target_arch = "x86_64")]
+struct Backward<'a> {
+    shape: (usize, usize, usize, f64),
+    ops: [&'a [f64]; 5],
+    grads: [&'a mut [f64]; 3],
+    scratch: &'a mut [f64],
+}
+
+#[cfg(target_arch = "x86_64")]
+impl Kernel for Backward<'_> {
+    #[inline(always)]
+    unsafe fn run<L: Lanes>(self) {
+        match self.shape.1 {
+            4 => backward_lanes::<L, 4>(self),
+            _ => backward_lanes::<L, 0>(self),
+        }
+    }
+}
+
+/// The fused backward on `L` lanes, one block of `2·N` query rows at a
+/// time in ascending order (see the module docs). A block starts as the
+/// forward's ([`block_exp`], on K packed once per head), and its keys are
+/// walked one [`KEY_GROUP`] at a time, so the group's tiles stay in L1 next
+/// to the block's: [`grad_keys`] forms `P` and `dS` and pairs their keys,
+/// [`dq_cols`] continues `dQ`'s partial sums, and [`accumulate_pairs`] the
+/// `dK`/`dV` chains. On 32 registers (AVX-512) two `dQ` columns and eight
+/// key pairs run at once, on 16 one and four: the same chains, more of them
+/// in flight.
 ///
 /// # Safety
-/// Caller must ensure the CPU supports AVX2 and FMA.
+/// As [`Lanes`]; the operands hold `(seq - 1) * ld + dh` elements with
+/// `ld >= dh`, and `scratch` [`attention_backward_scratch_len`].
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn backward_fma(
-    seq: usize,
+#[inline(always)]
+unsafe fn backward_lanes<L: Lanes, const DH: usize>(b: Backward) {
+    let ((seq, dh, ld, scale), [q, k, v, o, d_o], [dq, dk, dv]) = (b.shape, b.ops, b.grads);
+    let dh = if DH == 0 { dh } else { DH };
+    let (n, w, seq4) = (L::N, 2 * L::N, seq - seq % 4);
+    let (cols, pairs) = if L::TILE_ROWS >= 8 { (2, 8) } else { (1, 4) };
+    let keys = seq.next_multiple_of(KEY_GROUP);
+    let per_pair = dh.next_multiple_of(4) / (n / 2);
+    let skip = b.scratch.as_ptr().align_offset(64).min(7);
+    let bufs = carve(&mut b.scratch[skip..], lane_buffers(seq, dh, w));
+    let [t, dkt, sums, dvt, kh, vh, ds, pp, sp, dob, qb, q2, o2] = bufs;
+    // K and V packed; the padding keys are never scored, and zeros keep
+    // their (dropped) accumulator lanes finite.
+    for (j, (kr, vr)) in k.chunks(ld).zip(v.chunks(ld)).take(seq).enumerate() {
+        kh[j * dh..][..dh].copy_from_slice(&kr[..dh]);
+        vh[j * dh..][..dh].copy_from_slice(&vr[..dh]);
+    }
+    for x in [
+        &mut kh[dh * seq..],
+        &mut vh[dh * seq..],
+        &mut t[w * seq..],
+        dkt,
+        dvt,
+    ] {
+        x.fill(0.0);
+    }
+    let (kp, tp) = (kh.as_ptr(), t.as_mut_ptr());
+    let (dsp, sump) = (ds.as_mut_ptr(), sums.as_mut_ptr());
+    for i0 in (0..seq).step_by(w) {
+        let rb = w.min(seq - i0);
+        let inv = block_exp::<L>(seq, dh, ld, scale, &q[i0 * ld..], rb, (kp, dh), qb, t);
+        // dO packed as the queries are; `rowsum(dO ∘ O)`, a chain from zero
+        // over `p`; and each row's Q and dO with every column twice, `N/2`
+        // columns per vector, for the paired accumulators.
+        for x in [&mut *dob, &mut *q2, &mut *o2, &mut *sums] {
+            x.fill(0.0);
+        }
+        let mut delta = [0.0f64; WIDE_BLOCK];
+        for (r, dl) in delta.iter_mut().enumerate().take(rb) {
+            let at = (i0 + r) * ld;
+            for p in 0..dh {
+                dob[p * w + r] = d_o[at + p];
+                *dl = d_o[at + p].mul_add(o[at + p], *dl);
+                let two = r * per_pair * n + 2 * p;
+                q2[two..two + 2].fill(q[at + p]);
+                o2[two..two + 2].fill(d_o[at + p]);
+            }
+        }
+        let dl = [L::load(delta.as_ptr()), L::load(delta.as_ptr().add(n))];
+        let from = [dob.as_ptr(), vh.as_ptr()];
+
+        for j0 in (0..keys).step_by(KEY_GROUP) {
+            // The padding keys too: their `dS` reaches only their own lanes.
+            for j in (j0..j0 + KEY_GROUP).step_by(4) {
+                let at = w * (j - j0);
+                let pairs = [pp.as_mut_ptr().add(at), sp.as_mut_ptr().add(at)];
+                let to = [tp.add(w * j), dsp.add(at), pairs[0], pairs[1]];
+                grad_keys::<L>(j, dh, scale, from, [inv, dl], to);
+            }
+            let (full, last) = (seq4.clamp(j0, j0 + KEY_GROUP), j0 + KEY_GROUP >= seq);
+            let tail = if last { seq4..seq } else { 0..0 };
+            let mut d = 0;
+            macro_rules! dq_cols {
+                ($n:literal) => {{
+                    let sums = sump.add(4 * w * d);
+                    let q = dq_cols::<L, $n>(j0, full, tail.clone(), dh, d, dsp, kp, sums);
+                    if last {
+                        store_cols(&q, rb, ld, &mut dq[i0 * ld + d..]);
+                    }
+                    d += $n;
+                }};
+            }
+            while d < dh {
+                if cols == 2 && dh - d >= 2 {
+                    dq_cols!(2)
+                } else {
+                    dq_cols!(1)
+                }
+            }
+            for k0 in (0..KEY_GROUP / 2).step_by(pairs) {
+                for u in 0..per_pair {
+                    let at = ((j0 / 2 + k0) * per_pair + u) * n;
+                    let acc = [dkt.as_mut_ptr().add(at), dvt.as_mut_ptr().add(at)];
+                    let from = [sp.as_ptr(), pp.as_ptr()].map(|x| x.add(k0 * 2 * w));
+                    let rows = [q2.as_ptr(), o2.as_ptr()].map(|x| x.add(u * n));
+                    match pairs {
+                        8 => accumulate_pairs::<L, 8>(rb, per_pair, from, rows, acc),
+                        _ => accumulate_pairs::<L, 4>(rb, per_pair, from, rows, acc),
+                    }
+                }
+            }
+        }
+    }
+
+    // Column `d` of key `j` is lane `2 (d mod N/2) + j mod 2` of vector
+    // `d / (N/2)` of pair `j / 2`.
+    for j in 0..seq {
+        for d in 0..dh {
+            let at = ((j / 2) * per_pair + d / (n / 2)) * n + 2 * (d % (n / 2)) + j % 2;
+            (dk[j * ld + d], dv[j * ld + d]) = (dkt[at], dvt[at]);
+        }
+    }
+}
+
+/// For keys `j .. j + 4`, both halves: `dP` ([`key_dots`] of the packed dO
+/// and V, `from`), `P = e · inv` from the numerators at `to[0]`, and
+/// `dS = (P · (dP − delta)) · scale` (`scaled = [inv, delta]`). `dS` goes to
+/// the tile at `to[1]`, rows across lanes, and `P` and `dS` to `to[2]` and
+/// `to[3]` as two key pairs in [`pair_row`]'s layout.
+///
+/// # Safety
+/// As [`backward_lanes`].
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn grad_keys<L: Lanes>(
+    j: usize,
     dh: usize,
-    ld: usize,
     scale: f64,
-    q: &[f64],
-    k: &[f64],
-    v: &[f64],
-    o: &[f64],
-    d_o: &[f64],
-    dq: &mut [f64],
-    dk: &mut [f64],
-    dv: &mut [f64],
-    scratch: &mut [f64],
+    from: [*const f64; 2],
+    [inv, delta]: [[L; 2]; 2],
+    to: [*mut f64; 4],
 ) {
-    backward_blocks::<true>(seq, dh, ld, scale, q, k, v, o, d_o, dq, dk, dv, scratch);
-}
-
-/// `a · b + c`, fused when `FMA`. Only instantiated with `FMA = true`
-/// inside [`backward_fma`]: without the target feature `mul_add` is a libm
-/// call.
-#[inline(always)]
-fn madd<const FMA: bool>(a: f64, b: f64, c: f64) -> f64 {
-    if FMA {
-        a.mul_add(b, c)
-    } else {
-        a * b + c
-    }
-}
-
-/// Vector width the lane loops are written for (one AVX2 register). The
-/// loops work on `[f64; LANES]` chunks so the compiler sees the width.
-const LANES: usize = 4;
-
-/// `out[r, j] = Σ_d coef[d, r] · panel[d, j]` for the `ROW_BLOCK` rows of
-/// one block, each element a chain from zero over `d` — the forward's
-/// score chain when `coef` is the packed query block and `panel` is Kᵀ.
-/// `coef` is `[dh, ROW_BLOCK]`, `panel` is `[dh, seq]`, `out` is
-/// `[ROW_BLOCK, seq]`.
-#[inline(always)]
-fn block_rows<const FMA: bool>(seq: usize, coef: &[f64], panel: &[f64], out: &mut [f64]) {
-    const RB: usize = ROW_BLOCK;
-    for jc in 0..seq / LANES {
-        let mut acc = [[0.0f64; LANES]; RB];
-        for (c, prow) in coef.chunks_exact(RB).zip(panel.chunks_exact(seq)) {
-            let pv = prow.as_chunks::<LANES>().0[jc];
-            for (a, &cr) in acc.iter_mut().zip(c) {
-                for l in 0..LANES {
-                    a[l] = madd::<FMA>(cr, pv[l], a[l]);
-                }
-            }
-        }
-        for (orow, a) in out.chunks_exact_mut(seq).zip(&acc) {
-            orow.as_chunks_mut::<LANES>().0[jc] = *a;
+    let (n, w) = (L::N, 2 * L::N);
+    let dp = key_dots::<L, 4>(j, dh, dh, from[0], from[1]);
+    let mut ps = [[[L::splat(0.0); 2]; 4]; 2];
+    for (u, g) in dp.iter().enumerate() {
+        for h in 0..2 {
+            let at = w * u + n * h;
+            let p = L::load(to[0].add(at)).mul(inv[h]);
+            let s = p.mul(g[h].sub(delta[h])).mul(L::splat(scale));
+            s.store(to[1].add(at));
+            [ps[0][u][h], ps[1][u][h]] = [p, s];
         }
     }
-    for j in seq - seq % LANES..seq {
-        for (r, orow) in out.chunks_exact_mut(seq).enumerate() {
-            let mut acc = 0.0;
-            for (c, prow) in coef.chunks_exact(RB).zip(panel.chunks_exact(seq)) {
-                acc = madd::<FMA>(c[r], prow[j], acc);
-            }
-            orow[j] = acc;
-        }
-    }
-}
-
-/// `acc[d, j] += Σ_r rows[r, j] · coef[d, r]`, continuing each element's
-/// chain over the block's rows in ascending order. Shapes as
-/// [`block_rows`], with `acc` in `panel`'s layout.
-#[inline(always)]
-fn block_accumulate<const FMA: bool>(seq: usize, coef: &[f64], rows: &[f64], acc: &mut [f64]) {
-    const RB: usize = ROW_BLOCK;
-    let rows: [&[f64]; RB] = std::array::from_fn(|r| &rows[r * seq..][..seq]);
-    for (c, arow) in coef.chunks_exact(RB).zip(acc.chunks_exact_mut(seq)) {
-        let (chunks, tail) = arow.as_chunks_mut::<LANES>();
-        for (jc, a) in chunks.iter_mut().enumerate() {
-            for (row, &cr) in rows.iter().zip(c) {
-                let rv = row.as_chunks::<LANES>().0[jc];
-                for l in 0..LANES {
-                    a[l] = madd::<FMA>(rv[l], cr, a[l]);
-                }
-            }
-        }
-        for (j, a) in (seq - seq % LANES..seq).zip(tail) {
-            for (row, &cr) in rows.iter().zip(c) {
-                *a = madd::<FMA>(row[j], cr, *a);
+    for (x, to) in ps.iter().zip(&to[2..]) {
+        for (k, [a, b]) in x.as_chunks::<2>().0.iter().enumerate() {
+            for (h, (a, b)) in a.iter().zip(b).enumerate() {
+                let [even, odd] = a.zip(*b);
+                even.store(to.add(2 * w * k + 2 * n * h));
+                odd.store(to.add(2 * w * k + 2 * n * h + n));
             }
         }
     }
 }
 
-/// `out[r, d] = Σ_j rows[r, j] · panel[d, j]` for the first `rb` rows of
-/// the block (`out` strided by `ld`): `LANES` interleaved partial sums
-/// combined as `(s0 + s2) + (s1 + s3)`, then the tail left to right.
+/// `dQ`'s head columns `d .. d + N` over the key group from `j0` (its `dS`
+/// tile `ds`), rows across lanes: the keys `full`, whole chunks of four,
+/// continue the partial sums by `j mod 4` of `fma(dS[r, j], K[j, d], ·)`
+/// kept in `sums` (vector `(u · 4 + l) · 2 + h` for column `d + u`, sum `l`,
+/// half `h`). In the last group (`tail` the keys past the last chunk of
+/// four) each half's sums are combined as `(s0 + s2) + (s1 + s3)`, the tail
+/// added in order, and the columns returned.
+///
+/// # Safety
+/// As [`backward_lanes`].
+#[cfg(target_arch = "x86_64")]
 #[inline(always)]
-fn block_dots<const FMA: bool>(
-    seq: usize,
+#[allow(clippy::too_many_arguments)]
+unsafe fn dq_cols<L: Lanes, const N: usize>(
+    j0: usize,
+    full: usize,
+    tail: std::ops::Range<usize>,
     ld: usize,
-    rows: &[f64],
-    panel: &[f64],
-    out: &mut [f64],
+    d: usize,
+    ds: *const f64,
+    k: *const f64,
+    sums: *mut f64,
+) -> [[L; 2]; N] {
+    let (n, w) = (L::N, 2 * L::N);
+    let at = |u: usize, l: usize, h: usize| sums.add(((u * 4 + l) * 2 + h) * n);
+    let mut s = [[[L::splat(0.0); 2]; 4]; N];
+    for (u, s) in s.iter_mut().enumerate() {
+        for (l, s) in s.iter_mut().enumerate() {
+            [s[0], s[1]] = [L::load(at(u, l, 0)), L::load(at(u, l, 1))];
+        }
+    }
+    for j in (j0..full).step_by(4) {
+        for l in 0..4 {
+            let g = ds.add(w * (j - j0 + l));
+            let g = [L::load(g), L::load(g.add(n))];
+            for (u, s) in s.iter_mut().enumerate() {
+                let kv = L::splat(*k.add((j + l) * ld + d + u));
+                s[l] = [g[0].fmadd(kv, s[l][0]), g[1].fmadd(kv, s[l][1])];
+            }
+        }
+    }
+    let mut out = [[L::splat(0.0); 2]; N];
+    for (u, (o, s)) in out.iter_mut().zip(&s).enumerate() {
+        for (l, s) in s.iter().enumerate() {
+            s[0].store(at(u, l, 0));
+            s[1].store(at(u, l, 1));
+        }
+        for (h, o) in o.iter_mut().enumerate() {
+            *o = s[0][h].add(s[2][h]).add(s[1][h].add(s[3][h]));
+            for j in tail.clone() {
+                let g = L::load(ds.add(w * (j - j0) + n * h));
+                *o = g.fmadd(L::splat(*k.add(j * ld + d + u)), *o);
+            }
+        }
+    }
+    out
+}
+
+/// Where row `r` sits in a key pair's vectors (see [`grad_keys`]): per
+/// `N`-lane half the even lanes' pairs, then the odd lanes' ([`Lanes::zip`]).
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+fn pair_row<L: Lanes>(r: usize) -> usize {
+    let (h, l) = (r / L::N, r % L::N);
+    2 * L::N * h + (l % 2) * L::N + (l - l % 2)
+}
+
+/// `dK` and `dV` for `KP` key pairs, keys across lanes: lane `2c + t` of a
+/// pair's vector `u` is column `u·N/2 + c` of the pair's key `t`, and
+/// continues its chain over the block's rows `0 .. rb` in ascending order,
+/// `fma(dS[r, j], Q[r, d], ·)` into `acc[0]` and `fma(P[r, j], dO[r, d], ·)`
+/// into `acc[1]`. `from` holds the paired `dS` and `P`, `rows` each row's
+/// Q and dO with every column twice.
+///
+/// # Safety
+/// As [`backward_lanes`].
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn accumulate_pairs<L: Lanes, const KP: usize>(
     rb: usize,
+    per_pair: usize,
+    from: [*const f64; 2],
+    rows: [*const f64; 2],
+    acc: [*mut f64; 2],
 ) {
-    const RB: usize = ROW_BLOCK;
-    let rows: [&[f64]; RB] = std::array::from_fn(|r| &rows[r * seq..][..seq]);
-    for (d, prow) in panel.chunks_exact(seq).enumerate() {
-        let (pchunks, ptail) = prow.as_chunks::<LANES>();
-        let mut acc = [[0.0f64; LANES]; RB];
-        for (jc, pv) in pchunks.iter().enumerate() {
-            for (a, row) in acc.iter_mut().zip(&rows) {
-                let rv = row.as_chunks::<LANES>().0[jc];
-                for l in 0..LANES {
-                    a[l] = madd::<FMA>(rv[l], pv[l], a[l]);
-                }
+    let (n, stride) = (L::N, per_pair * L::N);
+    let mut a = [[L::splat(0.0); KP]; 2];
+    for (a, acc) in a.iter_mut().zip(acc) {
+        for (k, a) in a.iter_mut().enumerate() {
+            *a = L::load(acc.add(k * stride));
+        }
+    }
+    for r in 0..rb {
+        let at = pair_row::<L>(r);
+        for (g, a) in a.iter_mut().enumerate() {
+            let (x, row) = (L::load(rows[g].add(r * stride)), from[g].add(at));
+            for (k, a) in a.iter_mut().enumerate() {
+                *a = L::load_pair(row.add(4 * n * k)).fmadd(x, *a);
             }
         }
-        for ((a, row), orow) in acc.iter().zip(&rows).zip(out.chunks_mut(ld)).take(rb) {
-            let mut sum = (a[0] + a[2]) + (a[1] + a[3]);
-            for (&s, &p) in row[seq - ptail.len()..].iter().zip(ptail) {
-                sum = madd::<FMA>(s, p, sum);
-            }
-            orow[d] = sum;
+    }
+    for (a, acc) in a.iter().zip(acc) {
+        for (k, a) in a.iter().enumerate() {
+            a.store(acc.add(k * stride));
         }
     }
 }
 
-/// The backward proper, one row block at a time in ascending order; both
-/// flavours are this one body.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn backward_blocks<const FMA: bool>(
+/// The scalar tier's backward, one `ROW_BLOCK` of rows at a time in
+/// ascending order, every chain a multiply then an add, on packed Kᵀ and
+/// Vᵀ: the block's scores and `dP` (`block_rows`), the row softmax, `dS`,
+/// then `dV`/`dK` (`block_accumulate`) and `dQ` (`block_dots`). Rows past
+/// a short last block are zero and add exact zeros.
+fn backward_blocks(
     seq: usize,
     dh: usize,
     ld: usize,
     scale: f64,
-    q: &[f64],
-    k: &[f64],
-    v: &[f64],
-    o: &[f64],
-    d_o: &[f64],
-    dq: &mut [f64],
-    dk: &mut [f64],
-    dv: &mut [f64],
+    [q, k, v, o, d_o]: [&[f64]; 5],
+    [dq, dk, dv]: [&mut [f64]; 3],
     scratch: &mut [f64],
 ) {
     const RB: usize = ROW_BLOCK;
-    let (kt, rest) = scratch.split_at_mut(dh * seq);
-    let (vt, rest) = rest.split_at_mut(dh * seq);
-    let (dkt, rest) = rest.split_at_mut(dh * seq);
-    let (dvt, rest) = rest.split_at_mut(dh * seq);
-    let (p, rest) = rest.split_at_mut(RB * seq);
-    let (ds, rest) = rest.split_at_mut(RB * seq);
-    let (qb, dob) = rest.split_at_mut(RB * dh);
-
-    // Kᵀ and Vᵀ packed once per head: kt[d * seq + j] = K[j, d].
+    let (ds, rs) = (dh * seq, RB * seq);
+    let [kt, vt, dkt, dvt, p, ss, qb, dob] =
+        carve(scratch, [ds, ds, ds, ds, rs, rs, RB * dh, RB * dh]);
     for (j, (krow, vrow)) in k.chunks(ld).zip(v.chunks(ld)).take(seq).enumerate() {
-        for (d, (&kv, &vv)) in krow[..dh].iter().zip(&vrow[..dh]).enumerate() {
-            kt[d * seq + j] = kv;
-            vt[d * seq + j] = vv;
+        for d in 0..dh {
+            (kt[d * seq + j], vt[d * seq + j]) = (krow[d], vrow[d]);
         }
     }
     dkt.fill(0.0);
     dvt.fill(0.0);
-
     for i0 in (0..seq).step_by(RB) {
         let rb = RB.min(seq - i0);
-        // The block's query and output-gradient rows as [dh, RB] panels,
-        // zero past `rb` so a short last block needs no row tail: its
-        // missing rows contribute exact zeros everywhere below.
         qb.fill(0.0);
         dob.fill(0.0);
         let mut delta = [0.0f64; RB];
         for r in 0..rb {
             let at = (i0 + r) * ld;
             for d in 0..dh {
-                qb[d * RB + r] = q[at + d];
-                dob[d * RB + r] = d_o[at + d];
-                delta[r] = madd::<FMA>(d_o[at + d], o[at + d], delta[r]);
+                (qb[d * RB + r], dob[d * RB + r]) = (q[at + d], d_o[at + d]);
+                delta[r] += d_o[at + d] * o[at + d];
             }
         }
-
-        block_rows::<FMA>(seq, qb, kt, p);
+        block_rows(seq, qb, kt, p);
         softmax_rows_scaled_inplace(&mut p[..rb * seq], seq, scale);
-        block_rows::<FMA>(seq, dob, vt, ds);
-        for ((dsrow, prow), &dl) in ds
+        block_rows(seq, dob, vt, ss);
+        for ((srow, prow), &dl) in ss
             .chunks_exact_mut(seq)
             .zip(p.chunks_exact(seq))
             .zip(&delta)
         {
-            for (x, &pv) in dsrow.iter_mut().zip(prow) {
+            for (x, &pv) in srow.iter_mut().zip(prow) {
                 *x = pv * (*x - dl) * scale;
             }
         }
-        block_accumulate::<FMA>(seq, dob, p, dvt);
-        block_accumulate::<FMA>(seq, qb, ds, dkt);
-        block_dots::<FMA>(seq, ld, ds, kt, &mut dq[i0 * ld..], rb);
+        block_accumulate(seq, dob, p, dvt);
+        block_accumulate(seq, qb, ss, dkt);
+        block_dots(seq, ld, ss, kt, &mut dq[i0 * ld..], rb);
     }
-
     for (j, (krow, vrow)) in dk
         .chunks_mut(ld)
         .zip(dv.chunks_mut(ld))
         .take(seq)
         .enumerate()
     {
-        for (d, (kg, vg)) in krow[..dh].iter_mut().zip(&mut vrow[..dh]).enumerate() {
-            *kg = dkt[d * seq + j];
-            *vg = dvt[d * seq + j];
+        for d in 0..dh {
+            (krow[d], vrow[d]) = (dkt[d * seq + j], dvt[d * seq + j]);
+        }
+    }
+}
+
+/// `out[r, j] = Σ_d coef[d, r] · panel[d, j]` for a block's rows, each a
+/// chain from zero over `d`: `coef` is `[dh, ROW_BLOCK]`, `panel` `[dh,
+/// seq]`, `out` `[ROW_BLOCK, seq]`.
+fn block_rows(seq: usize, coef: &[f64], panel: &[f64], out: &mut [f64]) {
+    out.fill(0.0);
+    for (c, prow) in coef.chunks_exact(ROW_BLOCK).zip(panel.chunks_exact(seq)) {
+        for (orow, &cr) in out.chunks_exact_mut(seq).zip(c) {
+            for (o, &pv) in orow.iter_mut().zip(prow) {
+                *o += cr * pv;
+            }
+        }
+    }
+}
+
+/// `acc[d, j] += Σ_r rows[r, j] · coef[d, r]`, each chain continued over
+/// the block's rows in ascending order (`acc` in `panel`'s layout).
+fn block_accumulate(seq: usize, coef: &[f64], rows: &[f64], acc: &mut [f64]) {
+    for (c, arow) in coef.chunks_exact(ROW_BLOCK).zip(acc.chunks_exact_mut(seq)) {
+        for (row, &cr) in rows.chunks_exact(seq).zip(c) {
+            for (a, &rv) in arow.iter_mut().zip(row) {
+                *a += rv * cr;
+            }
+        }
+    }
+}
+
+/// `out[r, d] = Σ_j rows[r, j] · panel[d, j]` for the block's first `rb`
+/// rows (`out` strided by `ld`): partial sums by `j mod 4` combined as
+/// `(s0 + s2) + (s1 + s3)`, then the tail left to right.
+fn block_dots(seq: usize, ld: usize, rows: &[f64], panel: &[f64], out: &mut [f64], rb: usize) {
+    let seq4 = seq - seq % 4;
+    for (d, prow) in panel.chunks_exact(seq).enumerate() {
+        for (row, orow) in rows.chunks_exact(seq).zip(out.chunks_mut(ld)).take(rb) {
+            let mut s = [0.0f64; 4];
+            for (rc, pc) in row.chunks_exact(4).zip(prow.chunks_exact(4)) {
+                for l in 0..4 {
+                    s[l] += rc[l] * pc[l];
+                }
+            }
+            let tail = row[seq4..].iter().zip(&prow[seq4..]);
+            orow[d] = tail.fold((s[0] + s[2]) + (s[1] + s[3]), |sum, (r, p)| sum + r * p);
         }
     }
 }
@@ -1079,7 +1388,17 @@ mod tests {
         // Kᵀ (4 · 128), a 16-row score block (16 · 128) and its queries.
         assert_eq!(attention_scratch_len(128, 4), 20 * 128 + 64);
         assert!(attention_scratch_len(256, 4) < 2 * attention_scratch_len(128, 4) + 1);
-        assert_eq!(attention_backward_scratch_len(128, 4), 32 * 128 + 64);
+        // The fused backward: per key the P tile of a 16-row block, dK and
+        // dV, and K and V packed ((16 + 4 · 4) · 128); per row of the block
+        // dQ's partial sums and the packed Q and dO rows (6 · 4), the rows
+        // with every column twice (4 · 4) and a 16-key group's dS, P pairs
+        // and dS pairs (3 · 16); and the room to align them.
+        assert_eq!(
+            attention_backward_scratch_len(128, 4),
+            32 * 128 + 88 * 16 + 7
+        );
+        // A ragged length rounds the key-major buffers up to 16 keys.
+        assert_eq!(attention_backward_scratch_len(37, 4), 32 * 48 + 88 * 16 + 7);
         assert!(
             attention_backward_scratch_len(256, 4) < 2 * attention_backward_scratch_len(128, 4)
         );
@@ -1118,12 +1437,59 @@ mod tests {
         [dq, dk, dv]
     }
 
+    /// One backward flavour called directly, whatever the shape or
+    /// `kernel_tier` would pick, on strided operands `[q, k, v, o, dO]`
+    /// with the head at column `off` and scratch poisoned on entry:
+    /// `[dq, dk, dv]` over the whole `[seq, ld]` buffers, padding included.
+    fn backward_flavour(
+        tier: Tier,
+        (seq, dh, ld, off): (usize, usize, usize, usize),
+        scale: f64,
+        ops: [&[f64]; 5],
+    ) -> [Vec<f64>; 3] {
+        assert!(tier.supported());
+        let mut scratch = vec![f64::NAN; attention_backward_scratch_len(seq, dh)];
+        let mut g: [Vec<f64>; 3] = std::array::from_fn(|_| vec![-1.0; seq * ld]);
+        let ops = ops.map(|x| &x[off..]);
+        let [dq, dk, dv] = &mut g;
+        let grads = [&mut dq[off..], &mut dk[off..], &mut dv[off..]];
+        match tier {
+            Tier::Scalar => backward_blocks(seq, dh, ld, scale, ops, grads, &mut scratch),
+            #[cfg(target_arch = "x86_64")]
+            _ => {
+                let (shape, scratch) = ((seq, dh, ld, scale), &mut scratch[..]);
+                let b = Backward {
+                    shape,
+                    ops,
+                    grads,
+                    scratch,
+                };
+                // SAFETY (both arms): the tier is supported; slices sized as
+                // in attention_head_backward.
+                match tier {
+                    Tier::Avx512 => unsafe { run_avx512(b) },
+                    _ => unsafe { run_avx2(b) },
+                }
+            }
+            #[cfg(not(target_arch = "x86_64"))]
+            _ => unreachable!("no vector tier off x86-64"),
+        }
+        g
+    }
+
     /// Every flavour of the backward against the unfused oracle, over
     /// sequence tails, head widths, strided views whose padding columns
-    /// must survive, and scratch poisoned on entry.
+    /// must survive, and scratch poisoned on entry; and every fused tier
+    /// the CPU runs to the same bits. A tier the CPU lacks is skipped with
+    /// a note.
     #[test]
     fn fused_backward_matches_unfused_oracle() {
-        for &seq in &[1usize, 3, 8, 9, 31, 128] {
+        for tier in [Tier::Avx2, Tier::Avx512] {
+            if !tier.supported() {
+                println!("{tier:?} not supported on this CPU: backward leg skipped");
+            }
+        }
+        for &seq in &[1usize, 3, 8, 9, 31, 37, 128] {
             for &dh in &[1usize, 2, 4, 8] {
                 let q = fill(seq * dh, 11 + seq as u64);
                 let k = fill(seq * dh, 13 + dh as u64);
@@ -1136,58 +1502,53 @@ mod tests {
                 let strided = |x: &[f64]| scatter(x, seq, dh, ld, h, 7.0);
                 let (qs, ks, vs, dos) = (strided(&q), strided(&k), strided(&v), strided(&d_o));
 
-                // 0: the dispatched entry; 1: multiply-then-add pinned;
-                // 2: FMA pinned (where the CPU has it).
-                for flavour in 0..3 {
+                // None: the dispatched entry; Some(tier): that flavour.
+                let mut fused = Vec::new();
+                for flavour in [
+                    None,
+                    Some(Tier::Scalar),
+                    Some(Tier::Avx2),
+                    Some(Tier::Avx512),
+                ] {
                     let tier = match flavour {
-                        0 if gemm_worthwhile(seq, seq, dh) => kernel_tier(),
-                        0 | 1 => Tier::Scalar,
-                        _ => Tier::Avx2,
+                        None if gemm_worthwhile(seq, seq, dh) => kernel_tier(),
+                        None => Tier::Scalar,
+                        Some(tier) => tier,
                     };
                     if !tier.supported() {
                         continue;
                     }
-                    let what = format!("seq {seq} dh {dh} flavour {flavour}");
+                    let what = format!("seq {seq} dh {dh} flavour {flavour:?}");
                     // The forward output the backward reads, same flavour.
                     let o = strided(&unfused(seq, dh, scale, &q, &k, &v, tier).1);
                     let want = unfused_backward(seq, dh, scale, &q, &k, &v, &d_o, tier);
-                    let mut scratch = vec![f64::NAN; attention_backward_scratch_len(seq, dh)];
-                    let mut got = [
-                        vec![-1.0; seq * ld],
-                        vec![-1.0; seq * ld],
-                        vec![-1.0; seq * ld],
-                    ];
-                    {
-                        let [dq, dk, dv] = &mut got;
-                        macro_rules! run {
-                            ($kernel:expr) => {
-                                $kernel(
-                                    seq,
-                                    dh,
-                                    ld,
-                                    scale,
-                                    &qs[off..],
-                                    &ks[off..],
-                                    &vs[off..],
-                                    &o[off..],
-                                    &dos[off..],
-                                    &mut dq[off..],
-                                    &mut dk[off..],
-                                    &mut dv[off..],
-                                    &mut scratch,
-                                )
-                            };
+                    let ops = [&qs[..], &ks, &vs, &o, &dos];
+                    let got = match flavour {
+                        Some(tier) => backward_flavour(tier, (seq, dh, ld, off), scale, ops),
+                        None => {
+                            let mut scratch =
+                                vec![f64::NAN; attention_backward_scratch_len(seq, dh)];
+                            let mut g: [Vec<f64>; 3] =
+                                std::array::from_fn(|_| vec![-1.0; seq * ld]);
+                            let [dq, dk, dv] = &mut g;
+                            attention_head_backward(
+                                seq,
+                                dh,
+                                ld,
+                                scale,
+                                &qs[off..],
+                                &ks[off..],
+                                &vs[off..],
+                                &o[off..],
+                                &dos[off..],
+                                &mut dq[off..],
+                                &mut dk[off..],
+                                &mut dv[off..],
+                                &mut scratch,
+                            );
+                            g
                         }
-                        match flavour {
-                            0 => run!(attention_head_backward),
-                            1 => run!(backward_blocks::<false>),
-                            #[cfg(target_arch = "x86_64")]
-                            // SAFETY: Tier::Avx2 supported, checked above.
-                            _ => unsafe { run!(backward_fma) },
-                            #[cfg(not(target_arch = "x86_64"))]
-                            _ => unreachable!(),
-                        }
-                    }
+                    };
                     for ((got, want), name) in got.iter().zip(&want).zip(["dQ", "dK", "dV"]) {
                         let max = want.iter().fold(0.0f64, |m, x| m.max(x.abs()));
                         for i in 0..seq {
@@ -1202,6 +1563,126 @@ mod tests {
                                 } else {
                                     assert_eq!(g, -1.0, "{what} {name}: padding column written");
                                 }
+                            }
+                        }
+                    }
+                    if flavour.is_some() && tier.fused() {
+                        fused.push(got);
+                    }
+                }
+                if let [avx2, avx512] = &fused[..] {
+                    for ((a, b), name) in avx512.iter().zip(avx2).zip(["dQ", "dK", "dV"]) {
+                        same_bits(a, b, &format!("seq {seq} dh {dh} {name} AVX-512 vs AVX2"));
+                    }
+                }
+            }
+        }
+    }
+
+    /// The fused backward's reference, written apart from it, on operands
+    /// at column 0 of stride `ld`: per query row, [`reference_head`]'s
+    /// probabilities, then `mul_add` chains in the module docs' orders —
+    /// `dK`/`dV` over the rows ascending, `dQ` as four partial sums by
+    /// `j mod 4` combined `(s0 + s2) + (s1 + s3)`, then the tail.
+    fn reference_backward(
+        (seq, dh, ld): (usize, usize, usize),
+        scale: f64,
+        [qs, ks, vs, os, dos]: [&[f64]; 5],
+    ) -> [Vec<f64>; 3] {
+        let at = |x: &[f64], i: usize, p: usize| x[i * ld + p];
+        let [mut dq, mut dk, mut dv]: [Vec<f64>; 3] = std::array::from_fn(|_| vec![-1.0; seq * ld]);
+        let (mut dkt, mut dvt) = (vec![0.0; seq * dh], vec![0.0; seq * dh]);
+        let (mut p, mut ds) = (vec![0.0; seq], vec![0.0; seq]);
+        let seq4 = seq - seq % 4;
+        for i in 0..seq {
+            for (j, pj) in p.iter_mut().enumerate() {
+                *pj = (0..dh).fold(0.0, |acc, d| at(qs, i, d).mul_add(at(ks, j, d), acc));
+            }
+            crate::exp::softmax_rows_with(Tier::Scalar, &mut p, seq, scale);
+            let delta = (0..dh).fold(0.0, |acc, d| at(dos, i, d).mul_add(at(os, i, d), acc));
+            for (j, (g, &pj)) in ds.iter_mut().zip(&p).enumerate() {
+                let dp = (0..dh).fold(0.0, |acc, d| at(dos, i, d).mul_add(at(vs, j, d), acc));
+                *g = pj * (dp - delta) * scale;
+            }
+            for j in 0..seq {
+                for d in 0..dh {
+                    dvt[j * dh + d] = p[j].mul_add(at(dos, i, d), dvt[j * dh + d]);
+                    dkt[j * dh + d] = ds[j].mul_add(at(qs, i, d), dkt[j * dh + d]);
+                }
+            }
+            for d in 0..dh {
+                let mut s = [0.0f64; 4];
+                for (j, g) in ds[..seq4].iter().enumerate() {
+                    s[j % 4] = g.mul_add(at(ks, j, d), s[j % 4]);
+                }
+                let mut sum = (s[0] + s[2]) + (s[1] + s[3]);
+                for (j, g) in ds.iter().enumerate().skip(seq4) {
+                    sum = g.mul_add(at(ks, j, d), sum);
+                }
+                dq[i * ld + d] = sum;
+            }
+        }
+        for j in 0..seq {
+            dk[j * ld..][..dh].copy_from_slice(&dkt[j * dh..][..dh]);
+            dv[j * ld..][..dh].copy_from_slice(&dvt[j * dh..][..dh]);
+        }
+        [dq, dk, dv]
+    }
+
+    /// Each fused backward the CPU runs, called directly, against the
+    /// independent reference bit for bit over sequence lengths straddling
+    /// the 4-, 8- and 16-row blocks and the 4- and 8-key chunks, and
+    /// hostile operands: ±∞ and NaN entries, a 1e300 spread, and a query
+    /// row whose scores are all −∞. A tier the CPU lacks is skipped with a
+    /// note.
+    #[test]
+    fn fused_backward_matches_bitwise_on_ragged_and_hostile_heads() {
+        for tier in [Tier::Avx2, Tier::Avx512] {
+            if !tier.supported() {
+                println!("{tier:?} not supported on this CPU: backward leg skipped");
+            }
+        }
+        for seq in [1usize, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 33, 37, 128] {
+            for dh in [1usize, 4, 5, 8] {
+                for case in 0..4 {
+                    let mut q = fill(seq * dh, 3 + seq as u64);
+                    let mut k = fill(seq * dh, 5 + dh as u64);
+                    let mut v = fill(seq * dh, 7);
+                    let mut d_o = fill(seq * dh, 9);
+                    let last = seq * dh - 1;
+                    match case {
+                        1 => {
+                            q[0] = f64::INFINITY;
+                            k[last] = f64::NEG_INFINITY;
+                            v[last / 2] = f64::NAN;
+                        }
+                        2 => {
+                            q[last] = 1e300;
+                            q[0] = -1e300;
+                            d_o[last / 2] = f64::INFINITY;
+                        }
+                        3 => {
+                            // Row 0 scores −∞ against every key.
+                            for j in 0..seq {
+                                k[j * dh] = k[j * dh].abs() + 0.5;
+                            }
+                            q[..dh].fill(0.0);
+                            q[0] = f64::NEG_INFINITY;
+                        }
+                        _ => {}
+                    }
+                    let ld = dh + 3;
+                    let strided = |x: &[f64]| scatter(x, seq, dh, ld, 0, 7.0);
+                    let (qs, ks, vs, dos) = (strided(&q), strided(&k), strided(&v), strided(&d_o));
+                    let os = reference_head(seq, dh, ld, 0.5, &qs, &ks, &vs, 0);
+                    let ops = [&qs[..], &ks, &vs, &os, &dos];
+                    let want = reference_backward((seq, dh, ld), 0.5, ops);
+                    for tier in [Tier::Avx2, Tier::Avx512] {
+                        if tier.supported() {
+                            let got = backward_flavour(tier, (seq, dh, ld, 0), 0.5, ops);
+                            for ((g, w), name) in got.iter().zip(&want).zip(["dQ", "dK", "dV"]) {
+                                let what = format!("seq {seq} dh {dh} case {case} {tier:?} {name}");
+                                same_bits(g, w, &what);
                             }
                         }
                     }

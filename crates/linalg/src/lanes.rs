@@ -101,6 +101,12 @@ pub(crate) trait Lanes: Copy {
     /// NaN lanes stay NaN. Above `exp`'s flush bound the product is
     /// normal, so both tiers' scaling is exact and agrees.
     unsafe fn ldexp_flush(self, e: Self, flush: Self::Mask) -> Self;
+    /// `[a0, b0, a2, b2, ..]` and `[a1, b1, a3, b3, ..]` for `self = a`:
+    /// the even lanes of both, then the odd lanes, in pairs. Moves bits
+    /// only.
+    unsafe fn zip(self, b: Self) -> [Self; 2];
+    /// The two lanes at `p`, repeated across the vector.
+    unsafe fn load_pair(p: *const f64) -> Self;
 }
 
 /// [`Lanes::add`], `sub`, `mul`, `div` and `max`, one intrinsic each.
@@ -196,6 +202,18 @@ impl Lanes for F64x4 {
             _mm256_mul_pd(self.0, e.0),
         ))
     }
+    #[inline(always)]
+    unsafe fn zip(self, b: Self) -> [Self; 2] {
+        [
+            Self(_mm256_unpacklo_pd(self.0, b.0)),
+            Self(_mm256_unpackhi_pd(self.0, b.0)),
+        ]
+    }
+    #[inline(always)]
+    unsafe fn load_pair(p: *const f64) -> Self {
+        let x = _mm_loadu_pd(p);
+        Self(_mm256_set_m128d(x, x))
+    }
 }
 
 /// Eight lanes in one AVX-512 register.
@@ -262,5 +280,18 @@ impl Lanes for F64x8 {
     #[inline(always)]
     unsafe fn ldexp_flush(self, e: Self, flush: __mmask8) -> Self {
         Self(_mm512_maskz_scalef_pd(!flush, self.0, e.0))
+    }
+    #[inline(always)]
+    unsafe fn zip(self, b: Self) -> [Self; 2] {
+        [
+            Self(_mm512_unpacklo_pd(self.0, b.0)),
+            Self(_mm512_unpackhi_pd(self.0, b.0)),
+        ]
+    }
+    #[inline(always)]
+    unsafe fn load_pair(p: *const f64) -> Self {
+        // The AVX-512F form (`f64x2` needs AVX-512DQ): bits move as they are.
+        let x = _mm_castpd_ps(_mm_loadu_pd(p));
+        Self(_mm512_castps_pd(_mm512_broadcast_f32x4(x)))
     }
 }

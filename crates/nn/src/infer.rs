@@ -285,8 +285,16 @@ impl LayerNormPlan {
 
     /// Backward over the rows `x` the forward normalised: `grads` gets
     /// `[dγ, dβ]` and `dx` the input gradient; each row's statistics are
-    /// recomputed from `x`.
-    pub(crate) fn backward(&self, x: &[f64], dy: &[f64], grads: &mut [Tensor], dx: &mut [f64]) {
+    /// recomputed from `x`, and its `x̂` is kept in the first `dim`
+    /// elements of `scratch`.
+    pub(crate) fn backward(
+        &self,
+        x: &[f64],
+        dy: &[f64],
+        grads: &mut [Tensor],
+        dx: &mut [f64],
+        scratch: &mut [f64],
+    ) {
         let d = self.dim;
         let n = d as f64;
         let [dgamma, dbeta] = grads else {
@@ -295,7 +303,7 @@ impl LayerNormPlan {
         let (dgamma, dbeta) = (dgamma.data_mut(), dbeta.data_mut());
         dgamma.fill(0.0);
         dbeta.fill(0.0);
-        let mut xhat = vec![0.0; d];
+        let xhat = &mut scratch[..d];
         for ((row, grow), dxhat) in x.chunks(d).zip(dy.chunks(d)).zip(dx.chunks_mut(d)) {
             let mu: f64 = row.iter().sum::<f64>() / n;
             let var: f64 = row.iter().map(|&v| (v - mu) * (v - mu)).sum::<f64>() / n;
@@ -308,7 +316,7 @@ impl LayerNormPlan {
             }
             let mean_dxhat: f64 = dxhat.iter().sum::<f64>() / n;
             let mean_dxhat_xhat: f64 =
-                dxhat.iter().zip(&xhat).map(|(&a, &b)| a * b).sum::<f64>() / n;
+                dxhat.iter().zip(&*xhat).map(|(&a, &b)| a * b).sum::<f64>() / n;
             // `dxhat` becomes the row's input gradient in place.
             for j in 0..d {
                 dxhat[j] = (dxhat[j] - mean_dxhat - xhat[j] * mean_dxhat_xhat) / sigma;
@@ -547,7 +555,8 @@ impl EncoderLayerPlan {
         let (rd, rf) = (dy.len(), b.ffh.len());
         let (mine, rest) = scratch.split_at_mut(3 * rd + rf);
         let [dres2, dffh, tmp, dres1] = carve(mine, [rd, rf, rd, rd]);
-        self.ln2.backward(res2, dy, &mut grads[14..16], dres2);
+        // `tmp` is free until FF1's backward, and again after it.
+        self.ln2.backward(res2, dy, &mut grads[14..16], dres2, tmp);
         self.ff2
             .backward(rows, b.ffh, dres2, &mut grads[12..14], Some(dffh));
         relu_mask(dffh, b.ffh);
@@ -555,7 +564,7 @@ impl EncoderLayerPlan {
             .backward(rows, x1, dffh, &mut grads[10..12], Some(tmp));
         // x1 feeds the residual and FF1: d_res2 + dX_ff1.
         add_into(dres2, tmp);
-        self.ln1.backward(res1, dres2, &mut grads[8..10], dres1);
+        self.ln1.backward(res1, dres2, &mut grads[8..10], dres1, tmp);
         // The residual's share first, then the projections'.
         dy.copy_from_slice(dres1);
         let saved = [&**x, &*b.q, &*b.k, &*b.v, &*b.ctx];
@@ -809,7 +818,8 @@ mod tests {
         let (x0, w) = (pseudo(15, 8), pseudo(15, 9));
         let mut grads = zero_grads(&ln);
         let mut dx = vec![0.0; 15];
-        LayerNormPlan::compile(&ln).backward(&x0, &w, &mut grads, &mut dx);
+        let mut xhat = vec![f64::NAN; 5];
+        LayerNormPlan::compile(&ln).backward(&x0, &w, &mut grads, &mut dx, &mut xhat);
         let out = |ln: &LayerNorm, x: &[f64]| {
             let mut y = x.to_vec();
             LayerNormPlan::compile(ln).forward(&mut y);
