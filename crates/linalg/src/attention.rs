@@ -128,18 +128,7 @@ pub fn attention_head(
     let (kt, rest) = scratch.split_at_mut(dh * seq);
     let (rows, qb) = rest.split_at_mut(WIDE_BLOCK * seq);
     let qb = &mut qb[..WIDE_BLOCK * dh];
-    let head = Head {
-        seq,
-        dh,
-        ld,
-        scale,
-        q,
-        k,
-        v,
-        out,
-        rows,
-        qb,
-    };
+    let head = Head((seq, dh, ld, scale), [q, k, v], out, [qb, rows]);
     let packed = gemm_worthwhile(seq, seq, dh);
     #[cfg(target_arch = "x86_64")]
     if packed && kernel_tier().fused() {
@@ -160,34 +149,34 @@ pub fn attention_head(
 /// attention weights (it only shows when V holds a non-finite value); the
 /// scalar GEMM tiles do not skip.
 fn head_mul_add(h: Head, kt: &mut [f64], skip_zero: bool) {
-    let (seq, dh, ld) = (h.seq, h.dh, h.ld);
+    let Head((seq, dh, ld, scale), [q, k, v], out, [_, rows]) = h;
     // Kᵀ packed once per head: `kt[p * seq + j] = K[j, p]`.
-    for (j, krow) in h.k.chunks(ld).take(seq).enumerate() {
+    for (j, krow) in k.chunks(ld).take(seq).enumerate() {
         for (p, &kv) in krow[..dh].iter().enumerate() {
             kt[p * seq + j] = kv;
         }
     }
     for i0 in (0..seq).step_by(ROW_BLOCK) {
         let rb = ROW_BLOCK.min(seq - i0);
-        let block = &mut h.rows[..rb * seq];
+        let block = &mut rows[..rb * seq];
         block.fill(0.0);
         for (r, srow) in block.chunks_exact_mut(seq).enumerate() {
-            let qrow = &h.q[(i0 + r) * ld..][..dh];
+            let qrow = &q[(i0 + r) * ld..][..dh];
             for (&qv, ktrow) in qrow.iter().zip(kt.chunks_exact(seq)) {
                 for (s, &kv) in srow.iter_mut().zip(ktrow) {
                     *s += qv * kv;
                 }
             }
         }
-        softmax_rows_scaled_inplace(block, seq, h.scale);
+        softmax_rows_scaled_inplace(block, seq, scale);
         for (r, srow) in block.chunks_exact(seq).enumerate() {
-            let orow = &mut h.out[(i0 + r) * ld..][..dh];
+            let orow = &mut out[(i0 + r) * ld..][..dh];
             orow.fill(0.0);
             for (j, &a) in srow.iter().enumerate() {
                 if skip_zero && a == 0.0 {
                     continue;
                 }
-                for (o, &vv) in orow.iter_mut().zip(&h.v[j * ld..j * ld + dh]) {
+                for (o, &vv) in orow.iter_mut().zip(&v[j * ld..j * ld + dh]) {
                     *o += a * vv;
                 }
             }
@@ -195,26 +184,18 @@ fn head_mul_add(h: Head, kt: &mut [f64], skip_zero: bool) {
     }
 }
 
-/// One head's forward: [`attention_head`]'s operands and the scratch of
-/// one block's scores and packed queries.
-struct Head<'a> {
-    seq: usize,
-    dh: usize,
-    ld: usize,
-    scale: f64,
-    q: &'a [f64],
-    k: &'a [f64],
-    v: &'a [f64],
-    out: &'a mut [f64],
-    rows: &'a mut [f64],
-    qb: &'a mut [f64],
-}
+/// `(seq, dh, ld, scale)`: a head's length, width, row stride and scale.
+type Shape = (usize, usize, usize, f64);
+
+/// One head's forward: [`attention_head`]'s shape, Q, K and V, its output,
+/// and the scratch of one block's packed queries and scores.
+struct Head<'a>(Shape, [&'a [f64]; 3], &'a mut [f64], [&'a mut [f64]; 2]);
 
 #[cfg(target_arch = "x86_64")]
 impl Kernel for Head<'_> {
     #[inline(always)]
     unsafe fn run<L: Lanes>(self) {
-        match self.dh {
+        match self.0 .1 {
             4 => head_lanes::<L, 4>(self),
             _ => head_lanes::<L, 0>(self),
         }
@@ -237,18 +218,18 @@ impl Kernel for Head<'_> {
 #[cfg(target_arch = "x86_64")]
 #[inline(always)]
 unsafe fn head_lanes<L: Lanes, const DH: usize>(h: Head) {
-    let (seq, ld, w) = (h.seq, h.ld, 2 * L::N);
-    let dh = if DH == 0 { h.dh } else { DH };
-    let (kp, vp) = (h.k.as_ptr(), h.v.as_ptr());
+    let Head((seq, dh, ld, scale), [q, k, v], out, [qb, rows]) = h;
+    let (dh, w) = (if DH == 0 { dh } else { DH }, 2 * L::N);
+    let (kp, vp) = (k.as_ptr(), v.as_ptr());
     for i0 in (0..seq).step_by(w) {
         let rb = w.min(seq - i0);
-        let q = &h.q[i0 * ld..];
-        let inv = block_exp::<L>(seq, dh, ld, h.scale, q, rb, (kp, ld), h.qb, h.rows);
+        let block = (&q[i0 * ld..], ld, rb);
+        let inv = block_exp::<L>((seq, dh, scale), block, (kp, ld), [&mut *qb, &mut *rows]);
         // Rows past `rb` (zero queries) are computed and dropped.
-        let t = h.rows.as_ptr();
+        let t = rows.as_ptr();
         let mut d = 0;
         while d < dh {
-            let out = &mut h.out[i0 * ld + d..];
+            let out = &mut out[i0 * ld + d..];
             if dh - d >= 4 {
                 store_cols(&context_cols::<L, 4>(seq, ld, d, t, inv, vp), rb, ld, out);
                 d += 4;
@@ -274,17 +255,11 @@ unsafe fn head_lanes<L: Lanes, const DH: usize>(h: Head) {
 /// As [`head_lanes`]; `q` holds rows `0 .. rb` of Q.
 #[cfg(target_arch = "x86_64")]
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
 unsafe fn block_exp<L: Lanes>(
-    seq: usize,
-    dh: usize,
-    ld: usize,
-    scale: f64,
-    q: &[f64],
-    rb: usize,
+    (seq, dh, scale): (usize, usize, f64),
+    (q, ld, rb): (&[f64], usize, usize),
     (k, kld): (*const f64, usize),
-    qb: &mut [f64],
-    rows: &mut [f64],
+    [qb, rows]: [&mut [f64]; 2],
 ) -> [L; 2] {
     let w = 2 * L::N;
     qb.fill(0.0);
@@ -433,43 +408,24 @@ unsafe fn store_cols<L: Lanes, const N: usize>(
 const KEY_GROUP: usize = 16;
 
 /// Scratch [`attention_head_backward`] needs for one head, linear in `seq`:
-/// the fused tiers' buffers ([`lane_buffers`]) on a cache line, or the
-/// scalar tier's packed Kᵀ, Vᵀ, `dKᵀ` and `dVᵀ` and one `ROW_BLOCK` of `P`,
-/// `dS` and packed rows, whichever is larger.
+/// the fused tiers' buffers (`lane_buffers`, plus room to start them on a
+/// cache line) or the scalar tier's, whichever is larger.
 pub fn attention_backward_scratch_len(seq: usize, dh: usize) -> usize {
     let lanes = lane_buffers(seq, dh, WIDE_BLOCK).iter().sum::<usize>() + 7;
     lanes.max((4 * dh + 2 * ROW_BLOCK) * seq + 2 * ROW_BLOCK * dh)
 }
 
-/// The fused backward's buffers for blocks of `w` rows, each a whole
-/// number of cache lines: over the keys rounded up to [`KEY_GROUP`], the
-/// block's tile, `dK`, `dQ`'s partial sums (between the two accumulator
-/// streams, so they are not a multiple of 4 KB apart), `dV`, and K and V
-/// packed; over one key group, its `dS` tile and its paired `P` and `dS`;
-/// and the block's packed dO and Q rows, and both with every column twice.
+/// The fused backward's buffers for blocks of `w` rows, each a whole number
+/// of cache lines: per key (rounded up to [`KEY_GROUP`]) the block's tile,
+/// `dK`, `dV` and packed K and V, with `dQ`'s partial sums between `dK` and
+/// `dV` so that the two are not a multiple of 4 KB apart; per key of a
+/// group its `dS` tile and paired `P` and `dS`; and the block's packed dO
+/// and Q rows, then both with every column twice.
 fn lane_buffers(seq: usize, dh: usize, w: usize) -> [usize; 13] {
-    let (keys, paired, g) = (
-        seq.next_multiple_of(KEY_GROUP),
-        dh.next_multiple_of(4),
-        KEY_GROUP,
-    );
-    let (key, row) = ([w, paired, 0, paired, dh, dh], [0, 0, 4 * dh, 0, 0, 0]);
-    let [t, dk, sums, dv, k, v] = std::array::from_fn(|i| key[i] * keys + row[i] * w);
-    [
-        t,
-        dk,
-        sums,
-        dv,
-        k,
-        v,
-        w * g,
-        w * g,
-        w * g,
-        w * dh,
-        w * dh,
-        2 * w * paired,
-        2 * w * paired,
-    ]
+    let keys = seq.next_multiple_of(KEY_GROUP);
+    let (d4, g, r) = (dh.next_multiple_of(4), w * KEY_GROUP, w * dh);
+    let (t, kd, s, kv, x) = (w * keys, d4 * keys, 4 * r, dh * keys, 2 * w * d4);
+    [t, kd, s, kd, kv, kv, g, g, g, r, r, x, x]
 }
 
 /// `buf` cut into consecutive pieces of the given lengths.
@@ -514,17 +470,12 @@ pub fn attention_head_backward(
     assert!([q, k, v, o, d_o].iter().all(|x| x.len() >= span));
     assert!(dq.len() >= span && dk.len() >= span && dv.len() >= span);
     let scratch = &mut scratch[..attention_backward_scratch_len(seq, dh)];
+    let (ops, grads) = ([q, k, v, o, d_o], [dq, dk, dv]);
+    let b = Backward((seq, dh, ld, scale), ops, grads, scratch);
     // The flavour the forward took for this shape, so the recomputed
     // probabilities are the forward's, bit for bit.
     #[cfg(target_arch = "x86_64")]
     if gemm_worthwhile(seq, seq, dh) && kernel_tier().fused() {
-        let (shape, ops, grads) = ((seq, dh, ld, scale), [q, k, v, o, d_o], [dq, dk, dv]);
-        let b = Backward {
-            shape,
-            ops,
-            grads,
-            scratch,
-        };
         // SAFETY (both arms): `kernel_tier` returns only a tier detected on
         // this CPU; the slice bounds were asserted above.
         return match kernel_tier() {
@@ -532,24 +483,18 @@ pub fn attention_head_backward(
             _ => unsafe { run_avx2(b) },
         };
     }
-    backward_blocks(seq, dh, ld, scale, [q, k, v, o, d_o], [dq, dk, dv], scratch);
+    backward_blocks(b);
 }
 
-/// One head's backward on the fused tiers: `(seq, dh, ld, scale)`, Q, K,
-/// V, O and dO, dQ, dK and dV, and the scratch.
-#[cfg(target_arch = "x86_64")]
-struct Backward<'a> {
-    shape: (usize, usize, usize, f64),
-    ops: [&'a [f64]; 5],
-    grads: [&'a mut [f64]; 3],
-    scratch: &'a mut [f64],
-}
+/// One head's backward: its shape, Q, K, V, O and dO, dQ, dK and dV, and
+/// the scratch.
+struct Backward<'a>(Shape, [&'a [f64]; 5], [&'a mut [f64]; 3], &'a mut [f64]);
 
 #[cfg(target_arch = "x86_64")]
 impl Kernel for Backward<'_> {
     #[inline(always)]
     unsafe fn run<L: Lanes>(self) {
-        match self.shape.1 {
+        match self.0 .1 {
             4 => backward_lanes::<L, 4>(self),
             _ => backward_lanes::<L, 0>(self),
         }
@@ -558,28 +503,26 @@ impl Kernel for Backward<'_> {
 
 /// The fused backward on `L` lanes, one block of `2·N` query rows at a
 /// time in ascending order (see the module docs). A block starts as the
-/// forward's ([`block_exp`], on K packed once per head), and its keys are
+/// forward's ([`block_exp`], on K packed once per head); its keys are then
 /// walked one [`KEY_GROUP`] at a time, so the group's tiles stay in L1 next
 /// to the block's: [`grad_keys`] forms `P` and `dS` and pairs their keys,
-/// [`dq_cols`] continues `dQ`'s partial sums, and [`accumulate_pairs`] the
+/// [`dq_cols`] continues `dQ`'s partial sums and [`accumulate_pairs`] the
 /// `dK`/`dV` chains. On 32 registers (AVX-512) two `dQ` columns and eight
-/// key pairs run at once, on 16 one and four: the same chains, more of them
-/// in flight.
+/// key pairs run at once, on 16 one and four: more of the same chains in
+/// flight.
 ///
 /// # Safety
 /// As [`Lanes`]; the operands hold `(seq - 1) * ld + dh` elements with
-/// `ld >= dh`, and `scratch` [`attention_backward_scratch_len`].
+/// `ld >= dh`, and the scratch [`attention_backward_scratch_len`].
 #[cfg(target_arch = "x86_64")]
 #[inline(always)]
 unsafe fn backward_lanes<L: Lanes, const DH: usize>(b: Backward) {
-    let ((seq, dh, ld, scale), [q, k, v, o, d_o], [dq, dk, dv]) = (b.shape, b.ops, b.grads);
+    let Backward((seq, dh, ld, scale), [q, k, v, o, d_o], [dq, dk, dv], scratch) = b;
     let dh = if DH == 0 { dh } else { DH };
     let (n, w, seq4) = (L::N, 2 * L::N, seq - seq % 4);
-    let (cols, pairs) = if L::TILE_ROWS >= 8 { (2, 8) } else { (1, 4) };
-    let keys = seq.next_multiple_of(KEY_GROUP);
-    let per_pair = dh.next_multiple_of(4) / (n / 2);
-    let skip = b.scratch.as_ptr().align_offset(64).min(7);
-    let bufs = carve(&mut b.scratch[skip..], lane_buffers(seq, dh, w));
+    let (wide, per_pair) = (L::TILE_ROWS >= 8, dh.next_multiple_of(4) / (n / 2));
+    let skip = scratch.as_ptr().align_offset(64).min(7);
+    let bufs = carve(&mut scratch[skip..], lane_buffers(seq, dh, w));
     let [t, dkt, sums, dvt, kh, vh, ds, pp, sp, dob, qb, q2, o2] = bufs;
     // K and V packed; the padding keys are never scored, and zeros keep
     // their (dropped) accumulator lanes finite.
@@ -587,20 +530,16 @@ unsafe fn backward_lanes<L: Lanes, const DH: usize>(b: Backward) {
         kh[j * dh..][..dh].copy_from_slice(&kr[..dh]);
         vh[j * dh..][..dh].copy_from_slice(&vr[..dh]);
     }
-    for x in [
-        &mut kh[dh * seq..],
-        &mut vh[dh * seq..],
-        &mut t[w * seq..],
-        dkt,
-        dvt,
-    ] {
-        x.fill(0.0);
-    }
-    let (kp, tp) = (kh.as_ptr(), t.as_mut_ptr());
-    let (dsp, sump) = (ds.as_mut_ptr(), sums.as_mut_ptr());
+    kh[dh * seq..].fill(0.0);
+    vh[dh * seq..].fill(0.0);
+    t[w * seq..].fill(0.0);
+    dkt.fill(0.0);
+    dvt.fill(0.0);
+    let kp = kh.as_ptr();
     for i0 in (0..seq).step_by(w) {
         let rb = w.min(seq - i0);
-        let inv = block_exp::<L>(seq, dh, ld, scale, &q[i0 * ld..], rb, (kp, dh), qb, t);
+        let block = (&q[i0 * ld..], ld, rb);
+        let inv = block_exp::<L>((seq, dh, scale), block, (kp, dh), [&mut *qb, &mut *t]);
         // dO packed as the queries are; `rowsum(dO ∘ O)`, a chain from zero
         // over `p`; and each row's Q and dO with every column twice, `N/2`
         // columns per vector, for the paired accumulators.
@@ -619,36 +558,33 @@ unsafe fn backward_lanes<L: Lanes, const DH: usize>(b: Backward) {
             }
         }
         let dl = [L::load(delta.as_ptr()), L::load(delta.as_ptr().add(n))];
-        let from = [dob.as_ptr(), vh.as_ptr()];
-
-        for j0 in (0..keys).step_by(KEY_GROUP) {
+        let (tp, dsp, sump) = (t.as_mut_ptr(), ds.as_mut_ptr(), sums.as_mut_ptr());
+        let (pair, from) = (
+            [pp.as_mut_ptr(), sp.as_mut_ptr()],
+            [dob.as_ptr(), vh.as_ptr()],
+        );
+        for j0 in (0..seq.next_multiple_of(KEY_GROUP)).step_by(KEY_GROUP) {
             // The padding keys too: their `dS` reaches only their own lanes.
             for j in (j0..j0 + KEY_GROUP).step_by(4) {
                 let at = w * (j - j0);
-                let pairs = [pp.as_mut_ptr().add(at), sp.as_mut_ptr().add(at)];
-                let to = [tp.add(w * j), dsp.add(at), pairs[0], pairs[1]];
+                let to = [tp.add(w * j), dsp.add(at), pair[0].add(at), pair[1].add(at)];
                 grad_keys::<L>(j, dh, scale, from, [inv, dl], to);
             }
-            let (full, last) = (seq4.clamp(j0, j0 + KEY_GROUP), j0 + KEY_GROUP >= seq);
+            let last = j0 + KEY_GROUP >= seq;
             let tail = if last { seq4..seq } else { 0..0 };
+            let group = (j0, seq4.clamp(j0, j0 + KEY_GROUP), tail);
             let mut d = 0;
-            macro_rules! dq_cols {
-                ($n:literal) => {{
-                    let sums = sump.add(4 * w * d);
-                    let q = dq_cols::<L, $n>(j0, full, tail.clone(), dh, d, dsp, kp, sums);
-                    if last {
-                        store_cols(&q, rb, ld, &mut dq[i0 * ld + d..]);
-                    }
-                    d += $n;
-                }};
-            }
             while d < dh {
-                if cols == 2 && dh - d >= 2 {
-                    dq_cols!(2)
+                let out = last.then_some((rb, ld, i0 * ld + d));
+                let (at, two) = ((d, sump.add(4 * w * d)), wide && dh - d >= 2);
+                if two {
+                    dq_cols::<L, 2>(group.clone(), dh, at, dsp, kp, out, dq);
                 } else {
-                    dq_cols!(1)
+                    dq_cols::<L, 1>(group.clone(), dh, at, dsp, kp, out, dq);
                 }
+                d += 1 + two as usize;
             }
+            let pairs = if wide { 8 } else { 4 };
             for k0 in (0..KEY_GROUP / 2).step_by(pairs) {
                 for u in 0..per_pair {
                     let at = ((j0 / 2 + k0) * per_pair + u) * n;
@@ -663,7 +599,6 @@ unsafe fn backward_lanes<L: Lanes, const DH: usize>(b: Backward) {
             }
         }
     }
-
     // Column `d` of key `j` is lane `2 (d mod N/2) + j mod 2` of vector
     // `d / (N/2)` of pair `j / 2`.
     for j in 0..seq {
@@ -676,9 +611,10 @@ unsafe fn backward_lanes<L: Lanes, const DH: usize>(b: Backward) {
 
 /// For keys `j .. j + 4`, both halves: `dP` ([`key_dots`] of the packed dO
 /// and V, `from`), `P = e · inv` from the numerators at `to[0]`, and
-/// `dS = (P · (dP − delta)) · scale` (`scaled = [inv, delta]`). `dS` goes to
-/// the tile at `to[1]`, rows across lanes, and `P` and `dS` to `to[2]` and
-/// `to[3]` as two key pairs in [`pair_row`]'s layout.
+/// `dS = (P · (dP − delta)) · scale`. `dS` goes to the tile at `to[1]`,
+/// rows across lanes, and `P` and `dS` to `to[2]` and `to[3]` as two key
+/// pairs: per half, the even rows' lanes of both keys zipped, then the
+/// odd rows' ([`Lanes::zip`]).
 ///
 /// # Safety
 /// As [`backward_lanes`].
@@ -715,32 +651,31 @@ unsafe fn grad_keys<L: Lanes>(
     }
 }
 
-/// `dQ`'s head columns `d .. d + N` over the key group from `j0` (its `dS`
-/// tile `ds`), rows across lanes: the keys `full`, whole chunks of four,
-/// continue the partial sums by `j mod 4` of `fma(dS[r, j], K[j, d], ·)`
-/// kept in `sums` (vector `(u · 4 + l) · 2 + h` for column `d + u`, sum `l`,
-/// half `h`). In the last group (`tail` the keys past the last chunk of
-/// four) each half's sums are combined as `(s0 + s2) + (s1 + s3)`, the tail
-/// added in order, and the columns returned.
+/// `dQ`'s head columns `d .. d + C` (`at = (d, sums)`) over the key group
+/// `(j0, full, tail)` with `dS` tile `ds`, rows across lanes: the keys
+/// `j0 .. full`, whole chunks of four, continue the partial sums by
+/// `j mod 4` of `fma(dS[r, j], K[j, d], ·)` kept in `sums` (vector
+/// `(u · 4 + l) · 2 + h` for column `d + u`, sum `l`, half `h`). In the
+/// last group (`out = Some((rb, ld, at))`) each half's sums are combined as
+/// `(s0 + s2) + (s1 + s3)`, the `tail` keys added in order, and the block's
+/// `rb` rows stored to `dq[at ..]`.
 ///
 /// # Safety
 /// As [`backward_lanes`].
 #[cfg(target_arch = "x86_64")]
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
-unsafe fn dq_cols<L: Lanes, const N: usize>(
-    j0: usize,
-    full: usize,
-    tail: std::ops::Range<usize>,
+unsafe fn dq_cols<L: Lanes, const C: usize>(
+    (j0, full, tail): (usize, usize, std::ops::Range<usize>),
     ld: usize,
-    d: usize,
+    (d, sums): (usize, *mut f64),
     ds: *const f64,
     k: *const f64,
-    sums: *mut f64,
-) -> [[L; 2]; N] {
+    out: Option<(usize, usize, usize)>,
+    dq: &mut [f64],
+) {
     let (n, w) = (L::N, 2 * L::N);
     let at = |u: usize, l: usize, h: usize| sums.add(((u * 4 + l) * 2 + h) * n);
-    let mut s = [[[L::splat(0.0); 2]; 4]; N];
+    let mut s = [[[L::splat(0.0); 2]; 4]; C];
     for (u, s) in s.iter_mut().enumerate() {
         for (l, s) in s.iter_mut().enumerate() {
             [s[0], s[1]] = [L::load(at(u, l, 0)), L::load(at(u, l, 1))];
@@ -756,38 +691,34 @@ unsafe fn dq_cols<L: Lanes, const N: usize>(
             }
         }
     }
-    let mut out = [[L::splat(0.0); 2]; N];
-    for (u, (o, s)) in out.iter_mut().zip(&s).enumerate() {
-        for (l, s) in s.iter().enumerate() {
-            s[0].store(at(u, l, 0));
-            s[1].store(at(u, l, 1));
+    let Some((rb, dq_ld, base)) = out else {
+        for (u, s) in s.iter().enumerate() {
+            for (l, s) in s.iter().enumerate() {
+                s[0].store(at(u, l, 0));
+                s[1].store(at(u, l, 1));
+            }
         }
-        for (h, o) in o.iter_mut().enumerate() {
-            *o = s[0][h].add(s[2][h]).add(s[1][h].add(s[3][h]));
+        return;
+    };
+    let mut cols = [[L::splat(0.0); 2]; C];
+    for (u, (c, s)) in cols.iter_mut().zip(&s).enumerate() {
+        for (h, c) in c.iter_mut().enumerate() {
+            *c = s[0][h].add(s[2][h]).add(s[1][h].add(s[3][h]));
             for j in tail.clone() {
                 let g = L::load(ds.add(w * (j - j0) + n * h));
-                *o = g.fmadd(L::splat(*k.add(j * ld + d + u)), *o);
+                *c = g.fmadd(L::splat(*k.add(j * ld + d + u)), *c);
             }
         }
     }
-    out
-}
-
-/// Where row `r` sits in a key pair's vectors (see [`grad_keys`]): per
-/// `N`-lane half the even lanes' pairs, then the odd lanes' ([`Lanes::zip`]).
-#[cfg(target_arch = "x86_64")]
-#[inline(always)]
-fn pair_row<L: Lanes>(r: usize) -> usize {
-    let (h, l) = (r / L::N, r % L::N);
-    2 * L::N * h + (l % 2) * L::N + (l - l % 2)
+    store_cols(&cols, rb, dq_ld, &mut dq[base..]);
 }
 
 /// `dK` and `dV` for `KP` key pairs, keys across lanes: lane `2c + t` of a
 /// pair's vector `u` is column `u·N/2 + c` of the pair's key `t`, and
 /// continues its chain over the block's rows `0 .. rb` in ascending order,
 /// `fma(dS[r, j], Q[r, d], ·)` into `acc[0]` and `fma(P[r, j], dO[r, d], ·)`
-/// into `acc[1]`. `from` holds the paired `dS` and `P`, `rows` each row's
-/// Q and dO with every column twice.
+/// into `acc[1]`. `from` holds the paired `dS` and `P` (see [`grad_keys`]),
+/// `rows` each row's Q and dO with every column twice.
 ///
 /// # Safety
 /// As [`backward_lanes`].
@@ -808,7 +739,10 @@ unsafe fn accumulate_pairs<L: Lanes, const KP: usize>(
         }
     }
     for r in 0..rb {
-        let at = pair_row::<L>(r);
+        // Row `r`'s place in a pair's vectors: per half, the even rows,
+        // then the odd.
+        let (h, l) = (r / n, r % n);
+        let at = 2 * n * h + (l % 2) * n + (l - l % 2);
         for (g, a) in a.iter_mut().enumerate() {
             let (x, row) = (L::load(rows[g].add(r * stride)), from[g].add(at));
             for (k, a) in a.iter_mut().enumerate() {
@@ -828,16 +762,9 @@ unsafe fn accumulate_pairs<L: Lanes, const KP: usize>(
 /// Vᵀ: the block's scores and `dP` (`block_rows`), the row softmax, `dS`,
 /// then `dV`/`dK` (`block_accumulate`) and `dQ` (`block_dots`). Rows past
 /// a short last block are zero and add exact zeros.
-fn backward_blocks(
-    seq: usize,
-    dh: usize,
-    ld: usize,
-    scale: f64,
-    [q, k, v, o, d_o]: [&[f64]; 5],
-    [dq, dk, dv]: [&mut [f64]; 3],
-    scratch: &mut [f64],
-) {
+fn backward_blocks(b: Backward) {
     const RB: usize = ROW_BLOCK;
+    let Backward((seq, dh, ld, scale), [q, k, v, o, d_o], [dq, dk, dv], scratch) = b;
     let (ds, rs) = (dh * seq, RB * seq);
     let [kt, vt, dkt, dvt, p, ss, qb, dob] =
         carve(scratch, [ds, ds, ds, ds, rs, rs, RB * dh, RB * dh]);
@@ -993,18 +920,7 @@ mod tests {
         let (q, k, v) = (&qs[off..], &ks[off..], &vs[off..]);
         let mut out = vec![-1.0; seq * ld];
         let o = &mut out[off..];
-        let head = Head {
-            seq,
-            dh,
-            ld,
-            scale,
-            q,
-            k,
-            v,
-            out: o,
-            rows,
-            qb,
-        };
+        let head = Head((seq, dh, ld, scale), [q, k, v], o, [qb, rows]);
         match tier {
             Tier::Scalar => head_mul_add(head, kt, skip_zero),
             // SAFETY (both arms): the tier is supported; slices sized as in
@@ -1453,17 +1369,12 @@ mod tests {
         let ops = ops.map(|x| &x[off..]);
         let [dq, dk, dv] = &mut g;
         let grads = [&mut dq[off..], &mut dk[off..], &mut dv[off..]];
+        let shape = (seq, dh, ld, scale);
         match tier {
-            Tier::Scalar => backward_blocks(seq, dh, ld, scale, ops, grads, &mut scratch),
+            Tier::Scalar => backward_blocks(Backward(shape, ops, grads, &mut scratch)),
             #[cfg(target_arch = "x86_64")]
             _ => {
-                let (shape, scratch) = ((seq, dh, ld, scale), &mut scratch[..]);
-                let b = Backward {
-                    shape,
-                    ops,
-                    grads,
-                    scratch,
-                };
+                let b = Backward(shape, ops, grads, &mut scratch[..]);
                 // SAFETY (both arms): the tier is supported; slices sized as
                 // in attention_head_backward.
                 match tier {

@@ -564,7 +564,8 @@ impl EncoderLayerPlan {
             .backward(rows, x1, dffh, &mut grads[10..12], Some(tmp));
         // x1 feeds the residual and FF1: d_res2 + dX_ff1.
         add_into(dres2, tmp);
-        self.ln1.backward(res1, dres2, &mut grads[8..10], dres1, tmp);
+        self.ln1
+            .backward(res1, dres2, &mut grads[8..10], dres1, tmp);
         // The residual's share first, then the projections'.
         dy.copy_from_slice(dres1);
         let saved = [&**x, &*b.q, &*b.k, &*b.v, &*b.ctx];

@@ -10,6 +10,7 @@
 # on even rounds. Every row carries `side`, `cpu` (null when unpinned) and
 # `round`; scripts/perf_verdict.py <label> summarises them.
 #   scripts/perf_pair.sh <parent-rev> <label> [seed] [rounds]
+# PERF_FIRST_ROUND=<n> numbers the rounds from n, to continue a label.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 usage="usage: scripts/perf_pair.sh <parent-rev> <label> [seed] [rounds]"
@@ -26,9 +27,10 @@ fi
 for side in "$parent" .; do
     cargo build --release --offline --quiet --manifest-path "$side/benchmark/Cargo.toml"
 done
-python3 - "$parent" "$label" "${3:-1}" "${4:-10}" <<'PY'
+python3 - "$parent" "$label" "${3:-1}" "${4:-10}" "${PERF_FIRST_ROUND:-0}" <<'PY'
 import json, subprocess, sys
-parent, label, seed, rounds = sys.argv[1], sys.argv[2], sys.argv[3], int(sys.argv[4])
+parent, label, seed = sys.argv[1], sys.argv[2], sys.argv[3]
+rounds = range(int(sys.argv[5]), int(sys.argv[5]) + int(sys.argv[4]))
 spec = json.load(open("BENCHMARK.json"))
 
 def stamp(root):
@@ -49,9 +51,10 @@ def start(side, workload, trace, cpu):
     pin = [] if cpu is None else ["taskset", "-c", str(cpu)]
     return subprocess.Popen(pin + spec["command"] + args, cwd=sides[side], stdout=subprocess.PIPE, text=True)
 
-def finish(proc, workload):
-    result = json.loads(proc.communicate()[0].splitlines()[-1])
-    assert proc.returncode == 0 and result["correct"], f"{workload}: the run failed its checks"
+def finish(proc, side, workload):
+    out = proc.communicate()[0].splitlines()
+    result = json.loads(out[-1])
+    assert proc.returncode == 0 and result["correct"], f"{side} {workload} failed its checks: {out[-4:]}"
     return {name: m["value"] for name, m in result["metrics"].items()}
 
 def row(side, workload, cpu, rnd, plain, traced):
@@ -62,7 +65,7 @@ def row(side, workload, cpu, rnd, plain, traced):
 
 pinned = ("closed_loop", "train_finetune")
 with open("BENCH_perf.jsonl", "a") as rows:
-    for rnd in range(rounds):
+    for rnd in rounds:
         cpus = {"parent": rnd % 2, "change": 1 - rnd % 2}
         done = []
         for workload in (w["name"] for w in spec["workloads"]):
@@ -70,16 +73,16 @@ with open("BENCH_perf.jsonl", "a") as rows:
                 runs = {}
                 for trace in ("0", "1"):
                     procs = {s: start(s, workload, trace, cpus[s]) for s in sides}
-                    runs[trace] = {s: finish(p, workload) for s, p in procs.items()}
+                    runs[trace] = {s: finish(p, s, workload) for s, p in procs.items()}
                 done += [row(s, workload, cpus[s], rnd, runs["0"][s], runs["1"][s]) for s in sides]
             else:
                 order = ("parent", "change") if rnd % 2 == 0 else ("change", "parent")
                 for s in order:
-                    plain = finish(start(s, workload, "0", None), workload)
-                    traced = finish(start(s, workload, "1", None), workload)
+                    plain = finish(start(s, workload, "0", None), s, workload)
+                    traced = finish(start(s, workload, "1", None), s, workload)
                     done.append(row(s, workload, None, rnd, plain, traced))
         for r in done:
             rows.write(json.dumps(r) + "\n")
-            print(json.dumps({k: r[k] for k in ("workload", "side", "cpu", "round", "op_p50_us")}))
+            print(json.dumps({k: r[k] for k in ("workload", "side", "cpu", "round", "op_p50_us")}), flush=True)
         rows.flush()
 PY
